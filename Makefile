@@ -1,14 +1,16 @@
 # Single source of truth for the commands CI runs, so local dev and
 # the workflow can never drift: `make test` is exactly the tier-1
 # gate, `make lint` / `make coverage` / `make bench-smoke` are the CI
-# jobs, `make bench-nightly` is the scheduled full-mode throughput
-# sweep, `make cluster-demo` is the multi-FPGA acceptance run.
+# jobs, `make ledger` / `make ledger-quick` run the perf ledger (the
+# repo's one benchmark, see benchmarks/ledger/README.md), `make
+# bench-nightly` is the scheduled full ledger run, `make cluster-demo`
+# is the multi-FPGA acceptance run.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint coverage bench-smoke bench-full bench-nightly \
-	cluster-demo chaos-smoke clean
+	ledger ledger-quick cluster-demo chaos-smoke clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,23 +29,22 @@ bench-smoke:
 	REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
 		benchmarks/bench_serving_runtime.py \
 		benchmarks/bench_cluster_scaling.py \
-		benchmarks/bench_fv_throughput.py \
-		benchmarks/bench_mult_resident.py \
 		benchmarks/bench_optimizer.py
 
 bench-full:
 	$(PYTHON) -m pytest -q \
 		benchmarks/bench_serving_runtime.py \
 		benchmarks/bench_cluster_scaling.py \
-		benchmarks/bench_fv_throughput.py \
-		benchmarks/bench_mult_resident.py \
 		benchmarks/bench_optimizer.py
 
-# Nightly CI job: the full-mode FV throughput run (headline block +
-# the n = 4096..32768 ring sweep), appending one record with run
-# metadata to the BENCH_fv_ops.json trajectory.
-bench-nightly:
-	$(PYTHON) -m pytest -q benchmarks/bench_fv_throughput.py
+# The perf ledger: absolute end-to-end and per-layer numbers on the
+# four BENCHMARK.json workloads, written to benchmarks/ledger/out/
+# (~3 min; --quick ~25 s). The nightly CI job uploads the record files.
+ledger bench-nightly:
+	$(PYTHON) benchmarks/ledger/run.py
+
+ledger-quick:
+	$(PYTHON) benchmarks/ledger/run.py --quick
 
 cluster-demo:
 	$(PYTHON) -m repro cluster --shards 8

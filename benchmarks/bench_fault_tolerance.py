@@ -21,8 +21,7 @@ trace; the result files record which mode produced them. Appends a
 import os
 from pathlib import Path
 
-from bench_fv_throughput import append_trajectory_record, run_metadata
-from conftest import save_result
+from conftest import append_trajectory_record, run_metadata, save_result
 
 from repro.cluster import FpgaCluster, ReplicatedPlacement, \
     TenantAffinityRouter

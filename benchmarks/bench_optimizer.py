@@ -22,8 +22,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from bench_fv_throughput import append_trajectory_record, run_metadata
-from conftest import save_result
+from conftest import append_trajectory_record, run_metadata, save_result
 
 from repro.api import LocalBackend, Session, SimulatedBackend
 from repro.apps.matmul import EncryptedMatmul

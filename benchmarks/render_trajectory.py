@@ -1,24 +1,16 @@
-"""Render the BENCH_fv_ops.json trajectory as a markdown table.
+"""Render the BENCH_fv_ops.json trajectory as markdown tables.
 
-The nightly bench workflow appends one record per run to the
-trajectory file (see ``bench_fv_throughput.py``); this script reduces
-the chain to a speedup-over-time table for the workflow summary::
+``bench_optimizer.py`` and ``bench_fault_tolerance.py`` append one
+record per run to the trajectory file; this script reduces the chain
+to one table per record kind for a workflow summary::
 
     python benchmarks/render_trajectory.py \
         benchmarks/results/BENCH_fv_ops.json >> "$GITHUB_STEP_SUMMARY"
 
 One row per record (oldest first): when it was measured, at which
-commit, the headline Mult/Rotate speedups over ``per_row_mode``, and
-the per-ring-degree Mult speedups of the sweep. Sweep columns union
-over every record so old records (measured before a ring size was
-supported) render blank cells instead of breaking the table. Exits
-non-zero on a missing file; an empty trajectory renders a note, not
-an empty table.
-
-``fv_cores`` records (the cores-vs-throughput sweep) render as a
-second, workers-vs-speedup table: one column per
-``executor@workers n=...`` cell, values are Mult/s speedup over the
-serial executor measured in the same run.
+commit, and the record's numbers. Absolute engine timings live in the
+perf ledger (``benchmarks/ledger/``), not here. An empty trajectory
+renders a note, not an empty table.
 """
 
 from __future__ import annotations
@@ -29,65 +21,11 @@ from pathlib import Path
 
 
 def render(records: list[dict]) -> str:
-    cores_records = [r for r in records if "cores" in r]
     optim_records = [r for r in records if "optim" in r]
     fault_records = [r for r in records if "fault" in r]
-    resident_records = [r for r in records if "resident" in r]
-    records = [r for r in records
-               if "cores" not in r and "optim" not in r
-               and "fault" not in r and "resident" not in r]
-    lines = ["## FV hot-path speedup trajectory", ""]
-    if not records and not cores_records:
-        lines.append("_No trajectory records yet._")
-        return "\n".join(lines) + "\n"
-    sweep_ns = sorted({point["n"] for record in records
-                       for point in record.get("sweep", [])})
-    header = (["date", "sha", "mode", "Mult", "Rotate"]
-              + [f"Mult n={n}" for n in sweep_ns])
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for record in records:
-        meta = record.get("meta", {})
-        by_n = {point["n"]: point for point in record.get("sweep", [])}
-        row = [
-            str(meta.get("recorded_at", "?")).split("T")[0],
-            str(meta.get("git_sha", "?")),
-            str(record.get("mode", "?")),
-            _speedup(record.get("mult", {}).get("speedup")),
-            _speedup(record.get("rotate", {}).get("speedup")),
-        ] + [_speedup(by_n[n]["mult_speedup"]) if n in by_n else ""
-             for n in sweep_ns]
-        lines.append("| " + " | ".join(row) + " |")
-    if records:
-        latest = records[-1]
-        eliminated = latest.get("program", {}).get("transforms_eliminated")
-        if eliminated is not None:
-            lines += ["", f"Latest record: NTT-resident executor "
-                          f"eliminated {eliminated} row transforms on "
-                          f"the benchmark program graph."]
-    if cores_records:
-        lines += ["", "### Workers vs speedup (Mult/s over serial)", ""]
-        cells = sorted(
-            {(p["executor"], p["workers"], p["n"])
-             for record in cores_records for p in record["cores"]
-             if p["executor"] != "serial"},
-            key=lambda c: (c[0], c[1], c[2]),
-        )
-        header = (["date", "sha", "cores"]
-                  + [f"{ex}@{w} n={n}" for ex, w, n in cells])
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for record in cores_records:
-            meta = record.get("meta", {})
-            by_cell = {(p["executor"], p["workers"], p["n"]):
-                       p["speedup_vs_serial"] for p in record["cores"]}
-            row = [
-                str(meta.get("recorded_at", "?")).split("T")[0],
-                str(meta.get("git_sha", "?")),
-                str(record.get("available_cores", "?")),
-            ] + [_speedup(by_cell[c]) if c in by_cell else ""
-                 for c in cells]
-            lines.append("| " + " | ".join(row) + " |")
+    lines = ["## Benchmark trajectory"]
+    if not optim_records and not fault_records:
+        lines += ["", "_No trajectory records yet._"]
     if optim_records:
         lines += ["", "### Optimiser pass stack "
                       "(keyswitches saved, makespan speedup)", ""]
@@ -113,24 +51,6 @@ def render(records: list[dict]) -> str:
                 point = by_program.get(name)
                 row.append(_speedup(point["makespan_speedup"])
                            if point else "")
-            lines.append("| " + " | ".join(row) + " |")
-    if resident_records:
-        lines += ["", "### Resident Mult (evaluation-domain base "
-                      "extension, zero round trips)", ""]
-        resident_ns = sorted({p["n"] for record in resident_records
-                              for p in record["resident"]})
-        header = (["date", "sha"]
-                  + [f"Mult n={n}" for n in resident_ns])
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for record in resident_records:
-            meta = record.get("meta", {})
-            by_n = {p["n"]: p for p in record["resident"]}
-            row = [
-                str(meta.get("recorded_at", "?")).split("T")[0],
-                str(meta.get("git_sha", "?")),
-            ] + [_speedup(by_n[n]["mult_speedup"]) if n in by_n else ""
-                 for n in resident_ns]
             lines.append("| " + " | ".join(row) + " |")
     if fault_records:
         lines += ["", "### Fault tolerance (mid-run board kill)", ""]
@@ -172,20 +92,20 @@ def main(argv: list[str]) -> int:
     # a missing, empty or unparsable trajectory is a note in the
     # summary (exit 0), not a red workflow step.
     if not path.is_file():
-        print("## FV hot-path speedup trajectory\n\n"
+        print("## Benchmark trajectory\n\n"
               f"_No trajectory file at `{path}` yet — run the bench "
               "to record one._")
         return 0
     text = path.read_text().strip()
     if not text:
-        print("## FV hot-path speedup trajectory\n\n"
+        print("## Benchmark trajectory\n\n"
               f"_Trajectory file `{path}` is empty — run the bench "
               "to record the first entry._")
         return 0
     try:
         loaded = json.loads(text)
     except json.JSONDecodeError as exc:
-        print("## FV hot-path speedup trajectory\n\n"
+        print("## Benchmark trajectory\n\n"
               f"_Trajectory file `{path}` is not valid JSON "
               f"({exc}) — fix or regenerate it._")
         return 0

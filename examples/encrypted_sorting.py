@@ -12,18 +12,16 @@ Run:  python examples/encrypted_sorting.py
 
 import numpy as np
 
-from repro import FvContext, mini
+from repro import Session, mini
 from repro.apps.comparator import EncryptedComparator, comparator_depth
-from repro.fv.noise import noise_budget_bits
 
 BITS = 3
 
 
 def main() -> None:
     params = mini(t=2)
-    context = FvContext(params, seed=17)
-    keys = context.keygen()
-    comparator = EncryptedComparator(context, keys, bits=BITS)
+    session = Session(params, seed=17)
+    comparator = EncryptedComparator(session, bits=BITS)
 
     print(f"{BITS}-bit compare-and-swap: comparator depth "
           f"{comparator_depth(BITS)} + 1 mux level = "
@@ -37,7 +35,7 @@ def main() -> None:
         low_ct, high_ct = comparator.compare_and_swap(ct_x, ct_y)
         low = comparator.decrypt_value(low_ct)
         high = comparator.decrypt_value(high_ct)
-        budget = noise_budget_bits(context, low_ct[0], keys.secret)
+        budget = session.noise_budget_bits(low_ct[0])
         status = "OK" if (low, high) == (min(x, y), max(x, y)) else "WRONG"
         print(f"sort({x}, {y}) -> ({low}, {high})  [{status}; "
               f"remaining budget {budget:.1f} bits]")

@@ -12,7 +12,7 @@ Run:  python examples/smart_grid_forecasting.py
 
 import numpy as np
 
-from repro import FvContext, mini
+from repro import Session, mini
 from repro.apps import SmartGridAggregator
 from repro.apps.forecasting import plaintext_reference
 
@@ -25,9 +25,7 @@ def main() -> None:
     # t = 65537 is prime with t ≡ 1 (mod 2n): batching packs one reading
     # per slot, so a single ciphertext carries a meter's whole day.
     params = mini(t=65537)
-    context = FvContext(params, seed=7)
-    keys = context.keygen()
-    aggregator = SmartGridAggregator(context, keys)
+    aggregator = SmartGridAggregator(Session(params, seed=7))
 
     rng = np.random.default_rng(11)
     readings = rng.integers(0, 500, size=(NUM_METERS, SLOTS))
@@ -62,11 +60,7 @@ def main() -> None:
 
     # Extension: one number for the whole fleet via Galois rotations
     # (rotate-and-add slot summation; see docs/ARCHITECTURE.md Sec. 5).
-    from repro.fv.galois import GaloisEngine
-
-    engine = GaloisEngine(context)
-    summation_keys = engine.summation_keygen(keys.secret)
-    grand_ct = aggregator.grand_total(meter_cts, summation_keys)
+    grand_ct = aggregator.grand_total(meter_cts)
     grand = aggregator.decrypt_slots(grand_ct, 1)[0]
     expected = int(readings.sum()) % params.t
     print(f"\ngrand total over all meters and slots (computed entirely "

@@ -87,19 +87,17 @@ class LocalBackend:
     non-positive budget means the decryption is garbage, and the
     backend refuses to return it silently.
 
-    With ``ntt_resident=True`` (the default) intermediates stay in the
-    evaluation domain across ADD / SUB / MUL_PLAIN / ROTATE / SUM_SLOTS
-    chains, exactly as HEAX/Medha keep operands on-chip in NTT form:
-    rotations become slot permutations plus a key switch that never
-    leaves the NTT domain, plaintext multiplies are pointwise products
-    against the session's plaintext-constant NTT pool, and — with the
+    Intermediates stay in the evaluation domain across ADD / SUB /
+    MUL_PLAIN / ROTATE / SUM_SLOTS chains, exactly as HEAX/Medha keep
+    operands on-chip in NTT form: rotations become slot permutations
+    plus a key switch that never leaves the NTT domain, plaintext
+    multiplies are pointwise products against the session's
+    plaintext-constant NTT pool, and — with the
     evaluation-domain base extension — MULTIPLY consumes resident
     operands directly and can emit a resident product, so conversions
     back to the coefficient domain happen only at the program's output
-    boundary. ``ntt_resident=False`` replays
-    the eager coefficient-domain schedule; :attr:`telemetry` reports
-    the forward/inverse transform counts of the last run so the saving
-    is measurable (the property tests assert it).
+    boundary. :attr:`telemetry` reports the forward/inverse transform
+    counts of the last run.
 
     Residency also spans *requests*. Born-resident inputs
     (``Session.encrypt(..., resident=True)`` or an NTT-domain wire
@@ -115,7 +113,6 @@ class LocalBackend:
     """
 
     def __init__(self, session: Session, *, verify: bool = True,
-                 ntt_resident: bool = True,
                  resident_outputs: bool = False,
                  resident_cache: ResidentOperandCache | None = None,
                  resident_cache_limit: int = 64,
@@ -123,7 +120,6 @@ class LocalBackend:
                  = None) -> None:
         self.session = session
         self.verify = verify
-        self.ntt_resident = ntt_resident
         self.resident_outputs = resident_outputs
         # Executor selection: None defers to the ambient scope / env
         # default at run time; a mode string or ExecutionConfig is
@@ -155,7 +151,6 @@ class LocalBackend:
     def telemetry(self) -> dict:
         """Execution telemetry: transform counts, cache, executor mode."""
         return {
-            "ntt_resident": self.ntt_resident,
             "resident_outputs": self.resident_outputs,
             "executor": ("ambient" if self.executor is None
                          else self.executor.name),
@@ -192,8 +187,7 @@ class LocalBackend:
         scope = (use_executor(self.executor)
                  if self.executor is not None else nullcontext())
         with scope, tracer.activate():
-            wants = (self._plan_domains(program)
-                     if self.ntt_resident else {})
+            wants = self._plan_domains(program)
             with tracer.span("restore_residents", kind="phase") as sp:
                 self.last_cache_restores = self._restore_residents(
                     program, wants
@@ -219,10 +213,9 @@ class LocalBackend:
             # the first member computes every member off one shared
             # digit transform; later members hit the graph cache.
             hoisted: dict[int, tuple[ExprNode, ...]] = {}
-            if self.ntt_resident:
-                for group in program.hoist_groups:
-                    for member in group:
-                        hoisted[id(member)] = group
+            for group in program.hoist_groups:
+                for member in group:
+                    hoisted[id(member)] = group
             for node in program.nodes:
                 if node.cached is not None:
                     continue
@@ -248,14 +241,12 @@ class LocalBackend:
             # as long as their handles live), and a single wide program
             # would otherwise flush the bounded FIFO of every genuinely
             # reusable entry.
-            if self.ntt_resident:
-                boundary = list(program.inputs) + list(
-                    program.outputs.values()
-                )
-                for node in boundary:
-                    if (node.cached is not None
-                            and node.cached.ntt_resident):
-                        self.resident_cache.put(node, node.cached)
+            boundary = list(program.inputs) + list(
+                program.outputs.values()
+            )
+            for node in boundary:
+                if node.cached is not None and node.cached.ntt_resident:
+                    self.resident_cache.put(node, node.cached)
             # Output boundary: by default results leave the executor in
             # the coefficient domain (the legacy wire representation),
             # mirroring the download DMA of the paper's server; with
@@ -312,8 +303,6 @@ class LocalBackend:
         handle access degraded it) re-enters the evaluation domain via
         a cache hit instead of a fresh forward transform.
         """
-        if not self.ntt_resident:
-            return 0
         restores = 0
         for node in program.nodes:
             ct = node.cached
@@ -409,7 +398,7 @@ class LocalBackend:
         session = self.session
         context = session.context
         args = [arg.cached for arg in node.args]
-        resident_out = self.ntt_resident and wants.get(id(node), False)
+        resident_out = wants.get(id(node), False)
         if node.op is OpKind.INPUT:
             raise ParameterError(
                 "program has an unbound input (wrap() a ciphertext first)"
@@ -431,30 +420,27 @@ class LocalBackend:
         if node.op is OpKind.NEGATE:
             return context.negate(args[0])
         if node.op is OpKind.ADD_PLAIN:
-            if self.ntt_resident and args[0].c0.ntt_domain:
+            if args[0].c0.ntt_domain:
                 return context.add_plain(
                     args[0], node.payload,
                     delta_m_ntt=session.plain_delta_ntt(node.payload),
                 )
             return context.add_plain(args[0], node.payload)
         if node.op is OpKind.MUL_PLAIN:
-            if self.ntt_resident:
-                # MulPlain computes in the evaluation domain either
-                # way, so a resident result is free — and in an
-                # add-tree of plaintext products the deferred
-                # conversions all merge at the root. The plaintext
-                # operand comes from the session's NTT pool, and the
-                # operand's conversion is written back so a shared
-                # subexpression transforms forward only once.
-                node.args[0].cached = context.to_ntt_ct(args[0])
-                return context.mul_plain(
-                    node.args[0].cached, node.payload,
-                    m_ntt=session.plain_ntt(node.payload),
-                )
-            return context.mul_plain(args[0], node.payload)
+            # MulPlain computes in the evaluation domain either way, so
+            # a resident result is free — and in an add-tree of
+            # plaintext products the deferred conversions all merge at
+            # the root. The plaintext operand comes from the session's
+            # NTT pool, and the operand's conversion is written back so
+            # a shared subexpression transforms forward only once.
+            node.args[0].cached = context.to_ntt_ct(args[0])
+            return context.mul_plain(
+                node.args[0].cached, node.payload,
+                m_ntt=session.plain_ntt(node.payload),
+            )
         if node.op in (OpKind.MULTIPLY, OpKind.MULTIPLY_RAW):
             evaluator = session.evaluator
-            if (self.ntt_resident and evaluator.resident_tensor_ok
+            if (evaluator.resident_tensor_ok
                     and any(ct.ntt_resident for ct in args)):
                 # Evaluation-domain base extension: resident operands
                 # feed the tensor step as-is. Align any mixed operand
@@ -494,17 +480,13 @@ class LocalBackend:
                                                  resident=resident_out)
         if node.op is OpKind.ROTATE:
             key = session.rotation_key(node.payload)
-            if self.ntt_resident and (args[0].c0.ntt_domain
-                                      or resident_out):
+            if args[0].c0.ntt_domain or resident_out:
                 return session.galois.apply_resident(args[0], key)
             return session.galois.apply(args[0], key)
         if node.op is OpKind.SUM_SLOTS:
-            if self.ntt_resident:
-                # The internal rotate-and-add chain always benefits
-                # from residency, whatever happens downstream.
-                return session.galois.sum_all_slots_resident(
-                    args[0], session.summation_keys()
-                )
-            return session.galois.sum_all_slots(args[0],
-                                                session.summation_keys())
+            # The internal rotate-and-add chain always benefits from
+            # residency, whatever happens downstream.
+            return session.galois.sum_all_slots_resident(
+                args[0], session.summation_keys()
+            )
         raise ParameterError(f"unknown op {node.op!r}")  # pragma: no cover

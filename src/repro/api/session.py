@@ -281,16 +281,12 @@ class Session:
         return len(missing)
 
     def summation_keys(self) -> dict:
-        """Every key :meth:`GaloisEngine.sum_all_slots` needs (cached)."""
+        """Every key ``GaloisEngine.sum_all_slots_resident`` needs (cached)."""
         if self._summation_keys is None:
             self._summation_keys = self.galois.summation_keygen(
                 self.keys.secret
             )
         return self._summation_keys
-
-    def use_summation_keys(self, keys: dict) -> None:
-        """Adopt externally generated summation keys (seeds the cache)."""
-        self._summation_keys = keys
 
     # -- programs ----------------------------------------------------------------------
 

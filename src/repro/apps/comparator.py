@@ -26,8 +26,8 @@ chain are then computed once, not per use).
 
 from __future__ import annotations
 
+from ..api.session import Session
 from ..errors import ParameterError
-from ._compat import adopt_session, as_handle, unwrap
 
 
 def comparator_depth(bits: int) -> int:
@@ -40,18 +40,14 @@ def comparator_depth(bits: int) -> int:
 class EncryptedComparator:
     """Bitwise comparator over per-bit FV ciphertexts (t = 2).
 
-    Construct with ``EncryptedComparator(session, bits=k)``; the legacy
-    ``(context, keys, bits)`` spelling is deprecated.
+    Construct with ``EncryptedComparator(session, bits=k)``.
     """
 
-    def __init__(self, session, keys=None, bits: int | None = None) -> None:
-        if bits is None and isinstance(keys, int):
-            keys, bits = None, keys     # new-style positional bit count
-        self.session, self._legacy = adopt_session(
-            session, keys, app="EncryptedComparator")
+    def __init__(self, session: Session, bits: int) -> None:
+        self.session = session
         if self.session.params.t != 2:
             raise ParameterError("the comparator works over t = 2")
-        if bits is None or bits < 1:
+        if bits < 1:
             raise ParameterError("need at least one bit")
         self.bits = bits
 
@@ -64,7 +60,7 @@ class EncryptedComparator:
                 f"value {value} does not fit in {self.bits} bits"
             )
         return [
-            unwrap(self.session.encrypt([(value >> i) & 1]), self._legacy)
+            self.session.encrypt([(value >> i) & 1])
             for i in range(self.bits)
         ]
 
@@ -79,17 +75,14 @@ class EncryptedComparator:
 
     # -- homomorphic building blocks -----------------------------------------------
 
-    def _lift(self, ct):
-        return as_handle(self.session, ct)
-
     def _not(self, ct):
-        return self._lift(ct) + 1
+        return ct + 1
 
     def _and(self, a, b):
-        return self._lift(a) * self._lift(b)
+        return a * b
 
     def _xor(self, a, b):
-        return self._lift(a) + self._lift(b)
+        return a + b
 
     def _xnor(self, a, b):
         return self._not(self._xor(a, b))
@@ -114,21 +107,17 @@ class EncryptedComparator:
             lt = self._xor(lt, self._and(eq, bit_lt))
             if i > 0:
                 eq = self._and(eq, self._xnor(a[i], b[i]))
-        return unwrap(lt, self._legacy)
+        return lt
 
     def multiplex(self, select, when_one: list, when_zero: list) -> list:
         """Bitwise mux: select * when_one + (1 - select) * when_zero.
 
         Over F_2: out = when_zero + select * (when_one - when_zero).
         """
-        sel = self._lift(select)
-        out = []
-        for one_bit, zero_bit in zip(when_one, when_zero, strict=True):
-            diff = self._lift(one_bit) - self._lift(zero_bit)
-            out.append(
-                unwrap(self._lift(zero_bit) + sel * diff, self._legacy)
-            )
-        return out
+        return [
+            zero_bit + select * (one_bit - zero_bit)
+            for one_bit, zero_bit in zip(when_one, when_zero, strict=True)
+        ]
 
     def compare_and_swap(self, a: list, b: list):
         """Oblivious (min, max) — the cell of every sorting network."""

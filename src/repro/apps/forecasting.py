@@ -22,21 +22,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..api.program import CiphertextHandle
+from ..api.session import Session
 from ..errors import ParameterError
-from ._compat import adopt_session, as_handle, unwrap
 
 
 class SmartGridAggregator:
     """Server-side aggregation over encrypted meter readings.
 
     Construct with ``SmartGridAggregator(session)`` (the session must
-    use the batch encoder, i.e. an NTT-friendly plaintext modulus); the
-    legacy ``(context, keys)`` spelling is deprecated.
+    use the batch encoder, i.e. an NTT-friendly plaintext modulus).
     """
 
-    def __init__(self, session, keys=None) -> None:
-        self.session, self._legacy = adopt_session(
-            session, keys, encoder="batch", app="SmartGridAggregator")
+    def __init__(self, session: Session) -> None:
+        self.session = session
         if self.session.encoder_kind != "batch":
             raise ParameterError(
                 "SmartGridAggregator needs a batch-encoder session "
@@ -47,12 +46,9 @@ class SmartGridAggregator:
 
     # -- client side -------------------------------------------------------------
 
-    def encrypt_readings(self, readings):
+    def encrypt_readings(self, readings) -> CiphertextHandle:
         """A meter encrypts one batch of readings (one slot each)."""
-        return unwrap(
-            self.session.encrypt(np.asarray(readings, dtype=np.int64)),
-            self._legacy,
-        )
+        return self.session.encrypt(np.asarray(readings, dtype=np.int64))
 
     # -- server side (never sees plaintext) -----------------------------------------
 
@@ -60,11 +56,10 @@ class SmartGridAggregator:
         """Slot-wise sum over all meters (pure additions)."""
         if not meter_cts:
             raise ParameterError("no meter ciphertexts supplied")
-        handles = [as_handle(self.session, ct) for ct in meter_cts]
-        acc = handles[0]
-        for handle in handles[1:]:
+        acc = meter_cts[0]
+        for handle in meter_cts[1:]:
             acc = acc + handle
-        return unwrap(acc, self._legacy)
+        return acc
 
     def weighted_forecast(self, lagged_cts: list, weights: list[int]):
         """GMDH-style linear predictor: sum_i w_i * x_{t-i}.
@@ -76,37 +71,24 @@ class SmartGridAggregator:
             raise ParameterError("one weight per lagged ciphertext required")
         acc = None
         for ct, weight in zip(lagged_cts, weights, strict=True):
-            term = as_handle(self.session, ct) * int(weight)
+            term = ct * int(weight)
             acc = term if acc is None else acc + term
-        return unwrap(acc, self._legacy)
+        return acc
 
     def squared(self, ct):
         """Slot-wise square (one homomorphic multiplication)."""
-        handle = as_handle(self.session, ct)
-        return unwrap(handle * handle, self._legacy)
+        return ct * ct
 
     def sum_of_squares(self, meter_cts: list):
         """sum_i x_i^2 — with the total, gives the variance."""
-        squares = [as_handle(self.session, self.squared(ct))
-                   for ct in meter_cts]
-        acc = squares[0]
-        for handle in squares[1:]:
-            acc = acc + handle
-        return unwrap(acc, self._legacy)
+        return self.total([self.squared(ct) for ct in meter_cts])
 
-    def grand_total(self, meter_cts: list, summation_keys: dict | None = None):
+    def grand_total(self, meter_cts: list):
         """One ciphertext whose every slot holds the total over all
-        meters *and* all slots (rotate-and-add via Galois keys).
-
-        The session generates and caches the summation keys on first
-        use; passing them explicitly (the legacy spelling) seeds that
-        cache instead.
+        meters *and* all slots (rotate-and-add via Galois keys, which
+        the session generates and caches on first use).
         """
-        if summation_keys is not None:
-            self.session.use_summation_keys(summation_keys)
-        handles = [as_handle(self.session, ct) for ct in meter_cts]
-        total = as_handle(self.session, self.total(handles))
-        return unwrap(total.sum_slots(), self._legacy)
+        return self.total(meter_cts).sum_slots()
 
     # -- authority side ----------------------------------------------------------------
 

@@ -25,8 +25,8 @@ functionally or replays against the simulated serving cluster
 from __future__ import annotations
 
 from ..api.program import CiphertextHandle, HEProgram
+from ..api.session import Session
 from ..errors import ParameterError
-from ._compat import adopt_session, as_handle, unwrap
 
 
 def selection_depth(table_size: int) -> int:
@@ -38,20 +38,11 @@ def selection_depth(table_size: int) -> int:
 class EncryptedLookupTable:
     """Server holding a public table, queried with encrypted indices.
 
-    Construct with ``EncryptedLookupTable(session, table)``; the legacy
-    ``(context, keys, table)`` spelling still works but is deprecated.
+    Construct with ``EncryptedLookupTable(session, table)``.
     """
 
-    def __init__(self, session, keys_or_table=None, table=None) -> None:
-        if table is None:
-            self.session, self._legacy = adopt_session(
-                session, app="EncryptedLookupTable")
-            table = keys_or_table
-        else:
-            self.session, self._legacy = adopt_session(
-                session, keys_or_table, app="EncryptedLookupTable")
-        if table is None:
-            raise ParameterError("the lookup table is required")
+    def __init__(self, session: Session, table: list[int]) -> None:
+        self.session = session
         if self.session.params.t <= max(table, default=0):
             raise ParameterError(
                 "table values must fit below the plaintext modulus"
@@ -69,7 +60,7 @@ class EncryptedLookupTable:
         if not 0 <= index < len(self.table):
             raise ParameterError(f"index {index} outside the table")
         return [
-            unwrap(self.session.encrypt([(index >> j) & 1]), self._legacy)
+            self.session.encrypt([(index >> j) & 1])
             for j in range(self.index_bits)
         ]
 
@@ -95,23 +86,22 @@ class EncryptedLookupTable:
             raise ParameterError(
                 f"expected {self.index_bits} encrypted index bits"
             )
-        bits = [as_handle(self.session, b) for b in index_bits]
         # Build each negated bit once so every table entry shares the
         # same subexpression node (the graph dedups by identity).
-        negated = [1 - b for b in bits]
+        negated = [1 - b for b in index_bits]
         reply = None
         for entry, value in enumerate(self.table):
             factors = [
-                bits[j] if (entry >> j) & 1 else negated[j]
+                index_bits[j] if (entry >> j) & 1 else negated[j]
                 for j in range(self.index_bits)
             ]
             weighted = self._product_tree(factors) * value
             reply = weighted if reply is None else reply + weighted
         return reply
 
-    def lookup(self, index_bits: list):
-        """PIR reply (handle; a raw ciphertext for legacy callers)."""
-        return unwrap(self.reply_expr(index_bits), self._legacy)
+    def lookup(self, index_bits: list) -> CiphertextHandle:
+        """PIR reply as a lazy ciphertext handle."""
+        return self.reply_expr(index_bits)
 
     def lookup_program(self, index_bits: list, *,
                        check: bool = True) -> HEProgram:

@@ -28,8 +28,8 @@ simulated cluster, with or without the optimiser.
 from __future__ import annotations
 
 from ..api.program import CiphertextHandle, HEProgram
+from ..api.session import Session
 from ..errors import ParameterError
-from ._compat import adopt_session, as_handle, unwrap
 
 
 class EncryptedMatmul:
@@ -41,10 +41,9 @@ class EncryptedMatmul:
     elements share one ciphertext (default: all ``n`` slots).
     """
 
-    def __init__(self, session, keys=None, *,
+    def __init__(self, session: Session, *,
                  block_slots: int | None = None) -> None:
-        self.session, self._legacy = adopt_session(
-            session, keys, app="EncryptedMatmul")
+        self.session = session
         n = self.session.params.n
         if block_slots is None:
             block_slots = n
@@ -78,8 +77,7 @@ class EncryptedMatmul:
         """Encrypt each matrix row as one ciphertext per inner block."""
         self._check(matrix)
         return [
-            [unwrap(self.session.encrypt(block), self._legacy)
-             for block in self._blocks(row)]
+            [self.session.encrypt(block) for block in self._blocks(row)]
             for row in matrix
         ]
 
@@ -88,8 +86,7 @@ class EncryptedMatmul:
         self._check(matrix)
         columns = [list(col) for col in zip(*matrix)]
         return [
-            [unwrap(self.session.encrypt(block), self._legacy)
-             for block in self._blocks(col)]
+            [self.session.encrypt(block) for block in self._blocks(col)]
             for col in columns
         ]
 
@@ -114,8 +111,7 @@ class EncryptedMatmul:
             raise ParameterError("row/column block counts differ")
         entry = None
         for a, b in zip(row_blocks, col_blocks):
-            term = (as_handle(self.session, a)
-                    * as_handle(self.session, b)).sum_slots()
+            term = (a * b).sum_slots()
             entry = term if entry is None else entry + term
         return entry
 

@@ -14,8 +14,7 @@ F_2 (t = 2), XOR is addition and AND is multiplication, so a 4-round
 instance consumes exactly the paper's multiplicative depth of 4.
 
 Homomorphic evaluation is expressed over :mod:`repro.api` ciphertext
-handles — ``evaluate_encrypted(session, bit_handles)``; the legacy
-``(context, keys, bit_cts)`` spelling is deprecated but still works.
+handles — ``evaluate_encrypted(session, bit_handles)``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 
 from ..api.session import Session
 from ..errors import ParameterError
-from ._compat import adopt_session, as_handle, unwrap
 
 
 class RastaLikeCipher:
@@ -66,21 +64,13 @@ class RastaLikeCipher:
 
     # -- homomorphic evaluation --------------------------------------------------------
 
-    def evaluate_encrypted(self, session, keys_or_bits,
-                           bit_cts=None) -> list:
+    def evaluate_encrypted(self, session: Session, bit_cts: list) -> list:
         """Run the cipher over per-bit handles (t must be 2)."""
-        if isinstance(session, Session) and bit_cts is None:
-            bit_cts = keys_or_bits
-            keys = None
-        else:
-            keys = keys_or_bits
-        session, legacy = adopt_session(session, keys,
-                                        app="RastaLikeCipher")
         if session.params.t != 2:
             raise ParameterError("homomorphic chi works over t = 2")
-        if bit_cts is None or len(bit_cts) != self.width:
+        if len(bit_cts) != self.width:
             raise ParameterError(f"need {self.width} encrypted state bits")
-        state = [as_handle(session, ct) for ct in bit_cts]
+        state = bit_cts
         for matrix, constant in zip(self.matrices, self.constants, strict=True):
             # Affine layer: XOR of selected bits plus a public constant.
             new_state = []
@@ -104,15 +94,10 @@ class RastaLikeCipher:
                             * new_state[(i + 2) % self.width])
                 term = new_state[i] + and_term
                 state.append(term + new_state[(i + 2) % self.width])
-        return [unwrap(handle, legacy) for handle in state]
+        return state
 
     @staticmethod
-    def decrypt_state(session, keys_or_state, state=None) -> np.ndarray:
-        """Decrypt the output bits (session + handles, or legacy triple)."""
-        if isinstance(session, Session) and state is None:
-            state = keys_or_state
-        else:
-            session, _ = adopt_session(session, keys_or_state,
-                                       app="RastaLikeCipher")
+    def decrypt_state(session: Session, state: list) -> np.ndarray:
+        """Decrypt the output bits."""
         bits = [int(session.decrypt(ct)[0]) for ct in state]
         return np.array(bits, dtype=np.int64)

@@ -377,30 +377,18 @@ def cmd_program(args: argparse.Namespace) -> None:
           f"depth {program.depth}, static worst-case budget "
           f"{static:.1f} bits")
 
-    # Executor 1: the functional FV evaluator (real ciphertexts). Run
-    # the same graph eagerly and NTT-resident to show the transform
-    # saving (fresh sessions so the node caches don't share work).
-    eager_session = Session(params, seed=13)
-    eager_server = EncryptedLookupTable(eager_session, table)
-    eager_program = eager_server.lookup_program(
-        eager_server.encrypt_index(index))
-    eager = LocalBackend(eager_session, ntt_resident=False)
-    eager.run(eager_program)
-    resident = LocalBackend(session, ntt_resident=True)
-    result = resident.run(program)
+    # Executor 1: the functional FV evaluator (real ciphertexts).
+    local = LocalBackend(session)
+    result = local.run(program)
     value = int(result.decrypt("out")[0])
     status = "OK" if value == table[index] else "WRONG"
     print(f"LocalBackend: lookup(index={index}) -> {value} "
           f"(expected {table[index]}, {status}; measured budget "
           f"{result.noise_budget_bits('out'):.1f} bits)")
-    eager_rows = (eager.last_transform_counts["forward_rows"]
-                  + eager.last_transform_counts["inverse_rows"])
-    resident_rows = (resident.last_transform_counts["forward_rows"]
-                     + resident.last_transform_counts["inverse_rows"])
-    print(f"NTT residency: eager executor ran {eager_rows} row "
-          f"transforms, resident executor {resident_rows} "
-          f"({eager_rows - resident_rows} eliminated by staying in the "
-          f"evaluation domain)")
+    counts = local.last_transform_counts
+    print(f"row transforms: {counts['forward_rows']} forward, "
+          f"{counts['inverse_rows']} inverse, "
+          f"{counts['roundtrip_rows']} coefficient round trips")
 
     # Executor 2: the same program object through the simulated cluster.
     cost = CostModel(params)

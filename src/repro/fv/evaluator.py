@@ -73,10 +73,6 @@ class Evaluator:
         # Both scale routes produce canonical residues.
         return RnsPoly.trusted(self.context.q_basis, rows)
 
-    def _full_ntt(self, residues: np.ndarray) -> np.ndarray:
-        """Batched forward NTT over the full basis ((k, n) or stacks)."""
-        return ntt_rows(self._full_primes, residues)
-
     def _full_ntt_lazy(self, residues: np.ndarray) -> np.ndarray:
         """Forward NTT with lazy [0, 2q) outputs where the batched
         engine runs; canonical (a subset of lazy) via the guarded
@@ -91,10 +87,6 @@ class Evaluator:
             residues, lazy=True
         )
 
-    def _full_intt(self, values: np.ndarray) -> np.ndarray:
-        """Batched inverse NTT over the full basis ((k, n) or stacks)."""
-        return intt_rows(self._full_primes, values)
-
     def tensor(self, a: Ciphertext, b: Ciphertext) -> tuple[np.ndarray, ...]:
         """Lift both ciphertexts and form (c~0, c~1, c~2) over the full basis.
 
@@ -103,29 +95,23 @@ class Evaluator:
         limb-parallel schedule of the paper's Fig. 2 datapath. The cross
         term accumulates both 60-bit products before a single reduction.
         """
-        return self._tensor_parts(a, b, prescaled=False)
+        return tuple(intt_rows(self._full_primes, self._tensor_ntt(a, b)))
 
     @property
     def resident_tensor_ok(self) -> bool:
         """Can the evaluation-domain tensor path serve this context?
 
-        Public form of :meth:`_resident_tensor_ok`, used by the domain
-        planner in :class:`~repro.api.backends.LocalBackend` to decide
-        whether MULTIPLY inputs may stay NTT-resident.
-        """
-        return self._resident_tensor_ok()
-
-    def _resident_tensor_ok(self) -> bool:
-        """Can the evaluation-domain tensor path serve this context?
-
         The resident lift needs the target basis to start with the
         source primes (Lift q->Q always does), 60-bit-safe reciprocal
-        tables, and the batched engine on every basis involved.
+        tables, and the batched engine on every basis involved. Also
+        read by the domain planner in
+        :class:`~repro.api.backends.LocalBackend` to decide whether
+        MULTIPLY inputs may stay NTT-resident.
         """
         params = self.context.params
         lift_ctx = self.context.lift_ctx
         n = params.n
-        return (self.use_hps and not batch._PER_ROW_MODE
+        return (self.use_hps
                 and lift_ctx.gemm_safe
                 and lift_ctx.source_prefix == params.k_q
                 and batch.batched_engine_ok(params.q_primes, n)
@@ -156,7 +142,7 @@ class Evaluator:
         k_total = len(self._full_primes)
         n = self.context.params.n
         resident = ((a.ntt_resident or b.ntt_resident)
-                    and self._resident_tensor_ok())
+                    and self.resident_tensor_ok)
         if resident:
             # Align both operands on the evaluation domain (forward
             # transforms only — never a round trip) and lift the four
@@ -212,40 +198,6 @@ class Evaluator:
                          split_range(k_total, 2 * executor.workers))
         return prods[:3]
 
-    def _tensor_parts(self, a: Ciphertext, b: Ciphertext,
-                      prescaled: bool) -> tuple[np.ndarray, ...]:
-        """Tensor core; ``prescaled=True`` folds Scale's Q~_k constants
-        into the inverse transforms (the outputs then feed
-        ``scale_hps(..., prescaled=True)``)."""
-        if batch._PER_ROW_MODE:
-            if a.size != 2 or b.size != 2:
-                raise ParameterError(
-                    "tensor expects two-part ciphertexts"
-                )
-            a = self.context.to_coeff_ct(a)
-            b = self.context.to_coeff_ct(b)
-            full_col = np.array(self._full_primes,
-                                dtype=np.int64)[:, None]
-            a0, a1, b0, b1 = self._full_ntt(np.stack([
-                self._lift(a.c0), self._lift(a.c1),
-                self._lift(b.c0), self._lift(b.c1),
-            ]))
-            # Pre-batching cross term: both products reduced separately.
-            cross = ((a0 * b1) % full_col + (a1 * b0) % full_col) % full_col
-            t0, t1, t2 = self._full_intt(np.stack([
-                (a0 * b0) % full_col,
-                cross,
-                (a1 * b1) % full_col,
-            ]))
-            return t0, t1, t2
-        prods = self._tensor_ntt(a, b)
-        t0, t1, t2 = (
-            batch.intt_rows_scaled(self._full_primes, prods,
-                                   self.context.scale_ctx.full_q_tilde)
-            if prescaled else self._full_intt(prods)
-        )
-        return t0, t1, t2
-
     def multiply_raw(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """FV.Mult without relinearisation: a three-part ciphertext.
 
@@ -256,10 +208,10 @@ class Evaluator:
         three parts share a single triple-width gemm). The output is
         coefficient-domain — c2's raw residue rows are what WordDecomp
         broadcasts — and bit-identical whichever domain the inputs
-        arrived in. ``per_row_mode`` keeps the pre-batching
-        one-call-per-part schedule.
+        arrived in. The ``use_hps=False`` slow-coprocessor model scales
+        one part per call through the traditional CRT route.
         """
-        if batch._PER_ROW_MODE or not self.use_hps:
+        if not self.use_hps:
             t0, t1, t2 = self.tensor(a, b)
             parts = (self._scale(t0), self._scale(t1), self._scale(t2))
             return Ciphertext(parts, self.context.params)
@@ -271,17 +223,6 @@ class Evaluator:
             for i in range(3)
         )
         return Ciphertext(parts, self.context.params)
-
-    def rns_digits(self, residues: np.ndarray) -> np.ndarray:
-        """Raw-residue digits: row i broadcast to every q-basis channel.
-
-        Each digit value is already < 2^30, so "decomposition" is pure
-        data movement (the paper's cheap WordDecomp); the CRT weights
-        q~_i q*_i live inside the relinearisation key.
-        """
-        from ..rns.decompose import broadcast_digit_rows
-
-        return broadcast_digit_rows(residues, self.context.q_basis)
 
     def _fold_keyswitch(self, ct: Ciphertext, d_ntt: np.ndarray,
                         pairs, lazy_digits: bool = False,
@@ -308,45 +249,39 @@ class Evaluator:
         primes_col = context.q_basis.primes_col
         acc0 = np.zeros_like(ct.c0.residues)
         acc1 = np.zeros_like(ct.c1.residues)
-        if batch._PER_ROW_MODE:
-            # Pre-batching accumulation: reduce after every product.
-            for i, (b_ntt, a_ntt) in enumerate(pairs):
-                acc0 = (acc0 + d_ntt[i] * b_ntt) % primes_col
-                acc1 = (acc1 + d_ntt[i] * a_ntt) % primes_col
-        else:
-            # Lazy [0, 2q) digits double each summand, so halve the
-            # accumulation window (4 * 2 * q^2 still fits int64).
-            window = self._LAZY_TERMS // 2 if lazy_digits \
-                else self._LAZY_TERMS
+        # Lazy [0, 2q) digits double each summand, so halve the
+        # accumulation window (4 * 2 * q^2 still fits int64).
+        window = self._LAZY_TERMS // 2 if lazy_digits \
+            else self._LAZY_TERMS
 
-            def fold(c0: int, c1: int) -> None:
-                # One channel band of the digit-pair accumulation: the
-                # digit order and reduction window per channel are the
-                # serial schedule exactly, so banding is bit-invisible.
-                pending = 0
-                tmp = np.empty_like(acc0[c0:c1])
-                for i, (b_ntt, a_ntt) in enumerate(pairs):
-                    np.multiply(d_ntt[i][c0:c1], b_ntt[c0:c1], out=tmp)
-                    acc0[c0:c1] += tmp
-                    np.multiply(d_ntt[i][c0:c1], a_ntt[c0:c1], out=tmp)
-                    acc1[c0:c1] += tmp
-                    pending += 1
-                    if pending == window:
-                        acc0[c0:c1] %= primes_col[c0:c1]
-                        acc1[c0:c1] %= primes_col[c0:c1]
-                        pending = 0
-                if pending:
+        def fold(c0: int, c1: int) -> None:
+            # One channel band of the digit-pair accumulation: the
+            # digit order and reduction window per channel are the
+            # serial schedule exactly, so banding is bit-invisible.
+            pending = 0
+            tmp = np.empty_like(acc0[c0:c1])
+            for i, (b_ntt, a_ntt) in enumerate(pairs):
+                np.multiply(d_ntt[i][c0:c1], b_ntt[c0:c1], out=tmp)
+                acc0[c0:c1] += tmp
+                np.multiply(d_ntt[i][c0:c1], a_ntt[c0:c1], out=tmp)
+                acc1[c0:c1] += tmp
+                pending += 1
+                if pending == window:
                     acc0[c0:c1] %= primes_col[c0:c1]
                     acc1[c0:c1] %= primes_col[c0:c1]
+                    pending = 0
+            if pending:
+                acc0[c0:c1] %= primes_col[c0:c1]
+                acc1[c0:c1] %= primes_col[c0:c1]
 
-            executor = inproc_executor()
-            if executor is None:
-                fold(0, acc0.shape[0])
-            else:
-                executor.map(lambda band: fold(*band),
-                             split_range(acc0.shape[0],
-                                         2 * executor.workers))
-        if resident and not batch._PER_ROW_MODE:
+        executor = inproc_executor()
+        if executor is None:
+            fold(0, acc0.shape[0])
+        else:
+            executor.map(lambda band: fold(*band),
+                         split_range(acc0.shape[0],
+                                     2 * executor.workers))
+        if resident:
             # Evaluation-domain fold: bring (c0, c1) to the NTT domain
             # (free when the chain already is) and add the accumulators
             # where they live.
@@ -364,33 +299,23 @@ class Evaluator:
                 ))
             c0_rows = c0_ntt + acc0
             c1_rows = c1_ntt + acc1
-            for rows in (c0_rows, c1_rows):
-                over = rows - primes_col
-                np.minimum(rows.view(np.uint64), over.view(np.uint64),
-                           out=rows.view(np.uint64))
-            return Ciphertext(
-                (RnsPoly.trusted(context.q_basis, c0_rows,
-                                 ntt_domain=True),
-                 RnsPoly.trusted(context.q_basis, c1_rows,
-                                 ntt_domain=True)),
-                context.params,
-            )
-        delta0, delta1 = context._intt_rows(np.stack([acc0, acc1]))
-        if batch._PER_ROW_MODE:
-            c0_rows = (ct.c0.residues + delta0) % primes_col
-            c1_rows = (ct.c1.residues + delta1) % primes_col
         else:
-            # Sums of two canonical rows are < 2q: one unsigned-minimum
-            # conditional subtract instead of an integer division.
+            delta0, delta1 = context._intt_rows(np.stack([acc0, acc1]))
             c0_rows = ct.c0.residues + delta0
             c1_rows = ct.c1.residues + delta1
-            for rows in (c0_rows, c1_rows):
-                over = rows - primes_col
-                np.minimum(rows.view(np.uint64), over.view(np.uint64),
-                           out=rows.view(np.uint64))
-        c0 = RnsPoly.trusted(context.q_basis, c0_rows)
-        c1 = RnsPoly.trusted(context.q_basis, c1_rows)
-        return Ciphertext((c0, c1), context.params)
+        # Sums of two canonical rows are < 2q: one unsigned-minimum
+        # conditional subtract instead of an integer division.
+        for rows in (c0_rows, c1_rows):
+            over = rows - primes_col
+            np.minimum(rows.view(np.uint64), over.view(np.uint64),
+                       out=rows.view(np.uint64))
+        return Ciphertext(
+            (RnsPoly.trusted(context.q_basis, c0_rows,
+                             ntt_domain=resident),
+             RnsPoly.trusted(context.q_basis, c1_rows,
+                             ntt_domain=resident)),
+            context.params,
+        )
 
     def relinearize(self, ct: Ciphertext, relin: RelinKey,
                     resident: bool = False) -> Ciphertext:
@@ -402,9 +327,7 @@ class Evaluator:
         yields the paper's 14 NTT + 8 INTT instruction counts. With
         ``resident=True`` the fold happens in the evaluation domain
         instead and the result is born NTT-resident (see
-        :meth:`_fold_keyswitch`); the flag is ignored inside
-        ``per_row_mode``, whose baseline schedule has no resident
-        notion.
+        :meth:`_fold_keyswitch`).
         """
         if ct.size != 3:
             raise ParameterError("relinearize expects a three-part ciphertext")
@@ -422,9 +345,6 @@ class Evaluator:
             raise ParameterError(
                 "relinearisation key does not match the RNS decomposition"
             )
-        if batch._PER_ROW_MODE:
-            d_ntt = context._ntt_rows(self.rns_digits(ct.c2.residues))
-            return self._fold_keyswitch(ct, d_ntt, relin.pairs)
         # Fused WordDecomp + NTT: each raw-residue digit row is
         # transformed under every channel directly — one shared stage-0
         # dgemm across all digits (see apply_broadcast_many) — left

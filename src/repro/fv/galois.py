@@ -156,8 +156,8 @@ class GaloisEngine:
         }
 
     def summation_keygen(self, secret: SecretKey) -> dict:
-        """All keys :meth:`sum_all_slots` needs: power-of-two row
-        rotations plus the row-swapping conjugation."""
+        """All keys :meth:`sum_all_slots_resident` needs: power-of-two
+        row rotations plus the row-swapping conjugation."""
         n = self.context.params.n
         keys = self.rotation_keygen(
             secret, [1 << k for k in range((n // 2).bit_length() - 1)]
@@ -176,20 +176,14 @@ class GaloisEngine:
         hoisted rotation group.
         """
         from ..nttmath import batch
-        from ..rns.decompose import broadcast_digit_rows
 
-        context = self.context
-        if batch._PER_ROW_MODE:
-            return context._ntt_rows(
-                broadcast_digit_rows(c1_rows, context.q_basis)
-            )
         # Fused WordDecomp + NTT on the raw coefficient rows: all
         # digits share one stage-0 dgemm (apply_broadcast_many), and
         # the outputs stay lazy in [0, 2q) — the halved accumulation
         # window in :meth:`_fold_digit_pairs` absorbs the slack, so
         # the final conditional-subtract pass is skipped entirely.
-        return batch.ntt_broadcast_rows(context.params.q_primes, c1_rows,
-                                        lazy=True)
+        return batch.ntt_broadcast_rows(self.context.params.q_primes,
+                                        c1_rows, lazy=True)
 
     def _key_switch_accumulators(self, tau_c1: np.ndarray,
                                  key: GaloisKey) -> tuple[np.ndarray,
@@ -208,18 +202,10 @@ class GaloisEngine:
                           key: GaloisKey) -> tuple[np.ndarray,
                                                    np.ndarray]:
         """Fold NTT-domain digits against one key's (b, a) pairs."""
-        from ..nttmath import batch
-
-        context = self.context
-        primes_col = context.q_basis.primes_col
+        primes_col = self.context.q_basis.primes_col
         acc0 = np.zeros_like(d_ntt[0])
         acc1 = np.zeros_like(d_ntt[0])
-        if batch._PER_ROW_MODE:
-            # Pre-batching accumulation: reduce after every product.
-            for i, (b_ntt, a_ntt) in enumerate(key.pairs):
-                acc0 = (acc0 + d_ntt[i] * b_ntt) % primes_col
-                acc1 = (acc1 + d_ntt[i] * a_ntt) % primes_col
-            return acc0, acc1
+
         def fold(c0: int, c1: int) -> None:
             # One channel band, same digit order and reduction window
             # as the serial loop — banding cannot change the result.
@@ -355,32 +341,18 @@ class GaloisEngine:
             raise ParameterError(f"no rotation key for {steps} steps")
         return self.apply(ct, keys[steps])
 
-    def sum_all_slots(self, ct: Ciphertext, keys: dict) -> Ciphertext:
-        """Rotate-and-add: every slot ends up holding the total.
+    def sum_all_slots_resident(self, ct: Ciphertext,
+                               keys: dict) -> Ciphertext:
+        """NTT-resident rotate-and-add: every slot ends up holding the
+        total.
 
         The slots form a 2 x (n/2) matrix under the Galois action:
         log2(n/2) power-of-two row rotations sum within each row, then
         one conjugation folds the two rows together. Build the key set
-        with :meth:`summation_keygen`.
-        """
-        n = self.context.params.n
-        result = ct
-        step = 1
-        while step < n // 2:
-            rotated = self.rotate(result, step, keys)
-            result = self.context.add(result, rotated)
-            step *= 2
-        conjugated = self.apply(result, keys["conjugate"])
-        return self.context.add(result, conjugated)
-
-    def sum_all_slots_resident(self, ct: Ciphertext,
-                               keys: dict) -> Ciphertext:
-        """NTT-resident rotate-and-add (same algebra as sum_all_slots).
-
-        Every round's rotation output and addition stays in the
-        evaluation domain, so the whole reduction performs no inverse
-        transforms beyond the one per round that key-switching
-        fundamentally needs.
+        with :meth:`summation_keygen`. Every round's rotation output
+        and addition stays in the evaluation domain, so the whole
+        reduction performs no inverse transforms beyond the one per
+        round that key-switching fundamentally needs.
         """
         n = self.context.params.n
         result = self.context.to_ntt_ct(ct)

@@ -402,8 +402,9 @@ def load_galois_keys(path, params: ParameterSet) -> dict:
 
     Integer labels come back as ``int`` (rotation steps); the
     ``"conjugate"`` label stays a string — the mapping plugs straight
-    into ``GaloisEngine.rotate`` / ``sum_all_slots``. Every digit is
-    checked against its NTT-domain digest and no transform runs.
+    into ``GaloisEngine.rotate`` / ``sum_all_slots_resident``. Every
+    digit is checked against its NTT-domain digest and no transform
+    runs.
     """
     from .fv.galois import GaloisKey
 

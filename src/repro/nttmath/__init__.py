@@ -14,7 +14,6 @@ from .batch import (
     engine_unsupported_reason,
     intt_rows,
     ntt_rows,
-    per_row_mode,
     reset_engine_fallbacks,
     reset_transform_counts,
     transform_counts,
@@ -55,7 +54,6 @@ __all__ = [
     "engine_unsupported_reason",
     "ntt_rows",
     "intt_rows",
-    "per_row_mode",
     "transform_counts",
     "reset_transform_counts",
     "reset_engine_fallbacks",

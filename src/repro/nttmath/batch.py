@@ -29,9 +29,9 @@ Limb widths are still chosen per stage from a proved exactness bound
 (:func:`_limb_plan`), with three-limb splits kept as the escape hatch
 for bases the stage search cannot reshape.
 :func:`engine_unsupported_reason` is the single support predicate;
-every dispatcher that has to fall back to the per-row path outside
-:func:`per_row_mode` records a structured :class:`EngineFallback`
-diagnostic and logs a warning instead of degrading silently.
+every dispatcher that has to fall back to the per-row path records a
+structured :class:`EngineFallback` diagnostic and logs a warning
+instead of degrading silently.
 
 All transforms are bit-exact against :func:`~repro.nttmath.ntt.ntt_iterative`
 and the per-row ``NegacyclicTransformer`` — the property tests enforce
@@ -50,7 +50,6 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,11 +158,10 @@ class EngineFallback:
     """One recorded per-row degradation of a batched dispatch.
 
     Emitted whenever a dispatcher had to route a basis to the per-row
-    path *outside* :func:`per_row_mode` — the situation PR 4 used to
-    hide. The structured record (plus a rate-limited ``logging``
+    path. The structured record (plus a rate-limited ``logging``
     warning) makes the degradation observable: benchmarks that think
     they measure the gemm engine, and servers that silently lost their
-    5x, now have something to assert on.
+    5x, have something to assert on.
     """
 
     n: int
@@ -201,40 +199,6 @@ def _note_fallback(primes: tuple[int, ...], n: int, reason: str) -> None:
             "max prime %d bits): %s; degrading to the exact per-row "
             "path", event.k, n, event.max_prime_bits, reason,
         )
-
-
-# -- per-row fallback mode ------------------------------------------------------
-
-_PER_ROW_MODE = False
-
-
-@contextmanager
-def per_row_mode():
-    """Restore the pre-batching hot path for baseline measurement.
-
-    Inside this context every rewired call site falls back to its
-    pre-PR implementation: one :class:`~repro.poly.ring.RingContext`
-    transform per residue row (with the per-call bit-reversal index
-    rebuild those transforms used to pay), the per-target-prime Python
-    loops in the lift/scale conversions, eager per-term reductions in
-    the key-switch accumulators, integer-division digit broadcasts,
-    and the validating :class:`~repro.poly.rns_poly.RnsPoly`
-    constructor on every intermediate. The throughput benchmark runs
-    inside this context to price exactly what the limb-loop hot path
-    cost before the batched engine landed.
-    """
-    from . import ntt as _ntt
-
-    global _PER_ROW_MODE
-    previous = _PER_ROW_MODE
-    previous_bitrev = _ntt.LEGACY_BITREV
-    _PER_ROW_MODE = True
-    _ntt.LEGACY_BITREV = True
-    try:
-        yield
-    finally:
-        _PER_ROW_MODE = previous
-        _ntt.LEGACY_BITREV = previous_bitrev
 
 
 @dataclass(frozen=True)
@@ -404,19 +368,16 @@ def engine_unsupported_reason(primes: tuple[int, ...],
 
 
 def batched_engine_ok(primes: tuple[int, ...], n: int) -> bool:
-    """Can the gemm engine run this basis (outside per_row_mode)?"""
+    """Can the gemm engine run this basis?"""
     return engine_unsupported_reason(tuple(primes), n) is None
 
 
 def _use_per_row(primes: tuple[int, ...], n: int) -> bool:
     """Dispatch decision shared by every entry point, with diagnostics.
 
-    Inside :func:`per_row_mode` the per-row path is the *requested*
-    baseline; outside it, a fallback is a degradation and is recorded
-    as an :class:`EngineFallback` plus a rate-limited log warning.
+    A fallback is a degradation and is recorded as an
+    :class:`EngineFallback` plus a rate-limited log warning.
     """
-    if _PER_ROW_MODE:
-        return True
     reason = engine_unsupported_reason(tuple(primes), n)
     if reason is None:
         return False
@@ -1182,9 +1143,9 @@ def ntt_rows(primes: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
     """Forward-transform a residue matrix (or ``(j, k, n)`` stack).
 
     The production entry point every limb-loop call site was rewired
-    onto: batched by default, per-row inside :func:`per_row_mode` (both
-    modes update the transform counters, so telemetry comparisons stay
-    meaningful).
+    onto: batched, degrading to the per-row transform only for a basis
+    the gemm engine cannot serve (both routes update the transform
+    counters, so telemetry comparisons stay meaningful).
     """
     if _use_per_row(primes, np.asarray(matrix).shape[-1]):
         arr = np.asarray(matrix, dtype=np.int64)

@@ -59,21 +59,3 @@ def bit_reverse_permute(values):
     if isinstance(values, np.ndarray):
         return values[indices]
     return [values[int(i)] for i in indices]
-
-
-@lru_cache(maxsize=None)
-def _bit_reverse_tuple_cached(length: int) -> tuple[int, ...]:
-    bits = log2_exact(length)
-    return tuple(bit_reverse_int(i, bits) for i in range(length))
-
-
-def bit_reverse_permute_legacy(values: np.ndarray) -> np.ndarray:
-    """The pre-caching permutation: re-derive the index array per call.
-
-    This is exactly what every transform paid before the per-``n``
-    index-array cache landed — the cached *tuple* was converted to a
-    fresh ndarray on each call. Kept verbatim so ``per_row_mode`` can
-    price the pre-batching hot path faithfully.
-    """
-    indices = _bit_reverse_tuple_cached(len(values))
-    return values[np.asarray(indices, dtype=np.int64)]

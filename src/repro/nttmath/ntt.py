@@ -23,17 +23,11 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..utils import log2_exact
-from .bitrev import bit_reverse_permute, bit_reverse_permute_legacy
+from .bitrev import bit_reverse_permute
 from .modmath import modinv, modpow
 from .primes import root_of_unity
 
 _MAX_MODULUS_BITS = 31
-
-LEGACY_BITREV = False
-"""When True, the vectorised per-row transforms re-derive their
-bit-reversal index array per call, as the pre-caching code did.
-Toggled by :func:`repro.nttmath.batch.per_row_mode` so the benchmark
-baseline prices the complete pre-batching hot path."""
 
 
 def _check_modulus(modulus: int) -> None:
@@ -120,9 +114,7 @@ def _ntt_vectorized(values: np.ndarray, modulus: int,
                     tables: list[np.ndarray]) -> np.ndarray:
     """Vectorised Cooley-Tukey NTT over a bit-reversed input copy."""
     n = values.shape[0]
-    permute = bit_reverse_permute_legacy if LEGACY_BITREV \
-        else bit_reverse_permute
-    work = permute(values.astype(np.int64)) % modulus
+    work = bit_reverse_permute(values.astype(np.int64)) % modulus
     for stage, twiddles in enumerate(tables):
         m = 2 << stage
         half = m // 2

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..nttmath import batch
 from ..nttmath.batch import intt_rows, ntt_rows
 from ..rns.basis import RnsBasis
 from .ring import RingContext, ring_context
@@ -62,13 +61,8 @@ class RnsPoly:
         already produced canonical residues — it skips the defensive
         reduction (and its allocation) of the public constructor. The
         caller must guarantee shape, dtype, entries in [0, q_i), and
-        exclusive ownership of ``residues``. Inside
-        :func:`~repro.nttmath.batch.per_row_mode` it falls back to the
-        validating constructor, which is what every pre-batching call
-        site paid.
+        exclusive ownership of ``residues``.
         """
-        if batch._PER_ROW_MODE:
-            return cls(basis, residues, ntt_domain)
         poly = object.__new__(cls)
         poly.basis = basis
         poly.residues = residues

@@ -58,9 +58,9 @@ class RnsBasis:
         self.recip = tuple(
             ((1 << RECIP_FRACTION_BITS) + p // 2) // p for p in self.primes
         )
-        recips = np.array(self.recip, dtype=np.int64)
         if any(r >= (1 << 62) for r in self.recip):
             raise ParameterError("reciprocal table overflows the datapath")
+        recips = np.array(self.recip, dtype=np.int64)
         self.recip_hi_col = (recips >> 30)[:, None]
         self.recip_lo_col = (recips & _MASK30)[:, None]
 

@@ -32,18 +32,15 @@ def broadcast_digit_rows(residues: np.ndarray,
     below twice every prime, so one unsigned-minimum conditional
     subtract replaces the integer division.
     """
-    from ..nttmath import batch
-
     k, n = residues.shape
     tiled = np.broadcast_to(residues[:, None, :], (k, basis.size, n))
-    if min(basis.primes) >= 1 << 29 and not batch._PER_ROW_MODE:
+    if min(basis.primes) >= 1 << 29:
         digits = np.ascontiguousarray(tiled)
         reduced = digits - basis.primes_col
         np.minimum(digits.view(np.uint64), reduced.view(np.uint64),
                    out=digits.view(np.uint64))
         return digits
-    # Pre-batching form (and the safe fallback for narrow primes):
-    # one integer-division reduction per channel.
+    # Narrow primes: one integer-division reduction per channel.
     return tiled % basis.primes_col
 
 

@@ -28,8 +28,6 @@ from ..errors import ParameterError
 from ..nttmath import batch
 from .basis import RECIP_FRACTION_BITS, LiftContext, RnsBasis
 
-_MASK30 = (1 << 30) - 1
-
 
 def _check_input(basis: RnsBasis, residues: np.ndarray) -> np.ndarray:
     matrix = np.asarray(residues, dtype=np.int64)
@@ -67,15 +65,14 @@ def lift_hps(context: LiftContext, residues: np.ndarray,
     Returns the residues modulo ``context.target_primes`` of the centered
     representative of the input. The per-target-prime Block 2 loop is
     one limb-split float64 matrix product (exact — see
-    :func:`_lift_block2_gemm`); :func:`~repro.nttmath.batch.per_row_mode`
-    reinstates the pre-batching loop so benchmarks can price the old
-    hot path.
+    :func:`_lift_block2_gemm`) wherever the reciprocal tables fit the
+    gemm's 60-bit split; narrower bases take :func:`_lift_block2_loop`.
     """
     basis = context.source
     matrix = _check_input(basis, residues)
     # Block 1: x'_i = x_i * q~_i mod q_i.
     x_prime = (matrix * basis.q_tilde_col) % basis.primes_col
-    if batch._PER_ROW_MODE or not context.gemm_safe:
+    if not context.gemm_safe:
         # Block 3 (independent of block 2): quotient estimate.
         v = hps_quotient(basis, x_prime)
         result = _lift_block2_loop(context, x_prime, v)
@@ -88,12 +85,11 @@ def lift_hps(context: LiftContext, residues: np.ndarray,
 
 def _lift_block2_loop(context: LiftContext, x_prime: np.ndarray,
                       v: np.ndarray) -> np.ndarray:
-    """Pre-batching Block 2: one Python iteration per target prime.
+    """Block 2 with one Python iteration per target prime.
 
-    Kept as the reference implementation (and the baseline the
-    throughput benchmark measures inside ``per_row_mode``): products
-    are reduced term-by-term before summation so any basis size is
-    safe, at the cost of ``k_target`` numpy round trips.
+    The only route for bases that are not ``gemm_safe``: products are
+    reduced term-by-term before summation so any basis size is safe,
+    at the cost of ``k_target`` numpy round trips.
     """
     n = x_prime.shape[1]
     out = np.empty((len(context.target_primes), n), dtype=np.int64)
@@ -214,7 +210,6 @@ def lift_hps_ntt(context: LiftContext, ntt_rows: np.ndarray,
     skip = context.source_prefix
     tail_primes = tuple(context.target_primes[skip:])
     fast = (skip == k_s and context.gemm_safe
-            and not batch._PER_ROW_MODE
             and batch.batched_engine_ok(basis.primes, n)
             and batch.batched_engine_ok(tail_primes, n))
     if not fast:

@@ -28,8 +28,6 @@ from ..utils import round_half_away
 from .basis import SCALE_FRACTION_BITS, RnsBasis, ScaleContext
 from .lift import lift_hps
 
-_MASK30 = (1 << 30) - 1
-
 
 def _split_rows(context: ScaleContext, residues: np.ndarray) -> tuple:
     matrix = np.asarray(residues, dtype=np.int64)
@@ -49,9 +47,7 @@ def scale_hps(context: ScaleContext, residues: np.ndarray,
     ``residues`` rows are ordered q-basis first then p-basis, matching
     how the coprocessor stores an R_Q polynomial across its RPAUs. The
     per-output-channel integer sum of products is one limb-split
-    float64 matrix product (exact, same argument as the lift's Block 2);
-    :func:`~repro.nttmath.batch.per_row_mode` reinstates the
-    pre-batching loop for benchmarking the old hot path.
+    float64 matrix product (exact, same argument as the lift's Block 2).
     """
     q_rows, p_rows = _split_rows(context, residues)
     # Fig. 9 Block 1/2 prep: x'_i = x_i * Q~_i mod q_i for the q-basis
@@ -67,10 +63,7 @@ def scale_hps(context: ScaleContext, residues: np.ndarray,
     s_lo = (x_prime_q * context.frac_lo_col).sum(axis=0)
     half = 1 << (SCALE_FRACTION_BITS - 1 - 30)
     rounded = (s_hi + half + (s_lo >> 30)) >> (SCALE_FRACTION_BITS - 30)
-    y_p = (_scale_sop_loop(context, x_prime_q, p_rows, rounded)
-           if batch._PER_ROW_MODE
-           else _scale_sop_gemm(context, x_prime_q, p_rows, rounded,
-                                prescaled))
+    y_p = _scale_sop_gemm(context, x_prime_q, p_rows, rounded, prescaled)
     # Fig. 9 Block 5: base-extend the p-basis result back to the q-basis
     # re-using the lift datapath, exactly as the hardware does.
     return lift_hps(context.final_lift, y_p)
@@ -112,28 +105,6 @@ def scale_hps_ntt(context: ScaleContext,
     scaled = scale_hps(context, wide, prescaled=True)
     out = scaled.reshape(context.q_basis.size, j, n).transpose(1, 0, 2)
     return out if stacked else out[0]
-
-
-def _scale_sop_loop(context: ScaleContext, x_prime_q: np.ndarray,
-                    p_rows: np.ndarray,
-                    rounded: np.ndarray) -> np.ndarray:
-    """Pre-batching Blocks 2-4: one Python iteration per p-basis prime.
-
-    Kept as the reference implementation and the ``per_row_mode``
-    benchmark baseline.
-    """
-    k_p, n = p_rows.shape
-    y_p = np.empty((k_p, n), dtype=np.int64)
-    for j in range(k_p):
-        p_j = context.p_basis.primes[j]
-        int_row = context.int_table[j][:, None]
-        sop_i = ((x_prime_q * int_row) % p_j).sum(axis=0) % p_j
-        # Fig. 9 Block 3: a'_j = [x_j * Q~_j]_{p_j} * (t * p/p_j mod p_j).
-        x_prime_j = (p_rows[j] * int(context.x_prime_mult_p[j, 0])) % p_j
-        own = (x_prime_j * int(context.p_term[j, 0])) % p_j
-        # Fig. 9 Block 4: combine integer SoP, rounded fraction, own term.
-        y_p[j] = (sop_i + rounded + own) % p_j
-    return y_p
 
 
 def _scale_sop_gemm(context: ScaleContext, x_prime_q: np.ndarray,

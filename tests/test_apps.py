@@ -3,50 +3,33 @@
 import numpy as np
 import pytest
 
+from repro.api import OpKind, Session
 from repro.apps.forecasting import SmartGridAggregator, plaintext_reference
 from repro.apps.lookup import EncryptedLookupTable, selection_depth
 from repro.apps.rasta_like import RastaLikeCipher
 from repro.errors import ParameterError
-from repro.fv.encoder import Plaintext
-from repro.fv.noise import noise_budget_bits
-from repro.fv.scheme import FvContext
 from repro.params import mini
 
 
 @pytest.fixture(scope="module")
-def batch_context():
-    return FvContext(mini(t=65537), seed=21)
+def batch_session():
+    return Session(mini(t=65537), seed=21)
 
 
 @pytest.fixture(scope="module")
-def batch_keys(batch_context):
-    return batch_context.keygen()
+def lut_session():
+    return Session(mini(t=257), seed=22)
 
 
 @pytest.fixture(scope="module")
-def lut_context():
-    return FvContext(mini(t=257), seed=22)
-
-
-@pytest.fixture(scope="module")
-def lut_keys(lut_context):
-    return lut_context.keygen()
-
-
-@pytest.fixture(scope="module")
-def bit_context():
-    return FvContext(mini(t=2), seed=23)
-
-
-@pytest.fixture(scope="module")
-def bit_keys(bit_context):
-    return bit_context.keygen()
+def bit_session():
+    return Session(mini(t=2), seed=23)
 
 
 class TestForecasting:
     @pytest.fixture(scope="class")
-    def aggregator(self, batch_context, batch_keys):
-        return SmartGridAggregator(batch_context, batch_keys)
+    def aggregator(self, batch_session):
+        return SmartGridAggregator(batch_session)
 
     @pytest.fixture(scope="class")
     def readings(self):
@@ -78,18 +61,13 @@ class TestForecasting:
     def test_individual_readings_stay_hidden(self, aggregator, readings,
                                              meter_cts):
         """Ciphertexts of different meters are not comparable."""
-        assert not np.array_equal(meter_cts[0].c0.residues,
-                                  meter_cts[1].c0.residues)
+        assert not np.array_equal(meter_cts[0].ciphertext.c0.residues,
+                                  meter_cts[1].ciphertext.c0.residues)
 
     def test_grand_total_via_rotations(self, aggregator, readings,
-                                       meter_cts, batch_context,
-                                       batch_keys):
+                                       meter_cts):
         """Galois-rotation extension: one number for the whole fleet."""
-        from repro.fv.galois import GaloisEngine
-
-        engine = GaloisEngine(batch_context)
-        summation_keys = engine.summation_keygen(batch_keys.secret)
-        total_ct = aggregator.grand_total(meter_cts, summation_keys)
+        total_ct = aggregator.grand_total(meter_cts)
         decoded = aggregator.decrypt_slots(total_ct, 1)
         assert decoded[0] == int(readings.sum()) % 65537
 
@@ -106,18 +84,17 @@ class TestLookup:
     TABLE = [13, 42, 7, 99, 1, 64, 250, 8]
 
     @pytest.fixture(scope="class")
-    def server(self, lut_context, lut_keys):
-        return EncryptedLookupTable(lut_context, lut_keys, self.TABLE)
+    def server(self, lut_session):
+        return EncryptedLookupTable(lut_session, self.TABLE)
 
     def test_every_index_retrieves_correctly(self, server):
         for index in range(len(self.TABLE)):
             reply = server.lookup(server.encrypt_index(index))
             assert server.decrypt_reply(reply) == self.TABLE[index]
 
-    def test_reply_has_noise_budget_left(self, server, lut_context,
-                                         lut_keys):
+    def test_reply_has_noise_budget_left(self, server, lut_session):
         reply = server.lookup(server.encrypt_index(2))
-        assert noise_budget_bits(lut_context, reply, lut_keys.secret) > 0
+        assert lut_session.noise_budget_bits(reply) > 0
 
     def test_selection_depth_paper_sizing(self):
         """Sec. III-A: a 2^16-entry table fits the depth-4 budget."""
@@ -129,51 +106,39 @@ class TestLookup:
         with pytest.raises(ParameterError):
             server.encrypt_index(len(self.TABLE))
 
-    def test_rejects_wrong_bit_count(self, server, lut_context, lut_keys):
+    def test_rejects_wrong_bit_count(self, server):
         bits = server.encrypt_index(1)
         with pytest.raises(ParameterError):
             server.lookup(bits[:-1])
 
-    def test_rejects_oversized_values(self, lut_context, lut_keys):
+    def test_rejects_oversized_values(self, lut_session):
         with pytest.raises(ParameterError):
-            EncryptedLookupTable(lut_context, lut_keys, [1, 300])
+            EncryptedLookupTable(lut_session, [1, 300])
 
-    def test_rejects_non_power_of_two_table(self, lut_context, lut_keys):
+    def test_rejects_non_power_of_two_table(self, lut_session):
         with pytest.raises(ParameterError):
-            EncryptedLookupTable(lut_context, lut_keys, [1, 2, 3])
+            EncryptedLookupTable(lut_session, [1, 2, 3])
 
 
 class TestRastaLike:
-    def test_homomorphic_evaluation_matches_reference(self, bit_context,
-                                                      bit_keys):
+    def test_homomorphic_evaluation_matches_reference(self, bit_session):
         cipher = RastaLikeCipher(width=6, rounds=2, seed=9)
         rng = np.random.default_rng(77)
         bits = rng.integers(0, 2, 6)
-        n = bit_context.params.n
-        bit_cts = [
-            bit_context.encrypt(Plaintext.from_list([int(b)], n, 2),
-                                bit_keys.public)
-            for b in bits
-        ]
-        out = cipher.evaluate_encrypted(bit_context, bit_keys, bit_cts)
-        got = RastaLikeCipher.decrypt_state(bit_context, bit_keys, out)
+        bit_cts = [bit_session.encrypt([int(b)]) for b in bits]
+        out = cipher.evaluate_encrypted(bit_session, bit_cts)
+        got = RastaLikeCipher.decrypt_state(bit_session, out)
         assert np.array_equal(got, cipher.encrypt_reference(bits))
 
-    def test_four_rounds_within_depth_budget(self, bit_context, bit_keys):
+    def test_four_rounds_within_depth_budget(self, bit_session):
         """Four chi rounds = multiplicative depth 4 (the paper's budget)."""
         cipher = RastaLikeCipher(width=4, rounds=4, seed=11)
         bits = np.array([1, 0, 1, 1])
-        n = bit_context.params.n
-        bit_cts = [
-            bit_context.encrypt(Plaintext.from_list([int(b)], n, 2),
-                                bit_keys.public)
-            for b in bits
-        ]
-        out = cipher.evaluate_encrypted(bit_context, bit_keys, bit_cts)
-        got = RastaLikeCipher.decrypt_state(bit_context, bit_keys, out)
+        bit_cts = [bit_session.encrypt([int(b)]) for b in bits]
+        out = cipher.evaluate_encrypted(bit_session, bit_cts)
+        got = RastaLikeCipher.decrypt_state(bit_session, out)
         assert np.array_equal(got, cipher.encrypt_reference(bits))
-        budget = noise_budget_bits(bit_context, out[0], bit_keys.secret)
-        assert budget > 0
+        assert bit_session.noise_budget_bits(out[0]) > 0
 
     def test_reference_is_deterministic(self):
         cipher = RastaLikeCipher(width=5, rounds=3, seed=2)
@@ -192,26 +157,18 @@ class TestRastaLike:
         with pytest.raises(ParameterError):
             RastaLikeCipher(width=2, rounds=1)
 
-    def test_requires_binary_plaintext_modulus(self, lut_context, lut_keys):
+    def test_requires_binary_plaintext_modulus(self, lut_session):
         cipher = RastaLikeCipher(width=4, rounds=1)
         with pytest.raises(ParameterError):
-            cipher.evaluate_encrypted(lut_context, lut_keys, [None] * 4)
+            cipher.evaluate_encrypted(lut_session, [None] * 4)
 
 
 class TestSessionFirstConstruction:
-    """The facade path of the apps (legacy dual-accept covered above)."""
-
     def test_forecasting_rejects_non_batch_session(self):
-        from repro.api import Session
-        from repro.params import mini
-
         with pytest.raises(ParameterError):
             SmartGridAggregator(Session(mini(t=257), seed=60))
 
     def test_lookup_session_first(self):
-        from repro.api import OpKind, Session
-        from repro.params import mini
-
         session = Session(mini(t=257), seed=61)
         table = [5, 6, 7, 8]
         server = EncryptedLookupTable(session, table)

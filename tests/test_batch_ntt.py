@@ -1,16 +1,13 @@
 """Batched NTT engine and NTT-resident executor properties.
 
-The invariants this PR rides on:
-
-* the gemm-based :class:`~repro.nttmath.batch.BasisTransformer` is
-  bit-exact against the per-row ``NegacyclicTransformer`` and the
+* the gemm-based :class:`~repro.nttmath.batch.BasisTransformer` and the
+  dispatching entry points (``ntt_rows`` / ``intt_rows`` /
+  ``intt_rows_scaled`` / ``ntt_broadcast_rows``) are bit-exact against
+  the per-row ``ring_context(n, p).transformer`` oracle and the
   paper-literal ``ntt_iterative`` across ring sizes and basis shapes;
 * the fused digit transform and the per-channel-scaled inverse equal
   their compose-by-hand definitions;
-* ``per_row_mode`` changes performance, never results;
-* the NTT-resident ``LocalBackend`` produces the same ciphertexts as
-  the eager executor while performing strictly fewer transforms on
-  rotation-heavy programs.
+* the NTT-resident ``LocalBackend`` decrypts to the cleartext result.
 """
 
 import numpy as np
@@ -32,13 +29,13 @@ from repro.nttmath.batch import (
     intt_rows_scaled,
     ntt_broadcast_rows,
     ntt_rows,
-    per_row_mode,
     reset_engine_fallbacks,
     transform_counts,
 )
 from repro.nttmath.ntt import NegacyclicTransformer, intt_iterative, ntt_iterative
 from repro.nttmath.primes import find_ntt_primes
 from repro.params import mini, toy
+from repro.poly.ring import ring_context
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import basis_for
 
@@ -57,6 +54,19 @@ def _basis(n, k):
     return tuple(find_ntt_primes(30, n, k))
 
 
+def _oracle_forward(primes, mat):
+    """Per-row reference transform, called directly (one row per prime)."""
+    n = mat.shape[-1]
+    return np.stack([ring_context(n, p).transformer.forward(row)
+                     for p, row in zip(primes, mat, strict=True)])
+
+
+def _oracle_inverse(primes, mat):
+    n = mat.shape[-1]
+    return np.stack([ring_context(n, p).transformer.inverse(row)
+                     for p, row in zip(primes, mat, strict=True)])
+
+
 class TestBatchedTransformEquivalence:
     @pytest.mark.parametrize("n,k", SHAPES)
     def test_forward_matches_per_row_and_iterative(self, n, k):
@@ -65,6 +75,8 @@ class TestBatchedTransformEquivalence:
         rng = np.random.default_rng(n * k)
         mat = rng.integers(0, bt.primes_col, size=(k, n))
         got = bt.forward(mat)
+        assert np.array_equal(ntt_rows(primes, mat),
+                              _oracle_forward(primes, mat))
         for row, p in enumerate(primes):
             tr = NegacyclicTransformer(n, p)
             per_row = tr.forward(mat[row])
@@ -85,6 +97,8 @@ class TestBatchedTransformEquivalence:
         values = bt.forward(mat)
         back = bt.inverse(values)
         assert np.array_equal(back, mat)
+        assert np.array_equal(intt_rows(primes, values),
+                              _oracle_inverse(primes, values))
         for row, p in enumerate(primes):
             tr = NegacyclicTransformer(n, p)
             assert np.array_equal(back[row], tr.inverse(values[row]))
@@ -115,9 +129,9 @@ class TestBatchedTransformEquivalence:
         rng = np.random.default_rng(seed)
         mat = np.roll(rng.integers(0, bt.primes_col, size=(k, n)), shift,
                       axis=1) % bt.primes_col
-        with per_row_mode():
-            reference = ntt_rows(primes, mat)
+        reference = _oracle_forward(primes, mat)
         assert np.array_equal(bt.forward(mat), reference)
+        assert np.array_equal(ntt_rows(primes, mat), reference)
 
     def test_lazy_forward_is_congruent(self):
         params = mini()
@@ -137,9 +151,10 @@ class TestBatchedTransformEquivalence:
         rows = rng.integers(0, 1 << 30, size=(5, params.n))
         got = ntt_broadcast_rows(primes, rows)
         primes_col = np.array(primes, dtype=np.int64)[:, None]
-        expected = ntt_rows(primes,
-                            rows[:, None, :] % primes_col[None, :, :])
-        assert np.array_equal(got, expected)
+        tiled = rows[:, None, :] % primes_col[None, :, :]
+        assert np.array_equal(got, ntt_rows(primes, tiled))
+        for j in range(len(rows)):
+            assert np.array_equal(got[j], _oracle_forward(primes, tiled[j]))
 
     def test_scaled_inverse_equals_compose(self):
         params = mini()
@@ -155,19 +170,8 @@ class TestBatchedTransformEquivalence:
         )[:, None]
         expected = (intt_rows(primes, mat) * consts_col) % bt.primes_col
         assert np.array_equal(got, expected)
-
-    def test_per_row_mode_changes_nothing_but_speed(self):
-        params = toy()
-        session = Session(params, seed=3, encoder="coeff")
-        a = session.encrypt([1, 2, 3])
-        b = session.encrypt([4, 5, 6])
-        batched = session.decrypt(a * b + a, size=4)
-        with per_row_mode():
-            session_slow = Session(params, seed=3, encoder="coeff")
-            a2 = session_slow.encrypt([1, 2, 3])
-            b2 = session_slow.encrypt([4, 5, 6])
-            per_row = session_slow.decrypt(a2 * b2 + a2, size=4)
-        assert np.array_equal(batched, per_row)
+        oracle = (_oracle_inverse(primes, mat) * consts_col) % bt.primes_col
+        assert np.array_equal(got, oracle)
 
 
 class TestLargeRingEngine:
@@ -195,6 +199,10 @@ class TestLargeRingEngine:
         for row, p in enumerate(primes):
             tr = NegacyclicTransformer(n, p)
             assert np.array_equal(got[row], tr.forward(mat[row]))
+        assert np.array_equal(ntt_rows(primes, mat),
+                              _oracle_forward(primes, mat))
+        assert np.array_equal(intt_rows(primes, got),
+                              _oracle_inverse(primes, got))
         # Paper Algorithm 1, pure-Python, on one row: the ground truth.
         p = primes[0]
         tr = NegacyclicTransformer(n, p)
@@ -212,8 +220,9 @@ class TestLargeRingEngine:
         rows = rng.integers(0, 1 << 30, size=(2, n))
         got = ntt_broadcast_rows(primes, rows)
         primes_col = bt.primes_col
-        expected = ntt_rows(primes, rows[:, None, :] % primes_col[None])
-        assert np.array_equal(got, expected)
+        tiled = rows[:, None, :] % primes_col[None]
+        assert np.array_equal(got, ntt_rows(primes, tiled))
+        assert np.array_equal(got[0], _oracle_forward(primes, tiled[0]))
         mat = rng.integers(0, primes_col, size=(3, n))
         constants = tuple(int(c) for c in rng.integers(1, 1 << 30, 3))
         scaled = intt_rows_scaled(primes, mat, constants)
@@ -222,6 +231,9 @@ class TestLargeRingEngine:
         )[:, None]
         assert np.array_equal(
             scaled, (intt_rows(primes, mat) * consts_col) % primes_col
+        )
+        assert np.array_equal(
+            scaled, (_oracle_inverse(primes, mat) * consts_col) % primes_col
         )
 
     def test_limb_plans_stay_exact_by_construction(self):
@@ -292,14 +304,6 @@ class TestFallbackDiagnostics:
                    for record in caplog.records)
         reset_engine_fallbacks()
 
-    def test_per_row_mode_is_not_a_fallback(self):
-        reset_engine_fallbacks()
-        primes = _basis(64, 2)
-        mat = np.ones((2, 64), dtype=np.int64)
-        with per_row_mode():
-            ntt_rows(primes, mat)
-        assert engine_fallbacks() == ()
-
 
 class TestRnsPolyAliasing:
     def test_constructor_does_not_mutate_caller_array(self):
@@ -328,32 +332,26 @@ class TestNttResidentBackend:
         b = session.encrypt([2] * 8)
         return session.compile((a * b).sum_slots() + a, name="rot-heavy")
 
-    def test_resident_matches_eager_and_saves_transforms(self):
-        params = mini(t=257)
-        eager_session = Session(params, seed=21)
-        resident_session = Session(params, seed=21)
-        eager = LocalBackend(eager_session, ntt_resident=False)
-        resident = LocalBackend(resident_session, ntt_resident=True)
-        eager_result = eager.run(self._rotation_heavy(eager_session))
-        resident_result = resident.run(
-            self._rotation_heavy(resident_session))
-        assert np.array_equal(eager_result.decrypt("out"),
-                              resident_result.decrypt("out"))
-        eager_rows = (eager.last_transform_counts["forward_rows"]
-                      + eager.last_transform_counts["inverse_rows"])
-        resident_rows = (resident.last_transform_counts["forward_rows"]
-                         + resident.last_transform_counts["inverse_rows"])
-        assert resident_rows < eager_rows
-        assert resident.telemetry["ntt_resident"] is True
-        assert resident.telemetry["total"]["forward_rows"] >= \
-            resident.last_transform_counts["forward_rows"]
+    def test_rotation_heavy_program_matches_cleartext(self):
+        session = Session(mini(t=257), seed=21)
+        backend = LocalBackend(session)
+        result = backend.run(self._rotation_heavy(session))
+        # t = 257 encodes coefficients, where the rotate-and-add ladder
+        # is the trace: n times the constant coefficient (1 * 2 here).
+        a = np.arange(1, 9)
+        expected = a.copy()
+        expected[0] += session.params.n * 2
+        assert np.array_equal(result.decrypt("out", size=8),
+                              expected % 257)
+        assert backend.telemetry["total"]["forward_rows"] >= \
+            backend.last_transform_counts["forward_rows"]
 
     def test_outputs_leave_in_coefficient_domain(self):
         params = mini(t=257)
         session = Session(params, seed=23)
         a = session.encrypt([1, 2, 3])
         program = session.compile(a.rotate(1) * 2, name="resident-out")
-        result = LocalBackend(session, ntt_resident=True).run(program)
+        result = LocalBackend(session).run(program)
         ct = result.handle("out").ciphertext
         assert not ct.ntt_resident
         ct.to_bytes()  # serialisable without conversion
@@ -404,3 +402,12 @@ class TestNarrowPrimeFallbacks:
         )
         assert np.array_equal(lift_hps(ctx, mat),
                               lift_hps_reference(ctx, mat))
+
+    def test_reciprocal_overflow_is_a_parameter_error(self):
+        """20-bit primes have 69-bit reciprocals: the basis must refuse
+        them by name, not die converting the table to int64."""
+        from repro.errors import ParameterError
+        from repro.rns.basis import RnsBasis
+
+        with pytest.raises(ParameterError, match="reciprocal table"):
+            RnsBasis(find_ntt_primes(20, 64, 3))

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from repro.api import Session
 from repro.apps.comparator import EncryptedComparator, comparator_depth
 from repro.cli import main as cli_main
 from repro.errors import ParameterError
@@ -12,7 +13,6 @@ from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.fv.noise import noise_of
 from repro.fv.noise_model import NoiseModel
-from repro.fv.scheme import FvContext
 from repro.hw.trace import NttTrace, render_fig3
 from repro.params import hpca19, mini, toy
 from repro.system.network import ClientSession, NetworkModel
@@ -88,20 +88,13 @@ class TestNoiseModel:
 
 
 @pytest.fixture(scope="module")
-def comparator_context():
-    return FvContext(mini(t=2), seed=31)
-
-
-@pytest.fixture(scope="module")
-def comparator_keys(comparator_context):
-    return comparator_context.keygen()
+def comparator_session():
+    return Session(mini(t=2), seed=31)
 
 
 class TestComparator:
-    def test_less_than_exhaustive_2bit(self, comparator_context,
-                                       comparator_keys):
-        comparator = EncryptedComparator(comparator_context,
-                                         comparator_keys, bits=2)
+    def test_less_than_exhaustive_2bit(self, comparator_session):
+        comparator = EncryptedComparator(comparator_session, bits=2)
         for x, y in itertools.product(range(4), repeat=2):
             lt = comparator.decrypt_bit(
                 comparator.less_than(comparator.encrypt_value(x),
@@ -109,17 +102,14 @@ class TestComparator:
             )
             assert lt == int(x < y), (x, y)
 
-    def test_compare_and_swap_sorts(self, comparator_context,
-                                    comparator_keys):
-        comparator = EncryptedComparator(comparator_context,
-                                         comparator_keys, bits=3)
+    def test_compare_and_swap_sorts(self, comparator_session):
+        comparator = EncryptedComparator(comparator_session, bits=3)
         for x, y in ((5, 2), (0, 7), (3, 3), (6, 1)):
             low, high = comparator.sort_two(x, y)
             assert (low, high) == (min(x, y), max(x, y)), (x, y)
 
-    def test_value_roundtrip(self, comparator_context, comparator_keys):
-        comparator = EncryptedComparator(comparator_context,
-                                         comparator_keys, bits=4)
+    def test_value_roundtrip(self, comparator_session):
+        comparator = EncryptedComparator(comparator_session, bits=4)
         for value in (0, 7, 15):
             assert comparator.decrypt_value(
                 comparator.encrypt_value(value)
@@ -129,10 +119,8 @@ class TestComparator:
         assert comparator_depth(1) == 1
         assert comparator_depth(3) == 3
 
-    def test_rejects_oversized_value(self, comparator_context,
-                                     comparator_keys):
-        comparator = EncryptedComparator(comparator_context,
-                                         comparator_keys, bits=2)
+    def test_rejects_oversized_value(self, comparator_session):
+        comparator = EncryptedComparator(comparator_session, bits=2)
         with pytest.raises(ParameterError):
             comparator.encrypt_value(4)
 
@@ -140,12 +128,11 @@ class TestComparator:
         if mini_context.params.t == 2:
             pytest.skip("fixture uses t = 2")
         with pytest.raises(ParameterError):
-            EncryptedComparator(mini_context, mini_keys, bits=2)
+            EncryptedComparator(
+                Session.from_parts(mini_context, mini_keys), bits=2)
 
-    def test_rejects_mismatched_widths(self, comparator_context,
-                                       comparator_keys):
-        comparator = EncryptedComparator(comparator_context,
-                                         comparator_keys, bits=3)
+    def test_rejects_mismatched_widths(self, comparator_session):
+        comparator = EncryptedComparator(comparator_session, bits=3)
         a = comparator.encrypt_value(1)
         with pytest.raises(ParameterError):
             comparator.less_than(a[:2], a)

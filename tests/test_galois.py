@@ -159,7 +159,7 @@ class TestHomomorphicRotation:
         ct = galois_context.encrypt(encoder.encode(values),
                                     galois_keys.public)
         keys = engine.summation_keygen(galois_keys.secret)
-        total = engine.sum_all_slots(ct, keys)
+        total = engine.sum_all_slots_resident(ct, keys)
         decoded = encoder.decode(
             galois_context.decrypt(total, galois_keys.secret)
         )

@@ -359,8 +359,8 @@ class TestSimulatedResidentCache:
 class TestResidentMultiplyLoop:
     """PR 10 acceptance: a Mult-heavy resident program never
     materialises coefficients — proved by the round-trip telemetry —
-    and stays bit-identical to the legacy coefficient-domain schedule,
-    across serial and threaded executors.
+    and decrypts to the cleartext product, across serial and threaded
+    executors.
     """
 
     @pytest.mark.parametrize("executor", [None, ("threads", 4)])
@@ -385,16 +385,14 @@ class TestResidentMultiplyLoop:
         assert counts["roundtrip_calls"] == 0
         assert result.ciphertext("out").ntt_resident
 
-        # Decrypt-equal to the eager coefficient-domain schedule run
-        # over the *same* input ciphertexts (their resident forms are
-        # exact conversions, so the legacy pipeline computes the same
-        # product).
-        legacy = LocalBackend(session, verify=False, ntt_resident=False)
-        reference = legacy.run(session.compile(
-            (a * b) * (c * d), name="mult-heavy-legacy", check=False
-        ))
-        got = np.asarray(session.decrypt(result.handle("out")))
-        want = np.asarray(session.decrypt(reference.handle("out")))
+        # mini() encodes coefficients over t = 2: the cleartext result
+        # is the polynomial product of the four inputs mod 2.
+        want = np.array([1])
+        for coeffs in ([1, 2, 3, 4], [5, 6, 7, 8], [2, 2, 2, 2],
+                       [3, 1, 3, 1]):
+            want = np.convolve(want, coeffs) % 2
+        got = np.asarray(session.decrypt(result.handle("out"),
+                                         size=len(want)))
         assert np.array_equal(got, want)
 
     def test_resident_inputs_consumed_without_conversion(self):
