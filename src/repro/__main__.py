@@ -1,10 +1,4 @@
-"""``python -m repro`` entry point.
-
-The ``__name__`` guard is load-bearing: the process executor's
-``spawn`` workers re-import the parent's main module (as
-``__mp_main__``), and an unguarded ``sys.exit(main())`` would make
-every worker re-run the CLI command instead of reporting for duty.
-"""
+"""``python -m repro`` entry point."""
 
 import sys
 

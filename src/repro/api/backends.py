@@ -123,8 +123,10 @@ class LocalBackend:
         self.resident_outputs = resident_outputs
         # Executor selection: None defers to the ambient scope / env
         # default at run time; a mode string or ExecutionConfig is
-        # built once here (degrading loudly to serial on failure); a
-        # live Executor is used as-is (caller keeps ownership).
+        # built once here (a thread pool sized from the affinity mask
+        # unless the config says otherwise, degrading loudly to serial
+        # on failure); a live Executor is used as-is (caller keeps
+        # ownership).
         if isinstance(executor, str):
             executor = ExecutionConfig(mode=executor.strip().lower())
         if isinstance(executor, ExecutionConfig):

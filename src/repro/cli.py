@@ -38,7 +38,7 @@ from .hw.power import PowerModel
 from .hw.resources import ResourceEstimator
 from .hw.scaling import scaling_table
 from .hw.trace import render_fig3
-from .parallel import EXECUTOR_MODES, available_cores, use_executor
+from .parallel import EXECUTOR_MODES, use_executor
 from .params import hpca19
 from .system.arm import ArmCoreModel
 from .system.baseline import SoftwareBaseline
@@ -720,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
              "(default: environment, else serial)")
     executor_group.add_argument(
         "--workers", type=_positive_int, default=None,
-        help="worker pool size for --executor threads/processes "
+        help="worker pool size for --executor threads "
              "(default: available cores, capped)")
     args = parser.parse_args(argv)
     if args.experiment == "list":
@@ -729,10 +729,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     scope = nullcontext()
     if args.executor is not None:
-        workers = args.workers
-        if workers is None and args.executor != "serial":
-            workers = min(8, available_cores())
-        scope = use_executor(args.executor, workers)
+        scope = use_executor(args.executor, args.workers)
     with scope as executor:
         if executor is not None:
             print(f"executor: {executor.name} x{executor.workers}")

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import ParameterError
 from ..nttmath import batch
 from ..nttmath.batch import intt_rows, ntt_rows
-from ..parallel import inproc_executor, split_range
+from ..parallel import active_executor, map_bands
 from ..poly.rns_poly import RnsPoly
 from ..rns.lift import lift_hps, lift_hps_ntt, lift_traditional
 from ..rns.scale import scale_hps, scale_hps_ntt, scale_traditional
@@ -159,8 +159,8 @@ class Evaluator:
             b = self.context.to_coeff_ct(b)
             lifted = np.empty((4, k_total, n), dtype=np.int64)
             parts = (a.c0, a.c1, b.c0, b.c1)
-            executor = inproc_executor()
-            if executor is not None and self.use_hps:
+            executor = active_executor()
+            if executor.workers > 1 and self.use_hps:
                 # The four lifts are independent gemms over shared
                 # read-only tables; materialise the tables once here so
                 # worker threads only ever read them.
@@ -190,12 +190,7 @@ class Evaluator:
             np.multiply(a1[c0:c1], b1[c0:c1], out=prods[2][c0:c1])
             prods[2][c0:c1] %= full_col[c0:c1]
 
-        executor = inproc_executor()
-        if executor is None:
-            products(0, k_total)
-        else:
-            executor.map(lambda band: products(*band),
-                         split_range(k_total, 2 * executor.workers))
+        map_bands(products, k_total)
         return prods[:3]
 
     def multiply_raw(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -274,13 +269,7 @@ class Evaluator:
                 acc0[c0:c1] %= primes_col[c0:c1]
                 acc1[c0:c1] %= primes_col[c0:c1]
 
-        executor = inproc_executor()
-        if executor is None:
-            fold(0, acc0.shape[0])
-        else:
-            executor.map(lambda band: fold(*band),
-                         split_range(acc0.shape[0],
-                                     2 * executor.workers))
+        map_bands(fold, acc0.shape[0])
         if resident:
             # Evaluation-domain fold: bring (c0, c1) to the NTT domain
             # (free when the chain already is) and add the accumulators

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ParameterError
-from ..parallel import inproc_executor, split_range
+from ..parallel import map_bands
 from ..poly.rns_poly import RnsPoly
 from .ciphertext import Ciphertext
 from .keys import SecretKey
@@ -224,12 +224,7 @@ class GaloisEngine:
                 acc0[c0:c1] %= primes_col[c0:c1]
                 acc1[c0:c1] %= primes_col[c0:c1]
 
-        executor = inproc_executor()
-        if executor is None:
-            fold(0, acc0.shape[0])
-        else:
-            executor.map(lambda band: fold(*band),
-                         split_range(acc0.shape[0], 2 * executor.workers))
+        map_bands(fold, acc0.shape[0])
         return acc0, acc1
 
     def apply(self, ct: Ciphertext, key: GaloisKey) -> Ciphertext:

@@ -13,8 +13,9 @@ digest bound to that flag, so server-resident operands serialise
 without an inverse transform and reload straight into the evaluation
 domain — and a coefficient-domain payload whose header was mislabelled
 as resident (or vice versa) is rejected instead of silently decrypted
-as garbage. Version 1 files (no ``version`` field) remain loadable and
-are always coefficient-domain.
+as garbage. Version 2 is the only version read: a header whose
+``version`` is missing, older or newer is rejected, so no file can
+bypass the digest and domain checks by losing a header field.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ CIPHERTEXT_WIRE_VERSION = 2
 #: Current key-material header version. Version 2 persists the secret
 #: and public key NTT caches and tags every relinearisation /
 #: Galois-key digit with an ``"ntt"``-domain payload digest, so loading
-#: a key file performs **zero** key-material transforms — version-1
-#: files (no ``version`` field) re-derive the caches as before.
+#: a key file performs **zero** key-material transforms.
 KEYSET_WIRE_VERSION = 2
 
 _WIRE_DOMAINS = ("coeff", "ntt")
@@ -79,6 +79,15 @@ def _check_fingerprint(header: dict, params: ParameterSet) -> None:
         raise ParameterError(
             "file was produced under different FV parameters "
             f"({found.get('name')!r} vs {expected['name']!r})"
+        )
+
+
+def _check_version(header: dict, what: str, supported: int) -> None:
+    version = header.get("version")
+    if version != supported:
+        raise EncodingError(
+            f"{what} wire version {version!r} is not supported; this "
+            f"library reads version {supported} only"
         )
 
 
@@ -155,29 +164,20 @@ def load_ciphertext(path, params: ParameterSet) -> Ciphertext:
     if header.get("kind") != "ciphertext":
         raise EncodingError("file does not hold a ciphertext")
     _check_fingerprint(header, params)
-    version = header.get("version", 1)
-    if version > CIPHERTEXT_WIRE_VERSION:
+    _check_version(header, "ciphertext", CIPHERTEXT_WIRE_VERSION)
+    domain = header.get("domain")
+    if domain not in _WIRE_DOMAINS:
         raise EncodingError(
-            f"ciphertext wire version {version} is newer than this "
-            f"library understands (<= {CIPHERTEXT_WIRE_VERSION})"
+            f"unknown ciphertext domain {domain!r}; expected one of "
+            f"{_WIRE_DOMAINS}"
         )
-    if version >= 2:
-        domain = header.get("domain")
-        if domain not in _WIRE_DOMAINS:
-            raise EncodingError(
-                f"unknown ciphertext domain {domain!r}; expected one of "
-                f"{_WIRE_DOMAINS}"
-            )
-        declared_digest = header.get("digest")
-        if declared_digest != _payload_digest(domain, payload):
-            raise EncodingError(
-                f"ciphertext payload does not match its declared "
-                f"{domain!r}-domain digest — corrupted file or "
-                "mislabelled domain flag"
-            )
-    else:
-        # Version-1 files predate the domain flag: always coefficients.
-        domain = "coeff"
+    declared_digest = header.get("digest")
+    if declared_digest != _payload_digest(domain, payload):
+        raise EncodingError(
+            f"ciphertext payload does not match its declared "
+            f"{domain!r}-domain digest — corrupted file or "
+            "mislabelled domain flag"
+        )
     basis = basis_for(params.q_primes)
     ct = Ciphertext.from_bytes(payload, params, basis,
                                ntt_domain=domain == "ntt")
@@ -270,22 +270,14 @@ def save_keyset(path, keys: KeySet, params: ParameterSet) -> None:
 def load_keyset(path, params: ParameterSet) -> KeySet:
     """Rebuild a :class:`~repro.fv.keys.KeySet` from a key file.
 
-    Version-2 files reload every NTT cache straight from the payload —
-    zero key-material transforms, verified by the per-digit digests.
-    Version-1 files (no ``version`` field) predate the caches and
-    re-derive them here, paying the full key transforms they always
-    did.
+    Every NTT cache reloads straight from the payload — zero
+    key-material transforms, verified by the per-digit digests.
     """
     header, payload = _read(Path(path))
     if header.get("kind") != "keyset":
         raise EncodingError("file does not hold a key set")
     _check_fingerprint(header, params)
-    version = header.get("version", 1)
-    if version > KEYSET_WIRE_VERSION:
-        raise EncodingError(
-            f"keyset wire version {version} is newer than this library "
-            f"understands (<= {KEYSET_WIRE_VERSION})"
-        )
+    _check_version(header, "keyset", KEYSET_WIRE_VERSION)
     k_q, n = params.k_q, params.n
     basis = basis_for(params.q_primes)
 
@@ -306,21 +298,18 @@ def load_keyset(path, params: ParameterSet) -> KeySet:
     offset = 8 * n
     p0, offset = _matrix_from(payload, offset, k_q, n)
     p1, offset = _matrix_from(payload, offset, k_q, n)
-    s_ntt = p0_ntt = p1_ntt = None
-    if version >= 2:
-        ntt_start = offset
-        s_ntt, offset = _matrix_from(payload, offset, k_q, n)
-        p0_ntt, offset = _matrix_from(payload, offset, k_q, n)
-        p1_ntt, offset = _matrix_from(payload, offset, k_q, n)
-        if (header.get("ntt_digest")
-                != _payload_digest("ntt", payload[ntt_start:offset])):
-            raise EncodingError(
-                "key NTT caches do not match their declared digest — "
-                "corrupted file"
-            )
-    digests = header.get("relin_digests", [])
-    if version >= 2 and (not isinstance(digests, list)
-                         or len(digests) != components):
+    ntt_start = offset
+    s_ntt, offset = _matrix_from(payload, offset, k_q, n)
+    p0_ntt, offset = _matrix_from(payload, offset, k_q, n)
+    p1_ntt, offset = _matrix_from(payload, offset, k_q, n)
+    if (header.get("ntt_digest")
+            != _payload_digest("ntt", payload[ntt_start:offset])):
+        raise EncodingError(
+            "key NTT caches do not match their declared digest — "
+            "corrupted file"
+        )
+    digests = header.get("relin_digests")
+    if not isinstance(digests, list) or len(digests) != components:
         raise EncodingError(
             "key file declares a relinearisation digest list that does "
             "not match its component count — corrupted header"
@@ -329,7 +318,7 @@ def load_keyset(path, params: ParameterSet) -> KeySet:
     for i in range(components):
         b_ntt, offset = _matrix_from(payload, offset, k_q, n)
         a_ntt, offset = _matrix_from(payload, offset, k_q, n)
-        if version >= 2 and digests[i] != _pair_digest(b_ntt, a_ntt):
+        if digests[i] != _pair_digest(b_ntt, a_ntt):
             raise EncodingError(
                 f"relinearisation digit {i} does not match its declared "
                 "NTT-domain digest — corrupted file"
@@ -339,15 +328,6 @@ def load_keyset(path, params: ParameterSet) -> KeySet:
         raise EncodingError("key file has trailing or missing bytes")
 
     s_rows = s_coeffs[None, :] % basis.primes_col
-    if version < 2:
-        # Version-1 files predate the persisted caches: re-derive them,
-        # paying the full key transforms of the old format.
-        from .fv.scheme import FvContext
-
-        context = FvContext(params, seed=0)
-        s_ntt = context._ntt_rows(s_rows)
-        p0_ntt = context._ntt_rows(p0)
-        p1_ntt = context._ntt_rows(p1)
     secret = SecretKey(
         coeffs=s_coeffs,
         rns=RnsPoly(basis, s_rows),
@@ -412,12 +392,7 @@ def load_galois_keys(path, params: ParameterSet) -> dict:
     if header.get("kind") != "galois_keys":
         raise EncodingError("file does not hold Galois keys")
     _check_fingerprint(header, params)
-    version = header.get("version", 1)
-    if version > KEYSET_WIRE_VERSION:
-        raise EncodingError(
-            f"Galois key wire version {version} is newer than this "
-            f"library understands (<= {KEYSET_WIRE_VERSION})"
-        )
+    _check_version(header, "Galois key", KEYSET_WIRE_VERSION)
     entries = header.get("entries")
     if not isinstance(entries, list):
         raise EncodingError(

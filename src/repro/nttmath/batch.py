@@ -59,7 +59,7 @@ from ..errors import ParameterError
 from ..obs import active_tracer
 from ..obs import counter as _obs_counter
 from ..obs import current_registry, maybe_span
-from ..parallel import active_executor, split_range
+from ..parallel import active_executor, map_tiles, split_range
 from ..utils import log2_exact
 from .modmath import modinv
 from .ntt import _MAX_MODULUS_BITS, power_table
@@ -612,22 +612,34 @@ class BasisTransformer:
             return
         # Prebuild everything worker threads would otherwise race to
         # create lazily: subset transformers, their scaled plans, and
-        # the Shoup twiddle tables. Process workers rebuild these in
-        # their own interpreters, so only address-space-sharing
-        # executors need the warm-up.
-        if executor.shares_address_space:
-            for c0, c1 in {(t[1], t[2]) for t in tiles}:
-                sub = self.subset(c0, c1)
-                if op == "inverse_scaled":
-                    assert constants is not None
-                    sub.scaled_plan(tuple(constants[c0:c1])).tables()
-                elif op == "inverse":
-                    sub._inv.tables()
-                else:
-                    sub._fwd.tables()
-        common = (op, self.primes, self.n, bool(lazy), constants)
-        timings = executor.map_array_tiles("ntt_tile", arr, out, tiles,
-                                           common)
+        # the Shoup twiddle tables.
+        plans: dict[tuple[int, int], tuple[BasisTransformer, _GemmPlan]] = {}
+        for c0, c1 in {(t[1], t[2]) for t in tiles}:
+            sub = self.subset(c0, c1)
+            if op == "inverse_scaled":
+                assert constants is not None
+                sub_plan = sub.scaled_plan(tuple(constants[c0:c1]))
+            elif op == "inverse":
+                sub_plan = sub._inv
+            else:
+                sub_plan = sub._fwd
+            sub_plan.tables()
+            plans[c0, c1] = (sub, sub_plan)
+
+        def run_tile(tile: tuple[int, int, int]) -> None:
+            # One (polynomial, channel-range) tile: the channel-subset
+            # plan inherits this transformer's geometry and touches
+            # only its own disjoint slices.
+            jdx, c0, c1 = tile
+            sub, sub_plan = plans[c0, c1]
+            if op == "forward_broadcast":
+                sub_plan.apply_broadcast(sub, arr[jdx], out[jdx, c0:c1],
+                                         lazy=lazy)
+            else:
+                sub_plan.apply(sub, arr[jdx, c0:c1], out[jdx, c0:c1],
+                               lazy=lazy)
+
+        timings = map_tiles(executor, run_tile, tiles)
         tracer = active_tracer()
         if tracer is not None:
             # Real (possibly overlapping) per-tile intervals; the

@@ -1,23 +1,21 @@
 """True wall-clock parallelism for the functional engine.
 
 The paper's architecture is parallel by construction — residue
-channels and NTT cores advance in lockstep — while the functional
-engine was, until this package, exact single-process numpy. This
-layer makes the hardware story literal on the software side:
+channels and NTT cores advance in lockstep over one shared memory —
+and this layer is the software analogue: disjoint channel-band tiles
+of the caller's own arrays, run on worker threads.
 
-* :mod:`.executors` — one :class:`~.executors.Executor` protocol with
-  a serial baseline, a GIL-releasing thread pool, and (via
-  :mod:`.shmem`) a spawn-based shared-memory process pool;
+* :mod:`.executors` — one :class:`~.executors.Executor` protocol
+  (``name``, ``workers``, ``map``, ``close``) with a serial baseline
+  and a GIL-releasing thread pool;
 * :mod:`.config` — :class:`~.config.ExecutionConfig`, sourced from
-  ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``;
-* :mod:`.tasks` — the named, picklable tile tasks every executor
-  runs identically.
+  ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``.
 
 Call sites read :func:`active_executor` — an explicitly scoped
 executor (:func:`use_executor`, used by ``LocalBackend`` and the
 CLI's ``--executor/--workers`` flags), else the process default built
 lazily from the environment. Inside a pool worker the resolution is
-pinned to serial so tile tasks can call back into the engine without
+pinned to serial so tiles can call back into the engine without
 re-entering the pool. Parallel execution is bit-identical to serial:
 tiles inherit the parent transform's stage geometry and write
 disjoint slices, so only the wall clock changes.
@@ -26,7 +24,7 @@ disjoint slices, so only the wall clock changes.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -40,10 +38,10 @@ from .executors import (
     build_executor,
     executor_fallbacks,
     in_worker,
+    map_tiles,
     reset_executor_fallbacks,
     split_range,
 )
-from .shmem import SharedMemoryProcessExecutor
 
 __all__ = [
     "EXECUTOR_MODES",
@@ -51,7 +49,6 @@ __all__ = [
     "Executor",
     "ExecutorFallback",
     "SerialExecutor",
-    "SharedMemoryProcessExecutor",
     "ThreadPoolExecutor",
     "TileTiming",
     "active_executor",
@@ -59,7 +56,8 @@ __all__ = [
     "build_executor",
     "executor_fallbacks",
     "in_worker",
-    "inproc_executor",
+    "map_bands",
+    "map_tiles",
     "reset_default_executor",
     "reset_executor_fallbacks",
     "split_range",
@@ -104,7 +102,7 @@ def reset_default_executor() -> None:
     global _DEFAULT
     with _DEFAULT_LOCK:
         closing, _DEFAULT = _DEFAULT, None
-    if closing is not None and closing is not _SERIAL:
+    if closing is not None:
         closing.close()
 
 
@@ -120,32 +118,30 @@ def use_executor(executor: Executor | ExecutionConfig | str,
     """
     owned: Executor | None = None
     if isinstance(executor, str):
-        config = ExecutionConfig(
-            mode=executor.strip().lower() or "serial",
-            workers=1 if workers is None else workers,
+        executor = ExecutionConfig(
+            mode=executor.strip().lower() or "serial", workers=workers
         )
-        executor = owned = build_executor(config)
-    elif isinstance(executor, ExecutionConfig):
+    if isinstance(executor, ExecutionConfig):
         executor = owned = build_executor(executor)
     token = _ACTIVE.set(executor)
     try:
         yield executor
     finally:
         _ACTIVE.reset(token)
-        if owned is not None and not isinstance(owned, SerialExecutor):
+        if owned is not None:
             owned.close()
 
 
-def inproc_executor() -> Executor | None:
-    """The active executor iff it can run closures over caller arrays.
+def map_bands(fn: Callable[[int, int], None], size: int) -> None:
+    """Run ``fn(lo, hi)`` over disjoint bands covering ``[0, size)``.
 
     The evaluator's element-wise fan-outs (tensor products, keyswitch
-    accumulation, the four lifts) capture live numpy views, which only
-    address-space-sharing executors can execute — under the process
-    executor those stages stay serial and the NTT tiles carry the
-    parallelism. Returns ``None`` when the fan-out should not happen.
+    accumulation) write one channel band of the caller's arrays per
+    call; with a single worker the whole range runs inline.
     """
     executor = active_executor()
-    if executor.workers > 1 and executor.shares_address_space:
-        return executor
-    return None
+    if executor.workers == 1:
+        fn(0, size)
+    else:
+        executor.map(lambda band: fn(*band),
+                     split_range(size, 2 * executor.workers))

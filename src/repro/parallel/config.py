@@ -2,11 +2,13 @@
 
 The functional engine picks its execution strategy from an
 :class:`ExecutionConfig` — ``mode`` names the executor family
-(``serial`` | ``threads`` | ``processes``) and ``workers`` sizes the
-pool. The default comes from the environment (``REPRO_EXECUTOR``,
-``REPRO_WORKERS``) so the CI parallel leg, the bench sweep, and a
-user shell can switch the whole stack without touching call sites;
-`LocalBackend` / the CLI override it per run.
+(``serial`` | ``threads``) and ``workers`` sizes the pool — left
+unspecified, a thread pool is sized from the affinity mask, the one
+default-worker rule every entry point shares. The default config
+comes from the environment (``REPRO_EXECUTOR``, ``REPRO_WORKERS``) so
+the CI parallel leg, the bench sweep, and a user shell can switch the
+whole stack without touching call sites; `LocalBackend` / the CLI
+override it per run.
 
 Parsing here is deliberately forgiving: an unknown mode or a garbled
 worker count is *kept* in the config and rejected loudly later by
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 __all__ = ["EXECUTOR_MODES", "ExecutionConfig", "available_cores"]
 
 #: The executor families :func:`build_executor` knows how to build.
-EXECUTOR_MODES = ("serial", "threads", "processes")
+EXECUTOR_MODES = ("serial", "threads")
 
-#: Pool-size ceiling when ``REPRO_WORKERS`` is unset: enough to cover
+#: Pool-size ceiling when no worker count is given: enough to cover
 #: the limb/channel tiling sweet spot without oversubscribing small
 #: CI runners.
 _DEFAULT_WORKER_CAP = 8
@@ -46,33 +48,37 @@ class ExecutionConfig:
 
     ``mode`` is one of :data:`EXECUTOR_MODES` (anything else survives
     parsing and triggers the loud serial fallback at build time);
-    ``workers`` is the pool size — ``serial`` ignores it, and the
-    parallel executors treat it as the number of concurrently running
-    tiles.
+    ``workers`` is the pool size — ``serial`` ignores it, the thread
+    executor treats it as the number of concurrently running tiles,
+    and ``None`` resolves to the affinity mask (capped) for a
+    non-serial mode.
     """
 
     mode: str = "serial"
-    workers: int = 1
+    workers: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.workers is None:
+            object.__setattr__(
+                self, "workers",
+                1 if self.mode == "serial"
+                else min(_DEFAULT_WORKER_CAP, available_cores()),
+            )
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> ExecutionConfig:
         """Read ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``.
 
-        An absent ``REPRO_WORKERS`` sizes the pool to the affinity
-        mask (capped); a malformed one is carried through as
+        A malformed ``REPRO_WORKERS`` is carried through as
         ``workers=0`` so the builder can report it instead of raising
         mid-parse.
         """
         env = os.environ if env is None else env
         mode = env.get("REPRO_EXECUTOR", "serial").strip().lower() or "serial"
-        raw_workers = env.get("REPRO_WORKERS")
-        if raw_workers is None:
-            workers = 1 if mode == "serial" else min(
-                _DEFAULT_WORKER_CAP, available_cores()
-            )
-        else:
+        workers: int | None = None
+        if "REPRO_WORKERS" in env:
             try:
-                workers = int(raw_workers)
+                workers = int(env["REPRO_WORKERS"])
             except ValueError:
                 workers = 0  # flagged by build_executor
         return cls(mode=mode, workers=workers)

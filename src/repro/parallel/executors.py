@@ -1,33 +1,32 @@
-"""Pluggable executors: serial, GIL-releasing threads, processes.
+"""Pluggable executors: serial, and GIL-releasing threads.
 
-One :class:`Executor` protocol, three implementations:
+One :class:`Executor` protocol — ``name``, ``workers``, ``map``,
+``close`` — and two implementations:
 
 * :class:`SerialExecutor` — the do-nothing baseline; ``workers == 1``
   makes every dispatcher take its untiled fast path, so default runs
   are byte-identical to the pre-parallel engine.
-* :class:`ThreadPoolExecutor` — worker threads over the tile tasks.
-  The engine's hot loops are dgemms and wide numpy ufuncs, which drop
-  the GIL for the duration of the kernel, so threads buy real
-  multi-core wall-clock on the dominant cost without any pickling or
-  copying.
-* :class:`~repro.parallel.shmem.SharedMemoryProcessExecutor`
-  (built here, defined in :mod:`.shmem`) — spawn-based workers over
-  preallocated shared-memory arenas, for the fully GIL-free regime.
+* :class:`ThreadPoolExecutor` — worker threads over closures on the
+  caller's arrays. The engine's hot loops are dgemms and wide numpy
+  ufuncs, which drop the GIL for the duration of the kernel, so
+  threads buy real multi-core wall-clock on the dominant cost without
+  any pickling or copying.
 
 Executors never decide *what* is parallel — the engine plans disjoint
 (polynomial, channel) tiles and hands them over — and they never
 change results: tiles write disjoint slices and each tile's
 arithmetic is bit-identical to its serial counterpart, so scheduling
-order is unobservable. Every dispatch records utilisation and
-tile-shape instruments in the active metrics registry, and returns
-per-tile timings the engine turns into per-worker trace spans.
+order is unobservable. :func:`map_tiles` is the instrumented fan-out:
+it records utilisation and tile-shape instruments in the active
+metrics registry and returns per-tile timings the engine turns into
+per-worker trace spans.
 
 :func:`build_executor` is the only constructor call sites use: when a
 requested executor cannot be built (unknown mode, bad worker count,
-process pool failure) it records a structured :class:`ExecutorFallback`,
-warns once through the module logger, bumps the fallback counter, and
-returns a serial executor — loud degradation, never a crash and never
-a silent behaviour change.
+pool construction failure) it records a structured
+:class:`ExecutorFallback`, warns once through the module logger, bumps
+the fallback counter, and returns a serial executor — loud
+degradation, never a crash and never a silent behaviour change.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ __all__ = [
     "build_executor",
     "executor_fallbacks",
     "in_worker",
+    "map_tiles",
     "reset_executor_fallbacks",
     "split_range",
 ]
@@ -135,24 +135,14 @@ def _note_fallback(mode: str, workers: int, reason: str) -> None:
 class Executor(Protocol):
     """What the engine needs from an execution strategy."""
 
-    #: Human-readable family name ("serial" | "threads" | "processes").
+    #: Human-readable family name ("serial" | "threads").
     name: str
     #: Concurrently running tiles; 1 means dispatchers skip tiling.
     workers: int
-    #: Whether tasks see the caller's arrays directly (threads) or
-    #: through a copied shared-memory arena (processes). Fan-outs that
-    #: rely on closures over caller state require this.
-    shares_address_space: bool
 
     def map(self, fn: Callable[[Any], Any],
             items: Iterable[Any]) -> list[Any]:
         """Apply ``fn`` to every item, results in input order."""
-        ...  # pragma: no cover - protocol
-
-    def map_array_tiles(self, kind: str, src: Any, dst: Any,
-                        tiles: Sequence[tuple], common: tuple,
-                        ) -> list[TileTiming]:
-        """Run registered task ``kind`` over disjoint tiles of dst."""
         ...  # pragma: no cover - protocol
 
     def close(self) -> None:
@@ -196,64 +186,21 @@ def split_range(size: int, parts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-class _InstrumentedExecutor:
-    """Shared dispatch accounting for every executor implementation."""
-
-    name = "base"
-    workers = 1
-    shares_address_space = True
-
-    def _run_tiles(self, kind: str, src: Any, dst: Any,
-                   tiles: Sequence[tuple], common: tuple,
-                   ) -> list[TileTiming]:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def map_array_tiles(self, kind: str, src: Any, dst: Any,
-                        tiles: Sequence[tuple], common: tuple,
-                        ) -> list[TileTiming]:
-        started = time.perf_counter()
-        timings = self._run_tiles(kind, src, dst, tiles, common)
-        wall = time.perf_counter() - started
-        PARALLEL_DISPATCHES.inc(executor=self.name)
-        PARALLEL_TILE_QUEUE.observe(len(tiles))
-        capacity = wall * max(1, self.workers)
-        if capacity > 0:
-            busy = sum(t.busy_seconds for t in timings)
-            WORKER_UTILISATION.set(min(1.0, busy / capacity),
-                                   executor=self.name)
-        return timings
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-
-class SerialExecutor(_InstrumentedExecutor):
+class SerialExecutor:
     """In-thread execution; the engine's untiled default."""
 
     name = "serial"
     workers = 1
-    shares_address_space = True
 
     def map(self, fn: Callable[[Any], Any],
             items: Iterable[Any]) -> list[Any]:
         return [fn(item) for item in items]
 
-    def _run_tiles(self, kind: str, src: Any, dst: Any,
-                   tiles: Sequence[tuple], common: tuple,
-                   ) -> list[TileTiming]:
-        from .tasks import TASKS
-
-        fn = TASKS[kind]
-        timings = []
-        for tile in tiles:
-            t0 = time.perf_counter()
-            fn(src, dst, tile, common)
-            timings.append(TileTiming(tile, "main", t0,
-                                      time.perf_counter()))
-        return timings
+    def close(self) -> None:
+        pass
 
 
-class ThreadPoolExecutor(_InstrumentedExecutor):
+class ThreadPoolExecutor:
     """Worker threads that release the GIL into BLAS gemms.
 
     The engine tiles are dominated by dgemm and wide int64/float64
@@ -265,7 +212,6 @@ class ThreadPoolExecutor(_InstrumentedExecutor):
     """
 
     name = "threads"
-    shares_address_space = True
 
     def __init__(self, workers: int) -> None:
         if workers < 1:
@@ -281,25 +227,36 @@ class ThreadPoolExecutor(_InstrumentedExecutor):
                 for item in items]
         return [job.result() for job in jobs]
 
-    def _run_tiles(self, kind: str, src: Any, dst: Any,
-                   tiles: Sequence[tuple], common: tuple,
-                   ) -> list[TileTiming]:
-        from .tasks import TASKS
-
-        fn = TASKS[kind]
-
-        def run(tile: tuple) -> TileTiming:
-            t0 = time.perf_counter()
-            fn(src, dst, tile, common)
-            return TileTiming(tile, threading.current_thread().name,
-                              t0, time.perf_counter())
-
-        jobs = [self._pool.submit(_run_as_worker, run, tile)
-                for tile in tiles]
-        return [job.result() for job in jobs]
-
     def close(self) -> None:
         self._pool.shutdown(wait=True)
+
+
+def map_tiles(executor: Executor, fn: Callable[[tuple], None],
+              tiles: Sequence[tuple]) -> list[TileTiming]:
+    """Run ``fn`` over disjoint tiles on ``executor``, with accounting.
+
+    Each tile is timed on the thread that ran it; the dispatch bumps
+    the fan-out counter, the tile-queue histogram and the pool's
+    utilisation gauge in the active metrics registry.
+    """
+
+    def run(tile: tuple) -> TileTiming:
+        t0 = time.perf_counter()
+        fn(tile)
+        return TileTiming(tile, threading.current_thread().name, t0,
+                          time.perf_counter())
+
+    started = time.perf_counter()
+    timings = executor.map(run, tiles)
+    wall = time.perf_counter() - started
+    PARALLEL_DISPATCHES.inc(executor=executor.name)
+    PARALLEL_TILE_QUEUE.observe(len(tiles))
+    capacity = wall * max(1, executor.workers)
+    if capacity > 0:
+        busy = sum(t.busy_seconds for t in timings)
+        WORKER_UTILISATION.set(min(1.0, busy / capacity),
+                               executor=executor.name)
+    return timings
 
 
 def build_executor(config: ExecutionConfig) -> Executor:
@@ -308,9 +265,8 @@ def build_executor(config: ExecutionConfig) -> Executor:
     Every failure path — unknown mode, non-positive worker count,
     pool construction raising — records an :class:`ExecutorFallback`
     (plus a rate-limited warning and a counter increment) and returns
-    a :class:`SerialExecutor`, so a bad ``REPRO_EXECUTOR`` env or a
-    container without shared-memory support costs throughput, never
-    correctness or a crash.
+    a :class:`SerialExecutor`, so a bad ``REPRO_EXECUTOR`` env costs
+    throughput, never correctness or a crash.
     """
     mode = config.mode
     if mode == "serial":
@@ -326,11 +282,7 @@ def build_executor(config: ExecutionConfig) -> Executor:
                        "(check REPRO_WORKERS)")
         return SerialExecutor()
     try:
-        if mode == "threads":
-            return ThreadPoolExecutor(config.workers)
-        from .shmem import SharedMemoryProcessExecutor
-
-        return SharedMemoryProcessExecutor(config.workers)
+        return ThreadPoolExecutor(config.workers)
     except Exception as exc:  # noqa: BLE001 - any failure degrades
         _note_fallback(mode, config.workers,
                        f"{type(exc).__name__}: {exc}")

@@ -296,6 +296,14 @@ class TestFallbackDiagnostics:
         assert np.array_equal(
             intt_rows(primes, out), mat
         )  # per-row path is still exact
+        # ...and the degraded answer is the paper-literal transform's.
+        tr = NegacyclicTransformer(64, primes[0])
+        twisted = [
+            int(c) * int(psi) % primes[0]
+            for c, psi in zip(mat[0], tr.psi_powers, strict=True)
+        ]
+        assert out[0].tolist() == ntt_iterative(twisted, primes[0],
+                                                tr.omega)
         events = engine_fallbacks()
         assert events and events[-1].max_prime_bits == 31
         assert "4q < 2^32" in events[-1].reason

@@ -376,6 +376,20 @@ class TestClusterFaults:
         assert failure.jobs_retried == 0
         lost = [r for r in report.rejected if r.reason == "retry-budget"]
         assert len(lost) == failure.jobs_lost
+        # Against the default budget on the same plan nothing is lost,
+        # and what the exhausted run completed plus what it counted as
+        # lost is exactly what that run completed.
+        healthy = FpgaCluster.homogeneous(
+            PARAMS, 4, router=TenantAffinityRouter(),
+            fault_plan=plan, replicas=2).run(jobs)
+        assert healthy.failure.jobs_lost == 0
+
+        def completed(run):
+            return [r.job.index for shard in run.shard_reports
+                    for r in shard.results]
+
+        assert sorted(completed(report) + [r.job.index for r in lost]) \
+            == sorted(completed(healthy))
 
     def test_transient_job_failures_retry_in_place(self):
         events = tuple(FaultEvent(t, FaultKind.JOB_FAIL, 0)

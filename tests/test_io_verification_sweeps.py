@@ -314,8 +314,7 @@ class TestKeyMaterialWireV2:
 
     The acceptance contract is *zero* key-material transforms on load —
     the per-digit NTTs every load used to re-derive are paid once at
-    save time — with version-1 files still loading through the old
-    re-derive path.
+    save time — and a header that is not version 2 is rejected.
     """
 
     @staticmethod
@@ -343,41 +342,19 @@ class TestKeyMaterialWireV2:
                                     toy_keys.relin.pairs, strict=True):
             assert np.array_equal(b, rb) and np.array_equal(a, ra)
 
-    def _synthesize_v1(self, v2_path, target, params):
-        """Strip the version-2 header fields and NTT payload block."""
+    @staticmethod
+    def _strip_version(path):
+        """Rewrite a wire file with ``version`` dropped from its header."""
         import json as _json
         import struct as _struct
 
-        blob = v2_path.read_bytes()
+        blob = path.read_bytes()
         header_len = int.from_bytes(blob[8:12], "little")
         header = _json.loads(blob[12:12 + header_len])
-        payload = blob[12 + header_len:]
-        for field in ("version", "ntt_digest", "relin_digests"):
-            del header[field]
-        k_q, n = params.k_q, params.n
-        ntt_start = 8 * n + 2 * 8 * k_q * n
-        ntt_len = 3 * 8 * k_q * n
-        payload = payload[:ntt_start] + payload[ntt_start + ntt_len:]
+        del header["version"]
         head = _json.dumps(header, sort_keys=True).encode()
-        target.write_bytes(b"REPROFV1" + _struct.pack("<I", len(head))
-                           + head + payload)
-
-    def test_v1_file_loads_and_rederives_caches(self, tmp_path,
-                                                toy_context, toy_keys):
-        params = toy_context.params
-        v2_path = tmp_path / "keys_v2.bin"
-        save_keyset(v2_path, toy_keys, params)
-        v1_path = tmp_path / "keys_v1.bin"
-        self._synthesize_v1(v2_path, v1_path, params)
-        loaded, delta = self._transform_delta(
-            lambda: load_keyset(v1_path, params))
-        # The old cost: forward key transforms happen on load...
-        assert delta["forward_calls"] > 0
-        # ...but the caches come out identical to the persisted ones.
-        assert np.array_equal(loaded.secret.ntt_rows,
-                              toy_keys.secret.ntt_rows)
-        assert np.array_equal(loaded.public.p0_ntt, toy_keys.public.p0_ntt)
-        assert np.array_equal(loaded.public.p1_ntt, toy_keys.public.p1_ntt)
+        path.write_bytes(b"REPROFV1" + _struct.pack("<I", len(head))
+                         + head + blob[12 + header_len:])
 
     def test_relin_digest_corruption_rejected(self, tmp_path, toy_context,
                                               toy_keys):
@@ -393,6 +370,12 @@ class TestKeyMaterialWireV2:
         blob[pos] ^= 0x40
         path.write_bytes(bytes(blob))
         with pytest.raises(EncodingError, match="digest"):
+            load_keyset(path, params)
+        # Losing ``version`` must not switch the digest checks off: an
+        # intact file without it is rejected too.
+        save_keyset(path, toy_keys, params)
+        self._strip_version(path)
+        with pytest.raises(EncodingError, match="version None"):
             load_keyset(path, params)
 
     def test_galois_bundle_roundtrip_zero_transforms(self, tmp_path,
@@ -441,4 +424,8 @@ class TestKeyMaterialWireV2:
         path.write_bytes(b"REPROFV1" + _struct.pack("<I", len(head))
                          + head + blob[12 + header_len:])
         with pytest.raises(EncodingError, match="label"):
+            load_galois_keys(path, params)
+        save_galois_keys(path, keys, params)
+        self._strip_version(path)
+        with pytest.raises(EncodingError, match="version None"):
             load_galois_keys(path, params)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro.nttmath.batch as batch_mod
+import repro.parallel.executors as executors_mod
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.nttmath.batch import basis_transformer, transform_counts
@@ -39,7 +40,6 @@ from repro.parallel import (
     build_executor,
     executor_fallbacks,
     in_worker,
-    inproc_executor,
     reset_executor_fallbacks,
     split_range,
     use_executor,
@@ -172,56 +172,13 @@ class TestBitIdentity:
         assert np.array_equal(want.c1.residues, got.c1.residues)
 
 
-class TestProcessExecutor:
-    def test_forward_inverse_bit_identical(self, primes, stack):
-        executor = build_executor(ExecutionConfig("processes", 2))
-        if executor.name != "processes":
-            reasons = [f.reason for f in executor_fallbacks()]
-            pytest.skip(f"process pool unavailable here: {reasons}")
-        try:
-            bt = basis_transformer(primes, N)
-            with use_executor("serial"):
-                want_fwd = bt.forward(stack)
-                want_inv = bt.inverse(want_fwd)
-            with use_executor(executor):
-                got_fwd = bt.forward(stack)
-                got_inv = bt.inverse(got_fwd)
-                # Closure fan-outs must not cross the process boundary.
-                assert inproc_executor() is None
-            assert np.array_equal(want_fwd, got_fwd)
-            assert np.array_equal(want_inv, got_inv)
-            assert not executor.shares_address_space
-        finally:
-            executor.close()
-
-    def test_worker_death_mid_dispatch_degrades_serially(self, primes,
-                                                         stack):
-        """Killing the pool under a live engine must not lose the
-        answer: the dispatch reruns serially, the fallback is recorded,
-        and every later dispatch stays on the serial path."""
-        executor = build_executor(ExecutionConfig("processes", 2))
-        if executor.name != "processes":
-            reasons = [f.reason for f in executor_fallbacks()]
-            pytest.skip(f"process pool unavailable here: {reasons}")
-        try:
-            bt = basis_transformer(primes, N)
-            with use_executor("serial"):
-                want_fwd = bt.forward(stack)
-                want_inv = bt.inverse(want_fwd)
-            with use_executor(executor):
-                assert np.array_equal(bt.forward(stack), want_fwd)
-                for proc in executor._procs:
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-                got_fwd = bt.forward(stack)  # dispatch into a dead pool
-                got_inv = bt.inverse(got_fwd)  # degraded mode persists
-            assert np.array_equal(got_fwd, want_fwd)
-            assert np.array_equal(got_inv, want_inv)
-            (fallback,) = executor_fallbacks()
-            assert fallback.mode == "processes"
-            assert "died mid-dispatch" in fallback.reason
-        finally:
-            executor.close()
+def _assert_matches_serial(executor, primes, stack):
+    """A transform under ``executor`` equals the serial one, bit for bit."""
+    bt = basis_transformer(primes, N)
+    with use_executor("serial"):
+        want = bt.forward(stack)
+    with use_executor(executor):
+        assert np.array_equal(bt.forward(stack), want)
 
 
 class TestFallbacks:
@@ -235,38 +192,43 @@ class TestFallbacks:
         assert "unknown executor mode" in fallback.reason
         assert current_registry().value("executor_fallback_total") == 1.0
 
-    def test_bad_worker_count_goes_serial(self):
-        executor = build_executor(ExecutionConfig("threads", 0))
-        assert isinstance(executor, SerialExecutor)
-        (fallback,) = executor_fallbacks()
-        assert "REPRO_WORKERS" in fallback.reason
-
-    def test_pool_construction_failure_goes_serial(self, monkeypatch):
-        import repro.parallel.shmem as shmem_mod
-
-        def boom(workers):
-            raise OSError("no /dev/shm in this sandbox")
-
-        monkeypatch.setattr(shmem_mod, "SharedMemoryProcessExecutor", boom)
+    def test_removed_process_mode_is_an_unknown_mode(self, primes, stack):
         executor = build_executor(ExecutionConfig("processes", 2))
         assert isinstance(executor, SerialExecutor)
         (fallback,) = executor_fallbacks()
         assert fallback.mode == "processes"
-        assert "no /dev/shm" in fallback.reason
+        assert "unknown executor mode" in fallback.reason
+        _assert_matches_serial(executor, primes, stack)
+
+    def test_bad_worker_count_goes_serial(self, primes, stack):
+        executor = build_executor(ExecutionConfig("threads", 0))
+        assert isinstance(executor, SerialExecutor)
+        (fallback,) = executor_fallbacks()
+        assert "REPRO_WORKERS" in fallback.reason
+        _assert_matches_serial(executor, primes, stack)
+
+    def test_pool_construction_failure_goes_serial(self, monkeypatch,
+                                                   primes, stack):
+        def boom(workers):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(executors_mod, "ThreadPoolExecutor", boom)
+        executor = build_executor(ExecutionConfig("threads", 2))
+        assert isinstance(executor, SerialExecutor)
+        (fallback,) = executor_fallbacks()
+        assert fallback.mode == "threads"
+        assert "can't start new thread" in fallback.reason
+        _assert_matches_serial(executor, primes, stack)
 
     def test_results_survive_the_fallback(self, primes, stack):
-        bt = basis_transformer(primes, N)
-        with use_executor("serial"):
-            want = bt.forward(stack)
         with use_executor("definitely-not-an-executor", 4) as executor:
             assert executor.name == "serial"
-            got = bt.forward(stack)
-        assert np.array_equal(want, got)
+            _assert_matches_serial(executor, primes, stack)
 
 
 class TestScoping:
     def test_modes_catalogue(self):
-        assert EXECUTOR_MODES == ("serial", "threads", "processes")
+        assert EXECUTOR_MODES == ("serial", "threads")
 
     def test_use_executor_nests_and_restores(self):
         outer = ThreadPoolExecutor(2)
@@ -279,6 +241,30 @@ class TestScoping:
             assert active_executor() is not outer
         finally:
             outer.close()
+
+    def test_mode_string_backend_sizes_pool_from_affinity(self):
+        """``executor="threads"`` with no worker count is a real pool,
+        sized by the one default-worker rule — not a one-thread pool
+        that reports "threads" and never tiles."""
+        from repro.api import LocalBackend, Session
+        from repro.params import mini
+
+        session = Session(mini(), seed=7)
+        product = session.encrypt([1, 2, 3]) * session.encrypt([4, 5, 6])
+        program = session.compile(product, name="one-mult", check=False)
+        backend = LocalBackend(session, verify=False, executor="threads")
+        try:
+            telemetry = backend.telemetry
+            assert telemetry["executor"] == "threads"
+            assert telemetry["workers"] == min(8, available_cores())
+            with use_executor("threads") as scoped:
+                assert scoped.workers == telemetry["workers"]
+            backend.run(program)
+            dispatched = current_registry().value(
+                "parallel_dispatch_total", executor="threads")
+            assert (dispatched >= 1.0) == (available_cores() >= 2)
+        finally:
+            backend.executor.close()
 
     def test_tasks_resolve_serial_inside_workers(self):
         with use_executor("threads", 2) as executor:
@@ -293,11 +279,20 @@ class TestScoping:
             _run_as_worker(lambda: (_ for _ in ()).throw(ValueError()))
         assert not in_worker()
 
-    def test_inproc_executor_requires_shared_address_space(self):
-        with use_executor("serial"):
-            assert inproc_executor() is None
+        # The same through a live pool: a tile that raises on a worker
+        # thread surfaces from ``map``, no thread keeps the in-worker
+        # pin, and the pool still serves the next fan-out.
+        def tile(item):
+            if item == 2:
+                raise ValueError("bad tile")
+            return item
+
         with use_executor("threads", 2) as executor:
-            assert inproc_executor() is executor
+            with pytest.raises(ValueError, match="bad tile"):
+                executor.map(tile, range(4))
+            assert not in_worker()
+            assert executor.map(lambda _: in_worker(), range(4)) == [True] * 4
+            assert executor.map(tile, [0, 1, 3]) == [0, 1, 3]
 
 
 class TestInstrumentsAndSpans:

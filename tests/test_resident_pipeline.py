@@ -7,7 +7,7 @@ The invariants of the resident pipeline PR:
   same plaintext, and measures the same noise;
 * the versioned NTT-domain wire format round-trips resident operands
   without an inverse transform, rejects a payload whose domain flag
-  was tampered with, and still loads version-1 (coefficient) files;
+  was tampered with or that is not version 2;
 * a serialized-resident operand reused across two programs performs
   **zero** coefficient-domain round-trips (the acceptance criterion),
   proved with exact transform-count telemetry;
@@ -147,24 +147,16 @@ class TestNttWireFormat:
                         lambda h: h.__setitem__("version", 99))
         with pytest.raises(EncodingError, match="version"):
             load_ciphertext(future, params)
-
-    def test_version_1_files_still_load_as_coefficients(self, tmp_path):
-        params = mini(t=257)
-        session = Session(params, seed=17)
-        path = tmp_path / "v2.ct"
-        ct = session.encrypt([9, 9]).ciphertext
-        save_ciphertext(path, ct)
-        v1 = tmp_path / "v1.ct"
-
-        def strip(header):
-            for key in ("version", "domain", "digest"):
-                header.pop(key)
-
-        _rewrite_header(path, v1, strip)
-        restored = load_ciphertext(v1, params)
-        assert restored.domain == "coeff"
-        for a, b in zip(ct.parts, restored.parts, strict=True):
-            assert np.array_equal(a.residues, b.residues)
+        # A header that lost ``version`` (alone, or with the other v2
+        # fields — the retired v1 shape) must not skip the digest and
+        # domain checks: an NTT payload would load as coefficients.
+        for lost in (("version",), ("version", "domain", "digest")):
+            stripped = tmp_path / "stripped.ct"
+            _rewrite_header(
+                path, stripped,
+                lambda h, lost=lost: [h.pop(key) for key in lost])
+            with pytest.raises(EncodingError, match="version None"):
+                load_ciphertext(stripped, params)
 
     def test_mixed_domain_ciphertext_refuses_the_wire(self):
         from repro.fv.ciphertext import Ciphertext
@@ -262,14 +254,33 @@ class TestLocalResidentCache:
         # The boundary converted `inter` to coefficients; its resident
         # form survives in the cache.
         assert backend.telemetry["resident_cache"]["entries"] >= 1
-        backend.run(session.compile(inter * 2, name="second",
-                                    check=False))
+        restored = backend.run(session.compile(inter * 2, name="second",
+                                               check=False))
         telemetry = backend.telemetry["resident_cache"]
         assert telemetry["hits"] >= 1
         assert telemetry["last_run_restores"] >= 1
         # Only the new plaintext constant transformed forward — the
         # restored operand did not.
         assert backend.last_transform_counts["forward_rows"] == k
+
+        # Degrade path: the same requests through a cache too small to
+        # keep `inter` across an unrelated program. The evicted operand
+        # is transformed forward again and the answer is bit-identical.
+        session = Session(params, seed=25)
+        small = LocalBackend(session, verify=False, resident_cache_limit=2)
+        inter = session.encrypt([5, 6, 7, 8], resident=True) * 3
+        small.run(session.compile(inter, name="first", check=False))
+        other = session.encrypt([1], resident=True) * 5
+        small.run(session.compile(other, name="other", check=False))
+        assert small.resident_cache.evictions == 2
+        assert inter.node not in small.resident_cache
+        evicted = small.run(session.compile(inter * 2, name="second",
+                                            check=False))
+        assert small.last_cache_restores == 0
+        assert small.last_transform_counts["forward_rows"] > k
+        for want, got in zip(restored.ciphertext("out").parts,
+                             evicted.ciphertext("out").parts, strict=True):
+            assert np.array_equal(want.residues, got.residues)
 
     def test_cache_is_bounded_with_fifo_eviction(self):
         cache = ResidentOperandCache(limit=2)
