@@ -17,6 +17,8 @@ from contextlib import nullcontext
 
 from ..errors import NoiseBudgetExhausted, ParameterError
 from ..fv.ciphertext import Ciphertext
+from ..fv.encoder import Plaintext
+from ..fv.noise import budget_bits
 from ..nttmath.batch import transform_counts
 from ..obs import TraceReport, Tracer
 from ..parallel import Executor, ExecutionConfig, build_executor, use_executor
@@ -40,15 +42,26 @@ class Backend(Protocol):
 
 
 class ProgramResult:
-    """Outputs of one functional execution, addressable by label."""
+    """Outputs of one functional execution, addressable by label.
+
+    Each output is measured with the secret key at most once:
+    :meth:`decrypt` and :meth:`noise_budget_bits` are views of the
+    ``(plaintext, noise norm)`` pair :meth:`measure` holds. A verifying
+    backend hands over the pairs its verification computed, so reading a
+    verified result costs a decode; otherwise the pair is computed on
+    first use.
+    """
 
     def __init__(self, session: Session,
                  outputs: dict[str, CiphertextHandle],
-                 trace: TraceReport | None = None) -> None:
+                 trace: TraceReport | None = None,
+                 measured: dict[str, tuple[Plaintext, int]] | None = None,
+                 ) -> None:
         self.session = session
         self.outputs = outputs
         #: Wall-clock trace of the run that produced these outputs.
         self.trace = trace
+        self._measured = dict(measured or {})
 
     def __getitem__(self, label: str) -> CiphertextHandle:
         return self.outputs[label]
@@ -56,9 +69,16 @@ class ProgramResult:
     def handle(self, label: str = "out") -> CiphertextHandle:
         return self.outputs[label]
 
+    def measure(self, label: str = "out") -> tuple[Plaintext, int]:
+        """One output's ``(plaintext, noise norm)``, computed once."""
+        if label not in self._measured:
+            self._measured[label] = self.session.measure(
+                self.outputs[label])
+        return self._measured[label]
+
     def decrypt(self, label: str = "out", size: int | None = None):
-        """Decrypt one output into the session encoder's domain."""
-        return self.session.decrypt(self.outputs[label], size)
+        """Decode one output into the session encoder's domain."""
+        return self.session.decode(self.measure(label)[0], size)
 
     def ciphertext(self, label: str = "out") -> Ciphertext:
         """One output's ciphertext in its *current* domain.
@@ -71,7 +91,7 @@ class ProgramResult:
         return self.outputs[label].node.cached
 
     def noise_budget_bits(self, label: str = "out") -> float:
-        return self.session.noise_budget_bits(self.outputs[label])
+        return budget_bits(self.session.params, self.measure(label)[1])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProgramResult({list(self.outputs)})"
@@ -83,9 +103,13 @@ class LocalBackend:
     Node results are cached on the expression graph, so overlapping
     programs (or a decrypt of an intermediate handle followed by more
     building) never recompute shared work. With ``verify=True`` every
-    output's *measured* noise budget is checked after execution — a
-    non-positive budget means the decryption is garbage, and the
-    backend refuses to return it silently.
+    output is decrypted and its noise measured once, while it is still
+    in the domain the executor produced it in — a non-positive budget
+    means the decryption is garbage, and the backend refuses to return
+    it silently; otherwise the measurement travels with the
+    :class:`ProgramResult`, so the client's ``decrypt`` /
+    ``noise_budget_bits`` do not repeat it. ``verify=False`` defers the
+    measurement to the first of those calls.
 
     Intermediates stay in the evaluation domain across ADD / SUB /
     MUL_PLAIN / ROTATE / SUM_SLOTS chains, exactly as HEAX/Medha keep
@@ -249,6 +273,27 @@ class LocalBackend:
             for node in boundary:
                 if node.cached is not None and node.cached.ntt_resident:
                     self.resident_cache.put(node, node.cached)
+            # Verification is the one place an output is measured, and
+            # it runs before the output boundary: a resident output
+            # decrypts without the forward transforms its coefficient
+            # form would need. Tracing it as a phase keeps the trace
+            # totals equal to the run-level registry diff.
+            measured: dict[str, tuple[Plaintext, int]] = {}
+            if self.verify:
+                with tracer.span("verify_outputs", kind="phase") as sp:
+                    ver_before = transform_counts()
+                    for label, node in program.outputs.items():
+                        measured[label] = self.session.measure(node.cached)
+                        budget = budget_bits(program.params,
+                                             measured[label][1])
+                        if budget <= 0:
+                            raise NoiseBudgetExhausted(
+                                f"output {label!r} decrypts with no "
+                                f"noise budget left ({budget:.1f} bits)"
+                            )
+                    sp.attrs["transforms"] = _count_diff(
+                        ver_before, transform_counts()
+                    )
             # Output boundary: by default results leave the executor in
             # the coefficient domain (the legacy wire representation),
             # mirroring the download DMA of the paper's server; with
@@ -268,23 +313,6 @@ class LocalBackend:
                 label: CiphertextHandle(node, self.session)
                 for label, node in program.outputs.items()
             }
-            if self.verify:
-                # Noise measurement can itself transform (resident
-                # outputs decrypt through a conversion); tracing it as
-                # a phase keeps the trace totals equal to the run-level
-                # registry diff even with verification on.
-                with tracer.span("verify_outputs", kind="phase") as sp:
-                    ver_before = transform_counts()
-                    for label, handle in outputs.items():
-                        budget = self.session.noise_budget_bits(handle)
-                        if budget <= 0:
-                            raise NoiseBudgetExhausted(
-                                f"output {label!r} decrypts with no "
-                                f"noise budget left ({budget:.1f} bits)"
-                            )
-                    sp.attrs["transforms"] = _count_diff(
-                        ver_before, transform_counts()
-                    )
         after = transform_counts()
         self.last_trace = tracer.report()
         self.last_transform_counts = {
@@ -293,7 +321,7 @@ class LocalBackend:
         for key, value in self.last_transform_counts.items():
             self.total_transform_counts[key] += value
         return ProgramResult(self.session, outputs,
-                             trace=self.last_trace)
+                             trace=self.last_trace, measured=measured)
 
     def _restore_residents(self, program: HEProgram,
                            wants: dict[int, bool]) -> int:

@@ -19,6 +19,8 @@ work, but application code should not need it.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from ..errors import EncodingError, ParameterError
@@ -27,7 +29,7 @@ from ..fv.encoder import BatchEncoder, IntegerEncoder, Plaintext
 from ..fv.evaluator import Evaluator
 from ..fv.galois import GaloisEngine, GaloisKey
 from ..fv.keys import KeySet
-from ..fv.noise import noise_budget_bits
+from ..fv.noise import budget_bits
 from ..fv.scheme import FvContext
 from ..params import ParameterSet, hpca19
 from .program import CiphertextHandle, ExprNode, HEProgram, OpKind
@@ -65,8 +67,8 @@ class Session:
         # (FIFO eviction) so long-lived sessions that stream fresh
         # per-request plaintexts cannot grow it without limit.
         self._plain_pool_limit = 256
-        self._plain_ntt_pool: dict[int, tuple[Plaintext, np.ndarray]] = {}
-        self._plain_delta_pool: dict[int, tuple[Plaintext, np.ndarray]] = {}
+        self._plain_ntt_pool: dict[tuple[int, bytes], np.ndarray] = {}
+        self._plain_delta_pool: dict[tuple[int, bytes], np.ndarray] = {}
 
     @classmethod
     def from_parts(cls, context: FvContext, keys: KeySet, *,
@@ -137,7 +139,7 @@ class Session:
     # -- plaintext-constant NTT pool ---------------------------------------------
 
     def plain_ntt(self, plain: Plaintext) -> np.ndarray:
-        """NTT rows of a plaintext constant (cached per object).
+        """NTT rows of a plaintext constant (cached by value).
 
         The pool is what lets the NTT-resident executor multiply by the
         same plaintext constant many times while transforming it once —
@@ -148,7 +150,7 @@ class Session:
                                  self.context.plain_ntt_rows)
 
     def plain_delta_ntt(self, plain: Plaintext) -> np.ndarray:
-        """NTT rows of ``Delta * m`` for AddPlain (cached per object)."""
+        """NTT rows of ``Delta * m`` for AddPlain (cached by value)."""
         return self._pool_lookup(
             self._plain_delta_pool, plain,
             lambda p: self.context._ntt_rows(
@@ -158,23 +160,25 @@ class Session:
 
     def _pool_lookup(self, pool: dict, plain: Plaintext,
                      compute) -> np.ndarray:
-        """Bounded id-keyed cache (the id check guards against a dead
-        object's id being reused after its entry was evicted)."""
-        key = id(plain)
-        entry = pool.get(key)
-        if entry is None or entry[0] is not plain:
+        """Bounded value-keyed cache: a constant re-encoded per request
+        (``x * 3``) is a new object with the same coefficients, and
+        must hit the entry its first encoding made."""
+        key = (plain.t, hashlib.blake2b(plain.coeffs.tobytes(),
+                                        digest_size=16).digest())
+        rows = pool.get(key)
+        if rows is None:
             if len(pool) >= self._plain_pool_limit:
                 pool.pop(next(iter(pool)))
-            entry = (plain, compute(plain))
-            pool[key] = entry
-        return entry[1]
+            rows = pool[key] = compute(plain)
+        return rows
 
     def decode(self, plain: Plaintext, size: int | None = None):
         """Invert :meth:`encode`; ``size`` truncates vector results."""
         if self.encoder_kind == "integer":
             return self.encoder.decode(plain)
+        # A copy: measured plaintexts are shared between callers.
         decoded = (self.encoder.decode(plain)
-                   if self.encoder_kind == "batch" else plain.coeffs)
+                   if self.encoder_kind == "batch" else plain.coeffs.copy())
         return decoded if size is None else decoded[:size]
 
     # -- encrypt / decrypt -------------------------------------------------------------
@@ -233,24 +237,29 @@ class Session:
         """
         return self.decode(self.decrypt_plaintext(value), size)
 
-    def _materialized(self, value) -> Ciphertext:
-        """A handle's ciphertext in its *current* domain (no forced
-        coefficient conversion — decrypting an NTT-resident result is
-        cheaper than degrading it first), or the ciphertext itself."""
+    def measure(self, value) -> tuple[Plaintext, int]:
+        """``(plaintext, noise norm)`` of a handle or ciphertext: the
+        one secret-key measurement both :meth:`decrypt` and
+        :meth:`noise_budget_bits` are views of.
+
+        A materialised handle is measured in its *current* domain (no
+        forced coefficient conversion — decrypting an NTT-resident
+        result is cheaper than degrading it first); a lazy one is run
+        through the local backend, whose verification already measured
+        it.
+        """
         if isinstance(value, CiphertextHandle):
             if value.node.cached is None:
-                self.run(value)
-            return value.node.cached
-        return value
+                return self.run(value).measure()
+            value = value.node.cached
+        return self.context.decrypt_with_noise(value, self.keys.secret)
 
     def decrypt_plaintext(self, value) -> Plaintext:
-        return self.context.decrypt(self._materialized(value),
-                                    self.keys.secret)
+        return self.measure(value)[0]
 
     def noise_budget_bits(self, value) -> float:
         """Measured (not worst-case) remaining budget of a result."""
-        return noise_budget_bits(self.context, self._materialized(value),
-                                 self.keys.secret)
+        return budget_bits(self.params, self.measure(value)[1])
 
     # -- Galois key management --------------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+from ..params import ParameterSet
 from .ciphertext import Ciphertext
 from .keys import SecretKey
 from .scheme import FvContext
@@ -22,19 +23,23 @@ def noise_of(context: FvContext, ct: Ciphertext, secret: SecretKey) -> int:
     return context.decrypt_with_noise(ct, secret)[1]
 
 
-def noise_budget_bits(context: FvContext, ct: Ciphertext,
-                      secret: SecretKey) -> float:
-    """Remaining noise budget in bits.
+def budget_bits(params: ParameterSet, noise: int) -> float:
+    """Remaining noise budget in bits for a measured noise norm.
 
     Defined as log2(q / (2 t * noise)); decryption is guaranteed correct
     while this stays positive (the same invariant-noise convention SEAL
     reports).
     """
-    noise = noise_of(context, ct, secret)
-    q, t = context.params.q, context.params.t
+    q, t = params.q, params.t
     if noise == 0:
         return math.log2(q / (2 * t))
     return math.log2(q / (2 * t)) - math.log2(noise)
+
+
+def noise_budget_bits(context: FvContext, ct: Ciphertext,
+                      secret: SecretKey) -> float:
+    """Remaining noise budget of a ciphertext (see :func:`budget_bits`)."""
+    return budget_bits(context.params, noise_of(context, ct, secret))
 
 
 def per_mult_cost_bits(context: FvContext, fresh_budget: float,

@@ -161,6 +161,32 @@ class TextbookFv:
         return self.relinearize(self.multiply_raw(a, b), rlk)
 
 
+def decrypt_with_noise_bigint(context, ct: Ciphertext,
+                              secret) -> tuple[Plaintext, int]:
+    """The multiprecision decryption + noise loop — the oracle for
+    :meth:`FvContext.decrypt_with_noise <repro.fv.scheme.FvContext.
+    decrypt_with_noise>`.
+
+    Every coefficient of the phase ``w = c0 + c1 s (+ c2 s^2)`` is CRT
+    reconstructed to a centered Python int, scaled by t/q with exact
+    rounding, and the noise ``[w - Delta m]_q`` is maximised over the
+    ring — the per-coefficient loop the production path replaced with
+    the residue kernels of :mod:`repro.rns.decrypt`.
+    """
+    params = context.params
+    q, t, delta = params.q, params.t, params.delta
+    w_coeffs = context.q_basis.reconstruct_coeffs_centered(
+        context.phase_rows(ct, secret))
+    m_coeffs = [round_half_away(t * w, q) % t for w in w_coeffs]
+    noise = 0
+    for w, m in zip(w_coeffs, m_coeffs, strict=True):
+        diff = (w - delta * m) % q
+        if diff > q // 2:
+            diff = q - diff
+        noise = max(noise, diff)
+    return Plaintext(np.array(m_coeffs, dtype=np.int64), t), noise
+
+
 def uniform_mod_big(rng: np.random.Generator, n: int, modulus: int):
     """Uniform big-integer coefficients in [0, modulus) of any size."""
     byte_len = (modulus.bit_length() + 15) // 8

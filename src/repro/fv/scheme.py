@@ -11,10 +11,16 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..nttmath.batch import count_roundtrip, intt_rows, ntt_rows
+from ..obs import maybe_span
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
-from ..rns.basis import basis_for, lift_context, scale_context
-from ..utils import round_half_away
+from ..rns.basis import (
+    basis_for,
+    decrypt_context,
+    lift_context,
+    scale_context,
+)
+from ..rns.decrypt import noise_norm, scale_to_t
 from .ciphertext import Ciphertext
 from .encoder import Plaintext
 from .keys import KeySet, PublicKey, RelinKey, SecretKey
@@ -39,9 +45,8 @@ class FvContext:
                                      params.q_primes + params.p_primes)
         self.scale_ctx = scale_context(params.q_primes, params.p_primes,
                                        params.t)
-        self.delta_rows = np.array(
-            [params.delta % qi for qi in params.q_primes], dtype=np.int64
-        )[:, None]
+        self.decrypt_ctx = decrypt_context(params.q_primes, params.t)
+        self.delta_rows = self.decrypt_ctx.delta_col
 
     # -- helpers -------------------------------------------------------------------
 
@@ -303,21 +308,16 @@ class FvContext:
     def decrypt(self, ct: Ciphertext, secret: SecretKey) -> Plaintext:
         return self.decrypt_with_noise(ct, secret)[0]
 
-    def decrypt_with_noise(self, ct: Ciphertext,
-                           secret: SecretKey) -> tuple[Plaintext, int]:
-        """Decrypt and also report the infinity norm of the noise term.
+    def phase_rows(self, ct: Ciphertext, secret: SecretKey) -> np.ndarray:
+        """Coefficient rows over q of ``w = c0 + c1*s (+ c2*s^2)``.
 
-        The noise norm drives :func:`repro.fv.noise.noise_budget_bits` and
-        the depth experiments.
+        Computed in the NTT domain per residue. NTT-resident parts skip
+        their forward transform entirely — decrypting a resident result
+        is cheaper than decrypting a coefficient-domain one — and the
+        remaining coefficient-domain parts share one stacked batched
+        call (the same gemm flow encryption uses).
         """
-        params = self.params
         primes_col = self.q_basis.primes_col
-        # w = c0 + c1*s (+ c2*s^2 for three-part ciphertexts), computed in
-        # the NTT domain per residue. NTT-resident parts skip their
-        # forward transform entirely — decrypting a resident result is
-        # cheaper than decrypting a coefficient-domain one — and the
-        # remaining coefficient-domain parts share one stacked batched
-        # call (the same gemm flow encryption uses).
         pending = [i for i, part in enumerate(ct.parts)
                    if not part.ntt_domain]
         parts_ntt: dict[int, np.ndarray] = {
@@ -334,19 +334,26 @@ class FvContext:
         for index in range(1, ct.size):
             acc = (acc + parts_ntt[index] * s_power) % primes_col
             s_power = (s_power * secret.ntt_rows) % primes_col
-        w_rows = self._intt_rows(acc)
-        w_coeffs = self.q_basis.reconstruct_coeffs_centered(w_rows)
-        q, t = params.q, params.t
-        m_coeffs = [round_half_away(t * w, q) % t for w in w_coeffs]
-        plain = Plaintext(np.array(m_coeffs, dtype=np.int64), t)
-        delta = params.delta
-        noise = 0
-        for w, m in zip(w_coeffs, m_coeffs, strict=True):
-            diff = (w - delta * m) % q
-            if diff > q // 2:
-                diff = q - diff
-            noise = max(noise, diff)
-        return plain, noise
+        return self._intt_rows(acc)
+
+    def decrypt_with_noise(self, ct: Ciphertext,
+                           secret: SecretKey) -> tuple[Plaintext, int]:
+        """Decrypt and also report the infinity norm of the noise term.
+
+        Both results are exact and never leave residues: the plaintext
+        is the Scale unit pointed at t, the noise one mixed-radix
+        conversion (:mod:`repro.rns.decrypt`; the multiprecision oracle
+        is :func:`repro.fv.reference.decrypt_with_noise_bigint`). The
+        noise norm drives :func:`repro.fv.noise.noise_budget_bits` and
+        the depth experiments.
+        """
+        with maybe_span("decrypt.phase", kind="kernel"):
+            w_rows = self.phase_rows(ct, secret)
+        with maybe_span("decrypt.scale_to_t", kind="kernel"):
+            m = scale_to_t(self.decrypt_ctx, w_rows)
+        with maybe_span("decrypt.noise", kind="kernel"):
+            noise = noise_norm(self.decrypt_ctx, w_rows, m)
+        return Plaintext(m, self.params.t), noise
 
     # -- additive homomorphic operations -----------------------------------------------
 

@@ -46,9 +46,12 @@ class Span:
     """One timed region of a request.
 
     ``kind`` tags the layer: "program" (a whole run), "op" (one
-    lowered HEProgram op), "phase" (restore / output-boundary work),
-    "transform" (one engine NTT batch), "job" (a simulated runtime
-    job), "lane" bookkeeping, etc. ``clock`` says which timebase
+    lowered HEProgram op), "phase" (restore / verification /
+    output-boundary work), "transform" (one engine NTT batch),
+    "kernel" (a named step inside a phase that is not a transform —
+    the decryption phase, scale-to-t and mixed-radix noise steps of
+    output verification), "job" (a simulated runtime job), "lane"
+    bookkeeping, etc. ``clock`` says which timebase
     ``start``/``end`` live on — "wall" seconds from ``perf_counter``
     or "sim" seconds from the discrete-event clock; the two are never
     mixed inside one subtree reduction.

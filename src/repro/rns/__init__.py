@@ -10,6 +10,9 @@ the FV scheme and the hardware model:
   Fig. 5) and the HPS approximate-CRT method (Eq. 2, Fig. 6).
 * :mod:`~repro.rns.scale` — Scale Q->q: multi-precision (Fig. 8) and HPS
   (Fig. 9) variants.
+* :mod:`~repro.rns.decrypt` — the client boundary on residues: HPS
+  scale to the plaintext modulus and the mixed-radix (Garner) noise
+  norm, both exact.
 * :mod:`~repro.rns.decompose` — WordDecomp: signed base-w digits and the
   RNS decomposition used for relinearisation.
 """

@@ -11,7 +11,9 @@ class precomputes every constant the hardware keeps in read-only memory:
 * cross-basis reduction tables ``q_star[i] mod t_j`` for base extension.
 
 :class:`LiftContext` and :class:`ScaleContext` bundle the cross-basis
-tables for the two conversions of Figs. 6 and 9.
+tables for the two conversions of Figs. 6 and 9; :class:`DecryptContext`
+holds the tables of the client-boundary scale to the plaintext modulus
+and of the mixed-radix noise measurement.
 """
 
 from __future__ import annotations
@@ -360,6 +362,45 @@ class ScaleContext:
             )
 
 
+@dataclass(frozen=True)
+class DecryptContext:
+    """Precomputed tables for exact RNS decryption and noise measurement.
+
+    Decryption is the paper's Scale unit (Fig. 9) pointed at the
+    plaintext modulus: ``m = round(t * w / q) mod t`` needs only the
+    per-channel splits ``t * x_i = I_i * q_i + R_i`` of
+    ``x_i = [w_i q~_i]_{q_i}``, because every other term of the CRT
+    expansion is a multiple of t. The noise norm needs an order on
+    residue vectors, which the mixed-radix (Garner) digits provide:
+    ``u = a_0 + a_1 q_0 + a_2 q_0 q_1 + ...`` with ``a_j < q_j``
+    compares lexicographically from the top digit. Kernels live in
+    :mod:`repro.rns.decrypt`.
+    """
+
+    basis: RnsBasis
+    t: int
+
+    def __post_init__(self) -> None:
+        basis = self.basis
+        q, primes = basis.modulus, basis.primes
+        half = (q - 1) // 2
+        object.__setattr__(self, "half", half)
+        object.__setattr__(self, "inv_primes_col", 1.0 / basis.primes_col)
+        object.__setattr__(
+            self, "delta_col", basis.residues_of(q // self.t)[:, None])
+        object.__setattr__(
+            self, "half_col", basis.residues_of(half)[:, None])
+        # Garner stage j multiplies the rows below j by q_j^-1 mod q_i.
+        inverses = np.zeros((basis.size, basis.size, 1), dtype=np.int64)
+        for j, qj in enumerate(primes):
+            for i in range(j + 1, basis.size):
+                inverses[j, i, 0] = modinv(qj % primes[i], primes[i])
+        object.__setattr__(self, "garner_inv", inverses)
+        object.__setattr__(
+            self, "radix_weights",
+            tuple(prod(primes[:j]) for j in range(basis.size)))
+
+
 @lru_cache(maxsize=None)
 def basis_for(primes: tuple[int, ...]) -> RnsBasis:
     """Cached basis construction (constant tables are reused everywhere)."""
@@ -376,3 +417,8 @@ def lift_context(source_primes: tuple[int, ...],
 def scale_context(q_primes: tuple[int, ...], p_primes: tuple[int, ...],
                   t: int) -> ScaleContext:
     return ScaleContext(basis_for(q_primes), basis_for(p_primes), t)
+
+
+@lru_cache(maxsize=None)
+def decrypt_context(q_primes: tuple[int, ...], t: int) -> DecryptContext:
+    return DecryptContext(basis_for(q_primes), t)

@@ -222,11 +222,11 @@ class TestCoprocessorTiming:
         return report
 
     def test_mult_time_close_to_paper(self, paper_report):
-        """Table I: 4.458 ms; the model must land within 10%."""
-        assert abs(paper_report.seconds - 4.458e-3) / 4.458e-3 < 0.10
+        """Table I: 4.458 ms; the model lands at -4.0 %, gated at 5 %."""
+        assert abs(paper_report.seconds - 4.458e-3) / 4.458e-3 < 0.05
 
     def test_mult_arm_cycles_close_to_paper(self, paper_report):
-        assert abs(paper_report.arm_cycles - 5_349_567) / 5_349_567 < 0.10
+        assert abs(paper_report.arm_cycles - 5_349_567) / 5_349_567 < 0.05
 
     def test_transfer_share_near_30_percent(self, paper_report):
         """Paper: ~30% of Mult is relin-key data transfer."""
@@ -234,21 +234,23 @@ class TestCoprocessorTiming:
         assert 0.15 < share < 0.40
 
     def test_instruction_cycle_model_vs_paper(self, paper_params):
-        """Every Table II row within 10% (most within 2%)."""
+        """Every Table II row within the tolerance the model achieves
+        for it (paper Arm cycles, gate): drift in one unit's cycle model
+        fails here instead of hiding under a shared 10 %."""
         paper_arm = {
-            Opcode.NTT: 87_582,
-            Opcode.INTT: 102_043,
-            Opcode.CMUL: 15_662,
-            Opcode.CADD: 16_292,
-            Opcode.REARRANGE: 25_006,
-            Opcode.LIFT: 99_137,
-            Opcode.SCALE: 99_274,
+            Opcode.NTT: (87_582, 0.02),
+            Opcode.INTT: (102_043, 0.03),
+            Opcode.CMUL: (15_662, 0.05),
+            Opcode.CADD: (16_292, 0.02),
+            Opcode.REARRANGE: (25_006, 0.02),
+            Opcode.LIFT: (99_137, 0.10),
+            Opcode.SCALE: (99_274, 0.10),
         }
         coprocessor = Coprocessor(paper_params)
         model = coprocessor.instruction_cycle_model()
-        for op, expected in paper_arm.items():
+        for op, (expected, gate) in paper_arm.items():
             arm = CONFIG.fpga_to_arm_cycles(model[op])
-            assert abs(arm - expected) / expected < 0.10, op
+            assert abs(arm - expected) / expected < gate, op
 
     def test_add_time_close_to_paper(self, mini_keys, paper_params):
         """Table I: Add in HW = 31,339 Arm cycles."""
@@ -259,7 +261,7 @@ class TestCoprocessorTiming:
         plain = Plaintext.from_list([1], paper_params.n, paper_params.t)
         ct = context.encrypt(plain, keys.public)
         _, report = Coprocessor(paper_params).add(ct, ct)
-        assert abs(report.arm_cycles - 31_339) / 31_339 < 0.10
+        assert abs(report.arm_cycles - 31_339) / 31_339 < 0.05
 
     def test_report_table_renders(self, paper_report):
         table = paper_report.table()
