@@ -1,19 +1,40 @@
 # Single source of truth for the commands CI runs, so local dev and
 # the workflow can never drift: `make test` is exactly the tier-1
-# gate, `make lint` / `make coverage` / `make bench-smoke` are the CI
-# jobs, `make ledger` / `make ledger-quick` run the perf ledger (the
-# repo's one benchmark, see benchmarks/ledger/README.md), `make
-# bench-nightly` is the scheduled full ledger run, `make cluster-demo`
-# is the multi-FPGA acceptance run.
+# gate, `make test-parallel` the same suite forced through the thread
+# pool (`make blas-steered` its precondition), `make lint` / `make
+# coverage` / `make bench-smoke` are the CI jobs, `make ledger` /
+# `make ledger-quick` run the perf ledger (the repo's one benchmark,
+# see benchmarks/ledger/README.md), `make bench-nightly` is the
+# scheduled full ledger run, `make cluster-demo` is the multi-FPGA
+# acceptance run.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint coverage bench-smoke bench-full bench-nightly \
-	ledger ledger-quick cluster-demo chaos-smoke clean
+.PHONY: test test-parallel blas-steered lint coverage bench-smoke \
+	bench-full bench-nightly ledger ledger-quick cluster-demo \
+	chaos-smoke clean
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# CI test-parallel job: tier-1 with every engine fan-out (transform
+# tiles, channel bands, column bands) forced through a 4-thread pool.
+# `blas-steered` is the job's first step: the env-built default pool
+# must really own BLAS threading on the runner, so a numpy packaging
+# change that breaks the OpenBLAS lookup fails CI instead of silently
+# costing the speedup.
+test-parallel blas-steered: export REPRO_EXECUTOR := threads
+test-parallel blas-steered: export REPRO_WORKERS := 4
+test-parallel blas-steered: export REPRO_PARALLEL_MIN_WORK := 1
+
+test-parallel:
+	$(PYTHON) -m pytest -x -q
+
+blas-steered:
+	$(PYTHON) -c "from repro.parallel import active_executor; \
+	blas = active_executor().blas; print(blas.describe()); \
+	assert blas.steered, blas"
 
 lint:
 	ruff check src tests benchmarks examples

@@ -21,7 +21,13 @@ from ..fv.encoder import Plaintext
 from ..fv.noise import budget_bits
 from ..nttmath.batch import transform_counts
 from ..obs import TraceReport, Tracer
-from ..parallel import Executor, ExecutionConfig, build_executor, use_executor
+from ..parallel import (
+    BlasDecision,
+    ExecutionConfig,
+    Executor,
+    build_executor,
+    use_executor,
+)
 from .program import CiphertextHandle, ExprNode, HEProgram, OpKind
 from .resident import ResidentOperandCache
 from .session import Session
@@ -175,13 +181,17 @@ class LocalBackend:
 
     @property
     def telemetry(self) -> dict:
-        """Execution telemetry: transform counts, cache, executor mode."""
+        """Execution telemetry: transform counts, cache, executor mode,
+        and what the executor did about BLAS threading."""
+        blas = (BlasDecision(False, reason="ambient executor")
+                if self.executor is None else self.executor.blas)
         return {
             "resident_outputs": self.resident_outputs,
             "executor": ("ambient" if self.executor is None
                          else self.executor.name),
             "workers": (0 if self.executor is None
                         else self.executor.workers),
+            "blas": blas.as_dict(),
             "last_run": dict(self.last_transform_counts),
             "total": dict(self.total_transform_counts),
             "resident_cache": {

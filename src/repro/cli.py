@@ -732,7 +732,8 @@ def main(argv: list[str] | None = None) -> int:
         scope = use_executor(args.executor, args.workers)
     with scope as executor:
         if executor is not None:
-            print(f"executor: {executor.name} x{executor.workers}")
+            print(f"executor: {executor.name} x{executor.workers} "
+                  f"({executor.blas.describe()})")
         if args.experiment == "all":
             for name in ("table1", "table2", "table3", "table4",
                          "table5", "fig3", "headline", "noise"):

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import ParameterError
 from ..nttmath import batch
 from ..nttmath.batch import intt_rows, ntt_rows
-from ..parallel import active_executor, map_bands
+from ..parallel import active_executor, map_bands, map_tiles
 from ..poly.rns_poly import RnsPoly
 from ..rns.lift import lift_hps, lift_hps_ntt, lift_traditional
 from ..rns.scale import scale_hps, scale_hps_ntt, scale_traditional
@@ -165,9 +165,11 @@ class Evaluator:
                 # read-only tables; materialise the tables once here so
                 # worker threads only ever read them.
                 self.context.lift_ctx.gemm_tables()
-                executor.map(
-                    lambda idx: self._lift(parts[idx], lifted[idx]),
-                    range(4),
+                map_tiles(
+                    executor, "lift.band",
+                    lambda tile: self._lift(parts[tile[0]],
+                                            lifted[tile[0]]),
+                    [(idx,) for idx in range(4)],
                 )
             else:
                 for idx, part in enumerate(parts):
@@ -190,7 +192,7 @@ class Evaluator:
             np.multiply(a1[c0:c1], b1[c0:c1], out=prods[2][c0:c1])
             prods[2][c0:c1] %= full_col[c0:c1]
 
-        map_bands(products, k_total)
+        map_bands("tensor.band", products, k_total, work=prods.size)
         return prods[:3]
 
     def multiply_raw(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -269,7 +271,7 @@ class Evaluator:
                 acc0[c0:c1] %= primes_col[c0:c1]
                 acc1[c0:c1] %= primes_col[c0:c1]
 
-        map_bands(fold, acc0.shape[0])
+        map_bands("fold.band", fold, acc0.shape[0], work=d_ntt.size)
         if resident:
             # Evaluation-domain fold: bring (c0, c1) to the NTT domain
             # (free when the chain already is) and add the accumulators

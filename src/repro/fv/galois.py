@@ -224,7 +224,7 @@ class GaloisEngine:
                 acc0[c0:c1] %= primes_col[c0:c1]
                 acc1[c0:c1] %= primes_col[c0:c1]
 
-        map_bands(fold, acc0.shape[0])
+        map_bands("fold.band", fold, acc0.shape[0], work=d_ntt.size)
         return acc0, acc1
 
     def apply(self, ct: Ciphertext, key: GaloisKey) -> Ciphertext:

@@ -48,7 +48,6 @@ can attribute engine time to individual program ops.
 from __future__ import annotations
 
 import logging
-import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,10 +55,9 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ParameterError
-from ..obs import active_tracer
 from ..obs import counter as _obs_counter
 from ..obs import current_registry, maybe_span
-from ..parallel import active_executor, map_tiles, split_range
+from ..parallel import active_executor, fans_out, map_tiles, split_range
 from ..utils import log2_exact
 from .modmath import modinv
 from .ntt import _MAX_MODULUS_BITS, power_table
@@ -77,13 +75,6 @@ envelope; the limb-split machinery itself is exact well beyond it)."""
 #: Maximum value the engine accepts as a sub-transform input: canonical
 #: residues and raw 30-bit digits both satisfy it.
 _MAX_INPUT = (1 << 30) - 1
-
-PARALLEL_MIN_WORK = int(os.environ.get("REPRO_PARALLEL_MIN_WORK",
-                                       1 << 14))
-"""Smallest batched-transform size (total rows x n) worth tiling over
-the active executor. Below it thread dispatch overhead beats the gemm
-time; the parallel CI leg sets ``REPRO_PARALLEL_MIN_WORK=1`` to force
-every transform in the suite through the tiled path."""
 
 
 # -- transform accounting ------------------------------------------------------
@@ -584,7 +575,8 @@ class BasisTransformer:
         """Run one batched transform serially or tiled over the executor.
 
         The tiled path is taken only when the active executor has
-        real workers and the batch clears :data:`PARALLEL_MIN_WORK`;
+        real workers and the batch clears the shared work threshold
+        (:func:`~repro.parallel.fans_out`);
         it produces bit-identical output (disjoint tiles, inherited
         geometry), so the choice is invisible to every caller — and to
         the transform counters, which count at this dispatcher level
@@ -593,8 +585,7 @@ class BasisTransformer:
         j = arr.shape[0]
         executor = active_executor()
         tiles: list[tuple[int, int, int]] = []
-        if (executor.workers > 1
-                and j * self.k * self.n >= PARALLEL_MIN_WORK):
+        if fans_out(executor, j * self.k * self.n):
             tiles = self._tile_plan(j, 2 * executor.workers)
         if len(tiles) < 2:
             if op == "forward_broadcast":
@@ -639,16 +630,7 @@ class BasisTransformer:
                 sub_plan.apply(sub, arr[jdx, c0:c1], out[jdx, c0:c1],
                                lazy=lazy)
 
-        timings = map_tiles(executor, run_tile, tiles)
-        tracer = active_tracer()
-        if tracer is not None:
-            # Real (possibly overlapping) per-tile intervals; the
-            # timeline exporter spreads them over per-worker lanes.
-            for timing in timings:
-                jdx, c0, c1 = timing.tile
-                tracer.add(f"{op}.tile", "tile", timing.start,
-                           timing.end, clock="wall", worker=timing.worker,
-                           poly=jdx, channels=[c0, c1])
+        map_tiles(executor, f"{op}.tile", run_tile, tiles)
 
     # -- public API ----------------------------------------------------------------
 

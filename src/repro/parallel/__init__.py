@@ -2,14 +2,20 @@
 
 The paper's architecture is parallel by construction — residue
 channels and NTT cores advance in lockstep over one shared memory —
-and this layer is the software analogue: disjoint channel-band tiles
-of the caller's own arrays, run on worker threads.
+and this layer is the software analogue: disjoint tiles of the
+caller's own arrays — channel bands of the transforms, tensor
+products and keyswitch folds, coefficient-column bands of the
+Lift/Scale/decrypt kernels — run on worker threads.
 
 * :mod:`.executors` — one :class:`~.executors.Executor` protocol
-  (``name``, ``workers``, ``map``, ``close``) with a serial baseline
-  and a GIL-releasing thread pool;
+  (``name``, ``workers``, ``blas``, ``map``, ``close``) with a serial
+  baseline and a GIL-releasing thread pool, and :func:`map_tiles`,
+  the one instrumented fan-out;
+* :mod:`.blas` — the thread budget has one owner: a live pool holds
+  OpenBLAS at one thread, process-wide, and ``close()`` restores it;
 * :mod:`.config` — :class:`~.config.ExecutionConfig`, sourced from
-  ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``.
+  ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``, and the size gate
+  ``REPRO_PARALLEL_MIN_WORK`` every fan-out shares.
 
 Call sites read :func:`active_executor` — an explicitly scoped
 executor (:func:`use_executor`, used by ``LocalBackend`` and the
@@ -28,36 +34,42 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 
+from .blas import BlasDecision
 from .config import EXECUTOR_MODES, ExecutionConfig, available_cores
 from .executors import (
     Executor,
     ExecutorFallback,
+    ParallelDiagnostic,
     SerialExecutor,
     ThreadPoolExecutor,
-    TileTiming,
     build_executor,
     executor_fallbacks,
+    fans_out,
     in_worker,
     map_tiles,
+    parallel_diagnostics,
     reset_executor_fallbacks,
     split_range,
 )
 
 __all__ = [
+    "BlasDecision",
     "EXECUTOR_MODES",
     "ExecutionConfig",
     "Executor",
     "ExecutorFallback",
+    "ParallelDiagnostic",
     "SerialExecutor",
     "ThreadPoolExecutor",
-    "TileTiming",
     "active_executor",
     "available_cores",
     "build_executor",
     "executor_fallbacks",
+    "fans_out",
     "in_worker",
     "map_bands",
     "map_tiles",
+    "parallel_diagnostics",
     "reset_default_executor",
     "reset_executor_fallbacks",
     "split_range",
@@ -132,16 +144,22 @@ def use_executor(executor: Executor | ExecutionConfig | str,
             owned.close()
 
 
-def map_bands(fn: Callable[[int, int], None], size: int) -> None:
+def map_bands(name: str, fn: Callable[[int, int], None], size: int,
+              work: int) -> None:
     """Run ``fn(lo, hi)`` over disjoint bands covering ``[0, size)``.
 
-    The evaluator's element-wise fan-outs (tensor products, keyswitch
-    accumulation) write one channel band of the caller's arrays per
-    call; with a single worker the whole range runs inline.
+    The engine's element-wise fan-outs write one band of the caller's
+    arrays per call: channel bands for the tensor products and the
+    keyswitch accumulation, coefficient-column bands for the
+    Lift/Scale/decrypt kernels. ``work`` is the number of array
+    elements the whole range touches; below the shared threshold (or
+    with a single worker) the range runs inline. Banded runs go
+    through :func:`map_tiles`, so they feed the dispatch instruments
+    and, traced, appear as ``name`` tile spans.
     """
     executor = active_executor()
-    if executor.workers == 1:
+    if size < 2 or not fans_out(executor, work):
         fn(0, size)
     else:
-        executor.map(lambda band: fn(*band),
-                     split_range(size, 2 * executor.workers))
+        map_tiles(executor, name, lambda band: fn(*band),
+                  split_range(size, 2 * executor.workers))

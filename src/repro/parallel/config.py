@@ -8,14 +8,15 @@ default-worker rule every entry point shares. The default config
 comes from the environment (``REPRO_EXECUTOR``, ``REPRO_WORKERS``) so
 the CI parallel leg, the bench sweep, and a user shell can switch the
 whole stack without touching call sites; `LocalBackend` / the CLI
-override it per run.
+override it per run. ``REPRO_PARALLEL_MIN_WORK`` sets
+:data:`PARALLEL_MIN_WORK`, the one size gate every fan-out shares.
 
-Parsing here is deliberately forgiving: an unknown mode or a garbled
-worker count is *kept* in the config and rejected loudly later by
-:func:`repro.parallel.executors.build_executor`, which records a
-structured :class:`~repro.parallel.executors.ExecutorFallback` and
-degrades to serial — a typo in an env var must never crash a run,
-and must never silently change the numbers either.
+Parsing here is deliberately forgiving: an unknown mode, a garbled
+worker count or a garbled work threshold is *kept* and rejected
+loudly later by :func:`repro.parallel.executors.build_executor`,
+which records a structured diagnostic and degrades (to serial, or to
+the default threshold) — a typo in an env var must never crash a
+run, and must never silently change the numbers either.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-__all__ = ["EXECUTOR_MODES", "ExecutionConfig", "available_cores"]
+__all__ = ["EXECUTOR_MODES", "ExecutionConfig", "PARALLEL_MIN_WORK",
+           "available_cores", "parse_min_work"]
 
 #: The executor families :func:`build_executor` knows how to build.
 EXECUTOR_MODES = ("serial", "threads")
@@ -32,6 +34,34 @@ EXECUTOR_MODES = ("serial", "threads")
 #: the limb/channel tiling sweet spot without oversubscribing small
 #: CI runners.
 _DEFAULT_WORKER_CAP = 8
+
+_DEFAULT_MIN_WORK = 1 << 14
+
+
+def parse_min_work(raw: str | None) -> tuple[int, str | None]:
+    """``REPRO_PARALLEL_MIN_WORK`` as ``(threshold, problem)``.
+
+    Unset gives the default; a value that is not an integer gives the
+    default too, with the complaint :func:`build_executor` reports.
+    """
+    if raw is None:
+        return _DEFAULT_MIN_WORK, None
+    try:
+        return int(raw), None
+    except ValueError:
+        return _DEFAULT_MIN_WORK, (
+            f"REPRO_PARALLEL_MIN_WORK={raw!r} is not an integer; using "
+            f"the default {_DEFAULT_MIN_WORK}")
+
+
+PARALLEL_MIN_WORK, MIN_WORK_PROBLEM = parse_min_work(
+    os.environ.get("REPRO_PARALLEL_MIN_WORK"))
+"""Smallest fan-out (array elements one dispatch touches: rows x n for
+a batched transform, rows x columns for a band kernel) worth spreading
+over a pool. Below it thread dispatch overhead beats the kernel time;
+the parallel CI leg sets ``REPRO_PARALLEL_MIN_WORK=1`` to force every
+fan-out in the suite through the tiled path. Readers go through
+:func:`repro.parallel.fans_out`, which reads the attribute per call."""
 
 
 def available_cores() -> int:

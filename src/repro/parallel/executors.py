@@ -10,23 +10,31 @@ One :class:`Executor` protocol — ``name``, ``workers``, ``map``,
   caller's arrays. The engine's hot loops are dgemms and wide numpy
   ufuncs, which drop the GIL for the duration of the kernel, so
   threads buy real multi-core wall-clock on the dominant cost without
-  any pickling or copying.
+  any pickling or copying. A pool with more than one worker owns the
+  process's whole thread budget: it holds OpenBLAS at one thread from
+  construction to :meth:`~ThreadPoolExecutor.close` (:mod:`.blas`),
+  so every core runs one of our tiles instead of a share of someone
+  else's gemm.
 
 Executors never decide *what* is parallel — the engine plans disjoint
 (polynomial, channel) tiles and hands them over — and they never
 change results: tiles write disjoint slices and each tile's
 arithmetic is bit-identical to its serial counterpart, so scheduling
-order is unobservable. :func:`map_tiles` is the instrumented fan-out:
-it records utilisation and tile-shape instruments in the active
-metrics registry and returns per-tile timings the engine turns into
-per-worker trace spans.
+order is unobservable. :func:`map_tiles` is the one instrumented
+fan-out: it records utilisation and tile-shape instruments in the
+active metrics registry and, under a tracer, one named span per tile
+on its worker's lane.
 
 :func:`build_executor` is the only constructor call sites use: when a
 requested executor cannot be built (unknown mode, bad worker count,
 pool construction failure) it records a structured
 :class:`ExecutorFallback`, warns once through the module logger, bumps
 the fallback counter, and returns a serial executor — loud
-degradation, never a crash and never a silent behaviour change.
+degradation, never a crash and never a silent behaviour change. What
+degrades a pool without costing it — a BLAS library that cannot be
+steered, a garbled ``REPRO_PARALLEL_MIN_WORK`` — is a
+:class:`ParallelDiagnostic` beside the fallbacks, warned once the
+same way.
 """
 
 from __future__ import annotations
@@ -39,21 +47,26 @@ from concurrent import futures
 from dataclasses import dataclass
 from typing import Any, Protocol
 
+from ..obs import active_tracer
 from ..obs import counter as _obs_counter
 from ..obs import gauge as _obs_gauge
 from ..obs import histogram as _obs_histogram
+from . import blas as _blas
+from . import config as _config
 from .config import EXECUTOR_MODES, ExecutionConfig
 
 __all__ = [
     "Executor",
     "ExecutorFallback",
+    "ParallelDiagnostic",
     "SerialExecutor",
     "ThreadPoolExecutor",
-    "TileTiming",
     "build_executor",
     "executor_fallbacks",
+    "fans_out",
     "in_worker",
     "map_tiles",
+    "parallel_diagnostics",
     "reset_executor_fallbacks",
     "split_range",
 ]
@@ -82,20 +95,6 @@ EXECUTOR_FALLBACK_COUNTER = _obs_counter(
 
 
 @dataclass(frozen=True)
-class TileTiming:
-    """One tile's execution record: who ran it and when (wall clock)."""
-
-    tile: tuple
-    worker: str
-    start: float
-    end: float
-
-    @property
-    def busy_seconds(self) -> float:
-        return max(0.0, self.end - self.start)
-
-
-@dataclass(frozen=True)
 class ExecutorFallback:
     """Structured record of one executor request that went serial."""
 
@@ -104,7 +103,16 @@ class ExecutorFallback:
     reason: str
 
 
+@dataclass(frozen=True)
+class ParallelDiagnostic:
+    """Structured record of a pool that runs, but not as asked."""
+
+    subject: str
+    reason: str
+
+
 _FALLBACKS: list[ExecutorFallback] = []
+_DIAGNOSTICS: list[ParallelDiagnostic] = []
 _FALLBACK_LIMIT = 64
 _WARNED_FALLBACKS: set[tuple[str, int]] = set()
 
@@ -114,9 +122,22 @@ def executor_fallbacks() -> tuple[ExecutorFallback, ...]:
     return tuple(_FALLBACKS)
 
 
+def parallel_diagnostics() -> tuple[ParallelDiagnostic, ...]:
+    """Every distinct thing a still-running pool could not honour."""
+    return tuple(_DIAGNOSTICS)
+
+
 def reset_executor_fallbacks() -> None:
     _FALLBACKS.clear()
+    _DIAGNOSTICS.clear()
     _WARNED_FALLBACKS.clear()
+
+
+def _note_diagnostic(subject: str, reason: str) -> None:
+    note = ParallelDiagnostic(subject, reason)
+    if note not in _DIAGNOSTICS:
+        _DIAGNOSTICS.append(note)
+        logger.warning("%s: %s", subject, reason)
 
 
 def _note_fallback(mode: str, workers: int, reason: str) -> None:
@@ -139,6 +160,8 @@ class Executor(Protocol):
     name: str
     #: Concurrently running tiles; 1 means dispatchers skip tiling.
     workers: int
+    #: What the executor did about BLAS threading.
+    blas: _blas.BlasDecision
 
     def map(self, fn: Callable[[Any], Any],
             items: Iterable[Any]) -> list[Any]:
@@ -191,6 +214,7 @@ class SerialExecutor:
 
     name = "serial"
     workers = 1
+    blas = _blas.NO_POOL
 
     def map(self, fn: Callable[[Any], Any],
             items: Iterable[Any]) -> list[Any]:
@@ -209,6 +233,13 @@ class ThreadPoolExecutor:
     caller's arrays (no copies, no pickling). Tasks run with the
     in-worker flag set, so any engine call a task makes internally is
     forced serial rather than re-entering this pool.
+
+    With more than one worker the pool holds BLAS at a single thread
+    for its whole lifetime (see :mod:`.blas` for why not per
+    dispatch) — process-wide, so serial code sharing the process runs
+    its gemms single-threaded meanwhile; :meth:`close` gives the
+    count back. Where the library cannot be steered the pool runs
+    anyway, :attr:`blas` says why, and one diagnostic is recorded.
     """
 
     name = "threads"
@@ -220,6 +251,11 @@ class ThreadPoolExecutor:
         self._pool = futures.ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-w"
         )
+        self.blas = _blas.pin() if workers > 1 else _blas.NO_POOL
+        self._holds_blas = self.blas.steered
+        if workers > 1 and not self.blas.steered:
+            _note_diagnostic("BLAS library cannot be steered",
+                             self.blas.reason)
 
     def map(self, fn: Callable[[Any], Any],
             items: Iterable[Any]) -> list[Any]:
@@ -229,22 +265,34 @@ class ThreadPoolExecutor:
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
+        if self._holds_blas:
+            self._holds_blas = False
+            _blas.release()
 
 
-def map_tiles(executor: Executor, fn: Callable[[tuple], None],
-              tiles: Sequence[tuple]) -> list[TileTiming]:
+def fans_out(executor: Executor, work: int) -> bool:
+    """Whether ``work`` array elements are worth ``executor``'s pool:
+    real workers, and the shared :data:`~.config.PARALLEL_MIN_WORK`."""
+    return executor.workers > 1 and work >= _config.PARALLEL_MIN_WORK
+
+
+def map_tiles(executor: Executor, name: str,
+              fn: Callable[[tuple], None],
+              tiles: Sequence[tuple]) -> None:
     """Run ``fn`` over disjoint tiles on ``executor``, with accounting.
 
     Each tile is timed on the thread that ran it; the dispatch bumps
     the fan-out counter, the tile-queue histogram and the pool's
-    utilisation gauge in the active metrics registry.
+    utilisation gauge in the active metrics registry. Under a tracer
+    every tile becomes a ``name`` span of kind ``tile`` — real,
+    possibly overlapping intervals, which the timeline exporter
+    spreads over per-worker lanes and the transform/op rollups skip.
     """
 
-    def run(tile: tuple) -> TileTiming:
+    def run(tile: tuple) -> tuple[str, float, float]:
         t0 = time.perf_counter()
         fn(tile)
-        return TileTiming(tile, threading.current_thread().name, t0,
-                          time.perf_counter())
+        return threading.current_thread().name, t0, time.perf_counter()
 
     started = time.perf_counter()
     timings = executor.map(run, tiles)
@@ -253,10 +301,14 @@ def map_tiles(executor: Executor, fn: Callable[[tuple], None],
     PARALLEL_TILE_QUEUE.observe(len(tiles))
     capacity = wall * max(1, executor.workers)
     if capacity > 0:
-        busy = sum(t.busy_seconds for t in timings)
+        busy = sum(end - start for _, start, end in timings)
         WORKER_UTILISATION.set(min(1.0, busy / capacity),
                                executor=executor.name)
-    return timings
+    tracer = active_tracer()
+    if tracer is not None:
+        for tile, (worker, start, end) in zip(tiles, timings, strict=True):
+            tracer.add(name, "tile", start, end, clock="wall",
+                       worker=worker, tile=list(tile))
 
 
 def build_executor(config: ExecutionConfig) -> Executor:
@@ -266,7 +318,9 @@ def build_executor(config: ExecutionConfig) -> Executor:
     pool construction raising — records an :class:`ExecutorFallback`
     (plus a rate-limited warning and a counter increment) and returns
     a :class:`SerialExecutor`, so a bad ``REPRO_EXECUTOR`` env costs
-    throughput, never correctness or a crash.
+    throughput, never correctness or a crash. A garbled
+    ``REPRO_PARALLEL_MIN_WORK`` is reported here too, once a pool it
+    would have gated is actually built.
     """
     mode = config.mode
     if mode == "serial":
@@ -281,6 +335,9 @@ def build_executor(config: ExecutionConfig) -> Executor:
                        "worker count must be a positive integer "
                        "(check REPRO_WORKERS)")
         return SerialExecutor()
+    if _config.MIN_WORK_PROBLEM is not None:
+        _note_diagnostic("REPRO_PARALLEL_MIN_WORK",
+                         _config.MIN_WORK_PROBLEM)
     try:
         return ThreadPoolExecutor(config.workers)
     except Exception as exc:  # noqa: BLE001 - any failure degrades

@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import counter as _obs_counter
+from ..parallel import map_bands
 from ..utils import round_half_away
 from .basis import DecryptContext
 
@@ -44,15 +45,27 @@ GUARD_FALLBACKS = _obs_counter(
 
 
 def scale_to_t(context: DecryptContext, w_rows: np.ndarray) -> np.ndarray:
-    """``round(t * w / q) mod t`` per coefficient, from q-basis rows."""
+    """``round(t * w / q) mod t`` per coefficient, from q-basis rows.
+
+    Element-wise in the coefficient column, so under a pool the
+    columns run as bands; the guard-band recomputation (and its
+    counter) stays on the calling thread.
+    """
     basis, t = context.basis, context.t
-    x = (w_rows * basis.q_tilde_col) % basis.primes_col
-    integer, remainder = np.divmod(x * t, basis.primes_col)
-    fraction = (remainder * context.inv_primes_col).sum(axis=0)
-    nearest = np.floor(fraction + 0.5)
-    m = (integer.sum(axis=0) + nearest.astype(np.int64)) % t
-    unsure = np.flatnonzero(
-        0.5 - np.abs(fraction - nearest) < GUARD_BAND)
+    m = np.empty(w_rows.shape[1], dtype=np.int64)
+    unsure_bands: list[np.ndarray] = []
+
+    def band(lo: int, hi: int) -> None:
+        x = (w_rows[:, lo:hi] * basis.q_tilde_col) % basis.primes_col
+        integer, remainder = np.divmod(x * t, basis.primes_col)
+        fraction = (remainder * context.inv_primes_col).sum(axis=0)
+        nearest = np.floor(fraction + 0.5)
+        m[lo:hi] = (integer.sum(axis=0) + nearest.astype(np.int64)) % t
+        unsure_bands.append(lo + np.flatnonzero(
+            0.5 - np.abs(fraction - nearest) < GUARD_BAND))
+
+    map_bands("decrypt.band", band, w_rows.shape[1], work=w_rows.size)
+    unsure = np.concatenate(unsure_bands)
     for column in unsure:
         w = basis.reconstruct_centered(w_rows[:, column])
         m[column] = round_half_away(t * w, basis.modulus) % t
@@ -93,10 +106,22 @@ def _lex_arg(digits: np.ndarray, pick) -> int:
 
 def noise_norm(context: DecryptContext, w_rows: np.ndarray,
                m: np.ndarray) -> int:
-    """Infinity norm of the centered ``[w - Delta m]_q``, exactly."""
-    u = (w_rows - context.delta_col * m + context.half_col) \
-        % context.basis.primes_col
-    digits = mixed_radix_digits(context, u)
+    """Infinity norm of the centered ``[w - Delta m]_q``, exactly.
+
+    The shift and the Garner stages are element-wise in the
+    coefficient column and run as column bands under a pool; the
+    lexicographic search reads the finished digits on the caller.
+    """
+    digits = np.empty_like(w_rows)
+
+    def band(lo: int, hi: int) -> None:
+        u = digits[:, lo:hi]
+        np.subtract(w_rows[:, lo:hi], context.delta_col * m[lo:hi], out=u)
+        u += context.half_col
+        u %= context.basis.primes_col
+        mixed_radix_digits(context, u)
+
+    map_bands("decrypt.band", band, w_rows.shape[1], work=w_rows.size)
     u_max, u_min = (
         sum(int(digit) * weight for digit, weight in
             zip(digits[:, _lex_arg(digits, pick)], context.radix_weights,

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..nttmath import batch
+from ..parallel import map_bands
 from .basis import RECIP_FRACTION_BITS, LiftContext, RnsBasis
 
 
@@ -220,8 +221,16 @@ def lift_hps_ntt(context: LiftContext, ntt_rows: np.ndarray,
     x_prime = batch.intt_rows_scaled(basis.primes, stack,
                                      basis.q_tilde)
     tails = np.empty((j, len(tail_primes), n), dtype=np.int64)
-    for idx in range(j):
-        _lift_tail_gemm(context, x_prime[idx], tails[idx])
+    context.gemm_tables()  # built once, read-only under the fan-out
+
+    def band(lo: int, hi: int) -> None:
+        # Fig. 6 streams coefficients: Blocks 2-5 are element-wise in
+        # the column, so any band split is bit-identical to one pass.
+        for idx in range(j):
+            _lift_tail_gemm(context, x_prime[idx, :, lo:hi],
+                            tails[idx, :, lo:hi])
+
+    map_bands("lift.band", band, n, work=x_prime.size)
     out = np.empty((j, len(context.target_primes), n), dtype=np.int64)
     out[:, :skip] = stack
     out[:, skip:] = batch.basis_transformer(tail_primes, n).forward(

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..nttmath import batch
+from ..parallel import map_bands
 from ..utils import round_half_away
 from .basis import SCALE_FRACTION_BITS, RnsBasis, ScaleContext
 from .lift import lift_hps
@@ -48,8 +49,36 @@ def scale_hps(context: ScaleContext, residues: np.ndarray,
     how the coprocessor stores an R_Q polynomial across its RPAUs. The
     per-output-channel integer sum of products is one limb-split
     float64 matrix product (exact, same argument as the lift's Block 2).
+
+    Every step is element-wise in the coefficient column — the paper's
+    Scale unit streams coefficients — so under a pool the columns run
+    as contiguous bands, each with its own small gemms over the shared
+    read-only tables (built here, before the fan-out). Banding cannot
+    change a result: each float64 partial sum is an exact integer
+    below 2^53 however BLAS blocks the product.
     """
     q_rows, p_rows = _split_rows(context, residues)
+    if prescaled:
+        context.gemm_tables_prescaled()
+    else:
+        context.gemm_tables()
+    if context.final_lift.gemm_safe:
+        context.final_lift.gemm_tables()
+    out = np.empty((context.q_basis.size, q_rows.shape[1]), dtype=np.int64)
+
+    def band(lo: int, hi: int) -> None:
+        _scale_columns(context, q_rows[:, lo:hi], p_rows[:, lo:hi],
+                       prescaled, out[:, lo:hi])
+
+    map_bands("scale.band", band, q_rows.shape[1],
+              work=q_rows.size + p_rows.size)
+    return out
+
+
+def _scale_columns(context: ScaleContext, q_rows: np.ndarray,
+                   p_rows: np.ndarray, prescaled: bool,
+                   out: np.ndarray) -> None:
+    """Fig. 9 on one band of coefficient columns, into ``out``."""
     # Fig. 9 Block 1/2 prep: x'_i = x_i * Q~_i mod q_i for the q-basis
     # part. ``prescaled=True`` means the caller already folded the Q~_i
     # factors into its inverse transforms (see Evaluator.multiply_raw),
@@ -66,7 +95,7 @@ def scale_hps(context: ScaleContext, residues: np.ndarray,
     y_p = _scale_sop_gemm(context, x_prime_q, p_rows, rounded, prescaled)
     # Fig. 9 Block 5: base-extend the p-basis result back to the q-basis
     # re-using the lift datapath, exactly as the hardware does.
-    return lift_hps(context.final_lift, y_p)
+    lift_hps(context.final_lift, y_p, out=out)
 
 
 def scale_hps_ntt(context: ScaleContext,

@@ -5,17 +5,21 @@ The production fold transforms the digits with the fused lazy
 products in int64 with a halved reduction window. The oracle here
 recomputes it from its definition — ``broadcast_digit_rows``, canonical
 ``ntt_rows``, Python-int accumulation — and must agree bit for bit.
+Under the thread pool the fold runs as channel bands through the
+instrumented fan-out, which the ``threads@2`` arm checks from the trace.
 """
 
 import numpy as np
 import pytest
 
+import repro.parallel.config as parallel_config
 from repro.fv.ciphertext import Ciphertext
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.fv.galois import GaloisEngine, apply_galois_rows, rotation_element
 from repro.fv.scheme import FvContext
 from repro.nttmath.batch import intt_rows, ntt_rows
+from repro.obs import Tracer, current_registry
 from repro.parallel import use_executor
 from repro.params import hpca19, mini, toy
 from repro.rns.decompose import broadcast_digit_rows
@@ -56,7 +60,9 @@ def _assert_parts(ct, c0_rows, c1_rows, ntt_domain):
                          ids=["serial", "threads@2"])
 @pytest.mark.parametrize("resident", [False, True],
                          ids=["coefficient", "resident"])
-def test_fold_matches_python_int_oracle(setup, resident, executor):
+def test_fold_matches_python_int_oracle(setup, resident, executor,
+                                        monkeypatch):
+    monkeypatch.setattr(parallel_config, "PARALLEL_MIN_WORK", 1)
     context, keys, galois_key = setup
     params = context.params
     primes = params.q_primes
@@ -81,7 +87,9 @@ def test_fold_matches_python_int_oracle(setup, resident, executor):
                                       keys.relin.pairs)
     if not resident:
         acc0, acc1 = intt_rows(primes, acc0), intt_rows(primes, acc1)
-    with use_executor(*executor):
+    tracer = Tracer()
+    with use_executor(*executor), tracer.activate(), \
+            tracer.span("root", kind="op"):
         got = evaluator.relinearize(raw, keys.relin, resident=resident)
     _assert_parts(got, (c0 + acc0) % primes_col, (c1 + acc1) % primes_col,
                   ntt_domain=resident)
@@ -93,7 +101,20 @@ def test_fold_matches_python_int_oracle(setup, resident, executor):
     tau_c0 = apply_galois_rows(coeff.c0.residues, primes_col, params.n, g)
     tau_c1 = apply_galois_rows(coeff.c1.residues, primes_col, params.n, g)
     acc0, acc1 = _oracle_accumulators(context, tau_c1, galois_key.pairs)
-    with use_executor(*executor):
+    with use_executor(*executor), tracer.activate(), \
+            tracer.span("root", kind="op"):
         got = engine.apply_resident(a, galois_key)
     _assert_parts(got, (ntt_rows(primes, tau_c0) + acc0) % primes_col, acc1,
                   ntt_domain=True)
+
+    # Both folds went through the instrumented fan-out as channel bands
+    # on worker lanes — or, serially, through no fan-out at all.
+    folds = [s for s in tracer.report().root.walk()
+             if s.kind == "tile" and s.name == "fold.band"]
+    if executor[0] == "serial":
+        assert not folds
+    else:
+        assert len(folds) == 2 * min(4, len(primes))
+        assert all(s.attrs["worker"].startswith("repro-w") for s in folds)
+        assert current_registry().value("parallel_dispatch_total",
+                                        executor="threads") >= 2.0

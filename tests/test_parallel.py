@@ -14,15 +14,26 @@ may only change the wall clock. Concretely:
 * dispatches feed the observability plane (dispatch counter, tile
   histogram, utilisation gauge, per-worker tile spans) and the
   timeline exporter spreads tile spans over per-worker lanes that
-  still validate.
+  still validate;
+* a pool with real workers owns the process's BLAS thread count from
+  construction to ``close()`` — and only such a pool: one worker, the
+  serial executor and every fallback path leave it alone, and a
+  library that cannot be steered costs the speedup, never the pool or
+  the answer.
 """
 
 from __future__ import annotations
 
+import logging
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-import repro.nttmath.batch as batch_mod
+import repro.parallel.blas as blas_mod
+import repro.parallel.config as config_mod
 import repro.parallel.executors as executors_mod
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
@@ -40,6 +51,8 @@ from repro.parallel import (
     build_executor,
     executor_fallbacks,
     in_worker,
+    parallel_diagnostics,
+    reset_default_executor,
     reset_executor_fallbacks,
     split_range,
     use_executor,
@@ -52,7 +65,7 @@ N, K, J = 256, 5, 3
 @pytest.fixture(autouse=True)
 def _force_tiling(monkeypatch):
     """Every transform in this module tiles, whatever its size."""
-    monkeypatch.setattr(batch_mod, "PARALLEL_MIN_WORK", 1)
+    monkeypatch.setattr(config_mod, "PARALLEL_MIN_WORK", 1)
     reset_executor_fallbacks()
     yield
     reset_executor_fallbacks()
@@ -331,3 +344,181 @@ class TestInstrumentsAndSpans:
         lanes = {e["args"]["name"] for e in events
                  if e.get("ph") == "M" and e["name"] == "thread_name"}
         assert any(name.startswith("repro-w") for name in lanes)
+
+
+_LOCATE = blas_mod._locate
+
+
+def _blas_threads() -> int:
+    """The loaded OpenBLAS's current thread count, read independently
+    of any pool (skips on a build the lookup cannot serve)."""
+    located = _LOCATE()
+    if isinstance(located, str):
+        pytest.skip(f"BLAS cannot be steered here: {located}")
+    return located[0][0]()
+
+
+class TestBlasOwnership:
+    """A live multi-worker pool holds BLAS at one thread, process-wide."""
+
+    @pytest.fixture(autouse=True)
+    def _no_ambient_pool(self):
+        """Drop the env-built default pool (the parallel CI leg has
+        one), so each test sees the first pool of the process."""
+        reset_default_executor()
+
+    def test_pin_on_construct_restore_on_close(self):
+        before = _blas_threads()
+        pool = ThreadPoolExecutor(2)
+        try:
+            assert pool.blas.steered and pool.blas.reason is None
+            assert pool.blas.threads_before == before
+            assert _blas_threads() == 1
+        finally:
+            pool.close()
+        assert _blas_threads() == before
+        # A second close() must not release a hold it no longer has.
+        with use_executor("threads", 2):
+            pool.close()
+            assert _blas_threads() == 1
+        assert _blas_threads() == before
+
+    def test_overlapping_pools_restore_when_the_last_closes(self):
+        before = _blas_threads()
+        first, second = ThreadPoolExecutor(2), ThreadPoolExecutor(3)
+        try:
+            # Both report the count the *first* one found.
+            assert first.blas == second.blas
+            assert second.blas.threads_before == before
+            first.close()
+            assert _blas_threads() == 1
+        finally:
+            first.close()
+            second.close()
+        assert _blas_threads() == before
+
+    def test_everything_but_a_real_pool_leaves_blas_alone(
+            self, monkeypatch, primes, stack):
+        def touched():
+            raise AssertionError("BLAS threading was touched")
+
+        def boom(**kwargs):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(blas_mod, "pin", touched)
+        monkeypatch.setattr(blas_mod, "release", touched)
+        lone = ThreadPoolExecutor(1)
+        assert not lone.blas.steered
+        lone.close()
+        for config in (ExecutionConfig("serial"), ExecutionConfig("gpu", 4),
+                       ExecutionConfig("threads", 0)):
+            executor = build_executor(config)
+            assert isinstance(executor, SerialExecutor)
+            assert not executor.blas.steered
+        monkeypatch.setattr(executors_mod.futures, "ThreadPoolExecutor", boom)
+        executor = build_executor(ExecutionConfig("threads", 2))
+        assert isinstance(executor, SerialExecutor)
+        assert len(executor_fallbacks()) == 3
+        _assert_matches_serial(executor, primes, stack)
+
+    def test_unsteerable_library_costs_the_pin_not_the_pool(
+            self, monkeypatch, caplog, primes, stack):
+        before = _blas_threads()
+        monkeypatch.setattr(
+            blas_mod, "_locate",
+            lambda: "no OpenBLAS library is loaded in this process")
+        with caplog.at_level(logging.WARNING, logger=executors_mod.__name__):
+            pools = [build_executor(ExecutionConfig("threads", 2))
+                     for _ in range(2)]
+        try:
+            for pool in pools:
+                assert isinstance(pool, ThreadPoolExecutor)
+                assert pool.blas == blas_mod.BlasDecision(
+                    False, None,
+                    "no OpenBLAS library is loaded in this process")
+            assert _blas_threads() == before
+            # Loud once, structured, and not a fallback: the pool runs.
+            (note,) = parallel_diagnostics()
+            assert note.subject == "BLAS library cannot be steered"
+            assert "no OpenBLAS" in note.reason
+            assert len(caplog.records) == 1
+            assert executor_fallbacks() == ()
+            _assert_matches_serial(pools[0], primes, stack)
+        finally:
+            for pool in pools:
+                pool.close()
+        assert _blas_threads() == before
+
+    def test_backend_telemetry_and_cli_surface_the_decision(self, capsys):
+        from repro.api import LocalBackend, Session
+        from repro.cli import main
+        from repro.params import toy
+
+        before = _blas_threads()
+        session = Session(toy(), seed=7)
+        backend = LocalBackend(session,
+                               executor=ExecutionConfig("threads", 2))
+        try:
+            assert backend.telemetry["blas"] == {
+                "steered": True, "threads_before": before, "reason": None}
+        finally:
+            backend.executor.close()
+        for quiet in (LocalBackend(session, executor="serial"),
+                      LocalBackend(session)):
+            blas = quiet.telemetry["blas"]
+            assert blas["steered"] is False and blas["reason"]
+        assert main(["table5", "--executor", "threads", "--workers", "2"]) == 0
+        assert (f"executor: threads x2 (BLAS pinned to 1 thread, "
+                f"was {before})") in capsys.readouterr().out
+
+
+class TestMinWorkThreshold:
+    """``REPRO_PARALLEL_MIN_WORK``: one gate, parsed forgivingly."""
+
+    def test_parse_keeps_integers_and_defaults_the_rest(self):
+        assert config_mod.parse_min_work(None) == (1 << 14, None)
+        assert config_mod.parse_min_work("1") == (1, None)
+        value, problem = config_mod.parse_min_work("abc")
+        assert value == 1 << 14 and "'abc'" in problem
+
+    def test_garbled_value_does_not_crash_the_import(self):
+        env = dict(os.environ, REPRO_PARALLEL_MIN_WORK="abc",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.nttmath.batch; "
+             "from repro.parallel import config; "
+             "print(config.PARALLEL_MIN_WORK)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(1 << 14)
+
+    def test_garbled_value_is_reported_when_a_pool_is_built(
+            self, monkeypatch, caplog):
+        problem = config_mod.parse_min_work("abc")[1]
+        monkeypatch.setattr(config_mod, "MIN_WORK_PROBLEM", problem)
+        build_executor(ExecutionConfig("serial"))
+        assert parallel_diagnostics() == ()
+        with caplog.at_level(logging.WARNING, logger=executors_mod.__name__):
+            for _ in range(2):
+                build_executor(ExecutionConfig("threads", 2)).close()
+        (note,) = parallel_diagnostics()
+        assert note.subject == "REPRO_PARALLEL_MIN_WORK"
+        assert note.reason == problem
+        assert len(caplog.records) == 1
+
+    def test_small_fan_outs_run_inline(self, monkeypatch, primes, stack):
+        """Below the threshold nothing is dispatched — transforms and
+        bands alike — and the result is the same."""
+        monkeypatch.setattr(config_mod, "PARALLEL_MIN_WORK", stack.size + 1)
+        bt = basis_transformer(primes, N)
+        registry = current_registry()
+        with use_executor("threads", 2) as pool:
+            _assert_matches_serial(pool, primes, stack)
+        assert registry.value("parallel_dispatch_total",
+                              executor="threads") == 0.0
+        monkeypatch.setattr(config_mod, "PARALLEL_MIN_WORK", stack.size)
+        with use_executor("threads", 2):
+            bt.forward(stack)
+        assert registry.value("parallel_dispatch_total",
+                              executor="threads") == 1.0

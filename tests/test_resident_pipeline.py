@@ -390,7 +390,12 @@ class TestResidentMultiplyLoop:
                   if executor else None)
         backend = LocalBackend(session, verify=False,
                                resident_outputs=True, executor=config)
-        result = backend.run(program)
+        try:
+            result = backend.run(program)
+        finally:
+            if executor:
+                # A live pool holds BLAS at one thread, process-wide.
+                backend.executor.close()
         counts = backend.last_transform_counts
         assert counts["roundtrip_rows"] == 0
         assert counts["roundtrip_calls"] == 0

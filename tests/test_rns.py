@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.parallel.config as parallel_config
 from repro.errors import ParameterError
+from repro.fv.sampler import uniform_rns_rows
+from repro.obs import Tracer, current_registry
+from repro.parallel import use_executor
+from repro.params import hpca19, large_ring, mini, toy
 from repro.rns.basis import (
     RECIP_FRACTION_BITS,
     RnsBasis,
     basis_for,
+    decrypt_context,
     lift_context,
     scale_context,
 )
@@ -22,13 +28,15 @@ from repro.rns.decompose import (
     rns_recompose,
     signed_digit_decompose,
 )
+from repro.rns.decrypt import noise_norm, scale_to_t
 from repro.rns.lift import (
     hps_quotient,
     lift_hps,
+    lift_hps_ntt,
     lift_hps_reference,
     lift_traditional,
 )
-from repro.rns.scale import scale_hps, scale_traditional
+from repro.rns.scale import scale_hps, scale_hps_ntt, scale_traditional
 from repro.utils import round_half_away
 
 
@@ -348,3 +356,63 @@ class TestRnsDecompose:
     def test_rejects_wrong_shape(self, q_basis):
         with pytest.raises(ParameterError):
             rns_decompose(q_basis, np.zeros((2, 4), dtype=np.int64))
+
+
+class TestColumnBands:
+    """Lift, Scale and the decrypt kernels are element-wise in the
+    coefficient column, so a pool runs them as column bands; the banded
+    result must equal the serial one as integers. Three workers make
+    six bands, which never divide a power-of-two column count evenly
+    (and the raw Scale input below is three columns short of one)."""
+
+    @pytest.mark.parametrize("make", [
+        toy, mini, hpca19,
+        pytest.param(lambda: large_ring(8192), marks=pytest.mark.slow),
+    ], ids=["toy", "mini", "hpca19", "large_ring_8192"])
+    def test_banded_kernels_equal_serial(self, make, monkeypatch):
+        monkeypatch.setattr(parallel_config, "PARALLEL_MIN_WORK", 1)
+        params = make()
+        n, full = params.n, params.q_primes + params.p_primes
+        rng = np.random.default_rng(n)
+        lift_ctx = lift_context(params.q_primes, full)
+        scale_ctx = scale_context(params.q_primes, params.p_primes, params.t)
+        decrypt_ctx = decrypt_context(params.q_primes, params.t)
+        q_stack = np.stack([uniform_rns_rows(rng, n, params.q_primes)
+                            for _ in range(4)])
+        full_stack = np.stack([uniform_rns_rows(rng, n, full)
+                               for _ in range(3)])
+
+        def kernels():
+            m = scale_to_t(decrypt_ctx, q_stack[0])
+            return {
+                "lift_stack": lift_hps_ntt(lift_ctx, q_stack),
+                "lift_single": lift_hps_ntt(lift_ctx, q_stack[1],
+                                            lazy=False),
+                "scale_stack": scale_hps_ntt(scale_ctx, full_stack),
+                "scale_single": scale_hps_ntt(scale_ctx, full_stack[1]),
+                "scale_raw": scale_hps(scale_ctx, full_stack[2][:, :n - 3]),
+                "scale_to_t": m,
+                "noise_norm": noise_norm(decrypt_ctx, q_stack[0], m),
+            }
+
+        with use_executor("serial"):
+            want = kernels()
+        tracer = Tracer()
+        with use_executor("threads", 3), tracer.activate(), \
+                tracer.span("root", kind="op"):
+            got = kernels()
+        assert isinstance(got["noise_norm"], int)
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), f"{name} diverged"
+        tiles = [s for s in tracer.report().root.walk() if s.kind == "tile"]
+        assert {"lift.band", "scale.band", "decrypt.band"} <= {
+            s.name for s in tiles}
+        # Six uneven bands per banded kernel, on worker lanes.
+        scale_raw = [s.attrs["tile"] for s in tiles
+                     if s.name == "scale.band"][-6:]
+        assert sorted(scale_raw)[0][0] == 0
+        assert sorted(scale_raw)[-1][1] == n - 3
+        assert len({hi - lo for lo, hi in scale_raw}) == 2
+        assert all(s.attrs["worker"].startswith("repro-w") for s in tiles)
+        assert current_registry().value(
+            "parallel_dispatch_total", executor="threads") >= 7.0

@@ -26,6 +26,8 @@ from repro.fv.evaluator import Evaluator
 from repro.fv.reference import decrypt_with_noise_bigint
 from repro.fv.sampler import uniform_rns_rows
 from repro.fv.scheme import FvContext
+from repro.obs import current_registry
+from repro.parallel import ExecutionConfig
 from repro.params import hpca19, large_ring, mini, toy
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import decrypt_context
@@ -312,6 +314,34 @@ class TestMeasureOnce:
         # The trace totals still reconcile with the registry diff.
         assert result.trace.transform_totals() == {
             k: v for k, v in backend.last_transform_counts.items() if v}
+
+
+    def test_threaded_verification_runs_as_column_bands(self):
+        """Under a pool both residue kernels fan out over coefficient
+        columns through the instrumented dispatch, and measure exactly
+        what the big-integer oracle measures."""
+        session = Session(hpca19(), seed=2)
+        a = session.encrypt([1, 0, 1], resident=True)
+        b = session.encrypt([1, 1], resident=True)
+        backend = LocalBackend(session,
+                               executor=ExecutionConfig("threads", 2))
+        try:
+            result = backend.run(session.compile(a * b))
+        finally:
+            backend.executor.close()
+        (verify,) = [s for s in result.trace.spans("phase")
+                     if s.name == "verify_outputs"]
+        _, scale, noise = verify.children
+        for kernel in (scale, noise):
+            assert kernel.kind == "kernel"
+            assert [(c.kind, c.name) for c in kernel.children] == [
+                ("tile", "decrypt.band")] * 4
+            assert all(c.attrs["worker"].startswith("repro-w")
+                       for c in kernel.children)
+        assert current_registry().value(
+            "parallel_dispatch_total", executor="threads") >= 2.0
+        assert result.measure() == decrypt_with_noise_bigint(
+            session.context, result.ciphertext("out"), session.keys.secret)
 
 
 class TestPlainPoolByValue:
