@@ -13,15 +13,12 @@ must come out the other side with
   of the same trace on the same fleet.
 
 Set ``REPRO_BENCH_FAST=1`` (the CI fault-smoke job does) for a short
-trace; the result files record which mode produced them. Appends a
-``fault`` record to the BENCH_fv_ops.json trajectory rendered by
-``render_trajectory.py``.
+trace; the result file records which mode produced it.
 """
 
 import os
-from pathlib import Path
 
-from conftest import append_trajectory_record, run_metadata, save_result
+from conftest import save_result
 
 from repro.cluster import FpgaCluster, ReplicatedPlacement, \
     TenantAffinityRouter
@@ -104,29 +101,6 @@ def test_board_kill_chaos(benchmark, paper_params):
         failure.render(),
     ]
     save_result("BENCH_fault_tolerance", "\n".join(lines))
-
-    json_name = "BENCH_fv_ops_fast.json" if FAST else "BENCH_fv_ops.json"
-    append_trajectory_record(
-        Path(__file__).parent / "results" / json_name,
-        {
-            "fault": {
-                "shards": SHARDS,
-                "replicas": REPLICAS,
-                "jobs": len(jobs),
-                "jobs_lost": failure.jobs_lost,
-                "jobs_spilled": failure.jobs_spilled,
-                "jobs_retried": failure.jobs_retried,
-                "failovers": failure.failovers,
-                "rehydrations": failure.rehydrations,
-                "availability": chaos.availability,
-                "p99_clean_ms": 1e3 * p99_clean,
-                "p99_chaos_ms": 1e3 * p99_chaos,
-                "p99_inflation": inflation,
-            },
-            "mode": MODE,
-            "meta": run_metadata(),
-        },
-    )
 
     # Acceptance gates: no accepted job may vanish, the fleet stays
     # >=99% available through the outage, and the tail pays under 3x.

@@ -12,17 +12,15 @@ For each program the bench lowers the graph raw and optimised against
 the same cost model, asserts the optimiser removes at least 30% of
 the lowered keyswitch ops *and* that the optimised program decrypts
 to the same values on the functional backend, then replays both
-versions through the simulated serving runtime and records the
-makespan improvement as an ``optim`` record in the
-BENCH_fv_ops.json trajectory.
+versions through the simulated serving runtime and reports the
+makespan improvement.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
-from conftest import append_trajectory_record, run_metadata, save_result
+from conftest import save_result
 
 from repro.api import LocalBackend, Session, SimulatedBackend
 from repro.apps.matmul import EncryptedMatmul
@@ -140,9 +138,3 @@ def test_optimizer_keyswitch_and_makespan():
             f"{row['makespan_speedup']:>8.2f}x"
         )
     save_result("BENCH_optimizer", "\n".join(lines))
-
-    json_name = "BENCH_fv_ops_fast.json" if FAST else "BENCH_fv_ops.json"
-    append_trajectory_record(
-        Path(__file__).parent / "results" / json_name,
-        {"optim": rows, "mode": MODE, "meta": run_metadata()},
-    )

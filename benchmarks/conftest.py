@@ -7,13 +7,8 @@ numbers survive pytest's output capture.
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.fv.encoder import Plaintext
@@ -29,37 +24,6 @@ def save_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n{text}\n")
-
-
-def _git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).parent, capture_output=True, text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def run_metadata() -> dict:
-    """Provenance attached to every trajectory record."""
-    return {
-        "git_sha": _git_sha(),
-        "numpy_version": np.__version__,
-        "mode": "fast" if os.environ.get("REPRO_BENCH_FAST") else "full",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-
-
-def append_trajectory_record(json_path: Path, record: dict) -> None:
-    """Append one record to the BENCH_fv_ops.json trajectory (a JSON
-    list, newest record last)."""
-    records: list = []
-    if json_path.exists():
-        records = json.loads(json_path.read_text())
-    records.append(record)
-    json_path.write_text(json.dumps(records, indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from ..errors import NoiseBudgetExhausted, ParameterError
 from ..fv.ciphertext import Ciphertext
 from ..fv.encoder import Plaintext
-from ..fv.noise import budget_bits
+from ..fv.noise import MIN_VERIFIED_BUDGET_BITS, budget_bits
 from ..nttmath.batch import transform_counts
 from ..obs import TraceReport, Tracer
 from ..parallel import (
@@ -110,10 +110,12 @@ class LocalBackend:
     programs (or a decrypt of an intermediate handle followed by more
     building) never recompute shared work. With ``verify=True`` every
     output is decrypted and its noise measured once, while it is still
-    in the domain the executor produced it in — a non-positive budget
-    means the decryption is garbage, and the backend refuses to return
-    it silently; otherwise the measurement travels with the
-    :class:`ProgramResult`, so the client's ``decrypt`` /
+    in the domain the executor produced it in — a budget under
+    :data:`~repro.fv.noise.MIN_VERIFIED_BUDGET_BITS` means the
+    decryption is garbage (a wrapped ciphertext reads just above zero,
+    not below), and the backend refuses to return it; otherwise the
+    measurement travels with the :class:`ProgramResult`, so the
+    client's ``decrypt`` /
     ``noise_budget_bits`` do not repeat it. ``verify=False`` defers the
     measurement to the first of those calls.
 
@@ -296,10 +298,14 @@ class LocalBackend:
                         measured[label] = self.session.measure(node.cached)
                         budget = budget_bits(program.params,
                                              measured[label][1])
-                        if budget <= 0:
+                        if budget < MIN_VERIFIED_BUDGET_BITS:
                             raise NoiseBudgetExhausted(
-                                f"output {label!r} decrypts with no "
-                                f"noise budget left ({budget:.1f} bits)"
+                                f"output {label!r} decrypts with "
+                                f"{budget:.4f} bits of noise budget, "
+                                f"under the {MIN_VERIFIED_BUDGET_BITS:g}"
+                                f"-bit floor of a verified output (a "
+                                f"wrapped ciphertext reads just above "
+                                f"zero)"
                             )
                     sp.attrs["transforms"] = _count_diff(
                         ver_before, transform_counts()
@@ -391,8 +397,8 @@ class LocalBackend:
         """
         sinks = self._RESIDENT_SINKS
         if not self.session.evaluator.resident_tensor_ok:
-            # MULTIPLY consumes coefficients here, so feeding it a
-            # resident operand would just be a counted round trip.
+            # The lift degrades to coefficient values here, so a
+            # resident operand would only be transformed straight back.
             sinks = sinks - {OpKind.MULTIPLY, OpKind.MULTIPLY_RAW}
         consumers: dict[int, list[ExprNode]] = {}
         for node in program.nodes:
@@ -478,45 +484,20 @@ class LocalBackend:
                 node.args[0].cached, node.payload,
                 m_ntt=session.plain_ntt(node.payload),
             )
-        if node.op in (OpKind.MULTIPLY, OpKind.MULTIPLY_RAW):
-            evaluator = session.evaluator
-            if (evaluator.resident_tensor_ok
-                    and any(ct.ntt_resident for ct in args)):
-                # Evaluation-domain base extension: resident operands
-                # feed the tensor step as-is. Align any mixed operand
-                # fully onto the NTT domain with write-back so a shared
-                # subexpression transforms forward only once.
-                for arg_node, ct in zip(node.args, args, strict=True):
-                    if not all(part.ntt_domain for part in ct.parts):
-                        arg_node.cached = context.to_ntt_ct(ct)
-            else:
-                # Legacy coefficient-domain boundary: the in-place lift
-                # needs coefficient residues. Convert with write-back
-                # so shared resident operands convert once.
-                for arg_node, ct in zip(node.args, args, strict=True):
-                    if ct.c0.ntt_domain:
-                        arg_node.cached = context.to_coeff_ct(ct)
-            args = [arg.cached for arg in node.args]
-            if node.op is OpKind.MULTIPLY_RAW:
-                # Lazy-relin placement: the three-part tensor result
-                # flows into an ADD tree; the deferred RELINEARIZE at
-                # its root folds back to two parts (always
-                # coefficient-domain — c2 feeds WordDecomp).
-                return evaluator.multiply_raw(args[0], args[1])
-            return evaluator.multiply(args[0], args[1],
-                                      session.keys.relin,
-                                      resident=resident_out)
+        if node.op is OpKind.MULTIPLY_RAW:
+            # Lazy-relin placement: the three-part tensor result flows
+            # into an ADD tree; the deferred RELINEARIZE at its root
+            # folds back to two parts (always coefficient-domain — c2
+            # feeds WordDecomp).
+            return session.evaluator.multiply_raw(args[0], args[1])
+        if node.op is OpKind.MULTIPLY:
+            # Operands go in as they are: the lift takes each part from
+            # the domain it lives in.
+            return session.evaluator.multiply(args[0], args[1],
+                                              session.keys.relin,
+                                              resident=resident_out)
         if node.op is OpKind.RELINEARIZE:
-            ct = args[0]
-            if ct.ntt_resident and (not resident_out
-                                    or ct.parts[-1].ntt_domain):
-                # The digit decomposition reads raw coefficient
-                # residues, and the coefficient-domain fold needs
-                # coefficient (c0, c1) — only a resident-output fold
-                # with coefficient c2 can keep resident parts.
-                node.args[0].cached = context.to_coeff_ct(ct)
-                ct = node.args[0].cached
-            return session.evaluator.relinearize(ct, session.keys.relin,
+            return session.evaluator.relinearize(args[0], session.keys.relin,
                                                  resident=resident_out)
         if node.op is OpKind.ROTATE:
             key = session.rotation_key(node.payload)

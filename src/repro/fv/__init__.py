@@ -10,6 +10,8 @@ This package is a complete, self-contained FV implementation:
   and the additive homomorphic operations;
 * :mod:`~repro.fv.evaluator` — homomorphic multiplication in the RNS-HPS
   form the paper's hardware computes, plus relinearisation;
+* :mod:`~repro.fv.keyswitch` — the one key switch relinearisation and
+  the Galois rotations share;
 * :mod:`~repro.fv.reference` — a textbook big-integer FV used as ground
   truth in tests;
 * :mod:`~repro.fv.noise` — invariant-noise budget measurement.

@@ -27,10 +27,11 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ParameterError
-from ..parallel import map_bands
+from ..nttmath import batch
 from ..poly.rns_poly import RnsPoly
 from .ciphertext import Ciphertext
 from .keys import SecretKey
+from .keyswitch import key_switch
 from .sampler import discrete_gaussian, uniform_rns_rows
 from .scheme import FvContext
 
@@ -167,123 +168,62 @@ class GaloisEngine:
 
     # -- homomorphic application -----------------------------------------------------
 
-    def _digit_ntt_rows(self, c1_rows: np.ndarray) -> np.ndarray:
-        """Stacked forward NTT of the raw-residue digit decomposition.
+    def _tau(self, poly: RnsPoly, g: int) -> RnsPoly:
+        """tau_g of one part, in the domain it lives in: a free column
+        gather of NTT evaluations, a signed permutation of
+        coefficients."""
+        n = self.context.params.n
+        basis = self.context.q_basis
+        if poly.ntt_domain:
+            return RnsPoly.trusted(
+                basis, poly.residues[:, slot_permutation(n, g)],
+                ntt_domain=True)
+        return RnsPoly.trusted(
+            basis, apply_galois_rows(poly.residues, basis.primes_col, n, g))
 
-        This is the expensive half of every keyswitch — and a function
-        of the ciphertext alone, not of the Galois key, which is what
-        :meth:`apply_many_resident` exploits to share it across a
-        hoisted rotation group.
-        """
-        from ..nttmath import batch
-
-        # Fused WordDecomp + NTT on the raw coefficient rows: all
-        # digits share one stage-0 dgemm (apply_broadcast_many), and
-        # the outputs stay lazy in [0, 2q) — the halved accumulation
-        # window in :meth:`_fold_digit_pairs` absorbs the slack, so
-        # the final conditional-subtract pass is skipped entirely.
-        return batch.ntt_broadcast_rows(self.context.params.q_primes,
-                                        c1_rows, lazy=True)
-
-    def _key_switch_accumulators(self, tau_c1: np.ndarray,
-                                 key: GaloisKey) -> tuple[np.ndarray,
-                                                          np.ndarray]:
-        """NTT-domain key-switch accumulators for coefficient rows.
-
-        The raw-residue digits (each row of tau(c1) broadcast across
-        the basis) go through one stacked forward transform; products
-        of 30-bit residues accumulate lazily (they are < 2^60, so the
-        whole q basis of at most eight primes sums within int64) and
-        are reduced once.
-        """
-        return self._fold_digit_pairs(self._digit_ntt_rows(tau_c1), key)
-
-    def _fold_digit_pairs(self, d_ntt: np.ndarray,
-                          key: GaloisKey) -> tuple[np.ndarray,
-                                                   np.ndarray]:
-        """Fold NTT-domain digits against one key's (b, a) pairs."""
-        primes_col = self.context.q_basis.primes_col
-        acc0 = np.zeros_like(d_ntt[0])
-        acc1 = np.zeros_like(d_ntt[0])
-
-        def fold(c0: int, c1: int) -> None:
-            # One channel band, same digit order and reduction window
-            # as the serial loop — banding cannot change the result.
-            pending = 0
-            for i, (b_ntt, a_ntt) in enumerate(key.pairs):
-                acc0[c0:c1] += d_ntt[i][c0:c1] * b_ntt[c0:c1]
-                acc1[c0:c1] += d_ntt[i][c0:c1] * a_ntt[c0:c1]
-                pending += 1
-                # Lazy [0, 2q) digits double each summand, so the
-                # window halves: q + 4 * 2q * q stays below 2^63.
-                if pending == 4:
-                    acc0[c0:c1] %= primes_col[c0:c1]
-                    acc1[c0:c1] %= primes_col[c0:c1]
-                    pending = 0
-            if pending:
-                acc0[c0:c1] %= primes_col[c0:c1]
-                acc1[c0:c1] %= primes_col[c0:c1]
-
-        map_bands("fold.band", fold, acc0.shape[0], work=d_ntt.size)
-        return acc0, acc1
-
-    def apply(self, ct: Ciphertext, key: GaloisKey) -> Ciphertext:
-        """tau_g on a two-part ciphertext, key-switched back under s."""
+    def _c1_coefficients(self, ct: Ciphertext) -> np.ndarray:
+        """c1's coefficient rows — what the raw-residue digits of every
+        key switch decompose (one inverse transform when resident)."""
         if ct.size != 2:
             raise ParameterError("apply_galois expects a 2-part ciphertext")
+        return (self.context._intt_rows(ct.c1.residues)
+                if ct.c1.ntt_domain else ct.c1.residues)
+
+    def _apply(self, ct: Ciphertext, key: GaloisKey,
+               resident: bool) -> Ciphertext:
+        """tau_g on (c0, c1), key-switched back under s.
+
+        Fused WordDecomp + NTT on tau(c1)'s raw coefficient rows — all
+        digits share one stage-0 dgemm, outputs lazy in [0, 2q) — then
+        the one :func:`~repro.fv.keyswitch.key_switch`, which adds the
+        first accumulator into tau(c0) in the requested domain.
+        """
         context = self.context
         params = context.params
-        primes_col = context.q_basis.primes_col
-        ct = context.to_coeff_ct(ct)
-        g = key.element
-        tau_c0 = apply_galois_rows(ct.c0.residues, primes_col, params.n, g)
-        tau_c1 = apply_galois_rows(ct.c1.residues, primes_col, params.n, g)
-        # Key switch tau(c1) from tau(s) to s with raw-residue digits.
-        acc0, acc1 = self._key_switch_accumulators(tau_c1, key)
-        delta0, delta1 = context._intt_rows(np.stack([acc0, acc1]))
-        c0 = RnsPoly.trusted(
-            context.q_basis,
-            (tau_c0 + delta0) % primes_col,
-        )
-        c1 = RnsPoly.trusted(context.q_basis, delta1)
-        return Ciphertext((c0, c1), params)
+        tau_c1 = apply_galois_rows(self._c1_coefficients(ct),
+                                   context.q_basis.primes_col, params.n,
+                                   key.element)
+        d_ntt = batch.ntt_broadcast_rows(params.q_primes, tau_c1,
+                                         lazy=True)
+        return key_switch(context, d_ntt, key.pairs,
+                          (self._tau(ct.c0, key.element),), resident)
+
+    def apply(self, ct: Ciphertext, key: GaloisKey) -> Ciphertext:
+        """tau_g on a two-part ciphertext, coefficient-domain result."""
+        return self._apply(ct, key, resident=False)
 
     def apply_resident(self, ct: Ciphertext, key: GaloisKey) -> Ciphertext:
         """tau_g keeping the result NTT-resident (the HEAX schedule).
 
-        tau_g on the resident c0 is a free column permutation of its
-        NTT evaluations; only c1 is inverse-transformed (its raw-residue
+        tau_g on a resident c0 is a free column permutation of its NTT
+        evaluations; only c1 is inverse-transformed (its raw-residue
         digits live in the coefficient domain), and the key-switch
         accumulators — already NTT-domain — are *not* transformed back.
         Per rotation that is one inverse transform instead of two, and
         chained rotations/additions stay in the evaluation domain
         end to end.
         """
-        if ct.size != 2:
-            raise ParameterError("apply_galois expects a 2-part ciphertext")
-        context = self.context
-        params = context.params
-        primes_col = context.q_basis.primes_col
-        n = params.n
-        g = key.element
-        c1_coeff = (context._intt_rows(ct.c1.residues)
-                    if ct.c1.ntt_domain else ct.c1.residues)
-        tau_c1 = apply_galois_rows(c1_coeff, primes_col, n, g)
-        tau_c0_ntt = (
-            ct.c0.residues[:, slot_permutation(n, g)]
-            if ct.c0.ntt_domain
-            else context._ntt_rows(
-                apply_galois_rows(ct.c0.residues, primes_col, n, g)
-            )
-        )
-        acc0, acc1 = self._key_switch_accumulators(tau_c1, key)
-        c0 = RnsPoly.trusted(
-            context.q_basis,
-            (tau_c0_ntt + acc0) % primes_col,
-            ntt_domain=True,
-        )
-        c1 = RnsPoly.trusted(context.q_basis, acc1, ntt_domain=True)
-        return Ciphertext((c0, c1), params)
+        return self._apply(ct, key, resident=True)
 
     def apply_many_resident(self, ct: Ciphertext,
                             keys_by_step: dict[int, GaloisKey]
@@ -304,31 +244,19 @@ class GaloisEngine:
         decrypt-equivalent to per-rotation application but not
         bit-identical to it.
         """
-        if ct.size != 2:
-            raise ParameterError("apply_galois expects a 2-part ciphertext")
         context = self.context
-        params = context.params
-        primes_col = context.q_basis.primes_col
-        n = params.n
-        c1_coeff = (context._intt_rows(ct.c1.residues)
-                    if ct.c1.ntt_domain else ct.c1.residues)
-        c0_ntt = (ct.c0.residues if ct.c0.ntt_domain
-                  else context._ntt_rows(ct.c0.residues))
-        d_ntt = self._digit_ntt_rows(c1_coeff)
-        results: dict[int, Ciphertext] = {}
-        for steps, key in keys_by_step.items():
-            perm = slot_permutation(n, key.element)
-            acc0, acc1 = self._fold_digit_pairs(
-                np.ascontiguousarray(d_ntt[:, :, perm]), key
-            )
-            c0 = RnsPoly.trusted(
-                context.q_basis,
-                (c0_ntt[:, perm] + acc0) % primes_col,
-                ntt_domain=True,
-            )
-            c1 = RnsPoly.trusted(context.q_basis, acc1, ntt_domain=True)
-            results[steps] = Ciphertext((c0, c1), params)
-        return results
+        n = context.params.n
+        d_ntt = batch.ntt_broadcast_rows(context.params.q_primes,
+                                         self._c1_coefficients(ct), lazy=True)
+        c0 = ct.c0 if ct.c0.ntt_domain else ct.c0.to_ntt()
+        return {
+            steps: key_switch(
+                context,
+                np.ascontiguousarray(
+                    d_ntt[:, :, slot_permutation(n, key.element)]),
+                key.pairs, (self._tau(c0, key.element),), resident=True)
+            for steps, key in keys_by_step.items()
+        }
 
     def rotate(self, ct: Ciphertext, steps: int,
                keys: dict[int, GaloisKey]) -> Ciphertext:

@@ -36,6 +36,16 @@ def budget_bits(params: ParameterSet, noise: int) -> float:
     return math.log2(q / (2 * t)) - math.log2(noise)
 
 
+#: A verified output must keep at least this much measured budget.
+#: Decryption rounds to the nearest multiple of q/t, so once the noise
+#: has wrapped the measured norm is the largest of n near-uniform
+#: residues below q/2t and the budget reads just *above* zero — under
+#: one bit unless every coefficient lands in the lower half
+#: (probability 2^-n). ``budget <= 0`` alone never sees a wrapped
+#: ciphertext.
+MIN_VERIFIED_BUDGET_BITS = 1.0
+
+
 def noise_budget_bits(context: FvContext, ct: Ciphertext,
                       secret: SecretKey) -> float:
     """Remaining noise budget of a ciphertext (see :func:`budget_bits`)."""

@@ -22,6 +22,8 @@ check both against exact big-integer CRT.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..errors import ParameterError
@@ -169,74 +171,102 @@ def _lift_tail_gemm(context: LiftContext, x_prime: np.ndarray,
     return out_tail
 
 
-def lift_hps_ntt(context: LiftContext, ntt_rows: np.ndarray,
-                 lazy: bool = True) -> np.ndarray:
-    """Evaluation-domain HPS base extension: NTT rows in, NTT rows out.
+def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
+                 lazy: bool = True,
+                 ntt_domain: Sequence[bool] | None = None) -> np.ndarray:
+    """HPS base extension into the evaluation domain: NTT rows out.
 
-    ``ntt_rows`` is a ``(k_s, n)`` matrix (or ``(j, k_s, n)`` stack) of
-    *NTT-domain* residues over the source basis; the result holds the
-    NTT-domain residues of the lifted representative over every target
-    prime. Two facts make this resident:
+    ``rows`` is a ``(k_s, n)`` matrix (or ``(j, k_s, n)`` stack) of
+    residues over the source basis; the result holds the *NTT-domain*
+    residues of the lifted representative over every target prime.
+    ``ntt_domain`` says, part by part, which domain the rows arrive in
+    (as :attr:`RnsPoly.ntt_domain` does; default: all NTT-domain). Two
+    facts shape the datapath:
 
-    * the HPS quotient estimate is the only part of Fig. 6 that needs
-      coefficient values, and its Block-1 input ``x'_i = x_i q~_i mod
-      q_i`` comes out of ONE stacked inverse transform with the
-      ``q~_i`` constants folded into the inverse gemm plan's twiddle
-      tables (:func:`~repro.nttmath.batch.intt_rows_scaled`) — no
-      per-limb round trip ever materialises the raw coefficients;
+    * the Fig. 6 Block-1 input ``x'_i = x_i q~_i mod q_i`` is the only
+      coefficient-domain quantity the lift needs. For NTT-domain parts
+      it comes out of ONE stacked inverse transform with the ``q~_i``
+      constants folded into the inverse gemm plan's twiddle tables
+      (:func:`~repro.nttmath.batch.intt_rows_scaled`); for
+      coefficient-domain parts it is an element-wise multiply;
     * the lifted representative is congruent to x modulo every source
       prime, so when the target basis starts with the source primes
-      (Lift q->Q always does) the resident input rows *are* the
-      target's leading channels — the row-copy fast path stays in the
-      evaluation domain, untouched.
+      (Lift q->Q always does) the target's leading channels *are* the
+      input rows, in whichever domain they arrived.
 
-    Only the gemm tail (the genuinely new target channels) is
-    forward-transformed, ``lazy`` controlling its output bound the way
-    :meth:`BasisTransformer.forward` does; the prefix rows pass through
-    with the input's (canonical) bound. Falls back to the coefficient
-    lift + full forward when the batched engine cannot serve either
-    basis — exact, but paying the round trip this entry exists to
+    Either way the Blocks 2-5 gemm then fills the genuinely new target
+    channels, as coefficient-column bands, and one stacked forward
+    transform finishes: of the new channels only for NTT-domain parts
+    (their leading channels pass through untouched — no coefficient
+    round trip), of every channel for coefficient-domain parts. A stack
+    mixing both is lifted as two stacks. ``lazy`` sets the forward
+    transform's output bound the way :meth:`BasisTransformer.forward`
+    does. When the batched engine cannot serve either basis the lift
+    degrades — loudly: every per-row transform below records an
+    ``EngineFallback`` — to the coefficient lift + full per-row
+    forward: exact, but paying the round trip this entry exists to
     avoid.
     """
     basis = context.source
-    arr = np.asarray(ntt_rows, dtype=np.int64)
+    arr = np.asarray(rows, dtype=np.int64)
     stacked = arr.ndim == 3
     stack = arr if stacked else arr[None]
     if stack.shape[1] != basis.size:
         raise ParameterError(
-            f"expected ({basis.size} x n) NTT rows over the source "
-            f"basis, got shape {arr.shape}"
+            f"expected ({basis.size} x n) rows over the source basis, "
+            f"got shape {arr.shape}"
         )
     j, k_s, n = stack.shape
+    resident = (np.ones(j, dtype=bool) if ntt_domain is None
+                else np.asarray(ntt_domain, dtype=bool))
+    if resident.shape != (j,):
+        raise ParameterError(
+            f"need one domain per stacked part, got {resident.shape} "
+            f"for {j} parts"
+        )
+    target_primes = tuple(context.target_primes)
+    if resident.any() and not resident.all():
+        out = np.empty((j, len(target_primes), n), dtype=np.int64)
+        for domain in (True, False):
+            idx = np.flatnonzero(resident == domain)
+            out[idx] = lift_hps_ntt(context, stack[idx], lazy,
+                                    [domain] * idx.size)
+        return out
+    from_ntt = bool(resident.all())
     skip = context.source_prefix
-    tail_primes = tuple(context.target_primes[skip:])
+    tail_primes = target_primes[skip:]
     fast = (skip == k_s and context.gemm_safe
             and batch.batched_engine_ok(basis.primes, n)
             and batch.batched_engine_ok(tail_primes, n))
     if not fast:
-        coeff = batch.intt_rows(basis.primes, stack)
+        coeff = batch.intt_rows(basis.primes, stack) if from_ntt else stack
         lifted = np.stack([lift_hps(context, m) for m in coeff])
-        full = batch.ntt_rows(tuple(context.target_primes), lifted)
+        full = batch.ntt_rows(target_primes, lifted)
         return full if stacked else full[0]
-    x_prime = batch.intt_rows_scaled(basis.primes, stack,
-                                     basis.q_tilde)
-    tails = np.empty((j, len(tail_primes), n), dtype=np.int64)
+    if from_ntt:
+        x_prime = batch.intt_rows_scaled(basis.primes, stack,
+                                         basis.q_tilde)
+    lifted = np.empty((j, len(target_primes), n), dtype=np.int64)
+    lifted[:, :skip] = stack
     context.gemm_tables()  # built once, read-only under the fan-out
 
     def band(lo: int, hi: int) -> None:
-        # Fig. 6 streams coefficients: Blocks 2-5 are element-wise in
+        # Fig. 6 streams coefficients: Blocks 1-5 are element-wise in
         # the column, so any band split is bit-identical to one pass.
         for idx in range(j):
-            _lift_tail_gemm(context, x_prime[idx, :, lo:hi],
-                            tails[idx, :, lo:hi])
+            block1 = (x_prime[idx, :, lo:hi] if from_ntt
+                      else (stack[idx, :, lo:hi] * basis.q_tilde_col)
+                      % basis.primes_col)
+            _lift_tail_gemm(context, block1, lifted[idx, skip:, lo:hi])
 
-    map_bands("lift.band", band, n, work=x_prime.size)
-    out = np.empty((j, len(context.target_primes), n), dtype=np.int64)
-    out[:, :skip] = stack
-    out[:, skip:] = batch.basis_transformer(tail_primes, n).forward(
-        tails, lazy=lazy
-    )
-    return out if stacked else out[0]
+    map_bands("lift.band", band, n, work=stack.size)
+    if from_ntt:
+        lifted[:, skip:] = batch.basis_transformer(tail_primes, n).forward(
+            lifted[:, skip:], lazy=lazy)
+    else:
+        lifted = batch.basis_transformer(target_primes, n).forward(
+            lifted, lazy=lazy)
+    return lifted if stacked else lifted[0]
 
 
 def _quotient_from_limbs(limb_sums: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from repro.cluster.routing import TenantAffinityRouter
 from repro.errors import EncodingError, NoiseBudgetExhausted, ParameterError
 from repro.fv.evaluator import Evaluator
 from repro.fv.galois import GaloisEngine
+from repro.fv.noise import MIN_VERIFIED_BUDGET_BITS
 from repro.params import mini
 from repro.system.server import CostModel
 from repro.system.workloads import Job, JobKind, merge_streams
@@ -149,6 +150,25 @@ class TestHEProgram:
         # ... and compile(check=False) defers to the measured verify.
         program = session.compile(h, check=False)
         assert program.depth == 5
+
+    @pytest.mark.parametrize("depth", [4, 5, 6])
+    def test_wrapped_output_is_refused_at_run_time(self, depth):
+        """An over-deep chain wraps, and a wrapped ciphertext measures
+        just *above* zero bits — ``budget <= 0`` never sees it. The
+        run-time verify refuses anything under the one-bit floor."""
+        session = Session(mini(t=65537), seed=40)
+        t = session.params.t
+        h = session.encrypt([1, 2, 3])
+        for _ in range(depth):
+            h = h * h
+        program = session.compile(h, check=False)
+        with pytest.raises(NoiseBudgetExhausted,
+                           match=r"'out'.* 0\.\d+ bits.*1-bit floor"):
+            LocalBackend(session).run(program)
+        unverified = LocalBackend(session, verify=False).run(program)
+        assert 0 < unverified.noise_budget_bits() < MIN_VERIFIED_BUDGET_BITS
+        assert unverified.decrypt(size=3).tolist() != [
+            pow(x, 2 ** depth, t) for x in (1, 2, 3)]
 
     def test_depth_accounting_matches_measured_decay(self):
         """Satellite: static depth matches noise_budget_bits decay on

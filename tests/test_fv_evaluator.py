@@ -26,11 +26,6 @@ def evaluator(toy_context):
     return Evaluator(toy_context)
 
 
-@pytest.fixture(scope="module")
-def trad_evaluator(toy_context):
-    return Evaluator(toy_context, use_hps=False)
-
-
 class TestMultiply:
     def test_mult_homomorphism(self, toy_context, toy_keys, evaluator, rng):
         params = toy_context.params
@@ -108,42 +103,6 @@ class TestMultiply:
         # Relinearisation adds noise but only an additive term.
         assert rel_noise < raw_noise * 64 + 2**40
 
-    def test_traditional_path_same_plaintext(self, toy_context, toy_keys,
-                                             evaluator, trad_evaluator, rng):
-        """HPS and traditional-CRT evaluators agree on the decryption."""
-        params = toy_context.params
-        a = Plaintext(rng.integers(0, params.t, params.n), params.t)
-        b = Plaintext(rng.integers(0, params.t, params.n), params.t)
-        ct_a = toy_context.encrypt(a, toy_keys.public)
-        ct_b = toy_context.encrypt(b, toy_keys.public)
-        hps = evaluator.multiply(ct_a, ct_b, toy_keys.relin)
-        trad = trad_evaluator.multiply(ct_a, ct_b, toy_keys.relin)
-        assert toy_context.decrypt(hps, toy_keys.secret) == \
-            toy_context.decrypt(trad, toy_keys.secret)
-
-    def test_hps_and_traditional_noise_comparable(self, toy_context,
-                                                  toy_keys, evaluator,
-                                                  trad_evaluator, rng):
-        """The two paths produce different (but equivalent) ciphertexts.
-
-        The HPS lift uses centered representatives and the traditional
-        lift standard ones, so the tensor products differ by q-multiples
-        that land in the noise term (the K-polynomial of the BFV
-        analysis). Decryption agrees; the noise magnitudes must stay
-        within a small factor of each other (centered representatives
-        halve the bound, so a factor-4 envelope is generous).
-        """
-        params = toy_context.params
-        a = Plaintext(rng.integers(0, params.t, params.n), params.t)
-        ct = toy_context.encrypt(a, toy_keys.public)
-        hps = evaluator.multiply_raw(ct, ct)
-        trad = trad_evaluator.multiply_raw(ct, ct)
-        _, hps_noise = toy_context.decrypt_with_noise(hps, toy_keys.secret)
-        _, trad_noise = toy_context.decrypt_with_noise(trad,
-                                                       toy_keys.secret)
-        assert hps_noise <= trad_noise * 4
-        assert trad_noise <= hps_noise * 4
-
     def test_tensor_rejects_three_part_inputs(self, toy_context, toy_keys,
                                               evaluator, rng):
         params = toy_context.params
@@ -151,7 +110,7 @@ class TestMultiply:
         ct = toy_context.encrypt(a, toy_keys.public)
         raw = evaluator.multiply_raw(ct, ct)
         with pytest.raises(ParameterError):
-            evaluator.tensor(raw, ct)
+            evaluator.multiply_raw(raw, ct)
 
     def test_relinearize_rejects_two_part(self, toy_context, toy_keys,
                                           evaluator):

@@ -1,0 +1,133 @@
+"""Mult has one datapath, whatever domain its operands arrive in.
+
+``Evaluator.multiply_raw`` lifts all four operand polynomials through
+:func:`repro.rns.lift.lift_hps_ntt`, each part entering from its own
+domain. Every operand mix must give the parts of an integer oracle that
+never touches the transform engine — ``lift_hps_reference``, exact
+schoolbook negacyclic products per prime, ``scale_hps`` — and pay exactly
+the transforms its domains require, never more than the two-arm code it
+replaced (coefficient: 4 k_total forward / 3 k_total inverse; resident:
+4 k_p / 4 k_q + 3 k_total; a-resident, b-coefficient: 2 k_q + 4 k_p /
+4 k_q + 3 k_total; per-part mixed: 4 k_total / 2 k_q + 3 k_total).
+"""
+
+import numpy as np
+import pytest
+
+import repro.parallel.config as parallel_config
+from repro.fv.ciphertext import Ciphertext
+from repro.fv.encoder import Plaintext
+from repro.fv.evaluator import Evaluator
+from repro.fv.scheme import FvContext
+from repro.nttmath import batch
+from repro.parallel import use_executor
+from repro.params import hpca19, mini, toy
+from repro.rns.lift import lift_hps_reference
+from repro.rns.scale import scale_hps
+
+
+def _negacyclic(a, b, p):
+    """``a * b mod (x^n + 1, p)`` by exact int64 schoolbook convolution;
+    ``b`` splits into 15-bit limbs so no partial sum reaches 2^58."""
+    n = len(a)
+    full = ((np.convolve(a, b >> 15) % p) << 15) + np.convolve(a, b & 0x7FFF)
+    return (full[:n] - np.append(full[n:], 0)) % p
+
+
+def _oracle_multiply_raw(context, a, b):
+    """The three coefficient-domain parts of ``a * b``, as integers."""
+    primes = context.params.q_primes + context.params.p_primes
+    a0, a1, b0, b1 = (lift_hps_reference(context.lift_ctx, part.residues)
+                      for part in (*a.parts, *b.parts))
+
+    def product(x, y):
+        return np.stack([_negacyclic(x[i], y[i], p)
+                         for i, p in enumerate(primes)])
+
+    cross = (product(a0, b1) + product(a1, b0)) \
+        % np.array(primes, dtype=np.int64)[:, None]
+    return [scale_hps(context.scale_ctx, rows)
+            for rows in (product(a0, b0), cross, product(a1, b1))]
+
+
+def _operands(context, keys):
+    params = context.params
+    rng = np.random.default_rng(params.n)
+    return [
+        context.encrypt(
+            Plaintext(rng.integers(0, params.t, params.n), params.t),
+            keys.public)
+        for _ in range(2)
+    ]
+
+
+@pytest.fixture(scope="module", params=[toy, mini, hpca19],
+                ids=["toy", "mini", "hpca19"])
+def setup(request):
+    context = FvContext(request.param(), seed=2019)
+    a, b = _operands(context, context.keygen())
+    return context, a, b, _oracle_multiply_raw(context, a, b)
+
+
+def _mix(context, a, b, mix):
+    a_ntt, b_ntt = context.to_ntt_ct(a), context.to_ntt_ct(b)
+    return {
+        "coefficient": (a, b),
+        "resident": (a_ntt, b_ntt),
+        "a-resident": (a_ntt, b),
+        "per-part": (Ciphertext((a_ntt.c0, a.c1), a.params),
+                     Ciphertext((b.c0, b_ntt.c1), b.params)),
+    }[mix]
+
+
+@pytest.mark.parametrize("executor", [("serial", 1), ("threads", 2)],
+                         ids=["serial", "threads@2"])
+@pytest.mark.parametrize(
+    "mix", ["coefficient", "resident", "a-resident", "per-part"])
+def test_multiply_raw_matches_integer_oracle(setup, mix, executor,
+                                             monkeypatch):
+    monkeypatch.setattr(parallel_config, "PARALLEL_MIN_WORK", 1)
+    context, a, b, oracle = setup
+    params = context.params
+    x, y = _mix(context, a, b, mix)
+    before = batch.transform_counts()
+    with use_executor(*executor):
+        raw = Evaluator(context).multiply_raw(x, y)
+    after = batch.transform_counts()
+    for part, want in zip(raw.parts, oracle, strict=True):
+        assert not part.ntt_domain
+        assert np.array_equal(part.residues, want)
+    # Lift: a coefficient part forwards all k_total rows of its lifted
+    # operand and inverts nothing; a resident part inverts k_q rows for
+    # the quotient estimate and forwards only its k_p new channels.
+    # Scale: one inverse of the three products over the full basis.
+    resident_parts = sum(p.ntt_domain for p in (*x.parts, *y.parts))
+    assert after["forward_rows"] - before["forward_rows"] == \
+        (4 - resident_parts) * params.k_q + 4 * params.k_p
+    assert after["inverse_rows"] - before["inverse_rows"] == \
+        resident_parts * params.k_q + 3 * params.k_total
+    assert after["fallback_calls"] == before["fallback_calls"]
+
+
+@pytest.mark.parametrize(
+    "mix", ["coefficient", "resident", "a-resident", "per-part"])
+def test_mult_degrades_loudly_on_a_base_the_engine_cannot_serve(
+        mix, monkeypatch):
+    """Outside the batched engine's envelope the lift takes its per-row
+    fallback: same parts, every transform recorded as a fallback."""
+    context = FvContext(toy(), seed=2019)
+    a, b = _operands(context, context.keygen())
+    x, y = _mix(context, a, b, mix)
+    evaluator = Evaluator(context)
+    want = evaluator.multiply_raw(x, y)
+    batch.reset_engine_fallbacks()
+    monkeypatch.setattr(batch, "MAX_ENGINE_N", context.params.n // 2)
+    assert not evaluator.resident_tensor_ok
+    before = batch.transform_counts()["fallback_calls"]
+    got = evaluator.multiply_raw(x, y)
+    for part, ref in zip(got.parts, want.parts, strict=True):
+        assert np.array_equal(part.residues, ref.residues)
+    assert batch.transform_counts()["fallback_calls"] > before
+    assert any("envelope" in event.reason
+               for event in batch.engine_fallbacks())
+    batch.reset_engine_fallbacks()
