@@ -18,6 +18,7 @@ from contextlib import nullcontext
 from ..errors import NoiseBudgetExhausted, ParameterError
 from ..fv.ciphertext import Ciphertext
 from ..fv.encoder import Plaintext
+from ..fv.galois import canonical_steps
 from ..fv.noise import MIN_VERIFIED_BUDGET_BITS, budget_bits
 from ..nttmath.batch import transform_counts
 from ..obs import TraceReport, Tracer
@@ -426,18 +427,23 @@ class LocalBackend:
         All pending members share their source's digit-decomposition
         NTT via :meth:`~repro.fv.galois.GaloisEngine.apply_many_resident`;
         results land in each member's graph cache, so the normal node
-        loop sees them as already computed.
+        loop sees them as already computed. An identity member is left
+        to :meth:`_execute`, which returns its operand.
         """
         session = self.session
+        n = session.params.n
         source = group[0].args[0]
-        pending = [m for m in group if m.cached is None]
+        pending = [m for m in group
+                   if m.cached is None and canonical_steps(m.payload, n)]
+        if not pending:
+            return 0
         keys = {
-            int(m.payload): session.rotation_key(m.payload)
+            canonical_steps(m.payload, n): session.rotation_key(m.payload)
             for m in pending
         }
         results = session.galois.apply_many_resident(source.cached, keys)
         for member in pending:
-            member.cached = results[int(member.payload)]
+            member.cached = results[canonical_steps(member.payload, n)]
         return len(pending)
 
     def _execute(self, node: ExprNode, wants: dict[int, bool]) -> Ciphertext:
@@ -500,6 +506,9 @@ class LocalBackend:
             return session.evaluator.relinearize(args[0], session.keys.relin,
                                                  resident=resident_out)
         if node.op is OpKind.ROTATE:
+            if canonical_steps(node.payload, session.params.n) == 0:
+                # The identity rotation: no key, no switch, no noise.
+                return args[0]
             key = session.rotation_key(node.payload)
             if args[0].c0.ntt_domain or resident_out:
                 return session.galois.apply_resident(args[0], key)

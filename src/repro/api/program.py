@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 from ..errors import NoiseBudgetExhausted, ParameterError
 from ..fv.ciphertext import Ciphertext
 from ..fv.encoder import Plaintext
+from ..fv.galois import canonical_steps
 from ..fv.noise_model import NoiseModel
 from ..params import ParameterSet
 from ..system.workloads import JobKind
@@ -61,7 +62,14 @@ _DEPTH_OPS = frozenset({OpKind.MULTIPLY, OpKind.MULTIPLY_RAW})
 
 def sum_slots_rounds(n: int) -> int:
     """Rotate-and-add rounds one SUM_SLOTS expands to: log2(n/2)
-    power-of-two row rotations plus the row-folding conjugation."""
+    power-of-two row rotations plus the row-folding conjugation.
+
+    This is the *modelled* count — the ROTATE jobs the simulated
+    coprocessor (which has no hoisting) runs, and the rounds the
+    worst-case noise walk takes. The functional engine runs
+    ceil(rounds / 2) hoisted radix-4 rounds
+    (:func:`repro.fv.galois.summation_rounds`) with the same worst-case
+    noise: v -> 4v + 3e is two v -> 2v + e steps."""
     return max((n // 2).bit_length() - 1, 0) + 1
 
 
@@ -368,13 +376,14 @@ class HEProgram:
         return counts
 
     def rotation_steps(self) -> list[int]:
-        """Distinct rotation amounts the program needs, normalised the
-        way the session's Galois-key cache keys them (mod n)."""
+        """Distinct rotation amounts the program needs a key for,
+        normalised the way the session's Galois-key cache keys them
+        (modulo the rotation group's order; the identity needs none)."""
         steps = {
-            int(node.payload) % self.params.n
+            canonical_steps(node.payload, self.params.n)
             for node in self.nodes if node.op is OpKind.ROTATE
         }
-        return sorted(steps)
+        return sorted(steps - {0})
 
     @property
     def uses_sum_slots(self) -> bool:

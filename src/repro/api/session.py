@@ -27,7 +27,13 @@ from ..errors import EncodingError, ParameterError
 from ..fv.ciphertext import Ciphertext
 from ..fv.encoder import BatchEncoder, IntegerEncoder, Plaintext
 from ..fv.evaluator import Evaluator
-from ..fv.galois import GaloisEngine, GaloisKey
+from ..fv.galois import (
+    GaloisEngine,
+    GaloisKey,
+    canonical_steps,
+    rotation_element,
+    summation_elements,
+)
 from ..fv.keys import KeySet
 from ..fv.noise import budget_bits
 from ..fv.scheme import FvContext
@@ -59,8 +65,9 @@ class Session:
         self.encoder_kind, self.encoder = self._pick_encoder(encoder)
         self.evaluator = Evaluator(self.context)
         self.galois = GaloisEngine(self.context)
-        self._rotation_keys: dict[int, GaloisKey] = {}
-        self._summation_keys: dict | None = None
+        # The one Galois key cache, keyed as key bundles are labelled:
+        # normalised rotation steps, "conjugate", "conjugate_quarter".
+        self._galois_keys: dict = {}
         # Plaintext-constant NTT pool: the server-side cache of encoded
         # constants in the evaluation domain, so a constant reused
         # across ops/requests is transformed exactly once. Bounded
@@ -263,14 +270,26 @@ class Session:
 
     # -- Galois key management --------------------------------------------------------
 
+    def _ensure_galois_keys(self, elements: dict) -> int:
+        """Generate the keys of ``{label: element}`` the cache lacks;
+        returns how many that was."""
+        missing = {label: g for label, g in elements.items()
+                   if label not in self._galois_keys}
+        for label, g in missing.items():
+            self._galois_keys[label] = self.galois.keygen(
+                self.keys.secret, g)
+        return len(missing)
+
     def rotation_key(self, steps: int) -> GaloisKey:
-        """The key-switch key for one rotation amount (cached)."""
-        steps = int(steps) % self.params.n
-        if steps not in self._rotation_keys:
-            self._rotation_keys.update(
-                self.galois.rotation_keygen(self.keys.secret, [steps])
-            )
-        return self._rotation_keys[steps]
+        """The key-switch key for one rotation amount (cached; ``steps``
+        and ``steps + n/2`` are the same rotation and share a key).
+        The identity rotation has none: it returns its operand."""
+        steps = canonical_steps(steps, self.params.n)
+        if steps == 0:
+            raise ParameterError("the identity rotation needs no key")
+        self._ensure_galois_keys(
+            {steps: rotation_element(steps, self.params.n)})
+        return self._galois_keys[steps]
 
     def prefetch_rotation_keys(self, steps_list) -> int:
         """Derive every missing rotation key in one batch (deduped).
@@ -279,23 +298,21 @@ class Session:
         :meth:`HEProgram.rotation_steps` before walking the graph, so
         Galois keygen happens once per distinct step per session
         instead of per-op cache probes mid-run. Returns the number of
-        keys actually generated.
+        keys actually generated (the identity rotation needs none).
         """
-        wanted = {int(steps) % self.params.n for steps in steps_list}
-        missing = sorted(wanted - self._rotation_keys.keys())
-        if missing:
-            self._rotation_keys.update(
-                self.galois.rotation_keygen(self.keys.secret, missing)
-            )
-        return len(missing)
+        n = self.params.n
+        wanted = {canonical_steps(s, n) for s in steps_list} - {0}
+        return self._ensure_galois_keys({
+            steps: rotation_element(steps, n) for steps in sorted(wanted)
+        })
 
     def summation_keys(self) -> dict:
-        """Every key ``GaloisEngine.sum_all_slots_resident`` needs (cached)."""
-        if self._summation_keys is None:
-            self._summation_keys = self.galois.summation_keygen(
-                self.keys.secret
-            )
-        return self._summation_keys
+        """Every key ``GaloisEngine.sum_all_slots_resident`` needs: a
+        view of the session's one Galois key cache, so the rotations a
+        program also uses directly are the same key objects."""
+        elements = summation_elements(self.params.n)
+        self._ensure_galois_keys(elements)
+        return {label: self._galois_keys[label] for label in elements}
 
     # -- programs ----------------------------------------------------------------------
 

@@ -35,6 +35,13 @@ from .keyswitch import key_switch
 from .sampler import discrete_gaussian, uniform_rns_rows
 from .scheme import FvContext
 
+#: Key-bundle label of the row-swapping conjugation key.
+CONJUGATE = "conjugate"
+
+#: Key-bundle label of the one composite key the summation ladder needs:
+#: conjugation composed with the rotation by n/4 steps.
+CONJUGATE_QUARTER = "conjugate_quarter"
+
 
 def _check_galois_element(g: int, n: int) -> None:
     if g % 2 == 0 or not 0 < g < 2 * n:
@@ -62,6 +69,13 @@ def apply_galois_rows(rows: np.ndarray, primes_col: np.ndarray, n: int,
     return out % primes_col
 
 
+def canonical_steps(steps: int, n: int) -> int:
+    """``steps`` reduced to the rotation group's order: 3 has order n/2
+    modulo 2n, so ``steps`` and ``steps + n/2`` are the same rotation
+    and 0 is the identity. Every key cache and step list keys on this."""
+    return int(steps) % max(n // 2, 1)
+
+
 def rotation_element(steps: int, n: int) -> int:
     """Galois element rotating the batching slots by ``steps``.
 
@@ -71,8 +85,7 @@ def rotation_element(steps: int, n: int) -> int:
     conjugation element (:func:`conjugation_element`) swaps the rows —
     exactly SEAL's rotate_rows / rotate_columns split.
     """
-    steps %= n
-    return pow(3, steps, 2 * n)
+    return pow(3, canonical_steps(steps, n), 2 * n)
 
 
 def conjugation_element(n: int) -> int:
@@ -102,9 +115,50 @@ def _slot_permutation_cached(n: int, g: int) -> np.ndarray:
     return perm
 
 
+def summation_rounds(n: int) -> list[dict]:
+    """The slot-summation schedule: per round, ``{label: element}`` of
+    the key switches that share one digit decomposition.
+
+    The slots form a 2 x (n/2) matrix under the Galois action, so the
+    total is ``prod_g (1 + tau_g)`` over the generators rot 1, rot 2,
+    ..., rot n/4 and the row-swapping conjugation. Generators are taken
+    two at a time — ``(1 + tau_a)(1 + tau_b) = 1 + tau_a + tau_b +
+    tau_ab``, a radix-4 round of three switches — and a trailing single
+    generator is a radix-2 round. Labels are the key-bundle labels:
+    rotation steps, :data:`CONJUGATE`, and :data:`CONJUGATE_QUARTER`
+    for the one composite that is not a rotation.
+    """
+    generators = [(1 << k, rotation_element(1 << k, n))
+                  for k in range((n // 2).bit_length() - 1)]
+    generators.append((CONJUGATE, conjugation_element(n)))
+    rounds = []
+    for (label_a, g_a), (label_b, g_b) in zip(generators[::2],
+                                              generators[1::2]):
+        composite = (CONJUGATE_QUARTER if label_b == CONJUGATE
+                     else label_a + label_b)
+        rounds.append({label_a: g_a, label_b: g_b,
+                       composite: g_a * g_b % (2 * n)})
+    if len(generators) % 2:
+        rounds.append(dict(generators[-1:]))
+    return rounds
+
+
+def summation_elements(n: int) -> dict:
+    """``{label: element}`` of every key the summation schedule uses."""
+    return {label: g for elements in summation_rounds(n)
+            for label, g in elements.items()}
+
+
 @dataclass
 class GaloisKey:
-    """Key-switch key for one Galois element (NTT domain, RNS digits)."""
+    """Key-switch key for one Galois element (NTT domain, RNS digits).
+
+    ``pairs`` rows are ``uint32`` — residues are below 2^30, the
+    32-bit-word layout of paper Sec. V-D and of the ciphertext wire
+    format — whether generated or loaded. Consumers multiply them
+    against int64 digits (never against a bare Python int, which numpy
+    2 would keep in uint32 and wrap).
+    """
 
     element: int
     pairs: list[tuple[np.ndarray, np.ndarray]]
@@ -119,32 +173,37 @@ class GaloisEngine:
     # -- key generation ---------------------------------------------------------
 
     def keygen(self, secret: SecretKey, g: int) -> GaloisKey:
-        """Key encrypting q~_i q*_i * tau_g(s) for each q prime."""
+        """Key encrypting q~_i q*_i * tau_g(s) for each q prime.
+
+        Only the evaluation-domain ``a_i`` is ever stored, and uniform
+        is uniform on either side of the NTT bijection, so it is drawn
+        there; the ``e_i`` share one stacked forward transform.
+        """
         context = self.context
         params = context.params
         _check_galois_element(g, params.n)
         primes_col = context.q_basis.primes_col
-        s_rows = secret.rns.residues
-        tau_s = apply_galois_rows(s_rows, primes_col, params.n, g)
-        tau_s_ntt = context._ntt_rows(tau_s)
+        tau_s_ntt = context._ntt_rows(apply_galois_rows(
+            secret.rns.residues, primes_col, params.n, g))
         s_ntt = secret.ntt_rows
+        a_ntt = [uniform_rns_rows(context.rng, params.n, params.q_primes)
+                 for _ in range(params.k_q)]
+        e_ntt = context._ntt_rows(np.stack([
+            context._small_poly_rows(
+                discrete_gaussian(context.rng, params.n, params.sigma))
+            for _ in range(params.k_q)
+        ]))
         pairs = []
         for i in range(params.k_q):
-            a_rows = uniform_rns_rows(context.rng, params.n,
-                                      params.q_primes)
-            a_ntt = context._ntt_rows(a_rows)
-            e_rows = context._small_poly_rows(
-                discrete_gaussian(context.rng, params.n, params.sigma)
-            )
-            e_ntt = context._ntt_rows(e_rows)
             weight = (context.q_basis.q_tilde[i]
                       * context.q_basis.q_star[i])
             weight_col = np.array(
                 [weight % qj for qj in params.q_primes], dtype=np.int64,
             )[:, None]
-            b_ntt = (weight_col * tau_s_ntt - a_ntt * s_ntt
-                     - e_ntt) % primes_col
-            pairs.append((b_ntt, a_ntt))
+            b_ntt = (weight_col * tau_s_ntt - a_ntt[i] * s_ntt
+                     - e_ntt[i]) % primes_col
+            pairs.append((b_ntt.astype(np.uint32),
+                          a_ntt[i].astype(np.uint32)))
         return GaloisKey(element=g, pairs=pairs)
 
     def rotation_keygen(self, secret: SecretKey,
@@ -157,14 +216,12 @@ class GaloisEngine:
         }
 
     def summation_keygen(self, secret: SecretKey) -> dict:
-        """All keys :meth:`sum_all_slots_resident` needs: power-of-two
-        row rotations plus the row-swapping conjugation."""
-        n = self.context.params.n
-        keys = self.rotation_keygen(
-            secret, [1 << k for k in range((n // 2).bit_length() - 1)]
-        )
-        keys["conjugate"] = self.keygen(secret, conjugation_element(n))
-        return keys
+        """All keys :meth:`sum_all_slots_resident` needs, labelled as
+        :func:`summation_rounds` labels them."""
+        return {
+            label: self.keygen(secret, g)
+            for label, g in summation_elements(self.context.params.n).items()
+        }
 
     # -- homomorphic application -----------------------------------------------------
 
@@ -225,10 +282,9 @@ class GaloisEngine:
         """
         return self._apply(ct, key, resident=True)
 
-    def apply_many_resident(self, ct: Ciphertext,
-                            keys_by_step: dict[int, GaloisKey]
-                            ) -> dict[int, Ciphertext]:
-        """Hoisted rotations: one digit transform shared by every key.
+    def apply_many_resident(self, ct: Ciphertext, keys: dict) -> dict:
+        """Hoisted key switches: one digit transform shared by every
+        key of ``keys`` (label -> key; results come back by label).
 
         Halevi–Shoup hoisting: the digit decomposition's stacked
         forward NTT depends only on c1, so it runs **once**; each
@@ -250,12 +306,11 @@ class GaloisEngine:
                                          self._c1_coefficients(ct), lazy=True)
         c0 = ct.c0 if ct.c0.ntt_domain else ct.c0.to_ntt()
         return {
-            steps: key_switch(
+            label: key_switch(
                 context,
-                np.ascontiguousarray(
-                    d_ntt[:, :, slot_permutation(n, key.element)]),
+                np.take(d_ntt, slot_permutation(n, key.element), axis=2),
                 key.pairs, (self._tau(c0, key.element),), resident=True)
-            for steps, key in keys_by_step.items()
+            for label, key in keys.items()
         }
 
     def rotate(self, ct: Ciphertext, steps: int,
@@ -266,25 +321,42 @@ class GaloisEngine:
 
     def sum_all_slots_resident(self, ct: Ciphertext,
                                keys: dict) -> Ciphertext:
-        """NTT-resident rotate-and-add: every slot ends up holding the
-        total.
+        """NTT-resident hoisted rotate-and-add: every slot ends up
+        holding the total.
 
-        The slots form a 2 x (n/2) matrix under the Galois action:
-        log2(n/2) power-of-two row rotations sum within each row, then
-        one conjugation folds the two rows together. Build the key set
-        with :meth:`summation_keygen`. Every round's rotation output
-        and addition stays in the evaluation domain, so the whole
-        reduction performs no inverse transforms beyond the one per
-        round that key-switching fundamentally needs.
+        One :meth:`apply_many_resident` per round of
+        :func:`summation_rounds`: the round's three key switches (one
+        for a trailing radix-2 round) share a single digit
+        decomposition — one inverse transform of c1 and one broadcast
+        forward transform, the cost of a key switch — and their outputs
+        are summed into the running result with one reduction (four
+        canonical rows stay below 2^32). Build the key set with
+        :meth:`summation_keygen`. The worst-case noise is that of the
+        one-generator-per-round ladder: a radix-4 round takes v to
+        4v + 3e, exactly what two v -> 2v + e rounds give.
         """
-        n = self.context.params.n
-        result = self.context.to_ntt_ct(ct)
-        step = 1
-        while step < n // 2:
-            if step not in keys:
-                raise ParameterError(f"no rotation key for {step} steps")
-            rotated = self.apply_resident(result, keys[step])
-            result = self.context.add(result, rotated)
-            step *= 2
-        conjugated = self.apply_resident(result, keys["conjugate"])
-        return self.context.add(result, conjugated)
+        context = self.context
+        basis = context.q_basis
+        schedule = summation_rounds(context.params.n)
+        missing = {label for elements in schedule
+                   for label in elements} - keys.keys()
+        if missing:
+            raise ParameterError(
+                f"no summation key for {sorted(missing, key=str)}")
+        result = context.to_ntt_ct(ct)
+        for elements in schedule:
+            switched = self.apply_many_resident(
+                result, {label: keys[label] for label in elements})
+            terms = (result, *switched.values())
+            result = Ciphertext(
+                tuple(
+                    RnsPoly.trusted(
+                        basis,
+                        sum(term.parts[i].residues for term in terms)
+                        % basis.primes_col,
+                        ntt_domain=True)
+                    for i in range(2)
+                ),
+                context.params,
+            )
+        return result

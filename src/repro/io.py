@@ -346,12 +346,14 @@ def load_keyset(path, params: ParameterSet) -> KeySet:
 def save_galois_keys(path, keys: dict, params: ParameterSet) -> None:
     """Persist a labelled Galois key bundle NTT-domain (version 2).
 
-    ``keys`` maps labels — rotation step counts or ``"conjugate"``, as
-    produced by :meth:`~repro.fv.galois.GaloisEngine.rotation_keygen`
-    and ``summation_keygen`` — to :class:`~repro.fv.galois.GaloisKey`
-    objects. The (b, a) digit pairs are written exactly as the engine
-    holds them (NTT domain), each tagged with a payload digest, so a
-    reload performs zero key transforms.
+    ``keys`` maps labels — rotation step counts, ``"conjugate"`` or
+    ``"conjugate_quarter"``, as produced by
+    :meth:`~repro.fv.galois.GaloisEngine.rotation_keygen` and
+    ``summation_keygen`` — to :class:`~repro.fv.galois.GaloisKey`
+    objects. The (b, a) digit pairs are written in the NTT domain the
+    engine holds them in, widened to the format's 64-bit words (the
+    engine's rows are ``uint32``), each tagged with a payload digest,
+    so a reload performs zero key transforms.
     """
     entries = []
     blobs = []
@@ -381,12 +383,13 @@ def load_galois_keys(path, params: ParameterSet) -> dict:
     :func:`save_galois_keys`.
 
     Integer labels come back as ``int`` (rotation steps); the
-    ``"conjugate"`` label stays a string — the mapping plugs straight
-    into ``GaloisEngine.rotate`` / ``sum_all_slots_resident``. Every
-    digit is checked against its NTT-domain digest and no transform
-    runs.
+    ``"conjugate"`` and ``"conjugate_quarter"`` labels stay strings —
+    the mapping plugs straight into ``GaloisEngine.rotate`` /
+    ``sum_all_slots_resident``. Every digit is checked against its
+    NTT-domain digest and range, comes back as the ``uint32`` rows the
+    engine holds, and no transform runs.
     """
-    from .fv.galois import GaloisKey
+    from .fv.galois import CONJUGATE, CONJUGATE_QUARTER, GaloisKey
 
     header, payload = _read(Path(path))
     if header.get("kind") != "galois_keys":
@@ -399,6 +402,7 @@ def load_galois_keys(path, params: ParameterSet) -> dict:
             "Galois key file declares no entry table — corrupted header"
         )
     k_q, n = params.k_q, params.n
+    primes_col = basis_for(params.q_primes).primes_col
     max_components = len(payload) // (8 * n) + 1
     keys: dict = {}
     offset = 0
@@ -433,8 +437,15 @@ def load_galois_keys(path, params: ParameterSet) -> dict:
                     f"Galois key {label!r} digit {i} does not match its "
                     "declared NTT-domain digest — corrupted file"
                 )
-            pairs.append((b_ntt, a_ntt))
-        if label == "conjugate":
+            for rows in (b_ntt, a_ntt):
+                if ((rows < 0) | (rows >= primes_col)).any():
+                    raise EncodingError(
+                        f"Galois key {label!r} digit {i} holds values "
+                        "that are not residues — corrupted file"
+                    )
+            pairs.append((b_ntt.astype(np.uint32),
+                          a_ntt.astype(np.uint32)))
+        if label in (CONJUGATE, CONJUGATE_QUARTER):
             resolved: object = label
         else:
             try:
@@ -442,7 +453,7 @@ def load_galois_keys(path, params: ParameterSet) -> dict:
             except ValueError as exc:
                 raise EncodingError(
                     f"Galois key label {label!r} is neither a step count "
-                    "nor 'conjugate' — corrupted header"
+                    "nor a conjugation label — corrupted header"
                 ) from exc
         keys[resolved] = GaloisKey(element=element, pairs=pairs)
     if offset != len(payload):

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 from ..api.program import ExprNode, HEProgram, OpKind
 from ..fv.encoder import Plaintext
+from ..fv.galois import canonical_steps
 from ..params import ParameterSet
 
 #: run() result: (new outputs, rewrites applied, detail counters).
@@ -153,7 +154,7 @@ class RotationCanonicalizePass(Pass):
 
     def run(self, outputs: dict[str, ExprNode],
             ctx: PassContext) -> PassResult:
-        half = max(ctx.params.n // 2, 1)
+        n = ctx.params.n
         rewrites = 0
 
         def transform(node: ExprNode,
@@ -165,12 +166,12 @@ class RotationCanonicalizePass(Pass):
                 return new_args[0].args[0]
             if node.op is not OpKind.ROTATE:
                 return None
-            steps = int(node.payload) % half
+            steps = canonical_steps(node.payload, n)
             inner = new_args[0]
             # Bottom-up traversal means `inner` is already canonical,
             # so one composition step collapses any rotation chain.
             if inner.op is OpKind.ROTATE:
-                steps = (steps + inner.payload) % half
+                steps = canonical_steps(steps + inner.payload, n)
                 inner = inner.args[0]
             if steps == 0:
                 rewrites += 1

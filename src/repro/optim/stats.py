@@ -6,6 +6,10 @@ and — the currency the paper's coprocessor actually spends — the number
 of keyswitch operations the program will execute once lowered (every
 ROTATE, every relinearisation inside a MULTIPLY or a deferred
 RELINEARIZE, and the log2(n/2) + 1 rounds of every SUM_SLOTS ladder).
+That is the *modelled* job count: the functional engine's ladder shares
+one digit decomposition between the key switches of two rounds
+(ceil(rounds / 2) hoisted rounds, ``repro.fv.galois.summation_rounds``),
+which the modelled coprocessor cannot.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from repro.errors import EncodingError, NoiseBudgetExhausted, ParameterError
 from repro.fv.evaluator import Evaluator
 from repro.fv.galois import GaloisEngine
 from repro.fv.noise import MIN_VERIFIED_BUDGET_BITS
+from repro.optim import PassManager, RotationHoistPass
 from repro.params import mini
 from repro.system.server import CostModel
 from repro.system.workloads import Job, JobKind, merge_streams
@@ -119,6 +120,77 @@ class TestHandleAlgebra:
         assert rotated[0] == 2              # slot row rotated left by one
         total = batch_session.decrypt(sum_slots(h), 1)
         assert total[0] == sum(values)
+
+
+class TestGaloisKeyCache:
+    """One cache, keyed by the rotation group's order (n/2 = 128)."""
+
+    def test_steps_share_a_key_modulo_the_group_order(self):
+        session = Session(mini(t=65537), seed=5)
+        x = session.encrypt(np.arange(256))
+        assert session.rotation_key(129) is session.rotation_key(1)
+        assert session.prefetch_rotation_keys([1, 129, -127]) == 0
+        program = session.compile({"a": x.rotate(1), "b": x.rotate(129)})
+        assert program.rotation_steps() == [1]
+        result = LocalBackend(session).run(program)
+        assert np.array_equal(result.decrypt("a"), result.decrypt("b"))
+
+    def test_identity_rotation_costs_nothing(self, monkeypatch):
+        session = Session(mini(t=65537), seed=5)
+        x = session.encrypt(np.arange(256))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("identity rotation touched a key")
+
+        monkeypatch.setattr(session.galois, "keygen", refuse)
+        monkeypatch.setattr(session.galois, "_apply", refuse)
+        monkeypatch.setattr(session.galois, "apply_many_resident", refuse)
+        for steps in (0, 128, -256):
+            turned = x.rotate(steps)
+            program = session.compile(turned)
+            assert program.rotation_steps() == []
+            LocalBackend(session).run(program)
+            assert turned.node.cached is x.node.cached
+            assert session.noise_budget_bits(turned) == \
+                session.noise_budget_bits(x)
+        assert session.prefetch_rotation_keys([0, 128]) == 0
+        with pytest.raises(ParameterError, match="identity"):
+            session.rotation_key(128)
+        # A pipeline that hoists without canonicalising first.
+        still, turned = x.rotate(0), x.rotate(128)
+        program, _ = PassManager([RotationHoistPass()]).optimize(
+            session.compile({"still": still, "turned": turned}))
+        assert len(program.hoist_groups) == 1
+        LocalBackend(session).run(program)
+        assert still.node.cached is turned.node.cached is x.node.cached
+        assert session._galois_keys == {}
+
+    def test_hoisted_group_shares_keys_modulo_the_group_order(self):
+        session = Session(mini(t=65537), seed=5)
+        x = session.encrypt(np.arange(256))
+        program, _ = PassManager([RotationHoistPass()]).optimize(
+            session.compile({"a": x.rotate(1), "b": x.rotate(129),
+                             "c": x.rotate(2), "d": x.rotate(128)}))
+        assert len(program.hoist_groups[0]) == 4
+        result = LocalBackend(session).run(program)
+        assert session._galois_keys.keys() == {1, 2}
+        assert np.array_equal(result.decrypt("a"), result.decrypt("b"))
+        assert np.array_equal(result.decrypt("a"),
+                              session.decrypt(x.rotate(1)))
+        assert np.array_equal(result.decrypt("c"),
+                              session.decrypt(x.rotate(2)))
+        assert np.array_equal(result.decrypt("d"), np.arange(256))
+
+    def test_summation_keys_are_a_view_of_the_cache(self):
+        session = Session(mini(t=65537), seed=5)
+        one = session.rotation_key(1)
+        keys = session.summation_keys()
+        assert keys[1] is one
+        assert session.rotation_key(3) is keys[3]
+        assert session.prefetch_rotation_keys([1, 2, 3, 4]) == 0
+        assert session.summation_keys().keys() == keys.keys()
+        assert all(session.summation_keys()[label] is key
+                   for label, key in keys.items())
 
 
 class TestHEProgram:

@@ -171,7 +171,15 @@ class TestHomomorphicRotation:
                                               rng):
         """A rotation costs only the additive key-switch noise floor
         (~k*n*2^30*sigma), cheaper than a multiplication and — unlike a
-        Mult — not compounding: two rotations cost barely more than one."""
+        Mult — not compounding: two rotations cost barely more than one.
+
+        The first Mult of a fresh ciphertext lands on that same floor
+        (its relinearisation is the same switch), so one rotation
+        against one Mult compares two realised norms 0.7 bits apart
+        either way over seeds, here and at hpca19. The strict
+        comparison is made where the Mult's own term shows, some 20
+        bits: on the Mult's output, whose noise is at the floor, and
+        over two operations each."""
         from repro.fv.evaluator import Evaluator
 
         params = galois_context.params
@@ -187,12 +195,20 @@ class TestHomomorphicRotation:
                                       galois_keys.secret)
         after_two = noise_budget_bits(galois_context, rotated_twice,
                                       galois_keys.secret)
-        mult = Evaluator(galois_context).multiply(ct, ct,
-                                                  galois_keys.relin)
+        evaluator = Evaluator(galois_context)
+        mult = evaluator.multiply(ct, ct, galois_keys.relin)
         after_mult = noise_budget_bits(galois_context, mult,
                                        galois_keys.secret)
+        after_mult_rotated = noise_budget_bits(
+            galois_context, engine.apply(mult, key), galois_keys.secret)
+        after_mult_squared = noise_budget_bits(
+            galois_context,
+            evaluator.multiply(mult, mult, galois_keys.relin),
+            galois_keys.secret)
         assert after_one > 0
-        assert before - after_one < before - after_mult
+        assert after_mult - after_mult_rotated \
+            < after_mult - after_mult_squared
+        assert before - after_two < before - after_mult_squared
         # Additive floor: the second rotation is nearly free.
         assert after_one - after_two < 3
 

@@ -392,9 +392,36 @@ class TestKeyMaterialWireV2:
         loaded, delta = self._transform_delta(
             lambda: load_galois_keys(path, params))
         assert all(v == 0 for v in delta.values()), delta
-        assert set(loaded) == set(keys)
+        # The summation bundle round-trips whole: labels (in order,
+        # including the composite conjugation key), elements and the
+        # engine's uint32 rows.
+        assert list(loaded) == list(keys)
+        assert "conjugate_quarter" in loaded
         for label, key in keys.items():
             assert loaded[label].element == key.element
+            for got, want in zip(loaded[label].pairs, key.pairs,
+                                 strict=True):
+                for got_rows, want_rows in zip(got, want, strict=True):
+                    assert got_rows.dtype == want_rows.dtype == np.uint32
+                    assert np.array_equal(got_rows, want_rows)
+        # On disk the rows are the format's 64-bit words, digested as
+        # such: compact rows changed neither bytes nor digests.
+        import hashlib
+        import json as _json
+
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:12], "little")
+        header = _json.loads(blob[12:12 + header_len])
+        assert len(blob) - 12 - header_len == sum(
+            2 * 8 * row.size for key in keys.values()
+            for row, _ in key.pairs)
+        for entry, key in zip(header["entries"], keys.values(),
+                              strict=True):
+            assert entry["digests"] == [
+                hashlib.sha256(b"ntt:" + b.astype("<i8").tobytes()
+                               + a.astype("<i8").tobytes()
+                               ).hexdigest()[:16]
+                for b, a in key.pairs]
 
         plain = Plaintext(rng.integers(0, params.t, params.n), params.t)
         ct = toy_context.encrypt(plain, toy_keys.public)
@@ -428,4 +455,24 @@ class TestKeyMaterialWireV2:
         save_galois_keys(path, keys, params)
         self._strip_version(path)
         with pytest.raises(EncodingError, match="version None"):
+            load_galois_keys(path, params)
+
+    def test_galois_rows_that_are_not_residues_rejected(self, tmp_path,
+                                                        toy_context,
+                                                        toy_keys):
+        """A correctly digested row beyond its prime must not be cast
+        down to the engine's 32-bit rows."""
+        from repro.fv.galois import GaloisEngine
+        from repro.io import load_galois_keys, save_galois_keys
+
+        params = toy_context.params
+        key = GaloisEngine(toy_context).rotation_keygen(
+            toy_keys.secret, [1])[1]
+        b_ntt, a_ntt = key.pairs[0]
+        wide = b_ntt.astype(np.int64)
+        wide[0, 0] += 1 << 32
+        key.pairs[0] = (wide, a_ntt)
+        path = tmp_path / "galois.bin"
+        save_galois_keys(path, {1: key}, params)
+        with pytest.raises(EncodingError, match="not residues"):
             load_galois_keys(path, params)

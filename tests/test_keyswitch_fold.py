@@ -1,4 +1,5 @@
-"""Differential tests of the one key switch (relinearisation + Galois).
+"""Differential tests of the one key switch (relinearisation + Galois)
+and of the hoisted slot-summation ladder built on it.
 
 :func:`repro.fv.keyswitch.key_switch` serves every caller: it takes the
 digits transformed by the fused lazy ``ntt_broadcast_rows`` ([0, 2q)
@@ -10,21 +11,36 @@ arrived in. The oracle here recomputes it from its definition —
 accumulation — and must agree bit for bit. Under the thread pool the
 fold runs as channel bands through the instrumented fan-out, which the
 ``threads@2`` arm checks from the trace.
+
+Galois keys hold ``uint32`` rows; every oracle below widens them to
+Python integers, so a consumer multiplying them outside int64 (numpy 2
+keeps ``uint32_row * python_int`` in uint32) cannot agree with it.
 """
 
 import numpy as np
 import pytest
 
 import repro.parallel.config as parallel_config
+from repro.api import LocalBackend, Session, rotate, sum_slots
+from repro.errors import ParameterError
 from repro.fv.ciphertext import Ciphertext
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
-from repro.fv.galois import GaloisEngine, apply_galois_rows, rotation_element
+from repro.fv.galois import (
+    CONJUGATE_QUARTER,
+    GaloisEngine,
+    GaloisKey,
+    apply_galois_rows,
+    rotation_element,
+    summation_rounds,
+)
 from repro.fv.scheme import FvContext
+from repro.io import load_galois_keys, save_galois_keys
+from repro.nttmath import find_ntt_primes
 from repro.nttmath.batch import intt_rows, ntt_rows, transform_counts
 from repro.obs import Tracer, current_registry
 from repro.parallel import use_executor
-from repro.params import hpca19, mini, toy
+from repro.params import PRIME_BITS, ParameterSet, hpca19, mini, toy
 from repro.rns.decompose import broadcast_digit_rows, grouped_rns_digits
 
 
@@ -204,3 +220,158 @@ def test_hoisted_group_shares_one_digit_transform(setup, resident):
         assert many[steps].ntt_resident
         assert context.decrypt(many[steps], keys.secret) == \
             context.decrypt(engine.apply_resident(a, key), keys.secret)
+
+
+EXECUTORS = pytest.mark.parametrize(
+    "executor", [("serial", 1), ("threads", 2)], ids=["serial", "threads@2"])
+
+
+def _count_diff(before, after):
+    return {name: after[name] - before[name] for name in after}
+
+
+@EXECUTORS
+@pytest.mark.parametrize("rows", ["uint32", "int64-loaded"])
+def test_hoisted_round_matches_python_int_oracle(setup, rows, executor,
+                                                 monkeypatch, tmp_path):
+    """Every output of ``apply_many_resident`` is, as Python integers
+    modulo each prime, ``(tau_g(c0) + sum_i tau_g(d_i) b_i,
+    sum_i tau_g(d_i) a_i)`` over the *signed* permuted digits — on the
+    ladder's last round, which holds the composite conjugation key.
+    ``int64-loaded`` keys went through the bundle file with the int64
+    rows a pre-compaction engine held (the same bytes on disk)."""
+    monkeypatch.setattr(parallel_config, "PARALLEL_MIN_WORK", 1)
+    context, keys, _ = setup
+    params = context.params
+    primes = params.q_primes
+    primes_col = context.q_basis.primes_col
+    engine = GaloisEngine(context)
+    elements = summation_rounds(params.n)[-1]
+    assert CONJUGATE_QUARTER in elements
+    group = {label: engine.keygen(keys.secret, g)
+             for label, g in elements.items()}
+    if rows == "int64-loaded":
+        wide = {
+            label: GaloisKey(key.element, [
+                (b.astype(np.int64), a.astype(np.int64))
+                for b, a in key.pairs])
+            for label, key in group.items()
+        }
+        save_galois_keys(tmp_path / "round.bin", wide, params)
+        group = load_galois_keys(tmp_path / "round.bin", params)
+    assert all(row.dtype == np.uint32
+               for key in group.values() for pair in key.pairs
+               for row in pair)
+
+    (ct, _) = _encrypt_pair(context, keys, True)
+    coeff = context.to_coeff_ct(ct)
+    digits = broadcast_digit_rows(coeff.c1.residues, context.q_basis)
+    with use_executor(*executor):
+        many = engine.apply_many_resident(ct, group)
+    assert many.keys() == group.keys()
+    for label, key in group.items():
+        g = key.element
+        tau_digits = np.stack([
+            apply_galois_rows(digit, primes_col, params.n, g)
+            for digit in digits])
+        acc0, acc1 = _oracle_accumulators(context, tau_digits, key.pairs)
+        tau_c0 = ntt_rows(primes, apply_galois_rows(
+            coeff.c0.residues, primes_col, params.n, g))
+        _assert_parts(many[label], (tau_c0 + acc0) % primes_col, acc1,
+                      ntt_domain=True)
+
+
+def test_compact_rows_need_an_int64_partner():
+    """The numpy 2 promotion facts the compact keys rest on: against an
+    int64 digit the product is int64; against a bare Python int it
+    would stay uint32 and wrap."""
+    row = np.array([(1 << 30) - 1], dtype=np.uint32)
+    digit = np.array([(1 << 31) - 1], dtype=np.int64)
+    out = np.empty(1, dtype=np.int64)
+    np.multiply(digit, row, out=out)
+    assert out[0] == ((1 << 31) - 1) * ((1 << 30) - 1)
+    assert (digit * row).dtype == np.int64
+    assert (row * 3).dtype == np.uint32
+
+
+def _ring128(t):
+    """n = 128: n/2 = 2^6, so seven generators — an odd count."""
+    primes = find_ntt_primes(PRIME_BITS, 128, 7)
+    return ParameterSet("ring128", 128, tuple(primes[:3]),
+                        tuple(primes[3:]), t, 3.2)
+
+
+@EXECUTORS
+@pytest.mark.parametrize(
+    "params, rounds, radix2_tail",
+    [(toy(t=257), 3, False), (_ring128(257), 4, True),
+     (hpca19(t=65537), 6, False)],
+    ids=["toy", "ring128-odd", "hpca19"])
+def test_summation_ladder(params, rounds, radix2_tail, executor,
+                          monkeypatch):
+    """Every slot of ``sum_all_slots_resident`` decrypts to the total,
+    the measured budget is inside the static worst case, and the ladder
+    pays exactly one decomposition per hoisted round."""
+    monkeypatch.setattr(parallel_config, "PARALLEL_MIN_WORK", 1)
+    session = Session(params, seed=19)
+    schedule = summation_rounds(params.n)
+    assert len(schedule) == rounds
+    assert [len(r) for r in schedule] == \
+        [3] * (rounds - radix2_tail) + [1] * radix2_tail
+    keys = session.summation_keys()
+    values = np.random.default_rng(params.n).integers(0, params.t, params.n)
+    handle = session.encrypt(values, resident=True)
+    ct = handle.node.cached
+
+    before = transform_counts()
+    with use_executor(*executor):
+        total = session.galois.sum_all_slots_resident(ct, keys)
+    spent = _count_diff(before, transform_counts())
+    k_q = params.k_q
+    assert spent["inverse_rows"] == rounds * k_q
+    assert spent["forward_rows"] == rounds * k_q * k_q
+    assert spent["forward_calls"] == spent["inverse_calls"] == rounds
+    assert spent["fallback_calls"] == spent["roundtrip_rows"] == 0
+
+    assert total.ntt_resident
+    assert np.all(session.decrypt(total) == int(values.sum() % params.t))
+    static = session.compile(sum_slots(handle)).static_noise_bits()["out"]
+    assert session.noise_budget_bits(total) >= static > 0
+
+    # A bundle short of a key (a pre-radix-4 one lacks the composites)
+    # is refused by name before any key switch runs.
+    del keys["conjugate"]
+    before = transform_counts()
+    with pytest.raises(ParameterError, match="conjugate"):
+        session.galois.sum_all_slots_resident(ct, keys)
+    assert transform_counts() == before
+
+
+def test_rotsum_request_transform_rows_are_pinned():
+    """The ledger's ``rotsum_n4096`` request shape, steady state (the
+    plaintext pool warm): 18 forward rows to encrypt, then per run six
+    hoisted summation rounds and one hoisted rotation group at
+    k_q^2 forward + k_q inverse rows each, and the output boundary.
+    270 forward / 78 inverse rows per request — ``bench-smoke`` checks
+    the same numbers on the ledger record."""
+    session = Session(hpca19(t=65537))
+    backend = LocalBackend(session)
+    t = session.params.t
+    weights = np.random.default_rng(0).integers(0, t, session.params.n)
+    w_plain = session.encode(weights)
+    values = np.arange(session.params.n)
+    for _ in range(2):
+        before = transform_counts()
+        x = session.encrypt(values, resident=True)
+        encrypt = _count_diff(before, transform_counts())
+        result = backend.run(session.compile({
+            "dot": sum_slots(x * w_plain),
+            "win": (x + rotate(x, 1) + rotate(x, 2) + rotate(x, 3)) * 3,
+        }, optimize=True))
+    run = backend.telemetry["last_run"]
+    assert np.all(result.decrypt("dot") == int((values * weights).sum() % t))
+    assert (encrypt["forward_rows"] + run["forward_rows"],
+            encrypt["inverse_rows"] + run["inverse_rows"]) == (270, 78)
+    assert (encrypt["forward_calls"] + run["forward_calls"],
+            run["inverse_calls"]) == (8, 13)
+    assert run["fallback_calls"] == 0
