@@ -17,7 +17,8 @@ from conftest import save_result
 from repro.hw.config import HardwareConfig
 from repro.hw.modred import BarrettReducer, SlidingWindowReducer
 from repro.hw.ntt_unit import DualCoreNttUnit
-from repro.system.server import CloudServer
+from repro.system.server import CloudServer, CostModel
+from repro.system.workloads import JobKind
 
 BASE = HardwareConfig()
 
@@ -147,6 +148,9 @@ def test_ablation_rotation_cost(benchmark, paper_params):
     result, report = benchmark.pedantic(run_rotation, rounds=1,
                                         iterations=1)
     _, mult_report = coprocessor.mult(ct, ct, keys.relin)
+    # The served price of a ROTATE job is this executed report.
+    assert report.seconds == \
+        CostModel(params).compute_seconds(JobKind.ROTATE)
     ratio = report.total_cycles / mult_report.total_cycles
     save_result(
         "ablation_rotation",

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..hw.config import HardwareConfig
+from ..hw.isa import Opcode
 from ..obs import Span, TraceReport, cluster_timeline, runtime_timeline
 from ..params import ParameterSet
 from ..serve.engine import ServingRuntime
@@ -80,8 +81,6 @@ class LoweredProgram:
 
     def _resident_discount(self) -> float:
         """Seconds one resident ciphertext operand saves at a MULT."""
-        from ..hw.compiler import Opcode
-
         model = self.cost.instruction_cycle_model()
         return (2 * model[Opcode.INTT]
                 / self.cost.config.fpga_clock_hz)

@@ -43,6 +43,7 @@ from .params import hpca19
 from .system.arm import ArmCoreModel
 from .system.baseline import SoftwareBaseline
 from .system.server import CloudServer
+from .system.workloads import JobKind
 
 PAPER_TABLE2 = {
     Opcode.NTT: 87_582,
@@ -79,6 +80,26 @@ def cmd_table1(args: argparse.Namespace) -> None:
     print(f"{'operation':<24}{'ours (ms)':>12}{'paper (ms)':>12}")
     for label, ours, paper in rows:
         print(f"{label:<24}{ours * 1e3:>12.3f}{paper * 1e3:>12.3f}")
+    # Every job kind the simulator prices: its compiled program's census
+    # and the sum of its instructions' cycles (key streaming included).
+    print()
+    cost = server.cost
+    paper_ms = {JobKind.MULT: 4.458, JobKind.ADD: 0.026}
+    censuses = {kind: cost.program(kind).opcode_histogram()
+                for kind in JobKind}
+    columns = [op for op in Opcode
+               if any(op in census for census in censuses.values())]
+    print(f"{'job kind':<10}"
+          + "".join(f"{op.name:>{len(op.name) + 1}}" for op in columns)
+          + f"{'FPGA cycles':>13}{'ours (ms)':>11}{'paper (ms)':>12}")
+    for kind, census in censuses.items():
+        seconds = cost.compute_seconds(kind)
+        paper = f"{paper_ms[kind]:.3f}" if kind in paper_ms else "-"
+        print(f"{kind.value:<10}"
+              + "".join(f"{census.get(op, 0):>{len(op.name) + 1}}"
+                        for op in columns)
+              + f"{round(seconds * config.fpga_clock_hz):>13,}"
+              f"{seconds * 1e3:>11.3f}{paper:>12}")
 
 
 def cmd_table2(args: argparse.Namespace) -> None:
@@ -171,7 +192,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
         default_schedulers,
     )
     from .system.workloads import (
-        JobKind,
         merge_streams,
         multi_tenant_stream,
         poisson_stream,

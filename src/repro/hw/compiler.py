@@ -7,6 +7,11 @@ one Memory Rearrange per transform). The relinearisation sum-of-products
 stays in the NTT domain and only its two accumulators are inverse-
 transformed, which is what caps the INTT count at 8.
 
+Every job kind the serving stack prices has its entry here
+(``compile_add`` / ``mult`` / ``mult_raw`` / ``relin`` / ``rotation`` /
+``mul_plain``): the program an entry emits is the one census of that
+operation — the coprocessor executes it and the cost model prices it.
+
 Register convention (slots in the memory file):
 
 ========  =====================================================
@@ -15,9 +20,12 @@ b0,b1     second operand ciphertext
 t0,t1,t2  tensor results over the full basis
 tx        scratch for the cross product
 s0,s1,s2  scaled results (q basis)
-d{i}      digit polynomial i (broadcast residue row)
-p{i}      relin product scratch
-r0,r1     relin accumulators (NTT domain)
+g0,g1     rotated ciphertext parts (tau_g of a0,a1)
+m         plaintext polynomial of MulPlain (q rows)
+d{i}      digit polynomial i of the key switch
+rlk0_{i}, rlk1_{i}  key pair for digit i (streamed or resident)
+p0,p1     key-switch product scratch
+r0,r1     key-switch accumulators (NTT domain)
 out0,out1 result ciphertext
 ========  =====================================================
 """
@@ -51,27 +59,13 @@ def compile_add(params: ParameterSet) -> Program:
     return program
 
 
-def compile_mult(params: ParameterSet, config: HardwareConfig,
-                 relin_components: int | None = None,
-                 relin_style: str | None = None) -> Program:
-    """FV.Mult for the fast (HPS) or slow (traditional-CRT) coprocessor.
+def compile_mult_raw(params: ParameterSet,
+                     config: HardwareConfig) -> Program:
+    """FV.Mult up to Scale: the three-part product ``s0, s1, s2`` over q.
 
-    ``relin_components`` defaults to k_q for the HPS design (RNS digits)
-    and 2 for the traditional design (90-bit signed digits), matching the
-    paper's two configurations. ``relin_style`` selects the digit flavour
-    explicitly: ``"rns"`` (raw residue rows), ``"grouped"`` (60-bit group
-    residues — the scaling mode), or ``"digit"`` (signed base-w digits of
-    the slow coprocessor).
+    Lift, forward NTT, tensor, inverse NTT and Scale of Fig. 2 — all of
+    Mult except its relinearisation (:func:`compile_relin`).
     """
-    if relin_style is None:
-        relin_style = "rns" if config.use_hps else "digit"
-    if relin_components is None:
-        if relin_style == "rns":
-            relin_components = params.k_q
-        elif relin_style == "grouped":
-            relin_components = -(-params.k_q // 2)
-        else:
-            relin_components = 2
     program = Program(
         name="fv_mult_hps" if config.use_hps else "fv_mult_traditional"
     )
@@ -111,132 +105,121 @@ def compile_mult(params: ParameterSet, config: HardwareConfig,
     for src, dst in (("t0", "s0"), ("t1", "s1"), ("t2", "s2")):
         program.emit(Opcode.SCALE, dst=dst, srcs=(src,),
                      rows=tuple(range(params.k_total)))
+    return program
 
-    # --- Relinearisation -------------------------------------------------------
-    if relin_style == "rns":
-        _emit_relin_rns(program, params, relin_components, config)
-    elif relin_style == "grouped":
-        _emit_relin_grouped(program, params, relin_components, config)
-    else:
-        _emit_relin_digit(program, params, relin_components, config)
 
-    # --- Final accumulation into the output ciphertext -------------------------
+def _relin_digits(params: ParameterSet, config: HardwareConfig,
+                  components: int | None, style: str | None) -> list[dict]:
+    """Per-digit ``DIGIT`` metadata of one relinearisation.
+
+    ``style`` selects the digit flavour: ``"rns"`` (raw residue rows, the
+    HPS design), ``"grouped"`` (60-bit group residues — the scaling mode;
+    the group reconstruction is two 30x30 multiplications and one 60-bit
+    reduction per coefficient, which the lift unit's Block-1 datapath
+    handles) or ``"digit"`` (signed base-w digits of the big-integer
+    coefficients the traditional Scale datapath has just reconstructed).
+    ``components`` defaults to k_q RNS digits, ceil(k_q / 2) groups, or
+    the slow coprocessor's two 90-bit digits.
+    """
+    if style is None:
+        style = "rns" if config.use_hps else "digit"
+    if style == "rns":
+        return [{"source_row": i} for i in range(components or params.k_q)]
+    if style == "grouped":
+        components = components or -(-params.k_q // 2)
+        group_size = -(-params.k_q // components)
+        return [{"group": j, "group_size": group_size}
+                for j in range(components)]
+    components = components or 2
+    base_bits = -(-params.q.bit_length() // components)
+    return [{"digit_index": j, "base_bits": base_bits}
+            for j in range(components)]
+
+
+def _emit_key_switch(program: Program, params: ParameterSet,
+                     config: HardwareConfig, src: str,
+                     digits: list[dict]) -> None:
+    """The one key switch: ``src`` against a digit-decomposed key.
+
+    Per digit: one extraction (flavour in the ``DIGIT`` metadata), one
+    rearrange + forward NTT, the key pair streamed from DDR unless it is
+    resident, two products and two accumulations (the first product
+    initialises each accumulator). The sum of products stays in the NTT
+    domain; only the two accumulators ``r0``/``r1`` are inverse-
+    transformed. Totals for k_q = 6 RNS digits: 6 NTT, 12 CMUL, 10 CADD,
+    2 INTT, 6 key loads.
+    """
+    q_rows = _q_rows(params)
+    for i, meta in enumerate(digits):
+        digit = f"d{i}"
+        program.emit(Opcode.DIGIT, dst=digit, srcs=(src,), rows=q_rows,
+                     **meta)
+        program.emit(Opcode.REARRANGE, dst=digit, srcs=(digit,), rows=q_rows)
+        program.emit(Opcode.NTT, dst=digit, srcs=(digit,), rows=q_rows)
+        if not config.relin_key_on_chip:
+            program.emit(Opcode.LOAD_RLK, rows=q_rows, component=i)
+        for part in (0, 1):
+            key, acc = f"rlk{part}_{i}", f"r{part}"
+            if i == 0:
+                program.emit(Opcode.CMUL, dst=acc, srcs=(digit, key),
+                             rows=q_rows)
+            else:
+                program.emit(Opcode.CMUL, dst=f"p{part}", srcs=(digit, key),
+                             rows=q_rows)
+                program.emit(Opcode.CADD, dst=acc, srcs=(acc, f"p{part}"),
+                             rows=q_rows)
+    for reg in ("r0", "r1"):
+        program.emit(Opcode.INTT, dst=reg, srcs=(reg,), rows=q_rows)
+        program.emit(Opcode.REARRANGE, dst=reg, srcs=(reg,), rows=q_rows)
+
+
+def compile_relin(params: ParameterSet, config: HardwareConfig,
+                  relin_components: int | None = None,
+                  relin_style: str | None = None) -> Program:
+    """Relinearisation of the three-part ``s0, s1, s2`` (deferred ReLin).
+
+    The key switch of ``s2`` plus the final accumulation into the output
+    ciphertext; see :func:`_relin_digits` for the digit flavours.
+    """
+    program = Program(name="fv_relin")
+    q_rows = _q_rows(params)
+    _emit_key_switch(program, params, config, "s2",
+                     _relin_digits(params, config, relin_components,
+                                   relin_style))
     program.emit(Opcode.CADD, dst="out0", srcs=("s0", "r0"), rows=q_rows)
     program.emit(Opcode.CADD, dst="out1", srcs=("s1", "r1"), rows=q_rows)
     return program
 
 
-def _emit_relin_rns(program: Program, params: ParameterSet,
-                    components: int, config: HardwareConfig) -> None:
-    """RNS relinearisation: digits are raw residue rows of s2.
+def compile_mult(params: ParameterSet, config: HardwareConfig,
+                 relin_components: int | None = None,
+                 relin_style: str | None = None) -> Program:
+    """FV.Mult for the fast (HPS) or slow (traditional-CRT) coprocessor:
+    :func:`compile_mult_raw` followed by :func:`compile_relin`."""
+    program = compile_mult_raw(params, config)
+    program.instructions += compile_relin(
+        params, config, relin_components, relin_style).instructions
+    return program
 
-    Per component: one digit broadcast, one rearrange + forward NTT, two
-    products against the streamed key pair, two accumulations. Totals for
-    k_q = 6: 6 NTT, 12 CMUL, 10 CADD (the first product initialises each
-    accumulator), 6 key loads.
+
+def compile_mul_plain(params: ParameterSet) -> Program:
+    """Ciphertext x plaintext: pointwise products in the NTT domain.
+
+    Inputs ``a0``/``a1`` and the plaintext polynomial ``m`` (its
+    coefficients reduced into the q rows); no key, no relinearisation.
     """
+    program = Program(name="fv_mul_plain")
     q_rows = _q_rows(params)
-    for i in range(components):
-        digit = f"d{i}"
-        program.emit(Opcode.DIGIT, dst=digit, srcs=("s2",), rows=q_rows,
-                     source_row=i)
-        program.emit(Opcode.REARRANGE, dst=digit, srcs=(digit,), rows=q_rows)
-        program.emit(Opcode.NTT, dst=digit, srcs=(digit,), rows=q_rows)
-        if not config.relin_key_on_chip:
-            program.emit(Opcode.LOAD_RLK, rows=q_rows, component=i)
-        if i == 0:
-            program.emit(Opcode.CMUL, dst="r0", srcs=(digit, f"rlk0_{i}"),
-                         rows=q_rows)
-            program.emit(Opcode.CMUL, dst="r1", srcs=(digit, f"rlk1_{i}"),
-                         rows=q_rows)
-        else:
-            program.emit(Opcode.CMUL, dst="p0", srcs=(digit, f"rlk0_{i}"),
-                         rows=q_rows)
-            program.emit(Opcode.CADD, dst="r0", srcs=("r0", "p0"),
-                         rows=q_rows)
-            program.emit(Opcode.CMUL, dst="p1", srcs=(digit, f"rlk1_{i}"),
-                         rows=q_rows)
-            program.emit(Opcode.CADD, dst="r1", srcs=("r1", "p1"),
-                         rows=q_rows)
-    # The two accumulators come back to the coefficient domain (2 INTT,
-    # completing the paper's count of 8).
-    for reg in ("r0", "r1"):
+    for reg in ("a0", "a1", "m"):
+        program.emit(Opcode.REARRANGE, dst=reg, srcs=(reg,), rows=q_rows)
+        program.emit(Opcode.NTT, dst=reg, srcs=(reg,), rows=q_rows)
+    for part in ("0", "1"):
+        program.emit(Opcode.CMUL, dst="out" + part, srcs=("a" + part, "m"),
+                     rows=q_rows)
+    for reg in ("out0", "out1"):
         program.emit(Opcode.INTT, dst=reg, srcs=(reg,), rows=q_rows)
         program.emit(Opcode.REARRANGE, dst=reg, srcs=(reg,), rows=q_rows)
-
-
-def _emit_relin_grouped(program: Program, params: ParameterSet,
-                        components: int, config: HardwareConfig) -> None:
-    """Grouped-RNS relinearisation: digits are 60-bit group residues.
-
-    The group reconstruction is two 30x30 multiplications and one 60-bit
-    reduction per coefficient — the lift unit's Block-1 datapath handles
-    it, so no new hardware is implied.
-    """
-    q_rows = _q_rows(params)
-    group_size = -(-params.k_q // components)
-    for j in range(components):
-        digit = f"d{j}"
-        program.emit(Opcode.DIGIT, dst=digit, srcs=("s2",), rows=q_rows,
-                     group=j, group_size=group_size)
-        program.emit(Opcode.REARRANGE, dst=digit, srcs=(digit,), rows=q_rows)
-        program.emit(Opcode.NTT, dst=digit, srcs=(digit,), rows=q_rows)
-        if not config.relin_key_on_chip:
-            program.emit(Opcode.LOAD_RLK, rows=q_rows, component=j)
-        if j == 0:
-            program.emit(Opcode.CMUL, dst="r0", srcs=(digit, f"rlk0_{j}"),
-                         rows=q_rows)
-            program.emit(Opcode.CMUL, dst="r1", srcs=(digit, f"rlk1_{j}"),
-                         rows=q_rows)
-        else:
-            program.emit(Opcode.CMUL, dst="p0", srcs=(digit, f"rlk0_{j}"),
-                         rows=q_rows)
-            program.emit(Opcode.CADD, dst="r0", srcs=("r0", "p0"),
-                         rows=q_rows)
-            program.emit(Opcode.CMUL, dst="p1", srcs=(digit, f"rlk1_{j}"),
-                         rows=q_rows)
-            program.emit(Opcode.CADD, dst="r1", srcs=("r1", "p1"),
-                         rows=q_rows)
-    for reg in ("r0", "r1"):
-        program.emit(Opcode.INTT, dst=reg, srcs=(reg,), rows=q_rows)
-        program.emit(Opcode.REARRANGE, dst=reg, srcs=(reg,), rows=q_rows)
-
-
-def _emit_relin_digit(program: Program, params: ParameterSet,
-                      components: int, config: HardwareConfig) -> None:
-    """Signed base-w relinearisation for the traditional coprocessor.
-
-    The digit extraction happens on big-integer coefficients, which the
-    traditional Scale datapath has just reconstructed; each DIGIT here
-    models the extraction pass of one digit polynomial.
-    """
-    q_rows = _q_rows(params)
-    base_bits = -(-params.q.bit_length() // components)
-    for j in range(components):
-        digit = f"d{j}"
-        program.emit(Opcode.DIGIT, dst=digit, srcs=("s2",), rows=q_rows,
-                     digit_index=j, base_bits=base_bits)
-        program.emit(Opcode.REARRANGE, dst=digit, srcs=(digit,), rows=q_rows)
-        program.emit(Opcode.NTT, dst=digit, srcs=(digit,), rows=q_rows)
-        if not config.relin_key_on_chip:
-            program.emit(Opcode.LOAD_RLK, rows=q_rows, component=j)
-        if j == 0:
-            program.emit(Opcode.CMUL, dst="r0", srcs=(digit, f"rlk0_{j}"),
-                         rows=q_rows)
-            program.emit(Opcode.CMUL, dst="r1", srcs=(digit, f"rlk1_{j}"),
-                         rows=q_rows)
-        else:
-            program.emit(Opcode.CMUL, dst="p0", srcs=(digit, f"rlk0_{j}"),
-                         rows=q_rows)
-            program.emit(Opcode.CADD, dst="r0", srcs=("r0", "p0"),
-                         rows=q_rows)
-            program.emit(Opcode.CMUL, dst="p1", srcs=(digit, f"rlk1_{j}"),
-                         rows=q_rows)
-            program.emit(Opcode.CADD, dst="r1", srcs=("r1", "p1"),
-                         rows=q_rows)
-    for reg in ("r0", "r1"):
-        program.emit(Opcode.INTT, dst=reg, srcs=(reg,), rows=q_rows)
-        program.emit(Opcode.REARRANGE, dst=reg, srcs=(reg,), rows=q_rows)
+    return program
 
 
 def compile_rotation(params: ParameterSet, config: HardwareConfig,
@@ -246,68 +229,23 @@ def compile_rotation(params: ParameterSet, config: HardwareConfig,
     A rotation is tau_g on both parts (a coefficient permutation with
     sign flips — the memory-rearrange datapath with a different address
     generator, zero new arithmetic) followed by a key switch, which is
-    exactly the relinearisation sum of products. Instruction census per
-    rotation: 2 GALOIS + k_q digit broadcasts + k_q NTT + 2 k_q CMUL +
-    2(k_q - 1) CADD + 2 INTT + key streaming — so the accelerator covers
-    modern rotation-based workloads with its existing instruction set.
+    exactly the relinearisation sum of products over raw-residue digits
+    — so the accelerator covers modern rotation-based workloads with its
+    existing instruction set.
 
     Register convention: inputs ``a0``/``a1``; outputs ``out0``/``out1``.
     """
     program = Program(name=f"fv_rotate_g{galois_element}")
     q_rows = _q_rows(params)
-    # tau_g on both ciphertext parts.
     program.emit(Opcode.GALOIS, dst="g0", srcs=("a0",), rows=q_rows,
                  element=galois_element)
     program.emit(Opcode.GALOIS, dst="g1", srcs=("a1",), rows=q_rows,
                  element=galois_element)
-    # Key switch tau(c1) back under s (raw-residue digits, as in relin).
-    for i in range(params.k_q):
-        digit = f"d{i}"
-        program.emit(Opcode.DIGIT, dst=digit, srcs=("g1",), rows=q_rows,
-                     source_row=i)
-        program.emit(Opcode.REARRANGE, dst=digit, srcs=(digit,),
-                     rows=q_rows)
-        program.emit(Opcode.NTT, dst=digit, srcs=(digit,), rows=q_rows)
-        if not config.relin_key_on_chip:
-            program.emit(Opcode.LOAD_RLK, rows=q_rows, component=i)
-        if i == 0:
-            program.emit(Opcode.CMUL, dst="r0", srcs=(digit, f"rlk0_{i}"),
-                         rows=q_rows)
-            program.emit(Opcode.CMUL, dst="r1", srcs=(digit, f"rlk1_{i}"),
-                         rows=q_rows)
-        else:
-            program.emit(Opcode.CMUL, dst="p0", srcs=(digit, f"rlk0_{i}"),
-                         rows=q_rows)
-            program.emit(Opcode.CADD, dst="r0", srcs=("r0", "p0"),
-                         rows=q_rows)
-            program.emit(Opcode.CMUL, dst="p1", srcs=(digit, f"rlk1_{i}"),
-                         rows=q_rows)
-            program.emit(Opcode.CADD, dst="r1", srcs=("r1", "p1"),
-                         rows=q_rows)
-    for reg in ("r0", "r1"):
-        program.emit(Opcode.INTT, dst=reg, srcs=(reg,), rows=q_rows)
-        program.emit(Opcode.REARRANGE, dst=reg, srcs=(reg,), rows=q_rows)
+    # Key switch tau(c1) back under s.
+    _emit_key_switch(program, params, config, "g1",
+                     _relin_digits(params, config, params.k_q, "rns"))
     program.emit(Opcode.CADD, dst="out0", srcs=("g0", "r0"), rows=q_rows)
     # out1 is the key-switch accumulator alone; model the copy as a
     # zero-add against the zeroed register file.
     program.emit(Opcode.CADD, dst="out1", srcs=("r1", "zero"), rows=q_rows)
     return program
-
-
-def expected_table2_calls(params: ParameterSet,
-                          config: HardwareConfig) -> dict[Opcode, int]:
-    """Call counts our compiler produces for one Mult (cf. paper Table II)."""
-    components = params.k_q if config.use_hps else 2
-    ntt = 8 + components
-    intt = 6 + 2
-    return {
-        Opcode.NTT: ntt,
-        Opcode.INTT: intt,
-        Opcode.CMUL: 8 + 2 * components,
-        Opcode.CADD: 2 + 2 * (components - 1) + 2,
-        Opcode.REARRANGE: ntt + intt,
-        Opcode.LIFT: 4,
-        Opcode.SCALE: 3,
-        Opcode.DIGIT: components,
-        Opcode.LOAD_RLK: 0 if config.relin_key_on_chip else components,
-    }

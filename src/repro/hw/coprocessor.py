@@ -14,17 +14,18 @@ breakdown next to the paper's Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..errors import HardwareModelError, IsaError
 from ..fv.ciphertext import Ciphertext
-from ..fv.keys import DigitRelinKey, RelinKey
+from ..fv.keys import DigitRelinKey, GroupedRelinKey
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
 from ..rns.basis import basis_for, lift_context, scale_context
 from ..rns.decompose import decompose_poly_signed
-from .compiler import compile_add, compile_mult
+from .compiler import compile_add, compile_mult, compile_rotation
 from .config import HardwareConfig
 from .dma import DmaModel
 from .isa import Instruction, Opcode, Program
@@ -138,7 +139,8 @@ class Coprocessor:
         self.memory = MemoryFile(params, self.config)
         self.dma = DmaModel(self.config)
         self.registers: dict[str, np.ndarray] = {}
-        self._relin_key: RelinKey | DigitRelinKey | None = None
+        self._relin_key = None
+        self._cycle_model: dict[Opcode, int] | None = None
 
     # -- register file ------------------------------------------------------------
 
@@ -157,127 +159,156 @@ class Coprocessor:
 
     # -- program execution -----------------------------------------------------------
 
-    def execute(self, program: Program,
-                relin_key: RelinKey | DigitRelinKey | None = None
-                ) -> MultReport:
+    def execute(self, program: Program, relin_key=None) -> MultReport:
+        """Run `program` over the register file; `relin_key` is whatever
+        key (relinearisation flavour or Galois) its LOAD_RLKs stream."""
         self._relin_key = relin_key
         report = MultReport(config=self.config)
         for instruction in program.instructions:
-            handler = self._handlers()[instruction.op]
-            handler(instruction, report)
+            handler = self._DATAPATHS.get(instruction.op)
+            if handler is None:
+                raise IsaError(
+                    f"program {program.name!r}: the coprocessor has no "
+                    f"datapath for opcode {instruction.op.name}"
+                )
+            handler(self, instruction)
+            report.charge(instruction.op,
+                          self.instruction_cycles(instruction),
+                          is_transfer=instruction.op is Opcode.LOAD_RLK)
         return report
 
-    def _handlers(self):
-        return {
-            Opcode.NTT: self._exec_ntt,
-            Opcode.INTT: self._exec_intt,
-            Opcode.CMUL: self._exec_cmul,
-            Opcode.CADD: self._exec_cadd,
-            Opcode.CSUB: self._exec_csub,
-            Opcode.REARRANGE: self._exec_rearrange,
-            Opcode.LIFT: self._exec_lift,
-            Opcode.SCALE: self._exec_scale,
-            Opcode.DIGIT: self._exec_digit,
-            Opcode.LOAD_RLK: self._exec_load_rlk,
-            Opcode.GALOIS: self._exec_galois,
-        }
+    def run(self, program: Program, operands: dict[str, np.ndarray | int],
+            key=None, outputs: tuple[str, ...] = ("out0", "out1")
+            ) -> tuple[Ciphertext, MultReport]:
+        """One high-level operation: load the operand registers, preload
+        the key when it is resident on chip, execute, read the result."""
+        self.registers.clear()
+        for name, q_rows in operands.items():
+            self.load_polynomial(name, q_rows)
+        if key is not None and self.config.relin_key_on_chip:
+            for component in range(len(key.pairs)):
+                self._load_key_pair(key, component)
+        report = self.execute(program, relin_key=key)
+        k_q = self.params.k_q
+        parts = tuple(RnsPoly(self.q_basis, self._reg(name)[:k_q].copy())
+                      for name in outputs)
+        return Ciphertext(parts, self.params), report
+
+    # -- the price list ----------------------------------------------------------------
+
+    def instruction_cycle_model(self) -> dict[Opcode, int]:
+        """FPGA cycles per call of every opcode whose cost depends only
+        on this configuration (Table II's seven rows, CSUB and GALOIS)."""
+        if self._cycle_model is None:
+            rpau = self.rpaus[0]
+            unit = rpau.ntt_unit(rpau.primes[0])
+            dispatch = self.config.dispatch_overhead
+            # Rearranges stream back-to-back with their transform, so no
+            # dispatch gap (the paper's 25,006-Arm-cycle row shows the
+            # same: it is n + epsilon). tau_g is the rearrange datapath
+            # with a Galois address generator: one coefficient per cycle.
+            self._cycle_model = {
+                Opcode.NTT: unit.transform_cycles() + dispatch,
+                Opcode.INTT: (unit.transform_cycles()
+                              + unit.scale_pass_cycles() + dispatch),
+                Opcode.CMUL: rpau.cmul_cycles() + dispatch,
+                Opcode.CADD: rpau.cadd_cycles() + dispatch,
+                Opcode.CSUB: rpau.cadd_cycles() + dispatch,
+                Opcode.REARRANGE: rpau.rearrange_cycles(),
+                Opcode.GALOIS: rpau.rearrange_cycles(),
+                Opcode.LIFT: self.lift_unit.cycles(self.params.n) + dispatch,
+                Opcode.SCALE: (self.scale_unit.cycles(self.params.n)
+                               + dispatch),
+            }
+        return self._cycle_model
+
+    def instruction_cycles(self, ins: Instruction) -> int:
+        """FPGA cycles one instruction is charged: what :meth:`execute`
+        books and what the cost model sums over a compiled program."""
+        if ins.op is Opcode.DIGIT:
+            # The HPS digit broadcasts one residue row (pure data
+            # movement, two coefficients per word); the grouped-RNS and
+            # signed base-w digits come out of a one-coefficient-per-
+            # cycle datapath (the lift unit's small CRT, Fig. 8's
+            # reconstructed coefficients).
+            issue = self.params.n
+            if "source_row" in ins.meta:
+                issue //= 2
+            return issue + self.config.stage_sync_overhead
+        if ins.op is Opcode.LOAD_RLK:
+            # One key pair: two polynomial bursts from DDR.
+            seconds = 2 * (self.dma.transfer_seconds(self.params.poly_bytes)
+                           + self.dma.arm_setup_seconds)
+            return round(seconds * self.config.fpga_clock_hz)
+        return self.instruction_cycle_model()[ins.op]
+
+    # -- instruction datapaths (bit-exact results; cycles are charged above) -----------
 
     def _rpau_for_row(self, row: int) -> Rpau:
         return self.rpaus[self._row_to_rpau[row]]
 
-    def _exec_ntt(self, ins: Instruction, report: MultReport) -> None:
+    def _transform(self, ins: Instruction, op: str) -> None:
+        """NTT / INTT of a row batch. The NTT unit counts its schedule's
+        cycles as it runs (stage by stage; cycle by cycle when strict):
+        that count must be the closed form the instruction is charged."""
         reg = self._reg(ins.srcs[0])
         dst = self.registers.setdefault(ins.dst, self._new_reg())
-        cycles = 0
+        charged = (self.instruction_cycles(ins)
+                   - self.config.dispatch_overhead)
         for row in ins.rows:
             prime = self.full_primes[row]
-            out, row_cycles = self._rpau_for_row(row).ntt(prime, reg[row])
-            dst[row] = out
-            cycles = max(cycles, row_cycles)
-        report.charge(Opcode.NTT, cycles + self.config.dispatch_overhead)
+            dst[row], stepped = getattr(self._rpau_for_row(row), op)(
+                prime, reg[row])
+            if stepped != charged:
+                raise HardwareModelError(
+                    f"{ins.op.name} row {row}: the executed schedule took "
+                    f"{stepped} cycles, the cycle model charges {charged}"
+                )
 
-    def _exec_intt(self, ins: Instruction, report: MultReport) -> None:
-        reg = self._reg(ins.srcs[0])
-        dst = self.registers.setdefault(ins.dst, self._new_reg())
-        cycles = 0
-        for row in ins.rows:
-            prime = self.full_primes[row]
-            out, row_cycles = self._rpau_for_row(row).intt(prime, reg[row])
-            dst[row] = out
-            cycles = max(cycles, row_cycles)
-        report.charge(Opcode.INTT, cycles + self.config.dispatch_overhead)
-
-    def _coeffwise(self, ins: Instruction, op: str) -> int:
+    def _coeffwise(self, ins: Instruction, op: str) -> None:
         a = self._reg(ins.srcs[0])
         b = self._reg(ins.srcs[1])
         dst = self.registers.setdefault(ins.dst, self._new_reg())
-        cycles = 0
         for row in ins.rows:
             prime = self.full_primes[row]
-            rpau = self._rpau_for_row(row)
-            out, row_cycles = getattr(rpau, op)(prime, a[row], b[row])
-            dst[row] = out
-            cycles = max(cycles, row_cycles)
-        return cycles
+            dst[row], _ = getattr(self._rpau_for_row(row), op)(
+                prime, a[row], b[row])
 
-    def _exec_cmul(self, ins: Instruction, report: MultReport) -> None:
-        cycles = self._coeffwise(ins, "cmul")
-        report.charge(Opcode.CMUL, cycles + self.config.dispatch_overhead)
-
-    def _exec_cadd(self, ins: Instruction, report: MultReport) -> None:
-        cycles = self._coeffwise(ins, "cadd")
-        report.charge(Opcode.CADD, cycles + self.config.dispatch_overhead)
-
-    def _exec_csub(self, ins: Instruction, report: MultReport) -> None:
-        cycles = self._coeffwise(ins, "csub")
-        report.charge(Opcode.CSUB, cycles + self.config.dispatch_overhead)
-
-    def _exec_rearrange(self, ins: Instruction, report: MultReport) -> None:
+    def _exec_rearrange(self, ins: Instruction) -> None:
         # Functional no-op: the NTT unit model folds the layout
         # permutation into its load/unload steps; the instruction carries
-        # the cycle cost of that data movement. Rearranges stream
-        # back-to-back with their transform, so no dispatch gap (the
-        # paper's 25,006-Arm-cycle row shows the same: it is n + epsilon).
-        cycles = self.rpaus[0].rearrange_cycles()
-        report.charge(Opcode.REARRANGE, cycles)
+        # the cycle cost of that data movement.
+        pass
 
-    def _exec_lift(self, ins: Instruction, report: MultReport) -> None:
+    def _exec_lift(self, ins: Instruction) -> None:
         reg = self._reg(ins.srcs[0])
         q_rows = reg[: self.params.k_q]
-        p_rows, cycles = self.lift_unit.run(q_rows)
+        p_rows, _ = self.lift_unit.run(q_rows)
         dst = self.registers.setdefault(ins.dst, self._new_reg())
         dst[: self.params.k_q] = q_rows
         dst[self.params.k_q:] = p_rows
-        report.charge(Opcode.LIFT, cycles + self.config.dispatch_overhead)
 
-    def _exec_scale(self, ins: Instruction, report: MultReport) -> None:
+    def _exec_scale(self, ins: Instruction) -> None:
         reg = self._reg(ins.srcs[0])
-        scaled, cycles = self.scale_unit.run(reg[: self.params.k_total])
+        scaled, _ = self.scale_unit.run(reg[: self.params.k_total])
         dst = self.registers.setdefault(ins.dst, self._new_reg())
         dst[: self.params.k_q] = scaled
-        report.charge(Opcode.SCALE, cycles + self.config.dispatch_overhead)
 
-    def _exec_digit(self, ins: Instruction, report: MultReport) -> None:
+    def _exec_digit(self, ins: Instruction) -> None:
         src = self._reg(ins.srcs[0])
         dst = self.registers.setdefault(ins.dst, self._new_reg())
         if "source_row" in ins.meta:
-            # HPS: broadcast one residue row across the q basis (pure data
-            # movement, one pass over the polynomial).
+            # HPS: broadcast one residue row across the q basis.
             row = ins.meta["source_row"]
             dst[: self.params.k_q] = src[row][None, :] % self.q_col
-            cycles = self.params.n // 2 + self.config.stage_sync_overhead
         elif "group" in ins.meta:
-            # Grouped-RNS digit: exact CRT over one prime group (the
-            # lift unit's small-CRT datapath: one coefficient per cycle).
+            # Grouped-RNS digit: exact CRT over one prime group.
             from ..rns.decompose import grouped_rns_digits
 
-            group = ins.meta["group"]
-            group_size = ins.meta["group_size"]
             digits = grouped_rns_digits(
-                self.q_basis, src[: self.params.k_q], group_size
+                self.q_basis, src[: self.params.k_q], ins.meta["group_size"]
             )
-            dst[: self.params.k_q] = digits[group]
-            cycles = self.params.n + self.config.stage_sync_overhead
+            dst[: self.params.k_q] = digits[ins.meta["group"]]
         else:
             # Traditional: extract one signed base-w digit from the CRT
             # coefficients (the Fig. 8 datapath has them reconstructed).
@@ -297,12 +328,8 @@ class Coprocessor:
                  for p in self.params.q_primes],
                 dtype=np.int64,
             )
-            cycles = self.params.n + self.config.stage_sync_overhead
-        report.charge(Opcode.DIGIT, cycles)
 
-    def _exec_galois(self, ins: Instruction, report: MultReport) -> None:
-        """tau_g permutation: the rearrange datapath with a Galois
-        address generator (one coefficient per cycle, one sign fix-up)."""
+    def _exec_galois(self, ins: Instruction) -> None:
         from ..fv.galois import apply_galois_rows
 
         src = self._reg(ins.srcs[0])
@@ -311,53 +338,37 @@ class Coprocessor:
         dst[:k_q] = apply_galois_rows(
             src[:k_q], self.q_col, self.params.n, ins.meta["element"]
         )
-        cycles = self.rpaus[0].rearrange_cycles()
-        report.charge(Opcode.GALOIS, cycles)
 
-    def rotate(self, ct: Ciphertext, galois_key) -> tuple[Ciphertext,
-                                                          MultReport]:
-        """Homomorphic rotation on the coprocessor (extension feature).
+    def _load_key_pair(self, key, component: int) -> None:
+        for part, rows in enumerate(key.pairs[component]):
+            reg = self.registers.setdefault(f"rlk{part}_{component}",
+                                            self._new_reg())
+            reg[: self.params.k_q] = rows
 
-        Bit-identical to :meth:`repro.fv.galois.GaloisEngine.apply`; the
-        report shows what a rotation costs on the paper's datapath.
-        """
-        from .compiler import compile_rotation
-
-        program = compile_rotation(self.params, self.config,
-                                   galois_key.element)
-        self.registers.clear()
-        self.load_polynomial("a0", ct.c0.residues)
-        self.load_polynomial("a1", ct.c1.residues)
-        self.registers["zero"] = self._new_reg()
-        relin_like = RelinKey(pairs=galois_key.pairs)
-        if self.config.relin_key_on_chip:
-            for i, (b_ntt, a_ntt) in enumerate(galois_key.pairs):
-                reg_b = self.registers.setdefault(f"rlk0_{i}",
-                                                  self._new_reg())
-                reg_a = self.registers.setdefault(f"rlk1_{i}",
-                                                  self._new_reg())
-                reg_b[: self.params.k_q] = b_ntt
-                reg_a[: self.params.k_q] = a_ntt
-        report = self.execute(program, relin_key=relin_like)
-        return self._ciphertext_from("out0", "out1"), report
-
-    def _exec_load_rlk(self, ins: Instruction, report: MultReport) -> None:
+    def _exec_load_rlk(self, ins: Instruction) -> None:
         if self._relin_key is None:
             raise HardwareModelError(
                 "program streams a relinearisation key but none was supplied"
             )
-        component = ins.meta["component"]
-        b_ntt, a_ntt = self._relin_key.pairs[component]
-        reg_b = self.registers.setdefault(f"rlk0_{component}",
-                                          self._new_reg())
-        reg_a = self.registers.setdefault(f"rlk1_{component}",
-                                          self._new_reg())
-        reg_b[: self.params.k_q] = b_ntt
-        reg_a[: self.params.k_q] = a_ntt
-        seconds = 2 * (self.dma.transfer_seconds(self.params.poly_bytes)
-                       + self.dma.arm_setup_seconds)
-        cycles = round(seconds * self.config.fpga_clock_hz)
-        report.charge(Opcode.LOAD_RLK, cycles, is_transfer=True)
+        self._load_key_pair(self._relin_key, ins.meta["component"])
+
+    #: Opcode -> datapath, as plain functions: a table of bound methods
+    #: on the instance would be a reference cycle that keeps every
+    #: discarded coprocessor's transform tables alive until the next
+    #: cyclic collection.
+    _DATAPATHS = {
+        Opcode.NTT: partial(_transform, op="ntt"),
+        Opcode.INTT: partial(_transform, op="intt"),
+        Opcode.CMUL: partial(_coeffwise, op="cmul"),
+        Opcode.CADD: partial(_coeffwise, op="cadd"),
+        Opcode.CSUB: partial(_coeffwise, op="csub"),
+        Opcode.REARRANGE: _exec_rearrange,
+        Opcode.LIFT: _exec_lift,
+        Opcode.SCALE: _exec_scale,
+        Opcode.DIGIT: _exec_digit,
+        Opcode.LOAD_RLK: _exec_load_rlk,
+        Opcode.GALOIS: _exec_galois,
+    }
 
     # -- high-level operations ---------------------------------------------------------
 
@@ -368,8 +379,6 @@ class Coprocessor:
         Accepts any of the three relinearisation key flavours; the
         compiled program follows the key's digit style.
         """
-        from ..fv.keys import GroupedRelinKey
-
         if isinstance(relin_key, GroupedRelinKey):
             style = "grouped"
         elif isinstance(relin_key, DigitRelinKey):
@@ -379,55 +388,29 @@ class Coprocessor:
         program = compile_mult(self.params, self.config,
                                relin_components=relin_key.num_components,
                                relin_style=style)
-        self.registers.clear()
-        self.load_polynomial("a0", ct_a.c0.residues)
-        self.load_polynomial("a1", ct_a.c1.residues)
-        self.load_polynomial("b0", ct_b.c0.residues)
-        self.load_polynomial("b1", ct_b.c1.residues)
-        if self.config.relin_key_on_chip:
-            for i, (b_ntt, a_ntt) in enumerate(relin_key.pairs):
-                reg_b = self.registers.setdefault(f"rlk0_{i}", self._new_reg())
-                reg_a = self.registers.setdefault(f"rlk1_{i}", self._new_reg())
-                reg_b[: self.params.k_q] = b_ntt
-                reg_a[: self.params.k_q] = a_ntt
-        report = self.execute(program, relin_key=relin_key)
-        result = self._ciphertext_from("out0", "out1")
-        return result, report
+        return self.run(program, _operands(a=ct_a, b=ct_b), relin_key)
 
     def add(self, ct_a: Ciphertext,
             ct_b: Ciphertext) -> tuple[Ciphertext, MultReport]:
         """FV.Add on the coprocessor (Table I row 2)."""
-        program = compile_add(self.params)
-        self.registers.clear()
-        self.load_polynomial("a0", ct_a.c0.residues)
-        self.load_polynomial("a1", ct_a.c1.residues)
-        self.load_polynomial("b0", ct_b.c0.residues)
-        self.load_polynomial("b1", ct_b.c1.residues)
-        report = self.execute(program)
-        result = self._ciphertext_from("out0", "out1")
-        return result, report
+        return self.run(compile_add(self.params),
+                        _operands(a=ct_a, b=ct_b))
 
-    def _ciphertext_from(self, name0: str, name1: str) -> Ciphertext:
-        k_q = self.params.k_q
-        c0 = RnsPoly(self.q_basis, self._reg(name0)[:k_q].copy())
-        c1 = RnsPoly(self.q_basis, self._reg(name1)[:k_q].copy())
-        return Ciphertext((c0, c1), self.params)
+    def rotate(self, ct: Ciphertext, galois_key) -> tuple[Ciphertext,
+                                                          MultReport]:
+        """Homomorphic rotation on the coprocessor (extension feature).
 
-    # -- Table II model (per-instruction costs without running a program) --------------
+        Bit-identical to :meth:`repro.fv.galois.GaloisEngine.apply`; the
+        report shows what a rotation costs on the paper's datapath.
+        """
+        program = compile_rotation(self.params, self.config,
+                                   galois_key.element)
+        return self.run(program, {**_operands(a=ct), "zero": 0},
+                        galois_key)
 
-    def instruction_cycle_model(self) -> dict[Opcode, int]:
-        """FPGA cycles per instruction call for this configuration."""
-        rpau = self.rpaus[0]
-        unit = rpau.ntt_unit(rpau.primes[0])
-        dispatch = self.config.dispatch_overhead
-        ntt = unit.transform_cycles() + dispatch
-        return {
-            Opcode.NTT: ntt,
-            Opcode.INTT: (unit.transform_cycles() + unit.scale_pass_cycles()
-                          + dispatch),
-            Opcode.CMUL: rpau.cmul_cycles() + dispatch,
-            Opcode.CADD: rpau.cadd_cycles() + dispatch,
-            Opcode.REARRANGE: rpau.rearrange_cycles(),
-            Opcode.LIFT: self.lift_unit.cycles(self.params.n) + dispatch,
-            Opcode.SCALE: self.scale_unit.cycles(self.params.n) + dispatch,
-        }
+
+def _operands(**ciphertexts: Ciphertext) -> dict[str, np.ndarray | int]:
+    """Register image of named ciphertexts: ``a`` -> ``a0``, ``a1``, ..."""
+    return {f"{name}{i}": part.residues
+            for name, ct in ciphertexts.items()
+            for i, part in enumerate(ct.parts)}

@@ -19,22 +19,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..hw.compiler import (
+    compile_add,
+    compile_mul_plain,
+    compile_mult,
+    compile_mult_raw,
+    compile_relin,
+    compile_rotation,
+)
 from ..hw.config import HardwareConfig
 from ..hw.coprocessor import Coprocessor
 from ..hw.dma import DmaModel
-from ..hw.isa import Opcode
+from ..hw.isa import Opcode, Program
 from ..params import ParameterSet
 from .arm import ArmCoreModel
 from .workloads import Job, JobKind
 
 
+#: Compiler entry of each job kind, as ``(params, config) -> Program``.
+#: A rotation's census does not depend on its Galois element.
+_COMPILERS = {
+    JobKind.MULT: compile_mult,
+    JobKind.ADD: lambda params, config: compile_add(params),
+    JobKind.ROTATE: lambda params, config: compile_rotation(params, config, 3),
+    JobKind.MUL_PLAIN: lambda params, config: compile_mul_plain(params),
+    JobKind.MULT_RAW: compile_mult_raw,
+    JobKind.RELIN: compile_relin,
+}
+
+
 class CostModel:
     """Per-job service cost of the Fig. 11 server (transfers + compute).
 
-    Derives Mult/Add latencies from the coprocessor's instruction cycle
-    model and the DMA transfer model, caching the cycle model and the
-    per-kind compute times so repeated pricing (the event engine asks on
-    every dispatch) costs a dictionary lookup.
+    A modelled operation is the program :mod:`repro.hw.compiler` emits
+    for it and its compute time is the sum of what the coprocessor
+    charges for each instruction (key streaming included), so a priced
+    job costs exactly what executing it reports. Per-kind times are
+    cached: repeated pricing (the event engine asks on every dispatch)
+    costs a dictionary lookup.
     """
 
     def __init__(self, params: ParameterSet,
@@ -45,14 +67,11 @@ class CostModel:
         # One functional coprocessor is enough to derive the per-op
         # latencies; the scheduler replicates its timing N times.
         self.reference = Coprocessor(params, self.config)
-        self._cycle_model: dict[Opcode, int] | None = None
         self._compute_cache: dict[JobKind, float] = {}
 
     def instruction_cycle_model(self) -> dict[Opcode, int]:
-        """The Table II cycle model, built once and shared by all ops."""
-        if self._cycle_model is None:
-            self._cycle_model = self.reference.instruction_cycle_model()
-        return self._cycle_model
+        """The coprocessor's per-opcode cycle model (built once there)."""
+        return self.reference.instruction_cycle_model()
 
     # -- transfers ---------------------------------------------------------------------
 
@@ -65,133 +84,17 @@ class CostModel:
 
     # -- compute -----------------------------------------------------------------------
 
-    def mult_compute_seconds(self) -> float:
-        """Modelled Mult latency (includes relin key streaming)."""
-        if JobKind.MULT not in self._compute_cache:
-            from ..hw.compiler import expected_table2_calls
-
-            model = self.instruction_cycle_model()
-            calls = expected_table2_calls(self.params, self.config)
-            cycles = sum(
-                model[op] * count for op, count in calls.items()
-                if op in model
-            )
-            # Digit broadcasts.
-            digit_cycles = (self.params.n // 2
-                            + self.config.stage_sync_overhead)
-            cycles += calls[Opcode.DIGIT] * digit_cycles
-            seconds = cycles / self.config.fpga_clock_hz
-            # Relinearisation key streaming.
-            if not self.config.relin_key_on_chip:
-                per_component = 2 * (
-                    self.dma.transfer_seconds(self.params.poly_bytes)
-                    + self.dma.arm_setup_seconds
-                )
-                seconds += calls[Opcode.LOAD_RLK] * per_component
-            self._compute_cache[JobKind.MULT] = seconds
-        return self._compute_cache[JobKind.MULT]
-
-    def add_compute_seconds(self) -> float:
-        if JobKind.ADD not in self._compute_cache:
-            model = self.instruction_cycle_model()
-            self._compute_cache[JobKind.ADD] = (
-                2 * model[Opcode.CADD] / self.config.fpga_clock_hz
-            )
-        return self._compute_cache[JobKind.ADD]
-
-    def rotate_compute_seconds(self) -> float:
-        """Modelled Galois rotation (slot-rotate + key switch).
-
-        The permutation runs on the memory-rearrange datapath (two
-        polynomial passes); the key switch is the relinearisation
-        sum-of-products with the same RNS digit structure: k_q digit
-        NTTs, 2 k_q coefficient multiplies/accumulates, two inverse
-        transforms — plus streaming the k_q-component Galois key from
-        DDR when relinearisation keys are not resident on chip.
-        """
-        if JobKind.ROTATE not in self._compute_cache:
-            model = self.instruction_cycle_model()
-            k = self.params.k_q
-            cycles = (2 * model[Opcode.REARRANGE]
-                      + k * model[Opcode.NTT]
-                      + 2 * model[Opcode.INTT]
-                      + 2 * k * (model[Opcode.CMUL] + model[Opcode.CADD]))
-            cycles += k * (self.params.n // 2
-                           + self.config.stage_sync_overhead)
-            seconds = cycles / self.config.fpga_clock_hz
-            if not self.config.relin_key_on_chip:
-                per_component = 2 * (
-                    self.dma.transfer_seconds(self.params.poly_bytes)
-                    + self.dma.arm_setup_seconds
-                )
-                seconds += k * per_component
-            self._compute_cache[JobKind.ROTATE] = seconds
-        return self._compute_cache[JobKind.ROTATE]
-
-    def mul_plain_compute_seconds(self) -> float:
-        """Ciphertext x plaintext multiply: 3 NTT + 2 CMUL + 2 INTT."""
-        if JobKind.MUL_PLAIN not in self._compute_cache:
-            model = self.instruction_cycle_model()
-            cycles = (3 * model[Opcode.NTT] + 2 * model[Opcode.CMUL]
-                      + 2 * model[Opcode.INTT])
-            self._compute_cache[JobKind.MUL_PLAIN] = (
-                cycles / self.config.fpga_clock_hz
-            )
-        return self._compute_cache[JobKind.MUL_PLAIN]
-
-    def relin_compute_seconds(self) -> float:
-        """The relinearisation keyswitch on its own (deferred ReLin).
-
-        Same digit structure as the rotation keyswitch — k_q digit
-        NTTs, 2 k_q multiply/accumulates, two inverse transforms and
-        the key streaming — without the rotation's two memory-rearrange
-        passes.
-        """
-        if JobKind.RELIN not in self._compute_cache:
-            model = self.instruction_cycle_model()
-            k = self.params.k_q
-            cycles = (k * model[Opcode.NTT]
-                      + 2 * model[Opcode.INTT]
-                      + 2 * k * (model[Opcode.CMUL] + model[Opcode.CADD]))
-            cycles += k * (self.params.n // 2
-                           + self.config.stage_sync_overhead)
-            seconds = cycles / self.config.fpga_clock_hz
-            if not self.config.relin_key_on_chip:
-                per_component = 2 * (
-                    self.dma.transfer_seconds(self.params.poly_bytes)
-                    + self.dma.arm_setup_seconds
-                )
-                seconds += k * per_component
-            self._compute_cache[JobKind.RELIN] = seconds
-        return self._compute_cache[JobKind.RELIN]
-
-    def mult_raw_compute_seconds(self) -> float:
-        """Mult without its relinearisation tail (tensor + scale only).
-
-        Modelled as the full Mult minus the deferred-ReLin keyswitch it
-        no longer performs, floored at the Add cost so an aggressive
-        config cannot price it negative.
-        """
-        if JobKind.MULT_RAW not in self._compute_cache:
-            self._compute_cache[JobKind.MULT_RAW] = max(
-                self.mult_compute_seconds()
-                - self.relin_compute_seconds(),
-                self.add_compute_seconds(),
-            )
-        return self._compute_cache[JobKind.MULT_RAW]
+    def program(self, kind: JobKind) -> Program:
+        """The microcode one job of `kind` runs on the coprocessor."""
+        return _COMPILERS[kind](self.params, self.config)
 
     def compute_seconds(self, kind: JobKind) -> float:
-        if kind is JobKind.MULT:
-            return self.mult_compute_seconds()
-        if kind is JobKind.ROTATE:
-            return self.rotate_compute_seconds()
-        if kind is JobKind.MUL_PLAIN:
-            return self.mul_plain_compute_seconds()
-        if kind is JobKind.MULT_RAW:
-            return self.mult_raw_compute_seconds()
-        if kind is JobKind.RELIN:
-            return self.relin_compute_seconds()
-        return self.add_compute_seconds()
+        """Coprocessor occupancy of one job, key streaming included."""
+        if kind not in self._compute_cache:
+            cycles = sum(self.reference.instruction_cycles(instruction)
+                         for instruction in self.program(kind).instructions)
+            self._compute_cache[kind] = cycles / self.config.fpga_clock_hz
+        return self._compute_cache[kind]
 
     def job_seconds(self, kind: JobKind) -> float:
         """Full coprocessor occupancy of one job: in + compute + out."""
@@ -293,10 +196,12 @@ class CloudServer:
         return self.cost.transfer_out_seconds()
 
     def mult_compute_seconds(self) -> float:
-        return self.cost.mult_compute_seconds()
+        """Table I "Mult in HW" (includes relin key streaming)."""
+        return self.cost.compute_seconds(JobKind.MULT)
 
     def add_compute_seconds(self) -> float:
-        return self.cost.add_compute_seconds()
+        """Table I "Add in HW"."""
+        return self.cost.compute_seconds(JobKind.ADD)
 
     def job_seconds(self, kind: JobKind) -> float:
         return self.cost.job_seconds(kind)

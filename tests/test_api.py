@@ -332,7 +332,7 @@ class TestLowering:
                                polys_out=0), cost_seconds=0.0, seq=i)
             for i in range(2)
         ]
-        computes = 2 * cost.add_compute_seconds()
+        computes = 2 * cost.compute_seconds(JobKind.ADD)
         assert batcher.service_seconds(entries) == pytest.approx(computes)
 
     def test_sum_slots_expands_to_rotation_rounds(self, batch_session):
@@ -351,11 +351,12 @@ class TestLowering:
 
     def test_per_op_kinds_are_priced_sensibly(self):
         cost = CostModel(mini())
-        rotate = cost.rotate_compute_seconds()
-        assert 0 < cost.add_compute_seconds() < rotate
-        assert rotate < cost.mult_compute_seconds()
-        assert 0 < cost.mul_plain_compute_seconds() < \
-            cost.mult_compute_seconds()
+        add, rotate, mult, mul_plain = (
+            cost.compute_seconds(kind)
+            for kind in (JobKind.ADD, JobKind.ROTATE, JobKind.MULT,
+                         JobKind.MUL_PLAIN))
+        assert 0 < add < rotate < mult
+        assert 0 < mul_plain < mult
 
     def test_resident_operands_cost_less(self):
         cost = CostModel(mini())

@@ -1,0 +1,93 @@
+"""Price equals execution, for every job kind.
+
+A modelled operation has one census — the program ``hw/compiler.py``
+emits for it — and one price list — the cycles ``Coprocessor.execute``
+charges per instruction. ``CostModel.compute_seconds(kind)`` must
+therefore be *exactly* the total of the report that executing the same
+program produces, and the report's per-opcode calls must be the
+program's histogram. The register contents are arbitrary residues:
+cycles do not depend on data (bit-exactness of the results is the job
+of ``test_hw_coprocessor.py`` and ``test_galois.py``).
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.fv.keys import RelinKey
+from repro.hw.config import HardwareConfig, slow_coprocessor_config
+from repro.hw.coprocessor import Coprocessor
+from repro.hw.isa import Opcode
+from repro.params import hpca19, mini, toy
+from repro.system import CostModel
+from repro.system.workloads import JobKind
+
+CONFIGS = {
+    "streamed": HardwareConfig(),
+    "on_chip": replace(HardwareConfig(), relin_key_on_chip=True),
+    "slow": slow_coprocessor_config(),
+}
+
+CASES = [
+    *((params, where, kind) for params in (toy, mini)
+      for where in ("streamed", "on_chip") for kind in JobKind),
+    (mini, "slow", JobKind.MULT),
+    (hpca19, "streamed", JobKind.MULT),
+    (hpca19, "streamed", JobKind.ROTATE),
+]
+
+#: Every register a compiled entry reads before writing.
+INPUT_REGISTERS = ("a0", "a1", "b0", "b1", "s0", "s1", "s2", "m", "zero")
+
+# The issue's fixed prices: hpca19, default config, FPGA cycles
+# including key streaming.
+HPCA19_CYCLES = {
+    JobKind.MULT: 855_548,
+    JobKind.ADD: 5_390,
+    JobKind.ROTATE: 456_886,
+    JobKind.MUL_PLAIN: 103_365,
+    JobKind.MULT_RAW: 406_968,
+    JobKind.RELIN: 448_580,
+}
+
+
+def priced_cycles(cost: CostModel, kind: JobKind) -> int:
+    return round(cost.compute_seconds(kind) * cost.config.fpga_clock_hz)
+
+
+@pytest.mark.parametrize(
+    ("make_params", "where", "kind"), CASES,
+    ids=[f"{p.__name__}-{w}-{k.value}" for p, w, k in CASES])
+def test_price_equals_execution(make_params, where, kind):
+    params = make_params()
+    cost = CostModel(params, CONFIGS[where])
+    program = cost.program(kind)
+    histogram = program.opcode_histogram()
+
+    rng = np.random.default_rng(24)
+    q_col = np.array(params.q_primes, dtype=np.int64)[:, None]
+
+    def rows():
+        return rng.integers(0, q_col, (params.k_q, params.n))
+
+    key = RelinKey(pairs=[(rows(), rows())
+                          for _ in range(histogram.get(Opcode.DIGIT, 0))])
+    coprocessor = Coprocessor(params, CONFIGS[where])
+    outputs = (("s0", "s1", "s2") if kind is JobKind.MULT_RAW
+               else ("out0", "out1"))
+    _, report = coprocessor.run(
+        program, {name: rows() for name in INPUT_REGISTERS}, key, outputs)
+
+    assert priced_cycles(cost, kind) == report.total_cycles
+    assert {op: stat.calls
+            for op, stat in report.op_stats.items()} == histogram
+
+
+def test_hpca19_prices():
+    cost = CostModel(hpca19())
+    assert {kind: priced_cycles(cost, kind)
+            for kind in JobKind} == HPCA19_CYCLES
+    # Mult is its two halves, with no floor or rounding between them.
+    assert HPCA19_CYCLES[JobKind.MULT] == (
+        HPCA19_CYCLES[JobKind.MULT_RAW] + HPCA19_CYCLES[JobKind.RELIN])

@@ -5,6 +5,7 @@ Table II call counts, and the coprocessor's results are bit-identical to
 the software evaluator's for both coprocessor variants.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,47 +14,101 @@ import pytest
 from repro.errors import HardwareModelError, IsaError
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
-from repro.hw.compiler import compile_add, compile_mult, expected_table2_calls
+from repro.hw.compiler import (
+    compile_add,
+    compile_mul_plain,
+    compile_mult,
+    compile_mult_raw,
+    compile_relin,
+    compile_rotation,
+)
 from repro.hw.config import HardwareConfig, slow_coprocessor_config
 from repro.hw.coprocessor import Coprocessor
-from repro.hw.isa import Opcode
+from repro.hw.isa import Opcode, Program
+from repro.params import hpca19, mini
 from repro.nttmath.ntt import negacyclic_convolution
 
 CONFIG = HardwareConfig()
 
-# Paper Table II call counts per Mult.
+# Call counts of one compiled Mult. NTT/INTT/CMUL/REARRANGE/LIFT/SCALE
+# are the paper's Table II literals; CADD follows our documented
+# bookkeeping (the paper counts 26, see EXPERIMENTS.md), and the digit
+# broadcasts and key loads are the k_q = 6 components Table II folds
+# into its Mult timing.
 PAPER_CALLS = {
     Opcode.NTT: 14,
     Opcode.INTT: 8,
     Opcode.CMUL: 20,
-    Opcode.CADD: 26,
+    Opcode.CADD: 14,
     Opcode.REARRANGE: 22,
     Opcode.LIFT: 4,
     Opcode.SCALE: 3,
+    Opcode.DIGIT: 6,
+    Opcode.LOAD_RLK: 6,
+}
+
+# sha256(Program.listing()) recorded before hw/compiler.py's four
+# key-switch loops became one `_emit_key_switch`: (parameter set, style,
+# relin_key_on_chip) -> digest; style "rotate" is compile_rotation(.., 3).
+LISTING_SHA256 = {
+    ("hpca19", "rns", False):
+        "f46126008875b9e10720eb2607e4f1f3ddf0a8e3177b2233ad772eab2e823045",
+    ("hpca19", "rns", True):
+        "6793493f25aead1aa983b1337d6ffda3c0ed6f2efdb0cc515a58502501e2db51",
+    ("hpca19", "grouped", False):
+        "95b35d06f09a7cfddc982037e9026e570860b8c84093db87bd803138f7ad8ded",
+    ("hpca19", "grouped", True):
+        "1e193bb746ef92e98f393100020c7357014066ceb7a165d162d37ccd498cb976",
+    ("hpca19", "digit", False):
+        "2a49131a3fe731eb9d860e44753f7530b2fc2908599874ceeaefc9087aaeae0e",
+    ("hpca19", "digit", True):
+        "3acb0889f51207ffa06ce572c34bc27f858c2cd9fa747f95c77285d9d7b5b8e2",
+    ("hpca19", "rotate", False):
+        "096ba7b99a0c432e15ceee98e4ac6f8e20631aa5f15b14bde1ad8bd9a0278024",
+    ("hpca19", "rotate", True):
+        "00a607fa539edfa0952dcbc8f25d6bf15093b402adf55d5da7d56b9e7dceb316",
+    ("mini", "rns", False):
+        "763dbf9b7bee2bc7de3d78c562dd2556989ded12ff3b94b37f5a94905c2e4c71",
+    ("mini", "rns", True):
+        "9c11911bd548ac302ac911aeb9055bd42374f5617a68d6326f03b31ac63433ca",
+    ("mini", "grouped", False):
+        "d1ddc70728d508ff4c3ebd363e16b1b7a02c96d13ef71b750119d041e110f953",
+    ("mini", "grouped", True):
+        "44918a9a7cd1942cfa555e826d434f9d53a72886a65f92e1b5efb9cfae2f4468",
+    ("mini", "digit", False):
+        "d1ddc70728d508ff4c3ebd363e16b1b7a02c96d13ef71b750119d041e110f953",
+    ("mini", "digit", True):
+        "44918a9a7cd1942cfa555e826d434f9d53a72886a65f92e1b5efb9cfae2f4468",
+    ("mini", "rotate", False):
+        "fcbed5dab4d39fd2e6651ca6853c8d593e237d6cd41c6632a6e5c315094b4682",
+    ("mini", "rotate", True):
+        "741535f70cb159adcea03f07472d0ae777770f695cf5a5f71d50c6a6d2ea4347",
 }
 
 
 class TestCompiler:
     def test_mult_call_counts_match_paper(self, paper_params):
-        """NTT/INTT/CMUL/LIFT/SCALE counts are exactly the paper's;
-        CADD and REARRANGE follow our documented bookkeeping (see
-        EXPERIMENTS.md for the deviation discussion)."""
+        """The whole census of one Mult, as literals."""
         program = compile_mult(paper_params, CONFIG)
-        histogram = program.opcode_histogram()
-        assert histogram[Opcode.NTT] == PAPER_CALLS[Opcode.NTT]
-        assert histogram[Opcode.INTT] == PAPER_CALLS[Opcode.INTT]
-        assert histogram[Opcode.CMUL] == PAPER_CALLS[Opcode.CMUL]
-        assert histogram[Opcode.LIFT] == PAPER_CALLS[Opcode.LIFT]
-        assert histogram[Opcode.SCALE] == PAPER_CALLS[Opcode.SCALE]
-        assert histogram[Opcode.REARRANGE] == PAPER_CALLS[Opcode.REARRANGE]
+        assert program.opcode_histogram() == PAPER_CALLS
 
-    def test_histogram_matches_expected_model(self, paper_params):
-        program = compile_mult(paper_params, CONFIG)
-        histogram = program.opcode_histogram()
-        expected = expected_table2_calls(paper_params, CONFIG)
-        for op, count in expected.items():
-            if count:
-                assert histogram.get(op, 0) == count, op
+    @pytest.mark.parametrize(("pname", "style", "on_chip"),
+                             sorted(LISTING_SHA256))
+    def test_listings_unchanged_by_shared_key_switch(self, pname, style,
+                                                     on_chip):
+        params = {"hpca19": hpca19, "mini": mini}[pname]()
+        config = replace(CONFIG, relin_key_on_chip=on_chip)
+        if style == "rotate":
+            program = compile_rotation(params, config, 3)
+        else:
+            program = compile_mult(params, config, relin_style=style)
+        digest = hashlib.sha256(program.listing().encode()).hexdigest()
+        assert digest == LISTING_SHA256[pname, style, on_chip]
+
+    def test_mul_plain_program(self, paper_params):
+        histogram = compile_mul_plain(paper_params).opcode_histogram()
+        assert histogram == {Opcode.REARRANGE: 5, Opcode.NTT: 3,
+                             Opcode.CMUL: 2, Opcode.INTT: 2}
 
     def test_one_rearrange_per_transform(self, paper_params):
         histogram = compile_mult(paper_params, CONFIG).opcode_histogram()
@@ -163,6 +218,48 @@ class TestCoprocessorFunctional:
         coprocessor.load_polynomial("b1", ct_b.c1.residues)
         with pytest.raises(HardwareModelError):
             coprocessor.execute(program, relin_key=None)
+
+    def test_mult_raw_then_relin_equals_mult(self, mini_keys, setup,
+                                             mini_params):
+        """Mult is its two halves run back to back on one register file:
+        same residues, and the cycle reports add up exactly."""
+        _, _, ct_a, ct_b = setup
+        operands = {"a0": ct_a.c0.residues, "a1": ct_a.c1.residues,
+                    "b0": ct_b.c0.residues, "b1": ct_b.c1.residues}
+        whole, whole_report = Coprocessor(mini_params).mult(
+            ct_a, ct_b, mini_keys.relin)
+        split = Coprocessor(mini_params)
+        raw, raw_report = split.run(
+            compile_mult_raw(mini_params, CONFIG), operands,
+            outputs=("s0", "s1", "s2"))
+        assert raw.size == 3
+        relin_report = split.execute(compile_relin(mini_params, CONFIG),
+                                     relin_key=mini_keys.relin)
+        for name, part in zip(("out0", "out1"), whole.parts, strict=True):
+            assert np.array_equal(split.registers[name][:mini_params.k_q],
+                                  part.residues)
+        assert raw_report.total_cycles + relin_report.total_cycles == \
+            whole_report.total_cycles
+
+    def test_mul_plain_bit_identical(self, mini_context, setup,
+                                     mini_params):
+        a, _, ct_a, _ = setup
+        hw_result, _ = Coprocessor(mini_params).run(
+            compile_mul_plain(mini_params),
+            {"a0": ct_a.c0.residues, "a1": ct_a.c1.residues,
+             "m": a.coeffs})
+        sw_result = mini_context.mul_plain(ct_a, a)
+        for hw_part, sw_part in zip(hw_result.parts, sw_result.parts,
+                                    strict=True):
+            assert np.array_equal(hw_part.residues, sw_part.residues)
+
+    def test_opcode_without_datapath_raises(self, mini_params):
+        """CMUL_SCALAR is in the ISA but has no handler: a program
+        holding it is refused by name, not with a bare KeyError."""
+        program = Program(name="scaled")
+        program.emit(Opcode.CMUL_SCALAR, dst="a0", srcs=("a0",), scalar=3)
+        with pytest.raises(IsaError, match="'scaled'.*CMUL_SCALAR"):
+            Coprocessor(mini_params).execute(program)
 
     def test_uninitialised_register_raises(self, mini_params):
         coprocessor = Coprocessor(mini_params)

@@ -80,33 +80,36 @@ def check_invariants(report, offered_jobs):
 
 class TestCostModel:
     def test_cycle_model_built_once(self):
+        """One price list, owned by the coprocessor and shared."""
         cost = CostModel(hpca19(), CONFIG)
-        calls = []
-        original = cost.reference.instruction_cycle_model
-
-        def counting():
-            calls.append(1)
-            return original()
-
-        cost.reference.instruction_cycle_model = counting
-        cost.mult_compute_seconds()
-        cost.add_compute_seconds()
-        cost.mult_compute_seconds()
-        cost.add_compute_seconds()
-        assert len(calls) == 1
+        model = cost.reference.instruction_cycle_model()
+        cost.compute_seconds(JobKind.MULT)
+        cost.compute_seconds(JobKind.ADD)
+        assert cost.instruction_cycle_model() is model
 
     def test_compute_costs_cached(self):
+        """Each kind is compiled and summed once; re-pricing is a
+        dictionary lookup."""
         cost = CostModel(hpca19(), CONFIG)
-        assert cost.add_compute_seconds() == cost.add_compute_seconds()
-        assert cost.mult_compute_seconds() == cost.mult_compute_seconds()
+        compiled = []
+        original = cost.program
+
+        def counting(kind):
+            compiled.append(kind)
+            return original(kind)
+
+        cost.program = counting
+        for kind in (JobKind.MULT, JobKind.ADD, JobKind.MULT, JobKind.ADD):
+            assert cost.compute_seconds(kind) == cost.compute_seconds(kind)
+        assert compiled == [JobKind.MULT, JobKind.ADD]
 
     def test_server_delegates_to_cost_model(self, server):
         assert server.job_seconds(JobKind.MULT) == \
             server.cost.job_seconds(JobKind.MULT)
         assert server.mult_compute_seconds() == \
-            server.cost.mult_compute_seconds()
+            server.cost.compute_seconds(JobKind.MULT)
         assert server.add_compute_seconds() == \
-            server.cost.add_compute_seconds()
+            server.cost.compute_seconds(JobKind.ADD)
 
 
 class TestServeReportWindow:
