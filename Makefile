@@ -2,18 +2,17 @@
 # the workflow can never drift: `make test` is exactly the tier-1
 # gate, `make test-parallel` the same suite forced through the thread
 # pool (`make blas-steered` its precondition), `make lint` / `make
-# coverage` / `make bench-smoke` are the CI jobs, `make ledger` /
+# coverage` / `make chaos-smoke` are CI jobs, `make ledger` /
 # `make ledger-quick` run the perf ledger (the repo's one benchmark,
-# see benchmarks/ledger/README.md), `make bench-nightly` is the
-# scheduled full ledger run, `make cluster-demo` is the multi-FPGA
+# see benchmarks/ledger/README.md; CI runs the quick pass per PR and
+# the full one nightly), `make cluster-demo` is the multi-FPGA
 # acceptance run.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-parallel blas-steered lint coverage bench-smoke \
-	bench-full bench-nightly ledger ledger-quick cluster-demo \
-	chaos-smoke clean
+.PHONY: test test-parallel blas-steered lint coverage ledger \
+	ledger-quick cluster-demo chaos-smoke clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -43,25 +42,10 @@ coverage:
 	$(PYTHON) -m pytest -q --cov=repro --cov-report=term \
 		--cov-fail-under=80
 
-# Fast-mode benches: regenerate the serving + cluster result files the
-# CI bench-smoke job uploads as artifacts (REPRO_BENCH_FAST shrinks
-# the sweeps; drop it to reproduce the committed full-mode numbers).
-bench-smoke:
-	REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
-		benchmarks/bench_serving_runtime.py \
-		benchmarks/bench_cluster_scaling.py \
-		benchmarks/bench_optimizer.py
-
-bench-full:
-	$(PYTHON) -m pytest -q \
-		benchmarks/bench_serving_runtime.py \
-		benchmarks/bench_cluster_scaling.py \
-		benchmarks/bench_optimizer.py
-
 # The perf ledger: absolute end-to-end and per-layer numbers on the
 # four BENCHMARK.json workloads, written to benchmarks/ledger/out/
 # (~3 min; --quick ~25 s). The nightly CI job uploads the record files.
-ledger bench-nightly:
+ledger:
 	$(PYTHON) benchmarks/ledger/run.py
 
 ledger-quick:
@@ -71,12 +55,10 @@ cluster-demo:
 	$(PYTHON) -m repro cluster --shards 8
 
 # CI test-faults job: the fault-injection suite on fixed FaultPlan
-# seeds plus the fast-mode chaos bench (mid-run board kill with the
-# zero-loss / <3x-p99 gates).
+# seeds (it holds the mid-run board-kill gates: zero loss, >= 99 %
+# availability, < 3x p99) plus the seeded chaos run end to end.
 chaos-smoke:
 	$(PYTHON) -m pytest -x -q tests/test_faults.py
-	REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
-		benchmarks/bench_fault_tolerance.py
 	$(PYTHON) -m repro cluster --shards 8 --faults 2019 --replicas 2
 
 clean:

@@ -592,27 +592,6 @@ def cmd_security(args: argparse.Namespace) -> None:
         print()
 
 
-def cmd_report(args: argparse.Namespace) -> None:
-    """Collate every regenerated table from benchmarks/results into one
-    report on stdout (run the benchmark suite first)."""
-    _print_header("Collated experiment report")
-    from pathlib import Path
-
-    results = Path.cwd() / "benchmarks" / "results"
-    if not results.is_dir():
-        # Editable installs: repository root relative to this file
-        # (src/repro/cli.py -> repo root).
-        results = Path(__file__).resolve().parents[2] / "benchmarks" \
-            / "results"
-    files = sorted(results.glob("*.txt")) if results.is_dir() else []
-    if not files:
-        print("no results found — run: pytest benchmarks/ --benchmark-only")
-        return
-    for path in files:
-        print(path.read_text().rstrip())
-        print("-" * 72)
-
-
 def cmd_verify(args: argparse.Namespace) -> None:
     _print_header("Hardware-vs-software equivalence campaign")
     from .hw.verification import run_configuration_matrix
@@ -664,7 +643,6 @@ COMMANDS = {
     "verify": cmd_verify,
     "sweep": cmd_sweep,
     "security": cmd_security,
-    "report": cmd_report,
 }
 
 

@@ -40,6 +40,7 @@ from ..hw.config import HardwareConfig
 from ..obs import active_tracer, current_registry
 from ..params import ParameterSet
 from ..serve.batching import BatchPolicy
+from ..serve.engine import check_conservation
 from ..serve.schedulers import Scheduler
 from ..serve.tenants import Rejection, TenantSet
 from ..system.server import CostModel
@@ -83,6 +84,7 @@ class FpgaCluster:
                           ReplicatedPlacement(
                               [s.name for s in self.shards], replicas))
         self._ran = False
+        self._arrived = 0
         self._overflow: list[Rejection] = []
         self._reroutes = 0
         self._fault_queue: deque[FaultEvent] = deque()
@@ -217,6 +219,7 @@ class FpgaCluster:
         """
         now = job.arrival_seconds
         self._advance_shards(now, inclusive=False)
+        self._arrived += 1
         self._route_and_inject(job, now)
 
     def advance_to(self, time_seconds: float, *,
@@ -256,11 +259,19 @@ class FpgaCluster:
         Pending fault events and backed-off retries are applied first,
         in time order, so a crash scheduled after the last arrival
         still spills (and recovers) exactly as it would mid-stream.
+        Raises if a job went missing: every arrival must end up in one
+        board's results or rejections, or in the cluster-edge
+        rejections (which include retry-budget losses).
         """
         while self._fault_queue or self._retry_heap:
             due = self._next_internal_due()
             self._advance_shards(due, inclusive=False)
         reports = [shard.drain() for shard in self.shards]
+        check_conservation(
+            "cluster", self._arrived,
+            completed=sum(len(report.results) for report in reports),
+            rejected=sum(len(report.rejected) for report in reports),
+            rejected_at_edge=len(self._overflow))
         if self._failure is not None:
             self._close_downtime_windows()
         return ClusterReport(
@@ -417,7 +428,7 @@ class FpgaCluster:
 
         The fault-free, replication-free path is byte-for-byte the
         pre-fault routing logic (single-shard bit-exactness and the
-        router comparison benches depend on it); health masking and
+        router comparison tests depend on it); health masking and
         replica placement only engage when a board is down or a
         :class:`ReplicatedPlacement` is configured.
         """

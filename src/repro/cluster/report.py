@@ -171,8 +171,8 @@ class ClusterReport:
         """Utilization spread, ``(max - min) / mean``; 0 when idle.
 
         0 means perfectly level shards; 1 means the busiest shard did
-        a full mean-utilization more work than the idlest. The scaling
-        benches plot p99 against this: affinity routing trades a
+        a full mean-utilization more work than the idlest. The routing
+        tests order policies by it: affinity routing trades a
         little imbalance for batchable same-tenant trains.
         """
         util = self.utilization_by_shard()

@@ -5,9 +5,11 @@ the fleet *breaking*: seeded schedules of board crashes, recoveries,
 transient job failures and DMA stalls (:class:`FaultPlan`), the retry
 policy that recovers spilled work (:class:`RetryPolicy`), and the
 structured ledger of what happened (:class:`FailureReport`). The
-cluster interprets the plans (:mod:`repro.cluster.cluster`); the chaos
-bench (``benchmarks/bench_fault_tolerance.py``) gates that a mid-run
-board kill under replication loses zero accepted jobs.
+cluster interprets the plans (:mod:`repro.cluster.cluster`) and checks
+on every drain that each arrival completed or was rejected;
+``tests/test_faults.py`` gates that a mid-run board kill under
+replication loses zero accepted jobs, and ``python -m repro cluster
+--faults <seed>`` prints the failure report of a seeded chaos run.
 
 Every fault event also increments the process-wide obs counters below,
 so fault activity shows up in registry snapshots (and therefore in

@@ -12,7 +12,7 @@ the chaos determinism tests gate on.
 The plan is pure data: it knows nothing about shards or jobs. The
 cluster interprets the events (:mod:`repro.cluster.cluster`); the
 guarantees about *surviving* them — zero accepted-job loss, bounded
-p99 inflation — live in the bench gates, not here.
+p99 inflation — live in ``tests/test_faults.py``, not here.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class FaultPlan:
     @classmethod
     def board_kill(cls, shard: int, at_seconds: float,
                    recover_at: float | None = None) -> FaultPlan:
-        """The chaos-bench scenario: one board dies mid-run.
+        """The board-kill chaos scenario: one board dies mid-run.
 
         With ``recover_at`` set the board comes back (cold) at that
         instant; otherwise it stays down for the rest of the run.

@@ -49,5 +49,5 @@ class PowerModel:
 
     def energy_per_mult_joules(self, mult_seconds: float,
                                active_coprocessors: int = 1) -> float:
-        """Energy attributable to one Mult (used in the efficiency bench)."""
+        """Energy attributable to one Mult."""
         return self.total_watts(active_coprocessors) * mult_seconds

@@ -5,7 +5,7 @@ hardware cost and performance ... design decisions can be tweaked to
 meet different requirements" and sketches an Amazon F1 port with ten
 coprocessors. The sweep functions here produce the data series behind
 those claims: latency/throughput/resources as functions of each design
-knob, consumed by the design-space example and the ablation benches.
+knob, consumed by the design-space example and ``python -m repro sweep``.
 """
 
 from __future__ import annotations

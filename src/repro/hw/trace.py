@@ -5,7 +5,7 @@ Two consumers:
 * debugging / teaching: :class:`NttTrace` records every read and write
   the schedule performs (cycle, core, port, block, address) so a failing
   configuration can be inspected like a waveform;
-* the Fig. 3 bench: :func:`render_fig3` draws the paper's three-regime
+* ``python -m repro fig3``: :func:`render_fig3` draws the paper's three-regime
   access-pattern figure as text from the recorded trace, so the figure
   is literally regenerated from executed schedule data.
 """

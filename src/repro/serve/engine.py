@@ -129,6 +129,8 @@ class ServingRuntime:
         self._pending_jobs = 0
         self._in_flight_jobs = 0
         self._service_scale = 1.0
+        self._arrived = 0
+        self._handed_back = 0
 
     @classmethod
     def for_server(cls, server: CloudServer, **kwargs) -> ServingRuntime:
@@ -168,6 +170,7 @@ class ServingRuntime:
         self._heap.push(job.arrival_seconds, EventKind.ARRIVAL, job)
         self._pending_seconds += self.cost.job_seconds_of(job)
         self._pending_jobs += 1
+        self._arrived += 1
 
     def advance_to(self, time_seconds: float, *,
                    inclusive: bool = True) -> None:
@@ -195,11 +198,20 @@ class ServingRuntime:
         self._now = max(self._now, time_seconds)
 
     def drain(self) -> RuntimeReport:
-        """Process all remaining events and return the final report."""
+        """Process all remaining events and return the final report.
+
+        Raises if a job went missing: every arrival must have completed,
+        been rejected, or been handed back by :meth:`spill` /
+        :meth:`fail_one`.
+        """
         if self._heap is None:
             raise RuntimeError("begin() must run before drain()")
         while self._heap:
             self._step()
+        check_conservation("runtime", self._arrived,
+                           completed=len(self._report.results),
+                           rejected=len(self._report.rejected),
+                           handed_back=self._handed_back)
         return self._report
 
     def run(self, jobs: list[Job]) -> RuntimeReport:
@@ -251,6 +263,7 @@ class ServingRuntime:
         self._in_flight_jobs = 0
         self._free = [True] * self.num_coprocessors
         self._busy_until = [self._now] * self.num_coprocessors
+        self._handed_back += len(spilled)
         return spilled
 
     def fail_one(self) -> Job | None:
@@ -265,6 +278,7 @@ class ServingRuntime:
         if entry is None:
             return None
         self._queued_per_tenant[entry.tenant] -= 1
+        self._handed_back += 1
         return entry.job
 
     # -- live load signals (routing/backpressure hints) --------------------------------
@@ -434,6 +448,16 @@ class ServingRuntime:
         self._free[done.coprocessor] = True
         self._in_flight_jobs -= len(done.entries)
         self._heap.push(now, EventKind.DISPATCH)
+
+
+def check_conservation(where: str, arrived: int, **outcomes: int) -> None:
+    """Raise unless every arrival landed in exactly one outcome bucket."""
+    landed = sum(outcomes.values())
+    if arrived != landed:
+        counts = " + ".join(f"{count} {name.replace('_', ' ')}"
+                            for name, count in outcomes.items())
+        raise RuntimeError(f"{where} broke job conservation: {arrived} "
+                           f"arrived but {counts} = {landed}")
 
 
 def simulate(server: CloudServer, jobs: list[Job],

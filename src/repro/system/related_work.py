@@ -2,7 +2,7 @@
 
 Published numbers from the implementations the paper compares against,
 plus helpers that compute our modelled system's entries so the
-comparison bench regenerates the section's claims:
+CLI and the tests regenerate the section's claims:
 
 * >13x throughput over FV-NFLlib on the i5;
 * 400 Mult/s beats the Tesla V100's ~388 Mult/s at matched parameters;

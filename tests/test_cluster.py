@@ -88,15 +88,21 @@ class TestSingleShardExactness:
 
 class TestScalingAcceptance:
     def test_eight_shards_scale_near_linearly_under_affinity(self):
-        """Acceptance: >= 7x one shard, saturated, tenant-affinity."""
+        """Acceptance: >= 7x one shard, saturated, tenant-affinity, and
+        Mult/s rising at every step of the 1 -> 2 -> 4 -> 8 sweep."""
         jobs = saturated_tenant_jobs(2048, 1)
         single = FpgaCluster.homogeneous(PARAMS, 1).run(mult_stream(256))
-        eight = FpgaCluster.homogeneous(
-            PARAMS, 8, router=TenantAffinityRouter()).run(jobs)
+        scaled = {shards: FpgaCluster.homogeneous(
+                      PARAMS, shards, router=TenantAffinityRouter()
+                  ).run(jobs) for shards in (2, 4, 8)}
+        eight = scaled[8]
         check_cluster_conservation(eight, jobs)
         scale = (eight.throughput_per_second()
                  / single.throughput_per_second())
         assert scale >= 7.0, scale
+        rates = [single.throughput_per_second()] + [
+            report.throughput_per_second() for report in scaled.values()]
+        assert rates == sorted(rates)
         # Every board took part.
         assert all(shard.results for shard in eight.shard_reports)
 
@@ -196,6 +202,30 @@ class TestRouting:
         ).run(trace)
         assert bounded.latency_summary().p99 < pure.latency_summary().p99
         assert bounded.imbalance() < pure.imbalance()
+
+    def test_bounded_affinity_keeps_the_single_board_tail(self):
+        """Four boards on a Zipf(1.1) trace at rho = 0.8 per board:
+        bounded-load affinity holds p99 within 10 % of one board at the
+        same per-board load, and the imbalance orders pure affinity >
+        bounded affinity >= round robin."""
+        capacity = FpgaCluster.homogeneous(
+            PARAMS, 1).capacity_mults_per_second()
+        single = FpgaCluster.homogeneous(PARAMS, 1).run(
+            cluster_trace(192, 0.8 * capacity, 1.0, skew=1.1, seed=5))
+        trace = cluster_trace(192, 0.8 * 4 * capacity, 1.0, skew=1.1,
+                              seed=5)
+        runs = {router.name: FpgaCluster.homogeneous(
+                    PARAMS, 4, router=router).run(trace)
+                for router in (RoundRobinRouter(), TenantAffinityRouter(),
+                               TenantAffinityRouter(
+                                   bounded_load_factor=1.25))}
+        p99 = {name: run.latency_summary().p99
+               for name, run in runs.items()}
+        imbalance = {name: run.imbalance() for name, run in runs.items()}
+        assert p99["affinity-bl"] <= 1.10 * single.latency_summary().p99
+        assert p99["affinity"] > p99["affinity-bl"]
+        assert imbalance["affinity"] > imbalance["affinity-bl"] >= \
+            imbalance["rr"] - 1e-9
 
     def test_bad_router_index_raises(self):
         class Broken(Router):

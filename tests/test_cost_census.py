@@ -91,3 +91,7 @@ def test_hpca19_prices():
     # Mult is its two halves, with no floor or rounding between them.
     assert HPCA19_CYCLES[JobKind.MULT] == (
         HPCA19_CYCLES[JobKind.MULT_RAW] + HPCA19_CYCLES[JobKind.RELIN])
+    # A rotation is a permutation plus one relin-shaped key switch:
+    # about half a Mult, dominated by the same key streaming.
+    assert 0.3 < (HPCA19_CYCLES[JobKind.ROTATE]
+                  / HPCA19_CYCLES[JobKind.MULT]) < 0.8

@@ -179,6 +179,19 @@ class TestNetworkModel:
         client = ClientSession(params, CloudServer(params), tenG)
         assert not client.is_network_bound()
 
+    def test_fpga_bound_crossover_between_1_and_4_gbps(self, client):
+        """At 70 % link efficiency the FPGA, not the network, becomes the
+        bottleneck somewhere between 1 and 4 Gbit/s (~1.9 Gbit/s)."""
+        def fpga_bound(mbps):
+            network = NetworkModel(
+                bandwidth_bytes_per_sec=mbps * 1e6 / 8 * 0.70)
+            return not ClientSession(client.params, client.server,
+                                     network).is_network_bound()
+
+        crossover = next(mbps for mbps in range(500, 5001, 100)
+                         if fpga_bound(mbps))
+        assert 1000 < crossover <= 4000
+
 
 class TestNttTrace:
     def test_capture_and_verify(self):

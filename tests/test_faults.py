@@ -34,10 +34,11 @@ from repro.cluster import (
 from repro.faults import FailureReport, FaultEvent, FaultKind, FaultPlan, \
     RetryPolicy
 from repro.obs import Tracer, current_registry
-from repro.params import mini
+from repro.params import hpca19, mini
 from repro.serve import ServingRuntime
 from repro.system.server import CostModel
-from repro.system.workloads import Job, JobKind, cluster_trace, mult_stream
+from repro.system.workloads import Job, JobKind, cluster_trace, mult_stream, \
+    zipf_tenant_rates
 from test_cluster import check_cluster_conservation
 
 PARAMS = mini()
@@ -318,6 +319,49 @@ class TestClusterFaults:
         assert report.availability == 1.0
         assert failure.downtime_by_shard["shard1"] == \
             pytest.approx(0.018)
+
+    def test_drain_raises_when_the_retry_path_drops_a_job(self,
+                                                          monkeypatch):
+        """Conservation is checked on every cluster drain: a spilled job
+        that is neither retried nor counted as lost fails the run."""
+        monkeypatch.setattr(FpgaCluster, "_schedule_retry",
+                            lambda self, job, origin, now: None)
+        plan = FaultPlan.board_kill(1, 0.02, recover_at=0.04)
+        # Oversubscribed, so the killed board has queued work to spill.
+        with pytest.raises(RuntimeError,
+                           match="cluster broke job conservation"):
+            _chaos_run(plan, rate=20_000.0)
+
+    def test_head_board_kill_at_paper_scale(self):
+        """The chaos scenario on the paper's parameter set: 8 boards at
+        60 % of capacity with R = 2, the Zipf head's primary killed at
+        40 % of a 1 s trace and back at 80 %. Nothing is lost, the fleet
+        stays >= 99 % available, and p99 pays under 3x a fault-free
+        twin of the same trace."""
+        params, shards, tenants = hpca19(), 8, 128
+        rate = 0.6 * FpgaCluster.homogeneous(
+            params, shards).capacity_mults_per_second()
+        jobs = cluster_trace(tenants, rate, 1.0, skew=1.1, seed=2019)
+        rates = zipf_tenant_rates(tenants, rate, 1.1)
+        victim = ReplicatedPlacement(
+            [f"shard{i}" for i in range(shards)], 2,
+        ).primary(max(rates, key=rates.get))
+
+        def run(plan):
+            return FpgaCluster.homogeneous(
+                params, shards, router=TenantAffinityRouter(),
+                fault_plan=plan, retry=RetryPolicy(seed=2019),
+                replicas=2).run(jobs)
+
+        clean = run(None)
+        chaos = run(FaultPlan.board_kill(victim, 0.4, recover_at=0.8))
+        check_cluster_conservation(chaos, jobs)
+        failure = chaos.failure
+        assert failure.jobs_lost == 0
+        assert failure.crashes == 1 and failure.recoveries == 1
+        assert chaos.availability >= 0.99
+        assert chaos.latency_summary().p99 < \
+            3.0 * clean.latency_summary().p99
 
     def test_no_new_work_lands_on_a_down_board(self):
         plan = FaultPlan.board_kill(0, 0.02)  # never recovers

@@ -378,6 +378,9 @@ class TestCoprocessorTiming:
         plain = Plaintext.from_list([1], paper_params.n, paper_params.t)
         ct = context.encrypt(plain, keys.public)
         coprocessor = Coprocessor(paper_params, slow_coprocessor_config())
-        _, report = coprocessor.mult(ct, ct, digit_key)
+        result, report = coprocessor.mult(ct, ct, digit_key)
         assert abs(report.seconds - 8.3e-3) / 8.3e-3 < 0.20
         assert report.seconds > 4.458e-3
+        # ... and its 90-bit digits still produce the right answer.
+        decrypted = context.decrypt(result, keys.secret)
+        assert decrypted.coeffs[0] == 1 and not decrypted.coeffs[1:].any()

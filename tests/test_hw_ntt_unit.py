@@ -205,6 +205,18 @@ class TestExecutors:
         assert np.array_equal(fast_result, strict_result)
         assert strict_cycles == fast_cycles
 
+    def test_paper_size_schedule_computes_the_transform(self, paper_params):
+        """The Fig. 3 schedule at n = 4096 on the paper's first prime:
+        the right transform in 12 stages x 1,024 issue cycles plus the
+        pipeline overheads (the Table II NTT row)."""
+        prime = paper_params.q_primes[0]
+        unit = DualCoreNttUnit(4096, prime, CONFIG)
+        values = np.random.default_rng(8).integers(0, prime, 4096)
+        result, cycles = unit.run_fast(values)
+        assert np.array_equal(
+            result, NegacyclicTransformer(4096, prime).forward(values))
+        assert 12_288 < cycles < 16_000
+
     def test_rejects_wrong_length(self):
         unit = DualCoreNttUnit(64, prime_for(64), CONFIG)
         with pytest.raises(HardwareModelError):
@@ -227,23 +239,26 @@ class TestCycleModel:
         assert abs(arm - 102_043) / 102_043 < 0.04
 
     def test_two_cores_nearly_halve_cycles(self):
-        prime = prime_for(256)
-        dual = DualCoreNttUnit(256, prime, CONFIG)
-        single = DualCoreNttUnit(
-            256, prime, replace(CONFIG, butterfly_cores_per_rpau=1)
-        )
-        ratio = single.transform_cycles() / dual.transform_cycles()
-        assert 1.4 < ratio < 2.0
+        """Fig. 3's dual-core scheme: 1.88x of the ideal 2x at n = 4096."""
+        for n, floor in ((256, 1.4), (4096, 1.5)):
+            prime = prime_for(n)
+            dual = DualCoreNttUnit(n, prime, CONFIG)
+            single = DualCoreNttUnit(
+                n, prime, replace(CONFIG, butterfly_cores_per_rpau=1)
+            )
+            ratio = single.transform_cycles() / dual.transform_cycles()
+            assert floor < ratio < 2.0, n
 
     def test_twiddle_rom_removes_bubbles(self):
         """Paper Sec. V-A4: no ROM -> ~20% more cycles (prior work [20])."""
-        prime = prime_for(256)
-        with_rom = DualCoreNttUnit(256, prime, CONFIG)
-        without = DualCoreNttUnit(
-            256, prime, replace(CONFIG, twiddle_rom=False)
-        )
-        ratio = without.transform_cycles() / with_rom.transform_cycles()
-        assert 1.10 < ratio < 1.25
+        for n in (256, 4096):
+            prime = prime_for(n)
+            with_rom = DualCoreNttUnit(n, prime, CONFIG)
+            without = DualCoreNttUnit(
+                n, prime, replace(CONFIG, twiddle_rom=False)
+            )
+            ratio = without.transform_cycles() / with_rom.transform_cycles()
+            assert 1.10 < ratio < 1.25, n
 
     def test_strict_cycles_scale_with_n(self):
         prime64, prime256 = prime_for(64), prime_for(256)

@@ -352,8 +352,8 @@ def test_rotsum_request_transform_rows_are_pinned():
     plaintext pool warm): 18 forward rows to encrypt, then per run six
     hoisted summation rounds and one hoisted rotation group at
     k_q^2 forward + k_q inverse rows each, and the output boundary.
-    270 forward / 78 inverse rows per request — ``bench-smoke`` checks
-    the same numbers on the ledger record."""
+    270 forward / 78 inverse rows per request — CI's ``ledger-quick``
+    job checks the same numbers on the ledger record."""
     session = Session(hpca19(t=65537))
     backend = LocalBackend(session)
     t = session.params.t

@@ -273,6 +273,14 @@ class TestBackendIntegration:
                                3 * 7 + 3 * 2, 4 * 8 + 4 * 2])
 
 
+def served_makespan(session, program, *, optimize):
+    """Finish time of the last of 20 requests of `program` served on one
+    simulated board: where saved keyswitches must show up."""
+    run = SimulatedBackend.over_runtime(
+        session.params, optimize=optimize).run(program, requests=20, seed=5)
+    return max(future.finish_seconds for future in run.completed)
+
+
 class TestSimulatedPricing:
     def make_program(self):
         session = Session(mini(t=65537), seed=3)
@@ -292,6 +300,11 @@ class TestSimulatedPricing:
         reduction = 1 - opt.keyswitch_ops() / raw.keyswitch_ops()
         assert reduction >= 0.30
         assert opt.train_seconds() < raw.train_seconds()
+
+    def test_optimized_makespan_improves(self):
+        session, program = self.make_program()
+        assert served_makespan(session, program, optimize=True) < \
+            served_makespan(session, program, optimize=False)
 
     def test_critical_path_and_stamps(self):
         session, program = self.make_program()
@@ -396,6 +409,8 @@ class TestMatmulApp:
         opt = SimulatedBackend.over_runtime(
             session.params, optimize=True).lower(program)
         assert 1 - opt.keyswitch_ops() / raw.keyswitch_ops() >= 0.30
+        assert served_makespan(session, program, optimize=True) < \
+            served_makespan(session, program, optimize=False)
 
     def test_matmul_validates_inputs(self):
         from repro.errors import ParameterError

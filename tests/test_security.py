@@ -81,10 +81,3 @@ class TestCliSecurity:
         assert cli_main(["security"]) == 0
         output = capsys.readouterr().out
         assert "hpca19" in output
-
-    def test_cli_report_command(self, capsys):
-        from repro.cli import main as cli_main
-
-        assert cli_main(["report"]) == 0
-        output = capsys.readouterr().out
-        assert len(output) > 50

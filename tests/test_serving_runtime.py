@@ -212,6 +212,24 @@ class TestSchedulerInvariants:
                           batching=BatchPolicy(max_jobs=batch))
         check_invariants(report, jobs)
 
+    def test_drain_raises_when_a_completion_is_lost(self, server,
+                                                    monkeypatch):
+        """Conservation is checked on every drain, not only by tests:
+        a completion that never reaches the report fails the run."""
+        record = ServingRuntime._on_completion
+
+        def drop_first(runtime, done, now):
+            record(runtime, done, now)
+            if not dropped:
+                dropped.append(runtime._report.results.pop())
+
+        dropped = []
+        monkeypatch.setattr(ServingRuntime, "_on_completion", drop_first)
+        with pytest.raises(RuntimeError, match=(
+                r"runtime broke job conservation: 6 arrived but 5 "
+                r"completed \+ 0 rejected \+ 0 handed back = 5")):
+            simulate(server, mult_stream(6))
+
 
 class TestPolicies:
     def test_sjf_runs_adds_before_mults(self, server):
@@ -301,6 +319,21 @@ class TestBatching:
         batched = simulate(server, jobs, batching=BatchPolicy(max_jobs=8))
         assert batched.makespan_seconds < plain.makespan_seconds
         assert batched.telemetry.mean_batch_size() > 1.5
+
+    def test_batching_moves_the_add_knee(self, server):
+        """Add is transfer-bound (26 us of compute on ~540 us of DMA), so
+        descriptor trains buy capacity: an Add stream offered at 1.08x
+        the unbatched service rate diverges alone and keeps up in
+        trains of up to 8."""
+        capacity = (server.config.num_coprocessors
+                    / server.job_seconds(JobKind.ADD))
+        jobs = poisson_stream(1.08 * capacity, 1.0, kind=JobKind.ADD,
+                              seed=23)
+        plain = simulate(server, jobs)
+        batched = simulate(server, jobs, batching=BatchPolicy(max_jobs=8))
+        assert batched.latency_summary().p99 < plain.latency_summary().p99
+        assert batched.throughput_per_second() > \
+            plain.throughput_per_second()
 
     def test_batching_ceiling_above_analytic_throughput(self, server):
         batcher = DmaBatcher(server.cost, BatchPolicy(max_jobs=8))
@@ -500,14 +533,18 @@ class TestBurstyWorkloads:
 
 class TestLatencyUnderLoad:
     def test_latency_diverges_past_service_rate(self, server):
-        """The queueing signature: p99 explodes once rho > 1."""
+        """The queueing signature, for every policy: p99 stays within a
+        few service times below rho = 1 and explodes once rho > 1."""
         capacity = server.mult_throughput_per_second()
-        p99 = {}
-        for rho in (0.5, 1.4):
-            jobs = poisson_stream(rho * capacity, 1.0, seed=13)
-            report = simulate(server, jobs)
-            p99[rho] = report.latency_summary().p99
-        assert p99[1.4] > 10 * p99[0.5]
+        streams = {rho: poisson_stream(rho * capacity, 1.0, seed=13)
+                   for rho in (0.5, 1.4)}
+        for policy in ALL_POLICIES:
+            p99 = {rho: simulate(server, jobs,
+                                 scheduler=make_scheduler(policy))
+                   .latency_summary().p99
+                   for rho, jobs in streams.items()}
+            assert p99[0.5] < 10 * server.job_seconds(JobKind.MULT), policy
+            assert p99[1.4] > 10 * p99[0.5], policy
 
 
 class TestClosedLoopClients:

@@ -116,6 +116,8 @@ class TestCloudServer:
         analytic = server.mult_throughput_per_second()
         assert abs(report.throughput_per_second() - analytic) / analytic \
             < 0.05
+        # The served rate is itself the paper's headline, within 10 %.
+        assert abs(report.throughput_per_second() - 400) / 400 < 0.10
 
     def test_mixed_workload_runs(self, server):
         report = server.serve(mixed_workload(5, 10, seed=3))
@@ -173,6 +175,19 @@ class TestRelatedWork:
         )
         v100 = next(p for p in published_points() if "V100" in p.name)
         assert ours.mults_per_second > v100.mults_per_second
+        # By what factor: just ahead of the V100 (~7 %, not a
+        # landslide), and > 13x the FV-NFLlib point.
+        assert ours.mults_per_second < 1.3 * v100.mults_per_second
+        nfllib = next(p for p in published_points() if "NFLlib" in p.name)
+        assert ours.mults_per_second > 13 * nfllib.mults_per_second
+
+    def test_energy_per_mult_beats_i5(self, server):
+        """Energy per Mult, FPGA at peak power vs the i5 at ~40 W load:
+        over 20x (the model gives 21 mJ vs 1.3 J)."""
+        fpga = (PowerModel(CONFIG).peak_watts()
+                * server.job_seconds(JobKind.MULT) / CONFIG.num_coprocessors)
+        i5 = 40.0 * SoftwareBaseline(hpca19()).mult_seconds()
+        assert i5 / fpga > 20
 
     def test_ours_beats_every_published_point(self, server):
         """Sec. VI-E's overall conclusion."""
