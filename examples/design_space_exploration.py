@@ -19,15 +19,15 @@ from dataclasses import replace
 
 from repro import HardwareConfig, hpca19, slow_coprocessor_config
 from repro.hw.resources import ResourceEstimator
-from repro.system import CloudServer
+from repro.system import CostModel, JobKind
 
 
 def evaluate(name: str, config: HardwareConfig) -> None:
     params = hpca19()
-    server = CloudServer(params, config)
+    cost = CostModel(params, config)
     resources = ResourceEstimator(params, config).single_coprocessor()
-    mult_ms = server.mult_compute_seconds() * 1e3
-    throughput = server.mult_throughput_per_second()
+    mult_ms = cost.compute_seconds(JobKind.MULT) * 1e3
+    throughput = cost.mult_throughput_per_second()
     print(f"{name:<38}{mult_ms:>9.2f} ms {throughput:>8.0f}/s"
           f"{resources.luts:>9,}{resources.bram36:>7}{resources.dsps:>6}")
 

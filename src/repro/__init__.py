@@ -83,7 +83,7 @@ from .fv import (
 from .hw import Coprocessor, HardwareConfig, MultReport, Opcode
 from .hw.config import slow_coprocessor_config
 from .params import ParameterSet, hpca19, hpca19_large, large_ring, mini, toy
-from .system import CloudServer, SoftwareBaseline
+from .system import CostModel, SoftwareBaseline
 
 __version__ = "1.1.0"
 
@@ -103,7 +103,7 @@ __all__ = [
     "Coprocessor", "HardwareConfig", "slow_coprocessor_config",
     "MultReport", "Opcode",
     # system
-    "CloudServer", "SoftwareBaseline",
+    "CostModel", "SoftwareBaseline",
     # errors
     "ReproError", "ParameterError", "EncodingError", "NoiseBudgetExhausted",
     "HardwareModelError", "MemoryConflictError", "CapacityError", "IsaError",

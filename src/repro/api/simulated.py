@@ -223,7 +223,7 @@ class SimulatedRun:
     @property
     def failure_report(self):
         """The cluster's fault ledger, or ``None`` for fault-free runs
-        (and for single-board runtime targets, which cannot crash)."""
+        (and for single-board runtime targets, which run no fault plan)."""
         return getattr(self.report, "failure", None)
 
     @property
@@ -356,7 +356,6 @@ class SimulatedBackend:
                      config: HardwareConfig | None = None,
                      scheduler_factory: Callable[[], object] | None = None,
                      batching=None, tenants=None,
-                     num_coprocessors: int | None = None,
                      optimize: bool = False,
                      ) -> SimulatedBackend:
         """One Arm+FPGA board (the paper's Fig. 11 server)."""
@@ -364,10 +363,8 @@ class SimulatedBackend:
 
         def factory() -> ServingRuntime:
             scheduler = scheduler_factory() if scheduler_factory else None
-            return ServingRuntime(
-                cost, scheduler=scheduler, batching=batching,
-                tenants=tenants, num_coprocessors=num_coprocessors,
-            )
+            return ServingRuntime(cost, scheduler=scheduler,
+                                  batching=batching, tenants=tenants)
 
         return cls(params, factory, description="single board",
                    cost=cost, optimize=optimize)

@@ -42,7 +42,7 @@ from .parallel import EXECUTOR_MODES, use_executor
 from .params import hpca19
 from .system.arm import ArmCoreModel
 from .system.baseline import SoftwareBaseline
-from .system.server import CloudServer
+from .system.server import CostModel
 from .system.workloads import JobKind
 
 PAPER_TABLE2 = {
@@ -66,16 +66,14 @@ def cmd_table1(args: argparse.Namespace) -> None:
     _print_header("Table I — high-level operations (one coprocessor)")
     params = hpca19()
     config = HardwareConfig()
-    server = CloudServer(params, config)
+    cost = CostModel(params, config)
     arm = ArmCoreModel(config)
-    mult_s = server.mult_compute_seconds()
-    add_s = server.add_compute_seconds()
     rows = [
-        ("Mult in HW", mult_s, 4.458e-3),
-        ("Add in HW", add_s, 0.026e-3),
+        ("Mult in HW", cost.compute_seconds(JobKind.MULT), 4.458e-3),
+        ("Add in HW", cost.compute_seconds(JobKind.ADD), 0.026e-3),
         ("Add in SW", arm.add_in_sw_seconds(params), 45.567e-3),
-        ("Send two ciphertexts", server.transfer_in_seconds(), 0.362e-3),
-        ("Receive result", server.transfer_out_seconds(), 0.180e-3),
+        ("Send two ciphertexts", cost.transfer_in_seconds(), 0.362e-3),
+        ("Receive result", cost.transfer_out_seconds(), 0.180e-3),
     ]
     print(f"{'operation':<24}{'ours (ms)':>12}{'paper (ms)':>12}")
     for label, ours, paper in rows:
@@ -83,7 +81,6 @@ def cmd_table1(args: argparse.Namespace) -> None:
     # Every job kind the simulator prices: its compiled program's census
     # and the sum of its instructions' cycles (key streaming included).
     print()
-    cost = server.cost
     paper_ms = {JobKind.MULT: 4.458, JobKind.ADD: 0.026}
     censuses = {kind: cost.program(kind).opcode_histogram()
                 for kind in JobKind}
@@ -146,10 +143,11 @@ def cmd_table5(args: argparse.Namespace) -> None:
     _print_header("Table V — scaling estimates (single coprocessor)")
     params = hpca19()
     config = HardwareConfig()
-    server = CloudServer(params, config)
+    cost = CostModel(params, config)
     base = ResourceEstimator(params, config).single_coprocessor()
-    comm = server.transfer_in_seconds() + server.transfer_out_seconds()
-    for point in scaling_table(base, server.mult_compute_seconds(), comm):
+    comm = cost.transfer_in_seconds() + cost.transfer_out_seconds()
+    for point in scaling_table(base, cost.compute_seconds(JobKind.MULT),
+                               comm):
         print(point.row())
 
 
@@ -162,10 +160,10 @@ def cmd_headline(args: argparse.Namespace) -> None:
     _print_header("Headline — throughput, speedup, power")
     params = hpca19()
     config = HardwareConfig()
-    server = CloudServer(params, config)
+    cost = CostModel(params, config)
     baseline = SoftwareBaseline(params)
     power = PowerModel(config)
-    throughput = server.mult_throughput_per_second()
+    throughput = cost.mult_throughput_per_second()
     print(f"Mult/s with two coprocessors: {throughput:6.0f}  (paper: 400)")
     print(f"software baseline:            "
           f"{baseline.mult_seconds() * 1e3:6.1f} ms/Mult (paper: 33)")
@@ -173,7 +171,7 @@ def cmd_headline(args: argparse.Namespace) -> None:
           f"{baseline.mult_seconds() * throughput:6.1f}x (paper: >13x)")
     print(f"peak power:                   {power.peak_watts():6.1f} W  (paper: 8.7 W)")
     print(f"add speedup over Arm SW:      "
-          f"{server.add_speedup_over_sw():6.0f}x (paper: 80x)")
+          f"{cost.add_speedup_over_sw():6.0f}x (paper: 80x)")
 
 
 def cmd_noise(args: argparse.Namespace) -> None:
@@ -198,8 +196,8 @@ def cmd_serve(args: argparse.Namespace) -> None:
     )
 
     params = hpca19()
-    server = CloudServer(params, HardwareConfig())
-    capacity = server.mult_throughput_per_second()
+    cost = CostModel(params, HardwareConfig())
+    capacity = cost.mult_throughput_per_second()
     tenants = TenantSet.of(
         Tenant("gold", weight=3.0, sla_seconds=0.5),
         Tenant("silver", weight=1.0),
@@ -220,10 +218,8 @@ def cmd_serve(args: argparse.Namespace) -> None:
           f"{'p50 ms':>9}{'p99 ms':>9}{'util':>7}{'SLA miss':>10}")
     wfq_report = None
     for scheduler in default_schedulers():
-        runtime = ServingRuntime.for_server(
-            server, scheduler=scheduler, tenants=tenants,
-            batching=BatchPolicy(max_jobs=4),
-        )
+        runtime = ServingRuntime(cost, scheduler=scheduler, tenants=tenants,
+                                 batching=BatchPolicy(max_jobs=4))
         report = runtime.run(workload)
         if isinstance(scheduler, WeightedFairScheduler):
             wfq_report = report
@@ -247,7 +243,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
     print(f"{'clients':>8}{'done':>7}{'tput/s':>9}{'p50 ms':>9}"
           f"{'p99 ms':>9}{'util':>7}")
     for clients in (4, 16, 64, 256):
-        runtime = ServingRuntime.for_server(server)
+        runtime = ServingRuntime(cost)
         result = ClosedLoopClients(clients, think, seed=3).drive(
             runtime, duration_seconds=1.0)
         report = result.report
@@ -383,7 +379,6 @@ def cmd_program(args: argparse.Namespace) -> None:
     from .apps.lookup import EncryptedLookupTable
     from .cluster.routing import TenantAffinityRouter
     from .params import mini
-    from .system.server import CostModel
     from .system.workloads import Job
 
     params = mini(t=257)

@@ -1,19 +1,18 @@
-"""Multi-FPGA shard layer over the serving runtime.
+"""Multi-FPGA cluster over the serving runtime.
 
-Scales the single Arm+FPGA board of the paper (and the PR 1 serving
-runtime that simulates it) out to a cluster: N per-board runtimes
-behind a placement router on one shared simulated clock —
+Scales the single Arm+FPGA board of the paper out to a cluster: a board
+is one :class:`~repro.serve.engine.ServingRuntime` (its up/down
+lifecycle included), and a cluster is N of them behind a placement
+router on one shared simulated clock —
 
-* :mod:`~repro.cluster.shard` — one board: a steppable runtime with an
-  UP/DRAINING/DOWN lifecycle plus the load signals routing reads;
 * :mod:`~repro.cluster.routing` — round-robin, least-outstanding-work,
   tenant-affinity (rendezvous hashing, optionally bounded-load), and
   power-of-two-choices placement;
 * :mod:`~repro.cluster.placement` — replicated tenant key-state
   placement (R boards per tenant, rendezvous-pinned, warmth-tracked);
-* :mod:`~repro.cluster.cluster` — the shared-clock run loop with
-  per-shard admission backpressure, overflow re-routing, and the
-  fault/retry interleaving driven by :mod:`repro.faults` plans;
+* :mod:`~repro.cluster.cluster` — the shared-clock run loop with the
+  cluster's backlog cap, overflow re-routing, and the fault/retry
+  interleaving driven by :mod:`repro.faults` plans;
 * :mod:`~repro.cluster.report` — merged cluster telemetry: cluster and
   per-shard percentiles, throughput, utilization imbalance, and the
   :class:`~repro.faults.FailureReport` ledger of any chaos run.
@@ -32,7 +31,6 @@ from .routing import (
     TenantAffinityRouter,
     default_routers,
 )
-from .shard import Shard, ShardState
 
 __all__ = [
     "FpgaCluster",
@@ -43,8 +41,6 @@ __all__ = [
     "FaultPlan",
     "ReplicatedPlacement",
     "RetryPolicy",
-    "Shard",
-    "ShardState",
     "Router",
     "RoundRobinRouter",
     "LeastOutstandingWorkRouter",

@@ -1,17 +1,17 @@
-"""The multi-FPGA shard layer: N boards behind one router.
+"""The multi-FPGA cluster: N boards behind one router.
 
-Composes per-board :class:`~repro.serve.engine.ServingRuntime`
-instances (wrapped as :class:`~repro.cluster.shard.Shard`) into one
-serving system on a shared simulated clock. Arrivals are processed in
-global time order: every shard first advances to the arrival instant
-(strictly — tied arrivals keep the one-shot heap ordering inside each
-shard), the router names a primary shard, and per-shard admission
-backpressure can overflow the job onto the least-loaded accepting
-sibling before the cluster gives up and rejects at its edge.
+A shard is one board, i.e. one :class:`~repro.serve.engine.ServingRuntime`;
+the cluster runs N of them on a shared simulated clock and adds only
+routing, backpressure and faults. Arrivals are processed in global time
+order: every shard first advances to the arrival instant (strictly —
+tied arrivals keep the one-shot heap ordering inside each shard), the
+router names a primary shard, and the cluster's backlog cap can
+overflow the job onto the least-loaded accepting sibling before the
+cluster gives up and rejects at its edge.
 
 A single-shard cluster is bit-identical to driving the underlying
-:class:`ServingRuntime` directly (validated in the tests), so the PR 1
-runtime results — and through them the paper's 400 Mult/s headline —
+:class:`ServingRuntime` directly (validated in the tests), so the
+runtime's results — and through them the paper's 400 Mult/s headline —
 carry over unchanged; the scale-out claim this layer adds is
 near-linear Mult/s to eight boards under tenant-affinity routing.
 """
@@ -40,7 +40,7 @@ from ..hw.config import HardwareConfig
 from ..obs import active_tracer, current_registry
 from ..params import ParameterSet
 from ..serve.batching import BatchPolicy
-from ..serve.engine import check_conservation
+from ..serve.engine import ServingRuntime, check_conservation
 from ..serve.schedulers import Scheduler
 from ..serve.tenants import Rejection, TenantSet
 from ..system.server import CostModel
@@ -48,7 +48,6 @@ from ..system.workloads import Job
 from .placement import ReplicatedPlacement
 from .report import ClusterReport
 from .routing import RoundRobinRouter, Router
-from .shard import Shard, ShardState
 
 SchedulerFactory = Callable[[], Scheduler]
 
@@ -59,8 +58,9 @@ _DEFAULT_POLYS_IN = 4
 class FpgaCluster:
     """N Arm+FPGA boards serving one job stream (single-use)."""
 
-    def __init__(self, shards: Sequence[Shard],
+    def __init__(self, shards: Sequence[ServingRuntime],
                  router: Router | None = None, *,
+                 max_backlog_seconds: float | None = None,
                  fault_plan: FaultPlan | None = None,
                  retry: RetryPolicy | None = None,
                  replicas: int | None = None) -> None:
@@ -68,8 +68,13 @@ class FpgaCluster:
             raise ValueError("a cluster needs at least one shard")
         if len({shard.name for shard in shards}) != len(shards):
             raise ValueError("shard names must be unique")
+        if max_backlog_seconds is not None and max_backlog_seconds <= 0:
+            raise ValueError("backlog cap must be positive")
         self.shards = list(shards)
         self.router = RoundRobinRouter() if router is None else router
+        #: Per-board cap on outstanding service-seconds before new work
+        #: overflows to a sibling (``None``: admission control only).
+        self.max_backlog_seconds = max_backlog_seconds
         self.fault_plan = fault_plan
         if fault_plan is not None:
             for event in fault_plan:
@@ -104,32 +109,10 @@ class FpgaCluster:
     @classmethod
     def homogeneous(cls, params: ParameterSet, num_shards: int, *,
                     config: HardwareConfig | None = None,
-                    router: Router | None = None,
-                    scheduler_factory: SchedulerFactory | None = None,
-                    batching: BatchPolicy | None = None,
-                    tenants: TenantSet | None = None,
-                    max_backlog_seconds: float | None = None,
-                    fault_plan: FaultPlan | None = None,
-                    retry: RetryPolicy | None = None,
-                    replicas: int | None = None,
-                    ) -> FpgaCluster:
-        """N identical boards sharing one cached :class:`CostModel`.
-
-        The cost model (instruction cycle model and per-op latencies)
-        depends only on ``(params, config)``, so identical boards share
-        a single instance instead of re-deriving the Table II model N
-        times.
-        """
-        if num_shards < 1:
-            raise ValueError("need at least one shard")
-        cost = CostModel(params, config)
-        shards = [
-            cls._build_shard(f"shard{i}", cost, scheduler_factory,
-                             batching, tenants, max_backlog_seconds)
-            for i in range(num_shards)
-        ]
-        return cls(shards, router=router, fault_plan=fault_plan,
-                   retry=retry, replicas=replicas)
+                    **kwargs) -> FpgaCluster:
+        """N identical boards (sharing one :class:`CostModel`)."""
+        return cls.heterogeneous(
+            params, [config or HardwareConfig()] * num_shards, **kwargs)
 
     @classmethod
     def heterogeneous(cls, params: ParameterSet,
@@ -154,35 +137,41 @@ class FpgaCluster:
             raise ValueError("need at least one hardware config")
         # Boards sharing a design point share one cost model too —
         # HardwareConfig is frozen/hashable, and the cycle model it
-        # keys is the expensive part of shard construction.
+        # keys is the expensive part of board construction.
         costs: dict[HardwareConfig, CostModel] = {}
         shards = []
         for i, config in enumerate(configs):
             cost = costs.get(config)
             if cost is None:
                 cost = costs[config] = CostModel(params, config)
-            shards.append(
-                cls._build_shard(f"shard{i}", cost, scheduler_factory,
-                                 batching, tenants, max_backlog_seconds)
-            )
-        return cls(shards, router=router, fault_plan=fault_plan,
-                   retry=retry, replicas=replicas)
-
-    @staticmethod
-    def _build_shard(name: str, cost: CostModel,
-                     scheduler_factory: SchedulerFactory | None,
-                     batching: BatchPolicy | None,
-                     tenants: TenantSet | None,
-                     max_backlog_seconds: float | None) -> Shard:
-        scheduler = scheduler_factory() if scheduler_factory else None
-        return Shard(name, cost, scheduler=scheduler, batching=batching,
-                     tenants=tenants,
-                     max_backlog_seconds=max_backlog_seconds)
+            shards.append(ServingRuntime(
+                cost, name=f"shard{i}",
+                scheduler=scheduler_factory() if scheduler_factory else None,
+                batching=batching, tenants=tenants))
+        return cls(shards, router=router,
+                   max_backlog_seconds=max_backlog_seconds,
+                   fault_plan=fault_plan, retry=retry, replicas=replicas)
 
     def capacity_mults_per_second(self) -> float:
         """Sum of every board's saturated Mult/s."""
-        return sum(shard.capacity_mults_per_second()
+        return sum(shard.cost.mult_throughput_per_second()
                    for shard in self.shards)
+
+    def accepting(self, shard: ServingRuntime, job: Job) -> bool:
+        """Backpressure gate: would `shard` take `job` right now?
+
+        False for a board that is down, once its outstanding work
+        exceeds the cluster's backlog cap, or when its own admission
+        control would refuse the job — the signal the cluster uses to
+        re-route overflow to a sibling board before the shard has to
+        reject.
+        """
+        if not shard.up:
+            return False
+        if (self.max_backlog_seconds is not None
+                and shard.outstanding_seconds() > self.max_backlog_seconds):
+            return False
+        return shard.would_admit(job)
 
     # -- the shared-clock stepping API -------------------------------------------------
 
@@ -245,12 +234,12 @@ class FpgaCluster:
     def completion_feeds(self) -> list[list]:
         """One live completion list per shard (closed-loop protocol)."""
         return [feed for shard in self.shards
-                for feed in shard.runtime.completion_feeds()]
+                for feed in shard.completion_feeds()]
 
     def rejection_feeds(self) -> list[list[Rejection]]:
         """Per-shard live rejection lists plus the cluster-edge overflow."""
         feeds = [feed for shard in self.shards
-                 for feed in shard.runtime.rejection_feeds()]
+                 for feed in shard.rejection_feeds()]
         return feeds + [self._overflow]
 
     def drain(self) -> ClusterReport:
@@ -333,7 +322,7 @@ class FpgaCluster:
             tracer.add(f"fault.{event.kind.value}", "fault", now, now,
                        clock="sim", shard=shard.name)
         if event.kind is FaultKind.SHARD_CRASH:
-            if shard.state is ShardState.DOWN:
+            if not shard.up:
                 return
             spilled = shard.crash(now)
             failure.crashes += 1
@@ -343,7 +332,7 @@ class FpgaCluster:
             for job in spilled:
                 self._schedule_retry(job, event.shard, now)
         elif event.kind is FaultKind.SHARD_RECOVER:
-            if shard.state is not ShardState.DOWN:
+            if shard.up:
                 return
             down_since = shard.down_since
             failure.recoveries += 1
@@ -358,19 +347,19 @@ class FpgaCluster:
                     self.placement.primary_tenants(event.shard))
             shard.recover()
         elif event.kind is FaultKind.JOB_FAIL:
-            if shard.state is ShardState.DOWN:
+            if not shard.up:
                 return
             job = shard.fail_one()
             if job is not None:
                 failure.transient_failures += 1
                 self._schedule_retry(job, event.shard, now)
         elif event.kind is FaultKind.DMA_STALL:
-            if shard.state is not ShardState.DOWN:
-                shard.set_service_scale(event.factor)
+            if shard.up:
+                shard.service_scale = event.factor
                 failure.dma_stalls += 1
         elif event.kind is FaultKind.DMA_RESUME:
-            if shard.state is not ShardState.DOWN:
-                shard.set_service_scale(1.0)
+            if shard.up:
+                shard.service_scale = 1.0
 
     def _schedule_retry(self, job: Job, origin: int, now: float) -> None:
         """Queue a failed/spilled job for backed-off re-injection."""
@@ -407,12 +396,11 @@ class FpgaCluster:
             self._failure.jobs_relocated += 1
 
     def _close_downtime_windows(self) -> None:
-        """Account downtime for boards still DOWN when the run ends."""
-        end = max((shard.runtime.now for shard in self.shards),
-                  default=0.0)
+        """Account downtime for boards still down when the run ends."""
+        end = max(shard.now for shard in self.shards)
         tracer = active_tracer()
         for shard in self.shards:
-            if shard.state is not ShardState.DOWN:
+            if shard.up:
                 continue
             self._failure.downtime_by_shard[shard.name] = (
                 self._failure.downtime_by_shard.get(shard.name, 0.0)
@@ -434,8 +422,7 @@ class FpgaCluster:
         """
         if self.placement is not None:
             return self._route_replicated(job, now)
-        alive = [i for i, shard in enumerate(self.shards)
-                 if shard.state is ShardState.UP]
+        alive = [i for i, shard in enumerate(self.shards) if shard.up]
         if not alive:
             self._overflow.append(Rejection(
                 job=job, time_seconds=now, reason="unavailable"))
@@ -451,12 +438,12 @@ class FpgaCluster:
             )
         primary = alive[chosen] if masked else chosen
         target = primary
-        if not self.shards[primary].accepting(job):
+        if not self.accepting(self.shards[primary], job):
             # Overflow re-routing: the least-loaded accepting
             # sibling takes the spill.
             siblings = [
                 i for i in alive
-                if i != primary and self.shards[i].accepting(job)
+                if i != primary and self.accepting(self.shards[i], job)
             ]
             if siblings:
                 target = min(
@@ -465,7 +452,7 @@ class FpgaCluster:
                         (self.shards[i].drain_estimate_seconds(), i),
                 )
                 self._reroutes += 1
-            elif self.shards[primary].runtime.would_admit(job):
+            elif self.shards[primary].would_admit(job):
                 # Every board is over its backlog cap but none
                 # would refuse outright: shed at the cluster edge
                 # rather than bust the primary's cap.
@@ -481,23 +468,22 @@ class FpgaCluster:
         """Tenant-pinned routing over the replica set, with failover.
 
         Walks the tenant's full rendezvous preference order and takes
-        the first UP, accepting board. Inside the replica set that is
+        the first live, accepting board. Inside the replica set that is
         normal affinity; past it the tenant *fails over*, paying the
         key-rehydration penalty on a board that has never staged its
         keys (and on a replica gone cold after a crash).
         """
         placement = self.placement
         order = placement.preference(job.tenant)
-        alive = [i for i in order
-                 if self.shards[i].state is ShardState.UP]
+        alive = [i for i in order if self.shards[i].up]
         if not alive:
             self._overflow.append(Rejection(
                 job=job, time_seconds=now, reason="unavailable"))
             return None
         target = next((i for i in alive
-                       if self.shards[i].accepting(job)), None)
+                       if self.accepting(self.shards[i], job)), None)
         if target is None:
-            if self.shards[alive[0]].runtime.would_admit(job):
+            if self.shards[alive[0]].would_admit(job):
                 self._overflow.append(Rejection(
                     job=job, time_seconds=now, reason="backpressure"))
                 return None
@@ -507,8 +493,7 @@ class FpgaCluster:
         if target != alive[0]:
             self._reroutes += 1
         primary = order[0]
-        if (target != primary
-                and self.shards[primary].state is ShardState.DOWN):
+        if target != primary and not self.shards[primary].up:
             tenants = self._failure.failovers_by_tenant
             tenants[job.tenant] = tenants.get(job.tenant, 0) + 1
             FAULT_FAILOVERS_COUNTER.inc()

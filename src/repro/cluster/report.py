@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..faults import FailureReport
-from ..serve.engine import RuntimeReport
+from ..serve.engine import JobResult, RuntimeReport
 from ..serve.telemetry import LatencySummary, Telemetry
 from ..serve.tenants import Rejection
-from ..system.server import JobResult
 from ..system.workloads import JobKind
 
 
@@ -129,8 +128,7 @@ class ClusterReport:
     def telemetry(self) -> Telemetry:
         """Exact merge of every shard's collector (empty shards fine)."""
         return Telemetry.merged([report.telemetry
-                                 for report in self.shard_reports
-                                 if report.telemetry is not None])
+                                 for report in self.shard_reports])
 
     def latency_summary(self, tenant: str | None = None) -> LatencySummary:
         return self.telemetry().latency_summary(tenant)
@@ -143,8 +141,7 @@ class ClusterReport:
     @property
     def sla_violations(self) -> int:
         return sum(report.telemetry.sla_violations
-                   for report in self.shard_reports
-                   if report.telemetry is not None)
+                   for report in self.shard_reports)
 
     # -- utilization and balance -------------------------------------------------------
 
@@ -160,9 +157,6 @@ class ClusterReport:
             return [0.0] * self.num_shards
         out = []
         for report in self.shard_reports:
-            if report.telemetry is None:
-                out.append(0.0)
-                continue
             util = report.telemetry.utilization(makespan)
             out.append(sum(util) / len(util) if util else 0.0)
         return out

@@ -1,8 +1,9 @@
 """Placement policies: which shard serves which arriving job.
 
-The router sees every arrival once, with all shards advanced to the
-arrival instant, and names a primary shard. Policies trade three goods
-off against each other:
+The router sees every arrival once, with all shards (one
+:class:`~repro.serve.engine.ServingRuntime` per board) advanced to the
+arrival instant, and names a primary shard by reading their load
+signals and names. Policies trade three goods off against each other:
 
 * **balance** — equalise outstanding work so the slowest shard (which
   sets cluster makespan) stays close to the mean;
@@ -27,8 +28,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..serve.engine import ServingRuntime
 from ..system.workloads import Job
-from .shard import Shard
 
 
 class Router(ABC):
@@ -37,7 +38,7 @@ class Router(ABC):
     name = "router"
 
     @abstractmethod
-    def choose(self, job: Job, shards: Sequence[Shard]) -> int:
+    def choose(self, job: Job, shards: Sequence[ServingRuntime]) -> int:
         """Index of the shard that should serve `job`."""
 
 
@@ -49,7 +50,7 @@ class RoundRobinRouter(Router):
     def __init__(self) -> None:
         self._next = 0
 
-    def choose(self, job: Job, shards: Sequence[Shard]) -> int:
+    def choose(self, job: Job, shards: Sequence[ServingRuntime]) -> int:
         index = self._next % len(shards)
         self._next += 1
         return index
@@ -58,7 +59,7 @@ class RoundRobinRouter(Router):
 class LeastOutstandingWorkRouter(Router):
     """Send each job to the shard that would drain soonest.
 
-    Compares :meth:`Shard.drain_estimate_seconds`, which prices the
+    Compares :meth:`ServingRuntime.drain_estimate_seconds`, which prices the
     backlog in *that shard's own* service seconds — so in a
     heterogeneous cluster a slow board reports a longer drain for the
     same queue and naturally receives proportionally less work.
@@ -66,7 +67,7 @@ class LeastOutstandingWorkRouter(Router):
 
     name = "low"
 
-    def choose(self, job: Job, shards: Sequence[Shard]) -> int:
+    def choose(self, job: Job, shards: Sequence[ServingRuntime]) -> int:
         return min(range(len(shards)),
                    key=lambda i: (shards[i].drain_estimate_seconds(), i))
 
@@ -105,7 +106,7 @@ class TenantAffinityRouter(Router):
         self._preference_cache: dict[str, list[int]] = {}
 
     def preference_order(self, tenant: str,
-                         shards: Sequence[Shard]) -> list[int]:
+                         shards: Sequence[ServingRuntime]) -> list[int]:
         order = self._preference_cache.get(tenant)
         if order is None or len(order) != len(shards):
             order = sorted(
@@ -116,7 +117,7 @@ class TenantAffinityRouter(Router):
             self._preference_cache[tenant] = order
         return order
 
-    def choose(self, job: Job, shards: Sequence[Shard]) -> int:
+    def choose(self, job: Job, shards: Sequence[ServingRuntime]) -> int:
         order = self.preference_order(job.tenant, shards)
         if self.bounded_load_factor is None:
             return order[0]
@@ -142,7 +143,7 @@ class PowerOfTwoChoicesRouter(Router):
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
 
-    def choose(self, job: Job, shards: Sequence[Shard]) -> int:
+    def choose(self, job: Job, shards: Sequence[ServingRuntime]) -> int:
         if len(shards) == 1:
             return 0
         first, second = self._rng.choice(len(shards), size=2,

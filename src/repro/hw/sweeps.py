@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..params import ParameterSet
-from ..system.server import CloudServer
+from ..system.server import CostModel
+from ..system.workloads import JobKind
 from .config import HardwareConfig
 from .resources import ResourceEstimator, Utilization
 
@@ -37,13 +38,13 @@ class DesignPoint:
 
 def evaluate_point(params: ParameterSet, label: str,
                    config: HardwareConfig) -> DesignPoint:
-    server = CloudServer(params, config)
+    cost = CostModel(params, config)
     resources = ResourceEstimator(params, config).single_coprocessor()
     return DesignPoint(
         label=label,
         config=config,
-        mult_seconds=server.mult_compute_seconds(),
-        throughput_per_second=server.mult_throughput_per_second(),
+        mult_seconds=cost.compute_seconds(JobKind.MULT),
+        throughput_per_second=cost.mult_throughput_per_second(),
         resources=resources,
     )
 

@@ -109,15 +109,14 @@ def _json_safe(attrs: dict[str, Any]) -> dict[str, Any]:
     return json.loads(json.dumps(attrs, default=str))
 
 
-def runtime_timeline(report: RuntimeReport | Any, pid: int = 0,
+def runtime_timeline(report: RuntimeReport, pid: int = 0,
                      name: str = "runtime") -> list[dict[str, Any]]:
     """A simulated run as per-coprocessor lanes plus a queue counter.
 
     Jobs dispatched in one DMA train share a start/finish interval;
     they render stacked inside the same slice bounds, which is exactly
-    the batching structure the timeline should show. Works on any
-    report with ``results`` (so plain :class:`ServeReport` too);
-    queue-depth counters appear only when telemetry is present.
+    the batching structure the timeline should show. The queue-depth
+    counter track comes from the report's telemetry.
     """
     lanes = sorted({r.coprocessor for r in report.results})
     events: list[dict[str, Any]] = _meta(pid, name)
@@ -141,17 +140,15 @@ def runtime_timeline(report: RuntimeReport | Any, pid: int = 0,
                 "latency_seconds": result.latency_seconds,
             },
         })
-    telemetry = getattr(report, "telemetry", None)
-    if telemetry is not None:
-        for now, depth in telemetry.queue_depth_trace:
-            events.append({
-                "ph": "C",
-                "name": "queue_depth",
-                "ts": max(0.0, now * _US),
-                "pid": pid,
-                "tid": 0,
-                "args": {"depth": depth},
-            })
+    for now, depth in report.telemetry.queue_depth_trace:
+        events.append({
+            "ph": "C",
+            "name": "queue_depth",
+            "ts": max(0.0, now * _US),
+            "pid": pid,
+            "tid": 0,
+            "args": {"depth": depth},
+        })
     return events
 
 

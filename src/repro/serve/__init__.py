@@ -1,10 +1,11 @@
 """Discrete-event serving runtime for the Arm+FPGA server (Fig. 11).
 
-Grows the single static scheduling loop of
-:meth:`repro.system.server.CloudServer.serve` into a serving system:
+One :class:`ServingRuntime` simulates one board, priced by the board's
+:class:`~repro.system.server.CostModel`:
 
 * :mod:`~repro.serve.events` — event heap and simulated clock;
-* :mod:`~repro.serve.engine` — the arrival/dispatch/completion loop;
+* :mod:`~repro.serve.engine` — the arrival/dispatch/completion loop,
+  the board's crash/recover lifecycle and its report;
 * :mod:`~repro.serve.schedulers` — FIFO, shortest-job-first, weighted
   fair queueing, and per-coprocessor work stealing;
 * :mod:`~repro.serve.batching` — DMA upload coalescing that amortises
@@ -16,7 +17,7 @@ Grows the single static scheduling loop of
 """
 
 from .batching import BatchPolicy, DmaBatcher
-from .engine import RuntimeReport, ServingRuntime, simulate
+from .engine import JobResult, RuntimeReport, ServingRuntime
 from .events import Event, EventHeap, EventKind
 from .schedulers import (
     CriticalPathScheduler,
@@ -33,9 +34,9 @@ from .tenants import AdmissionController, Rejection, Tenant, TenantSet
 __all__ = [
     "BatchPolicy",
     "DmaBatcher",
+    "JobResult",
     "RuntimeReport",
     "ServingRuntime",
-    "simulate",
     "Event",
     "EventHeap",
     "EventKind",

@@ -29,10 +29,10 @@ class BatchPolicy:
     """How aggressively the dispatcher coalesces queued jobs.
 
     ``max_jobs=1`` disables batching (every job pays the full Table I
-    transfer cost, matching ``CloudServer.serve``). Larger values let a
-    free coprocessor grab up to ``max_jobs`` queued jobs and run them
-    as one upload train / compute burst / download train; all jobs in
-    the train complete together.
+    transfer cost, as :meth:`CostModel.job_seconds_of` prices it). Larger
+    values let a free coprocessor grab up to ``max_jobs`` queued jobs and
+    run them as one upload train / compute burst / download train; all
+    jobs in the train complete together.
     """
 
     max_jobs: int = 1

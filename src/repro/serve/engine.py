@@ -1,14 +1,12 @@
-"""The discrete-event serving runtime for the Arm+FPGA server.
+"""The discrete-event serving runtime: the one simulator of a board.
 
-Replaces the static list-scheduling loop of ``CloudServer.serve`` with
-an event-driven simulation: job arrivals, batch dispatches and
-completions advance a simulated clock through an event heap, so the
-model expresses queueing delay, tenant contention, DMA batching and
-admission control — while pricing every job with the *same*
-:class:`~repro.system.server.CostModel` the static loop uses. On a
-saturated single-tenant stream with batching disabled the two produce
-identical schedules (validated in the test suite), so the paper's
-400 Mult/s headline carries over unchanged.
+A :class:`ServingRuntime` is one Arm+FPGA board of paper Fig. 11. Job
+arrivals, batch dispatches and completions advance a simulated clock
+through an event heap, so the model expresses queueing delay, tenant
+contention, DMA batching and admission control, pricing every job with
+the board's :class:`~repro.system.server.CostModel`. With FIFO and no
+batching on a saturated stream it is the earliest-free list schedule
+that yields the paper's 400 Mult/s headline.
 
 A runtime can be driven two ways:
 
@@ -16,12 +14,16 @@ A runtime can be driven two ways:
   list and drain the heap to completion;
 * the stepping API — :meth:`begin`, :meth:`inject`, :meth:`advance_to`
   and :meth:`drain` — which lets an outer simulation (the multi-FPGA
-  shard layer in :mod:`repro.cluster`) feed arrivals one at a time on
-  a shared clock and read live load signals
+  cluster in :mod:`repro.cluster`) feed arrivals one at a time on a
+  shared clock and read live load signals
   (:meth:`outstanding_seconds`, :meth:`drain_estimate_seconds`)
   between injections for routing decisions. ``run`` is exactly
   ``begin`` + ``inject``\\* + ``drain``, so both paths share one event
   loop and produce identical schedules.
+
+The cluster's fault loop drives the board lifecycle through
+:meth:`crash` / :meth:`recover` (plus :meth:`fail_one` and
+:attr:`service_scale` for transient faults and DMA stalls).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..system.server import CloudServer, CostModel, JobResult, ServeReport
-from ..system.workloads import Job
+from ..system.server import CostModel
+from ..system.workloads import Job, JobKind
 from .batching import BatchPolicy, DmaBatcher
 from .events import EventHeap, EventKind
 from .schedulers import FifoScheduler, QueueEntry, Scheduler, \
@@ -49,12 +51,61 @@ class _Dispatched:
     service_seconds: float
 
 
-@dataclass
-class RuntimeReport(ServeReport):
-    """A :class:`ServeReport` plus the serving-runtime extras."""
+@dataclass(frozen=True)
+class JobResult:
+    """Completion record of one scheduled job."""
 
+    job: Job
+    coprocessor: int
+    start_seconds: float
+    finish_seconds: float
+
+    @property
+    def latency_seconds(self) -> float:
+        return self.finish_seconds - self.job.arrival_seconds
+
+
+@dataclass
+class RuntimeReport:
+    """Timing summary of one board's run."""
+
+    telemetry: Telemetry
+    results: list[JobResult] = field(default_factory=list)
     rejected: list[Rejection] = field(default_factory=list)
-    telemetry: Telemetry | None = None
+
+    @property
+    def first_arrival_seconds(self) -> float:
+        return min((r.job.arrival_seconds for r in self.results),
+                   default=0.0)
+
+    @property
+    def last_finish_seconds(self) -> float:
+        return max((r.finish_seconds for r in self.results), default=0.0)
+
+    @property
+    def makespan_seconds(self) -> float:
+        """Busy interval of the run, measured from the *first arrival*.
+
+        Open-loop streams (e.g. Poisson) may not deliver their first job
+        at t=0; measuring from t=0 would dilute the throughput of every
+        such run by the initial idle gap.
+        """
+        if not self.results:
+            return 0.0
+        return self.last_finish_seconds - self.first_arrival_seconds
+
+    def throughput_per_second(self, kind: JobKind | None = None) -> float:
+        jobs = [r for r in self.results
+                if kind is None or r.job.kind is kind]
+        if not jobs or self.makespan_seconds == 0:
+            return 0.0
+        return len(jobs) / self.makespan_seconds
+
+    @property
+    def mean_latency_seconds(self) -> float:
+        if not self.results:
+            return 0.0
+        return sum(r.latency_seconds for r in self.results) / len(self.results)
 
     @property
     def offered(self) -> int:
@@ -65,22 +116,15 @@ class RuntimeReport(ServeReport):
         return len(self.rejected) / self.offered if self.offered else 0.0
 
     def latency_summary(self, tenant: str | None = None) -> LatencySummary:
-        if self.telemetry is not None:
-            return self.telemetry.latency_summary(tenant)
-        return LatencySummary.of([
-            r.latency_seconds for r in self.results
-            if tenant is None or r.job.tenant == tenant
-        ])
+        return self.telemetry.latency_summary(tenant)
 
     def utilization(self) -> list[float]:
-        if self.telemetry is None:
-            return []
         return self.telemetry.utilization(self.makespan_seconds)
 
     def mean_utilization(self) -> float:
         """Average busy fraction across coprocessors; 0.0 when empty.
 
-        Safe on reports with no results (an idle shard in a cluster
+        Safe on reports with no results (an idle board in a cluster
         must not crash the aggregation that averages utilizations).
         """
         util = self.utilization()
@@ -88,22 +132,21 @@ class RuntimeReport(ServeReport):
 
 
 class ServingRuntime:
-    """Event-driven scheduler simulation over the per-op cost models.
+    """One Arm+FPGA board: event-driven scheduling over its cost model.
 
     One runtime instance performs one run: schedulers and telemetry are
     stateful, so construct a fresh runtime (or at least a fresh
-    scheduler) for every workload.
+    scheduler) for every workload. ``name`` identifies the board inside
+    a cluster (rendezvous hashing and the cluster report read it).
     """
 
-    def __init__(self, cost: CostModel, *,
+    def __init__(self, cost: CostModel, *, name: str = "board",
                  scheduler: Scheduler | None = None,
                  batching: BatchPolicy | None = None,
-                 tenants: TenantSet | None = None,
-                 num_coprocessors: int | None = None) -> None:
+                 tenants: TenantSet | None = None) -> None:
         self.cost = cost
-        self.num_coprocessors = (cost.config.num_coprocessors
-                                 if num_coprocessors is None
-                                 else num_coprocessors)
+        self.name = name
+        self.num_coprocessors = cost.config.num_coprocessors
         if self.num_coprocessors < 1:
             raise ValueError("need at least one coprocessor")
         # `is None`, not `or`: an empty scheduler is falsy via __len__.
@@ -131,10 +174,8 @@ class ServingRuntime:
         self._service_scale = 1.0
         self._arrived = 0
         self._handed_back = 0
-
-    @classmethod
-    def for_server(cls, server: CloudServer, **kwargs) -> ServingRuntime:
-        return cls(server.cost, **kwargs)
+        #: Clock instant of the last crash; ``None`` while the board is up.
+        self.down_since: float | None = None
 
     # -- the stepping API --------------------------------------------------------------
 
@@ -177,7 +218,7 @@ class ServingRuntime:
         """Process every event due by ``time_seconds``.
 
         With ``inclusive=False`` only events *strictly before* the
-        deadline run — the shard layer uses this so arrivals injected
+        deadline run — the cluster uses this so arrivals injected
         at the deadline keep the one-shot heap ordering (all tied
         arrivals pop before the dispatches they trigger).
         """
@@ -266,6 +307,23 @@ class ServingRuntime:
         self._handed_back += len(spilled)
         return spilled
 
+    @property
+    def up(self) -> bool:
+        """Whether the board is in service (not crashed)."""
+        return self.down_since is None
+
+    def crash(self, now: float) -> list[Job]:
+        """Kill the board: spill all outstanding work, go down."""
+        if not self.up:
+            return []
+        self.down_since = now
+        return self.spill()
+
+    def recover(self) -> None:
+        """Return to service: empty queues, nominal DMA, cold caches."""
+        self.down_since = None
+        self.service_scale = 1.0
+
     def fail_one(self) -> Job | None:
         """Transient-fault semantics: kill one queued job, return it.
 
@@ -285,7 +343,7 @@ class ServingRuntime:
 
     @property
     def now(self) -> float:
-        """The shard-local simulated clock (last processed event)."""
+        """The board-local simulated clock (last processed event)."""
         return self._now
 
     def next_event_seconds(self) -> float | None:
@@ -458,13 +516,3 @@ def check_conservation(where: str, arrived: int, **outcomes: int) -> None:
                             for name, count in outcomes.items())
         raise RuntimeError(f"{where} broke job conservation: {arrived} "
                            f"arrived but {counts} = {landed}")
-
-
-def simulate(server: CloudServer, jobs: list[Job],
-             scheduler: Scheduler | None = None,
-             batching: BatchPolicy | None = None,
-             tenants: TenantSet | None = None) -> RuntimeReport:
-    """One-call convenience: build a runtime for `server` and run it."""
-    runtime = ServingRuntime.for_server(server, scheduler=scheduler,
-                                        batching=batching, tenants=tenants)
-    return runtime.run(jobs)

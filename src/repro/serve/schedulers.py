@@ -9,8 +9,8 @@ partitioned policies, may prefer the asking coprocessor's own queue.
 
 Policies:
 
-* :class:`FifoScheduler` — global arrival-order queue (the behaviour of
-  the static ``CloudServer.serve`` loop);
+* :class:`FifoScheduler` — global arrival-order queue (with no batching,
+  the earliest-free list schedule behind the 400 Mult/s headline);
 * :class:`ShortestJobFirstScheduler` — minimises mean latency for mixed
   Add/Mult traffic by letting the ~80x-cheaper Adds overtake Mults;
 * :class:`WeightedFairScheduler` — per-tenant virtual-finish-time

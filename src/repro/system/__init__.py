@@ -4,9 +4,8 @@
 * :mod:`~repro.system.baseline` — instrumented software FV mapped onto
   the Intel i5 / FV-NFLlib reference of Sec. VI-E;
 * :mod:`~repro.system.related_work` — the comparison points of Sec. VI-E;
-* :mod:`~repro.system.server` — the dual-coprocessor cloud server, its
-  reusable per-job :class:`~repro.system.server.CostModel`, and the
-  static job scheduler;
+* :mod:`~repro.system.server` — :class:`~repro.system.server.CostModel`,
+  the per-job price list of the dual-coprocessor cloud server;
 * :mod:`~repro.system.workloads` — homomorphic job streams (saturating,
   Poisson, bursty MMPP, multi-tenant) for the throughput experiments.
 
@@ -16,7 +15,7 @@ The discrete-event serving runtime built on these models lives in
 
 from .arm import ArmCoreModel
 from .baseline import SoftwareBaseline
-from .server import CloudServer, CostModel, JobResult, ServeReport
+from .server import CostModel
 from .workloads import (
     Job,
     JobKind,
@@ -31,10 +30,7 @@ from .workloads import (
 __all__ = [
     "ArmCoreModel",
     "SoftwareBaseline",
-    "CloudServer",
     "CostModel",
-    "JobResult",
-    "ServeReport",
     "Job",
     "JobKind",
     "mult_stream",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..params import ParameterSet
-from .server import CloudServer
+from .server import CostModel
 from .workloads import JobKind
 
 GIGABIT_ETHERNET_BYTES_PER_SEC = 125_000_000
@@ -59,10 +59,10 @@ class RoundTrip:
 class ClientSession:
     """A remote client using the homomorphic cloud service."""
 
-    def __init__(self, params: ParameterSet, server: CloudServer,
+    def __init__(self, params: ParameterSet, cost: CostModel,
                  network: NetworkModel | None = None) -> None:
         self.params = params
-        self.server = server
+        self.cost = cost
         self.network = network or NetworkModel()
 
     def mult_round_trip(self) -> RoundTrip:
@@ -75,7 +75,7 @@ class ClientSession:
         )
         return RoundTrip(
             upload_seconds=upload,
-            server_seconds=self.server.job_seconds(JobKind.MULT),
+            server_seconds=self.cost.job_seconds(JobKind.MULT),
             download_seconds=download,
         )
 
@@ -86,12 +86,12 @@ class ClientSession:
 
     def effective_throughput(self) -> float:
         """min(server, network) — the deployable rate for one-shot jobs."""
-        return min(self.server.mult_throughput_per_second(),
+        return min(self.cost.mult_throughput_per_second(),
                    self.network_bound_throughput())
 
     def is_network_bound(self) -> bool:
         return (self.network_bound_throughput()
-                < self.server.mult_throughput_per_second())
+                < self.cost.mult_throughput_per_second())
 
     def batched_throughput(self, ops_per_upload: int) -> float:
         """Server-side batching: one upload feeds many operations.
@@ -103,4 +103,4 @@ class ClientSession:
         if ops_per_upload < 1:
             raise ValueError("ops_per_upload must be at least 1")
         network_rate = self.network_bound_throughput() * ops_per_upload
-        return min(self.server.mult_throughput_per_second(), network_rate)
+        return min(self.cost.mult_throughput_per_second(), network_rate)

@@ -1,23 +1,19 @@
-"""The cloud server: 2 coprocessors + 3 Arm cores (paper Fig. 11).
+"""The cloud server's price list: 2 coprocessors + 3 Arm cores (Fig. 11).
 
 The paper reserves one Arm application core per coprocessor and a third
 core for networking and DDR/DMA arbitration (Xilinx mutex IP prevents
-simultaneous DMA requests). This module models that system at the job
-level: each homomorphic request pays its ciphertext transfers and its
-coprocessor compute time, coprocessors run in parallel, and the scheduler
-dispatches to the earliest-free instance — reproducing the paper's "two
-Mult operations take roughly the same time as one" and the 400 Mult/s
-headline.
+simultaneous DMA requests). :class:`CostModel` prices that system at the
+job level: each homomorphic request pays its ciphertext transfers and
+its coprocessor compute time, and the coprocessors run in parallel —
+the paper's "two Mult operations take roughly the same time as one" and
+its 400 Mult/s headline.
 
-The per-job costs live in :class:`CostModel` so that both the static
-:meth:`CloudServer.serve` loop kept here and the discrete-event runtime
-in :mod:`repro.serve` price jobs identically; the two are validated
-against each other on saturated streams.
+Scheduling lives in :class:`repro.serve.ServingRuntime`, the one
+simulator of a board; a cluster is N runtimes behind a router
+(:mod:`repro.cluster`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from ..hw.compiler import (
     compile_add,
@@ -119,124 +115,14 @@ class CostModel:
                         if polys_out else 0.0)
         return transfer_in + self.compute_seconds(job.kind) + transfer_out
 
-
-@dataclass(frozen=True)
-class JobResult:
-    """Completion record of one scheduled job."""
-
-    job: Job
-    coprocessor: int
-    start_seconds: float
-    finish_seconds: float
-
-    @property
-    def latency_seconds(self) -> float:
-        return self.finish_seconds - self.job.arrival_seconds
-
-
-@dataclass
-class ServeReport:
-    """Timing summary of one workload run."""
-
-    results: list[JobResult] = field(default_factory=list)
-
-    @property
-    def first_arrival_seconds(self) -> float:
-        return min((r.job.arrival_seconds for r in self.results),
-                   default=0.0)
-
-    @property
-    def last_finish_seconds(self) -> float:
-        return max((r.finish_seconds for r in self.results), default=0.0)
-
-    @property
-    def makespan_seconds(self) -> float:
-        """Busy interval of the run, measured from the *first arrival*.
-
-        Open-loop streams (e.g. Poisson) may not deliver their first job
-        at t=0; measuring from t=0 would dilute the throughput of every
-        such run by the initial idle gap.
-        """
-        if not self.results:
-            return 0.0
-        return self.last_finish_seconds - self.first_arrival_seconds
-
-    def throughput_per_second(self, kind: JobKind | None = None) -> float:
-        jobs = [r for r in self.results
-                if kind is None or r.job.kind is kind]
-        if not jobs or self.makespan_seconds == 0:
-            return 0.0
-        return len(jobs) / self.makespan_seconds
-
-    @property
-    def mean_latency_seconds(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(r.latency_seconds for r in self.results) / len(self.results)
-
-
-class CloudServer:
-    """The Arm+FPGA homomorphic computing server."""
-
-    def __init__(self, params: ParameterSet,
-                 config: HardwareConfig | None = None) -> None:
-        self.params = params
-        self.config = config or HardwareConfig()
-        self.cost = CostModel(params, self.config)
-        self.dma = self.cost.dma
-        self.reference = self.cost.reference
-        self.arm = ArmCoreModel(self.config)
-
-    # -- per-job costs (delegated to the shared CostModel) -----------------------------
-
-    def transfer_in_seconds(self, num_operands: int = 2) -> float:
-        return self.cost.transfer_in_seconds(num_operands)
-
-    def transfer_out_seconds(self) -> float:
-        return self.cost.transfer_out_seconds()
-
-    def mult_compute_seconds(self) -> float:
-        """Table I "Mult in HW" (includes relin key streaming)."""
-        return self.cost.compute_seconds(JobKind.MULT)
-
-    def add_compute_seconds(self) -> float:
-        """Table I "Add in HW"."""
-        return self.cost.compute_seconds(JobKind.ADD)
-
-    def job_seconds(self, kind: JobKind) -> float:
-        return self.cost.job_seconds(kind)
-
-    # -- scheduling --------------------------------------------------------------------
-
-    def serve(self, jobs: list[Job]) -> ServeReport:
-        """Dispatch jobs to the earliest-free coprocessor.
-
-        Static list scheduling in arrival order — the original Fig. 11
-        reproduction. For queueing delay, tenant contention, batching and
-        admission control use :class:`repro.serve.ServingRuntime`, which
-        matches this loop on saturated streams (see tests).
-        """
-        free_at = [0.0] * self.config.num_coprocessors
-        report = ServeReport()
-        for job in jobs:
-            coproc = min(range(len(free_at)), key=free_at.__getitem__)
-            start = max(free_at[coproc], job.arrival_seconds)
-            finish = start + self.job_seconds(job.kind)
-            free_at[coproc] = finish
-            report.results.append(
-                JobResult(job=job, coprocessor=coproc,
-                          start_seconds=start, finish_seconds=finish)
-            )
-        return report
-
     # -- headline numbers --------------------------------------------------------------
 
     def mult_throughput_per_second(self) -> float:
-        """The paper's 400-Mult/s claim (both coprocessors busy)."""
+        """Saturated Mult/s of one board, every coprocessor busy (the
+        paper's 400 Mult/s; a cluster's capacity is the sum)."""
         return self.config.num_coprocessors / self.job_seconds(JobKind.MULT)
 
     def add_speedup_over_sw(self) -> float:
         """Table I: Add in SW / Add in HW (incl. transfers) ~ 80x."""
-        hw = self.job_seconds(JobKind.ADD)
-        sw = self.arm.add_in_sw_seconds(self.params)
-        return sw / hw
+        sw = ArmCoreModel(self.config).add_in_sw_seconds(self.params)
+        return sw / self.job_seconds(JobKind.ADD)

@@ -20,11 +20,10 @@ from repro.hw.config import HardwareConfig
 from repro.params import hpca19
 from repro.serve import (
     LatencySummary,
-    RuntimeReport,
     ServingRuntime,
     Telemetry,
 )
-from repro.system.server import CloudServer
+from repro.system.server import CostModel
 from repro.system.workloads import (
     Job,
     JobKind,
@@ -40,8 +39,8 @@ PARAMS = hpca19()
 
 
 @pytest.fixture(scope="module")
-def server():
-    return CloudServer(PARAMS, HardwareConfig())
+def cost():
+    return CostModel(PARAMS, HardwareConfig())
 
 
 def check_cluster_conservation(report, offered_jobs):
@@ -60,8 +59,8 @@ class TestSingleShardExactness:
         poisson_stream(500.0, 0.5, seed=9),
         poisson_stream(900.0, 0.4, seed=2),
     ], ids=["saturated", "underload", "overload"])
-    def test_reproduces_direct_runtime_exactly(self, server, jobs):
-        direct = ServingRuntime.for_server(server).run(jobs)
+    def test_reproduces_direct_runtime_exactly(self, cost, jobs):
+        direct = ServingRuntime(cost).run(jobs)
         cluster = FpgaCluster.homogeneous(PARAMS, 1)
         report = cluster.run(jobs)
         assert report.num_shards == 1
@@ -75,9 +74,9 @@ class TestSingleShardExactness:
             direct.throughput_per_second()
         assert shard.telemetry.latencies == direct.telemetry.latencies
 
-    def test_every_router_degenerates_on_one_shard(self, server):
+    def test_every_router_degenerates_on_one_shard(self, cost):
         jobs = poisson_stream(400.0, 0.3, seed=4)
-        direct = ServingRuntime.for_server(server).run(jobs)
+        direct = ServingRuntime(cost).run(jobs)
         for router in (RoundRobinRouter(), LeastOutstandingWorkRouter(),
                        TenantAffinityRouter(),
                        PowerOfTwoChoicesRouter(seed=3)):
@@ -357,11 +356,11 @@ class TestEmptyAndIdleEdges:
                 assert shard.latency_summary().count == 0
                 assert shard.rejection_fraction == 0.0
 
-    def test_runtime_report_empty_guards(self):
-        report = RuntimeReport()
+    def test_runtime_report_empty_guards(self, cost):
+        report = ServingRuntime(cost).run([])
         assert report.rejection_fraction == 0.0
         assert report.mean_utilization() == 0.0
-        assert report.utilization() == []
+        assert report.utilization() == [0.0, 0.0]
         assert report.latency_summary().p99 == 0.0
 
     def test_cluster_report_validation(self):
@@ -485,7 +484,7 @@ class TestRejectionOnlyAggregation:
         assert times == sorted(times)
         assert merged.max_queue_depth == 5
 
-    def test_cluster_summary_matches_shard_concatenation(self, server):
+    def test_cluster_summary_matches_shard_concatenation(self, cost):
         """End-to-end: cluster latency summary == concatenated shards."""
         jobs = cluster_trace(16, 1200.0, 0.6, seed=11)
         cluster = FpgaCluster.homogeneous(PARAMS, 3,
@@ -498,10 +497,10 @@ class TestRejectionOnlyAggregation:
 
 
 class TestSteppingApi:
-    def test_run_equals_begin_inject_drain(self, server):
+    def test_run_equals_begin_inject_drain(self, cost):
         jobs = poisson_stream(700.0, 0.4, seed=21)
-        oneshot = ServingRuntime.for_server(server).run(jobs)
-        stepped_runtime = ServingRuntime.for_server(server)
+        oneshot = ServingRuntime(cost).run(jobs)
+        stepped_runtime = ServingRuntime(cost)
         stepped_runtime.begin()
         for job in jobs:
             stepped_runtime.advance_to(job.arrival_seconds,
@@ -511,8 +510,8 @@ class TestSteppingApi:
         assert [r.finish_seconds for r in stepped.results] == \
             [r.finish_seconds for r in oneshot.results]
 
-    def test_inject_requires_begin(self, server):
-        runtime = ServingRuntime.for_server(server)
+    def test_inject_requires_begin(self, cost):
+        runtime = ServingRuntime(cost)
         with pytest.raises(RuntimeError):
             runtime.inject(Job(index=0, kind=JobKind.MULT))
         with pytest.raises(RuntimeError):
@@ -520,8 +519,8 @@ class TestSteppingApi:
         with pytest.raises(RuntimeError):
             runtime.drain()
 
-    def test_inject_behind_clock_raises(self, server):
-        runtime = ServingRuntime.for_server(server)
+    def test_inject_behind_clock_raises(self, cost):
+        runtime = ServingRuntime(cost)
         runtime.begin()
         runtime.inject(Job(index=0, kind=JobKind.MULT,
                            arrival_seconds=0.5))
@@ -530,8 +529,8 @@ class TestSteppingApi:
             runtime.inject(Job(index=1, kind=JobKind.MULT,
                                arrival_seconds=0.2))
 
-    def test_outstanding_tracks_pending_and_drains_to_zero(self, server):
-        runtime = ServingRuntime.for_server(server)
+    def test_outstanding_tracks_pending_and_drains_to_zero(self, cost):
+        runtime = ServingRuntime(cost)
         runtime.begin()
         assert runtime.outstanding_seconds() == 0.0
         for i in range(6):
@@ -539,22 +538,22 @@ class TestSteppingApi:
         # Injected but unprocessed arrivals already register as load.
         assert runtime.outstanding_jobs() == 6
         assert runtime.outstanding_seconds() == pytest.approx(
-            6 * server.job_seconds(JobKind.MULT))
+            6 * cost.job_seconds(JobKind.MULT))
         assert runtime.drain_estimate_seconds() == pytest.approx(
-            3 * server.job_seconds(JobKind.MULT))
+            3 * cost.job_seconds(JobKind.MULT))
         report = runtime.drain()
         assert len(report.results) == 6
         assert runtime.outstanding_seconds() == pytest.approx(0.0)
         assert runtime.outstanding_jobs() == 0
 
-    def test_exclusive_advance_still_moves_the_clock(self, server):
+    def test_exclusive_advance_still_moves_the_clock(self, cost):
         """Load signals must be measured at the deadline, not at the
         last processed event — a nearly-finished batch is nearly-zero
         outstanding work (the router reads this between arrivals)."""
-        runtime = ServingRuntime.for_server(server)
+        runtime = ServingRuntime(cost)
         runtime.begin()
         runtime.inject(Job(index=0, kind=JobKind.MULT))
-        service = server.job_seconds(JobKind.MULT)
+        service = cost.job_seconds(JobKind.MULT)
         runtime.advance_to(0.9 * service, inclusive=False)
         assert runtime.now == pytest.approx(0.9 * service)
         assert runtime.outstanding_seconds() == \
@@ -565,8 +564,8 @@ class TestSteppingApi:
         report = runtime.drain()
         assert len(report.results) == 2
 
-    def test_advance_exclusive_defers_deadline_events(self, server):
-        runtime = ServingRuntime.for_server(server)
+    def test_advance_exclusive_defers_deadline_events(self, cost):
+        runtime = ServingRuntime(cost)
         runtime.begin()
         runtime.inject(Job(index=0, kind=JobKind.MULT,
                            arrival_seconds=1.0))
@@ -623,7 +622,7 @@ class TestClusterWorkloads:
 class TestClosedLoopCluster:
     """The think-time client model drives the whole cluster too."""
 
-    def test_single_shard_matches_runtime(self, server):
+    def test_single_shard_matches_runtime(self, cost):
         """Closed loop on a 1-shard cluster == closed loop on the bare
         runtime: same protocol, same clock, same completions."""
         from repro.system.workloads import ClosedLoopClients
@@ -632,7 +631,7 @@ class TestClosedLoopCluster:
             clients = ClosedLoopClients(8, 0.02, seed=11)
             return clients.drive(target, duration_seconds=0.5)
 
-        on_runtime = drive(ServingRuntime.for_server(server))
+        on_runtime = drive(ServingRuntime(cost))
         on_cluster = drive(FpgaCluster.homogeneous(PARAMS, 1))
         assert on_cluster.submitted == on_runtime.submitted
         assert on_cluster.completed == on_runtime.completed

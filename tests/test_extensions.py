@@ -16,7 +16,7 @@ from repro.fv.noise_model import NoiseModel
 from repro.hw.trace import NttTrace, render_fig3
 from repro.params import hpca19, mini, toy
 from repro.system.network import ClientSession, NetworkModel
-from repro.system.server import CloudServer
+from repro.system.server import CostModel
 
 
 class TestNoiseModel:
@@ -142,7 +142,7 @@ class TestNetworkModel:
     @pytest.fixture(scope="class")
     def client(self):
         params = hpca19()
-        return ClientSession(params, CloudServer(params))
+        return ClientSession(params, CostModel(params))
 
     def test_round_trip_composition(self, client):
         trip = client.mult_round_trip()
@@ -160,12 +160,12 @@ class TestNetworkModel:
 
     def test_batching_recovers_fpga_throughput(self, client):
         assert client.batched_throughput(4) == pytest.approx(
-            client.server.mult_throughput_per_second()
+            client.cost.mult_throughput_per_second()
         )
 
     def test_effective_throughput_is_minimum(self, client):
         assert client.effective_throughput() == pytest.approx(
-            min(client.server.mult_throughput_per_second(),
+            min(client.cost.mult_throughput_per_second(),
                 client.network_bound_throughput())
         )
 
@@ -176,7 +176,7 @@ class TestNetworkModel:
     def test_faster_network_removes_bottleneck(self):
         params = hpca19()
         tenG = NetworkModel(bandwidth_bytes_per_sec=10 * 125_000_000)
-        client = ClientSession(params, CloudServer(params), tenG)
+        client = ClientSession(params, CostModel(params), tenG)
         assert not client.is_network_bound()
 
     def test_fpga_bound_crossover_between_1_and_4_gbps(self, client):
@@ -185,7 +185,7 @@ class TestNetworkModel:
         def fpga_bound(mbps):
             network = NetworkModel(
                 bandwidth_bytes_per_sec=mbps * 1e6 / 8 * 0.70)
-            return not ClientSession(client.params, client.server,
+            return not ClientSession(client.params, client.cost,
                                      network).is_network_bound()
 
         crossover = next(mbps for mbps in range(500, 5001, 100)

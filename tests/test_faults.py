@@ -12,7 +12,7 @@ and survivable. Concretely:
   rejection (conservation);
 * the engine honours deadlines ("timeout" rejections), DMA stalls
   multiply service times, retried jobs measure latency from their
-  first arrival, and routers never place new work on a DOWN board;
+  first arrival, and routers never place new work on a down board;
 * tenant failover to a replica pays a priced key-rehydration penalty
   and the fault ledger (plus the obs counters) records all of it.
 """
@@ -28,7 +28,6 @@ from repro.cluster import (
     LeastOutstandingWorkRouter,
     ReplicatedPlacement,
     RoundRobinRouter,
-    ShardState,
     TenantAffinityRouter,
 )
 from repro.faults import FailureReport, FaultEvent, FaultKind, FaultPlan, \
@@ -200,43 +199,39 @@ class TestEngineFailureSemantics:
 
 
 class TestShardLifecycle:
-    def _shard(self, name="s0"):
-        from repro.cluster import Shard
-
-        return Shard(name, COST)
+    """A shard is a runtime: crash/recover live on ServingRuntime, the
+    backlog/health gate on the cluster that routes to it."""
 
     def test_crash_spills_and_refuses_work(self):
-        shard = self._shard()
-        shard.begin()
+        cluster = FpgaCluster.homogeneous(PARAMS, 2)
+        cluster.begin()
+        board = cluster.shards[0]
         for job in _jobs(5):
-            shard.inject(job)
-        spilled = shard.crash(0.0)
+            board.inject(job)
+        spilled = board.crash(0.0)
         assert len(spilled) == 5
-        assert shard.state is ShardState.DOWN
-        assert not shard.accepting(Job(index=9, kind=JobKind.MULT))
-        assert shard.crash(0.0) == []  # idempotent
+        assert not board.up and board.down_since == 0.0
+        assert not cluster.accepting(board, Job(index=9, kind=JobKind.MULT))
+        assert board.crash(0.0) == []  # idempotent
 
     def test_recover_returns_to_service(self):
-        shard = self._shard()
-        shard.begin()
-        shard.crash(0.0)
-        shard.set_service_scale = shard.set_service_scale  # no-op alias
-        shard.recover()
-        assert shard.state is ShardState.UP
-        assert shard.down_since is None
-        assert shard.accepting(Job(index=0, kind=JobKind.MULT))
-        assert shard.runtime.service_scale == 1.0
-
-    def test_draining_refuses_new_but_finishes_queued(self):
-        shard = self._shard()
-        shard.begin()
-        for job in _jobs(4):
-            shard.inject(job)
-        shard.start_draining()
-        assert shard.state is ShardState.DRAINING
-        assert not shard.accepting(Job(index=9, kind=JobKind.MULT))
-        report = shard.drain()
-        assert len(report.results) == 4
+        cluster = FpgaCluster.homogeneous(PARAMS, 2,
+                                          router=RoundRobinRouter())
+        cluster.begin()
+        board = cluster.shards[1]
+        board.service_scale = 3.0  # a DMA stall, then the board dies
+        board.crash(0.0)
+        cluster.inject(Job(index=0, kind=JobKind.MULT))  # masked: shard0
+        board.recover()
+        assert board.service_scale == 1.0
+        assert board.down_since is None
+        assert cluster.accepting(board, Job(index=1, kind=JobKind.MULT))
+        for index in (1, 2):
+            cluster.inject(Job(index=index, kind=JobKind.MULT))
+        revived = cluster.drain().shard_reports[1].results
+        assert [r.job.index for r in revived] == [1]
+        assert revived[0].finish_seconds - revived[0].start_seconds == \
+            pytest.approx(board.cost.job_seconds(JobKind.MULT))
 
 
 class TestReplicatedPlacement:

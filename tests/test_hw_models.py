@@ -249,13 +249,14 @@ class TestScalingModel:
         """Seeded with the simulator's own Mult (4.28 ms, -4 %) and
         transfers instead of the paper's, every Table V cell still lands
         within 10 %."""
-        from repro.system.server import CloudServer
+        from repro.system.server import CostModel
+        from repro.system.workloads import JobKind
 
-        server = CloudServer(hpca19(), CONFIG)
+        cost = CostModel(hpca19(), CONFIG)
         base = ResourceEstimator(hpca19(), CONFIG).single_coprocessor()
         table = scaling_table(
-            base, server.mult_compute_seconds(),
-            server.transfer_in_seconds() + server.transfer_out_seconds())
+            base, cost.compute_seconds(JobKind.MULT),
+            cost.transfer_in_seconds() + cost.transfer_out_seconds())
         paper = [(4.46, 0.54, 5.0), (9.68, 2.16, 11.9),
                  (21.0, 8.64, 29.6), (45.6, 34.6, 80.2)]
         for point, row in zip(table, paper, strict=True):

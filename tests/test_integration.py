@@ -11,7 +11,8 @@ from repro.fv.evaluator import Evaluator
 from repro.fv.noise import noise_budget_bits
 from repro.hw.coprocessor import Coprocessor
 from repro.nttmath.ntt import negacyclic_convolution
-from repro.system.server import CloudServer
+from repro.serve import ServingRuntime
+from repro.system.server import CostModel
 from repro.system.workloads import JobKind, mixed_workload
 
 
@@ -181,8 +182,8 @@ class TestClientCloudFlow:
 
 class TestServerScheduling:
     def test_mixed_workload_end_to_end_timing(self, paper_params):
-        server = CloudServer(paper_params)
-        report = server.serve(mixed_workload(10, 4, seed=2))
+        cost = CostModel(paper_params)
+        report = ServingRuntime(cost).run(mixed_workload(10, 4, seed=2))
         assert len(report.results) == 50
         # Adds are much faster than mults.
         add_latency = min(
@@ -196,8 +197,8 @@ class TestServerScheduling:
         assert mult_latency > 5 * add_latency
 
     def test_load_balancing(self, paper_params):
-        server = CloudServer(paper_params)
-        report = server.serve(mixed_workload(8, 2, seed=5))
+        cost = CostModel(paper_params)
+        report = ServingRuntime(cost).run(mixed_workload(8, 2, seed=5))
         per_coproc = {}
         for result in report.results:
             per_coproc.setdefault(result.coprocessor, 0)

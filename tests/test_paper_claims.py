@@ -15,31 +15,31 @@ from repro.hw.power import PowerModel
 from repro.hw.resources import ResourceEstimator
 from repro.params import hpca19
 from repro.system.baseline import SoftwareBaseline
-from repro.system.server import CloudServer
+from repro.system.server import CostModel
 from repro.system.workloads import JobKind
 
 CONFIG = HardwareConfig()
 
 
 @pytest.fixture(scope="module")
-def server():
-    return CloudServer(hpca19(), CONFIG)
+def cost():
+    return CostModel(hpca19(), CONFIG)
 
 
 class TestAbstractClaims:
-    def test_400_homomorphic_multiplications_per_second(self, server):
+    def test_400_homomorphic_multiplications_per_second(self, cost):
         """'our domain specific hardware architecture achieves 400
         homomorphic multiplications per second at 200 MHz FPGA-clock,
         including hardware-software communication overhead'."""
-        assert server.mult_throughput_per_second() == \
+        assert cost.mult_throughput_per_second() == \
             pytest.approx(400, rel=0.10)
 
-    def test_over_13x_speedup_vs_i5(self, server):
+    def test_over_13x_speedup_vs_i5(self, cost):
         """'over 13x speedup with respect to a highly optimized software
         implementation ... on an Intel i5 processor running at 1.8 GHz'."""
         baseline = SoftwareBaseline(hpca19())
         speedup = (baseline.mult_seconds()
-                   * server.mult_throughput_per_second())
+                   * cost.mult_throughput_per_second())
         assert speedup > 13.0
 
     def test_200mhz_fpga_clock(self):
@@ -77,29 +77,29 @@ class TestSectionIIIClaims:
 
 
 class TestTableIClaims:
-    def test_add_in_sw_80x_slower_than_hw(self, server):
+    def test_add_in_sw_80x_slower_than_hw(self, cost):
         """'Computing the simple Add operation in SW using a single Arm
         core requires 80 times more time than the same computation in
         HW, including the overhead of sending and receiving
         ciphertexts'."""
-        assert server.add_speedup_over_sw() == pytest.approx(80, rel=0.15)
+        assert cost.add_speedup_over_sw() == pytest.approx(80, rel=0.15)
 
-    def test_mult_includes_30pct_transfer_overhead(self, server):
+    def test_mult_includes_30pct_transfer_overhead(self, cost):
         """'The computation time for Mult includes the overhead of
         intermediate data transfers (roughly 30%) during the
         relinearization steps'."""
-        streamed = server.mult_compute_seconds()
-        pinned = CloudServer(
+        streamed = cost.compute_seconds(JobKind.MULT)
+        pinned = CostModel(
             hpca19(), replace(CONFIG, relin_key_on_chip=True)
-        ).mult_compute_seconds()
+        ).compute_seconds(JobKind.MULT)
         share = 1 - pinned / streamed
         assert 0.15 < share < 0.40
 
     def test_two_coprocessors_2x_throughput(self):
         """'we place two coprocessors in parallel and achieve 2x
         throughput'."""
-        one = CloudServer(hpca19(), replace(CONFIG, num_coprocessors=1))
-        two = CloudServer(hpca19(), replace(CONFIG, num_coprocessors=2))
+        one = CostModel(hpca19(), replace(CONFIG, num_coprocessors=1))
+        two = CostModel(hpca19(), replace(CONFIG, num_coprocessors=2))
         assert two.mult_throughput_per_second() == pytest.approx(
             2 * one.mult_throughput_per_second()
         )
@@ -115,10 +115,10 @@ class TestSectionVIClaims:
     def test_slow_coprocessor_less_than_2x_slower(self):
         """'the time for Mult is less than 2x slower in comparison to
         the faster coprocessor architecture'."""
-        fast = CloudServer(hpca19(), CONFIG).mult_compute_seconds()
-        slow = CloudServer(
+        fast = CostModel(hpca19(), CONFIG).compute_seconds(JobKind.MULT)
+        slow = CostModel(
             hpca19(), slow_coprocessor_config()
-        ).mult_compute_seconds()
+        ).compute_seconds(JobKind.MULT)
         assert fast < slow < 2 * fast
 
     def test_power_figures(self):
@@ -130,16 +130,16 @@ class TestSectionVIClaims:
         assert power.dynamic_watts(2) == pytest.approx(3.4)
         assert power.peak_watts() == pytest.approx(8.7)
 
-    def test_faster_than_v100_at_matched_parameters(self, server):
+    def test_faster_than_v100_at_matched_parameters(self, cost):
         """'their fastest implementation on Tesla V100 performing 388
         homomorphic multiplications per second is slower than our
         implementation achieving 400 multiplications'."""
         from repro.system.related_work import published_points
 
         v100 = next(p for p in published_points() if "V100" in p.name)
-        assert server.mult_throughput_per_second() > v100.mults_per_second
+        assert cost.mult_throughput_per_second() > v100.mults_per_second
 
-    def test_faster_than_catapult_yashe(self, server):
+    def test_faster_than_catapult_yashe(self, cost):
         """'Even with a faster SHE scheme and a smaller parameter set,
         their implementation is slower than ours' (Poppelmann et al.)."""
         from repro.system.related_work import published_points
@@ -147,7 +147,7 @@ class TestSectionVIClaims:
         catapult = next(
             p for p in published_points() if "Poppelmann" in p.name
         )
-        ours_ms = server.job_seconds(JobKind.MULT) * 1e3
+        ours_ms = cost.job_seconds(JobKind.MULT) * 1e3
         assert ours_ms < catapult.mult_ms
 
     def test_hypothetical_large_fpga_under_100ms(self):
@@ -156,11 +156,11 @@ class TestSectionVIClaims:
         sec' (the HEPCloud-parameter what-if, Table V row 4)."""
         from repro.hw.scaling import scaling_table
 
-        server = CloudServer(hpca19(), CONFIG)
+        cost = CostModel(hpca19(), CONFIG)
         base = ResourceEstimator(hpca19(), CONFIG).single_coprocessor()
         points = scaling_table(
-            base, server.mult_compute_seconds(),
-            server.transfer_in_seconds() + server.transfer_out_seconds(),
+            base, cost.compute_seconds(JobKind.MULT),
+            cost.transfer_in_seconds() + cost.transfer_out_seconds(),
         )
         assert points[-1].total_seconds < 0.1
 

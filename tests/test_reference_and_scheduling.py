@@ -8,7 +8,8 @@ from repro.fv.encoder import Plaintext
 from repro.fv.reference import TextbookFv, uniform_mod_big
 from repro.nttmath.ntt import negacyclic_convolution
 from repro.params import hpca19, toy
-from repro.system.server import CloudServer
+from repro.serve import ServingRuntime
+from repro.system.server import CostModel
 from repro.system.workloads import JobKind, poisson_stream
 
 
@@ -108,25 +109,25 @@ class TestPoissonScheduling:
 
     def test_underloaded_server_has_low_latency(self, paper_params):
         """At 25% load, latency stays near the bare service time."""
-        server = CloudServer(paper_params)
-        capacity = server.mult_throughput_per_second()
+        cost = CostModel(paper_params)
+        capacity = cost.mult_throughput_per_second()
         jobs = poisson_stream(capacity * 0.25, 1.0, seed=2)
-        report = server.serve(jobs)
-        service = server.job_seconds(JobKind.MULT)
+        report = ServingRuntime(cost).run(jobs)
+        service = cost.job_seconds(JobKind.MULT)
         assert report.mean_latency_seconds < 2.5 * service
 
     def test_overloaded_server_builds_backlog(self, paper_params):
         """At 2x capacity the queue grows and mean latency blows up."""
-        server = CloudServer(paper_params)
-        capacity = server.mult_throughput_per_second()
-        light = server.serve(poisson_stream(capacity * 0.25, 1.0, seed=3))
-        heavy = server.serve(poisson_stream(capacity * 2.0, 1.0, seed=3))
+        cost = CostModel(paper_params)
+        capacity = cost.mult_throughput_per_second()
+        light = ServingRuntime(cost).run(poisson_stream(capacity * 0.25, 1.0, seed=3))
+        heavy = ServingRuntime(cost).run(poisson_stream(capacity * 2.0, 1.0, seed=3))
         assert heavy.mean_latency_seconds > 5 * light.mean_latency_seconds
 
     def test_saturated_throughput_caps_at_capacity(self, paper_params):
-        server = CloudServer(paper_params)
-        capacity = server.mult_throughput_per_second()
-        report = server.serve(
+        cost = CostModel(paper_params)
+        capacity = cost.mult_throughput_per_second()
+        report = ServingRuntime(cost).run(
             poisson_stream(capacity * 3.0, 1.0, seed=4)
         )
         assert report.throughput_per_second() <= capacity * 1.05

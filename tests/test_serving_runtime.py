@@ -21,11 +21,10 @@ from repro.serve import (
     WeightedFairScheduler,
     WorkStealingScheduler,
     percentile,
-    simulate,
 )
 from repro.serve.batching import network_amortized_upload_seconds
 from repro.serve.schedulers import QueueEntry
-from repro.system.server import CloudServer, CostModel, ServeReport
+from repro.system.server import CostModel
 from repro.system.workloads import (
     Job,
     JobKind,
@@ -39,8 +38,22 @@ CONFIG = HardwareConfig()
 
 
 @pytest.fixture(scope="module")
-def server():
-    return CloudServer(hpca19(), CONFIG)
+def cost():
+    return CostModel(hpca19(), CONFIG)
+
+
+def list_schedule(cost, jobs):
+    """The earliest-free list scheduler the paper's Fig. 11 server runs:
+    arrival order, one job at a time on the coprocessor that frees
+    first. Returns each job's finish time, in arrival order."""
+    free_at = [0.0] * cost.config.num_coprocessors
+    finishes = []
+    for job in jobs:
+        coproc = min(range(len(free_at)), key=free_at.__getitem__)
+        start = max(free_at[coproc], job.arrival_seconds)
+        free_at[coproc] = start + cost.job_seconds(job.kind)
+        finishes.append(free_at[coproc])
+    return finishes
 
 
 def make_scheduler(name):
@@ -103,30 +116,22 @@ class TestCostModel:
             assert cost.compute_seconds(kind) == cost.compute_seconds(kind)
         assert compiled == [JobKind.MULT, JobKind.ADD]
 
-    def test_server_delegates_to_cost_model(self, server):
-        assert server.job_seconds(JobKind.MULT) == \
-            server.cost.job_seconds(JobKind.MULT)
-        assert server.mult_compute_seconds() == \
-            server.cost.compute_seconds(JobKind.MULT)
-        assert server.add_compute_seconds() == \
-            server.cost.compute_seconds(JobKind.ADD)
 
-
-class TestServeReportWindow:
-    def test_makespan_measured_from_first_arrival(self, server):
+class TestRuntimeReportWindow:
+    def test_makespan_measured_from_first_arrival(self, cost):
         """A late first arrival must not dilute throughput (satellite)."""
         offset = 5.0
-        early = server.serve(mult_stream(40))
+        early = ServingRuntime(cost).run(mult_stream(40))
         late_jobs = [Job(index=i, kind=JobKind.MULT,
                          arrival_seconds=offset) for i in range(40)]
-        late = server.serve(late_jobs)
+        late = ServingRuntime(cost).run(late_jobs)
         assert late.first_arrival_seconds == pytest.approx(offset)
         assert late.makespan_seconds == pytest.approx(early.makespan_seconds)
         assert late.throughput_per_second() == \
             pytest.approx(early.throughput_per_second())
 
-    def test_empty_report(self):
-        report = ServeReport()
+    def test_empty_report(self, cost):
+        report = ServingRuntime(cost).run([])
         assert report.makespan_seconds == 0.0
         assert report.throughput_per_second() == 0.0
 
@@ -145,10 +150,10 @@ class TestEventHeap:
 
 
 class TestEngineMatchesStaticLoop:
-    def test_saturated_throughput_within_one_percent(self, server):
+    def test_saturated_throughput_within_one_percent(self, cost):
         """Acceptance: engine matches the analytic 400 Mult/s headline."""
-        report = simulate(server, mult_stream(200))
-        analytic = server.mult_throughput_per_second()
+        report = ServingRuntime(cost).run(mult_stream(200))
+        analytic = cost.mult_throughput_per_second()
         assert abs(report.throughput_per_second() - analytic) / analytic \
             < 0.01
 
@@ -157,22 +162,21 @@ class TestEngineMatchesStaticLoop:
         poisson_stream(300.0, 0.5, seed=5),
         poisson_stream(600.0, 0.3, seed=9),
     ], ids=["saturated", "underload", "overload"])
-    def test_fifo_engine_reproduces_legacy_serve(self, server, jobs):
-        """serve() is a compatibility wrapper for FIFO + no batching."""
-        legacy = server.serve(jobs)
-        event = simulate(server, jobs)
-        legacy_finishes = sorted(r.finish_seconds for r in legacy.results)
+    def test_fifo_engine_reproduces_legacy_serve(self, cost, jobs):
+        """FIFO with no batching is the earliest-free list schedule."""
+        legacy_finishes = sorted(list_schedule(cost, jobs))
+        event = ServingRuntime(cost).run(jobs)
         event_finishes = sorted(r.finish_seconds for r in event.results)
         assert event_finishes == pytest.approx(legacy_finishes)
-        assert event.makespan_seconds == \
-            pytest.approx(legacy.makespan_seconds)
+        assert event.makespan_seconds == pytest.approx(
+            legacy_finishes[-1] - min(j.arrival_seconds for j in jobs))
 
-    def test_both_coprocessors_used(self, server):
-        report = simulate(server, mult_stream(40))
+    def test_both_coprocessors_used(self, cost):
+        report = ServingRuntime(cost).run(mult_stream(40))
         assert {r.coprocessor for r in report.results} == {0, 1}
 
-    def test_runtime_is_single_use(self, server):
-        runtime = ServingRuntime.for_server(server)
+    def test_runtime_is_single_use(self, cost):
+        runtime = ServingRuntime(cost)
         runtime.run(mult_stream(4))
         with pytest.raises(RuntimeError):
             runtime.run(mult_stream(4))
@@ -180,7 +184,7 @@ class TestEngineMatchesStaticLoop:
 
 class TestSchedulerInvariants:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_invariants_on_mixed_poisson(self, server, policy):
+    def test_invariants_on_mixed_poisson(self, cost, policy):
         jobs = sorted(
             poisson_stream(400.0, 0.4, seed=3)
             + poisson_stream(500.0, 0.4, kind=JobKind.ADD, seed=4,
@@ -190,7 +194,8 @@ class TestSchedulerInvariants:
         jobs = [Job(index=i, kind=j.kind,
                     arrival_seconds=j.arrival_seconds, tenant=j.tenant)
                 for i, j in enumerate(jobs)]
-        report = simulate(server, jobs, scheduler=make_scheduler(policy))
+        report = ServingRuntime(cost,
+                                scheduler=make_scheduler(policy)).run(jobs)
         check_invariants(report, jobs)
         assert len(report.rejected) == 0
 
@@ -202,17 +207,17 @@ class TestSchedulerInvariants:
         gaps=st.lists(st.floats(0.0, 0.02), min_size=1, max_size=30),
         batch=st.integers(1, 4),
     )
-    def test_invariants_property(self, server, policy, kinds, gaps, batch):
+    def test_invariants_property(self, cost, policy, kinds, gaps, batch):
         now, jobs = 0.0, []
         for i, kind in enumerate(kinds):
             now += gaps[i % len(gaps)]
             jobs.append(Job(index=i, kind=kind, arrival_seconds=now,
                             tenant=f"t{i % 3}"))
-        report = simulate(server, jobs, scheduler=make_scheduler(policy),
-                          batching=BatchPolicy(max_jobs=batch))
+        report = ServingRuntime(cost, scheduler=make_scheduler(policy),
+                                batching=BatchPolicy(max_jobs=batch)).run(jobs)
         check_invariants(report, jobs)
 
-    def test_drain_raises_when_a_completion_is_lost(self, server,
+    def test_drain_raises_when_a_completion_is_lost(self, cost,
                                                     monkeypatch):
         """Conservation is checked on every drain, not only by tests:
         a completion that never reaches the report fails the run."""
@@ -228,20 +233,19 @@ class TestSchedulerInvariants:
         with pytest.raises(RuntimeError, match=(
                 r"runtime broke job conservation: 6 arrived but 5 "
                 r"completed \+ 0 rejected \+ 0 handed back = 5")):
-            simulate(server, mult_stream(6))
+            ServingRuntime(cost).run(mult_stream(6))
 
 
 class TestPolicies:
-    def test_sjf_runs_adds_before_mults(self, server):
+    def test_sjf_runs_adds_before_mults(self, cost):
         jobs = [Job(index=i, kind=JobKind.MULT) for i in range(6)] + \
                [Job(index=6 + i, kind=JobKind.ADD) for i in range(6)]
-        report = simulate(server, jobs,
-                          scheduler=ShortestJobFirstScheduler())
+        report = ServingRuntime(cost, scheduler=ShortestJobFirstScheduler()).run(jobs)
         by_start = sorted(report.results, key=lambda r: r.start_seconds)
         first_kinds = [r.job.kind for r in by_start[:6]]
         assert all(k is JobKind.ADD for k in first_kinds)
 
-    def test_wfq_respects_weights(self, server):
+    def test_wfq_respects_weights(self, cost):
         """A weight-4 tenant's jobs wait far less than a weight-1 peer's."""
         jobs = []
         for i in range(60):
@@ -251,8 +255,8 @@ class TestPolicies:
                             tenant="light"))
         tenants = TenantSet.of(Tenant("heavy", weight=4.0),
                                Tenant("light", weight=1.0))
-        report = simulate(server, jobs, scheduler=WeightedFairScheduler(),
-                          tenants=tenants)
+        report = ServingRuntime(cost, scheduler=WeightedFairScheduler(),
+                                tenants=tenants).run(jobs)
         heavy = report.latency_summary("heavy")
         light = report.latency_summary("light")
         assert heavy.count == light.count == 60
@@ -268,33 +272,32 @@ class TestPolicies:
         with pytest.raises(ValueError):
             WeightedFairScheduler(weights={"a": 0.0})
 
-    def test_work_stealing_keeps_both_busy(self, server):
-        report = simulate(server, mult_stream(80),
-                          scheduler=WorkStealingScheduler())
-        fifo = simulate(server, mult_stream(80))
+    def test_work_stealing_keeps_both_busy(self, cost):
+        report = ServingRuntime(
+            cost, scheduler=WorkStealingScheduler()).run(mult_stream(80))
+        fifo = ServingRuntime(cost).run(mult_stream(80))
         assert report.makespan_seconds == \
             pytest.approx(fifo.makespan_seconds, rel=0.05)
         util = report.utilization()
         assert all(u > 0.9 for u in util)
 
-    def test_work_stealing_rebalances_cost_skew(self, server):
+    def test_work_stealing_rebalances_cost_skew(self, cost):
         """Round-robin spray puts all Mults on one queue; stealing must
         keep the other coprocessor from idling."""
         jobs = []
         for i in range(40):
             kind = JobKind.MULT if i % 2 == 0 else JobKind.ADD
             jobs.append(Job(index=i, kind=kind))
-        report = simulate(server, jobs,
-                          scheduler=WorkStealingScheduler())
+        report = ServingRuntime(cost, scheduler=WorkStealingScheduler()).run(jobs)
         util = report.utilization()
         assert all(u > 0.8 for u in util)
 
 
 class TestBatching:
-    def test_batch_amortizes_arm_setup(self, server):
-        batcher = DmaBatcher(server.cost, BatchPolicy(max_jobs=8))
+    def test_batch_amortizes_arm_setup(self, cost):
+        batcher = DmaBatcher(cost, BatchPolicy(max_jobs=8))
         k = 8
-        singles = k * server.cost.job_seconds(JobKind.MULT)
+        singles = k * cost.job_seconds(JobKind.MULT)
         entries = [
             QueueEntry(job=Job(index=i, kind=JobKind.MULT),
                        cost_seconds=0.0, seq=i) for i in range(k)
@@ -304,54 +307,54 @@ class TestBatching:
         assert singles - batched == \
             pytest.approx(batcher.setup_savings_seconds(k))
 
-    def test_single_job_batch_matches_table1_cost(self, server):
-        batcher = DmaBatcher(server.cost)
+    def test_single_job_batch_matches_table1_cost(self, cost):
+        batcher = DmaBatcher(cost)
         entry = QueueEntry(job=Job(index=0, kind=JobKind.MULT),
                            cost_seconds=0.0, seq=0)
         assert batcher.service_seconds([entry]) == \
-            pytest.approx(server.job_seconds(JobKind.MULT))
+            pytest.approx(cost.job_seconds(JobKind.MULT))
 
-    def test_batched_runtime_beats_unbatched_on_backlog(self, server):
+    def test_batched_runtime_beats_unbatched_on_backlog(self, cost):
         # 128 jobs = 16 full trains of 8, 8 per coprocessor: the
         # comparison measures setup amortisation, not packing remainder.
         jobs = mult_stream(128)
-        plain = simulate(server, jobs)
-        batched = simulate(server, jobs, batching=BatchPolicy(max_jobs=8))
+        plain = ServingRuntime(cost).run(jobs)
+        batched = ServingRuntime(cost, batching=BatchPolicy(max_jobs=8)).run(jobs)
         assert batched.makespan_seconds < plain.makespan_seconds
         assert batched.telemetry.mean_batch_size() > 1.5
 
-    def test_batching_moves_the_add_knee(self, server):
+    def test_batching_moves_the_add_knee(self, cost):
         """Add is transfer-bound (26 us of compute on ~540 us of DMA), so
         descriptor trains buy capacity: an Add stream offered at 1.08x
         the unbatched service rate diverges alone and keeps up in
         trains of up to 8."""
-        capacity = (server.config.num_coprocessors
-                    / server.job_seconds(JobKind.ADD))
+        capacity = (cost.config.num_coprocessors
+                    / cost.job_seconds(JobKind.ADD))
         jobs = poisson_stream(1.08 * capacity, 1.0, kind=JobKind.ADD,
                               seed=23)
-        plain = simulate(server, jobs)
-        batched = simulate(server, jobs, batching=BatchPolicy(max_jobs=8))
+        plain = ServingRuntime(cost).run(jobs)
+        batched = ServingRuntime(cost, batching=BatchPolicy(max_jobs=8)).run(jobs)
         assert batched.latency_summary().p99 < plain.latency_summary().p99
         assert batched.throughput_per_second() > \
             plain.throughput_per_second()
 
-    def test_batching_ceiling_above_analytic_throughput(self, server):
-        batcher = DmaBatcher(server.cost, BatchPolicy(max_jobs=8))
+    def test_batching_ceiling_above_analytic_throughput(self, cost):
+        batcher = DmaBatcher(cost, BatchPolicy(max_jobs=8))
         assert batcher.saturated_mult_throughput(2, 8) > \
-            server.mult_throughput_per_second()
+            cost.mult_throughput_per_second()
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             BatchPolicy(max_jobs=0)
 
-    def test_batching_never_serializes_free_coprocessors(self, server):
+    def test_batching_never_serializes_free_coprocessors(self, cost):
         """Two simultaneous jobs on two free coprocessors must run in
         parallel even with an aggressive batch policy."""
-        report = simulate(server, mult_stream(2),
-                          batching=BatchPolicy(max_jobs=4))
+        report = ServingRuntime(
+            cost, batching=BatchPolicy(max_jobs=4)).run(mult_stream(2))
         assert {r.coprocessor for r in report.results} == {0, 1}
         assert report.makespan_seconds == \
-            pytest.approx(server.job_seconds(JobKind.MULT))
+            pytest.approx(cost.job_seconds(JobKind.MULT))
 
     def test_network_amortized_upload(self):
         params = hpca19()
@@ -362,30 +365,30 @@ class TestBatching:
 
 
 class TestTenantsAndAdmission:
-    def test_queue_depth_cap_rejects(self, server):
+    def test_queue_depth_cap_rejects(self, cost):
         tenants = TenantSet.of(Tenant("capped", max_queue_depth=4))
         jobs = [Job(index=i, kind=JobKind.MULT, tenant="capped")
                 for i in range(30)]
-        report = simulate(server, jobs, tenants=tenants)
+        report = ServingRuntime(cost, tenants=tenants).run(jobs)
         assert report.rejected
         assert all(r.reason == "queue-depth" for r in report.rejected)
         check_invariants(report, jobs)
 
-    def test_deadline_admission_rejects_dead_on_arrival(self, server):
+    def test_deadline_admission_rejects_dead_on_arrival(self, cost):
         tenants = TenantSet.of(Tenant("tight", sla_seconds=0.02))
         jobs = [Job(index=i, kind=JobKind.MULT, tenant="tight")
                 for i in range(40)]
-        report = simulate(server, jobs, tenants=tenants)
+        report = ServingRuntime(cost, tenants=tenants).run(jobs)
         reasons = {r.reason for r in report.rejected}
         assert reasons == {"deadline"}
         # Admitted jobs were all completable within the deadline model's
         # optimistic estimate, so violations stay rare.
         assert len(report.results) + len(report.rejected) == 40
 
-    def test_sla_violations_counted(self, server):
+    def test_sla_violations_counted(self, cost):
         tenants = TenantSet.of(Tenant("strict", sla_seconds=1e-6))
         jobs = [Job(index=0, kind=JobKind.ADD, tenant="strict")]
-        report = simulate(server, jobs, tenants=tenants)
+        report = ServingRuntime(cost, tenants=tenants).run(jobs)
         if report.results:
             assert report.telemetry.sla_violations == len(report.results)
 
@@ -415,14 +418,14 @@ class TestTelemetry:
         summary = LatencySummary.of([])
         assert summary.count == 0 and summary.p99 == 0.0
 
-    def test_utilization_saturated(self, server):
-        report = simulate(server, mult_stream(60))
+    def test_utilization_saturated(self, cost):
+        report = ServingRuntime(cost).run(mult_stream(60))
         util = report.utilization()
         assert len(util) == CONFIG.num_coprocessors
         assert all(0.95 <= u <= 1.0 for u in util)
 
-    def test_queue_depth_trace_and_mean(self, server):
-        report = simulate(server, mult_stream(30))
+    def test_queue_depth_trace_and_mean(self, cost):
+        report = ServingRuntime(cost).run(mult_stream(30))
         telemetry = report.telemetry
         assert telemetry.max_queue_depth >= 1
         assert 0.0 < telemetry.mean_queue_depth() <= \
@@ -532,30 +535,29 @@ class TestBurstyWorkloads:
 
 
 class TestLatencyUnderLoad:
-    def test_latency_diverges_past_service_rate(self, server):
+    def test_latency_diverges_past_service_rate(self, cost):
         """The queueing signature, for every policy: p99 stays within a
         few service times below rho = 1 and explodes once rho > 1."""
-        capacity = server.mult_throughput_per_second()
+        capacity = cost.mult_throughput_per_second()
         streams = {rho: poisson_stream(rho * capacity, 1.0, seed=13)
                    for rho in (0.5, 1.4)}
         for policy in ALL_POLICIES:
-            p99 = {rho: simulate(server, jobs,
-                                 scheduler=make_scheduler(policy))
-                   .latency_summary().p99
+            p99 = {rho: ServingRuntime(cost, scheduler=make_scheduler(policy))
+                   .run(jobs).latency_summary().p99
                    for rho, jobs in streams.items()}
-            assert p99[0.5] < 10 * server.job_seconds(JobKind.MULT), policy
+            assert p99[0.5] < 10 * cost.job_seconds(JobKind.MULT), policy
             assert p99[1.4] > 10 * p99[0.5], policy
 
 
 class TestClosedLoopClients:
     """The think-time client model (ROADMAP PR 1 follow-up)."""
 
-    def test_population_self_regulates(self, server):
+    def test_population_self_regulates(self, cost):
         from repro.system.workloads import ClosedLoopClients
 
         throughput = {}
         for clients in (2, 64):
-            runtime = ServingRuntime.for_server(server)
+            runtime = ServingRuntime(cost)
             result = ClosedLoopClients(clients, 0.05, seed=5).drive(
                 runtime, duration_seconds=1.0)
             report = result.report
@@ -567,26 +569,26 @@ class TestClosedLoopClients:
             throughput[clients] = report.throughput_per_second()
         # More clients -> more throughput, capped by board capacity.
         assert throughput[64] > 2 * throughput[2]
-        assert throughput[64] <= server.mult_throughput_per_second() * 1.01
+        assert throughput[64] <= cost.mult_throughput_per_second() * 1.01
 
-    def test_small_population_tracks_interactive_law(self, server):
+    def test_small_population_tracks_interactive_law(self, cost):
         """N clients with think Z and service S complete roughly
         duration * N / (Z + S) jobs while the server is unsaturated."""
         from repro.system.workloads import ClosedLoopClients
 
         think = 0.05
         clients = 4
-        runtime = ServingRuntime.for_server(server)
+        runtime = ServingRuntime(cost)
         result = ClosedLoopClients(clients, think, seed=7).drive(
             runtime, duration_seconds=2.0)
-        service = server.job_seconds(JobKind.MULT)
+        service = cost.job_seconds(JobKind.MULT)
         expected = 2.0 * clients / (think + service)
         assert 0.5 * expected < result.completed < 1.5 * expected
 
-    def test_at_most_one_outstanding_job_per_client(self, server):
+    def test_at_most_one_outstanding_job_per_client(self, cost):
         from repro.system.workloads import ClosedLoopClients
 
-        runtime = ServingRuntime.for_server(server)
+        runtime = ServingRuntime(cost)
         result = ClosedLoopClients(3, 0.0, kind=JobKind.ADD, seed=1).drive(
             runtime, duration_seconds=0.2)
         # Zero think time: a client's next arrival is its previous
@@ -595,7 +597,7 @@ class TestClosedLoopClients:
         for r in result.report.results:
             per_client.setdefault(r.job.request, []).append(r)
         assert set(per_client) == {0, 1, 2}
-        service = server.job_seconds(JobKind.ADD)
+        service = cost.job_seconds(JobKind.ADD)
         for results in per_client.values():
             times = sorted(r.job.arrival_seconds for r in results)
             gaps = [b - a for a, b in zip(times, times[1:], strict=False)]
@@ -612,3 +614,21 @@ class TestClosedLoopClients:
             ClosedLoopClients(1, 0.1, num_tenants=0)
         with pytest.raises(ValueError):
             ClosedLoopClients(1, 0.1).drive(None, 0.0)
+
+
+class TestServeCli:
+    def test_serve_prints_every_policy_and_closed_loop_row(self, capsys):
+        from repro.cli import main
+        from repro.serve import default_schedulers
+
+        assert main(["serve"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        policies = [scheduler.name for scheduler in default_schedulers()]
+        policy_rows = [row for row in rows if row and row[0] in policies]
+        assert [row[0] for row in policy_rows] == policies
+        assert all(len(row) == 8 for row in policy_rows)
+        header = rows.index(["clients", "done", "tput/s", "p50", "ms", "p99",
+                             "ms", "util"])
+        closed = rows[header + 1:header + 5]
+        assert [int(row[0]) for row in closed] == [4, 16, 64, 256]
+        assert all(int(row[1]) > 0 for row in closed)

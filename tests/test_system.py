@@ -6,6 +6,7 @@ import pytest
 from repro.hw.config import HardwareConfig
 from repro.hw.power import PowerModel
 from repro.params import hpca19, mini
+from repro.serve import ServingRuntime
 from repro.system.arm import ArmCoreModel
 from repro.system.baseline import (
     SoftwareBaseline,
@@ -17,7 +18,7 @@ from repro.system.related_work import (
     our_point,
     published_points,
 )
-from repro.system.server import CloudServer
+from repro.system.server import CostModel
 from repro.system.workloads import (
     JobKind,
     add_stream,
@@ -29,8 +30,8 @@ CONFIG = HardwareConfig()
 
 
 @pytest.fixture(scope="module")
-def server():
-    return CloudServer(hpca19(), CONFIG)
+def cost():
+    return CostModel(hpca19(), CONFIG)
 
 
 class TestArmModel:
@@ -78,57 +79,55 @@ class TestSoftwareBaseline:
 
 
 class TestCloudServer:
-    def test_mult_compute_time_near_paper(self, server):
-        assert abs(server.mult_compute_seconds() - 4.458e-3) / 4.458e-3 \
-            < 0.10
+    def test_mult_compute_time_near_paper(self, cost):
+        mult = cost.compute_seconds(JobKind.MULT)
+        assert abs(mult - 4.458e-3) / 4.458e-3 < 0.10
 
-    def test_throughput_near_400(self, server):
+    def test_throughput_near_400(self, cost):
         """The paper's headline: 400 Mult/s with two coprocessors."""
-        throughput = server.mult_throughput_per_second()
+        throughput = cost.mult_throughput_per_second()
         assert abs(throughput - 400) / 400 < 0.10
 
     def test_two_coprocessors_double_throughput(self):
-        one = CloudServer(hpca19(),
-                          HardwareConfig(num_coprocessors=1))
-        two = CloudServer(hpca19(),
-                          HardwareConfig(num_coprocessors=2))
+        one = CostModel(hpca19(), HardwareConfig(num_coprocessors=1))
+        two = CostModel(hpca19(), HardwareConfig(num_coprocessors=2))
         ratio = (two.mult_throughput_per_second()
                  / one.mult_throughput_per_second())
         assert ratio == pytest.approx(2.0)
 
-    def test_add_speedup_near_80x(self, server):
+    def test_add_speedup_near_80x(self, cost):
         """Table I discussion: HW Add is ~80x the Arm-software Add."""
-        assert abs(server.add_speedup_over_sw() - 80) / 80 < 0.15
+        assert abs(cost.add_speedup_over_sw() - 80) / 80 < 0.15
 
-    def test_serve_keeps_both_coprocessors_busy(self, server):
-        report = server.serve(mult_stream(40))
+    def test_serve_keeps_both_coprocessors_busy(self, cost):
+        report = ServingRuntime(cost).run(mult_stream(40))
         used = {r.coprocessor for r in report.results}
         assert used == {0, 1}
 
-    def test_serve_parallel_speedup(self, server):
+    def test_serve_parallel_speedup(self, cost):
         """Paper: 'two Mult operations take roughly the same time as one'."""
-        report = server.serve(mult_stream(2))
-        one_job = server.job_seconds(JobKind.MULT)
+        report = ServingRuntime(cost).run(mult_stream(2))
+        one_job = cost.job_seconds(JobKind.MULT)
         assert report.makespan_seconds == pytest.approx(one_job)
 
-    def test_serve_throughput_matches_analytic(self, server):
-        report = server.serve(mult_stream(100))
-        analytic = server.mult_throughput_per_second()
+    def test_serve_throughput_matches_analytic(self, cost):
+        report = ServingRuntime(cost).run(mult_stream(100))
+        analytic = cost.mult_throughput_per_second()
         assert abs(report.throughput_per_second() - analytic) / analytic \
             < 0.05
         # The served rate is itself the paper's headline, within 10 %.
         assert abs(report.throughput_per_second() - 400) / 400 < 0.10
 
-    def test_mixed_workload_runs(self, server):
-        report = server.serve(mixed_workload(5, 10, seed=3))
+    def test_mixed_workload_runs(self, cost):
+        report = ServingRuntime(cost).run(mixed_workload(5, 10, seed=3))
         assert len(report.results) == 55
         assert report.throughput_per_second(JobKind.MULT) > 0
 
-    def test_headline_13x_speedup(self, server):
+    def test_headline_13x_speedup(self, cost):
         """Abstract: >13x over the i5 software implementation."""
         baseline = SoftwareBaseline(hpca19())
         speedup = (baseline.mult_seconds()
-                   * server.mult_throughput_per_second())
+                   * cost.mult_throughput_per_second())
         assert speedup > 13.0
         assert speedup < 16.0  # and not absurdly optimistic
 
@@ -167,10 +166,10 @@ class TestRelatedWork:
         v100 = next(p for p in published_points() if "V100" in p.name)
         assert abs(v100.mults_per_second - 388) / 388 < 0.02
 
-    def test_our_point_beats_v100(self, server):
+    def test_our_point_beats_v100(self, cost):
         power = PowerModel(CONFIG)
         ours = our_point(
-            server.job_seconds(JobKind.MULT) * 1e3,
+            cost.job_seconds(JobKind.MULT) * 1e3,
             CONFIG.num_coprocessors, power.peak_watts(),
         )
         v100 = next(p for p in published_points() if "V100" in p.name)
@@ -181,19 +180,19 @@ class TestRelatedWork:
         nfllib = next(p for p in published_points() if "NFLlib" in p.name)
         assert ours.mults_per_second > 13 * nfllib.mults_per_second
 
-    def test_energy_per_mult_beats_i5(self, server):
+    def test_energy_per_mult_beats_i5(self, cost):
         """Energy per Mult, FPGA at peak power vs the i5 at ~40 W load:
         over 20x (the model gives 21 mJ vs 1.3 J)."""
         fpga = (PowerModel(CONFIG).peak_watts()
-                * server.job_seconds(JobKind.MULT) / CONFIG.num_coprocessors)
+                * cost.job_seconds(JobKind.MULT) / CONFIG.num_coprocessors)
         i5 = 40.0 * SoftwareBaseline(hpca19()).mult_seconds()
         assert i5 / fpga > 20
 
-    def test_ours_beats_every_published_point(self, server):
+    def test_ours_beats_every_published_point(self, cost):
         """Sec. VI-E's overall conclusion."""
         power = PowerModel(CONFIG)
         ours = our_point(
-            server.job_seconds(JobKind.MULT) * 1e3,
+            cost.job_seconds(JobKind.MULT) * 1e3,
             CONFIG.num_coprocessors, power.peak_watts(),
         )
         for point in published_points():
