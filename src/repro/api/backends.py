@@ -389,18 +389,15 @@ class LocalBackend:
 
         Greedy residency wastes transforms when a rotation or plaintext
         multiply feeds straight into a coefficient-domain boundary (a
-        program output, or MULTIPLY on a parameter set the resident
-        tensor path cannot serve): the forward transforms it saves come
-        back as inverse transforms one node later. Walking the graph in
+        program output): the forward transforms it saves come back as
+        inverse transforms one node later. Walking the graph in
         reverse, a node wants to be resident exactly when some consumer
         computes in the evaluation domain — directly, or through a
-        chain of domain-agnostic linear ops.
+        chain of domain-agnostic linear ops. MULTIPLY and MULTIPLY_RAW
+        are always such consumers: every parameter set lies inside the
+        NTT engine's envelope, so Mult lifts resident operands as they
+        are.
         """
-        sinks = self._RESIDENT_SINKS
-        if not self.session.evaluator.resident_tensor_ok:
-            # The lift degrades to coefficient values here, so a
-            # resident operand would only be transformed straight back.
-            sinks = sinks - {OpKind.MULTIPLY, OpKind.MULTIPLY_RAW}
         consumers: dict[int, list[ExprNode]] = {}
         for node in program.nodes:
             for arg in node.args:
@@ -413,7 +410,7 @@ class LocalBackend:
         wants: dict[int, bool] = {}
         for node in reversed(program.nodes):
             wants[id(node)] = id(node) in out_ids or any(
-                user.op in sinks
+                user.op in self._RESIDENT_SINKS
                 or (user.op in self._LINEAR_OPS and wants[id(user)])
                 for user in consumers.get(id(node), ())
             )

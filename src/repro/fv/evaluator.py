@@ -13,6 +13,10 @@ cross-checked step by step:
 4. ``WordDecomp`` + ``ReLin`` with the six-component RNS key
    (:func:`~repro.fv.keyswitch.key_switch`).
 
+Every parameter set reaching here was checked against the NTT engine's
+envelope when it was built (:class:`~repro.params.ParameterSet`), so
+there is no second datapath: operands of every domain take step 1.
+
 The paper's non-HPS design (Sec. VI-C) is a different coprocessor,
 modelled in :mod:`repro.hw`; its exact-CRT conversions live on as
 :func:`~repro.rns.lift.lift_traditional` /
@@ -46,27 +50,6 @@ class Evaluator:
         self.context = context
         params = context.params
         self._full_primes = params.q_primes + params.p_primes
-
-    @property
-    def resident_tensor_ok(self) -> bool:
-        """Does Mult consume NTT-resident operands without a round trip?
-
-        The evaluation-domain lift needs the target basis to start with
-        the source primes (Lift q->Q always does), 60-bit-safe
-        reciprocal tables, and the batched engine on every basis
-        involved; elsewhere it degrades to the coefficient lift. Read
-        by the domain planner in
-        :class:`~repro.api.backends.LocalBackend` to decide whether
-        MULTIPLY inputs should stay NTT-resident.
-        """
-        params = self.context.params
-        lift_ctx = self.context.lift_ctx
-        n = params.n
-        return (lift_ctx.gemm_safe
-                and lift_ctx.source_prefix == params.k_q
-                and batch.batched_engine_ok(params.q_primes, n)
-                and batch.batched_engine_ok(params.p_primes, n)
-                and batch.batched_engine_ok(self._full_primes, n))
 
     def _tensor_ntt(self, a: Ciphertext,
                     b: Ciphertext) -> np.ndarray:

@@ -7,14 +7,9 @@ contains no hardware modelling; everything here is plain number theory.
 
 from .batch import (
     BasisTransformer,
-    EngineFallback,
     basis_transformer,
-    batched_engine_ok,
-    engine_fallbacks,
-    engine_unsupported_reason,
     intt_rows,
     ntt_rows,
-    reset_engine_fallbacks,
     reset_transform_counts,
     transform_counts,
 )
@@ -47,16 +42,11 @@ __all__ = [
     "bit_reverse_permute",
     "NegacyclicTransformer",
     "BasisTransformer",
-    "EngineFallback",
     "basis_transformer",
-    "batched_engine_ok",
-    "engine_fallbacks",
-    "engine_unsupported_reason",
     "ntt_rows",
     "intt_rows",
     "transform_counts",
     "reset_transform_counts",
-    "reset_engine_fallbacks",
     "power_table",
     "ntt_iterative",
     "intt_iterative",

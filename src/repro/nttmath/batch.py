@@ -4,8 +4,8 @@ This is the software analogue of the paper's headline parallelism: all
 ``k`` RPAUs transform their residue channels *simultaneously*. A
 :class:`BasisTransformer` transforms the whole ``(k, n)`` residue
 matrix of an RNS polynomial in one shot instead of looping over limbs
-in Python the way the per-row
-:class:`~repro.nttmath.ntt.NegacyclicTransformer` path does.
+in Python the way the single-prime
+:class:`~repro.nttmath.ntt.NegacyclicTransformer` oracle does.
 
 The engine uses the four-step decomposition ``n = n1 * n2`` (the same
 factorisation the paper's pipelined NTT unit streams through its
@@ -21,21 +21,21 @@ multiplies between stages. See :class:`BasisTransformer` for the
 detailed numerics.
 
 Large rings generalise the recipe recursively: above n = 16384 — where
-a two-stage split would need a sub-DFT beyond 128 points and therefore
-a wider, costlier limb split — the planner factors ``n`` into *three*
-sub-DFTs of at most 128 points each (n = 32768 runs 32 x 32 x 32: 192
-gemm flops per element instead of the wide-limb four-step's 1024).
-Limb widths are still chosen per stage from a proved exactness bound
-(:func:`_limb_plan`), with three-limb splits kept as the escape hatch
-for bases the stage search cannot reshape.
-:func:`engine_unsupported_reason` is the single support predicate;
-every dispatcher that has to fall back to the per-row path records a
-structured :class:`EngineFallback` diagnostic and logs a warning
-instead of degrading silently.
+a two-stage split would need a sub-DFT beyond 128 points — the planner
+factors ``n`` into *three* sub-DFTs of at most 128 points each
+(n = 32768 runs 32 x 32 x 32). Every stage carries two 15-bit limbs,
+proved exact per stage by :func:`_limb_plan`.
+
+The engine serves one envelope, the paper's datapath: primes below 31
+bits (4q < 2^32 for the lazy reductions) and ring degrees up to
+``MAX_ENGINE_N`` = 32768. :class:`BasisTransformer` refuses anything
+outside it with a :class:`~repro.errors.ParameterError`, and
+:class:`~repro.params.ParameterSet` checks the same envelope when a
+parameter set is built, so there is no second transform path.
 
 All transforms are bit-exact against :func:`~repro.nttmath.ntt.ntt_iterative`
-and the per-row ``NegacyclicTransformer`` — the property tests enforce
-this across ring sizes (up to n = 32768) and basis shapes.
+and the single-prime ``NegacyclicTransformer`` — the property tests
+enforce this across ring sizes (up to n = 32768) and basis shapes.
 
 Transform accounting reports through :mod:`repro.obs`: the row/call
 counters are registered instruments on the scoped metrics registry
@@ -47,7 +47,6 @@ can attribute engine time to individual program ops.
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,11 +65,10 @@ from .primes import root_of_unity
 _SHOUP_SHIFT = 32
 """Fixed-point shift of the precomputed Shoup twiddle quotients."""
 
-logger = logging.getLogger(__name__)
-
 MAX_ENGINE_N = 1 << 15
-"""Largest ring degree the gemm engine serves (the property-tested
-envelope; the limb-split machinery itself is exact well beyond it)."""
+"""Largest ring degree the gemm engine serves: Table V's largest point
+and the property-tested envelope. :class:`~repro.params.ParameterSet`
+imports it, so a parameter set outside it is refused at construction."""
 
 #: Maximum value the engine accepts as a sub-transform input: canonical
 #: residues and raw 30-bit digits both satisfy it.
@@ -84,7 +82,8 @@ TRANSFORM_COUNTER = _obs_counter(
     "repro_ntt_transforms_total",
     "NTT engine transform work: rows = single-polynomial row "
     "transforms (the unit one RPAU performs), calls = batched engine "
-    "invocations, fallback = per-row degradations.",
+    "invocations, roundtrip = resident operands forced back to "
+    "coefficients.",
     labels=("kind",),
 )
 """The transform instrument, registered in :mod:`repro.obs`.
@@ -100,8 +99,7 @@ eliminate redundant transforms.
 """
 
 _TRANSFORM_KEYS = ("forward_rows", "inverse_rows", "forward_calls",
-                   "inverse_calls", "fallback_calls", "roundtrip_rows",
-                   "roundtrip_calls")
+                   "inverse_calls", "roundtrip_rows", "roundtrip_calls")
 
 
 def _count_transform(direction: str, rows: int) -> None:
@@ -139,59 +137,6 @@ def reset_transform_counts() -> None:
     current_registry().reset_instrument(TRANSFORM_COUNTER.spec.name)
 
 
-# -- fallback diagnostics ------------------------------------------------------
-
-_FALLBACK_LIMIT = 64
-
-
-@dataclass(frozen=True)
-class EngineFallback:
-    """One recorded per-row degradation of a batched dispatch.
-
-    Emitted whenever a dispatcher had to route a basis to the per-row
-    path. The structured record (plus a rate-limited ``logging``
-    warning) makes the degradation observable: benchmarks that think
-    they measure the gemm engine, and servers that silently lost their
-    5x, have something to assert on.
-    """
-
-    n: int
-    k: int
-    max_prime_bits: int
-    reason: str
-
-
-_FALLBACK_EVENTS: list[EngineFallback] = []
-_FALLBACK_LOGGED: set[tuple[int, int, int]] = set()
-
-
-def engine_fallbacks() -> tuple[EngineFallback, ...]:
-    """Structured per-row fallback diagnostics recorded so far."""
-    return tuple(_FALLBACK_EVENTS)
-
-
-def reset_engine_fallbacks() -> None:
-    _FALLBACK_EVENTS.clear()
-    _FALLBACK_LOGGED.clear()
-
-
-def _note_fallback(primes: tuple[int, ...], n: int, reason: str) -> None:
-    TRANSFORM_COUNTER.inc(1, kind="fallback_calls")
-    event = EngineFallback(n=n, k=len(primes),
-                           max_prime_bits=max(primes).bit_length(),
-                           reason=reason)
-    if len(_FALLBACK_EVENTS) < _FALLBACK_LIMIT:
-        _FALLBACK_EVENTS.append(event)
-    key = (event.n, event.k, event.max_prime_bits)
-    if key not in _FALLBACK_LOGGED:
-        _FALLBACK_LOGGED.add(key)
-        logger.warning(
-            "batched NTT engine cannot serve basis (k=%d, n=%d, "
-            "max prime %d bits): %s; degrading to the exact per-row "
-            "path", event.k, n, event.max_prime_bits, reason,
-        )
-
-
 @dataclass(frozen=True)
 class _LimbSplit:
     """One sub-transform's limb configuration (``count`` limbs of
@@ -201,17 +146,16 @@ class _LimbSplit:
     count: int
 
 
-#: Candidate splits, cheapest first. Two 15-bit limbs carry 30-bit
-#: values through sub-DFTs up to 128 points — the widest sub-DFT the
-#: stage planner emits; three 11-bit limbs would reach 256-point
-#: sub-DFTs and four 8-bit limbs far beyond, kept as the proved
-#: escape hatch for shapes the stage search cannot serve.
-_SPLIT_CANDIDATES = (_LimbSplit(15, 2), _LimbSplit(11, 3), _LimbSplit(8, 4))
+#: The one split the engine uses. Two 15-bit limbs carry 30-bit values
+#: through sub-DFTs up to 128 points, and inside the envelope
+#: (n <= MAX_ENGINE_N) the stage planner never needs a wider one.
+_SPLIT_CANDIDATES = (_LimbSplit(15, 2),)
 
 
 def _limb_plan(length: int, max_value: int,
                max_prime: int) -> _LimbSplit | None:
-    """Smallest limb split keeping a length-``length`` sub-DFT exact.
+    """The limb split keeping a length-``length`` sub-DFT exact, or
+    None when no candidate does.
 
     A gemm dot product sums ``count * length`` terms: for each limb
     block, ``length`` products of a table entry (< max_prime) with a
@@ -239,8 +183,8 @@ class _Stage:
 
     ``canonical_in`` marks stages whose lazy [0, 2q) inputs must be
     canonicalised by a conditional subtract before the limb split —
-    worth it exactly when the lazy bound would force a wider (more
-    expensive) split than the canonical bound.
+    exactly when the lazy bound does not fit the two-limb split but the
+    canonical bound does.
     """
 
     length: int
@@ -257,10 +201,10 @@ class _Geometry:
 
 
 #: Above this ring degree the planner considers three-stage splits: a
-#: two-stage split of n > 16384 needs a sub-DFT above 128 points and
-#: therefore a three-limb gemm, at which point a third 128-point-or-
-#: less stage is strictly fewer flops (n = 32768: 192 vs 1024 per
-#: element). At or below it the measured-good two-stage plans are kept.
+#: two-stage split of n > 16384 needs a sub-DFT above 128 points, which
+#: two 15-bit limbs cannot carry exactly, so a third 128-point-or-less
+#: stage is added (n = 32768 runs 32 x 32 x 32). At or below it the
+#: measured-good two-stage plans are kept.
 _MAX_TWO_STAGE_N = 1 << 14
 
 
@@ -270,7 +214,7 @@ def _stage_for(length: int, max_prime: int,
 
     The first stage sees canonical residues / raw 30-bit digits; later
     stages see lazy [0, 2q) values from the preceding twiddle multiply
-    and canonicalise them first only when that buys a narrower split.
+    and canonicalise them first only when the lazy bound does not fit.
     """
     canonical = _limb_plan(length, _MAX_INPUT, max_prime)
     if canonical is None:
@@ -278,7 +222,7 @@ def _stage_for(length: int, max_prime: int,
     if first:
         return _Stage(length, canonical, False)
     lazy = _limb_plan(length, 2 * max_prime - 1, max_prime)
-    if lazy is not None and lazy.count <= canonical.count:
+    if lazy is not None:
         return _Stage(length, lazy, False)
     return _Stage(length, canonical, True)
 
@@ -328,54 +272,6 @@ def _plan_geometry(n: int, max_prime: int) -> _Geometry | None:
     return best[1] if best else None
 
 
-def engine_unsupported_reason(primes: tuple[int, ...],
-                              n: int) -> str | None:
-    """Why the gemm engine cannot serve this basis (None = it can).
-
-    The single support predicate every dispatcher consults. The
-    support matrix it encodes: primes below 31 bits (the lazy-reduction
-    datapath needs 4q < 2^32) and ring degrees up to
-    ``MAX_ENGINE_N`` = 32768 (the property-tested envelope of the
-    per-step limb-split search). Ineligible bases take the (slower,
-    still exact) per-row path, with a structured
-    :class:`EngineFallback` diagnostic recorded.
-    """
-    if not primes:
-        return "empty RNS basis"
-    if max(primes).bit_length() >= _MAX_MODULUS_BITS:
-        return (
-            f"max prime has {max(primes).bit_length()} bits; the "
-            "lazy-reduction datapath needs 4q < 2^32 (primes below "
-            f"{_MAX_MODULUS_BITS} bits)"
-        )
-    if n > MAX_ENGINE_N:
-        return (
-            f"ring degree {n} exceeds the engine's tested envelope "
-            f"(n <= {MAX_ENGINE_N})"
-        )
-    if _plan_geometry(n, max(primes)) is None:  # pragma: no cover
-        return f"no exact limb split exists for degree {n}"
-    return None
-
-
-def batched_engine_ok(primes: tuple[int, ...], n: int) -> bool:
-    """Can the gemm engine run this basis?"""
-    return engine_unsupported_reason(tuple(primes), n) is None
-
-
-def _use_per_row(primes: tuple[int, ...], n: int) -> bool:
-    """Dispatch decision shared by every entry point, with diagnostics.
-
-    A fallback is a degradation and is recorded as an
-    :class:`EngineFallback` plus a rate-limited log warning.
-    """
-    reason = engine_unsupported_reason(tuple(primes), n)
-    if reason is None:
-        return False
-    _note_fallback(tuple(primes), n, reason)
-    return True
-
-
 def _shoup_table(table: np.ndarray, primes_col: np.ndarray) -> np.ndarray:
     """Scaled quotients ``floor(w * 2^32 / q)`` for a stacked table.
 
@@ -397,9 +293,8 @@ class BasisTransformer:
     128 points) — with every short sub-NTT computed as a *dense matrix
     product* evaluated by BLAS in float64:
 
-    * each operand is split into narrow limbs (two 15-bit limbs for
-      every sub-DFT the stage planner actually emits; wider splits
-      remain as the proved escape hatch) and the sub-DFT matrix is
+    * each operand is split into two 15-bit limbs and the sub-DFT
+      matrix is
       stored as the (L, c*L) block ``[W * 2^(b*(c-1)) mod q | ... |
       W]``, so one dgemm per stage computes the exact sub-transform
       (every partial sum stays at or below 2^53, where float64
@@ -420,10 +315,11 @@ class BasisTransformer:
     This is what "as fast as numpy allows" looks like for an exact NTT:
     the butterflies' many memory-bound element passes become a handful
     of compute-dense BLAS calls. Results are bit-identical to the
-    per-row :class:`~repro.nttmath.ntt.NegacyclicTransformer` and to
-    the paper-literal :func:`~repro.nttmath.ntt.ntt_iterative`.
+    single-prime :class:`~repro.nttmath.ntt.NegacyclicTransformer` and
+    to the paper-literal :func:`~repro.nttmath.ntt.ntt_iterative`.
     Instances are cached per ``(primes, n)`` via
-    :func:`basis_transformer`.
+    :func:`basis_transformer`. A basis outside the engine's envelope
+    (see the module docstring) raises :class:`ParameterError`.
     """
 
     def __init__(self, primes: tuple[int, ...], n: int,
@@ -431,6 +327,11 @@ class BasisTransformer:
         self.primes = tuple(int(p) for p in primes)
         self.n = n
         self.stages = log2_exact(n)
+        if n > MAX_ENGINE_N:
+            raise ParameterError(
+                f"ring degree {n} exceeds the NTT engine's envelope "
+                f"(n <= {MAX_ENGINE_N})"
+            )
         for p in self.primes:
             if p.bit_length() > _MAX_MODULUS_BITS - 1:
                 raise ParameterError(
@@ -445,8 +346,7 @@ class BasisTransformer:
             geometry = _plan_geometry(n, max(self.primes))
         if geometry is None:
             raise ParameterError(
-                f"degree {n} admits no exact limb-split factorisation; "
-                "use the per-row path"
+                f"degree {n} admits no exact limb-split factorisation"
             )
         self.geometry = geometry
         self.factors = geometry.factors
@@ -641,7 +541,7 @@ class BasisTransformer:
         ``matrix`` is a ``(k, n)`` residue matrix with entries in
         ``[0, q_i)`` or a ``(j, k, n)`` stack; the result has the same
         shape with canonical NTT-domain entries, bit-identical to the
-        per-row reference transforms. With ``lazy=True`` the final
+        single-prime reference transforms. With ``lazy=True`` the final
         conditional subtract is skipped and entries land in [0, 2q) —
         for consumers whose own reduction absorbs the slack (the tensor
         step's point-wise products).
@@ -1111,42 +1011,12 @@ def basis_transformer(primes: tuple[int, ...], n: int) -> BasisTransformer:
 # -- dispatching entry points -----------------------------------------------------
 
 
-def _per_row_forward(primes: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
-    from ..poly.ring import ring_context
-
-    n = matrix.shape[-1]
-    rows = [
-        ring_context(n, p).transformer.forward(row)
-        for p, row in zip(primes, matrix, strict=True)
-    ]
-    return np.stack(rows)
-
-
-def _per_row_inverse(primes: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
-    from ..poly.ring import ring_context
-
-    n = matrix.shape[-1]
-    rows = [
-        ring_context(n, p).transformer.inverse(row)
-        for p, row in zip(primes, matrix, strict=True)
-    ]
-    return np.stack(rows)
-
-
 def ntt_rows(primes: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
     """Forward-transform a residue matrix (or ``(j, k, n)`` stack).
 
     The production entry point every limb-loop call site was rewired
-    onto: batched, degrading to the per-row transform only for a basis
-    the gemm engine cannot serve (both routes update the transform
-    counters, so telemetry comparisons stay meaningful).
+    onto: the cached :class:`BasisTransformer` of the basis.
     """
-    if _use_per_row(primes, np.asarray(matrix).shape[-1]):
-        arr = np.asarray(matrix, dtype=np.int64)
-        out = (np.stack([_per_row_forward(primes, a) for a in arr])
-               if arr.ndim == 3 else _per_row_forward(primes, arr))
-        _count_transform("forward", int(np.prod(out.shape[:-1])))
-        return out
     n = np.asarray(matrix).shape[-1]
     return basis_transformer(tuple(primes), n).forward(matrix)
 
@@ -1157,19 +1027,11 @@ def intt_rows_scaled(primes: tuple[int, ...], matrix: np.ndarray,
 
     Equivalent to ``(intt_rows(primes, matrix) * col(constants)) %
     col(primes)`` with the multiplies hidden inside the transform's
-    twiddle tables; falls back to exactly that composition when the
-    batched engine cannot run.
+    twiddle tables.
     """
     arr = np.asarray(matrix, dtype=np.int64)
-    n = arr.shape[-1]
-    if _use_per_row(primes, n):
-        primes_col = np.array(primes, dtype=np.int64)[:, None]
-        consts_col = np.array(
-            [c % p for c, p in zip(constants, primes, strict=True)], dtype=np.int64
-        )[:, None]
-        return (intt_rows(primes, arr) * consts_col) % primes_col
-    return basis_transformer(tuple(primes), n).inverse_scaled(
-        arr, tuple(int(c) for c in constants)
+    return basis_transformer(tuple(primes), arr.shape[-1]).inverse_scaled(
+        arr, constants
     )
 
 
@@ -1180,27 +1042,15 @@ def ntt_broadcast_rows(primes: tuple[int, ...], rows: np.ndarray,
     The fused WordDecomp + NTT primitive: ``rows`` is ``(j, n)`` with
     non-negative entries below 2^30, the result ``(j, k, n)`` —
     bit-identical to broadcasting each row across the basis, reducing
-    per channel, and calling :func:`ntt_rows`. Falls back to exactly
-    that (per-row) recipe when the batched engine cannot run.
+    per channel, and calling :func:`ntt_rows`.
     """
     arr = np.asarray(rows, dtype=np.int64)
-    n = arr.shape[-1]
-    if _use_per_row(primes, n):
-        primes_col = np.array(primes, dtype=np.int64)[:, None]
-        tiled = arr[:, None, :] % primes_col[None, :, :]
-        return ntt_rows(primes, tiled)
-    return basis_transformer(tuple(primes), n).forward_broadcast(
+    return basis_transformer(tuple(primes), arr.shape[-1]).forward_broadcast(
         arr, lazy=lazy
     )
 
 
 def intt_rows(primes: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
     """Inverse-transform a residue matrix (or stack); see :func:`ntt_rows`."""
-    if _use_per_row(primes, np.asarray(matrix).shape[-1]):
-        arr = np.asarray(matrix, dtype=np.int64)
-        out = (np.stack([_per_row_inverse(primes, a) for a in arr])
-               if arr.ndim == 3 else _per_row_inverse(primes, arr))
-        _count_transform("inverse", int(np.prod(out.shape[:-1])))
-        return out
     n = np.asarray(matrix).shape[-1]
     return basis_transformer(tuple(primes), n).inverse(matrix)

@@ -208,8 +208,7 @@ class TraceReport:
             row["transform_rows"] += (transforms.get("forward_rows", 0)
                                       + transforms.get("inverse_rows", 0))
             row["transform_calls"] += (transforms.get("forward_calls", 0)
-                                       + transforms.get("inverse_calls", 0)
-                                       + transforms.get("fallback_calls", 0))
+                                       + transforms.get("inverse_calls", 0))
             row["bytes_moved"] += span.attrs.get("bytes_moved", 0)
         return out
 

@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import ParameterError
+from .nttmath.batch import MAX_ENGINE_N
 from .nttmath.primes import find_ntt_primes
 from .utils import is_power_of_two
 
@@ -29,6 +30,12 @@ PRIME_BITS = 30
 @dataclass(frozen=True)
 class ParameterSet:
     """An FV parameter set in RNS form.
+
+    Construction is the envelope check of the paper's datapath: every
+    prime is exactly ``PRIME_BITS`` = 30 bits wide and NTT-friendly, and
+    ``n <= MAX_ENGINE_N`` = 32768 (Table V's largest ring). Inside it the
+    gemm NTT engine and the lift / scale gemms serve every basis the set
+    builds; outside it construction raises :class:`ParameterError`.
 
     Attributes:
         name: human-readable identifier.
@@ -50,6 +57,11 @@ class ParameterSet:
     def __post_init__(self) -> None:
         if not is_power_of_two(self.n):
             raise ParameterError(f"ring degree {self.n} is not a power of two")
+        if self.n > MAX_ENGINE_N:
+            raise ParameterError(
+                f"ring degree {self.n} exceeds the NTT engine's envelope "
+                f"(n <= {MAX_ENGINE_N})"
+            )
         all_primes = self.q_primes + self.p_primes
         if len(set(all_primes)) != len(all_primes):
             raise ParameterError("RNS primes must be distinct")
@@ -58,9 +70,10 @@ class ParameterSet:
                 raise ParameterError(
                     f"prime {prime} is not NTT-friendly for degree {self.n}"
                 )
-            if prime.bit_length() > PRIME_BITS:
+            if prime.bit_length() != PRIME_BITS:
                 raise ParameterError(
-                    f"prime {prime} exceeds the {PRIME_BITS}-bit datapath"
+                    f"prime {prime} is {prime.bit_length()} bits wide; the "
+                    f"datapath takes {PRIME_BITS}-bit primes"
                 )
         if self.t < 2:
             raise ParameterError("plaintext modulus must be at least 2")

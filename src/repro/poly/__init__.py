@@ -1,18 +1,17 @@
 """Polynomial representations.
 
-Three layers, matching the needs of the rest of the library:
+Two layers, matching the needs of the rest of the library:
 
 * :class:`~repro.poly.dense.IntPoly` — arbitrary-precision coefficients,
   schoolbook arithmetic. The ground truth for everything.
-* :class:`~repro.poly.ring.RingContext` — a single-prime ring with
-  vectorised NTT arithmetic (one RNS channel).
 * :class:`~repro.poly.rns_poly.RnsPoly` — a polynomial resident in an RNS
   basis (matrix of residue rows), the working format of both the FV
-  evaluator and the hardware simulator.
+  evaluator and the hardware simulator. Its transforms run on the
+  batched engine of :mod:`repro.nttmath.batch`; a single residue
+  channel's oracle is :class:`~repro.nttmath.ntt.NegacyclicTransformer`.
 """
 
 from .dense import IntPoly
-from .ring import RingContext
 from .rns_poly import RnsPoly
 
-__all__ = ["IntPoly", "RingContext", "RnsPoly"]
+__all__ = ["IntPoly", "RnsPoly"]

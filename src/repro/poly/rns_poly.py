@@ -17,7 +17,6 @@ import numpy as np
 from ..errors import ParameterError
 from ..nttmath.batch import intt_rows, ntt_rows
 from ..rns.basis import RnsBasis
-from .ring import RingContext, ring_context
 
 
 @dataclass
@@ -89,9 +88,6 @@ class RnsPoly:
     @property
     def n(self) -> int:
         return self.residues.shape[1]
-
-    def ring(self, row: int) -> RingContext:
-        return ring_context(self.n, self.basis.primes[row])
 
     def copy(self) -> RnsPoly:
         return RnsPoly.trusted(self.basis, self.residues.copy(),

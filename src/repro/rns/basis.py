@@ -170,15 +170,15 @@ class LiftContext:
             if self.target_primes[: self.source.size] == self.source.primes
             else 0,
         )
-        # The gemm path carries the HPS reciprocals as four 15-bit
-        # limbs, i.e. 60 significant bits. Standard 30-bit bases fit
-        # (recip ~ 2^89 / 2^29.x < 2^60); narrower primes would
-        # truncate, so they keep the reference loop.
-        object.__setattr__(
-            self,
-            "gemm_safe",
-            all(r < (1 << 60) for r in self.source.recip),
-        )
+        # The lift gemm carries the HPS reciprocals as four 15-bit
+        # limbs, i.e. 60 significant bits. 30-bit primes fit
+        # (recip ~ 2^89 / 2^29.x < 2^60); narrower ones would truncate.
+        if any(r >= (1 << 60) for r in self.source.recip):
+            raise ParameterError(
+                "reciprocal table needs more than the lift gemm's 60 "
+                f"bits: source primes must be 30 bits wide, got "
+                f"{min(self.source.primes).bit_length()}"
+            )
         object.__setattr__(self, "_gemm", None)
 
     def gemm_tables(self) -> tuple[np.ndarray, ...]:

@@ -66,44 +66,16 @@ def lift_hps(context: LiftContext, residues: np.ndarray,
     """HPS base extension (paper Eq. 2 / Fig. 6), fully vectorised.
 
     Returns the residues modulo ``context.target_primes`` of the centered
-    representative of the input. The per-target-prime Block 2 loop is
-    one limb-split float64 matrix product (exact — see
-    :func:`_lift_block2_gemm`) wherever the reciprocal tables fit the
-    gemm's 60-bit split; narrower bases take :func:`_lift_block2_loop`.
+    representative of the input. Blocks 2-5 are one limb-split float64
+    matrix product over every target prime (exact — see
+    :func:`_lift_block2_gemm`); :class:`LiftContext` has already
+    checked that the reciprocal tables fit the gemm's 60-bit split.
     """
     basis = context.source
     matrix = _check_input(basis, residues)
     # Block 1: x'_i = x_i * q~_i mod q_i.
     x_prime = (matrix * basis.q_tilde_col) % basis.primes_col
-    if not context.gemm_safe:
-        # Block 3 (independent of block 2): quotient estimate.
-        v = hps_quotient(basis, x_prime)
-        result = _lift_block2_loop(context, x_prime, v)
-        if out is not None:
-            out[...] = result
-            return out
-        return result
     return _lift_block2_gemm(context, matrix, x_prime, out)
-
-
-def _lift_block2_loop(context: LiftContext, x_prime: np.ndarray,
-                      v: np.ndarray) -> np.ndarray:
-    """Block 2 with one Python iteration per target prime.
-
-    The only route for bases that are not ``gemm_safe``: products are
-    reduced term-by-term before summation so any basis size is safe,
-    at the cost of ``k_target`` numpy round trips.
-    """
-    n = x_prime.shape[1]
-    out = np.empty((len(context.target_primes), n), dtype=np.int64)
-    for j, t_j in enumerate(context.target_primes):
-        star_row = context.star_table[j][:, None]
-        partial = (x_prime * star_row) % t_j
-        sop = partial.sum(axis=0) % t_j
-        # Blocks 4 and 5: subtract v * (q mod t_j).
-        correction = (v * int(context.q_mod_target[j])) % t_j
-        out[j] = (sop - correction) % t_j
-    return out
 
 
 def _lift_block2_gemm(context: LiftContext, matrix: np.ndarray,
@@ -190,9 +162,10 @@ def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
       (:func:`~repro.nttmath.batch.intt_rows_scaled`); for
       coefficient-domain parts it is an element-wise multiply;
     * the lifted representative is congruent to x modulo every source
-      prime, so when the target basis starts with the source primes
-      (Lift q->Q always does) the target's leading channels *are* the
-      input rows, in whichever domain they arrived.
+      prime, and the target basis must start with the source primes
+      (Lift q->Q always does; any other context is a
+      :class:`ParameterError`), so the target's leading channels *are*
+      the input rows, in whichever domain they arrived.
 
     Either way the Blocks 2-5 gemm then fills the genuinely new target
     channels, as coefficient-column bands, and one stacked forward
@@ -201,13 +174,14 @@ def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
     round trip), of every channel for coefficient-domain parts. A stack
     mixing both is lifted as two stacks. ``lazy`` sets the forward
     transform's output bound the way :meth:`BasisTransformer.forward`
-    does. When the batched engine cannot serve either basis the lift
-    degrades — loudly: every per-row transform below records an
-    ``EngineFallback`` — to the coefficient lift + full per-row
-    forward: exact, but paying the round trip this entry exists to
-    avoid.
+    does.
     """
     basis = context.source
+    if context.source_prefix != basis.size:
+        raise ParameterError(
+            "the evaluation-domain lift needs a target basis that starts "
+            "with the source primes (Lift q->Q)"
+        )
     arr = np.asarray(rows, dtype=np.int64)
     stacked = arr.ndim == 3
     stack = arr if stacked else arr[None]
@@ -233,16 +207,8 @@ def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
                                     [domain] * idx.size)
         return out
     from_ntt = bool(resident.all())
-    skip = context.source_prefix
+    skip = k_s
     tail_primes = target_primes[skip:]
-    fast = (skip == k_s and context.gemm_safe
-            and batch.batched_engine_ok(basis.primes, n)
-            and batch.batched_engine_ok(tail_primes, n))
-    if not fast:
-        coeff = batch.intt_rows(basis.primes, stack) if from_ntt else stack
-        lifted = np.stack([lift_hps(context, m) for m in coeff])
-        full = batch.ntt_rows(target_primes, lifted)
-        return full if stacked else full[0]
     if from_ntt:
         x_prime = batch.intt_rows_scaled(basis.primes, stack,
                                          basis.q_tilde)

@@ -62,8 +62,7 @@ def scale_hps(context: ScaleContext, residues: np.ndarray,
         context.gemm_tables_prescaled()
     else:
         context.gemm_tables()
-    if context.final_lift.gemm_safe:
-        context.final_lift.gemm_tables()
+    context.final_lift.gemm_tables()
     out = np.empty((context.q_basis.size, q_rows.shape[1]), dtype=np.int64)
 
     def band(lo: int, hi: int) -> None:

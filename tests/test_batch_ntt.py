@@ -3,7 +3,7 @@
 * the gemm-based :class:`~repro.nttmath.batch.BasisTransformer` and the
   dispatching entry points (``ntt_rows`` / ``intt_rows`` /
   ``intt_rows_scaled`` / ``ntt_broadcast_rows``) are bit-exact against
-  the per-row ``ring_context(n, p).transformer`` oracle and the
+  the single-prime ``NegacyclicTransformer(n, p)`` oracle and the
   paper-literal ``ntt_iterative`` across ring sizes and basis shapes;
 * the fused digit transform and the per-channel-scaled inverse equal
   their compose-by-hand definitions;
@@ -18,24 +18,17 @@ from hypothesis import strategies as st
 from repro.api import LocalBackend, Session
 from repro.fv.galois import GaloisEngine
 from repro.nttmath.batch import (
-    MAX_ENGINE_N,
     _limb_plan,
     _plan_geometry,
     basis_transformer,
-    batched_engine_ok,
-    engine_fallbacks,
-    engine_unsupported_reason,
     intt_rows,
     intt_rows_scaled,
     ntt_broadcast_rows,
     ntt_rows,
-    reset_engine_fallbacks,
-    transform_counts,
 )
 from repro.nttmath.ntt import NegacyclicTransformer, intt_iterative, ntt_iterative
 from repro.nttmath.primes import find_ntt_primes
 from repro.params import mini, toy
-from repro.poly.ring import ring_context
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import basis_for
 
@@ -57,13 +50,13 @@ def _basis(n, k):
 def _oracle_forward(primes, mat):
     """Per-row reference transform, called directly (one row per prime)."""
     n = mat.shape[-1]
-    return np.stack([ring_context(n, p).transformer.forward(row)
+    return np.stack([NegacyclicTransformer(n, p).forward(row)
                      for p, row in zip(primes, mat, strict=True)])
 
 
 def _oracle_inverse(primes, mat):
     n = mat.shape[-1]
-    return np.stack([ring_context(n, p).transformer.inverse(row)
+    return np.stack([NegacyclicTransformer(n, p).inverse(row)
                      for p, row in zip(primes, mat, strict=True)])
 
 
@@ -187,7 +180,6 @@ class TestLargeRingEngine:
     @pytest.mark.parametrize("n", [8192, 16384, 32768])
     def test_large_n_matches_per_row_and_iterative(self, n):
         primes = _basis(n, 2)
-        assert batched_engine_ok(primes, n)
         bt = basis_transformer(primes, n)
         rng = np.random.default_rng(n)
         mat = rng.integers(0, bt.primes_col, size=(2, n))
@@ -239,12 +231,13 @@ class TestLargeRingEngine:
     def test_limb_plans_stay_exact_by_construction(self):
         """The per-step limb plans prove their own bound: the worst
         partial sum (plus the reduction's one-modulus overshoot) stays
-        at or below 2^53."""
+        at or below 2^53. Sub-DFTs the two-limb split cannot carry
+        exactly are refused, never planned."""
         max_prime = (1 << 30) - 35
+        for length in (256, 4096):
+            assert _limb_plan(length, (1 << 30) - 1, max_prime) is None
         for length, max_value in [(128, (1 << 30) - 1),
-                                  (256, (1 << 30) - 1),
-                                  (64, 2 * max_prime - 1),
-                                  (4096, (1 << 30) - 1)]:
+                                  (64, 2 * max_prime - 1)]:
             split = _limb_plan(length, max_value, max_prime)
             assert split is not None
             top = max_value >> (split.bits * (split.count - 1))
@@ -270,47 +263,6 @@ class TestLargeRingEngine:
         assert np.prod(g.factors) == 32768
         assert all(f <= 128 for f in g.factors)
         assert all(s.split.count == 2 for s in g.stages)
-
-    def test_unsupported_reasons(self):
-        primes = _basis(64, 2)
-        assert engine_unsupported_reason(primes, 64) is None
-        assert "envelope" in engine_unsupported_reason(
-            primes, MAX_ENGINE_N * 2
-        )
-        wide = tuple(find_ntt_primes(31, 64, 1))
-        assert "4q < 2^32" in engine_unsupported_reason(wide, 64)
-
-
-class TestFallbackDiagnostics:
-    """Satellite: the large-ring fallback is no longer silent."""
-
-    def test_fallback_records_diagnostic_and_logs(self, caplog):
-        reset_engine_fallbacks()
-        # A 31-bit NTT-friendly prime: the per-row path serves it, the
-        # gemm engine's lazy-reduction headroom does not.
-        primes = tuple(find_ntt_primes(31, 64, 1))
-        mat = np.arange(64, dtype=np.int64)[None, :] % primes[0]
-        before = transform_counts()["fallback_calls"]
-        with caplog.at_level("WARNING", logger="repro.nttmath.batch"):
-            out = ntt_rows(primes, mat)
-        assert np.array_equal(
-            intt_rows(primes, out), mat
-        )  # per-row path is still exact
-        # ...and the degraded answer is the paper-literal transform's.
-        tr = NegacyclicTransformer(64, primes[0])
-        twisted = [
-            int(c) * int(psi) % primes[0]
-            for c, psi in zip(mat[0], tr.psi_powers, strict=True)
-        ]
-        assert out[0].tolist() == ntt_iterative(twisted, primes[0],
-                                                tr.omega)
-        events = engine_fallbacks()
-        assert events and events[-1].max_prime_bits == 31
-        assert "4q < 2^32" in events[-1].reason
-        assert transform_counts()["fallback_calls"] >= before + 2
-        assert any("per-row" in record.message
-                   for record in caplog.records)
-        reset_engine_fallbacks()
 
 
 class TestRnsPolyAliasing:
@@ -390,32 +342,17 @@ class TestNttResidentBackend:
 
 
 class TestNarrowPrimeFallbacks:
-    def test_lift_narrow_primes_stay_exact(self):
-        """Primes below 30 bits have >60-significant-bit reciprocals,
-        which the lift gemm's four 15-bit limbs cannot carry — the
-        context must route them to the reference loop (regression for
-        the gemm_safe guard)."""
-        from repro.nttmath.primes import find_ntt_primes
-        from repro.rns.basis import lift_context
-        from repro.rns.lift import lift_hps, lift_hps_reference
-
-        n = 64
-        source = tuple(find_ntt_primes(28, n, 3))
-        target = source + tuple(find_ntt_primes(29, n, 2))
-        ctx = lift_context(source, target)
-        assert not ctx.gemm_safe
-        rng = np.random.default_rng(31)
-        mat = rng.integers(
-            0, np.array(source, dtype=np.int64)[:, None], size=(3, n)
-        )
-        assert np.array_equal(lift_hps(ctx, mat),
-                              lift_hps_reference(ctx, mat))
-
     def test_reciprocal_overflow_is_a_parameter_error(self):
         """20-bit primes have 69-bit reciprocals: the basis must refuse
-        them by name, not die converting the table to int64."""
+        them by name, not die converting the table to int64. 28-bit
+        primes fit the basis's int64 table but not the lift gemm's four
+        15-bit limbs, so the lift context refuses them."""
         from repro.errors import ParameterError
-        from repro.rns.basis import RnsBasis
+        from repro.rns.basis import RnsBasis, lift_context
 
         with pytest.raises(ParameterError, match="reciprocal table"):
             RnsBasis(find_ntt_primes(20, 64, 3))
+        source = tuple(find_ntt_primes(28, 64, 3))
+        target = source + tuple(find_ntt_primes(30, 64, 2))
+        with pytest.raises(ParameterError, match="reciprocal table"):
+            lift_context(source, target)

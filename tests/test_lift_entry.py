@@ -106,28 +106,3 @@ def test_multiply_raw_matches_integer_oracle(setup, mix, executor,
         (4 - resident_parts) * params.k_q + 4 * params.k_p
     assert after["inverse_rows"] - before["inverse_rows"] == \
         resident_parts * params.k_q + 3 * params.k_total
-    assert after["fallback_calls"] == before["fallback_calls"]
-
-
-@pytest.mark.parametrize(
-    "mix", ["coefficient", "resident", "a-resident", "per-part"])
-def test_mult_degrades_loudly_on_a_base_the_engine_cannot_serve(
-        mix, monkeypatch):
-    """Outside the batched engine's envelope the lift takes its per-row
-    fallback: same parts, every transform recorded as a fallback."""
-    context = FvContext(toy(), seed=2019)
-    a, b = _operands(context, context.keygen())
-    x, y = _mix(context, a, b, mix)
-    evaluator = Evaluator(context)
-    want = evaluator.multiply_raw(x, y)
-    batch.reset_engine_fallbacks()
-    monkeypatch.setattr(batch, "MAX_ENGINE_N", context.params.n // 2)
-    assert not evaluator.resident_tensor_ok
-    before = batch.transform_counts()["fallback_calls"]
-    got = evaluator.multiply_raw(x, y)
-    for part, ref in zip(got.parts, want.parts, strict=True):
-        assert np.array_equal(part.residues, ref.residues)
-    assert batch.transform_counts()["fallback_calls"] > before
-    assert any("envelope" in event.reason
-               for event in batch.engine_fallbacks())
-    batch.reset_engine_fallbacks()

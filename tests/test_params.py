@@ -1,14 +1,25 @@
 """Tests for the parameter sets (paper Sec. III)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ParameterError
+from repro.nttmath.batch import MAX_ENGINE_N, BasisTransformer
+from repro.nttmath.primes import find_ntt_primes
 from repro.params import (
+    PRIME_BITS,
     ParameterSet,
     hpca19,
+    hpca19_large,
+    large16k,
+    large_ring,
     mini,
+    table5_large,
     table5_parameter_points,
+    toy,
 )
+from repro.rns.basis import lift_context, scale_context
+from repro.rns.lift import lift_hps_ntt
 
 
 class TestPaperParameterSet:
@@ -101,6 +112,55 @@ class TestValidation:
         with pytest.raises(ParameterError):
             ParameterSet("bad", 64, toy_params.q_primes,
                          toy_params.p_primes, t=1 << 31)
+
+
+SHIPPED = {
+    **{f"{build.__name__}-t{t}": (lambda build=build, t=t: build(t=t))
+       for build in (toy, mini, hpca19) for t in (2, 65537)},
+    "table5_large": table5_large,
+    "large16k": large16k,
+    "hpca19_large": hpca19_large,
+    **{f"large_ring-{n}": (lambda n=n: large_ring(n))
+       for n in (4096, 8192, 16384, 32768)},
+}
+
+
+class TestEngineEnvelope:
+    """The door: a parameter set is checked against the NTT engine's
+    envelope (30-bit primes, n <= 32768) once, at construction, and
+    every shipped set lies inside it."""
+
+    @pytest.mark.parametrize("build", SHIPPED.values(), ids=SHIPPED.keys())
+    def test_every_shipped_set_is_served_by_the_engine(self, build):
+        params = build()
+        assert params.n <= MAX_ENGINE_N
+        for primes in (params.q_primes, params.p_primes,
+                       params.q_primes + params.p_primes):
+            assert BasisTransformer(primes, params.n).k == len(primes)
+        lift_context(params.q_primes, params.q_primes + params.p_primes)
+        scale_context(params.q_primes, params.p_primes, params.t)
+
+    def test_refuses_a_ring_beyond_the_envelope(self):
+        n = 2 * MAX_ENGINE_N
+        primes = tuple(find_ntt_primes(PRIME_BITS, n, 3))
+        with pytest.raises(ParameterError, match="envelope"):
+            ParameterSet("n65536", n, primes[:1], primes[1:])
+        with pytest.raises(ParameterError, match="envelope"):
+            BasisTransformer(primes, n)
+
+    def test_refuses_a_narrow_prime(self, toy_params):
+        narrow = tuple(find_ntt_primes(PRIME_BITS - 1, toy_params.n, 1))
+        with pytest.raises(ParameterError, match="29 bits wide"):
+            ParameterSet("narrow", toy_params.n,
+                         narrow + toy_params.q_primes[1:],
+                         toy_params.p_primes)
+
+    def test_evaluation_domain_lift_needs_the_source_as_prefix(
+            self, toy_params):
+        context = lift_context(toy_params.q_primes, toy_params.p_primes)
+        rows = np.zeros((toy_params.k_q, toy_params.n), dtype=np.int64)
+        with pytest.raises(ParameterError, match="starts with the source"):
+            lift_hps_ntt(context, rows)
 
 
 class TestTable5Points:

@@ -1,4 +1,4 @@
-"""Tests for the polynomial layers (dense, ring, RNS)."""
+"""Tests for the polynomial layers (dense, RNS)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ParameterError
 from repro.nttmath.ntt import negacyclic_convolution
 from repro.poly.dense import IntPoly
-from repro.poly.ring import ring_context
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import basis_for
 
@@ -94,51 +93,6 @@ class TestIntPoly:
     def test_associativity(self, rng):
         a, b, c = (random_intpoly(rng, n=8) for _ in range(3))
         assert (a * b) * c == a * (b * c)
-
-
-class TestRingContext:
-    @pytest.fixture(scope="class")
-    def ring(self, toy_params):
-        return ring_context(toy_params.n, toy_params.q_primes[0])
-
-    def test_cached(self, toy_params):
-        assert ring_context(toy_params.n, toy_params.q_primes[0]) is \
-            ring_context(toy_params.n, toy_params.q_primes[0])
-
-    def test_add_sub(self, ring, rng):
-        a = rng.integers(0, ring.modulus, ring.n)
-        b = rng.integers(0, ring.modulus, ring.n)
-        assert np.array_equal(ring.sub(ring.add(a, b), b), a)
-
-    def test_neg(self, ring, rng):
-        a = rng.integers(0, ring.modulus, ring.n)
-        assert np.all(ring.add(a, ring.neg(a)) == 0)
-
-    def test_multiply_matches_schoolbook(self, ring, rng):
-        a = rng.integers(0, ring.modulus, ring.n)
-        b = rng.integers(0, ring.modulus, ring.n)
-        expected = negacyclic_convolution(a.tolist(), b.tolist(),
-                                          ring.modulus)
-        assert ring.multiply(a, b).tolist() == expected
-
-    def test_ntt_intt_roundtrip(self, ring, rng):
-        a = rng.integers(0, ring.modulus, ring.n)
-        assert np.array_equal(ring.intt(ring.ntt(a)), a)
-
-    def test_reduce_object_dtype(self, ring):
-        big = np.array([10**30] * ring.n, dtype=object)
-        reduced = ring.reduce(big)
-        assert reduced.dtype == np.int64
-        assert reduced[0] == 10**30 % ring.modulus
-
-    def test_reduce_rejects_wrong_length(self, ring):
-        with pytest.raises(ParameterError):
-            ring.reduce(np.zeros(3))
-
-    def test_centered(self, ring):
-        values = np.array([1, ring.modulus - 1] + [0] * (ring.n - 2))
-        centered = ring.centered(values)
-        assert centered[0] == 1 and centered[1] == -1
 
 
 class TestRnsPoly:

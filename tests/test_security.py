@@ -61,9 +61,9 @@ class TestPlacement:
 
     def test_a_128_bit_set_passes(self):
         """A (4096, <=109-bit) set clears the standard's 128-bit line."""
-        from repro.params import ParameterSet, _ntt_primes
+        from repro.params import PRIME_BITS, ParameterSet, _ntt_primes
 
-        primes = _ntt_primes(27, 4096, 5)
+        primes = _ntt_primes(PRIME_BITS, 4096, 5)
         params = ParameterSet("seal_like", 4096, primes[:3], primes[3:],
                               t=2, sigma=3.2)
         assert params.log2_q <= 109
