@@ -18,22 +18,18 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # CI test-parallel job: tier-1 with every engine fan-out (transform
-# tiles, channel bands, column bands) forced through a 4-thread pool.
-# `blas-steered` is the job's first step: the env-built default pool
-# must really own BLAS threading on the runner, so a numpy packaging
-# change that breaks the OpenBLAS lookup fails CI instead of silently
-# costing the speedup.
-test-parallel blas-steered: export REPRO_EXECUTOR := threads
-test-parallel blas-steered: export REPRO_WORKERS := 4
-test-parallel blas-steered: export REPRO_PARALLEL_MIN_WORK := 1
-
+# tiles, channel bands, column bands) forced through a 4-thread pool
+# (`--threads`, an option of tests/conftest.py). `blas-steered` is the
+# job's first step: a real pool must own BLAS threading on the runner,
+# so a numpy packaging change that breaks the OpenBLAS lookup fails CI
+# instead of silently costing the speedup.
 test-parallel:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --threads 4
 
 blas-steered:
-	$(PYTHON) -c "from repro.parallel import active_executor; \
-	blas = active_executor().blas; print(blas.describe()); \
-	assert blas.steered, blas"
+	$(PYTHON) -c "from repro.parallel import ThreadPoolExecutor; \
+	pool = ThreadPoolExecutor(4); blas = pool.blas; pool.close(); \
+	print(blas.describe()); assert blas.steered, blas"
 
 lint:
 	ruff check src tests benchmarks examples

@@ -11,9 +11,9 @@ The simulation twin lives in :mod:`repro.api.simulated`.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
+import weakref
 from contextlib import nullcontext
+from typing import Protocol, runtime_checkable
 
 from ..errors import NoiseBudgetExhausted, ParameterError
 from ..fv.ciphertext import Ciphertext
@@ -26,7 +26,7 @@ from ..parallel import (
     BlasDecision,
     ExecutionConfig,
     Executor,
-    build_executor,
+    _resolve,
     use_executor,
 )
 from .program import CiphertextHandle, ExprNode, HEProgram, OpKind
@@ -147,28 +147,25 @@ class LocalBackend:
 
     def __init__(self, session: Session, *, verify: bool = True,
                  resident_outputs: bool = False,
-                 resident_cache: ResidentOperandCache | None = None,
                  resident_cache_limit: int = 64,
                  executor: Executor | ExecutionConfig | str | None
                  = None) -> None:
         self.session = session
         self.verify = verify
         self.resident_outputs = resident_outputs
-        # Executor selection: None defers to the ambient scope / env
-        # default at run time; a mode string or ExecutionConfig is
+        # Executor selection: None defers to the ambient scope (serial
+        # outside any) at run time; a mode string or ExecutionConfig is
         # built once here (a thread pool sized from the affinity mask
-        # unless the config says otherwise, degrading loudly to serial
-        # on failure); a live Executor is used as-is (caller keeps
-        # ownership).
-        if isinstance(executor, str):
-            executor = ExecutionConfig(mode=executor.strip().lower())
-        if isinstance(executor, ExecutionConfig):
-            executor = build_executor(executor)
-        self.executor: Executor | None = executor
-        self.resident_cache = (
-            resident_cache if resident_cache is not None
-            else ResidentOperandCache(resident_cache_limit, name="local")
-        )
+        # unless the config says otherwise) and closed when the
+        # backend is collected, giving back the BLAS threads it holds;
+        # a live Executor is used as-is and stays the caller's.
+        self.executor: Executor | None = None
+        if executor is not None:
+            self.executor, owned = _resolve(executor)
+            if owned:
+                weakref.finalize(self, self.executor.close)
+        self.resident_cache = ResidentOperandCache(resident_cache_limit,
+                                                   name="local")
         #: Transform counts of the most recent :meth:`run`.
         self.last_transform_counts: dict[str, int] = {}
         #: Cache restores performed by the most recent :meth:`run`.

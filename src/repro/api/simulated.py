@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hw.config import HardwareConfig
 from ..hw.isa import Opcode
 from ..obs import Span, TraceReport, cluster_timeline, runtime_timeline
 from ..params import ParameterSet
@@ -322,7 +321,6 @@ class SimulatedBackend:
     def __init__(self, params: ParameterSet,
                  target_factory: Callable[[], object], *,
                  description: str = "",
-                 resident_cache_limit: int = 64,
                  cost: CostModel | None = None,
                  optimize: bool = False) -> None:
         self.params = params
@@ -341,8 +339,7 @@ class SimulatedBackend:
         #: later program reusing them uploads nothing (the
         #: :meth:`HEProgram.lower` zero-transfer pricing). Bounded FIFO,
         #: like the board's operand memory.
-        self.resident_cache = ResidentOperandCache(resident_cache_limit,
-                                                   name="simulated")
+        self.resident_cache = ResidentOperandCache(64, name="simulated")
 
     @property
     def telemetry(self) -> dict:
@@ -353,18 +350,15 @@ class SimulatedBackend:
 
     @classmethod
     def over_runtime(cls, params: ParameterSet, *,
-                     config: HardwareConfig | None = None,
                      scheduler_factory: Callable[[], object] | None = None,
-                     batching=None, tenants=None,
                      optimize: bool = False,
                      ) -> SimulatedBackend:
         """One Arm+FPGA board (the paper's Fig. 11 server)."""
-        cost = CostModel(params, config)
+        cost = CostModel(params)
 
         def factory() -> ServingRuntime:
             scheduler = scheduler_factory() if scheduler_factory else None
-            return ServingRuntime(cost, scheduler=scheduler,
-                                  batching=batching, tenants=tenants)
+            return ServingRuntime(cost, scheduler=scheduler)
 
         return cls(params, factory, description="single board",
                    cost=cost, optimize=optimize)
@@ -372,10 +366,7 @@ class SimulatedBackend:
     @classmethod
     def over_cluster(cls, params: ParameterSet, num_shards: int, *,
                      router_factory: Callable[[], object] | None = None,
-                     config: HardwareConfig | None = None,
                      scheduler_factory: Callable[[], object] | None = None,
-                     batching=None, tenants=None,
-                     max_backlog_seconds: float | None = None,
                      optimize: bool = False,
                      fault_plan=None, retry=None,
                      replicas: int | None = None,
@@ -393,15 +384,14 @@ class SimulatedBackend:
         def factory() -> FpgaCluster:
             router = router_factory() if router_factory else None
             return FpgaCluster.homogeneous(
-                params, num_shards, config=config, router=router,
-                scheduler_factory=scheduler_factory, batching=batching,
-                tenants=tenants, max_backlog_seconds=max_backlog_seconds,
+                params, num_shards, router=router,
+                scheduler_factory=scheduler_factory,
                 fault_plan=fault_plan, retry=retry, replicas=replicas,
             )
 
         return cls(params, factory,
                    description=f"{num_shards}-shard cluster",
-                   cost=CostModel(params, config), optimize=optimize)
+                   cost=CostModel(params), optimize=optimize)
 
     # -- execution ---------------------------------------------------------------------
 

@@ -705,12 +705,11 @@ def main(argv: list[str] | None = None) -> int:
                                     "for the chaos scenario (default 2)")
     executor_group = parser.add_argument_group(
         "executor options",
-        "multi-core execution of the functional engine (overrides the "
-        "REPRO_EXECUTOR / REPRO_WORKERS environment for this run)")
+        "multi-core execution of the functional engine for this run")
     executor_group.add_argument(
         "--executor", choices=list(EXECUTOR_MODES), default=None,
         help="execution strategy for functional FV math "
-             "(default: environment, else serial)")
+             "(default: serial)")
     executor_group.add_argument(
         "--workers", type=_positive_int, default=None,
         help="worker pool size for --executor threads "

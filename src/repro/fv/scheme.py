@@ -140,25 +140,33 @@ class FvContext:
         whose Table II shows no extra multiplications for WordDecomp —
         the decomposition is pure data movement.
         """
+        basis = self.q_basis
+        weights = [basis.q_tilde[i] * basis.q_star[i]
+                   for i in range(self.params.k_q)]
+        return RelinKey(pairs=self._key_pairs(s_ntt, weights))
+
+    def _key_pairs(self, s_ntt: np.ndarray,
+                   weights: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One NTT-domain pair ``(b, a)`` per weight w, with ``b = w*s^2
+        - a*s - e`` for fresh uniform ``a`` and Gaussian ``e`` (drawn in
+        that order, one pair at a time) — the loop every relinearisation
+        key variant shares; only the weights differ."""
         params = self.params
         primes_col = self.q_basis.primes_col
         s_sq_ntt = (s_ntt * s_ntt) % primes_col
         pairs = []
-        for i in range(params.k_q):
-            a_rows = uniform_rns_rows(self.rng, params.n, params.q_primes)
-            a_ntt = self._ntt_rows(a_rows)
-            e_rows = self._small_poly_rows(
-                discrete_gaussian(self.rng, params.n, params.sigma)
-            )
-            e_ntt = self._ntt_rows(e_rows)
-            weight = self.q_basis.q_tilde[i] * self.q_basis.q_star[i]
+        for weight in weights:
+            a_ntt = self._ntt_rows(
+                uniform_rns_rows(self.rng, params.n, params.q_primes))
+            e_ntt = self._ntt_rows(self._small_poly_rows(
+                discrete_gaussian(self.rng, params.n, params.sigma)))
             weight_col = np.array(
                 [weight % qj for qj in params.q_primes], dtype=np.int64,
             )[:, None]
             b_ntt = (weight_col * s_sq_ntt - a_ntt * s_ntt
                      - e_ntt) % primes_col
             pairs.append((b_ntt, a_ntt))
-        return RelinKey(pairs=pairs)
+        return pairs
 
     def relin_keygen_grouped(self, secret: SecretKey,
                              group_size: int) -> GroupedRelinKey:
@@ -174,26 +182,9 @@ class FvContext:
         from ..rns.decompose import grouped_reconstruction_weights
         from .keys import GroupedRelinKey
 
-        params = self.params
-        primes_col = self.q_basis.primes_col
         weights = grouped_reconstruction_weights(self.q_basis, group_size)
-        s_ntt = secret.ntt_rows
-        s_sq_ntt = (s_ntt * s_ntt) % primes_col
-        pairs = []
-        for weight in weights:
-            a_rows = uniform_rns_rows(self.rng, params.n, params.q_primes)
-            a_ntt = self._ntt_rows(a_rows)
-            e_rows = self._small_poly_rows(
-                discrete_gaussian(self.rng, params.n, params.sigma)
-            )
-            e_ntt = self._ntt_rows(e_rows)
-            weight_col = np.array(
-                [weight % qj for qj in params.q_primes], dtype=np.int64,
-            )[:, None]
-            b_ntt = (weight_col * s_sq_ntt - a_ntt * s_ntt
-                     - e_ntt) % primes_col
-            pairs.append((b_ntt, a_ntt))
-        return GroupedRelinKey(pairs=pairs, group_size=group_size)
+        return GroupedRelinKey(pairs=self._key_pairs(secret.ntt_rows, weights),
+                               group_size=group_size)
 
     def relin_keygen_digit(self, secret: SecretKey,
                            base_bits: int) -> DigitRelinKey:
@@ -206,27 +197,11 @@ class FvContext:
         """
         from .keys import DigitRelinKey
 
-        params = self.params
-        primes_col = self.q_basis.primes_col
-        count = -(-params.q.bit_length() // base_bits)
-        s_ntt = secret.ntt_rows
-        s_sq_ntt = (s_ntt * s_ntt) % primes_col
-        pairs = []
-        w_power = 1
-        for _ in range(count):
-            a_rows = uniform_rns_rows(self.rng, params.n, params.q_primes)
-            a_ntt = self._ntt_rows(a_rows)
-            e_rows = self._small_poly_rows(
-                discrete_gaussian(self.rng, params.n, params.sigma)
-            )
-            e_ntt = self._ntt_rows(e_rows)
-            w_col = np.array(
-                [w_power % qj for qj in params.q_primes], dtype=np.int64,
-            )[:, None]
-            b_ntt = (w_col * s_sq_ntt - a_ntt * s_ntt - e_ntt) % primes_col
-            pairs.append((b_ntt, a_ntt))
-            w_power = (w_power << base_bits) % params.q
-        return DigitRelinKey(pairs=pairs, base_bits=base_bits)
+        q = self.params.q
+        count = -(-q.bit_length() // base_bits)
+        weights = [pow(2, base_bits * i, q) for i in range(count)]
+        return DigitRelinKey(pairs=self._key_pairs(secret.ntt_rows, weights),
+                             base_bits=base_bits)
 
     # -- encryption / decryption -------------------------------------------------------
 

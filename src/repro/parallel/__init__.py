@@ -13,23 +13,23 @@ Lift/Scale/decrypt kernels — run on worker threads.
   the one instrumented fan-out;
 * :mod:`.blas` — the thread budget has one owner: a live pool holds
   OpenBLAS at one thread, process-wide, and ``close()`` restores it;
-* :mod:`.config` — :class:`~.config.ExecutionConfig`, sourced from
-  ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``, and the size gate
-  ``REPRO_PARALLEL_MIN_WORK`` every fan-out shares.
+* :mod:`.config` — :class:`~.config.ExecutionConfig`, refused at
+  construction unless it names a known mode and at least one worker,
+  and :data:`~.config.PARALLEL_MIN_WORK`, the size gate every fan-out
+  shares.
 
-Call sites read :func:`active_executor` — an explicitly scoped
-executor (:func:`use_executor`, used by ``LocalBackend`` and the
-CLI's ``--executor/--workers`` flags), else the process default built
-lazily from the environment. Inside a pool worker the resolution is
-pinned to serial so tiles can call back into the engine without
-re-entering the pool. Parallel execution is bit-identical to serial:
-tiles inherit the parent transform's stage geometry and write
+Call sites read :func:`active_executor` — the innermost
+:func:`use_executor` scope (``LocalBackend`` and the CLI's
+``--executor/--workers`` flags open one), else serial. Selection is in
+code: nothing here reads the environment. Inside a pool worker the
+resolution is pinned to serial so tiles can call back into the engine
+without re-entering the pool. Parallel execution is bit-identical to
+serial: tiles inherit the parent transform's stage geometry and write
 disjoint slices, so only the wall clock changes.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -38,8 +38,6 @@ from .blas import BlasDecision
 from .config import EXECUTOR_MODES, ExecutionConfig, available_cores
 from .executors import (
     Executor,
-    ExecutorFallback,
-    ParallelDiagnostic,
     SerialExecutor,
     ThreadPoolExecutor,
     build_executor,
@@ -47,8 +45,6 @@ from .executors import (
     fans_out,
     in_worker,
     map_tiles,
-    parallel_diagnostics,
-    reset_executor_fallbacks,
     split_range,
 )
 
@@ -57,8 +53,6 @@ __all__ = [
     "EXECUTOR_MODES",
     "ExecutionConfig",
     "Executor",
-    "ExecutorFallback",
-    "ParallelDiagnostic",
     "SerialExecutor",
     "ThreadPoolExecutor",
     "active_executor",
@@ -69,53 +63,38 @@ __all__ = [
     "in_worker",
     "map_bands",
     "map_tiles",
-    "parallel_diagnostics",
-    "reset_default_executor",
-    "reset_executor_fallbacks",
     "split_range",
     "use_executor",
 ]
 
 _SERIAL = SerialExecutor()
-_ACTIVE: ContextVar[Executor | None] = ContextVar(
-    "repro_active_executor", default=None
+_ACTIVE: ContextVar[Executor] = ContextVar(
+    "repro_active_executor", default=_SERIAL
 )
-_DEFAULT: Executor | None = None
-_DEFAULT_LOCK = threading.Lock()
 
 
 def active_executor() -> Executor:
     """The executor engine dispatchers fan out on right now.
 
     Resolution order: the in-worker serial pin (tasks never nest
-    pools), the innermost :func:`use_executor` scope, then the
-    process-wide default built once from the environment.
+    pools), the innermost :func:`use_executor` scope, then serial.
     """
-    if in_worker():
-        return _SERIAL
-    scoped = _ACTIVE.get()
-    if scoped is not None:
-        return scoped
-    global _DEFAULT
-    if _DEFAULT is None:
-        with _DEFAULT_LOCK:
-            if _DEFAULT is None:
-                _DEFAULT = build_executor(ExecutionConfig.from_env())
-    return _DEFAULT
+    return _SERIAL if in_worker() else _ACTIVE.get()
 
 
-def reset_default_executor() -> None:
-    """Drop (and close) the env-derived default executor.
+def _resolve(spec: Executor | ExecutionConfig | str,
+             workers: int | None = None) -> tuple[Executor, bool]:
+    """``spec`` as a live executor, and whether this call built it.
 
-    The next :func:`active_executor` call rebuilds it from the current
-    environment — the hook tests and long-lived processes use after
-    changing ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``.
+    A mode string (plus ``workers``) or an :class:`ExecutionConfig` is
+    built here, so the caller owns the result and must close it; a
+    live :class:`Executor` stays its owner's.
     """
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        closing, _DEFAULT = _DEFAULT, None
-    if closing is not None:
-        closing.close()
+    if isinstance(spec, str):
+        spec = ExecutionConfig(spec, workers)
+    if isinstance(spec, ExecutionConfig):
+        return build_executor(spec), True
+    return spec, False
 
 
 @contextmanager
@@ -125,23 +104,18 @@ def use_executor(executor: Executor | ExecutionConfig | str,
 
     Accepts a live :class:`Executor` (caller keeps ownership), an
     :class:`ExecutionConfig`, or a mode string plus ``workers`` — the
-    latter two are built here (with the loud serial fallback) and
-    closed when the block exits.
+    latter two are built before the block runs (a bad one raises
+    :class:`~repro.errors.ParameterError` there) and closed when it
+    exits.
     """
-    owned: Executor | None = None
-    if isinstance(executor, str):
-        executor = ExecutionConfig(
-            mode=executor.strip().lower() or "serial", workers=workers
-        )
-    if isinstance(executor, ExecutionConfig):
-        executor = owned = build_executor(executor)
+    executor, owned = _resolve(executor, workers)
     token = _ACTIVE.set(executor)
     try:
         yield executor
     finally:
         _ACTIVE.reset(token)
-        if owned is not None:
-            owned.close()
+        if owned:
+            executor.close()
 
 
 def map_bands(name: str, fn: Callable[[int, int], None], size: int,

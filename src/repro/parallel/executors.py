@@ -25,16 +25,12 @@ fan-out: it records utilisation and tile-shape instruments in the
 active metrics registry and, under a tracer, one named span per tile
 on its worker's lane.
 
-:func:`build_executor` is the only constructor call sites use: when a
-requested executor cannot be built (unknown mode, bad worker count,
-pool construction failure) it records a structured
-:class:`ExecutorFallback`, warns once through the module logger, bumps
-the fallback counter, and returns a serial executor — loud
-degradation, never a crash and never a silent behaviour change. What
-degrades a pool without costing it — a BLAS library that cannot be
-steered, a garbled ``REPRO_PARALLEL_MIN_WORK`` — is a
-:class:`ParallelDiagnostic` beside the fallbacks, warned once the
-same way.
+:func:`build_executor` turns an :class:`~.config.ExecutionConfig` into
+the executor it names. There is no degrade path: a config that could
+not be served was refused when it was constructed. The one thing a
+pool can fail to get — a BLAS library it cannot steer — costs the
+speedup, not the pool: :attr:`ThreadPoolExecutor.blas` says why, and
+the pool logs one warning.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent import futures
-from dataclasses import dataclass
 from typing import Any, Protocol
 
 from ..obs import active_tracer
@@ -53,12 +48,10 @@ from ..obs import gauge as _obs_gauge
 from ..obs import histogram as _obs_histogram
 from . import blas as _blas
 from . import config as _config
-from .config import EXECUTOR_MODES, ExecutionConfig
+from .config import ExecutionConfig
 
 __all__ = [
     "Executor",
-    "ExecutorFallback",
-    "ParallelDiagnostic",
     "SerialExecutor",
     "ThreadPoolExecutor",
     "build_executor",
@@ -66,8 +59,6 @@ __all__ = [
     "fans_out",
     "in_worker",
     "map_tiles",
-    "parallel_diagnostics",
-    "reset_executor_fallbacks",
     "split_range",
 ]
 
@@ -88,69 +79,16 @@ WORKER_UTILISATION = _obs_gauge(
     "Busy fraction of the worker pool over the last dispatch.",
     labels=("executor",),
 )
-EXECUTOR_FALLBACK_COUNTER = _obs_counter(
-    "executor_fallback_total",
-    "Executor requests that degraded to the serial executor.",
-)
 
 
-@dataclass(frozen=True)
-class ExecutorFallback:
-    """Structured record of one executor request that went serial."""
+def executor_fallbacks() -> tuple[()]:
+    """Always empty: no executor request degrades any more.
 
-    mode: str
-    workers: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class ParallelDiagnostic:
-    """Structured record of a pool that runs, but not as asked."""
-
-    subject: str
-    reason: str
-
-
-_FALLBACKS: list[ExecutorFallback] = []
-_DIAGNOSTICS: list[ParallelDiagnostic] = []
-_FALLBACK_LIMIT = 64
-_WARNED_FALLBACKS: set[tuple[str, int]] = set()
-
-
-def executor_fallbacks() -> tuple[ExecutorFallback, ...]:
-    """Every recorded degrade-to-serial event (bounded, process-wide)."""
-    return tuple(_FALLBACKS)
-
-
-def parallel_diagnostics() -> tuple[ParallelDiagnostic, ...]:
-    """Every distinct thing a still-running pool could not honour."""
-    return tuple(_DIAGNOSTICS)
-
-
-def reset_executor_fallbacks() -> None:
-    _FALLBACKS.clear()
-    _DIAGNOSTICS.clear()
-    _WARNED_FALLBACKS.clear()
-
-
-def _note_diagnostic(subject: str, reason: str) -> None:
-    note = ParallelDiagnostic(subject, reason)
-    if note not in _DIAGNOSTICS:
-        _DIAGNOSTICS.append(note)
-        logger.warning("%s: %s", subject, reason)
-
-
-def _note_fallback(mode: str, workers: int, reason: str) -> None:
-    EXECUTOR_FALLBACK_COUNTER.inc()
-    if len(_FALLBACKS) < _FALLBACK_LIMIT:
-        _FALLBACKS.append(ExecutorFallback(mode, workers, reason))
-    key = (mode, workers)
-    if key not in _WARNED_FALLBACKS:
-        _WARNED_FALLBACKS.add(key)
-        logger.warning(
-            "executor %r (workers=%d) unavailable, degrading to serial: %s",
-            mode, workers, reason,
-        )
+    Kept only because the perf ledger's ``parallel`` probe reads
+    ``len(executor_fallbacks())`` as ``parallel.executor_fallbacks``;
+    delete it together with that probe.
+    """
+    return ()
 
 
 class Executor(Protocol):
@@ -239,7 +177,7 @@ class ThreadPoolExecutor:
     dispatch) — process-wide, so serial code sharing the process runs
     its gemms single-threaded meanwhile; :meth:`close` gives the
     count back. Where the library cannot be steered the pool runs
-    anyway, :attr:`blas` says why, and one diagnostic is recorded.
+    anyway, :attr:`blas` says why, and the pool logs one warning.
     """
 
     name = "threads"
@@ -254,8 +192,8 @@ class ThreadPoolExecutor:
         self.blas = _blas.pin() if workers > 1 else _blas.NO_POOL
         self._holds_blas = self.blas.steered
         if workers > 1 and not self.blas.steered:
-            _note_diagnostic("BLAS library cannot be steered",
-                             self.blas.reason)
+            logger.warning("BLAS library cannot be steered: %s",
+                           self.blas.reason)
 
     def map(self, fn: Callable[[Any], Any],
             items: Iterable[Any]) -> list[Any]:
@@ -312,35 +250,7 @@ def map_tiles(executor: Executor, name: str,
 
 
 def build_executor(config: ExecutionConfig) -> Executor:
-    """Construct the configured executor, degrading loudly to serial.
-
-    Every failure path — unknown mode, non-positive worker count,
-    pool construction raising — records an :class:`ExecutorFallback`
-    (plus a rate-limited warning and a counter increment) and returns
-    a :class:`SerialExecutor`, so a bad ``REPRO_EXECUTOR`` env costs
-    throughput, never correctness or a crash. A garbled
-    ``REPRO_PARALLEL_MIN_WORK`` is reported here too, once a pool it
-    would have gated is actually built.
-    """
-    mode = config.mode
-    if mode == "serial":
+    """The executor ``config`` names; the caller owns (and closes) it."""
+    if config.mode == "serial":
         return SerialExecutor()
-    if mode not in EXECUTOR_MODES:
-        _note_fallback(mode, config.workers,
-                       f"unknown executor mode (expected one of "
-                       f"{', '.join(EXECUTOR_MODES)})")
-        return SerialExecutor()
-    if config.workers < 1:
-        _note_fallback(mode, config.workers,
-                       "worker count must be a positive integer "
-                       "(check REPRO_WORKERS)")
-        return SerialExecutor()
-    if _config.MIN_WORK_PROBLEM is not None:
-        _note_diagnostic("REPRO_PARALLEL_MIN_WORK",
-                         _config.MIN_WORK_PROBLEM)
-    try:
-        return ThreadPoolExecutor(config.workers)
-    except Exception as exc:  # noqa: BLE001 - any failure degrades
-        _note_fallback(mode, config.workers,
-                       f"{type(exc).__name__}: {exc}")
-        return SerialExecutor()
+    return ThreadPoolExecutor(config.workers)

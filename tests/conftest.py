@@ -2,6 +2,11 @@
 
 Key generation is the slow part of the suite, so contexts and key sets
 are session-scoped; tests must not mutate them.
+
+``pytest --threads N`` runs every test inside an N-worker thread pool
+with the fan-out size gate at 1, so every transform tile, channel band
+and column band in the suite goes through the parallel dispatch path
+(``make test-parallel``).
 """
 
 from __future__ import annotations
@@ -9,9 +14,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.parallel.config as parallel_config
 from repro.fv.scheme import FvContext
 from repro.obs import scoped_metrics
+from repro.parallel import ExecutionConfig, use_executor
 from repro.params import hpca19, mini, toy
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--threads", type=int, default=None, metavar="N",
+        help="run every test under an N-worker thread pool with every "
+             "engine fan-out forced through it")
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +38,19 @@ def _isolated_metrics():
     """
     with scoped_metrics() as registry:
         yield registry
+
+
+@pytest.fixture(autouse=True)
+def _forced_pool(request, monkeypatch):
+    """With ``--threads N``, scope an N-worker pool over the test and
+    drop the fan-out size gate to 1; otherwise the engine runs serial."""
+    workers = request.config.getoption("--threads")
+    if workers is None:
+        yield None
+        return
+    monkeypatch.setattr(parallel_config, "PARALLEL_MIN_WORK", 1)
+    with use_executor(ExecutionConfig("threads", workers)) as pool:
+        yield pool
 
 
 @pytest.fixture(scope="session")

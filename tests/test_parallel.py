@@ -1,4 +1,4 @@
-"""The parallel executor layer: bit-identity, fallbacks, instruments.
+"""The parallel executor layer: bit-identity, the door, instruments.
 
 The contract under test is the one ISSUE 7 states: parallel execution
 may only change the wall clock. Concretely:
@@ -8,26 +8,25 @@ may only change the wall clock. Concretely:
   counts, including the lazy [0, 2q) representatives;
 * a full homomorphic multiply — tensor fan-out, keyswitch folding and
   all — produces byte-identical ciphertexts under the thread pool;
-* an executor that cannot be built degrades *loudly* to serial: a
-  structured :class:`ExecutorFallback`, a counter increment, and an
-  unchanged answer;
+* a configuration that cannot be served is refused when it is
+  constructed (:class:`~repro.errors.ParameterError`), before any pool
+  or BLAS hold exists — there is no degrade-to-serial path;
 * dispatches feed the observability plane (dispatch counter, tile
   histogram, utilisation gauge, per-worker tile spans) and the
   timeline exporter spreads tile spans over per-worker lanes that
   still validate;
 * a pool with real workers owns the process's BLAS thread count from
   construction to ``close()`` — and only such a pool: one worker, the
-  serial executor and every fallback path leave it alone, and a
+  serial executor and every refused config leave it alone, and a
   library that cannot be steered costs the speedup, never the pool or
-  the answer.
+  the answer; a backend releases the pool it built when it is
+  collected, and never one it was handed.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ import pytest
 import repro.parallel.blas as blas_mod
 import repro.parallel.config as config_mod
 import repro.parallel.executors as executors_mod
+from repro.errors import ParameterError
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.nttmath.batch import basis_transformer, transform_counts
@@ -44,16 +44,11 @@ from repro.obs.timeline import spans_to_chrome
 from repro.parallel import (
     EXECUTOR_MODES,
     ExecutionConfig,
-    SerialExecutor,
     ThreadPoolExecutor,
     active_executor,
     available_cores,
     build_executor,
-    executor_fallbacks,
     in_worker,
-    parallel_diagnostics,
-    reset_default_executor,
-    reset_executor_fallbacks,
     split_range,
     use_executor,
 )
@@ -66,9 +61,6 @@ N, K, J = 256, 5, 3
 def _force_tiling(monkeypatch):
     """Every transform in this module tiles, whatever its size."""
     monkeypatch.setattr(config_mod, "PARALLEL_MIN_WORK", 1)
-    reset_executor_fallbacks()
-    yield
-    reset_executor_fallbacks()
 
 
 @pytest.fixture(scope="module")
@@ -100,23 +92,27 @@ def _all_transforms(primes, stack):
 
 
 class TestConfig:
-    def test_from_env_defaults_to_serial(self):
-        config = ExecutionConfig.from_env({})
-        assert config == ExecutionConfig(mode="serial", workers=1)
+    def test_threads_sizes_pool_from_affinity(self):
+        assert ExecutionConfig() == ExecutionConfig("serial", 1)
+        assert ExecutionConfig("threads").workers == min(8, available_cores())
 
-    def test_from_env_reads_mode_and_workers(self):
-        config = ExecutionConfig.from_env(
-            {"REPRO_EXECUTOR": " Threads ", "REPRO_WORKERS": "3"})
-        assert config == ExecutionConfig(mode="threads", workers=3)
+    @pytest.mark.parametrize(("mode", "workers"), [
+        ("gpu", 4), ("processes", 2), ("threads", 0), ("threads", -1)])
+    def test_bad_config_refused_at_construction(self, monkeypatch, mode,
+                                                workers):
+        def touched():
+            raise AssertionError("BLAS threading was touched")
 
-    def test_from_env_sizes_pool_from_affinity(self):
-        config = ExecutionConfig.from_env({"REPRO_EXECUTOR": "threads"})
-        assert config.workers == min(8, available_cores())
-
-    def test_malformed_workers_flagged_not_raised(self):
-        config = ExecutionConfig.from_env(
-            {"REPRO_EXECUTOR": "threads", "REPRO_WORKERS": "four"})
-        assert config.workers == 0  # rejected later, loudly
+        # The message names what would have been accepted.
+        names = "at least 1" if mode == "threads" else "serial, threads"
+        monkeypatch.setattr(blas_mod, "pin", touched)
+        with pytest.raises(ParameterError, match=names):
+            ExecutionConfig(mode, workers)
+        ran = []
+        with pytest.raises(ParameterError, match=names):
+            with use_executor(mode, workers):
+                ran.append(True)
+        assert ran == []
 
     def test_split_range_partitions_exactly(self):
         for size in (1, 5, 17, 64):
@@ -192,51 +188,6 @@ def _assert_matches_serial(executor, primes, stack):
         want = bt.forward(stack)
     with use_executor(executor):
         assert np.array_equal(bt.forward(stack), want)
-
-
-class TestFallbacks:
-    """Degradation must be loud, structured, and answer-preserving."""
-
-    def test_unknown_mode_goes_serial_with_diagnostics(self):
-        executor = build_executor(ExecutionConfig("gpu", 4))
-        assert isinstance(executor, SerialExecutor)
-        (fallback,) = executor_fallbacks()
-        assert fallback.mode == "gpu" and fallback.workers == 4
-        assert "unknown executor mode" in fallback.reason
-        assert current_registry().value("executor_fallback_total") == 1.0
-
-    def test_removed_process_mode_is_an_unknown_mode(self, primes, stack):
-        executor = build_executor(ExecutionConfig("processes", 2))
-        assert isinstance(executor, SerialExecutor)
-        (fallback,) = executor_fallbacks()
-        assert fallback.mode == "processes"
-        assert "unknown executor mode" in fallback.reason
-        _assert_matches_serial(executor, primes, stack)
-
-    def test_bad_worker_count_goes_serial(self, primes, stack):
-        executor = build_executor(ExecutionConfig("threads", 0))
-        assert isinstance(executor, SerialExecutor)
-        (fallback,) = executor_fallbacks()
-        assert "REPRO_WORKERS" in fallback.reason
-        _assert_matches_serial(executor, primes, stack)
-
-    def test_pool_construction_failure_goes_serial(self, monkeypatch,
-                                                   primes, stack):
-        def boom(workers):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(executors_mod, "ThreadPoolExecutor", boom)
-        executor = build_executor(ExecutionConfig("threads", 2))
-        assert isinstance(executor, SerialExecutor)
-        (fallback,) = executor_fallbacks()
-        assert fallback.mode == "threads"
-        assert "can't start new thread" in fallback.reason
-        _assert_matches_serial(executor, primes, stack)
-
-    def test_results_survive_the_fallback(self, primes, stack):
-        with use_executor("definitely-not-an-executor", 4) as executor:
-            assert executor.name == "serial"
-            _assert_matches_serial(executor, primes, stack)
 
 
 class TestScoping:
@@ -363,9 +314,12 @@ class TestBlasOwnership:
 
     @pytest.fixture(autouse=True)
     def _no_ambient_pool(self):
-        """Drop the env-built default pool (the parallel CI leg has
-        one), so each test sees the first pool of the process."""
-        reset_default_executor()
+        """Close the pool the ``--threads`` leg scopes over every test
+        (closing twice is harmless) and run serial, so each test sees
+        the first pool of the process."""
+        active_executor().close()
+        with use_executor("serial"):
+            yield
 
     def test_pin_on_construct_restore_on_close(self):
         before = _blas_threads()
@@ -402,51 +356,64 @@ class TestBlasOwnership:
         def touched():
             raise AssertionError("BLAS threading was touched")
 
-        def boom(**kwargs):
-            raise RuntimeError("can't start new thread")
-
         monkeypatch.setattr(blas_mod, "pin", touched)
         monkeypatch.setattr(blas_mod, "release", touched)
-        lone = ThreadPoolExecutor(1)
-        assert not lone.blas.steered
-        lone.close()
-        for config in (ExecutionConfig("serial"), ExecutionConfig("gpu", 4),
-                       ExecutionConfig("threads", 0)):
+        for config in (ExecutionConfig("serial"),
+                       ExecutionConfig("threads", 1)):
             executor = build_executor(config)
-            assert isinstance(executor, SerialExecutor)
-            assert not executor.blas.steered
-        monkeypatch.setattr(executors_mod.futures, "ThreadPoolExecutor", boom)
-        executor = build_executor(ExecutionConfig("threads", 2))
-        assert isinstance(executor, SerialExecutor)
-        assert len(executor_fallbacks()) == 3
-        _assert_matches_serial(executor, primes, stack)
+            try:
+                assert executor.workers == 1
+                assert not executor.blas.steered
+                _assert_matches_serial(executor, primes, stack)
+            finally:
+                executor.close()
+        with pytest.raises(ParameterError):
+            build_executor(ExecutionConfig("threads", 0))
 
     def test_unsteerable_library_costs_the_pin_not_the_pool(
             self, monkeypatch, caplog, primes, stack):
         before = _blas_threads()
-        monkeypatch.setattr(
-            blas_mod, "_locate",
-            lambda: "no OpenBLAS library is loaded in this process")
+        reason = "no OpenBLAS library is loaded in this process"
+        monkeypatch.setattr(blas_mod, "_locate", lambda: reason)
         with caplog.at_level(logging.WARNING, logger=executors_mod.__name__):
             pools = [build_executor(ExecutionConfig("threads", 2))
                      for _ in range(2)]
         try:
             for pool in pools:
                 assert isinstance(pool, ThreadPoolExecutor)
-                assert pool.blas == blas_mod.BlasDecision(
-                    False, None,
-                    "no OpenBLAS library is loaded in this process")
+                assert pool.blas == blas_mod.BlasDecision(False, None, reason)
             assert _blas_threads() == before
-            # Loud once, structured, and not a fallback: the pool runs.
-            (note,) = parallel_diagnostics()
-            assert note.subject == "BLAS library cannot be steered"
-            assert "no OpenBLAS" in note.reason
-            assert len(caplog.records) == 1
-            assert executor_fallbacks() == ()
+            # Loud once per pool, and the pool runs.
+            assert [record.getMessage() for record in caplog.records] == [
+                f"BLAS library cannot be steered: {reason}"] * 2
             _assert_matches_serial(pools[0], primes, stack)
         finally:
             for pool in pools:
                 pool.close()
+        assert _blas_threads() == before
+
+    def test_backend_releases_only_the_pool_it_built(self):
+        from repro.api import LocalBackend, Session
+        from repro.params import toy
+
+        before = _blas_threads()
+        session = Session(toy(), seed=7)
+        backend = LocalBackend(session,
+                               executor=ExecutionConfig("threads", 2))
+        assert _blas_threads() == 1
+        del backend
+        gc.collect()
+        assert _blas_threads() == before
+        pool = ThreadPoolExecutor(2)
+        try:
+            backend = LocalBackend(session, executor=pool)
+            assert backend.executor is pool
+            del backend
+            gc.collect()
+            assert _blas_threads() == 1
+            assert pool.map(lambda item: item + 1, [1, 2]) == [2, 3]
+        finally:
+            pool.close()
         assert _blas_threads() == before
 
     def test_backend_telemetry_and_cli_surface_the_decision(self, capsys):
@@ -473,39 +440,7 @@ class TestBlasOwnership:
 
 
 class TestMinWorkThreshold:
-    """``REPRO_PARALLEL_MIN_WORK``: one gate, parsed forgivingly."""
-
-    def test_parse_keeps_integers_and_defaults_the_rest(self):
-        assert config_mod.parse_min_work(None) == (1 << 14, None)
-        assert config_mod.parse_min_work("1") == (1, None)
-        value, problem = config_mod.parse_min_work("abc")
-        assert value == 1 << 14 and "'abc'" in problem
-
-    def test_garbled_value_does_not_crash_the_import(self):
-        env = dict(os.environ, REPRO_PARALLEL_MIN_WORK="abc",
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import repro.nttmath.batch; "
-             "from repro.parallel import config; "
-             "print(config.PARALLEL_MIN_WORK)"],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == str(1 << 14)
-
-    def test_garbled_value_is_reported_when_a_pool_is_built(
-            self, monkeypatch, caplog):
-        problem = config_mod.parse_min_work("abc")[1]
-        monkeypatch.setattr(config_mod, "MIN_WORK_PROBLEM", problem)
-        build_executor(ExecutionConfig("serial"))
-        assert parallel_diagnostics() == ()
-        with caplog.at_level(logging.WARNING, logger=executors_mod.__name__):
-            for _ in range(2):
-                build_executor(ExecutionConfig("threads", 2)).close()
-        (note,) = parallel_diagnostics()
-        assert note.subject == "REPRO_PARALLEL_MIN_WORK"
-        assert note.reason == problem
-        assert len(caplog.records) == 1
+    """``PARALLEL_MIN_WORK``: the one gate every fan-out shares."""
 
     def test_small_fan_outs_run_inline(self, monkeypatch, primes, stack):
         """Below the threshold nothing is dispatched — transforms and
