@@ -18,6 +18,7 @@ from typing import Protocol, runtime_checkable
 from ..errors import NoiseBudgetExhausted, ParameterError
 from ..fv.ciphertext import Ciphertext
 from ..fv.encoder import Plaintext
+from ..fv.evaluator import Lifted
 from ..fv.galois import canonical_steps
 from ..fv.noise import MIN_VERIFIED_BUDGET_BITS, budget_bits
 from ..nttmath.batch import transform_counts
@@ -129,8 +130,12 @@ class LocalBackend:
     evaluation-domain base extension — MULTIPLY consumes resident
     operands directly and can emit a resident product, so conversions
     back to the coefficient domain happen only at the program's output
-    boundary. :attr:`telemetry` reports the forward/inverse transform
-    counts of the last run.
+    boundary. A Mult operand that two or more Mult nodes consume is
+    lifted q->Q once, by the first of them, and its
+    :class:`~repro.fv.evaluator.Lifted` rows are held only until the
+    last has run (``(((a*b)*a)*b)*a`` lifts ``a`` and ``b`` once each).
+    :attr:`telemetry` reports the forward/inverse transform counts of
+    the last run.
 
     Residency also spans *requests*. Born-resident inputs
     (``Session.encrypt(..., resident=True)`` or an NTT-domain wire
@@ -223,7 +228,11 @@ class LocalBackend:
         scope = (use_executor(self.executor)
                  if self.executor is not None else nullcontext())
         with scope, tracer.activate():
-            wants = self._plan_domains(program)
+            wants, lift_until = self._plan_domains(program, order)
+            # A Mult operand reused by later Mults is lifted once, by
+            # its first Mult consumer, and held here until its last one
+            # has run; the dict dies with the run.
+            lifted: dict[int, Lifted] = {}
             with tracer.span("restore_residents", kind="phase") as sp:
                 self.last_cache_restores = self._restore_residents(
                     program, wants
@@ -252,7 +261,7 @@ class LocalBackend:
             for group in program.hoist_groups:
                 for member in group:
                     hoisted[id(member)] = group
-            for node in program.nodes:
+            for i, node in enumerate(program.nodes):
                 if node.cached is not None:
                     continue
                 with tracer.span(
@@ -266,10 +275,13 @@ class LocalBackend:
                     if group is not None:
                         sp.attrs["hoisted"] = self._execute_hoisted(group)
                     if node.cached is None:
-                        node.cached = self._execute(node, wants)
+                        node.cached = self._execute(node, wants, lift_until,
+                                                    lifted)
                     sp.attrs["transforms"] = _count_diff(
                         op_before, transform_counts()
                     )
+                for key in [k for k in lifted if lift_until[k] == i]:
+                    del lifted[key]
             # Remember the resident operands that cross request
             # boundaries — program inputs and outputs. Intermediates
             # are deliberately not cached: they are never
@@ -379,10 +391,13 @@ class LocalBackend:
     _LINEAR_OPS = frozenset(
         {OpKind.ADD, OpKind.SUB, OpKind.NEGATE, OpKind.ADD_PLAIN}
     )
+    #: Ops that start with Lift q->Q of both operands.
+    _MULT_OPS = frozenset({OpKind.MULTIPLY, OpKind.MULTIPLY_RAW})
 
-    def _plan_domains(self, program: HEProgram) -> dict[int, bool]:
+    def _plan_domains(self, program: HEProgram, order: dict[int, int]
+                      ) -> tuple[dict[int, bool], dict[int, int]]:
         """Consumer analysis: which nodes should produce NTT-resident
-        results?
+        results, and which Mult operands are worth lifting once?
 
         Greedy residency wastes transforms when a rotation or plaintext
         multiply feeds straight into a coefficient-domain boundary (a
@@ -394,6 +409,13 @@ class LocalBackend:
         are always such consumers: every parameter set lies inside the
         NTT engine's envelope, so Mult lifts resident operands as they
         are.
+
+        The second map is the lift plan: every node that at least two
+        distinct pending Mult nodes consume, keyed to the position in
+        ``program.nodes`` of its last Mult consumer — where its
+        :class:`~repro.fv.evaluator.Lifted` rows stop being needed. A
+        node one Mult consumes (``x * x`` included) is lifted inside
+        that Mult, as always.
         """
         consumers: dict[int, list[ExprNode]] = {}
         for node in program.nodes:
@@ -411,7 +433,13 @@ class LocalBackend:
                 or (user.op in self._LINEAR_OPS and wants[id(user)])
                 for user in consumers.get(id(node), ())
             )
-        return wants
+        lift_until: dict[int, int] = {}
+        for key, users in consumers.items():
+            mults = {order[id(user)] for user in users
+                     if user.op in self._MULT_OPS and user.cached is None}
+            if len(mults) >= 2:
+                lift_until[key] = max(mults)
+        return wants, lift_until
 
     # -- node dispatch -----------------------------------------------------------------
 
@@ -440,7 +468,22 @@ class LocalBackend:
             member.cached = results[canonical_steps(member.payload, n)]
         return len(pending)
 
-    def _execute(self, node: ExprNode, wants: dict[int, bool]) -> Ciphertext:
+    def _mult_operands(self, node: ExprNode, lift_until: dict[int, int],
+                       lifted: dict[int, Lifted]) -> list:
+        """A Mult's two operands: the held :class:`Lifted` rows of a
+        planned operand (lifting it here if this is its first Mult
+        consumer — both operands in one call when both are due), the
+        ciphertext itself otherwise. A repeated operand comes back as
+        the same object twice, which Mult squares."""
+        due = [arg for arg in dict.fromkeys(node.args)
+               if id(arg) in lift_until and id(arg) not in lifted]
+        held = self.session.evaluator.lift(*(arg.cached for arg in due))
+        lifted.update(zip((id(arg) for arg in due), held, strict=True))
+        return [lifted.get(id(arg), arg.cached) for arg in node.args]
+
+    def _execute(self, node: ExprNode, wants: dict[int, bool],
+                 lift_until: dict[int, int],
+                 lifted: dict[int, Lifted]) -> Ciphertext:
         session = self.session
         context = session.context
         args = [arg.cached for arg in node.args]
@@ -489,13 +532,14 @@ class LocalBackend:
             # into an ADD tree; the deferred RELINEARIZE at its root
             # folds back to two parts (always coefficient-domain — c2
             # feeds WordDecomp).
-            return session.evaluator.multiply_raw(args[0], args[1])
+            return session.evaluator.multiply_raw(
+                *self._mult_operands(node, lift_until, lifted))
         if node.op is OpKind.MULTIPLY:
-            # Operands go in as they are: the lift takes each part from
-            # the domain it lives in.
-            return session.evaluator.multiply(args[0], args[1],
-                                              session.keys.relin,
-                                              resident=resident_out)
+            # Operands go in as they are, or as their held lifts: the
+            # lift takes each part from the domain it lives in.
+            return session.evaluator.multiply(
+                *self._mult_operands(node, lift_until, lifted),
+                session.keys.relin, resident=resident_out)
         if node.op is OpKind.RELINEARIZE:
             return session.evaluator.relinearize(args[0], session.keys.relin,
                                                  resident=resident_out)

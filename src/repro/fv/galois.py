@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..nttmath import batch
+from ..obs import maybe_span
 from ..poly.rns_poly import RnsPoly
 from .ciphertext import Ciphertext
 from .keys import SecretKey
@@ -257,11 +258,12 @@ class GaloisEngine:
         """
         context = self.context
         params = context.params
-        tau_c1 = apply_galois_rows(self._c1_coefficients(ct),
-                                   context.q_basis.primes_col, params.n,
-                                   key.element)
-        d_ntt = batch.ntt_broadcast_rows(params.q_primes, tau_c1,
-                                         lazy=True)
+        with maybe_span("keyswitch.decompose", kind="kernel"):
+            tau_c1 = apply_galois_rows(self._c1_coefficients(ct),
+                                       context.q_basis.primes_col, params.n,
+                                       key.element)
+            d_ntt = batch.ntt_broadcast_rows(params.q_primes, tau_c1,
+                                             lazy=True)
         return key_switch(context, d_ntt, key.pairs,
                           (self._tau(ct.c0, key.element),), resident)
 
@@ -302,8 +304,10 @@ class GaloisEngine:
         """
         context = self.context
         n = context.params.n
-        d_ntt = batch.ntt_broadcast_rows(context.params.q_primes,
-                                         self._c1_coefficients(ct), lazy=True)
+        with maybe_span("keyswitch.decompose", kind="kernel"):
+            d_ntt = batch.ntt_broadcast_rows(
+                context.params.q_primes, self._c1_coefficients(ct),
+                lazy=True)
         c0 = ct.c0 if ct.c0.ntt_domain else ct.c0.to_ntt()
         return {
             label: key_switch(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
+from ..obs import maybe_span
 from ..parallel import map_bands
 from ..poly.rns_poly import RnsPoly
 from .ciphertext import Ciphertext
@@ -53,44 +54,45 @@ def key_switch(context: FvContext, d_ntt: np.ndarray, pairs,
         raise ParameterError(
             f"key has {len(pairs)} components for {d_ntt.shape[0]} digits"
         )
-    primes_col = context.q_basis.primes_col
-    acc = [np.zeros(d_ntt.shape[1:], dtype=np.int64) for _ in range(2)]
+    with maybe_span("keyswitch.fold", kind="kernel"):
+        primes_col = context.q_basis.primes_col
+        acc = [np.zeros(d_ntt.shape[1:], dtype=np.int64) for _ in range(2)]
 
-    def fold(lo: int, hi: int) -> None:
-        # One channel band: digit order and reduction points per
-        # channel are the serial schedule's, so banding is bit-invisible.
-        acc0, acc1 = acc[0][lo:hi], acc[1][lo:hi]
-        tmp = np.empty_like(acc0)
-        for i, (digit, (b_ntt, a_ntt)) in enumerate(
-                zip(d_ntt, pairs, strict=True), start=1):
-            np.multiply(digit[lo:hi], b_ntt[lo:hi], out=tmp)
-            acc0 += tmp
-            np.multiply(digit[lo:hi], a_ntt[lo:hi], out=tmp)
-            acc1 += tmp
-            if i % LAZY_WINDOW == 0 or i == len(pairs):
-                acc0 %= primes_col[lo:hi]
-                acc1 %= primes_col[lo:hi]
+        def fold(lo: int, hi: int) -> None:
+            # One channel band: digit order and reduction points per
+            # channel are the serial schedule's, so banding is bit-invisible.
+            acc0, acc1 = acc[0][lo:hi], acc[1][lo:hi]
+            tmp = np.empty_like(acc0)
+            for i, (digit, (b_ntt, a_ntt)) in enumerate(
+                    zip(d_ntt, pairs, strict=True), start=1):
+                np.multiply(digit[lo:hi], b_ntt[lo:hi], out=tmp)
+                acc0 += tmp
+                np.multiply(digit[lo:hi], a_ntt[lo:hi], out=tmp)
+                acc1 += tmp
+                if i % LAZY_WINDOW == 0 or i == len(pairs):
+                    acc0 %= primes_col[lo:hi]
+                    acc1 %= primes_col[lo:hi]
 
-    map_bands("fold.band", fold, d_ntt.shape[1], work=d_ntt.size)
-    rows = [part.residues for part in parts]
-    moving = [i for i, part in enumerate(parts)
-              if part.ntt_domain != resident]
-    if moving:
-        transform = context._ntt_rows if resident else context._intt_rows
-        moved = transform(np.stack([rows[i] for i in moving]))
-        for i, converted in zip(moving, moved, strict=True):
-            rows[i] = converted
-    if not resident:
-        acc = list(context._intt_rows(np.stack(acc)))
-    for i, part_rows in enumerate(rows):
-        # Sums of two canonical rows are < 2q: one unsigned-minimum
-        # conditional subtract instead of an integer division.
-        acc[i] = part_rows + acc[i]
-        over = acc[i] - primes_col
-        np.minimum(acc[i].view(np.uint64), over.view(np.uint64),
-                   out=acc[i].view(np.uint64))
-    return Ciphertext(
-        tuple(RnsPoly.trusted(context.q_basis, r, ntt_domain=resident)
-              for r in acc),
-        context.params,
-    )
+        map_bands("fold.band", fold, d_ntt.shape[1], work=d_ntt.size)
+        rows = [part.residues for part in parts]
+        moving = [i for i, part in enumerate(parts)
+                  if part.ntt_domain != resident]
+        if moving:
+            transform = context._ntt_rows if resident else context._intt_rows
+            moved = transform(np.stack([rows[i] for i in moving]))
+            for i, converted in zip(moving, moved, strict=True):
+                rows[i] = converted
+        if not resident:
+            acc = list(context._intt_rows(np.stack(acc)))
+        for i, part_rows in enumerate(rows):
+            # Sums of two canonical rows are < 2q: one unsigned-minimum
+            # conditional subtract instead of an integer division.
+            acc[i] = part_rows + acc[i]
+            over = acc[i] - primes_col
+            np.minimum(acc[i].view(np.uint64), over.view(np.uint64),
+                       out=acc[i].view(np.uint64))
+        return Ciphertext(
+            tuple(RnsPoly.trusted(context.q_basis, r, ntt_domain=resident)
+                  for r in acc),
+            context.params,
+        )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import OpKind, Session
+from repro.api import LocalBackend, OpKind, Session
 from repro.apps.forecasting import SmartGridAggregator, plaintext_reference
 from repro.apps.lookup import EncryptedLookupTable, selection_depth
 from repro.apps.rasta_like import RastaLikeCipher
@@ -44,11 +44,21 @@ class TestForecasting:
         total = aggregator.decrypt_slots(aggregator.total(meter_cts), 24)
         assert np.array_equal(total, readings.sum(axis=0) % 65537)
 
-    def test_sum_of_squares(self, aggregator, readings, meter_cts):
-        result = aggregator.decrypt_slots(
-            aggregator.sum_of_squares(meter_cts), 24
-        )
+    def test_sum_of_squares(self, aggregator, batch_session, readings,
+                            meter_cts):
+        total = aggregator.sum_of_squares(meter_cts)
+        backend = LocalBackend(batch_session)
+        backend.run(batch_session.compile(total))
+        result = aggregator.decrypt_slots(total, 24)
         assert np.array_equal(result, (readings ** 2).sum(axis=0) % 65537)
+        # x * x lifts x's two coefficient parts once: 2 k_total forward
+        # rows per square, half the 4 k_total of two distinct operands.
+        lifts = [s for s in backend.last_trace.spans("kernel")
+                 if s.name == "mult.lift"]
+        rows = sum(t.attrs["rows"] for s in lifts for t in s.walk()
+                   if t.kind == "transform")
+        assert len(lifts) == len(meter_cts)
+        assert rows == len(meter_cts) * 2 * batch_session.params.k_total
 
     def test_weighted_forecast(self, aggregator, readings, meter_cts):
         weights = [4, 2, 1]

@@ -374,3 +374,27 @@ def test_rotsum_request_transform_rows_are_pinned():
             encrypt["inverse_rows"] + run["inverse_rows"]) == (270, 78)
     assert (encrypt["forward_calls"] + run["forward_calls"],
             run["inverse_calls"]) == (8, 13)
+
+
+def test_mult_depth4_request_transform_rows_are_pinned():
+    """The ledger's ``mult_depth4_n4096`` request shape, steady state:
+    two resident encryptions, then ``(((a*b)*a)*b)*a``. Each of the ten
+    part-lifts of resident rows costs k_p forward + k_q inverse rows: a
+    and b are lifted once, by Mult 1, and held for Mults 2-4, instead of
+    sixteen part-lifts. 298 forward / 234 inverse rows in 14 / 10 calls
+    per request — CI's ``ledger-quick`` job checks the same numbers on
+    the ledger record."""
+    session = Session(hpca19())
+    backend = LocalBackend(session)
+    rng = np.random.default_rng(4)
+    n = session.params.n
+    for _ in range(2):
+        before = transform_counts()
+        a = session.encrypt(rng.integers(0, 2, n), resident=True)
+        b = session.encrypt(rng.integers(0, 2, n), resident=True)
+        encrypt = _count_diff(before, transform_counts())
+        backend.run(session.compile((((a * b) * a) * b) * a))
+    run = backend.telemetry["last_run"]
+    assert tuple(encrypt[key] + run[key]
+                 for key in ("forward_rows", "inverse_rows", "forward_calls",
+                             "inverse_calls")) == (298, 234, 14, 10)

@@ -9,7 +9,11 @@ the transforms its domains require, never more than the two-arm code it
 replaced (coefficient: 4 k_total forward / 3 k_total inverse; resident:
 4 k_p / 4 k_q + 3 k_total; a-resident, b-coefficient: 2 k_q + 4 k_p /
 4 k_q + 3 k_total; per-part mixed: 4 k_total / 2 k_q + 3 k_total).
+An operand may also arrive already lifted (``Evaluator.lift``), and a
+square lifts its two parts once.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.fv.scheme import FvContext
 from repro.nttmath import batch
+from repro.obs import Tracer
 from repro.parallel import use_executor
 from repro.params import hpca19, mini, toy
 from repro.rns.lift import lift_hps_reference
@@ -65,8 +70,9 @@ def _operands(context, keys):
                 ids=["toy", "mini", "hpca19"])
 def setup(request):
     context = FvContext(request.param(), seed=2019)
-    a, b = _operands(context, context.keygen())
-    return context, a, b, _oracle_multiply_raw(context, a, b)
+    keys = context.keygen()
+    a, b = _operands(context, keys)
+    return context, a, b, _oracle_multiply_raw(context, a, b), keys
 
 
 def _mix(context, a, b, mix):
@@ -87,7 +93,7 @@ def _mix(context, a, b, mix):
 def test_multiply_raw_matches_integer_oracle(setup, mix, executor,
                                              monkeypatch):
     monkeypatch.setattr(parallel_config, "PARALLEL_MIN_WORK", 1)
-    context, a, b, oracle = setup
+    context, a, b, oracle, _ = setup
     params = context.params
     x, y = _mix(context, a, b, mix)
     before = batch.transform_counts()
@@ -106,3 +112,60 @@ def test_multiply_raw_matches_integer_oracle(setup, mix, executor,
         (4 - resident_parts) * params.k_q + 4 * params.k_p
     assert after["inverse_rows"] - before["inverse_rows"] == \
         resident_parts * params.k_q + 3 * params.k_total
+
+
+def _lift_rows(tracer):
+    """Transform rows spent under ``mult.lift`` kernel spans."""
+    return sum(t.attrs["rows"]
+               for span in tracer.root.walk()
+               if span.kind == "kernel" and span.name == "mult.lift"
+               for t in span.walk() if t.kind == "transform")
+
+
+@pytest.mark.parametrize("mix", ["coefficient", "resident", "per-part"])
+def test_lifted_operands_stand_in_for_their_ciphertexts(setup, mix):
+    """A :class:`Lifted` takes either operand slot, beside a ciphertext
+    or another lift, with the same parts as the oracle; a Mult of two
+    lifts transforms only for Scale."""
+    context, a, b, oracle, _ = setup
+    params = context.params
+    x, y = _mix(context, a, b, mix)
+    evaluator = Evaluator(context)
+    lx, ly = evaluator.lift(x, y)
+    assert lx.rows.shape == (2, params.k_total, params.n)
+    with pytest.raises(ValueError, match="read-only"):
+        lx.rows[0, 0, 0] = 0
+    before = batch.transform_counts()
+    raws = [evaluator.multiply_raw(lx, ly)]
+    after = batch.transform_counts()
+    assert after["forward_rows"] == before["forward_rows"]
+    assert after["inverse_rows"] - before["inverse_rows"] == \
+        3 * params.k_total
+    raws += [evaluator.multiply_raw(lx, y), evaluator.multiply_raw(x, ly)]
+    for raw in raws:
+        for part, want in zip(raw.parts, oracle, strict=True):
+            assert np.array_equal(part.residues, want)
+
+
+@pytest.mark.parametrize("form", ["coefficient", "resident", "lifted"])
+def test_square_lifts_two_parts_and_matches_the_copy(setup, form):
+    """``multiply(x, x)`` lifts x's two parts once and forms three
+    products (cross term ``2 x0 x1``); a copy of x is a second operand
+    and lifts four. The results are equal residue for residue."""
+    context, a, _, _, keys = setup
+    evaluator = Evaluator(context)
+    x = a if form == "coefficient" else context.to_ntt_ct(a)
+    products, rows = [], []
+    for y in (copy.copy(x), x):
+        tracer = Tracer()
+        with tracer.activate():
+            if form == "lifted":
+                lx, ly = ((evaluator.lift(x) * 2) if y is x
+                          else evaluator.lift(x, y))
+                products.append(evaluator.multiply(lx, ly, keys.relin))
+            else:
+                products.append(evaluator.multiply(x, y, keys.relin))
+        rows.append(_lift_rows(tracer))
+    for got, want in zip(products[1].parts, products[0].parts, strict=True):
+        assert np.array_equal(got.residues, want.residues)
+    assert rows[0] == 2 * rows[1] > 0
