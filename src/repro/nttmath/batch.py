@@ -33,6 +33,11 @@ outside it with a :class:`~repro.errors.ParameterError`, and
 :class:`~repro.params.ParameterSet` checks the same envelope when a
 parameter set is built, so there is no second transform path.
 
+Memory follows the paper's NTT unit, whose butterfly cores share one
+twiddle ROM per prime: a basis holds one table set, a parallel tile
+runs a ``[c0:c1]`` channel view of it (:meth:`_GemmPlan.subset`), and
+each thread holds one scratch set per ring (:func:`_buffers`).
+
 All transforms are bit-exact against :func:`~repro.nttmath.ntt.ntt_iterative`
 and the single-prime ``NegacyclicTransformer`` — the property tests
 enforce this across ring sizes (up to n = 32768) and basis shapes.
@@ -322,11 +327,10 @@ class BasisTransformer:
     (see the module docstring) raises :class:`ParameterError`.
     """
 
-    def __init__(self, primes: tuple[int, ...], n: int,
-                 geometry: _Geometry | None = None) -> None:
+    def __init__(self, primes: tuple[int, ...], n: int) -> None:
         self.primes = tuple(int(p) for p in primes)
         self.n = n
-        self.stages = log2_exact(n)
+        log2_exact(n)  # n must be a power of two
         if n > MAX_ENGINE_N:
             raise ParameterError(
                 f"ring degree {n} exceeds the NTT engine's envelope "
@@ -342,70 +346,23 @@ class BasisTransformer:
                 raise ParameterError(
                     f"modulus {p} is not NTT-friendly for degree {n}"
                 )
-        if geometry is None:
-            geometry = _plan_geometry(n, max(self.primes))
+        geometry = _plan_geometry(n, max(self.primes))
         if geometry is None:
             raise ParameterError(
                 f"degree {n} admits no exact limb-split factorisation"
             )
         self.geometry = geometry
-        self.factors = geometry.factors
         self.k = len(self.primes)
         self.primes_col = np.array(self.primes, dtype=np.int64)[:, None]
-        # Modulus tables shared by both directions and the scratch pool.
-        p_int = np.repeat(self.primes_col, n, axis=1)
-        self._mod_tables = (p_int, p_int.astype(np.float64), 1.0 / p_int)
-        self._fwd = _GemmPlan(self, inverse=False)
-        self._inv = _GemmPlan(self, inverse=True)
+        self._fwd = _GemmPlan.build(self.primes, n, geometry, inverse=False)
+        self._inv = _GemmPlan.build(self.primes, n, geometry, inverse=True)
         self._scaled_inv: dict[tuple[int, ...], _GemmPlan] = {}
-        # Scratch is per thread: tile tasks running on pool workers each
-        # get their own buffers, so concurrent tiles never alias.
-        self._scratch = threading.local()
-        # Channel-subset transformers for tiled dispatch, keyed (c0, c1).
-        self._subsets: dict[tuple[int, int], BasisTransformer] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BasisTransformer(k={self.k}, n={self.n}, "
-                f"factors={self.factors})")
+                f"factors={self.geometry.factors})")
 
     # -- internals ---------------------------------------------------------------
-
-    def _buffers(self) -> tuple[list, list, tuple[np.ndarray, ...]]:
-        """Preallocated scratch, shared by both transform directions.
-
-        Kept cache-sized on purpose: stacks are processed one
-        polynomial at a time (whole-stack buffers would spill the
-        last-level cache and turn every pass memory-bound), and forward
-        and inverse share one set so the hot loop keeps touching the
-        same buffers. Per stage: a float64 limb stack and a float64
-        gemm output; shared: two int64 ping-pong state planes and one
-        float64 temporary. The set is thread-local, so tile tasks
-        executing on pool worker threads never share mutable state.
-        """
-        bufs = getattr(self._scratch, "bufs", None)
-        if bufs is None:
-            k, n = self.k, self.n
-            limbs = []
-            gemm_out = []
-            for stage in self.geometry.stages:
-                length = stage.length
-                rest = n // length
-                limbs.append(np.empty(
-                    (k, stage.split.count * length, rest),
-                    dtype=np.float64,
-                ))
-                gemm_out.append(np.empty((k, length, rest),
-                                         dtype=np.float64))
-            bufs = self._scratch.bufs = (
-                limbs,
-                gemm_out,
-                (
-                    np.empty((k, n), dtype=np.int64),    # state A
-                    np.empty((k, n), dtype=np.int64),    # state B
-                    np.empty((k, n), dtype=np.float64),  # float tmp
-                ),
-            )
-        return bufs
 
     def _check(self, matrix: np.ndarray) -> tuple[np.ndarray, bool]:
         arr = np.asarray(matrix, dtype=np.int64)
@@ -428,40 +385,11 @@ class BasisTransformer:
 
     # -- tiled dispatch ------------------------------------------------------------
 
-    def subset(self, c0: int, c1: int) -> BasisTransformer:
-        """A transformer for channels ``[c0, c1)`` of this basis.
-
-        Built with *this* transformer's stage geometry forced, not the
-        geometry the subset's own maximum prime would plan: the limb
-        bound is monotone in the modulus, so the parent's proof covers
-        every subset, and identical geometry means identical limb
-        plans — tile output (lazy representatives included) is
-        bit-for-bit the serial engine's. Cached per range; the cache
-        is populated by the dispatching thread before fan-out, so
-        worker threads only ever read it.
-        """
-        if c0 == 0 and c1 == self.k:
-            return self
-        sub = self._subsets.get((c0, c1))
-        if sub is None:
-            sub = BasisTransformer(self.primes[c0:c1], self.n,
-                                   geometry=self.geometry)
-            self._subsets[(c0, c1)] = sub
-        return sub
-
-    def scaled_plan(self, constants: tuple[int, ...]) -> _GemmPlan:
-        """The cached scaled-inverse plan for one constants tuple."""
-        plan = self._scaled_inv.get(constants)
-        if plan is None:
-            plan = _GemmPlan(self, inverse=True, channel_scale=constants)
-            self._scaled_inv[constants] = plan
-        return plan
-
     def _tile_plan(self, j: int, target: int) -> list[tuple[int, int, int]]:
         """Deterministic (poly, c0, c1) tiles, about ``target`` of them.
 
-        Polynomials split first (free: no subset transformers needed),
-        then channels, evenly per polynomial — the limb x channel
+        Polynomials split first (free: no plan slicing needed), then
+        channels, evenly per polynomial — the limb x channel
         decomposition the paper's residue-parallel datapath is built
         around.
         """
@@ -470,16 +398,16 @@ class BasisTransformer:
                 for c0, c1 in chunks]
 
     def _dispatch(self, op: str, plan: _GemmPlan, arr: np.ndarray,
-                  out: np.ndarray, lazy: bool = False,
-                  constants: tuple[int, ...] | None = None) -> None:
+                  out: np.ndarray, lazy: bool = False) -> None:
         """Run one batched transform serially or tiled over the executor.
 
         The tiled path is taken only when the active executor has
         real workers and the batch clears the shared work threshold
         (:func:`~repro.parallel.fans_out`);
-        it produces bit-identical output (disjoint tiles, inherited
-        geometry), so the choice is invisible to every caller — and to
-        the transform counters, which count at this dispatcher level
+        it produces bit-identical output (disjoint tiles, each running
+        a channel slice of ``plan`` with its geometry and limb plans),
+        so the choice is invisible to every caller — and to the
+        transform counters, which count at this dispatcher level
         either way.
         """
         j = arr.shape[0]
@@ -493,42 +421,25 @@ class BasisTransformer:
                     # Digit stacks share one tall stage-0 dgemm (the
                     # broadcast fast path across relinearisation
                     # digits); a single row keeps the per-digit entry.
-                    plan.apply_broadcast_many(self, arr, out, lazy=lazy)
+                    plan.apply_broadcast_many(arr, out, lazy=lazy)
                 else:
-                    plan.apply_broadcast(self, arr[0], out[0],
-                                         lazy=lazy)
+                    plan.apply_broadcast(arr[0], out[0], lazy=lazy)
             else:
                 for idx in range(j):
-                    plan.apply(self, arr[idx], out[idx], lazy=lazy)
+                    plan.apply(arr[idx], out[idx], lazy=lazy)
             return
-        # Prebuild everything worker threads would otherwise race to
-        # create lazily: subset transformers, their scaled plans, and
-        # the Shoup twiddle tables.
-        plans: dict[tuple[int, int], tuple[BasisTransformer, _GemmPlan]] = {}
-        for c0, c1 in {(t[1], t[2]) for t in tiles}:
-            sub = self.subset(c0, c1)
-            if op == "inverse_scaled":
-                assert constants is not None
-                sub_plan = sub.scaled_plan(tuple(constants[c0:c1]))
-            elif op == "inverse":
-                sub_plan = sub._inv
-            else:
-                sub_plan = sub._fwd
-            sub_plan.tables()
-            plans[c0, c1] = (sub, sub_plan)
+        # Worker threads only read these views of ``plan``.
+        subsets = {(c0, c1): plan.subset(c0, c1) for _, c0, c1 in tiles}
 
         def run_tile(tile: tuple[int, int, int]) -> None:
-            # One (polynomial, channel-range) tile: the channel-subset
-            # plan inherits this transformer's geometry and touches
-            # only its own disjoint slices.
+            # One (polynomial, channel-range) tile, touching only its
+            # own disjoint slices of the output.
             jdx, c0, c1 = tile
-            sub, sub_plan = plans[c0, c1]
+            sub = subsets[c0, c1]
             if op == "forward_broadcast":
-                sub_plan.apply_broadcast(sub, arr[jdx], out[jdx, c0:c1],
-                                         lazy=lazy)
+                sub.apply_broadcast(arr[jdx], out[jdx, c0:c1], lazy=lazy)
             else:
-                sub_plan.apply(sub, arr[jdx, c0:c1], out[jdx, c0:c1],
-                               lazy=lazy)
+                sub.apply(arr[jdx, c0:c1], out[jdx, c0:c1], lazy=lazy)
 
         map_tiles(executor, f"{op}.tile", run_tile, tiles)
 
@@ -573,20 +484,22 @@ class BasisTransformer:
         rides along in the (linear) transform's twiddle table for free.
         This is how the evaluator fuses Scale's Block-1 ``Q~_k``
         multiplies into the tensor step's inverse transforms. Scaled
-        plans are cached per constants tuple.
+        plans are cached per constants tuple (see
+        :meth:`_GemmPlan.scaled`).
         """
         if len(constants) != self.k:
             raise ParameterError(
                 f"need {self.k} channel constants, got {len(constants)}"
             )
         constants = tuple(int(c) for c in constants)
-        plan = self.scaled_plan(constants)
+        plan = self._scaled_inv.get(constants)
+        if plan is None:
+            plan = self._scaled_inv[constants] = self._inv.scaled(constants)
         arr, stacked = self._check(matrix)
         out = np.empty_like(arr)
         with maybe_span("ntt.inverse_scaled", rows=arr.shape[0] * self.k,
                         n=self.n):
-            self._dispatch("inverse_scaled", plan, arr, out,
-                           constants=constants)
+            self._dispatch("inverse_scaled", plan, arr, out)
         _count_transform("inverse", arr.shape[0] * self.k)
         return out if stacked else out[0]
 
@@ -628,6 +541,42 @@ class BasisTransformer:
         return self.inverse(self.pointwise(fa, fb))
 
 
+#: Per-thread scratch, one set per ring: ``{(n, geometry): buffers}``.
+_SCRATCH = threading.local()
+
+
+def _buffers(n: int, geometry: _Geometry,
+             k: int) -> tuple[list, list, tuple[np.ndarray, ...]]:
+    """This thread's scratch for one ring, sliced to ``k`` channels.
+
+    One set per thread per ``(n, geometry)``, shared by every plan of
+    the ring — both directions, every basis, every channel slice — and
+    sized for the largest ``k`` seen (a larger ``k`` replaces it); each
+    caller takes the C-contiguous leading ``[:k]`` rows. A stage loop
+    runs start to finish on one thread and leaves nothing a later call
+    reads, so sharing never aliases live data. Cache-sized on purpose
+    (stacks go one polynomial at a time): per stage a float64 limb
+    stack and gemm output, plus two int64 ping-pong state planes and
+    one float64 temporary.
+    """
+    sets = _SCRATCH.__dict__.setdefault("sets", {})
+    bufs = sets.get((n, geometry))
+    if bufs is None or len(bufs[2][0]) < k:
+        stages = geometry.stages
+        bufs = sets[n, geometry] = (
+            [np.empty((k, s.split.count * s.length, n // s.length))
+             for s in stages],                    # limb stacks
+            [np.empty((k, s.length, n // s.length))
+             for s in stages],                    # gemm outputs
+            (np.empty((k, n), dtype=np.int64),    # state A
+             np.empty((k, n), dtype=np.int64),    # state B
+             np.empty((k, n))),                   # float tmp
+        )
+    limbs, gemm_out, planes = bufs
+    return ([b[:k] for b in limbs], [b[:k] for b in gemm_out],
+            tuple(b[:k] for b in planes))
+
+
 class _GemmPlan:
     """Precomputed tables for one transform direction of a basis.
 
@@ -638,10 +587,15 @@ class _GemmPlan:
     ``[W * 2^(b*(c-1)) mod q | ... | W * 2^b mod q | W]`` carries the
     stage's ``c`` limbs of ``b`` bits; the twiddle tables are flat
     int64 ``(k, n)`` planes (in the exact memory layout they are
-    applied in) with lazily-built Shoup quotients. The psi pre-twist
-    (forward) and the ``psi^-j / n`` post-scale (inverse) are folded
-    into these tables, so :meth:`apply` runs no standalone scaling
-    passes.
+    applied in) paired with their Shoup quotients, and the moduli are
+    ``(k, 1)`` columns. The psi pre-twist (forward) and the
+    ``psi^-j / n`` post-scale (inverse) are folded into these tables,
+    so :meth:`apply` runs no standalone scaling passes.
+
+    Every table has the prime on axis 0, so a channel range of a plan
+    is the ``[c0:c1]`` view of each array (:meth:`subset`), and a
+    scaled inverse differs from its plain inverse in twiddle plane 0
+    only (:meth:`scaled`).
 
     Index algebra (the generalisation the tables implement): with
     ``n = f_0 * ... * f_{S-1}``, input index
@@ -660,10 +614,25 @@ class _GemmPlan:
     bit for bit.
     """
 
-    def __init__(self, bt: BasisTransformer, inverse: bool,
-                 channel_scale: tuple[int, ...] | None = None) -> None:
-        k, n = bt.k, bt.n
-        factors = bt.geometry.factors
+    def __init__(self, geometry: _Geometry, n: int,
+                 moduli: tuple[np.ndarray, ...], steps: list[np.ndarray],
+                 twiddles: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        self.geometry = geometry
+        self.n = n
+        self.k = moduli[0].shape[0]
+        #: ``(k, 1)`` columns: the prime (int64), its float, its reciprocal.
+        self.moduli = moduli
+        self.steps = steps
+        #: Per twiddle plane: (table, Shoup quotients).
+        self.twiddles = twiddles
+
+    @classmethod
+    def build(cls, primes: tuple[int, ...], n: int, geometry: _Geometry,
+              inverse: bool) -> _GemmPlan:
+        """Compute one direction's tables for a basis, prime by prime."""
+        k = len(primes)
+        primes_col = np.array(primes, dtype=np.int64)[:, None]
+        factors = geometry.factors
         num = len(factors)
         prefix = []
         acc = 1
@@ -674,19 +643,19 @@ class _GemmPlan:
             np.empty((k, stage.length,
                       stage.split.count * stage.length),
                      dtype=np.float64)
-            for stage in bt.geometry.stages
+            for stage in geometry.stages
         ]
         twiddles = [
             np.empty((k, n), dtype=np.int64) for _ in range(num - 1)
         ]
         order = 2 * n
-        for ki, p in enumerate(bt.primes):
+        for ki, p in enumerate(primes):
             psi = root_of_unity(order, p)
             if inverse:
                 psi = modinv(psi, p)
             psi_pow = power_table(psi, order, p)
             inv_n = modinv(n, p) if inverse else 1
-            for t, stage in enumerate(bt.geometry.stages):
+            for t, stage in enumerate(geometry.stages):
                 f = stage.length
                 j = np.arange(f, dtype=np.int64)[:, None]
                 i = np.arange(f, dtype=np.int64)[None, :]
@@ -704,22 +673,54 @@ class _GemmPlan:
                     steps[t][ki, :, block * f: (block + 1) * f] = \
                         (w << shift) % p
             for u in range(num - 1):
-                twiddles[u][ki] = self._twiddle_plane(
+                twiddles[u][ki] = cls._twiddle_plane(
                     factors, prefix, u, psi_pow, order, p,
-                    inverse=inverse,
-                    inv_n=inv_n if u == 0 else 1,
-                    channel_scale=(channel_scale[ki]
-                                   if channel_scale is not None
-                                   and u == 0 else 1),
+                    inverse=inverse, inv_n=inv_n if u == 0 else 1,
                 )
-        self.steps = steps
-        self._twiddles = twiddles
-        self._primes_col = bt.primes_col
-        self._flat: list[tuple[np.ndarray, np.ndarray]] | None = None
+        moduli = (primes_col, primes_col.astype(np.float64), 1.0 / primes_col)
+        return cls(geometry, n, moduli, steps,
+                   [(tw, _shoup_table(tw, primes_col)) for tw in twiddles])
+
+    def scaled(self, constants: tuple[int, ...]) -> _GemmPlan:
+        """This (inverse) plan with ``constants[c]`` folded into channel
+        ``c``'s twiddle plane 0.
+
+        The constant rides with the ``1/n`` post-scale in plane 0 only,
+        so the scaled plan shares this plan's stage matrices and later
+        planes and owns one plane and its Shoup quotients. Both factors
+        are canonical residues below 2^30: the int64 product is exact.
+        """
+        primes_col = self.moduli[0]
+        scale = np.array(
+            [c % int(p) for c, p in zip(constants, primes_col[:, 0],
+                                        strict=True)],
+            dtype=np.int64,
+        )[:, None]
+        plane = (self.twiddles[0][0] * scale) % primes_col
+        return _GemmPlan(self.geometry, self.n, self.moduli, self.steps,
+                         [(plane, _shoup_table(plane, primes_col))]
+                         + self.twiddles[1:])
+
+    def subset(self, c0: int, c1: int) -> _GemmPlan:
+        """The plan for channels ``[c0, c1)``: views of this plan's
+        tables, never a copy.
+
+        The slice keeps this plan's geometry and limb plans (the limb
+        bound is monotone in the modulus, so the parent's proof covers
+        every subset), so tile output — lazy representatives included —
+        is bit-for-bit the whole-basis engine's.
+        """
+        if c0 == 0 and c1 == self.k:
+            return self
+        cut = slice(c0, c1)
+        return _GemmPlan(self.geometry, self.n,
+                         tuple(m[cut] for m in self.moduli),
+                         [step[cut] for step in self.steps],
+                         [(tw[cut], sh[cut]) for tw, sh in self.twiddles])
 
     @staticmethod
     def _twiddle_plane(factors, prefix, u, psi_pow, order, p, *,
-                       inverse, inv_n, channel_scale) -> np.ndarray:
+                       inverse, inv_n) -> np.ndarray:
         """One channel's flat twiddle table after stage ``u``.
 
         Built directly in the application layout
@@ -728,7 +729,7 @@ class _GemmPlan:
         ``Jsum = sum_{w<=u} j_w P_{w-1}``, plus the folded-in psi
         twist (forward: ``psi^{i_{u+1} * n/P_{u+1}}``) or post-scale
         (inverse: ``psi^{-j_u P_{u-1}}`` and ``1/n`` on the first
-        twiddle), and the per-channel constant of scaled inverses.
+        twiddle).
         """
         num = len(factors)
         n = prefix[-1]
@@ -758,19 +759,9 @@ class _GemmPlan:
         exp = exp + (along(j_u * weight_u, 0) if inverse
                      else along((n // prefix[u + 1]) * i_next, 1))
         plane = psi_pow[np.broadcast_to(exp % order, shape)]
-        scale = (inv_n * (channel_scale % p)) % p
-        if scale != 1:
-            plane = (plane * scale) % p
+        if inv_n != 1:
+            plane = (plane * inv_n) % p
         return plane.reshape(-1)
-
-    def tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-twiddle (table, Shoup quotients), lazily materialised."""
-        if self._flat is None:
-            self._flat = [
-                (tw, _shoup_table(tw, self._primes_col))
-                for tw in self._twiddles
-            ]
-        return self._flat
 
     @staticmethod
     def _reduce_lazy(g: np.ndarray, p_f: np.ndarray, inv_p: np.ndarray,
@@ -783,7 +774,8 @@ class _GemmPlan:
         every intermediate is an integer of magnitude at most 2^53
         (the limb plans reserve one modulus of overshoot headroom).
         Adding q gives the lazy representative with no integer
-        division anywhere.
+        division anywhere. ``p_f`` and ``inv_p`` are ``(k, 1)``
+        columns broadcast along each row of ``g``.
         """
         np.multiply(g, inv_p, out=q_f)
         np.rint(q_f, out=q_f)
@@ -823,14 +815,14 @@ class _GemmPlan:
         return ((0,) + tuple(range(2, 2 + remaining)) + (1,)
                 + tuple(range(2 + remaining, num + 1)))
 
-    def _stage_shape(self, bt: BasisTransformer, t: int) -> tuple:
+    def _stage_shape(self, t: int) -> tuple:
         """(k, j_t, i_{t+1}, ..., i_{S-1}, j_{t-1}, ..., j_0)."""
-        factors = bt.geometry.factors
-        return ((bt.k, factors[t]) + tuple(factors[t + 1:])
+        factors = self.geometry.factors
+        return ((self.k, factors[t]) + tuple(factors[t + 1:])
                 + tuple(reversed(factors[:t])))
 
-    def apply(self, bt: BasisTransformer, x: np.ndarray,
-              out: np.ndarray, lazy: bool = False) -> None:
+    def apply(self, x: np.ndarray, out: np.ndarray,
+              lazy: bool = False) -> None:
         """Transform one (k, n) matrix into ``out`` (natural order).
 
         Entries of ``x`` must be non-negative and below 2^30 (canonical
@@ -838,12 +830,12 @@ class _GemmPlan:
         plans are proved exact against); ``out`` receives canonical
         [0, q) values (or lazy [0, 2q) ones when ``lazy`` is set).
         """
-        f0 = bt.geometry.factors[0]
-        self._run(bt, x.reshape(bt.k, f0, bt.n // f0), out, lazy,
+        f0 = self.geometry.factors[0]
+        self._run(x.reshape(self.k, f0, self.n // f0), out, lazy,
                   broadcast=False)
 
-    def apply_broadcast(self, bt: BasisTransformer, row: np.ndarray,
-                        out: np.ndarray, lazy: bool = False) -> None:
+    def apply_broadcast(self, row: np.ndarray, out: np.ndarray,
+                        lazy: bool = False) -> None:
         """Transform one raw digit row under *every* basis prime.
 
         ``row`` is a length-n vector of non-negative values below 2^30
@@ -856,12 +848,11 @@ class _GemmPlan:
         channels at once (the paper's fused WordDecomp + NTT digit
         pipeline).
         """
-        f0 = bt.geometry.factors[0]
-        self._run(bt, row.reshape(1, f0, bt.n // f0), out, lazy,
+        f0 = self.geometry.factors[0]
+        self._run(row.reshape(1, f0, self.n // f0), out, lazy,
                   broadcast=True)
 
-    def apply_broadcast_many(self, bt: BasisTransformer,
-                             rows: np.ndarray, out: np.ndarray,
+    def apply_broadcast_many(self, rows: np.ndarray, out: np.ndarray,
                              lazy: bool = False) -> None:
         """Broadcast-transform a whole digit stack with one shared
         stage-0 dgemm.
@@ -880,8 +871,8 @@ class _GemmPlan:
         :meth:`apply_broadcast` calls; the remaining stages re-enter
         the shared stage loop per digit via its ``stage0`` seed.
         """
-        k, n = bt.k, bt.n
-        stage = bt.geometry.stages[0]
+        k, n = self.k, self.n
+        stage = self.geometry.stages[0]
         f0 = stage.length
         rest = n // f0
         j = rows.shape[0]
@@ -898,18 +889,20 @@ class _GemmPlan:
         g = np.empty((k * f0, cols), dtype=np.float64)
         np.matmul(self.steps[0].reshape(k * f0, c0 * f0), limbs[0],
                   out=g)
-        p_col = np.repeat(bt.primes_col, f0, axis=0).astype(np.float64)
+        _, p_f, inv_p = self.moduli
         q_f = np.empty_like(g)
         state = np.empty((k * f0, cols), dtype=np.int64)
-        self._reduce_lazy(g, p_col, 1.0 / p_col, q_f, state)
+        # Rows of channel c are the (f0, cols) block c: reduce them as
+        # one (k, f0 * cols) matrix against the modulus columns.
+        self._reduce_lazy(g.reshape(k, -1), p_f, inv_p, q_f.reshape(k, -1),
+                          state.reshape(k, -1))
         stacked = state.reshape(k, f0, j, rest)
         for idx in range(j):
-            self._run(bt, None, out[idx], lazy, broadcast=False,
+            self._run(None, out[idx], lazy, broadcast=False,
                       stage0=stacked[:, :, idx, :])
 
-    def _run(self, bt: BasisTransformer, x: np.ndarray | None,
-             out: np.ndarray, lazy: bool, broadcast: bool,
-             stage0: np.ndarray | None = None) -> None:
+    def _run(self, x: np.ndarray | None, out: np.ndarray, lazy: bool,
+             broadcast: bool, stage0: np.ndarray | None = None) -> None:
         """The stage loop shared by :meth:`apply` and
         :meth:`apply_broadcast`: per stage — optional canonicalise,
         limb split, one dgemm, float reduction — with a Shoup twiddle
@@ -917,12 +910,11 @@ class _GemmPlan:
         seed (the lazy ``(k, f0, rest)`` output of a stage-0 gemm
         computed elsewhere, see :meth:`apply_broadcast_many`) skips
         the first gemm and enters the loop at its twiddle."""
-        k, n = bt.k, bt.n
-        stages = bt.geometry.stages
+        k, n = self.k, self.n
+        stages = self.geometry.stages
         num = len(stages)
-        limbs, gemm_out, (cur, alt, f_tmp) = bt._buffers()
-        p_int, p_f, inv_p = bt._mod_tables
-        twiddle_tables = self.tables()
+        limbs, gemm_out, (cur, alt, f_tmp) = _buffers(n, self.geometry, k)
+        p_int, p_f, inv_p = self.moduli
         for t, stage in enumerate(stages):
             f = stage.length
             rest = n // f
@@ -951,17 +943,14 @@ class _GemmPlan:
                     self._split_into(source, limbs[t], stage.split,
                                      alt.reshape(k, f, rest))
                     np.matmul(self.steps[t], limbs[t], out=g)
-                self._reduce_lazy(g, p_f.reshape(g.shape),
-                                  inv_p.reshape(g.shape),
-                                  f_tmp.reshape(g.shape),
-                                  cur.reshape(g.shape))
+                self._reduce_lazy(g.reshape(k, n), p_f, inv_p, f_tmp, cur)
             if t < num - 1:
-                tw, tw_sh = twiddle_tables[t]
+                tw, tw_sh = self.twiddles[t]
                 _shoup_mul(cur, tw, tw_sh, p_int, alt)
                 # Rotate the produced axis behind the remaining input
                 # axes (one strided copy), ping-ponging the state
                 # planes.
-                shape = self._stage_shape(bt, t)
+                shape = self._stage_shape(t)
                 np.copyto(
                     alt.reshape(
                         tuple(shape[axis]
@@ -983,22 +972,22 @@ class _GemmPlan:
                        out=out.reshape(k, n).view(np.uint64))
 
 
-
 def _shoup_mul(values: np.ndarray, table: np.ndarray,
-               table_shoup: np.ndarray, p_full: np.ndarray,
+               table_shoup: np.ndarray, p_col: np.ndarray,
                q_buf: np.ndarray) -> None:
     """In-place ``values = values * table mod p``, lazily in [0, 2p).
 
-    ``values`` must be < 2^32. The uint64 views keep the 64-bit product
-    exact, and the *logical* right shift extracts the Shoup quotient
-    (an arithmetic shift would sign-extend products above 2^63).
+    ``values`` must be < 2^32; ``p_col`` is the ``(k, 1)`` modulus
+    column. The uint64 views keep the 64-bit product exact, and the
+    *logical* right shift extracts the Shoup quotient (an arithmetic
+    shift would sign-extend products above 2^63).
     """
     np.multiply(values.view(np.uint64), table_shoup.view(np.uint64),
                 out=q_buf.view(np.uint64))
     np.right_shift(q_buf.view(np.uint64), _SHOUP_SHIFT,
                    out=q_buf.view(np.uint64))
     np.multiply(values, table, out=values)
-    np.multiply(q_buf, p_full, out=q_buf)
+    np.multiply(q_buf, p_col, out=q_buf)
     np.subtract(values, q_buf, out=values)
 
 

@@ -25,19 +25,27 @@ may only change the wall clock. Concretely:
 
 from __future__ import annotations
 
+import contextvars
 import gc
 import logging
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.nttmath.batch as batch_mod
 import repro.parallel.blas as blas_mod
 import repro.parallel.config as config_mod
 import repro.parallel.executors as executors_mod
 from repro.errors import ParameterError
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
-from repro.nttmath.batch import basis_transformer, transform_counts
+from repro.nttmath.batch import (
+    BasisTransformer,
+    basis_transformer,
+    transform_counts,
+)
 from repro.nttmath.primes import find_ntt_primes
 from repro.obs import Tracer, current_registry, validate_chrome_trace
 from repro.obs.timeline import spans_to_chrome
@@ -53,6 +61,7 @@ from repro.parallel import (
     use_executor,
 )
 from repro.parallel.executors import _run_as_worker
+from repro.params import large_ring
 
 N, K, J = 256, 5, 3
 
@@ -156,13 +165,6 @@ class TestBitIdentity:
             }
         assert serial_counts == parallel_counts
 
-    def test_subset_inherits_parent_geometry(self, primes):
-        bt = basis_transformer(primes, N)
-        sub = bt.subset(1, 4)
-        assert sub.geometry is bt.geometry
-        assert sub.primes == primes[1:4]
-        assert bt.subset(0, K) is bt
-
     def test_multiply_bit_identical_under_threads(self, toy_context,
                                                   toy_keys, rng):
         params = toy_context.params
@@ -179,6 +181,124 @@ class TestBitIdentity:
             got = evaluator.multiply(a, b, toy_keys.relin)
         assert np.array_equal(want.c0.residues, got.c0.residues)
         assert np.array_equal(want.c1.residues, got.c1.residues)
+
+
+def _table_bytes(k: int, n: int, geometry) -> int:
+    """One basis's table set: forward and inverse plans (stage
+    matrices, twiddle planes, Shoup quotients) plus one scaled
+    inverse's own twiddle plane 0 and its quotients."""
+    steps = sum(k * s.length * s.split.count * s.length
+                for s in geometry.stages)
+    planes = len(geometry.stages) - 1
+    direction = steps + 2 * planes * k * n
+    return 8 * (2 * direction + 2 * k * n)
+
+
+def _scratch_bytes(k: int, n: int, geometry) -> int:
+    """One thread's scratch set: per stage a limb stack and a gemm
+    output, plus three (k, n) state planes."""
+    stages = sum(k * (s.split.count + 1) * n for s in geometry.stages)
+    return 8 * (stages + 3 * k * n)
+
+
+class TestEngineMemory:
+    """A channel subset is a view of its parent's tables, a scaled
+    inverse owns only its twiddle plane 0, and scratch is one set per
+    thread per ring."""
+
+    def test_one_table_set_and_one_scratch_set_per_thread(self):
+        n, k, workers = 4096, 12, 2
+        primes = tuple(find_ntt_primes(30, n, k))
+        rng = np.random.default_rng(31)
+        stack = rng.integers(0, np.array(primes)[:, None], size=(3, k, n))
+        digits = rng.integers(0, 1 << 30, size=(3, n))
+        constants = tuple(int(p) - 3 - i for i, p in enumerate(primes))
+        tracemalloc.start(25)
+        try:
+            with use_executor("threads", workers):
+                bt = BasisTransformer(primes, n)
+                # Three polynomials tile as 2 channel ranges, one as 4.
+                for matrix in (stack, stack[0]):
+                    bt.inverse(bt.forward(matrix))
+                    bt.inverse_scaled(matrix, constants)
+                for rows in (digits, digits[:1]):
+                    bt.forward_broadcast(rows)
+                # Taken while the pool's threads (and their scratch) live.
+                snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(trace.size for trace in snapshot.filter_traces(
+            [tracemalloc.Filter(True, batch_mod.__file__, all_frames=True)]
+        ).traces)
+        bound = (_table_bytes(k, n, bt.geometry)
+                 + (workers + 1) * _scratch_bytes(k, n, bt.geometry)
+                 + (256 << 10))  # the engine's Python objects
+        assert held <= bound, f"{held / 2**20:.1f} MiB > {bound / 2**20:.1f}"
+
+        scaled = bt._scaled_inv[constants]
+        assert scaled.steps is bt._inv.steps
+        assert all(own is shared for own, shared in
+                   zip(scaled.twiddles[1:], bt._inv.twiddles[1:],
+                       strict=True))
+        for plan in (bt._fwd, bt._inv, scaled):
+            whole = (plan.steps + list(plan.moduli)
+                     + [a for pair in plan.twiddles for a in pair])
+            for c0, c1 in split_range(k, 4) + split_range(k, 2):
+                sub = plan.subset(c0, c1)
+                assert sub.geometry is plan.geometry
+                part = (sub.steps + list(sub.moduli)
+                        + [a for pair in sub.twiddles for a in pair])
+                for parent, view in zip(whole, part, strict=True):
+                    assert view.shape[0] == c1 - c0
+                    assert np.shares_memory(parent, view)
+            assert plan.subset(0, k) is plan
+
+    def test_no_scratch_aliasing_between_bases(self):
+        """Two bases of one ring share a scratch set; interleaving their
+        transforms on a fresh thread — so the set grows from the small
+        basis to the large one midway — changes no output bit."""
+        params = large_ring(4096)
+        bases = (params.q_primes, params.q_primes + params.p_primes)
+        assert (basis_transformer(bases[0], params.n).geometry
+                == basis_transformer(bases[1], params.n).geometry)
+        rng = np.random.default_rng(17)
+        digits = rng.integers(0, 1 << 30, size=(3, params.n))
+
+        def ops(primes):
+            matrix = rng.integers(0, np.array(primes)[:, None],
+                                  size=(2, len(primes), params.n))
+            constants = tuple(int(p) // 3 for p in primes)
+            return [
+                ("forward", lambda bt: bt.forward(matrix)),
+                ("forward_lazy", lambda bt: bt.forward(matrix, lazy=True)),
+                ("inverse_scaled",
+                 lambda bt: bt.inverse_scaled(matrix, constants)),
+                ("broadcast_row", lambda bt: bt.forward_broadcast(digits[:1])),
+                ("broadcast_rows", lambda bt: bt.forward_broadcast(digits)),
+            ]
+
+        schedule = [(primes, name, op)
+                    for per_op in zip(*(ops(primes) for primes in bases),
+                                      strict=True)
+                    for primes, (name, op) in zip(bases, per_op, strict=True)]
+        want = [op(BasisTransformer(primes, params.n))
+                for primes, _, op in schedule]
+        got: list = []
+
+        def interleaved():
+            got.extend(op(basis_transformer(primes, params.n))
+                       for primes, _, op in schedule)
+
+        # A fresh thread starts with no scratch; the copied context
+        # carries the ``--threads`` pool, if one is scoped.
+        worker = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(interleaved,))
+        worker.start()
+        worker.join()
+        assert len(got) == len(schedule)
+        for (primes, name, _), expect, out in zip(schedule, want, got,
+                                                  strict=True):
+            assert np.array_equal(expect, out), f"{name} k={len(primes)}"
 
 
 def _assert_matches_serial(executor, primes, stack):
