@@ -50,7 +50,8 @@ def main() -> None:
     sw_result = Evaluator(context).multiply(ct1, ct2, keys.relin)
     identical = all(
         np.array_equal(h.residues, s.residues)
-        for h, s in zip(hw_result.parts, sw_result.parts, strict=True)
+        for h, s in zip(hw_result.parts, sw_result.to_coeff().parts,
+                        strict=True)
     )
     print(f"hardware result bit-identical to software evaluator: "
           f"{identical}")

@@ -30,12 +30,13 @@ The modules:
   algebra, the expression DAG, :class:`HEProgram` with static
   depth/noise checks and job-stream lowering;
 * :mod:`~repro.api.backends` — the :class:`Backend` protocol and the
-  functional :class:`LocalBackend`;
+  functional :class:`LocalBackend`, whose ciphertexts all live in the
+  evaluation (NTT) domain;
 * :mod:`~repro.api.simulated` — :class:`SimulatedBackend` with
   future-style request handles and latency telemetry;
 * :mod:`~repro.api.resident` — the bounded cross-request
-  :class:`ResidentOperandCache` both executors key by ciphertext
-  handle.
+  :class:`ResidentOperandCache` the simulated executor keys by
+  ciphertext handle to price uploads the server already holds.
 """
 
 from .backends import Backend, LocalBackend, ProgramResult

@@ -31,7 +31,6 @@ from ..parallel import (
     use_executor,
 )
 from .program import CiphertextHandle, ExprNode, HEProgram, OpKind
-from .resident import ResidentOperandCache
 from .session import Session
 
 
@@ -89,13 +88,8 @@ class ProgramResult:
         return self.session.decode(self.measure(label)[0], size)
 
     def ciphertext(self, label: str = "out") -> Ciphertext:
-        """One output's ciphertext in its *current* domain.
-
-        Unlike :attr:`CiphertextHandle.ciphertext`, this does not force
-        a coefficient-domain conversion — with a resident-emitting
-        backend the result serialises straight into the NTT-domain wire
-        format.
-        """
+        """One output's ciphertext, in the evaluation domain: it
+        serialises straight into the NTT-domain wire format."""
         return self.outputs[label].node.cached
 
     def noise_budget_bits(self, label: str = "out") -> float:
@@ -111,8 +105,7 @@ class LocalBackend:
     Node results are cached on the expression graph, so overlapping
     programs (or a decrypt of an intermediate handle followed by more
     building) never recompute shared work. With ``verify=True`` every
-    output is decrypted and its noise measured once, while it is still
-    in the domain the executor produced it in — a budget under
+    output is decrypted and its noise measured once — a budget under
     :data:`~repro.fv.noise.MIN_VERIFIED_BUDGET_BITS` means the
     decryption is garbage (a wrapped ciphertext reads just above zero,
     not below), and the backend refuses to return it; otherwise the
@@ -121,43 +114,28 @@ class LocalBackend:
     ``noise_budget_bits`` do not repeat it. ``verify=False`` defers the
     measurement to the first of those calls.
 
-    Intermediates stay in the evaluation domain across ADD / SUB /
-    MUL_PLAIN / ROTATE / SUM_SLOTS chains, exactly as HEAX/Medha keep
-    operands on-chip in NTT form: rotations become slot permutations
-    plus a key switch that never leaves the NTT domain, plaintext
-    multiplies are pointwise products against the session's
-    plaintext-constant NTT pool, and — with the
-    evaluation-domain base extension — MULTIPLY consumes resident
-    operands directly and can emit a resident product, so conversions
-    back to the coefficient domain happen only at the program's output
-    boundary. A Mult operand that two or more Mult nodes consume is
-    lifted q->Q once, by the first of them, and its
-    :class:`~repro.fv.evaluator.Lifted` rows are held only until the
-    last has run (``(((a*b)*a)*b)*a`` lifts ``a`` and ``b`` once each).
-    :attr:`telemetry` reports the forward/inverse transform counts of
-    the last run.
-
-    Residency also spans *requests*. Born-resident inputs
-    (``Session.encrypt(..., resident=True)`` or an NTT-domain wire
-    load) are ingested without a coefficient round-trip; a bounded
-    :class:`~repro.api.resident.ResidentOperandCache` keyed by handle
-    remembers the resident form of every operand this backend has
-    materialised, so a handle reused by a later program is restored
-    from cache instead of re-transformed. ``resident_outputs=True``
-    additionally skips the output boundary's inverse transform — the
-    emit half of the resident pipeline, for results that will be
-    serialised in the NTT-domain wire format or fed to further
-    programs.
+    Every ciphertext a node holds lives in the evaluation domain, as
+    HEAX/Medha keep operands on-chip in NTT form: ADD / SUB / NEGATE /
+    ADD_PLAIN are element-wise, MUL_PLAIN is a pointwise product
+    against the session's plaintext-constant NTT pool, a rotation is a
+    slot permutation plus a key switch whose accumulators are born in
+    the NTT domain, and MULTIPLY lifts its operands straight from the
+    NTT domain and emits its product there. Coefficients appear only
+    inside kernels, and in the three-part product a MULTIPLY_RAW node
+    hands to its RELINEARIZE. Outputs leave as they are, ready for the
+    NTT-domain wire format or further programs. A Mult operand that two
+    or more Mult nodes consume is lifted q->Q once, by the first of
+    them, and its :class:`~repro.fv.evaluator.Lifted` rows are held
+    only until the last has run (``(((a*b)*a)*b)*a`` lifts ``a`` and
+    ``b`` once each). :attr:`telemetry` reports the forward/inverse
+    transform counts of the last run.
     """
 
     def __init__(self, session: Session, *, verify: bool = True,
-                 resident_outputs: bool = False,
-                 resident_cache_limit: int = 64,
                  executor: Executor | ExecutionConfig | str | None
                  = None) -> None:
         self.session = session
         self.verify = verify
-        self.resident_outputs = resident_outputs
         # Executor selection: None defers to the ambient scope (serial
         # outside any) at run time; a mode string or ExecutionConfig is
         # built once here (a thread pool sized from the affinity mask
@@ -169,12 +147,8 @@ class LocalBackend:
             self.executor, owned = _resolve(executor)
             if owned:
                 weakref.finalize(self, self.executor.close)
-        self.resident_cache = ResidentOperandCache(resident_cache_limit,
-                                                   name="local")
         #: Transform counts of the most recent :meth:`run`.
         self.last_transform_counts: dict[str, int] = {}
-        #: Cache restores performed by the most recent :meth:`run`.
-        self.last_cache_restores = 0
         #: Wall-clock trace of the most recent :meth:`run` — per-op
         #: spans (with transform-count diffs and nested engine
         #: transform spans) reducible to rollups and a critical path.
@@ -186,12 +160,11 @@ class LocalBackend:
 
     @property
     def telemetry(self) -> dict:
-        """Execution telemetry: transform counts, cache, executor mode,
-        and what the executor did about BLAS threading."""
+        """Execution telemetry: transform counts, executor mode, and
+        what the executor did about BLAS threading."""
         blas = (BlasDecision(False, reason="ambient executor")
                 if self.executor is None else self.executor.blas)
         return {
-            "resident_outputs": self.resident_outputs,
             "executor": ("ambient" if self.executor is None
                          else self.executor.name),
             "workers": (0 if self.executor is None
@@ -199,10 +172,8 @@ class LocalBackend:
             "blas": blas.as_dict(),
             "last_run": dict(self.last_transform_counts),
             "total": dict(self.total_transform_counts),
-            "resident_cache": {
-                **self.resident_cache.stats(),
-                "last_run_restores": self.last_cache_restores,
-            },
+            # Ledger shim: benchmarks/ledger/workloads.py reads the hits.
+            "resident_cache": {"hits": 0},
         }
 
     def run(self, program: HEProgram, **kwargs) -> ProgramResult:
@@ -228,16 +199,11 @@ class LocalBackend:
         scope = (use_executor(self.executor)
                  if self.executor is not None else nullcontext())
         with scope, tracer.activate():
-            wants, lift_until = self._plan_domains(program, order)
+            lift_until = self._plan_lifts(program, order)
             # A Mult operand reused by later Mults is lifted once, by
             # its first Mult consumer, and held here until its last one
             # has run; the dict dies with the run.
             lifted: dict[int, Lifted] = {}
-            with tracer.span("restore_residents", kind="phase") as sp:
-                self.last_cache_restores = self._restore_residents(
-                    program, wants
-                )
-                sp.attrs["restores"] = self.last_cache_restores
             steps = program.rotation_steps()
             if steps or program.uses_sum_slots:
                 # Program-wide Galois key prefetch: one deduped keygen
@@ -275,31 +241,15 @@ class LocalBackend:
                     if group is not None:
                         sp.attrs["hoisted"] = self._execute_hoisted(group)
                     if node.cached is None:
-                        node.cached = self._execute(node, wants, lift_until,
-                                                    lifted)
+                        node.cached = self._execute(node, lift_until, lifted)
                     sp.attrs["transforms"] = _count_diff(
                         op_before, transform_counts()
                     )
                 for key in [k for k in lifted if lift_until[k] == i]:
                     del lifted[key]
-            # Remember the resident operands that cross request
-            # boundaries — program inputs and outputs. Intermediates
-            # are deliberately not cached: they are never
-            # boundary-converted (the graph cache keeps them resident
-            # as long as their handles live), and a single wide program
-            # would otherwise flush the bounded FIFO of every genuinely
-            # reusable entry.
-            boundary = list(program.inputs) + list(
-                program.outputs.values()
-            )
-            for node in boundary:
-                if node.cached is not None and node.cached.ntt_resident:
-                    self.resident_cache.put(node, node.cached)
-            # Verification is the one place an output is measured, and
-            # it runs before the output boundary: a resident output
-            # decrypts without the forward transforms its coefficient
-            # form would need. Tracing it as a phase keeps the trace
-            # totals equal to the run-level registry diff.
+            # Verification is the one place an output is measured.
+            # Tracing it as a phase keeps the trace totals equal to the
+            # run-level registry diff.
             measured: dict[str, tuple[Plaintext, int]] = {}
             if self.verify:
                 with tracer.span("verify_outputs", kind="phase") as sp:
@@ -320,21 +270,6 @@ class LocalBackend:
                     sp.attrs["transforms"] = _count_diff(
                         ver_before, transform_counts()
                     )
-            # Output boundary: by default results leave the executor in
-            # the coefficient domain (the legacy wire representation),
-            # mirroring the download DMA of the paper's server; with
-            # ``resident_outputs`` they stay in the evaluation domain
-            # for the NTT-domain wire format. Either way the resident
-            # form survives in the cache for cross-program reuse.
-            context = self.session.context
-            if not self.resident_outputs:
-                with tracer.span("output_boundary", kind="phase") as sp:
-                    bnd_before = transform_counts()
-                    for node in program.outputs.values():
-                        node.cached = context.to_coeff_ct(node.cached)
-                    sp.attrs["transforms"] = _count_diff(
-                        bnd_before, transform_counts()
-                    )
             outputs = {
                 label: CiphertextHandle(node, self.session)
                 for label, node in program.outputs.items()
@@ -349,97 +284,28 @@ class LocalBackend:
         return ProgramResult(self.session, outputs,
                              trace=self.last_trace, measured=measured)
 
-    def _restore_residents(self, program: HEProgram,
-                           wants: dict[int, bool]) -> int:
-        """Swap already-materialised coefficient-domain operands for
-        their cached resident forms where the domain plan wants them.
+    # -- lift planning -----------------------------------------------------------------
 
-        This is what makes residency *cross-request*: an output the
-        previous run converted at its boundary (or an input whose
-        handle access degraded it) re-enters the evaluation domain via
-        a cache hit instead of a fresh forward transform.
-        """
-        restores = 0
-        for node in program.nodes:
-            ct = node.cached
-            if ct is None or ct.ntt_resident:
-                continue
-            if not wants.get(id(node), False):
-                continue
-            resident = self.resident_cache.get(node)
-            if resident is not None:
-                node.cached = resident
-                restores += 1
-        return restores
-
-    # -- domain planning ---------------------------------------------------------------
-
-    #: Ops that compute naturally in the evaluation domain — a node
-    #: feeding one of these benefits from arriving NTT-resident.
-    #: MULTIPLY joined the set with the evaluation-domain base
-    #: extension (:func:`~repro.rns.lift.lift_hps_ntt`): resident
-    #: operands now feed the tensor step directly, so a producer
-    #: upstream of a Mult should stay resident rather than pay the
-    #: boundary inverse transform. RELINEARIZE is deliberately *not* a
-    #: sink: its c2 digits decompose raw coefficient residues, so its
-    #: three-part input must stay coefficient-domain.
-    _RESIDENT_SINKS = frozenset(
-        {OpKind.ROTATE, OpKind.MUL_PLAIN, OpKind.SUM_SLOTS,
-         OpKind.MULTIPLY, OpKind.MULTIPLY_RAW}
-    )
-    #: Domain-agnostic ops: they propagate their consumers' preference.
-    _LINEAR_OPS = frozenset(
-        {OpKind.ADD, OpKind.SUB, OpKind.NEGATE, OpKind.ADD_PLAIN}
-    )
     #: Ops that start with Lift q->Q of both operands.
     _MULT_OPS = frozenset({OpKind.MULTIPLY, OpKind.MULTIPLY_RAW})
 
-    def _plan_domains(self, program: HEProgram, order: dict[int, int]
-                      ) -> tuple[dict[int, bool], dict[int, int]]:
-        """Consumer analysis: which nodes should produce NTT-resident
-        results, and which Mult operands are worth lifting once?
+    def _plan_lifts(self, program: HEProgram,
+                    order: dict[int, int]) -> dict[int, int]:
+        """Which Mult operands are worth lifting once?
 
-        Greedy residency wastes transforms when a rotation or plaintext
-        multiply feeds straight into a coefficient-domain boundary (a
-        program output): the forward transforms it saves come back as
-        inverse transforms one node later. Walking the graph in
-        reverse, a node wants to be resident exactly when some consumer
-        computes in the evaluation domain — directly, or through a
-        chain of domain-agnostic linear ops. MULTIPLY and MULTIPLY_RAW
-        are always such consumers: every parameter set lies inside the
-        NTT engine's envelope, so Mult lifts resident operands as they
-        are.
-
-        The second map is the lift plan: every node that at least two
-        distinct pending Mult nodes consume, keyed to the position in
-        ``program.nodes`` of its last Mult consumer — where its
-        :class:`~repro.fv.evaluator.Lifted` rows stop being needed. A
-        node one Mult consumes (``x * x`` included) is lifted inside
-        that Mult, as always.
+        Every node that at least two distinct pending Mult nodes
+        consume, keyed to the position in ``program.nodes`` of its last
+        Mult consumer — where its :class:`~repro.fv.evaluator.Lifted`
+        rows stop being needed. A node one Mult consumes (``x * x``
+        included) is lifted inside that Mult, as always.
         """
-        consumers: dict[int, list[ExprNode]] = {}
+        mults: dict[int, set[int]] = {}
         for node in program.nodes:
-            for arg in node.args:
-                consumers.setdefault(id(arg), []).append(node)
-        # With resident outputs the boundary conversion is skipped, so
-        # the output nodes themselves want to be born resident — a
-        # Mult-heavy chain then never materialises coefficients at all.
-        out_ids = ({id(node) for node in program.outputs.values()}
-                   if self.resident_outputs else set())
-        wants: dict[int, bool] = {}
-        for node in reversed(program.nodes):
-            wants[id(node)] = id(node) in out_ids or any(
-                user.op in self._RESIDENT_SINKS
-                or (user.op in self._LINEAR_OPS and wants[id(user)])
-                for user in consumers.get(id(node), ())
-            )
-        lift_until: dict[int, int] = {}
-        for key, users in consumers.items():
-            mults = {order[id(user)] for user in users
-                     if user.op in self._MULT_OPS and user.cached is None}
-            if len(mults) >= 2:
-                lift_until[key] = max(mults)
-        return wants, lift_until
+            if node.op in self._MULT_OPS and node.cached is None:
+                for arg in node.args:
+                    mults.setdefault(id(arg), set()).add(order[id(node)])
+        return {key: max(users) for key, users in mults.items()
+                if len(users) >= 2}
 
     # -- node dispatch -----------------------------------------------------------------
 
@@ -447,7 +313,7 @@ class LocalBackend:
         """Materialise a hoisted rotation group off one digit transform.
 
         All pending members share their source's digit-decomposition
-        NTT via :meth:`~repro.fv.galois.GaloisEngine.apply_many_resident`;
+        NTT via :meth:`~repro.fv.galois.GaloisEngine.apply_many`;
         results land in each member's graph cache, so the normal node
         loop sees them as already computed. An identity member is left
         to :meth:`_execute`, which returns its operand.
@@ -463,7 +329,7 @@ class LocalBackend:
             canonical_steps(m.payload, n): session.rotation_key(m.payload)
             for m in pending
         }
-        results = session.galois.apply_many_resident(source.cached, keys)
+        results = session.galois.apply_many(source.cached, keys)
         for member in pending:
             member.cached = results[canonical_steps(member.payload, n)]
         return len(pending)
@@ -481,80 +347,51 @@ class LocalBackend:
         lifted.update(zip((id(arg) for arg in due), held, strict=True))
         return [lifted.get(id(arg), arg.cached) for arg in node.args]
 
-    def _execute(self, node: ExprNode, wants: dict[int, bool],
-                 lift_until: dict[int, int],
+    def _execute(self, node: ExprNode, lift_until: dict[int, int],
                  lifted: dict[int, Lifted]) -> Ciphertext:
         session = self.session
         context = session.context
         args = [arg.cached for arg in node.args]
-        resident_out = wants.get(id(node), False)
         if node.op is OpKind.INPUT:
             raise ParameterError(
                 "program has an unbound input (wrap() a ciphertext first)"
             )
-        if node.op in (OpKind.ADD, OpKind.SUB):
-            if not resident_out and not all(
-                ct.c0.ntt_domain for ct in args
-            ):
-                # No downstream benefit: align mixed operands onto the
-                # coefficient domain instead of transforming forward.
-                # Converted operands are written back to their nodes so
-                # a shared subexpression never converts twice.
-                for arg_node, ct in zip(node.args, args, strict=True):
-                    if ct.c0.ntt_domain:
-                        arg_node.cached = context.to_coeff_ct(ct)
-                args = [arg.cached for arg in node.args]
-            op = context.add if node.op is OpKind.ADD else context.sub
-            return op(args[0], args[1])
+        if node.op is OpKind.ADD:
+            return context.add(args[0], args[1])
+        if node.op is OpKind.SUB:
+            return context.sub(args[0], args[1])
         if node.op is OpKind.NEGATE:
             return context.negate(args[0])
         if node.op is OpKind.ADD_PLAIN:
-            if args[0].c0.ntt_domain:
-                return context.add_plain(
-                    args[0], node.payload,
-                    delta_m_ntt=session.plain_delta_ntt(node.payload),
-                )
-            return context.add_plain(args[0], node.payload)
+            return context.add_plain(
+                args[0], node.payload,
+                delta_m_ntt=session.plain_delta_ntt(node.payload),
+            )
         if node.op is OpKind.MUL_PLAIN:
-            # MulPlain computes in the evaluation domain either way, so
-            # a resident result is free — and in an add-tree of
-            # plaintext products the deferred conversions all merge at
-            # the root. The plaintext operand comes from the session's
-            # NTT pool, and the operand's conversion is written back so
-            # a shared subexpression transforms forward only once.
-            node.args[0].cached = context.to_ntt_ct(args[0])
             return context.mul_plain(
-                node.args[0].cached, node.payload,
+                args[0], node.payload,
                 m_ntt=session.plain_ntt(node.payload),
             )
         if node.op is OpKind.MULTIPLY_RAW:
             # Lazy-relin placement: the three-part tensor result flows
             # into an ADD tree; the deferred RELINEARIZE at its root
-            # folds back to two parts (always coefficient-domain — c2
-            # feeds WordDecomp).
+            # folds back to two parts.
             return session.evaluator.multiply_raw(
                 *self._mult_operands(node, lift_until, lifted))
         if node.op is OpKind.MULTIPLY:
-            # Operands go in as they are, or as their held lifts: the
-            # lift takes each part from the domain it lives in.
             return session.evaluator.multiply(
                 *self._mult_operands(node, lift_until, lifted),
-                session.keys.relin, resident=resident_out)
+                session.keys.relin)
         if node.op is OpKind.RELINEARIZE:
-            return session.evaluator.relinearize(args[0], session.keys.relin,
-                                                 resident=resident_out)
+            return session.evaluator.relinearize(args[0], session.keys.relin)
         if node.op is OpKind.ROTATE:
             if canonical_steps(node.payload, session.params.n) == 0:
                 # The identity rotation: no key, no switch, no noise.
                 return args[0]
-            key = session.rotation_key(node.payload)
-            if args[0].c0.ntt_domain or resident_out:
-                return session.galois.apply_resident(args[0], key)
-            return session.galois.apply(args[0], key)
+            return session.galois.apply(args[0],
+                                        session.rotation_key(node.payload))
         if node.op is OpKind.SUM_SLOTS:
-            # The internal rotate-and-add chain always benefits from
-            # residency, whatever happens downstream.
-            return session.galois.sum_all_slots_resident(
+            return session.galois.sum_all_slots(
                 args[0], session.summation_keys()
             )
         raise ParameterError(f"unknown op {node.op!r}")  # pragma: no cover

@@ -138,19 +138,10 @@ class CiphertextHandle:
 
     @property
     def ciphertext(self) -> Ciphertext:
-        """The concrete ciphertext (materialising lazily if needed).
-
-        Handles are the user-facing boundary, so the result is always
-        coefficient-domain — an NTT-resident intermediate left in the
-        graph cache by the resident executor is converted (and written
-        back) on first access.
-        """
+        """The concrete ciphertext (materialising lazily if needed), in
+        the evaluation domain every two-part ciphertext lives in."""
         if self.node.cached is None:
             self.session.run(self)
-        if self.node.cached.ntt_resident:
-            self.node.cached = self.session.context.to_coeff_ct(
-                self.node.cached
-            )
         return self.node.cached
 
     # -- graph-building helpers ------------------------------------------------------

@@ -148,8 +148,8 @@ class Session:
     def plain_ntt(self, plain: Plaintext) -> np.ndarray:
         """NTT rows of a plaintext constant (cached by value).
 
-        The pool is what lets the NTT-resident executor multiply by the
-        same plaintext constant many times while transforming it once —
+        The pool is what lets the executor multiply by the same
+        plaintext constant many times while transforming it once —
         the software twin of the paper's server keeping operands
         resident in DDR between jobs.
         """
@@ -190,48 +190,40 @@ class Session:
 
     # -- encrypt / decrypt -------------------------------------------------------------
 
-    def encrypt(self, values, *, resident: bool = False) -> CiphertextHandle:
-        """Encode + encrypt; returns an opaque (lazy-capable) handle.
-
-        ``resident=True`` births the ciphertext NTT-resident (the
-        public-key products never leave the evaluation domain) — the
-        right choice when the handle feeds resident execution chains
-        or the NTT-domain wire format.
-        """
-        ct = self.context.encrypt(self.encode(values), self.keys.public,
-                                  resident=resident)
-        return self.wrap(ct)
+    def encrypt(self, values, *, resident: object = None) -> CiphertextHandle:
+        """Encode + encrypt; returns an opaque (lazy-capable) handle to
+        an evaluation-domain ciphertext. ``resident`` is a ledger shim,
+        accepted and ignored: benchmarks/ledger/workloads.py's timed
+        loop still passes it."""
+        return self.wrap(self.context.encrypt(self.encode(values),
+                                              self.keys.public))
 
     def wrap(self, ciphertext: Ciphertext) -> CiphertextHandle:
-        """Adopt an existing ciphertext as a graph input."""
+        """Adopt an existing ciphertext as a graph input.
+
+        The door for ciphertexts made outside the engine: a two-part
+        coefficient-domain one (the headerless wire, an ``hw`` result)
+        is transformed into the evaluation domain here, once. A
+        three-part raw product is taken as Scale left it.
+        """
+        if ciphertext.size == 2:
+            ciphertext = ciphertext.to_ntt()
         return CiphertextHandle(
             ExprNode(OpKind.INPUT, payload=ciphertext), self
         )
 
     def save_ciphertext(self, path, value) -> None:
-        """Serialise a handle or ciphertext, preserving its domain.
-
-        NTT-resident operands are written in the NTT-domain wire format
-        (no inverse transform), so a server can persist and reload
-        resident state without ever visiting the coefficient domain.
-        Lazy handles are materialised first — through a
-        resident-emitting executor, so a resident expression chain is
-        not degraded by the default output boundary on its way to disk.
-        """
+        """Serialise a handle or ciphertext in the NTT-domain wire
+        format (no inverse transform); a lazy handle is materialised
+        first."""
         from ..io import save_ciphertext
 
         if isinstance(value, CiphertextHandle):
-            if value.node.cached is None:
-                from .backends import LocalBackend
-
-                LocalBackend(self, resident_outputs=True).run(
-                    self.compile(value, check=False)
-                )
-            value = value.node.cached
+            value = value.ciphertext
         save_ciphertext(path, value)
 
     def load_ciphertext(self, path) -> CiphertextHandle:
-        """Load a serialised ciphertext (either domain) as a handle."""
+        """Load a serialised ciphertext (either wire domain) as a handle."""
         from ..io import load_ciphertext
 
         return self.wrap(load_ciphertext(path, self.params))
@@ -249,9 +241,7 @@ class Session:
         one secret-key measurement both :meth:`decrypt` and
         :meth:`noise_budget_bits` are views of.
 
-        A materialised handle is measured in its *current* domain (no
-        forced coefficient conversion — decrypting an NTT-resident
-        result is cheaper than degrading it first); a lazy one is run
+        A materialised handle is measured as it is; a lazy one is run
         through the local backend, whose verification already measured
         it.
         """
@@ -307,7 +297,7 @@ class Session:
         })
 
     def summation_keys(self) -> dict:
-        """Every key ``GaloisEngine.sum_all_slots_resident`` needs: a
+        """Every key ``GaloisEngine.sum_all_slots`` needs: a
         view of the session's one Galois key cache, so the rotations a
         program also uses directly are the same key objects."""
         elements = summation_elements(self.params.n)

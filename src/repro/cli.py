@@ -402,8 +402,7 @@ def cmd_program(args: argparse.Namespace) -> None:
           f"{result.noise_budget_bits('out'):.1f} bits)")
     counts = local.last_transform_counts
     print(f"row transforms: {counts['forward_rows']} forward, "
-          f"{counts['inverse_rows']} inverse, "
-          f"{counts['roundtrip_rows']} coefficient round trips")
+          f"{counts['inverse_rows']} inverse")
 
     # Executor 2: the same program object through the simulated cluster.
     cost = CostModel(params)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
+from ..nttmath.batch import intt_rows, ntt_rows
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
 from ..rns.basis import RnsBasis
@@ -22,7 +23,15 @@ from ..rns.basis import RnsBasis
 
 @dataclass
 class Ciphertext:
-    """An FV ciphertext: two (or, pre-relinearisation, three) R_q parts."""
+    """An FV ciphertext: two (or, pre-relinearisation, three) R_q parts.
+
+    Every part lives in one domain. A two-part ciphertext lives in the
+    evaluation (NTT) domain — encryption, every operation and the wire
+    doors (:func:`repro.io.load_ciphertext`,
+    :meth:`repro.api.Session.wrap`) produce it there. Coefficient parts
+    are the three-part raw product (Scale's output, whose c2 WordDecomp
+    reads) and the ``hw`` model's registers.
+    """
 
     parts: tuple[RnsPoly, ...]
     params: ParameterSet
@@ -33,6 +42,8 @@ class Ciphertext:
         degrees = {part.n for part in self.parts}
         if degrees != {self.params.n}:
             raise ParameterError("ciphertext parts must have degree n")
+        if len({part.ntt_domain for part in self.parts}) != 1:
+            raise ParameterError("ciphertext parts live in different domains")
 
     @property
     def size(self) -> int:
@@ -40,28 +51,46 @@ class Ciphertext:
 
     @property
     def ntt_resident(self) -> bool:
-        """True when every part lives in the evaluation (NTT) domain.
-
-        NTT-resident ciphertexts are what the resident executor passes
-        between operations; serialise them with the versioned
-        NTT-domain wire format (:func:`repro.io.save_ciphertext`) or
-        convert with :meth:`~repro.fv.scheme.FvContext.to_coeff_ct`
-        for the legacy coefficient wire.
-        """
-        return all(part.ntt_domain for part in self.parts)
+        """True when the parts live in the evaluation (NTT) domain —
+        every two-part ciphertext the engine makes does."""
+        return self.c0.ntt_domain
 
     @property
     def domain(self) -> str:
-        """Wire-format domain tag: ``"ntt"``, ``"coeff"``, or ``"mixed"``.
+        """Wire-format domain tag: ``"ntt"`` or ``"coeff"``."""
+        return "ntt" if self.ntt_resident else "coeff"
 
-        Mixed-domain ciphertexts are transient executor states and are
-        not serialisable.
-        """
-        if all(part.ntt_domain for part in self.parts):
-            return "ntt"
-        if not any(part.ntt_domain for part in self.parts):
-            return "coeff"
-        return "mixed"
+    def require_ntt(self, op: str) -> None:
+        """Refuse a coefficient-domain ciphertext where ``op`` reads
+        evaluation-domain parts."""
+        if not self.ntt_resident:
+            raise ParameterError(
+                f"{op} takes an evaluation-domain ciphertext; bring "
+                f"coefficient parts in through Ciphertext.to_ntt()")
+
+    def to_ntt(self) -> Ciphertext:
+        """This ciphertext in the evaluation domain, its parts sharing
+        one stacked forward transform (itself when already there)."""
+        if self.ntt_resident:
+            return self
+        basis = self.c0.basis
+        rows = ntt_rows(basis.primes,
+                        np.stack([part.residues for part in self.parts]))
+        return Ciphertext(
+            tuple(RnsPoly.trusted(basis, r, ntt_domain=True) for r in rows),
+            self.params)
+
+    def to_coeff(self) -> Ciphertext:
+        """This ciphertext in the coefficient domain, its parts sharing
+        one stacked inverse transform (itself when already there): the
+        form the ``hw`` model and the textbook reference work in."""
+        if not self.ntt_resident:
+            return self
+        basis = self.c0.basis
+        rows = intt_rows(basis.primes,
+                         np.stack([part.residues for part in self.parts]))
+        return Ciphertext(
+            tuple(RnsPoly.trusted(basis, r) for r in rows), self.params)
 
     @property
     def c0(self) -> RnsPoly:
@@ -86,9 +115,9 @@ class Ciphertext:
     def to_bytes(self) -> bytes:
         """Pack every part as uint32 residues, row-major.
 
-        The legacy coefficient-domain wire: NTT-resident parts are
-        rejected so pre-versioned consumers can never mistake
-        evaluation-domain residues for coefficients. Use
+        The headerless coefficient-domain wire: evaluation-domain parts
+        are rejected so a consumer can never mistake NTT evaluations
+        for coefficients (:meth:`to_coeff` first). Use
         :meth:`to_wire_bytes` for the domain-tagged format.
         """
         if self.domain != "coeff":
@@ -96,20 +125,14 @@ class Ciphertext:
         return self.to_wire_bytes()
 
     def to_wire_bytes(self) -> bytes:
-        """Pack the residue payload of either uniform domain.
+        """Pack the residue payload of either domain.
 
         The byte layout is identical in both domains (canonical 30-bit
         residues in little-endian 32-bit words, coefficients contiguous
         per residue row); the *domain* travels in the versioned header
-        :func:`repro.io.save_ciphertext` writes, so a server can
-        persist NTT-resident operands without an inverse transform.
-        Mixed-domain ciphertexts are rejected.
+        :func:`repro.io.save_ciphertext` writes, so evaluation-domain
+        ciphertexts persist without an inverse transform.
         """
-        if self.domain == "mixed":
-            raise ParameterError(
-                "cannot serialise a mixed-domain ciphertext; convert "
-                "all parts to one domain first"
-            )
         return b"".join(
             part.residues.astype(np.uint32).tobytes()
             for part in self.parts
@@ -123,7 +146,7 @@ class Ciphertext:
 
         ``ntt_domain=True`` marks every part as evaluation-domain —
         what :func:`repro.io.load_ciphertext` passes when the versioned
-        header declares an NTT-resident payload.
+        header declares an NTT-domain payload.
         """
         part_bytes = params.poly_bytes
         if len(blob) % part_bytes:

@@ -15,7 +15,9 @@ cross-checked step by step:
 
 Every parameter set reaching here was checked against the NTT engine's
 envelope when it was built (:class:`~repro.params.ParameterSet`), so
-there is no second datapath: operands of every domain take step 1.
+there is no second datapath. Operands and products live in the
+evaluation domain, as the paper's Table I Mult starts and ends on
+NTT-domain registers; coefficients exist only inside steps 1 and 3-4.
 An operand that meets several Mults can take step 1 once, ahead of
 time (:meth:`Evaluator.lift`), and be handed to each of them as the
 :class:`Lifted` rows; a square (``a is b``) lifts its two parts once.
@@ -63,9 +65,8 @@ class Lifted:
 class Evaluator:
     """Multiplication and relinearisation over one :class:`FvContext`.
 
-    Operands may arrive in the coefficient or the evaluation domain,
-    part by part, or already lifted (:class:`Lifted`); the products are
-    bit-identical every way.
+    Operands are evaluation-domain ciphertexts, or already lifted
+    (:class:`Lifted`); the products are bit-identical either way.
     """
 
     def __init__(self, context: FvContext) -> None:
@@ -77,25 +78,23 @@ class Evaluator:
         """Lift q->Q of two-part ciphertexts, one :class:`Lifted` each.
 
         Every part goes through one stacked
-        :func:`~repro.rns.lift.lift_hps_ntt` call, each from the domain
-        it arrived in: a resident part's q-channel rows pass straight
-        through as the leading channels of its full-basis operand (only
-        the Fig. 6 quotient estimate reads coefficient values), a
-        coefficient part is extended where it stands and transformed
-        forward once, over the full basis. The lift is deterministic,
-        so a :class:`Lifted` may stand in for its ciphertext in any
-        number of Mults.
+        :func:`~repro.rns.lift.lift_hps_ntt` call: its q-channel rows
+        pass straight through as the leading channels of its full-basis
+        operand (only the Fig. 6 quotient estimate reads coefficient
+        values). The lift is deterministic, so a :class:`Lifted` may
+        stand in for its ciphertext in any number of Mults.
         """
         if not cts:
             return ()
-        if any(ct.size != 2 for ct in cts):
-            raise ParameterError("lift expects two-part ciphertexts")
+        for ct in cts:
+            if ct.size != 2:
+                raise ParameterError("lift expects two-part ciphertexts")
+            ct.require_ntt("Lift q->Q")
         parts = [part for ct in cts for part in ct.parts]
         with maybe_span("mult.lift", kind="kernel", parts=len(parts)):
             rows = lift_hps_ntt(
                 self.context.lift_ctx,
                 np.stack([part.residues for part in parts]), lazy=True,
-                ntt_domain=[part.ntt_domain for part in parts],
             )
         rows.flags.writeable = False
         return tuple(Lifted(rows[i:i + 2]) for i in range(0, len(parts), 2))
@@ -113,8 +112,8 @@ class Evaluator:
         ``a0 a1 + a1 a0``. The lifted rows are lazy ([0, 2q)), which
         the point-wise reductions below absorb (products stay under
         2^62 and the cross term under 2^63); the products themselves
-        are reduced canonically, so they do not depend on the operands'
-        domains or on whether they were lifted ahead of time.
+        are reduced canonically, so they do not depend on whether the
+        operands were lifted ahead of time.
         """
         square = a is b
         operands = (a,) if square else (a, b)
@@ -156,8 +155,8 @@ class Evaluator:
         coefficient values Fig. 9 needs (Scale is column-wise, so the
         three parts share a single triple-width gemm). The output is
         coefficient-domain — c2's raw residue rows are what WordDecomp
-        broadcasts — and bit-identical whichever domain the inputs
-        arrived in, or lifted ahead of time.
+        broadcasts — and bit-identical whether the inputs were lifted
+        ahead of time or not.
         """
         products = self._tensor_ntt(a, b)
         with maybe_span("mult.scale", kind="kernel"):
@@ -170,7 +169,7 @@ class Evaluator:
         return Ciphertext(parts, self.context.params)
 
     def relinearize(self, ct: Ciphertext, relin: RelinKey,
-                    resident: bool = False) -> Ciphertext:
+                    resident: object = None) -> Ciphertext:
         """ReLin: fold c2 back into (c0, c1) using the RNS key.
 
         Fused WordDecomp + NTT: each raw-residue row of c2 is
@@ -178,27 +177,22 @@ class Evaluator:
         dgemm across all digits (see ``apply_broadcast_many``) — and
         left lazy in [0, 2q) for
         :func:`~repro.fv.keyswitch.key_switch`, which folds the digits
-        against the key and adds into (c0, c1). ``resident=True`` asks
-        for the NTT-resident result, which is what keeps a Mult-heavy
-        resident chain free of coefficient round trips; (c0, c1) may
-        arrive in either domain.
+        against the key into the evaluation-domain result. ``ct`` is a
+        three-part raw product as Scale leaves it, in the coefficient
+        domain. ``resident`` is a ledger shim, accepted and ignored:
+        benchmarks/ledger/probes.py (``fv.relinearize_ms``) still
+        passes it.
         """
         if ct.size != 3:
             raise ParameterError("relinearize expects a three-part ciphertext")
-        c2 = ct.c2
+        if ct.ntt_resident:
+            raise ParameterError(
+                "relinearize reads c2's coefficient residues (WordDecomp); "
+                "pass the raw product as multiply_raw returns it")
         with maybe_span("keyswitch.decompose", kind="kernel"):
-            if c2.ntt_domain:
-                # WordDecomp broadcasts raw coefficient residues; a
-                # resident c2 must round-trip. The multiply pipeline
-                # never produces one (multiply_raw emits coefficient
-                # parts), so this conversion is visible in the
-                # round-trip telemetry if it ever happens.
-                batch.count_roundtrip(c2.residues.shape[0])
-                c2 = c2.to_coeff()
             d_ntt = batch.ntt_broadcast_rows(self.context.params.q_primes,
-                                             c2.residues, lazy=True)
-        return key_switch(self.context, d_ntt, relin.pairs,
-                          (ct.c0, ct.c1), resident)
+                                             ct.c2.residues, lazy=True)
+        return key_switch(self.context, d_ntt, relin.pairs, (ct.c0, ct.c1))
 
     def relinearize_grouped(self, ct: Ciphertext, relin) -> Ciphertext:
         """ReLin with grouped RNS digits (60-bit group residues).
@@ -215,7 +209,7 @@ class Evaluator:
         digits = grouped_rns_digits(context.q_basis, ct.c2.residues,
                                     relin.group_size)
         return key_switch(context, context._ntt_rows(digits), relin.pairs,
-                          (ct.c0, ct.c1), resident=False)
+                          (ct.c0, ct.c1))
 
     def relinearize_digit(self, ct: Ciphertext, relin) -> Ciphertext:
         """ReLin with the signed base-w digit key (slow coprocessor).
@@ -244,18 +238,14 @@ class Evaluator:
             for digits in digit_polys
         ])
         return key_switch(context, context._ntt_rows(digit_rows),
-                          relin.pairs, (ct.c0, ct.c1), resident=False)
+                          relin.pairs, (ct.c0, ct.c1))
 
     def multiply(self, a: Ciphertext | Lifted, b: Ciphertext | Lifted,
-                 relin: RelinKey, resident: bool = False) -> Ciphertext:
-        """Full FV.Mult as in paper Fig. 2 (tensor, scale, relinearise).
-
-        ``resident=True`` asks for an NTT-resident product (the
-        relinearisation fold stays in the evaluation domain); the
-        inputs may arrive in either domain — resident inputs take the
-        evaluation-domain base extension and never round-trip through
-        coefficients — or as the :class:`Lifted` rows of an earlier
-        :meth:`lift`.
+                 relin: RelinKey, resident: object = None) -> Ciphertext:
+        """Full FV.Mult as in paper Fig. 2 (tensor, scale, relinearise):
+        evaluation-domain operands (or the :class:`Lifted` rows of an
+        earlier :meth:`lift`) in, an evaluation-domain product out.
+        ``resident`` is a ledger shim, accepted and ignored:
+        benchmarks/ledger/probes.py (``fv.multiply_ms``) still passes it.
         """
-        return self.relinearize(self.multiply_raw(a, b), relin,
-                                resident=resident)
+        return self.relinearize(self.multiply_raw(a, b), relin)

@@ -217,7 +217,7 @@ class GaloisEngine:
         }
 
     def summation_keygen(self, secret: SecretKey) -> dict:
-        """All keys :meth:`sum_all_slots_resident` needs, labelled as
+        """All keys :meth:`sum_all_slots` needs, labelled as
         :func:`summation_rounds` labels them."""
         return {
             label: self.keygen(secret, g)
@@ -227,34 +227,34 @@ class GaloisEngine:
     # -- homomorphic application -----------------------------------------------------
 
     def _tau(self, poly: RnsPoly, g: int) -> RnsPoly:
-        """tau_g of one part, in the domain it lives in: a free column
-        gather of NTT evaluations, a signed permutation of
-        coefficients."""
-        n = self.context.params.n
-        basis = self.context.q_basis
-        if poly.ntt_domain:
-            return RnsPoly.trusted(
-                basis, poly.residues[:, slot_permutation(n, g)],
-                ntt_domain=True)
+        """tau_g of one evaluation-domain part: a free column gather of
+        its NTT evaluations."""
         return RnsPoly.trusted(
-            basis, apply_galois_rows(poly.residues, basis.primes_col, n, g))
+            self.context.q_basis,
+            poly.residues[:, slot_permutation(self.context.params.n, g)],
+            ntt_domain=True)
 
     def _c1_coefficients(self, ct: Ciphertext) -> np.ndarray:
         """c1's coefficient rows — what the raw-residue digits of every
-        key switch decompose (one inverse transform when resident)."""
+        key switch decompose (one inverse transform)."""
         if ct.size != 2:
             raise ParameterError("apply_galois expects a 2-part ciphertext")
-        return (self.context._intt_rows(ct.c1.residues)
-                if ct.c1.ntt_domain else ct.c1.residues)
+        ct.require_ntt("a Galois key switch")
+        return self.context._intt_rows(ct.c1.residues)
 
-    def _apply(self, ct: Ciphertext, key: GaloisKey,
-               resident: bool) -> Ciphertext:
-        """tau_g on (c0, c1), key-switched back under s.
+    def apply(self, ct: Ciphertext, key: GaloisKey) -> Ciphertext:
+        """tau_g on (c0, c1), key-switched back under s (the HEAX
+        schedule).
 
-        Fused WordDecomp + NTT on tau(c1)'s raw coefficient rows — all
-        digits share one stage-0 dgemm, outputs lazy in [0, 2q) — then
-        the one :func:`~repro.fv.keyswitch.key_switch`, which adds the
-        first accumulator into tau(c0) in the requested domain.
+        tau_g on c0 is a free column permutation of its NTT
+        evaluations; only c1 is inverse-transformed (its raw-residue
+        digits live in the coefficient domain). Fused WordDecomp + NTT
+        on tau(c1)'s raw coefficient rows — all digits share one
+        stage-0 dgemm, outputs lazy in [0, 2q) — then the one
+        :func:`~repro.fv.keyswitch.key_switch`, which adds the first
+        accumulator into tau(c0). The accumulators are born in the
+        evaluation domain and stay there: one inverse transform per
+        rotation.
         """
         context = self.context
         params = context.params
@@ -265,26 +265,12 @@ class GaloisEngine:
             d_ntt = batch.ntt_broadcast_rows(params.q_primes, tau_c1,
                                              lazy=True)
         return key_switch(context, d_ntt, key.pairs,
-                          (self._tau(ct.c0, key.element),), resident)
+                          (self._tau(ct.c0, key.element),))
 
-    def apply(self, ct: Ciphertext, key: GaloisKey) -> Ciphertext:
-        """tau_g on a two-part ciphertext, coefficient-domain result."""
-        return self._apply(ct, key, resident=False)
+    #: Ledger shim: benchmarks/ledger/probes.py times fv.rotate_ms by this name.
+    apply_resident = apply
 
-    def apply_resident(self, ct: Ciphertext, key: GaloisKey) -> Ciphertext:
-        """tau_g keeping the result NTT-resident (the HEAX schedule).
-
-        tau_g on a resident c0 is a free column permutation of its NTT
-        evaluations; only c1 is inverse-transformed (its raw-residue
-        digits live in the coefficient domain), and the key-switch
-        accumulators — already NTT-domain — are *not* transformed back.
-        Per rotation that is one inverse transform instead of two, and
-        chained rotations/additions stay in the evaluation domain
-        end to end.
-        """
-        return self._apply(ct, key, resident=True)
-
-    def apply_many_resident(self, ct: Ciphertext, keys: dict) -> dict:
+    def apply_many(self, ct: Ciphertext, keys: dict) -> dict:
         """Hoisted key switches: one digit transform shared by every
         key of ``keys`` (label -> key; results come back by label).
 
@@ -293,12 +279,12 @@ class GaloisEngine:
         rotation then costs a free column permutation of the shared
         digit evaluations (NTT(tau_g(x)) is NTT(x) gathered through
         :func:`slot_permutation`) plus the cheap multiply-accumulate
-        fold against its own key. Results are NTT-resident.
+        fold against its own key.
 
         The permuted digits represent tau_g of each digit polynomial
         with *signed* coefficients — congruent mod every q_i to the
-        non-negative digits :meth:`apply_resident` decomposes, with the
-        same (centred, slightly tighter) noise bound, so results are
+        non-negative digits :meth:`apply` decomposes, with the same
+        (centred, slightly tighter) noise bound, so results are
         decrypt-equivalent to per-rotation application but not
         bit-identical to it.
         """
@@ -308,12 +294,11 @@ class GaloisEngine:
             d_ntt = batch.ntt_broadcast_rows(
                 context.params.q_primes, self._c1_coefficients(ct),
                 lazy=True)
-        c0 = ct.c0 if ct.c0.ntt_domain else ct.c0.to_ntt()
         return {
             label: key_switch(
                 context,
                 np.take(d_ntt, slot_permutation(n, key.element), axis=2),
-                key.pairs, (self._tau(c0, key.element),), resident=True)
+                key.pairs, (self._tau(ct.c0, key.element),))
             for label, key in keys.items()
         }
 
@@ -323,12 +308,10 @@ class GaloisEngine:
             raise ParameterError(f"no rotation key for {steps} steps")
         return self.apply(ct, keys[steps])
 
-    def sum_all_slots_resident(self, ct: Ciphertext,
-                               keys: dict) -> Ciphertext:
-        """NTT-resident hoisted rotate-and-add: every slot ends up
-        holding the total.
+    def sum_all_slots(self, ct: Ciphertext, keys: dict) -> Ciphertext:
+        """Hoisted rotate-and-add: every slot ends up holding the total.
 
-        One :meth:`apply_many_resident` per round of
+        One :meth:`apply_many` per round of
         :func:`summation_rounds`: the round's three key switches (one
         for a trailing radix-2 round) share a single digit
         decomposition — one inverse transform of c1 and one broadcast
@@ -347,9 +330,9 @@ class GaloisEngine:
         if missing:
             raise ParameterError(
                 f"no summation key for {sorted(missing, key=str)}")
-        result = context.to_ntt_ct(ct)
+        result = ct
         for elements in schedule:
-            switched = self.apply_many_resident(
+            switched = self.apply_many(
                 result, {label: keys[label] for label in elements})
             terms = (result, *switched.values())
             result = Ciphertext(
@@ -364,3 +347,6 @@ class GaloisEngine:
                 context.params,
             )
         return result
+
+    #: Ledger shim: benchmarks/ledger/probes.py times fv.sum_slots_ms by this name.
+    sum_all_slots_resident = sum_all_slots

@@ -30,7 +30,7 @@ LAZY_WINDOW = 4
 
 
 def key_switch(context: FvContext, d_ntt: np.ndarray, pairs,
-               parts: tuple[RnsPoly, ...], resident: bool) -> Ciphertext:
+               parts: tuple[RnsPoly, ...]) -> Ciphertext:
     """Fold NTT-domain digits against ``pairs`` and add into ``parts``.
 
     ``d_ntt`` is the ``(digits, k_q, n)`` stack of transformed digits
@@ -39,16 +39,14 @@ def key_switch(context: FvContext, d_ntt: np.ndarray, pairs,
     ``sum_i d_i * b_i`` and ``sum_i d_i * a_i`` are formed per channel
     band, reduced every :data:`LAZY_WINDOW` terms.
 
-    The result is the two-part ciphertext ``(parts[0] + acc0,
-    parts[1] + acc1)`` in the requested domain: evaluation-domain when
-    ``resident`` (the accumulators are born there, so a resident chain
-    never visits coefficients), coefficient-domain otherwise (one
-    stacked inverse transform of both accumulators — the ordering behind
-    the paper's 14 NTT + 8 INTT instruction counts). ``parts`` may
-    arrive in either domain, part by part; those living in the other
-    domain are brought over by one stacked transform before the add.
-    A Galois switch passes ``(tau(c0),)`` only — tau(c1) went into the
-    digits, so the second accumulator is the new c1 as it stands.
+    The result is the evaluation-domain two-part ciphertext
+    ``(parts[0] + acc0, parts[1] + acc1)``: the accumulators are born
+    there, so no inverse transform runs. Relinearisation's ``(c0, c1)``
+    arrive as Scale left them, in the coefficient domain, and are
+    brought over by one stacked forward transform before the add. A
+    Galois switch passes ``(tau(c0),)`` only, already evaluation-domain
+    — tau(c1) went into the digits, so the second accumulator is the
+    new c1 as it stands.
     """
     if len(pairs) != d_ntt.shape[0]:
         raise ParameterError(
@@ -75,15 +73,8 @@ def key_switch(context: FvContext, d_ntt: np.ndarray, pairs,
 
         map_bands("fold.band", fold, d_ntt.shape[1], work=d_ntt.size)
         rows = [part.residues for part in parts]
-        moving = [i for i, part in enumerate(parts)
-                  if part.ntt_domain != resident]
-        if moving:
-            transform = context._ntt_rows if resident else context._intt_rows
-            moved = transform(np.stack([rows[i] for i in moving]))
-            for i, converted in zip(moving, moved, strict=True):
-                rows[i] = converted
-        if not resident:
-            acc = list(context._intt_rows(np.stack(acc)))
+        if not parts[0].ntt_domain:
+            rows = list(context._ntt_rows(np.stack(rows)))
         for i, part_rows in enumerate(rows):
             # Sums of two canonical rows are < 2q: one unsigned-minimum
             # conditional subtract instead of an integer division.
@@ -92,7 +83,7 @@ def key_switch(context: FvContext, d_ntt: np.ndarray, pairs,
             np.minimum(acc[i].view(np.uint64), over.view(np.uint64),
                        out=acc[i].view(np.uint64))
         return Ciphertext(
-            tuple(RnsPoly.trusted(context.q_basis, r, ntt_domain=resident)
+            tuple(RnsPoly.trusted(context.q_basis, r, ntt_domain=True)
                   for r in acc),
             context.params,
         )

@@ -54,8 +54,10 @@ class TextbookFv:
     # -- conversions from the RNS world ------------------------------------------
 
     def poly_from_rns(self, rns_poly) -> IntPoly:
-        """Exact CRT image of an RNS polynomial."""
-        return IntPoly(tuple(rns_poly.to_int_coeffs()), self.params.q)
+        """Exact CRT image of an RNS polynomial's coefficients (an
+        evaluation-domain one is inverse-transformed first)."""
+        return IntPoly(tuple(rns_poly.to_coeff().to_int_coeffs()),
+                       self.params.q)
 
     def ciphertext_from_rns(self, ct: Ciphertext) -> tuple[IntPoly, ...]:
         return tuple(self.poly_from_rns(part) for part in ct.parts)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from ..nttmath.batch import count_roundtrip, intt_rows, ntt_rows
+from ..nttmath.batch import intt_rows, ntt_rows
 from ..obs import maybe_span
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
@@ -57,40 +57,6 @@ class FvContext:
     def _intt_rows(self, values: np.ndarray) -> np.ndarray:
         """Batched inverse NTT over the q basis ((k, n) or (j, k, n))."""
         return intt_rows(self.params.q_primes, values)
-
-    def to_ntt_ct(self, ct: Ciphertext) -> Ciphertext:
-        """NTT-resident copy of a ciphertext (per-part forward NTT).
-
-        Already-resident parts are reused as-is, so repeated calls are
-        free — this is what keeps :class:`~repro.api.backends.LocalBackend`
-        chains in the evaluation domain.
-        """
-        if all(part.ntt_domain for part in ct.parts):
-            return ct
-        parts = tuple(
-            part if part.ntt_domain else part.to_ntt() for part in ct.parts
-        )
-        return Ciphertext(parts, ct.params)
-
-    def to_coeff_ct(self, ct: Ciphertext) -> Ciphertext:
-        """Coefficient-domain copy of a ciphertext (per-part inverse NTT).
-
-        Every conversion is recorded as a *round trip* on the
-        transform instrument (:func:`~repro.nttmath.batch.count_roundtrip`):
-        an NTT-resident operand forced back to coefficients is exactly
-        the waste the resident executor exists to avoid, so a zero
-        ``roundtrip_calls`` reading over a program run is the telemetry
-        proof that the resident loop stayed closed.
-        """
-        resident = [part for part in ct.parts if part.ntt_domain]
-        if not resident:
-            return ct
-        count_roundtrip(sum(part.residues.shape[0] for part in resident))
-        parts = tuple(
-            part.to_coeff() if part.ntt_domain else part
-            for part in ct.parts
-        )
-        return Ciphertext(parts, ct.params)
 
     def _small_poly_rows(self, coeffs: np.ndarray) -> np.ndarray:
         """Residues of a polynomial with small signed coefficients."""
@@ -206,40 +172,34 @@ class FvContext:
     # -- encryption / decryption -------------------------------------------------------
 
     def encrypt(self, plain: Plaintext, public: PublicKey, *,
-                resident: bool = False) -> Ciphertext:
-        """FV.Encrypt with fresh randomness from the context RNG.
+                resident: object = None) -> Ciphertext:
+        """FV.Encrypt with fresh randomness from the context RNG, born
+        in the evaluation domain (see :meth:`encrypt_with`).
 
-        With ``resident=True`` the ciphertext is born NTT-resident (see
-        :meth:`encrypt_with`) — the entry point of the end-to-end
-        resident pipeline.
+        ``resident`` is a ledger shim, accepted and ignored:
+        benchmarks/ledger/probes.py still passes it.
         """
         params = self.params
         u = uniform_ternary(self.rng, params.n)
         e1 = discrete_gaussian(self.rng, params.n, params.sigma)
         e2 = discrete_gaussian(self.rng, params.n, params.sigma)
-        return self.encrypt_with(plain, public, u, e1, e2,
-                                 resident=resident)
+        return self.encrypt_with(plain, public, u, e1, e2)
 
     def encrypt_with(self, plain: Plaintext, public: PublicKey,
                      u: np.ndarray, e1: np.ndarray,
-                     e2: np.ndarray, *,
-                     resident: bool = False) -> Ciphertext:
+                     e2: np.ndarray) -> Ciphertext:
         """Deterministic encryption from caller-supplied randomness.
 
         Exposed so tests can feed identical randomness to this RNS path
-        and to the textbook big-integer path and compare ciphertexts
-        bit-for-bit.
+        and to the textbook big-integer path
+        (:class:`~repro.fv.reference.TextbookFv`) and compare
+        ciphertexts bit-for-bit.
 
-        ``resident=True`` keeps the public-key products in the
-        evaluation domain: the masks ``p0*u`` / ``p1*u`` stay as the
-        pointwise products the key material already lives in, and the
-        noise/message terms join them through one stacked forward
-        transform — so a fresh ciphertext is *born* NTT-resident with
-        no inverse transform at all (three forward row-sets in one
-        call, versus one forward plus two inverse on the legacy path).
-        Because every transform is exact, converting the resident
-        ciphertext back to the coefficient domain yields bit-for-bit
-        the legacy ciphertext for the same randomness.
+        The ciphertext is born in the evaluation domain: the masks
+        ``p0*u`` / ``p1*u`` stay as the pointwise products the public
+        key already lives in, and the mask polynomial and the
+        noise/message terms share one stacked forward transform —
+        three forward row-sets, no inverse transform.
         """
         params = self.params
         if plain.t != params.t or plain.n != params.n:
@@ -250,33 +210,16 @@ class FvContext:
         m_rows = plain.coeffs[None, :] % primes_col
         delta_m = (self.delta_rows * m_rows) % primes_col
         u_rows = self._small_poly_rows(np.asarray(u))
-        if resident:
-            # One stacked forward transform for the mask polynomial and
-            # both additive terms; the pk products never leave the
-            # evaluation domain.
-            u_ntt, x0_ntt, e2_ntt = self._ntt_rows(np.stack([
-                u_rows,
-                (e1_rows + delta_m) % primes_col,
-                e2_rows,
-            ]))
-            c0 = (public.p0_ntt * u_ntt + x0_ntt) % primes_col
-            c1 = (public.p1_ntt * u_ntt + e2_ntt) % primes_col
-            return Ciphertext(
-                (RnsPoly.trusted(self.q_basis, c0, ntt_domain=True),
-                 RnsPoly.trusted(self.q_basis, c1, ntt_domain=True)),
-                params,
-            )
-        u_ntt = self._ntt_rows(u_rows)
-        # One stacked inverse transform for both mask polynomials.
-        p0_u, p1_u = self._intt_rows(np.stack([
-            (public.p0_ntt * u_ntt) % primes_col,
-            (public.p1_ntt * u_ntt) % primes_col,
+        u_ntt, x0_ntt, e2_ntt = self._ntt_rows(np.stack([
+            u_rows,
+            (e1_rows + delta_m) % primes_col,
+            e2_rows,
         ]))
-        c0 = (p0_u + e1_rows + delta_m) % primes_col
-        c1 = (p1_u + e2_rows) % primes_col
+        c0 = (public.p0_ntt * u_ntt + x0_ntt) % primes_col
+        c1 = (public.p1_ntt * u_ntt + e2_ntt) % primes_col
         return Ciphertext(
-            (RnsPoly.trusted(self.q_basis, c0),
-             RnsPoly.trusted(self.q_basis, c1)),
+            (RnsPoly.trusted(self.q_basis, c0, ntt_domain=True),
+             RnsPoly.trusted(self.q_basis, c1, ntt_domain=True)),
             params,
         )
 
@@ -286,28 +229,17 @@ class FvContext:
     def phase_rows(self, ct: Ciphertext, secret: SecretKey) -> np.ndarray:
         """Coefficient rows over q of ``w = c0 + c1*s (+ c2*s^2)``.
 
-        Computed in the NTT domain per residue. NTT-resident parts skip
-        their forward transform entirely — decrypting a resident result
-        is cheaper than decrypting a coefficient-domain one — and the
-        remaining coefficient-domain parts share one stacked batched
-        call (the same gemm flow encryption uses).
+        Computed in the NTT domain per residue: an evaluation-domain
+        ciphertext enters as it is, a coefficient-domain one (a
+        three-part raw product, an ``hw`` result) through one stacked
+        forward transform.
         """
         primes_col = self.q_basis.primes_col
-        pending = [i for i, part in enumerate(ct.parts)
-                   if not part.ntt_domain]
-        parts_ntt: dict[int, np.ndarray] = {
-            i: ct.parts[i].residues for i in range(ct.size)
-            if ct.parts[i].ntt_domain
-        }
-        if pending:
-            transformed = self._ntt_rows(np.stack(
-                [ct.parts[i].residues for i in pending]
-            ))
-            parts_ntt.update(zip(pending, transformed, strict=True))
-        acc = parts_ntt[0]
+        parts = [part.residues for part in ct.to_ntt().parts]
+        acc = parts[0]
         s_power = secret.ntt_rows
-        for index in range(1, ct.size):
-            acc = (acc + parts_ntt[index] * s_power) % primes_col
+        for part in parts[1:]:
+            acc = (acc + part * s_power) % primes_col
             s_power = (s_power * secret.ntt_rows) % primes_col
         return self._intt_rows(acc)
 
@@ -332,38 +264,17 @@ class FvContext:
 
     # -- additive homomorphic operations -----------------------------------------------
 
-    def _align_domains(self, a: Ciphertext,
-                       b: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
-        """Bring two ciphertexts into a common domain for linear ops.
-
-        Mixed operands converge on the NTT domain (addition commutes
-        with the transform), which keeps NTT-resident execution chains
-        resident when a fresh coefficient-domain operand joins in.
-        """
-        a_resident = a.c0.ntt_domain
-        b_resident = b.c0.ntt_domain
-        if a_resident == b_resident:
-            return a, b
-        if a_resident:
-            return a, self.to_ntt_ct(b)
-        return self.to_ntt_ct(a), b
-
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """FV.Add: element-wise addition of ciphertext parts.
-
-        Works in either domain (the NTT is linear); mixed-domain
-        operands are aligned onto the NTT domain first.
-        """
+        """FV.Add: element-wise addition of ciphertext parts (the NTT is
+        linear, so it runs in whichever domain both operands share)."""
         if a.size != b.size:
             raise ParameterError("cannot add ciphertexts of different sizes")
-        a, b = self._align_domains(a, b)
         parts = tuple(pa + pb for pa, pb in zip(a.parts, b.parts, strict=True))
         return Ciphertext(parts, self.params)
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         if a.size != b.size:
             raise ParameterError("cannot subtract ciphertexts of different sizes")
-        a, b = self._align_domains(a, b)
         parts = tuple(pa - pb for pa, pb in zip(a.parts, b.parts, strict=True))
         return Ciphertext(parts, self.params)
 
@@ -385,58 +296,38 @@ class FvContext:
                   delta_m_ntt: np.ndarray | None = None) -> Ciphertext:
         """Add an unencrypted plaintext into a ciphertext (free operation).
 
-        NTT-resident ciphertexts stay resident: ``Delta * m`` is added
-        in the evaluation domain (``delta_m_ntt`` lets the session's
-        plaintext-constant pool supply the transform).
+        ``Delta * m`` is added in the evaluation domain (``delta_m_ntt``
+        lets the session's plaintext-constant pool supply its
+        transform).
         """
-        primes_col = self.q_basis.primes_col
-        if a.c0.ntt_domain:
-            if delta_m_ntt is None:
-                delta_m_ntt = self._ntt_rows(self.delta_plain_rows(plain))
-            c0 = RnsPoly.trusted(
-                self.q_basis,
-                (a.c0.residues + delta_m_ntt) % primes_col,
-                ntt_domain=True,
-            )
-        else:
-            c0 = RnsPoly.trusted(
-                self.q_basis,
-                (a.c0.residues + self.delta_plain_rows(plain)) % primes_col,
-            )
+        a.require_ntt("add_plain")
+        if delta_m_ntt is None:
+            delta_m_ntt = self._ntt_rows(self.delta_plain_rows(plain))
+        c0 = RnsPoly.trusted(
+            self.q_basis,
+            (a.c0.residues + delta_m_ntt) % self.q_basis.primes_col,
+            ntt_domain=True,
+        )
         return Ciphertext((c0,) + a.parts[1:], self.params)
 
     def mul_plain(self, a: Ciphertext, plain: Plaintext,
                   m_ntt: np.ndarray | None = None) -> Ciphertext:
         """Multiply a ciphertext by a plaintext polynomial (no relin needed).
 
-        The product is computed in the NTT domain. Coefficient-domain
-        inputs are transformed (one stacked call for all parts) and
-        converted back, preserving the legacy contract; NTT-resident
-        inputs stay resident and pay only the pointwise products —
-        the big win of the NTT-resident executor, especially when
-        ``m_ntt`` comes from the session's plaintext-constant pool.
+        Pointwise products in the evaluation domain, where the
+        ciphertext lives; ``m_ntt`` lets the session's plaintext-constant
+        pool supply the plaintext's transform.
         """
-        primes_col = self.q_basis.primes_col
+        a.require_ntt("mul_plain")
         if m_ntt is None:
             m_ntt = self.plain_ntt_rows(plain)
-        resident = a.c0.ntt_domain
-        stacked = np.stack([part.residues for part in a.parts])
-        parts_ntt = stacked if resident else self._ntt_rows(stacked)
-        products = (parts_ntt * m_ntt) % primes_col
-        if resident:
-            return Ciphertext(
-                tuple(
-                    RnsPoly.trusted(self.q_basis, products[i],
-                                    ntt_domain=True)
-                    for i in range(a.size)
-                ),
-                self.params,
-            )
-        coeff = self._intt_rows(products)
+        primes_col = self.q_basis.primes_col
         return Ciphertext(
             tuple(
-                RnsPoly.trusted(self.q_basis, coeff[i])
-                for i in range(a.size)
+                RnsPoly.trusted(self.q_basis,
+                                (part.residues * m_ntt) % primes_col,
+                                ntt_domain=True)
+                for part in a.parts
             ),
             self.params,
         )

@@ -410,7 +410,12 @@ class Coprocessor:
 
 
 def _operands(**ciphertexts: Ciphertext) -> dict[str, np.ndarray | int]:
-    """Register image of named ciphertexts: ``a`` -> ``a0``, ``a1``, ..."""
-    return {f"{name}{i}": part.residues
+    """Register image of named ciphertexts: ``a`` -> ``a0``, ``a1``, ...
+
+    The model's programs load coefficient registers, so the DMA boundary
+    takes the coefficient rows of an evaluation-domain part (one inverse
+    transform per part) and a coefficient part as it is.
+    """
+    return {f"{name}{i}": part.to_coeff().residues
             for name, ct in ciphertexts.items()
             for i, part in enumerate(ct.parts)}

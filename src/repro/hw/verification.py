@@ -92,9 +92,12 @@ def run_campaign(params: ParameterSet | None = None,
             expected = ((a.coeffs + b.coeffs) % params.t).tolist()
         result.operations += 1
 
+        # The model's registers hold coefficients; the evaluator's
+        # result lives in the evaluation domain.
         bit_exact = all(
             np.array_equal(h.residues, s.residues)
-            for h, s in zip(hw_ct.parts, sw_ct.parts, strict=True)
+            for h, s in zip(hw_ct.parts, sw_ct.to_coeff().parts,
+                            strict=True)
         )
         if bit_exact:
             result.bit_exact_matches += 1

@@ -9,11 +9,11 @@ DMA layout of :meth:`repro.fv.ciphertext.Ciphertext.to_wire_bytes`.
 
 Ciphertext headers are versioned. Version 2 adds the **NTT-domain wire
 format**: a ``domain`` flag (``"coeff"`` or ``"ntt"``) plus a payload
-digest bound to that flag, so server-resident operands serialise
-without an inverse transform and reload straight into the evaluation
-domain — and a coefficient-domain payload whose header was mislabelled
-as resident (or vice versa) is rejected instead of silently decrypted
-as garbage. Version 2 is the only version read: a header whose
+digest bound to that flag. Ciphertexts live in the evaluation domain,
+so they serialise without an inverse transform and reload as they
+were; a coefficient payload from outside is transformed forward once,
+at load — and a payload whose domain flag was mislabelled is rejected
+instead of silently decrypted as garbage. Version 2 is the only version read: a header whose
 ``version`` is missing, older or newer is rejected, so no file can
 bypass the digest and domain checks by losing a header field.
 """
@@ -52,7 +52,7 @@ def _payload_digest(domain: str, payload: bytes) -> str:
     """Short digest binding the payload bytes to their declared domain.
 
     Editing the header's domain flag without recomputing the digest —
-    the "mislabelled resident payload" corruption — therefore fails
+    the "mislabelled domain" corruption — therefore fails
     closed at load time.
     """
     digest = hashlib.sha256()
@@ -139,12 +139,12 @@ def _read(path: Path) -> tuple[dict, bytes]:
 
 
 def save_ciphertext(path, ct: Ciphertext) -> None:
-    """Persist a ciphertext in its *current* domain (version-2 wire).
+    """Persist a ciphertext as it is (version-2 wire).
 
-    NTT-resident ciphertexts serialise as-is — no inverse transform —
-    with ``domain: "ntt"`` in the header; coefficient-domain ones write
-    ``domain: "coeff"``. Mixed-domain ciphertexts are rejected by
-    :meth:`~repro.fv.ciphertext.Ciphertext.to_wire_bytes`.
+    A two-part ciphertext lives in the evaluation domain and serialises
+    with ``domain: "ntt"`` and no inverse transform; a three-part raw
+    product is Scale's coefficient output and writes ``domain:
+    "coeff"``.
     """
     payload = ct.to_wire_bytes()
     domain = ct.domain
@@ -160,6 +160,9 @@ def save_ciphertext(path, ct: Ciphertext) -> None:
 
 
 def load_ciphertext(path, params: ParameterSet) -> Ciphertext:
+    """Load a version-2 ciphertext file. The door: a two-part
+    coefficient payload is transformed into the evaluation domain here,
+    once (:meth:`~repro.fv.ciphertext.Ciphertext.to_ntt`)."""
     header, payload = _read(Path(path))
     if header.get("kind") != "ciphertext":
         raise EncodingError("file does not hold a ciphertext")
@@ -190,7 +193,7 @@ def load_ciphertext(path, params: ParameterSet) -> Ciphertext:
             f"ciphertext payload holds {ct.size} parts but the header "
             f"declares {declared} — truncated or corrupted file"
         )
-    return ct
+    return ct.to_ntt() if ct.size == 2 else ct
 
 
 # -- keys -----------------------------------------------------------------------------
@@ -385,7 +388,7 @@ def load_galois_keys(path, params: ParameterSet) -> dict:
     Integer labels come back as ``int`` (rotation steps); the
     ``"conjugate"`` and ``"conjugate_quarter"`` labels stay strings —
     the mapping plugs straight into ``GaloisEngine.rotate`` /
-    ``sum_all_slots_resident``. Every digit is checked against its
+    ``sum_all_slots``. Every digit is checked against its
     NTT-domain digest and range, comes back as the ``uint32`` rows the
     engine holds, and no transform runs.
     """

@@ -87,8 +87,7 @@ TRANSFORM_COUNTER = _obs_counter(
     "repro_ntt_transforms_total",
     "NTT engine transform work: rows = single-polynomial row "
     "transforms (the unit one RPAU performs), calls = batched engine "
-    "invocations, roundtrip = resident operands forced back to "
-    "coefficients.",
+    "invocations.",
     labels=("kind",),
 )
 """The transform instrument, registered in :mod:`repro.obs`.
@@ -99,36 +98,16 @@ or concurrent backend its own counter plane, which is what makes
 :func:`reset_transform_counts` safe to call without corrupting a
 sibling's telemetry (the pre-registry global counter hazard). The
 counters drive :class:`~repro.api.backends.LocalBackend` telemetry,
-which is how the tests prove the NTT-resident executor really does
-eliminate redundant transforms.
+which is how the tests pin the transform rows each op and program pays.
 """
 
 _TRANSFORM_KEYS = ("forward_rows", "inverse_rows", "forward_calls",
-                   "inverse_calls", "roundtrip_rows", "roundtrip_calls")
+                   "inverse_calls")
 
 
 def _count_transform(direction: str, rows: int) -> None:
     TRANSFORM_COUNTER.inc(rows, kind=f"{direction}_rows")
     TRANSFORM_COUNTER.inc(1, kind=f"{direction}_calls")
-
-
-def count_roundtrip(rows: int) -> None:
-    """Record a resident -> coefficient round trip (``rows`` rows).
-
-    A *round trip* is the specific waste the resident executor exists
-    to eliminate: an NTT-resident operand forced back to coefficient
-    representation (whose coefficients will then have to be transformed
-    forward again by any evaluation-domain consumer). The evaluator's
-    *internal* inverse transforms — the stacked INTT folded into the
-    lift, the keyswitch accumulator INTT on a coefficient-domain
-    output — are part of the algorithms themselves and are **not**
-    round trips. :meth:`FvContext.to_coeff_ct` reports here, so a
-    zero ``roundtrip_calls`` reading across a program run is the
-    telemetry proof that no resident operand ever left the evaluation
-    domain.
-    """
-    TRANSFORM_COUNTER.inc(rows, kind="roundtrip_rows")
-    TRANSFORM_COUNTER.inc(1, kind="roundtrip_calls")
 
 
 def transform_counts() -> dict[str, int]:
@@ -357,6 +336,22 @@ class BasisTransformer:
         self._fwd = _GemmPlan.build(self.primes, n, geometry, inverse=False)
         self._inv = _GemmPlan.build(self.primes, n, geometry, inverse=True)
         self._scaled_inv: dict[tuple[int, ...], _GemmPlan] = {}
+
+    def subset(self, c0: int, c1: int) -> BasisTransformer:
+        """The transformer of channels ``[c0, c1)``: views of this
+        basis's tables (:meth:`_GemmPlan.subset`), never a second table
+        set. Lift q->Q transforms its new channels on the full basis's
+        ``[k_q:]`` view."""
+        view = object.__new__(BasisTransformer)
+        view.primes = self.primes[c0:c1]
+        view.n = self.n
+        view.geometry = self.geometry
+        view.k = len(view.primes)
+        view.primes_col = self.primes_col[c0:c1]
+        view._fwd = self._fwd.subset(c0, c1)
+        view._inv = self._inv.subset(c0, c1)
+        view._scaled_inv = {}
+        return view
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BasisTransformer(k={self.k}, n={self.n}, "

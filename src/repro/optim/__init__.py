@@ -11,7 +11,7 @@ or, through the facade, ``session.compile(handle, optimize=True)``.
 The stack rewrites for the costs that dominate the paper's
 coprocessor — keyswitch operations (rotations, relinearisations,
 sum-all-slots ladders) and redundant subexpressions — and records a
-rotation-hoisting plan the NTT-resident executor uses to share digit
+rotation-hoisting plan the local executor uses to share digit
 transforms across rotations of one source.
 """
 

@@ -25,7 +25,7 @@ The default stack (see :func:`repro.optim.default_passes`):
   single-consumer products are computed on three-part intermediates
   and folded back with **one** deferred RELINEARIZE at the root.
 * :class:`RotationHoistPass` — analysis pass that groups distinct-step
-  rotations of one source so the resident executor computes the shared
+  rotations of one source so the local executor computes the shared
   digit-decomposition NTT once per group (Halevi–Shoup hoisting).
 """
 
@@ -383,8 +383,8 @@ class RotationHoistPass(Pass):
     several of them read the *same* source, the expensive half of each
     keyswitch — the digit decomposition's stacked forward NTT — is a
     function of the source alone. The groups recorded here let the
-    resident executor run
-    :meth:`~repro.fv.galois.GaloisEngine.apply_many_resident`: one
+    local executor run
+    :meth:`~repro.fv.galois.GaloisEngine.apply_many`: one
     digit transform for the whole group, one cheap per-step fold each
     (Halevi–Shoup hoisting).
     """

@@ -22,8 +22,6 @@ check both against exact big-integer CRT.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..errors import ParameterError
@@ -144,37 +142,32 @@ def _lift_tail_gemm(context: LiftContext, x_prime: np.ndarray,
 
 
 def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
-                 lazy: bool = True,
-                 ntt_domain: Sequence[bool] | None = None) -> np.ndarray:
-    """HPS base extension into the evaluation domain: NTT rows out.
+                 lazy: bool = True) -> np.ndarray:
+    """HPS base extension in the evaluation domain: NTT rows in and out.
 
     ``rows`` is a ``(k_s, n)`` matrix (or ``(j, k_s, n)`` stack) of
-    residues over the source basis; the result holds the *NTT-domain*
-    residues of the lifted representative over every target prime.
-    ``ntt_domain`` says, part by part, which domain the rows arrive in
-    (as :attr:`RnsPoly.ntt_domain` does; default: all NTT-domain). Two
-    facts shape the datapath:
+    NTT-domain residues over the source basis; the result holds the
+    NTT-domain residues of the lifted representative over every target
+    prime. Two facts shape the datapath:
 
     * the Fig. 6 Block-1 input ``x'_i = x_i q~_i mod q_i`` is the only
-      coefficient-domain quantity the lift needs. For NTT-domain parts
-      it comes out of ONE stacked inverse transform with the ``q~_i``
-      constants folded into the inverse gemm plan's twiddle tables
-      (:func:`~repro.nttmath.batch.intt_rows_scaled`); for
-      coefficient-domain parts it is an element-wise multiply;
+      coefficient-domain quantity the lift needs. It comes out of ONE
+      stacked inverse transform with the ``q~_i`` constants folded into
+      the inverse gemm plan's twiddle tables
+      (:func:`~repro.nttmath.batch.intt_rows_scaled`);
     * the lifted representative is congruent to x modulo every source
       prime, and the target basis must start with the source primes
       (Lift q->Q always does; any other context is a
       :class:`ParameterError`), so the target's leading channels *are*
-      the input rows, in whichever domain they arrived.
+      the input rows.
 
-    Either way the Blocks 2-5 gemm then fills the genuinely new target
-    channels, as coefficient-column bands, and one stacked forward
-    transform finishes: of the new channels only for NTT-domain parts
-    (their leading channels pass through untouched — no coefficient
-    round trip), of every channel for coefficient-domain parts. A stack
-    mixing both is lifted as two stacks. ``lazy`` sets the forward
-    transform's output bound the way :meth:`BasisTransformer.forward`
-    does.
+    The Blocks 2-5 gemm then fills the genuinely new target channels,
+    as coefficient-column bands, and one stacked forward transform
+    finishes them on the target basis's ``[k_s:]`` channel view
+    (:meth:`~repro.nttmath.batch.BasisTransformer.subset`), so the new
+    channels share the target basis's tables. ``lazy`` sets that
+    transform's output bound the way
+    :meth:`~repro.nttmath.batch.BasisTransformer.forward` does.
     """
     basis = context.source
     if context.source_prefix != basis.size:
@@ -191,47 +184,23 @@ def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
             f"got shape {arr.shape}"
         )
     j, k_s, n = stack.shape
-    resident = (np.ones(j, dtype=bool) if ntt_domain is None
-                else np.asarray(ntt_domain, dtype=bool))
-    if resident.shape != (j,):
-        raise ParameterError(
-            f"need one domain per stacked part, got {resident.shape} "
-            f"for {j} parts"
-        )
     target_primes = tuple(context.target_primes)
-    if resident.any() and not resident.all():
-        out = np.empty((j, len(target_primes), n), dtype=np.int64)
-        for domain in (True, False):
-            idx = np.flatnonzero(resident == domain)
-            out[idx] = lift_hps_ntt(context, stack[idx], lazy,
-                                    [domain] * idx.size)
-        return out
-    from_ntt = bool(resident.all())
-    skip = k_s
-    tail_primes = target_primes[skip:]
-    if from_ntt:
-        x_prime = batch.intt_rows_scaled(basis.primes, stack,
-                                         basis.q_tilde)
+    x_prime = batch.intt_rows_scaled(basis.primes, stack, basis.q_tilde)
     lifted = np.empty((j, len(target_primes), n), dtype=np.int64)
-    lifted[:, :skip] = stack
+    lifted[:, :k_s] = stack
     context.gemm_tables()  # built once, read-only under the fan-out
 
     def band(lo: int, hi: int) -> None:
-        # Fig. 6 streams coefficients: Blocks 1-5 are element-wise in
+        # Fig. 6 streams coefficients: Blocks 2-5 are element-wise in
         # the column, so any band split is bit-identical to one pass.
         for idx in range(j):
-            block1 = (x_prime[idx, :, lo:hi] if from_ntt
-                      else (stack[idx, :, lo:hi] * basis.q_tilde_col)
-                      % basis.primes_col)
-            _lift_tail_gemm(context, block1, lifted[idx, skip:, lo:hi])
+            _lift_tail_gemm(context, x_prime[idx, :, lo:hi],
+                            lifted[idx, k_s:, lo:hi])
 
     map_bands("lift.band", band, n, work=stack.size)
-    if from_ntt:
-        lifted[:, skip:] = batch.basis_transformer(tail_primes, n).forward(
-            lifted[:, skip:], lazy=lazy)
-    else:
-        lifted = batch.basis_transformer(target_primes, n).forward(
-            lifted, lazy=lazy)
+    target = batch.basis_transformer(target_primes, n)
+    lifted[:, k_s:] = target.subset(k_s, len(target_primes)).forward(
+        lifted[:, k_s:], lazy=lazy)
     return lifted if stacked else lifted[0]
 
 

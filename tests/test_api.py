@@ -143,8 +143,8 @@ class TestGaloisKeyCache:
             raise AssertionError("identity rotation touched a key")
 
         monkeypatch.setattr(session.galois, "keygen", refuse)
-        monkeypatch.setattr(session.galois, "_apply", refuse)
-        monkeypatch.setattr(session.galois, "apply_many_resident", refuse)
+        monkeypatch.setattr(session.galois, "apply", refuse)
+        monkeypatch.setattr(session.galois, "apply_many", refuse)
         for steps in (0, 128, -256):
             turned = x.rotate(steps)
             program = session.compile(turned)

@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import LocalBackend, Session
-from repro.fv.galois import GaloisEngine
+from repro.errors import ParameterError
+from repro.fv.galois import GaloisEngine, apply_galois_rows
 from repro.nttmath.batch import (
     _limb_plan,
     _plan_geometry,
@@ -306,15 +307,19 @@ class TestNttResidentBackend:
         assert backend.telemetry["total"]["forward_rows"] >= \
             backend.last_transform_counts["forward_rows"]
 
-    def test_outputs_leave_in_coefficient_domain(self):
+    def test_outputs_leave_in_evaluation_domain(self):
         params = mini(t=257)
         session = Session(params, seed=23)
         a = session.encrypt([1, 2, 3])
         program = session.compile(a.rotate(1) * 2, name="resident-out")
         result = LocalBackend(session).run(program)
         ct = result.handle("out").ciphertext
-        assert not ct.ntt_resident
-        ct.to_bytes()  # serialisable without conversion
+        assert ct.ntt_resident and ct.domain == "ntt"
+        ct.to_wire_bytes()  # the NTT-domain wire, without conversion
+        # The headerless coefficient wire refuses NTT evaluations.
+        with pytest.raises(ParameterError, match="coefficient"):
+            ct.to_bytes()
+        ct.to_coeff().to_bytes()
 
     def test_plain_pool_caches_constant_transforms(self):
         params = mini(t=257)
@@ -333,12 +338,25 @@ class TestNttResidentBackend:
         keys = session.keys
         rot = engine.rotation_keygen(keys.secret, [2])
         ct = session.encrypt([5, 6, 7]).ciphertext
-        eager = engine.apply(ct, rot[2])
-        resident = context.to_coeff_ct(
-            engine.apply_resident(context.to_ntt_ct(ct), rot[2])
-        )
-        assert np.array_equal(eager.c0.residues, resident.c0.residues)
-        assert np.array_equal(eager.c1.residues, resident.c1.residues)
+        rotated = engine.apply(ct, rot[2])
+        assert rotated.ntt_resident
+        assert GaloisEngine.apply_resident is GaloisEngine.apply
+        # In the evaluation domain tau_g is a slot gather: the same
+        # residues as the coefficient automorphism transformed forward.
+        g = rot[2].element
+        coeff = ct.to_coeff()
+        assert np.array_equal(
+            engine._tau(ct.c0, g).residues,
+            ntt_rows(params.q_primes, apply_galois_rows(
+                coeff.c0.residues, context.q_basis.primes_col, params.n,
+                g)))
+        # t = 257 encodes coefficients: the rotation decrypts to tau_g of
+        # the message, exactly.
+        message = session.encode([5, 6, 7]).coeffs[None, :]
+        want = apply_galois_rows(message, np.array([[params.t]]),
+                                 params.n, g)[0]
+        assert np.array_equal(context.decrypt(rotated, keys.secret).coeffs,
+                              want)
 
 
 class TestNarrowPrimeFallbacks:

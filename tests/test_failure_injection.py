@@ -35,7 +35,7 @@ class TestCorruptedCiphertexts:
         CRT spreads the error across the whole coefficient."""
         params = toy_context.params
         plain = Plaintext.zero(params.n, params.t)
-        ct = toy_context.encrypt(plain, toy_keys.public)
+        ct = toy_context.encrypt(plain, toy_keys.public).to_coeff()
         corrupted_rows = ct.c0.residues.copy()
         corrupted_rows[0, 0] = (corrupted_rows[0, 0] + 12345) \
             % params.q_primes[0]
@@ -76,7 +76,8 @@ class TestCorruptedCiphertexts:
         ct = toy_context.encrypt(Plaintext.zero(params.n, params.t),
                                  toy_keys.public)
         with pytest.raises(ParameterError):
-            Ciphertext.from_bytes(ct.to_bytes()[: params.poly_bytes // 2],
+            Ciphertext.from_bytes(
+                ct.to_coeff().to_bytes()[: params.poly_bytes // 2],
                                   params, toy_context.q_basis)
 
 

@@ -159,7 +159,7 @@ class TestHomomorphicRotation:
         ct = galois_context.encrypt(encoder.encode(values),
                                     galois_keys.public)
         keys = engine.summation_keygen(galois_keys.secret)
-        total = engine.sum_all_slots_resident(ct, keys)
+        total = engine.sum_all_slots(ct, keys)
         decoded = encoder.decode(
             galois_context.decrypt(total, galois_keys.secret)
         )
@@ -256,7 +256,7 @@ class TestRotationOnCoprocessor:
         from repro.hw.coprocessor import Coprocessor
 
         values, ct, key = rotation_setup
-        sw = engine.apply(ct, key)
+        sw = engine.apply(ct, key).to_coeff()
         hw, report = Coprocessor(galois_context.params).rotate(ct, key)
         assert np.array_equal(hw.c0.residues, sw.c0.residues)
         assert np.array_equal(hw.c1.residues, sw.c1.residues)

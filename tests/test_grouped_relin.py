@@ -120,7 +120,7 @@ class TestGroupedRelinearisation:
         ct = mini_context.encrypt(a, mini_keys.public)
         sw = evaluator.relinearize_grouped(
             evaluator.multiply_raw(ct, ct), grouped
-        )
+        ).to_coeff()
         hw, report = Coprocessor(params).mult(ct, ct, grouped)
         assert np.array_equal(hw.c0.residues, sw.c0.residues)
         assert np.array_equal(hw.c1.residues, sw.c1.residues)

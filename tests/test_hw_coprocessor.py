@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.errors import HardwareModelError, IsaError
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
@@ -151,7 +152,10 @@ class TestCoprocessorFunctional:
         hw_result, _ = coprocessor.mult(ct_a, ct_b, mini_keys.relin)
         sw_result = Evaluator(mini_context).multiply(ct_a, ct_b,
                                                      mini_keys.relin)
-        for hw_part, sw_part in zip(hw_result.parts, sw_result.parts, strict=True):
+        # The model's registers hold coefficients; the evaluator's
+        # result lives in the evaluation domain.
+        for hw_part, sw_part in zip(hw_result.parts,
+                                    sw_result.to_coeff().parts, strict=True):
             assert np.array_equal(hw_part.residues, sw_part.residues)
 
     def test_mult_decrypts_to_product(self, mini_context, mini_keys, setup,
@@ -171,7 +175,10 @@ class TestCoprocessorFunctional:
         coprocessor = Coprocessor(mini_params)
         hw_result, _ = coprocessor.add(ct_a, ct_b)
         sw_result = mini_context.add(ct_a, ct_b)
-        for hw_part, sw_part in zip(hw_result.parts, sw_result.parts, strict=True):
+        # The model's registers hold coefficients; the evaluator's
+        # result lives in the evaluation domain.
+        for hw_part, sw_part in zip(hw_result.parts,
+                                    sw_result.to_coeff().parts, strict=True):
             assert np.array_equal(hw_part.residues, sw_part.residues)
 
     def test_slow_coprocessor_decrypts_correctly(self, mini_context,
@@ -212,6 +219,7 @@ class TestCoprocessorFunctional:
         coprocessor = Coprocessor(mini_params)
         program = compile_mult(mini_params, CONFIG)
         coprocessor.registers.clear()
+        ct_a, ct_b = ct_a.to_coeff(), ct_b.to_coeff()
         coprocessor.load_polynomial("a0", ct_a.c0.residues)
         coprocessor.load_polynomial("a1", ct_a.c1.residues)
         coprocessor.load_polynomial("b0", ct_b.c0.residues)
@@ -224,8 +232,9 @@ class TestCoprocessorFunctional:
         """Mult is its two halves run back to back on one register file:
         same residues, and the cycle reports add up exactly."""
         _, _, ct_a, ct_b = setup
-        operands = {"a0": ct_a.c0.residues, "a1": ct_a.c1.residues,
-                    "b0": ct_b.c0.residues, "b1": ct_b.c1.residues}
+        coeff_a, coeff_b = ct_a.to_coeff(), ct_b.to_coeff()
+        operands = {"a0": coeff_a.c0.residues, "a1": coeff_a.c1.residues,
+                    "b0": coeff_b.c0.residues, "b1": coeff_b.c1.residues}
         whole, whole_report = Coprocessor(mini_params).mult(
             ct_a, ct_b, mini_keys.relin)
         split = Coprocessor(mini_params)
@@ -244,12 +253,14 @@ class TestCoprocessorFunctional:
     def test_mul_plain_bit_identical(self, mini_context, setup,
                                      mini_params):
         a, _, ct_a, _ = setup
+        coeff_a = ct_a.to_coeff()
         hw_result, _ = Coprocessor(mini_params).run(
             compile_mul_plain(mini_params),
-            {"a0": ct_a.c0.residues, "a1": ct_a.c1.residues,
+            {"a0": coeff_a.c0.residues, "a1": coeff_a.c1.residues,
              "m": a.coeffs})
         sw_result = mini_context.mul_plain(ct_a, a)
-        for hw_part, sw_part in zip(hw_result.parts, sw_result.parts,
+        for hw_part, sw_part in zip(hw_result.parts,
+                                    sw_result.to_coeff().parts,
                                     strict=True):
             assert np.array_equal(hw_part.residues, sw_part.residues)
 
@@ -299,8 +310,51 @@ class TestCoprocessorFunctional:
         hw_result, _ = coprocessor.mult(ct_a, ct_b, toy_keys.relin)
         sw_result = Evaluator(toy_context).multiply(ct_a, ct_b,
                                                     toy_keys.relin)
-        for hw_part, sw_part in zip(hw_result.parts, sw_result.parts, strict=True):
+        # The model's registers hold coefficients; the evaluator's
+        # result lives in the evaluation domain.
+        for hw_part, sw_part in zip(hw_result.parts,
+                                    sw_result.to_coeff().parts, strict=True):
             assert np.array_equal(hw_part.residues, sw_part.residues)
+
+
+class TestEvaluationDomainBoundary:
+    """The model's DMA boundary: operands live in the evaluation domain,
+    the coprocessor's registers take coefficients (one inverse transform
+    per part at the boundary)."""
+
+    def test_paper_mult_on_session_handles(self):
+        """The perf ledger's ``paper_err_pct`` call: ``Coprocessor.mult``
+        on ``Session.encrypt`` handles decrypts to the evaluator's
+        product, residue for residue in coefficient form, and its Table
+        I / II cycles are a coefficient-operand run's: the boundary
+        conversion is host work, not coprocessor cycles (pinned at
+        hpca19)."""
+        session = Session(hpca19())
+        a, b = session.encrypt([1, 1, 0, 1]), session.encrypt([1, 0, 1])
+        ct_a, ct_b = a.ciphertext, b.ciphertext
+        assert ct_a.ntt_resident and ct_b.ntt_resident
+        relin = session.keys.relin
+        hw, report = Coprocessor(session.params).mult(ct_a, ct_b, relin)
+        sw = session.evaluator.multiply(ct_a, ct_b, relin)
+        assert not hw.ntt_resident
+        for hw_part, sw_part in zip(hw.parts, sw.to_coeff().parts,
+                                    strict=True):
+            assert np.array_equal(hw_part.residues, sw_part.residues)
+        assert np.array_equal(session.decrypt(hw), session.decrypt(sw))
+        assert list(session.decrypt(hw)[:6]) == [1, 1, 1, 0, 0, 1]
+
+        coeff, coeff_report = Coprocessor(session.params).mult(
+            ct_a.to_coeff(), ct_b.to_coeff(), relin)
+        for got, want in zip(coeff.parts, hw.parts, strict=True):
+            assert np.array_equal(got.residues, want.residues)
+        assert coeff_report.total_cycles == report.total_cycles == 855_548
+        assert report.arm_cycles == 5_133_288
+        assert {op.value: stat.calls
+                for op, stat in report.op_stats.items()} == {
+            "lift_q_to_Q": 4, "memory_rearrange": 22, "ntt": 14,
+            "coeff_mul": 20, "coeff_add": 14, "intt": 8,
+            "scale_Q_to_q": 3, "digit_broadcast": 6,
+            "load_relin_component": 6}
 
 
 class TestCoprocessorTiming:

@@ -20,7 +20,8 @@ class TestSerialisationRoundtrip:
     def test_ciphertext_wire_format(self, mini_context, mini_keys, rng):
         params = mini_context.params
         plain = Plaintext(rng.integers(0, params.t, params.n), params.t)
-        ct = mini_context.encrypt(plain, mini_keys.public)
+        # The headerless wire carries coefficients.
+        ct = mini_context.encrypt(plain, mini_keys.public).to_coeff()
         blob = ct.to_bytes()
         assert len(blob) == params.ciphertext_bytes
         restored = Ciphertext.from_bytes(blob, params,
@@ -32,7 +33,7 @@ class TestSerialisationRoundtrip:
         params = mini_context.params
         plain = Plaintext(rng.integers(0, params.t, params.n), params.t)
         ct = mini_context.encrypt(plain, mini_keys.public)
-        restored = Ciphertext.from_bytes(ct.to_bytes(), params,
+        restored = Ciphertext.from_bytes(ct.to_coeff().to_bytes(), params,
                                          mini_context.q_basis)
         assert mini_context.decrypt(restored, mini_keys.secret) == plain
 
@@ -45,7 +46,7 @@ class TestSerialisationRoundtrip:
         plain = Plaintext.zero(params.n, params.t)
         ct = mini_context.encrypt(plain, mini_keys.public)
         with pytest.raises(ParameterError):
-            Ciphertext.from_bytes(ct.to_bytes()[:-1], params,
+            Ciphertext.from_bytes(ct.to_coeff().to_bytes()[:-1], params,
                                   mini_context.q_basis)
 
     def test_three_part_round_trip(self, mini_context, mini_keys, rng):
@@ -109,8 +110,10 @@ class TestClientCloudFlow:
         params = mini_context.params
         a = Plaintext(rng.integers(0, params.t, params.n), params.t)
         b = Plaintext(rng.integers(0, params.t, params.n), params.t)
-        blob_a = mini_context.encrypt(a, mini_keys.public).to_bytes()
-        blob_b = mini_context.encrypt(b, mini_keys.public).to_bytes()
+        blob_a = mini_context.encrypt(a, mini_keys.public).to_coeff() \
+            .to_bytes()
+        blob_b = mini_context.encrypt(b, mini_keys.public).to_coeff() \
+            .to_bytes()
 
         # Cloud side: reconstruct, multiply on the simulated hardware.
         ct_a = Ciphertext.from_bytes(blob_a, params, mini_context.q_basis)
@@ -142,16 +145,18 @@ class TestClientCloudFlow:
         ]
         cts = [mini_context.encrypt(p, mini_keys.public) for p in plains]
 
+        # The coprocessor returns coefficient registers: the host-side
+        # subtraction runs on the coefficient form of its operand.
         hw_prod, _ = coprocessor.mult(cts[0], cts[1], mini_keys.relin)
         hw_sum, _ = coprocessor.add(hw_prod, cts[2])
-        hw_result = mini_context.sub(hw_sum, cts[3])
+        hw_result = mini_context.sub(hw_sum, cts[3].to_coeff())
 
         sw_prod = evaluator.multiply(cts[0], cts[1], mini_keys.relin)
         sw_result = mini_context.sub(
             mini_context.add(sw_prod, cts[2]), cts[3]
         )
         assert np.array_equal(hw_result.c0.residues,
-                              sw_result.c0.residues)
+                              sw_result.to_coeff().c0.residues)
 
         product = negacyclic_convolution(
             plains[0].coeffs.tolist(), plains[1].coeffs.tolist(), params.t
@@ -175,7 +180,8 @@ class TestClientCloudFlow:
         for _ in range(3):
             hw_ct, _ = coprocessor.mult(hw_ct, hw_ct, mini_keys.relin)
             sw_ct = evaluator.multiply(sw_ct, sw_ct, mini_keys.relin)
-            assert np.array_equal(hw_ct.c0.residues, sw_ct.c0.residues)
+            assert np.array_equal(hw_ct.c0.residues,
+                                  sw_ct.to_coeff().c0.residues)
         assert noise_budget_bits(mini_context, hw_ct,
                                  mini_keys.secret) > 0
 

@@ -1,15 +1,15 @@
-"""Mult has one datapath, whatever domain its operands arrive in.
+"""Mult has one datapath: evaluation-domain operands in, one lift each.
 
 ``Evaluator.multiply_raw`` lifts all four operand polynomials through
-:func:`repro.rns.lift.lift_hps_ntt`, each part entering from its own
-domain. Every operand mix must give the parts of an integer oracle that
-never touches the transform engine — ``lift_hps_reference``, exact
-schoolbook negacyclic products per prime, ``scale_hps`` — and pay exactly
-the transforms its domains require, never more than the two-arm code it
-replaced (coefficient: 4 k_total forward / 3 k_total inverse; resident:
-4 k_p / 4 k_q + 3 k_total; a-resident, b-coefficient: 2 k_q + 4 k_p /
-4 k_q + 3 k_total; per-part mixed: 4 k_total / 2 k_q + 3 k_total).
-An operand may also arrive already lifted (``Evaluator.lift``), and a
+:func:`repro.rns.lift.lift_hps_ntt` straight from the evaluation domain.
+However an operand reached that domain — encrypted there, brought in
+from coefficients through the door (``Ciphertext.to_ntt``), or assembled
+part by part (``RnsPoly.to_ntt``) — the parts must be those of an
+integer oracle that never touches the transform engine —
+``lift_hps_reference``, exact schoolbook negacyclic products per prime,
+``scale_hps`` — for exactly 4 k_p forward / 4 k_q + 3 k_total inverse
+rows. A coefficient-domain operand is refused, not converted. An
+operand may also arrive already lifted (``Evaluator.lift``), and a
 square lifts its two parts once.
 """
 
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.parallel.config as parallel_config
+from repro.errors import ParameterError
 from repro.fv.ciphertext import Ciphertext
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
@@ -43,7 +44,7 @@ def _oracle_multiply_raw(context, a, b):
     """The three coefficient-domain parts of ``a * b``, as integers."""
     primes = context.params.q_primes + context.params.p_primes
     a0, a1, b0, b1 = (lift_hps_reference(context.lift_ctx, part.residues)
-                      for part in (*a.parts, *b.parts))
+                      for part in (*a.to_coeff().parts, *b.to_coeff().parts))
 
     def product(x, y):
         return np.stack([_negacyclic(x[i], y[i], p)
@@ -76,13 +77,21 @@ def setup(request):
 
 
 def _mix(context, a, b, mix):
-    a_ntt, b_ntt = context.to_ntt_ct(a), context.to_ntt_ct(b)
+    """The operands as they reach Mult: ``resident`` as encrypted,
+    ``coefficient`` through the coefficient door, ``a-resident`` one of
+    each, ``per-part`` rebuilt from coefficient parts one at a time."""
+    def door(ct):
+        return ct.to_coeff().to_ntt()
+
+    def per_part(ct):
+        return Ciphertext(tuple(part.to_ntt()
+                                for part in ct.to_coeff().parts), ct.params)
+
     return {
-        "coefficient": (a, b),
-        "resident": (a_ntt, b_ntt),
-        "a-resident": (a_ntt, b),
-        "per-part": (Ciphertext((a_ntt.c0, a.c1), a.params),
-                     Ciphertext((b.c0, b_ntt.c1), b.params)),
+        "coefficient": (door(a), door(b)),
+        "resident": (a, b),
+        "a-resident": (a, door(b)),
+        "per-part": (per_part(a), per_part(b)),
     }[mix]
 
 
@@ -103,15 +112,16 @@ def test_multiply_raw_matches_integer_oracle(setup, mix, executor,
     for part, want in zip(raw.parts, oracle, strict=True):
         assert not part.ntt_domain
         assert np.array_equal(part.residues, want)
-    # Lift: a coefficient part forwards all k_total rows of its lifted
-    # operand and inverts nothing; a resident part inverts k_q rows for
-    # the quotient estimate and forwards only its k_p new channels.
-    # Scale: one inverse of the three products over the full basis.
-    resident_parts = sum(p.ntt_domain for p in (*x.parts, *y.parts))
+    # Lift: each part inverts k_q rows for the quotient estimate and
+    # forwards only its k_p new channels. Scale: one inverse of the
+    # three products over the full basis.
     assert after["forward_rows"] - before["forward_rows"] == \
-        (4 - resident_parts) * params.k_q + 4 * params.k_p
+        4 * params.k_p
     assert after["inverse_rows"] - before["inverse_rows"] == \
-        resident_parts * params.k_q + 3 * params.k_total
+        4 * params.k_q + 3 * params.k_total
+    # A coefficient operand is refused, not silently lifted.
+    with pytest.raises(ParameterError, match="evaluation-domain"):
+        Evaluator(context).multiply_raw(x.to_coeff(), y)
 
 
 def _lift_rows(tracer):
@@ -154,7 +164,7 @@ def test_square_lifts_two_parts_and_matches_the_copy(setup, form):
     and lifts four. The results are equal residue for residue."""
     context, a, _, _, keys = setup
     evaluator = Evaluator(context)
-    x = a if form == "coefficient" else context.to_ntt_ct(a)
+    x = a.to_coeff().to_ntt() if form == "coefficient" else a
     products, rows = [], []
     for y in (copy.copy(x), x):
         tracer = Tracer()
@@ -169,3 +179,32 @@ def test_square_lifts_two_parts_and_matches_the_copy(setup, form):
     for got, want in zip(products[1].parts, products[0].parts, strict=True):
         assert np.array_equal(got.residues, want.residues)
     assert rows[0] == 2 * rows[1] > 0
+
+
+def test_new_channels_transform_on_the_full_basis_view():
+    """Lift's new-channel forward transform runs on the ``[k_q:]``
+    channel view of the q+p basis's tables, not on a transformer of its
+    own: after an evaluation-domain Mult the transformer cache holds the
+    q and q+p bases only. The view's output — lazy and canonical — is
+    bit for bit a standalone transformer's of the new primes."""
+    context = FvContext(mini(), seed=7)
+    keys = context.keygen()
+    a, b = _operands(context, keys)
+    assert a.ntt_resident and b.ntt_resident
+    params = context.params
+    full = params.q_primes + params.p_primes
+    batch.basis_transformer.cache_clear()
+    Evaluator(context).multiply(a, b, keys.relin)
+    assert batch.basis_transformer.cache_info().currsize == 2
+    batch.basis_transformer(params.q_primes, params.n)
+    batch.basis_transformer(full, params.n)
+    assert batch.basis_transformer.cache_info().currsize == 2
+
+    rows = np.stack([np.random.default_rng(1).integers(0, p, params.n)
+                     for p in params.p_primes])
+    view = batch.basis_transformer(full, params.n).subset(params.k_q,
+                                                          len(full))
+    alone = batch.BasisTransformer(params.p_primes, params.n)
+    for lazy in (True, False):
+        assert np.array_equal(view.forward(rows, lazy=lazy),
+                              alone.forward(rows, lazy=lazy))

@@ -37,8 +37,8 @@ def session():
 def _depth4(session, seed=0):
     rng = np.random.default_rng(seed)
     n = session.params.n
-    a = session.encrypt(rng.integers(0, 2, n), resident=True)
-    b = session.encrypt(rng.integers(0, 2, n), resident=True)
+    a = session.encrypt(rng.integers(0, 2, n))
+    b = session.encrypt(rng.integers(0, 2, n))
     return a, b, session.compile((((a * b) * a) * b) * a)
 
 
@@ -76,15 +76,14 @@ def test_depth4_matches_the_op_by_op_chain(session, executor, monkeypatch):
     with use_executor(ExecutionConfig(*executor)):
         result = LocalBackend(session).run(program)
     # The serial chain on plain ciphertexts, each Mult lifting its own
-    # operands, in the domains the planner picks: resident
-    # intermediates, a coefficient output.
+    # operands; every product lives in the evaluation domain.
     evaluator, relin = session.evaluator, session.keys.relin
-    chain = evaluator.multiply(x, y, relin, resident=True)
-    chain = evaluator.multiply(chain, x, relin, resident=True)
-    chain = evaluator.multiply(chain, y, relin, resident=True)
+    chain = evaluator.multiply(x, y, relin)
+    chain = evaluator.multiply(chain, x, relin)
+    chain = evaluator.multiply(chain, y, relin)
     chain = evaluator.multiply(chain, x, relin)
     out = result.ciphertext()
-    assert out.domain == "coeff"
+    assert out.domain == "ntt"
     for got, want in zip(out.parts, chain.parts, strict=True):
         assert np.array_equal(got.residues, want.residues)
 

@@ -1,19 +1,22 @@
-"""End-to-end NTT residency: encrypt, wire format, cross-request cache.
+"""End-to-end evaluation domain: encrypt, wire format, the door.
 
-The invariants of the resident pipeline PR:
+The invariants of the one-domain pipeline:
 
-* resident encrypt is the *same* encryption: for identical randomness
-  it converts bit-for-bit to the legacy ciphertext, decrypts to the
-  same plaintext, and measures the same noise;
-* the versioned NTT-domain wire format round-trips resident operands
-  without an inverse transform, rejects a payload whose domain flag
-  was tampered with or that is not version 2;
-* a serialized-resident operand reused across two programs performs
-  **zero** coefficient-domain round-trips (the acceptance criterion),
-  proved with exact transform-count telemetry;
-* both executors' cross-request resident-operand caches are bounded,
-  hit on reuse, and (for the simulated backend) price cache hits as
-  zero-transfer in the lowered job stream.
+* encryption is born in the evaluation domain and is still the
+  textbook encryption: for identical randomness its coefficients are
+  :class:`~repro.fv.reference.TextbookFv`'s bit for bit, and it decrypts
+  to the same plaintext with the same noise as the big-integer oracle;
+* the versioned NTT-domain wire format round-trips ciphertexts without
+  an inverse transform; a coefficient payload from outside loads
+  through the door to the same evaluation-domain residues; a payload
+  whose domain flag was tampered with or that is not version 2 is
+  rejected;
+* an operand reused across two programs, or fed through a Mult-heavy
+  program, pays only its kernels' transforms — proved with exact
+  transform-count telemetry;
+* the simulated executor's cross-request resident-operand cache is
+  bounded, hits on reuse, and prices cache hits as zero-transfer in the
+  lowered job stream.
 """
 
 import json
@@ -26,6 +29,7 @@ import pytest
 from repro.api import LocalBackend, ResidentOperandCache, Session, SimulatedBackend
 from repro.errors import EncodingError, ParameterError
 from repro.fv.encoder import Plaintext
+from repro.fv.reference import TextbookFv, decrypt_with_noise_bigint
 from repro.fv.sampler import discrete_gaussian, uniform_ternary
 from repro.io import MAGIC, load_ciphertext, save_ciphertext
 from repro.params import mini, toy
@@ -44,6 +48,9 @@ def _rewrite_header(path: Path, out: Path, mutate) -> None:
 
 class TestResidentEncrypt:
     def test_resident_equals_legacy_bit_for_bit(self):
+        """Against the textbook oracle fed the same randomness: the
+        evaluation-domain ciphertext's coefficients are the textbook
+        ciphertext's."""
         params = mini()
         session = Session(params, seed=3)
         context, keys = session.context, session.keys
@@ -52,16 +59,18 @@ class TestResidentEncrypt:
         u = uniform_ternary(rng, params.n)
         e1 = discrete_gaussian(rng, params.n, params.sigma)
         e2 = discrete_gaussian(rng, params.n, params.sigma)
-        legacy = context.encrypt_with(plain, keys.public, u, e1, e2)
-        resident = context.encrypt_with(plain, keys.public, u, e1, e2,
-                                        resident=True)
-        assert resident.ntt_resident and resident.domain == "ntt"
-        assert legacy.domain == "coeff"
-        back = context.to_coeff_ct(resident)
-        for lp, rp in zip(legacy.parts, back.parts, strict=True):
-            assert np.array_equal(lp.residues, rp.residues)
+        ct = context.encrypt_with(plain, keys.public, u, e1, e2)
+        assert ct.ntt_resident and ct.domain == "ntt"
+        textbook = TextbookFv(params)
+        want = textbook.encrypt_with(
+            plain, textbook.poly_from_rns(keys.public.p0),
+            textbook.poly_from_rns(keys.public.p1), u, e1, e2)
+        assert textbook.ciphertext_from_rns(ct) == want
 
     def test_resident_decrypts_identically_same_noise(self):
+        """The RNS decryption of an evaluation-domain ciphertext is the
+        big-integer oracle's, plaintext and noise norm alike, and the
+        textbook decryption agrees."""
         params = mini()
         session = Session(params, seed=5)
         context, keys = session.context, session.keys
@@ -70,13 +79,15 @@ class TestResidentEncrypt:
         u = uniform_ternary(rng, params.n)
         e1 = discrete_gaussian(rng, params.n, params.sigma)
         e2 = discrete_gaussian(rng, params.n, params.sigma)
-        legacy = context.encrypt_with(plain, keys.public, u, e1, e2)
-        resident = context.encrypt_with(plain, keys.public, u, e1, e2,
-                                        resident=True)
-        m1, n1 = context.decrypt_with_noise(legacy, keys.secret)
-        m2, n2 = context.decrypt_with_noise(resident, keys.secret)
+        ct = context.encrypt_with(plain, keys.public, u, e1, e2)
+        m1, n1 = context.decrypt_with_noise(ct, keys.secret)
+        m2, n2 = decrypt_with_noise_bigint(context, ct, keys.secret)
         assert np.array_equal(m1.coeffs, m2.coeffs)
         assert n1 == n2
+        textbook = TextbookFv(params)
+        assert textbook.decrypt(textbook.ciphertext_from_rns(ct),
+                                textbook.poly_from_rns(keys.secret.rns)) \
+            == m1 == plain
 
     def test_resident_encrypt_performs_no_inverse_transforms(self):
         from repro.nttmath.batch import transform_counts
@@ -84,8 +95,7 @@ class TestResidentEncrypt:
         params = mini()
         session = Session(params, seed=7)
         before = transform_counts()
-        session.context.encrypt(session.encode(5), session.keys.public,
-                                resident=True)
+        session.context.encrypt(session.encode(5), session.keys.public)
         after = transform_counts()
         assert after["inverse_rows"] == before["inverse_rows"]
         assert after["forward_calls"] == before["forward_calls"] + 1
@@ -95,7 +105,7 @@ class TestNttWireFormat:
     def test_resident_roundtrip_preserves_domain_and_bits(self, tmp_path):
         params = mini(t=257)
         session = Session(params, seed=9)
-        handle = session.encrypt([4, 5, 6], resident=True)
+        handle = session.encrypt([4, 5, 6])
         ct = handle.node.cached
         path = tmp_path / "resident.ct"
         session.save_ciphertext(path, handle)
@@ -107,30 +117,47 @@ class TestNttWireFormat:
             [4, 5, 6]
 
     def test_coefficient_roundtrip_is_version_2(self, tmp_path):
+        """The session writes ``ntt``; a coefficient-tagged file from
+        outside (here the coefficient form of the same ciphertext)
+        loads through the door to the same evaluation-domain residues
+        as the original."""
         params = mini(t=257)
         session = Session(params, seed=11)
-        ct = session.encrypt([7, 8]).ciphertext
+        handle = session.encrypt([7, 8])
+        ct = handle.ciphertext
+
+        def header(path):
+            raw = path.read_bytes()
+            (header_len,) = struct.unpack("<I", raw[8:12])
+            return json.loads(raw[12:12 + header_len])
+
+        ntt_path = tmp_path / "ntt.ct"
+        session.save_ciphertext(ntt_path, handle)
+        assert header(ntt_path)["domain"] == "ntt"
         path = tmp_path / "coeff.ct"
-        save_ciphertext(path, ct)
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + header_len])
-        assert header["version"] == 2
-        assert header["domain"] == "coeff"
-        restored = load_ciphertext(path, params)
-        assert restored.domain == "coeff"
+        save_ciphertext(path, ct.to_coeff())
+        assert header(path)["version"] == 2
+        assert header(path)["domain"] == "coeff"
+        for restored in (load_ciphertext(path, params),
+                         session.load_ciphertext(path).ciphertext):
+            assert restored.domain == "ntt"
+            for a, b in zip(ct.parts, restored.parts, strict=True):
+                assert np.array_equal(a.residues, b.residues)
+        assert list(session.decrypt(session.load_ciphertext(path),
+                                    size=2)) == [7, 8]
 
     def test_mislabelled_domain_is_rejected(self, tmp_path):
         params = mini(t=257)
         session = Session(params, seed=13)
         ct = session.encrypt([1, 2]).ciphertext
-        path = tmp_path / "coeff.ct"
-        save_ciphertext(path, ct)
-        evil = tmp_path / "mislabelled.ct"
-        _rewrite_header(path, evil,
-                        lambda h: h.__setitem__("domain", "ntt"))
-        with pytest.raises(EncodingError, match="mislabelled|digest"):
-            load_ciphertext(evil, params)
+        for form, lie in ((ct.to_coeff(), "ntt"), (ct, "coeff")):
+            path = tmp_path / "honest.ct"
+            save_ciphertext(path, form)
+            evil = tmp_path / "mislabelled.ct"
+            _rewrite_header(path, evil,
+                            lambda h, lie=lie: h.__setitem__("domain", lie))
+            with pytest.raises(EncodingError, match="mislabelled|digest"):
+                load_ciphertext(evil, params)
 
     def test_unknown_domain_and_future_version_rejected(self, tmp_path):
         params = mini(t=257)
@@ -159,30 +186,29 @@ class TestNttWireFormat:
                 load_ciphertext(stripped, params)
 
     def test_mixed_domain_ciphertext_refuses_the_wire(self):
+        """A ciphertext's parts share one domain: a mixed one is refused
+        when it is built, so it can never reach the wire."""
         from repro.fv.ciphertext import Ciphertext
 
         params = mini(t=257)
         session = Session(params, seed=19)
         ct = session.encrypt([1]).ciphertext
-        mixed = Ciphertext((ct.c0, ct.c1.to_ntt()), params)
-        assert mixed.domain == "mixed"
-        with pytest.raises(ParameterError, match="mixed"):
-            mixed.to_wire_bytes()
+        with pytest.raises(ParameterError, match="different domains"):
+            Ciphertext((ct.to_coeff().c0, ct.c1), params)
 
 
 class TestZeroRoundTripAcrossPrograms:
     def test_serialized_resident_operand_never_leaves_ntt_domain(
             self, tmp_path):
-        """The acceptance criterion: a serialized-resident operand
-        reused across two programs performs zero coefficient-domain
-        round-trips. Transform telemetry is exact: each run transforms
-        only its fresh plaintext constant (k_q rows forward), never the
-        operand (no forward: it arrived resident; no inverse: outputs
-        are emitted resident)."""
+        """A serialized operand reused across two programs never
+        visits the coefficient domain. Transform telemetry is exact:
+        each run transforms only its fresh plaintext constant (k_q rows
+        forward), never the operand (no forward: it loads in the
+        evaluation domain; no inverse: outputs stay there)."""
         params = mini(t=257)
         session = Session(params, seed=21)
         k = params.k_q
-        source = session.encrypt([1, 2, 3, 4], resident=True)
+        source = session.encrypt([1, 2, 3, 4])
         path = tmp_path / "operand.ct"
         session.save_ciphertext(path, source)
         operand = session.load_ciphertext(path)
@@ -190,8 +216,7 @@ class TestZeroRoundTripAcrossPrograms:
         # verify=False: the assertion is about *execution*
         # transform economy; the verify phase's noise probe has
         # its own traced transforms.
-        backend = LocalBackend(session, resident_outputs=True,
-                               verify=False)
+        backend = LocalBackend(session, verify=False)
         first = backend.run(session.compile(operand * 3, name="p1",
                                             check=False))
         counts1 = dict(backend.last_transform_counts)
@@ -205,13 +230,11 @@ class TestZeroRoundTripAcrossPrograms:
         assert list(second.decrypt("out", size=4)) == [5, 10, 15, 20]
 
     def test_lazy_resident_handle_saves_in_ntt_domain(self, tmp_path):
-        """Regression: save_ciphertext materialises lazy handles
-        through a resident-emitting executor, so a resident expression
-        chain reaches the wire without the default output boundary's
-        inverse transform."""
+        """Regression: save_ciphertext materialises a lazy handle and
+        writes it without an inverse transform."""
         params = mini(t=257)
         session = Session(params, seed=33)
-        lazy = session.encrypt([6, 7], resident=True) * 3
+        lazy = session.encrypt([6, 7]) * 3
         path = tmp_path / "lazy.ct"
         session.save_ciphertext(path, lazy)
         restored = load_ciphertext(path, params)
@@ -222,8 +245,8 @@ class TestZeroRoundTripAcrossPrograms:
     def test_resident_outputs_serialise_without_conversion(self, tmp_path):
         params = mini(t=257)
         session = Session(params, seed=23)
-        backend = LocalBackend(session, resident_outputs=True)
-        h = session.encrypt([2, 4], resident=True)
+        backend = LocalBackend(session)
+        h = session.encrypt([2, 4])
         result = backend.run(session.compile(h * 2, name="emit",
                                              check=False))
         out_ct = result.ciphertext("out")
@@ -241,47 +264,6 @@ class _Node:
 
 
 class TestLocalResidentCache:
-    def test_boundary_converted_output_restores_from_cache(self):
-        params = mini(t=257)
-        session = Session(params, seed=25)
-        k = params.k_q
-        # verify=False keeps the transform ledger to execution
-        # work only (the verify phase transforms on its own).
-        backend = LocalBackend(session, verify=False)
-        a = session.encrypt([5, 6, 7, 8], resident=True)
-        inter = a * 3
-        backend.run(session.compile(inter, name="first", check=False))
-        # The boundary converted `inter` to coefficients; its resident
-        # form survives in the cache.
-        assert backend.telemetry["resident_cache"]["entries"] >= 1
-        restored = backend.run(session.compile(inter * 2, name="second",
-                                               check=False))
-        telemetry = backend.telemetry["resident_cache"]
-        assert telemetry["hits"] >= 1
-        assert telemetry["last_run_restores"] >= 1
-        # Only the new plaintext constant transformed forward — the
-        # restored operand did not.
-        assert backend.last_transform_counts["forward_rows"] == k
-
-        # Degrade path: the same requests through a cache too small to
-        # keep `inter` across an unrelated program. The evicted operand
-        # is transformed forward again and the answer is bit-identical.
-        session = Session(params, seed=25)
-        small = LocalBackend(session, verify=False, resident_cache_limit=2)
-        inter = session.encrypt([5, 6, 7, 8], resident=True) * 3
-        small.run(session.compile(inter, name="first", check=False))
-        other = session.encrypt([1], resident=True) * 5
-        small.run(session.compile(other, name="other", check=False))
-        assert small.resident_cache.evictions == 2
-        assert inter.node not in small.resident_cache
-        evicted = small.run(session.compile(inter * 2, name="second",
-                                            check=False))
-        assert small.last_cache_restores == 0
-        assert small.last_transform_counts["forward_rows"] > k
-        for want, got in zip(restored.ciphertext("out").parts,
-                             evicted.ciphertext("out").parts, strict=True):
-            assert np.array_equal(want.residues, got.residues)
-
     def test_cache_is_bounded_with_fifo_eviction(self):
         cache = ResidentOperandCache(limit=2)
         nodes = [_Node() for _ in range(3)]
@@ -367,11 +349,20 @@ class TestSimulatedResidentCache:
         assert sum(op.cached_inputs for op in warm) == 1
 
 
+def _mult_rows(params) -> tuple[int, int]:
+    """(forward, inverse) rows of one Mult of two fresh operands: the
+    lift's k_p forward / k_q inverse rows per part, Scale's inverse of
+    three products over the full basis, relinearisation's k_q^2
+    broadcast rows and the forward transform of (c0, c1)."""
+    return (4 * params.k_p + params.k_q ** 2 + 2 * params.k_q,
+            4 * params.k_q + 3 * params.k_total)
+
+
 class TestResidentMultiplyLoop:
-    """PR 10 acceptance: a Mult-heavy resident program never
-    materialises coefficients — proved by the round-trip telemetry —
-    and decrypts to the cleartext product, across serial and threaded
-    executors.
+    """A Mult-heavy program never materialises coefficients outside its
+    kernels — every transform row it pays is a lift, Scale or key-switch
+    row — and decrypts to the cleartext product, across serial and
+    threaded executors.
     """
 
     @pytest.mark.parametrize("executor", [None, ("threads", 4)])
@@ -380,16 +371,15 @@ class TestResidentMultiplyLoop:
 
         params = mini()
         session = Session(params, seed=41)
-        a = session.encrypt([1, 2, 3, 4], resident=True)
-        b = session.encrypt([5, 6, 7, 8], resident=True)
-        c = session.encrypt([2, 2, 2, 2], resident=True)
-        d = session.encrypt([3, 1, 3, 1], resident=True)
+        a = session.encrypt([1, 2, 3, 4])
+        b = session.encrypt([5, 6, 7, 8])
+        c = session.encrypt([2, 2, 2, 2])
+        d = session.encrypt([3, 1, 3, 1])
         program = session.compile((a * b) * (c * d), name="mult-heavy",
                                   check=False)
         config = (ExecutionConfig(mode=executor[0], workers=executor[1])
                   if executor else None)
-        backend = LocalBackend(session, verify=False,
-                               resident_outputs=True, executor=config)
+        backend = LocalBackend(session, verify=False, executor=config)
         try:
             result = backend.run(program)
         finally:
@@ -397,8 +387,9 @@ class TestResidentMultiplyLoop:
                 # A live pool holds BLAS at one thread, process-wide.
                 backend.executor.close()
         counts = backend.last_transform_counts
-        assert counts["roundtrip_rows"] == 0
-        assert counts["roundtrip_calls"] == 0
+        forward, inverse = _mult_rows(params)
+        assert (counts["forward_rows"], counts["inverse_rows"]) == \
+            (3 * forward, 3 * inverse)
         assert result.ciphertext("out").ntt_resident
 
         # mini() encodes coefficients over t = 2: the cleartext result
@@ -414,11 +405,11 @@ class TestResidentMultiplyLoop:
     def test_resident_inputs_consumed_without_conversion(self):
         params = mini()
         session = Session(params, seed=43)
-        a = session.encrypt([9, 8, 7], resident=True)
-        b = session.encrypt([1, 2, 3], resident=True)
+        a = session.encrypt([9, 8, 7])
+        b = session.encrypt([1, 2, 3])
         program = session.compile(a * b, name="one-mult", check=False)
         backend = LocalBackend(session, verify=False)
         backend.run(program)
         counts = backend.last_transform_counts
-        assert counts["roundtrip_rows"] == 0
-        assert counts["roundtrip_calls"] == 0
+        assert (counts["forward_rows"], counts["inverse_rows"]) == \
+            _mult_rows(params)

@@ -70,7 +70,7 @@ def _build(name: str, seed: int, size: int, domain: str,
         ct = (evaluator.multiply_raw(fresh(), fresh()) if size == 3
               else evaluator.multiply(fresh(), fresh(), keys.relin))
     else:
-        ct = fresh()
+        ct = fresh().to_coeff()
         if size == 3:
             # A genuine third part with the phase unchanged:
             # c0 - c2*s^2 + c2*s^2.
@@ -89,25 +89,19 @@ def _build(name: str, seed: int, size: int, domain: str,
             (RnsPoly(context.q_basis,
                      (ct.c0.residues + flood) % primes_col),)
             + ct.parts[1:], params)
-    if domain == "coefficient":
-        return context.to_coeff_ct(ct)
-    if domain == "resident":
-        return context.to_ntt_ct(ct)
-    coeff = context.to_coeff_ct(ct)
-    return Ciphertext((coeff.c0.to_ntt(),) + coeff.parts[1:], params)
+    return ct.to_coeff() if domain == "coefficient" else ct.to_ntt()
 
 
 def _differential(name: str):
     @settings(max_examples=PARAMETER_SETS[name][1], deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            size=st.sampled_from([2, 3]),
-           domain=st.sampled_from(["coefficient", "resident", "mixed"]),
+           domain=st.sampled_from(["coefficient", "resident"]),
            state=st.sampled_from(["fresh", "post_mult", "exhausted"]))
     def check(seed, size, domain, state):
         context, keys, _ = _scheme(name)
         ct = _build(name, seed, size, domain, state)
-        assert ct.size == size and (domain == "mixed") == (
-            ct.domain == "mixed")
+        assert ct.size == size and ct.ntt_resident == (domain == "resident")
         plain, noise = context.decrypt_with_noise(ct, keys.secret)
         want_plain, want_noise = decrypt_with_noise_bigint(
             context, ct, keys.secret)
@@ -221,7 +215,7 @@ class TestMeasureOnce:
 
     @staticmethod
     def _rotsum(session, x, weights):
-        h = session.encrypt(x, resident=True)
+        h = session.encrypt(x)
         return {
             "dot": sum_slots(h * session.encode(weights)),
             "win": (h + rotate(h, 1) + rotate(h, 2) + rotate(h, 3)) * 3,
@@ -236,9 +230,10 @@ class TestMeasureOnce:
                                   optimize=True)
         result = LocalBackend(session).run(program)
         assert len(counted_measurements) == 2
-        # Measured while still resident: no forward transform redone.
+        # Measured in the evaluation domain, where the outputs stay: no
+        # forward transform redone.
         assert all(ct.ntt_resident for ct in counted_measurements)
-        assert not result.ciphertext("dot").ntt_resident
+        assert result.ciphertext("dot").ntt_resident
         for _ in range(2):
             dot, win = result.decrypt("dot"), result.decrypt("win")
             budgets = [result.noise_budget_bits(label)
@@ -298,8 +293,8 @@ class TestMeasureOnce:
 
     def test_traced_verification_is_attributed_to_kernels(self):
         session = Session(hpca19(), seed=2)
-        a = session.encrypt([1, 0, 1], resident=True)
-        b = session.encrypt([1, 1], resident=True)
+        a = session.encrypt([1, 0, 1])
+        b = session.encrypt([1, 1])
         backend = LocalBackend(session)
         result = backend.run(session.compile(a * b))
         (verify,) = [s for s in result.trace.spans("phase")
@@ -321,8 +316,8 @@ class TestMeasureOnce:
         columns through the instrumented dispatch, and measure exactly
         what the big-integer oracle measures."""
         session = Session(hpca19(), seed=2)
-        a = session.encrypt([1, 0, 1], resident=True)
-        b = session.encrypt([1, 1], resident=True)
+        a = session.encrypt([1, 0, 1])
+        b = session.encrypt([1, 1])
         backend = LocalBackend(session,
                                executor=ExecutionConfig("threads", 2))
         try:
@@ -351,7 +346,7 @@ class TestPlainPoolByValue:
         rng = np.random.default_rng(1)
         for _ in range(8):
             x = rng.integers(0, 257, session.params.n)
-            h = session.encrypt(x, resident=True)
+            h = session.encrypt(x)
             result = backend.run(session.compile(h * 3))
             assert (result.decrypt() == x * 3 % 257).all()
         assert len(session._plain_ntt_pool) == 1
