@@ -69,7 +69,6 @@ from .errors import (
 from .fv import (
     BatchEncoder,
     Ciphertext,
-    DigitRelinKey,
     Evaluator,
     FvContext,
     IntegerEncoder,
@@ -83,6 +82,7 @@ from .fv import (
 from .hw import Coprocessor, HardwareConfig, MultReport, Opcode
 from .hw.config import slow_coprocessor_config
 from .params import ParameterSet, hpca19, hpca19_large, large_ring, mini, toy
+from .rns.decompose import WordDecomp
 from .system import CostModel, SoftwareBaseline
 
 __version__ = "1.1.0"
@@ -98,7 +98,7 @@ __all__ = [
     # FV scheme
     "FvContext", "Evaluator", "Plaintext", "IntegerEncoder", "BatchEncoder",
     "Ciphertext", "KeySet", "SecretKey", "PublicKey", "RelinKey",
-    "DigitRelinKey", "noise_budget_bits",
+    "WordDecomp", "noise_budget_bits",
     # hardware simulator
     "Coprocessor", "HardwareConfig", "slow_coprocessor_config",
     "MultReport", "Opcode",

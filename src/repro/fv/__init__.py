@@ -5,7 +5,8 @@ This package is a complete, self-contained FV implementation:
 * :mod:`~repro.fv.sampler` — error and key distributions;
 * :mod:`~repro.fv.encoder` — plaintext encoders (bits, integers, SIMD
   batching when the plaintext modulus allows it);
-* :mod:`~repro.fv.keys` — secret/public/relinearisation keys;
+* :mod:`~repro.fv.keys` — secret/public keys and the one relinearisation
+  key, named by its :class:`~repro.rns.decompose.WordDecomp`;
 * :mod:`~repro.fv.scheme` — :class:`FvContext`: keygen, encrypt, decrypt,
   and the additive homomorphic operations;
 * :mod:`~repro.fv.evaluator` — homomorphic multiplication in the RNS-HPS
@@ -21,14 +22,7 @@ from .ciphertext import Ciphertext
 from .encoder import BatchEncoder, IntegerEncoder, Plaintext
 from .evaluator import Evaluator
 from .galois import GaloisEngine, GaloisKey
-from .keys import (
-    DigitRelinKey,
-    GroupedRelinKey,
-    KeySet,
-    PublicKey,
-    RelinKey,
-    SecretKey,
-)
+from .keys import KeySet, PublicKey, RelinKey, SecretKey
 from .noise import noise_budget_bits
 from .scheme import FvContext
 
@@ -40,8 +34,6 @@ __all__ = [
     "SecretKey",
     "PublicKey",
     "RelinKey",
-    "DigitRelinKey",
-    "GroupedRelinKey",
     "KeySet",
     "FvContext",
     "Evaluator",

@@ -10,8 +10,11 @@ cross-checked step by step:
 2. tensor product over R_Q, point-wise per residue channel;
 3. ``Scale Q->q`` of the three results (HPS, Fig. 9;
    :func:`~repro.rns.scale.scale_hps_ntt`);
-4. ``WordDecomp`` + ``ReLin`` with the six-component RNS key
-   (:func:`~repro.fv.keyswitch.key_switch`).
+4. ``WordDecomp`` + ``ReLin`` (:func:`~repro.fv.keyswitch.key_switch`)
+   with the relinearisation key, whose
+   :class:`~repro.rns.decompose.WordDecomp` picks the digits: the
+   default is the paper's six raw residue rows, grouped RNS digits and
+   signed base-2^b digits take the same :meth:`Evaluator.relinearize`.
 
 Every parameter set reaching here was checked against the NTT engine's
 envelope when it was built (:class:`~repro.params.ParameterSet`), so
@@ -170,14 +173,16 @@ class Evaluator:
 
     def relinearize(self, ct: Ciphertext, relin: RelinKey,
                     resident: object = None) -> Ciphertext:
-        """ReLin: fold c2 back into (c0, c1) using the RNS key.
+        """ReLin: fold c2 back into (c0, c1) with any relinearisation key.
 
-        Fused WordDecomp + NTT: each raw-residue row of c2 is
-        transformed under every channel directly — one shared stage-0
-        dgemm across all digits (see ``apply_broadcast_many``) — and
-        left lazy in [0, 2q) for
-        :func:`~repro.fv.keyswitch.key_switch`, which folds the digits
-        against the key into the evaluation-domain result. ``ct`` is a
+        WordDecomp follows the key's decomposition. Raw residue rows
+        (the default key) take the fused WordDecomp + NTT: each row of
+        c2 is transformed under every channel directly — one shared
+        stage-0 dgemm across all digits (see ``apply_broadcast_many``)
+        — and left lazy in [0, 2q). Every other decomposition computes
+        its exact digit rows and forward-transforms them. Either way
+        :func:`~repro.fv.keyswitch.key_switch` folds the digits against
+        the key into the evaluation-domain result. ``ct`` is a
         three-part raw product as Scale leaves it, in the coefficient
         domain. ``resident`` is a ledger shim, accepted and ignored:
         benchmarks/ledger/probes.py (``fv.relinearize_ms``) still
@@ -189,56 +194,16 @@ class Evaluator:
             raise ParameterError(
                 "relinearize reads c2's coefficient residues (WordDecomp); "
                 "pass the raw product as multiply_raw returns it")
+        context = self.context
+        decomposition = relin.decomposition
         with maybe_span("keyswitch.decompose", kind="kernel"):
-            d_ntt = batch.ntt_broadcast_rows(self.context.params.q_primes,
-                                             ct.c2.residues, lazy=True)
-        return key_switch(self.context, d_ntt, relin.pairs, (ct.c0, ct.c1))
-
-    def relinearize_grouped(self, ct: Ciphertext, relin) -> Ciphertext:
-        """ReLin with grouped RNS digits (60-bit group residues).
-
-        Same key switch as :meth:`relinearize`, but with
-        ``k_q / group_size`` components instead of ``k_q`` — the scaling
-        mode that keeps Table V's growth model honest.
-        """
-        from ..rns.decompose import grouped_rns_digits
-
-        if ct.size != 3:
-            raise ParameterError("relinearize expects a three-part ciphertext")
-        context = self.context
-        digits = grouped_rns_digits(context.q_basis, ct.c2.residues,
-                                    relin.group_size)
-        return key_switch(context, context._ntt_rows(digits), relin.pairs,
-                          (ct.c0, ct.c1))
-
-    def relinearize_digit(self, ct: Ciphertext, relin) -> Ciphertext:
-        """ReLin with the signed base-w digit key (slow coprocessor).
-
-        Decomposes c2's centered big-integer coefficients into
-        ``relin.num_components`` signed digits; needs the CRT
-        reconstruction the traditional architecture performs anyway.
-        """
-        from ..rns.decompose import decompose_poly_signed
-
-        if ct.size != 3:
-            raise ParameterError("relinearize expects a three-part ciphertext")
-        context = self.context
-        params = context.params
-        coeffs = ct.c2.to_int_coeffs()
-        digit_polys = decompose_poly_signed(
-            coeffs, params.q, 1 << relin.base_bits, relin.num_components
-        )
-        # Digits may exceed 64 bits (e.g. 90-bit digits); reduce each
-        # channel with exact integer arithmetic before vectorising.
-        digit_rows = np.stack([
-            np.array(
-                [[d % p for d in digits] for p in params.q_primes],
-                dtype=np.int64,
-            )
-            for digits in digit_polys
-        ])
-        return key_switch(context, context._ntt_rows(digit_rows),
-                          relin.pairs, (ct.c0, ct.c1))
+            if decomposition.raw_rows:
+                d_ntt = batch.ntt_broadcast_rows(
+                    context.params.q_primes, ct.c2.residues, lazy=True)
+            else:
+                d_ntt = context._ntt_rows(decomposition.digit_rows(
+                    context.q_basis, ct.c2.residues))
+        return key_switch(context, d_ntt, relin.pairs, (ct.c0, ct.c1))
 
     def multiply(self, a: Ciphertext | Lifted, b: Ciphertext | Lifted,
                  relin: RelinKey, resident: object = None) -> Ciphertext:

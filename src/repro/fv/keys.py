@@ -1,10 +1,10 @@
 """Key material for the FV scheme.
 
-The relinearisation key follows the RNS form used by the paper's HPS
-coprocessor: one key pair per q-basis prime, each encrypting
-``q*_i * s^2`` (the CRT reconstruction weights), stored in the NTT domain
-exactly as the hardware keeps them so that the SoP of Fig. 2 needs no
-forward transform of the key.
+There is one relinearisation key class: :class:`RelinKey` names the
+:class:`~repro.rns.decompose.WordDecomp` it was generated for, and the
+evaluator and the coprocessor model both read the digit style from it.
+Its pairs are stored in the NTT domain exactly as the hardware keeps
+them, so the SoP of Fig. 2 needs no forward transform of the key.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from ..poly.rns_poly import RnsPoly
 from ..rns.basis import RnsBasis
+from ..rns.decompose import WordDecomp
 
 
 @dataclass
@@ -39,17 +40,19 @@ class PublicKey:
 
 @dataclass
 class RelinKey:
-    """RNS relinearisation key (the fast coprocessor's six components).
+    """Relinearisation key for one :class:`~repro.rns.decompose.WordDecomp`.
 
-    ``pairs[i] = (b_i, a_i)`` are (k_q x n) NTT-domain residue matrices
-    with ``b_i = [-(a_i s + e_i) + q~_i q*_i s^2]_q``. Relinearisation
-    computes ``c0 += sum_i D_i * b_i`` and ``c1 += sum_i D_i * a_i`` where
-    digit ``D_i`` is simply residue row i of c2 broadcast across the basis
-    (the CRT weights live in the key) — six summands for the paper's six
-    q-primes, matching its six-polynomial key.
+    ``pairs[j] = (b_j, a_j)`` are (k_q x n) NTT-domain residue matrices
+    with ``b_j = [-(a_j s + e_j) + w_j s^2]_q``, w_j the decomposition's
+    weight for digit j. Relinearisation computes ``c0 += sum_j D_j * b_j``
+    and ``c1 += sum_j D_j * a_j`` over the digits D_j of c2. The default,
+    raw residue rows, is the paper's HPS key: digit i is residue row i
+    of c2 broadcast across the basis (the CRT weights live in the key)
+    — six summands for six q-primes, matching its six-polynomial key.
     """
 
     pairs: list[tuple[np.ndarray, np.ndarray]]
+    decomposition: WordDecomp = WordDecomp()
 
     @property
     def num_components(self) -> int:
@@ -57,48 +60,6 @@ class RelinKey:
 
     def key_bytes(self, n: int) -> int:
         """Serialised size (drives the rlk DMA-streaming overhead model)."""
-        total_rows = sum(b.shape[0] + a.shape[0] for b, a in self.pairs)
-        return total_rows * n * 4
-
-
-@dataclass
-class GroupedRelinKey:
-    """Grouped-RNS relinearisation key (HPS digit grouping).
-
-    ``pairs[j]`` encrypts ``q~_j q*_j s^2`` for prime group Q_j; digits
-    are the 60-bit group residues [c2]_{Q_j}, so twelve primes need only
-    six components — the scaling behaviour the paper's Table V model
-    implicitly assumes.
-    """
-
-    pairs: list[tuple[np.ndarray, np.ndarray]]
-    group_size: int
-
-    @property
-    def num_components(self) -> int:
-        return len(self.pairs)
-
-    def key_bytes(self, n: int) -> int:
-        total_rows = sum(b.shape[0] + a.shape[0] for b, a in self.pairs)
-        return total_rows * n * 4
-
-
-@dataclass
-class DigitRelinKey:
-    """Signed base-w relinearisation key (the slow coprocessor's variant).
-
-    ``pairs[j]`` encrypts ``w^j * s^2`` for ``w = 2^base_bits``; the paper
-    uses two 90-bit digits, one third the size of the RNS key.
-    """
-
-    pairs: list[tuple[np.ndarray, np.ndarray]]
-    base_bits: int
-
-    @property
-    def num_components(self) -> int:
-        return len(self.pairs)
-
-    def key_bytes(self, n: int) -> int:
         total_rows = sum(b.shape[0] + a.shape[0] for b, a in self.pairs)
         return total_rows * n * 4
 

@@ -20,6 +20,7 @@ from ..rns.basis import (
     lift_context,
     scale_context,
 )
+from ..rns.decompose import WordDecomp
 from ..rns.decrypt import noise_norm, scale_to_t
 from .ciphertext import Ciphertext
 from .encoder import Plaintext
@@ -65,7 +66,8 @@ class FvContext:
     # -- key generation --------------------------------------------------------------
 
     def keygen(self) -> KeySet:
-        """Generate secret, public, and RNS relinearisation keys."""
+        """Generate secret, public, and (raw-residue-row) relinearisation
+        keys."""
         params = self.params
         n = params.n
         s_coeffs = uniform_ternary(self.rng, n)
@@ -92,33 +94,31 @@ class FvContext:
             p0_ntt=self._ntt_rows(p0_rows),
             p1_ntt=a_ntt,
         )
+        return KeySet(secret=secret, public=public,
+                      relin=self.relin_keygen(secret), basis=self.q_basis)
 
-        relin = self._relin_keygen(s_ntt)
-        return KeySet(secret=secret, public=public, relin=relin,
-                      basis=self.q_basis)
+    def relin_keygen(self, secret: SecretKey,
+                     decomposition: WordDecomp = WordDecomp()) -> RelinKey:
+        """The relinearisation key for one WordDecomp: an NTT-domain
+        pair ``(b, a)`` per digit weight w, ``b = w*s^2 - a*s - e`` for
+        fresh uniform ``a`` and Gaussian ``e`` (drawn in that order, one
+        pair at a time).
 
-    def _relin_keygen(self, s_ntt: np.ndarray) -> RelinKey:
-        """One key pair per q prime, encrypting (q~_i q*_i) * s^2.
-
-        The RNS digits used at relinearisation time are the *raw residue
-        rows* of c2 (each already < 2^30), so the CRT weights q~_i q*_i
-        are folded into the key. This matches the paper's coprocessor,
-        whose Table II shows no extra multiplications for WordDecomp —
-        the decomposition is pure data movement.
+        The default, raw residue rows, is the paper's HPS key: the CRT
+        weights q~_i q*_i are folded into the key, matching its Table II,
+        which shows no extra multiplications for WordDecomp. A
+        decomposition with a single digit is refused: its digit is as
+        large as q, and so is the key error it multiplies.
         """
-        basis = self.q_basis
-        weights = [basis.q_tilde[i] * basis.q_star[i]
-                   for i in range(self.params.k_q)]
-        return RelinKey(pairs=self._key_pairs(s_ntt, weights))
-
-    def _key_pairs(self, s_ntt: np.ndarray,
-                   weights: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One NTT-domain pair ``(b, a)`` per weight w, with ``b = w*s^2
-        - a*s - e`` for fresh uniform ``a`` and Gaussian ``e`` (drawn in
-        that order, one pair at a time) — the loop every relinearisation
-        key variant shares; only the weights differ."""
         params = self.params
+        weights = decomposition.weights(self.q_basis)
+        if len(weights) < 2:
+            raise ParameterError(
+                f"{decomposition} has a single digit over a "
+                f"{params.q.bit_length()}-bit q: its key error would be "
+                f"scaled by ~q, so it can never relinearise")
         primes_col = self.q_basis.primes_col
+        s_ntt = secret.ntt_rows
         s_sq_ntt = (s_ntt * s_ntt) % primes_col
         pairs = []
         for weight in weights:
@@ -132,42 +132,7 @@ class FvContext:
             b_ntt = (weight_col * s_sq_ntt - a_ntt * s_ntt
                      - e_ntt) % primes_col
             pairs.append((b_ntt, a_ntt))
-        return pairs
-
-    def relin_keygen_grouped(self, secret: SecretKey,
-                             group_size: int) -> GroupedRelinKey:
-        """Grouped RNS relinearisation key (HPS digit grouping).
-
-        Component j encrypts ``w_j * s^2`` with ``w_j = q~_j q*_j`` for
-        the prime group Q_j; the digits at relinearisation time are the
-        group residues ``[c2]_{Q_j}``. Groups of two 30-bit primes give
-        60-bit digits and halve the component count — this is what keeps
-        the Table V scaling at ~2.17x per doubling instead of the ~3.6x
-        that per-prime digits would cost (see EXPERIMENTS.md).
-        """
-        from ..rns.decompose import grouped_reconstruction_weights
-        from .keys import GroupedRelinKey
-
-        weights = grouped_reconstruction_weights(self.q_basis, group_size)
-        return GroupedRelinKey(pairs=self._key_pairs(secret.ntt_rows, weights),
-                               group_size=group_size)
-
-    def relin_keygen_digit(self, secret: SecretKey,
-                           base_bits: int) -> DigitRelinKey:
-        """Signed base-2^base_bits relinearisation key (Sec. II-B form).
-
-        This is the variant the paper's slower, traditional-CRT
-        coprocessor uses; it can pick the digit count freely (the paper
-        uses two 90-bit digits — a "three times smaller" key than the
-        HPS design's six components).
-        """
-        from .keys import DigitRelinKey
-
-        q = self.params.q
-        count = -(-q.bit_length() // base_bits)
-        weights = [pow(2, base_bits * i, q) for i in range(count)]
-        return DigitRelinKey(pairs=self._key_pairs(secret.ntt_rows, weights),
-                             base_bits=base_bits)
+        return RelinKey(pairs, decomposition)
 
     # -- encryption / decryption -------------------------------------------------------
 

@@ -33,6 +33,8 @@ out0,out1 result ciphertext
 from __future__ import annotations
 
 from ..params import ParameterSet
+from ..rns.basis import basis_for
+from ..rns.decompose import WordDecomp
 from .config import HardwareConfig
 from .isa import Opcode, Program
 
@@ -108,32 +110,19 @@ def compile_mult_raw(params: ParameterSet,
     return program
 
 
-def _relin_digits(params: ParameterSet, config: HardwareConfig,
-                  components: int | None, style: str | None) -> list[dict]:
+def _digit_meta(params: ParameterSet, config: HardwareConfig,
+                decomposition: WordDecomp | None) -> list[dict]:
     """Per-digit ``DIGIT`` metadata of one relinearisation.
 
-    ``style`` selects the digit flavour: ``"rns"`` (raw residue rows, the
-    HPS design), ``"grouped"`` (60-bit group residues — the scaling mode;
-    the group reconstruction is two 30x30 multiplications and one 60-bit
-    reduction per coefficient, which the lift unit's Block-1 datapath
-    handles) or ``"digit"`` (signed base-w digits of the big-integer
-    coefficients the traditional Scale datapath has just reconstructed).
-    ``components`` defaults to k_q RNS digits, ceil(k_q / 2) groups, or
-    the slow coprocessor's two 90-bit digits.
+    ``decomposition`` defaults to the coprocessor's own key: raw residue
+    rows for the HPS design, two signed digits (90-bit at the paper's
+    180-bit q) for the traditional-CRT one, whose Fig. 8 datapath has
+    just reconstructed the big-integer coefficients they are cut from.
     """
-    if style is None:
-        style = "rns" if config.use_hps else "digit"
-    if style == "rns":
-        return [{"source_row": i} for i in range(components or params.k_q)]
-    if style == "grouped":
-        components = components or -(-params.k_q // 2)
-        group_size = -(-params.k_q // components)
-        return [{"group": j, "group_size": group_size}
-                for j in range(components)]
-    components = components or 2
-    base_bits = -(-params.q.bit_length() // components)
-    return [{"digit_index": j, "base_bits": base_bits}
-            for j in range(components)]
+    if decomposition is None:
+        decomposition = WordDecomp() if config.use_hps else WordDecomp(
+            base_bits=-(-params.q.bit_length() // 2))
+    return decomposition.instruction_meta(basis_for(params.q_primes))
 
 
 def _emit_key_switch(program: Program, params: ParameterSet,
@@ -141,7 +130,7 @@ def _emit_key_switch(program: Program, params: ParameterSet,
                      digits: list[dict]) -> None:
     """The one key switch: ``src`` against a digit-decomposed key.
 
-    Per digit: one extraction (flavour in the ``DIGIT`` metadata), one
+    Per digit: one extraction (its WordDecomp in the ``DIGIT`` metadata), one
     rearrange + forward NTT, the key pair streamed from DDR unless it is
     resident, two products and two accumulations (the first product
     initialises each accumulator). The sum of products stays in the NTT
@@ -174,31 +163,29 @@ def _emit_key_switch(program: Program, params: ParameterSet,
 
 
 def compile_relin(params: ParameterSet, config: HardwareConfig,
-                  relin_components: int | None = None,
-                  relin_style: str | None = None) -> Program:
+                  decomposition: WordDecomp | None = None) -> Program:
     """Relinearisation of the three-part ``s0, s1, s2`` (deferred ReLin).
 
-    The key switch of ``s2`` plus the final accumulation into the output
-    ciphertext; see :func:`_relin_digits` for the digit flavours.
+    The key switch of ``s2`` against a key for ``decomposition`` (see
+    :func:`_digit_meta` for the default) plus the final accumulation
+    into the output ciphertext.
     """
     program = Program(name="fv_relin")
     q_rows = _q_rows(params)
     _emit_key_switch(program, params, config, "s2",
-                     _relin_digits(params, config, relin_components,
-                                   relin_style))
+                     _digit_meta(params, config, decomposition))
     program.emit(Opcode.CADD, dst="out0", srcs=("s0", "r0"), rows=q_rows)
     program.emit(Opcode.CADD, dst="out1", srcs=("s1", "r1"), rows=q_rows)
     return program
 
 
 def compile_mult(params: ParameterSet, config: HardwareConfig,
-                 relin_components: int | None = None,
-                 relin_style: str | None = None) -> Program:
+                 decomposition: WordDecomp | None = None) -> Program:
     """FV.Mult for the fast (HPS) or slow (traditional-CRT) coprocessor:
     :func:`compile_mult_raw` followed by :func:`compile_relin`."""
     program = compile_mult_raw(params, config)
     program.instructions += compile_relin(
-        params, config, relin_components, relin_style).instructions
+        params, config, decomposition).instructions
     return program
 
 
@@ -243,7 +230,7 @@ def compile_rotation(params: ParameterSet, config: HardwareConfig,
                  element=galois_element)
     # Key switch tau(c1) back under s.
     _emit_key_switch(program, params, config, "g1",
-                     _relin_digits(params, config, params.k_q, "rns"))
+                     _digit_meta(params, config, WordDecomp()))
     program.emit(Opcode.CADD, dst="out0", srcs=("g0", "r0"), rows=q_rows)
     # out1 is the key-switch accumulator alone; model the copy as a
     # zero-add against the zeroed register file.

@@ -128,8 +128,11 @@ class HardwareConfig:
 def slow_coprocessor_config() -> HardwareConfig:
     """The non-HPS design point of Sec. VI-C.
 
-    225 MHz clock, traditional-CRT lift/scale with four cores each, and a
-    two-component relinearisation key.
+    225 MHz clock and traditional-CRT lift/scale with four cores each.
+    Its compiled programs default to the paper's two-component key,
+    ``WordDecomp(base_bits=ceil(log2 q / 2))`` (two 90-bit digits at
+    hpca19); ``Coprocessor.mult`` follows whatever decomposition the
+    key it is handed names.
     """
     return replace(
         HardwareConfig(),

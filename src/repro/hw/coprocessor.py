@@ -20,11 +20,10 @@ import numpy as np
 
 from ..errors import HardwareModelError, IsaError
 from ..fv.ciphertext import Ciphertext
-from ..fv.keys import DigitRelinKey, GroupedRelinKey
+from ..fv.keys import RelinKey
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
 from ..rns.basis import basis_for, lift_context, scale_context
-from ..rns.decompose import decompose_poly_signed
 from .compiler import compile_add, compile_mult, compile_rotation
 from .config import HardwareConfig
 from .dma import DmaModel
@@ -232,7 +231,7 @@ class Coprocessor:
             # cycle datapath (the lift unit's small CRT, Fig. 8's
             # reconstructed coefficients).
             issue = self.params.n
-            if "source_row" in ins.meta:
+            if ins.meta["decomposition"].raw_rows:
                 issue //= 2
             return issue + self.config.stage_sync_overhead
         if ins.op is Opcode.LOAD_RLK:
@@ -295,39 +294,13 @@ class Coprocessor:
         dst[: self.params.k_q] = scaled
 
     def _exec_digit(self, ins: Instruction) -> None:
+        # The raw residue row (HPS), a group's exact CRT residue, or one
+        # signed base-w digit of the CRT coefficients the Fig. 8
+        # datapath has reconstructed: whichever the key's WordDecomp is.
         src = self._reg(ins.srcs[0])
         dst = self.registers.setdefault(ins.dst, self._new_reg())
-        if "source_row" in ins.meta:
-            # HPS: broadcast one residue row across the q basis.
-            row = ins.meta["source_row"]
-            dst[: self.params.k_q] = src[row][None, :] % self.q_col
-        elif "group" in ins.meta:
-            # Grouped-RNS digit: exact CRT over one prime group.
-            from ..rns.decompose import grouped_rns_digits
-
-            digits = grouped_rns_digits(
-                self.q_basis, src[: self.params.k_q], ins.meta["group_size"]
-            )
-            dst[: self.params.k_q] = digits[ins.meta["group"]]
-        else:
-            # Traditional: extract one signed base-w digit from the CRT
-            # coefficients (the Fig. 8 datapath has them reconstructed).
-            index = ins.meta["digit_index"]
-            base_bits = ins.meta["base_bits"]
-            count = index + 1
-            poly = RnsPoly(self.q_basis, src[: self.params.k_q])
-            coeffs = poly.to_int_coeffs()
-            digits = decompose_poly_signed(
-                coeffs, self.params.q, 1 << base_bits,
-                max(count, -(-self.params.q.bit_length() // base_bits)),
-            )
-            # Digits can exceed 64 bits (e.g. the 90-bit digits of the
-            # paper's slow design); reduce with exact integer arithmetic.
-            dst[: self.params.k_q] = np.array(
-                [[d % p for d in digits[index]]
-                 for p in self.params.q_primes],
-                dtype=np.int64,
-            )
+        dst[: self.params.k_q] = ins.meta["decomposition"].digit_rows(
+            self.q_basis, src[: self.params.k_q], ins.meta["digit"])
 
     def _exec_galois(self, ins: Instruction) -> None:
         from ..fv.galois import apply_galois_rows
@@ -373,21 +346,11 @@ class Coprocessor:
     # -- high-level operations ---------------------------------------------------------
 
     def mult(self, ct_a: Ciphertext, ct_b: Ciphertext,
-             relin_key) -> tuple[Ciphertext, MultReport]:
-        """Full FV.Mult on the coprocessor (Table I row 1).
-
-        Accepts any of the three relinearisation key flavours; the
-        compiled program follows the key's digit style.
-        """
-        if isinstance(relin_key, GroupedRelinKey):
-            style = "grouped"
-        elif isinstance(relin_key, DigitRelinKey):
-            style = "digit"
-        else:
-            style = "rns"
+             relin_key: RelinKey) -> tuple[Ciphertext, MultReport]:
+        """Full FV.Mult on the coprocessor (Table I row 1); the compiled
+        program's digits follow the key's decomposition."""
         program = compile_mult(self.params, self.config,
-                               relin_components=relin_key.num_components,
-                               relin_style=style)
+                               relin_key.decomposition)
         return self.run(program, _operands(a=ct_a, b=ct_b), relin_key)
 
     def add(self, ct_a: Ciphertext,

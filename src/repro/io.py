@@ -33,6 +33,7 @@ from .fv.keys import KeySet, PublicKey, RelinKey, SecretKey
 from .params import ParameterSet
 from .poly.rns_poly import RnsPoly
 from .rns.basis import basis_for
+from .rns.decompose import WordDecomp
 
 MAGIC = b"REPROFV1"
 
@@ -223,7 +224,9 @@ def save_keyset(path, keys: KeySet, params: ParameterSet) -> None:
     """Persist secret, public, and relinearisation keys in one file.
 
     The secret key is included — this is a client-side credential file;
-    treat it like one.
+    treat it like one. The relinearisation key must be the default
+    (raw residue rows) one :meth:`~repro.fv.scheme.FvContext.keygen`
+    makes: the file does not record a decomposition.
 
     Version 2 additionally persists the NTT caches (``s_ntt``,
     ``p0_ntt``, ``p1_ntt``) and tags every relinearisation digit with
@@ -232,6 +235,10 @@ def save_keyset(path, keys: KeySet, params: ParameterSet) -> None:
     its NTT cache (hand-built test fixtures) is transformed here, at
     save time, once.
     """
+    if keys.relin.decomposition != WordDecomp():
+        raise ParameterError(
+            "a key file holds the default raw-residue-row relinearisation "
+            f"key, not one for {keys.relin.decomposition}")
     k_q, n = params.k_q, params.n
     secret, public = keys.secret, keys.public
     if (secret.ntt_rows is None or public.p0_ntt is None

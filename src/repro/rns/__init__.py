@@ -13,14 +13,16 @@ the FV scheme and the hardware model:
 * :mod:`~repro.rns.decrypt` — the client boundary on residues: HPS
   scale to the plaintext modulus and the mixed-radix (Garner) noise
   norm, both exact.
-* :mod:`~repro.rns.decompose` — WordDecomp: signed base-w digits and the
-  RNS decomposition used for relinearisation.
+* :mod:`~repro.rns.decompose` — :class:`WordDecomp`, the one
+  relinearisation digit style (RNS digits over groups of g q-primes, g = 1
+  the raw residue rows, or signed base-2^b digits): keygen weights, exact
+  digit rows, hw ``DIGIT`` metadata.
 """
 
 from .basis import LiftContext, RnsBasis, ScaleContext
 from .decompose import (
+    WordDecomp,
     recompose_signed_digits,
-    rns_decompose,
     signed_digit_decompose,
 )
 from .lift import lift_hps, lift_traditional
@@ -36,5 +38,5 @@ __all__ = [
     "scale_traditional",
     "signed_digit_decompose",
     "recompose_signed_digits",
-    "rns_decompose",
+    "WordDecomp",
 ]

@@ -1,47 +1,34 @@
-"""WordDecomp: decompositions used by relinearisation (paper Sec. II-B).
+"""WordDecomp: how relinearisation splits c2 into digits (paper Sec. II-B).
 
-Two flavours, matching the two coprocessor variants:
+A relinearisation key is generated for one :class:`WordDecomp`, and this
+module alone computes what follows from it: the keygen weights w_j (with
+``sum_j D_j(a) * w_j ≡ a (mod q)``), the exact digit rows D_j(a) reduced
+into every channel, and the metadata of the hw ``DIGIT`` instruction.
+Two families:
 
-* :func:`signed_digit_decompose` — classic base-w decomposition with
-  *signed* digits in [-w/2, w/2), exactly like the paper's toy example
-  (43 with w = 2^4 becomes digits (-5, 3) since 43 = -5 + 3*16). Used by
-  the traditional-CRT coprocessor, which can pick the digit count freely
-  (it uses two 90-bit digits, a "three times smaller" key).
-* :func:`rns_decompose` — the RNS decomposition D_i(a) = [a_i * q~_i]_{q_i}
-  with reconstruction sum_i D_i(a) * q*_i ≡ a (mod q). This is what the
-  HPS coprocessor uses: six digit polynomials for six q-primes, which is
-  why its relinearisation key is a vector of six polynomials.
+* RNS digits over consecutive groups of g q-primes: D_j(a) = [a]_{Q_j}
+  and w_j = q~_j q*_j with q*_j = q / Q_j. g = 1 is the paper's HPS
+  coprocessor and the default: six raw residue rows for six q-primes,
+  the CRT weights folded into the key, so WordDecomp is pure data
+  movement. g = 2 gives the 60-bit digits (HEAX's dnum) whose constant
+  digit count Table V's scaling assumes.
+* signed base-2^b digits of the centred coefficients, d_i in
+  [-2^(b-1), 2^(b-1)) — the paper's toy example turns 43 with w = 2^4
+  into (-5, 3) since 43 = -5 + 3*16 — with w_j = 2^(b j). The
+  traditional-CRT coprocessor (Sec. VI-C) uses two 90-bit digits, a
+  "three times smaller" key.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from ..errors import ParameterError
 from ..nttmath.modmath import modinv
 from .basis import RnsBasis
-
-
-def broadcast_digit_rows(residues: np.ndarray,
-                         basis: RnsBasis) -> np.ndarray:
-    """Raw-residue digit tensor: row i of ``residues`` broadcast to every
-    basis channel, reduced per channel.
-
-    This is the paper's cheap WordDecomp — pure data movement plus a
-    per-channel reduction. For the standard 30-bit bases the values are
-    below twice every prime, so one unsigned-minimum conditional
-    subtract replaces the integer division.
-    """
-    k, n = residues.shape
-    tiled = np.broadcast_to(residues[:, None, :], (k, basis.size, n))
-    if min(basis.primes) >= 1 << 29:
-        digits = np.ascontiguousarray(tiled)
-        reduced = digits - basis.primes_col
-        np.minimum(digits.view(np.uint64), reduced.view(np.uint64),
-                   out=digits.view(np.uint64))
-        return digits
-    # Narrow primes: one integer-division reduction per channel.
-    return tiled % basis.primes_col
 
 
 def signed_digit_decompose(value: int, base: int, count: int) -> list[int]:
@@ -95,30 +82,6 @@ def decompose_poly_signed(coeffs: list[int], modulus: int, base: int,
     return digit_polys
 
 
-def rns_decompose(basis: RnsBasis, residues: np.ndarray) -> np.ndarray:
-    """RNS decomposition of a residue matrix (HPS relinearisation).
-
-    Input: (k x n) residues of a polynomial over the basis. Output: a
-    (k x k x n) tensor ``out[i]`` where digit polynomial i is the small
-    integer D_i(a) = [a_i * q~_i]_{q_i} broadcast to residues modulo every
-    basis prime (a 30-bit value needs at most one conditional subtraction
-    per channel, which is why the paper calls WordDecomp cheap).
-    """
-    matrix = np.asarray(residues, dtype=np.int64)
-    if matrix.ndim != 2 or matrix.shape[0] != basis.size:
-        raise ParameterError(
-            f"expected ({basis.size} x n) residues, got {matrix.shape}"
-        )
-    k, n = matrix.shape
-    digits = (matrix * basis.q_tilde_col) % basis.primes_col  # (k, n)
-    out = np.empty((k, k, n), dtype=np.int64)
-    for i in range(k):
-        # Digit value D_i is a plain integer < q_i; reduce it into every
-        # channel of the basis.
-        out[i] = digits[i][None, :] % basis.primes_col
-    return out
-
-
 def prime_groups(size: int, group_size: int) -> list[tuple[int, ...]]:
     """Partition prime indices 0..size-1 into consecutive groups."""
     if group_size < 1:
@@ -129,82 +92,98 @@ def prime_groups(size: int, group_size: int) -> list[tuple[int, ...]]:
     ]
 
 
-def grouped_rns_digits(basis: RnsBasis, residues: np.ndarray,
-                       group_size: int) -> np.ndarray:
-    """Grouped RNS decomposition: digit j = [a mod Q_j], Q_j a prime group.
+def _channel_rows(basis: RnsBasis, digits: list[int]) -> np.ndarray:
+    """One digit polynomial of exact integers reduced into every
+    channel; the digits may exceed 64 bits (60- or 90-bit digits), so
+    the reduction is exact integer arithmetic before vectorising."""
+    return np.array([[d % p for d in digits] for p in basis.primes],
+                    dtype=np.int64)
 
-    This is how RNS implementations keep the relinearisation component
-    count constant as the basis grows (HPS Sec. 4; SEAL's key-switching):
-    with groups of two 30-bit primes the digits are 60-bit integers and a
-    twelve-prime modulus still needs only six key components. Output
-    shape: (num_groups, basis.size, n) — each digit broadcast into every
-    channel of the basis, ready for the NTT-domain sum of products.
 
-    The group reconstruction is exact big-integer CRT per group (digits
-    can exceed 63 bits for groups of three or more, hence the object
-    arithmetic inside).
-    """
-    matrix = np.asarray(residues, dtype=np.int64)
-    if matrix.ndim != 2 or matrix.shape[0] != basis.size:
-        raise ParameterError(
-            f"expected ({basis.size} x n) residues, got {matrix.shape}"
-        )
-    groups = prime_groups(basis.size, group_size)
-    n = matrix.shape[1]
-    out = np.empty((len(groups), basis.size, n), dtype=np.int64)
-    for j, group in enumerate(groups):
-        group_primes = [basis.primes[i] for i in group]
-        modulus = 1
-        for p in group_primes:
-            modulus *= p
-        # CRT weights within the group.
+@dataclass(frozen=True)
+class WordDecomp:
+    """One relinearisation digit style: RNS digits over groups of
+    ``group_size`` q-primes, or — when ``base_bits`` is set — signed
+    base-2^``base_bits`` digits. ``WordDecomp()`` is the raw residue
+    rows."""
+
+    group_size: int = 1
+    base_bits: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.group_size < 1:
+            raise ParameterError("group size must be at least 1")
+        if self.base_bits is not None and (self.base_bits < 1
+                                           or self.group_size != 1):
+            raise ParameterError(
+                "a signed decomposition takes base_bits >= 1 and no group")
+
+    @property
+    def raw_rows(self) -> bool:
+        """Digit i is residue row i of the input as it is (g = 1)."""
+        return self.base_bits is None and self.group_size == 1
+
+    def count(self, basis: RnsBasis) -> int:
+        """Number of digits (key components) over ``basis``."""
+        if self.base_bits is None:
+            return -(-basis.size // self.group_size)
+        return -(-basis.modulus.bit_length() // self.base_bits)
+
+    def weights(self, basis: RnsBasis) -> list[int]:
+        """The key constants w_j: ``sum_j D_j(a) * w_j ≡ a (mod q)``."""
+        if self.base_bits is not None:
+            return [pow(2, self.base_bits * j, basis.modulus)
+                    for j in range(self.count(basis))]
         weights = []
-        for p in group_primes:
-            star = modulus // p
-            weights.append(star * modinv(star % p, p))
-        # Exact reconstruction of each coefficient's digit.
-        columns = matrix[list(group)].T.tolist()
-        digits = [
-            sum(int(r) * w for r, w in zip(column, weights, strict=True)) % modulus
-            for column in columns
-        ]
-        for channel, p in enumerate(basis.primes):
-            out[j, channel] = np.array(
-                [d % p for d in digits], dtype=np.int64
+        for group in prime_groups(basis.size, self.group_size):
+            modulus = prod(basis.primes[i] for i in group)
+            star = basis.modulus // modulus
+            weights.append(star * modinv(star % modulus, modulus))
+        return weights
+
+    def digit_rows(self, basis: RnsBasis, residues: np.ndarray,
+                   index: int | None = None) -> np.ndarray:
+        """Exact digits of a ``(k, n)`` residue matrix, each reduced
+        into every channel: ``(count, k, n)``, or digit ``index`` alone
+        as ``(k, n)``."""
+        matrix = np.asarray(residues, dtype=np.int64)
+        if matrix.ndim != 2 or matrix.shape[0] != basis.size:
+            raise ParameterError(
+                f"expected ({basis.size} x n) residues, got {matrix.shape}"
             )
-    return out
+        indices = range(self.count(basis)) if index is None else (index,)
+        if self.base_bits is not None:
+            digit_polys = decompose_poly_signed(
+                basis.reconstruct_coeffs(matrix), basis.modulus,
+                1 << self.base_bits, self.count(basis))
+            rows = [_channel_rows(basis, digit_polys[j]) for j in indices]
+        else:
+            groups = prime_groups(basis.size, self.group_size)
+            rows = [self._group_rows(basis, matrix, groups[j])
+                    for j in indices]
+        return rows[0] if index is not None else np.stack(rows)
 
+    @staticmethod
+    def _group_rows(basis: RnsBasis, matrix: np.ndarray,
+                    group: tuple[int, ...]) -> np.ndarray:
+        if len(group) == 1:
+            # A one-prime group's digit is its residue row as it is.
+            return matrix[group[0]][None, :] % basis.primes_col
+        # Exact CRT within the group: [a]_{Q_j} per coefficient.
+        primes = [basis.primes[i] for i in group]
+        modulus = prod(primes)
+        crt = [(modulus // p) * modinv((modulus // p) % p, p)
+               for p in primes]
+        columns = matrix[list(group)].T.tolist()
+        return _channel_rows(basis, [
+            sum(int(r) * w for r, w in zip(column, crt, strict=True))
+            % modulus
+            for column in columns
+        ])
 
-def grouped_reconstruction_weights(basis: RnsBasis,
-                                   group_size: int) -> list[int]:
-    """The key constants: w_j = q~_j q*_j with q*_j = q / Q_j.
-
-    They satisfy sum_j [a]_{Q_j} * w_j ≡ a (mod q), which is the identity
-    grouped relinearisation keys are built on.
-    """
-    weights = []
-    for group in prime_groups(basis.size, group_size):
-        modulus = 1
-        for i in group:
-            modulus *= basis.primes[i]
-        star = basis.modulus // modulus
-        weights.append(star * modinv(star % modulus, modulus))
-    return weights
-
-
-def rns_recompose(basis: RnsBasis, digit_tensor: np.ndarray) -> np.ndarray:
-    """Reconstruction check: sum_i D_i * q*_i mod each prime.
-
-    Returns the (k x n) residue matrix congruent to the original input of
-    :func:`rns_decompose`; used by property tests.
-    """
-    tensor = np.asarray(digit_tensor, dtype=np.int64)
-    k = basis.size
-    n = tensor.shape[2]
-    out = np.zeros((k, n), dtype=np.int64)
-    for i in range(k):
-        star_col = np.array(
-            [basis.q_star[i] % p for p in basis.primes], dtype=np.int64
-        )[:, None]
-        out = (out + tensor[i] * star_col) % basis.primes_col
-    return out
+    def instruction_meta(self, basis: RnsBasis) -> list[dict]:
+        """``DIGIT`` metadata, one per digit: the decomposition and the
+        digit's index, which the coprocessor executes through
+        :meth:`digit_rows` and prices by :attr:`raw_rows`."""
+        return [{"decomposition": self, "digit": j}
+                for j in range(self.count(basis))]

@@ -15,6 +15,7 @@ from repro.fv.noise import (
 )
 from repro.fv.reference import TextbookFv
 from repro.nttmath.ntt import negacyclic_convolution
+from repro.rns.decompose import WordDecomp
 
 
 def plain_product(a: Plaintext, b: Plaintext, t: int) -> list[int]:
@@ -143,15 +144,15 @@ class TestDigitRelin:
     def test_digit_relin_correct(self, toy_context, toy_keys, evaluator,
                                  rng):
         params = toy_context.params
-        digit_key = toy_context.relin_keygen_digit(toy_keys.secret,
-                                                   base_bits=30)
+        digit_key = toy_context.relin_keygen(toy_keys.secret,
+                                             WordDecomp(base_bits=30))
         a = Plaintext(rng.integers(0, params.t, params.n), params.t)
         b = Plaintext(rng.integers(0, params.t, params.n), params.t)
         raw = evaluator.multiply_raw(
             toy_context.encrypt(a, toy_keys.public),
             toy_context.encrypt(b, toy_keys.public),
         )
-        relined = evaluator.relinearize_digit(raw, digit_key)
+        relined = evaluator.relinearize(raw, digit_key)
         assert toy_context.decrypt(relined, toy_keys.secret).coeffs.tolist() \
             == plain_product(a, b, params.t)
 
@@ -161,24 +162,24 @@ class TestDigitRelin:
         """The paper's slow design uses a 2-component (90-bit digit) key."""
         params = toy_context.params
         base_bits = -(-params.q.bit_length() // 2)
-        digit_key = toy_context.relin_keygen_digit(toy_keys.secret,
-                                                   base_bits=base_bits)
+        digit_key = toy_context.relin_keygen(toy_keys.secret,
+                                             WordDecomp(base_bits=base_bits))
         assert digit_key.num_components == 2
         a = Plaintext(rng.integers(0, params.t, params.n), params.t)
         raw = evaluator.multiply_raw(
             toy_context.encrypt(a, toy_keys.public),
             toy_context.encrypt(a, toy_keys.public),
         )
-        relined = evaluator.relinearize_digit(raw, digit_key)
+        relined = evaluator.relinearize(raw, digit_key)
         assert toy_context.decrypt(relined, toy_keys.secret).coeffs.tolist() \
             == plain_product(a, a, params.t)
 
     def test_key_sizes_match_paper_ratio(self, toy_context, toy_keys):
         """RNS key (k_q components) is ~3x the 2-component digit key."""
         params = toy_context.params
-        digit_key = toy_context.relin_keygen_digit(
-            toy_keys.secret, base_bits=-(-params.q.bit_length() // 2)
-        )
+        digit_key = toy_context.relin_keygen(
+            toy_keys.secret,
+            WordDecomp(base_bits=-(-params.q.bit_length() // 2)))
         rns_bytes = toy_keys.relin.key_bytes(params.n)
         digit_bytes = digit_key.key_bytes(params.n)
         assert rns_bytes == digit_bytes * params.k_q // 2

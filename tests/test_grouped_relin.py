@@ -8,6 +8,7 @@ the paper's 9.68 ms estimate almost exactly.
 """
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,13 +20,11 @@ from repro.fv.scheme import FvContext
 from repro.hw.config import HardwareConfig
 from repro.hw.coprocessor import Coprocessor
 from repro.nttmath.ntt import negacyclic_convolution
-from repro.params import table5_large
+from repro.params import mini, table5_large, toy
 from repro.rns.basis import basis_for
-from repro.rns.decompose import (
-    grouped_reconstruction_weights,
-    grouped_rns_digits,
-    prime_groups,
-)
+from repro.rns.decompose import WordDecomp, prime_groups
+
+GROUPS_OF_2 = WordDecomp(group_size=2)
 
 
 class TestGroupedDecomposition:
@@ -44,7 +43,7 @@ class TestGroupedDecomposition:
 
     def test_reconstruction_identity(self, basis, rng):
         """sum_j [a]_{Q_j} * w_j ≡ a (mod q) for the key weights."""
-        weights = grouped_reconstruction_weights(basis, 2)
+        weights = GROUPS_OF_2.weights(basis)
         groups = prime_groups(basis.size, 2)
         for _ in range(50):
             value = int.from_bytes(rng.bytes(16), "little") % basis.modulus
@@ -61,8 +60,8 @@ class TestGroupedDecomposition:
         residues = np.stack([
             rng.integers(0, p, n) for p in basis.primes
         ]).astype(np.int64)
-        digits = grouped_rns_digits(basis, residues, 2)
-        weights = grouped_reconstruction_weights(basis, 2)
+        digits = GROUPS_OF_2.digit_rows(basis, residues)
+        weights = GROUPS_OF_2.weights(basis)
         acc = np.zeros_like(residues)
         for j, weight in enumerate(weights):
             weight_col = np.array(
@@ -72,9 +71,9 @@ class TestGroupedDecomposition:
         assert np.array_equal(acc, residues)
 
     def test_digit_count(self, basis):
-        assert grouped_rns_digits(
-            basis, np.zeros((basis.size, 4), dtype=np.int64), 2
-        ).shape[0] == -(-basis.size // 2)
+        assert GROUPS_OF_2.digit_rows(
+            basis, np.zeros((basis.size, 4), dtype=np.int64)
+        ).shape[0] == GROUPS_OF_2.count(basis) == -(-basis.size // 2)
 
     def test_group_of_one_equals_raw_digits(self, basis, rng):
         """group_size=1 degenerates to the per-prime raw-residue digits."""
@@ -82,20 +81,20 @@ class TestGroupedDecomposition:
         residues = np.stack([
             rng.integers(0, p, n) for p in basis.primes
         ]).astype(np.int64)
-        digits = grouped_rns_digits(basis, residues, 1)
+        digits = WordDecomp(group_size=1).digit_rows(basis, residues)
         for i in range(basis.size):
             expected = residues[i][None, :] % basis.primes_col
             assert np.array_equal(digits[i], expected)
 
     def test_rejects_wrong_shape(self, basis):
         with pytest.raises(ParameterError):
-            grouped_rns_digits(basis, np.zeros((2, 4), dtype=np.int64), 2)
+            GROUPS_OF_2.digit_rows(basis, np.zeros((2, 4), dtype=np.int64))
 
 
 class TestGroupedRelinearisation:
     def test_sw_grouped_relin_correct(self, toy_context, toy_keys, rng):
         params = toy_context.params
-        grouped = toy_context.relin_keygen_grouped(toy_keys.secret, 2)
+        grouped = toy_context.relin_keygen(toy_keys.secret, GROUPS_OF_2)
         evaluator = Evaluator(toy_context)
         a = Plaintext(rng.integers(0, params.t, params.n), params.t)
         b = Plaintext(rng.integers(0, params.t, params.n), params.t)
@@ -103,7 +102,7 @@ class TestGroupedRelinearisation:
             toy_context.encrypt(a, toy_keys.public),
             toy_context.encrypt(b, toy_keys.public),
         )
-        relined = evaluator.relinearize_grouped(raw, grouped)
+        relined = evaluator.relinearize(raw, grouped)
         expected = negacyclic_convolution(
             a.coeffs.tolist(), b.coeffs.tolist(), params.t
         )
@@ -114,11 +113,11 @@ class TestGroupedRelinearisation:
     def test_hw_grouped_relin_bit_exact(self, mini_context, mini_keys,
                                         rng):
         params = mini_context.params
-        grouped = mini_context.relin_keygen_grouped(mini_keys.secret, 2)
+        grouped = mini_context.relin_keygen(mini_keys.secret, GROUPS_OF_2)
         evaluator = Evaluator(mini_context)
         a = Plaintext(rng.integers(0, params.t, params.n), params.t)
         ct = mini_context.encrypt(a, mini_keys.public)
-        sw = evaluator.relinearize_grouped(
+        sw = evaluator.relinearize(
             evaluator.multiply_raw(ct, ct), grouped
         ).to_coeff()
         hw, report = Coprocessor(params).mult(ct, ct, grouped)
@@ -126,7 +125,7 @@ class TestGroupedRelinearisation:
         assert np.array_equal(hw.c1.residues, sw.c1.residues)
 
     def test_component_count_halved(self, mini_context, mini_keys):
-        grouped = mini_context.relin_keygen_grouped(mini_keys.secret, 2)
+        grouped = mini_context.relin_keygen(mini_keys.secret, GROUPS_OF_2)
         assert grouped.num_components == \
             -(-mini_context.params.k_q // 2)
 
@@ -138,30 +137,37 @@ class TestGroupedRelinearisation:
         ct = mini_context.encrypt(a, mini_keys.public)
         coprocessor = Coprocessor(params)
         _, report_rns = coprocessor.mult(ct, ct, mini_keys.relin)
-        grouped = mini_context.relin_keygen_grouped(mini_keys.secret, 2)
+        grouped = mini_context.relin_keygen(mini_keys.secret, GROUPS_OF_2)
         _, report_grouped = coprocessor.mult(ct, ct, grouped)
         assert report_grouped.total_cycles < report_rns.total_cycles
         assert report_grouped.transfer_cycles < report_rns.transfer_cycles
 
-    def test_grouped_noise_larger_but_bounded(self, toy_context, toy_keys,
-                                              rng):
+    def test_grouped_noise_larger_but_bounded(self):
         """60-bit digits add more noise than 30-bit ones but stay far
-        below threshold (the classic digit-size trade-off)."""
+        below threshold (the classic digit-size trade-off): at toy and
+        mini, on every seed (fresh keys, a fresh product), the grouped
+        result is over 2^20 times noisier (~2^29 measured) and still
+        decrypts."""
         from repro.fv.noise import noise_of
 
-        params = toy_context.params
-        grouped = toy_context.relin_keygen_grouped(toy_keys.secret, 2)
-        evaluator = Evaluator(toy_context)
-        a = Plaintext(rng.integers(0, params.t, params.n), params.t)
-        ct = toy_context.encrypt(a, toy_keys.public)
-        raw = evaluator.multiply_raw(ct, ct)
-        fine = evaluator.relinearize(raw, toy_keys.relin)
-        coarse = evaluator.relinearize_grouped(raw, grouped)
-        assert noise_of(toy_context, coarse, toy_keys.secret) \
-            < params.q // (2 * params.t)
-        # Both decrypt identically.
-        assert toy_context.decrypt(fine, toy_keys.secret) == \
-            toy_context.decrypt(coarse, toy_keys.secret)
+        for params, seed in product((toy(), mini()), range(8)):
+            context = FvContext(params, seed=seed)
+            keys = context.keygen()
+            grouped = context.relin_keygen(keys.secret, GROUPS_OF_2)
+            evaluator = Evaluator(context)
+            rng = np.random.default_rng(seed)
+            a = Plaintext(rng.integers(0, params.t, params.n), params.t)
+            ct = context.encrypt(a, keys.public)
+            raw = evaluator.multiply_raw(ct, ct)
+            fine = evaluator.relinearize(raw, keys.relin)
+            coarse = evaluator.relinearize(raw, grouped)
+            fine_noise = noise_of(context, fine, keys.secret)
+            coarse_noise = noise_of(context, coarse, keys.secret)
+            where = (params.name, seed)
+            assert coarse_noise > fine_noise << 20, where
+            assert coarse_noise < params.q // (2 * params.t), where
+            assert context.decrypt(fine, keys.secret) == \
+                context.decrypt(coarse, keys.secret), where
 
 
 @pytest.mark.slow
@@ -173,7 +179,7 @@ class TestTable5DirectValidation:
         params = table5_large()
         context = FvContext(params, seed=3)
         keys = context.keygen()
-        grouped = context.relin_keygen_grouped(keys.secret, 2)
+        grouped = context.relin_keygen(keys.secret, GROUPS_OF_2)
         config = replace(HardwareConfig(), num_rpaus=13, lift_cores=4,
                          scale_cores=4)
         return params, context, keys, grouped, config

@@ -26,8 +26,9 @@ from repro.hw.compiler import (
 from repro.hw.config import HardwareConfig, slow_coprocessor_config
 from repro.hw.coprocessor import Coprocessor
 from repro.hw.isa import Opcode, Program
-from repro.params import hpca19, mini
 from repro.nttmath.ntt import negacyclic_convolution
+from repro.params import hpca19, mini
+from repro.rns.decompose import WordDecomp
 
 CONFIG = HardwareConfig()
 
@@ -87,6 +88,16 @@ LISTING_SHA256 = {
 }
 
 
+def _listing_decomposition(params, style):
+    """The digit layout each listing style was recorded with: raw
+    residue rows, groups of two q-primes, or two signed digits."""
+    return {
+        "rns": WordDecomp(),
+        "grouped": WordDecomp(group_size=2),
+        "digit": WordDecomp(base_bits=-(-params.q.bit_length() // 2)),
+    }[style]
+
+
 class TestCompiler:
     def test_mult_call_counts_match_paper(self, paper_params):
         """The whole census of one Mult, as literals."""
@@ -102,7 +113,8 @@ class TestCompiler:
         if style == "rotate":
             program = compile_rotation(params, config, 3)
         else:
-            program = compile_mult(params, config, relin_style=style)
+            program = compile_mult(params, config,
+                                   _listing_decomposition(params, style))
         digest = hashlib.sha256(program.listing().encode()).hexdigest()
         assert digest == LISTING_SHA256[pname, style, on_chip]
 
@@ -189,8 +201,8 @@ class TestCoprocessorFunctional:
         config = slow_coprocessor_config()
         coprocessor = Coprocessor(mini_params, config)
         base_bits = -(-mini_params.q.bit_length() // 2)
-        digit_key = mini_context.relin_keygen_digit(mini_keys.secret,
-                                                    base_bits)
+        digit_key = mini_context.relin_keygen(
+            mini_keys.secret, WordDecomp(base_bits=base_bits))
         hw_result, report = coprocessor.mult(ct_a, ct_b, digit_key)
         expected = negacyclic_convolution(
             a.coeffs.tolist(), b.coeffs.tolist(), mini_params.t
@@ -426,9 +438,8 @@ class TestCoprocessorTiming:
 
         context = FvContext(paper_params, seed=5)
         keys = context.keygen()
-        digit_key = context.relin_keygen_digit(
-            keys.secret, -(-paper_params.q.bit_length() // 2)
-        )
+        digit_key = context.relin_keygen(keys.secret, WordDecomp(
+            base_bits=-(-paper_params.q.bit_length() // 2)))
         plain = Plaintext.from_list([1], paper_params.n, paper_params.t)
         ct = context.encrypt(plain, keys.public)
         coprocessor = Coprocessor(paper_params, slow_coprocessor_config())

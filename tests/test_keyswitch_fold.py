@@ -6,8 +6,8 @@ digits transformed by the fused lazy ``ntt_broadcast_rows`` ([0, 2q)
 outputs) — or the canonical grouped / signed digits — accumulates
 digit/key products in int64 with a four-term reduction window, and adds
 the sums into (c0, c1) in the evaluation domain, where the result
-lives. The oracle here recomputes it from its definition —
-``broadcast_digit_rows``, canonical ``ntt_rows``, Python-int
+lives. The oracle here recomputes it from its definition — digits
+broadcast or cut from big integers, canonical ``ntt_rows``, Python-int
 accumulation — and must agree bit for bit. Under the thread pool the
 fold runs as channel bands through the instrumented fan-out, which the
 ``threads@2`` arm checks from the trace.
@@ -40,11 +40,7 @@ from repro.nttmath.batch import ntt_rows, transform_counts
 from repro.obs import Tracer, current_registry
 from repro.parallel import use_executor
 from repro.params import PRIME_BITS, ParameterSet, hpca19, mini, toy
-from repro.rns.decompose import (
-    broadcast_digit_rows,
-    decompose_poly_signed,
-    grouped_rns_digits,
-)
+from repro.rns.decompose import WordDecomp, decompose_poly_signed
 
 
 @pytest.fixture(scope="module", params=[toy, mini, hpca19],
@@ -70,6 +66,17 @@ def _encrypt_pair(context, keys, resident):
         for _ in range(2)
     ]
     return cts if resident else [ct.to_coeff().to_ntt() for ct in cts]
+
+
+def _channel_rows(primes, digit_polys):
+    """Integer digit polynomials reduced into every channel."""
+    return np.array([[[d % p for d in digits] for p in primes]
+                     for digits in digit_polys], dtype=np.int64)
+
+
+def _raw_rows(residues, primes_col):
+    """Raw-residue digits: row i of ``residues`` in every channel."""
+    return residues[:, None, :] % primes_col
 
 
 def _oracle_accumulators(context, digits, pairs):
@@ -115,8 +122,7 @@ def test_fold_matches_python_int_oracle(setup, resident, executor,
     # evaluation-domain accumulators.
     raw = evaluator.multiply_raw(a, b)
     acc0, acc1 = _oracle_accumulators(
-        context, broadcast_digit_rows(raw.c2.residues, context.q_basis),
-        keys.relin.pairs)
+        context, _raw_rows(raw.c2.residues, primes_col), keys.relin.pairs)
     c0, c1 = ntt_rows(primes, raw.c0.residues), ntt_rows(primes,
                                                           raw.c1.residues)
     tracer = Tracer()
@@ -137,8 +143,7 @@ def test_fold_matches_python_int_oracle(setup, resident, executor,
     tau_c0 = apply_galois_rows(coeff.c0.residues, primes_col, params.n, g)
     tau_c1 = apply_galois_rows(coeff.c1.residues, primes_col, params.n, g)
     acc0, acc1 = _oracle_accumulators(
-        context, broadcast_digit_rows(tau_c1, context.q_basis),
-        galois_key.pairs)
+        context, _raw_rows(tau_c1, primes_col), galois_key.pairs)
     with use_executor(*executor), tracer.activate(), \
             tracer.span("root", kind="op"):
         got = engine.apply(a, galois_key)
@@ -159,8 +164,9 @@ def test_fold_matches_python_int_oracle(setup, resident, executor,
 
 
 def test_grouped_and_digit_relinearize_share_the_switch(setup):
-    """The hw model's two oracles: grouped digits and signed base-w
-    digits, each against the Python-int oracle over its own digits."""
+    """The one relinearize with the hw model's two other digit styles:
+    grouped digits and signed base-w digits, each against the Python-int
+    oracle over digits cut from c2's big-integer coefficients."""
     context, keys, _ = setup
     params = context.params
     primes = params.q_primes
@@ -170,22 +176,25 @@ def test_grouped_and_digit_relinearize_share_the_switch(setup):
     c0, c1 = ntt_rows(primes, raw.c0.residues), ntt_rows(primes,
                                                           raw.c1.residues)
 
-    grouped = context.relin_keygen_grouped(keys.secret, group_size=2)
+    coeffs = raw.c2.to_int_coeffs()
+    grouped = context.relin_keygen(keys.secret, WordDecomp(group_size=2))
+    group_moduli = [int(np.prod(primes[i:i + 2], dtype=object))
+                    for i in range(0, len(primes), 2)]
     acc0, acc1 = _oracle_accumulators(
         context,
-        grouped_rns_digits(context.q_basis, raw.c2.residues, 2),
+        _channel_rows(primes, [[c % modulus for c in coeffs]
+                               for modulus in group_moduli]),
         grouped.pairs)
-    _assert_parts(evaluator.relinearize_grouped(raw, grouped),
+    _assert_parts(evaluator.relinearize(raw, grouped),
                   (c0 + acc0) % primes_col, (c1 + acc1) % primes_col,
                   ntt_domain=True)
 
-    digit = context.relin_keygen_digit(keys.secret, base_bits=30)
-    digit_polys = decompose_poly_signed(raw.c2.to_int_coeffs(), params.q,
-                                        1 << 30, digit.num_components)
-    digit_rows = np.array([[[d % p for d in digits] for p in primes]
-                           for digits in digit_polys], dtype=np.int64)
-    acc0, acc1 = _oracle_accumulators(context, digit_rows, digit.pairs)
-    want = evaluator.relinearize_digit(raw, digit)
+    digit = context.relin_keygen(keys.secret, WordDecomp(base_bits=30))
+    digit_polys = decompose_poly_signed(coeffs, params.q, 1 << 30,
+                                        digit.num_components)
+    acc0, acc1 = _oracle_accumulators(
+        context, _channel_rows(primes, digit_polys), digit.pairs)
+    want = evaluator.relinearize(raw, digit)
     _assert_parts(want, (c0 + acc0) % primes_col, (c1 + acc1) % primes_col,
                   ntt_domain=True)
     assert context.decrypt(want, keys.secret) == \
@@ -261,7 +270,7 @@ def test_hoisted_round_matches_python_int_oracle(setup, rows, executor,
 
     (ct, _) = _encrypt_pair(context, keys, True)
     coeff = ct.to_coeff()
-    digits = broadcast_digit_rows(coeff.c1.residues, context.q_basis)
+    digits = _raw_rows(coeff.c1.residues, primes_col)
     with use_executor(*executor):
         many = engine.apply_many(ct, group)
     assert many.keys() == group.keys()

@@ -152,22 +152,22 @@ class TestDecompositionProperties:
     @slow_settings
     @given(st.data())
     def test_grouped_digits_reconstruct(self, data):
-        """For any residues and any group size, the grouped digits
-        weighted by the key constants reconstruct the input."""
-        from repro.rns.decompose import (
-            grouped_reconstruction_weights,
-            grouped_rns_digits,
-        )
+        """For any residues and any decomposition — RNS groups of any
+        size, signed digits of any width — the digits weighted by the
+        key constants reconstruct the input."""
+        from repro.rns.decompose import WordDecomp
 
         basis = basis_for(PARAMS.q_primes)
-        group_size = data.draw(st.integers(1, basis.size))
+        decomposition = data.draw(st.one_of(
+            st.builds(WordDecomp, st.integers(1, basis.size)),
+            st.builds(WordDecomp, base_bits=st.integers(8, 130))))
         columns = data.draw(st.integers(1, 4))
         residues = np.array([
             [data.draw(st.integers(0, p - 1)) for _ in range(columns)]
             for p in basis.primes
         ], dtype=np.int64)
-        digits = grouped_rns_digits(basis, residues, group_size)
-        weights = grouped_reconstruction_weights(basis, group_size)
+        digits = decomposition.digit_rows(basis, residues)
+        weights = decomposition.weights(basis)
         acc = np.zeros_like(residues)
         for j, weight in enumerate(weights):
             weight_col = np.array(

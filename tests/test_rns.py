@@ -24,8 +24,6 @@ from repro.rns.basis import (
 from repro.rns.decompose import (
     decompose_poly_signed,
     recompose_signed_digits,
-    rns_decompose,
-    rns_recompose,
     signed_digit_decompose,
 )
 from repro.rns.decrypt import noise_norm, scale_to_t
@@ -332,30 +330,6 @@ class TestSignedDigits:
                 [digit_polys[level][idx] for level in range(count)], 1 << 30
             )
             assert recomposed == centered
-
-
-class TestRnsDecompose:
-    def test_recompose_identity(self, q_basis, rng):
-        n = 32
-        residues = np.stack([
-            rng.integers(0, p, n) for p in q_basis.primes
-        ]).astype(np.int64)
-        digits = rns_decompose(q_basis, residues)
-        assert digits.shape == (q_basis.size, q_basis.size, n)
-        recomposed = rns_recompose(q_basis, digits)
-        assert np.array_equal(recomposed, residues)
-
-    def test_digits_are_small(self, q_basis, rng):
-        n = 16
-        residues = np.stack([
-            rng.integers(0, p, n) for p in q_basis.primes
-        ]).astype(np.int64)
-        digits = rns_decompose(q_basis, residues)
-        assert digits.max() < 1 << 30
-
-    def test_rejects_wrong_shape(self, q_basis):
-        with pytest.raises(ParameterError):
-            rns_decompose(q_basis, np.zeros((2, 4), dtype=np.int64))
 
 
 class TestColumnBands:
