@@ -229,7 +229,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
               f"{len(report.rejected):>6}"
               f"{report.throughput_per_second():>9.0f}"
               f"{latency.p50 * 1e3:>9.2f}{latency.p99 * 1e3:>9.2f}"
-              f"{util:>7.0%}{report.telemetry.sla_violations:>10}")
+              f"{util:>7.0%}{report.sla_violations:>10}")
     print("\nper-tenant p99 under WFQ (weights 3/1/0.5):")
     for name in sorted(tenants.tenants):
         print("  " + wfq_report.latency_summary(name).row(name))

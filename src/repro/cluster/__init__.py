@@ -13,9 +13,10 @@ router on one shared simulated clock —
 * :mod:`~repro.cluster.cluster` — the shared-clock run loop with the
   cluster's backlog cap, overflow re-routing, and the fault/retry
   interleaving driven by :mod:`repro.faults` plans;
-* :mod:`~repro.cluster.report` — merged cluster telemetry: cluster and
-  per-shard percentiles, throughput, utilization imbalance, and the
-  :class:`~repro.faults.FailureReport` ledger of any chaos run.
+* :mod:`~repro.cluster.report` — the shards' records side by side: the
+  shared reductions over their concatenation, per-shard utilization
+  and imbalance, and the :class:`~repro.faults.FailureReport` ledger of
+  any chaos run.
 """
 
 from ..faults import FailureReport, FaultEvent, FaultKind, FaultPlan, \

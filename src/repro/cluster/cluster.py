@@ -243,7 +243,7 @@ class FpgaCluster:
         return feeds + [self._overflow]
 
     def drain(self) -> ClusterReport:
-        """Drain every board and merge the per-shard reports.
+        """Drain every board and collect the per-shard reports.
 
         Pending fault events and backed-off retries are applied first,
         in time order, so a crash scheduled after the last arrival

@@ -1,13 +1,17 @@
-"""Aggregated cluster telemetry: merge per-shard reports into one view.
+"""The cluster report: the shards' records side by side.
 
 A cluster run ends with one :class:`~repro.serve.engine.RuntimeReport`
-per shard plus the cluster-level overflow rejections. This module
-reduces them to the operator numbers: cluster-wide and per-shard
-p50/p95/p99, throughput against the union busy window, per-shard
-utilization and the imbalance metric that explains any sub-linear
-scaling. Every ratio is guarded against empty inputs — a shard that
-received no work (a perfectly plausible outcome of tenant-affinity
-routing with few tenants) must merge cleanly, not divide by zero.
+per shard plus the cluster-level overflow rejections. The cluster's
+record is their concatenation, in shard order, and its latency,
+throughput and offered-load numbers are the ones every report shares
+(:class:`~repro.serve.telemetry.ServingReductions`) over that record —
+there is no second implementation to drift. What only a cluster has
+is added here: availability, per-shard utilization against the shared
+window, the imbalance metric that explains any sub-linear scaling, and
+the :class:`~repro.faults.FailureReport` ledger of a chaos run. A shard
+that received no work (a perfectly plausible outcome of
+tenant-affinity routing with few tenants) reduces to zeros, not a
+division by zero.
 """
 
 from __future__ import annotations
@@ -16,14 +20,13 @@ from dataclasses import dataclass, field
 
 from ..faults import FailureReport
 from ..serve.engine import JobResult, RuntimeReport
-from ..serve.telemetry import LatencySummary, Telemetry
+from ..serve.telemetry import ServingReductions
 from ..serve.tenants import Rejection
-from ..system.workloads import JobKind
 
 
 @dataclass
-class ClusterReport:
-    """The merged outcome of one multi-shard run."""
+class ClusterReport(ServingReductions):
+    """The outcome of one multi-shard run."""
 
     shard_names: list[str]
     shard_reports: list[RuntimeReport]
@@ -33,9 +36,9 @@ class ClusterReport:
     #: Arrivals whose primary shard was full but a sibling took them.
     reroutes: int = 0
     #: Snapshot of the active :mod:`repro.obs` metrics registry taken
-    #: at drain time (flat series-name → value mapping), so the merged
-    #: report carries the process-level counters — engine transforms,
-    #: resident-cache events — alongside the queueing telemetry.
+    #: at drain time (flat series-name → value mapping), so the report
+    #: carries the process-level counters — engine transforms,
+    #: resident-cache events — alongside the shard records.
     registry_snapshot: dict[str, float] = field(default_factory=dict)
     #: Fault ledger of the run — present whenever the cluster ran with
     #: a fault plan or replicated placement, ``None`` otherwise.
@@ -45,7 +48,7 @@ class ClusterReport:
         if len(self.shard_names) != len(self.shard_reports):
             raise ValueError("one report per shard name")
 
-    # -- job accounting ----------------------------------------------------------------
+    # -- the record --------------------------------------------------------------------
 
     @property
     def num_shards(self) -> int:
@@ -65,15 +68,6 @@ class ClusterReport:
         return sum(len(report.results) for report in self.shard_reports)
 
     @property
-    def offered(self) -> int:
-        return self.completed + len(self.rejected)
-
-    @property
-    def rejection_fraction(self) -> float:
-        offered = self.offered
-        return len(self.rejected) / offered if offered else 0.0
-
-    @property
     def availability(self) -> float:
         """Completed fraction of offered load (1.0 when nothing came).
 
@@ -84,64 +78,9 @@ class ClusterReport:
         offered = self.offered
         return self.completed / offered if offered else 1.0
 
-    # -- time window and throughput ----------------------------------------------------
-
-    @property
-    def first_arrival_seconds(self) -> float:
-        return min((report.first_arrival_seconds
-                    for report in self.shard_reports if report.results),
-                   default=0.0)
-
-    @property
-    def last_finish_seconds(self) -> float:
-        return max((report.last_finish_seconds
-                    for report in self.shard_reports if report.results),
-                   default=0.0)
-
-    @property
-    def makespan_seconds(self) -> float:
-        """Union busy window: first arrival to last finish, any shard."""
-        if not any(report.results for report in self.shard_reports):
-            return 0.0
-        return self.last_finish_seconds - self.first_arrival_seconds
-
-    def throughput_per_second(self, kind: JobKind | None = None) -> float:
-        makespan = self.makespan_seconds
-        if makespan <= 0:
-            return 0.0
-        jobs = sum(
-            1 for report in self.shard_reports for r in report.results
-            if kind is None or r.job.kind is kind
-        )
-        return jobs / makespan
-
-    def per_shard_throughput(self) -> list[float]:
-        """Each shard's completions over the *cluster* busy window."""
-        makespan = self.makespan_seconds
-        if makespan <= 0:
-            return [0.0] * self.num_shards
-        return [len(report.results) / makespan
-                for report in self.shard_reports]
-
-    # -- latency -----------------------------------------------------------------------
-
-    def telemetry(self) -> Telemetry:
-        """Exact merge of every shard's collector (empty shards fine)."""
-        return Telemetry.merged([report.telemetry
-                                 for report in self.shard_reports])
-
-    def latency_summary(self, tenant: str | None = None) -> LatencySummary:
-        return self.telemetry().latency_summary(tenant)
-
-    def shard_latency_summaries(self) -> dict[str, LatencySummary]:
-        return {name: report.latency_summary()
-                for name, report in zip(self.shard_names,
-                                        self.shard_reports, strict=True)}
-
     @property
     def sla_violations(self) -> int:
-        return sum(report.telemetry.sla_violations
-                   for report in self.shard_reports)
+        return sum(report.sla_violations for report in self.shard_reports)
 
     # -- utilization and balance -------------------------------------------------------
 
@@ -153,13 +92,8 @@ class ClusterReport:
         the slack the imbalance metric should see.
         """
         makespan = self.makespan_seconds
-        if makespan <= 0:
-            return [0.0] * self.num_shards
-        out = []
-        for report in self.shard_reports:
-            util = report.telemetry.utilization(makespan)
-            out.append(sum(util) / len(util) if util else 0.0)
-        return out
+        return [report.mean_utilization(makespan)
+                for report in self.shard_reports]
 
     def imbalance(self) -> float:
         """Utilization spread, ``(max - min) / mean``; 0 when idle.

@@ -1,11 +1,13 @@
 """Unified observability: metrics registry, request tracing, timelines.
 
-The serving stack grew signals in four unrelated shapes — the global
-transform counters in :mod:`repro.nttmath.batch`, per-runtime
-:class:`~repro.serve.telemetry.Telemetry` collectors, the cluster
-merge in :mod:`repro.cluster.report`, and backend-private cache
-counters in :mod:`repro.api.resident`. This package is the one
-substrate they all report through:
+The serving stack's signals come in three shapes — the global
+transform counters in :mod:`repro.nttmath.batch`, backend-private
+cache counters in :mod:`repro.api.resident`, and the record of a
+simulated run (a board's :class:`~repro.serve.engine.RuntimeReport`,
+a cluster's :class:`~repro.cluster.report.ClusterReport` over its
+shards, each number reduced once in :mod:`repro.serve.telemetry`).
+This package is the one substrate the counters report through and
+the exporter of the records:
 
 * :mod:`~repro.obs.registry` — a process-wide **metrics registry**
   (counters, gauges, histograms with labels) with snapshot/diff/reset

@@ -9,8 +9,8 @@ directly in Perfetto / ``chrome://tracing``:
 * :func:`runtime_timeline` — a simulated
   :class:`~repro.serve.engine.RuntimeReport`: one thread lane per
   coprocessor, one slice per job (batch-mates share their DMA train's
-  interval), and a ``queue_depth`` counter track from the telemetry
-  trace;
+  interval), and a ``queue_depth`` counter track from the report's
+  queue-depth trace;
 * :func:`cluster_timeline` — a multi-shard
   :class:`~repro.cluster.report.ClusterReport`: one *process* per
   shard so Perfetto groups each shard's lanes together.
@@ -116,7 +116,7 @@ def runtime_timeline(report: RuntimeReport, pid: int = 0,
     Jobs dispatched in one DMA train share a start/finish interval;
     they render stacked inside the same slice bounds, which is exactly
     the batching structure the timeline should show. The queue-depth
-    counter track comes from the report's telemetry.
+    counter track is the report's queue-depth trace.
     """
     lanes = sorted({r.coprocessor for r in report.results})
     events: list[dict[str, Any]] = _meta(pid, name)
@@ -140,7 +140,7 @@ def runtime_timeline(report: RuntimeReport, pid: int = 0,
                 "latency_seconds": result.latency_seconds,
             },
         })
-    for now, depth in report.telemetry.queue_depth_trace:
+    for now, depth in report.queue_depth_trace:
         events.append({
             "ph": "C",
             "name": "queue_depth",

@@ -5,15 +5,16 @@ One :class:`ServingRuntime` simulates one board, priced by the board's
 
 * :mod:`~repro.serve.events` — event heap and simulated clock;
 * :mod:`~repro.serve.engine` — the arrival/dispatch/completion loop,
-  the board's crash/recover lifecycle and its report;
+  the board's crash/recover lifecycle and its report (the job results
+  plus busy time, queue depth and SLA misses);
 * :mod:`~repro.serve.schedulers` — FIFO, shortest-job-first, weighted
   fair queueing, and per-coprocessor work stealing;
 * :mod:`~repro.serve.batching` — DMA upload coalescing that amortises
   the Table I Arm setup cost across a backlog;
 * :mod:`~repro.serve.tenants` — multi-tenant clients, SLA deadlines,
   admission control;
-* :mod:`~repro.serve.telemetry` — latency percentiles, queue-depth and
-  utilisation traces.
+* :mod:`~repro.serve.telemetry` — every reduction of a report, written
+  once: latency percentiles, busy window, throughput, rejections.
 """
 
 from .batching import BatchPolicy, DmaBatcher
@@ -28,7 +29,7 @@ from .schedulers import (
     WorkStealingScheduler,
     default_schedulers,
 )
-from .telemetry import LatencySummary, Telemetry, percentile
+from .telemetry import LatencySummary
 from .tenants import AdmissionController, Rejection, Tenant, TenantSet
 
 __all__ = [
@@ -48,8 +49,6 @@ __all__ = [
     "WorkStealingScheduler",
     "default_schedulers",
     "LatencySummary",
-    "Telemetry",
-    "percentile",
     "AdmissionController",
     "Rejection",
     "Tenant",

@@ -32,12 +32,12 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..system.server import CostModel
-from ..system.workloads import Job, JobKind
+from ..system.workloads import Job
 from .batching import BatchPolicy, DmaBatcher
 from .events import EventHeap, EventKind
 from .schedulers import FifoScheduler, QueueEntry, Scheduler, \
     WeightedFairScheduler
-from .telemetry import LatencySummary, Telemetry
+from .telemetry import ServingReductions
 from .tenants import AdmissionController, Rejection, TenantSet
 
 
@@ -62,79 +62,60 @@ class JobResult:
 
     @property
     def latency_seconds(self) -> float:
-        return self.finish_seconds - self.job.arrival_seconds
+        """Finish minus the client's *first* submission: a retried job
+        is measured from its original arrival, not its re-injection."""
+        origin = self.job.first_arrival_seconds
+        return self.finish_seconds - (self.job.arrival_seconds
+                                      if origin is None else origin)
 
 
 @dataclass
-class RuntimeReport:
-    """Timing summary of one board's run."""
+class RuntimeReport(ServingReductions):
+    """One board's run: its job results plus three accumulators.
 
-    telemetry: Telemetry
+    ``results`` and ``rejected`` are the record every reduction reads.
+    The fields beside them are the three quantities that record cannot
+    rebuild exactly: per-coprocessor busy time (summed service seconds
+    — re-summing result intervals drifts in the last bits), the
+    scheduler's queue depth sampled at every enqueue and dispatch, and
+    the completions that missed their tenant's SLA (the tenants are
+    the runtime's, not the record's).
+    """
+
+    busy_seconds: list[float]
     results: list[JobResult] = field(default_factory=list)
     rejected: list[Rejection] = field(default_factory=list)
+    queue_depth_trace: list[tuple[float, int]] = field(default_factory=list)
+    sla_violations: int = 0
 
-    @property
-    def first_arrival_seconds(self) -> float:
-        return min((r.job.arrival_seconds for r in self.results),
-                   default=0.0)
+    def utilization(self, horizon_seconds: float | None = None,
+                    ) -> list[float]:
+        """Busy fraction of each coprocessor over ``horizon_seconds``.
 
-    @property
-    def last_finish_seconds(self) -> float:
-        return max((r.finish_seconds for r in self.results), default=0.0)
-
-    @property
-    def makespan_seconds(self) -> float:
-        """Busy interval of the run, measured from the *first arrival*.
-
-        Open-loop streams (e.g. Poisson) may not deliver their first job
-        at t=0; measuring from t=0 would dilute the throughput of every
-        such run by the initial idle gap.
+        The window defaults to this run's makespan; a cluster passes
+        its shared window so an early-finishing board shows its slack.
         """
-        if not self.results:
-            return 0.0
-        return self.last_finish_seconds - self.first_arrival_seconds
+        horizon = (self.makespan_seconds if horizon_seconds is None
+                   else horizon_seconds)
+        if horizon <= 0:
+            return [0.0] * len(self.busy_seconds)
+        return [min(b / horizon, 1.0) for b in self.busy_seconds]
 
-    def throughput_per_second(self, kind: JobKind | None = None) -> float:
-        jobs = [r for r in self.results
-                if kind is None or r.job.kind is kind]
-        if not jobs or self.makespan_seconds == 0:
-            return 0.0
-        return len(jobs) / self.makespan_seconds
-
-    @property
-    def mean_latency_seconds(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(r.latency_seconds for r in self.results) / len(self.results)
-
-    @property
-    def offered(self) -> int:
-        return len(self.results) + len(self.rejected)
-
-    @property
-    def rejection_fraction(self) -> float:
-        return len(self.rejected) / self.offered if self.offered else 0.0
-
-    def latency_summary(self, tenant: str | None = None) -> LatencySummary:
-        return self.telemetry.latency_summary(tenant)
-
-    def utilization(self) -> list[float]:
-        return self.telemetry.utilization(self.makespan_seconds)
-
-    def mean_utilization(self) -> float:
+    def mean_utilization(self, horizon_seconds: float | None = None,
+                         ) -> float:
         """Average busy fraction across coprocessors; 0.0 when empty.
 
         Safe on reports with no results (an idle board in a cluster
         must not crash the aggregation that averages utilizations).
         """
-        util = self.utilization()
+        util = self.utilization(horizon_seconds)
         return sum(util) / len(util) if util else 0.0
 
 
 class ServingRuntime:
     """One Arm+FPGA board: event-driven scheduling over its cost model.
 
-    One runtime instance performs one run: schedulers and telemetry are
+    One runtime instance performs one run: schedulers and the report are
     stateful, so construct a fresh runtime (or at least a fresh
     scheduler) for every workload. ``name`` identifies the board inside
     a cluster (rendezvous hashing and the cluster report read it).
@@ -161,7 +142,6 @@ class ServingRuntime:
                                              self.num_coprocessors)
         self._ran = False
         self._heap: EventHeap | None = None
-        self._telemetry: Telemetry | None = None
         self._report: RuntimeReport | None = None
         self._free: list[bool] = []
         self._busy_until: list[float] = []
@@ -188,8 +168,8 @@ class ServingRuntime:
         self._ran = True
         self.scheduler.bind(self.num_coprocessors)
         self._heap = EventHeap()
-        self._telemetry = Telemetry(self.num_coprocessors)
-        self._report = RuntimeReport(telemetry=self._telemetry)
+        self._report = RuntimeReport(
+            busy_seconds=[0.0] * self.num_coprocessors)
         self._free = [True] * self.num_coprocessors
         self._busy_until = [0.0] * self.num_coprocessors
 
@@ -437,7 +417,7 @@ class ServingRuntime:
         )
         self._queued_per_tenant[job.tenant] = \
             self._queued_per_tenant.get(job.tenant, 0) + 1
-        self._telemetry.record_queue_depth(now, len(self.scheduler))
+        self._report.queue_depth_trace.append((now, len(self.scheduler)))
         # All-busy arrivals just queue; the next completion dispatches.
         if any(self._free):
             self._heap.push(now, EventKind.DISPATCH)
@@ -471,8 +451,8 @@ class ServingRuntime:
                 batch.append(entry)
             if not batch:
                 continue
-            self._telemetry.record_queue_depth(now, len(self.scheduler))
-            self._telemetry.record_dispatch(coproc, len(batch))
+            self._report.queue_depth_trace.append(
+                (now, len(self.scheduler)))
             service = self.batcher.service_seconds(batch) \
                 * self._service_scale
             self._free[coproc] = False
@@ -484,25 +464,17 @@ class ServingRuntime:
             ))
 
     def _on_completion(self, done: _Dispatched, now: float) -> None:
-        latencies: list[tuple[str, float]] = []
-        violations = 0
+        report = self._report
         for entry in done.entries:
-            self._report.results.append(JobResult(
+            result = JobResult(
                 job=entry.job, coprocessor=done.coprocessor,
                 start_seconds=done.start_seconds, finish_seconds=now,
-            ))
-            # Retried jobs measure latency from the client's *first*
-            # submission, not the retry's re-injection instant.
-            origin = entry.job.first_arrival_seconds
-            latency = now - (entry.arrival_seconds if origin is None
-                             else origin)
-            latencies.append((entry.tenant, latency))
+            )
+            report.results.append(result)
             sla = self.tenants.get(entry.tenant).sla_seconds
-            if sla is not None and latency > sla:
-                violations += 1
-        self._telemetry.record_completion(done.coprocessor,
-                                          done.service_seconds,
-                                          latencies, violations)
+            if sla is not None and result.latency_seconds > sla:
+                report.sla_violations += 1
+        report.busy_seconds[done.coprocessor] += done.service_seconds
         self._free[done.coprocessor] = True
         self._in_flight_jobs -= len(done.entries)
         self._heap.push(now, EventKind.DISPATCH)

@@ -2,8 +2,8 @@
 
 The engine advances a simulated clock through a priority queue of
 timestamped events. Three kinds exist: a job ARRIVAL from a client
-stream, the DISPATCH of a batch onto a coprocessor (recorded for the
-telemetry traces), and the COMPLETION that frees the coprocessor.
+stream, the DISPATCH of a batch onto a coprocessor (sampled for the
+report's queue-depth trace), and the COMPLETION that frees the coprocessor.
 Events at equal timestamps are ordered by insertion sequence so runs
 are fully deterministic.
 """

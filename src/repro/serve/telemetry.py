@@ -1,35 +1,34 @@
-"""Latency, queue-depth and utilisation telemetry for the runtime.
+"""The serving numbers: every reduction of a run's record, written once.
 
 Throughput alone (the paper's 400 Mult/s) says nothing about what a
 client experiences under load; serving systems are judged on tail
-latency. The engine feeds every state change through a
-:class:`Telemetry` collector, which keeps full traces (queue depth and
-per-coprocessor busy time against the simulated clock) and reduces
-them to the numbers operators actually watch: p50/p95/p99 latency,
-mean/max queue depth, utilisation, and SLA violations.
+latency. A run's record is its job results and rejections — one
+board's :class:`~repro.serve.engine.RuntimeReport`, or a
+:class:`~repro.cluster.report.ClusterReport` over the concatenation of
+its shards' — and the numbers operators watch are reduced from it here:
+the busy window, throughput, offered load and rejection fraction
+(:class:`ServingReductions`), and the p50/p95/p99 digest of a latency
+series (:class:`LatencySummary`). A cluster's numbers are therefore
+those of its concatenated shard records by construction; there is no
+merge step to keep exact.
 
-This collector is runtime-local and sample-exact; the process-wide
-counter plane (engine transform counts, resident-cache events) lives
-in the :mod:`repro.obs` metrics registry, and the per-job schedule a
-collector summarises can be exported as a Perfetto-loadable timeline
-via :func:`repro.obs.runtime_timeline`.
+The process-wide counter plane (engine transform counts, resident-cache
+events) lives in the :mod:`repro.obs` metrics registry, and a record's
+per-job schedule and queue-depth trace export as a Perfetto-loadable
+timeline via :func:`repro.obs.runtime_timeline`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-
-def percentile(values: list[float], q: float) -> float:
-    """Linear-interpolated percentile; 0.0 for an empty series."""
-    if not values:
-        return 0.0
-    if not 0 <= q <= 100:
-        raise ValueError("percentile must be in [0, 100]")
-    return float(np.percentile(np.asarray(values, dtype=float), q))
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..system.workloads import JobKind
+    from .engine import JobResult
+    from .tenants import Rejection
 
 
 @dataclass(frozen=True)
@@ -45,16 +44,19 @@ class LatencySummary:
 
     @classmethod
     def of(cls, latencies: list[float]) -> LatencySummary:
+        """Linear-interpolated percentiles; all zero for an empty series."""
         if not latencies:
             return cls(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0,
                        max=0.0)
+        values = np.asarray(latencies, dtype=float)
+        p50, p95, p99 = np.percentile(values, (50, 95, 99))
         return cls(
-            count=len(latencies),
-            mean=float(np.mean(latencies)),
-            p50=percentile(latencies, 50),
-            p95=percentile(latencies, 95),
-            p99=percentile(latencies, 99),
-            max=float(np.max(latencies)),
+            count=len(values),
+            mean=float(np.mean(values)),
+            p50=float(p50),
+            p95=float(p95),
+            p99=float(p99),
+            max=float(np.max(values)),
         )
 
     def row(self, label: str) -> str:
@@ -65,104 +67,66 @@ class LatencySummary:
                 f"max={self.max * 1e3:8.2f} ms")
 
 
-@dataclass
-class Telemetry:
-    """Trace collector wired into the event engine."""
+class ServingReductions:
+    """The reductions of a run record, shared by every report.
 
-    num_coprocessors: int
-    queue_depth_trace: list[tuple[float, int]] = field(default_factory=list)
-    busy_seconds: list[float] = field(init=False)
-    dispatch_count: list[int] = field(init=False)
-    batch_sizes: list[int] = field(default_factory=list)
-    latencies: list[float] = field(default_factory=list)
-    tenant_latencies: dict[str, list[float]] = field(default_factory=dict)
-    sla_violations: int = 0
+    A subclass supplies ``results`` and ``rejected``: a board's report
+    stores them, a cluster's concatenates its shards' in shard order.
+    Every empty case reduces to 0 rather than dividing by zero — an
+    idle board in a cluster is a perfectly plausible outcome.
+    """
 
-    def __post_init__(self) -> None:
-        self.busy_seconds = [0.0] * self.num_coprocessors
-        self.dispatch_count = [0] * self.num_coprocessors
-
-    # -- recording hooks ---------------------------------------------------------------
-
-    def record_queue_depth(self, now: float, depth: int) -> None:
-        self.queue_depth_trace.append((now, depth))
-
-    def record_dispatch(self, coprocessor: int, batch_size: int) -> None:
-        self.dispatch_count[coprocessor] += 1
-        self.batch_sizes.append(batch_size)
-
-    def record_completion(self, coprocessor: int, service_seconds: float,
-                          latencies: list[tuple[str, float]],
-                          sla_violations: int) -> None:
-        self.busy_seconds[coprocessor] += service_seconds
-        for tenant, latency in latencies:
-            self.latencies.append(latency)
-            self.tenant_latencies.setdefault(tenant, []).append(latency)
-        self.sla_violations += sla_violations
-
-    # -- reductions --------------------------------------------------------------------
-
-    def latency_summary(self, tenant: str | None = None) -> LatencySummary:
-        series = (self.latencies if tenant is None
-                  else self.tenant_latencies.get(tenant, []))
-        return LatencySummary.of(series)
-
-    def utilization(self, horizon_seconds: float) -> list[float]:
-        """Busy fraction of each coprocessor over the run's busy window."""
-        if horizon_seconds <= 0:
-            return [0.0] * self.num_coprocessors
-        return [min(b / horizon_seconds, 1.0) for b in self.busy_seconds]
+    results: list[JobResult]
+    rejected: list[Rejection]
 
     @property
-    def max_queue_depth(self) -> int:
-        return max((d for _, d in self.queue_depth_trace), default=0)
+    def first_arrival_seconds(self) -> float:
+        return min((r.job.arrival_seconds for r in self.results),
+                   default=0.0)
 
-    def mean_queue_depth(self) -> float:
-        """Time-weighted mean depth over the queue-depth trace."""
-        trace = self.queue_depth_trace
-        if len(trace) < 2:
-            return float(trace[0][1]) if trace else 0.0
-        area = 0.0
-        for (t0, d0), (t1, _) in zip(trace, trace[1:], strict=False):
-            area += d0 * (t1 - t0)
-        span = trace[-1][0] - trace[0][0]
-        return area / span if span > 0 else float(trace[-1][1])
+    @property
+    def last_finish_seconds(self) -> float:
+        return max((r.finish_seconds for r in self.results), default=0.0)
 
-    def mean_batch_size(self) -> float:
-        if not self.batch_sizes:
-            return 0.0
-        return float(np.mean(self.batch_sizes))
+    @property
+    def makespan_seconds(self) -> float:
+        """Busy interval of the run, measured from the *first arrival*.
 
-    # -- merging (multi-shard aggregation) ---------------------------------------------
-
-    @classmethod
-    def merged(cls, parts: Sequence[Telemetry]) -> Telemetry:
-        """Combine per-shard collectors into one cluster-wide view.
-
-        Telemetry keeps the raw sample series (not just digests), so
-        the merge is exact: percentiles of the merged collector equal
-        percentiles over the concatenated samples — there is no
-        digest-merging approximation error. The queue-depth trace of a
-        merge interleaves *per-shard* depth samples by time (there is
-        no single cluster queue); ``busy_seconds`` and
-        ``dispatch_count`` concatenate, so coprocessor ``i`` of shard
-        ``k`` keeps a distinct slot. Merging zero parts (or parts from
-        idle shards) yields a valid empty collector.
+        Open-loop streams (e.g. Poisson) may not deliver their first job
+        at t=0; measuring from t=0 would dilute the throughput of every
+        such run by the initial idle gap.
         """
-        total = cls(num_coprocessors=sum(p.num_coprocessors
-                                         for p in parts))
-        total.busy_seconds = [b for p in parts for b in p.busy_seconds]
-        total.dispatch_count = [d for p in parts
-                                for d in p.dispatch_count]
-        total.queue_depth_trace = sorted(
-            (sample for p in parts for sample in p.queue_depth_trace),
-            key=lambda sample: sample[0],
-        )
-        total.batch_sizes = [s for p in parts for s in p.batch_sizes]
-        total.latencies = [lat for p in parts for lat in p.latencies]
-        for part in parts:
-            for tenant, series in part.tenant_latencies.items():
-                total.tenant_latencies.setdefault(tenant,
-                                                  []).extend(series)
-        total.sla_violations = sum(p.sla_violations for p in parts)
-        return total
+        if not self.results:
+            return 0.0
+        return self.last_finish_seconds - self.first_arrival_seconds
+
+    def throughput_per_second(self, kind: JobKind | None = None) -> float:
+        jobs = [r for r in self.results
+                if kind is None or r.job.kind is kind]
+        makespan = self.makespan_seconds
+        if not jobs or makespan == 0:
+            return 0.0
+        return len(jobs) / makespan
+
+    @property
+    def mean_latency_seconds(self) -> float:
+        results = self.results
+        if not results:
+            return 0.0
+        return sum(r.latency_seconds for r in results) / len(results)
+
+    @property
+    def offered(self) -> int:
+        return len(self.results) + len(self.rejected)
+
+    @property
+    def rejection_fraction(self) -> float:
+        offered = self.offered
+        return len(self.rejected) / offered if offered else 0.0
+
+    def latency_summary(self, tenant: str | None = None) -> LatencySummary:
+        """Digest of the completions' latencies (one tenant's, if named)."""
+        return LatencySummary.of([
+            r.latency_seconds for r in self.results
+            if tenant is None or r.job.tenant == tenant
+        ])

@@ -76,7 +76,7 @@ class AdmissionController:
     (SJF, WFQ) a cheap job may overtake the backlog and meet a
     deadline this gate rejected, and conversely batching discounts
     and later arrivals mean admitted jobs can still miss their SLA
-    (counted by telemetry). Scheduler-aware admission is an open
+    (counted in the report's ``sla_violations``). Scheduler-aware admission is an open
     ROADMAP item.
     """
 

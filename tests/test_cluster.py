@@ -1,8 +1,10 @@
 """Tests for the multi-FPGA shard layer (repro.cluster), the stepping
-API it drives, telemetry merging, and the empty-report division edges."""
+API it drives, cluster reductions over the shard records, and the
+empty-report division edges."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +19,13 @@ from repro.cluster import (
     TenantAffinityRouter,
 )
 from repro.hw.config import HardwareConfig
+from repro.obs import cluster_timeline
 from repro.params import hpca19
 from repro.serve import (
+    JobResult,
     LatencySummary,
+    RuntimeReport,
     ServingRuntime,
-    Telemetry,
 )
 from repro.system.server import CostModel
 from repro.system.workloads import (
@@ -41,6 +45,42 @@ PARAMS = hpca19()
 @pytest.fixture(scope="module")
 def cost():
     return CostModel(PARAMS, HardwareConfig())
+
+
+def shard_record(samples, coprocessors=1, busy=1.0, sla_violations=0,
+                 queue_depth_trace=()):
+    """A hand-built board record: one completion per (tenant, latency)
+    sample, each arriving at t=0 so its latency is its finish time."""
+    results = [JobResult(job=Job(index=i, kind=JobKind.MULT, tenant=tenant),
+                         coprocessor=0, start_seconds=0.0,
+                         finish_seconds=latency)
+               for i, (tenant, latency) in enumerate(samples)]
+    return RuntimeReport(busy_seconds=[busy] + [0.0] * (coprocessors - 1),
+                         results=results, sla_violations=sla_violations,
+                         queue_depth_trace=list(queue_depth_trace))
+
+
+def cluster_of(*records):
+    return ClusterReport(shard_names=[f"s{i}" for i in range(len(records))],
+                         shard_reports=list(records))
+
+
+def shared_reductions(report):
+    """Every number the shared reductions give, for exact comparison."""
+    tenants = sorted({r.job.tenant for r in report.results})
+    return {
+        "first_arrival": report.first_arrival_seconds,
+        "last_finish": report.last_finish_seconds,
+        "makespan": report.makespan_seconds,
+        "throughput": report.throughput_per_second(),
+        "mult_throughput": report.throughput_per_second(JobKind.MULT),
+        "mean_latency": report.mean_latency_seconds,
+        "offered": report.offered,
+        "rejection_fraction": report.rejection_fraction,
+        "sla_violations": report.sla_violations,
+        "latency": report.latency_summary(),
+        "tenants": {t: report.latency_summary(t) for t in tenants},
+    }
 
 
 def check_cluster_conservation(report, offered_jobs):
@@ -69,10 +109,11 @@ class TestSingleShardExactness:
             [r.finish_seconds for r in direct.results]
         assert [r.coprocessor for r in shard.results] == \
             [r.coprocessor for r in direct.results]
-        assert report.makespan_seconds == direct.makespan_seconds
-        assert report.throughput_per_second() == \
-            direct.throughput_per_second()
-        assert shard.telemetry.latencies == direct.telemetry.latencies
+        assert shared_reductions(report) == shared_reductions(direct)
+        assert report.utilization_by_shard() == [direct.mean_utilization()]
+        assert shard.utilization() == direct.utilization()
+        assert shard.busy_seconds == direct.busy_seconds
+        assert shard.queue_depth_trace == direct.queue_depth_trace
 
     def test_every_router_degenerates_on_one_shard(self, cost):
         jobs = poisson_stream(400.0, 0.3, seed=4)
@@ -329,7 +370,7 @@ class TestEmptyAndIdleEdges:
         assert report.rejection_fraction == 0.0
         assert report.makespan_seconds == 0.0
         assert report.throughput_per_second() == 0.0
-        assert report.per_shard_throughput() == [0.0, 0.0, 0.0]
+        assert report.mean_latency_seconds == 0.0
         assert report.utilization_by_shard() == [0.0, 0.0, 0.0]
         assert report.imbalance() == 0.0
         assert report.latency_summary().count == 0
@@ -369,7 +410,7 @@ class TestEmptyAndIdleEdges:
 
 
 class TestTelemetryMerging:
-    """Satellite: merged percentiles equal concatenated-sample ones."""
+    """Satellite: a cluster's numbers are its concatenated shard records'."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -382,64 +423,49 @@ class TestTelemetryMerging:
         q=st.sampled_from([50, 95, 99]),
     )
     def test_merged_percentiles_equal_concatenated(self, shards, q):
-        from repro.serve import percentile
-
-        parts = []
-        for series in shards:
-            telemetry = Telemetry(num_coprocessors=2)
-            telemetry.record_completion(
-                0, 1.0, [("t", lat) for lat in series], 0)
-            parts.append(telemetry)
-        merged = Telemetry.merged(parts)
+        report = cluster_of(*(shard_record([("t", lat) for lat in series])
+                              for series in shards))
         concatenated = [lat for series in shards for lat in series]
-        summary = merged.latency_summary()
+        summary = report.latency_summary()
+        assert summary == LatencySummary.of(concatenated)
         assert summary.count == len(concatenated)
-        reference = LatencySummary.of(concatenated)
-        assert summary.p50 == reference.p50
-        assert summary.p95 == reference.p95
-        assert summary.p99 == reference.p99
-        assert merged.latency_summary("t").count == len(concatenated)
-        # The per-quantile helper agrees as well.
-        direct = percentile(concatenated, q)
-        assert percentile(merged.latencies, q) == direct
+        assert report.latency_summary("t") == summary
+        # Each digest quantile is numpy's linear percentile.
+        direct = (float(np.percentile(concatenated, q)) if concatenated
+                  else 0.0)
+        assert getattr(summary, f"p{q}") == direct
 
     @settings(max_examples=20, deadline=None)
     @given(violations=st.lists(st.integers(0, 9), min_size=1,
                                max_size=6))
     def test_merged_counters_sum(self, violations):
-        parts = []
-        for count in violations:
-            telemetry = Telemetry(num_coprocessors=1)
-            telemetry.record_completion(0, 0.5, [("x", 0.1)] * count,
-                                        count)
-            telemetry.record_dispatch(0, max(count, 1))
-            parts.append(telemetry)
-        merged = Telemetry.merged(parts)
-        assert merged.sla_violations == sum(violations)
-        assert merged.num_coprocessors == len(violations)
-        assert len(merged.busy_seconds) == len(violations)
-        assert sum(merged.dispatch_count) == len(violations)
+        report = cluster_of(*(shard_record([("x", 0.1)] * count,
+                                           sla_violations=count)
+                              for count in violations))
+        assert report.sla_violations == sum(violations)
+        assert report.completed == sum(violations)
+        assert len(report.utilization_by_shard()) == len(violations)
 
     def test_merged_of_nothing_is_empty(self):
-        merged = Telemetry.merged([])
-        assert merged.num_coprocessors == 0
-        assert merged.latency_summary().count == 0
-        assert merged.max_queue_depth == 0
-        assert merged.mean_queue_depth() == 0.0
-        assert merged.mean_batch_size() == 0.0
+        report = cluster_of()
+        assert report.latency_summary().count == 0
+        assert report.makespan_seconds == 0.0
+        assert report.throughput_per_second() == 0.0
+        assert report.utilization_by_shard() == []
+        assert report.imbalance() == 0.0
+        assert report.availability == 1.0
 
     def test_merged_with_zero_sample_parts(self):
         """Idle shards contribute capacity but no samples."""
-        empty = Telemetry(num_coprocessors=2)
-        busy = Telemetry(num_coprocessors=2)
-        busy.record_completion(0, 1.0, [("t", 0.5)], 1)
-        merged = Telemetry.merged([empty, busy,
-                                   Telemetry(num_coprocessors=1)])
-        summary = merged.latency_summary()
+        report = cluster_of(shard_record([], coprocessors=2, busy=0.0),
+                            shard_record([("t", 0.5)], coprocessors=2,
+                                         sla_violations=1),
+                            shard_record([], busy=0.0))
+        summary = report.latency_summary()
         assert summary.count == 1
         assert summary.p50 == 0.5
-        assert merged.sla_violations == 1
-        assert merged.num_coprocessors == 5
+        assert report.sla_violations == 1
+        assert report.utilization_by_shard() == [0.0, 0.5, 0.0]
 
 
 class TestRejectionOnlyAggregation:
@@ -473,16 +499,17 @@ class TestRejectionOnlyAggregation:
         assert served.failure is None
 
     def test_merged_queue_depth_trace_sorted(self):
-        a = Telemetry(num_coprocessors=1)
-        b = Telemetry(num_coprocessors=1)
-        a.record_queue_depth(2.0, 3)
-        a.record_queue_depth(4.0, 1)
-        b.record_queue_depth(1.0, 2)
-        b.record_queue_depth(3.0, 5)
-        merged = Telemetry.merged([a, b])
-        times = [t for t, _ in merged.queue_depth_trace]
-        assert times == sorted(times)
-        assert merged.max_queue_depth == 5
+        """The cluster's queue depth is each shard's own track."""
+        report = cluster_of(
+            shard_record([], queue_depth_trace=[(2.0, 3), (4.0, 1)]),
+            shard_record([], queue_depth_trace=[(1.0, 2), (3.0, 5)]))
+        tracks = {}
+        for event in cluster_timeline(report):
+            if event["ph"] == "C":
+                tracks.setdefault(event["pid"], []).append(
+                    (event["ts"] / 1e6, event["args"]["depth"]))
+        assert tracks == {0: [(2.0, 3), (4.0, 1)], 1: [(1.0, 2), (3.0, 5)]}
+        assert max(d for track in tracks.values() for _, d in track) == 5
 
     def test_cluster_summary_matches_shard_concatenation(self, cost):
         """End-to-end: cluster latency summary == concatenated shards."""
@@ -490,8 +517,8 @@ class TestRejectionOnlyAggregation:
         cluster = FpgaCluster.homogeneous(PARAMS, 3,
                                           router=RoundRobinRouter())
         report = cluster.run(jobs)
-        concatenated = [lat for shard in report.shard_reports
-                        for lat in shard.telemetry.latencies]
+        concatenated = [r.latency_seconds for shard in report.shard_reports
+                        for r in shard.results]
         assert report.latency_summary() == \
             LatencySummary.of(concatenated)
 

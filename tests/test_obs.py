@@ -23,6 +23,7 @@ from repro.obs import (
     TraceReport,
     Tracer,
     active_tracer,
+    cluster_timeline,
     counter,
     current_registry,
     diff_snapshots,
@@ -35,7 +36,8 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.serve.telemetry import LatencySummary, Telemetry
+from repro.serve.telemetry import LatencySummary
+from test_cluster import cluster_of, shard_record
 
 
 def mult_tree_program(session: Session):
@@ -324,41 +326,52 @@ class TestTimeline:
         assert validate_chrome_trace(data)
 
 
-# -- telemetry edge cases (satellite) --------------------------------------------------
+# -- report edge cases (satellite) -----------------------------------------------------
+
+
+def _queue_tracks(events):
+    tracks: dict[int, list[tuple[float, int]]] = {}
+    for event in events:
+        if event["ph"] == "C":
+            tracks.setdefault(event["pid"], []).append(
+                (event["ts"] / 1e6, event["args"]["depth"]))
+    return tracks
 
 
 class TestTelemetryEdges:
     def test_merged_empty_is_valid(self):
-        merged = Telemetry.merged([])
-        assert merged.num_coprocessors == 0
-        assert merged.latencies == []
-        assert merged.latency_summary().count == 0
-        assert merged.mean_queue_depth() == 0.0
-        assert merged.max_queue_depth == 0
+        report = cluster_of()
+        assert report.results == []
+        assert report.latency_summary().count == 0
+        events = cluster_timeline(report)
+        assert events == []
+        assert validate_chrome_trace(events)
 
     def test_merged_disjoint_parts(self):
-        a = Telemetry(num_coprocessors=1)
-        a.record_completion(0, 1.0, [("gold", 0.1)], 0)
-        a.record_queue_depth(0.0, 2)
-        b = Telemetry(num_coprocessors=2)
-        b.record_completion(1, 2.0, [("silver", 0.3)], 1)
-        b.record_queue_depth(1.0, 4)
-        merged = Telemetry.merged([a, b])
-        assert merged.num_coprocessors == 3
-        assert merged.busy_seconds == [1.0, 0.0, 2.0]
-        assert sorted(merged.latencies) == [0.1, 0.3]
-        assert merged.tenant_latencies == {"gold": [0.1],
-                                           "silver": [0.3]}
-        assert merged.queue_depth_trace == [(0.0, 2), (1.0, 4)]
-        assert merged.sla_violations == 1
+        a = shard_record([("gold", 0.1)], queue_depth_trace=[(0.0, 2)])
+        b = shard_record([("silver", 0.3)], coprocessors=2, busy=2.0,
+                         sla_violations=1, queue_depth_trace=[(1.0, 4)])
+        report = cluster_of(a, b)
+        assert [r.latency_seconds for r in report.results] == [0.1, 0.3]
+        assert report.latency_summary("gold") == LatencySummary.of([0.1])
+        assert report.latency_summary("silver") == LatencySummary.of([0.3])
+        assert report.sla_violations == 1
+        # Each shard's busy time over the shared 0.3 s window, capped.
+        assert report.utilization_by_shard() == [1.0, 0.5]
+        events = cluster_timeline(report)
+        assert validate_chrome_trace(events)
+        assert _queue_tracks(events) == {0: [(0.0, 2)], 1: [(1.0, 4)]}
 
     def test_merged_with_idle_shard(self):
-        busy = Telemetry(num_coprocessors=1)
-        busy.record_completion(0, 1.0, [("t", 0.2)], 0)
-        idle = Telemetry(num_coprocessors=1)
-        merged = Telemetry.merged([busy, idle])
-        assert merged.latency_summary().count == 1
-        assert merged.busy_seconds == [1.0, 0.0]
+        busy = shard_record([("t", 0.2)])
+        idle = shard_record([], busy=0.0)
+        report = cluster_of(busy, idle)
+        assert report.latency_summary().count == 1
+        assert report.utilization_by_shard() == [1.0, 0.0]
+        assert report.imbalance() == 2.0
+        events = cluster_timeline(report)
+        assert validate_chrome_trace(events)
+        assert not [e for e in events if e["pid"] == 1 and e["ph"] != "M"]
 
     def test_latency_summary_single_sample(self):
         summary = LatencySummary.of([0.25])

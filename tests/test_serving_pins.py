@@ -1,0 +1,132 @@
+"""Exact pins of the served numbers.
+
+Two fixed runs — the seeded 8-board chaos run of ``python -m repro
+cluster --shards 8 --faults 2019 --replicas 2`` and the weighted-fair
+board of ``python -m repro serve`` — reduced through the report API
+and compared bit for bit. A change to the engine, the schedulers, the
+cluster loop or any reduction that moves a printed latency,
+throughput or utilization figure fails here, not only when an
+availability gate trips.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.cluster import FaultPlan, FpgaCluster, RetryPolicy, TenantAffinityRouter
+from repro.hw.config import HardwareConfig
+from repro.params import hpca19
+from repro.serve import (
+    BatchPolicy,
+    LatencySummary,
+    ServingRuntime,
+    Tenant,
+    TenantSet,
+    WeightedFairScheduler,
+)
+from repro.system.server import CostModel
+from repro.system.workloads import (
+    JobKind,
+    cluster_trace,
+    merge_streams,
+    multi_tenant_stream,
+    poisson_stream,
+)
+
+PARAMS = hpca19()
+
+
+@pytest.fixture(scope="module")
+def chaos():
+    """The CLI's chaos run: 192 Zipf tenants at 60 % of 8 boards for
+    1 s, fault seed 2019 (2 crashes, 8 transient failures, 2 DMA
+    stalls), R = 2 replication, tenant-affinity routing."""
+    shards = 8
+    capacity = shards * FpgaCluster.homogeneous(
+        PARAMS, 1).capacity_mults_per_second()
+    trace = cluster_trace(192, 0.6 * capacity, 1.0, skew=1.1, seed=0)
+    plan = FaultPlan.seeded(2019, shards, 1.0, crashes=2,
+                            transient_failures=8, dma_stalls=2)
+    return FpgaCluster.homogeneous(
+        PARAMS, shards, router=TenantAffinityRouter(), fault_plan=plan,
+        retry=RetryPolicy(seed=0), replicas=2).run(trace)
+
+
+@pytest.fixture(scope="module")
+def wfq():
+    """The CLI's serve workload on the weighted-fair board."""
+    cost = CostModel(PARAMS, HardwareConfig())
+    capacity = cost.mult_throughput_per_second()
+    tenants = TenantSet.of(
+        Tenant("gold", weight=3.0, sla_seconds=0.5),
+        Tenant("silver", weight=1.0),
+        Tenant("free", weight=0.5, max_queue_depth=16),
+    )
+    mults = multi_tenant_stream(
+        {"gold": 0.8 * capacity, "free": 0.4 * capacity},
+        duration_seconds=2.0, seed=7,
+    )
+    adds = poisson_stream(0.5 * capacity, 2.0, kind=JobKind.ADD,
+                          seed=11, tenant="silver")
+    return ServingRuntime(
+        cost, scheduler=WeightedFairScheduler(), tenants=tenants,
+        batching=BatchPolicy(max_jobs=4)).run(merge_streams(mults, adds))
+
+
+class TestChaosRunPins:
+    def test_latency_summary(self, chaos):
+        assert chaos.latency_summary() == LatencySummary(
+            count=1929, mean=0.07864489333148747, p50=0.02135096887817567,
+            p95=0.3045686125766076, p99=0.33353905505883663,
+            max=0.3684486718311808)
+
+    def test_per_tenant_latency_summaries(self, chaos):
+        tenants = sorted({r.job.tenant for r in chaos.results})
+        summaries = {t: chaos.latency_summary(t) for t in tenants}
+        assert len(summaries) == 168
+        assert summaries["t0000"] == LatencySummary(
+            count=382, mean=0.12127373568865452, p50=0.1270848049882522,
+            p95=0.2374776334183419, p99=0.24160258343147836,
+            max=0.3684486718311808)
+        assert summaries["t0002"] == LatencySummary(
+            count=130, mean=0.006049295181834393,
+            p50=0.004820278528875399, p95=0.010006685798631941,
+            p99=0.011956752145927207, max=0.012886290209549456)
+        digest = hashlib.sha256(
+            repr(sorted(summaries.items())).encode()).hexdigest()
+        assert digest == ("a18d335ab74f37db26e731626f138e40"
+                          "e92c60e0a2345aaba74e65c77de59114")
+
+    def test_throughput_utilization_and_balance(self, chaos):
+        assert chaos.throughput_per_second() == 1447.638376305786
+        assert chaos.utilization_by_shard() == [
+            0.9178325119496277, 0.16821043986731465, 0.11259440198897294,
+            0.4467524585723306, 0.221070311431247, 0.4055591809631406,
+            0.9915826488879753, 0.4935989337750945]
+        assert chaos.imbalance() == 1.871581048196576
+
+    def test_availability_and_sla(self, chaos):
+        assert (chaos.completed, len(chaos.rejected)) == (1929, 0)
+        assert chaos.availability == 1.0
+        assert chaos.sla_violations == 0
+
+
+class TestWeightedFairBoardPins:
+    def test_per_tenant_latency_summaries(self, wfq):
+        assert wfq.latency_summary("free") == LatencySummary(
+            count=138, mean=0.2318724173196173, p50=0.2693319285181981,
+            p95=0.2990694959078529, p99=0.30115062380890084,
+            max=0.30220986777558656)
+        assert wfq.latency_summary("gold") == LatencySummary(
+            count=683, mean=0.03985174539452925, p50=0.039536883170584014,
+            p95=0.05980666335738873, p99=0.06792095611151407,
+            max=0.07611490255515696)
+        assert wfq.latency_summary("silver") == LatencySummary(
+            count=423, mean=0.01288970986736503, p50=0.012918211020119141,
+            p95=0.020049500301989792, p99=0.0245201369795521,
+            max=0.027236790756439255)
+
+    def test_utilization_and_sla(self, wfq):
+        assert wfq.utilization() == [0.998757280526542, 0.997408054026294]
+        assert wfq.throughput_per_second() == 605.5736211555787
+        assert wfq.sla_violations == 0
