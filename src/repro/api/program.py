@@ -250,7 +250,9 @@ class LoweredOp:
     already holds from a previous request (the cross-request
     resident-operand cache), which lower with ``cached_inputs`` > 0
     and zero transfer. ``polys_out`` is non-zero only for program
-    outputs — the reply the client downloads.
+    outputs — the reply the client downloads. Residency changes only
+    these transfers: the op's compute is its kind's compiled program,
+    priced by :meth:`~repro.system.server.CostModel.compute_seconds`.
     """
 
     kind: JobKind
@@ -260,18 +262,10 @@ class LoweredOp:
     #: INPUT operands of this op that were served from the server's
     #: cross-request resident cache (each saved one ciphertext upload).
     cached_inputs: int = 0
-    #: Ciphertext operands that arrive NTT-resident at a MULT-family
-    #: op: operands produced by earlier ops (the resident executor
-    #: keeps them in the evaluation domain now that MULTIPLY consumes
-    #: resident inputs directly) and server-cached INPUT operands. Each
-    #: one skips the coefficient-boundary inverse transform the
-    #: pre-resident datapath paid — the discount
-    #: :meth:`~repro.api.simulated.LoweredProgram.op_seconds` prices.
-    resident_operands: int = 0
     #: Indices (into the lowered op list) of the ops producing this
-    #: op's operands — the intra-request dependency edges program-aware
-    #: pricing walks for critical paths. INPUT operands have no
-    #: producing op and do not appear.
+    #: op's operands — the intra-request dependency edges
+    #: :meth:`~repro.api.simulated.LoweredProgram.critical_path_seconds`
+    #: walks. INPUT operands have no producing op and do not appear.
     deps: tuple[int, ...] = ()
 
 
@@ -505,20 +499,8 @@ class HEProgram:
                     acc = (len(ops) - 1,)
                 producer[id(node)] = len(ops) - 1
                 continue
-            resident_ops = 0
-            if node.op in (OpKind.MULTIPLY, OpKind.MULTIPLY_RAW):
-                # Evaluation-domain base extension: operands produced
-                # on-chip stay resident, and server-cached inputs were
-                # ingested resident — each skips the boundary inverse
-                # transform the coefficient-domain datapath paid.
-                resident_ops = sum(
-                    1 for arg in node.args
-                    if arg.op is not OpKind.INPUT
-                    or id(arg) in resident_ids
-                )
             ops.append(LoweredOp(_JOB_KINDS[node.op], uploads, downloads,
-                                 node.op, cached_inputs=cached, deps=deps,
-                                 resident_operands=resident_ops))
+                                 node.op, cached_inputs=cached, deps=deps))
             producer[id(node)] = len(ops) - 1
         return ops
 

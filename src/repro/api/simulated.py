@@ -10,7 +10,9 @@ stream through a fresh :class:`~repro.serve.engine.ServingRuntime` or
 :class:`~repro.cluster.cluster.FpgaCluster`, and reassembles per-request
 futures whose telemetry reports simulated p50/p95/p99 latency.
 
-The queueing model prices every lowered op independently (intra-request
+Every price is the target's :class:`~repro.system.server.CostModel`:
+each lowered op is one job, charged its compiled coprocessor program
+plus its transfers, and queued like any other job (intra-request
 dependency chains are not serialised); request latency is the span from
 arrival to the completion of the request's last op.
 """
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hw.isa import Opcode
 from ..obs import Span, TraceReport, cluster_timeline, runtime_timeline
 from ..params import ParameterSet
 from ..serve.engine import ServingRuntime
@@ -45,11 +46,12 @@ class LoweredProgram:
     """A program priced against one concrete cost model.
 
     :meth:`SimulatedBackend.lower` produces this: the (optionally
-    optimised) program's job stream plus everything a scheduler or a
-    capacity planner wants to know about it before any request arrives
-    — the batched-DMA train time, the intra-request critical path over
-    the :attr:`~repro.api.program.LoweredOp.deps` edges, and how many
-    keyswitch ops survived optimisation.
+    optimised) program's job stream plus what a capacity planner wants
+    to know about it before any request arrives. Every price is the
+    cost model's: :meth:`independent_seconds` is what the serving
+    runtime charges one unbatched request, :meth:`critical_path_seconds`
+    the longest compute chain over the
+    :attr:`~repro.api.program.LoweredOp.deps` edges.
     """
 
     program: HEProgram
@@ -63,97 +65,28 @@ class LoweredProgram:
         """Lowered ops that pay a keyswitch on the coprocessor."""
         return sum(op.kind in _KEYSWITCH_JOB_KINDS for op in self.ops)
 
-    def op_seconds(self, op: LoweredOp) -> float:
-        """Modelled service seconds for one lowered op.
-
-        MULT-family ops consuming NTT-resident operands skip the
-        coefficient-boundary inverse transforms the pre-resident
-        datapath paid (two polynomial INTTs per resident ciphertext
-        operand — the evaluation-domain base extension consumes the
-        operand rows as they sit on chip), so program-aware pricing
-        discounts exactly that work.
-        """
-        seconds = self.cost.compute_seconds(op.kind)
-        if op.resident_operands:
-            seconds -= op.resident_operands * self._resident_discount()
-        return max(seconds, 0.0)
-
-    def _resident_discount(self) -> float:
-        """Seconds one resident ciphertext operand saves at a MULT."""
-        model = self.cost.instruction_cycle_model()
-        return (2 * model[Opcode.INTT]
-                / self.cost.config.fpga_clock_hz)
-
-    def compute_seconds(self) -> float:
-        """Pure FPGA compute across the stream, no transfers."""
-        return sum(self.op_seconds(op) for op in self.ops)
-
-    def train_seconds(self) -> float:
-        """One request as a single batched DMA train.
-
-        The program-aware pricing: every fresh upload burst rides one
-        Arm-setup DMA train (one descriptor-setup cost amortised over
-        the whole train, as :class:`~repro.serve.batching.DmaBatcher`
-        does at runtime), compute runs back to back, and the output
-        bursts share one download train — versus pricing each op's
-        transfers independently (:meth:`independent_seconds`).
-        """
-        return (self._train(sum(op.polys_in for op in self.ops))
-                + self.compute_seconds()
-                + self._train(sum(op.polys_out for op in self.ops)))
-
-    def _train(self, polys: int) -> float:
-        """One DMA train of `polys` bursts: one Arm setup, per-burst
-        wire time."""
-        if not polys:
-            return 0.0
-        dma = self.cost.dma
-        return (dma.arm_setup_seconds
-                + polys * dma.transfer_seconds(self.cost.params.poly_bytes))
-
     def independent_seconds(self) -> float:
-        """The per-op pricing baseline: every op moves its own data."""
-        poly_bytes = self.cost.params.poly_bytes
-        total = 0.0
-        for op in self.ops:
-            if op.polys_in:
-                total += self.cost.dma.polynomial_job_seconds(
-                    poly_bytes, op.polys_in)
-            total += self.cost.compute_seconds(op.kind)
-            if op.polys_out:
-                total += self.cost.dma.polynomial_job_seconds(
-                    poly_bytes, op.polys_out)
-        return total
+        """Coprocessor seconds of one request served without batching:
+        every op's job priced as the runtime prices it."""
+        return sum(self.cost.job_seconds_of(_job(op)) for op in self.ops)
 
     def critical_path_seconds(self) -> float:
         """Longest compute chain through the dependency edges.
 
         The floor on request latency however many coprocessors the
-        server has — schedulers can hide everything except this.
+        server has.
         """
-        finish = self._finish_seconds()
-        return max(finish, default=0.0)
-
-    def remaining_critical_seconds(self) -> list[float]:
-        """Per-op remaining critical path (own compute plus the longest
-        dependent chain), the stamp :class:`CriticalPathScheduler`
-        dispatches on."""
-        compute = [self.op_seconds(op) for op in self.ops]
-        remaining = list(compute)
-        # Ops are topologically ordered (deps point backwards), so one
-        # reverse sweep propagates the longest downstream chain.
-        for i in range(len(self.ops) - 1, -1, -1):
-            for dep in self.ops[i].deps:
-                remaining[dep] = max(remaining[dep],
-                                     compute[dep] + remaining[i])
-        return remaining
-
-    def _finish_seconds(self) -> list[float]:
         finish: list[float] = []
         for op in self.ops:
             ready = max((finish[d] for d in op.deps), default=0.0)
-            finish.append(ready + self.op_seconds(op))
-        return finish
+            finish.append(ready + self.cost.compute_seconds(op.kind))
+        return max(finish, default=0.0)
+
+
+def _job(op: LoweredOp, index: int = 0, **fields) -> Job:
+    """The serving-runtime job one lowered op runs as."""
+    return Job(index=index, kind=op.kind, polys_in=op.polys_in,
+               polys_out=op.polys_out, **fields)
 
 
 @dataclass
@@ -326,9 +259,12 @@ class SimulatedBackend:
         self.params = params
         self.target_factory = target_factory
         self.description = description
-        #: Cost model used for program-aware pricing (batched DMA
-        #: trains, critical-path stamps); the factories pass the same
-        #: model their serving target charges with.
+        #: Cost model :meth:`lower` prices programs with. The
+        #: single-board factory's runtime charges with this very
+        #: object; ``over_cluster``'s target is built by
+        #: ``FpgaCluster.homogeneous``, which makes a fresh
+        #: ``CostModel`` for the same parameters and default hardware
+        #: on every run — equal prices, from a different object.
         self.cost = cost if cost is not None else CostModel(params)
         #: Run every program through the optimiser pass stack before
         #: lowering (``repro.optim``); the resulting
@@ -401,9 +337,7 @@ class SimulatedBackend:
 
         With :attr:`optimize` on, the program first runs through the
         optimiser pass stack and the returned
-        :class:`LoweredProgram` prices the *optimised* job stream —
-        fewer keyswitches, one batched DMA train, and a critical path
-        the schedulers can dispatch against.
+        :class:`LoweredProgram` prices the *optimised* job stream.
         """
         optimization = None
         if self.optimize:
@@ -414,21 +348,14 @@ class SimulatedBackend:
         return LoweredProgram(program=program, ops=ops, cost=self.cost,
                               optimization=optimization)
 
-    def lower_jobs(self, ops: Sequence[LoweredOp] | LoweredProgram, *,
+    def lower_jobs(self, lowered: LoweredProgram, *,
                    requests: int, rate_per_second: float | None,
                    num_tenants: int, seed: int
                    ) -> tuple[list[Job], list[ProgramFuture]]:
-        """The job stream for `requests` executions of one lowered program.
-
-        Passing a :class:`LoweredProgram` (rather than a bare op list)
-        additionally stamps every job with its remaining critical-path
-        seconds so :class:`~repro.serve.CriticalPathScheduler` can
-        prioritise the chains that bound request latency.
-        """
-        critical: list[float] | None = None
-        if isinstance(ops, LoweredProgram):
-            critical = ops.remaining_critical_seconds()
-            ops = ops.ops
+        """The job stream for `requests` executions of one lowered
+        program: every op of a request is offered at the request's
+        arrival instant, tagged with its request index."""
+        ops = lowered.ops
         if requests < 1:
             raise ValueError("need at least one request")
         if num_tenants < 1:
@@ -452,14 +379,9 @@ class SimulatedBackend:
                 request=r, tenant=tenant, arrival_seconds=at,
                 num_ops=len(ops),
             ))
-            for i, op in enumerate(ops):
-                jobs.append(Job(
-                    index=index, kind=op.kind, arrival_seconds=at,
-                    tenant=tenant, polys_in=op.polys_in,
-                    polys_out=op.polys_out, request=r,
-                    critical_seconds=(critical[i] if critical is not None
-                                      else None),
-                ))
+            for op in ops:
+                jobs.append(_job(op, index, arrival_seconds=at,
+                                 tenant=tenant, request=r))
                 index += 1
         return jobs, futures
 

@@ -82,13 +82,6 @@ class NoiseModel:
 
     # -- depth prediction --------------------------------------------------------------
 
-    def noise_after_depth(self, depth: int) -> float:
-        """Worst-case noise after a balanced square-and-relinearise tree."""
-        noise = self.fresh_bound()
-        for _ in range(depth):
-            noise = self.mult_relin_bound(noise, noise)
-        return noise
-
     def supported_depth(self) -> int:
         """Largest depth whose worst-case noise stays decryptable."""
         depth = 0

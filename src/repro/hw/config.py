@@ -98,15 +98,6 @@ class HardwareConfig:
         return (self.multiplier_stages + self.modred_stages
                 + self.addsub_stages)
 
-    @property
-    def ntt_stage_overhead(self) -> int:
-        """Non-issue cycles per NTT stage: drain + control turnaround."""
-        return (self.butterfly_pipeline_depth + self.pairing_lag
-                + self.stage_sync_overhead)
-
-    def fpga_cycles_to_seconds(self, cycles: int) -> float:
-        return cycles / self.fpga_clock_hz
-
     def fpga_to_arm_cycles(self, cycles: int) -> int:
         """Convert FPGA cycles to the Arm-side counts the paper reports.
 

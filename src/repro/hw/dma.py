@@ -65,11 +65,6 @@ class DmaModel:
         seconds = self.transfer_seconds(total_bytes, chunk_bytes)
         return round(seconds * self.config.arm_clock_hz)
 
-    def transfer_fpga_cycles(self, total_bytes: int,
-                             chunk_bytes: int | None = None) -> int:
-        seconds = self.transfer_seconds(total_bytes, chunk_bytes)
-        return round(seconds * self.config.fpga_clock_hz)
-
     # -- ciphertext jobs (Table I rows) --------------------------------------------
 
     def polynomial_job_seconds(self, poly_bytes: int, count: int) -> float:

@@ -104,8 +104,3 @@ class TraditionalLiftUnit:
     def cycles(self, n: int) -> int:
         per_core = -(-n // self.cores)
         return per_core * TRADITIONAL_LIFT_CYCLES_PER_COEFF
-
-    @property
-    def long_multiplier_limbs(self) -> int:
-        """Limb width of the long-integer datapath (6 x 30-bit for q)."""
-        return self.context.source.size

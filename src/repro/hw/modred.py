@@ -87,15 +87,6 @@ class SlidingWindowReducer:
             work -= self.modulus
         return work
 
-    def reduce_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised reduction used by the fast executors.
-
-        numpy's ``%`` computes the same mathematical function the unrolled
-        circuit computes; :meth:`reduce` is kept scalar and structural so
-        tests can prove the equivalence exhaustively.
-        """
-        return np.asarray(values, dtype=np.int64) % self.modulus
-
 
 class BarrettReducer:
     """Barrett reduction [31], the alternative the paper decided against.

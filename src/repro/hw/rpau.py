@@ -98,10 +98,6 @@ class Rpau:
              b: np.ndarray) -> tuple[np.ndarray, int]:
         return (a - b) % prime, self.cadd_cycles()
 
-    def cmul_scalar(self, prime: int, a: np.ndarray,
-                    scalar: int) -> tuple[np.ndarray, int]:
-        return (a * (scalar % prime)) % prime, self.cmul_cycles()
-
 
 @lru_cache(maxsize=None)
 def rpau_prime_assignment(k_q: int, k_total: int,

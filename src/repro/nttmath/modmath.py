@@ -34,17 +34,3 @@ def mod_centered(value: int, modulus: int) -> int:
         value -= modulus
     return value
 
-
-def mul_mod(a: int, b: int, modulus: int) -> int:
-    """Exact modular product of two Python integers."""
-    return (a * b) % modulus
-
-
-def add_mod(a: int, b: int, modulus: int) -> int:
-    """Exact modular sum of two Python integers."""
-    return (a + b) % modulus
-
-
-def sub_mod(a: int, b: int, modulus: int) -> int:
-    """Exact modular difference of two Python integers."""
-    return (a - b) % modulus

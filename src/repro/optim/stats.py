@@ -70,14 +70,6 @@ class PassStats:
     rewrites: int
     details: dict = field(default_factory=dict)
 
-    @property
-    def ops_removed(self) -> int:
-        return self.before.num_ops - self.after.num_ops
-
-    @property
-    def keyswitches_removed(self) -> int:
-        return self.before.keyswitches - self.after.keyswitches
-
 
 @dataclass
 class OptimizationReport:
@@ -96,16 +88,8 @@ class OptimizationReport:
     trace: object | None = None
 
     @property
-    def ops_saved(self) -> int:
-        return self.before.num_ops - self.after.num_ops
-
-    @property
     def keyswitches_saved(self) -> int:
         return self.before.keyswitches - self.after.keyswitches
-
-    @property
-    def total_rewrites(self) -> int:
-        return sum(p.rewrites for p in self.passes)
 
     def keyswitch_reduction(self) -> float:
         """Fraction of lowered keyswitch ops the stack removed."""

@@ -21,7 +21,6 @@ from .batching import BatchPolicy, DmaBatcher
 from .engine import JobResult, RuntimeReport, ServingRuntime
 from .events import Event, EventHeap, EventKind
 from .schedulers import (
-    CriticalPathScheduler,
     FifoScheduler,
     Scheduler,
     ShortestJobFirstScheduler,
@@ -42,7 +41,6 @@ __all__ = [
     "EventHeap",
     "EventKind",
     "Scheduler",
-    "CriticalPathScheduler",
     "FifoScheduler",
     "ShortestJobFirstScheduler",
     "WeightedFairScheduler",

@@ -17,10 +17,7 @@ Policies:
   queueing so no tenant can starve another regardless of offered load;
 * :class:`WorkStealingScheduler` — statically partitioned
   per-coprocessor queues (one Arm core per coprocessor, as in Fig. 11)
-  with idle coprocessors stealing from the longest backlog;
-* :class:`CriticalPathScheduler` — longest-remaining-chain-first for
-  program traffic whose jobs carry
-  :attr:`~repro.system.workloads.Job.critical_seconds` stamps.
+  with idle coprocessors stealing from the longest backlog.
 """
 
 from __future__ import annotations
@@ -212,42 +209,7 @@ class WorkStealingScheduler(Scheduler):
         return victim.pop() if victim else None
 
 
-class CriticalPathScheduler(Scheduler):
-    """Dispatch the job with the longest remaining dependency chain.
-
-    The classic list-scheduling heuristic for DAG-shaped requests:
-    :class:`~repro.api.simulated.SimulatedBackend` stamps every lowered
-    job with the remaining critical-path seconds of its request (this
-    op's service time plus the longest chain of dependents behind it),
-    and this policy dispatches the largest stamp first so the chains
-    that bound request latency are never stuck behind bulk parallel
-    work. Unstamped jobs fall back to their own cost, which degrades
-    to longest-job-first for flat traffic.
-    """
-
-    name = "critpath"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list[tuple[float, int, QueueEntry]] = []
-
-    @staticmethod
-    def priority(entry: QueueEntry) -> float:
-        critical = entry.job.critical_seconds
-        return critical if critical is not None else entry.cost_seconds
-
-    def _push(self, entry: QueueEntry) -> None:
-        heapq.heappush(self._heap,
-                       (-self.priority(entry), entry.seq, entry))
-
-    def _pop(self, coprocessor: int, now: float) -> QueueEntry | None:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-
 def default_schedulers() -> list[Scheduler]:
     """Fresh instances of every built-in policy (for sweeps)."""
     return [FifoScheduler(), ShortestJobFirstScheduler(),
-            WeightedFairScheduler(), WorkStealingScheduler(),
-            CriticalPathScheduler()]
+            WeightedFairScheduler(), WorkStealingScheduler()]

@@ -52,10 +52,6 @@ class Job:
     polys_in: int | None = None
     polys_out: int | None = None
     request: int | None = None
-    #: Remaining critical-path seconds of this job's request (this op's
-    #: service time plus the longest dependent chain behind it), stamped
-    #: by program-aware lowering; ``None`` for jobs outside a program.
-    critical_seconds: float | None = None
     #: Absolute sim-clock deadline: a job still queued past this instant
     #: is rejected with reason ``"timeout"`` instead of dispatched.
     deadline_seconds: float | None = None
@@ -267,12 +263,6 @@ class ClosedLoopResult:
     completed: int
     rejected: int
     jobs_per_client: dict[int, int]
-
-    @property
-    def mean_jobs_per_client(self) -> float:
-        if not self.jobs_per_client:
-            return 0.0
-        return sum(self.jobs_per_client.values()) / len(self.jobs_per_client)
 
 
 class ClosedLoopClients:

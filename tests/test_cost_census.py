@@ -1,4 +1,4 @@
-"""Price equals execution, for every job kind.
+"""Price equals execution, for every job kind and for a whole request.
 
 A modelled operation has one census — the program ``hw/compiler.py``
 emits for it — and one price list — the cycles ``Coprocessor.execute``
@@ -8,13 +8,20 @@ program produces, and the report's per-opcode calls must be the
 program's histogram. The register contents are arbitrary residues:
 cycles do not depend on data (bit-exactness of the results is the job
 of ``test_hw_coprocessor.py`` and ``test_galois.py``).
+
+One level up, a lowered HE program has one price too: the
+``LoweredProgram``'s request price is what the serving runtime charges
+its jobs, cold or with every input already resident on the server.
 """
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 
+from repro.api import Session, SimulatedBackend
+from repro.apps.matmul import EncryptedMatmul
 from repro.fv.keys import RelinKey
 from repro.hw.config import HardwareConfig, slow_coprocessor_config
 from repro.hw.coprocessor import Coprocessor
@@ -95,3 +102,46 @@ def test_hpca19_prices():
     # about half a Mult, dominated by the same key streaming.
     assert 0.3 < (HPCA19_CYCLES[JobKind.ROTATE]
                   / HPCA19_CYCLES[JobKind.MULT]) < 0.8
+
+
+@cache
+def matmul_program(make_params):
+    """A 2 x 8 by 8 x 2 encrypted matmul in blocks of four slots."""
+    session = Session(make_params(t=65537), seed=7)
+    matmul = EncryptedMatmul(session, block_slots=4)
+    a = [[1, 2, 3, 4, 5, 6, 7, 8], [2, 0, 1, 3, 5, 2, 4, 1]]
+    b = [[1, 2], [0, 1], [3, 1], [1, 0], [2, 2], [1, 1], [0, 3], [2, 1]]
+    return matmul.matmul_program(matmul.encrypt_rows(a),
+                                 matmul.encrypt_cols(b))
+
+
+REQUEST_CASES = [(params, warm) for params in (toy, mini, hpca19)
+                 for warm in (False, True)]
+
+
+@pytest.mark.parametrize(
+    ("make_params", "warm"), REQUEST_CASES,
+    ids=[f"{p.__name__}-{'warm' if w else 'cold'}"
+         for p, w in REQUEST_CASES])
+def test_request_price_is_served_price(make_params, warm):
+    program = matmul_program(make_params)
+    backend = SimulatedBackend.over_runtime(program.params, optimize=True)
+    run = backend.run(program)
+    if warm:
+        run = backend.run(program)
+        assert run.cache_hits == len(program.inputs) > 0
+    lowered = run.lowered
+    cost = lowered.cost
+
+    # One request, one board, no batching: the runtime charges every
+    # job exactly its CostModel price.
+    assert sum(run.report.busy_seconds) == pytest.approx(
+        lowered.independent_seconds(), rel=1e-12)
+
+    finish: list[float] = []
+    for op in lowered.ops:
+        ready = max((finish[d] for d in op.deps), default=0.0)
+        finish.append(ready + cost.compute_seconds(op.kind))
+    critical = lowered.critical_path_seconds()
+    assert critical == max(finish)
+    assert critical <= lowered.independent_seconds()
