@@ -14,8 +14,10 @@ export PYTHONPATH := src
 .PHONY: test test-parallel blas-steered lint coverage ledger \
 	ledger-quick cluster-demo chaos-smoke clean
 
+# --durations=10: the ten slowest phases in every log, so the tier-1
+# time budget (ROADMAP.md) stays visible.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 # CI test-parallel job: tier-1 with every engine fan-out (transform
 # tiles, channel bands, column bands) forced through a 4-thread pool

@@ -1,10 +1,15 @@
 """Cycle-level simulator of the paper's FPGA coprocessor.
 
 Every component of the paper's Figs. 3–11 is modelled here with two
-obligations: compute *bit-exact* results through the same datapath the
-RTL implements (reduction tables, fixed-point reciprocals, paired-word
-memories), and derive *cycle counts* from the schedules the component
-actually executes (port limits, pipeline fill/drain, stage barriers).
+obligations: compute *bit-exact* results, and charge *cycle counts*
+derived from the schedules the component executes (port limits,
+pipeline fill/drain, stage barriers). The values come from the engine's
+own kernels (the batched NTT, :mod:`repro.rns` lift and scale), so the
+coprocessor and the library share one arithmetic. The cycles are closed
+forms, and the stepped units — the Fig. 3 NTT unit walking its schedule
+through port-checked paired-word BRAMs with the Fig. 4 butterfly's
+reduction circuit, the block-pipeline recurrence — are the oracle the
+tests prove those closed forms against.
 
 Component map (paper figure -> module):
 

@@ -55,11 +55,12 @@ def simulate_block_pipeline(count: int, latencies: tuple[int, ...],
 
 def pipeline_total_cycles(count: int, latencies: tuple[int, ...],
                           intervals: tuple[int, ...] | None = None) -> int:
-    """Closed form of the recurrence (equal to the simulation's end).
+    """Closed form of the recurrence: the simulation's end cycle.
 
-    Valid when the bottleneck interval is at least every downstream
-    block's... in general for monotone chains the fill is the sum of
-    latencies and steady-state issue runs at the slowest block.
+    Exact when every block's initiation interval equals its latency —
+    the default (``intervals=None``) and the only way the lift and scale
+    units call it: the fill is one traversal (the sum of the latencies)
+    and steady-state issue runs at the slowest block.
     """
     if intervals is None:
         intervals = latencies

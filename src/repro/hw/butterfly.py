@@ -2,14 +2,12 @@
 
 One butterfly computes ``(u, t) -> (u + w*t, u - w*t) mod q`` through the
 pipelined 30x30 multiplier, the sliding-window reduction, and the modular
-add/sub. The scalar :meth:`compute` path routes through the exact circuit
-models; the vectorised :meth:`compute_many` is mathematically identical
-and is used by the fast executor (tests prove both equal).
+add/sub. :meth:`compute` routes through the exact circuit models; it is
+what the stepped NTT unit runs, the oracle the coprocessor's engine-kernel
+values and closed-form cycles are tested against.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .config import HardwareConfig
 from .datapath import ModAddSub, PipelinedMultiplier
@@ -41,9 +39,3 @@ class ButterflyCore:
         hi = self.addsub.add(int(u), reduced, self.modulus)
         lo = self.addsub.sub(int(u), reduced, self.modulus)
         return hi, lo
-
-    def compute_many(self, u: np.ndarray, t: np.ndarray,
-                     twiddles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised butterflies (same function, used for large rings)."""
-        reduced = (t * twiddles) % self.modulus
-        return (u + reduced) % self.modulus, (u - reduced) % self.modulus

@@ -1,10 +1,15 @@
 """The instruction-set coprocessor (paper Fig. 10).
 
-Executes :class:`~repro.hw.isa.Program` streams over the RPAU array, the
-lift/scale core clusters, and the memory file. Every instruction does two
-things: compute the bit-exact result (the same numbers the Verilog
-produces) and charge its cycle cost (schedule-derived unit cycles plus the
-calibrated software dispatch gap).
+Executes :class:`~repro.hw.isa.Program` streams over a register file of
+residue matrices. Every instruction does two things: compute its
+bit-exact result and charge its cycle cost (schedule-derived unit cycles
+plus the calibrated software dispatch gap). The values come from the
+engine's own kernels — NTT / INTT on the q+p basis transformer's channel
+view, CMUL / CADD / CSUB as one modular expression over the row batch,
+Lift / Scale through :mod:`repro.rns` — so the model has one arithmetic,
+the library's. The cycle charges are closed forms; the stepped units
+(:meth:`~repro.hw.ntt_unit.DualCoreNttUnit.run_strict`, the block
+pipeline) are the oracle the tests hold those closed forms to.
 
 A full ``mult()`` on this class is the executable form of the paper's
 Table I "Mult in HW" row; ``report.table()`` prints the per-instruction
@@ -21,6 +26,7 @@ import numpy as np
 from ..errors import HardwareModelError, IsaError
 from ..fv.ciphertext import Ciphertext
 from ..fv.keys import RelinKey
+from ..nttmath.batch import basis_transformer
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
 from ..rns.basis import basis_for, lift_context, scale_context
@@ -30,7 +36,7 @@ from .dma import DmaModel
 from .isa import Instruction, Opcode, Program
 from .lift_unit import HpsLiftUnit, TraditionalLiftUnit
 from .memory_file import MemoryFile
-from .rpau import Rpau, rpau_prime_assignment
+from .ntt_unit import DualCoreNttUnit
 from .scale_unit import HpsScaleUnit, TraditionalScaleUnit
 
 
@@ -101,11 +107,9 @@ class Coprocessor:
     """One coprocessor instance (the FPGA holds two, paper Fig. 11)."""
 
     def __init__(self, params: ParameterSet,
-                 config: HardwareConfig | None = None,
-                 strict: bool = False) -> None:
+                 config: HardwareConfig | None = None) -> None:
         self.params = params
         self.config = config or HardwareConfig()
-        self.strict = strict
         self.q_basis = basis_for(params.q_primes)
         self.full_primes = params.q_primes + params.p_primes
         self.full_col = np.array(self.full_primes, dtype=np.int64)[:, None]
@@ -121,20 +125,6 @@ class Coprocessor:
             self.lift_unit = TraditionalLiftUnit(self._lift_ctx, self.config)
             self.scale_unit = TraditionalScaleUnit(self._scale_ctx,
                                                    self.config)
-        self.num_rpaus = min(self.config.num_rpaus,
-                             max(params.k_q, params.k_p))
-        assignment = rpau_prime_assignment(params.k_q, params.k_total,
-                                           self.num_rpaus)
-        self.rpaus = [
-            Rpau(r, params.n,
-                 tuple(self.full_primes[i] for i in indices), self.config,
-                 strict=strict)
-            for r, indices in enumerate(assignment)
-        ]
-        self._row_to_rpau = {}
-        for r, indices in enumerate(assignment):
-            for idx in indices:
-                self._row_to_rpau[idx] = r
         self.memory = MemoryFile(params, self.config)
         self.dma = DmaModel(self.config)
         self.registers: dict[str, np.ndarray] = {}
@@ -199,8 +189,19 @@ class Coprocessor:
         """FPGA cycles per call of every opcode whose cost depends only
         on this configuration (Table II's seven rows, CSUB and GALOIS)."""
         if self._cycle_model is None:
-            rpau = self.rpaus[0]
-            unit = rpau.ntt_unit(rpau.primes[0])
+            n, sync = self.params.n, self.config.stage_sync_overhead
+            # One RPAU channel stands for all: the butterfly depth is the
+            # same for every 30-bit prime.
+            unit = DualCoreNttUnit(n, self.params.q_primes[0], self.config)
+            depth = unit.butterflies[0].pipeline_depth
+            # Two coefficients per memory word and two butterfly cores'
+            # multipliers / adders: one word per cycle, n/2 issue cycles
+            # per residue polynomial. A layout conversion (bit-reversal /
+            # pairing) moves one coefficient per cycle through the single
+            # permutation write port.
+            cmul = n // 2 + depth + sync
+            cadd = n // 2 + self.config.addsub_stages + sync
+            rearrange = n + depth + sync
             dispatch = self.config.dispatch_overhead
             # Rearranges stream back-to-back with their transform, so no
             # dispatch gap (the paper's 25,006-Arm-cycle row shows the
@@ -210,11 +211,11 @@ class Coprocessor:
                 Opcode.NTT: unit.transform_cycles() + dispatch,
                 Opcode.INTT: (unit.transform_cycles()
                               + unit.scale_pass_cycles() + dispatch),
-                Opcode.CMUL: rpau.cmul_cycles() + dispatch,
-                Opcode.CADD: rpau.cadd_cycles() + dispatch,
-                Opcode.CSUB: rpau.cadd_cycles() + dispatch,
-                Opcode.REARRANGE: rpau.rearrange_cycles(),
-                Opcode.GALOIS: rpau.rearrange_cycles(),
+                Opcode.CMUL: cmul + dispatch,
+                Opcode.CADD: cadd + dispatch,
+                Opcode.CSUB: cadd + dispatch,
+                Opcode.REARRANGE: rearrange,
+                Opcode.GALOIS: rearrange,
                 Opcode.LIFT: self.lift_unit.cycles(self.params.n) + dispatch,
                 Opcode.SCALE: (self.scale_unit.cycles(self.params.n)
                                + dispatch),
@@ -243,35 +244,36 @@ class Coprocessor:
 
     # -- instruction datapaths (bit-exact results; cycles are charged above) -----------
 
-    def _rpau_for_row(self, row: int) -> Rpau:
-        return self.rpaus[self._row_to_rpau[row]]
+    @staticmethod
+    def _row_batch(ins: Instruction) -> slice:
+        """The residue rows of an RPAU batch: q rows, p rows or all rows,
+        always one contiguous range."""
+        rows = ins.rows
+        if not rows or rows != tuple(range(rows[0], rows[-1] + 1)):
+            raise IsaError(
+                f"{ins.op.name} rows {list(rows)}: a row batch must be a "
+                f"contiguous range of residue rows"
+            )
+        return slice(rows[0], rows[-1] + 1)
 
-    def _transform(self, ins: Instruction, op: str) -> None:
-        """NTT / INTT of a row batch. The NTT unit counts its schedule's
-        cycles as it runs (stage by stage; cycle by cycle when strict):
-        that count must be the closed form the instruction is charged."""
-        reg = self._reg(ins.srcs[0])
+    def _transform(self, ins: Instruction, inverse: bool) -> None:
+        """NTT / INTT of a row batch: one call on the channel view of the
+        engine's q+p basis transformer (its tables, no second set). The
+        stepped Fig. 3 unit computes the same values in the cycles the
+        instruction is charged (tests/test_hw_ntt_unit.py)."""
+        rows = self._row_batch(ins)
+        src = self._reg(ins.srcs[0])[rows] % self.full_col[rows]
+        view = basis_transformer(self.full_primes, self.params.n).subset(
+            rows.start, rows.stop)
         dst = self.registers.setdefault(ins.dst, self._new_reg())
-        charged = (self.instruction_cycles(ins)
-                   - self.config.dispatch_overhead)
-        for row in ins.rows:
-            prime = self.full_primes[row]
-            dst[row], stepped = getattr(self._rpau_for_row(row), op)(
-                prime, reg[row])
-            if stepped != charged:
-                raise HardwareModelError(
-                    f"{ins.op.name} row {row}: the executed schedule took "
-                    f"{stepped} cycles, the cycle model charges {charged}"
-                )
+        dst[rows] = view.inverse(src) if inverse else view.forward(src)
 
-    def _coeffwise(self, ins: Instruction, op: str) -> None:
-        a = self._reg(ins.srcs[0])
-        b = self._reg(ins.srcs[1])
+    def _coeffwise(self, ins: Instruction, op: np.ufunc) -> None:
+        rows = self._row_batch(ins)
+        a = self._reg(ins.srcs[0])[rows]
+        b = self._reg(ins.srcs[1])[rows]
         dst = self.registers.setdefault(ins.dst, self._new_reg())
-        for row in ins.rows:
-            prime = self.full_primes[row]
-            dst[row], _ = getattr(self._rpau_for_row(row), op)(
-                prime, a[row], b[row])
+        dst[rows] = op(a, b) % self.full_col[rows]
 
     def _exec_rearrange(self, ins: Instruction) -> None:
         # Functional no-op: the NTT unit model folds the layout
@@ -327,14 +329,14 @@ class Coprocessor:
 
     #: Opcode -> datapath, as plain functions: a table of bound methods
     #: on the instance would be a reference cycle that keeps every
-    #: discarded coprocessor's transform tables alive until the next
-    #: cyclic collection.
+    #: discarded coprocessor (its register file and unit contexts) alive
+    #: until the next cyclic collection.
     _DATAPATHS = {
-        Opcode.NTT: partial(_transform, op="ntt"),
-        Opcode.INTT: partial(_transform, op="intt"),
-        Opcode.CMUL: partial(_coeffwise, op="cmul"),
-        Opcode.CADD: partial(_coeffwise, op="cadd"),
-        Opcode.CSUB: partial(_coeffwise, op="csub"),
+        Opcode.NTT: partial(_transform, inverse=False),
+        Opcode.INTT: partial(_transform, inverse=True),
+        Opcode.CMUL: partial(_coeffwise, op=np.multiply),
+        Opcode.CADD: partial(_coeffwise, op=np.add),
+        Opcode.CSUB: partial(_coeffwise, op=np.subtract),
         Opcode.REARRANGE: _exec_rearrange,
         Opcode.LIFT: _exec_lift,
         Opcode.SCALE: _exec_scale,

@@ -34,13 +34,6 @@ class Opcode(Enum):
     GALOIS = "galois_permute"
 
 
-#: Opcodes whose cycle cost the paper reports per Table II row.
-TABLE2_OPCODES = (
-    Opcode.NTT, Opcode.INTT, Opcode.CMUL, Opcode.CADD,
-    Opcode.REARRANGE, Opcode.LIFT, Opcode.SCALE,
-)
-
-
 @dataclass(frozen=True)
 class Instruction:
     """One coprocessor instruction.

@@ -23,16 +23,6 @@ from ..rns.basis import LiftContext
 from ..rns.lift import lift_hps, lift_traditional
 from .config import HardwareConfig
 
-#: Pipeline fill of the Fig. 6 chain: five blocks, each handing off one
-#: coefficient set every `hps_block_cycles` cycles.
-HPS_LIFT_BLOCKS = 5
-
-#: Per-block latencies of the Fig. 6 chain (paper Sec. V-B2): Block 1
-#: computes the six x'_i "one by one taking six cycles"; Block 2's seven
-#: MACs bound the chain at seven; Blocks 3-5 each emit their seven
-#: residue results in seven cycles.
-HPS_LIFT_BLOCK_LATENCIES = (6, 7, 7, 7, 7)
-
 #: Calibrated throughput of the Fig. 5 long-integer pipeline (cycles per
 #: coefficient, division-block bound; Sec. VI-C: 4096 coeff in 1.68 ms at
 #: 225 MHz = 92 cycles/coeff).
@@ -67,7 +57,10 @@ class HpsLiftUnit:
         return pipeline_total_cycles(per_core, self.block_latencies())
 
     def block_latencies(self) -> tuple[int, ...]:
-        """Fig. 6 per-block latencies with the configured bottleneck."""
+        """Fig. 6 per-block latencies with the configured bottleneck
+        (paper Sec. V-B2): Block 1 computes the six x'_i "one by one
+        taking six cycles"; Block 2's MACs and Blocks 3-5, which emit one
+        residue result per cycle, each take ``hps_block_cycles``."""
         bottleneck = self.config.hps_block_cycles
         return (6, bottleneck, bottleneck, bottleneck, bottleneck)
 

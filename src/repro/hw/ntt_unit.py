@@ -8,12 +8,14 @@ This module turns the paper's prose and Fig. 3 into executable structure:
   the *order-inverted alternation* at the second-to-last stage (the trick
   the paper introduces to avoid conflicts at m = 2048), and the
   in-place final stage executed "one memory word at a time".
-* :class:`DualCoreNttUnit` executes that schedule against the paired-word
-  BRAM model in two modes: ``strict`` walks cycle by cycle through the
-  port-checked BRAM blocks (used by tests on small rings, proving
-  conflict-freedom and the paired-operand invariant), ``fast`` executes
-  stage-vectorised with numpy (used for n = 4096) — both produce
-  bit-identical results and identical cycle counts.
+* :class:`DualCoreNttUnit` prices a transform with the closed form the
+  coprocessor charges (:meth:`~DualCoreNttUnit.transform_cycles`) and
+  executes the schedule cycle by cycle through the port-checked BRAM
+  blocks (:meth:`~DualCoreNttUnit.run_strict`). The stepped run is the
+  oracle, not the datapath: the coprocessor's values come from the
+  engine's batched transform, and the tests hold the stepped run to
+  those values and to the closed form's cycles, prime by prime (conflict-
+  freedom and the paired-operand invariant come with it).
 
 Index bookkeeping (derived in DESIGN.md): at entry of stage s
 (butterflies pair indices differing in bit s-1), coefficient index i
@@ -238,6 +240,13 @@ class DualCoreNttUnit:
     # -- cycle model ------------------------------------------------------------------
 
     def transform_cycles(self) -> int:
+        """Closed-form cycles of one transform under the Fig. 3 schedule.
+
+        With the twiddle ROM this is exactly what :meth:`run_strict`
+        steps through. Without it, ``twiddle_bubble_fraction`` stretches
+        every stage's issue: a calibrated term of the closed form (prior
+        work's on-the-fly twiddle generation), not a stepped one.
+        """
         bubble = 0.0 if self.config.twiddle_rom else (
             self.config.twiddle_bubble_fraction
         )
@@ -260,9 +269,11 @@ class DualCoreNttUnit:
                    inverse: bool = False) -> tuple[np.ndarray, int]:
         """Cycle-by-cycle execution with BRAM port checking.
 
-        Intended for small rings in tests; proves the schedule conflict-
-        free and the paired-operand invariant, and that the cycle count
-        matches the analytic model used by :meth:`run_fast`.
+        The oracle for the coprocessor model: proves the schedule
+        conflict-free and the paired-operand invariant, and that the
+        values are the engine's transform and the cycle count the closed
+        form of :meth:`transform_cycles` (plus :meth:`scale_pass_cycles`
+        for the inverse) for the twiddle-ROM design.
         """
         n, modulus = self.n, self.modulus
         values = np.asarray(coeffs, dtype=np.int64) % modulus
@@ -353,77 +364,3 @@ class DualCoreNttUnit:
                 f"span {span}"
             )
         return span
-
-    # -- fast executor -----------------------------------------------------------------
-
-    def run_fast(self, coeffs: np.ndarray,
-                 inverse: bool = False) -> tuple[np.ndarray, int]:
-        """Stage-vectorised execution; same results and cycles as strict.
-
-        Uses the same placement algebra to walk the stages over the
-        paired-word layout, but computes each stage's butterflies with one
-        vectorised operation.
-        """
-        n, modulus = self.n, self.modulus
-        schedule = self.schedule
-        values = np.asarray(coeffs, dtype=np.int64) % modulus
-        if values.shape != (n,):
-            raise HardwareModelError(f"expected {n} coefficients")
-        if inverse:
-            work = values.copy()
-            tables = self.transformer.inverse_tables
-        else:
-            work = (values * self.transformer.psi_powers) % modulus
-            tables = self.transformer.forward_tables
-        from ..nttmath.bitrev import bit_reverse_indices
-
-        pairs = work[bit_reverse_indices(n)].reshape(schedule.words, 2)
-        words = np.arange(schedule.words, dtype=np.int64)
-        core = self.butterflies[0]
-        cycles = 0
-        for stage in range(1, schedule.log_n + 1):
-            twiddles = tables[stage - 1]
-            i0 = self._expand_vec(words, stage)
-            exponent = i0 & ((1 << (stage - 1)) - 1)
-            hi, lo = core.compute_many(
-                pairs[:, 0], pairs[:, 1], twiddles[exponent]
-            )
-            if stage == schedule.log_n:
-                pairs = np.stack([hi, lo], axis=1)
-            else:
-                new_pairs = np.empty_like(pairs)
-                i1 = i0 | (1 << (stage - 1))
-                for index_vec, value_vec in ((i0, hi), (i1, lo)):
-                    dest = self._drop_vec(index_vec, stage)
-                    slot = (index_vec >> stage) & 1
-                    new_pairs[dest, slot] = value_vec
-                pairs = new_pairs
-            issue = schedule.words // schedule.cores
-            if not self.config.twiddle_rom:
-                issue = int(round(
-                    issue * (1.0 + self.config.twiddle_bubble_fraction)
-                ))
-            cycles += (issue + schedule.pair_lag(stage) + self._depth
-                       + self.config.stage_sync_overhead)
-        out = np.empty(n, dtype=np.int64)
-        out[: schedule.words] = pairs[:, 0]
-        out[schedule.words:] = pairs[:, 1]
-        if inverse:
-            post = (self.transformer.inv_n
-                    * self.transformer.inv_psi_powers) % modulus
-            out = (out * post) % modulus
-            cycles += self.scale_pass_cycles()
-        return out, cycles
-
-    @staticmethod
-    def _drop_vec(values: np.ndarray, bit: int) -> np.ndarray:
-        high = values >> (bit + 1)
-        low = values & ((1 << bit) - 1)
-        return (high << bit) | low
-
-    @staticmethod
-    def _expand_vec(words: np.ndarray, stage: int) -> np.ndarray:
-        bit = stage - 1
-        high = words >> bit
-        low = words & ((1 << bit) - 1)
-        return (high << (bit + 1)) | low

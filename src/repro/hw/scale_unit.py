@@ -22,10 +22,6 @@ import numpy as np
 from ..rns.basis import ScaleContext
 from ..rns.scale import scale_hps, scale_traditional
 from .config import HardwareConfig
-from .lift_unit import HPS_LIFT_BLOCKS
-
-#: Fig. 9 adds four blocks in front of the reused Fig. 6 chain.
-HPS_SCALE_BLOCKS = 4 + HPS_LIFT_BLOCKS
 
 #: Calibrated Fig. 8 throughput (Sec. VI-C: 4096 coeff in 4.3 ms at
 #: 225 MHz = 236 cycles/coeff; the paper attributes the ~4x over Lift to

@@ -1,6 +1,7 @@
 """Tests for the extension modules: analytic noise model, encrypted
 comparator, network model, NTT trace, and CLI."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -223,6 +224,21 @@ class TestNttTrace:
         assert "Iteration m = 2" in render_fig3(64)
 
 
+#: SHA-256 of the stdout of ``python -m repro <command>``: the paper's
+#: tables and Fig. 3 as this model prints them, byte for byte. A change
+#: that is meant to move no published number must leave these as they are.
+ARTEFACT_SHA256 = {
+    "table1":
+        "faf4aa9a66ac54fb8d34883305f713248d0d2941524f5269cefc92d7d950accd",
+    "table2":
+        "6799d9c55b9c7a403a705d9ce143e827cc603d2c9f4a696bc069cf2bd319d424",
+    "table5":
+        "19895ab1179d0bbec55bd82634746103040a2a6bd408edc91e71a17374279fcf",
+    "fig3":
+        "0d986bd145d0c2913838f2e73f7dd0bb7fd67769bc56c73c9279cd54426c35fb",
+}
+
+
 class TestCli:
     @pytest.mark.parametrize("command", [
         "table2", "table3", "table4", "table5", "fig3", "noise", "list",
@@ -231,6 +247,13 @@ class TestCli:
         assert cli_main([command]) == 0
         output = capsys.readouterr().out
         assert len(output) > 20
+
+    @pytest.mark.parametrize("command", sorted(ARTEFACT_SHA256))
+    def test_paper_artefacts_byte_identical(self, command, capsys):
+        assert cli_main([command]) == 0
+        output = capsys.readouterr().out
+        digest = hashlib.sha256(output.encode()).hexdigest()
+        assert digest == ARTEFACT_SHA256[command]
 
     def test_table1_and_headline(self, capsys):
         assert cli_main(["table1"]) == 0

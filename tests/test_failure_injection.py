@@ -99,13 +99,13 @@ class TestScheduleSabotage:
         values = rng.integers(0, prime, n)
         reference = NegacyclicTransformer(n, prime).forward(values)
         # Run normally: matches.
-        clean, _ = unit.run_fast(values)
+        clean, _ = unit.run_strict(values)
         assert np.array_equal(clean, reference)
         # Sabotage the twiddle ROM of the unit's transformer: detected.
         original = unit.transformer.forward_tables[2].copy()
         unit.transformer.forward_tables[2][0] ^= 1
         try:
-            dirty, _ = unit.run_fast(values)
+            dirty, _ = unit.run_strict(values)
             assert not np.array_equal(dirty, reference)
         finally:
             unit.transformer.forward_tables[2][:] = original

@@ -24,8 +24,9 @@ from repro.hw.compiler import (
     compile_rotation,
 )
 from repro.hw.config import HardwareConfig, slow_coprocessor_config
-from repro.hw.coprocessor import Coprocessor
+from repro.hw.coprocessor import Coprocessor, InstructionStat
 from repro.hw.isa import Opcode, Program
+from repro.nttmath.batch import intt_rows, ntt_rows
 from repro.nttmath.ntt import negacyclic_convolution
 from repro.params import hpca19, mini
 from repro.rns.decompose import WordDecomp
@@ -289,36 +290,15 @@ class TestCoprocessorFunctional:
         with pytest.raises(IsaError):
             coprocessor._reg("nope")
 
-    def test_strict_mode_full_mult(self, toy_context, toy_keys, rng):
-        """End-to-end strict mode: the complete Mult program with every
-        transform replayed cycle-by-cycle through port-checked BRAMs.
-        Results AND cycle reports must equal fast mode exactly."""
-        params = toy_context.params
-        a = Plaintext(rng.integers(0, params.t, params.n), params.t)
-        b = Plaintext(rng.integers(0, params.t, params.n), params.t)
-        ct_a = toy_context.encrypt(a, toy_keys.public)
-        ct_b = toy_context.encrypt(b, toy_keys.public)
-        fast = Coprocessor(params)
-        strict = Coprocessor(params, strict=True)
-        fast_result, fast_report = fast.mult(ct_a, ct_b, toy_keys.relin)
-        strict_result, strict_report = strict.mult(ct_a, ct_b,
-                                                   toy_keys.relin)
-        for f_part, s_part in zip(fast_result.parts, strict_result.parts):
-            assert np.array_equal(f_part.residues, s_part.residues)
-        assert fast_report.total_cycles == strict_report.total_cycles
-        for op, stat in fast_report.op_stats.items():
-            assert strict_report.op_stats[op].cycles == stat.cycles, op
-
     def test_toy_geometry_coprocessor(self, toy_context, toy_keys, rng):
         """The coprocessor generalises to other basis geometries
-        (toy: 3+4 primes on 4 RPAUs) with the same bit-exactness."""
+        (toy: 3+4 primes) with the same bit-exactness."""
         params = toy_context.params
         a = Plaintext(rng.integers(0, params.t, params.n), params.t)
         b = Plaintext(rng.integers(0, params.t, params.n), params.t)
         ct_a = toy_context.encrypt(a, toy_keys.public)
         ct_b = toy_context.encrypt(b, toy_keys.public)
         coprocessor = Coprocessor(params)
-        assert coprocessor.num_rpaus == max(params.k_q, params.k_p)
         hw_result, _ = coprocessor.mult(ct_a, ct_b, toy_keys.relin)
         sw_result = Evaluator(toy_context).multiply(ct_a, ct_b,
                                                     toy_keys.relin)
@@ -327,6 +307,80 @@ class TestCoprocessorFunctional:
         for hw_part, sw_part in zip(hw_result.parts,
                                     sw_result.to_coeff().parts, strict=True):
             assert np.array_equal(hw_part.residues, sw_part.residues)
+
+
+class TestDatapaths:
+    """One-instruction programs at mini: NTT / INTT / CMUL / CADD / CSUB
+    on the q rows, the p rows and all rows compute the engine's
+    transform or the ``% prime`` expression, touch no other row, and
+    book exactly ``instruction_cycles``."""
+
+    OPS = (Opcode.NTT, Opcode.INTT, Opcode.CMUL, Opcode.CADD, Opcode.CSUB)
+
+    @pytest.fixture(scope="class")
+    def operands(self, mini_params):
+        rng = np.random.default_rng(36)
+        primes = mini_params.q_primes + mini_params.p_primes
+        return {name: np.stack([rng.integers(0, p, mini_params.n)
+                                for p in primes])
+                for name in ("a", "b")}
+
+    @staticmethod
+    def expected(op, params, a, b):
+        """The whole register's result; an instruction owns a row slice."""
+        primes = params.q_primes + params.p_primes
+        col = np.array(primes, dtype=np.int64)[:, None]
+        if op is Opcode.NTT:
+            return ntt_rows(primes, a)
+        if op is Opcode.INTT:
+            return intt_rows(primes, a)
+        combine = {Opcode.CMUL: np.multiply, Opcode.CADD: np.add,
+                   Opcode.CSUB: np.subtract}[op]
+        return combine(a, b) % col
+
+    @pytest.mark.parametrize("batch", ["q", "p", "all"])
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+    def test_one_instruction(self, mini_params, operands, op, batch):
+        k_q, k_total = mini_params.k_q, mini_params.k_total
+        start, stop = {"q": (0, k_q), "p": (k_q, k_total),
+                       "all": (0, k_total)}[batch]
+        program = Program(name=f"{op.name}-{batch}")
+        srcs = ("a",) if op in (Opcode.NTT, Opcode.INTT) else ("a", "b")
+        ins = program.emit(op, dst="out", srcs=srcs,
+                           rows=tuple(range(start, stop)))
+        coprocessor = Coprocessor(mini_params)
+        coprocessor.registers.update(
+            {name: matrix.copy() for name, matrix in operands.items()})
+        report = coprocessor.execute(program)
+
+        out = coprocessor.registers["out"]
+        want = self.expected(op, mini_params, operands["a"], operands["b"])
+        assert np.array_equal(out[start:stop], want[start:stop])
+        assert not out[:start].any() and not out[stop:].any()
+        assert report.op_stats == {
+            op: InstructionStat(calls=1,
+                                cycles=coprocessor.instruction_cycles(ins))}
+
+    @pytest.mark.parametrize("op", [Opcode.NTT, Opcode.CMUL],
+                             ids=lambda op: op.name)
+    @pytest.mark.parametrize("rows", [(0, 2), (1, 0), ()],
+                             ids=["gap", "reversed", "empty"])
+    def test_rows_must_be_one_contiguous_range(self, mini_params, op, rows):
+        program = Program(name="scattered")
+        program.emit(op, dst="out", srcs=("a", "b"), rows=rows)
+        with pytest.raises(IsaError, match="contiguous"):
+            Coprocessor(mini_params).execute(program)
+
+    def test_cycle_ordering(self, mini_params):
+        """CADD is cheaper than CMUL, both far cheaper than rearrange:
+        the datapath cycles, net of the dispatch gap a rearrange (which
+        streams with its transform) does not pay."""
+        model = Coprocessor(mini_params).instruction_cycle_model()
+        dispatch = CONFIG.dispatch_overhead
+        cadd = model[Opcode.CADD] - dispatch
+        cmul = model[Opcode.CMUL] - dispatch
+        assert cadd <= cmul < model[Opcode.REARRANGE]
+        assert model[Opcode.CSUB] == model[Opcode.CADD]
 
 
 class TestEvaluationDomainBoundary:

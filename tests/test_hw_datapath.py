@@ -211,16 +211,6 @@ class TestButterflyCore:
             assert hi == (u + w * t) % prime
             assert lo == (u - w * t) % prime
 
-    def test_scalar_matches_vectorised(self, core, rng):
-        prime = PRIMES[0]
-        u = rng.integers(0, prime, 100)
-        t = rng.integers(0, prime, 100)
-        w = rng.integers(0, prime, 100)
-        hi_vec, lo_vec = core.compute_many(u, t, w)
-        for i in range(100):
-            hi, lo = core.compute(int(u[i]), int(t[i]), int(w[i]))
-            assert hi_vec[i] == hi and lo_vec[i] == lo
-
     def test_pipeline_depth_composition(self, core):
         expected = (CONFIG.multiplier_stages
                     + core.reducer.pipeline_stages

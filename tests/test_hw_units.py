@@ -1,11 +1,11 @@
-"""Tests for the lift/scale units, RPAUs, memory file, and ISA."""
+"""Tests for the lift/scale units, memory file, and ISA."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.errors import CapacityError, HardwareModelError, IsaError
+from repro.errors import CapacityError, IsaError
 from repro.hw.config import HardwareConfig, slow_coprocessor_config
 from repro.hw.isa import Instruction, Opcode, Program
 from repro.hw.lift_unit import (
@@ -13,7 +13,6 @@ from repro.hw.lift_unit import (
     TraditionalLiftUnit,
 )
 from repro.hw.memory_file import MemoryFile
-from repro.hw.rpau import Rpau, batch_rows, rpau_prime_assignment
 from repro.hw.scale_unit import HpsScaleUnit, TraditionalScaleUnit
 from repro.rns.basis import basis_for, lift_context, scale_context
 from repro.rns.lift import lift_hps, lift_traditional
@@ -153,81 +152,6 @@ class TestTraditionalScaleUnit:
         unit = TraditionalScaleUnit(ctx, config)
         seconds = unit.cycles(4096) / config.fpga_clock_hz
         assert abs(seconds - 4.3e-3) / 4.3e-3 < 0.02
-
-
-class TestRpau:
-    @pytest.fixture(scope="class")
-    def rpau(self, mini_params):
-        primes = (mini_params.q_primes[0], mini_params.p_primes[0])
-        return Rpau(0, mini_params.n, primes, CONFIG)
-
-    def test_coefficient_ops(self, rpau, mini_params, rng):
-        prime = mini_params.q_primes[0]
-        a = rng.integers(0, prime, mini_params.n)
-        b = rng.integers(0, prime, mini_params.n)
-        mul, _ = rpau.cmul(prime, a, b)
-        add, _ = rpau.cadd(prime, a, b)
-        sub, _ = rpau.csub(prime, a, b)
-        assert np.array_equal(mul, (a * b) % prime)
-        assert np.array_equal(add, (a + b) % prime)
-        assert np.array_equal(sub, (a - b) % prime)
-
-    def test_ntt_roundtrip(self, rpau, mini_params, rng):
-        prime = mini_params.q_primes[0]
-        values = rng.integers(0, prime, mini_params.n)
-        forward, _ = rpau.ntt(prime, values)
-        back, _ = rpau.intt(prime, forward)
-        assert np.array_equal(back, values % prime)
-
-    def test_rejects_unknown_prime(self, rpau):
-        with pytest.raises(HardwareModelError):
-            rpau.ntt_unit(17)
-
-    def test_rejects_three_primes(self, mini_params):
-        with pytest.raises(HardwareModelError):
-            Rpau(0, mini_params.n, mini_params.q_primes[:3], CONFIG)
-
-    def test_cycle_ordering(self, rpau):
-        """CADD is cheaper than CMUL, both far cheaper than rearrange."""
-        assert rpau.cadd_cycles() <= rpau.cmul_cycles()
-        assert rpau.cmul_cycles() < rpau.rearrange_cycles()
-
-
-class TestPrimeAssignment:
-    def test_paper_mapping(self):
-        """Sec. V-A1: (q0,q6), (q1,q7), ..., (q5,q11), q12 alone."""
-        assignment = rpau_prime_assignment(6, 13, 7)
-        assert assignment[0] == (0, 6)
-        assert assignment[5] == (5, 11)
-        assert assignment[6] == (12,)
-
-    def test_every_prime_assigned_once(self):
-        assignment = rpau_prime_assignment(6, 13, 7)
-        flat = [idx for pair in assignment for idx in pair]
-        assert sorted(flat) == list(range(13))
-
-    def test_mini_mapping(self, mini_params):
-        assignment = rpau_prime_assignment(
-            mini_params.k_q, mini_params.k_total, 5
-        )
-        flat = [idx for pair in assignment for idx in pair]
-        assert sorted(flat) == list(range(mini_params.k_total))
-
-    def test_batches_paper(self):
-        """q in one batch of 6, full basis in batches of 6 + 7."""
-        batches = batch_rows(13, 6, 7)
-        assert batches == [list(range(6)), list(range(6, 13))]
-        assert batch_rows(6, 6, 7) == [list(range(6))]
-
-    def test_batches_never_share_rpau(self):
-        assignment = rpau_prime_assignment(6, 13, 7)
-        rpau_of = {}
-        for r, indices in enumerate(assignment):
-            for idx in indices:
-                rpau_of[idx] = r
-        for batch in batch_rows(13, 6, 7):
-            rpaus = [rpau_of[row] for row in batch]
-            assert len(set(rpaus)) == len(rpaus)
 
 
 class TestMemoryFile:

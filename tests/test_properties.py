@@ -123,7 +123,7 @@ class TestHardwareEquivalenceProperties:
         unit = DualCoreNttUnit(N, PRIME, HardwareConfig())
         tr = NegacyclicTransformer(N, PRIME)
         values = np.array(coeffs, dtype=np.int64)
-        hw_result, _ = unit.run_fast(values)
+        hw_result, _ = unit.run_strict(values)
         assert np.array_equal(hw_result, tr.forward(values))
 
     @slow_settings
