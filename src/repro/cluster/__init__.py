@@ -10,8 +10,8 @@ router on one shared simulated clock —
   power-of-two-choices placement;
 * :mod:`~repro.cluster.placement` — replicated tenant key-state
   placement (R boards per tenant, rendezvous-pinned, warmth-tracked);
-* :mod:`~repro.cluster.cluster` — the shared-clock run loop with the
-  cluster's backlog cap, overflow re-routing, and the fault/retry
+* :mod:`~repro.cluster.cluster` — the shared-clock run loop, the one
+  placement walk every arrival and retry takes, and the fault/retry
   interleaving driven by :mod:`repro.faults` plans;
 * :mod:`~repro.cluster.report` — the shards' records side by side: the
   shared reductions over their concatenation, per-shard utilization

@@ -2,12 +2,11 @@
 
 A shard is one board, i.e. one :class:`~repro.serve.engine.ServingRuntime`;
 the cluster runs N of them on a shared simulated clock and adds only
-routing, backpressure and faults. Arrivals are processed in global time
-order: every shard first advances to the arrival instant (strictly —
-tied arrivals keep the one-shot heap ordering inside each shard), the
-router names a primary shard, and the cluster's backlog cap can
-overflow the job onto the least-loaded accepting sibling before the
-cluster gives up and rejects at its edge.
+placement and faults. Arrivals are processed in global time order:
+every shard first advances to the arrival instant (strictly — tied
+arrivals keep the one-shot heap ordering inside each shard), then one
+walk over the live boards in preference order places the job on the
+first board whose admission control would take it.
 
 A single-shard cluster is bit-identical to driving the underlying
 :class:`ServingRuntime` directly (validated in the tests), so the
@@ -21,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import replace
 
 from ..faults import (
@@ -51,16 +50,12 @@ from .routing import RoundRobinRouter, Router
 
 SchedulerFactory = Callable[[], Scheduler]
 
-#: Canonical Table I input-transfer shape (two operand ciphertexts).
-_DEFAULT_POLYS_IN = 4
-
 
 class FpgaCluster:
     """N Arm+FPGA boards serving one job stream (single-use)."""
 
     def __init__(self, shards: Sequence[ServingRuntime],
                  router: Router | None = None, *,
-                 max_backlog_seconds: float | None = None,
                  fault_plan: FaultPlan | None = None,
                  retry: RetryPolicy | None = None,
                  replicas: int | None = None) -> None:
@@ -68,13 +63,8 @@ class FpgaCluster:
             raise ValueError("a cluster needs at least one shard")
         if len({shard.name for shard in shards}) != len(shards):
             raise ValueError("shard names must be unique")
-        if max_backlog_seconds is not None and max_backlog_seconds <= 0:
-            raise ValueError("backlog cap must be positive")
         self.shards = list(shards)
         self.router = RoundRobinRouter() if router is None else router
-        #: Per-board cap on outstanding service-seconds before new work
-        #: overflows to a sibling (``None``: admission control only).
-        self.max_backlog_seconds = max_backlog_seconds
         self.fault_plan = fault_plan
         if fault_plan is not None:
             for event in fault_plan:
@@ -99,11 +89,6 @@ class FpgaCluster:
         self._retries_scheduled = 0
         self._failure: FailureReport | None = None
 
-    @property
-    def _fault_mode(self) -> bool:
-        """Whether the stepping loop interleaves fault/retry events."""
-        return self.fault_plan is not None
-
     # -- constructors ------------------------------------------------------------------
 
     @classmethod
@@ -121,7 +106,6 @@ class FpgaCluster:
                       scheduler_factory: SchedulerFactory | None = None,
                       batching: BatchPolicy | None = None,
                       tenants: TenantSet | None = None,
-                      max_backlog_seconds: float | None = None,
                       fault_plan: FaultPlan | None = None,
                       retry: RetryPolicy | None = None,
                       replicas: int | None = None,
@@ -148,30 +132,13 @@ class FpgaCluster:
                 cost, name=f"shard{i}",
                 scheduler=scheduler_factory() if scheduler_factory else None,
                 batching=batching, tenants=tenants))
-        return cls(shards, router=router,
-                   max_backlog_seconds=max_backlog_seconds,
-                   fault_plan=fault_plan, retry=retry, replicas=replicas)
+        return cls(shards, router=router, fault_plan=fault_plan,
+                   retry=retry, replicas=replicas)
 
     def capacity_mults_per_second(self) -> float:
         """Sum of every board's saturated Mult/s."""
         return sum(shard.cost.mult_throughput_per_second()
                    for shard in self.shards)
-
-    def accepting(self, shard: ServingRuntime, job: Job) -> bool:
-        """Backpressure gate: would `shard` take `job` right now?
-
-        False for a board that is down, once its outstanding work
-        exceeds the cluster's backlog cap, or when its own admission
-        control would refuse the job — the signal the cluster uses to
-        re-route overflow to a sibling board before the shard has to
-        reject.
-        """
-        if not shard.up:
-            return False
-        if (self.max_backlog_seconds is not None
-                and shard.outstanding_seconds() > self.max_backlog_seconds):
-            return False
-        return shard.would_admit(job)
 
     # -- the shared-clock stepping API -------------------------------------------------
 
@@ -200,16 +167,14 @@ class FpgaCluster:
         """Advance the boards to the arrival instant, route, and inject.
 
         Every board first advances to (just before) the arrival so the
-        router compares load states at one instant; per-shard admission
-        backpressure can then overflow the job onto the least-loaded
-        accepting sibling before the cluster rejects at its edge. Under
-        a fault plan, scheduled faults and due retries strictly before
-        (or at) the arrival apply first, in time order.
+        router compares load states at one instant; :meth:`_place` then
+        puts the job on a board. Under a fault plan, scheduled faults
+        and due retries strictly before (or at) the arrival apply
+        first, in time order.
         """
-        now = job.arrival_seconds
-        self._advance_shards(now, inclusive=False)
+        self._advance_shards(job.arrival_seconds, inclusive=False)
         self._arrived += 1
-        self._route_and_inject(job, now)
+        self._place(job)
 
     def advance_to(self, time_seconds: float, *,
                    inclusive: bool = True) -> None:
@@ -290,7 +255,7 @@ class FpgaCluster:
         events and due retries on the way, in time order (a fault and a
         retry due at one instant apply fault-first: a crash at *t* must
         not race the re-injection it may itself have caused)."""
-        while self._fault_mode or self._retry_heap:
+        while self._fault_queue or self._retry_heap:
             fault_due = (self._fault_queue[0].time_seconds
                          if self._fault_queue else None)
             retry_due = (self._retry_heap[0][0]
@@ -363,7 +328,7 @@ class FpgaCluster:
 
     def _schedule_retry(self, job: Job, origin: int, now: float) -> None:
         """Queue a failed/spilled job for backed-off re-injection."""
-        retry = self.retry if self.retry is not None else RetryPolicy()
+        retry = self.retry
         key = (job.tenant, job.index, job.request)
         attempt = self._attempts.get(key, 1) + 1
         self._attempts[key] = attempt
@@ -391,7 +356,7 @@ class FpgaCluster:
     def _inject_retry(self, job: Job, origin: int) -> None:
         self._failure.jobs_retried += 1
         FAULT_RETRIES_COUNTER.inc()
-        target = self._route_and_inject(job, job.arrival_seconds)
+        target = self._place(job)
         if target is not None and target != origin:
             self._failure.jobs_relocated += 1
 
@@ -409,105 +374,71 @@ class FpgaCluster:
                 tracer.add("shard.down", "fault", shard.down_since, end,
                            clock="sim", shard=shard.name)
 
-    # -- routing -----------------------------------------------------------------------
+    # -- placement ---------------------------------------------------------------------
 
-    def _route_and_inject(self, job: Job, now: float) -> int | None:
-        """Name a target board for `job` and inject; None if rejected.
+    def _candidates(self, job: Job) -> Iterator[int]:
+        """The live boards for `job`, most preferred first.
 
-        The fault-free, replication-free path is byte-for-byte the
-        pre-fault routing logic (single-shard bit-exactness and the
-        router comparison tests depend on it); health masking and
-        replica placement only engage when a board is down or a
-        :class:`ReplicatedPlacement` is configured.
+        With replicas, the tenant's rendezvous order. Otherwise the
+        router's pick over the live boards, then the rest of them by
+        (drain estimate, index).
         """
         if self.placement is not None:
-            return self._route_replicated(job, now)
+            yield from (i for i in self.placement.preference(job.tenant)
+                        if self.shards[i].up)
+            return
         alive = [i for i, shard in enumerate(self.shards) if shard.up]
         if not alive:
-            self._overflow.append(Rejection(
-                job=job, time_seconds=now, reason="unavailable"))
-            return None
-        masked = len(alive) != len(self.shards)
-        view = ([self.shards[i] for i in alive] if masked
-                else self.shards)
-        chosen = self.router.choose(job, view)
-        if not 0 <= chosen < len(view):
+            return
+        chosen = self.router.choose(job, [self.shards[i] for i in alive])
+        if not 0 <= chosen < len(alive):
             raise ValueError(
                 f"router {self.router.name!r} chose shard {chosen} "
-                f"of {len(view)}"
+                f"of {len(alive)}"
             )
-        primary = alive[chosen] if masked else chosen
-        target = primary
-        if not self.accepting(self.shards[primary], job):
-            # Overflow re-routing: the least-loaded accepting
-            # sibling takes the spill.
-            siblings = [
-                i for i in alive
-                if i != primary and self.accepting(self.shards[i], job)
-            ]
-            if siblings:
-                target = min(
-                    siblings,
-                    key=lambda i:
-                        (self.shards[i].drain_estimate_seconds(), i),
-                )
-                self._reroutes += 1
-            elif self.shards[primary].would_admit(job):
-                # Every board is over its backlog cap but none
-                # would refuse outright: shed at the cluster edge
-                # rather than bust the primary's cap.
-                self._overflow.append(Rejection(job=job, time_seconds=now,
-                                                reason="backpressure"))
-                return None
-            # Otherwise fall through: the primary's own admission
-            # control records the rejection with its precise reason.
-        self.shards[target].inject(job)
-        return target
+        primary = alive.pop(chosen)
+        yield primary
+        yield from sorted(
+            alive, key=lambda i: (self.shards[i].drain_estimate_seconds(), i))
 
-    def _route_replicated(self, job: Job, now: float) -> int | None:
-        """Tenant-pinned routing over the replica set, with failover.
+    def _place(self, job: Job) -> int | None:
+        """Inject `job` on a board and return its index (None: no board
+        is up, and the cluster rejects at its edge).
 
-        Walks the tenant's full rendezvous preference order and takes
-        the first live, accepting board. Inside the replica set that is
-        normal affinity; past it the tenant *fails over*, paying the
-        key-rehydration penalty on a board that has never staged its
-        keys (and on a replica gone cold after a crash).
+        The job goes to the first candidate whose admission control
+        would take it; when none would, the first candidate's own
+        admission control records the rejection with its precise
+        reason. A replicated tenant placed past its rendezvous primary
+        while that board is down has *failed over*; on a board that
+        does not hold its keys warm it pays the key-rehydration penalty.
         """
-        placement = self.placement
-        order = placement.preference(job.tenant)
-        alive = [i for i in order if self.shards[i].up]
-        if not alive:
+        candidates = self._candidates(job)
+        first = next(candidates, None)
+        if first is None:
             self._overflow.append(Rejection(
-                job=job, time_seconds=now, reason="unavailable"))
+                job=job, time_seconds=job.arrival_seconds,
+                reason="unavailable"))
             return None
-        target = next((i for i in alive
-                       if self.accepting(self.shards[i], job)), None)
-        if target is None:
-            if self.shards[alive[0]].would_admit(job):
-                self._overflow.append(Rejection(
-                    job=job, time_seconds=now, reason="backpressure"))
-                return None
-            # Let the preferred live board's admission control record
-            # the rejection with its precise reason.
-            target = alive[0]
-        if target != alive[0]:
+        target = next((i for i in itertools.chain((first,), candidates)
+                       if self.shards[i].would_admit(job)), first)
+        if target != first:
             self._reroutes += 1
-        primary = order[0]
-        if target != primary and not self.shards[primary].up:
-            tenants = self._failure.failovers_by_tenant
-            tenants[job.tenant] = tenants.get(job.tenant, 0) + 1
-            FAULT_FAILOVERS_COUNTER.inc()
-        if not placement.is_warm(job.tenant, target):
-            # Cold replica: the tenant's relin/Galois key polynomials
-            # must restage over DMA before this job runs — priced as
-            # extra input transfers through the existing cost model.
-            key_polys = 2 * self.shards[target].cost.params.k_q
-            polys_in = (_DEFAULT_POLYS_IN if job.polys_in is None
-                        else job.polys_in)
-            job = replace(job, polys_in=polys_in + key_polys)
-            placement.warm(job.tenant, target)
-            self._failure.rehydrations += 1
-            FAULT_REHYDRATIONS_COUNTER.inc()
+        placement = self.placement
+        if placement is not None:
+            primary = placement.primary(job.tenant)
+            if target != primary and not self.shards[primary].up:
+                tenants = self._failure.failovers_by_tenant
+                tenants[job.tenant] = tenants.get(job.tenant, 0) + 1
+                FAULT_FAILOVERS_COUNTER.inc()
+            if not placement.is_warm(job.tenant, target):
+                # Cold replica: the tenant's relin/Galois key
+                # polynomials restage over DMA before this job runs —
+                # priced as extra input transfers.
+                key_polys = 2 * self.shards[target].cost.params.k_q
+                job = replace(job, polys_in=job.polys_in + key_polys)
+                placement.warm(job.tenant, target)
+                self._failure.rehydrations += 1
+                FAULT_REHYDRATIONS_COUNTER.inc()
         self.shards[target].inject(job)
         return target
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .routing import _rendezvous_score
+from .routing import rendezvous_order
 
 
 class ReplicatedPlacement:
@@ -30,26 +30,16 @@ class ReplicatedPlacement:
                 f"replication factor must be in [1, {len(shard_names)}], "
                 f"got {replicas}"
             )
-        self.shard_names = list(shard_names)
+        self.shard_names = tuple(shard_names)
         self.replicas = replicas
-        self._preference: dict[str, list[int]] = {}
         #: tenant -> set of shard indices with the keys currently warm.
         self._warm: dict[str, set[int]] = {}
 
-    def preference(self, tenant: str) -> list[int]:
+    def preference(self, tenant: str) -> tuple[int, ...]:
         """All shards in descending rendezvous order for `tenant`."""
-        order = self._preference.get(tenant)
-        if order is None:
-            order = sorted(
-                range(len(self.shard_names)),
-                key=lambda i: _rendezvous_score(tenant,
-                                                self.shard_names[i]),
-                reverse=True,
-            )
-            self._preference[tenant] = order
-        return order
+        return rendezvous_order(tenant, self.shard_names)
 
-    def replica_set(self, tenant: str) -> list[int]:
+    def replica_set(self, tenant: str) -> tuple[int, ...]:
         """The R boards pinned to hold `tenant`'s key state."""
         return self.preference(tenant)[: self.replicas]
 

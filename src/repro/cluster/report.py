@@ -31,9 +31,10 @@ class ClusterReport(ServingReductions):
     shard_names: list[str]
     shard_reports: list[RuntimeReport]
     router_name: str = ""
-    #: Arrivals no shard would accept (cluster-level backpressure).
+    #: Arrivals rejected at the cluster edge: no board was up, or a
+    #: failed job ran out of retries.
     overflow_rejected: list[Rejection] = field(default_factory=list)
-    #: Arrivals whose primary shard was full but a sibling took them.
+    #: Placements on a board other than the first live candidate.
     reroutes: int = 0
     #: Snapshot of the active :mod:`repro.obs` metrics registry taken
     #: at drain time (flat series-name → value mapping), so the report

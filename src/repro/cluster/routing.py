@@ -22,6 +22,7 @@ the balance extremes; :class:`TenantAffinityRouter` is rendezvous
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -78,6 +79,16 @@ def _rendezvous_score(tenant: str, shard_name: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def rendezvous_order(tenant: str, names: tuple[str, ...]) -> tuple[int, ...]:
+    """Indices into `names`, best rendezvous (HRW) score for `tenant`
+    first — keyed by the board names themselves, so a masked view of
+    the same size but other boards gets its own order."""
+    return tuple(sorted(range(len(names)),
+                        key=lambda i: _rendezvous_score(tenant, names[i]),
+                        reverse=True))
+
+
 class TenantAffinityRouter(Router):
     """Consistent tenant placement via rendezvous (HRW) hashing.
 
@@ -103,22 +114,10 @@ class TenantAffinityRouter(Router):
         self.bounded_load_factor = bounded_load_factor
         if bounded_load_factor is not None:
             self.name = "affinity-bl"
-        self._preference_cache: dict[str, list[int]] = {}
-
-    def preference_order(self, tenant: str,
-                         shards: Sequence[ServingRuntime]) -> list[int]:
-        order = self._preference_cache.get(tenant)
-        if order is None or len(order) != len(shards):
-            order = sorted(
-                range(len(shards)),
-                key=lambda i: _rendezvous_score(tenant, shards[i].name),
-                reverse=True,
-            )
-            self._preference_cache[tenant] = order
-        return order
 
     def choose(self, job: Job, shards: Sequence[ServingRuntime]) -> int:
-        order = self.preference_order(job.tenant, shards)
+        order = rendezvous_order(job.tenant,
+                                 tuple(shard.name for shard in shards))
         if self.bounded_load_factor is None:
             return order[0]
         loads = [shard.outstanding_jobs() for shard in shards]

@@ -17,8 +17,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..system.network import NetworkModel
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..system.server import CostModel
     from .schedulers import QueueEntry
@@ -49,11 +47,6 @@ class BatchPolicy:
 class DmaBatcher:
     """Prices a coalesced train of jobs against the DMA model."""
 
-    #: Polynomial bursts per direction (2 operand cts x 2 polys in,
-    #: 1 result ct = 2 polys out) — the Table I job shape.
-    POLYS_IN_PER_JOB = 4
-    POLYS_OUT_PER_JOB = 2
-
     def __init__(self, cost: CostModel,
                  policy: BatchPolicy | None = None) -> None:
         self.cost = cost
@@ -65,19 +58,6 @@ class DmaBatcher:
     @property
     def max_jobs(self) -> int:
         return self.policy.max_jobs
-
-    def upload_seconds(self, num_jobs: int) -> float:
-        """One descriptor train for all operand polynomials of the batch."""
-        if num_jobs == 1:
-            return self.cost.transfer_in_seconds()
-        bursts = num_jobs * self.POLYS_IN_PER_JOB
-        return bursts * self._burst_seconds + self._setup_seconds
-
-    def download_seconds(self, num_jobs: int) -> float:
-        if num_jobs == 1:
-            return self.cost.transfer_out_seconds()
-        bursts = num_jobs * self.POLYS_OUT_PER_JOB
-        return bursts * self._burst_seconds + self._setup_seconds
 
     def service_seconds(self, entries: Sequence[QueueEntry]) -> float:
         """Coprocessor occupancy of one dispatched batch.
@@ -92,14 +72,8 @@ class DmaBatcher:
         if len(entries) == 1:
             return self.cost.job_seconds_of(entries[0].job)
         compute = sum(self.cost.compute_seconds(e.kind) for e in entries)
-        bursts_in = sum(
-            self.POLYS_IN_PER_JOB if e.job.polys_in is None
-            else e.job.polys_in for e in entries
-        )
-        bursts_out = sum(
-            self.POLYS_OUT_PER_JOB if e.job.polys_out is None
-            else e.job.polys_out for e in entries
-        )
+        bursts_in = sum(e.job.polys_in for e in entries)
+        bursts_out = sum(e.job.polys_out for e in entries)
         # A direction that moves no bursts (all-resident operands or
         # no downloads) pays no Arm setup either.
         upload = (bursts_in * self._burst_seconds + self._setup_seconds
@@ -107,37 +81,3 @@ class DmaBatcher:
         download = (bursts_out * self._burst_seconds + self._setup_seconds
                     if bursts_out else 0.0)
         return upload + compute + download
-
-    def setup_savings_seconds(self, num_jobs: int) -> float:
-        """Arm setup time a train of `num_jobs` saves over singles."""
-        singles = num_jobs * (self.POLYS_IN_PER_JOB
-                              + self.POLYS_OUT_PER_JOB) * self._setup_seconds
-        batched = 2 * self._setup_seconds
-        return max(singles - batched, 0.0) if num_jobs > 1 else 0.0
-
-    def saturated_mult_throughput(self, num_coprocessors: int,
-                                  num_jobs: int) -> float:
-        """Mult/s of always-full trains (the batching ceiling)."""
-        from ..system.workloads import JobKind
-
-        per_job = self.cost.compute_seconds(JobKind.MULT)
-        batch = (self.upload_seconds(num_jobs) + num_jobs * per_job
-                 + self.download_seconds(num_jobs))
-        return num_coprocessors * num_jobs / batch
-
-
-def network_amortized_upload_seconds(params, num_jobs: int,
-                                     network: NetworkModel | None = None,
-                                     ) -> float:
-    """Ingress time of one coalesced client upload carrying `num_jobs`.
-
-    The network-side analogue of the DMA train: one request latency for
-    the whole batch, payload at line rate — the per-op cost this
-    amortises is what lets ``ClientSession.batched_throughput`` return
-    to the FPGA-bound 400 Mult/s.
-    """
-    if num_jobs < 1:
-        raise ValueError("num_jobs must be at least 1")
-    network = network or NetworkModel()
-    payload = num_jobs * 2 * params.ciphertext_bytes
-    return network.transfer_seconds(payload)

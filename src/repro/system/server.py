@@ -100,19 +100,16 @@ class CostModel:
     def job_seconds_of(self, job: Job) -> float:
         """Occupancy of one concrete job, honouring its real byte sizes.
 
-        Falls back to the canonical Table I shape (4 polynomial bursts
-        in, 2 out) when the job carries no per-op transfer footprint, so
-        plain MULT/ADD streams price exactly as :meth:`job_seconds`.
+        A job of the default Table I shape (4 polynomial bursts in, 2
+        out) prices exactly as :meth:`job_seconds`.
         """
-        if job.polys_in is None and job.polys_out is None:
-            return self.job_seconds(job.kind)
         poly_bytes = self.params.poly_bytes
-        polys_in = 4 if job.polys_in is None else job.polys_in
-        polys_out = 2 if job.polys_out is None else job.polys_out
-        transfer_in = (self.dma.polynomial_job_seconds(poly_bytes, polys_in)
-                       if polys_in else 0.0)
-        transfer_out = (self.dma.polynomial_job_seconds(poly_bytes, polys_out)
-                        if polys_out else 0.0)
+        transfer_in = (self.dma.polynomial_job_seconds(poly_bytes,
+                                                       job.polys_in)
+                       if job.polys_in else 0.0)
+        transfer_out = (self.dma.polynomial_job_seconds(poly_bytes,
+                                                        job.polys_out)
+                        if job.polys_out else 0.0)
         return transfer_in + self.compute_seconds(job.kind) + transfer_out
 
     # -- headline numbers --------------------------------------------------------------

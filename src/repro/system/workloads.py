@@ -36,21 +36,21 @@ class JobKind(Enum):
 class Job:
     """One homomorphic operation request from a client.
 
-    ``polys_in``/``polys_out`` override the canonical Table I transfer
-    shape (two operand ciphertexts in, one result out = 4/2 polynomial
-    bursts) with the operation's real byte footprint — the HE-program
-    lowering in :mod:`repro.api` sets them per graph node (a rotation
-    moves one ciphertext, not two). ``request`` tags every job lowered
-    from the same client program execution so request-level latency can
-    be reassembled from per-op completions.
+    ``polys_in``/``polys_out`` are the polynomial bursts the job moves
+    each way; the default is Table I's shape (two operand ciphertexts
+    in, one result out = 4/2 bursts). The HE-program lowering in
+    :mod:`repro.api` sets the operation's real footprint per graph
+    node (a rotation moves one ciphertext, not two). ``request`` tags
+    every job lowered from the same client program execution so
+    request-level latency can be reassembled from per-op completions.
     """
 
     index: int
     kind: JobKind
     arrival_seconds: float = 0.0
     tenant: str = DEFAULT_TENANT
-    polys_in: int | None = None
-    polys_out: int | None = None
+    polys_in: int = 4
+    polys_out: int = 2
     request: int | None = None
     #: Absolute sim-clock deadline: a job still queued past this instant
     #: is rejected with reason ``"timeout"`` instead of dispatched.
@@ -364,9 +364,10 @@ class ClosedLoopClients:
                 outstanding[next_index] = client
                 jobs_per_client[client] = jobs_per_client.get(client, 0) + 1
                 next_index += 1
-                # Cluster-edge backpressure rejects synchronously at
-                # inject time; scan now so the shed client's retry wake
-                # is scheduled before the loop can run out of events.
+                # A cluster-edge rejection (no board up) lands
+                # synchronously at inject time; scan now so the shed
+                # client's retry wake is scheduled before the loop can
+                # run out of events.
                 scan_feedback()
             elif due is not None:
                 target.advance_to(due)

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterReport,
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
     FpgaCluster,
     LeastOutstandingWorkRouter,
     PowerOfTwoChoicesRouter,
@@ -18,6 +21,7 @@ from repro.cluster import (
     Router,
     TenantAffinityRouter,
 )
+from repro.cluster.routing import rendezvous_order
 from repro.hw.config import HardwareConfig
 from repro.obs import cluster_timeline
 from repro.params import hpca19
@@ -183,15 +187,12 @@ class TestRouting:
 
     def test_affinity_is_consistent_under_scale_out(self):
         """Adding a shard relocates only ~1/N of the tenant population."""
-        router = TenantAffinityRouter()
         tenants = [tenant_name(i) for i in range(400)]
 
         def placement(num_shards):
-            cluster = FpgaCluster.homogeneous(PARAMS, num_shards,
-                                              router=router)
-            fresh = TenantAffinityRouter()
-            return {t: fresh.preference_order(t, cluster.shards)[0]
-                    for t in tenants}
+            cluster = FpgaCluster.homogeneous(PARAMS, num_shards)
+            names = tuple(shard.name for shard in cluster.shards)
+            return {t: rendezvous_order(t, names)[0] for t in tenants}
 
         four, five = placement(4), placement(5)
         moved = sum(1 for t in tenants if four[t] != five[t])
@@ -280,31 +281,53 @@ class TestRouting:
         with pytest.raises(ValueError):
             TenantAffinityRouter(bounded_load_factor=0.5)
 
+    def test_affinity_follows_the_live_boards_under_masking(self):
+        """A masked view of the same size but other boards is a new
+        view: shard1 goes down and comes back, then shard0 goes down,
+        and every tenant's later job lands on its rendezvous choice
+        among the boards still live."""
+        tenants = [tenant_name(i) for i in range(60)]
+        jobs = [Job(index=i, kind=JobKind.MULT, tenant=tenant,
+                    arrival_seconds=at)
+                for i, (at, tenant) in enumerate(
+                    [(0.02, t) for t in tenants]
+                    + [(0.6, t) for t in tenants])]
+        plan = FaultPlan(events=(
+            FaultEvent(0.01, FaultKind.SHARD_CRASH, 1),
+            FaultEvent(0.3, FaultKind.SHARD_RECOVER, 1),
+            FaultEvent(0.5, FaultKind.SHARD_CRASH, 0)))
+        cluster = FpgaCluster.homogeneous(
+            PARAMS, 3, router=TenantAffinityRouter(), fault_plan=plan)
+        report = cluster.run(jobs)
+        check_cluster_conservation(report, jobs)
+        landed = {r.job.tenant: index
+                  for index, shard in enumerate(report.shard_reports)
+                  for r in shard.results if r.job.arrival_seconds == 0.6}
+        live = cluster.shards[1:]
+        expected = {t: 1 + TenantAffinityRouter().choose(
+                        Job(index=0, kind=JobKind.MULT, tenant=t), live)
+                    for t in tenants}
+        assert landed == expected
+
 
 class TestBackpressure:
     def test_overflow_reroutes_to_sibling(self):
-        """A full primary spills onto the least-loaded accepting board."""
-        jobs = saturated_tenant_jobs(4, 24)
+        """One tenant at twice a board's Mult/s, pinned by affinity and
+        capped at four queued jobs per board: once its home board
+        refuses, siblings take the spill and nothing is rejected."""
+        from repro.serve import Tenant, TenantSet
+
+        jobs = [Job(index=i, kind=JobKind.MULT, tenant="hot",
+                    arrival_seconds=i * 1.2e-3) for i in range(200)]
+        tenants = TenantSet.of(Tenant("hot", max_queue_depth=4))
         cluster = FpgaCluster.homogeneous(
-            PARAMS, 4, router=TenantAffinityRouter(),
-            max_backlog_seconds=0.1,
-        )
+            PARAMS, 4, router=TenantAffinityRouter(), tenants=tenants)
         report = cluster.run(jobs)
         check_cluster_conservation(report, jobs)
         assert report.reroutes > 0
-
-    def test_cluster_rejects_when_every_shard_capped(self):
-        jobs = saturated_tenant_jobs(4, 64)
-        cluster = FpgaCluster.homogeneous(
-            PARAMS, 2, router=RoundRobinRouter(),
-            max_backlog_seconds=0.05,
-        )
-        report = cluster.run(jobs)
-        check_cluster_conservation(report, jobs)
-        assert report.overflow_rejected
-        assert all(r.reason == "backpressure"
-                   for r in report.overflow_rejected)
-        assert 0.0 < report.rejection_fraction < 1.0
+        assert report.rejection_fraction == 0.0
+        assert sum(bool(shard.results)
+                   for shard in report.shard_reports) > 1
 
     def test_tenant_admission_rejections_stay_in_shard_reports(self):
         from repro.serve import Tenant, TenantSet

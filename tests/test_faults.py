@@ -30,6 +30,7 @@ from repro.cluster import (
     RoundRobinRouter,
     TenantAffinityRouter,
 )
+from repro.cluster.routing import rendezvous_order
 from repro.faults import FailureReport, FaultEvent, FaultKind, FaultPlan, \
     RetryPolicy
 from repro.obs import Tracer, current_registry, runtime_timeline
@@ -209,10 +210,11 @@ class TestEngineFailureSemantics:
 
 class TestShardLifecycle:
     """A shard is a runtime: crash/recover live on ServingRuntime, the
-    backlog/health gate on the cluster that routes to it."""
+    health mask on the cluster that routes to it."""
 
     def test_crash_spills_and_refuses_work(self):
-        cluster = FpgaCluster.homogeneous(PARAMS, 2)
+        cluster = FpgaCluster.homogeneous(PARAMS, 2,
+                                          router=RoundRobinRouter())
         cluster.begin()
         board = cluster.shards[0]
         for job in _jobs(5):
@@ -220,8 +222,13 @@ class TestShardLifecycle:
         spilled = board.crash(0.0)
         assert len(spilled) == 5
         assert not board.up and board.down_since == 0.0
-        assert not cluster.accepting(board, Job(index=9, kind=JobKind.MULT))
         assert board.crash(0.0) == []  # idempotent
+        # The router sees only live boards: the job lands on shard1.
+        cluster.inject(Job(index=9, kind=JobKind.MULT))
+        report = cluster.drain()
+        assert report.shard_reports[0].results == []
+        assert [r.job.index for r in report.shard_reports[1].results] \
+            == [9]
 
     def test_recover_returns_to_service(self):
         cluster = FpgaCluster.homogeneous(PARAMS, 2,
@@ -234,7 +241,6 @@ class TestShardLifecycle:
         board.recover()
         assert board.service_scale == 1.0
         assert board.down_since is None
-        assert cluster.accepting(board, Job(index=1, kind=JobKind.MULT))
         for index in (1, 2):
             cluster.inject(Job(index=index, kind=JobKind.MULT))
         revived = cluster.drain().shard_reports[1].results
@@ -255,12 +261,12 @@ class TestReplicatedPlacement:
 
         shards = [_FakeShard(n) for n in names]
         for tenant in ("t0", "t1", "hot"):
-            assert placement.preference(tenant) == \
-                router.preference_order(tenant, shards)
-            assert placement.replica_set(tenant) == \
-                placement.preference(tenant)[:3]
-            assert placement.primary(tenant) == \
-                placement.preference(tenant)[0]
+            order = rendezvous_order(tenant, tuple(names))
+            assert placement.preference(tenant) == order
+            assert placement.replica_set(tenant) == order[:3]
+            assert placement.primary(tenant) == order[0]
+            assert router.choose(Job(index=0, kind=JobKind.MULT,
+                                     tenant=tenant), shards) == order[0]
 
     def test_warmth_seeds_evicts_and_rehydrates(self):
         placement = ReplicatedPlacement(["a", "b", "c", "d"], replicas=2)

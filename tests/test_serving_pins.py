@@ -1,19 +1,29 @@
 """Exact pins of the served numbers.
 
-Two fixed runs — the seeded 8-board chaos run of ``python -m repro
-cluster --shards 8 --faults 2019 --replicas 2`` and the weighted-fair
-board of ``python -m repro serve`` — reduced through the report API
-and compared bit for bit. A change to the engine, the schedulers, the
+Three fixed runs — the seeded 8-board chaos run of ``python -m repro
+cluster --shards 8 --faults 2019 --replicas 2``, a round-robin
+4-board run through a crash, a recovery and per-tenant queue caps, and
+the weighted-fair board of ``python -m repro serve`` — reduced through
+the report API and compared bit for bit. A change to the engine, the schedulers, the
 cluster loop or any reduction that moves a printed latency,
 throughput or utilization figure fails here, not only when an
 availability gate trips.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from repro.cluster import FaultPlan, FpgaCluster, RetryPolicy, TenantAffinityRouter
+from repro.cluster import (
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    FpgaCluster,
+    RetryPolicy,
+    RoundRobinRouter,
+    TenantAffinityRouter,
+)
 from repro.hw.config import HardwareConfig
 from repro.params import hpca19
 from repro.serve import (
@@ -31,6 +41,7 @@ from repro.system.workloads import (
     merge_streams,
     multi_tenant_stream,
     poisson_stream,
+    tenant_name,
 )
 
 PARAMS = hpca19()
@@ -50,6 +61,27 @@ def chaos():
     return FpgaCluster.homogeneous(
         PARAMS, shards, router=TenantAffinityRouter(), fault_plan=plan,
         retry=RetryPolicy(seed=0), replicas=2).run(trace)
+
+
+@pytest.fixture(scope="module")
+def router_arm():
+    """Routing without replicas: 32 Zipf tenants at 90 % of 4
+    round-robin boards for 0.5 s; shard2 is down from 0.1 s to 0.25 s
+    (health masking, spilled jobs retried) and the four hottest tenants
+    may queue only two jobs per board (admission-driven fallback onto
+    a sibling)."""
+    shards = 4
+    capacity = shards * FpgaCluster.homogeneous(
+        PARAMS, 1).capacity_mults_per_second()
+    trace = cluster_trace(32, 0.9 * capacity, 0.5, skew=1.1, seed=3)
+    tenants = TenantSet.of(*(Tenant(tenant_name(i), max_queue_depth=2)
+                             for i in range(4)))
+    plan = FaultPlan(events=(
+        FaultEvent(0.1, FaultKind.SHARD_CRASH, 2),
+        FaultEvent(0.25, FaultKind.SHARD_RECOVER, 2)))
+    return FpgaCluster.homogeneous(
+        PARAMS, shards, router=RoundRobinRouter(), tenants=tenants,
+        fault_plan=plan, retry=RetryPolicy(seed=0)).run(trace)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +141,29 @@ class TestChaosRunPins:
         assert (chaos.completed, len(chaos.rejected)) == (1929, 0)
         assert chaos.availability == 1.0
         assert chaos.sla_violations == 0
+
+
+class TestRouterArmPins:
+    def test_latency_summary(self, router_arm):
+        assert router_arm.latency_summary() == LatencySummary(
+            count=750, mean=0.013574600309105216, p50=0.010432337414344878,
+            p95=0.028877007390310547, p99=0.03325351812474767,
+            max=0.03629915812731571)
+
+    def test_placement(self, router_arm):
+        assert router_arm.reroutes == 28
+        assert [len(shard.results) for shard in router_arm.shard_reports] \
+            == [203, 204, 140, 203]
+        failure = router_arm.failure
+        assert (failure.crashes, failure.recoveries, failure.jobs_spilled,
+                failure.jobs_retried, failure.jobs_relocated,
+                failure.jobs_lost) == (1, 1, 2, 2, 2, 0)
+
+    def test_rejection_reasons(self, router_arm):
+        assert [Counter(r.reason for r in shard.rejected)
+                for shard in router_arm.shard_reports] == [
+            {"queue-depth": 7}, {"queue-depth": 3}, {}, {"queue-depth": 6}]
+        assert router_arm.overflow_rejected == []
 
 
 class TestWeightedFairBoardPins:
