@@ -3,10 +3,18 @@
 A shard is one board, i.e. one :class:`~repro.serve.engine.ServingRuntime`;
 the cluster runs N of them on a shared simulated clock and adds only
 placement and faults. Arrivals are processed in global time order:
-every shard first advances to the arrival instant (strictly — tied
-arrivals keep the one-shot heap ordering inside each shard), then one
-walk over the live boards in preference order places the job on the
-first board whose admission control would take it.
+the boards advance to the arrival instant (strictly — tied arrivals
+keep the one-shot heap ordering inside each shard), then one walk over
+the live boards in preference order places the job on the first board
+whose admission control would take it.
+
+The boards advance once per instant, not once per arrival. The first
+exclusive advance to *t* runs every board event before *t* and applies
+every fault and retry due at or before *t*; placing a job then adds
+only an arrival *at* *t*. A second exclusive advance to the same *t*
+would therefore process nothing, so :meth:`FpgaCluster.inject` skips
+it. An explicit :meth:`FpgaCluster.advance_to` (the closed-loop
+stepping protocol) forgets that instant.
 
 A single-shard cluster is bit-identical to driving the underlying
 :class:`ServingRuntime` directly (validated in the tests), so the
@@ -88,6 +96,9 @@ class FpgaCluster:
         self._attempts: dict[tuple, int] = {}
         self._retries_scheduled = 0
         self._failure: FailureReport | None = None
+        #: The instant :meth:`inject` last advanced every board to;
+        #: ``None`` after an explicit :meth:`advance_to`.
+        self._advanced_to: float | None = None
 
     # -- constructors ------------------------------------------------------------------
 
@@ -158,6 +169,7 @@ class FpgaCluster:
         self._retry_seq = itertools.count()
         self._attempts = {}
         self._retries_scheduled = 0
+        self._advanced_to = None
         if self.fault_plan is not None or self.placement is not None:
             self._failure = FailureReport(
                 plan_seed=None if self.fault_plan is None
@@ -166,19 +178,26 @@ class FpgaCluster:
     def inject(self, job: Job) -> None:
         """Advance the boards to the arrival instant, route, and inject.
 
-        Every board first advances to (just before) the arrival so the
-        router compares load states at one instant; :meth:`_place` then
-        puts the job on a board. Under a fault plan, scheduled faults
-        and due retries strictly before (or at) the arrival apply
-        first, in time order.
+        The boards advance to (just before) the arrival so the router
+        compares load states at one instant; :meth:`_place` then puts
+        the job on a board. Under a fault plan, scheduled faults and
+        due retries strictly before (or at) the arrival apply first, in
+        time order. The advance runs once per instant: a later arrival
+        at the instant already reached finds nothing due before it (the
+        placements since added only arrivals at it), so it skips the
+        advance.
         """
-        self._advance_shards(job.arrival_seconds, inclusive=False)
+        arrival = job.arrival_seconds
+        if arrival != self._advanced_to:
+            self._advance_shards(arrival, inclusive=False)
+            self._advanced_to = arrival
         self._arrived += 1
         self._place(job)
 
     def advance_to(self, time_seconds: float, *,
                    inclusive: bool = True) -> None:
         """Advance every board's clock (stepping-protocol passthrough)."""
+        self._advanced_to = None
         self._advance_shards(time_seconds, inclusive=inclusive)
 
     def next_event_seconds(self) -> float | None:

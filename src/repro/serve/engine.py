@@ -24,6 +24,16 @@ A runtime can be driven two ways:
 The cluster's fault loop drives the board lifecycle through
 :meth:`crash` / :meth:`recover` (plus :meth:`fail_one` and
 :attr:`service_scale` for transient faults and DMA stalls).
+
+At most one DISPATCH marker is pending per instant. An arrival or a
+completion at *t* pushes one only when none is already queued at *t*;
+the marker's pass then serves every free coprocessor in one go. That
+is exact, not an approximation: one pass leaves either the scheduler
+empty or every coprocessor busy (a scheduler hands back ``None`` only
+when it is empty), and the events between two markers at one instant
+are only other markers, so every marker after the first would
+dispatch nothing. Popping the marker, or a crash's :meth:`spill`,
+clears the pending state.
 """
 
 from __future__ import annotations
@@ -154,6 +164,8 @@ class ServingRuntime:
         self._service_scale = 1.0
         self._arrived = 0
         self._handed_back = 0
+        #: Instant of the one pending DISPATCH marker; ``None`` if none.
+        self._dispatch_at: float | None = None
         #: Clock instant of the last crash; ``None`` while the board is up.
         self.down_since: float | None = None
 
@@ -267,6 +279,7 @@ class ServingRuntime:
         if self._heap is None:
             raise RuntimeError("begin() must run before spill()")
         spilled: list[Job] = []
+        self._dispatch_at = None
         while self._heap:
             event = self._heap.pop()
             if event.kind is EventKind.ARRIVAL:
@@ -395,6 +408,7 @@ class ServingRuntime:
         if event.kind is EventKind.ARRIVAL:
             self._on_arrival(event.payload, self._now)
         elif event.kind is EventKind.DISPATCH:
+            self._dispatch_at = None
             self._on_dispatch(self._now)
         else:
             self._on_completion(event.payload, self._now)
@@ -420,6 +434,12 @@ class ServingRuntime:
         self._report.queue_depth_trace.append((now, len(self.scheduler)))
         # All-busy arrivals just queue; the next completion dispatches.
         if any(self._free):
+            self._request_dispatch(now)
+
+    def _request_dispatch(self, now: float) -> None:
+        """Queue a DISPATCH at `now` unless one is already pending there."""
+        if self._dispatch_at != now:
+            self._dispatch_at = now
             self._heap.push(now, EventKind.DISPATCH)
 
     def _on_dispatch(self, now: float) -> None:
@@ -429,10 +449,7 @@ class ServingRuntime:
             # Coalesce only the backlog beyond what the still-free
             # coprocessors can absorb one job each: a train must never
             # serialize work that could run in parallel right now.
-            still_free = sum(
-                1 for c in range(coproc, self.num_coprocessors)
-                if self._free[c]
-            )
+            still_free = sum(self._free[coproc:])
             fair_share = -(-len(self.scheduler) // still_free)
             limit = min(self.batcher.max_jobs, fair_share)
             batch: list[QueueEntry] = []
@@ -477,7 +494,7 @@ class ServingRuntime:
         report.busy_seconds[done.coprocessor] += done.service_seconds
         self._free[done.coprocessor] = True
         self._in_flight_jobs -= len(done.entries)
-        self._heap.push(now, EventKind.DISPATCH)
+        self._request_dispatch(now)
 
 
 def check_conservation(where: str, arrived: int, **outcomes: int) -> None:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class EventKind(Enum):
@@ -23,14 +22,13 @@ class EventKind(Enum):
     COMPLETION = "completion"
 
 
-@dataclass(order=True, frozen=True)
-class Event:
+class Event(NamedTuple):
     """One timestamped occurrence in the simulation."""
 
     time_seconds: float
     seq: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: EventKind
+    payload: Any = None
 
 
 class EventHeap:
@@ -44,8 +42,7 @@ class EventHeap:
              payload: Any = None) -> Event:
         if time_seconds < 0:
             raise ValueError("event time must be non-negative")
-        event = Event(time_seconds=time_seconds, seq=next(self._seq),
-                      kind=kind, payload=payload)
+        event = Event(time_seconds, next(self._seq), kind, payload)
         heapq.heappush(self._heap, event)
         return event
 

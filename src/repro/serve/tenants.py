@@ -37,16 +37,25 @@ class Tenant:
 
 @dataclass
 class TenantSet:
-    """The tenants known to a runtime; unknown names get defaults."""
+    """The tenants known to a runtime; unknown names get defaults.
+
+    An unknown name's best-effort default is built once and cached, so
+    the per-job lookups of admission and SLA accounting cost a dict hit.
+    """
 
     tenants: dict[str, Tenant] = field(default_factory=dict)
+    _defaults: dict[str, Tenant] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, *tenants: Tenant) -> TenantSet:
         return cls({t.name: t for t in tenants})
 
     def get(self, name: str) -> Tenant:
-        return self.tenants.get(name) or Tenant(name=name)
+        tenant = self.tenants.get(name) or self._defaults.get(name)
+        if tenant is None:
+            tenant = self._defaults[name] = Tenant(name=name)
+        return tenant
 
     def weights(self) -> dict[str, float]:
         return {name: t.weight for name, t in self.tenants.items()}

@@ -50,9 +50,10 @@ class CostModel:
     A modelled operation is the program :mod:`repro.hw.compiler` emits
     for it and its compute time is the sum of what the coprocessor
     charges for each instruction (key streaming included), so a priced
-    job costs exactly what executing it reports. Per-kind times are
-    cached: repeated pricing (the event engine asks on every dispatch)
-    costs a dictionary lookup.
+    job costs exactly what executing it reports. Per-kind compute times
+    and per-shape job prices are cached: repeated pricing (the event
+    engine asks at every inject, admission check and dispatch) costs a
+    dictionary lookup.
     """
 
     def __init__(self, params: ParameterSet,
@@ -64,6 +65,8 @@ class CostModel:
         # latencies; the scheduler replicates its timing N times.
         self.reference = Coprocessor(params, self.config)
         self._compute_cache: dict[JobKind, float] = {}
+        #: ``job_seconds_of`` by job shape: every field it reads.
+        self._job_cache: dict[tuple[JobKind, int, int], float] = {}
 
     def instruction_cycle_model(self) -> dict[Opcode, int]:
         """The coprocessor's per-opcode cycle model (built once there)."""
@@ -101,16 +104,23 @@ class CostModel:
         """Occupancy of one concrete job, honouring its real byte sizes.
 
         A job of the default Table I shape (4 polynomial bursts in, 2
-        out) prices exactly as :meth:`job_seconds`.
+        out) prices exactly as :meth:`job_seconds`. The price depends on
+        ``(kind, polys_in, polys_out)`` only, and is memoised by it.
         """
-        poly_bytes = self.params.poly_bytes
-        transfer_in = (self.dma.polynomial_job_seconds(poly_bytes,
-                                                       job.polys_in)
-                       if job.polys_in else 0.0)
-        transfer_out = (self.dma.polynomial_job_seconds(poly_bytes,
-                                                        job.polys_out)
-                        if job.polys_out else 0.0)
-        return transfer_in + self.compute_seconds(job.kind) + transfer_out
+        shape = (job.kind, job.polys_in, job.polys_out)
+        price = self._job_cache.get(shape)
+        if price is None:
+            kind, polys_in, polys_out = shape
+            poly_bytes = self.params.poly_bytes
+            transfer_in = (self.dma.polynomial_job_seconds(poly_bytes,
+                                                           polys_in)
+                           if polys_in else 0.0)
+            transfer_out = (self.dma.polynomial_job_seconds(poly_bytes,
+                                                            polys_out)
+                            if polys_out else 0.0)
+            price = self._job_cache[shape] = (
+                transfer_in + self.compute_seconds(kind) + transfer_out)
+        return price
 
     # -- headline numbers --------------------------------------------------------------
 

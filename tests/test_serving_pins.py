@@ -1,13 +1,14 @@
 """Exact pins of the served numbers.
 
-Three fixed runs — the seeded 8-board chaos run of ``python -m repro
+Four fixed runs — the seeded 8-board chaos run of ``python -m repro
 cluster --shards 8 --faults 2019 --replicas 2``, a round-robin
-4-board run through a crash, a recovery and per-tenant queue caps, and
-the weighted-fair board of ``python -m repro serve`` — reduced through
-the report API and compared bit for bit. A change to the engine, the schedulers, the
-cluster loop or any reduction that moves a printed latency,
-throughput or utilization figure fails here, not only when an
-availability gate trips.
+4-board run through a crash, a recovery and per-tenant queue caps, a
+replicated 4-board run whose faults and retries fall due exactly at
+request arrival instants, and the weighted-fair board of ``python -m
+repro serve`` — reduced through the report API and compared bit for
+bit. A change to the engine, the schedulers, the cluster loop or any
+reduction that moves a printed latency, throughput or utilization
+figure fails here, not only when an availability gate trips.
 """
 
 import hashlib
@@ -36,6 +37,7 @@ from repro.serve import (
 )
 from repro.system.server import CostModel
 from repro.system.workloads import (
+    Job,
     JobKind,
     cluster_trace,
     merge_streams,
@@ -82,6 +84,31 @@ def router_arm():
     return FpgaCluster.homogeneous(
         PARAMS, shards, router=RoundRobinRouter(), tenants=tenants,
         fault_plan=plan, retry=RetryPolicy(seed=0)).run(trace)
+
+
+@pytest.fixture(scope="module")
+def same_instant():
+    """Faults and retries due at request arrival instants: 16 requests
+    of 64 Mults, one every 62.5 ms over four tenants, on 4 boards with
+    R = 2 replication. shard3 is the primary of half the requests
+    (tenants t0002 and t0003). A transient failure there at 70.3125 ms backs off by exactly
+    179.6875 ms (no jitter), so its retry falls due with the 250 ms
+    request — both bound for shard3, which crashes at that instant and
+    recovers at the 500 ms request. Every instant is a dyadic fraction,
+    so each tie is exact: a fault or retry applied after the arrivals
+    it ties with moves these pins."""
+    burst = 0.0625
+    jobs = [Job(index=64 * r + i, kind=JobKind.MULT,
+                arrival_seconds=r * burst, tenant=tenant_name((r + 2) % 4),
+                request=r)
+            for r in range(16) for i in range(64)]
+    plan = FaultPlan(events=(
+        FaultEvent(0.0703125, FaultKind.JOB_FAIL, 3),
+        FaultEvent(0.25, FaultKind.SHARD_CRASH, 3),
+        FaultEvent(0.5, FaultKind.SHARD_RECOVER, 3)))
+    retry = RetryPolicy(base_backoff_seconds=0.1796875, jitter=0.0, seed=0)
+    return FpgaCluster.homogeneous(
+        PARAMS, 4, fault_plan=plan, retry=retry, replicas=2).run(jobs)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +191,33 @@ class TestRouterArmPins:
                 for shard in router_arm.shard_reports] == [
             {"queue-depth": 7}, {"queue-depth": 3}, {}, {"queue-depth": 6}]
         assert router_arm.overflow_rejected == []
+
+
+class TestSameInstantFaultPins:
+    def test_latency_summary(self, same_instant):
+        assert same_instant.latency_summary() == LatencySummary(
+            count=1024, mean=0.15604501344597638, p50=0.13496779880851037,
+            p95=0.32298827568206545, p99=0.7180578799270503,
+            max=0.742159272571427)
+
+    def test_failure_report(self, same_instant):
+        failure = same_instant.failure
+        assert (failure.crashes, failure.recoveries,
+                failure.transient_failures, failure.jobs_spilled,
+                failure.jobs_retried, failure.jobs_relocated,
+                failure.jobs_lost, failure.rehydrations) == (
+            1, 1, 1, 25, 26, 26, 0, 2)
+        assert failure.failovers_by_tenant == {"t0002": 65, "t0003": 89}
+        assert failure.downtime_by_shard == {"shard3": 0.25}
+
+    def test_placement(self, same_instant):
+        assert same_instant.reroutes == 0
+        assert [len(shard.results)
+                for shard in same_instant.shard_reports] \
+            == [410, 256, 0, 358]
+        assert all(not shard.rejected
+                   for shard in same_instant.shard_reports)
+        assert same_instant.overflow_rejected == []
 
 
 class TestWeightedFairBoardPins:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.config import HardwareConfig
-from repro.params import hpca19
+from repro.params import hpca19, mini, toy
 from repro.serve import (
     BatchPolicy,
     DmaBatcher,
@@ -116,6 +116,33 @@ class TestCostModel:
             assert cost.compute_seconds(kind) == cost.compute_seconds(kind)
         assert compiled == [JobKind.MULT, JobKind.ADD]
 
+    @pytest.mark.parametrize("make_params", [toy, mini, hpca19],
+                             ids=["toy", "mini", "hpca19"])
+    def test_job_price_memo_is_exact(self, make_params):
+        """The per-shape price memo keys every field the price reads:
+        once every shape is cached, each still prices as its closed
+        form — one burst plus one Arm setup per polynomial each way,
+        around the kind's compute — cold-replica rehydration shape
+        (4 + 2 k_q bursts in) included."""
+        params = make_params()
+        cost = CostModel(params, CONFIG)
+        per_poly = (cost.dma.transfer_seconds(params.poly_bytes)
+                    + cost.dma.arm_setup_seconds)
+        shapes = [(kind, polys_in, polys_out) for kind in JobKind
+                  for polys_in in (0, 1, 2, 4, 4 + 2 * params.k_q)
+                  for polys_out in (0, 1, 2)]
+
+        def job(kind, polys_in, polys_out):
+            return Job(index=0, kind=kind, polys_in=polys_in,
+                       polys_out=polys_out)
+
+        for shape in shapes:
+            cost.job_seconds_of(job(*shape))
+        for kind, polys_in, polys_out in reversed(shapes):
+            assert cost.job_seconds_of(job(kind, polys_in, polys_out)) == (
+                polys_in * per_poly + cost.compute_seconds(kind)
+                + polys_out * per_poly)
+
 
 class TestRuntimeReportWindow:
     def test_makespan_measured_from_first_arrival(self, cost):
@@ -180,6 +207,43 @@ class TestEngineMatchesStaticLoop:
         runtime.run(mult_stream(4))
         with pytest.raises(RuntimeError):
             runtime.run(mult_stream(4))
+
+
+class TestOneDispatchPerInstant:
+    def test_burst_dispatches_once_per_instant(self, cost):
+        """Eight tied arrivals, then pairs of tied completions: one
+        DISPATCH pass serves each instant."""
+        runtime = ServingRuntime(cost)
+        instants = []
+        dispatch = runtime._on_dispatch
+
+        def counting(now):
+            instants.append(now)
+            dispatch(now)
+
+        runtime._on_dispatch = counting
+        report = runtime.run([Job(index=i, kind=JobKind.MULT,
+                                  arrival_seconds=0.5) for i in range(8)])
+        assert len(report.results) == 8
+        assert instants[0] == 0.5
+        assert len(instants) == 5
+        assert set(Counter(instants).values()) == {1}
+
+    def test_crash_clears_a_pending_dispatch(self, cost):
+        """A crash drops the pending DISPATCH with the rest of the heap;
+        a job injected at the crash instant after recovery must still
+        get its own and be served."""
+        runtime = ServingRuntime(cost)
+        runtime.begin()
+        runtime.inject(Job(index=0, kind=JobKind.MULT, arrival_seconds=1.0))
+        runtime._step()
+        assert runtime.next_event_seconds() == 1.0   # the DISPATCH
+        assert [job.index for job in runtime.crash(1.0)] == [0]
+        runtime.recover()
+        runtime.inject(Job(index=1, kind=JobKind.MULT, arrival_seconds=1.0))
+        report = runtime.drain()
+        assert [(r.job.index, r.start_seconds) for r in report.results] \
+            == [(1, 1.0)]
 
 
 class TestSchedulerInvariants:
