@@ -56,13 +56,15 @@ cluster-demo:
 # seeds (it holds the mid-run board-kill gates: zero loss, >= 99 %
 # availability, < 3x p99), the exact pins of the served numbers (the
 # seeded chaos run, the round-robin router run, the same-instant
-# fault run and the weighted-fair board), the cluster routing suite,
-# the board runtime suite (event heap, one DISPATCH per instant, price
-# memo) every cluster run stands on, plus the seeded chaos run end to
-# end.
+# fault run, the closed-loop chaos run and the weighted-fair board),
+# the cluster routing suite, the board runtime suite (event heap, one
+# DISPATCH per instant, price memo) every cluster run stands on, the
+# stdout SHA-256 pins (`serve`, `cluster --shards 4` and the paper
+# artefacts), plus the seeded chaos run end to end.
 chaos-smoke:
 	$(PYTHON) -m pytest -x -q tests/test_faults.py tests/test_serving_pins.py \
 		tests/test_cluster.py tests/test_serving_runtime.py
+	$(PYTHON) -m pytest -x -q tests/test_extensions.py -k byte_identical
 	$(PYTHON) -m repro cluster --shards 8 --faults 2019 --replicas 2
 
 clean:

@@ -1,20 +1,16 @@
 """The multi-FPGA cluster: N boards behind one router.
 
 A shard is one board, i.e. one :class:`~repro.serve.engine.ServingRuntime`;
-the cluster runs N of them on a shared simulated clock and adds only
-placement and faults. Arrivals are processed in global time order:
-the boards advance to the arrival instant (strictly — tied arrivals
-keep the one-shot heap ordering inside each shard), then one walk over
-the live boards in preference order places the job on the first board
-whose admission control would take it.
-
-The boards advance once per instant, not once per arrival. The first
-exclusive advance to *t* runs every board event before *t* and applies
-every fault and retry due at or before *t*; placing a job then adds
-only an arrival *at* *t*. A second exclusive advance to the same *t*
-would therefore process nothing, so :meth:`FpgaCluster.inject` skips
-it. An explicit :meth:`FpgaCluster.advance_to` (the closed-loop
-stepping protocol) forgets that instant.
+the cluster adds only placement and faults. A run has one
+:class:`~repro.serve.events.EventHeap`, the one queue and the one
+clock: every board's arrivals, dispatches and completions, the fault
+plan's FAULT events and the RETRY of every failed job. Events pop in
+(time, rank, insertion) order, and at one instant FAULT and RETRY
+events rank before board events. An arrival at *t* first advances the
+heap to *t* exclusively — every event before *t*, and every fault and
+retry at *t* — then one walk over the live boards in preference order
+places the job on the first board whose admission control would take
+it; the board's events at *t* run after it.
 
 A single-shard cluster is bit-identical to driving the underlying
 :class:`ServingRuntime` directly (validated in the tests), so the
@@ -25,9 +21,8 @@ near-linear Mult/s to eight boards under tenant-affinity routing.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from collections import deque
+import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import replace
 
@@ -48,6 +43,7 @@ from ..obs import active_tracer, current_registry
 from ..params import ParameterSet
 from ..serve.batching import BatchPolicy
 from ..serve.engine import ServingRuntime, check_conservation
+from ..serve.events import Event, EventHeap, EventKind
 from ..serve.schedulers import Scheduler
 from ..serve.tenants import Rejection, TenantSet
 from ..system.server import CostModel
@@ -90,15 +86,10 @@ class FpgaCluster:
         self._arrived = 0
         self._overflow: list[Rejection] = []
         self._reroutes = 0
-        self._fault_queue: deque[FaultEvent] = deque()
-        self._retry_heap: list[tuple[float, int, Job, int]] = []
-        self._retry_seq = itertools.count()
+        self._heap: EventHeap | None = None
         self._attempts: dict[tuple, int] = {}
         self._retries_scheduled = 0
         self._failure: FailureReport | None = None
-        #: The instant :meth:`inject` last advanced every board to;
-        #: ``None`` after an explicit :meth:`advance_to`.
-        self._advanced_to: float | None = None
 
     # -- constructors ------------------------------------------------------------------
 
@@ -154,66 +145,54 @@ class FpgaCluster:
     # -- the shared-clock stepping API -------------------------------------------------
 
     def begin(self) -> None:
-        """Arm every shard for one shared-clock run (single-use guard)."""
+        """Arm every shard on one heap and queue the fault plan on it
+        (single-use guard)."""
         if self._ran:
             raise RuntimeError(
                 "an FpgaCluster is single-use; build a fresh one per run"
             )
         self._ran = True
+        heap = self._heap = EventHeap()
         for shard in self.shards:
-            shard.begin()
+            shard.begin(heap)
+        for event in self.fault_plan or ():
+            heap.push(event.time_seconds, EventKind.FAULT, event, self)
         self._overflow: list[Rejection] = []
         self._reroutes = 0
-        self._fault_queue = deque(self.fault_plan or ())
-        self._retry_heap = []
-        self._retry_seq = itertools.count()
         self._attempts = {}
         self._retries_scheduled = 0
-        self._advanced_to = None
         if self.fault_plan is not None or self.placement is not None:
             self._failure = FailureReport(
                 plan_seed=None if self.fault_plan is None
                 else self.fault_plan.seed)
 
     def inject(self, job: Job) -> None:
-        """Advance the boards to the arrival instant, route, and inject.
+        """Advance the heap to the arrival instant, route, and inject.
 
-        The boards advance to (just before) the arrival so the router
-        compares load states at one instant; :meth:`_place` then puts
-        the job on a board. Under a fault plan, scheduled faults and
-        due retries strictly before (or at) the arrival apply first, in
-        time order. The advance runs once per instant: a later arrival
-        at the instant already reached finds nothing due before it (the
-        placements since added only arrivals at it), so it skips the
-        advance.
+        The exclusive advance runs every event before the arrival and
+        every fault and retry at it, so the router compares load states
+        at one instant; :meth:`_place` then puts the job on a board.
         """
         arrival = job.arrival_seconds
-        if arrival != self._advanced_to:
-            self._advance_shards(arrival, inclusive=False)
-            self._advanced_to = arrival
+        if not 0.0 <= arrival < math.inf:
+            raise ValueError(
+                f"arrival time must be finite and non-negative, "
+                f"not {arrival}")
+        self._heap.advance(arrival, inclusive=False)
         self._arrived += 1
         self._place(job)
 
     def advance_to(self, time_seconds: float, *,
                    inclusive: bool = True) -> None:
-        """Advance every board's clock (stepping-protocol passthrough)."""
-        self._advanced_to = None
-        self._advance_shards(time_seconds, inclusive=inclusive)
+        """Process every event due by ``time_seconds``
+        (:meth:`EventHeap.advance`)."""
+        self._heap.advance(time_seconds, inclusive=inclusive)
 
     def next_event_seconds(self) -> float | None:
-        """Due time of the earliest queued event on any board.
-
-        Includes pending fault-plan events and scheduled retries, so
-        closed-loop drivers stepping by next-event never leap over a
-        crash or a backed-off re-injection.
-        """
-        times = [t for shard in self.shards
-                 if (t := shard.next_event_seconds()) is not None]
-        if self._fault_queue:
-            times.append(self._fault_queue[0].time_seconds)
-        if self._retry_heap:
-            times.append(self._retry_heap[0][0])
-        return min(times, default=None)
+        """Due time of the next event — board, fault or retry — or None
+        when the heap is empty."""
+        heap = self._heap
+        return heap.peek().time_seconds if heap else None
 
     def completion_feeds(self) -> list[list]:
         """One live completion list per shard (closed-loop protocol)."""
@@ -227,18 +206,15 @@ class FpgaCluster:
         return feeds + [self._overflow]
 
     def drain(self) -> ClusterReport:
-        """Drain every board and collect the per-shard reports.
+        """Run the heap dry and collect the per-shard reports.
 
-        Pending fault events and backed-off retries are applied first,
-        in time order, so a crash scheduled after the last arrival
-        still spills (and recovers) exactly as it would mid-stream.
-        Raises if a job went missing: every arrival must end up in one
-        board's results or rejections, or in the cluster-edge
-        rejections (which include retry-budget losses).
+        A crash scheduled after the last arrival still spills (and
+        recovers) exactly as it would mid-stream. Raises if a job went
+        missing: every arrival must end up in one board's results or
+        rejections, or in the cluster-edge rejections (which include
+        retry-budget losses).
         """
-        while self._fault_queue or self._retry_heap:
-            due = self._next_internal_due()
-            self._advance_shards(due, inclusive=False)
+        self._heap.advance()
         reports = [shard.drain() for shard in self.shards]
         check_conservation(
             "cluster", self._arrived,
@@ -257,43 +233,14 @@ class FpgaCluster:
             failure=self._failure,
         )
 
-    # -- fault interleaving ------------------------------------------------------------
+    # -- faults and retries ------------------------------------------------------------
 
-    def _next_internal_due(self) -> float:
-        """Earliest pending fault or retry instant (queues non-empty)."""
-        times = []
-        if self._fault_queue:
-            times.append(self._fault_queue[0].time_seconds)
-        if self._retry_heap:
-            times.append(self._retry_heap[0][0])
-        return min(times)
-
-    def _advance_shards(self, time_seconds: float, *,
-                        inclusive: bool) -> None:
-        """Advance every board to ``time_seconds``, applying any fault
-        events and due retries on the way, in time order (a fault and a
-        retry due at one instant apply fault-first: a crash at *t* must
-        not race the re-injection it may itself have caused)."""
-        while self._fault_queue or self._retry_heap:
-            fault_due = (self._fault_queue[0].time_seconds
-                         if self._fault_queue else None)
-            retry_due = (self._retry_heap[0][0]
-                         if self._retry_heap else None)
-            if fault_due is not None and fault_due <= time_seconds and (
-                    retry_due is None or fault_due <= retry_due):
-                for shard in self.shards:
-                    shard.advance_to(fault_due, inclusive=False)
-                self._apply_fault(self._fault_queue.popleft())
-                continue
-            if retry_due is not None and retry_due <= time_seconds:
-                for shard in self.shards:
-                    shard.advance_to(retry_due, inclusive=False)
-                _, _, job, origin = heapq.heappop(self._retry_heap)
-                self._inject_retry(job, origin)
-                continue
-            break
-        for shard in self.shards:
-            shard.advance_to(time_seconds, inclusive=inclusive)
+    def handle(self, event: Event) -> None:
+        """Apply a FAULT or a RETRY event (called by the heap)."""
+        if event.kind is EventKind.FAULT:
+            self._apply_fault(event.payload)
+        else:
+            self._inject_retry(*event.payload)
 
     def _apply_fault(self, event: FaultEvent) -> None:
         now = event.time_seconds
@@ -369,8 +316,7 @@ class FpgaCluster:
         retried = replace(job, arrival_seconds=due,
                           first_arrival_seconds=first,
                           deadline_seconds=deadline)
-        heapq.heappush(self._retry_heap,
-                       (due, next(self._retry_seq), retried, origin))
+        self._heap.push(due, EventKind.RETRY, (retried, origin), self)
 
     def _inject_retry(self, job: Job, origin: int) -> None:
         self._failure.jobs_retried += 1
@@ -381,7 +327,7 @@ class FpgaCluster:
 
     def _close_downtime_windows(self) -> None:
         """Account downtime for boards still down when the run ends."""
-        end = max(shard.now for shard in self.shards)
+        end = self._heap.now
         tracer = active_tracer()
         for shard in self.shards:
             if shard.up:

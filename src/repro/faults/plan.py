@@ -17,6 +17,7 @@ p99 inflation — live in ``tests/test_faults.py``, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,8 +53,10 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time_seconds < 0:
-            raise ValueError("fault events cannot predate the run")
+        if not 0.0 <= self.time_seconds < math.inf:
+            raise ValueError(f"a fault event's time must be finite and "
+                             f"cannot predate the run, not "
+                             f"{self.time_seconds}")
         if self.shard < 0:
             raise ValueError("shard index must be non-negative")
         if self.kind is FaultKind.DMA_STALL and self.factor < 1.0:

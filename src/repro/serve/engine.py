@@ -1,39 +1,36 @@
 """The discrete-event serving runtime: the one simulator of a board.
 
 A :class:`ServingRuntime` is one Arm+FPGA board of paper Fig. 11. Job
-arrivals, batch dispatches and completions advance a simulated clock
-through an event heap, so the model expresses queueing delay, tenant
-contention, DMA batching and admission control, pricing every job with
-the board's :class:`~repro.system.server.CostModel`. With FIFO and no
-batching on a saturated stream it is the earliest-free list schedule
-that yields the paper's 400 Mult/s headline.
+arrivals, batch dispatches and completions are events on an
+:class:`~repro.serve.events.EventHeap`, the simulation's one queue and
+one clock, so the model expresses queueing delay, tenant contention,
+DMA batching and admission control, pricing every job with the board's
+:class:`~repro.system.server.CostModel`. With FIFO and no batching on a
+saturated stream it is the earliest-free list schedule that yields the
+paper's 400 Mult/s headline.
 
 A runtime can be driven two ways:
 
 * :meth:`ServingRuntime.run` — the one-shot mode: inject a whole job
   list and drain the heap to completion;
 * the stepping API — :meth:`begin`, :meth:`inject`, :meth:`advance_to`
-  and :meth:`drain` — which lets an outer simulation (the multi-FPGA
-  cluster in :mod:`repro.cluster`) feed arrivals one at a time on a
-  shared clock and read live load signals
-  (:meth:`outstanding_seconds`, :meth:`drain_estimate_seconds`)
-  between injections for routing decisions. ``run`` is exactly
-  ``begin`` + ``inject``\\* + ``drain``, so both paths share one event
-  loop and produce identical schedules.
+  and :meth:`drain` — which lets an outer driver feed arrivals one at a
+  time and read live load signals (:meth:`outstanding_seconds`,
+  :meth:`drain_estimate_seconds`) between injections. ``run`` is
+  exactly ``begin`` + ``inject``\\* + ``drain``.
 
-The cluster's fault loop drives the board lifecycle through
-:meth:`crash` / :meth:`recover` (plus :meth:`fail_one` and
-:attr:`service_scale` for transient faults and DMA stalls).
+A board alone owns its heap; in a cluster (:mod:`repro.cluster`) every
+board's events share the cluster's heap, in (time, rank, insertion)
+order, and :attr:`now` reads that one clock. The cluster drives the
+board lifecycle through :meth:`crash` / :meth:`recover` (plus
+:meth:`fail_one` and :attr:`service_scale` for transient faults and
+DMA stalls).
 
-At most one DISPATCH marker is pending per instant. An arrival or a
-completion at *t* pushes one only when none is already queued at *t*;
-the marker's pass then serves every free coprocessor in one go. That
-is exact, not an approximation: one pass leaves either the scheduler
-empty or every coprocessor busy (a scheduler hands back ``None`` only
-when it is empty), and the events between two markers at one instant
-are only other markers, so every marker after the first would
-dispatch nothing. Popping the marker, or a crash's :meth:`spill`,
-clears the pending state.
+At most one DISPATCH marker is pending per instant: an arrival or a
+completion at *t* pushes one only when none is already queued at *t*,
+and the marker's pass serves every free coprocessor in one go.
+Popping the marker, or a crash's :meth:`spill`, clears the pending
+state.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from dataclasses import dataclass, field
 from ..system.server import CostModel
 from ..system.workloads import Job
 from .batching import BatchPolicy, DmaBatcher
-from .events import EventHeap, EventKind
+from .events import Event, EventHeap, EventKind
 from .schedulers import FifoScheduler, QueueEntry, Scheduler, \
     WeightedFairScheduler
 from .telemetry import ServingReductions
@@ -157,7 +154,6 @@ class ServingRuntime:
         self._busy_until: list[float] = []
         self._queued_per_tenant: dict[str, int] = {}
         self._seq: itertools.count[int] = itertools.count()
-        self._now = 0.0
         self._pending_seconds = 0.0
         self._pending_jobs = 0
         self._in_flight_jobs = 0
@@ -171,64 +167,48 @@ class ServingRuntime:
 
     # -- the stepping API --------------------------------------------------------------
 
-    def begin(self) -> None:
-        """Arm the runtime for one simulation (idempotent guard)."""
+    def begin(self, heap: EventHeap | None = None) -> None:
+        """Arm the runtime for one simulation (single-use guard): on
+        its own heap, or on the one a cluster's boards share."""
         if self._ran:
             raise RuntimeError(
                 "a ServingRuntime is single-use; build a fresh one per run"
             )
         self._ran = True
         self.scheduler.bind(self.num_coprocessors)
-        self._heap = EventHeap()
+        self._heap = EventHeap() if heap is None else heap
         self._report = RuntimeReport(
             busy_seconds=[0.0] * self.num_coprocessors)
         self._free = [True] * self.num_coprocessors
         self._busy_until = [0.0] * self.num_coprocessors
 
     def inject(self, job: Job) -> None:
-        """Feed one arrival into the simulation (shared-clock mode).
+        """Feed one arrival into the simulation.
 
         The arrival is queued on the event heap, not processed: events
         advance only through :meth:`advance_to` / :meth:`drain`, so an
-        outer simulation injecting several equal-time arrivals observes
+        outer driver injecting several equal-time arrivals observes
         the same event ordering as a one-shot :meth:`run`.
         """
         if self._heap is None:
             raise RuntimeError("begin() must run before inject()")
-        if job.arrival_seconds < self._now:
+        if job.arrival_seconds < self._heap.now:
             raise ValueError(
                 f"cannot inject an arrival at {job.arrival_seconds} behind "
-                f"the shard clock at {self._now}"
+                f"the clock at {self._heap.now}"
             )
-        self._heap.push(job.arrival_seconds, EventKind.ARRIVAL, job)
+        self._heap.push(job.arrival_seconds, EventKind.ARRIVAL, job, self)
         self._pending_seconds += self.cost.job_seconds_of(job)
         self._pending_jobs += 1
         self._arrived += 1
 
     def advance_to(self, time_seconds: float, *,
                    inclusive: bool = True) -> None:
-        """Process every event due by ``time_seconds``.
-
-        With ``inclusive=False`` only events *strictly before* the
-        deadline run — the cluster uses this so arrivals injected
-        at the deadline keep the one-shot heap ordering (all tied
-        arrivals pop before the dispatches they trigger).
-        """
+        """Process every event due by ``time_seconds``
+        (:meth:`EventHeap.advance`); the clock reaches the deadline."""
         if self._heap is None:
             raise RuntimeError("begin() must run before advance_to()")
-        while self._heap:
-            due = self._heap.peek().time_seconds
-            if due > time_seconds or (due == time_seconds
-                                      and not inclusive):
-                break
-            self._step()
-        # The clock always reaches the deadline — exclusive mode only
-        # defers the *events* at it. Load signals (outstanding in-flight
-        # time) must be measured against the deadline, not the last
-        # processed event, or shards would report stale snapshots to
-        # the router; equal-time injects still pass the strict `<`
-        # guard.
-        self._now = max(self._now, time_seconds)
+        self._heap.advance(time_seconds, inclusive=inclusive)
 
     def drain(self) -> RuntimeReport:
         """Process all remaining events and return the final report.
@@ -239,8 +219,7 @@ class ServingRuntime:
         """
         if self._heap is None:
             raise RuntimeError("begin() must run before drain()")
-        while self._heap:
-            self._step()
+        self._heap.advance()
         check_conservation("runtime", self._arrived,
                            completed=len(self._report.results),
                            rejected=len(self._report.rejected),
@@ -269,25 +248,26 @@ class ServingRuntime:
     def spill(self) -> list[Job]:
         """Crash semantics: abandon all outstanding work, return it.
 
-        Drains the event heap and the scheduler without processing
-        anything: queued arrivals, scheduled entries and in-flight
-        batches all come back as bare jobs (the cluster's retry path
-        re-prices and re-routes them); pending DISPATCH markers are
-        dropped. The runtime itself stays usable — a recovered board
-        re-enters service with empty queues on the same clock.
+        Takes this board's events off the heap and drains the
+        scheduler without processing anything: queued arrivals,
+        scheduled entries and in-flight batches all come back as bare
+        jobs (the cluster's retry path re-prices and re-routes them);
+        a pending DISPATCH marker is dropped. The runtime itself stays
+        usable — a recovered board re-enters service with empty queues
+        on the same clock.
         """
         if self._heap is None:
             raise RuntimeError("begin() must run before spill()")
         spilled: list[Job] = []
         self._dispatch_at = None
-        while self._heap:
-            event = self._heap.pop()
+        for event in self._heap.take(self):
             if event.kind is EventKind.ARRIVAL:
                 spilled.append(event.payload)
             elif event.kind is EventKind.COMPLETION:
                 spilled.extend(e.job for e in event.payload.entries)
+        now = self._heap.now
         while True:
-            entry = self.scheduler.next_entry(0, self._now)
+            entry = self.scheduler.next_entry(0, now)
             if entry is None:
                 break
             self._queued_per_tenant[entry.tenant] -= 1
@@ -296,7 +276,7 @@ class ServingRuntime:
         self._pending_jobs = 0
         self._in_flight_jobs = 0
         self._free = [True] * self.num_coprocessors
-        self._busy_until = [self._now] * self.num_coprocessors
+        self._busy_until = [now] * self.num_coprocessors
         self._handed_back += len(spilled)
         return spilled
 
@@ -325,7 +305,7 @@ class ServingRuntime:
         """
         if self._heap is None:
             raise RuntimeError("begin() must run before fail_one()")
-        entry = self.scheduler.next_entry(0, self._now)
+        entry = self.scheduler.next_entry(0, self._heap.now)
         if entry is None:
             return None
         self._queued_per_tenant[entry.tenant] -= 1
@@ -336,8 +316,8 @@ class ServingRuntime:
 
     @property
     def now(self) -> float:
-        """The board-local simulated clock (last processed event)."""
-        return self._now
+        """The simulation's clock (the heap this board runs on)."""
+        return self._heap.now
 
     def next_event_seconds(self) -> float | None:
         """Due time of the next queued event, or None when idle.
@@ -345,7 +325,7 @@ class ServingRuntime:
         Closed-loop drivers peek this to know how far they can advance
         before the simulation state changes.
         """
-        if self._heap is None or not self._heap:
+        if not self._heap:
             return None
         return self._heap.peek().time_seconds
 
@@ -373,7 +353,7 @@ class ServingRuntime:
         batches, and injected-but-unprocessed arrivals — the signal
         load-aware routers compare across shards.
         """
-        in_flight = sum(max(until - self._now, 0.0)
+        in_flight = sum(max(until - self._heap.now, 0.0)
                         for until in self._busy_until)
         return (self.scheduler.backlog_seconds + in_flight
                 + self._pending_seconds)
@@ -402,16 +382,16 @@ class ServingRuntime:
 
     # -- the event loop ----------------------------------------------------------------
 
-    def _step(self) -> None:
-        event = self._heap.pop()
-        self._now = event.time_seconds
-        if event.kind is EventKind.ARRIVAL:
-            self._on_arrival(event.payload, self._now)
-        elif event.kind is EventKind.DISPATCH:
+    def handle(self, event: Event) -> None:
+        """Process one of this board's events (called by the heap)."""
+        kind = event.kind
+        if kind is EventKind.ARRIVAL:
+            self._on_arrival(event.payload, event.time_seconds)
+        elif kind is EventKind.DISPATCH:
             self._dispatch_at = None
-            self._on_dispatch(self._now)
+            self._on_dispatch(event.time_seconds)
         else:
-            self._on_completion(event.payload, self._now)
+            self._on_completion(event.payload, event.time_seconds)
 
     def _on_arrival(self, job: Job, now: float) -> None:
         cost = self.cost.job_seconds_of(job)
@@ -440,7 +420,7 @@ class ServingRuntime:
         """Queue a DISPATCH at `now` unless one is already pending there."""
         if self._dispatch_at != now:
             self._dispatch_at = now
-            self._heap.push(now, EventKind.DISPATCH)
+            self._heap.push(now, EventKind.DISPATCH, None, self)
 
     def _on_dispatch(self, now: float) -> None:
         for coproc in range(self.num_coprocessors):
@@ -478,7 +458,7 @@ class ServingRuntime:
             self._heap.push(now + service, EventKind.COMPLETION, _Dispatched(
                 coprocessor=coproc, entries=tuple(batch),
                 start_seconds=now, service_seconds=service,
-            ))
+            ), self)
 
     def _on_completion(self, done: _Dispatched, now: float) -> None:
         report = self._report

@@ -579,6 +579,26 @@ class TestSteppingApi:
             runtime.inject(Job(index=1, kind=JobKind.MULT,
                                arrival_seconds=0.2))
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_arrival_raises_on_a_board(self, cost, time):
+        runtime = ServingRuntime(cost)
+        runtime.begin()
+        runtime.inject(Job(index=0, kind=JobKind.MULT, arrival_seconds=0.1))
+        with pytest.raises(ValueError, match="finite"):
+            runtime.inject(Job(index=1, kind=JobKind.MULT,
+                               arrival_seconds=time))
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_arrival_raises_on_a_cluster(self, time):
+        cluster = FpgaCluster.homogeneous(PARAMS, 2)
+        cluster.begin()
+        cluster.inject(Job(index=0, kind=JobKind.MULT, arrival_seconds=0.1))
+        with pytest.raises(ValueError, match="finite"):
+            cluster.inject(Job(index=1, kind=JobKind.MULT,
+                               arrival_seconds=time))
+        # Refused before the clock moved: the first job is still queued.
+        assert cluster.next_event_seconds() == 0.1
+
     def test_outstanding_tracks_pending_and_drains_to_zero(self, cost):
         runtime = ServingRuntime(cost)
         runtime.begin()

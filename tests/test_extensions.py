@@ -239,6 +239,18 @@ ARTEFACT_SHA256 = {
 }
 
 
+#: SHA-256 of the stdout of the two serving simulations the CLI prints
+#: (``python -m repro serve`` and ``python -m repro cluster --shards 4``):
+#: a change to the event loop that is meant to move no simulated number
+#: must leave these as they are.
+SIMULATION_SHA256 = {
+    ("serve",):
+        "65355cb1a81bb737a8d12cdd14d06db50a00777b131a49e95c78e4f938d2b062",
+    ("cluster", "--shards", "4"):
+        "24466909f4b53de3206ff6ea8ee303b1db1e8dfcd6da84a406595ec772d17548",
+}
+
+
 class TestCli:
     @pytest.mark.parametrize("command", [
         "table2", "table3", "table4", "table5", "fig3", "noise", "list",
@@ -254,6 +266,14 @@ class TestCli:
         output = capsys.readouterr().out
         digest = hashlib.sha256(output.encode()).hexdigest()
         assert digest == ARTEFACT_SHA256[command]
+
+    @pytest.mark.parametrize("argv", sorted(SIMULATION_SHA256),
+                             ids=" ".join)
+    def test_simulations_byte_identical(self, argv, capsys):
+        assert cli_main(list(argv)) == 0
+        output = capsys.readouterr().out
+        digest = hashlib.sha256(output.encode()).hexdigest()
+        assert digest == SIMULATION_SHA256[argv]
 
     def test_table1_and_headline(self, capsys):
         assert cli_main(["table1"]) == 0

@@ -85,6 +85,11 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="speed the board up"):
             FaultEvent(0.0, FaultKind.DMA_STALL, 0, factor=0.5)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_event_rejects_non_finite_time(self, time):
+        with pytest.raises(ValueError, match="finite"):
+            FaultEvent(time, FaultKind.SHARD_CRASH, 0)
+
     def test_board_kill_requires_recovery_after_crash(self):
         with pytest.raises(ValueError, match="follow the crash"):
             FaultPlan.board_kill(0, 0.5, recover_at=0.2)

@@ -1,14 +1,16 @@
 """Exact pins of the served numbers.
 
-Four fixed runs — the seeded 8-board chaos run of ``python -m repro
+Five fixed runs — the seeded 8-board chaos run of ``python -m repro
 cluster --shards 8 --faults 2019 --replicas 2``, a round-robin
 4-board run through a crash, a recovery and per-tenant queue caps, a
 replicated 4-board run whose faults and retries fall due exactly at
-request arrival instants, and the weighted-fair board of ``python -m
-repro serve`` — reduced through the report API and compared bit for
-bit. A change to the engine, the schedulers, the cluster loop or any
-reduction that moves a printed latency, throughput or utilization
-figure fails here, not only when an availability gate trips.
+request arrival instants, closed-loop clients stepping a replicated
+6-board cluster through a seeded fault plan, and the weighted-fair
+board of ``python -m repro serve`` — reduced through the report API
+and compared bit for bit. A change to the engine, the schedulers, the
+cluster loop or any reduction that moves a printed latency, throughput
+or utilization figure fails here, not only when an availability gate
+trips.
 """
 
 import hashlib
@@ -37,6 +39,7 @@ from repro.serve import (
 )
 from repro.system.server import CostModel
 from repro.system.workloads import (
+    ClosedLoopClients,
     Job,
     JobKind,
     cluster_trace,
@@ -109,6 +112,22 @@ def same_instant():
     retry = RetryPolicy(base_backoff_seconds=0.1796875, jitter=0.0, seed=0)
     return FpgaCluster.homogeneous(
         PARAMS, 4, fault_plan=plan, retry=retry, replicas=2).run(jobs)
+
+
+@pytest.fixture(scope="module")
+def closed_loop():
+    """96 closed-loop clients (10 ms think, 24 tenants) drive 6 boards
+    with R = 2 replication and tenant-affinity routing for 0.3 s,
+    through fault seed 41 (2 crashes, 6 transient failures, 2 DMA
+    stalls): the stepping protocol — exclusive advance, inject,
+    next-event advance — over faults and retries."""
+    plan = FaultPlan.seeded(41, 6, 0.3, crashes=2, transient_failures=6,
+                            dma_stalls=2)
+    cluster = FpgaCluster.homogeneous(
+        PARAMS, 6, router=TenantAffinityRouter(), fault_plan=plan,
+        retry=RetryPolicy(seed=4), replicas=2)
+    return ClosedLoopClients(96, 0.01, num_tenants=24, seed=5).drive(
+        cluster, 0.3)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +237,33 @@ class TestSameInstantFaultPins:
         assert all(not shard.rejected
                    for shard in same_instant.shard_reports)
         assert same_instant.overflow_rejected == []
+
+
+class TestClosedLoopChaosPins:
+    def test_latency_summary(self, closed_loop):
+        assert closed_loop.report.latency_summary() == LatencySummary(
+            count=663, mean=0.03834549029009294, p50=0.027836625591665123,
+            p95=0.08137757996944354, p99=0.10377794782591492,
+            max=0.15550058124139293)
+
+    def test_submitted_completed_rejected(self, closed_loop):
+        assert (closed_loop.submitted, closed_loop.completed,
+                closed_loop.rejected) == (663, 663, 0)
+
+    def test_failure_report(self, closed_loop):
+        failure = closed_loop.report.failure
+        assert (failure.crashes, failure.recoveries,
+                failure.transient_failures, failure.dma_stalls,
+                failure.jobs_spilled, failure.jobs_retried,
+                failure.jobs_relocated, failure.jobs_lost,
+                failure.rehydrations, failure.rebalanced_tenants) == (
+            2, 1, 4, 2, 47, 51, 47, 0, 14, 6)
+        assert failure.failovers_by_tenant == {
+            "t0002": 8, "t0003": 4, "t0005": 7, "t0006": 6, "t0009": 5,
+            "t0010": 12, "t0013": 12, "t0014": 15, "t0015": 4,
+            "t0016": 14, "t0018": 11}
+        assert failure.downtime_by_shard == {
+            "shard3": 0.04824201298927705, "shard5": 0.25943890924231117}
 
 
 class TestWeightedFairBoardPins:

@@ -175,6 +175,71 @@ class TestEventHeap:
         with pytest.raises(ValueError):
             EventHeap().push(-1.0, EventKind.ARRIVAL)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_rejects_non_finite_time(self, time):
+        with pytest.raises(ValueError, match="finite"):
+            EventHeap().push(time, EventKind.ARRIVAL)
+
+    def test_faults_and_retries_rank_before_board_events(self):
+        heap = EventHeap()
+        heap.push(1.0, EventKind.ARRIVAL, "arrival")
+        heap.push(1.0, EventKind.RETRY, "retry")
+        heap.push(1.0, EventKind.COMPLETION, "completion")
+        heap.push(1.0, EventKind.FAULT, "fault")
+        heap.push(0.5, EventKind.DISPATCH, "early")
+        assert [heap.pop().payload for _ in range(5)] == [
+            "early", "retry", "fault", "arrival", "completion"]
+
+    def test_exclusive_advance_applies_faults_and_retries_at_deadline(self):
+        heap = EventHeap()
+        owner = _Recorder()
+        heap.push(1.0, EventKind.ARRIVAL, "arrival", owner)
+        heap.push(1.0, EventKind.FAULT, "fault", owner)
+        heap.push(0.5, EventKind.COMPLETION, "completion", owner)
+        heap.push(1.0, EventKind.RETRY, "retry", owner)
+        heap.advance(1.0, inclusive=False)
+        assert owner.seen == ["completion", "fault", "retry"]
+        assert [heap.pop().payload for _ in range(len(heap))] \
+            == ["arrival"]
+
+    def test_take_returns_one_owners_events_in_processing_order(self):
+        heap = EventHeap()
+        mine, other = _Recorder(), _Recorder()
+        heap.push(2.0, EventKind.COMPLETION, "m-late", mine)
+        heap.push(1.0, EventKind.ARRIVAL, "o-arrival", other)
+        heap.push(1.0, EventKind.DISPATCH, "m-dispatch", mine)
+        heap.push(1.0, EventKind.ARRIVAL, "m-arrival", mine)
+        heap.push(1.0, EventKind.RETRY, "o-retry", other)
+        heap.push(0.5, EventKind.COMPLETION, "o-early", other)
+        assert [e.payload for e in heap.take(mine)] == [
+            "m-dispatch", "m-arrival", "m-late"]
+        heap.advance()
+        assert other.seen == ["o-early", "o-retry", "o-arrival"]
+        assert mine.seen == []
+
+    def test_clock_reads_the_deadline_after_an_advance(self):
+        heap = EventHeap()
+        owner = _Recorder()
+        heap.push(0.25, EventKind.ARRIVAL, "a", owner)
+        heap.push(3.0, EventKind.ARRIVAL, "b", owner)
+        heap.advance(1.5, inclusive=False)
+        assert heap.now == 1.5
+        heap.advance(1.0)
+        assert heap.now == 1.5
+        heap.advance()
+        assert heap.now == 3.0
+        assert owner.seen == ["a", "b"]
+
+
+class _Recorder:
+    """An event owner that records the payloads it is handed."""
+
+    def __init__(self) -> None:
+        self.seen: list = []
+
+    def handle(self, event) -> None:
+        self.seen.append(event.payload)
+
 
 class TestEngineMatchesStaticLoop:
     def test_saturated_throughput_within_one_percent(self, cost):
@@ -236,7 +301,7 @@ class TestOneDispatchPerInstant:
         runtime = ServingRuntime(cost)
         runtime.begin()
         runtime.inject(Job(index=0, kind=JobKind.MULT, arrival_seconds=1.0))
-        runtime._step()
+        runtime.handle(runtime._heap.pop())
         assert runtime.next_event_seconds() == 1.0   # the DISPATCH
         assert [job.index for job in runtime.crash(1.0)] == [0]
         runtime.recover()
