@@ -1,23 +1,31 @@
 # Single source of truth for the commands CI runs, so local dev and
 # the workflow can never drift: `make test` is exactly the tier-1
-# gate, `make test-parallel` the same suite forced through the thread
-# pool (`make blas-steered` its precondition), `make lint` / `make
-# coverage` / `make chaos-smoke` are CI jobs, `make ledger` /
-# `make ledger-quick` run the perf ledger (the repo's one benchmark,
-# see benchmarks/ledger/README.md; CI runs the quick pass per PR and
-# the full one nightly), `make cluster-demo` is the multi-FPGA
-# acceptance run.
+# gate, `make smoke` the CLI runs that follow it, `make test-parallel`
+# the same suite forced through the thread pool (`make blas-steered`
+# its precondition), `make lint` / `make coverage` / `make chaos-smoke`
+# are CI jobs, `make ledger` / `make ledger-quick` run the perf ledger
+# (the repo's one benchmark, see benchmarks/ledger/README.md; CI runs
+# the quick pass per PR and the full one nightly), `make cluster-demo`
+# is the multi-FPGA acceptance run.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-parallel blas-steered lint coverage ledger \
+.PHONY: test smoke test-parallel blas-steered lint coverage ledger \
 	ledger-quick cluster-demo chaos-smoke clean
 
 # --durations=10: the ten slowest phases in every log, so the tier-1
 # time budget (ROADMAP.md) stays visible.
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
+
+# CI test job, after the suite: the headline canary, the serving
+# runtime end to end, and the trace command, the one CLI command that
+# prints the metrics registry's exposition.
+smoke:
+	$(PYTHON) -m repro headline
+	$(PYTHON) -m repro serve
+	$(PYTHON) -m repro trace mult --out "$$(mktemp -d)"
 
 # CI test-parallel job: tier-1 with every engine fan-out (transform
 # tiles, channel bands, column bands) forced through a 4-thread pool

@@ -33,10 +33,9 @@ The modules:
   functional :class:`LocalBackend`, whose ciphertexts all live in the
   evaluation (NTT) domain;
 * :mod:`~repro.api.simulated` — :class:`SimulatedBackend` with
-  future-style request handles and latency telemetry;
-* :mod:`~repro.api.resident` — the bounded cross-request
-  :class:`ResidentOperandCache` the simulated executor keys by
-  ciphertext handle to price uploads the server already holds.
+  future-style request handles and latency telemetry; it remembers the
+  last 64 INPUT handles the simulated server ingested and prices their
+  uploads at zero transfer (:attr:`SimulatedRun.cache_hits`).
 """
 
 from .backends import Backend, LocalBackend, ProgramResult
@@ -48,7 +47,6 @@ from .program import (
     rotate,
     sum_slots,
 )
-from .resident import ResidentOperandCache
 from .session import Session
 from .simulated import (
     LoweredProgram,
@@ -69,7 +67,6 @@ __all__ = [
     "Backend",
     "LocalBackend",
     "ProgramResult",
-    "ResidentOperandCache",
     "SimulatedBackend",
     "SimulatedRun",
     "ProgramFuture",

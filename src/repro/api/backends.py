@@ -153,15 +153,12 @@ class LocalBackend:
         #: spans (with transform-count diffs and nested engine
         #: transform spans) reducible to rollups and a critical path.
         self.last_trace: TraceReport | None = None
-        #: Accumulated transform counts across all runs of this backend.
-        self.total_transform_counts = {
-            key: 0 for key in transform_counts()
-        }
 
     @property
     def telemetry(self) -> dict:
-        """Execution telemetry: transform counts, executor mode, and
-        what the executor did about BLAS threading."""
+        """Execution telemetry: the last run's transform counts, the
+        executor mode, and what the executor did about BLAS threading
+        (process-wide transform totals live in the metrics registry)."""
         blas = (BlasDecision(False, reason="ambient executor")
                 if self.executor is None else self.executor.blas)
         return {
@@ -171,7 +168,6 @@ class LocalBackend:
                         else self.executor.workers),
             "blas": blas.as_dict(),
             "last_run": dict(self.last_transform_counts),
-            "total": dict(self.total_transform_counts),
             # Ledger shim: benchmarks/ledger/workloads.py reads the hits.
             "resident_cache": {"hits": 0},
         }
@@ -279,8 +275,6 @@ class LocalBackend:
         self.last_transform_counts = {
             key: after[key] - before[key] for key in after
         }
-        for key, value in self.last_transform_counts.items():
-            self.total_transform_counts[key] += value
         return ProgramResult(self.session, outputs,
                              trace=self.last_trace, measured=measured)
 

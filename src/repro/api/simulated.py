@@ -15,10 +15,19 @@ each lowered op is one job, charged its compiled coprocessor program
 plus its transfers, and queued like any other job (intra-request
 dependency chains are not serialised); request latency is the span from
 arrival to the completion of the request's last op.
+
+A backend remembers the INPUT operands its simulated server already
+holds across runs, as the paper's server keeps operands in the board's
+DDR: the last 64 INPUT handles it ingested, FIFO, held weakly so the
+set never keeps an expression graph alive. A run prices a resident
+input's upload at zero transfer; :attr:`SimulatedRun.cache_hits` /
+``cache_misses`` and :attr:`~repro.api.program.LoweredOp.cached_inputs`
+are the record of it.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -31,7 +40,6 @@ from ..serve.telemetry import LatencySummary
 from ..system.server import CostModel
 from ..system.workloads import Job, JobKind, tenant_name
 from .program import HEProgram, LoweredOp
-from .resident import ResidentOperandCache
 
 #: Lowered job kinds that spend a keyswitch (digit-decomposed key
 #: multiply-accumulate) on the coprocessor — the ops the optimiser
@@ -39,6 +47,9 @@ from .resident import ResidentOperandCache
 _KEYSWITCH_JOB_KINDS = frozenset(
     {JobKind.MULT, JobKind.ROTATE, JobKind.RELIN}
 )
+
+#: INPUT operands a simulated server keeps resident across runs.
+RESIDENT_LIMIT = 64
 
 
 @dataclass
@@ -270,17 +281,11 @@ class SimulatedBackend:
         #: lowering (``repro.optim``); the resulting
         #: :class:`LoweredProgram` carries the optimiser's report.
         self.optimize = optimize
-        #: Cross-request resident-operand cache: INPUT handles the
-        #: simulated server has already ingested stay in its DDR, so a
-        #: later program reusing them uploads nothing (the
-        #: :meth:`HEProgram.lower` zero-transfer pricing). Bounded FIFO,
-        #: like the board's operand memory.
-        self.resident_cache = ResidentOperandCache(64, name="simulated")
-
-    @property
-    def telemetry(self) -> dict:
-        """Cross-run telemetry: the resident-operand cache counters."""
-        return {"resident_cache": self.resident_cache.stats()}
+        # The INPUT nodes the simulated server holds, by id(node) in
+        # ingest order. Each is held through a weak reference whose
+        # callback drops the entry when the node is collected, so a
+        # recycled id never aliases a dead entry.
+        self._resident: dict[int, weakref.ref] = {}
 
     # -- constructors ------------------------------------------------------------------
 
@@ -401,11 +406,10 @@ class SimulatedBackend:
         :attr:`SimulatedRun.cache_hits`), exactly like the paper's
         server skipping the upload DMA for operands it already holds.
         """
-        resident = [node for node in program.inputs
-                    if self.resident_cache.get(node) is not None]
+        resident = [node for node in program.inputs if self._holds(node)]
         lowered = self.lower(program, resident_inputs=resident)
         for node in program.inputs:
-            self.resident_cache.put(node, True)
+            self._ingest(node)
         jobs, futures = self.lower_jobs(
             lowered, requests=requests, rate_per_second=rate_per_second,
             num_tenants=num_tenants, seed=seed,
@@ -431,3 +435,18 @@ class SimulatedBackend:
                             cache_misses=len(program.inputs)
                             - len(resident),
                             lowered=lowered)
+
+    def _holds(self, node: object) -> bool:
+        ref = self._resident.get(id(node))
+        return ref is not None and ref() is node
+
+    def _ingest(self, node: object) -> None:
+        """Make ``node`` resident; FIFO eviction at the bound."""
+        if self._holds(node):
+            return
+        resident = self._resident
+        if len(resident) >= RESIDENT_LIMIT:
+            del resident[next(iter(resident))]
+        key = id(node)
+        resident[key] = weakref.ref(
+            node, lambda _ref: resident.pop(key, None))

@@ -27,11 +27,6 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import replace
 
 from ..faults import (
-    FAULT_EVENTS_COUNTER,
-    FAULT_FAILOVERS_COUNTER,
-    FAULT_JOBS_LOST_COUNTER,
-    FAULT_REHYDRATIONS_COUNTER,
-    FAULT_RETRIES_COUNTER,
     FailureReport,
     FaultEvent,
     FaultKind,
@@ -39,7 +34,7 @@ from ..faults import (
     RetryPolicy,
 )
 from ..hw.config import HardwareConfig
-from ..obs import active_tracer, current_registry
+from ..obs import active_tracer
 from ..params import ParameterSet
 from ..serve.batching import BatchPolicy
 from ..serve.engine import ServingRuntime, check_conservation
@@ -229,7 +224,6 @@ class FpgaCluster:
             router_name=self.router.name,
             overflow_rejected=self._overflow,
             reroutes=self._reroutes,
-            registry_snapshot=current_registry().snapshot(),
             failure=self._failure,
         )
 
@@ -247,7 +241,6 @@ class FpgaCluster:
         shard = self.shards[event.shard]
         failure = self._failure
         failure.events.append(event)
-        FAULT_EVENTS_COUNTER.inc(kind=event.kind.value)
         tracer = active_tracer()
         if tracer is not None:
             tracer.add(f"fault.{event.kind.value}", "fault", now, now,
@@ -302,7 +295,6 @@ class FpgaCluster:
                         and self._retries_scheduled >= retry.total_budget)
         if attempt > retry.max_attempts or budget_spent:
             self._failure.jobs_lost += 1
-            FAULT_JOBS_LOST_COUNTER.inc()
             self._overflow.append(Rejection(
                 job=job, time_seconds=now, reason="retry-budget"))
             return
@@ -320,7 +312,6 @@ class FpgaCluster:
 
     def _inject_retry(self, job: Job, origin: int) -> None:
         self._failure.jobs_retried += 1
-        FAULT_RETRIES_COUNTER.inc()
         target = self._place(job)
         if target is not None and target != origin:
             self._failure.jobs_relocated += 1
@@ -394,7 +385,6 @@ class FpgaCluster:
             if target != primary and not self.shards[primary].up:
                 tenants = self._failure.failovers_by_tenant
                 tenants[job.tenant] = tenants.get(job.tenant, 0) + 1
-                FAULT_FAILOVERS_COUNTER.inc()
             if not placement.is_warm(job.tenant, target):
                 # Cold replica: the tenant's relin/Galois key
                 # polynomials restage over DMA before this job runs —
@@ -403,7 +393,6 @@ class FpgaCluster:
                 job = replace(job, polys_in=job.polys_in + key_polys)
                 placement.warm(job.tenant, target)
                 self._failure.rehydrations += 1
-                FAULT_REHYDRATIONS_COUNTER.inc()
         self.shards[target].inject(job)
         return target
 

@@ -11,7 +11,8 @@ window, the imbalance metric that explains any sub-linear scaling, and
 the :class:`~repro.faults.FailureReport` ledger of a chaos run. A shard
 that received no work (a perfectly plausible outcome of
 tenant-affinity routing with few tenants) reduces to zeros, not a
-division by zero.
+division by zero. The report is the run's one record: nothing in it is
+copied from, or into, the process-level :mod:`repro.obs` registry.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ class ClusterReport(ServingReductions):
     overflow_rejected: list[Rejection] = field(default_factory=list)
     #: Placements on a board other than the first live candidate.
     reroutes: int = 0
-    #: Snapshot of the active :mod:`repro.obs` metrics registry taken
-    #: at drain time (flat series-name → value mapping), so the report
-    #: carries the process-level counters — engine transforms,
-    #: resident-cache events — alongside the shard records.
-    registry_snapshot: dict[str, float] = field(default_factory=dict)
     #: Fault ledger of the run — present whenever the cluster ran with
     #: a fault plan or replicated placement, ``None`` otherwise.
     failure: FailureReport | None = None

@@ -1,13 +1,17 @@
 """Unified observability: metrics registry, request tracing, timelines.
 
-The serving stack's signals come in three shapes — the global
-transform counters in :mod:`repro.nttmath.batch`, backend-private
-cache counters in :mod:`repro.api.resident`, and the record of a
-simulated run (a board's :class:`~repro.serve.engine.RuntimeReport`,
-a cluster's :class:`~repro.cluster.report.ClusterReport` over its
-shards, each number reduced once in :mod:`repro.serve.telemetry`).
-This package is the one substrate the counters report through and
-the exporter of the records:
+The stack's signals come in two shapes, each fact with one writer:
+process-level engine facts that have no other record (the transform
+counters in :mod:`repro.nttmath.batch`, parallel dispatch, decrypt-guard
+fallbacks), and the record of a run (a board's
+:class:`~repro.serve.engine.RuntimeReport`, a cluster's
+:class:`~repro.cluster.report.ClusterReport` with its
+:class:`~repro.faults.FailureReport`, an optimiser's
+:class:`~repro.optim.stats.OptimizationReport`, a
+:class:`~repro.api.simulated.SimulatedRun`'s resident-operand counts).
+The registry holds the first and never copies the second. This package
+is the substrate the counters report through and the exporter of the
+records:
 
 * :mod:`~repro.obs.registry` — a process-wide **metrics registry**
   (counters, gauges, histograms with labels) with snapshot/diff/reset

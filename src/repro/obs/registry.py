@@ -1,11 +1,13 @@
 """The process-wide metrics registry: counters, gauges, histograms.
 
 Before this module existed the repo's counters were bare module
-globals (``TRANSFORM_STATS`` in :mod:`repro.nttmath.batch`) and
-object attributes (:class:`~repro.api.resident.ResidentOperandCache`
-hit counts): one backend calling ``reset_transform_counts()``
-silently corrupted every other backend's telemetry in the same
-process, and tests had to be careful not to observe each other.
+globals (``TRANSFORM_STATS`` in :mod:`repro.nttmath.batch`): one
+backend calling ``reset_transform_counts()`` silently corrupted every
+other backend's telemetry in the same process, and tests had to be
+careful not to observe each other. The registry holds process-level
+engine facts that have no other record (transforms, parallel
+dispatch, decrypt-guard fallbacks); what one run did is recorded by
+that run's report, not copied here.
 
 The registry fixes the sharing model, not just the bookkeeping:
 
@@ -345,6 +347,13 @@ def histogram(name: str, help: str = "", labels: tuple[str, ...] = (),
 # -- exposition ----------------------------------------------------------------------
 
 
+def _sample(value: float) -> str:
+    """A sample value, exactly: integral values as integers, the rest
+    as the shortest repr that round-trips."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
 def render_prometheus(registry: MetricsRegistry | None = None) -> str:
     """Prometheus text exposition of one registry (default: current).
 
@@ -374,10 +383,10 @@ def render_prometheus(registry: MetricsRegistry | None = None) -> str:
 
     for (name, key), value in sorted(counters.items()):
         header(name, "counter")
-        lines.append(f"{series_name(name, key)} {value:g}")
+        lines.append(f"{series_name(name, key)} {_sample(value)}")
     for (name, key), value in sorted(gauges.items()):
         header(name, "gauge")
-        lines.append(f"{series_name(name, key)} {value:g}")
+        lines.append(f"{series_name(name, key)} {_sample(value)}")
     for (name, key), (buckets, counts, total, count) in sorted(
             histograms.items()):
         header(name, "histogram")
@@ -390,6 +399,6 @@ def render_prometheus(registry: MetricsRegistry | None = None) -> str:
             )
         inf_key = key + (("le", "+Inf"),)
         lines.append(f"{series_name(name + '_bucket', inf_key)} {count}")
-        lines.append(f"{series_name(name + '_sum', key)} {total:g}")
+        lines.append(f"{series_name(name + '_sum', key)} {_sample(total)}")
         lines.append(f"{series_name(name + '_count', key)} {count}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -4,10 +4,11 @@
 uses (``Session.compile(optimize=True)``, ``SimulatedBackend.lower``,
 the CLI). It returns a *new* :class:`HEProgram` — sharing every
 unchanged node with the original, so materialised ciphertexts and
-resident-cache entries survive — plus an
+resident operands survive — plus an
 :class:`~repro.optim.stats.OptimizationReport` with per-pass
-before/after stats. The same numbers feed the obs registry (pass run /
-rewrite / keyswitches-saved counters) and a wall-clock span tree.
+before/after stats, the one record of what the stack did. Each pass
+runs under a ``pass`` span, so its wall clock shows up in whatever
+trace is active.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..api.program import HEProgram
-from ..obs import Tracer, counter
+from ..obs import maybe_span
 from .passes import (
     CsePass,
     Pass,
@@ -26,19 +27,6 @@ from .passes import (
     RotationHoistPass,
 )
 from .stats import GraphStats, OptimizationReport, PassStats
-
-PASS_RUNS = counter(
-    "repro_optim_pass_runs_total",
-    "Optimiser pass executions", labels=("pass",),
-)
-PASS_REWRITES = counter(
-    "repro_optim_rewrites_total",
-    "Graph rewrites applied, by pass", labels=("pass",),
-)
-KEYSWITCHES_SAVED = counter(
-    "repro_optim_keyswitches_saved_total",
-    "Lowered keyswitch ops removed by optimisation",
-)
 
 
 def default_passes() -> list[Pass]:
@@ -74,36 +62,23 @@ class PassManager:
         outputs = dict(program.outputs)
         ctx = PassContext(params=program.params)
         stats: list[PassStats] = []
-        before_all = GraphStats.of(outputs, program.params)
-        tracer = Tracer(f"optimize.{program.name}", kind="optimize")
-        with tracer.activate():
-            for p in self.passes:
-                before = GraphStats.of(outputs, program.params)
-                with tracer.span(p.name, kind="pass") as span:
-                    outputs, rewrites, details = p.run(outputs, ctx)
-                    after = GraphStats.of(outputs, program.params)
-                    span.attrs.update(
-                        rewrites=rewrites,
-                        ops_before=before.num_ops,
-                        ops_after=after.num_ops,
-                    )
-                PASS_RUNS.inc(1, **{"pass": p.name})
-                if rewrites:
-                    PASS_REWRITES.inc(rewrites, **{"pass": p.name})
-                stats.append(PassStats(p.name, before, after, rewrites,
-                                       details))
-        after_all = GraphStats.of(outputs, program.params)
-        saved = before_all.keyswitches - after_all.keyswitches
-        if saved > 0:
-            KEYSWITCHES_SAVED.inc(saved)
+        # Pass i's `after` is pass i + 1's `before`: one GraphStats per
+        # pass plus the input's.
+        before_all = current = GraphStats.of(outputs, program.params)
+        for p in self.passes:
+            with maybe_span(p.name, kind="pass"):
+                outputs, rewrites, details = p.run(outputs, ctx)
+            after = GraphStats.of(outputs, program.params)
+            stats.append(PassStats(p.name, current, after, rewrites,
+                                   details))
+            current = after
         optimized = HEProgram(outputs, program.params,
                               name=f"{program.name}+opt", check=False)
         optimized.hoist_groups = list(ctx.hoist_groups)
         report = OptimizationReport(
             program_name=program.name, passes=stats,
-            before=before_all, after=after_all,
+            before=before_all, after=current,
             hoist_groups=len(ctx.hoist_groups),
-            trace=tracer.report(),
         )
         optimized.optimization = report
         return optimized, report

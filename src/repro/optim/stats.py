@@ -84,8 +84,6 @@ class OptimizationReport:
     before: GraphStats
     after: GraphStats
     hoist_groups: int = 0
-    #: Wall-clock span tree of the pass stack itself.
-    trace: object | None = None
 
     @property
     def keyswitches_saved(self) -> int:

@@ -32,23 +32,27 @@ from .basis import RnsBasis
 
 
 def signed_digit_decompose(value: int, base: int, count: int) -> list[int]:
-    """Signed base-``base`` digits of ``value``: d_i in [-base/2, base/2).
+    """Signed base-``base`` digits of ``value``: d_i in [-base/2, base/2),
+    the top digit in [-base/2, base/2].
 
     ``value`` may be any integer with ``|value| < base**count / 2``; the
-    digits satisfy ``value == sum(d_i * base**i)`` exactly.
+    digits satisfy ``value == sum(d_i * base**i)`` exactly. The top digit
+    takes what the lower ones leave: wrapping it from +base/2 to -base/2
+    would leave a carry, and positive values near the bound would not fit.
     """
     if base < 2 or base % 2:
         raise ParameterError("digit base must be an even integer >= 2")
     digits = []
     remaining = value
     half = base // 2
-    for _ in range(count):
+    for _ in range(count - 1):
         digit = remaining % base
         if digit >= half:
             digit -= base
         digits.append(digit)
         remaining = (remaining - digit) // base
-    if remaining != 0:
+    digits.append(remaining)
+    if count < 1 or not -half <= remaining <= half:
         raise ParameterError(
             f"value {value} does not fit in {count} signed base-{base} digits"
         )

@@ -11,9 +11,14 @@ trace-event schema.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import LocalBackend, Session, SimulatedBackend
 from repro.cli import main
 from repro.nttmath.batch import TRANSFORM_COUNTER, transform_counts
@@ -164,6 +169,42 @@ class TestRegistry:
         assert 'test_obs_prom_hist_bucket{le="2"} 2' in text
         assert 'test_obs_prom_hist_bucket{le="+Inf"} 2' in text
         assert "test_obs_prom_hist_count 2" in text
+
+    def test_prometheus_samples_are_exact(self):
+        c = counter("test_obs_prom_big_total", "big")
+        c.inc(1234567)
+        h = histogram("test_obs_prom_big_hist", "big sum", buckets=(1.0,))
+        h.observe(1234567.891)
+        text = render_prometheus().splitlines()
+        assert "test_obs_prom_big_total 1234567" in text
+        assert "test_obs_prom_big_hist_sum 1234567.891" in text
+
+    def test_catalogue_is_the_engine_facts(self):
+        """Every instrument ``repro`` declares, across all its modules.
+
+        The registry holds process-level engine facts with no other
+        record; what a run did lives in its report. A new instrument
+        must be added here on purpose.
+        """
+        script = (
+            "import importlib, pkgutil, repro\n"
+            "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "from repro.obs.registry import _CATALOG\n"
+            "print(' '.join(sorted(_CATALOG)))\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env=env).stdout
+        assert out.split() == [
+            "parallel_dispatch_total",
+            "parallel_tiles_per_dispatch",
+            "parallel_worker_utilisation",
+            "repro_decrypt_guard_fallbacks_total",
+            "repro_ntt_transforms_total",
+        ]
 
 
 # -- span trees and reports ------------------------------------------------------------
@@ -457,17 +498,6 @@ class TestAcceptance:
         assert validate_chrome_trace(events)
         job_slices = [e for e in events if e["ph"] == "X"]
         assert len(job_slices) == 3 * program.num_ops
-
-    def test_cluster_report_carries_registry_snapshot(self, toy_params):
-        session = Session(toy_params, seed=11)
-        program = mult_tree_program(session)
-        backend = SimulatedBackend.over_cluster(toy_params, 2)
-        run = backend.run(program, requests=4, num_tenants=4, seed=0)
-        snapshot = run.report.registry_snapshot
-        # The simulated backend's resident-operand cache reports
-        # through the registry, so the drain-time snapshot sees it.
-        assert any("resident_cache" in series for series in snapshot)
-        assert validate_chrome_trace(run.timeline())
 
 
 # -- the CLI surface -------------------------------------------------------------------

@@ -13,12 +13,15 @@ Three layers of guarantees:
   the simulated serving makespan improves.
 """
 
+from itertools import pairwise
+
 import numpy as np
 import pytest
 
 from repro.api import LocalBackend, Session, SimulatedBackend
 from repro.api.program import OpKind, sum_slots_rounds
 from repro.apps.matmul import EncryptedMatmul
+from repro.obs import Tracer
 from repro.optim import optimize_program, program_fingerprint
 from repro.params import mini
 
@@ -141,6 +144,22 @@ class TestPasses:
                      "relin_placement", "rotation_hoist"):
             assert name in text
         assert "keyswitches" in text
+
+    def test_passes_run_under_the_active_trace(self, session):
+        """Each pass is one ``pass`` span on the caller's tracer, and
+        pass i's ``after`` is pass i + 1's ``before``."""
+        a = session.encrypt([1, 2, 3, 4])
+        program = session.compile(a.sum_slots() + a.rotate(1))
+        tracer = Tracer()
+        with tracer.activate():
+            _, report = optimize_program(program)
+        spans = tracer.finish().walk()
+        assert [s.name for s in spans if s.kind == "pass"] == \
+            [p.name for p in report.passes]
+        assert report.passes[0].before is report.before
+        assert report.passes[-1].after is report.after
+        for done, nxt in pairwise(report.passes):
+            assert done.after is nxt.before
 
 
 def random_expr(rng, leaves, depth):

@@ -14,9 +14,9 @@ The invariants of the one-domain pipeline:
 * an operand reused across two programs, or fed through a Mult-heavy
   program, pays only its kernels' transforms — proved with exact
   transform-count telemetry;
-* the simulated executor's cross-request resident-operand cache is
-  bounded, hits on reuse, and prices cache hits as zero-transfer in the
-  lowered job stream.
+* the simulated executor's cross-request resident operands are
+  bounded (FIFO), held weakly, hit on reuse, and priced as
+  zero-transfer in the lowered job stream.
 """
 
 import json
@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import LocalBackend, ResidentOperandCache, Session, SimulatedBackend
+from repro.api import LocalBackend, Session, SimulatedBackend
+from repro.api.simulated import RESIDENT_LIMIT
 from repro.errors import EncodingError, ParameterError
 from repro.fv.encoder import Plaintext
 from repro.fv.reference import TextbookFv, decrypt_with_noise_bigint
@@ -259,50 +260,6 @@ class TestZeroRoundTripAcrossPrograms:
             [4, 8]
 
 
-class _Node:
-    """Weak-referenceable stand-in for an ExprNode in cache unit tests."""
-
-
-class TestLocalResidentCache:
-    def test_cache_is_bounded_with_fifo_eviction(self):
-        cache = ResidentOperandCache(limit=2)
-        nodes = [_Node() for _ in range(3)]
-        for node in nodes:
-            cache.put(node, node)
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert nodes[0] not in cache
-        assert nodes[1] in cache and nodes[2] in cache
-        stats = cache.stats()
-        assert stats["entries"] == 2 and stats["limit"] == 2
-
-    def test_cache_entries_die_with_their_nodes(self):
-        """The cache keys nodes weakly: dropping every handle to an
-        operand frees its expression graph, and the entry (with its
-        pinned ciphertext) disappears via the weakref callback."""
-        import gc
-
-        cache = ResidentOperandCache(limit=4)
-        node = _Node()
-        cache.put(node, "resident-form")
-        assert len(cache) == 1
-        del node
-        gc.collect()
-        assert len(cache) == 0
-
-    def test_cache_identity_guard_and_refresh(self):
-        cache = ResidentOperandCache(limit=4)
-        node = _Node()
-        cache.put(node, "first")
-        cache.put(node, "second")  # refresh, not a second entry
-        assert len(cache) == 1
-        assert cache.get(node) == "second"
-        assert cache.get(_Node()) is None
-        assert cache.misses == 1 and cache.hits == 1
-        with pytest.raises(ValueError):
-            ResidentOperandCache(limit=0)
-
-
 class TestSimulatedResidentCache:
     def test_repeat_run_prices_inputs_as_zero_transfer(self):
         params = toy(t=257)
@@ -315,7 +272,6 @@ class TestSimulatedResidentCache:
         second = backend.run(program, requests=3)
         assert first.cache_hits == 0 and first.cache_misses == 2
         assert second.cache_hits == 2 and second.cache_misses == 0
-        assert backend.telemetry["resident_cache"]["hits"] == 2
         # Lowered pricing: the cached lowering uploads strictly less.
         cold = program.lower()
         warm = program.lower(resident_inputs=program.inputs)
@@ -337,6 +293,39 @@ class TestSimulatedResidentCache:
         assert run1.cache_hits == 0
         assert run2.cache_hits == 1  # `shared` is still server-resident
         assert run2.cache_misses == 0
+
+    def test_resident_inputs_are_bounded_fifo(self):
+        """One backend holds the last 64 INPUT operands it ingested:
+        after 65 single-input programs the first has been evicted and
+        the 65th is still resident."""
+        params = toy(t=257)
+        session = Session(params, seed=31)
+        programs = [session.compile(session.encrypt([i]) * 2,
+                                    name=f"p{i}", check=False)
+                    for i in range(RESIDENT_LIMIT + 1)]
+        backend = SimulatedBackend.over_runtime(params)
+        for program in programs:
+            assert backend.run(program).cache_misses == 1
+        assert backend.run(programs[0]).cache_hits == 0
+        assert backend.run(programs[-1]).cache_hits == 1
+
+    def test_resident_inputs_are_held_weakly(self):
+        """Running an input does not keep it alive: once the client
+        drops every handle, the expression graph is collected."""
+        import gc
+        import weakref
+
+        params = toy(t=257)
+        session = Session(params, seed=37)
+        handle = session.encrypt([3, 1, 4])
+        program = session.compile(handle * 2, name="weak", check=False)
+        backend = SimulatedBackend.over_runtime(params)
+        run = backend.run(program)
+        assert run.cache_misses == 1
+        node = weakref.ref(program.inputs[0])
+        del handle, program, run
+        gc.collect()
+        assert node() is None
 
     def test_sum_slots_charges_upload_once_with_cache(self):
         params = toy(t=257)

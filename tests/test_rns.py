@@ -303,6 +303,16 @@ class TestSignedDigits:
             for digit in signed_digit_decompose(value, 32, 3):
                 assert -16 <= digit < 16
 
+    def test_values_up_to_the_bound_fit(self):
+        """Every |value| < base**count / 2 fits; the top digit may reach
+        +base/2 (2000 = 8 * 16**2 - 48 needs it)."""
+        for value in range(-2047, 2048):
+            digits = signed_digit_decompose(value, 16, 3)
+            assert recompose_signed_digits(digits, 16) == value
+            assert all(-8 <= d < 8 for d in digits[:-1])
+            assert -8 <= digits[-1] <= 8
+        assert signed_digit_decompose(2000, 16, 3)[-1] == 8
+
     def test_rejects_overflow(self):
         with pytest.raises(ParameterError):
             signed_digit_decompose(10**6, 16, 2)
