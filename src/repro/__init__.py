@@ -42,7 +42,6 @@ paper's Table I/II numbers off the report:
 """
 
 from .api import (
-    Backend,
     CiphertextHandle,
     HEProgram,
     LocalBackend,
@@ -90,7 +89,7 @@ __version__ = "1.1.0"
 __all__ = [
     # client facade (start here)
     "Session", "CiphertextHandle", "HEProgram", "rotate", "sum_slots",
-    "Backend", "LocalBackend", "ProgramResult",
+    "LocalBackend", "ProgramResult",
     "SimulatedBackend", "SimulatedRun", "ProgramFuture",
     "LoweredProgram",
     # parameters

@@ -29,16 +29,15 @@ The modules:
 * :mod:`~repro.api.program` — :class:`CiphertextHandle` operator
   algebra, the expression DAG, :class:`HEProgram` with static
   depth/noise checks and job-stream lowering;
-* :mod:`~repro.api.backends` — the :class:`Backend` protocol and the
-  functional :class:`LocalBackend`, whose ciphertexts all live in the
-  evaluation (NTT) domain;
+* :mod:`~repro.api.backends` — the functional :class:`LocalBackend`,
+  whose ciphertexts all live in the evaluation (NTT) domain;
 * :mod:`~repro.api.simulated` — :class:`SimulatedBackend` with
   future-style request handles and latency telemetry; it remembers the
   last 64 INPUT handles the simulated server ingested and prices their
   uploads at zero transfer (:attr:`SimulatedRun.cache_hits`).
 """
 
-from .backends import Backend, LocalBackend, ProgramResult
+from .backends import LocalBackend, ProgramResult
 from .program import (
     CiphertextHandle,
     HEProgram,
@@ -64,7 +63,6 @@ __all__ = [
     "LoweredProgram",
     "rotate",
     "sum_slots",
-    "Backend",
     "LocalBackend",
     "ProgramResult",
     "SimulatedBackend",

@@ -1,4 +1,4 @@
-"""Program executors: the ``Backend`` protocol and the functional one.
+"""The functional program executor.
 
 A backend consumes a compiled :class:`~repro.api.program.HEProgram`.
 :class:`LocalBackend` here executes it for real — every graph node runs
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import weakref
 from contextlib import nullcontext
-from typing import Protocol, runtime_checkable
 
 from ..errors import NoiseBudgetExhausted, ParameterError
 from ..fv.ciphertext import Ciphertext
@@ -38,14 +37,6 @@ def _count_diff(before: dict[str, int],
                 after: dict[str, int]) -> dict[str, int]:
     return {key: after[key] - before[key] for key in after
             if after[key] != before[key]}
-
-
-@runtime_checkable
-class Backend(Protocol):
-    """Anything that can execute an :class:`HEProgram`."""
-
-    def run(self, program: HEProgram, **kwargs):  # pragma: no cover
-        ...
 
 
 class ProgramResult:

@@ -125,10 +125,3 @@ class EncryptedComparator:
         minimum = self.multiplex(a_lt_b, a, b)
         maximum = self.multiplex(a_lt_b, b, a)
         return minimum, maximum
-
-    def sort_two(self, x: int, y: int) -> tuple[int, int]:
-        """End-to-end demo: encrypt, oblivious sort, decrypt."""
-        ct_x = self.encrypt_value(x)
-        ct_y = self.encrypt_value(y)
-        low, high = self.compare_and_swap(ct_x, ct_y)
-        return self.decrypt_value(low), self.decrypt_value(high)

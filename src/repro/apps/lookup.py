@@ -108,8 +108,3 @@ class EncryptedLookupTable:
         """Compile one lookup into a backend-agnostic program."""
         return self.session.compile(self.reply_expr(index_bits),
                                     name="encrypted-lookup", check=check)
-
-    # -- client side again -------------------------------------------------------------
-
-    def decrypt_reply(self, reply) -> int:
-        return int(self.session.decrypt(reply)[0])

@@ -269,7 +269,7 @@ def cmd_cluster(args: argparse.Namespace) -> None:
 
     # -- chaos mode: seeded fault plan + replicated tenants ------------
     if args.faults is not None:
-        from .cluster import FaultPlan, RetryPolicy
+        from .faults import FaultPlan, RetryPolicy
 
         replicas = 2 if args.replicas is None else args.replicas
         capacity = shards * single_capacity

@@ -19,8 +19,6 @@ router on one shared simulated clock —
   any chaos run.
 """
 
-from ..faults import FailureReport, FaultEvent, FaultKind, FaultPlan, \
-    RetryPolicy
 from .cluster import FpgaCluster
 from .placement import ReplicatedPlacement
 from .report import ClusterReport
@@ -36,12 +34,7 @@ from .routing import (
 __all__ = [
     "FpgaCluster",
     "ClusterReport",
-    "FailureReport",
-    "FaultEvent",
-    "FaultKind",
-    "FaultPlan",
     "ReplicatedPlacement",
-    "RetryPolicy",
     "Router",
     "RoundRobinRouter",
     "LeastOutstandingWorkRouter",

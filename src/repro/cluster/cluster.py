@@ -83,7 +83,6 @@ class FpgaCluster:
         self._reroutes = 0
         self._heap: EventHeap | None = None
         self._attempts: dict[tuple, int] = {}
-        self._retries_scheduled = 0
         self._failure: FailureReport | None = None
 
     # -- constructors ------------------------------------------------------------------
@@ -155,7 +154,6 @@ class FpgaCluster:
         self._overflow: list[Rejection] = []
         self._reroutes = 0
         self._attempts = {}
-        self._retries_scheduled = 0
         if self.fault_plan is not None or self.placement is not None:
             self._failure = FailureReport(
                 plan_seed=None if self.fault_plan is None
@@ -291,23 +289,16 @@ class FpgaCluster:
         key = (job.tenant, job.index, job.request)
         attempt = self._attempts.get(key, 1) + 1
         self._attempts[key] = attempt
-        budget_spent = (retry.total_budget is not None
-                        and self._retries_scheduled >= retry.total_budget)
-        if attempt > retry.max_attempts or budget_spent:
+        if attempt > retry.max_attempts:
             self._failure.jobs_lost += 1
             self._overflow.append(Rejection(
                 job=job, time_seconds=now, reason="retry-budget"))
             return
-        self._retries_scheduled += 1
         due = now + retry.backoff_seconds(attempt - 1, token=job.index)
         first = (job.arrival_seconds if job.first_arrival_seconds is None
                  else job.first_arrival_seconds)
-        deadline = job.deadline_seconds
-        if deadline is None and retry.deadline_seconds is not None:
-            deadline = first + retry.deadline_seconds
         retried = replace(job, arrival_seconds=due,
-                          first_arrival_seconds=first,
-                          deadline_seconds=deadline)
+                          first_arrival_seconds=first)
         self._heap.push(due, EventKind.RETRY, (retried, origin), self)
 
     def _inject_retry(self, job: Job, origin: int) -> None:

@@ -35,7 +35,7 @@ class FailureReport:
     #: Retries that landed on a different board than the one that
     #: failed them — the hedged re-route count.
     jobs_relocated: int = 0
-    #: Accepted jobs the cluster gave up on (retry budget/attempts
+    #: Accepted jobs the cluster gave up on (``max_attempts``
     #: exhausted). The chaos gate pins this to zero.
     jobs_lost: int = 0
     #: Jobs priced with the cold-replica key-rehydration penalty.

@@ -1,8 +1,9 @@
 """Retry policy: exponential backoff with deterministic jitter.
 
 When a shard crash spills a job (or a transient fault kills one in the
-queue), the cluster re-routes it after a backoff delay. The delay
-grows exponentially per attempt and carries a small multiplicative
+queue), the cluster re-routes it after a backoff delay, up to
+``max_attempts`` tries per job; a retried job keeps its own deadline.
+The delay doubles per attempt and carries a small multiplicative
 jitter so a board's whole spilled queue does not re-arrive as one
 thundering herd at an identical instant — but the jitter is drawn from
 ``default_rng((seed, token, attempt))``, a pure function of the policy
@@ -24,25 +25,14 @@ class RetryPolicy:
     #: Total tries per job including the first routing (so 4 means the
     #: original attempt plus up to three retries).
     max_attempts: int = 4
-    #: Backoff before the first retry; doubles (times ``multiplier``)
-    #: per subsequent attempt. The default is on the order of a few
-    #: Mult service times — long enough to clear a transient, short
-    #: enough to stay inside a request deadline.
+    #: Backoff before the first retry; doubles per subsequent attempt.
+    #: The default is on the order of a few Mult service times — long
+    #: enough to clear a transient, short enough to stay inside a
+    #: request deadline.
     base_backoff_seconds: float = 0.002
-    multiplier: float = 2.0
     #: Jitter fraction: the drawn delay is uniform in
     #: ``[backoff * (1 - jitter), backoff * (1 + jitter)]``.
     jitter: float = 0.1
-    #: Optional cap on the *total* number of retries the cluster will
-    #: schedule across the whole run (a retry storm breaker). ``None``
-    #: means unbounded.
-    total_budget: int | None = None
-    #: Optional per-job deadline, measured from the job's first
-    #: arrival: retries are stamped with
-    #: ``first_arrival + deadline_seconds`` so a job cannot queue-camp
-    #: forever on a recovering cluster. ``None`` leaves any deadline
-    #: already on the job untouched.
-    deadline_seconds: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -50,8 +40,6 @@ class RetryPolicy:
             raise ValueError("need at least one attempt")
         if self.base_backoff_seconds < 0:
             raise ValueError("backoff cannot be negative")
-        if self.multiplier < 1.0:
-            raise ValueError("backoff must be non-decreasing")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
@@ -64,7 +52,7 @@ class RetryPolicy:
         """
         if attempt < 1:
             raise ValueError("attempts count from 1")
-        base = self.base_backoff_seconds * self.multiplier ** (attempt - 1)
+        base = self.base_backoff_seconds * 2.0 ** (attempt - 1)
         if self.jitter == 0.0 or base == 0.0:
             return base
         rng = np.random.default_rng((self.seed, token, attempt))

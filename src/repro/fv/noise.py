@@ -1,11 +1,11 @@
-"""Noise budget measurement and depth estimation (paper Sec. II-A).
+"""Noise budget measurement (paper Sec. II-A).
 
 The paper frames the multiplicative depth as the analogue of a circuit's
 critical path: each FV.Mult multiplies the noise by roughly a fixed
 factor, and decryption fails once the noise passes q/(2t). The functions
 here measure the actual noise of a ciphertext (given the secret key) and
-estimate how many further multiplications it can absorb — the executable
-form of the paper's "depth 4 with 180-bit q" claim.
+the budget it has left; :mod:`repro.fv.noise_model` bounds the noise
+analytically for the paper's "depth 4 with 180-bit q" claim.
 """
 
 from __future__ import annotations
@@ -50,16 +50,3 @@ def noise_budget_bits(context: FvContext, ct: Ciphertext,
                       secret: SecretKey) -> float:
     """Remaining noise budget of a ciphertext (see :func:`budget_bits`)."""
     return budget_bits(context.params, noise_of(context, ct, secret))
-
-
-def per_mult_cost_bits(context: FvContext, fresh_budget: float,
-                       after_one_mult: float) -> float:
-    """Observed budget consumption of one multiplication level."""
-    return fresh_budget - after_one_mult
-
-
-def estimated_depth(fresh_budget: float, mult_cost: float) -> int:
-    """How many sequential multiplications the budget supports."""
-    if mult_cost <= 0:
-        return 0
-    return max(0, int(fresh_budget // mult_cost))

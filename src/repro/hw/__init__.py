@@ -15,9 +15,10 @@ Component map (paper figure -> module):
 
 =============  ===========================================
 Fig. 3         :mod:`~repro.hw.ntt_unit` (access schedule)
-Fig. 4         :mod:`~repro.hw.butterfly`, :mod:`~repro.hw.modred`
+Fig. 4         :mod:`~repro.hw.butterfly`, :mod:`~repro.hw.modred`,
+               :mod:`~repro.hw.datapath`
 Fig. 5, 6      :mod:`~repro.hw.lift_unit`
-Fig. 7         :mod:`~repro.hw.datapath`
+Fig. 7         MAC DSP counts in :mod:`~repro.hw.resources`
 Fig. 8, 9      :mod:`~repro.hw.scale_unit`
 Fig. 10        :mod:`~repro.hw.coprocessor`, :mod:`~repro.hw.memory_file`
 Fig. 11        :mod:`~repro.hw.dma`, :mod:`repro.system.server`

@@ -47,7 +47,6 @@ class HardwareConfig:
     # is a 30x30 DSP multiplier, the sliding-window reduction, and a
     # modular add/sub, all pipelined to reach 200 MHz.
     multiplier_stages: int = 4
-    modred_stages: int = 6
     addsub_stages: int = 1
     pairing_lag: int = 2        # output re-pairing buffer of the NTT cores
 
@@ -92,12 +91,6 @@ class HardwareConfig:
 
     # -- derived quantities ------------------------------------------------------
 
-    @property
-    def butterfly_pipeline_depth(self) -> int:
-        """Read-to-write latency of one butterfly (Fig. 4 datapath)."""
-        return (self.multiplier_stages + self.modred_stages
-                + self.addsub_stages)
-
     def fpga_to_arm_cycles(self, cycles: int) -> int:
         """Convert FPGA cycles to the Arm-side counts the paper reports.
 
@@ -106,14 +99,6 @@ class HardwareConfig:
         register" — the Arm runs 6x faster than the fabric.
         """
         return round(cycles * self.arm_clock_hz / self.fpga_clock_hz)
-
-    def batches_for(self, residue_count: int) -> int:
-        """RPAU batches needed for `residue_count` parallel residue polys.
-
-        The paper runs the six q-primes in one batch and the full
-        thirteen-prime basis in two (Sec. V-A1).
-        """
-        return -(-residue_count // self.num_rpaus)
 
 
 def slow_coprocessor_config() -> HardwareConfig:

@@ -1,7 +1,7 @@
-"""Low-level pipelined arithmetic circuits (paper Figs. 4 and 7).
+"""Low-level pipelined arithmetic circuits of the butterfly (paper Fig. 4).
 
-These models carry both the functional operation and the structural
-figures (latency, DSP/LUT cost) consumed by the cycle and resource models.
+These models carry the functional operation and the latency consumed by
+the cycle model; the DSP counts below are consumed by the resource model.
 All datapaths are fully pipelined: latency is ``stages`` cycles, the
 initiation interval is one operation per cycle.
 """
@@ -37,13 +37,6 @@ class PipelinedMultiplier:
         return a * b
 
     @property
-    def dsp_cost(self) -> int:
-        """One DSP48 per 27x18 partial-product tile (2x2 = 4 for 30x30)."""
-        tiles_a = -(-self.a_bits // 27)
-        tiles_b = -(-self.b_bits // 18)
-        return tiles_a * tiles_b
-
-    @property
     def latency(self) -> int:
         return self.stages
 
@@ -65,22 +58,3 @@ class ModAddSub:
     @property
     def latency(self) -> int:
         return self.stages
-
-
-@dataclass(frozen=True)
-class MacUnit:
-    """Multiply-and-accumulate circuit of Fig. 7 (blue accumulate path).
-
-    Used by the lift/scale blocks: multiply a coefficient with a ROM
-    constant, reduce, optionally accumulate. Initiation interval one.
-    """
-
-    multiplier_stages: int
-    modred_stages: int
-
-    @property
-    def latency(self) -> int:
-        return self.multiplier_stages + self.modred_stages + 1
-
-    def mac(self, acc: int, a: int, constant: int, modulus: int) -> int:
-        return (acc + a * constant) % modulus

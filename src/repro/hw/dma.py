@@ -7,9 +7,9 @@ a 250 MHz DMA and finds that one contiguous burst per R_q polynomial
 Model: each chunk costs a descriptor/re-arm overhead plus its payload at
 the effective AXI bandwidth; a whole transfer job additionally pays an
 Arm-side setup cost. Parameters are fitted to the paper's own
-measurements (the fit and its residuals are documented in
-EXPERIMENTS.md; the 16 KiB-chunk row lands ~24% low, every other row
-within 4%):
+measurements (``python -m repro table3`` prints the fit beside the
+paper: the 16 KiB-chunk row lands ~24% low, every other row within
+4%):
 
 * single transfer of 98,304 B = 76 us  -> effective bandwidth 1.316 GB/s
   (5.27 bytes/cycle at 250 MHz, i.e. a 64-bit AXI stream at ~66%

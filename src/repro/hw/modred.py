@@ -52,10 +52,6 @@ class SlidingWindowReducer:
     # -- structural properties (consumed by the resource model) -------------------
 
     @property
-    def table_entries(self) -> int:
-        return 1 << self.window_bits
-
-    @property
     def pipeline_stages(self) -> int:
         """One pipeline stage per unrolled step plus the final correction."""
         return self.steps + 1
@@ -114,52 +110,3 @@ class BarrettReducer:
         while remainder >= self.modulus:
             remainder -= self.modulus
         return remainder
-
-
-class MontgomeryReducer:
-    """Montgomery reduction — the third classic option in the design space.
-
-    Works in the Montgomery domain (values scaled by R = 2^30 mod q), so
-    it suits long chains of multiplications (NTT butterflies qualify) but
-    needs domain entry/exit conversions the sliding-window design avoids.
-    One extra multiplier per reduction; no ROM.
-    """
-
-    def __init__(self, modulus: int) -> None:
-        if modulus < 3 or modulus % 2 == 0:
-            raise ParameterError("Montgomery needs an odd modulus >= 3")
-        if modulus.bit_length() > RESIDUE_BITS:
-            raise ParameterError(
-                f"modulus wider than the {RESIDUE_BITS}-bit datapath"
-            )
-        self.modulus = modulus
-        self.r_bits = RESIDUE_BITS
-        self.r = 1 << self.r_bits
-        self.r_mask = self.r - 1
-        # -q^-1 mod R.
-        self.q_inv_neg = (-pow(modulus, -1, self.r)) % self.r
-        self.r_squared = (self.r * self.r) % modulus
-
-    @property
-    def extra_multipliers(self) -> int:
-        return 1
-
-    def to_montgomery(self, value: int) -> int:
-        """Enter the Montgomery domain: value * R mod q."""
-        return self.reduce(value * self.r_squared)
-
-    def from_montgomery(self, value: int) -> int:
-        """Leave the Montgomery domain: value * R^-1 mod q."""
-        return self.reduce(value)
-
-    def reduce(self, value: int) -> int:
-        """REDC: value * R^-1 mod q for value < q * R."""
-        if value < 0 or value >= self.modulus * self.r:
-            raise HardwareModelError("operand outside the REDC range")
-        m = (value & self.r_mask) * self.q_inv_neg & self.r_mask
-        t = (value + m * self.modulus) >> self.r_bits
-        return t - self.modulus if t >= self.modulus else t
-
-    def modmul(self, a_mont: int, b_mont: int) -> int:
-        """Product of two Montgomery-domain residues, still in-domain."""
-        return self.reduce(a_mont * b_mont)

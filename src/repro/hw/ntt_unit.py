@@ -17,7 +17,8 @@ This module turns the paper's prose and Fig. 3 into executable structure:
   those values and to the closed form's cycles, prime by prime (conflict-
   freedom and the paired-operand invariant come with it).
 
-Index bookkeeping (derived in DESIGN.md): at entry of stage s
+Index bookkeeping (:meth:`~DualCoreNttUnit.run_strict` asserts the
+paired-operand invariant it implies): at entry of stage s
 (butterflies pair indices differing in bit s-1), coefficient index i
 lives in word ``drop_bit(i, s-1)`` at slot ``bit(i, s-1)``. Stage-s
 writes re-pair outputs for stage s+1: index i moves to word

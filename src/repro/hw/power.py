@@ -46,8 +46,3 @@ class PowerModel:
 
     def peak_watts(self) -> float:
         return self.total_watts(self.config.num_coprocessors)
-
-    def energy_per_mult_joules(self, mult_seconds: float,
-                               active_coprocessors: int = 1) -> float:
-        """Energy attributable to one Mult."""
-        return self.total_watts(active_coprocessors) * mult_seconds

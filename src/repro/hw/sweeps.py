@@ -82,19 +82,3 @@ def sweep_butterfly_cores(params: ParameterSet) -> list[DesignPoint]:
                        replace(base, butterfly_cores_per_rpau=count))
         for count in (1, 2)
     ]
-
-
-def pareto_front(points: list[DesignPoint]) -> list[DesignPoint]:
-    """Points not dominated in (latency, LUT cost)."""
-    front = []
-    for point in points:
-        dominated = any(
-            other.mult_seconds <= point.mult_seconds
-            and other.resources.luts < point.resources.luts
-            or other.mult_seconds < point.mult_seconds
-            and other.resources.luts <= point.resources.luts
-            for other in points if other is not point
-        )
-        if not dominated:
-            front.append(point)
-    return front

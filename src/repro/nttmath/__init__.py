@@ -10,11 +10,10 @@ from .batch import (
     basis_transformer,
     intt_rows,
     ntt_rows,
-    reset_transform_counts,
     transform_counts,
 )
-from .bitrev import bit_reverse_indices, bit_reverse_int, bit_reverse_permute
-from .modmath import mod_centered, modinv, modpow
+from .bitrev import bit_reverse_indices, bit_reverse_permute
+from .modmath import modinv, modpow
 from .ntt import (
     NegacyclicTransformer,
     intt_iterative,
@@ -32,13 +31,11 @@ from .primes import (
 __all__ = [
     "modinv",
     "modpow",
-    "mod_centered",
     "find_ntt_primes",
     "is_prime",
     "primitive_root",
     "root_of_unity",
     "bit_reverse_indices",
-    "bit_reverse_int",
     "bit_reverse_permute",
     "NegacyclicTransformer",
     "BasisTransformer",
@@ -46,7 +43,6 @@ __all__ = [
     "ntt_rows",
     "intt_rows",
     "transform_counts",
-    "reset_transform_counts",
     "power_table",
     "ntt_iterative",
     "intt_iterative",

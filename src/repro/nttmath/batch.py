@@ -95,10 +95,11 @@ TRANSFORM_COUNTER = _obs_counter(
 Values live in whichever :class:`~repro.obs.MetricsRegistry` is
 active — the :func:`~repro.obs.scoped_metrics` context gives each test
 or concurrent backend its own counter plane, which is what makes
-:func:`reset_transform_counts` safe to call without corrupting a
-sibling's telemetry (the pre-registry global counter hazard). The
-counters drive :class:`~repro.api.backends.LocalBackend` telemetry,
-which is how the tests pin the transform rows each op and program pays.
+resetting the counters (``MetricsRegistry.reset_instrument``) safe
+without corrupting a sibling's telemetry (the pre-registry global
+counter hazard). The counters drive
+:class:`~repro.api.backends.LocalBackend` telemetry, which is how the
+tests pin the transform rows each op and program pays.
 """
 
 _TRANSFORM_KEYS = ("forward_rows", "inverse_rows", "forward_calls",
@@ -114,11 +115,6 @@ def transform_counts() -> dict[str, int]:
     """Current transform counters (of the active registry) as a dict."""
     return {key: int(TRANSFORM_COUNTER.value(kind=key))
             for key in _TRANSFORM_KEYS}
-
-
-def reset_transform_counts() -> None:
-    """Zero the transform counters *in the active registry only*."""
-    current_registry().reset_instrument(TRANSFORM_COUNTER.spec.name)
 
 
 @dataclass(frozen=True)

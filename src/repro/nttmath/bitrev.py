@@ -10,15 +10,6 @@ from ..errors import ParameterError
 from ..utils import log2_exact
 
 
-def bit_reverse_int(value: int, bits: int) -> int:
-    """Reverse the low ``bits`` bits of ``value``."""
-    result = 0
-    for _ in range(bits):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
-
-
 @lru_cache(maxsize=None)
 def _bit_reverse_array_cached(length: int) -> np.ndarray:
     """Read-only cached index array (vectorised doubling build).

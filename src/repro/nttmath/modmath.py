@@ -26,11 +26,3 @@ def modinv(value: int, modulus: int) -> int:
             f"{value} has no inverse modulo {modulus}: operands not coprime"
         ) from exc
 
-
-def mod_centered(value: int, modulus: int) -> int:
-    """Centered representative of ``value`` in (-modulus/2, modulus/2]."""
-    value %= modulus
-    if value > modulus // 2:
-        value -= modulus
-    return value
-

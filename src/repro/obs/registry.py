@@ -2,7 +2,7 @@
 
 Before this module existed the repo's counters were bare module
 globals (``TRANSFORM_STATS`` in :mod:`repro.nttmath.batch`): one
-backend calling ``reset_transform_counts()`` silently corrupted every
+backend resetting the transform counters silently corrupted every
 other backend's telemetry in the same process, and tests had to be
 careful not to observe each other. The registry holds process-level
 engine facts that have no other record (transforms, parallel

@@ -24,7 +24,6 @@ from .passes import (
     RotationCanonicalizePass,
     RotationFoldPass,
     RotationHoistPass,
-    program_fingerprint,
 )
 from .stats import GraphStats, OptimizationReport, PassStats
 
@@ -42,5 +41,4 @@ __all__ = [
     "RotationHoistPass",
     "default_passes",
     "optimize_program",
-    "program_fingerprint",
 ]

@@ -102,24 +102,6 @@ def rebuild(outputs: dict[str, ExprNode],
     return {label: memo[id(node)] for label, node in outputs.items()}
 
 
-def program_fingerprint(program: HEProgram) -> tuple:
-    """Structural fingerprint: equal iff the DAGs are isomorphic over
-    the same INPUT nodes (the idempotence tests compare these)."""
-    index: dict[int, int] = {}
-    rows = []
-    for i, node in enumerate(program.nodes):
-        index[id(node)] = i
-        payload = (None if node.op is OpKind.INPUT
-                   else payload_key(node))
-        rows.append((node.op.value, payload,
-                     tuple(index[id(a)] for a in node.args)))
-    outs = tuple(sorted(
-        (label, index[id(node)])
-        for label, node in program.outputs.items()
-    ))
-    return (tuple(rows), outs)
-
-
 @dataclass
 class PassContext:
     """Shared state the manager threads through the stack."""

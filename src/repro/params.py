@@ -288,11 +288,6 @@ def large_ring(n: int, t: int = 2) -> ParameterSet:
     return sets[n](t=t)
 
 
-def table5_parameter_points() -> list[tuple[int, int]]:
-    """(n, log2 q) points of the paper's Table V scaling study."""
-    return [(2 ** 12, 180), (2 ** 13, 360), (2 ** 14, 720), (2 ** 15, 1440)]
-
-
 @lru_cache(maxsize=None)
 def table5_large(t: int = 2) -> ParameterSet:
     """The second Table V point, actually instantiated: n = 8192, 360-bit q.

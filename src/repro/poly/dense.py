@@ -64,9 +64,6 @@ class IntPoly:
         """Max absolute value of the centered coefficients."""
         return max((abs(c) for c in self.centered()), default=0)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     # -- ring arithmetic -----------------------------------------------------
 
     def _assert_compatible(self, other: IntPoly) -> None:
@@ -133,9 +130,3 @@ class IntPoly:
             for c in self.centered()
         ]
         return IntPoly(tuple(v % new_modulus for v in scaled), new_modulus)
-
-    def mod_switch(self, new_modulus: int) -> IntPoly:
-        """Reduce the centered coefficients into a (possibly smaller) ring."""
-        return IntPoly(
-            tuple(c % new_modulus for c in self.centered()), new_modulus
-        )

@@ -22,7 +22,6 @@ the FV scheme and the hardware model:
 from .basis import LiftContext, RnsBasis, ScaleContext
 from .decompose import (
     WordDecomp,
-    recompose_signed_digits,
     signed_digit_decompose,
 )
 from .lift import lift_hps, lift_traditional
@@ -37,6 +36,5 @@ __all__ = [
     "scale_hps",
     "scale_traditional",
     "signed_digit_decompose",
-    "recompose_signed_digits",
     "WordDecomp",
 ]

@@ -59,14 +59,6 @@ def signed_digit_decompose(value: int, base: int, count: int) -> list[int]:
     return digits
 
 
-def recompose_signed_digits(digits: list[int], base: int) -> int:
-    """Inverse of :func:`signed_digit_decompose`."""
-    value = 0
-    for digit in reversed(digits):
-        value = value * base + digit
-    return value
-
-
 def decompose_poly_signed(coeffs: list[int], modulus: int, base: int,
                           count: int) -> list[list[int]]:
     """Signed digit decomposition of a polynomial's centered coefficients.

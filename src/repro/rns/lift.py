@@ -53,7 +53,7 @@ def hps_quotient(basis: RnsBasis, x_prime: np.ndarray) -> np.ndarray:
     s_lo = (x_prime * basis.recip_lo_col).sum(axis=0)
     # v' = floor((T + 2^88) / 2^89); the carry propagation below is exact
     # because the discarded low 30 bits can never push the sum across a
-    # multiple of 2^89 (see DESIGN.md / tests for the proof obligation).
+    # multiple of 2^89 (tests/test_rns.py checks it against big integers).
     half = 1 << (RECIP_FRACTION_BITS - 1 - 30)  # 2^88 expressed in 2^30 units
     carry = s_lo >> 30
     return (s_hi + half + carry) >> (RECIP_FRACTION_BITS - 30)
@@ -221,35 +221,6 @@ def _quotient_from_limbs(limb_sums: np.ndarray) -> np.ndarray:
     s_hi = s2 + (s3 << 15)
     half = 1 << (RECIP_FRACTION_BITS - 1 - 30)
     return (s_hi + half + (s_lo >> 30)) >> (RECIP_FRACTION_BITS - 30)
-
-
-def lift_hps_reference(context: LiftContext,
-                       residues: np.ndarray) -> np.ndarray:
-    """Big-integer re-evaluation of the HPS formula (for testing).
-
-    Computes exactly the same quantity as :func:`lift_hps` but with
-    unbounded Python integers, proving the limb-split arithmetic exact.
-    """
-    basis = context.source
-    matrix = _check_input(basis, residues)
-    n = matrix.shape[1]
-    out = np.empty((len(context.target_primes), n), dtype=np.int64)
-    half = 1 << (RECIP_FRACTION_BITS - 1)
-    for col in range(n):
-        x_prime = [
-            int(matrix[i, col]) * basis.q_tilde[i] % basis.primes[i]
-            for i in range(basis.size)
-        ]
-        total = sum(
-            xp * basis.recip[i] for i, xp in enumerate(x_prime)
-        )
-        v = (total + half) >> RECIP_FRACTION_BITS
-        value = sum(
-            xp * basis.q_star[i] for i, xp in enumerate(x_prime)
-        ) - v * basis.modulus
-        for j, t_j in enumerate(context.target_primes):
-            out[j, col] = value % t_j
-    return out
 
 
 def lift_traditional(context: LiftContext,

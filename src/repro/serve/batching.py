@@ -5,10 +5,9 @@ Table I prices each polynomial burst with its own Arm-side DMA setup
 setups. When a backlog exists, the runtime can coalesce the uploads of
 several queued jobs into one descriptor train: the payload bursts still
 pay full DMA time, but the Arm setup is paid once per train instead of
-once per polynomial. This is the server-side face of the batching that
-:meth:`repro.system.network.ClientSession.batched_throughput` models on
-the network side — one network request (one request latency) carries
-the operands of many operations, and one DMA train moves them to BRAM.
+once per polynomial. It is the server-side half of client batching:
+when one network request carries the operands of many operations, one
+DMA train moves them all to BRAM.
 """
 
 from __future__ import annotations

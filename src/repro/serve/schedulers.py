@@ -184,11 +184,9 @@ class WorkStealingScheduler(Scheduler):
 
     name = "steal"
 
-    def __init__(self, num_queues: int | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._queues: list[deque[QueueEntry]] = (
-            [deque() for _ in range(num_queues)] if num_queues else []
-        )
+        self._queues: list[deque[QueueEntry]] = []
         self._next = 0
 
     def bind(self, num_coprocessors: int) -> None:

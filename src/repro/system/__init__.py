@@ -7,7 +7,7 @@
 * :mod:`~repro.system.server` — :class:`~repro.system.server.CostModel`,
   the per-job price list of the dual-coprocessor cloud server;
 * :mod:`~repro.system.workloads` — homomorphic job streams (saturating,
-  Poisson, bursty MMPP, multi-tenant) for the throughput experiments.
+  Poisson, multi-tenant, closed-loop) for the throughput experiments.
 
 The discrete-event serving runtime built on these models lives in
 :mod:`repro.serve`.
@@ -21,7 +21,6 @@ from .workloads import (
     JobKind,
     merge_streams,
     mixed_workload,
-    mmpp_stream,
     mult_stream,
     multi_tenant_stream,
     poisson_stream,
@@ -36,7 +35,6 @@ __all__ = [
     "mult_stream",
     "merge_streams",
     "mixed_workload",
-    "mmpp_stream",
     "multi_tenant_stream",
     "poisson_stream",
 ]

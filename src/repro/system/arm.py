@@ -19,10 +19,6 @@ from ..params import ParameterSet
 #: Calibrated from Table I: 54,680,467 cycles / (2 * 6 * 4096) additions.
 ARM_CYCLES_PER_MODADD = 1112
 
-#: Modular multiplication with reduction is ~3x a modular addition on the
-#: in-order A53 once both operands stream from DDR.
-ARM_CYCLES_PER_MODMUL = 3336
-
 
 @dataclass(frozen=True)
 class ArmCoreModel:
@@ -41,16 +37,3 @@ class ArmCoreModel:
 
     def add_in_sw_seconds(self, params: ParameterSet) -> float:
         return self.add_in_sw_cycles(params) / self.clock_hz
-
-    def mult_in_sw_seconds(self, params: ParameterSet) -> float:
-        """FV.Mult in Arm software (never worth it; shown for scale).
-
-        Uses the same operation counts as the instrumented baseline with
-        the Arm per-op constants.
-        """
-        from .baseline import count_mult_operations
-
-        ops = count_mult_operations(params)
-        cycles = (ops.modmuls * ARM_CYCLES_PER_MODMUL
-                  + ops.modadds * ARM_CYCLES_PER_MODADD)
-        return cycles / self.clock_hz

@@ -87,10 +87,6 @@ def count_mult_operations(params: ParameterSet) -> OperationCounts:
     return total
 
 
-def count_add_operations(params: ParameterSet) -> OperationCounts:
-    return OperationCounts(modmuls=0, modadds=2 * params.k_q * params.n)
-
-
 @dataclass(frozen=True)
 class SoftwareBaseline:
     """The Intel i5 / FV-NFLlib reference point."""
@@ -105,9 +101,6 @@ class SoftwareBaseline:
 
     def mult_seconds(self) -> float:
         return self._seconds(count_mult_operations(self.params))
-
-    def add_seconds(self) -> float:
-        return self._seconds(count_add_operations(self.params))
 
     def mults_per_second(self) -> float:
         return 1.0 / self.mult_seconds()

@@ -5,8 +5,8 @@ from network clients (Fig. 11). These generators produce deterministic
 job streams for the scheduler simulations: pure Mult streams for the
 400-Mult/s headline, mixed Add/Mult streams shaped like the smart-grid
 forecasting application of [4] (many additions per multiplication),
-and open-loop arrival processes — Poisson, bursty MMPP, and
-multi-tenant superpositions — for the serving-runtime experiments.
+and open-loop arrival processes — Poisson and multi-tenant
+superpositions — for the serving-runtime experiments.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ def mult_stream(count: int) -> list[Job]:
     return [Job(index=i, kind=JobKind.MULT) for i in range(count)]
 
 
-def add_stream(count: int) -> list[Job]:
-    return [Job(index=i, kind=JobKind.ADD) for i in range(count)]
-
-
 def poisson_stream(rate_per_second: float, duration_seconds: float,
                    kind: JobKind = JobKind.MULT,
                    seed: int = 0,
@@ -88,52 +84,6 @@ def poisson_stream(rate_per_second: float, duration_seconds: float,
     index = 0
     while True:
         now += rng.exponential(1.0 / rate_per_second)
-        if now >= duration_seconds:
-            break
-        jobs.append(Job(index=index, kind=kind, arrival_seconds=now,
-                        tenant=tenant))
-        index += 1
-    return jobs
-
-
-def mmpp_stream(low_rate: float, high_rate: float,
-                mean_dwell_seconds: float, duration_seconds: float,
-                kind: JobKind = JobKind.MULT, seed: int = 0,
-                tenant: str = DEFAULT_TENANT) -> list[Job]:
-    """Two-state Markov-modulated Poisson process (bursty clients).
-
-    The process alternates between a quiet state (``low_rate``) and a
-    burst state (``high_rate``); dwell times in each state are
-    exponential with the given mean. MMPP is the standard model for
-    bursty request traffic — the time-averaged rate is the mean of the
-    two rates, but arrivals cluster, which stresses schedulers and
-    admission control far more than a plain Poisson stream of the same
-    average rate.
-    """
-    if low_rate < 0 or high_rate <= 0:
-        raise ValueError("rates must be non-negative (high rate positive)")
-    if mean_dwell_seconds <= 0 or duration_seconds <= 0:
-        raise ValueError("dwell and duration must be positive")
-    rng = np.random.default_rng(seed)
-    jobs: list[Job] = []
-    now = 0.0
-    index = 0
-    rate = low_rate
-    state_end = rng.exponential(mean_dwell_seconds)
-    while now < duration_seconds:
-        if rate <= 0:
-            now = state_end
-        else:
-            now += rng.exponential(1.0 / rate)
-        if now >= state_end:
-            # Switch state; the interrupted inter-arrival gap is
-            # re-drawn at the new rate (memorylessness makes this
-            # exact). Checked before the duration cut-off so a long
-            # quiet-state draw cannot swallow the bursts behind it.
-            now = state_end
-            rate = high_rate if rate == low_rate else low_rate
-            state_end = now + rng.exponential(mean_dwell_seconds)
-            continue
         if now >= duration_seconds:
             break
         jobs.append(Job(index=index, kind=kind, arrival_seconds=now,

@@ -21,18 +21,6 @@ def log2_exact(value: int) -> int:
     return value.bit_length() - 1
 
 
-def bit_length_of(value: int) -> int:
-    """Bit length of a non-negative integer (0 has bit length 0)."""
-    if value < 0:
-        raise ValueError("bit_length_of expects a non-negative integer")
-    return value.bit_length()
-
-
-def ceil_div(numerator: int, denominator: int) -> int:
-    """Ceiling division for non-negative integers."""
-    return -(-numerator // denominator)
-
-
 def round_half_away(numerator: int, denominator: int) -> int:
     """Round ``numerator / denominator`` to the nearest integer.
 

@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterReport,
-    FaultEvent,
-    FaultKind,
-    FaultPlan,
     FpgaCluster,
     LeastOutstandingWorkRouter,
     PowerOfTwoChoicesRouter,
@@ -22,6 +19,7 @@ from repro.cluster import (
     TenantAffinityRouter,
 )
 from repro.cluster.routing import rendezvous_order
+from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.hw.config import HardwareConfig
 from repro.obs import cluster_timeline
 from repro.params import hpca19

@@ -1,5 +1,5 @@
 """Tests for the extension modules: analytic noise model, encrypted
-comparator, network model, NTT trace, and CLI."""
+comparator, Fig. 3 rendering, and CLI."""
 
 import hashlib
 import itertools
@@ -14,10 +14,8 @@ from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.fv.noise import noise_of
 from repro.fv.noise_model import NoiseModel
-from repro.hw.trace import NttTrace, render_fig3
+from repro.hw.trace import render_fig3
 from repro.params import hpca19, mini, toy
-from repro.system.network import ClientSession, NetworkModel
-from repro.system.server import CostModel
 
 
 class TestNoiseModel:
@@ -106,8 +104,10 @@ class TestComparator:
     def test_compare_and_swap_sorts(self, comparator_session):
         comparator = EncryptedComparator(comparator_session, bits=3)
         for x, y in ((5, 2), (0, 7), (3, 3), (6, 1)):
-            low, high = comparator.sort_two(x, y)
-            assert (low, high) == (min(x, y), max(x, y)), (x, y)
+            low, high = comparator.compare_and_swap(
+                comparator.encrypt_value(x), comparator.encrypt_value(y))
+            assert (comparator.decrypt_value(low),
+                    comparator.decrypt_value(high)) == (min(x, y), max(x, y))
 
     def test_value_roundtrip(self, comparator_session):
         comparator = EncryptedComparator(comparator_session, bits=4)
@@ -139,82 +139,7 @@ class TestComparator:
             comparator.less_than(a[:2], a)
 
 
-class TestNetworkModel:
-    @pytest.fixture(scope="class")
-    def client(self):
-        params = hpca19()
-        return ClientSession(params, CostModel(params))
-
-    def test_round_trip_composition(self, client):
-        trip = client.mult_round_trip()
-        assert trip.total_seconds == pytest.approx(
-            trip.upload_seconds + trip.server_seconds
-            + trip.download_seconds
-        )
-        assert trip.upload_seconds > trip.download_seconds
-
-    def test_naive_deployment_is_network_bound(self, client):
-        """The extension finding: gigabit Ethernet cannot feed 400/s of
-        one-shot multiplications (2 x 196 KiB operands each)."""
-        assert client.is_network_bound()
-        assert client.network_bound_throughput() < 300
-
-    def test_batching_recovers_fpga_throughput(self, client):
-        assert client.batched_throughput(4) == pytest.approx(
-            client.cost.mult_throughput_per_second()
-        )
-
-    def test_effective_throughput_is_minimum(self, client):
-        assert client.effective_throughput() == pytest.approx(
-            min(client.cost.mult_throughput_per_second(),
-                client.network_bound_throughput())
-        )
-
-    def test_batching_validation(self, client):
-        with pytest.raises(ValueError):
-            client.batched_throughput(0)
-
-    def test_faster_network_removes_bottleneck(self):
-        params = hpca19()
-        tenG = NetworkModel(bandwidth_bytes_per_sec=10 * 125_000_000)
-        client = ClientSession(params, CostModel(params), tenG)
-        assert not client.is_network_bound()
-
-    def test_fpga_bound_crossover_between_1_and_4_gbps(self, client):
-        """At 70 % link efficiency the FPGA, not the network, becomes the
-        bottleneck somewhere between 1 and 4 Gbit/s (~1.9 Gbit/s)."""
-        def fpga_bound(mbps):
-            network = NetworkModel(
-                bandwidth_bytes_per_sec=mbps * 1e6 / 8 * 0.70)
-            return not ClientSession(client.params, client.cost,
-                                     network).is_network_bound()
-
-        crossover = next(mbps for mbps in range(500, 5001, 100)
-                         if fpga_bound(mbps))
-        assert 1000 < crossover <= 4000
-
-
-class TestNttTrace:
-    def test_capture_and_verify(self):
-        trace = NttTrace.capture(256)
-        trace.verify_port_limits()
-        # log2(256) stages x (reads + writes) x 128 words.
-        assert len(trace.events) == 8 * 2 * 128
-
-    def test_stage_filtering(self):
-        trace = NttTrace.capture(64)
-        reads = trace.stage_events(1, kind="R")
-        assert len(reads) == 32
-        assert all(e.kind == "R" for e in reads)
-
-    def test_occupancy_at_most_one(self):
-        trace = NttTrace.capture(128)
-        for stage in range(1, 8):
-            assert all(
-                count == 1
-                for count in trace.port_occupancy(stage).values()
-            )
-
+class TestRenderFig3:
     def test_render_fig3_contains_inverted_order(self):
         figure = render_fig3(4096)
         assert "1536, 512, 1537, 513" in figure

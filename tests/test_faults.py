@@ -101,8 +101,7 @@ class TestFaultPlan:
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(base_backoff_seconds=0.01, multiplier=2.0,
-                             jitter=0.0)
+        policy = RetryPolicy(base_backoff_seconds=0.01, jitter=0.0)
         assert policy.backoff_seconds(1) == pytest.approx(0.01)
         assert policy.backoff_seconds(3) == pytest.approx(0.04)
 
@@ -122,7 +121,7 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
         with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
+            RetryPolicy(base_backoff_seconds=-0.01)
         with pytest.raises(ValueError):
             RetryPolicy().backoff_seconds(0)
 
@@ -449,6 +448,30 @@ class TestClusterFaults:
 
         assert sorted(completed(report) + [r.job.index for r in lost]) \
             == sorted(completed(healthy))
+
+    @pytest.mark.parametrize("deadline", [None, 1.0])
+    def test_retried_job_keeps_its_own_deadline(self, deadline):
+        """A retry moves the arrival, never the deadline: a job without
+        one gains none, and a job with one keeps it."""
+        names = [f"shard{i}" for i in range(4)]
+        placement = ReplicatedPlacement(names, replicas=2)
+        tenant = next(t for t in (f"hot{i}" for i in range(64))
+                      if placement.primary(t) == 1)
+        jobs = [Job(index=i, kind=JobKind.MULT, arrival_seconds=i * 0.0002,
+                    tenant=tenant, deadline_seconds=deadline)
+                for i in range(120)]
+        plan = FaultPlan.board_kill(1, 0.012, recover_at=0.03)
+        report = FpgaCluster.homogeneous(
+            PARAMS, 4, router=TenantAffinityRouter(), fault_plan=plan,
+            replicas=2).run(jobs)
+        check_cluster_conservation(report, jobs)
+        retried = [r.job for shard in report.shard_reports
+                   for r in shard.results
+                   if r.job.first_arrival_seconds is not None]
+        assert len(retried) == report.failure.jobs_retried > 0
+        assert {job.deadline_seconds for job in retried} == {deadline}
+        assert all(job.arrival_seconds > job.first_arrival_seconds
+                   for job in retried)
 
     def test_transient_job_failures_retry_in_place(self):
         events = tuple(FaultEvent(t, FaultKind.JOB_FAIL, 0)

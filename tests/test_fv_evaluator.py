@@ -7,12 +7,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
-from repro.fv.noise import (
-    estimated_depth,
-    noise_budget_bits,
-    noise_of,
-    per_mult_cost_bits,
-)
+from repro.fv.noise import noise_budget_bits, noise_of
 from repro.fv.reference import TextbookFv
 from repro.nttmath.ntt import negacyclic_convolution
 from repro.rns.decompose import WordDecomp
@@ -211,21 +206,3 @@ class TestDepth:
             )
         assert all(b1 > b2 for b1, b2 in zip(budgets, budgets[1:], strict=False))
         assert budgets[-1] > 0
-
-    def test_depth_estimator(self):
-        assert estimated_depth(100.0, 20.0) == 5
-        assert estimated_depth(100.0, 0.0) == 0
-
-    def test_per_mult_cost(self, mini_context, mini_keys):
-        evaluator = Evaluator(mini_context)
-        params = mini_context.params
-        plain = Plaintext.from_list([1, 1], params.n, params.t)
-        ct = mini_context.encrypt(plain, mini_keys.public)
-        fresh = noise_budget_bits(mini_context, ct, mini_keys.secret)
-        after = noise_budget_bits(
-            mini_context,
-            evaluator.multiply(ct, ct, mini_keys.relin),
-            mini_keys.secret,
-        )
-        cost = per_mult_cost_bits(mini_context, fresh, after)
-        assert 0 < cost < fresh

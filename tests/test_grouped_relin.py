@@ -1,6 +1,6 @@
 """Tests for grouped RNS relinearisation and the Table V validation.
 
-The headline finding (documented in EXPERIMENTS.md): the paper's Table V
+The finding these tests pin: the paper's Table V
 scaling rule implicitly assumes the relinearisation component count stays
 constant as the basis grows. With naive per-prime digits the simulated
 (2^13, 360-bit) Mult grows 3.6x; with 60-bit grouped digits it lands on

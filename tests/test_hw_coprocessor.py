@@ -34,10 +34,11 @@ from repro.rns.decompose import WordDecomp
 CONFIG = HardwareConfig()
 
 # Call counts of one compiled Mult. NTT/INTT/CMUL/REARRANGE/LIFT/SCALE
-# are the paper's Table II literals; CADD follows our documented
-# bookkeeping (the paper counts 26, see EXPERIMENTS.md), and the digit
-# broadcasts and key loads are the k_q = 6 components Table II folds
-# into its Mult timing.
+# are the paper's Table II literals. CADD is the compiled program's
+# count — 2 in the tensor, 10 accumulating the six relinearisation
+# digits, 2 adding the relinearised parts (hw/compiler.py) — where the
+# paper lists 26 without a breakdown. The digit broadcasts and key
+# loads are the k_q = 6 components Table II folds into its Mult timing.
 PAPER_CALLS = {
     Opcode.NTT: 14,
     Opcode.INTT: 8,

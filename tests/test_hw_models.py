@@ -40,10 +40,6 @@ class TestHardwareConfig:
         """Arm @1.2 GHz counts 6 cycles per FPGA cycle @200 MHz."""
         assert CONFIG.fpga_to_arm_cycles(1000) == 6000
 
-    def test_batches(self):
-        assert CONFIG.batches_for(6) == 1
-        assert CONFIG.batches_for(13) == 2
-
     def test_slow_config(self):
         slow = slow_coprocessor_config()
         assert slow.fpga_clock_hz == 225_000_000
@@ -192,10 +188,6 @@ class TestPowerModel:
     def test_power_well_below_i5(self, power):
         """The paper's efficiency argument: i5 reaches ~40 W."""
         assert power.peak_watts() < 40 / 4
-
-    def test_energy_per_mult(self, power):
-        energy = power.energy_per_mult_joules(4.458e-3, 1)
-        assert 0.02 < energy < 0.05  # tens of millijoules
 
 
 class TestScalingModel:

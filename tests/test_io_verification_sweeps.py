@@ -11,8 +11,6 @@ from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.hw.config import HardwareConfig
 from repro.hw.sweeps import (
-    evaluate_point,
-    pareto_front,
     sweep_butterfly_cores,
     sweep_conversion_cores,
     sweep_coprocessor_count,
@@ -166,23 +164,6 @@ class TestSweeps:
         single, dual = sweep_butterfly_cores(paper_params)
         assert dual.mult_seconds < single.mult_seconds
         assert dual.resources.dsps > single.resources.dsps
-
-    def test_pareto_front_excludes_dominated(self, paper_params):
-        base = HardwareConfig()
-        good = evaluate_point(paper_params, "good", base)
-        # Same latency knobs, strictly more logic: dominated.
-        bloated = evaluate_point(
-            paper_params, "bloated",
-            replace(base, lift_cores=4, scale_cores=4),
-        )
-        slower = evaluate_point(
-            paper_params, "slower",
-            replace(base, butterfly_cores_per_rpau=1),
-        )
-        front = pareto_front([good, bloated, slower])
-        labels = {p.label for p in front}
-        assert "good" in labels
-        assert "slower" in labels  # cheaper, slower: on the front
 
     def test_rows_render(self, paper_params):
         for point in sweep_butterfly_cores(paper_params):

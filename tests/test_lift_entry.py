@@ -6,9 +6,9 @@ However an operand reached that domain — encrypted there, brought in
 from coefficients through the door (``Ciphertext.to_ntt``), or assembled
 part by part (``RnsPoly.to_ntt``) — the parts must be those of an
 integer oracle that never touches the transform engine —
-``lift_hps_reference``, exact schoolbook negacyclic products per prime,
-``scale_hps`` — for exactly 4 k_p forward / 4 k_q + 3 k_total inverse
-rows. A coefficient-domain operand is refused, not converted. An
+``test_rns.lift_hps_reference``, exact schoolbook negacyclic products
+per prime, ``scale_hps`` — for exactly 4 k_p forward / 4 k_q + 3 k_total
+inverse rows. A coefficient-domain operand is refused, not converted. An
 operand may also arrive already lifted (``Evaluator.lift``), and a
 square lifts its two parts once.
 """
@@ -28,8 +28,8 @@ from repro.nttmath import batch
 from repro.obs import Tracer
 from repro.parallel import use_executor
 from repro.params import hpca19, mini, toy
-from repro.rns.lift import lift_hps_reference
 from repro.rns.scale import scale_hps
+from test_rns import lift_hps_reference
 
 
 def _negacyclic(a, b, p):

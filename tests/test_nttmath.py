@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.nttmath.bitrev import (
     bit_reverse_indices,
-    bit_reverse_int,
     bit_reverse_permute,
 )
-from repro.nttmath.modmath import mod_centered, modinv, modpow
+from repro.nttmath.modmath import modinv, modpow
 from repro.nttmath.ntt import (
     NegacyclicTransformer,
     intt_iterative,
@@ -40,10 +39,6 @@ class TestModMath:
     def test_modinv_rejects_noncoprime(self):
         with pytest.raises(ValueError):
             modinv(6, 12)
-
-    def test_mod_centered(self):
-        assert mod_centered(PRIME - 1, PRIME) == -1
-        assert mod_centered(1, PRIME) == 1
 
     @given(st.integers(1, 10**9))
     def test_modinv_property(self, value):
@@ -101,14 +96,6 @@ class TestPrimes:
 
 
 class TestBitReverse:
-    def test_bit_reverse_int(self):
-        assert bit_reverse_int(0b001, 3) == 0b100
-        assert bit_reverse_int(0b110, 3) == 0b011
-
-    def test_involution(self):
-        for value in range(64):
-            assert bit_reverse_int(bit_reverse_int(value, 6), 6) == value
-
     def test_indices_are_permutation(self):
         indices = bit_reverse_indices(64)
         assert sorted(indices.tolist()) == list(range(64))

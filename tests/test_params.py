@@ -15,7 +15,6 @@ from repro.params import (
     large_ring,
     mini,
     table5_large,
-    table5_parameter_points,
     toy,
 )
 from repro.rns.basis import lift_context, scale_context
@@ -161,10 +160,3 @@ class TestEngineEnvelope:
         rows = np.zeros((toy_params.k_q, toy_params.n), dtype=np.int64)
         with pytest.raises(ParameterError, match="starts with the source"):
             lift_hps_ntt(context, rows)
-
-
-class TestTable5Points:
-    def test_points_match_paper(self):
-        assert table5_parameter_points() == [
-            (4096, 180), (8192, 360), (16384, 720), (32768, 1440),
-        ]

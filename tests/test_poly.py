@@ -33,7 +33,7 @@ class TestIntPoly:
 
     def test_neg(self, rng):
         a = random_intpoly(rng)
-        assert (a + (-a)).is_zero()
+        assert a + (-a) == IntPoly.zero(a.n, a.modulus)
 
     def test_mul_matches_convolution(self, rng):
         a, b = random_intpoly(rng), random_intpoly(rng)
@@ -83,12 +83,6 @@ class TestIntPoly:
         poly = IntPoly((10**6 - 100, 0, 0, 0), 10**6)
         scaled = poly.scale_round(1, 100, 10**6)
         assert scaled.centered()[0] == -1
-
-    def test_mod_switch(self):
-        poly = IntPoly((10**6 - 1, 5, 0, 0), 10**6)  # centered: -1, 5
-        switched = poly.mod_switch(97)
-        assert switched.centered()[0] == -1
-        assert switched.coeffs[1] == 5
 
     def test_associativity(self, rng):
         a, b, c = (random_intpoly(rng, n=8) for _ in range(3))

@@ -23,7 +23,6 @@ from repro.rns.basis import (
 )
 from repro.rns.decompose import (
     decompose_poly_signed,
-    recompose_signed_digits,
     signed_digit_decompose,
 )
 from repro.rns.decrypt import noise_norm, scale_to_t
@@ -31,7 +30,6 @@ from repro.rns.lift import (
     hps_quotient,
     lift_hps,
     lift_hps_ntt,
-    lift_hps_reference,
     lift_traditional,
 )
 from repro.rns.scale import scale_hps, scale_hps_ntt, scale_traditional
@@ -116,6 +114,42 @@ class TestHpsQuotient:
         x = (rng.integers(0, 2**30, size=(k, 500)) % q_basis.primes_col)
         v = hps_quotient(q_basis, x.astype(np.int64))
         assert np.all(v >= 0) and np.all(v <= k)
+
+
+def recompose_signed_digits(digits: list[int], base: int) -> int:
+    """Inverse of :func:`signed_digit_decompose`."""
+    value = 0
+    for digit in reversed(digits):
+        value = value * base + digit
+    return value
+
+
+def lift_hps_reference(context, residues: np.ndarray) -> np.ndarray:
+    """Big-integer re-evaluation of the HPS lift formula.
+
+    Computes exactly the same quantity as :func:`lift_hps` but with
+    unbounded Python integers, proving the limb-split arithmetic exact.
+    """
+    basis = context.source
+    matrix = np.asarray(residues, dtype=np.int64)
+    n = matrix.shape[1]
+    out = np.empty((len(context.target_primes), n), dtype=np.int64)
+    half = 1 << (RECIP_FRACTION_BITS - 1)
+    for col in range(n):
+        x_prime = [
+            int(matrix[i, col]) * basis.q_tilde[i] % basis.primes[i]
+            for i in range(basis.size)
+        ]
+        total = sum(
+            xp * basis.recip[i] for i, xp in enumerate(x_prime)
+        )
+        v = (total + half) >> RECIP_FRACTION_BITS
+        value = sum(
+            xp * basis.q_star[i] for i, xp in enumerate(x_prime)
+        ) - v * basis.modulus
+        for j, t_j in enumerate(context.target_primes):
+            out[j, col] = value % t_j
+    return out
 
 
 class TestLift:

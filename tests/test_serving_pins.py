@@ -18,15 +18,8 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster import (
-    FaultEvent,
-    FaultKind,
-    FaultPlan,
-    FpgaCluster,
-    RetryPolicy,
-    RoundRobinRouter,
-    TenantAffinityRouter,
-)
+from repro.cluster import FpgaCluster, RoundRobinRouter, TenantAffinityRouter
+from repro.faults import FaultEvent, FaultKind, FaultPlan, RetryPolicy
 from repro.hw.config import HardwareConfig
 from repro.params import hpca19
 from repro.serve import (

@@ -28,7 +28,6 @@ from repro.system.server import CostModel
 from repro.system.workloads import (
     Job,
     JobKind,
-    mmpp_stream,
     mult_stream,
     multi_tenant_stream,
     poisson_stream,
@@ -421,6 +420,21 @@ class TestPolicies:
         util = report.utilization()
         assert all(u > 0.8 for u in util)
 
+    def test_work_stealing_queues_sized_by_bind(self):
+        def entry(i):
+            return QueueEntry(Job(index=i, kind=JobKind.MULT), 1.0, i)
+
+        with pytest.raises(RuntimeError, match="bind"):
+            WorkStealingScheduler().enqueue(entry(0))
+        scheduler = WorkStealingScheduler()
+        scheduler.bind(3)
+        for i in range(3):
+            scheduler.enqueue(entry(i))
+        # The round-robin spray gives each coprocessor its own entry.
+        assert [scheduler.next_entry(c, 0.0).job.index
+                for c in range(3)] == [0, 1, 2]
+        assert len(scheduler) == 0
+
 
 class TestBatching:
     def test_batch_amortizes_arm_setup(self, cost):
@@ -606,55 +620,7 @@ class TestPoissonStreamEdges:
         assert [j.index for j in jobs] == list(range(len(jobs)))
 
 
-class TestBurstyWorkloads:
-    def test_mmpp_deterministic_and_sorted(self):
-        a = mmpp_stream(50.0, 800.0, 0.1, 1.0, seed=3)
-        b = mmpp_stream(50.0, 800.0, 0.1, 1.0, seed=3)
-        assert [j.arrival_seconds for j in a] == \
-            [j.arrival_seconds for j in b]
-        times = [j.arrival_seconds for j in a]
-        assert times == sorted(times)
-        assert all(0.0 < t < 1.0 for t in times)
-
-    def test_mmpp_mean_rate_between_states(self):
-        jobs = mmpp_stream(50.0, 800.0, 0.2, 20.0, seed=1)
-        rate = len(jobs) / 20.0
-        assert 50.0 < rate < 800.0
-
-    def test_mmpp_zero_low_rate(self):
-        jobs = mmpp_stream(0.0, 400.0, 0.1, 2.0, seed=5)
-        assert jobs
-        assert all(0.0 < j.arrival_seconds < 2.0 for j in jobs)
-
-    def test_mmpp_tiny_low_rate_still_bursts(self):
-        """A quiet-state gap overshooting the horizon must not swallow
-        the burst periods behind it (output is continuous in low_rate)."""
-        tiny = mmpp_stream(0.01, 1000.0, 0.1, 10.0, seed=0)
-        zero = mmpp_stream(0.0, 1000.0, 0.1, 10.0, seed=0)
-        assert len(tiny) > 0.5 * len(zero)
-
-    def test_mmpp_burstier_than_poisson(self):
-        """Arrival-count variance across bins far exceeds Poisson's."""
-        import numpy as np
-
-        def bin_counts(jobs, width=0.1, horizon=30.0):
-            counts = np.zeros(int(horizon / width))
-            for j in jobs:
-                counts[min(int(j.arrival_seconds / width),
-                           len(counts) - 1)] += 1
-            return counts
-
-        mmpp = bin_counts(mmpp_stream(10.0, 790.0, 0.3, 30.0, seed=2))
-        poisson = bin_counts(poisson_stream(float(np.mean(mmpp)) / 0.1,
-                                            30.0, seed=2))
-        assert np.var(mmpp) > 3 * np.var(poisson)
-
-    def test_mmpp_validation(self):
-        with pytest.raises(ValueError):
-            mmpp_stream(-1.0, 10.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            mmpp_stream(1.0, 10.0, 0.0, 1.0)
-
+class TestMultiTenantStream:
     def test_multi_tenant_stream_tags_and_order(self):
         jobs = multi_tenant_stream({"a": 100.0, "b": 50.0}, 1.0, seed=0)
         assert {j.tenant for j in jobs} == {"a", "b"}

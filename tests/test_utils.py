@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.utils import (
-    bit_length_of,
-    ceil_div,
     centered,
     chunks,
     is_power_of_two,
@@ -38,30 +36,6 @@ class TestLog2Exact:
     def test_rejects_zero(self):
         with pytest.raises(ParameterError):
             log2_exact(0)
-
-
-class TestBitLength:
-    def test_values(self):
-        assert bit_length_of(0) == 0
-        assert bit_length_of(1) == 1
-        assert bit_length_of(255) == 8
-        assert bit_length_of(256) == 9
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bit_length_of(-1)
-
-
-class TestCeilDiv:
-    def test_exact_division(self):
-        assert ceil_div(12, 4) == 3
-
-    def test_rounds_up(self):
-        assert ceil_div(13, 4) == 4
-        assert ceil_div(1, 4) == 1
-
-    def test_zero_numerator(self):
-        assert ceil_div(0, 5) == 0
 
 
 class TestRoundHalfAway:
