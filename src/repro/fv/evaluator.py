@@ -177,16 +177,16 @@ class Evaluator:
 
         WordDecomp follows the key's decomposition. Raw residue rows
         (the default key) take the fused WordDecomp + NTT: each row of
-        c2 is transformed under every channel directly — one shared
-        stage-0 dgemm across all digits (see ``apply_broadcast_many``)
-        — and left lazy in [0, 2q). Every other decomposition computes
-        its exact digit rows and forward-transforms them. Either way
-        :func:`~repro.fv.keyswitch.key_switch` folds the digits against
-        the key into the evaluation-domain result. ``ct`` is a
-        three-part raw product as Scale leaves it, in the coefficient
-        domain. ``resident`` is a ledger shim, accepted and ignored:
-        benchmarks/ledger/probes.py (``fv.relinearize_ms``) still
-        passes it.
+        c2 is transformed under every channel directly — one broadcast
+        transform per digit row, whose stage-0 dgemm covers all
+        channels — and left lazy in [0, 2q). Every other decomposition
+        computes its exact digit rows and forward-transforms them.
+        Either way :func:`~repro.fv.keyswitch.key_switch` folds the
+        digits against the key into the evaluation-domain result.
+        ``ct`` is a three-part raw product as Scale leaves it, in the
+        coefficient domain. ``resident`` is a ledger shim, accepted and
+        ignored: benchmarks/ledger/probes.py (``fv.relinearize_ms``)
+        still passes it.
         """
         if ct.size != 3:
             raise ParameterError("relinearize expects a three-part ciphertext")

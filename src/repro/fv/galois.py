@@ -249,8 +249,8 @@ class GaloisEngine:
         tau_g on c0 is a free column permutation of its NTT
         evaluations; only c1 is inverse-transformed (its raw-residue
         digits live in the coefficient domain). Fused WordDecomp + NTT
-        on tau(c1)'s raw coefficient rows — all digits share one
-        stage-0 dgemm, outputs lazy in [0, 2q) — then the one
+        on tau(c1)'s raw coefficient rows — one broadcast transform per
+        digit row, outputs lazy in [0, 2q) — then the one
         :func:`~repro.fv.keyswitch.key_switch`, which adds the first
         accumulator into tau(c0). The accumulators are born in the
         evaluation domain and stay there: one inverse transform per
@@ -274,12 +274,12 @@ class GaloisEngine:
         """Hoisted key switches: one digit transform shared by every
         key of ``keys`` (label -> key; results come back by label).
 
-        Halevi–Shoup hoisting: the digit decomposition's stacked
-        forward NTT depends only on c1, so it runs **once**; each
-        rotation then costs a free column permutation of the shared
-        digit evaluations (NTT(tau_g(x)) is NTT(x) gathered through
-        :func:`slot_permutation`) plus the cheap multiply-accumulate
-        fold against its own key.
+        Halevi–Shoup hoisting: the digit decomposition's broadcast
+        forward NTT (one per digit row) depends only on c1, so it runs
+        **once**; each rotation then costs a free column permutation of
+        the shared digit evaluations (NTT(tau_g(x)) is NTT(x) gathered
+        through :func:`slot_permutation`) plus the cheap
+        multiply-accumulate fold against its own key.
 
         The permuted digits represent tau_g of each digit polynomial
         with *signed* coefficients — congruent mod every q_i to the

@@ -64,15 +64,6 @@ class TextbookFv:
 
     # -- key generation -------------------------------------------------------------
 
-    def keygen_from(self, s_coeffs, a_coeffs, e_coeffs):
-        """Build (s, p0, p1) from explicit randomness (Fig. 1 formulas)."""
-        q, n = self.params.q, self.params.n
-        s = IntPoly(tuple(int(c) for c in s_coeffs), q)
-        a = IntPoly(tuple(int(c) for c in a_coeffs), q)
-        e = IntPoly(tuple(int(c) for c in e_coeffs), q)
-        p0 = -(a * s + e)
-        return s, p0, a
-
     def relin_keygen(self, s: IntPoly, base_bits: int) -> TextbookRelinKey:
         """rlk_j encrypts w^j * s^2 for signed base-w digits, w = 2^base_bits."""
         params = self.params

@@ -71,13 +71,6 @@ class HpsLiftUnit:
         """Block 2 keeps one MAC per output residue (7 in the paper)."""
         return len(self.context.target_primes)
 
-    @property
-    def constant_rom_words(self) -> int:
-        """30-bit ROM words: q~_i, q*_i mod t_j table, reciprocals, q mod t_j."""
-        k = self.context.source.size
-        targets = len(self.context.target_primes)
-        return k + k * targets + 2 * k + targets
-
 
 class TraditionalLiftUnit:
     """The Fig. 5 multi-precision lift core cluster."""

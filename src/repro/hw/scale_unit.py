@@ -65,13 +65,6 @@ class HpsScaleUnit:
         """Blocks 1+2 MACs (integer and fractional accumulation paths)."""
         return 2 * self.context.q_basis.size
 
-    @property
-    def constant_rom_words(self) -> int:
-        k_q = self.context.q_basis.size
-        k_p = self.context.p_basis.size
-        # I_i mod p_j table, 60-bit R_i (two words each), own-channel terms.
-        return k_q * k_p + 2 * k_q + 2 * k_p
-
 
 class TraditionalScaleUnit:
     """The Fig. 8 multi-precision scale core cluster."""

@@ -13,9 +13,10 @@ digest bound to that flag. Ciphertexts live in the evaluation domain,
 so they serialise without an inverse transform and reload as they
 were; a coefficient payload from outside is transformed forward once,
 at load — and a payload whose domain flag was mislabelled is rejected
-instead of silently decrypted as garbage. Version 2 is the only version read: a header whose
-``version`` is missing, older or newer is rejected, so no file can
-bypass the digest and domain checks by losing a header field.
+instead of silently decrypted as garbage. Version 2 is the only version
+read: a header whose ``version`` is missing, older or newer is
+rejected, so no file can bypass the digest and domain checks by losing
+a header field.
 """
 
 from __future__ import annotations

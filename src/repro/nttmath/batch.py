@@ -21,10 +21,17 @@ multiplies between stages. See :class:`BasisTransformer` for the
 detailed numerics.
 
 Large rings generalise the recipe recursively: above n = 16384 — where
-a two-stage split would need a sub-DFT beyond 128 points — the planner
-factors ``n`` into *three* sub-DFTs of at most 128 points each
-(n = 32768 runs 32 x 32 x 32). Every stage carries two 15-bit limbs,
-proved exact per stage by :func:`_limb_plan`.
+a two-stage split would need a sub-DFT beyond 128 points — ``n``
+factors into *three* sub-DFTs of at most 128 points each (n = 32768
+runs 32 x 32 x 32). The layout is a closed form of ``n``
+(:func:`_geometry`), fixed like the paper's n1 x n2 NTT unit, and
+every stage carries two 15-bit limbs, checked exact per stage by
+:func:`_limbs_exact`.
+
+Every transform has one code path: a ``(j, k, n)`` stack runs one
+polynomial at a time, and a stack of raw digit rows runs one broadcast
+transform per row (:meth:`_GemmPlan.apply_broadcast`), serially or as
+channel tiles over the active executor.
 
 The engine serves one envelope, the paper's datapath: primes below 31
 bits (4q < 2^32 for the lazy reductions) and ring degrees up to
@@ -60,7 +67,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..obs import counter as _obs_counter
-from ..obs import current_registry, maybe_span
+from ..obs import maybe_span
 from ..parallel import active_executor, fans_out, map_tiles, split_range
 from ..utils import log2_exact
 from .modmath import modinv
@@ -117,44 +124,31 @@ def transform_counts() -> dict[str, int]:
             for key in _TRANSFORM_KEYS}
 
 
-@dataclass(frozen=True)
-class _LimbSplit:
-    """One sub-transform's limb configuration (``count`` limbs of
-    ``bits`` bits each, most-significant block first)."""
+#: Every stage splits its operands into two limbs of 15 bits (the top
+#: limb shift-only, so it carries any value below 2^31).
+_LIMBS = 2
+_LIMB_BITS = 15
 
-    bits: int
-    count: int
-
-
-#: The one split the engine uses. Two 15-bit limbs carry 30-bit values
-#: through sub-DFTs up to 128 points, and inside the envelope
-#: (n <= MAX_ENGINE_N) the stage planner never needs a wider one.
-_SPLIT_CANDIDATES = (_LimbSplit(15, 2),)
+#: Largest sub-DFT a stage runs: two 15-bit limbs carry 30-bit values
+#: exactly through 128 points (:func:`_limbs_exact`), not through 256.
+_MAX_STAGE_LOG = 7
 
 
-def _limb_plan(length: int, max_value: int,
-               max_prime: int) -> _LimbSplit | None:
-    """The limb split keeping a length-``length`` sub-DFT exact, or
-    None when no candidate does.
+def _limbs_exact(length: int, max_value: int, max_prime: int) -> bool:
+    """Whether the two-limb split keeps a length-``length`` sub-DFT of
+    inputs up to ``max_value`` exact.
 
-    A gemm dot product sums ``count * length`` terms: for each limb
-    block, ``length`` products of a table entry (< max_prime) with a
-    limb of the input. Exactness requires every partial sum — and the
+    A gemm dot product sums ``2 * length`` terms: for each limb block,
+    ``length`` products of a table entry (< max_prime) with a limb of
+    the input. Exactness requires every partial sum — and the
     quotient-times-modulus product of the float reduction that follows,
     which can overshoot by up to one modulus — to stay at or below
     2^53, where float64 integer arithmetic is exact.
     """
-    for split in _SPLIT_CANDIDATES:
-        # The top limb block is shift-only (no mask), so any value is
-        # carried — a wide top limb just tightens the sum bound below.
-        top_max = max_value >> (split.bits * (split.count - 1))
-        rest_max = (1 << split.bits) - 1
-        bound = length * (max_prime - 1) * (
-            top_max + (split.count - 1) * rest_max
-        )
-        if bound + max_prime <= 1 << 53:
-            return split
-    return None
+    top_max = max_value >> _LIMB_BITS
+    rest_max = (1 << _LIMB_BITS) - 1
+    bound = length * (max_prime - 1) * (top_max + rest_max)
+    return bound + max_prime <= 1 << 53
 
 
 @dataclass(frozen=True)
@@ -168,88 +162,43 @@ class _Stage:
     """
 
     length: int
-    split: _LimbSplit
     canonical_in: bool
 
 
 @dataclass(frozen=True)
 class _Geometry:
-    """A feasible multi-stage factorisation ``n = prod(factors)``."""
+    """A multi-stage factorisation ``n = prod(factors)``."""
 
     factors: tuple[int, ...]
     stages: tuple[_Stage, ...]
 
 
-#: Above this ring degree the planner considers three-stage splits: a
-#: two-stage split of n > 16384 needs a sub-DFT above 128 points, which
-#: two 15-bit limbs cannot carry exactly, so a third 128-point-or-less
-#: stage is added (n = 32768 runs 32 x 32 x 32). At or below it the
-#: measured-good two-stage plans are kept.
-_MAX_TWO_STAGE_N = 1 << 14
-
-
-def _stage_for(length: int, max_prime: int,
-               first: bool) -> _Stage | None:
-    """The cheapest exact stage config for one sub-DFT length.
+def _geometry(n: int, max_prime: int) -> _Geometry:
+    """The engine's factorisation of ``n``, fixed like the paper's
+    n1 x n2 NTT layout: ``max(2, ceil(log2 n / 7))`` stages — so no
+    sub-DFT exceeds 128 points — with ``log2 n`` split evenly and the
+    remainder going to the leading stages (n = 4096 runs 64 x 64,
+    8192 runs 128 x 64, 32768 runs 32 x 32 x 32).
 
     The first stage sees canonical residues / raw 30-bit digits; later
     stages see lazy [0, 2q) values from the preceding twiddle multiply
     and canonicalise them first only when the lazy bound does not fit.
+    Raises :class:`ParameterError` when a stage cannot be made exact.
     """
-    canonical = _limb_plan(length, _MAX_INPUT, max_prime)
-    if canonical is None:
-        return None
-    if first:
-        return _Stage(length, canonical, False)
-    lazy = _limb_plan(length, 2 * max_prime - 1, max_prime)
-    if lazy is not None:
-        return _Stage(length, lazy, False)
-    return _Stage(length, canonical, True)
-
-
-@lru_cache(maxsize=None)
-def _plan_geometry(n: int, max_prime: int) -> _Geometry | None:
-    """Cheapest exact factorisation of the gemm decomposition.
-
-    Scans every power-of-two split of ``n`` into two factors — and,
-    above ``_MAX_TWO_STAGE_N``, three factors (the recursive
-    generalisation of the four-step: sub-DFT, twiddle, sub-DFT,
-    twiddle, sub-DFT) — prices each stage by its gemm width
-    (``limb count x sub-transform length``, the flop count per output
-    element), and keeps the cheapest feasible plan (ties resolved
-    toward larger leading factors, matching the pre-generalisation
-    layout at n <= 16384).
-    """
-    stages_log = log2_exact(n)
-
-    def plan(exponents: tuple[int, ...]) -> tuple | None:
-        stages = []
-        for index, a in enumerate(exponents):
-            stage = _stage_for(1 << a, max_prime, first=index == 0)
-            if stage is None:
-                return None
-            stages.append(stage)
-        cost = sum(s.split.count * s.length for s in stages)
-        factors = tuple(1 << a for a in exponents)
-        key = (cost,) + tuple(-f for f in factors)
-        return key, _Geometry(factors, tuple(stages))
-
-    candidates = [
-        (a, stages_log - a) for a in range(stages_log + 1)
-    ]
-    if n > _MAX_TWO_STAGE_N:
-        candidates += [
-            (a, b, stages_log - a - b)
-            for a in range(1, stages_log - 1)
-            for b in range(1, stages_log - a)
-        ]
-    best: tuple | None = None
-    for exponents in candidates:
-        candidate = plan(exponents)
-        if candidate is not None and (best is None
-                                      or candidate[0] < best[0]):
-            best = candidate
-    return best[1] if best else None
+    log_n = log2_exact(n)
+    num = max(2, -(-log_n // _MAX_STAGE_LOG))
+    base, extra = divmod(log_n, num)
+    factors = tuple(1 << (base + (t < extra)) for t in range(num))
+    for f in factors:
+        if not _limbs_exact(f, _MAX_INPUT, max_prime):
+            raise ParameterError(
+                f"degree {n} admits no exact limb-split factorisation"
+            )
+    return _Geometry(factors, tuple(
+        _Stage(f, t > 0 and not _limbs_exact(f, 2 * max_prime - 1,
+                                             max_prime))
+        for t, f in enumerate(factors)
+    ))
 
 
 def _shoup_table(table: np.ndarray, primes_col: np.ndarray) -> np.ndarray:
@@ -274,12 +223,11 @@ class BasisTransformer:
     product* evaluated by BLAS in float64:
 
     * each operand is split into two 15-bit limbs and the sub-DFT
-      matrix is
-      stored as the (L, c*L) block ``[W * 2^(b*(c-1)) mod q | ... |
-      W]``, so one dgemm per stage computes the exact sub-transform
-      (every partial sum stays at or below 2^53, where float64
-      arithmetic on integers is exact — :func:`_limb_plan` proves the
-      bound per stage);
+      matrix is stored as the (L, 2L) block ``[W * 2^15 mod q | W]``,
+      so one dgemm per stage computes the exact sub-transform (every
+      partial sum stays at or below 2^53, where float64 arithmetic on
+      integers is exact — :func:`_limbs_exact` checks the bound per
+      stage);
     * the negacyclic psi^i pre-twist is folded into the stage-1 matrix
       and the twiddle tables, and the inverse transform's
       ``psi^-j / n`` post-scale is folded into its twiddles and final
@@ -287,10 +235,10 @@ class BasisTransformer:
     * the post-gemm reductions run in float64 too (quotients are below
       2^23, so ``g - rint(g/q) * q`` is exact), leaving the Shoup
       twiddle multiply as the only integer element-wise stage;
-    * a ``(j, k, n)`` stack of polynomials over the same basis shares
-      one dgemm pair — polynomial ``idx`` occupies column block ``idx``
-      of the limb matrices — so the tensor step's four lifted operands
-      or relinearisation's digit matrices transform in a single call.
+    * a ``(j, k, n)`` stack transforms one polynomial at a time, and
+      :meth:`forward_broadcast` runs one broadcast transform per raw
+      digit row: one limb split and one tall stage-0 dgemm cover all
+      ``k`` channels of that row (the paper's fused WordDecomp + NTT).
 
     This is what "as fast as numpy allows" looks like for an exact NTT:
     the butterflies' many memory-bound element passes become a handful
@@ -321,12 +269,7 @@ class BasisTransformer:
                 raise ParameterError(
                     f"modulus {p} is not NTT-friendly for degree {n}"
                 )
-        geometry = _plan_geometry(n, max(self.primes))
-        if geometry is None:
-            raise ParameterError(
-                f"degree {n} admits no exact limb-split factorisation"
-            )
-        self.geometry = geometry
+        geometry = self.geometry = _geometry(n, max(self.primes))
         self.k = len(self.primes)
         self.primes_col = np.array(self.primes, dtype=np.int64)[:, None]
         self._fwd = _GemmPlan.build(self.primes, n, geometry, inverse=False)
@@ -390,35 +333,26 @@ class BasisTransformer:
 
     def _dispatch(self, op: str, plan: _GemmPlan, arr: np.ndarray,
                   out: np.ndarray, lazy: bool = False) -> None:
-        """Run one batched transform serially or tiled over the executor.
+        """Run one batched transform, one polynomial (or digit row) per
+        tile, serially or tiled over the executor.
 
-        The tiled path is taken only when the active executor has
-        real workers and the batch clears the shared work threshold
-        (:func:`~repro.parallel.fans_out`);
-        it produces bit-identical output (disjoint tiles, each running
-        a channel slice of ``plan`` with its geometry and limb plans),
-        so the choice is invisible to every caller — and to the
-        transform counters, which count at this dispatcher level
-        either way.
+        Channel tiles are cut only when the active executor has real
+        workers and the batch clears the shared work threshold
+        (:func:`~repro.parallel.fans_out`); otherwise each tile is a
+        whole polynomial, run in order on this thread. Both run the
+        same per-row ``apply`` / ``apply_broadcast`` on a channel
+        slice of ``plan``, so output is bit-identical either way — and
+        invisible to the transform counters, which count at this
+        dispatcher level.
         """
         j = arr.shape[0]
         executor = active_executor()
         tiles: list[tuple[int, int, int]] = []
         if fans_out(executor, j * self.k * self.n):
             tiles = self._tile_plan(j, 2 * executor.workers)
-        if len(tiles) < 2:
-            if op == "forward_broadcast":
-                if j > 1:
-                    # Digit stacks share one tall stage-0 dgemm (the
-                    # broadcast fast path across relinearisation
-                    # digits); a single row keeps the per-digit entry.
-                    plan.apply_broadcast_many(arr, out, lazy=lazy)
-                else:
-                    plan.apply_broadcast(arr[0], out[0], lazy=lazy)
-            else:
-                for idx in range(j):
-                    plan.apply(arr[idx], out[idx], lazy=lazy)
-            return
+        serial = len(tiles) < 2
+        if serial:
+            tiles = [(jdx, 0, self.k) for jdx in range(j)]
         # Worker threads only read these views of ``plan``.
         subsets = {(c0, c1): plan.subset(c0, c1) for _, c0, c1 in tiles}
 
@@ -432,7 +366,11 @@ class BasisTransformer:
             else:
                 sub.apply(arr[jdx, c0:c1], out[jdx, c0:c1], lazy=lazy)
 
-        map_tiles(executor, f"{op}.tile", run_tile, tiles)
+        if serial:
+            for tile in tiles:
+                run_tile(tile)
+        else:
+            map_tiles(executor, f"{op}.tile", run_tile, tiles)
 
     # -- public API ----------------------------------------------------------------
 
@@ -519,18 +457,6 @@ class BasisTransformer:
         _count_transform("forward", j * self.k)
         return out
 
-    def pointwise(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Element-wise modular product of NTT-domain matrices."""
-        return (np.asarray(left, dtype=np.int64)
-                * np.asarray(right, dtype=np.int64)) % self.primes_col
-
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Negacyclic product of two residue matrices, batched."""
-        stack = np.stack([np.asarray(a, dtype=np.int64),
-                          np.asarray(b, dtype=np.int64)])
-        fa, fb = self.forward(stack)
-        return self.inverse(self.pointwise(fa, fb))
-
 
 #: Per-thread scratch, one set per ring: ``{(n, geometry): buffers}``.
 _SCRATCH = threading.local()
@@ -555,7 +481,7 @@ def _buffers(n: int, geometry: _Geometry,
     if bufs is None or len(bufs[2][0]) < k:
         stages = geometry.stages
         bufs = sets[n, geometry] = (
-            [np.empty((k, s.split.count * s.length, n // s.length))
+            [np.empty((k, _LIMBS * s.length, n // s.length))
              for s in stages],                    # limb stacks
             [np.empty((k, s.length, n // s.length))
              for s in stages],                    # gemm outputs
@@ -571,12 +497,12 @@ def _buffers(n: int, geometry: _Geometry,
 class _GemmPlan:
     """Precomputed tables for one transform direction of a basis.
 
-    The decomposition runs ``S`` sub-DFT stages (two for n <= 16384,
-    three beyond — the recursive generalisation of the four-step) with
-    a twiddle correction between consecutive stages. Per stage ``t``
-    the float64 ``(k, L, c*L)`` limb-split sub-DFT matrix
-    ``[W * 2^(b*(c-1)) mod q | ... | W * 2^b mod q | W]`` carries the
-    stage's ``c`` limbs of ``b`` bits; the twiddle tables are flat
+    The decomposition runs the ``S`` sub-DFT stages of
+    :func:`_geometry` (two for n <= 16384, three beyond — the recursive
+    generalisation of the four-step) with a twiddle correction between
+    consecutive stages. Per stage ``t`` the float64 ``(k, L, 2L)``
+    limb-split sub-DFT matrix ``[W * 2^15 mod q | W]`` carries the
+    stage's two 15-bit limbs; the twiddle tables are flat
     int64 ``(k, n)`` planes (in the exact memory layout they are
     applied in) paired with their Shoup quotients, and the moduli are
     ``(k, 1)`` columns. The psi pre-twist (forward) and the
@@ -630,12 +556,8 @@ class _GemmPlan:
         for f in factors:
             acc *= f
             prefix.append(acc)   # P_t = f_0 * ... * f_t
-        steps = [
-            np.empty((k, stage.length,
-                      stage.split.count * stage.length),
-                     dtype=np.float64)
-            for stage in geometry.stages
-        ]
+        steps = [np.empty((k, f, _LIMBS * f), dtype=np.float64)
+                 for f in factors]
         twiddles = [
             np.empty((k, n), dtype=np.int64) for _ in range(num - 1)
         ]
@@ -646,8 +568,7 @@ class _GemmPlan:
                 psi = modinv(psi, p)
             psi_pow = power_table(psi, order, p)
             inv_n = modinv(n, p) if inverse else 1
-            for t, stage in enumerate(geometry.stages):
-                f = stage.length
+            for t, f in enumerate(factors):
                 j = np.arange(f, dtype=np.int64)[:, None]
                 i = np.arange(f, dtype=np.int64)[None, :]
                 exp = 2 * (n // f) * j * i
@@ -656,13 +577,11 @@ class _GemmPlan:
                     exp = exp + (n // factors[0]) * i
                 if inverse and t == num - 1:
                     # psi^-j post-scale, j_{S-1} part.
-                    exp = exp + (prefix[-2] if num > 1 else 1) * j
+                    exp = exp + prefix[-2] * j
                 w = psi_pow[exp % order]
-                split = stage.split
-                for block in range(split.count):
-                    shift = split.bits * (split.count - 1 - block)
-                    steps[t][ki, :, block * f: (block + 1) * f] = \
-                        (w << shift) % p
+                # Limb blocks, top first: [W * 2^15 mod q | W].
+                steps[t][ki, :, :f] = (w << _LIMB_BITS) % p
+                steps[t][ki, :, f:] = w
             for u in range(num - 1):
                 twiddles[u][ki] = cls._twiddle_plane(
                     factors, prefix, u, psi_pow, order, p,
@@ -696,9 +615,9 @@ class _GemmPlan:
         """The plan for channels ``[c0, c1)``: views of this plan's
         tables, never a copy.
 
-        The slice keeps this plan's geometry and limb plans (the limb
-        bound is monotone in the modulus, so the parent's proof covers
-        every subset), so tile output — lazy representatives included —
+        The slice keeps this plan's geometry (the limb bound is
+        monotone in the modulus, so the parent's check covers every
+        subset), so tile output — lazy representatives included —
         is bit-for-bit the whole-basis engine's.
         """
         if c0 == 0 and c1 == self.k:
@@ -763,7 +682,7 @@ class _GemmPlan:
         quotient ``rint(g / q)`` is off by at most one and
         ``g - rint(g/q) * q`` lands in (-q, q) — still exact, because
         every intermediate is an integer of magnitude at most 2^53
-        (the limb plans reserve one modulus of overshoot headroom).
+        (the limb bound reserves one modulus of overshoot headroom).
         Adding q gives the lazy representative with no integer
         division anywhere. ``p_f`` and ``inv_p`` are ``(k, 1)``
         columns broadcast along each row of ``g``.
@@ -775,29 +694,15 @@ class _GemmPlan:
         np.add(g, p_f, out=out, casting="unsafe")
 
     @staticmethod
-    def _split_into(values: np.ndarray, limbs: np.ndarray,
-                    split: _LimbSplit, scratch: np.ndarray) -> None:
-        """Write the limb stack of one (B, L, C) block, top limb first.
-
-        The ufuncs cast straight into the float64 limb buffer (exact:
-        every limb is far below 2^53); middle limbs need a shift *and*
-        a mask, staged through the int64 ``scratch`` (same shape as
-        ``values``). For the classic two-limb split this is exactly the
-        old shift + mask pair.
-        """
+    def _split_into(values: np.ndarray, limbs: np.ndarray) -> None:
+        """Write the two-limb stack of one (B, L, C) block, top limb
+        first: a shift and a mask, cast straight into the float64 limb
+        buffer (exact: every limb is far below 2^53)."""
         rows = values.shape[1]
-        np.right_shift(values, split.bits * (split.count - 1),
-                       out=limbs[:, :rows, :], casting="unsafe")
-        mask = (1 << split.bits) - 1
-        for block in range(1, split.count):
-            dest = limbs[:, block * rows: (block + 1) * rows, :]
-            shift = split.bits * (split.count - 1 - block)
-            if shift:
-                np.right_shift(values, shift, out=scratch)
-                np.bitwise_and(scratch, mask, out=dest,
-                               casting="unsafe")
-            else:
-                np.bitwise_and(values, mask, out=dest, casting="unsafe")
+        np.right_shift(values, _LIMB_BITS, out=limbs[:, :rows],
+                       casting="unsafe")
+        np.bitwise_and(values, (1 << _LIMB_BITS) - 1,
+                       out=limbs[:, rows:], casting="unsafe")
 
     def _transpose_axes(self, num: int, t: int) -> tuple[int, ...]:
         """Axis permutation moving stage ``t``'s output axis behind the
@@ -843,64 +748,12 @@ class _GemmPlan:
         self._run(row.reshape(1, f0, self.n // f0), out, lazy,
                   broadcast=True)
 
-    def apply_broadcast_many(self, rows: np.ndarray, out: np.ndarray,
-                             lazy: bool = False) -> None:
-        """Broadcast-transform a whole digit stack with one shared
-        stage-0 dgemm.
-
-        ``rows`` is a ``(j, n)`` stack of raw digit rows, ``out`` the
-        ``(j, k, n)`` result. Where :meth:`apply_broadcast` shares one
-        limb split across the ``k`` channels of a *single* digit, this
-        fast path additionally batches stage 0 across all ``j``
-        digits: digit ``idx`` occupies column block ``idx`` of one
-        shared ``(c0*f0, j*rest)`` limb matrix, so a single tall dgemm
-        computes the first sub-DFT of every (digit, channel) pair —
-        relinearisation's ``k`` digit transforms collapse from ``k``
-        stage-0 gemm calls to one. Gemm columns are independent and
-        every partial sum is an exact integer at or below 2^53, so the
-        result is bit-identical to ``j`` separate
-        :meth:`apply_broadcast` calls; the remaining stages re-enter
-        the shared stage loop per digit via its ``stage0`` seed.
-        """
-        k, n = self.k, self.n
-        stage = self.geometry.stages[0]
-        f0 = stage.length
-        rest = n // f0
-        j = rows.shape[0]
-        c0 = stage.split.count
-        cols = j * rest
-        # Interleave digits along the column axis: column block idx of
-        # (f0, j*rest) holds digit idx's (f0, rest) coefficient matrix.
-        values = np.ascontiguousarray(
-            rows.reshape(j, f0, rest).transpose(1, 0, 2)
-        ).reshape(1, f0, cols)
-        limbs = np.empty((1, c0 * f0, cols), dtype=np.float64)
-        scratch = np.empty((1, f0, cols), dtype=np.int64)
-        self._split_into(values, limbs, stage.split, scratch)
-        g = np.empty((k * f0, cols), dtype=np.float64)
-        np.matmul(self.steps[0].reshape(k * f0, c0 * f0), limbs[0],
-                  out=g)
-        _, p_f, inv_p = self.moduli
-        q_f = np.empty_like(g)
-        state = np.empty((k * f0, cols), dtype=np.int64)
-        # Rows of channel c are the (f0, cols) block c: reduce them as
-        # one (k, f0 * cols) matrix against the modulus columns.
-        self._reduce_lazy(g.reshape(k, -1), p_f, inv_p, q_f.reshape(k, -1),
-                          state.reshape(k, -1))
-        stacked = state.reshape(k, f0, j, rest)
-        for idx in range(j):
-            self._run(None, out[idx], lazy, broadcast=False,
-                      stage0=stacked[:, :, idx, :])
-
-    def _run(self, x: np.ndarray | None, out: np.ndarray, lazy: bool,
-             broadcast: bool, stage0: np.ndarray | None = None) -> None:
+    def _run(self, x: np.ndarray, out: np.ndarray, lazy: bool,
+             broadcast: bool) -> None:
         """The stage loop shared by :meth:`apply` and
         :meth:`apply_broadcast`: per stage — optional canonicalise,
         limb split, one dgemm, float reduction — with a Shoup twiddle
-        multiply and an axis rotation between stages. A ``stage0``
-        seed (the lazy ``(k, f0, rest)`` output of a stage-0 gemm
-        computed elsewhere, see :meth:`apply_broadcast_many`) skips
-        the first gemm and enters the loop at its twiddle."""
+        multiply and an axis rotation between stages."""
         k, n = self.k, self.n
         stages = self.geometry.stages
         num = len(stages)
@@ -910,31 +763,23 @@ class _GemmPlan:
             f = stage.length
             rest = n // f
             g = gemm_out[t]
-            if t == 0 and stage0 is not None:
-                np.copyto(cur.reshape(k, f, rest), stage0)
+            if t == 0 and broadcast:
+                shared = limbs[0].reshape(k * _LIMBS * f, rest)[: _LIMBS * f]
+                self._split_into(x, shared.reshape(1, _LIMBS * f, rest))
+                np.matmul(self.steps[t].reshape(k * f, _LIMBS * f),
+                          shared, out=g.reshape(k * f, rest))
             else:
+                if stage.canonical_in:
+                    # The lazy [0, 2q) bound would break the two-limb
+                    # split's exactness; one conditional subtract
+                    # restores canonical inputs (unsigned-minimum trick).
+                    np.subtract(cur, p_int, out=alt)
+                    np.minimum(cur.view(np.uint64), alt.view(np.uint64),
+                               out=cur.view(np.uint64))
                 source = x if t == 0 else cur.reshape(k, f, rest)
-                if t == 0 and broadcast:
-                    c0 = stage.split.count
-                    shared = limbs[0].reshape(k * c0 * f, rest)[: c0 * f]
-                    self._split_into(x, shared.reshape(1, c0 * f, rest),
-                                     stage.split,
-                                     alt.reshape(k, f, rest)[:1])
-                    np.matmul(self.steps[t].reshape(k * f, c0 * f),
-                              shared, out=g.reshape(k * f, rest))
-                else:
-                    if stage.canonical_in:
-                        # The lazy [0, 2q) bound would force a wider
-                        # limb split; one conditional subtract restores
-                        # canonical inputs (unsigned-minimum trick).
-                        np.subtract(cur, p_int, out=alt)
-                        np.minimum(cur.view(np.uint64),
-                                   alt.view(np.uint64),
-                                   out=cur.view(np.uint64))
-                    self._split_into(source, limbs[t], stage.split,
-                                     alt.reshape(k, f, rest))
-                    np.matmul(self.steps[t], limbs[t], out=g)
-                self._reduce_lazy(g.reshape(k, n), p_f, inv_p, f_tmp, cur)
+                self._split_into(source, limbs[t])
+                np.matmul(self.steps[t], limbs[t], out=g)
+            self._reduce_lazy(g.reshape(k, n), p_f, inv_p, f_tmp, cur)
             if t < num - 1:
                 tw, tw_sh = self.twiddles[t]
                 _shoup_mul(cur, tw, tw_sh, p_int, alt)

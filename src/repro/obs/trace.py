@@ -75,18 +75,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly nested form (used by trace file exports)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "clock": self.clock,
-            "start": self.start,
-            "end": self.end,
-            "attrs": dict(self.attrs),
-            "children": [c.to_dict() for c in self.children],
-        }
-
 
 _ACTIVE: ContextVar[Tracer | None] = ContextVar(
     "repro_active_tracer", default=None

@@ -14,9 +14,10 @@ The hold lasts the pool's *lifetime*, not a dispatch. Toggling around
 each fan-out was prototyped and buys nothing (215-248 ms per request
 against a 214-218 ms parent on the ``mult_n8192_threads`` ledger
 workload, where the lifetime hold gives 157-169 ms and 138-147 ms
-with the column bands): a set/restore pair costs a microsecond, but every untiled gemm between two
-dispatches wakes OpenBLAS's workers, which then spin into the next
-dispatch and take the core from our tiles.
+with the column bands): a set/restore pair costs a microsecond, but
+every untiled gemm between two dispatches wakes OpenBLAS's workers,
+which then spin into the next dispatch and take the core from our
+tiles.
 
 The library is found the way the ledger stamp reads it: the shared
 objects named in ``/proc/self/maps``, opened with ctypes. No

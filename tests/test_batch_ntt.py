@@ -19,8 +19,11 @@ from repro.api import LocalBackend, Session
 from repro.errors import ParameterError
 from repro.fv.galois import GaloisEngine, apply_galois_rows
 from repro.nttmath.batch import (
-    _limb_plan,
-    _plan_geometry,
+    _LIMB_BITS,
+    _LIMBS,
+    _MAX_INPUT,
+    _geometry,
+    _limbs_exact,
     basis_transformer,
     intt_rows,
     intt_rows_scaled,
@@ -205,7 +208,7 @@ class TestLargeRingEngine:
         ]
         assert got[0].tolist() == ntt_iterative(twisted, p, tr.omega)
 
-    @pytest.mark.parametrize("n", [8192, 32768])
+    @pytest.mark.parametrize("n", [8192, 16384, 32768])
     def test_large_n_broadcast_and_scaled_inverse(self, n):
         primes = _basis(n, 3)
         bt = basis_transformer(primes, n)
@@ -229,41 +232,51 @@ class TestLargeRingEngine:
             scaled, (_oracle_inverse(primes, mat) * consts_col) % primes_col
         )
 
-    def test_limb_plans_stay_exact_by_construction(self):
-        """The per-step limb plans prove their own bound: the worst
-        partial sum (plus the reduction's one-modulus overshoot) stays
-        at or below 2^53. Sub-DFTs the two-limb split cannot carry
-        exactly are refused, never planned."""
-        max_prime = (1 << 30) - 35
-        for length in (256, 4096):
-            assert _limb_plan(length, (1 << 30) - 1, max_prime) is None
-        for length, max_value in [(128, (1 << 30) - 1),
-                                  (64, 2 * max_prime - 1)]:
-            split = _limb_plan(length, max_value, max_prime)
-            assert split is not None
-            top = max_value >> (split.bits * (split.count - 1))
-            rest = (1 << split.bits) - 1
-            worst = length * (max_prime - 1) * (
-                top + (split.count - 1) * rest
-            )
-            assert worst + max_prime <= 1 << 53
+    #: The engine's layout for every ring degree at a 30-bit max prime:
+    #: (factors, canonical_in per stage). Only n = 16384's 128-point
+    #: second stage canonicalises its lazy [0, 2q) input.
+    GEOMETRY = {
+        2: ((2, 1), (False, False)),
+        4: ((2, 2), (False, False)),
+        8: ((4, 2), (False, False)),
+        16: ((4, 4), (False, False)),
+        32: ((8, 4), (False, False)),
+        64: ((8, 8), (False, False)),
+        128: ((16, 8), (False, False)),
+        256: ((16, 16), (False, False)),
+        512: ((32, 16), (False, False)),
+        1024: ((32, 32), (False, False)),
+        2048: ((64, 32), (False, False)),
+        4096: ((64, 64), (False, False)),
+        8192: ((128, 64), (False, False)),
+        16384: ((128, 128), (False, True)),
+        32768: ((32, 32, 32), (False, False, False)),
+    }
 
-    def test_geometry_matches_pre_generalisation_layouts(self):
-        """n <= 16384 keeps the exact pre-PR four-step factorisation
-        (two stages of two 15-bit limbs, n1 = 2^ceil(log2(n)/2));
-        n = 32768 opens the three-stage split, whose balanced 32-point
-        sub-DFTs cost 192 gemm flops per element instead of the
-        wide-limb four-step's 1024."""
-        max_prime = max(_basis(4096, 1))
-        for n, n1 in [(4096, 64), (8192, 128), (16384, 128)]:
-            g = _plan_geometry(n, max_prime)
-            assert g.factors == (n1, n // n1)
-            assert all(s.split.count == 2 for s in g.stages)
-        g = _plan_geometry(32768, max_prime)
-        assert len(g.factors) == 3
-        assert np.prod(g.factors) == 32768
-        assert all(f <= 128 for f in g.factors)
-        assert all(s.split.count == 2 for s in g.stages)
+    def test_geometry_table_and_exactness(self):
+        """The fixed layout per ring degree, and the two-limb bound it
+        rests on: every stage's worst partial sum (plus the
+        reduction's one-modulus overshoot) stays at or below 2^53 for
+        the inputs it sees — lazy [0, 2q) past stage 0 unless it
+        canonicalises. Sub-DFTs the split cannot carry are refused."""
+        max_prime = (1 << 30) - 35
+        rest = (1 << _LIMB_BITS) - 1
+        for n, (factors, canonical) in self.GEOMETRY.items():
+            g = _geometry(n, max_prime)
+            assert g.factors == factors
+            assert tuple(s.canonical_in for s in g.stages) == canonical
+            assert tuple(s.length for s in g.stages) == factors
+            for t, stage in enumerate(g.stages):
+                lazy = t > 0 and not stage.canonical_in
+                max_value = 2 * max_prime - 1 if lazy else _MAX_INPUT
+                assert _limbs_exact(stage.length, max_value, max_prime)
+                top = max_value >> (_LIMB_BITS * (_LIMBS - 1))
+                worst = stage.length * (max_prime - 1) * (
+                    top + (_LIMBS - 1) * rest
+                )
+                assert worst + max_prime <= 1 << 53
+        for length in (256, 4096):
+            assert not _limbs_exact(length, _MAX_INPUT, max_prime)
 
 
 class TestRnsPolyAliasing:

@@ -42,6 +42,7 @@ from repro.errors import ParameterError
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.nttmath.batch import (
+    _LIMBS,
     BasisTransformer,
     basis_transformer,
     transform_counts,
@@ -187,7 +188,7 @@ def _table_bytes(k: int, n: int, geometry) -> int:
     """One basis's table set: forward and inverse plans (stage
     matrices, twiddle planes, Shoup quotients) plus one scaled
     inverse's own twiddle plane 0 and its quotients."""
-    steps = sum(k * s.length * s.split.count * s.length
+    steps = sum(k * s.length * _LIMBS * s.length
                 for s in geometry.stages)
     planes = len(geometry.stages) - 1
     direction = steps + 2 * planes * k * n
@@ -197,7 +198,7 @@ def _table_bytes(k: int, n: int, geometry) -> int:
 def _scratch_bytes(k: int, n: int, geometry) -> int:
     """One thread's scratch set: per stage a limb stack and a gemm
     output, plus three (k, n) state planes."""
-    stages = sum(k * (s.split.count + 1) * n for s in geometry.stages)
+    stages = len(geometry.stages) * k * (_LIMBS + 1) * n
     return 8 * (stages + 3 * k * n)
 
 

@@ -87,12 +87,12 @@ def same_instant():
     """Faults and retries due at request arrival instants: 16 requests
     of 64 Mults, one every 62.5 ms over four tenants, on 4 boards with
     R = 2 replication. shard3 is the primary of half the requests
-    (tenants t0002 and t0003). A transient failure there at 70.3125 ms backs off by exactly
-    179.6875 ms (no jitter), so its retry falls due with the 250 ms
-    request — both bound for shard3, which crashes at that instant and
-    recovers at the 500 ms request. Every instant is a dyadic fraction,
-    so each tie is exact: a fault or retry applied after the arrivals
-    it ties with moves these pins."""
+    (tenants t0002 and t0003). A transient failure there at 70.3125 ms
+    backs off by exactly 179.6875 ms (no jitter), so its retry falls
+    due with the 250 ms request — both bound for shard3, which crashes
+    at that instant and recovers at the 500 ms request. Every instant
+    is a dyadic fraction, so each tie is exact: a fault or retry
+    applied after the arrivals it ties with moves these pins."""
     burst = 0.0625
     jobs = [Job(index=64 * r + i, kind=JobKind.MULT,
                 arrival_seconds=r * burst, tenant=tenant_name((r + 2) % 4),
