@@ -20,6 +20,7 @@ from dataclasses import replace
 from repro import HardwareConfig, hpca19, slow_coprocessor_config
 from repro.hw.resources import ResourceEstimator
 from repro.system import CostModel, JobKind
+from repro.system.related_work import PAPER_RECORD
 
 
 def evaluate(name: str, config: HardwareConfig) -> None:
@@ -53,9 +54,15 @@ def main() -> None:
              replace(base, num_coprocessors=1))
 
     print("-" * len(header))
-    print("paper reference points: fast coprocessor 4.458 ms / 400 per s "
-          "with two instances;\nslow coprocessor 8.3 ms; "
-          "rlk streaming costs ~30% of Mult latency.")
+    fast_ms = (PAPER_RECORD["Table I", "Mult in HW"].paper
+               / base.arm_clock_hz * 1e3)
+    mults = PAPER_RECORD["headline", "Mult/s with two coprocessors"].paper
+    slow_ms = PAPER_RECORD["Sec. VI-C", "slow coprocessor Mult (ms)"].paper
+    share = PAPER_RECORD["Table I text",
+                         "relinearisation key transfer share"].paper
+    print(f"paper reference points: fast coprocessor {fast_ms:.3f} ms / "
+          f"{mults} per s with two instances;\nslow coprocessor {slow_ms} ms; "
+          f"rlk streaming costs ~{share:.0%} of Mult latency.")
 
 
 if __name__ == "__main__":

@@ -15,19 +15,12 @@ import time
 import numpy as np
 
 from repro import Coprocessor, Evaluator, FvContext, Plaintext, hpca19
-from repro.hw.isa import Opcode
+from repro.system.related_work import PAPER_RECORD, paper_rows
 
-PAPER_TABLE2_ARM_CYCLES = {
-    Opcode.NTT: 87_582,
-    Opcode.INTT: 102_043,
-    Opcode.CMUL: 15_662,
-    Opcode.CADD: 16_292,
-    Opcode.REARRANGE: 25_006,
-    Opcode.LIFT: 99_137,
-    Opcode.SCALE: 99_274,
-}
-PAPER_MULT_ARM_CYCLES = 5_349_567
-PAPER_MULT_MS = 4.458
+PAPER_TABLE2 = {row.label: row.paper for row in paper_rows("Table II")}
+PAPER_MULT = PAPER_RECORD["Table I", "Mult in HW"]
+PAPER_KEY_SHARE = PAPER_RECORD["Table I text",
+                               "relinearisation key transfer share"]
 
 
 def main() -> None:
@@ -65,21 +58,22 @@ def main() -> None:
     print("-" * len(header))
     for op, stat in report.op_stats.items():
         arm = report.config.fpga_to_arm_cycles(round(stat.cycles_per_call))
-        paper = PAPER_TABLE2_ARM_CYCLES.get(op)
+        paper = PAPER_TABLE2.get(op.value)
         delta = (f"{(arm - paper) / paper * 100:+.1f}%" if paper else "-")
         paper_s = f"{paper:,}" if paper else "-"
         print(f"{op.value:<18}{stat.calls:>6}{arm:>14,}{paper_s:>10}"
               f"{delta:>8}")
     print("-" * len(header))
-    mult_delta = ((report.arm_cycles - PAPER_MULT_ARM_CYCLES)
-                  / PAPER_MULT_ARM_CYCLES * 100)
+    paper_ms = PAPER_MULT.paper / report.config.arm_clock_hz * 1e3
+    mult_delta = ((report.arm_cycles - PAPER_MULT.paper)
+                  / PAPER_MULT.paper * 100)
     print(f"Mult total: {report.arm_cycles:,} Arm cycles = "
           f"{report.seconds * 1e3:.3f} ms "
-          f"(paper: {PAPER_MULT_ARM_CYCLES:,} = {PAPER_MULT_MS} ms, "
+          f"(paper: {PAPER_MULT.paper:,} = {paper_ms:.3f} ms, "
           f"delta {mult_delta:+.1f}%)")
     print(f"relinearisation key streaming share: "
           f"{report.transfer_cycles / report.total_cycles * 100:.0f}% "
-          f"(paper: ~30%)")
+          f"(paper: ~{PAPER_KEY_SHARE.paper:.0%})")
 
 
 if __name__ == "__main__":

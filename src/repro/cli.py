@@ -31,29 +31,15 @@ from contextlib import nullcontext
 
 from .fv.noise_model import NoiseModel
 from .hw.config import HardwareConfig
-from .hw.coprocessor import Coprocessor
-from .hw.dma import DmaModel
 from .hw.isa import Opcode
-from .hw.power import PowerModel
 from .hw.resources import ResourceEstimator
 from .hw.scaling import scaling_table
 from .hw.trace import render_fig3
 from .parallel import EXECUTOR_MODES, use_executor
 from .params import hpca19
-from .system.arm import ArmCoreModel
-from .system.baseline import SoftwareBaseline
+from .system.related_work import PAPER_RECORD, paper_rows
 from .system.server import CostModel
 from .system.workloads import JobKind
-
-PAPER_TABLE2 = {
-    Opcode.NTT: 87_582,
-    Opcode.INTT: 102_043,
-    Opcode.CMUL: 15_662,
-    Opcode.CADD: 16_292,
-    Opcode.REARRANGE: 25_006,
-    Opcode.LIFT: 99_137,
-    Opcode.SCALE: 99_274,
-}
 
 
 def _print_header(title: str) -> None:
@@ -64,24 +50,20 @@ def _print_header(title: str) -> None:
 
 def cmd_table1(args: argparse.Namespace) -> None:
     _print_header("Table I — high-level operations (one coprocessor)")
-    params = hpca19()
     config = HardwareConfig()
-    cost = CostModel(params, config)
-    arm = ArmCoreModel(config)
-    rows = [
-        ("Mult in HW", cost.compute_seconds(JobKind.MULT), 4.458e-3),
-        ("Add in HW", cost.compute_seconds(JobKind.ADD), 0.026e-3),
-        ("Add in SW", arm.add_in_sw_seconds(params), 45.567e-3),
-        ("Send two ciphertexts", cost.transfer_in_seconds(), 0.362e-3),
-        ("Receive result", cost.transfer_out_seconds(), 0.180e-3),
-    ]
+    cost = CostModel(hpca19(), config)
+
+    def ms(arm_cycles: float) -> float:
+        return arm_cycles / config.arm_clock_hz * 1e3
+
     print(f"{'operation':<24}{'ours (ms)':>12}{'paper (ms)':>12}")
-    for label, ours, paper in rows:
-        print(f"{label:<24}{ours * 1e3:>12.3f}{paper * 1e3:>12.3f}")
+    for row in paper_rows("Table I"):
+        print(f"{row.label:<24}{ms(row.model()):>12.3f}{ms(row.paper):>12.3f}")
     # Every job kind the simulator prices: its compiled program's census
     # and the sum of its instructions' cycles (key streaming included).
     print()
-    paper_ms = {JobKind.MULT: 4.458, JobKind.ADD: 0.026}
+    paper_ms = {JobKind.MULT: ms(PAPER_RECORD["Table I", "Mult in HW"].paper),
+                JobKind.ADD: ms(PAPER_RECORD["Table I", "Add in HW"].paper)}
     censuses = {kind: cost.program(kind).opcode_histogram()
                 for kind in JobKind}
     columns = [op for op in Opcode
@@ -101,42 +83,30 @@ def cmd_table1(args: argparse.Namespace) -> None:
 
 def cmd_table2(args: argparse.Namespace) -> None:
     _print_header("Table II — individual instructions (Arm cycles/call)")
-    params = hpca19()
-    coprocessor = Coprocessor(params)
-    model = coprocessor.instruction_cycle_model()
     print(f"{'instruction':<22}{'ours':>10}{'paper':>10}{'delta':>8}")
-    for op, paper in PAPER_TABLE2.items():
-        ours = coprocessor.config.fpga_to_arm_cycles(model[op])
-        print(f"{op.value:<22}{ours:>10,}{paper:>10,}"
-              f"{(ours - paper) / paper * 100:>+7.1f}%")
+    for row in paper_rows("Table II"):
+        print(f"{row.label:<22}{row.model():>10,}{row.paper:>10,}"
+              f"{row.error() * 100:>+7.1f}%")
 
 
 def cmd_table3(args: argparse.Namespace) -> None:
     _print_header("Table III — data transfer techniques (Arm cycles)")
-    dma = DmaModel(HardwareConfig())
-    rows = [("single 98,304-byte burst", None, 90_708),
-            ("16,384-byte chunks", 16_384, 130_686),
-            ("1,024-byte chunks", 1_024, 242_771)]
     print(f"{'technique':<28}{'ours':>10}{'paper':>10}")
-    for label, chunk, paper in rows:
-        ours = dma.transfer_arm_cycles(98_304, chunk_bytes=chunk)
-        print(f"{label:<28}{ours:>10,}{paper:>10,}")
+    for row in paper_rows("Table III"):
+        print(f"{row.label:<28}{row.model():>10,}{row.paper:>10,}")
 
 
 def cmd_table4(args: argparse.Namespace) -> None:
     _print_header("Table IV — resource utilisation (ZCU102)")
-    estimator = ResourceEstimator(hpca19(), HardwareConfig())
-    full = estimator.full_design()
-    single = estimator.single_coprocessor()
     print(f"{'':<22}{'LUT':>10}{'FF':>10}{'BRAM36':>8}{'DSP':>6}")
-    print(f"{'two coprocs (ours)':<22}{full.luts:>10,}{full.regs:>10,}"
-          f"{full.bram36:>8}{full.dsps:>6}")
-    print(f"{'two coprocs (paper)':<22}{133_692:>10,}{60_312:>10,}"
-          f"{815:>8}{416:>6}")
-    print(f"{'one coproc (ours)':<22}{single.luts:>10,}{single.regs:>10,}"
-          f"{single.bram36:>8}{single.dsps:>6}")
-    print(f"{'one coproc (paper)':<22}{63_522:>10,}{25_622:>10,}"
-          f"{388:>8}{208:>6}")
+    for design in ("two coprocs", "one coproc"):
+        rows = [row for row in paper_rows("Table IV")
+                if row.label.startswith(design)]
+        for who, values in (("ours", [row.model() for row in rows]),
+                            ("paper", [row.paper for row in rows])):
+            print(f"{f'{design} ({who})':<22}"
+                  + "".join(f"{value:>{width},}" for value, width
+                            in zip(values, (10, 10, 8, 6), strict=True)))
 
 
 def cmd_table5(args: argparse.Namespace) -> None:
@@ -158,20 +128,21 @@ def cmd_fig3(args: argparse.Namespace) -> None:
 
 def cmd_headline(args: argparse.Namespace) -> None:
     _print_header("Headline — throughput, speedup, power")
-    params = hpca19()
-    config = HardwareConfig()
-    cost = CostModel(params, config)
-    baseline = SoftwareBaseline(params)
-    power = PowerModel(config)
-    throughput = cost.mult_throughput_per_second()
-    print(f"Mult/s with two coprocessors: {throughput:6.0f}  (paper: 400)")
-    print(f"software baseline:            "
-          f"{baseline.mult_seconds() * 1e3:6.1f} ms/Mult (paper: 33)")
-    print(f"speedup:                      "
-          f"{baseline.mult_seconds() * throughput:6.1f}x (paper: >13x)")
-    print(f"peak power:                   {power.peak_watts():6.1f} W  (paper: 8.7 W)")
-    print(f"add speedup over Arm SW:      "
-          f"{cost.add_speedup_over_sw():6.0f}x (paper: 80x)")
+    mults = PAPER_RECORD["headline", "Mult/s with two coprocessors"]
+    baseline = PAPER_RECORD["Sec. VI-E", "FV-NFLlib Mult on the i5 (ms)"]
+    speedup = PAPER_RECORD["headline", "speedup over FV-NFLlib on the i5"]
+    power = PAPER_RECORD["headline", "peak power (W)"]
+    add = PAPER_RECORD["Table I text", "Add in SW over Add in HW"]
+    print(f"Mult/s with two coprocessors: {mults.model():6.0f}  "
+          f"(paper: {mults.paper})")
+    print(f"software baseline:            {baseline.model():6.1f} ms/Mult "
+          f"(paper: {baseline.paper:g})")
+    print(f"speedup:                      {speedup.model():6.1f}x "
+          f"(paper: >{speedup.paper}x)")
+    print(f"peak power:                   {power.model():6.1f} W  "
+          f"(paper: {power.paper} W)")
+    print(f"add speedup over Arm SW:      {add.model():6.0f}x "
+          f"(paper: {add.paper}x)")
 
 
 def cmd_noise(args: argparse.Namespace) -> None:

@@ -101,10 +101,9 @@ TRANSFORM_COUNTER = _obs_counter(
 
 Values live in whichever :class:`~repro.obs.MetricsRegistry` is
 active — the :func:`~repro.obs.scoped_metrics` context gives each test
-or concurrent backend its own counter plane, which is what makes
-resetting the counters (``MetricsRegistry.reset_instrument``) safe
-without corrupting a sibling's telemetry (the pre-registry global
-counter hazard). The counters drive
+or concurrent backend its own counter plane, so one run's counts never
+mix with a sibling's (the pre-registry global counter hazard). The
+counters drive
 :class:`~repro.api.backends.LocalBackend` telemetry, which is how the
 tests pin the transform rows each op and program pays.
 """

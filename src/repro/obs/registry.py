@@ -216,13 +216,6 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
 
-    def reset_instrument(self, name: str) -> None:
-        """Zero every series of one instrument in this registry."""
-        with self._lock:
-            for store in (self._counters, self._gauges, self._histograms):
-                for slot in [s for s in store if s[0] == name]:
-                    del store[slot]
-
 
 def diff_snapshots(before: dict[str, float],
                    after: dict[str, float]) -> dict[str, float]:

@@ -100,11 +100,6 @@ class RnsPoly:
         self._require_coeff_domain("to_int_coeffs")
         return self.basis.reconstruct_coeffs(self.residues)
 
-    def to_centered_coeffs(self) -> list[int]:
-        """Exact CRT reconstruction to centered coefficients."""
-        self._require_coeff_domain("to_centered_coeffs")
-        return self.basis.reconstruct_coeffs_centered(self.residues)
-
     def to_ntt(self) -> RnsPoly:
         """Forward NTT on every residue row (batched over all limbs)."""
         self._require_coeff_domain("to_ntt")

@@ -150,17 +150,24 @@ class TestRenderFig3:
 
 
 #: SHA-256 of the stdout of ``python -m repro <command>``: the paper's
-#: tables and Fig. 3 as this model prints them, byte for byte. A change
-#: that is meant to move no published number must leave these as they are.
+#: tables, Fig. 3 and the headline as this model prints them, byte for
+#: byte. A change that is meant to move no published number must leave
+#: these as they are.
 ARTEFACT_SHA256 = {
     "table1":
         "faf4aa9a66ac54fb8d34883305f713248d0d2941524f5269cefc92d7d950accd",
     "table2":
         "6799d9c55b9c7a403a705d9ce143e827cc603d2c9f4a696bc069cf2bd319d424",
+    "table3":
+        "2bf57489b1cbb5d2e1f0598257f0a59d8ce1aca9caa25b162e83ae78b4f4d387",
+    "table4":
+        "92931e01c34ed7e48307520e3e095f2beaab7d4f398102fda1880eac62bec066",
     "table5":
         "19895ab1179d0bbec55bd82634746103040a2a6bd408edc91e71a17374279fcf",
     "fig3":
         "0d986bd145d0c2913838f2e73f7dd0bb7fd67769bc56c73c9279cd54426c35fb",
+    "headline":
+        "0a42c61e9951702a96f65c8965b51e3baff72ca5d958da52feb8e03691a05218",
 }
 
 
@@ -177,9 +184,7 @@ SIMULATION_SHA256 = {
 
 
 class TestCli:
-    @pytest.mark.parametrize("command", [
-        "table2", "table3", "table4", "table5", "fig3", "noise", "list",
-    ])
+    @pytest.mark.parametrize("command", ["noise", "list"])
     def test_commands_run(self, command, capsys):
         assert cli_main([command]) == 0
         output = capsys.readouterr().out
@@ -199,12 +204,6 @@ class TestCli:
         output = capsys.readouterr().out
         digest = hashlib.sha256(output.encode()).hexdigest()
         assert digest == SIMULATION_SHA256[argv]
-
-    def test_table1_and_headline(self, capsys):
-        assert cli_main(["table1"]) == 0
-        assert cli_main(["headline"]) == 0
-        output = capsys.readouterr().out
-        assert "Mult" in output and "speedup" in output
 
     def test_program_command(self, capsys):
         """The facade demo: one graph, both executors, latency table."""

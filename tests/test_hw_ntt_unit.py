@@ -267,20 +267,6 @@ class TestSteppedOracle:
 
 
 class TestCycleModel:
-    def test_paper_ntt_instruction_cycles(self, paper_params):
-        """The modelled NTT lands on Table II's 87,582 Arm cycles."""
-        unit = DualCoreNttUnit(4096, paper_params.q_primes[0], CONFIG)
-        fpga = unit.transform_cycles() + CONFIG.dispatch_overhead
-        arm = CONFIG.fpga_to_arm_cycles(fpga)
-        assert abs(arm - 87_582) / 87_582 < 0.02
-
-    def test_paper_intt_instruction_cycles(self, paper_params):
-        unit = DualCoreNttUnit(4096, paper_params.q_primes[0], CONFIG)
-        fpga = (unit.transform_cycles() + unit.scale_pass_cycles()
-                + CONFIG.dispatch_overhead)
-        arm = CONFIG.fpga_to_arm_cycles(fpga)
-        assert abs(arm - 102_043) / 102_043 < 0.04
-
     def test_two_cores_nearly_halve_cycles(self):
         """Fig. 3's dual-core scheme: 1.88x of the ideal 2x at n = 4096."""
         for n, floor in ((256, 1.4), (4096, 1.5)):

@@ -139,15 +139,6 @@ class TestRegistry:
         snap = current_registry().snapshot()
         assert diff_snapshots(snap, snap) == {}
 
-    def test_reset_instrument_is_targeted(self):
-        a = counter("test_obs_reset_a_total", "a")
-        b = counter("test_obs_reset_b_total", "b")
-        a.inc(1)
-        b.inc(1)
-        current_registry().reset_instrument("test_obs_reset_a_total")
-        assert a.value() == 0.0
-        assert b.value() == 1
-
     def test_prometheus_exposition(self):
         c = counter("test_obs_prom_total", "help text", labels=("kind",))
         c.inc(2, kind="x")

@@ -102,11 +102,6 @@ class TestRnsPoly:
         poly = RnsPoly.from_int_coeffs(basis, coeffs)
         assert poly.to_int_coeffs() == coeffs
 
-    def test_centered_roundtrip(self, basis, toy_params):
-        coeffs = [basis.modulus - 5] + [0] * (toy_params.n - 1)
-        poly = RnsPoly.from_int_coeffs(basis, coeffs)
-        assert poly.to_centered_coeffs()[0] == -5
-
     def test_add_matches_bigint(self, basis, toy_params, rng):
         a_ints = [int(x) for x in rng.integers(0, 2**60, toy_params.n)]
         b_ints = [int(x) for x in rng.integers(0, 2**60, toy_params.n)]

@@ -40,10 +40,6 @@ ALLOWED = {
     "apps.rasta_like.RastaLikeCipher": "the paper's Sec. III-A Rasta application",
     "hw.modred.BarrettReducer":
         "the paper's Sec. V-A4 alternative to the sliding window",
-    "system.related_work.published_points":
-        "Sec. VI-E comparison points the paper record will read",
-    "system.related_work.our_point":
-        "Sec. VI-E comparison points the paper record will read",
     "fv.reference.TextbookFv": "big-integer oracle of the RNS FV engine",
     "fv.reference.decrypt_with_noise_bigint":
         "big-integer oracle of RNS decryption",

@@ -1,5 +1,6 @@
-"""Tests for the system layer: Arm model, software baseline, server,
-workloads, and the Sec. VI-E comparison data."""
+"""Tests for the system layer: software baseline, server, workloads,
+and the Sec. VI-E comparison data (the paper's numbers themselves are
+gated in tests/test_paper_claims.py)."""
 
 import pytest
 
@@ -7,7 +8,6 @@ from repro.hw.config import HardwareConfig
 from repro.hw.power import PowerModel
 from repro.params import hpca19, mini
 from repro.serve import ServingRuntime
-from repro.system.arm import ArmCoreModel
 from repro.system.baseline import (
     SoftwareBaseline,
     count_mult_operations,
@@ -32,21 +32,7 @@ def cost():
     return CostModel(hpca19(), CONFIG)
 
 
-class TestArmModel:
-    def test_add_in_sw_matches_table1(self):
-        """Table I: Add in SW = 54,680,467 Arm cycles = 45.567 ms."""
-        arm = ArmCoreModel(CONFIG)
-        cycles = arm.add_in_sw_cycles(hpca19())
-        assert abs(cycles - 54_680_467) / 54_680_467 < 0.01
-        assert abs(arm.add_in_sw_seconds(hpca19()) - 45.567e-3) < 1e-3
-
-
 class TestSoftwareBaseline:
-    def test_mult_matches_nfllib(self):
-        """Sec. VI-E: 33 ms per Mult on the i5 (calibration target)."""
-        baseline = SoftwareBaseline(hpca19())
-        assert abs(baseline.mult_seconds() - 33e-3) / 33e-3 < 0.02
-
     def test_op_counts_scale_with_parameters(self):
         big = count_mult_operations(hpca19())
         small = count_mult_operations(mini())
@@ -62,26 +48,6 @@ class TestSoftwareBaseline:
 
 
 class TestCloudServer:
-    def test_mult_compute_time_near_paper(self, cost):
-        mult = cost.compute_seconds(JobKind.MULT)
-        assert abs(mult - 4.458e-3) / 4.458e-3 < 0.10
-
-    def test_throughput_near_400(self, cost):
-        """The paper's headline: 400 Mult/s with two coprocessors."""
-        throughput = cost.mult_throughput_per_second()
-        assert abs(throughput - 400) / 400 < 0.10
-
-    def test_two_coprocessors_double_throughput(self):
-        one = CostModel(hpca19(), HardwareConfig(num_coprocessors=1))
-        two = CostModel(hpca19(), HardwareConfig(num_coprocessors=2))
-        ratio = (two.mult_throughput_per_second()
-                 / one.mult_throughput_per_second())
-        assert ratio == pytest.approx(2.0)
-
-    def test_add_speedup_near_80x(self, cost):
-        """Table I discussion: HW Add is ~80x the Arm-software Add."""
-        assert abs(cost.add_speedup_over_sw() - 80) / 80 < 0.15
-
     def test_serve_keeps_both_coprocessors_busy(self, cost):
         report = ServingRuntime(cost).run(mult_stream(40))
         used = {r.coprocessor for r in report.results}
@@ -98,21 +64,11 @@ class TestCloudServer:
         analytic = cost.mult_throughput_per_second()
         assert abs(report.throughput_per_second() - analytic) / analytic \
             < 0.05
-        # The served rate is itself the paper's headline, within 10 %.
-        assert abs(report.throughput_per_second() - 400) / 400 < 0.10
 
     def test_mixed_workload_runs(self, cost):
         report = ServingRuntime(cost).run(mixed_workload(5, 10, seed=3))
         assert len(report.results) == 55
         assert report.throughput_per_second(JobKind.MULT) > 0
-
-    def test_headline_13x_speedup(self, cost):
-        """Abstract: >13x over the i5 software implementation."""
-        baseline = SoftwareBaseline(hpca19())
-        speedup = (baseline.mult_seconds()
-                   * cost.mult_throughput_per_second())
-        assert speedup > 13.0
-        assert speedup < 16.0  # and not absurdly optimistic
 
 
 class TestWorkloads:
@@ -141,31 +97,13 @@ class TestRelatedWork:
         assert any("Poppelmann" in name for name in names)
         assert any("HEPCloud" in name for name in names)
 
-    def test_v100_entry_matches_paper_claim(self):
-        """Paper: V100 at matched parameters does ~388 Mult/s."""
-        v100 = next(p for p in published_points() if "V100" in p.name)
-        assert abs(v100.mults_per_second - 388) / 388 < 0.02
-
-    def test_our_point_beats_v100(self, cost):
-        power = PowerModel(CONFIG)
-        ours = our_point(
-            cost.job_seconds(JobKind.MULT) * 1e3,
-            CONFIG.num_coprocessors, power.peak_watts(),
-        )
-        v100 = next(p for p in published_points() if "V100" in p.name)
-        assert ours.mults_per_second > v100.mults_per_second
-        # By what factor: just ahead of the V100 (~7 %, not a
-        # landslide), and > 13x the FV-NFLlib point.
-        assert ours.mults_per_second < 1.3 * v100.mults_per_second
-        nfllib = next(p for p in published_points() if "NFLlib" in p.name)
-        assert ours.mults_per_second > 13 * nfllib.mults_per_second
-
     def test_energy_per_mult_beats_i5(self, cost):
         """Energy per Mult, FPGA at peak power vs the i5 at ~40 W load:
         over 20x (the model gives 21 mJ vs 1.3 J)."""
         fpga = (PowerModel(CONFIG).peak_watts()
                 * cost.job_seconds(JobKind.MULT) / CONFIG.num_coprocessors)
-        i5 = 40.0 * SoftwareBaseline(hpca19()).mult_seconds()
+        nfllib = next(p for p in published_points() if "NFLlib" in p.name)
+        i5 = nfllib.power_watts * SoftwareBaseline(hpca19()).mult_seconds()
         assert i5 / fpga > 20
 
     def test_ours_beats_every_published_point(self, cost):
