@@ -14,13 +14,22 @@ shows the point of the `repro.api` facade: the *same* compiled
   prices every lowered operation on the paper's hardware cost models
   and reports per-request p50/p95/p99 latency.
 
+Each functional reply reaches the client as bytes, the way it leaves
+the cloud in the paper's Fig. 11: the server writes it in the
+ciphertext wire format of `repro.io`, the client reads it back and
+decrypts.
+
 Run:  python examples/encrypted_search.py
 """
+
+import tempfile
+from pathlib import Path
 
 from repro import LocalBackend, Session, SimulatedBackend, mini
 from repro.apps import EncryptedLookupTable
 from repro.apps.lookup import selection_depth
 from repro.cluster import TenantAffinityRouter
+from repro.io import load_ciphertext, save_ciphertext
 
 TABLE = [13, 42, 7, 99, 1, 64, 250, 8, 77, 31, 5, 190, 2, 120, 55, 86]
 SHARDS = 4
@@ -37,15 +46,19 @@ def main() -> None:
     # -- functional executions, one program per query -------------------
     local = LocalBackend(session)
     program = None
-    for index in (3, 6, 12):
-        program = server.lookup_program(server.encrypt_index(index))
-        result = local.run(program)
-        value = int(result.decrypt("out")[0])
-        budget = result.noise_budget_bits("out")
-        status = "OK" if value == TABLE[index] else "WRONG"
-        print(f"lookup(index={index:2d}) -> {value:3d} "
-              f"(expected {TABLE[index]:3d}, {status}; "
-              f"reply noise budget {budget:.1f} bits)")
+    with tempfile.TemporaryDirectory() as wire:
+        reply_path = Path(wire) / "reply.ct"
+        for index in (3, 6, 12):
+            program = server.lookup_program(server.encrypt_index(index))
+            result = local.run(program)
+            save_ciphertext(reply_path, result.ciphertext("out"))
+            reply = load_ciphertext(reply_path, session.params)
+            value = int(session.decrypt(reply)[0])
+            budget = result.noise_budget_bits("out")
+            status = "OK" if value == TABLE[index] else "WRONG"
+            print(f"lookup(index={index:2d}) -> {value:3d} "
+                  f"(expected {TABLE[index]:3d}, {status}; "
+                  f"reply noise budget {budget:.1f} bits)")
 
     # -- the same program object through the simulated cluster ----------
     backend = SimulatedBackend.over_cluster(

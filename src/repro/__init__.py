@@ -56,7 +56,6 @@ from .api import (
 )
 
 from .errors import (
-    CapacityError,
     EncodingError,
     HardwareModelError,
     IsaError,
@@ -80,7 +79,7 @@ from .fv import (
 )
 from .hw import Coprocessor, HardwareConfig, MultReport, Opcode
 from .hw.config import slow_coprocessor_config
-from .params import ParameterSet, hpca19, hpca19_large, large_ring, mini, toy
+from .params import ParameterSet, hpca19, hpca19_large, large_ring, mini
 from .rns.decompose import WordDecomp
 from .system import CostModel, SoftwareBaseline
 
@@ -93,7 +92,7 @@ __all__ = [
     "SimulatedBackend", "SimulatedRun", "ProgramFuture",
     "LoweredProgram",
     # parameters
-    "ParameterSet", "hpca19", "hpca19_large", "large_ring", "mini", "toy",
+    "ParameterSet", "hpca19", "hpca19_large", "large_ring", "mini",
     # FV scheme
     "FvContext", "Evaluator", "Plaintext", "IntegerEncoder", "BatchEncoder",
     "Ciphertext", "KeySet", "SecretKey", "PublicKey", "RelinKey",
@@ -105,5 +104,5 @@ __all__ = [
     "CostModel", "SoftwareBaseline",
     # errors
     "ReproError", "ParameterError", "EncodingError", "NoiseBudgetExhausted",
-    "HardwareModelError", "MemoryConflictError", "CapacityError", "IsaError",
+    "HardwareModelError", "MemoryConflictError", "IsaError",
 ]

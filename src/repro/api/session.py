@@ -77,16 +77,6 @@ class Session:
         self._plain_ntt_pool: dict[tuple[int, bytes], np.ndarray] = {}
         self._plain_delta_pool: dict[tuple[int, bytes], np.ndarray] = {}
 
-    @classmethod
-    def from_parts(cls, context: FvContext, keys: KeySet, *,
-                   encoder: str = "auto") -> Session:
-        """Adopt an existing context + key set (the migration shim).
-
-        Code that used to hand-wire ``FvContext``/``keygen`` wraps those
-        parts once and then speaks the handle API.
-        """
-        return cls(context=context, keys=keys, encoder=encoder)
-
     def _pick_encoder(self, requested: str):
         if requested == "batch" or requested == "auto":
             try:
@@ -211,22 +201,6 @@ class Session:
         return CiphertextHandle(
             ExprNode(OpKind.INPUT, payload=ciphertext), self
         )
-
-    def save_ciphertext(self, path, value) -> None:
-        """Serialise a handle or ciphertext in the NTT-domain wire
-        format (no inverse transform); a lazy handle is materialised
-        first."""
-        from ..io import save_ciphertext
-
-        if isinstance(value, CiphertextHandle):
-            value = value.ciphertext
-        save_ciphertext(path, value)
-
-    def load_ciphertext(self, path) -> CiphertextHandle:
-        """Load a serialised ciphertext (either wire domain) as a handle."""
-        from ..io import load_ciphertext
-
-        return self.wrap(load_ciphertext(path, self.params))
 
     def decrypt(self, value, size: int | None = None):
         """Decrypt a handle (materialising it if lazy) or a ciphertext.

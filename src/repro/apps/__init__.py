@@ -2,22 +2,21 @@
 
 The paper sizes its parameter set (depth 4) for "several statistical
 applications such as privacy-friendly forecasting for the smart grid [4],
-evaluation of low-complexity block ciphers such as Rasta [25] on
-ciphertext, private information retrieval or encrypted search". Each of
-those three application families is implemented here on top of the public
-FV API, with plaintext reference computations for verification.
+[...] private information retrieval or encrypted search", and for
+"encrypted sorting". Forecasting, a private table lookup and the
+compare-and-swap under a sorting network are implemented here on the
+public FV API, beside an encrypted blocked matrix product, each with a
+plaintext reference computation for verification.
 """
 
 from .comparator import EncryptedComparator
 from .forecasting import SmartGridAggregator
 from .lookup import EncryptedLookupTable
 from .matmul import EncryptedMatmul
-from .rasta_like import RastaLikeCipher
 
 __all__ = [
     "SmartGridAggregator",
     "EncryptedLookupTable",
     "EncryptedMatmul",
-    "RastaLikeCipher",
     "EncryptedComparator",
 ]

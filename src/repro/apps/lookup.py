@@ -99,10 +99,6 @@ class EncryptedLookupTable:
             reply = weighted if reply is None else reply + weighted
         return reply
 
-    def lookup(self, index_bits: list) -> CiphertextHandle:
-        """PIR reply as a lazy ciphertext handle."""
-        return self.reply_expr(index_bits)
-
     def lookup_program(self, index_bits: list, *,
                        check: bool = True) -> HEProgram:
         """Compile one lookup into a backend-agnostic program."""

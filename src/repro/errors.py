@@ -43,9 +43,5 @@ class MemoryConflictError(HardwareModelError):
     """
 
 
-class CapacityError(HardwareModelError):
-    """An on-chip memory allocation exceeded the configured BRAM budget."""
-
-
 class IsaError(HardwareModelError):
     """An instruction is malformed or references an invalid operand slot."""

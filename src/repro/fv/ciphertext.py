@@ -112,18 +112,6 @@ class Ciphertext:
 
     # -- wire format -------------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Pack every part as uint32 residues, row-major.
-
-        The headerless coefficient-domain wire: evaluation-domain parts
-        are rejected so a consumer can never mistake NTT evaluations
-        for coefficients (:meth:`to_coeff` first). Use
-        :meth:`to_wire_bytes` for the domain-tagged format.
-        """
-        if self.domain != "coeff":
-            raise ParameterError("serialise coefficient-domain parts only")
-        return self.to_wire_bytes()
-
     def to_wire_bytes(self) -> bytes:
         """Pack the residue payload of either domain.
 

@@ -40,10 +40,6 @@ class Plaintext:
         return len(self.coeffs)
 
     @classmethod
-    def zero(cls, n: int, t: int) -> Plaintext:
-        return cls(np.zeros(n, dtype=np.int64), t)
-
-    @classmethod
     def from_list(cls, coeffs, n: int, t: int) -> Plaintext:
         arr = np.zeros(n, dtype=np.int64)
         if len(coeffs) > n:

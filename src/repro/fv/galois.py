@@ -216,14 +216,6 @@ class GaloisEngine:
             for steps in steps_list
         }
 
-    def summation_keygen(self, secret: SecretKey) -> dict:
-        """All keys :meth:`sum_all_slots` needs, labelled as
-        :func:`summation_rounds` labels them."""
-        return {
-            label: self.keygen(secret, g)
-            for label, g in summation_elements(self.context.params.n).items()
-        }
-
     # -- homomorphic application -----------------------------------------------------
 
     def _tau(self, poly: RnsPoly, g: int) -> RnsPoly:
@@ -318,9 +310,9 @@ class GaloisEngine:
         forward transform, the cost of a key switch — and their outputs
         are summed into the running result with one reduction (four
         canonical rows stay below 2^32). Build the key set with
-        :meth:`summation_keygen`. The worst-case noise is that of the
-        one-generator-per-round ladder: a radix-4 round takes v to
-        4v + 3e, exactly what two v -> 2v + e rounds give.
+        :meth:`repro.api.Session.summation_keys`. The worst-case noise
+        is that of the one-generator-per-round ladder: a radix-4 round
+        takes v to 4v + 3e, exactly what two v -> 2v + e rounds give.
         """
         context = self.context
         basis = context.q_basis

@@ -58,11 +58,6 @@ class RelinKey:
     def num_components(self) -> int:
         return len(self.pairs)
 
-    def key_bytes(self, n: int) -> int:
-        """Serialised size (drives the rlk DMA-streaming overhead model)."""
-        total_rows = sum(b.shape[0] + a.shape[0] for b, a in self.pairs)
-        return total_rows * n * 4
-
 
 @dataclass
 class KeySet:

@@ -55,11 +55,6 @@ class Instruction:
         if needs_dst and self.dst is None:
             raise IsaError(f"{self.op.name} requires a destination register")
 
-    def describe(self) -> str:
-        src = ", ".join(self.srcs)
-        rows = f" rows={list(self.rows)}" if self.rows else ""
-        return f"{self.op.name:12s} {self.dst or '-':12s} <- {src}{rows}"
-
 
 @dataclass
 class Program:
@@ -81,12 +76,6 @@ class Program:
         for instruction in self.instructions:
             counts[instruction.op] = counts.get(instruction.op, 0) + 1
         return counts
-
-    def listing(self) -> str:
-        return "\n".join(
-            f"{idx:4d}: {ins.describe()}"
-            for idx, ins in enumerate(self.instructions)
-        )
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import CapacityError
 from ..params import ParameterSet
 from .bram import BRAM36K_WIDTH, BRAM36K_WORDS
 from .config import HardwareConfig
@@ -91,19 +90,3 @@ class MemoryFile:
     def total_bram36k(self) -> int:
         return self.poly_bram36k() + self.twiddle_rom_bram36k()
 
-    def breakdown(self) -> dict[str, int]:
-        report = {
-            region.name: region.bram36k(self.params.n)
-            for region in self.regions
-        }
-        report["twiddle_roms"] = self.twiddle_rom_bram36k()
-        report["total"] = self.total_bram36k()
-        return report
-
-    def check_budget(self, available_bram36k: int) -> None:
-        total = self.total_bram36k()
-        if total > available_bram36k:
-            raise CapacityError(
-                f"memory map needs {total} BRAM36K, only "
-                f"{available_bram36k} available"
-            )

@@ -8,10 +8,8 @@ window of the operand by its tabulated 30-bit equivalent, shrinking the
 operand by ``window`` bits; the steps are fully unrolled and pipelined in
 the RTL. A final conditional subtraction of q or 2q produces the result.
 
-Both a bit-exact functional model (scalar and vectorised) and the
-structural properties (table size, step count = pipeline stages) live
-here. :class:`BarrettReducer` is included for the design-space comparison
-the paper alludes to.
+Both a bit-exact functional model and the structural properties (table
+size, step count = pipeline stages) live here.
 """
 
 from __future__ import annotations
@@ -83,30 +81,3 @@ class SlidingWindowReducer:
             work -= self.modulus
         return work
 
-
-class BarrettReducer:
-    """Barrett reduction [31], the alternative the paper decided against.
-
-    Needs two extra wide multiplications per reduction; the resource model
-    uses its multiplier count to quantify the paper's design choice.
-    """
-
-    def __init__(self, modulus: int, input_bits: int = 60) -> None:
-        if modulus < 2:
-            raise ParameterError("modulus must be at least 2")
-        self.modulus = modulus
-        self.shift = input_bits
-        self.mu = (1 << self.shift) // modulus
-
-    @property
-    def extra_multipliers(self) -> int:
-        return 2
-
-    def reduce(self, value: int) -> int:
-        if value < 0 or value >= (1 << self.shift):
-            raise HardwareModelError("operand outside the Barrett range")
-        estimate = (value * self.mu) >> self.shift
-        remainder = value - estimate * self.modulus
-        while remainder >= self.modulus:
-            remainder -= self.modulus
-        return remainder

@@ -91,12 +91,6 @@ class NttSchedule:
 
     # -- placement algebra -----------------------------------------------------------
 
-    def word_of(self, index: int, stage: int) -> int:
-        return _drop_bit(index, stage - 1)
-
-    def slot_of(self, index: int, stage: int) -> int:
-        return (index >> (stage - 1)) & 1
-
     def butterfly_indices(self, word: int, stage: int) -> tuple[int, int]:
         """Coefficient indices stored (slot0, slot1) in `word` at `stage`."""
         i0 = _insert_zero(word, stage - 1)

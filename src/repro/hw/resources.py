@@ -12,8 +12,8 @@ the Verilog has — times per-leaf costs:
   structural sums, changing core counts (the design-space knobs of
   Sec. VII) moves the estimate the way the real design would move.
 
-ZCU102 device capacity (XCZU9EG) is included so the utilisation
-percentages of Table IV can be reproduced.
+ZCU102 device capacity (XCZU9EG) is included so the Table IV totals
+can be checked against the device.
 """
 
 from __future__ import annotations
@@ -58,14 +58,6 @@ class Utilization:
     regs: int
     bram36: int
     dsps: int
-
-    def percentages(self) -> dict[str, float]:
-        return {
-            "luts": 100.0 * self.luts / ZCU102_LUTS,
-            "regs": 100.0 * self.regs / ZCU102_REGS,
-            "bram36": 100.0 * self.bram36 / ZCU102_BRAM36,
-            "dsps": 100.0 * self.dsps / ZCU102_DSPS,
-        }
 
     def __add__(self, other: Utilization) -> Utilization:
         return Utilization(
@@ -164,15 +156,3 @@ class ResourceEstimator:
         return (self.single_coprocessor()
                 .scaled(self.config.num_coprocessors)
                 + self.interface())
-
-    def breakdown(self) -> dict[str, Utilization]:
-        return {
-            "rpaus": self.rpau_utilization(),
-            "lift_cores": self.lift_utilization(),
-            "scale_cores": self.scale_utilization(),
-            "memory_file": self.memory_utilization(),
-            "control": self.control_utilization(),
-            "single_coprocessor": self.single_coprocessor(),
-            "interface": self.interface(),
-            "full_design": self.full_design(),
-        }

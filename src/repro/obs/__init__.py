@@ -14,7 +14,7 @@ is the substrate the counters report through and the exporter of the
 records:
 
 * :mod:`~repro.obs.registry` — a process-wide **metrics registry**
-  (counters, gauges, histograms with labels) with snapshot/diff/reset
+  (counters, gauges, histograms with labels) with read/reset
   semantics, a Prometheus-style text exposition, and
   :func:`scoped_metrics`, the context manager that gives each test or
   concurrent backend its own counter plane instead of a shared
@@ -40,7 +40,6 @@ from .registry import (
     MetricsRegistry,
     counter,
     current_registry,
-    diff_snapshots,
     gauge,
     histogram,
     render_prometheus,
@@ -71,7 +70,6 @@ __all__ = [
     "histogram",
     "current_registry",
     "scoped_metrics",
-    "diff_snapshots",
     "render_prometheus",
     "Span",
     "Tracer",

@@ -22,11 +22,9 @@ The registry fixes the sharing model, not just the bookkeeping:
   the pytest fixture in ``tests/conftest.py`` wraps every test in one,
   and concurrent backends can isolate their counter planes the same
   way. The context variable makes the scope thread- and task-local.
-* **Snapshot / diff / reset.** :meth:`MetricsRegistry.snapshot`
-  returns a flat, JSON-friendly mapping of series name to value;
-  :func:`diff_snapshots` subtracts two snapshots (monotone series
-  only); :meth:`MetricsRegistry.reset` zeroes one registry without
-  touching any other.
+* **Read / reset.** :meth:`MetricsRegistry.value` reads one counter
+  or gauge series; :meth:`MetricsRegistry.reset` zeroes one registry
+  without touching any other.
 * **Exposition.** :func:`render_prometheus` serialises a registry in
   the Prometheus text format, ``# HELP`` / ``# TYPE`` comments
   included.
@@ -49,7 +47,6 @@ __all__ = [
     "histogram",
     "current_registry",
     "scoped_metrics",
-    "diff_snapshots",
     "render_prometheus",
 ]
 
@@ -182,54 +179,12 @@ class MetricsRegistry:
                 return self._counters[(name, key)]
             return self._gauges.get((name, key), 0.0)
 
-    def snapshot(self) -> dict[str, float]:
-        """Flat, JSON-friendly mapping of every live series.
-
-        Counter and gauge series map their exposition name to the
-        value; each histogram series contributes ``..._count`` and
-        ``..._sum`` entries plus one ``..._bucket{le=...}`` per bound.
-        """
-        out: dict[str, float] = {}
-        with self._lock:
-            for (name, key), value in self._counters.items():
-                out[series_name(name, key)] = value
-            for (name, key), value in self._gauges.items():
-                out[series_name(name, key)] = value
-            for (name, key), data in self._histograms.items():
-                out[series_name(f"{name}_count", key)] = float(data.count)
-                out[series_name(f"{name}_sum", key)] = data.total
-                cumulative = 0
-                for bound, bucket in zip(data.buckets, data.counts[:-1],
-                                         strict=True):
-                    cumulative += bucket
-                    le = ((f"{bound:g}",))
-                    out[series_name(f"{name}_bucket", key + (("le", le[0]),))] \
-                        = float(cumulative)
-                out[series_name(f"{name}_bucket", key + (("le", "+Inf"),))] \
-                    = float(data.count)
-        return out
-
     def reset(self) -> None:
         """Zero every series in *this* registry only."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-
-
-def diff_snapshots(before: dict[str, float],
-                   after: dict[str, float]) -> dict[str, float]:
-    """Per-series deltas between two snapshots (non-zero entries only).
-
-    Series absent from ``before`` count from zero, so a diff across a
-    run that created new series reports their full value.
-    """
-    out: dict[str, float] = {}
-    for series, value in after.items():
-        delta = value - before.get(series, 0.0)
-        if delta != 0:
-            out[series] = delta
-    return out
 
 
 # -- the active-registry context ------------------------------------------------------

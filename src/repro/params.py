@@ -221,14 +221,6 @@ def mini(t: int = 2) -> ParameterSet:
 
 
 @lru_cache(maxsize=None)
-def toy(t: int = 2) -> ParameterSet:
-    """The smallest coherent set (n = 64) for exhaustive unit tests."""
-    params = _build("toy", n=64, k_q=3, k_p=4, t=t, sigma=3.2)
-    params.validate_tensor_capacity()
-    return params
-
-
-@lru_cache(maxsize=None)
 def large16k(t: int = 2) -> ParameterSet:
     """n = 16384 with a 360-bit q — the sweep point between the Table V
     extrapolations.

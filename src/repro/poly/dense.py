@@ -38,14 +38,6 @@ class IntPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, modulus: int) -> IntPoly:
-        return cls((0,) * n, modulus)
-
-    @classmethod
-    def constant(cls, value: int, n: int, modulus: int) -> IntPoly:
-        return cls((value,) + (0,) * (n - 1), modulus)
-
-    @classmethod
     def from_list(cls, coeffs: list[int], modulus: int) -> IntPoly:
         return cls(tuple(coeffs), modulus)
 
@@ -59,10 +51,6 @@ class IntPoly:
         """Coefficients mapped to (-modulus/2, modulus/2]."""
         half = self.modulus // 2
         return [c - self.modulus if c > half else c for c in self.coeffs]
-
-    def infinity_norm(self) -> int:
-        """Max absolute value of the centered coefficients."""
-        return max((abs(c) for c in self.centered()), default=0)
 
     # -- ring arithmetic -----------------------------------------------------
 

@@ -68,21 +68,6 @@ class RnsPoly:
         poly.ntt_domain = ntt_domain
         return poly
 
-    @classmethod
-    def zero(cls, basis: RnsBasis, n: int) -> RnsPoly:
-        return cls.trusted(basis, np.zeros((basis.size, n), dtype=np.int64))
-
-    @classmethod
-    def from_int_coeffs(cls, basis: RnsBasis, coeffs) -> RnsPoly:
-        """Build from big-integer coefficients (exact residue reduction)."""
-        return cls(basis, basis.residues_of_coeffs(list(coeffs)))
-
-    @classmethod
-    def from_small_coeffs(cls, basis: RnsBasis, coeffs) -> RnsPoly:
-        """Build from machine-int coefficients (fast path, e.g. samples)."""
-        arr = np.asarray(coeffs, dtype=np.int64)[None, :]
-        return cls(basis, arr % basis.primes_col)
-
     # -- properties -----------------------------------------------------------
 
     @property
@@ -154,17 +139,6 @@ class RnsPoly:
             self.basis,
             (-self.residues) % self.basis.primes_col,
             self.ntt_domain,
-        )
-
-    def pointwise_mul(self, other: RnsPoly) -> RnsPoly:
-        """Coefficient-wise product (requires both operands in NTT domain)."""
-        self._assert_compatible(other)
-        if not self.ntt_domain:
-            raise ParameterError("pointwise_mul requires the NTT domain")
-        return RnsPoly.trusted(
-            self.basis,
-            (self.residues * other.residues) % self.basis.primes_col,
-            ntt_domain=True,
         )
 
     def multiply(self, other: RnsPoly) -> RnsPoly:

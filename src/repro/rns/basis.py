@@ -75,13 +75,6 @@ class RnsBasis:
         """Residue vector of a single integer."""
         return np.array([value % p for p in self.primes], dtype=np.int64)
 
-    def residues_of_coeffs(self, coeffs) -> np.ndarray:
-        """Residue matrix (size x n) of a list of big integers."""
-        return np.array(
-            [[int(c) % p for c in coeffs] for p in self.primes],
-            dtype=np.int64,
-        )
-
     def reconstruct(self, residues) -> int:
         """Exact CRT reconstruction of one residue vector into [0, modulus)."""
         total = 0

@@ -20,8 +20,6 @@ from .workloads import (
     Job,
     JobKind,
     merge_streams,
-    mixed_workload,
-    mult_stream,
     multi_tenant_stream,
     poisson_stream,
 )
@@ -32,9 +30,7 @@ __all__ = [
     "CostModel",
     "Job",
     "JobKind",
-    "mult_stream",
     "merge_streams",
-    "mixed_workload",
     "multi_tenant_stream",
     "poisson_stream",
 ]

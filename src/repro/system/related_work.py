@@ -33,9 +33,10 @@ from ..hw.config import HardwareConfig, slow_coprocessor_config
 from ..hw.coprocessor import Coprocessor
 from ..hw.dma import DmaModel
 from ..hw.isa import Opcode
-from ..hw.lift_unit import TraditionalLiftUnit
+from ..hw.lift_unit import HpsLiftUnit, TraditionalLiftUnit
+from ..hw.ntt_unit import DualCoreNttUnit
 from ..hw.power import PowerModel
-from ..hw.resources import ResourceEstimator
+from ..hw.resources import ResourceEstimator, Utilization
 from ..hw.scale_unit import TraditionalScaleUnit
 from ..hw.scaling import scaling_table
 from ..params import hpca19
@@ -168,10 +169,11 @@ def _transfer(chunk_bytes: int | None) -> Callable[[], int]:
         hpca19().poly_bytes, chunk_bytes=chunk_bytes)
 
 
-def _resources(design: str, field: str) -> Callable[[], int]:
+def _resources(design: Callable[[ResourceEstimator], Utilization],
+               field: str) -> Callable[[], int]:
     def count() -> int:
         estimator = ResourceEstimator(hpca19(), HardwareConfig())
-        return getattr(getattr(estimator, design)(), field)
+        return getattr(design(estimator), field)
     return count
 
 
@@ -197,6 +199,24 @@ def _key_transfer_share() -> float:
     pinned = _cost(replace(HardwareConfig(), relin_key_on_chip=True))
     return 1 - (pinned.compute_seconds(JobKind.MULT)
                 / _cost().compute_seconds(JobKind.MULT))
+
+
+def _hps_lift_speedup() -> float:
+    params = hpca19()
+    context = lift_context(params.q_primes, params.p_primes)
+    config = HardwareConfig()
+    traditional = TraditionalLiftUnit(context, replace(config, use_hps=False))
+    return (traditional.cycles(params.n)
+            / HpsLiftUnit(context, config).cycles(params.n))
+
+
+def _twiddle_rom_penalty() -> float:
+    params = hpca19()
+    config = HardwareConfig()
+    with_rom, without = (
+        DualCoreNttUnit(params.n, params.q_primes[0], unit).transform_cycles()
+        for unit in (config, replace(config, twiddle_rom=False)))
+    return without / with_rom - 1
 
 
 def _traditional_lift_ms() -> float:
@@ -228,6 +248,10 @@ def _table2(op: Opcode, paper: int, gate: float) -> PaperRow:
 #: Arm cycles, Table IV in resource counts, Table V in ms.
 PAPER_RECORD: dict[tuple[str, str], PaperRow] = {
     (row.artefact, row.label): row for row in [
+        PaperRow("Sec. IV-C", "HPS Lift speedup over traditional Lift", 13,
+                 _hps_lift_speedup, 0.010),
+        PaperRow("Sec. V-A4", "extra NTT cycles without the twiddle ROM",
+                 0.20, _twiddle_rom_penalty, 0.125),
         PaperRow("Table I", "Mult in HW", 5_349_567, lambda: _arm_cycles(
             _cost().compute_seconds(JobKind.MULT)), 0.045),
         PaperRow("Table I", "Add in HW", 31_339, lambda: _arm_cycles(
@@ -256,21 +280,25 @@ PAPER_RECORD: dict[tuple[str, str], PaperRow] = {
         PaperRow("Table III", "1,024-byte chunks", 242_771,
                  _transfer(1_024), 0.005),
         PaperRow("Table IV", "two coprocs: LUT", 133_692,
-                 _resources("full_design", "luts"), 0.015),
+                 _resources(ResourceEstimator.full_design, "luts"), 0.015),
         PaperRow("Table IV", "two coprocs: FF", 60_312,
-                 _resources("full_design", "regs"), 0.015),
+                 _resources(ResourceEstimator.full_design, "regs"), 0.015),
         PaperRow("Table IV", "two coprocs: BRAM36", 815,
-                 _resources("full_design", "bram36"), 0.030),
+                 _resources(ResourceEstimator.full_design, "bram36"), 0.030),
         PaperRow("Table IV", "two coprocs: DSP", 416,
-                 _resources("full_design", "dsps"), 0.080),
+                 _resources(ResourceEstimator.full_design, "dsps"), 0.080),
         PaperRow("Table IV", "one coproc: LUT", 63_522,
-                 _resources("single_coprocessor", "luts"), 0.015),
+                 _resources(ResourceEstimator.single_coprocessor, "luts"),
+                 0.015),
         PaperRow("Table IV", "one coproc: FF", 25_622,
-                 _resources("single_coprocessor", "regs"), 0.020),
+                 _resources(ResourceEstimator.single_coprocessor, "regs"),
+                 0.020),
         PaperRow("Table IV", "one coproc: BRAM36", 388,
-                 _resources("single_coprocessor", "bram36"), 0.030),
+                 _resources(ResourceEstimator.single_coprocessor, "bram36"),
+                 0.030),
         PaperRow("Table IV", "one coproc: DSP", 208,
-                 _resources("single_coprocessor", "dsps"), 0.080),
+                 _resources(ResourceEstimator.single_coprocessor, "dsps"),
+                 0.080),
         PaperRow("Table V", "(2^12, 180) compute", 4.46,
                  _scaled(0, "compute_seconds"), 0.045),
         PaperRow("Table V", "(2^12, 180) comm", 0.54,
@@ -312,6 +340,8 @@ PAPER_RECORD: dict[tuple[str, str], PaperRow] = {
                  _point("FV-NFLlib").mult_ms,
                  lambda: SoftwareBaseline(hpca19()).mult_seconds() * 1e3,
                  0.005),
+        PaperRow("Sec. VI-E", "FV-NFLlib i5 power (W)", 40,
+                 lambda: _point("FV-NFLlib").power_watts, 0.0),
         PaperRow("Sec. VI-E", "Tesla V100 at 180-bit q (Mult/s)", 388,
                  lambda: _point("V100").mults_per_second, 0.005),
         PaperRow("headline", "Mult/s with two coprocessors", 400,

@@ -61,11 +61,6 @@ class Job:
     first_arrival_seconds: float | None = None
 
 
-def mult_stream(count: int) -> list[Job]:
-    """A saturating stream of multiplications (all available at t=0)."""
-    return [Job(index=i, kind=JobKind.MULT) for i in range(count)]
-
-
 def poisson_stream(rate_per_second: float, duration_seconds: float,
                    kind: JobKind = JobKind.MULT,
                    seed: int = 0,
@@ -330,25 +325,3 @@ class ClosedLoopClients:
         return ClosedLoopResult(report=report, submitted=next_index,
                                 completed=completed, rejected=rejected,
                                 jobs_per_client=jobs_per_client)
-
-
-def mixed_workload(mults: int, adds_per_mult: int,
-                   seed: int = 0) -> list[Job]:
-    """Forecasting-shaped workload: bursts of adds around each mult.
-
-    The smart-grid application of [4] accumulates many ciphertext
-    additions per multiplication; the paper cites it as the motivation
-    for accelerating Mult first (Sec. IV-A).
-    """
-    rng = np.random.default_rng(seed)
-    jobs: list[Job] = []
-    index = 0
-    for _ in range(mults):
-        for _ in range(adds_per_mult):
-            jobs.append(Job(index=index, kind=JobKind.ADD))
-            index += 1
-        jobs.append(Job(index=index, kind=JobKind.MULT))
-        index += 1
-    # Shuffle deterministically: clients interleave.
-    order = rng.permutation(len(jobs))
-    return [jobs[i] for i in order]

@@ -18,7 +18,8 @@ import repro.parallel.config as parallel_config
 from repro.fv.scheme import FvContext
 from repro.obs import scoped_metrics
 from repro.parallel import ExecutionConfig, use_executor
-from repro.params import hpca19, mini, toy
+from repro.params import hpca19, mini
+from scaffolding import toy
 
 
 def pytest_addoption(parser):

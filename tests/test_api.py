@@ -74,9 +74,9 @@ class TestSession:
         h = session.encrypt(19)
         assert session.decrypt(h * session.encrypt(3)) == 57
 
-    def test_from_parts_adopts_context_and_keys(self, batch_session):
-        adopted = Session.from_parts(batch_session.context,
-                                     batch_session.keys)
+    def test_adopts_context_and_keys(self, batch_session):
+        adopted = Session(context=batch_session.context,
+                          keys=batch_session.keys)
         h = adopted.encrypt([9])
         assert int(batch_session.decrypt(h.ciphertext)[0]) == 9
 

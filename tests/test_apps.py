@@ -6,7 +6,6 @@ import pytest
 from repro.api import LocalBackend, OpKind, Session
 from repro.apps.forecasting import SmartGridAggregator, plaintext_reference
 from repro.apps.lookup import EncryptedLookupTable, selection_depth
-from repro.apps.rasta_like import RastaLikeCipher
 from repro.errors import ParameterError
 from repro.params import mini
 
@@ -19,11 +18,6 @@ def batch_session():
 @pytest.fixture(scope="module")
 def lut_session():
     return Session(mini(t=257), seed=22)
-
-
-@pytest.fixture(scope="module")
-def bit_session():
-    return Session(mini(t=2), seed=23)
 
 
 class TestForecasting:
@@ -99,11 +93,11 @@ class TestLookup:
 
     def test_every_index_retrieves_correctly(self, server):
         for index in range(len(self.TABLE)):
-            reply = server.lookup(server.encrypt_index(index))
+            reply = server.reply_expr(server.encrypt_index(index))
             assert int(server.session.decrypt(reply)[0]) == self.TABLE[index]
 
     def test_reply_has_noise_budget_left(self, server, lut_session):
-        reply = server.lookup(server.encrypt_index(2))
+        reply = server.reply_expr(server.encrypt_index(2))
         assert lut_session.noise_budget_bits(reply) > 0
 
     def test_selection_depth_paper_sizing(self):
@@ -119,7 +113,7 @@ class TestLookup:
     def test_rejects_wrong_bit_count(self, server):
         bits = server.encrypt_index(1)
         with pytest.raises(ParameterError):
-            server.lookup(bits[:-1])
+            server.reply_expr(bits[:-1])
 
     def test_rejects_oversized_values(self, lut_session):
         with pytest.raises(ParameterError):
@@ -128,49 +122,6 @@ class TestLookup:
     def test_rejects_non_power_of_two_table(self, lut_session):
         with pytest.raises(ParameterError):
             EncryptedLookupTable(lut_session, [1, 2, 3])
-
-
-class TestRastaLike:
-    def test_homomorphic_evaluation_matches_reference(self, bit_session):
-        cipher = RastaLikeCipher(width=6, rounds=2, seed=9)
-        rng = np.random.default_rng(77)
-        bits = rng.integers(0, 2, 6)
-        bit_cts = [bit_session.encrypt([int(b)]) for b in bits]
-        out = cipher.evaluate_encrypted(bit_session, bit_cts)
-        got = RastaLikeCipher.decrypt_state(bit_session, out)
-        assert np.array_equal(got, cipher.encrypt_reference(bits))
-
-    def test_four_rounds_within_depth_budget(self, bit_session):
-        """Four chi rounds = multiplicative depth 4 (the paper's budget)."""
-        cipher = RastaLikeCipher(width=4, rounds=4, seed=11)
-        bits = np.array([1, 0, 1, 1])
-        bit_cts = [bit_session.encrypt([int(b)]) for b in bits]
-        out = cipher.evaluate_encrypted(bit_session, bit_cts)
-        got = RastaLikeCipher.decrypt_state(bit_session, out)
-        assert np.array_equal(got, cipher.encrypt_reference(bits))
-        assert bit_session.noise_budget_bits(out[0]) > 0
-
-    def test_reference_is_deterministic(self):
-        cipher = RastaLikeCipher(width=5, rounds=3, seed=2)
-        bits = np.array([1, 1, 0, 0, 1])
-        assert np.array_equal(cipher.encrypt_reference(bits),
-                              cipher.encrypt_reference(bits))
-
-    def test_different_seeds_different_ciphers(self):
-        bits = np.array([1, 0, 1, 0])
-        a = RastaLikeCipher(width=4, rounds=2, seed=1)
-        b = RastaLikeCipher(width=4, rounds=2, seed=2)
-        assert not np.array_equal(a.encrypt_reference(bits),
-                                  b.encrypt_reference(bits))
-
-    def test_rejects_narrow_state(self):
-        with pytest.raises(ParameterError):
-            RastaLikeCipher(width=2, rounds=1)
-
-    def test_requires_binary_plaintext_modulus(self, lut_session):
-        cipher = RastaLikeCipher(width=4, rounds=1)
-        with pytest.raises(ParameterError):
-            cipher.evaluate_encrypted(lut_session, [None] * 4)
 
 
 class TestSessionFirstConstruction:
@@ -183,7 +134,7 @@ class TestSessionFirstConstruction:
         table = [5, 6, 7, 8]
         server = EncryptedLookupTable(session, table)
         bits = server.encrypt_index(2)
-        assert int(session.decrypt(server.lookup(bits))[0]) == 7
+        assert int(session.decrypt(server.reply_expr(bits))[0]) == 7
         # Negated bits are shared across table entries: exactly one
         # NEGATE per index bit in the compiled graph.
         program = server.lookup_program(server.encrypt_index(1))

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import LocalBackend, Session
-from repro.errors import ParameterError
 from repro.fv.galois import GaloisEngine, apply_galois_rows
 from repro.nttmath.batch import (
     _LIMB_BITS,
@@ -32,9 +31,10 @@ from repro.nttmath.batch import (
 )
 from repro.nttmath.ntt import NegacyclicTransformer, intt_iterative, ntt_iterative
 from repro.nttmath.primes import find_ntt_primes
-from repro.params import mini, toy
+from repro.params import mini
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import basis_for
+from scaffolding import toy
 
 #: (n, k) shapes exercised by the equivalence tests: small/odd mixes of
 #: ring degree and basis size, including single-limb and non-square n.
@@ -327,10 +327,6 @@ class TestNttResidentBackend:
         ct = result.handle("out").ciphertext
         assert ct.ntt_resident and ct.domain == "ntt"
         ct.to_wire_bytes()  # the NTT-domain wire, without conversion
-        # The headerless coefficient wire refuses NTT evaluations.
-        with pytest.raises(ParameterError, match="coefficient"):
-            ct.to_bytes()
-        ct.to_coeff().to_bytes()
 
     def test_plain_pool_caches_constant_transforms(self):
         params = mini(t=257)

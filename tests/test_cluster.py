@@ -34,12 +34,12 @@ from repro.system.workloads import (
     Job,
     JobKind,
     cluster_trace,
-    mult_stream,
     poisson_stream,
     saturated_tenant_jobs,
     tenant_name,
     zipf_tenant_rates,
 )
+from scaffolding import mult_stream
 
 PARAMS = hpca19()
 

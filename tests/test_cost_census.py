@@ -26,9 +26,10 @@ from repro.fv.keys import RelinKey
 from repro.hw.config import HardwareConfig, slow_coprocessor_config
 from repro.hw.coprocessor import Coprocessor
 from repro.hw.isa import Opcode
-from repro.params import hpca19, mini, toy
+from repro.params import hpca19, mini
 from repro.system import CostModel
 from repro.system.workloads import JobKind
+from scaffolding import toy
 
 CONFIGS = {
     "streamed": HardwareConfig(),

@@ -15,14 +15,16 @@ from repro.fv.evaluator import Evaluator
 from repro.fv.noise import noise_of
 from repro.fv.noise_model import NoiseModel
 from repro.hw.trace import render_fig3
-from repro.params import hpca19, mini, toy
+from repro.params import hpca19, mini
+from scaffolding import toy
 
 
 class TestNoiseModel:
     def test_fresh_bound_dominates_measured(self, toy_context, toy_keys):
         """The analytic bound must envelope actual fresh noise."""
         model = NoiseModel(toy_context.params)
-        plain = Plaintext.zero(toy_context.params.n, toy_context.params.t)
+        params = toy_context.params
+        plain = Plaintext.from_list([], params.n, params.t)
         for _ in range(5):
             ct = toy_context.encrypt(plain, toy_keys.public)
             measured = noise_of(toy_context, ct, toy_keys.secret)
@@ -30,7 +32,8 @@ class TestNoiseModel:
 
     def test_add_bound_dominates_measured(self, toy_context, toy_keys):
         model = NoiseModel(toy_context.params)
-        plain = Plaintext.zero(toy_context.params.n, toy_context.params.t)
+        params = toy_context.params
+        plain = Plaintext.from_list([], params.n, params.t)
         ct1 = toy_context.encrypt(plain, toy_keys.public)
         ct2 = toy_context.encrypt(plain, toy_keys.public)
         n1 = noise_of(toy_context, ct1, toy_keys.secret)
@@ -130,7 +133,7 @@ class TestComparator:
             pytest.skip("fixture uses t = 2")
         with pytest.raises(ParameterError):
             EncryptedComparator(
-                Session.from_parts(mini_context, mini_keys), bits=2)
+                Session(context=mini_context, keys=mini_keys), bits=2)
 
     def test_rejects_mismatched_widths(self, comparator_session):
         comparator = EncryptedComparator(comparator_session, bits=3)

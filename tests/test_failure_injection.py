@@ -24,8 +24,8 @@ from repro.hw.config import HardwareConfig
 from repro.hw.modred import SlidingWindowReducer
 from repro.hw.ntt_unit import DualCoreNttUnit
 from repro.nttmath.ntt import NegacyclicTransformer
-from repro.params import toy
 from repro.poly.rns_poly import RnsPoly
+from scaffolding import toy
 
 
 class TestCorruptedCiphertexts:
@@ -34,7 +34,7 @@ class TestCorruptedCiphertexts:
         """Flipping one residue word must scramble the plaintext — the
         CRT spreads the error across the whole coefficient."""
         params = toy_context.params
-        plain = Plaintext.zero(params.n, params.t)
+        plain = Plaintext.from_list([], params.n, params.t)
         ct = toy_context.encrypt(plain, toy_keys.public).to_coeff()
         corrupted_rows = ct.c0.residues.copy()
         corrupted_rows[0, 0] = (corrupted_rows[0, 0] + 12345) \
@@ -73,11 +73,11 @@ class TestCorruptedCiphertexts:
 
     def test_truncated_wire_blob_rejected(self, toy_context, toy_keys):
         params = toy_context.params
-        ct = toy_context.encrypt(Plaintext.zero(params.n, params.t),
+        ct = toy_context.encrypt(Plaintext.from_list([], params.n, params.t),
                                  toy_keys.public)
         with pytest.raises(ParameterError):
             Ciphertext.from_bytes(
-                ct.to_coeff().to_bytes()[: params.poly_bytes // 2],
+                ct.to_coeff().to_wire_bytes()[: params.poly_bytes // 2],
                                   params, toy_context.q_basis)
 
 

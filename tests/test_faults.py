@@ -37,8 +37,9 @@ from repro.obs import Tracer, runtime_timeline
 from repro.params import hpca19, mini
 from repro.serve import ServingRuntime, Tenant, TenantSet
 from repro.system.server import CostModel
-from repro.system.workloads import Job, JobKind, cluster_trace, mult_stream, \
+from repro.system.workloads import Job, JobKind, cluster_trace, \
     zipf_tenant_rates
+from scaffolding import mult_stream
 from test_cluster import check_cluster_conservation
 
 PARAMS = mini()

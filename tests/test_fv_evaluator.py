@@ -38,7 +38,7 @@ class TestMultiply:
     def test_mult_by_zero(self, toy_context, toy_keys, evaluator):
         params = toy_context.params
         a = Plaintext.from_list([1, 1, 1], params.n, params.t)
-        zero = Plaintext.zero(params.n, params.t)
+        zero = Plaintext.from_list([], params.n, params.t)
         ct = evaluator.multiply(
             toy_context.encrypt(a, toy_keys.public),
             toy_context.encrypt(zero, toy_keys.public),
@@ -102,7 +102,7 @@ class TestMultiply:
     def test_tensor_rejects_three_part_inputs(self, toy_context, toy_keys,
                                               evaluator, rng):
         params = toy_context.params
-        a = Plaintext.zero(params.n, params.t)
+        a = Plaintext.from_list([], params.n, params.t)
         ct = toy_context.encrypt(a, toy_keys.public)
         raw = evaluator.multiply_raw(ct, ct)
         with pytest.raises(ParameterError):
@@ -111,7 +111,7 @@ class TestMultiply:
     def test_relinearize_rejects_two_part(self, toy_context, toy_keys,
                                           evaluator):
         params = toy_context.params
-        ct = toy_context.encrypt(Plaintext.zero(params.n, params.t),
+        ct = toy_context.encrypt(Plaintext.from_list([], params.n, params.t),
                                  toy_keys.public)
         with pytest.raises(ParameterError):
             evaluator.relinearize(ct, toy_keys.relin)
@@ -175,9 +175,10 @@ class TestDigitRelin:
         digit_key = toy_context.relin_keygen(
             toy_keys.secret,
             WordDecomp(base_bits=-(-params.q.bit_length() // 2)))
-        rns_bytes = toy_keys.relin.key_bytes(params.n)
-        digit_bytes = digit_key.key_bytes(params.n)
-        assert rns_bytes == digit_bytes * params.k_q // 2
+        rns_words, digit_words = (
+            sum(b.size + a.size for b, a in key.pairs)
+            for key in (toy_keys.relin, digit_key))
+        assert rns_words == digit_words * params.k_q // 2
 
 
 class TestDepth:

@@ -150,7 +150,7 @@ class TestEncryptDecrypt:
 
     def test_fresh_noise_is_small(self, toy_context, toy_keys):
         params = toy_context.params
-        plain = Plaintext.zero(params.n, params.t)
+        plain = Plaintext.from_list([], params.n, params.t)
         ct = toy_context.encrypt(plain, toy_keys.public)
         _, noise = toy_context.decrypt_with_noise(ct, toy_keys.secret)
         # Fresh noise ~ 2*n*sigma; far below the q/(2t) threshold.
@@ -158,13 +158,14 @@ class TestEncryptDecrypt:
 
     def test_distinct_randomness(self, toy_context, toy_keys):
         params = toy_context.params
-        plain = Plaintext.zero(params.n, params.t)
+        plain = Plaintext.from_list([], params.n, params.t)
         ct1 = toy_context.encrypt(plain, toy_keys.public)
         ct2 = toy_context.encrypt(plain, toy_keys.public)
         assert not np.array_equal(ct1.c0.residues, ct2.c0.residues)
 
     def test_wrong_plaintext_ring_rejected(self, toy_context, toy_keys):
-        bad = Plaintext.zero(toy_context.params.n * 2, toy_context.params.t)
+        params = toy_context.params
+        bad = Plaintext.from_list([], params.n * 2, params.t)
         with pytest.raises(ParameterError):
             toy_context.encrypt(bad, toy_keys.public)
 
@@ -219,7 +220,7 @@ class TestEncryptDecrypt:
 
     def test_size_mismatch_rejected(self, toy_context, toy_keys, rng):
         params = toy_context.params
-        a = Plaintext.zero(params.n, params.t)
+        a = Plaintext.from_list([], params.n, params.t)
         ct = toy_context.encrypt(a, toy_keys.public)
         from repro.fv.ciphertext import Ciphertext
         three = Ciphertext((ct.c0, ct.c1, ct.c0), params)
@@ -265,7 +266,7 @@ class TestTextbookCrossCheck:
         p1 = textbook.poly_from_rns(toy_keys.public.p1)
         residue = p0 + p1 * s
         sigma = toy_context.params.sigma
-        assert residue.infinity_norm() < 20 * sigma + 20
+        assert max(abs(c) for c in residue.centered()) < 20 * sigma + 20
 
     def test_secret_key_is_ternary(self, toy_keys):
         assert set(np.unique(toy_keys.secret.coeffs)) <= {-1, 0, 1}

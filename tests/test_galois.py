@@ -13,6 +13,7 @@ from repro.fv.galois import (
     galois_index_maps,
     rotation_element,
     slot_permutation,
+    summation_elements,
 )
 from repro.fv.noise import noise_budget_bits
 from repro.fv.scheme import FvContext
@@ -158,7 +159,8 @@ class TestHomomorphicRotation:
         values = rng.integers(0, 1000, params.n)
         ct = galois_context.encrypt(encoder.encode(values),
                                     galois_keys.public)
-        keys = engine.summation_keygen(galois_keys.secret)
+        keys = {label: engine.keygen(galois_keys.secret, g)
+                for label, g in summation_elements(params.n).items()}
         total = engine.sum_all_slots(ct, keys)
         decoded = encoder.decode(
             galois_context.decrypt(total, galois_keys.secret)

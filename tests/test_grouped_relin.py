@@ -20,10 +20,11 @@ from repro.fv.scheme import FvContext
 from repro.hw.config import HardwareConfig
 from repro.hw.coprocessor import Coprocessor
 from repro.nttmath.ntt import negacyclic_convolution
-from repro.params import mini, table5_large, toy
+from repro.params import mini, table5_large
 from repro.rns.basis import basis_for
 from repro.rns.decompose import WordDecomp, prime_groups
 from repro.system.related_work import PAPER_RECORD
+from scaffolding import toy
 
 GROUPS_OF_2 = WordDecomp(group_size=2)
 

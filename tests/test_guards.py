@@ -9,21 +9,31 @@ a half-valid object or corrupting a later result.
 import numpy as np
 import pytest
 
-from repro.api import Session
+from repro.api import LocalBackend, Session, SimulatedBackend
+from repro.api.program import HEProgram
 from repro.apps.comparator import EncryptedComparator
+from repro.apps.matmul import EncryptedMatmul
 from repro.cluster import FpgaCluster
-from repro.errors import EncodingError, HardwareModelError, ParameterError
+from repro.errors import EncodingError, ParameterError
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.fv.ciphertext import Ciphertext
 from repro.fv.encoder import IntegerEncoder
+from repro.fv.evaluator import Evaluator
+from repro.fv.keys import RelinKey
+from repro.fv.reference import TextbookFv
+from repro.fv.sampler import uniform_mod
 from repro.hw.config import HardwareConfig
-from repro.hw.modred import BarrettReducer, SlidingWindowReducer
-from repro.io import load_galois_keys, load_keyset, save_keyset
+from repro.hw.modred import SlidingWindowReducer
+from repro.nttmath.batch import BasisTransformer, basis_transformer
+from repro.nttmath.ntt import NegacyclicTransformer, negacyclic_convolution
 from repro.nttmath.primes import find_ntt_primes, primitive_root
-from repro.params import mini, toy
+from repro.parallel.executors import ThreadPoolExecutor
+from repro.params import large_ring, mini
 from repro.poly.dense import IntPoly
 from repro.poly.rns_poly import RnsPoly
-from repro.rns.basis import RnsBasis, basis_for
+from repro.rns.basis import RnsBasis, basis_for, lift_context, scale_context
+from repro.rns.lift import lift_hps_ntt
+from repro.rns.scale import scale_hps_ntt
 from repro.serve import (
     DmaBatcher,
     ServingRuntime,
@@ -32,9 +42,14 @@ from repro.serve import (
     WeightedFairScheduler,
 )
 from repro.system.server import CostModel
+from scaffolding import toy
 
 PARAMS = toy()
 COST = CostModel(mini())
+
+
+def _zero_poly(basis: RnsBasis, n: int) -> RnsPoly:
+    return RnsPoly(basis, np.zeros((basis.size, n), dtype=np.int64))
 
 
 class TestPrimeSearch:
@@ -48,6 +63,74 @@ class TestPrimeSearch:
 
     def test_primitive_root_of_two(self):
         assert primitive_root(2) == 1
+
+    def test_too_few_primes_of_that_size(self):
+        # 257 is the only 9-bit prime congruent to 1 mod 128.
+        assert find_ntt_primes(9, 64, 1) == [257]
+        with pytest.raises(ParameterError, match="only found 1 of 2"):
+            find_ntt_primes(9, 64, 2)
+
+    def test_sweep_set_only_for_swept_degrees(self):
+        with pytest.raises(ParameterError, match="no sweep parameter set"):
+            large_ring(2048)
+
+
+class TestTransformGuards:
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return basis_transformer(PARAMS.q_primes, PARAMS.n)
+
+    def test_engine_modulus_width(self):
+        with pytest.raises(ParameterError, match="lazy-reduction"):
+            BasisTransformer(((1 << 32) + 1,), 16)
+
+    def test_engine_modulus_must_be_ntt_friendly(self):
+        with pytest.raises(ParameterError, match="not NTT-friendly"):
+            BasisTransformer((17,), 16)
+
+    @pytest.mark.parametrize("shape", [(16,), (1, 1, 1, 16)],
+                             ids=["1-D", "4-D"])
+    def test_engine_needs_a_matrix_or_stack(self, engine, shape):
+        with pytest.raises(ParameterError, match="matrix or"):
+            engine.forward(np.zeros(shape, dtype=np.int64))
+
+    def test_engine_rows_match_the_basis(self, engine):
+        rows = np.zeros((engine.k + 1, engine.n), dtype=np.int64)
+        with pytest.raises(ParameterError, match="basis layout"):
+            engine.inverse(rows)
+
+    def test_engine_one_constant_per_channel(self, engine):
+        rows = np.zeros((engine.k, engine.n), dtype=np.int64)
+        with pytest.raises(ParameterError, match="channel constants"):
+            engine.inverse_scaled(rows, (1,) * (engine.k - 1))
+
+    def test_engine_broadcast_rows_have_degree_n(self, engine):
+        with pytest.raises(ParameterError, match="digit rows"):
+            engine.forward_broadcast(np.zeros(engine.n, dtype=np.int64))
+
+    def test_reference_convolution_lengths_match(self):
+        with pytest.raises(ParameterError, match="equal length"):
+            negacyclic_convolution([1, 2], [1], 17)
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_reference_transform_length(self, direction):
+        transformer = NegacyclicTransformer(8, 17)
+        with pytest.raises(ParameterError, match="expected 8"):
+            getattr(transformer, direction)(np.zeros(4, dtype=np.int64))
+
+    def test_lift_rows_over_the_source_basis(self):
+        context = lift_context(PARAMS.q_primes,
+                               PARAMS.q_primes + PARAMS.p_primes)
+        rows = np.zeros((len(PARAMS.q_primes) + 1, PARAMS.n),
+                        dtype=np.int64)
+        with pytest.raises(ParameterError, match="source basis"):
+            lift_hps_ntt(context, rows)
+
+    def test_scale_rows_over_the_full_basis(self):
+        context = scale_context(PARAMS.q_primes, PARAMS.p_primes, PARAMS.t)
+        rows = np.zeros((len(PARAMS.q_primes), PARAMS.n), dtype=np.int64)
+        with pytest.raises(ParameterError, match="over Q"):
+            scale_hps_ntt(context, rows)
 
 
 class TestPolynomialGuards:
@@ -70,12 +153,21 @@ class TestPolynomialGuards:
     def test_rns_poly_bases_must_match(self, basis):
         other = basis_for(PARAMS.q_primes[:1])
         with pytest.raises(ParameterError, match="different RNS bases"):
-            _ = RnsPoly.zero(basis, PARAMS.n) + RnsPoly.zero(other, PARAMS.n)
+            _ = _zero_poly(basis, PARAMS.n) + _zero_poly(other, PARAMS.n)
 
     def test_rns_poly_degrees_must_match(self, basis):
         with pytest.raises(ParameterError, match="different degrees"):
-            _ = (RnsPoly.zero(basis, PARAMS.n)
-                 + RnsPoly.zero(basis, PARAMS.n // 2))
+            _ = (_zero_poly(basis, PARAMS.n)
+                 + _zero_poly(basis, PARAMS.n // 2))
+
+    def test_rns_poly_rows_match_the_basis(self, basis):
+        with pytest.raises(ParameterError, match="do not match basis"):
+            RnsPoly(basis, np.zeros((basis.size + 1, PARAMS.n),
+                                    dtype=np.int64))
+
+    def test_uniform_sampler_needs_a_machine_word(self, rng):
+        with pytest.raises(ParameterError, match="machine-word"):
+            uniform_mod(rng, 4, 1 << 63)
 
     def test_rns_basis_rejects_two(self):
         with pytest.raises(ParameterError, match="odd primes"):
@@ -85,20 +177,47 @@ class TestPolynomialGuards:
 class TestCiphertextShape:
     @pytest.fixture(scope="class")
     def part(self):
-        return RnsPoly.zero(basis_for(PARAMS.q_primes), PARAMS.n)
+        return _zero_poly(basis_for(PARAMS.q_primes), PARAMS.n)
 
     def test_part_count(self, part):
         with pytest.raises(ParameterError, match="two or three parts"):
             Ciphertext((part,), PARAMS)
 
     def test_part_degree(self):
-        half = RnsPoly.zero(basis_for(PARAMS.q_primes), PARAMS.n // 2)
+        half = _zero_poly(basis_for(PARAMS.q_primes), PARAMS.n // 2)
         with pytest.raises(ParameterError, match="degree n"):
             Ciphertext((half, half), PARAMS)
 
     def test_two_part_ciphertext_has_no_c2(self, part):
         with pytest.raises(ParameterError, match="no third part"):
             _ = Ciphertext((part, part), PARAMS).c2
+
+    @pytest.mark.parametrize("parts", [1, 4])
+    def test_wire_blob_part_count(self, part, parts):
+        blob = Ciphertext((part, part), PARAMS).to_wire_bytes()
+        blob = blob[:PARAMS.poly_bytes] * parts
+        with pytest.raises(ParameterError, match=f"holds {parts} parts"):
+            Ciphertext.from_bytes(blob, PARAMS, part.basis)
+
+    def test_sub_needs_equal_sizes(self, part, toy_context):
+        with pytest.raises(ParameterError, match="different sizes"):
+            toy_context.sub(Ciphertext((part, part), PARAMS),
+                            Ciphertext((part, part, part), PARAMS))
+
+    def test_reference_add_needs_equal_sizes(self):
+        zero = IntPoly((0,) * PARAMS.n, PARAMS.q)
+        with pytest.raises(ParameterError, match="size mismatch"):
+            TextbookFv(PARAMS).add((zero, zero), (zero, zero, zero))
+
+    def test_relin_key_one_pair_per_digit(self, toy_context, toy_keys):
+        evaluator = Evaluator(toy_context)
+        ct = toy_context.encrypt(
+            IntegerEncoder(PARAMS, base=2).encode(3), toy_keys.public)
+        raw = evaluator.multiply_raw(ct, ct)
+        short = RelinKey(toy_keys.relin.pairs[:-1],
+                         toy_keys.relin.decomposition)
+        with pytest.raises(ParameterError, match="components for"):
+            evaluator.relinearize(raw, short)
 
 
 class TestEncodingGuards:
@@ -116,42 +235,78 @@ class TestEncodingGuards:
             EncryptedComparator(Session(mini(t=2), seed=0), bits=0)
 
 
-class TestKeyFileKinds:
-    def test_key_set_loader_refuses_galois_file(self, tmp_path, toy_context,
-                                                toy_keys):
-        from repro.fv.galois import GaloisEngine
-        from repro.io import save_galois_keys
+class TestProgramGuards:
+    @pytest.fixture(scope="class")
+    def session(self):
+        return Session(PARAMS, seed=3)
 
-        params = toy_context.params
-        keys = GaloisEngine(toy_context).summation_keygen(toy_keys.secret)
-        path = tmp_path / "galois.bin"
-        save_galois_keys(path, keys, params)
-        with pytest.raises(EncodingError, match="does not hold a key set"):
-            load_keyset(path, params)
+    def test_encode_takes_scalars_or_vectors(self, session):
+        with pytest.raises(ValueError, match="scalar or 1-D"):
+            session.encode([[1, 0], [0, 1]])
 
-    def test_galois_loader_refuses_key_set_file(self, tmp_path, toy_context,
-                                                toy_keys):
-        params = toy_context.params
-        path = tmp_path / "keys.bin"
-        save_keyset(path, toy_keys, params)
-        with pytest.raises(EncodingError, match="does not hold Galois"):
-            load_galois_keys(path, params)
+    def test_outputs_must_be_handles(self, session):
+        with pytest.raises(ParameterError, match="must be handles"):
+            session.compile({"out": 3})
+
+    def test_outputs_must_come_from_this_session(self, session):
+        stranger = Session(PARAMS, seed=4).encrypt(1)
+        with pytest.raises(ParameterError, match="another session"):
+            session.compile(stranger)
+
+    def test_program_needs_an_output(self):
+        with pytest.raises(ParameterError, match="at least one output"):
+            HEProgram({}, PARAMS)
+
+    def test_local_run_takes_no_options(self, session):
+        program = session.compile(session.encrypt(1))
+        with pytest.raises(TypeError, match="unknown options"):
+            LocalBackend(session).run(program, requests=2)
+
+    def test_local_run_matches_parameters(self, session):
+        other = Session(mini(), seed=5)
+        program = other.compile(other.encrypt(1))
+        with pytest.raises(ParameterError, match="different parameters"):
+            LocalBackend(session).run(program)
+
+    @pytest.mark.parametrize("option, match", [
+        ({"requests": 0}, "at least one request"),
+        ({"num_tenants": 0}, "at least one tenant"),
+        ({"rate_per_second": 0.0}, "rate must be positive"),
+    ], ids=["requests", "tenants", "rate"])
+    def test_simulated_load_is_positive(self, session, option, match):
+        program = session.compile(session.encrypt(1))
+        backend = SimulatedBackend.over_runtime(PARAMS)
+        with pytest.raises(ValueError, match=match):
+            backend.run(program, **option)
+
+    def test_matmul_entries_are_plaintext_residues(self, session):
+        with pytest.raises(ParameterError, match=r"in \[0, t\)"):
+            EncryptedMatmul(session).encrypt_rows([[1, PARAMS.t]])
+
+    def test_matmul_entry_pairs_blocks(self, session):
+        with pytest.raises(ParameterError, match="block counts differ"):
+            EncryptedMatmul(session).entry_expr([session.encrypt(1)], [])
+
+    def test_thread_pool_needs_a_worker(self):
+        with pytest.raises(ValueError, match="at least one worker"):
+            ThreadPoolExecutor(0)
+
+    @pytest.mark.parametrize("flag", ["--shards", "--requests",
+                                      "--tenants", "--replicas",
+                                      "--workers"])
+    def test_cli_counts_are_positive(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["list", flag, "0"])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 class TestReducerGuards:
     def test_sliding_window_modulus_floor(self):
         with pytest.raises(ParameterError, match="at least 2"):
             SlidingWindowReducer(1)
-
-    def test_barrett_modulus_floor(self):
-        with pytest.raises(ParameterError, match="at least 2"):
-            BarrettReducer(1)
-
-    @pytest.mark.parametrize("value", [-1, 1 << 60])
-    def test_barrett_operand_range(self, value):
-        barrett = BarrettReducer(PARAMS.q_primes[0])
-        with pytest.raises(HardwareModelError, match="Barrett range"):
-            barrett.reduce(value)
 
 
 class TestServingGuards:

@@ -9,7 +9,7 @@ from repro.errors import HardwareModelError, ParameterError
 from repro.hw.butterfly import ButterflyCore
 from repro.hw.config import HardwareConfig
 from repro.hw.datapath import ModAddSub, PipelinedMultiplier
-from repro.hw.modred import BarrettReducer, SlidingWindowReducer
+from repro.hw.modred import SlidingWindowReducer
 from repro.params import hpca19
 
 PRIMES = hpca19().q_primes + hpca19().p_primes
@@ -77,27 +77,6 @@ class TestSlidingWindowReducer:
     def test_matches_modulo_property(self, value):
         reducer = SlidingWindowReducer(PRIMES[2])
         assert reducer.reduce(value) == value % PRIMES[2]
-
-
-class TestBarrettReducer:
-    def test_matches_modulo(self, rng):
-        prime = PRIMES[0]
-        barrett = BarrettReducer(prime)
-        for _ in range(300):
-            value = int(rng.integers(0, 1 << 60))
-            assert barrett.reduce(value) == value % prime
-
-    def test_agrees_with_sliding_window(self, rng):
-        """The paper's design choice changes cost, not results."""
-        prime = PRIMES[3]
-        sliding = SlidingWindowReducer(prime)
-        barrett = BarrettReducer(prime)
-        for _ in range(200):
-            value = int(rng.integers(0, 1 << 60))
-            assert sliding.reduce(value) == barrett.reduce(value)
-
-    def test_extra_multiplier_cost(self):
-        assert BarrettReducer(PRIMES[0]).extra_multipliers == 2
 
 
 class TestPipelinedMultiplier:

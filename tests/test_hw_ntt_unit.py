@@ -19,7 +19,8 @@ from repro.hw.ntt_unit import DualCoreNttUnit, NttSchedule
 from repro.nttmath.batch import intt_rows, ntt_rows
 from repro.nttmath.ntt import NegacyclicTransformer
 from repro.nttmath.primes import find_ntt_primes
-from repro.params import mini, toy
+from repro.params import mini
+from scaffolding import toy
 
 CONFIG = HardwareConfig()
 
@@ -27,6 +28,15 @@ CONFIG = HardwareConfig()
 ORACLE_BASES = {"toy": toy(), "mini": mini()}
 ORACLE_ROWS = [(name, row) for name, params in ORACLE_BASES.items()
                for row in range(params.k_total)]
+
+
+def _placement(index: int, stage: int) -> tuple[int, int]:
+    """(word, slot) of coefficient ``index`` entering ``stage``: the
+    slot is bit ``stage - 1`` of the index, the word the index with that
+    bit removed."""
+    bit = stage - 1
+    word = (index >> (bit + 1)) << bit | index & ((1 << bit) - 1)
+    return word, (index >> bit) & 1
 
 
 def prime_for(n: int) -> int:
@@ -132,19 +142,16 @@ class TestScheduleStructure:
             for word in range(schedule.words):
                 i0, i1 = schedule.butterfly_indices(word, stage)
                 assert i1 == i0 + (1 << (stage - 1))
-                assert schedule.word_of(i0, stage) == word
-                assert schedule.word_of(i1, stage) == word
-                assert schedule.slot_of(i0, stage) == 0
-                assert schedule.slot_of(i1, stage) == 1
+                assert _placement(i0, stage) == (word, 0)
+                assert _placement(i1, stage) == (word, 1)
 
     def test_destination_invariant(self):
         """Stage-s writes place every index where stage s+1 expects it."""
         schedule = NttSchedule(256, 2)
         for stage in range(1, schedule.log_n):
             for index in range(256):
-                dest_word, dest_slot = schedule.dest_of(index, stage)
-                assert dest_word == schedule.word_of(index, stage + 1)
-                assert dest_slot == schedule.slot_of(index, stage + 1)
+                assert schedule.dest_of(index, stage) == \
+                    _placement(index, stage + 1)
 
     def test_twiddle_exponents(self):
         schedule = NttSchedule(64, 2)
@@ -279,15 +286,14 @@ class TestCycleModel:
             assert floor < ratio < 2.0, n
 
     def test_twiddle_rom_removes_bubbles(self):
-        """Paper Sec. V-A4: no ROM -> ~20% more cycles (prior work [20])."""
-        for n in (256, 4096):
-            prime = prime_for(n)
-            with_rom = DualCoreNttUnit(n, prime, CONFIG)
-            without = DualCoreNttUnit(
-                n, prime, replace(CONFIG, twiddle_rom=False)
-            )
-            ratio = without.transform_cycles() / with_rom.transform_cycles()
-            assert 1.10 < ratio < 1.25, n
+        """Without the ROM a transform pays bubble cycles at a small
+        ring too. Sec. V-A4's ~20 % at the paper's n = 4096 is a
+        ``PAPER_RECORD`` row."""
+        prime = prime_for(256)
+        with_rom = DualCoreNttUnit(256, prime, CONFIG)
+        without = DualCoreNttUnit(256, prime,
+                                  replace(CONFIG, twiddle_rom=False))
+        assert without.transform_cycles() > with_rom.transform_cycles()
 
     def test_strict_cycles_scale_with_n(self):
         prime64, prime256 = prime_for(64), prime_for(256)

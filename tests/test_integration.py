@@ -13,7 +13,8 @@ from repro.hw.coprocessor import Coprocessor
 from repro.nttmath.ntt import negacyclic_convolution
 from repro.serve import ServingRuntime
 from repro.system.server import CostModel
-from repro.system.workloads import JobKind, mixed_workload
+from repro.system.workloads import JobKind
+from scaffolding import mixed_workload
 
 
 class TestSerialisationRoundtrip:
@@ -22,7 +23,7 @@ class TestSerialisationRoundtrip:
         plain = Plaintext(rng.integers(0, params.t, params.n), params.t)
         # The headerless wire carries coefficients.
         ct = mini_context.encrypt(plain, mini_keys.public).to_coeff()
-        blob = ct.to_bytes()
+        blob = ct.to_wire_bytes()
         assert len(blob) == params.ciphertext_bytes
         restored = Ciphertext.from_bytes(blob, params,
                                          mini_context.q_basis)
@@ -33,7 +34,7 @@ class TestSerialisationRoundtrip:
         params = mini_context.params
         plain = Plaintext(rng.integers(0, params.t, params.n), params.t)
         ct = mini_context.encrypt(plain, mini_keys.public)
-        restored = Ciphertext.from_bytes(ct.to_coeff().to_bytes(), params,
+        restored = Ciphertext.from_bytes(ct.to_coeff().to_wire_bytes(), params,
                                          mini_context.q_basis)
         assert mini_context.decrypt(restored, mini_keys.secret) == plain
 
@@ -43,10 +44,10 @@ class TestSerialisationRoundtrip:
 
     def test_rejects_truncated_blob(self, mini_context, mini_keys, rng):
         params = mini_context.params
-        plain = Plaintext.zero(params.n, params.t)
+        plain = Plaintext.from_list([], params.n, params.t)
         ct = mini_context.encrypt(plain, mini_keys.public)
         with pytest.raises(ParameterError):
-            Ciphertext.from_bytes(ct.to_coeff().to_bytes()[:-1], params,
+            Ciphertext.from_bytes(ct.to_coeff().to_wire_bytes()[:-1], params,
                                   mini_context.q_basis)
 
     def test_three_part_round_trip(self, mini_context, mini_keys, rng):
@@ -62,7 +63,7 @@ class TestSerialisationRoundtrip:
             mini_context.encrypt(b, mini_keys.public),
         )
         assert raw.size == 3
-        blob = raw.to_bytes()
+        blob = raw.to_wire_bytes()
         assert len(blob) == raw.byte_size() == 3 * params.poly_bytes
         restored = Ciphertext.from_bytes(blob, params,
                                          mini_context.q_basis)
@@ -111,16 +112,16 @@ class TestClientCloudFlow:
         a = Plaintext(rng.integers(0, params.t, params.n), params.t)
         b = Plaintext(rng.integers(0, params.t, params.n), params.t)
         blob_a = mini_context.encrypt(a, mini_keys.public).to_coeff() \
-            .to_bytes()
+            .to_wire_bytes()
         blob_b = mini_context.encrypt(b, mini_keys.public).to_coeff() \
-            .to_bytes()
+            .to_wire_bytes()
 
         # Cloud side: reconstruct, multiply on the simulated hardware.
         ct_a = Ciphertext.from_bytes(blob_a, params, mini_context.q_basis)
         ct_b = Ciphertext.from_bytes(blob_b, params, mini_context.q_basis)
         coprocessor = Coprocessor(params)
         result, report = coprocessor.mult(ct_a, ct_b, mini_keys.relin)
-        reply = result.to_bytes()
+        reply = result.to_wire_bytes()
         assert report.total_cycles > 0
 
         # Client side: decrypt the reply.

@@ -28,19 +28,18 @@ from repro.fv.evaluator import Evaluator
 from repro.fv.galois import (
     CONJUGATE_QUARTER,
     GaloisEngine,
-    GaloisKey,
     apply_galois_rows,
     rotation_element,
     summation_rounds,
 )
 from repro.fv.scheme import FvContext
-from repro.io import load_galois_keys, save_galois_keys
 from repro.nttmath import find_ntt_primes
 from repro.nttmath.batch import ntt_rows, transform_counts
 from repro.obs import Tracer, current_registry
 from repro.parallel import use_executor
-from repro.params import PRIME_BITS, ParameterSet, hpca19, mini, toy
+from repro.params import PRIME_BITS, ParameterSet, hpca19, mini
 from repro.rns.decompose import WordDecomp, decompose_poly_signed
+from scaffolding import toy
 
 
 @pytest.fixture(scope="module", params=[toy, mini, hpca19],
@@ -236,15 +235,12 @@ def _count_diff(before, after):
 
 
 @EXECUTORS
-@pytest.mark.parametrize("rows", ["uint32", "int64-loaded"])
-def test_hoisted_round_matches_python_int_oracle(setup, rows, executor,
-                                                 monkeypatch, tmp_path):
+def test_hoisted_round_matches_python_int_oracle(setup, executor,
+                                                 monkeypatch):
     """Every output of ``apply_many`` is, as Python integers
     modulo each prime, ``(tau_g(c0) + sum_i tau_g(d_i) b_i,
     sum_i tau_g(d_i) a_i)`` over the *signed* permuted digits — on the
-    ladder's last round, which holds the composite conjugation key.
-    ``int64-loaded`` keys went through the bundle file with the int64
-    rows a pre-compaction engine held (the same bytes on disk)."""
+    ladder's last round, which holds the composite conjugation key."""
     monkeypatch.setattr(parallel_config, "PARALLEL_MIN_WORK", 1)
     context, keys, _ = setup
     params = context.params
@@ -255,15 +251,6 @@ def test_hoisted_round_matches_python_int_oracle(setup, rows, executor,
     assert CONJUGATE_QUARTER in elements
     group = {label: engine.keygen(keys.secret, g)
              for label, g in elements.items()}
-    if rows == "int64-loaded":
-        wide = {
-            label: GaloisKey(key.element, [
-                (b.astype(np.int64), a.astype(np.int64))
-                for b, a in key.pairs])
-            for label, key in group.items()
-        }
-        save_galois_keys(tmp_path / "round.bin", wide, params)
-        group = load_galois_keys(tmp_path / "round.bin", params)
     assert all(row.dtype == np.uint32
                for key in group.values() for pair in key.pairs
                for row in pair)

@@ -27,8 +27,9 @@ from repro.fv.scheme import FvContext
 from repro.nttmath import batch
 from repro.obs import Tracer
 from repro.parallel import use_executor
-from repro.params import hpca19, mini, toy
+from repro.params import hpca19, mini
 from repro.rns.scale import scale_hps
+from scaffolding import toy
 from test_rns import lift_hps_reference
 
 

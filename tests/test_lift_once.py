@@ -23,7 +23,8 @@ from repro.api import LocalBackend, Session
 from repro.apps import EncryptedMatmul
 from repro.fv import Ciphertext
 from repro.parallel import ExecutionConfig, use_executor
-from repro.params import hpca19, mini, toy
+from repro.params import hpca19, mini
+from scaffolding import toy
 
 KERNELS = ("mult.lift", "mult.tensor", "mult.scale", "keyswitch.decompose",
            "keyswitch.fold")

@@ -31,7 +31,6 @@ from repro.obs import (
     cluster_timeline,
     counter,
     current_registry,
-    diff_snapshots,
     gauge,
     histogram,
     maybe_span,
@@ -42,6 +41,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.serve.telemetry import LatencySummary
+from scaffolding import exposed_series
 from test_cluster import cluster_of, shard_record
 
 
@@ -109,35 +109,17 @@ class TestRegistry:
         g.set(1.5)
         assert g.value() == 1.5
 
-    def test_histogram_snapshot_series(self):
+    def test_histogram_series(self):
         h = histogram("test_obs_lat", "latency", buckets=(0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)
         h.observe(5.0)  # lands in +Inf
-        snap = current_registry().snapshot()
+        snap = exposed_series()
         assert snap["test_obs_lat_count"] == 3
         assert snap["test_obs_lat_sum"] == pytest.approx(5.55)
         assert snap['test_obs_lat_bucket{le="0.1"}'] == 1
         assert snap['test_obs_lat_bucket{le="1"}'] == 2
         assert snap['test_obs_lat_bucket{le="+Inf"}'] == 3
-
-    def test_snapshot_diff_counts_new_series_from_zero(self):
-        c = counter("test_obs_diff_total", "diff", labels=("k",))
-        c.inc(2, k="old")
-        before = current_registry().snapshot()
-        c.inc(3, k="old")
-        c.inc(4, k="new")
-        delta = diff_snapshots(before, current_registry().snapshot())
-        assert delta == {
-            'test_obs_diff_total{k="old"}': 3,
-            'test_obs_diff_total{k="new"}': 4,
-        }
-
-    def test_diff_omits_unchanged_series(self):
-        c = counter("test_obs_same_total", "same")
-        c.inc(1)
-        snap = current_registry().snapshot()
-        assert diff_snapshots(snap, snap) == {}
 
     def test_prometheus_exposition(self):
         c = counter("test_obs_prom_total", "help text", labels=("kind",))
@@ -347,6 +329,19 @@ class TestTimeline:
         with pytest.raises(ValueError, match="missing 'ph'"):
             validate_chrome_trace([{"name": "x"}])
 
+    @pytest.mark.parametrize("event, match", [
+        ({"ph": "M", "name": "process_name"}, "metadata needs"),
+        ({"ph": "X", "name": "x", "pid": 0, "dur": 1.0, "tid": 0},
+         "missing 'ts'"),
+        ({"ph": "C", "name": "x", "ts": -1.0, "pid": 0},
+         "negative timestamp"),
+        ({"ph": "B", "name": "x", "ts": 0.0, "pid": 0}, "unsupported phase"),
+        ({"ph": "X", "name": "x", "ts": 0.0, "pid": 0}, "needs dur and tid"),
+    ], ids=["metadata", "timestamp", "negative-ts", "phase", "duration"])
+    def test_validator_rejects_malformed_event(self, event, match):
+        with pytest.raises(ValueError, match=match):
+            validate_chrome_trace({"traceEvents": [event]})
+
     def test_write_chrome_trace_roundtrip(self, tmp_path):
         tracer = Tracer("run")
         with tracer.span("op", kind="op"):
@@ -435,9 +430,9 @@ class TestAcceptance:
         session = Session(toy_params, seed=11)
         program = mult_tree_program(session)
         backend = LocalBackend(session)
-        before = current_registry().snapshot()
+        before = exposed_series()
         result = backend.run(program)
-        after = current_registry().snapshot()
+        after = exposed_series()
 
         trace = result.trace
         assert trace is backend.last_trace
@@ -448,9 +443,11 @@ class TestAcceptance:
         # the run-level counter window, exactly.
         name = TRANSFORM_COUNTER.spec.name
         registry_diff = {
-            series.split('kind="')[1].rstrip('"}'): int(delta)
-            for series, delta in diff_snapshots(before, after).items()
+            series.split('kind="')[1].rstrip('"}'):
+                int(value - before.get(series, 0.0))
+            for series, value in after.items()
             if series.startswith(name + "{")
+            and value != before.get(series, 0.0)
         }
         assert totals == registry_diff
         assert totals == {k: v

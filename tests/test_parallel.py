@@ -63,6 +63,7 @@ from repro.parallel import (
 )
 from repro.parallel.executors import _run_as_worker
 from repro.params import large_ring
+from scaffolding import exposed_series
 
 N, K, J = 256, 5, 3
 
@@ -391,8 +392,8 @@ class TestInstrumentsAndSpans:
         utilisation = registry.value("parallel_worker_utilisation",
                                      executor="threads")
         assert 0.0 < utilisation <= 1.0
-        snapshot = registry.snapshot()
-        assert snapshot["parallel_tiles_per_dispatch_count"] >= 1.0
+        assert exposed_series(registry)[
+            "parallel_tiles_per_dispatch_count"] >= 1.0
 
     def test_tile_spans_on_per_worker_lanes(self, primes, stack):
         bt = basis_transformer(primes, N)
@@ -515,7 +516,7 @@ class TestBlasOwnership:
 
     def test_backend_releases_only_the_pool_it_built(self):
         from repro.api import LocalBackend, Session
-        from repro.params import toy
+        from scaffolding import toy
 
         before = _blas_threads()
         session = Session(toy(), seed=7)
@@ -540,7 +541,7 @@ class TestBlasOwnership:
     def test_backend_telemetry_and_cli_surface_the_decision(self, capsys):
         from repro.api import LocalBackend, Session
         from repro.cli import main
-        from repro.params import toy
+        from scaffolding import toy
 
         before = _blas_threads()
         session = Session(toy(), seed=7)

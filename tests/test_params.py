@@ -15,10 +15,10 @@ from repro.params import (
     large_ring,
     mini,
     table5_large,
-    toy,
 )
 from repro.rns.basis import lift_context, scale_context
 from repro.rns.lift import lift_hps_ntt
+from scaffolding import toy
 
 
 class TestPaperParameterSet:

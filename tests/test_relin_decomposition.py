@@ -9,12 +9,10 @@ software evaluator and the coprocessor model both read it from there.
   layouts the compiler used to rebuild from the component count alone
   (signed base_bits 45, 50, 64 and groups of three on a 120-bit q)
   decrypted wrong on the coprocessor.
-* A single-digit decomposition is refused at keygen, and a key file
-  holds only the default key.
+* A single-digit decomposition is refused at keygen.
 """
 
 import hashlib
-from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -28,10 +26,10 @@ from repro.hw.compiler import compile_mult, compile_mult_raw
 from repro.hw.config import HardwareConfig, slow_coprocessor_config
 from repro.hw.coprocessor import Coprocessor
 from repro.hw.isa import Opcode
-from repro.io import save_keyset
 from repro.nttmath.ntt import negacyclic_convolution
-from repro.params import hpca19, mini, toy
+from repro.params import hpca19, mini
 from repro.rns.decompose import WordDecomp
+from scaffolding import toy
 
 PARAMS = {"toy": toy, "mini": mini, "hpca19": hpca19}
 
@@ -158,13 +156,3 @@ def test_decomposition_validation():
         WordDecomp(base_bits=0)
     with pytest.raises(ParameterError):
         WordDecomp(group_size=2, base_bits=30)
-
-
-def test_key_file_refuses_other_decompositions(tmp_path):
-    """A key file does not record a decomposition: a key for another
-    one would load as raw residue rows and relinearise wrong."""
-    context, keys, _, _ = _ring("mini")
-    with pytest.raises(ParameterError, match="default"):
-        save_keyset(tmp_path / "keys.bin",
-                    replace(keys, relin=_key("mini", "signed30")),
-                    context.params)

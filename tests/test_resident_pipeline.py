@@ -33,7 +33,8 @@ from repro.fv.encoder import Plaintext
 from repro.fv.reference import TextbookFv, decrypt_with_noise_bigint
 from repro.fv.sampler import discrete_gaussian, uniform_ternary
 from repro.io import MAGIC, load_ciphertext, save_ciphertext
-from repro.params import mini, toy
+from repro.params import mini
+from scaffolding import toy
 
 
 def _rewrite_header(path: Path, out: Path, mutate) -> None:
@@ -109,7 +110,7 @@ class TestNttWireFormat:
         handle = session.encrypt([4, 5, 6])
         ct = handle.node.cached
         path = tmp_path / "resident.ct"
-        session.save_ciphertext(path, handle)
+        save_ciphertext(path, handle.ciphertext)
         restored = load_ciphertext(path, params)
         assert restored.ntt_resident
         for a, b in zip(ct.parts, restored.parts, strict=True):
@@ -133,19 +134,18 @@ class TestNttWireFormat:
             return json.loads(raw[12:12 + header_len])
 
         ntt_path = tmp_path / "ntt.ct"
-        session.save_ciphertext(ntt_path, handle)
+        save_ciphertext(ntt_path, handle.ciphertext)
         assert header(ntt_path)["domain"] == "ntt"
         path = tmp_path / "coeff.ct"
         save_ciphertext(path, ct.to_coeff())
         assert header(path)["version"] == 2
         assert header(path)["domain"] == "coeff"
-        for restored in (load_ciphertext(path, params),
-                         session.load_ciphertext(path).ciphertext):
-            assert restored.domain == "ntt"
-            for a, b in zip(ct.parts, restored.parts, strict=True):
-                assert np.array_equal(a.residues, b.residues)
-        assert list(session.decrypt(session.load_ciphertext(path),
-                                    size=2)) == [7, 8]
+        restored = load_ciphertext(path, params)
+        assert restored.domain == "ntt"
+        for a, b in zip(ct.parts, restored.parts, strict=True):
+            assert np.array_equal(a.residues, b.residues)
+        assert list(session.decrypt(session.wrap(restored), size=2)) == \
+            [7, 8]
 
     def test_mislabelled_domain_is_rejected(self, tmp_path):
         params = mini(t=257)
@@ -211,8 +211,8 @@ class TestZeroRoundTripAcrossPrograms:
         k = params.k_q
         source = session.encrypt([1, 2, 3, 4])
         path = tmp_path / "operand.ct"
-        session.save_ciphertext(path, source)
-        operand = session.load_ciphertext(path)
+        save_ciphertext(path, source.ciphertext)
+        operand = session.wrap(load_ciphertext(path, params))
         assert operand.node.cached.ntt_resident
         # verify=False: the assertion is about *execution*
         # transform economy; the verify phase's noise probe has
@@ -231,13 +231,13 @@ class TestZeroRoundTripAcrossPrograms:
         assert list(second.decrypt("out", size=4)) == [5, 10, 15, 20]
 
     def test_lazy_resident_handle_saves_in_ntt_domain(self, tmp_path):
-        """Regression: save_ciphertext materialises a lazy handle and
-        writes it without an inverse transform."""
+        """Regression: a lazy handle materialises in the evaluation
+        domain and is written without an inverse transform."""
         params = mini(t=257)
         session = Session(params, seed=33)
         lazy = session.encrypt([6, 7]) * 3
         path = tmp_path / "lazy.ct"
-        session.save_ciphertext(path, lazy)
+        save_ciphertext(path, lazy.ciphertext)
         restored = load_ciphertext(path, params)
         assert restored.ntt_resident
         assert list(session.decrypt(session.wrap(restored), size=2)) == \

@@ -12,7 +12,7 @@ from repro.errors import ParameterError
 from repro.fv.sampler import uniform_rns_rows
 from repro.obs import Tracer, current_registry
 from repro.parallel import use_executor
-from repro.params import hpca19, large_ring, mini, toy
+from repro.params import hpca19, large_ring, mini
 from repro.rns.basis import (
     RECIP_FRACTION_BITS,
     RnsBasis,
@@ -34,6 +34,7 @@ from repro.rns.lift import (
 )
 from repro.rns.scale import scale_hps, scale_hps_ntt, scale_traditional
 from repro.utils import round_half_away
+from scaffolding import residues_of_coeffs, toy
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ class TestRnsBasis:
 
     def test_reconstruct_coeffs_matrix(self, q_basis, rng):
         values = [int(v) for v in rng.integers(0, 2**60, 20)]
-        matrix = q_basis.residues_of_coeffs(values)
+        matrix = residues_of_coeffs(q_basis, values)
         assert q_basis.reconstruct_coeffs(matrix) == values
 
     def test_wrong_row_count_rejected(self, q_basis):
@@ -159,7 +160,7 @@ class TestLift:
             int.from_bytes(rng.bytes(24), "little") % q_basis.modulus
             for _ in range(300)
         ]
-        residues = q_basis.residues_of_coeffs(values)
+        residues = residues_of_coeffs(q_basis, values)
         assert np.array_equal(lift_hps(ctx, residues),
                               lift_hps_reference(ctx, residues))
 
@@ -170,7 +171,7 @@ class TestLift:
             int.from_bytes(rng.bytes(24), "little") % q_basis.modulus
             for _ in range(300)
         ]
-        residues = q_basis.residues_of_coeffs(values)
+        residues = residues_of_coeffs(q_basis, values)
         out = lift_hps(ctx, residues)
         q = q_basis.modulus
         for col, value in enumerate(values):
@@ -184,7 +185,7 @@ class TestLift:
             int.from_bytes(rng.bytes(24), "little") % q_basis.modulus
             for _ in range(100)
         ]
-        residues = q_basis.residues_of_coeffs(values)
+        residues = residues_of_coeffs(q_basis, values)
         out = lift_traditional(ctx, residues)
         for col, value in enumerate(values):
             for j, prime in enumerate(mini_params.p_primes):
@@ -203,7 +204,7 @@ class TestLift:
         q = q_basis.modulus
         ctx = lift_context(mini_params.q_primes, mini_params.p_primes)
         values = [0, 1, q - 1, q // 2, q // 2 + 1, q // 2 - 1]
-        residues = q_basis.residues_of_coeffs(values)
+        residues = residues_of_coeffs(q_basis, values)
         out = lift_hps(ctx, residues)
         for col, value in enumerate(values):
             candidates = [value, value - q]
@@ -253,7 +254,7 @@ class TestScale:
             int.from_bytes(rng.bytes(40), "little") % (2 * bound) - bound
             for _ in range(300)
         ]
-        residues = full_basis.residues_of_coeffs(values)
+        residues = residues_of_coeffs(full_basis, values)
         out = scale_hps(ctx, residues)
         for col, value in enumerate(values):
             want = round_half_away(mini_params.t * value, q)
@@ -270,7 +271,7 @@ class TestScale:
             int.from_bytes(rng.bytes(40), "little") % (2 * bound) - bound
             for _ in range(100)
         ]
-        residues = full_basis.residues_of_coeffs(values)
+        residues = residues_of_coeffs(full_basis, values)
         out = scale_traditional(ctx, residues)
         for col, value in enumerate(values):
             want = round_half_away(mini_params.t * value, q)
@@ -290,7 +291,7 @@ class TestScale:
                             mini_params.t)
         q = q_basis.modulus
         values = [q, 2 * q, 100 * q, -7 * q]
-        residues = full_basis.residues_of_coeffs(values)
+        residues = residues_of_coeffs(full_basis, values)
         out = scale_hps(ctx, residues)
         for col, value in enumerate(values):
             expected = mini_params.t * (value // q)
@@ -305,7 +306,7 @@ class TestScale:
             int.from_bytes(rng.bytes(40), "little") % (2 * bound) - bound
             for _ in range(50)
         ]
-        residues = full_basis.residues_of_coeffs(values)
+        residues = residues_of_coeffs(full_basis, values)
         for t in (2, 3, 16, 257, 65537):
             ctx = scale_context(mini_params.q_primes, mini_params.p_primes,
                                 t)

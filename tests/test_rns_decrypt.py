@@ -28,7 +28,7 @@ from repro.fv.sampler import uniform_rns_rows
 from repro.fv.scheme import FvContext
 from repro.obs import current_registry
 from repro.parallel import ExecutionConfig
-from repro.params import hpca19, large_ring, mini, toy
+from repro.params import hpca19, large_ring, mini
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import decrypt_context
 from repro.rns.decrypt import (
@@ -37,6 +37,7 @@ from repro.rns.decrypt import (
     scale_to_t,
 )
 from repro.utils import round_half_away
+from scaffolding import residues_of_coeffs, toy
 
 PARAMETER_SETS = {
     "toy": (toy, 30),
@@ -134,7 +135,7 @@ class TestOracleDifferential:
         values = [int(rng.integers(0, 2**62)) ** 3 % basis.modulus
                   for _ in range(64)] + [0, basis.modulus - 1]
         digits = mixed_radix_digits(
-            context, basis.residues_of_coeffs(values))
+            context, residues_of_coeffs(basis, values))
         assert (digits < basis.primes_col).all() and (digits >= 0).all()
         rebuilt = [sum(int(d) * w for d, w in
                        zip(column, context.radix_weights, strict=True))
@@ -161,7 +162,7 @@ class TestGuardBand:
             boundary += [exact, exact + 1]
         clear = [int(v) * q // 2**40 for v in rng.integers(0, 2**40, 64)]
         values = boundary + clear
-        rows = basis.residues_of_coeffs(values)
+        rows = residues_of_coeffs(basis, values)
         before = GUARD_FALLBACKS.value()
         m = scale_to_t(context, rows)
         moved = GUARD_FALLBACKS.value() - before
@@ -182,7 +183,7 @@ class TestGuardBand:
         values = [(2 * (j % t) + 1) * q // (2 * t) + (j & 1)
                   for j in range(params.n)]
         ct = Ciphertext(
-            (RnsPoly(basis, basis.residues_of_coeffs(values)),
+            (RnsPoly(basis, residues_of_coeffs(basis, values)),
              RnsPoly(basis, np.zeros((basis.size, params.n), np.int64))),
             params)
         before = GUARD_FALLBACKS.value()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.params import hpca19, mini, table5_large, toy
+from repro.params import hpca19, mini, table5_large
 from repro.security import (
     HE_STANDARD_MAX_LOG2_Q,
     assess,
@@ -10,6 +10,7 @@ from repro.security import (
     max_log2_q,
     meets_security,
 )
+from scaffolding import toy
 
 
 class TestStandardTable:

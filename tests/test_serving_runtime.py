@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.config import HardwareConfig
-from repro.params import hpca19, mini, toy
+from repro.params import hpca19, mini
 from repro.serve import (
     BatchPolicy,
     DmaBatcher,
@@ -28,10 +28,10 @@ from repro.system.server import CostModel
 from repro.system.workloads import (
     Job,
     JobKind,
-    mult_stream,
     multi_tenant_stream,
     poisson_stream,
 )
+from scaffolding import mult_stream, toy
 
 CONFIG = HardwareConfig()
 

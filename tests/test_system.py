@@ -18,11 +18,8 @@ from repro.system.related_work import (
     published_points,
 )
 from repro.system.server import CostModel
-from repro.system.workloads import (
-    JobKind,
-    mixed_workload,
-    mult_stream,
-)
+from repro.system.workloads import JobKind
+from scaffolding import mixed_workload, mult_stream
 
 CONFIG = HardwareConfig()
 
