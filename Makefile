@@ -20,11 +20,13 @@ test:
 	$(PYTHON) -m pytest -x -q --durations=10
 
 # CI test job, after the suite: the headline canary, the serving
-# runtime end to end, and the trace command, the one CLI command that
+# runtime end to end, the heterogeneous cluster (the one caller that
+# mixes board designs), and the trace command, the one CLI command that
 # prints the metrics registry's exposition.
 smoke:
 	$(PYTHON) -m repro headline
 	$(PYTHON) -m repro serve
+	$(PYTHON) -m repro cluster --shards 4 --hetero
 	$(PYTHON) -m repro trace mult --out "$$(mktemp -d)"
 
 # CI test-parallel job: tier-1 with every engine fan-out (transform

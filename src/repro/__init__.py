@@ -69,7 +69,6 @@ from .fv import (
     Ciphertext,
     Evaluator,
     FvContext,
-    IntegerEncoder,
     KeySet,
     Plaintext,
     PublicKey,
@@ -94,7 +93,7 @@ __all__ = [
     # parameters
     "ParameterSet", "hpca19", "hpca19_large", "large_ring", "mini",
     # FV scheme
-    "FvContext", "Evaluator", "Plaintext", "IntegerEncoder", "BatchEncoder",
+    "FvContext", "Evaluator", "Plaintext", "BatchEncoder",
     "Ciphertext", "KeySet", "SecretKey", "PublicKey", "RelinKey",
     "WordDecomp", "noise_budget_bits",
     # hardware simulator

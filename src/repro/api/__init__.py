@@ -24,8 +24,9 @@ And through the simulated serving stack (latency under load):
 
 The modules:
 
-* :mod:`~repro.api.session` — :class:`Session`: keys, encoder
-  selection, encrypt/decrypt, Galois key caching, program compilation;
+* :mod:`~repro.api.session` — :class:`Session`: keys, the encoder
+  the parameter set admits, encrypt/decrypt, Galois key caching,
+  program compilation;
 * :mod:`~repro.api.program` — :class:`CiphertextHandle` operator
   algebra, the expression DAG, :class:`HEProgram` with static
   depth/noise checks and job-stream lowering;

@@ -42,24 +42,21 @@ def _count_diff(before: dict[str, int],
 class ProgramResult:
     """Outputs of one functional execution, addressable by label.
 
-    Each output is measured with the secret key at most once:
-    :meth:`decrypt` and :meth:`noise_budget_bits` are views of the
-    ``(plaintext, noise norm)`` pair :meth:`measure` holds. A verifying
-    backend hands over the pairs its verification computed, so reading a
-    verified result costs a decode; otherwise the pair is computed on
-    first use.
+    Each output is measured with the secret key once, by the backend's
+    verification: :meth:`decrypt` and :meth:`noise_budget_bits` are views
+    of the ``(plaintext, noise norm)`` pair :meth:`measure` holds, so
+    reading a result costs a decode.
     """
 
     def __init__(self, session: Session,
                  outputs: dict[str, CiphertextHandle],
-                 trace: TraceReport | None = None,
-                 measured: dict[str, tuple[Plaintext, int]] | None = None,
-                 ) -> None:
+                 trace: TraceReport,
+                 measured: dict[str, tuple[Plaintext, int]]) -> None:
         self.session = session
         self.outputs = outputs
         #: Wall-clock trace of the run that produced these outputs.
         self.trace = trace
-        self._measured = dict(measured or {})
+        self._measured = measured
 
     def __getitem__(self, label: str) -> CiphertextHandle:
         return self.outputs[label]
@@ -68,10 +65,7 @@ class ProgramResult:
         return self.outputs[label]
 
     def measure(self, label: str = "out") -> tuple[Plaintext, int]:
-        """One output's ``(plaintext, noise norm)``, computed once."""
-        if label not in self._measured:
-            self._measured[label] = self.session.measure(
-                self.outputs[label])
+        """One output's ``(plaintext, noise norm)``, as verified."""
         return self._measured[label]
 
     def decrypt(self, label: str = "out", size: int | None = None):
@@ -95,15 +89,13 @@ class LocalBackend:
 
     Node results are cached on the expression graph, so overlapping
     programs (or a decrypt of an intermediate handle followed by more
-    building) never recompute shared work. With ``verify=True`` every
-    output is decrypted and its noise measured once — a budget under
+    building) never recompute shared work. Every output is decrypted
+    and its noise measured once — a budget under
     :data:`~repro.fv.noise.MIN_VERIFIED_BUDGET_BITS` means the
     decryption is garbage (a wrapped ciphertext reads just above zero,
     not below), and the backend refuses to return it; otherwise the
     measurement travels with the :class:`ProgramResult`, so the
-    client's ``decrypt`` /
-    ``noise_budget_bits`` do not repeat it. ``verify=False`` defers the
-    measurement to the first of those calls.
+    client's ``decrypt`` / ``noise_budget_bits`` do not repeat it.
 
     Every ciphertext a node holds lives in the evaluation domain, as
     HEAX/Medha keep operands on-chip in NTT form: ADD / SUB / NEGATE /
@@ -122,11 +114,10 @@ class LocalBackend:
     transform counts of the last run.
     """
 
-    def __init__(self, session: Session, *, verify: bool = True,
+    def __init__(self, session: Session, *,
                  executor: Executor | ExecutionConfig | str | None
                  = None) -> None:
         self.session = session
-        self.verify = verify
         # Executor selection: None defers to the ambient scope (serial
         # outside any) at run time; a mode string or ExecutionConfig is
         # built once here (a thread pool sized from the affinity mask
@@ -238,25 +229,24 @@ class LocalBackend:
             # Tracing it as a phase keeps the trace totals equal to the
             # run-level registry diff.
             measured: dict[str, tuple[Plaintext, int]] = {}
-            if self.verify:
-                with tracer.span("verify_outputs", kind="phase") as sp:
-                    ver_before = transform_counts()
-                    for label, node in program.outputs.items():
-                        measured[label] = self.session.measure(node.cached)
-                        budget = budget_bits(program.params,
-                                             measured[label][1])
-                        if budget < MIN_VERIFIED_BUDGET_BITS:
-                            raise NoiseBudgetExhausted(
-                                f"output {label!r} decrypts with "
-                                f"{budget:.4f} bits of noise budget, "
-                                f"under the {MIN_VERIFIED_BUDGET_BITS:g}"
-                                f"-bit floor of a verified output (a "
-                                f"wrapped ciphertext reads just above "
-                                f"zero)"
-                            )
-                    sp.attrs["transforms"] = _count_diff(
-                        ver_before, transform_counts()
-                    )
+            with tracer.span("verify_outputs", kind="phase") as sp:
+                ver_before = transform_counts()
+                for label, node in program.outputs.items():
+                    measured[label] = self.session.measure(node.cached)
+                    budget = budget_bits(program.params,
+                                         measured[label][1])
+                    if budget < MIN_VERIFIED_BUDGET_BITS:
+                        raise NoiseBudgetExhausted(
+                            f"output {label!r} decrypts with "
+                            f"{budget:.4f} bits of noise budget, "
+                            f"under the {MIN_VERIFIED_BUDGET_BITS:g}"
+                            f"-bit floor of a verified output (a "
+                            f"wrapped ciphertext reads just above "
+                            f"zero)"
+                        )
+                sp.attrs["transforms"] = _count_diff(
+                    ver_before, transform_counts()
+                )
             outputs = {
                 label: CiphertextHandle(node, self.session)
                 for label, node in program.outputs.items()

@@ -353,13 +353,6 @@ class HEProgram:
         """Graph nodes that execute (everything but the inputs)."""
         return len(self.nodes) - len(self.inputs)
 
-    def op_counts(self) -> dict[OpKind, int]:
-        counts: dict[OpKind, int] = {}
-        for node in self.nodes:
-            if node.op is not OpKind.INPUT:
-                counts[node.op] = counts.get(node.op, 0) + 1
-        return counts
-
     def rotation_steps(self) -> list[int]:
         """Distinct rotation amounts the program needs a key for,
         normalised the way the session's Galois-key cache keys them

@@ -3,7 +3,7 @@
 A :class:`Session` is the one object a client application needs. It owns
 the :class:`~repro.fv.scheme.FvContext`, generates and holds the
 :class:`~repro.fv.keys.KeySet` (plus lazily-created Galois keys for
-rotations), picks an encoder for the parameter set, and mints the opaque
+rotations), picks the encoder the parameter set admits, and mints the opaque
 :class:`~repro.api.program.CiphertextHandle` objects all client-side
 arithmetic runs on::
 
@@ -23,9 +23,9 @@ import hashlib
 
 import numpy as np
 
-from ..errors import EncodingError, ParameterError
+from ..errors import ParameterError
 from ..fv.ciphertext import Ciphertext
-from ..fv.encoder import BatchEncoder, IntegerEncoder, Plaintext
+from ..fv.encoder import BatchEncoder, Plaintext
 from ..fv.evaluator import Evaluator
 from ..fv.galois import (
     GaloisEngine,
@@ -34,35 +34,28 @@ from ..fv.galois import (
     rotation_element,
     summation_elements,
 )
-from ..fv.keys import KeySet
 from ..fv.noise import budget_bits
 from ..fv.scheme import FvContext
 from ..params import ParameterSet, hpca19
 from .program import CiphertextHandle, ExprNode, HEProgram, OpKind
 
-#: Encoder selection values accepted by :class:`Session`.
-ENCODERS = ("auto", "batch", "coeff", "integer")
-
-
 class Session:
-    """One client's view of the FV scheme: keys + encoder + handles."""
+    """One client's view of the FV scheme: keys + encoder + handles.
+
+    The encoder follows the parameter set: SIMD batching when ``t``
+    admits it, raw coefficients otherwise.
+    """
 
     def __init__(self, params: ParameterSet | None = None, *,
-                 seed: int = 2019, encoder: str = "auto",
-                 context: FvContext | None = None,
-                 keys: KeySet | None = None) -> None:
-        if encoder not in ENCODERS:
-            raise ParameterError(
-                f"unknown encoder {encoder!r}; pick one of {ENCODERS}"
-            )
-        if context is not None:
-            self.context = context
-            self.params = context.params
-        else:
-            self.params = params if params is not None else hpca19()
-            self.context = FvContext(self.params, seed=seed)
-        self.keys = keys if keys is not None else self.context.keygen()
-        self.encoder_kind, self.encoder = self._pick_encoder(encoder)
+                 seed: int = 2019) -> None:
+        self.params = params if params is not None else hpca19()
+        self.context = FvContext(self.params, seed=seed)
+        self.keys = self.context.keygen()
+        try:
+            self.encoder: BatchEncoder | None = BatchEncoder(self.params)
+            self.encoder_kind = "batch"
+        except ParameterError:
+            self.encoder, self.encoder_kind = None, "coeff"
         self.evaluator = Evaluator(self.context)
         self.galois = GaloisEngine(self.context)
         # The one Galois key cache, keyed as key bundles are labelled:
@@ -76,17 +69,6 @@ class Session:
         self._plain_pool_limit = 256
         self._plain_ntt_pool: dict[tuple[int, bytes], np.ndarray] = {}
         self._plain_delta_pool: dict[tuple[int, bytes], np.ndarray] = {}
-
-    def _pick_encoder(self, requested: str):
-        if requested == "batch" or requested == "auto":
-            try:
-                return "batch", BatchEncoder(self.params)
-            except (ParameterError, EncodingError):
-                if requested == "batch":
-                    raise
-        if requested == "integer":
-            return "integer", IntegerEncoder(self.params)
-        return "coeff", None
 
     # -- encoding ----------------------------------------------------------------------
 
@@ -112,8 +94,6 @@ class Session:
                     np.full(self.encoder.slot_count, int(values),
                             dtype=np.int64)
                 )
-            if self.encoder_kind == "integer":
-                return self.encoder.encode(int(values))
             return Plaintext.from_list([int(values)], self.params.n,
                                        self.params.t)
         arr = np.asarray(values, dtype=np.int64)
@@ -171,8 +151,6 @@ class Session:
 
     def decode(self, plain: Plaintext, size: int | None = None):
         """Invert :meth:`encode`; ``size`` truncates vector results."""
-        if self.encoder_kind == "integer":
-            return self.encoder.decode(plain)
         # A copy: measured plaintexts are shared between callers.
         decoded = (self.encoder.decode(plain)
                    if self.encoder_kind == "batch" else plain.coeffs.copy())
@@ -206,7 +184,7 @@ class Session:
         """Decrypt a handle (materialising it if lazy) or a ciphertext.
 
         Returns decoded values in the session encoder's domain: a slot
-        vector for batch, coefficients for coeff, an int for integer.
+        vector for batch, coefficients for coeff.
         """
         return self.decode(self.decrypt_plaintext(value), size)
 

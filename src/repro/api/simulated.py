@@ -291,15 +291,13 @@ class SimulatedBackend:
 
     @classmethod
     def over_runtime(cls, params: ParameterSet, *,
-                     scheduler_factory: Callable[[], object] | None = None,
                      optimize: bool = False,
                      ) -> SimulatedBackend:
         """One Arm+FPGA board (the paper's Fig. 11 server)."""
         cost = CostModel(params)
 
         def factory() -> ServingRuntime:
-            scheduler = scheduler_factory() if scheduler_factory else None
-            return ServingRuntime(cost, scheduler=scheduler)
+            return ServingRuntime(cost)
 
         return cls(params, factory, description="single board",
                    cost=cost, optimize=optimize)
@@ -307,7 +305,6 @@ class SimulatedBackend:
     @classmethod
     def over_cluster(cls, params: ParameterSet, num_shards: int, *,
                      router_factory: Callable[[], object] | None = None,
-                     scheduler_factory: Callable[[], object] | None = None,
                      optimize: bool = False,
                      fault_plan=None, retry=None,
                      replicas: int | None = None,
@@ -326,7 +323,6 @@ class SimulatedBackend:
             router = router_factory() if router_factory else None
             return FpgaCluster.homogeneous(
                 params, num_shards, router=router,
-                scheduler_factory=scheduler_factory,
                 fault_plan=fault_plan, retry=retry, replicas=replicas,
             )
 

@@ -99,8 +99,7 @@ class EncryptedLookupTable:
             reply = weighted if reply is None else reply + weighted
         return reply
 
-    def lookup_program(self, index_bits: list, *,
-                       check: bool = True) -> HEProgram:
+    def lookup_program(self, index_bits: list) -> HEProgram:
         """Compile one lookup into a backend-agnostic program."""
         return self.session.compile(self.reply_expr(index_bits),
-                                    name="encrypted-lookup", check=check)
+                                    name="encrypted-lookup")

@@ -122,8 +122,6 @@ class EncryptedMatmul:
                 for row in rows]
 
     def matmul_program(self, rows: list[list], cols: list[list], *,
-                       name: str = "encrypted-matmul",
-                       check: bool = True,
                        optimize: bool = False) -> HEProgram:
         """Compile the full product; outputs are labelled ``c<i>_<j>``."""
         entries = self.product_expr(rows, cols)
@@ -132,7 +130,7 @@ class EncryptedMatmul:
             for i, row in enumerate(entries)
             for j, entry in enumerate(row)
         }
-        return self.session.compile(outputs, name=name, check=check,
+        return self.session.compile(outputs, name="encrypted-matmul",
                                     optimize=optimize)
 
     # -- client side again -----------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import replace
 
 from ..faults import (
@@ -36,19 +36,14 @@ from ..faults import (
 from ..hw.config import HardwareConfig
 from ..obs import active_tracer
 from ..params import ParameterSet
-from ..serve.batching import BatchPolicy
 from ..serve.engine import ServingRuntime, check_conservation
 from ..serve.events import Event, EventHeap, EventKind
-from ..serve.schedulers import Scheduler
 from ..serve.tenants import Rejection, TenantSet
 from ..system.server import CostModel
 from ..system.workloads import Job
 from .placement import ReplicatedPlacement
 from .report import ClusterReport
 from .routing import RoundRobinRouter, Router
-
-SchedulerFactory = Callable[[], Scheduler]
-
 
 class FpgaCluster:
     """N Arm+FPGA boards serving one job stream (single-use)."""
@@ -88,19 +83,17 @@ class FpgaCluster:
     # -- constructors ------------------------------------------------------------------
 
     @classmethod
-    def homogeneous(cls, params: ParameterSet, num_shards: int, *,
-                    config: HardwareConfig | None = None,
+    def homogeneous(cls, params: ParameterSet, num_shards: int,
                     **kwargs) -> FpgaCluster:
-        """N identical boards (sharing one :class:`CostModel`)."""
+        """N identical boards of the paper's design (sharing one
+        :class:`CostModel`)."""
         return cls.heterogeneous(
-            params, [config or HardwareConfig()] * num_shards, **kwargs)
+            params, [HardwareConfig()] * num_shards, **kwargs)
 
     @classmethod
     def heterogeneous(cls, params: ParameterSet,
                       configs: Sequence[HardwareConfig], *,
                       router: Router | None = None,
-                      scheduler_factory: SchedulerFactory | None = None,
-                      batching: BatchPolicy | None = None,
                       tenants: TenantSet | None = None,
                       fault_plan: FaultPlan | None = None,
                       retry: RetryPolicy | None = None,
@@ -124,10 +117,8 @@ class FpgaCluster:
             cost = costs.get(config)
             if cost is None:
                 cost = costs[config] = CostModel(params, config)
-            shards.append(ServingRuntime(
-                cost, name=f"shard{i}",
-                scheduler=scheduler_factory() if scheduler_factory else None,
-                batching=batching, tenants=tenants))
+            shards.append(ServingRuntime(cost, name=f"shard{i}",
+                                         tenants=tenants))
         return cls(shards, router=router, fault_plan=fault_plan,
                    retry=retry, replicas=replicas)
 

@@ -106,15 +106,15 @@ class FaultPlan:
 
     @classmethod
     def seeded(cls, seed: int, num_shards: int, duration_seconds: float,
-               *, crashes: int = 1, mean_outage_seconds: float | None = None,
-               transient_failures: int = 0, dma_stalls: int = 0,
-               stall_factor: float = 4.0,
-               mean_stall_seconds: float | None = None) -> FaultPlan:
+               *, crashes: int = 1, transient_failures: int = 0,
+               dma_stalls: int = 0) -> FaultPlan:
         """Draw a random-but-reproducible schedule from one seed.
 
         Crash/recover pairs never overlap on one board and never take
         the *last* healthy board down — the plan models partial
-        failure, not total outage. All randomness comes from a single
+        failure, not total outage. Outages last a quarter of the
+        duration on average, DMA stalls an eighth, and a stall slows
+        its board's transfers 4x. All randomness comes from a single
         ``default_rng(seed)``, so the schedule is a pure function of
         its arguments.
         """
@@ -128,10 +128,8 @@ class FaultPlan:
                 "must leave at least one board standing"
             )
         rng = np.random.default_rng(seed)
-        outage = (duration_seconds / 4.0 if mean_outage_seconds is None
-                  else mean_outage_seconds)
-        stall = (duration_seconds / 8.0 if mean_stall_seconds is None
-                 else mean_stall_seconds)
+        outage = duration_seconds / 4.0
+        stall = duration_seconds / 8.0
         events: list[FaultEvent] = []
         # Crash/recover pairs on distinct boards.
         crash_shards = rng.choice(num_shards, size=crashes, replace=False)
@@ -150,7 +148,7 @@ class FaultPlan:
             at = float(rng.uniform(0.0, 0.8) * duration_seconds)
             shard = int(rng.integers(num_shards))
             events.append(FaultEvent(at, FaultKind.DMA_STALL, shard,
-                                     factor=stall_factor))
+                                     factor=4.0))
             back = at + float(rng.exponential(stall))
             if back < duration_seconds:
                 events.append(

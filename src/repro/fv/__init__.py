@@ -3,8 +3,8 @@
 This package is a complete, self-contained FV implementation:
 
 * :mod:`~repro.fv.sampler` — error and key distributions;
-* :mod:`~repro.fv.encoder` — plaintext encoders (bits, integers, SIMD
-  batching when the plaintext modulus allows it);
+* :mod:`~repro.fv.encoder` — plaintext encoders (raw coefficients, and
+  SIMD batching when the plaintext modulus allows it);
 * :mod:`~repro.fv.keys` — secret/public keys and the one relinearisation
   key, named by its :class:`~repro.rns.decompose.WordDecomp`;
 * :mod:`~repro.fv.scheme` — :class:`FvContext`: keygen, encrypt, decrypt,
@@ -19,7 +19,7 @@ This package is a complete, self-contained FV implementation:
 """
 
 from .ciphertext import Ciphertext
-from .encoder import BatchEncoder, IntegerEncoder, Plaintext
+from .encoder import BatchEncoder, Plaintext
 from .evaluator import Evaluator
 from .galois import GaloisEngine, GaloisKey
 from .keys import KeySet, PublicKey, RelinKey, SecretKey
@@ -29,7 +29,6 @@ from .scheme import FvContext
 __all__ = [
     "Ciphertext",
     "Plaintext",
-    "IntegerEncoder",
     "BatchEncoder",
     "SecretKey",
     "PublicKey",

@@ -1,11 +1,8 @@
 """Plaintext encoders (the Encoder/Decoder boxes of paper Fig. 1).
 
-Three encoders cover the applications in the paper's introduction:
+Two encodings cover the applications in the paper's introduction:
 
 * :class:`Plaintext` — raw polynomial with coefficients in [0, t).
-* :class:`IntegerEncoder` — an integer becomes a polynomial via its signed
-  base-B expansion; homomorphic +/* on ciphertexts then mirror integer
-  +/* as long as coefficients do not wrap (the classic SEAL v2 encoder).
 * :class:`BatchEncoder` — SIMD slot packing via the CRT over
   Z_t[x]/(x^n + 1) when t is an NTT-friendly prime. This is what makes
   the smart-meter forecasting example process thousands of readings in
@@ -21,7 +18,6 @@ import numpy as np
 from ..errors import EncodingError, ParameterError
 from ..nttmath.ntt import NegacyclicTransformer
 from ..params import ParameterSet
-from ..utils import centered
 
 
 @dataclass(frozen=True)
@@ -51,44 +47,6 @@ class Plaintext:
         if not isinstance(other, Plaintext):
             return NotImplemented
         return self.t == other.t and np.array_equal(self.coeffs, other.coeffs)
-
-
-class IntegerEncoder:
-    """Signed base-``base`` integer encoder.
-
-    ``encode(v)`` writes the signed digits of v into the low coefficients.
-    ``decode`` evaluates the polynomial at x = base over the *centered*
-    coefficient representatives, which stays correct through homomorphic
-    additions and multiplications until coefficients wrap modulo t.
-    """
-
-    def __init__(self, params: ParameterSet, base: int = 2) -> None:
-        if base < 2:
-            raise ParameterError("encoder base must be >= 2")
-        self.params = params
-        self.base = base
-
-    def encode(self, value: int) -> Plaintext:
-        n, t = self.params.n, self.params.t
-        coeffs = np.zeros(n, dtype=np.int64)
-        remaining = abs(value)
-        sign = 1 if value >= 0 else -1
-        index = 0
-        while remaining:
-            if index >= n:
-                raise EncodingError(f"integer {value} needs more than {n} digits")
-            digit = remaining % self.base
-            coeffs[index] = (sign * digit) % t
-            remaining //= self.base
-            index += 1
-        return Plaintext(coeffs, t)
-
-    def decode(self, plain: Plaintext) -> int:
-        t = self.params.t
-        value = 0
-        for coeff in reversed(plain.coeffs.tolist()):
-            value = value * self.base + centered(int(coeff), t)
-        return value
 
 
 class BatchEncoder:

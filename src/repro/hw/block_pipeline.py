@@ -53,15 +53,11 @@ def simulate_block_pipeline(count: int, latencies: tuple[int, ...],
     return finish
 
 
-def pipeline_total_cycles(count: int, latencies: tuple[int, ...],
-                          intervals: tuple[int, ...] | None = None) -> int:
+def pipeline_total_cycles(count: int, latencies: tuple[int, ...]) -> int:
     """Closed form of the recurrence: the simulation's end cycle.
 
-    Exact when every block's initiation interval equals its latency —
-    the default (``intervals=None``) and the only way the lift and scale
-    units call it: the fill is one traversal (the sum of the latencies)
-    and steady-state issue runs at the slowest block.
+    Exact when every block's initiation interval equals its latency, as
+    in the lift and scale units: the fill is one traversal (the sum of
+    the latencies) and steady-state issue runs at the slowest block.
     """
-    if intervals is None:
-        intervals = latencies
-    return sum(latencies) + (count - 1) * max(intervals)
+    return sum(latencies) + (count - 1) * max(latencies)

@@ -167,10 +167,10 @@ class Coprocessor:
         return report
 
     def run(self, program: Program, operands: dict[str, np.ndarray | int],
-            key=None, outputs: tuple[str, ...] = ("out0", "out1")
-            ) -> tuple[Ciphertext, MultReport]:
+            key=None) -> tuple[Ciphertext, MultReport]:
         """One high-level operation: load the operand registers, preload
-        the key when it is resident on chip, execute, read the result."""
+        the key when it is resident on chip, execute, read the two-part
+        result from ``out0`` / ``out1``."""
         self.registers.clear()
         for name, q_rows in operands.items():
             self.load_polynomial(name, q_rows)
@@ -180,7 +180,7 @@ class Coprocessor:
         report = self.execute(program, relin_key=key)
         k_q = self.params.k_q
         parts = tuple(RnsPoly(self.q_basis, self._reg(name)[:k_q].copy())
-                      for name in outputs)
+                      for name in ("out0", "out1"))
         return Ciphertext(parts, self.params), report
 
     # -- the price list ----------------------------------------------------------------

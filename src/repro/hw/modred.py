@@ -23,10 +23,9 @@ RESIDUE_BITS = 30
 
 
 class SlidingWindowReducer:
-    """Reduction of up to ``input_bits``-wide values modulo one 30-bit prime."""
+    """Reduction of a 60-bit product modulo one 30-bit prime."""
 
-    def __init__(self, modulus: int, window_bits: int = 6,
-                 input_bits: int = 60) -> None:
+    def __init__(self, modulus: int, window_bits: int = 6) -> None:
         if modulus.bit_length() > RESIDUE_BITS:
             raise ParameterError(
                 f"modulus {modulus} wider than the {RESIDUE_BITS}-bit datapath"
@@ -35,7 +34,7 @@ class SlidingWindowReducer:
             raise ParameterError("modulus must be at least 2")
         self.modulus = modulus
         self.window_bits = window_bits
-        self.input_bits = input_bits
+        self.input_bits = 2 * RESIDUE_BITS
         # Table of w * 2^RESIDUE_BITS mod q for each window value w. The
         # RTL keeps one such ROM per supported prime of the RPAU.
         self.table = np.array(
@@ -44,7 +43,7 @@ class SlidingWindowReducer:
         )
         # Number of unrolled steps: each step removes `window_bits` bits
         # above bit RESIDUE_BITS until at most 31 bits remain.
-        excess = max(0, input_bits - (RESIDUE_BITS + 1))
+        excess = self.input_bits - (RESIDUE_BITS + 1)
         self.steps = -(-excess // window_bits)
 
     # -- structural properties (consumed by the resource model) -------------------

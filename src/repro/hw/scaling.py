@@ -47,20 +47,19 @@ class ScalingPoint:
 
 
 def scaling_table(base_resources: Utilization, base_compute_seconds: float,
-                  base_comm_seconds: float, base_n: int = 4096,
-                  base_log2_q: int = 180,
-                  doublings: int = 3) -> list[ScalingPoint]:
+                  base_comm_seconds: float) -> list[ScalingPoint]:
     """Apply the paper's Sec. VI-D estimation model iteratively.
 
     ``base_*`` come from the measured/modelled single-coprocessor design
-    point; each iteration doubles n and log q.
+    point (n = 2^12, log q = 180); each of Table V's three further rows
+    doubles n and log q.
     """
     points = [
-        ScalingPoint(base_n, base_log2_q, base_resources,
+        ScalingPoint(4096, 180, base_resources,
                      base_compute_seconds, base_comm_seconds)
     ]
     current = points[0]
-    for _ in range(doublings):
+    for _ in range(3):
         resources = Utilization(
             luts=current.resources.luts * LOGIC_GROWTH_PER_DOUBLING,
             regs=current.resources.regs * LOGIC_GROWTH_PER_DOUBLING,

@@ -49,8 +49,7 @@ def evaluate_point(params: ParameterSet, label: str,
     )
 
 
-def sweep_coprocessor_count(params: ParameterSet,
-                            counts=(1, 2, 4, 10)) -> list[DesignPoint]:
+def sweep_coprocessor_count(params: ParameterSet) -> list[DesignPoint]:
     """Throughput vs coprocessor instances (the paper's F1 projection).
 
     Ten coprocessors is the paper's estimate for one Amazon F1 FPGA
@@ -60,18 +59,17 @@ def sweep_coprocessor_count(params: ParameterSet,
     return [
         evaluate_point(params, f"{count} coprocessor(s)",
                        replace(base, num_coprocessors=count))
-        for count in counts
+        for count in (1, 2, 4, 10)
     ]
 
 
-def sweep_conversion_cores(params: ParameterSet,
-                           counts=(1, 2, 4)) -> list[DesignPoint]:
+def sweep_conversion_cores(params: ParameterSet) -> list[DesignPoint]:
     """Mult latency vs lift/scale core count."""
     base = HardwareConfig()
     return [
         evaluate_point(params, f"{count} lift + {count} scale cores",
                        replace(base, lift_cores=count, scale_cores=count))
-        for count in counts
+        for count in (1, 2, 4)
     ]
 
 

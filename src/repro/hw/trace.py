@@ -13,13 +13,14 @@ from __future__ import annotations
 from .ntt_unit import NttSchedule
 
 
-def render_fig3(n: int = 4096, head: int = 3) -> str:
-    """Draw the paper's Fig. 3 from the schedule's read order.
+def render_fig3() -> str:
+    """Draw the paper's Fig. 3 from the schedule's read order at n = 4096.
 
-    For each of the figure's regimes, prints the first ``head`` read
+    For each of the figure's regimes, prints the first three read
     addresses of both cores, annotated with the index gap, in the layout
     of the paper's caption.
     """
+    n = 4096
     schedule = NttSchedule(n, 2)
     log_n = schedule.log_n
     shown_stages = [1, log_n - 2, log_n - 1, log_n]
@@ -28,8 +29,8 @@ def render_fig3(n: int = 4096, head: int = 3) -> str:
         m = 2 << (stage - 1)
         gap = m // 2
         reads = schedule.read_order(stage)
-        seq0 = ", ".join(str(w) for w in reads[0][: 2 * head])
-        seq1 = ", ".join(str(w) for w in reads[1][: 2 * head])
+        seq0 = ", ".join(str(w) for w in reads[0][:6])
+        seq1 = ", ".join(str(w) for w in reads[1][:6])
         lines.append(f"Iteration m = {m}   (index gap = {gap})")
         lines.append(f"  core 1 reads: {seq0}, ...")
         lines.append(f"  core 2 reads: {seq1}, ...")

@@ -19,7 +19,7 @@ from ..fv.encoder import Plaintext
 from ..fv.evaluator import Evaluator
 from ..fv.scheme import FvContext
 from ..nttmath.ntt import negacyclic_convolution
-from ..params import ParameterSet, mini
+from ..params import mini
 from .config import HardwareConfig
 from .coprocessor import Coprocessor
 
@@ -54,17 +54,17 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def run_campaign(params: ParameterSet | None = None,
-                 config: HardwareConfig | None = None,
+def run_campaign(config: HardwareConfig | None = None,
                  operations: int = 10,
                  seed: int = 12345) -> CampaignResult:
-    """Random Mult/Add operations through HW model and SW evaluator.
+    """Random Mult/Add operations through HW model and SW evaluator,
+    on the ``mini`` parameter set.
 
     Each round draws fresh random plaintexts, encrypts them, runs the
     operation on both paths, requires bit-identical ciphertexts, and
     checks the decryption against the plaintext ring computation.
     """
-    params = params or mini()
+    params = mini()
     config = config or HardwareConfig()
     start = time.perf_counter()
     context = FvContext(params, seed=seed)
@@ -117,8 +117,7 @@ def run_campaign(params: ParameterSet | None = None,
     return result
 
 
-def run_configuration_matrix(operations: int = 4,
-                             seed: int = 777) -> list[CampaignResult]:
+def run_configuration_matrix(operations: int = 4) -> list[CampaignResult]:
     """Campaigns across the design-space corners of the paper.
 
     Fast coprocessor, pinned-key variant, single-butterfly variant, and
@@ -138,7 +137,7 @@ def run_configuration_matrix(operations: int = 4,
     results = []
     for name, config in corners:
         result = run_campaign(config=config, operations=operations,
-                              seed=seed)
+                              seed=777)
         result.params_name = f"{result.params_name} / {name}"
         results.append(result)
     return results

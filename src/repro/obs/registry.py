@@ -202,8 +202,8 @@ def current_registry() -> MetricsRegistry:
 
 
 @contextmanager
-def scoped_metrics(registry: MetricsRegistry | None = None):
-    """Install a fresh (or supplied) registry for the ``with`` block.
+def scoped_metrics():
+    """Install a fresh registry for the ``with`` block.
 
     Everything recorded inside the block — by this thread/task and by
     anything it calls — lands in the scoped registry and becomes
@@ -212,7 +212,7 @@ def scoped_metrics(registry: MetricsRegistry | None = None):
     backend that must not stomp a sibling's counters, wrap their work
     in one.
     """
-    scoped = MetricsRegistry() if registry is None else registry
+    scoped = MetricsRegistry()
     token = _ACTIVE.set(scoped)
     try:
         yield scoped
@@ -258,16 +258,14 @@ class Gauge:
 
 
 class Histogram:
-    """Bucketed distribution handle (latencies, batch sizes)."""
+    """Bucketed distribution handle (latencies, batch sizes), unlabelled."""
 
     def __init__(self, spec: InstrumentSpec) -> None:
         self.spec = spec
 
-    def observe(self, value: float, **labels: object) -> None:
-        current_registry()._observe(
-            self.spec.name, _label_key(self.spec.label_names, labels),
-            float(value), self.spec.buckets,
-        )
+    def observe(self, value: float) -> None:
+        current_registry()._observe(self.spec.name, (), float(value),
+                                    self.spec.buckets)
 
 
 def counter(name: str, help: str = "",
@@ -284,11 +282,10 @@ def gauge(name: str, help: str = "",
                                           tuple(labels))))
 
 
-def histogram(name: str, help: str = "", labels: tuple[str, ...] = (),
+def histogram(name: str, help: str = "",
               buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Histogram:
-    """Declare (or re-fetch) a histogram instrument."""
-    return Histogram(_register(InstrumentSpec(name, "histogram", help,
-                                              tuple(labels),
+    """Declare (or re-fetch) an unlabelled histogram instrument."""
+    return Histogram(_register(InstrumentSpec(name, "histogram", help, (),
                                               tuple(buckets))))
 
 

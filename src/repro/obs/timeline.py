@@ -59,9 +59,10 @@ def _meta(pid: int, name: str, tid: int | None = None,
     return events
 
 
-def spans_to_chrome(root: Span, pid: int = 0, tid: int = 0,
+def spans_to_chrome(root: Span,
                     process_name: str | None = None) -> list[dict[str, Any]]:
-    """One span tree as nested complete events on a single lane.
+    """One span tree as nested complete events on a single lane
+    (process 0, thread 0).
 
     Timestamps are re-based to the root span's start so wall-clock
     (``perf_counter``) trees begin at t=0. Single-lane means the tree
@@ -79,17 +80,16 @@ def spans_to_chrome(root: Span, pid: int = 0, tid: int = 0,
     a pool worker runs its tiles one at a time.
     """
     base = root.start
-    events = _meta(pid, process_name or root.name, tid,
-                   f"{root.clock} clock")
+    events = _meta(0, process_name or root.name, 0, f"{root.clock} clock")
     worker_tids: dict[str, int] = {}
     for span in root.walk():
-        lane = tid
+        lane = 0
         worker = span.attrs.get("worker")
         if worker is not None:
             label = str(worker)
             if label not in worker_tids:
-                worker_tids[label] = tid + 1 + len(worker_tids)
-                events.extend(_meta(pid, process_name or root.name,
+                worker_tids[label] = 1 + len(worker_tids)
+                events.extend(_meta(0, process_name or root.name,
                                     worker_tids[label], label)[1:])
             lane = worker_tids[label]
         events.append({
@@ -98,7 +98,7 @@ def spans_to_chrome(root: Span, pid: int = 0, tid: int = 0,
             "cat": span.kind,
             "ts": max(0.0, (span.start - base) * _US),
             "dur": span.duration * _US,
-            "pid": pid,
+            "pid": 0,
             "tid": lane,
             "args": _json_safe(span.attrs),
         })

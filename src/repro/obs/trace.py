@@ -89,10 +89,8 @@ def active_tracer() -> Tracer | None:
 class Tracer:
     """Builds one span tree for one request / program run."""
 
-    def __init__(self, name: str = "trace", kind: str = "program",
-                 clock: str = "wall") -> None:
-        self.root = Span(name=name, kind=kind, clock=clock,
-                         start=time.perf_counter())
+    def __init__(self, name: str = "trace", kind: str = "program") -> None:
+        self.root = Span(name=name, kind=kind, start=time.perf_counter())
         self._stack: list[Span] = [self.root]
 
     @property
@@ -125,12 +123,12 @@ class Tracer:
             self._stack.pop()
 
     def add(self, name: str, kind: str, start: float, end: float,
-            clock: str = "sim", parent: Span | None = None,
-            **attrs: Any) -> Span:
-        """Record an already-timed interval (simulated clock path)."""
+            clock: str = "sim", **attrs: Any) -> Span:
+        """Record an already-timed interval under the current span
+        (simulated clock path)."""
         child = Span(name=name, kind=kind, clock=clock, start=start,
                      end=end, attrs=dict(attrs))
-        (parent if parent is not None else self.current).children.append(child)
+        self.current.children.append(child)
         return child
 
     @contextmanager

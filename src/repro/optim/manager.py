@@ -13,8 +13,6 @@ trace is active.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ..api.program import HEProgram
 from ..obs import maybe_span
 from .passes import (
@@ -44,11 +42,11 @@ def default_passes() -> list[Pass]:
 
 
 class PassManager:
-    """Run a pass pipeline over programs, with per-pass accounting."""
+    """Run the standard pass pipeline over programs, with per-pass
+    accounting."""
 
-    def __init__(self, passes: Sequence[Pass] | None = None) -> None:
-        self.passes = list(passes) if passes is not None \
-            else default_passes()
+    def __init__(self) -> None:
+        self.passes = default_passes()
 
     def optimize(self, program: HEProgram
                  ) -> tuple[HEProgram, OptimizationReport]:
@@ -84,9 +82,7 @@ class PassManager:
         return optimized, report
 
 
-def optimize_program(program: HEProgram,
-                     passes: Sequence[Pass] | None = None
+def optimize_program(program: HEProgram
                      ) -> tuple[HEProgram, OptimizationReport]:
-    """Convenience wrapper: one program through (by default) the
-    standard stack."""
-    return PassManager(passes).optimize(program)
+    """Convenience wrapper: one program through the standard stack."""
+    return PassManager().optimize(program)

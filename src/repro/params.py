@@ -221,7 +221,7 @@ def mini(t: int = 2) -> ParameterSet:
 
 
 @lru_cache(maxsize=None)
-def large16k(t: int = 2) -> ParameterSet:
+def large16k() -> ParameterSet:
     """n = 16384 with a 360-bit q — the sweep point between the Table V
     extrapolations.
 
@@ -231,13 +231,13 @@ def large16k(t: int = 2) -> ParameterSet:
     representative exact), one ring doubling up. Heuristic security
     ~155 bits classical (3.41 * 16384 / 360 + log2(102 / 3.2)).
     """
-    params = _build("large16k", n=16384, k_q=12, k_p=13, t=t, sigma=102.0)
+    params = _build("large16k", n=16384, k_q=12, k_p=13, t=2, sigma=102.0)
     params.validate_tensor_capacity()
     return params
 
 
 @lru_cache(maxsize=None)
-def hpca19_large(t: int = 2) -> ParameterSet:
+def hpca19_large() -> ParameterSet:
     """The large-ring production set: n = 32768, 360-bit q.
 
     The ring the paper's architecture (and the accelerators it
@@ -256,19 +256,19 @@ def hpca19_large(t: int = 2) -> ParameterSet:
     depth) trades that headroom down, staying >= 128-bit until
     log2 q ~ 870.
     """
-    params = _build("hpca19_large", n=32768, k_q=12, k_p=13, t=t,
+    params = _build("hpca19_large", n=32768, k_q=12, k_p=13, t=2,
                     sigma=102.0)
     params.validate_tensor_capacity()
     return params
 
 
-def large_ring(n: int, t: int = 2) -> ParameterSet:
+def large_ring(n: int) -> ParameterSet:
     """The benchmark-sweep parameter set for one ring degree.
 
     Maps each degree of the throughput sweep (n = 4096 ... 32768) to
     its named set: the paper's production set at n = 4096, the Table V
     instantiation at n = 8192, and the 360-bit-q large-ring sets above
-    it. Raises for degrees outside the sweep.
+    it, each over t = 2. Raises for degrees outside the sweep.
     """
     sets = {4096: hpca19, 8192: table5_large, 16384: large16k,
             32768: hpca19_large}
@@ -277,11 +277,11 @@ def large_ring(n: int, t: int = 2) -> ParameterSet:
             f"no sweep parameter set for ring degree {n}; "
             f"pick one of {sorted(sets)}"
         )
-    return sets[n](t=t)
+    return sets[n]()
 
 
 @lru_cache(maxsize=None)
-def table5_large(t: int = 2) -> ParameterSet:
+def table5_large() -> ParameterSet:
     """The second Table V point, actually instantiated: n = 8192, 360-bit q.
 
     The paper only *estimates* this design (Sec. VI-D assumes a larger
@@ -291,7 +291,7 @@ def table5_large(t: int = 2) -> ParameterSet:
     (360 bits); the extension basis has thirteen primes so Q comfortably
     exceeds the n * q^2 tensor bound.
     """
-    params = _build("table5_large", n=8192, k_q=12, k_p=13, t=t,
+    params = _build("table5_large", n=8192, k_q=12, k_p=13, t=2,
                     sigma=102.0)
     params.validate_tensor_capacity()
     return params

@@ -140,10 +140,8 @@ class ServingRuntime:
         # `is None`, not `or`: an empty scheduler is falsy via __len__.
         self.scheduler = FifoScheduler() if scheduler is None else scheduler
         self.tenants = TenantSet() if tenants is None else tenants
-        # A weight-less WFQ scheduler inherits the tenant weights.
-        if (isinstance(self.scheduler, WeightedFairScheduler)
-                and not self.scheduler.weights):
-            self.scheduler.weights.update(self.tenants.weights())
+        if isinstance(self.scheduler, WeightedFairScheduler):
+            self.scheduler.weights = self.tenants.weights()
         self.batcher = DmaBatcher(cost, batching)
         self.admission = AdmissionController(self.tenants,
                                              self.num_coprocessors)
@@ -438,13 +436,6 @@ class ServingRuntime:
                 if entry is None:
                     break
                 self._queued_per_tenant[entry.tenant] -= 1
-                deadline = entry.job.deadline_seconds
-                if deadline is not None and now > deadline:
-                    # Expired while queued: reject instead of burning
-                    # coprocessor time on an answer nobody awaits.
-                    self._report.rejected.append(Rejection(
-                        job=entry.job, time_seconds=now, reason="timeout"))
-                    continue
                 batch.append(entry)
             if not batch:
                 continue

@@ -14,7 +14,8 @@ Policies:
 * :class:`ShortestJobFirstScheduler` — minimises mean latency for mixed
   Add/Mult traffic by letting the ~80x-cheaper Adds overtake Mults;
 * :class:`WeightedFairScheduler` — per-tenant virtual-finish-time
-  queueing so no tenant can starve another regardless of offered load;
+  queueing, weighted by the runtime's tenant set, so no tenant can
+  starve another regardless of offered load;
 * :class:`WorkStealingScheduler` — statically partitioned
   per-coprocessor queues (one Arm core per coprocessor, as in Fig. 11)
   with idle coprocessors stealing from the longest backlog.
@@ -133,26 +134,21 @@ class WeightedFairScheduler(Scheduler):
     queue always dispatches the smallest tag. A tenant with weight 2
     therefore receives twice the service share of a weight-1 tenant
     while both are backlogged, and an idle tenant's unused share is
-    redistributed rather than banked.
+    redistributed rather than banked. The weights are the runtime's
+    :class:`~repro.serve.tenants.TenantSet`'s; an unknown tenant weighs 1.
     """
 
     name = "wfq"
 
-    def __init__(self, weights: dict[str, float] | None = None,
-                 default_weight: float = 1.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if default_weight <= 0:
-            raise ValueError("weights must be positive")
-        if weights and any(w <= 0 for w in weights.values()):
-            raise ValueError("weights must be positive")
-        self.weights = dict(weights or {})
-        self.default_weight = default_weight
+        self.weights: dict[str, float] = {}
         self._heap: list[tuple[float, int, float, QueueEntry]] = []
         self._last_finish: dict[str, float] = {}
         self._virtual = 0.0
 
     def weight_of(self, tenant: str) -> float:
-        return self.weights.get(tenant, self.default_weight)
+        return self.weights.get(tenant, 1.0)
 
     def _push(self, entry: QueueEntry) -> None:
         start = max(self._virtual,

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..system.workloads import JobKind
     from .engine import JobResult
     from .tenants import Rejection
 
@@ -100,13 +99,11 @@ class ServingReductions:
             return 0.0
         return self.last_finish_seconds - self.first_arrival_seconds
 
-    def throughput_per_second(self, kind: JobKind | None = None) -> float:
-        jobs = [r for r in self.results
-                if kind is None or r.job.kind is kind]
+    def throughput_per_second(self) -> float:
         makespan = self.makespan_seconds
-        if not jobs or makespan == 0:
+        if not self.results or makespan == 0:
             return 0.0
-        return len(jobs) / makespan
+        return len(self.results) / makespan
 
     @property
     def mean_latency_seconds(self) -> float:

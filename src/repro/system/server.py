@@ -74,9 +74,9 @@ class CostModel:
 
     # -- transfers ---------------------------------------------------------------------
 
-    def transfer_in_seconds(self, num_operands: int = 2) -> float:
-        return self.dma.send_ciphertexts_seconds(self.params.poly_bytes,
-                                                 num_operands)
+    def transfer_in_seconds(self) -> float:
+        """Sending a job's two operand ciphertexts to the board."""
+        return self.dma.send_ciphertexts_seconds(self.params.poly_bytes, 2)
 
     def transfer_out_seconds(self) -> float:
         return self.dma.receive_ciphertext_seconds(self.params.poly_bytes)

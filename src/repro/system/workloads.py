@@ -52,9 +52,6 @@ class Job:
     polys_in: int = 4
     polys_out: int = 2
     request: int | None = None
-    #: Absolute sim-clock deadline: a job still queued past this instant
-    #: is rejected with reason ``"timeout"`` instead of dispatched.
-    deadline_seconds: float | None = None
     #: Original arrival instant of a retried job — latency (and SLA
     #: accounting) is always measured from the client's first submission,
     #: not the retry's re-injection time. ``None`` for first attempts.
@@ -100,9 +97,8 @@ def merge_streams(*streams: list[Job]) -> list[Job]:
 
 def multi_tenant_stream(rates_per_second: dict[str, float],
                         duration_seconds: float,
-                        kind: JobKind = JobKind.MULT,
                         seed: int = 0) -> list[Job]:
-    """Superpose independent per-tenant Poisson streams.
+    """Superpose independent per-tenant Poisson streams of Mults.
 
     Each tenant gets its own arrival process; the merged stream is
     sorted by arrival time and re-indexed, so schedulers see one
@@ -111,8 +107,8 @@ def multi_tenant_stream(rates_per_second: dict[str, float],
     if not rates_per_second:
         raise ValueError("need at least one tenant")
     return merge_streams(*(
-        poisson_stream(rate, duration_seconds, kind=kind,
-                       seed=seed + offset, tenant=tenant)
+        poisson_stream(rate, duration_seconds, seed=seed + offset,
+                       tenant=tenant)
         for offset, (tenant, rate) in enumerate(
             sorted(rates_per_second.items()))
     ))
@@ -146,33 +142,23 @@ def tenant_name(index: int) -> str:
 
 def cluster_trace(num_tenants: int, total_rate_per_second: float,
                   duration_seconds: float, *, skew: float = 1.1,
-                  add_fraction: float = 0.0,
                   seed: int = 0) -> list[Job]:
     """An open-loop cluster-scale trace: many tenants, Zipf popularity.
 
-    Superposes one Poisson stream per tenant (rates from
-    :func:`zipf_tenant_rates`) and optionally flips a deterministic
-    fraction of jobs to cheap Adds, mimicking the mixed Add/Mult
-    traffic of the forecasting application. This is the workload shape
-    the multi-FPGA shard layer routes: enough distinct tenants that
+    Superposes one Poisson stream of Mults per tenant (rates from
+    :func:`zipf_tenant_rates`). This is the workload shape the
+    multi-FPGA shard layer routes: enough distinct tenants that
     consistent-hash placement spreads load, with the skew stressing the
     balance of any tenant-sticky policy.
     """
-    if not 0.0 <= add_fraction <= 1.0:
-        raise ValueError("add_fraction must be within [0, 1]")
     rates = zipf_tenant_rates(num_tenants, total_rate_per_second, skew)
-    jobs = multi_tenant_stream(rates, duration_seconds, seed=seed)
-    if add_fraction == 0.0:
-        return jobs
-    rng = np.random.default_rng(seed + 0x5EED)
-    flips = rng.random(len(jobs)) < add_fraction
-    return [replace(j, kind=JobKind.ADD) if flip else j
-            for j, flip in zip(jobs, flips, strict=True)]
+    return multi_tenant_stream(rates, duration_seconds, seed=seed)
 
 
-def saturated_tenant_jobs(num_tenants: int, jobs_per_tenant: int,
-                          kind: JobKind = JobKind.MULT) -> list[Job]:
-    """A saturating multi-tenant backlog: everything available at t=0.
+def saturated_tenant_jobs(num_tenants: int,
+                          jobs_per_tenant: int) -> list[Job]:
+    """A saturating multi-tenant Mult backlog: everything available at
+    t=0.
 
     Tenants are interleaved round-robin so any prefix of the stream
     spans the whole population — the shape used to measure the
@@ -185,7 +171,7 @@ def saturated_tenant_jobs(num_tenants: int, jobs_per_tenant: int,
     index = 0
     for _ in range(jobs_per_tenant):
         for tenant in range(num_tenants):
-            jobs.append(Job(index=index, kind=kind,
+            jobs.append(Job(index=index, kind=JobKind.MULT,
                             tenant=tenant_name(tenant)))
             index += 1
     return jobs
@@ -232,8 +218,7 @@ class ClosedLoopClients:
     """
 
     def __init__(self, num_clients: int, think_seconds_mean: float, *,
-                 kind: JobKind = JobKind.MULT, num_tenants: int = 1,
-                 seed: int = 0) -> None:
+                 num_tenants: int = 1, seed: int = 0) -> None:
         if num_clients < 1:
             raise ValueError("need at least one client")
         if think_seconds_mean < 0:
@@ -242,7 +227,6 @@ class ClosedLoopClients:
             raise ValueError("need at least one tenant")
         self.num_clients = num_clients
         self.think_seconds_mean = think_seconds_mean
-        self.kind = kind
         self.num_tenants = num_tenants
         self.seed = seed
 
@@ -303,7 +287,7 @@ class ClosedLoopClients:
                 at, client = heapq.heappop(ready)
                 target.advance_to(at, inclusive=False)
                 tenant = tenant_name(client % self.num_tenants)
-                target.inject(Job(index=next_index, kind=self.kind,
+                target.inject(Job(index=next_index, kind=JobKind.MULT,
                                   arrival_seconds=at, tenant=tenant,
                                   request=client))
                 outstanding[next_index] = client

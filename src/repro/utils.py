@@ -35,14 +35,6 @@ def round_half_away(numerator: int, denominator: int) -> int:
     return -((-2 * numerator + denominator) // (2 * denominator))
 
 
-def centered(value: int, modulus: int) -> int:
-    """Map ``value`` to its centered representative in (-modulus/2, modulus/2]."""
-    value %= modulus
-    if value > modulus // 2:
-        value -= modulus
-    return value
-
-
 def chunks(total: int, chunk_size: int) -> list[int]:
     """Split ``total`` into chunk sizes of at most ``chunk_size``.
 

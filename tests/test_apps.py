@@ -138,4 +138,5 @@ class TestSessionFirstConstruction:
         # Negated bits are shared across table entries: exactly one
         # NEGATE per index bit in the compiled graph.
         program = server.lookup_program(server.encrypt_index(1))
-        assert program.op_counts()[OpKind.NEGATE] == server.index_bits
+        assert sum(node.op is OpKind.NEGATE for node in program.nodes) == \
+            server.index_bits

@@ -17,6 +17,7 @@ from repro.cluster import (
     RoundRobinRouter,
     Router,
     TenantAffinityRouter,
+    default_routers,
 )
 from repro.cluster.routing import rendezvous_order
 from repro.faults import FaultEvent, FaultKind, FaultPlan
@@ -28,9 +29,12 @@ from repro.serve import (
     LatencySummary,
     RuntimeReport,
     ServingRuntime,
+    Tenant,
+    TenantSet,
 )
 from repro.system.server import CostModel
 from repro.system.workloads import (
+    DEFAULT_TENANT,
     Job,
     JobKind,
     cluster_trace,
@@ -75,7 +79,6 @@ def shared_reductions(report):
         "last_finish": report.last_finish_seconds,
         "makespan": report.makespan_seconds,
         "throughput": report.throughput_per_second(),
-        "mult_throughput": report.throughput_per_second(JobKind.MULT),
         "mean_latency": report.mean_latency_seconds,
         "offered": report.offered,
         "rejection_fraction": report.rejection_fraction,
@@ -372,6 +375,19 @@ class TestHeterogeneousCluster:
         assert mixed.capacity_mults_per_second() < \
             twins.capacity_mults_per_second()
 
+    def test_hetero_cli_prints_one_line_per_router(self, capsys):
+        """``cluster --hetero``: the one caller outside tests that builds
+        a mixed-config cluster."""
+        from repro.cli import main
+
+        assert main(["cluster", "--shards", "2", "--hetero",
+                     "--duration", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert "heterogeneous (alternating 2/1 butterfly cores) x2" in out
+        table = out.split("imbal\n", 1)[1].split("\n\n", 1)[0]
+        assert [line.split()[0] for line in table.splitlines()] == [
+            router.name for router in default_routers()]
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             FpgaCluster.heterogeneous(PARAMS, [])
@@ -492,18 +508,18 @@ class TestTelemetryMerging:
 class TestRejectionOnlyAggregation:
     """Shards that only ever rejected must aggregate cleanly."""
 
-    def test_all_timeout_cluster_aggregates(self):
-        # Deadlines strictly before the arrivals: every job expires in
-        # queue, no shard ever produces a sample.
+    def test_all_rejected_cluster_aggregates(self):
+        # A tenant admitted to no queue: every job is refused at its
+        # board, no shard ever produces a sample.
         jobs = [Job(index=i, kind=JobKind.MULT,
-                    arrival_seconds=0.001 * (i + 1),
-                    deadline_seconds=0.0005)
+                    arrival_seconds=0.001 * (i + 1))
                 for i in range(10)]
-        report = FpgaCluster.homogeneous(PARAMS, 2).run(jobs)
+        tenants = TenantSet.of(Tenant(DEFAULT_TENANT, max_queue_depth=0))
+        report = FpgaCluster.homogeneous(PARAMS, 2, tenants=tenants).run(jobs)
         check_cluster_conservation(report, jobs)
         assert report.completed == 0
         assert len(report.rejected) == 10
-        assert all(r.reason == "timeout" for r in report.rejected)
+        assert all(r.reason == "queue-depth" for r in report.rejected)
         assert report.availability == 0.0
         assert report.latency_summary().count == 0
         assert report.throughput_per_second() == 0.0
@@ -670,13 +686,6 @@ class TestClusterWorkloads:
         assert times == sorted(times)
         assert [j.index for j in jobs] == list(range(len(jobs)))
         assert len({j.tenant for j in jobs}) > 1
-
-    def test_cluster_trace_add_fraction(self):
-        jobs = cluster_trace(8, 2000.0, 0.5, add_fraction=0.5, seed=1)
-        adds = sum(1 for j in jobs if j.kind is JobKind.ADD)
-        assert 0.3 < adds / len(jobs) < 0.7
-        with pytest.raises(ValueError):
-            cluster_trace(8, 100.0, 0.5, add_fraction=1.5)
 
     def test_saturated_tenant_jobs_interleaved(self):
         jobs = saturated_tenant_jobs(3, 2)

@@ -128,13 +128,6 @@ class TestComparator:
         with pytest.raises(ParameterError):
             comparator.encrypt_value(4)
 
-    def test_rejects_non_binary_plaintext(self, mini_context, mini_keys):
-        if mini_context.params.t == 2:
-            pytest.skip("fixture uses t = 2")
-        with pytest.raises(ParameterError):
-            EncryptedComparator(
-                Session(context=mini_context, keys=mini_keys), bits=2)
-
     def test_rejects_mismatched_widths(self, comparator_session):
         comparator = EncryptedComparator(comparator_session, bits=3)
         a = comparator.encrypt_value(1)
@@ -144,12 +137,10 @@ class TestComparator:
 
 class TestRenderFig3:
     def test_render_fig3_contains_inverted_order(self):
-        figure = render_fig3(4096)
+        figure = render_fig3()
+        assert "Iteration m = 2 " in figure
         assert "1536, 512, 1537, 513" in figure
         assert "0, 1024, 1, 1025" in figure
-
-    def test_render_small_ring(self):
-        assert "Iteration m = 2" in render_fig3(64)
 
 
 #: SHA-256 of the stdout of ``python -m repro <command>``: the paper's

@@ -3,11 +3,9 @@ additive operations, and the textbook cross-check (paper Sec. II-B)."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import EncodingError, ParameterError
-from repro.fv.encoder import BatchEncoder, IntegerEncoder, Plaintext
+from repro.fv.encoder import BatchEncoder, Plaintext
 from repro.fv.reference import TextbookFv
 from repro.fv.sampler import (
     discrete_gaussian,
@@ -78,33 +76,6 @@ class TestPlaintext:
         b = Plaintext.from_list([1], 4, 2)
         assert a == b
         assert a != Plaintext.from_list([0], 4, 2)
-
-
-class TestIntegerEncoder:
-    @pytest.fixture(scope="class")
-    def encoder(self):
-        return IntegerEncoder(mini(t=65537), base=2)
-
-    def test_roundtrip_positive(self, encoder):
-        for value in (0, 1, 7, 255, 12345):
-            assert encoder.decode(encoder.encode(value)) == value
-
-    def test_roundtrip_negative(self, encoder):
-        for value in (-1, -9, -4096):
-            assert encoder.decode(encoder.encode(value)) == value
-
-    @given(st.integers(-10**6, 10**6))
-    def test_roundtrip_property(self, value):
-        encoder = IntegerEncoder(mini(t=65537), base=2)
-        assert encoder.decode(encoder.encode(value)) == value
-
-    def test_base3(self):
-        encoder = IntegerEncoder(mini(t=65537), base=3)
-        assert encoder.decode(encoder.encode(1000)) == 1000
-
-    def test_rejects_tiny_base(self):
-        with pytest.raises(ParameterError):
-            IntegerEncoder(mini(t=65537), base=1)
 
 
 class TestBatchEncoder:

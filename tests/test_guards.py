@@ -14,10 +14,10 @@ from repro.api.program import HEProgram
 from repro.apps.comparator import EncryptedComparator
 from repro.apps.matmul import EncryptedMatmul
 from repro.cluster import FpgaCluster
-from repro.errors import EncodingError, ParameterError
+from repro.errors import ParameterError
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.fv.ciphertext import Ciphertext
-from repro.fv.encoder import IntegerEncoder
+from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.fv.keys import RelinKey
 from repro.fv.reference import TextbookFv
@@ -39,7 +39,6 @@ from repro.serve import (
     ServingRuntime,
     Tenant,
     TenantSet,
-    WeightedFairScheduler,
 )
 from repro.system.server import CostModel
 from scaffolding import toy
@@ -212,7 +211,7 @@ class TestCiphertextShape:
     def test_relin_key_one_pair_per_digit(self, toy_context, toy_keys):
         evaluator = Evaluator(toy_context)
         ct = toy_context.encrypt(
-            IntegerEncoder(PARAMS, base=2).encode(3), toy_keys.public)
+            Plaintext.from_list([1, 1], PARAMS.n, PARAMS.t), toy_keys.public)
         raw = evaluator.multiply_raw(ct, ct)
         short = RelinKey(toy_keys.relin.pairs[:-1],
                          toy_keys.relin.decomposition)
@@ -221,11 +220,6 @@ class TestCiphertextShape:
 
 
 class TestEncodingGuards:
-    def test_integer_wider_than_the_ring(self):
-        encoder = IntegerEncoder(PARAMS, base=2)
-        with pytest.raises(EncodingError, match="more than"):
-            encoder.encode(1 << PARAMS.n)
-
     def test_comparator_needs_binary_plaintexts(self):
         with pytest.raises(ParameterError, match="t = 2"):
             EncryptedComparator(Session(mini(t=3), seed=0), bits=2)
@@ -322,10 +316,6 @@ class TestServingGuards:
         runtime = ServingRuntime(COST)
         with pytest.raises(RuntimeError, match="begin"):
             getattr(runtime, method)()
-
-    def test_fair_share_default_weight_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            WeightedFairScheduler(default_weight=0.0)
 
     def test_empty_batch_has_no_price(self):
         with pytest.raises(ValueError, match="at least one job"):

@@ -263,10 +263,10 @@ class TestCoprocessorFunctional:
         whole, whole_report = Coprocessor(mini_params).mult(
             ct_a, ct_b, mini_keys.relin)
         split = Coprocessor(mini_params)
-        raw, raw_report = split.run(
-            compile_mult_raw(mini_params, CONFIG), operands,
-            outputs=("s0", "s1", "s2"))
-        assert raw.size == 3
+        for name, rows in operands.items():
+            split.load_polynomial(name, rows)
+        raw_report = split.execute(compile_mult_raw(mini_params, CONFIG))
+        assert {"s0", "s1", "s2"} <= split.registers.keys()
         relin_report = split.execute(compile_relin(mini_params, CONFIG),
                                      relin_key=mini_keys.relin)
         for name, part in zip(("out0", "out1"), whole.parts, strict=True):

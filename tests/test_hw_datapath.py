@@ -49,8 +49,7 @@ class TestSlidingWindowReducer:
 
     def test_paper_structure(self):
         """6-bit window over a 60-bit operand: 5 steps + correction."""
-        reducer = SlidingWindowReducer(PRIMES[0], window_bits=6,
-                                       input_bits=60)
+        reducer = SlidingWindowReducer(PRIMES[0], window_bits=6)
         assert reducer.steps == 5
         assert reducer.pipeline_stages == 6
 

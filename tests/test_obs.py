@@ -23,7 +23,6 @@ from repro.api import LocalBackend, Session, SimulatedBackend
 from repro.cli import main
 from repro.nttmath.batch import TRANSFORM_COUNTER, transform_counts
 from repro.obs import (
-    MetricsRegistry,
     Span,
     TraceReport,
     Tracer,
@@ -94,14 +93,6 @@ class TestRegistry:
             assert c.value() == 10
         assert current_registry() is outer
         assert c.value() == 1  # inner writes never leaked out
-
-    def test_scoped_accepts_supplied_registry(self):
-        c = counter("test_obs_supplied_total", "supplied")
-        mine = MetricsRegistry()
-        with scoped_metrics(mine):
-            c.inc(7)
-        with scoped_metrics(mine):
-            assert c.value() == 7  # same plane re-installed
 
     def test_gauge_sets_current_value(self):
         g = gauge("test_obs_depth", "depth")
@@ -221,7 +212,7 @@ class TestTracer:
         assert t.name == "ntt.forward" and t.attrs["rows"] == 4
 
     def test_add_records_sim_interval(self):
-        tracer = Tracer("run", clock="sim")
+        tracer = Tracer("run")
         tracer.add("job", "job", start=1.0, end=3.0, coprocessor=0)
         (job,) = tracer.report().spans("job")
         assert job.clock == "sim"

@@ -338,7 +338,7 @@ class TestScoping:
         session = Session(mini(), seed=7)
         product = session.encrypt([1, 2, 3]) * session.encrypt([4, 5, 6])
         program = session.compile(product, name="one-mult", check=False)
-        backend = LocalBackend(session, verify=False, executor="threads")
+        backend = LocalBackend(session, executor="threads")
         try:
             telemetry = backend.telemetry
             assert telemetry["executor"] == "threads"

@@ -1,21 +1,32 @@
-"""Every public name and method in ``src/repro`` has a caller outside tests.
+"""Every public name, method and option in ``src/repro`` has a caller
+outside tests.
 
 An AST scan of ``src/repro`` lists the public (no leading underscore)
 module-level functions and classes, and the public methods of those
 classes (properties are attributes, not methods, and are left out).
 Each must be referred to by code in ``src/repro`` outside its own
-definition, in ``benchmarks/`` or in ``examples/``. A reference is a
-name or an attribute access, matched by the bare name (so
-``obj.describe()`` counts for every method called ``describe``); an
-``import ... as alias`` counts through its alias. Package ``__init__``
+definition, in ``benchmarks/`` or in ``examples/``. A module-level name
+is referred to by a name or an attribute access; a method only by an
+attribute access (so ``obj.describe()`` counts for every method called
+``describe``, and a local variable called ``describe`` counts for none).
+An ``import ... as alias`` counts through its alias, and the benchmark's
+``resolve("repro.x", "name")`` counts for ``name``. Package ``__init__``
 re-exports (the imports and ``__all__``) are not references, and tests
 are not callers. A name used only by code elsewhere in its own module is
 used: the module runs it.
 
+The same holds for options: every defaulted parameter of a public
+function, method, classmethod or ``__init__`` must be passed, by keyword
+or by position, by some call in those places. A call is matched by the
+callee's bare name, as references are; ``cls(...)`` inside a class
+calls that class, a ``**kwargs`` forward passes every parameter, and
+the benchmark's ``bind(fn, ...)`` is a call of ``fn``. A parameter no
+caller sets is a second configuration only tests reach.
+
 A name with no caller must be on :data:`ALLOWED` (a method on
-:data:`ALLOWED_METHODS`) with a one-line reason, and an entry whose
-name gained a caller or no longer exists fails too, so the lists can
-only shrink with the code.
+:data:`ALLOWED_METHODS`, a parameter on :data:`ALLOWED_PARAMETERS`)
+with a one-line reason, and an entry whose name gained a caller or no
+longer exists fails too, so the lists can only shrink with the code.
 
 Two checks keep the import surface honest as names go: every
 ``__all__`` in ``src/repro`` lists only attributes its module has, and
@@ -43,8 +54,6 @@ ALLOWED = {
         "stepped oracle of the block-pipeline closed form",
     "rns.lift.hps_quotient":
         "Fig. 6 Block 3 quotient the limb path is tested against",
-    "parallel.executors.executor_fallbacks":
-        "benchmarks/ledger/probes.py resolves it by name",
 }
 
 #: Public methods kept without a caller outside tests, each with its
@@ -56,6 +65,22 @@ ALLOWED_METHODS = {
         "moves an engine ciphertext into the big-integer oracle",
     "hw.ntt_unit.DualCoreNttUnit.run_strict":
         "stepped oracle of the NTT unit's fast executor",
+}
+
+#: Defaulted parameters no caller outside tests passes, each with its
+#: reason.
+ALLOWED_PARAMETERS = {
+    "fv.reference.TextbookFv(seed)":
+        "the big-integer oracle's key stream, matched to an engine seed",
+    "hw.block_pipeline.simulate_block_pipeline(intervals)":
+        "the stepped oracle's initiation intervals, where the closed "
+        "form's exactness bound is tested",
+    "hw.ntt_unit.DualCoreNttUnit.run_strict(inverse)":
+        "the stepped oracle of the inverse transform",
+    "cli.main(argv)": "the console entry reads sys.argv; tests pass argv",
+    "fv.scheme.FvContext.relin_keygen(decomposition)":
+        "the digit decomposition, parameter-set data once the ROADMAP "
+        "digit item (HEAX's dnum) lands",
 }
 
 
@@ -75,22 +100,38 @@ def _modules_with_all() -> list[str]:
     return found
 
 
-def _references(tree: ast.AST) -> Counter:
-    """How often each name is read under ``tree`` (names and attribute
-    accesses; an imported alias counts for the name it imports)."""
-    aliases: dict[str, str] = {}
-    refs: Counter = Counter()
+def _resolved(node: ast.Call) -> list[str]:
+    """The attribute names a ``resolve("repro.x", "a", ...)`` call
+    looks up by string (the benchmark's probes find targets so)."""
+    if getattr(node.func, "id", None) != "resolve":
+        return []
+    return [arg.value for arg in node.args[1:]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+
+
+def _aliases(tree: ast.AST) -> dict[str, str]:
+    """``import ... as alias`` under ``tree``: alias -> imported name."""
+    return {a.asname: a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.asname}
+
+
+def _references(tree: ast.AST) -> tuple[Counter, Counter]:
+    """How often each name is read under ``tree``: as a name or an
+    attribute, and as an attribute alone (an imported alias counts for
+    the name it imports; a ``resolve`` string is an attribute read)."""
+    names: Counter = Counter()
+    attrs: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            refs[node.attr] += 1
-        elif isinstance(node, ast.ImportFrom):
-            aliases.update((a.asname, a.name) for a in node.names
-                           if a.asname)
-    for alias, name in aliases.items():
-        refs[name] += refs[alias]
-    return refs
+            attrs[node.attr] += 1
+        elif isinstance(node, ast.Call):
+            attrs.update(_resolved(node))
+    for alias, name in _aliases(tree).items():
+        names[name] += names[alias]
+    return names + attrs, attrs
 
 
 def _is_property(node: ast.FunctionDef) -> bool:
@@ -103,27 +144,34 @@ def _is_property(node: ast.FunctionDef) -> bool:
     return False
 
 
+def _caller_trees() -> dict[Path, ast.AST]:
+    """Every module a caller may live in: ``src/repro``, the benchmark
+    and the examples."""
+    paths = sorted(PACKAGE.rglob("*.py"))
+    for directory in CALLER_DIRS:
+        paths += sorted(directory.rglob("*.py"))
+    return {path: ast.parse(path.read_text()) for path in paths}
+
+
 def _unused_public_names() -> tuple[set[str], set[str]]:
     """Dotted names of the public module-level names and of the public
     methods that nothing outside tests refers to."""
-    modules = {path: ast.parse(path.read_text())
-               for path in sorted(PACKAGE.rglob("*.py"))}
-    refs = {path: _references(tree) for path, tree in modules.items()}
-    external: Counter = Counter()
-    for directory in CALLER_DIRS:
-        for path in directory.rglob("*.py"):
-            external += _references(ast.parse(path.read_text()))
+    trees = _caller_trees()
+    modules = {path: tree for path, tree in trees.items()
+               if path.is_relative_to(PACKAGE)}
+    refs = {path: _references(tree) for path, tree in trees.items()}
 
-    def used(path: Path, node: ast.AST) -> bool:
+    def used(path: Path, node: ast.AST, method: bool) -> bool:
         name = node.name
+        pick = 1 if method else 0
         # Reads inside the definition itself (recursion, its own type
         # in an annotation) are not uses.
-        inside = sum(isinstance(n, ast.Name) and n.id == name
-                     or isinstance(n, ast.Attribute) and n.attr == name
+        inside = sum(isinstance(n, ast.Attribute) and n.attr == name
+                     or not method and isinstance(n, ast.Name)
+                     and n.id == name
                      for n in ast.walk(node))
-        return (external[name] > 0
-                or refs[path][name] > inside
-                or any(counts[name] for other, counts in refs.items()
+        return (refs[path][pick][name] > inside
+                or any(counts[pick][name] for other, counts in refs.items()
                        if other != path))
 
     names, methods = set(), set()
@@ -133,7 +181,7 @@ def _unused_public_names() -> tuple[set[str], set[str]]:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue
-            if not used(path, node):
+            if not used(path, node, method=False):
                 names.add(f"{module}.{node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -141,9 +189,94 @@ def _unused_public_names() -> tuple[set[str], set[str]]:
                 if (isinstance(method, ast.FunctionDef)
                         and not method.name.startswith("_")
                         and not _is_property(method)
-                        and not used(path, method)):
+                        and not used(path, method, method=True)):
                     methods.add(f"{module}.{node.name}.{method.name}")
     return names, methods
+
+
+def _public_callables():
+    """``(dotted name, called as, definition, bound)`` of every public
+    function, ``__init__`` (named by its class) and public method;
+    ``bound`` when the first parameter is ``self`` or ``cls``."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                yield f"{module}.{node.name}", node.name, node, False
+                continue
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) \
+                        or _is_property(method):
+                    continue
+                bound = not any(getattr(d, "id", None) == "staticmethod"
+                                for d in method.decorator_list)
+                if method.name == "__init__":
+                    yield f"{module}.{node.name}", node.name, method, True
+                elif not method.name.startswith("_"):
+                    yield (f"{module}.{node.name}.{method.name}",
+                           method.name, method, bound)
+
+
+def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Every call outside tests, by the callee's bare name: the number
+    of positional arguments before any ``*args``, the keywords, and
+    whether a ``**kwargs`` forward passes everything else."""
+    calls: dict[str, list] = {}
+    for tree in _caller_trees().values():
+        aliases = _aliases(tree)
+        owner = {id(sub): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef)
+                 for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if getattr(func, "id", None) == "bind" and args:
+                func, args = args[0], args[1:]
+            if isinstance(func, ast.Name):
+                name = aliases.get(func.id, func.id)
+                if name == "cls":
+                    name = owner.get(id(node), name)
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            elif isinstance(func, ast.Call) and _resolved(func):
+                name = _resolved(func)[-1]
+            else:
+                continue
+            positional = next((i for i, arg in enumerate(args)
+                               if isinstance(arg, ast.Starred)), len(args))
+            calls.setdefault(name, []).append((
+                positional,
+                {k.arg for k in node.keywords if k.arg},
+                any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def _unpassed_parameters() -> set[str]:
+    """The defaulted public parameters no call outside tests passes
+    (``module.Callable(param)``)."""
+    calls = _calls()
+    unpassed = set()
+    for dotted, called_as, node, bound in _public_callables():
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        positional = positional[1:] if bound else positional
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, default in
+                      zip(args.kwonlyargs, args.kw_defaults, strict=True)
+                      if default is not None]
+        for param in defaulted:
+            place = (positional.index(param) if param in positional
+                     else None)
+            if not any(param in keywords or forward
+                       or place is not None and count > place
+                       for count, keywords, forward
+                       in calls.get(called_as, ())):
+                unpassed.add(f"{dotted}({param})")
+    return unpassed
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -168,10 +301,24 @@ def test_every_public_method_has_a_caller_or_a_reason():
     )
 
 
+def test_every_defaulted_parameter_is_passed_or_has_a_reason():
+    unpassed = _unpassed_parameters()
+    assert sorted(unpassed - ALLOWED_PARAMETERS.keys()) == [], (
+        "defaulted parameters only tests set: delete them and the branch "
+        "they guard, give them a caller, or add them to "
+        "ALLOWED_PARAMETERS with a reason"
+    )
+    assert sorted(ALLOWED_PARAMETERS.keys() - unpassed) == [], (
+        "ALLOWED_PARAMETERS entries that now have a caller or no longer "
+        "exist"
+    )
+
+
 def test_every_allowed_name_has_a_reason():
     assert all(reason.strip() for reason in ALLOWED.values())
     assert all(reason.strip()
                for reason in ALLOWED_METHODS.values())
+    assert all(reason.strip() for reason in ALLOWED_PARAMETERS.values())
 
 
 @pytest.mark.parametrize("module", _modules_with_all())

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
+from repro.fv.ciphertext import Ciphertext
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.fv.scheme import FvContext
@@ -28,6 +29,7 @@ from repro.hw.coprocessor import Coprocessor
 from repro.hw.isa import Opcode
 from repro.nttmath.ntt import negacyclic_convolution
 from repro.params import hpca19, mini
+from repro.poly.rns_poly import RnsPoly
 from repro.rns.decompose import WordDecomp
 from scaffolding import toy
 
@@ -127,8 +129,13 @@ def test_coprocessor_mult_follows_the_key(pname, label, config):
     operands = {f"{name}{i}": part.to_coeff().residues
                 for name, ct in (("a", ct_a), ("b", ct_b))
                 for i, part in enumerate(ct.parts)}
-    raw, _ = coprocessor.run(compile_mult_raw(params, coprocessor.config),
-                             operands, outputs=("s0", "s1", "s2"))
+    for name, q_rows in operands.items():
+        coprocessor.load_polynomial(name, q_rows)
+    coprocessor.execute(compile_mult_raw(params, coprocessor.config))
+    raw = Ciphertext(tuple(
+        RnsPoly(coprocessor.q_basis,
+                coprocessor.registers[f"s{i}"][:params.k_q].copy())
+        for i in range(3)), params)
     sw = Evaluator(context).relinearize(raw, key).to_coeff()
     hw, _ = coprocessor.mult(ct_a, ct_b, key)
     for hw_part, sw_part in zip(hw.parts, sw.parts, strict=True):

@@ -214,16 +214,13 @@ class TestZeroRoundTripAcrossPrograms:
         save_ciphertext(path, source.ciphertext)
         operand = session.wrap(load_ciphertext(path, params))
         assert operand.node.cached.ntt_resident
-        # verify=False: the assertion is about *execution*
-        # transform economy; the verify phase's noise probe has
-        # its own traced transforms.
-        backend = LocalBackend(session, verify=False)
+        backend = LocalBackend(session)
         first = backend.run(session.compile(operand * 3, name="p1",
                                             check=False))
-        counts1 = dict(backend.last_transform_counts)
+        counts1 = _execution_counts(backend)
         second = backend.run(session.compile(operand * 5, name="p2",
                                              check=False))
-        counts2 = dict(backend.last_transform_counts)
+        counts2 = _execution_counts(backend)
         for counts in (counts1, counts2):
             assert counts["forward_rows"] == k, counts
             assert counts["inverse_rows"] == 0, counts
@@ -338,6 +335,15 @@ class TestSimulatedResidentCache:
         assert sum(op.cached_inputs for op in warm) == 1
 
 
+def _execution_counts(backend) -> dict[str, int]:
+    """The last run's transform counts less its output verification's
+    (the noise probe has its own traced transforms)."""
+    (verify,) = [s for s in backend.last_trace.spans("phase")
+                 if s.name == "verify_outputs"]
+    return {key: value - verify.attrs["transforms"].get(key, 0)
+            for key, value in backend.last_transform_counts.items()}
+
+
 def _mult_rows(params) -> tuple[int, int]:
     """(forward, inverse) rows of one Mult of two fresh operands: the
     lift's k_p forward / k_q inverse rows per part, Scale's inverse of
@@ -368,14 +374,14 @@ class TestResidentMultiplyLoop:
                                   check=False)
         config = (ExecutionConfig(mode=executor[0], workers=executor[1])
                   if executor else None)
-        backend = LocalBackend(session, verify=False, executor=config)
+        backend = LocalBackend(session, executor=config)
         try:
             result = backend.run(program)
         finally:
             if executor:
                 # A live pool holds BLAS at one thread, process-wide.
                 backend.executor.close()
-        counts = backend.last_transform_counts
+        counts = _execution_counts(backend)
         forward, inverse = _mult_rows(params)
         assert (counts["forward_rows"], counts["inverse_rows"]) == \
             (3 * forward, 3 * inverse)
@@ -397,8 +403,8 @@ class TestResidentMultiplyLoop:
         a = session.encrypt([9, 8, 7])
         b = session.encrypt([1, 2, 3])
         program = session.compile(a * b, name="one-mult", check=False)
-        backend = LocalBackend(session, verify=False)
+        backend = LocalBackend(session)
         backend.run(program)
-        counts = backend.last_transform_counts
+        counts = _execution_counts(backend)
         assert (counts["forward_rows"], counts["inverse_rows"]) == \
             _mult_rows(params)

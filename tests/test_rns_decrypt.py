@@ -247,16 +247,6 @@ class TestMeasureOnce:
                            for label in result.outputs]
         assert (win == session.decrypt(result["win"])).all()
 
-    def test_verify_false_measures_on_first_use(self, session,
-                                                counted_measurements):
-        a, b = session.encrypt([1, 2, 3]), session.encrypt([4, 5, 6])
-        result = LocalBackend(session, verify=False).run(
-            session.compile(a * b + a))
-        assert counted_measurements == []
-        assert result.decrypt(size=3).tolist() == [5, 12, 21]
-        assert result.noise_budget_bits() > 0
-        assert len(counted_measurements) == 1
-
     def test_lazy_handle_decrypt_measures_once(self, session,
                                                counted_measurements):
         a, b = session.encrypt([2, 3]), session.encrypt([5, 7])
@@ -264,7 +254,7 @@ class TestMeasureOnce:
         assert len(counted_measurements) == 1
 
     def test_decrypt_results_do_not_alias(self):
-        session = Session(toy(), seed=3, encoder="coeff")
+        session = Session(toy(), seed=3)
         result = LocalBackend(session).run(
             session.compile(session.encrypt([1, 0, 1])))
         first = result.decrypt()
@@ -289,8 +279,6 @@ class TestMeasureOnce:
         monkeypatch.setattr(FvContext, "decrypt_with_noise", saturated)
         with pytest.raises(NoiseBudgetExhausted, match="'out'"):
             LocalBackend(session).run(program)
-        assert LocalBackend(session, verify=False).run(
-            program).noise_budget_bits() < 0
 
     def test_traced_verification_is_attributed_to_kernels(self):
         session = Session(hpca19(), seed=2)
@@ -366,7 +354,7 @@ class TestPlainPoolByValue:
         assert not np.array_equal(session.plain_ntt(three), rows)
 
     def test_pool_stays_bounded(self):
-        session = Session(mini(t=257), seed=1, encoder="coeff")
+        session = Session(mini(t=257), seed=1)
         session._plain_pool_limit = 4
         for value in range(9):
             session.plain_delta_ntt(session.encode([value, 1]))

@@ -390,16 +390,6 @@ class TestPolicies:
         assert heavy.count == light.count == 60
         assert heavy.mean < 0.5 * light.mean
 
-    def test_wfq_explicit_weights_win_over_tenants(self):
-        scheduler = WeightedFairScheduler(weights={"a": 9.0})
-        ServingRuntime(CostModel(hpca19(), CONFIG), scheduler=scheduler,
-                       tenants=TenantSet.of(Tenant("a", weight=1.0)))
-        assert scheduler.weights == {"a": 9.0}
-
-    def test_wfq_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            WeightedFairScheduler(weights={"a": 0.0})
-
     def test_work_stealing_keeps_both_busy(self, cost):
         report = ServingRuntime(
             cost, scheduler=WorkStealingScheduler()).run(mult_stream(80))
@@ -690,7 +680,7 @@ class TestClosedLoopClients:
         from repro.system.workloads import ClosedLoopClients
 
         runtime = ServingRuntime(cost)
-        result = ClosedLoopClients(3, 0.0, kind=JobKind.ADD, seed=1).drive(
+        result = ClosedLoopClients(3, 0.0, seed=1).drive(
             runtime, duration_seconds=0.2)
         # Zero think time: a client's next arrival is its previous
         # completion; per-client arrivals must be >= one service apart.
@@ -698,7 +688,7 @@ class TestClosedLoopClients:
         for r in result.report.results:
             per_client.setdefault(r.job.request, []).append(r)
         assert set(per_client) == {0, 1, 2}
-        service = cost.job_seconds(JobKind.ADD)
+        service = cost.job_seconds(JobKind.MULT)
         for results in per_client.values():
             times = sorted(r.job.arrival_seconds for r in results)
             gaps = [b - a for a, b in zip(times, times[1:], strict=False)]

@@ -65,7 +65,8 @@ class TestCloudServer:
     def test_mixed_workload_runs(self, cost):
         report = ServingRuntime(cost).run(mixed_workload(5, 10, seed=3))
         assert len(report.results) == 55
-        assert report.throughput_per_second(JobKind.MULT) > 0
+        assert sum(r.job.kind is JobKind.MULT for r in report.results) == 5
+        assert report.throughput_per_second() > 0
 
 
 class TestWorkloads:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.utils import (
-    centered,
     chunks,
     is_power_of_two,
     log2_exact,
@@ -66,25 +65,6 @@ class TestRoundHalfAway:
         # |numerator - result*denominator| <= denominator/2 and the
         # result is within 1 of the true quotient.
         assert abs(numerator - result * denominator) * 2 <= denominator
-
-
-class TestCentered:
-    def test_small_values_unchanged(self):
-        assert centered(3, 17) == 3
-
-    def test_wraps_large_values(self):
-        assert centered(16, 17) == -1
-        assert centered(9, 17) == -8
-
-    def test_half_stays_positive(self):
-        assert centered(8, 17) == 8
-        assert centered(8, 16) == 8
-
-    @given(st.integers(-10**9, 10**9), st.integers(2, 10**6))
-    def test_congruent_and_bounded(self, value, modulus):
-        result = centered(value, modulus)
-        assert (result - value) % modulus == 0
-        assert -modulus // 2 <= result <= modulus // 2
 
 
 class TestChunks:
