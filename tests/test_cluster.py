@@ -38,6 +38,7 @@ from repro.system.workloads import (
     Job,
     JobKind,
     cluster_trace,
+    multi_tenant_stream,
     poisson_stream,
     saturated_tenant_jobs,
     tenant_name,
@@ -663,6 +664,16 @@ class TestSteppingApi:
 
 
 class TestClusterWorkloads:
+    @pytest.mark.parametrize("generate", [
+        lambda: cluster_trace(8, 2000.0, 0.5, seed=1),
+        lambda: saturated_tenant_jobs(3, 4),
+        lambda: multi_tenant_stream({"a": 400.0, "b": 200.0}, 0.5, seed=2),
+    ], ids=["cluster_trace", "saturated_tenant_jobs", "multi_tenant_stream"])
+    def test_generators_offer_mults_only(self, generate):
+        """The paper's served operation: every generated job is a Mult."""
+        jobs = generate()
+        assert jobs and {j.kind for j in jobs} == {JobKind.MULT}
+
     def test_zipf_rates_sum_and_skew(self):
         rates = zipf_tenant_rates(50, 1000.0, skew=1.2)
         assert sum(rates.values()) == pytest.approx(1000.0)

@@ -94,6 +94,15 @@ class TestRegistry:
         assert current_registry() is outer
         assert c.value() == 1  # inner writes never leaked out
 
+    def test_each_scope_starts_fresh(self):
+        c = counter("test_obs_fresh_total", "fresh")
+        with scoped_metrics() as first:
+            c.inc(7)
+        with scoped_metrics() as second:
+            assert second is not first
+            assert c.value() == 0.0  # nothing carried over
+        assert first.value("test_obs_fresh_total") == 7
+
     def test_gauge_sets_current_value(self):
         g = gauge("test_obs_depth", "depth")
         g.set(3)

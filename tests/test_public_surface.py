@@ -35,6 +35,7 @@ the fault types have one import path, ``repro.faults``.
 
 import ast
 import importlib
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -194,13 +195,21 @@ def _unused_public_names() -> tuple[set[str], set[str]]:
     return names, methods
 
 
-def _public_callables():
+def _package_modules() -> dict[str, ast.AST]:
+    """Every ``src/repro`` module's tree, by its dotted name below
+    ``repro``."""
+    return {".".join(path.relative_to(PACKAGE).with_suffix("").parts):
+            ast.parse(path.read_text())
+            for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def _public_callables(modules: dict[str, ast.AST]):
     """``(dotted name, called as, definition, bound)`` of every public
-    function, ``__init__`` (named by its class) and public method;
-    ``bound`` when the first parameter is ``self`` or ``cls``."""
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
-        for node in ast.parse(path.read_text()).body:
+    function, ``__init__`` (named by its class) and public method of
+    ``modules``; ``bound`` when the first parameter is ``self`` or
+    ``cls``."""
+    for module, tree in modules.items():
+        for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue
@@ -220,12 +229,12 @@ def _public_callables():
                            method.name, method, bound)
 
 
-def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
-    """Every call outside tests, by the callee's bare name: the number
+def _calls(trees) -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Every call under ``trees``, by the callee's bare name: the number
     of positional arguments before any ``*args``, the keywords, and
     whether a ``**kwargs`` forward passes everything else."""
     calls: dict[str, list] = {}
-    for tree in _caller_trees().values():
+    for tree in trees:
         aliases = _aliases(tree)
         owner = {id(sub): node.name for node in ast.walk(tree)
                  if isinstance(node, ast.ClassDef)
@@ -255,12 +264,13 @@ def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
     return calls
 
 
-def _unpassed_parameters() -> set[str]:
-    """The defaulted public parameters no call outside tests passes
-    (``module.Callable(param)``)."""
-    calls = _calls()
+def _unpassed_parameters(modules: dict[str, ast.AST],
+                         callers) -> set[str]:
+    """The defaulted public parameters of ``modules`` that no call in
+    the ``callers`` trees passes (``module.Callable(param)``)."""
+    calls = _calls(callers)
     unpassed = set()
-    for dotted, called_as, node, bound in _public_callables():
+    for dotted, called_as, node, bound in _public_callables(modules):
         args = node.args
         positional = [a.arg for a in args.posonlyargs + args.args]
         positional = positional[1:] if bound else positional
@@ -279,39 +289,163 @@ def _unpassed_parameters() -> set[str]:
     return unpassed
 
 
+def _drift(found: set[str],
+           allowed: dict[str, str]) -> tuple[list[str], list[str]]:
+    """``(found but not allowed, allowed but no longer found)``: both
+    must be empty."""
+    return sorted(found - allowed.keys()), sorted(allowed.keys() - found)
+
+
 def test_every_public_name_has_a_caller_or_a_reason():
     unused, _ = _unused_public_names()
-    assert sorted(unused - ALLOWED.keys()) == [], (
+    missing, stale = _drift(unused, ALLOWED)
+    assert missing == [], (
         "public names only tests reach: delete them, give them a caller, "
         "or add them to ALLOWED with a reason"
     )
-    assert sorted(ALLOWED.keys() - unused) == [], (
+    assert stale == [], (
         "ALLOWED entries that now have a caller or no longer exist"
     )
 
 
 def test_every_public_method_has_a_caller_or_a_reason():
     _, unused = _unused_public_names()
-    assert sorted(unused - ALLOWED_METHODS.keys()) == [], (
+    missing, stale = _drift(unused, ALLOWED_METHODS)
+    assert missing == [], (
         "public methods only tests reach: delete them, give them a "
         "caller, or add them to ALLOWED_METHODS with a reason"
     )
-    assert sorted(ALLOWED_METHODS.keys() - unused) == [], (
+    assert stale == [], (
         "ALLOWED_METHODS entries that now have a caller or no longer exist"
     )
 
 
 def test_every_defaulted_parameter_is_passed_or_has_a_reason():
-    unpassed = _unpassed_parameters()
-    assert sorted(unpassed - ALLOWED_PARAMETERS.keys()) == [], (
+    unpassed = _unpassed_parameters(_package_modules(),
+                                    _caller_trees().values())
+    missing, stale = _drift(unpassed, ALLOWED_PARAMETERS)
+    assert missing == [], (
         "defaulted parameters only tests set: delete them and the branch "
         "they guard, give them a caller, or add them to "
         "ALLOWED_PARAMETERS with a reason"
     )
-    assert sorted(ALLOWED_PARAMETERS.keys() - unpassed) == [], (
+    assert stale == [], (
         "ALLOWED_PARAMETERS entries that now have a caller or no longer "
         "exist"
     )
+
+
+def test_drift_names_both_sides():
+    """An entry with no finding is stale; a finding with no entry is
+    missing."""
+    assert _drift({"m.f(a)", "m.g(b)"}, {"m.g(b)": "kept", "m.h(c)": "old"}) \
+        == (["m.f(a)"], ["m.h(c)"])
+    assert _drift({"m.f(a)"}, {"m.f(a)": "kept"}) == ([], [])
+
+
+def _parse(source: str) -> ast.AST:
+    return ast.parse(textwrap.dedent(source))
+
+
+#: ``(definitions of module m, caller module, unpassed parameters)``:
+#: the parameter rule, one clause per case.
+PARAMETER_CASES = {
+    "keyword": ("def f(a, b=1): pass", "f(0, b=2)", set()),
+    "positional": ("def f(a, b=1): pass", "f(0, 2)", set()),
+    "unpassed": ("def f(a, b=1): pass", "f(0)", {"m.f(b)"}),
+    "no-call": ("def f(a, b=1): pass", "", {"m.f(b)"}),
+    "star-args-end-the-count": (
+        "def f(a, b=1): pass", "f(0, *rest)", {"m.f(b)"}),
+    "kwargs-forward": ("def f(a, b=1): pass", "f(0, **options)", set()),
+    "keyword-only": (
+        "def f(*, a, b=1): pass", "f(a=0)", {"m.f(b)"}),
+    "required-is-no-option": ("def f(a, *, b): pass", "f(0, b=1)", set()),
+    "private-is-skipped": ("def _f(b=1): pass", "", set()),
+    "method-skips-self": (
+        """
+        class C:
+            def go(self, x=1): pass
+        """, "obj.go(2)", set()),
+    "method-unpassed": (
+        """
+        class C:
+            def go(self, x=1): pass
+        """, "obj.go()", {"m.C.go(x)"}),
+    "staticmethod-counts-first": (
+        """
+        class C:
+            @staticmethod
+            def go(x=1): pass
+        """, "C.go(2)", set()),
+    "init-by-class-name": (
+        """
+        class C:
+            def __init__(self, x=1): pass
+        """, "C(x=2)", set()),
+    "cls-call-is-its-class": (
+        """
+        class C:
+            def __init__(self, x=1): pass
+
+            @classmethod
+            def make(cls): return cls(2)
+        """, "", set()),
+    "cls-call-of-another-class": (
+        """
+        class C:
+            def __init__(self, x=1): pass
+
+        class D:
+            def __init__(self, x=1): pass
+
+            @classmethod
+            def make(cls): return cls(2)
+        """, "", {"m.C(x)"}),
+    "import-alias": (
+        "def f(a, b=1): pass", "from m import f as g\ng(0, b=2)", set()),
+    "bind-is-a-call": ("def f(a, b=1): pass", "bind(f, 0, b=2)", set()),
+    "bind-positions-skip-the-callee": (
+        "def f(a, b=1): pass", "bind(f, 0)", {"m.f(b)"}),
+    "resolved-call": (
+        "def f(a, b=1): pass", "resolve('repro.m', 'f')(0, 2)", set()),
+    "property-is-an-attribute": (
+        """
+        class C:
+            @property
+            def size(self, x=1): return x
+        """, "", set()),
+}
+
+
+@pytest.mark.parametrize("definitions, caller, expected",
+                         PARAMETER_CASES.values(), ids=PARAMETER_CASES)
+def test_parameter_scan_rule(definitions, caller, expected):
+    module = _parse(definitions)
+    assert _unpassed_parameters({"m": module},
+                                [module, _parse(caller)]) == expected
+
+
+def test_a_local_variable_is_no_method_reference():
+    both, attrs = _references(_parse("""
+        describe = 1
+        obj.run(describe)
+    """))
+    assert both["describe"] == 2 and attrs["describe"] == 0
+    assert attrs["run"] == 1
+
+
+def test_resolved_strings_are_attribute_reads():
+    _, attrs = _references(_parse("resolve('repro.x', 'probe', 'inner')"))
+    assert attrs["probe"] == attrs["inner"] == 1
+    assert attrs["repro.x"] == 0
+
+
+def test_an_import_alias_reads_its_name():
+    both, _ = _references(_parse("""
+        from repro.x import helper as h
+        h()
+    """))
+    assert both["helper"] == 1
 
 
 def test_every_allowed_name_has_a_reason():

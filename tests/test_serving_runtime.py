@@ -30,6 +30,7 @@ from repro.system.workloads import (
     JobKind,
     multi_tenant_stream,
     poisson_stream,
+    tenant_name,
 )
 from scaffolding import mult_stream, toy
 
@@ -390,6 +391,13 @@ class TestPolicies:
         assert heavy.count == light.count == 60
         assert heavy.mean < 0.5 * light.mean
 
+    def test_wfq_weights_come_from_the_tenant_set(self):
+        scheduler = WeightedFairScheduler()
+        ServingRuntime(CostModel(hpca19(), CONFIG), scheduler=scheduler,
+                       tenants=TenantSet.of(Tenant("a", weight=3.0)))
+        assert scheduler.weight_of("a") == 3.0
+        assert scheduler.weight_of("unknown") == 1.0
+
     def test_work_stealing_keeps_both_busy(self, cost):
         report = ServingRuntime(
             cost, scheduler=WorkStealingScheduler()).run(mult_stream(80))
@@ -661,6 +669,15 @@ class TestClosedLoopClients:
         # More clients -> more throughput, capped by board capacity.
         assert throughput[64] > 2 * throughput[2]
         assert throughput[64] <= cost.mult_throughput_per_second() * 1.01
+
+    def test_clients_submit_mults(self, cost):
+        from repro.system.workloads import ClosedLoopClients
+
+        result = ClosedLoopClients(3, 0.01, num_tenants=2, seed=4).drive(
+            ServingRuntime(cost), duration_seconds=0.1)
+        jobs = [r.job for r in result.report.results]
+        assert jobs and {j.kind for j in jobs} == {JobKind.MULT}
+        assert {j.tenant for j in jobs} == {tenant_name(0), tenant_name(1)}
 
     def test_small_population_tracks_interactive_law(self, cost):
         """N clients with think Z and service S complete roughly
