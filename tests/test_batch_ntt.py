@@ -21,6 +21,7 @@ from repro.nttmath.batch import (
     _LIMB_BITS,
     _LIMBS,
     _MAX_INPUT,
+    BasisTransformer,
     _geometry,
     _limbs_exact,
     basis_transformer,
@@ -30,7 +31,7 @@ from repro.nttmath.batch import (
     ntt_rows,
 )
 from repro.nttmath.ntt import NegacyclicTransformer, intt_iterative, ntt_iterative
-from repro.nttmath.primes import find_ntt_primes
+from repro.nttmath.primes import find_ntt_primes, is_prime
 from repro.params import mini
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import basis_for
@@ -277,6 +278,71 @@ class TestLargeRingEngine:
                 assert worst + max_prime <= 1 << 53
         for length in (256, 4096):
             assert not _limbs_exact(length, _MAX_INPUT, max_prime)
+
+
+def _widest_primes(n):
+    """The largest prime of every width from 3 to 30 bits that is
+    NTT-friendly for degree ``n`` (p = 1 mod 2n), narrowest first."""
+    step = 2 * n
+    primes = []
+    for width in range(3, 31):
+        candidate = ((1 << width) - 2) // step * step + 1
+        while candidate.bit_length() == width and not is_prime(candidate):
+            candidate -= step
+        if candidate.bit_length() == width:
+            primes.append(candidate)
+    return tuple(primes)
+
+
+class TestExtremalOperands:
+    """The engine's worst operands, at every ``_geometry`` shape.
+
+    Each degree's basis is the largest NTT-friendly prime of every width
+    from 3 to 30 bits, so each channel runs its stage matrices and
+    twiddles at the top of its width, and the 30-bit channel fixes the
+    layout. The inputs are the extremes of the limb split: all-(q - 1)
+    rows, alternating 0 / q - 1 rows and raw 2^30 - 1 digits (the
+    largest value a transform accepts). Every transform, lazy and
+    canonical, must equal the single-prime reference on them."""
+
+    @pytest.mark.parametrize("n", [1 << e for e in range(1, 16)])
+    def test_every_transform_matches_the_reference(self, n):
+        primes = _widest_primes(n)
+        assert primes[-1].bit_length() == 30
+        bt = BasisTransformer(primes, n)
+        p_col = bt.primes_col
+        top = np.broadcast_to(p_col - 1, (len(primes), n))
+        alternating = top * (np.arange(n) % 2)
+        raw = np.full((len(primes), n), _MAX_INPUT)
+        stack = np.stack([top, alternating, raw])
+        refs = [NegacyclicTransformer(n, p) for p in primes]
+
+        def reference(mats, direction):
+            return np.stack([
+                np.stack([getattr(ref, direction)(row % ref.modulus)
+                          for ref, row in zip(refs, mat, strict=True)])
+                for mat in mats])
+
+        forward = reference(stack, "forward")
+        inverse = reference(stack, "inverse")
+        assert np.array_equal(bt.forward(stack), forward)
+        lazy = bt.forward(stack, lazy=True)
+        assert lazy.min() >= 0 and np.all(lazy < 2 * p_col)
+        assert np.array_equal(lazy % p_col, forward)
+        assert np.array_equal(bt.inverse(stack), inverse)
+        constants = tuple(p - 1 for p in primes)
+        assert np.array_equal(bt.inverse_scaled(stack, constants),
+                              inverse * (p_col - 1) % p_col)
+        digits = np.stack([np.full(n, _MAX_INPUT),
+                           _MAX_INPUT * (np.arange(n) % 2),
+                           np.full(n, primes[-1] - 1)])
+        tiled = np.broadcast_to(digits[:, None, :],
+                                (len(digits), len(primes), n))
+        broadcast = reference(tiled, "forward")
+        assert np.array_equal(bt.forward_broadcast(digits), broadcast)
+        lazy = bt.forward_broadcast(digits, lazy=True)
+        assert lazy.min() >= 0 and np.all(lazy < 2 * p_col)
+        assert np.array_equal(lazy % p_col, broadcast)
 
 
 class TestRnsPolyAliasing:
