@@ -10,8 +10,6 @@ cycle counts are printed next to the paper's measured values.
 Run:  python examples/hw_simulation_demo.py
 """
 
-import time
-
 import numpy as np
 
 from repro import Coprocessor, Evaluator, FvContext, Plaintext, hpca19
@@ -36,9 +34,7 @@ def main() -> None:
 
     print("executing FV.Mult on the simulated coprocessor ...")
     coprocessor = Coprocessor(params)
-    start = time.perf_counter()
     hw_result, report = coprocessor.mult(ct1, ct2, keys.relin)
-    wall = time.perf_counter() - start
 
     sw_result = Evaluator(context).multiply(ct1, ct2, keys.relin)
     identical = all(
@@ -51,7 +47,7 @@ def main() -> None:
     assert context.decrypt(hw_result, keys.secret).coeffs[:6].tolist() == \
         context.decrypt(sw_result, keys.secret).coeffs[:6].tolist()
 
-    print(f"\nper-instruction breakdown (simulated in {wall:.2f} s):")
+    print("\nper-instruction breakdown:")
     header = (f"{'instruction':<18}{'calls':>6}{'Arm cyc/call':>14}"
               f"{'paper':>10}{'delta':>8}")
     print(header)

@@ -16,9 +16,9 @@ product* in float64 — operands split into narrow limbs so every BLAS
 partial sum stays below 2^53 and is therefore exact — which turns the
 NTT's many memory-bound element-wise passes into a handful of
 compute-dense dgemm calls. The remaining element-wise work per
-transform is the division-free reductions and Shoup twiddle
-multiplies between stages. See :class:`BasisTransformer` for the
-detailed numerics.
+transform is the division-free reductions and twiddle multiplies
+between stages. See :class:`BasisTransformer` for the detailed
+numerics.
 
 Large rings generalise the recipe recursively: above n = 16384 — where
 a two-stage split would need a sub-DFT beyond 128 points — ``n``
@@ -28,13 +28,15 @@ runs 32 x 32 x 32). The layout is a closed form of ``n``
 every stage carries two 15-bit limbs, checked exact per stage by
 :func:`_limbs_exact`.
 
-Every transform has one code path: a ``(j, k, n)`` stack runs one
-polynomial at a time, and a stack of raw digit rows runs one broadcast
-transform per row (:meth:`_GemmPlan.apply_broadcast`), serially or as
-channel tiles over the active executor.
+Every transform has one code path, :meth:`_GemmPlan.run`, like the
+paper's NTT unit streaming many polynomials through one configured
+datapath: a ``(j, k, n)`` stack — or a stack of raw digit rows, for the
+broadcast transform — runs in chunks of a few polynomials, each stage
+once per chunk, serially or as channel tiles over the active executor.
 
 The engine serves one envelope, the paper's datapath: primes below 31
-bits (4q < 2^32 for the lazy reductions) and ring degrees up to
+bits (4q < 2^32 for the lazy reductions and the int32 state between
+stages) and ring degrees up to
 ``MAX_ENGINE_N`` = 32768. :class:`BasisTransformer` refuses anything
 outside it with a :class:`~repro.errors.ParameterError`, and
 :class:`~repro.params.ParameterSet` checks the same envelope when a
@@ -43,7 +45,7 @@ parameter set is built, so there is no second transform path.
 Memory follows the paper's NTT unit, whose butterfly cores share one
 twiddle ROM per prime: a basis holds one table set, a parallel tile
 runs a ``[c0:c1]`` channel view of it (:meth:`_GemmPlan.subset`), and
-each thread holds one scratch set per ring (:func:`_buffers`).
+each thread holds one scratch buffer (:func:`scratch`).
 
 All transforms are bit-exact against :func:`~repro.nttmath.ntt.ntt_iterative`
 and the single-prime ``NegacyclicTransformer`` — the property tests
@@ -60,7 +62,6 @@ can attribute engine time to individual program ops.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -74,9 +75,6 @@ from .modmath import modinv
 from .ntt import _MAX_MODULUS_BITS, power_table
 from .primes import root_of_unity
 
-_SHOUP_SHIFT = 32
-"""Fixed-point shift of the precomputed Shoup twiddle quotients."""
-
 MAX_ENGINE_N = 1 << 15
 """Largest ring degree the gemm engine serves: Table V's largest point
 and the property-tested envelope. :class:`~repro.params.ParameterSet`
@@ -85,6 +83,13 @@ imports it, so a parameter set outside it is refused at construction."""
 #: Maximum value the engine accepts as a sub-transform input: canonical
 #: residues and raw 30-bit digits both satisfy it.
 _MAX_INPUT = (1 << 30) - 1
+
+#: Elements a chunk of a stack spans at most (when one polynomial is
+#: smaller): 64 Ki elements keep a chunk's three scratch planes within
+#: 1.5 MiB, inside a core's L2. At n = 4096 that is two polynomials of
+#: the 6- and 7-prime bases and one of 13 primes; larger chunks measured
+#: slower per row, smaller ones pay each pass's call overhead more.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 # -- transform accounting ------------------------------------------------------
@@ -123,8 +128,8 @@ def transform_counts() -> dict[str, int]:
             for key in _TRANSFORM_KEYS}
 
 
-#: Every stage splits its operands into two limbs of 15 bits (the top
-#: limb shift-only, so it carries any value below 2^31).
+#: Every stage splits its operands into two 15-bit limbs: a signed top
+#: limb (an arithmetic shift) and a low limb in [0, 2^15).
 _LIMBS = 2
 _LIMB_BITS = 15
 
@@ -133,55 +138,33 @@ _LIMB_BITS = 15
 _MAX_STAGE_LOG = 7
 
 
-def _limbs_exact(length: int, max_value: int, max_prime: int) -> bool:
-    """Whether the two-limb split keeps a length-``length`` sub-DFT of
-    inputs up to ``max_value`` exact.
+def _limbs_exact(length: int, max_prime: int) -> bool:
+    """Whether the two-limb split keeps a length-``length`` sub-DFT
+    exact for every input a stage sees: values in [-2^30, 2^30).
 
-    A gemm dot product sums ``2 * length`` terms: for each limb block,
-    ``length`` products of a table entry (< max_prime) with a limb of
-    the input. Exactness requires every partial sum — and the
+    The first stage reads canonical residues or raw 30-bit digits, and
+    every later stage reads a twiddle product of magnitude below
+    ``q / 2 + 2^8`` (see :meth:`_GemmPlan.run`), so a top limb lies in
+    [-2^15, 2^15) and a low limb in [0, 2^15). A gemm dot product
+    sums ``2 * length`` products of a table entry (< max_prime) with a
+    limb; exactness requires every partial sum — and the
     quotient-times-modulus product of the float reduction that follows,
     which can overshoot by up to one modulus — to stay at or below
-    2^53, where float64 integer arithmetic is exact.
+    2^53, where float64 integer arithmetic is exact. The positive side
+    (both limbs at most 2^15 - 1) is the larger one.
     """
-    top_max = max_value >> _LIMB_BITS
-    rest_max = (1 << _LIMB_BITS) - 1
-    bound = length * (max_prime - 1) * (top_max + rest_max)
+    limb_max = (1 << _LIMB_BITS) - 1
+    bound = length * (max_prime - 1) * 2 * limb_max
     return bound + max_prime <= 1 << 53
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """One sub-DFT stage of the decomposition.
+def _geometry(n: int, max_prime: int) -> tuple[int, ...]:
+    """The engine's factorisation of ``n`` into sub-DFT lengths, fixed
+    like the paper's n1 x n2 NTT layout: ``max(2, ceil(log2 n / 7))``
+    stages — so no sub-DFT exceeds 128 points — with ``log2 n`` split
+    evenly and the remainder going to the leading stages (n = 4096 runs
+    64 x 64, 8192 runs 128 x 64, 32768 runs 32 x 32 x 32).
 
-    ``canonical_in`` marks stages whose lazy [0, 2q) inputs must be
-    canonicalised by a conditional subtract before the limb split —
-    exactly when the lazy bound does not fit the two-limb split but the
-    canonical bound does.
-    """
-
-    length: int
-    canonical_in: bool
-
-
-@dataclass(frozen=True)
-class _Geometry:
-    """A multi-stage factorisation ``n = prod(factors)``."""
-
-    factors: tuple[int, ...]
-    stages: tuple[_Stage, ...]
-
-
-def _geometry(n: int, max_prime: int) -> _Geometry:
-    """The engine's factorisation of ``n``, fixed like the paper's
-    n1 x n2 NTT layout: ``max(2, ceil(log2 n / 7))`` stages — so no
-    sub-DFT exceeds 128 points — with ``log2 n`` split evenly and the
-    remainder going to the leading stages (n = 4096 runs 64 x 64,
-    8192 runs 128 x 64, 32768 runs 32 x 32 x 32).
-
-    The first stage sees canonical residues / raw 30-bit digits; later
-    stages see lazy [0, 2q) values from the preceding twiddle multiply
-    and canonicalise them first only when the lazy bound does not fit.
     Raises :class:`ParameterError` when a stage cannot be made exact.
     """
     log_n = log2_exact(n)
@@ -189,24 +172,11 @@ def _geometry(n: int, max_prime: int) -> _Geometry:
     base, extra = divmod(log_n, num)
     factors = tuple(1 << (base + (t < extra)) for t in range(num))
     for f in factors:
-        if not _limbs_exact(f, _MAX_INPUT, max_prime):
+        if not _limbs_exact(f, max_prime):
             raise ParameterError(
                 f"degree {n} admits no exact limb-split factorisation"
             )
-    return _Geometry(factors, tuple(
-        _Stage(f, t > 0 and not _limbs_exact(f, 2 * max_prime - 1,
-                                             max_prime))
-        for t, f in enumerate(factors)
-    ))
-
-
-def _shoup_table(table: np.ndarray, primes_col: np.ndarray) -> np.ndarray:
-    """Scaled quotients ``floor(w * 2^32 / q)`` for a stacked table.
-
-    Entries are < 2^30, so the shifted product stays below 2^62 and the
-    division is exact in int64 — no object-dtype arithmetic needed.
-    """
-    return (table << _SHOUP_SHIFT) // primes_col
+    return factors
 
 
 class BasisTransformer:
@@ -232,12 +202,17 @@ class BasisTransformer:
       ``psi^-j / n`` post-scale is folded into its twiddles and final
       stage matrix, so neither costs a separate pass;
     * the post-gemm reductions run in float64 too (quotients are below
-      2^23, so ``g - rint(g/q) * q`` is exact), leaving the Shoup
-      twiddle multiply as the only integer element-wise stage;
-    * a ``(j, k, n)`` stack transforms one polynomial at a time, and
-      :meth:`forward_broadcast` runs one broadcast transform per raw
-      digit row: one limb split and one tall stage-0 dgemm cover all
-      ``k`` channels of that row (the paper's fused WordDecomp + NTT).
+      2^23, so ``g - rint(g/q) * q`` is exact) and leave a signed
+      balanced remainder, cast once to the int32 state; the twiddle
+      multiply takes its quotient in float as well and finishes in
+      wrapping int32 arithmetic, and the next stage splits that state
+      directly, with no conditional subtract between stages;
+    * a ``(j, k, n)`` stack runs in chunks of a few polynomials with
+      every stage once per chunk — one batched dgemm, and every
+      element-wise pass over the whole chunk — and
+      :meth:`forward_broadcast` does the same over raw digit rows: one
+      limb split and one tall stage-0 dgemm per row cover all ``k``
+      channels (the paper's fused WordDecomp + NTT).
 
     This is what "as fast as numpy allows" looks like for an exact NTT:
     the butterflies' many memory-bound element passes become a handful
@@ -268,11 +243,11 @@ class BasisTransformer:
                 raise ParameterError(
                     f"modulus {p} is not NTT-friendly for degree {n}"
                 )
-        geometry = self.geometry = _geometry(n, max(self.primes))
+        factors = self.factors = _geometry(n, max(self.primes))
         self.k = len(self.primes)
         self.primes_col = np.array(self.primes, dtype=np.int64)[:, None]
-        self._fwd = _GemmPlan.build(self.primes, n, geometry, inverse=False)
-        self._inv = _GemmPlan.build(self.primes, n, geometry, inverse=True)
+        self._fwd = _GemmPlan.build(self.primes, n, factors, inverse=False)
+        self._inv = _GemmPlan.build(self.primes, n, factors, inverse=True)
         self._scaled_inv: dict[tuple[int, ...], _GemmPlan] = {}
 
     def subset(self, c0: int, c1: int) -> BasisTransformer:
@@ -283,7 +258,7 @@ class BasisTransformer:
         view = object.__new__(BasisTransformer)
         view.primes = self.primes[c0:c1]
         view.n = self.n
-        view.geometry = self.geometry
+        view.factors = self.factors
         view.k = len(view.primes)
         view.primes_col = self.primes_col[c0:c1]
         view._fwd = self._fwd.subset(c0, c1)
@@ -293,7 +268,7 @@ class BasisTransformer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BasisTransformer(k={self.k}, n={self.n}, "
-                f"factors={self.geometry.factors})")
+                f"factors={self.factors})")
 
     # -- internals ---------------------------------------------------------------
 
@@ -318,58 +293,51 @@ class BasisTransformer:
 
     # -- tiled dispatch ------------------------------------------------------------
 
-    def _tile_plan(self, j: int, target: int) -> list[tuple[int, int, int]]:
-        """Deterministic (poly, c0, c1) tiles, about ``target`` of them.
-
-        Polynomials split first (free: no plan slicing needed), then
-        channels, evenly per polynomial — the limb x channel
-        decomposition the paper's residue-parallel datapath is built
-        around.
-        """
-        chunks = split_range(self.k, max(1, -(-target // j)))
-        return [(jdx, c0, c1) for jdx in range(j)
-                for c0, c1 in chunks]
-
     def _dispatch(self, op: str, plan: _GemmPlan, arr: np.ndarray,
                   out: np.ndarray, lazy: bool = False) -> None:
-        """Run one batched transform, one polynomial (or digit row) per
-        tile, serially or tiled over the executor.
+        """Run one batched transform, a chunk of the stack per tile,
+        serially or tiled over the executor.
 
-        Channel tiles are cut only when the active executor has real
+        The stack splits evenly into chunks of polynomials (or digit
+        rows) spanning about :data:`_CHUNK_ELEMENTS` elements, and never
+        more than ``S + 1`` polynomials for an ``S``-stage geometry (see
+        :func:`scratch` for why). Every stage of :meth:`_GemmPlan.run`
+        covers a whole chunk at once. When the active executor has real
         workers and the batch clears the shared work threshold
-        (:func:`~repro.parallel.fans_out`); otherwise each tile is a
-        whole polynomial, run in order on this thread. Both run the
-        same per-row ``apply`` / ``apply_broadcast`` on a channel
-        slice of ``plan``, so output is bit-identical either way — and
-        invisible to the transform counters, which count at this
-        dispatcher level.
+        (:func:`~repro.parallel.fans_out`), each chunk also splits into
+        channel ranges; otherwise a tile is a whole chunk, run in order
+        on this thread. Every tile runs the same
+        ``run`` on a channel slice of ``plan``, and the arithmetic is
+        element-wise per channel and column, so output is bit-identical
+        either way — and invisible to the transform counters, which
+        count at this dispatcher level.
         """
         j = arr.shape[0]
+        per_chunk = min(len(self.factors) + 1,
+                        max(1, _CHUNK_ELEMENTS // (self.k * self.n)))
+        chunks = split_range(j, -(-j // per_chunk))
         executor = active_executor()
-        tiles: list[tuple[int, int, int]] = []
-        if fans_out(executor, j * self.k * self.n):
-            tiles = self._tile_plan(j, 2 * executor.workers)
-        serial = len(tiles) < 2
-        if serial:
-            tiles = [(jdx, 0, self.k) for jdx in range(j)]
+        tiled = fans_out(executor, j * self.k * self.n)
+        parts = -(-2 * executor.workers // len(chunks)) if tiled else 1
+        ranges = split_range(self.k, parts)
+        tiles = [(j0, j1, c0, c1) for j0, j1 in chunks for c0, c1 in ranges]
         # Worker threads only read these views of ``plan``.
-        subsets = {(c0, c1): plan.subset(c0, c1) for _, c0, c1 in tiles}
+        subsets = {(c0, c1): plan.subset(c0, c1) for c0, c1 in ranges}
+        broadcast = op == "forward_broadcast"
 
-        def run_tile(tile: tuple[int, int, int]) -> None:
-            # One (polynomial, channel-range) tile, touching only its
-            # own disjoint slices of the output.
-            jdx, c0, c1 = tile
-            sub = subsets[c0, c1]
-            if op == "forward_broadcast":
-                sub.apply_broadcast(arr[jdx], out[jdx, c0:c1], lazy=lazy)
-            else:
-                sub.apply(arr[jdx, c0:c1], out[jdx, c0:c1], lazy=lazy)
+        def run_tile(tile: tuple[int, int, int, int]) -> None:
+            # One (chunk, channel-range) tile, touching only its own
+            # disjoint slice of the output.
+            j0, j1, c0, c1 = tile
+            source = arr[j0:j1] if broadcast else arr[j0:j1, c0:c1]
+            subsets[c0, c1].run(source, out[j0:j1, c0:c1], lazy=lazy,
+                                broadcast=broadcast)
 
-        if serial:
+        if tiled and len(tiles) > 1:
+            map_tiles(executor, f"{op}.tile", run_tile, tiles)
+        else:
             for tile in tiles:
                 run_tile(tile)
-        else:
-            map_tiles(executor, f"{op}.tile", run_tile, tiles)
 
     # -- public API ----------------------------------------------------------------
 
@@ -380,10 +348,10 @@ class BasisTransformer:
         ``matrix`` is a ``(k, n)`` residue matrix with entries in
         ``[0, q_i)`` or a ``(j, k, n)`` stack; the result has the same
         shape with canonical NTT-domain entries, bit-identical to the
-        single-prime reference transforms. With ``lazy=True`` the final
-        conditional subtract is skipped and entries land in [0, 2q) —
-        for consumers whose own reduction absorbs the slack (the tensor
-        step's point-wise products).
+        single-prime reference transforms. With ``lazy=True`` the last
+        stage's balanced remainder leaves as ``r + q`` instead, in
+        [0, 2q) — for consumers whose own reduction absorbs the slack
+        (the tensor step's point-wise products).
         """
         arr, stacked = self._check(matrix)
         out = np.empty_like(arr)
@@ -440,7 +408,7 @@ class BasisTransformer:
         with channel ``c`` of output ``i`` equal to the NTT of
         ``rows[i] mod primes[c]`` — bit-identical to broadcasting,
         reducing, and transforming per channel, at a fraction of the
-        cost (see :meth:`_GemmPlan.apply_broadcast`).
+        cost (see :meth:`_GemmPlan.run`).
         """
         arr = np.asarray(rows, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != self.n:
@@ -457,40 +425,80 @@ class BasisTransformer:
         return out
 
 
-#: Per-thread scratch, one set per ring: ``{(n, geometry): buffers}``.
+#: Per-thread scratch: one flat float64 buffer per thread.
 _SCRATCH = threading.local()
 
 
-def _buffers(n: int, geometry: _Geometry,
-             k: int) -> tuple[list, list, tuple[np.ndarray, ...]]:
-    """This thread's scratch for one ring, sliced to ``k`` channels.
+def scratch(elements: int) -> np.ndarray:
+    """This thread's scratch: a flat float64 buffer of at least
+    ``elements`` elements.
 
-    One set per thread per ``(n, geometry)``, shared by every plan of
-    the ring — both directions, every basis, every channel slice — and
-    sized for the largest ``k`` seen (a larger ``k`` replaces it); each
-    caller takes the C-contiguous leading ``[:k]`` rows. A stage loop
-    runs start to finish on one thread and leaves nothing a later call
-    reads, so sharing never aliases live data. Cache-sized on purpose
-    (stacks go one polynomial at a time): per stage a float64 limb
-    stack and gemm output, plus two int64 ping-pong state planes and
-    one float64 temporary.
+    One buffer per thread, shared by every transform plan (both
+    directions, every basis and ring, every channel slice) and by the
+    Lift and Scale gemm kernels, and sized for the largest request seen
+    (a larger one replaces it). Each user runs start to finish on one
+    thread and leaves nothing a later call reads, so sharing never
+    aliases live data.
+
+    A transform tile takes three float64 planes per row (a two-limb
+    stack and a gemm output) and holds at most ``S + 1`` polynomials of
+    an ``S``-stage ring (:meth:`BasisTransformer._dispatch`), so its
+    share stays within ``3 (S + 1) k n`` elements — what the per-stage
+    limb stacks, gemm outputs and three state planes of one polynomial
+    at a time took before stages ran over a whole chunk.
     """
-    sets = _SCRATCH.__dict__.setdefault("sets", {})
-    bufs = sets.get((n, geometry))
-    if bufs is None or len(bufs[2][0]) < k:
-        stages = geometry.stages
-        bufs = sets[n, geometry] = (
-            [np.empty((k, _LIMBS * s.length, n // s.length))
-             for s in stages],                    # limb stacks
-            [np.empty((k, s.length, n // s.length))
-             for s in stages],                    # gemm outputs
-            (np.empty((k, n), dtype=np.int64),    # state A
-             np.empty((k, n), dtype=np.int64),    # state B
-             np.empty((k, n))),                   # float tmp
-        )
-    limbs, gemm_out, planes = bufs
-    return ([b[:k] for b in limbs], [b[:k] for b in gemm_out],
-            tuple(b[:k] for b in planes))
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < elements:
+        buf = _SCRATCH.buf = np.empty(elements)
+    return buf
+
+
+def _balance(values: np.ndarray, p_f: np.ndarray, inv_p: np.ndarray,
+             tmp: np.ndarray) -> None:
+    """In place: exact float64 integers ``|v| <= 2^53 - q`` become their
+    balanced remainder ``v - rint(v / q) * q``, with |r| <= q / 2 + 2.
+
+    The float quotient is off by at most one rounding from ``v / q``,
+    and every intermediate is an integer of magnitude at most 2^53, so
+    the remainder is exact with no integer division anywhere. ``p_f``
+    and ``inv_p`` broadcast against ``values``; ``tmp`` is a float64
+    buffer of its shape.
+    """
+    np.multiply(values, inv_p, out=tmp)
+    np.rint(tmp, out=tmp)
+    np.multiply(tmp, p_f, out=tmp)
+    np.subtract(values, tmp, out=values)
+
+
+def reduce_exact(values: np.ndarray, moduli: tuple[np.ndarray, ...],
+                 out: np.ndarray, spare: np.ndarray, *, lazy: bool) -> None:
+    """Reduce exact float64 integers modulo per-row primes into ``out``.
+
+    The one reduction of the engine's gemm kernels (the transform's last
+    stage, Lift's Blocks 2-5 and Scale's Blocks 2-4): ``values``
+    (|v| <= 2^53 - q, overwritten) takes its balanced remainder
+    (:func:`_balance`), which casts once to int32 and leaves as
+    ``r + (q if r < 0)`` — canonical, in [0, q) — or, with ``lazy``, as
+    ``r + q`` in [0, 2q). ``moduli`` is the ``(q int32, q float64,
+    1 / q)`` triple of columns broadcasting against ``values``;
+    ``spare`` is a flat float64 buffer of at least ``values.size``
+    elements that aliases neither ``values`` nor ``out``.
+    """
+    p32, p_f, inv_p = moduli
+    size = values.size
+    _balance(values, p_f, inv_p, spare[:size].reshape(values.shape))
+    # The float temporary is dead: its bytes hold two int32 planes.
+    ints = spare[:size].view(np.int32)
+    r32 = ints[:size].reshape(values.shape)
+    np.copyto(r32, values, casting="unsafe")
+    if lazy:
+        np.add(r32, p32, out=r32)
+    else:
+        sign = ints[size:].reshape(values.shape)
+        np.right_shift(r32, 31, out=sign)
+        np.bitwise_and(sign, p32, out=sign)
+        np.add(r32, sign, out=r32)
+    np.copyto(out, r32)
 
 
 class _GemmPlan:
@@ -501,12 +509,12 @@ class _GemmPlan:
     generalisation of the four-step) with a twiddle correction between
     consecutive stages. Per stage ``t`` the float64 ``(k, L, 2L)``
     limb-split sub-DFT matrix ``[W * 2^15 mod q | W]`` carries the
-    stage's two 15-bit limbs; the twiddle tables are flat
-    int64 ``(k, n)`` planes (in the exact memory layout they are
-    applied in) paired with their Shoup quotients, and the moduli are
+    stage's two 15-bit limbs; each twiddle table is a flat ``(k, n)``
+    int32 plane (in the exact memory layout it is applied in) paired
+    with its float64 quotient plane ``w / q``, and the moduli are
     ``(k, 1)`` columns. The psi pre-twist (forward) and the
     ``psi^-j / n`` post-scale (inverse) are folded into these tables,
-    so :meth:`apply` runs no standalone scaling passes.
+    so :meth:`run` runs no standalone scaling passes.
 
     Every table has the prime on axis 0, so a channel range of a plan
     is the ``[c0:c1]`` view of each array (:meth:`subset`), and a
@@ -523,32 +531,32 @@ class _GemmPlan:
       ``w_{P_{u+1}}^{i_{u+1} * (j mod P_u)}`` — everything that couples
       the next input axis to the outputs produced so far;
     * between stages the produced axis rotates behind the remaining
-      input axes, so stage ``S-1``'s gemm emits the flat natural-order
-      result with no final permutation.
+      input axes — the next stage's limb split reads the state through
+      that rotation (:meth:`_rotated`) — so stage ``S-1``'s gemm emits
+      the flat natural-order result with no final permutation.
 
     Setting ``S = 2`` reproduces the original four-step tables
     bit for bit.
     """
 
-    def __init__(self, geometry: _Geometry, n: int,
+    def __init__(self, factors: tuple[int, ...], n: int,
                  moduli: tuple[np.ndarray, ...], steps: list[np.ndarray],
                  twiddles: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        self.geometry = geometry
+        self.factors = factors
         self.n = n
         self.k = moduli[0].shape[0]
-        #: ``(k, 1)`` columns: the prime (int64), its float, its reciprocal.
+        #: ``(k, 1)`` columns: the prime (int32), its float, its reciprocal.
         self.moduli = moduli
         self.steps = steps
-        #: Per twiddle plane: (table, Shoup quotients).
+        #: Per twiddle plane: (int32 table, float64 quotients ``w / q``).
         self.twiddles = twiddles
 
     @classmethod
-    def build(cls, primes: tuple[int, ...], n: int, geometry: _Geometry,
-              inverse: bool) -> _GemmPlan:
+    def build(cls, primes: tuple[int, ...], n: int,
+              factors: tuple[int, ...], inverse: bool) -> _GemmPlan:
         """Compute one direction's tables for a basis, prime by prime."""
         k = len(primes)
         primes_col = np.array(primes, dtype=np.int64)[:, None]
-        factors = geometry.factors
         num = len(factors)
         prefix = []
         acc = 1
@@ -586,9 +594,10 @@ class _GemmPlan:
                     factors, prefix, u, psi_pow, order, p,
                     inverse=inverse, inv_n=inv_n if u == 0 else 1,
                 )
-        moduli = (primes_col, primes_col.astype(np.float64), 1.0 / primes_col)
-        return cls(geometry, n, moduli, steps,
-                   [(tw, _shoup_table(tw, primes_col)) for tw in twiddles])
+        moduli = (primes_col.astype(np.int32),
+                  primes_col.astype(np.float64), 1.0 / primes_col)
+        return cls(factors, n, moduli, steps,
+                   [_twiddle_pair(tw, moduli[1]) for tw in twiddles])
 
     def scaled(self, constants: tuple[int, ...]) -> _GemmPlan:
         """This (inverse) plan with ``constants[c]`` folded into channel
@@ -596,36 +605,36 @@ class _GemmPlan:
 
         The constant rides with the ``1/n`` post-scale in plane 0 only,
         so the scaled plan shares this plan's stage matrices and later
-        planes and owns one plane and its Shoup quotients. Both factors
-        are canonical residues below 2^30: the int64 product is exact.
+        planes and owns one plane and its quotients. Both factors are
+        canonical residues below 2^30: the int64 product is exact.
         """
-        primes_col = self.moduli[0]
+        primes_col = self.moduli[0].astype(np.int64)
         scale = np.array(
             [c % int(p) for c, p in zip(constants, primes_col[:, 0],
                                         strict=True)],
             dtype=np.int64,
         )[:, None]
         plane = (self.twiddles[0][0] * scale) % primes_col
-        return _GemmPlan(self.geometry, self.n, self.moduli, self.steps,
-                         [(plane, _shoup_table(plane, primes_col))]
+        return _GemmPlan(self.factors, self.n, self.moduli, self.steps,
+                         [_twiddle_pair(plane, self.moduli[1])]
                          + self.twiddles[1:])
 
     def subset(self, c0: int, c1: int) -> _GemmPlan:
         """The plan for channels ``[c0, c1)``: views of this plan's
         tables, never a copy.
 
-        The slice keeps this plan's geometry (the limb bound is
-        monotone in the modulus, so the parent's check covers every
-        subset), so tile output — lazy representatives included —
-        is bit-for-bit the whole-basis engine's.
+        The slice keeps this plan's factors (the limb bound is monotone
+        in the modulus, so the parent's check covers every subset), so
+        tile output — lazy representatives included — is bit-for-bit
+        the whole-basis engine's.
         """
         if c0 == 0 and c1 == self.k:
             return self
         cut = slice(c0, c1)
-        return _GemmPlan(self.geometry, self.n,
+        return _GemmPlan(self.factors, self.n,
                          tuple(m[cut] for m in self.moduli),
                          [step[cut] for step in self.steps],
-                         [(tw[cut], sh[cut]) for tw, sh in self.twiddles])
+                         [(tw[cut], wq[cut]) for tw, wq in self.twiddles])
 
     @staticmethod
     def _twiddle_plane(factors, prefix, u, psi_pow, order, p, *,
@@ -672,158 +681,118 @@ class _GemmPlan:
             plane = (plane * inv_n) % p
         return plane.reshape(-1)
 
-    @staticmethod
-    def _reduce_lazy(g: np.ndarray, p_f: np.ndarray, inv_p: np.ndarray,
-                     q_f: np.ndarray, out: np.ndarray) -> None:
-        """Cast the exact float64 gemm output into lazy int64 [0, 2q).
+    def _rotated(self, state: np.ndarray, t: int) -> np.ndarray:
+        """Stage ``t``'s input as a view of the state stage ``t - 1``
+        left: ``(rows, k, j_{t-1}, i_t, ..., i_{S-1}, j_{t-2}, ..., j_0)``
+        with the produced axis moved behind the remaining input axes,
+        so ``i_t`` leads."""
+        factors = self.factors
+        shape = ((state.shape[0], self.k, factors[t - 1]) + factors[t:]
+                 + tuple(reversed(factors[:t - 1])))
+        remaining = len(factors) - t
+        return state.reshape(shape).transpose(
+            (0, 1) + tuple(range(3, 3 + remaining)) + (2,)
+            + tuple(range(3 + remaining, len(shape))))
 
-        ``g`` holds exact integers at or below 2^53, so the float
-        quotient ``rint(g / q)`` is off by at most one and
-        ``g - rint(g/q) * q`` lands in (-q, q) — still exact, because
-        every intermediate is an integer of magnitude at most 2^53
-        (the limb bound reserves one modulus of overshoot headroom).
-        Adding q gives the lazy representative with no integer
-        division anywhere. ``p_f`` and ``inv_p`` are ``(k, 1)``
-        columns broadcast along each row of ``g``.
+    def run(self, x: np.ndarray, out: np.ndarray, lazy: bool,
+            broadcast: bool) -> None:
+        """Transform a chunk of a stack into ``out`` (natural order).
+
+        ``x`` is a ``(c, k, n)`` chunk or, with ``broadcast``, ``(c, n)``
+        raw digit rows that every channel transforms (``NTT_k(v) ≡
+        NTT_k(v mod q_k)``, and the reductions are exact, so this equals
+        reducing per channel first — but one limb split and one tall
+        stage-0 dgemm per row cover all ``k`` channels: the paper's
+        fused WordDecomp + NTT). Entries must be non-negative and below
+        2^30, the bound :func:`_limbs_exact` is proved against. ``out``
+        is a ``(c, k, n)`` view; it receives canonical [0, q) values, or
+        lazy [0, 2q) ones with ``lazy``.
+
+        Each stage is one batched dgemm over the chunk and every
+        element-wise pass covers the whole chunk. Between stages the
+        state is a signed int32 remainder, one cast away from the gemm:
+
+        * the exact gemm output ``g`` (|g| <= 2^53 - q) reduces in
+          float64 to the balanced remainder
+          ``r = g - rint(g / q) * q``: the float quotient is off by at
+          most one rounding, so |r| <= q / 2 + 2, exactly;
+        * the twiddle multiply takes its quotient in float too,
+          ``Q = rint(r * (w / q))``, off by at most 2^-22 from the real
+          ``r w / q``, so ``r * w - Q * q`` has magnitude below
+          ``q / 2 + 2^8`` and is computed exactly in wrapping int32
+          arithmetic. The next stage's limbs then lie in
+          [-2^14 - 1, 2^14] (top) and [0, 2^15) (low);
+        * the last stage's balanced remainder leaves as ``r + q``
+          (lazy, in [0, 2q)) or ``r + (q if r < 0)`` (canonical),
+          widened into ``out``.
         """
-        np.multiply(g, inv_p, out=q_f)
-        np.rint(q_f, out=q_f)
-        np.multiply(q_f, p_f, out=q_f)
-        np.subtract(g, q_f, out=g)
-        np.add(g, p_f, out=out, casting="unsafe")
-
-    @staticmethod
-    def _split_into(values: np.ndarray, limbs: np.ndarray) -> None:
-        """Write the two-limb stack of one (B, L, C) block, top limb
-        first: a shift and a mask, cast straight into the float64 limb
-        buffer (exact: every limb is far below 2^53)."""
-        rows = values.shape[1]
-        np.right_shift(values, _LIMB_BITS, out=limbs[:, :rows],
-                       casting="unsafe")
-        np.bitwise_and(values, (1 << _LIMB_BITS) - 1,
-                       out=limbs[:, rows:], casting="unsafe")
-
-    def _transpose_axes(self, num: int, t: int) -> tuple[int, ...]:
-        """Axis permutation moving stage ``t``'s output axis behind the
-        remaining input axes (layout invariant of the stage loop)."""
-        remaining = num - 1 - t
-        return ((0,) + tuple(range(2, 2 + remaining)) + (1,)
-                + tuple(range(2 + remaining, num + 1)))
-
-    def _stage_shape(self, t: int) -> tuple:
-        """(k, j_t, i_{t+1}, ..., i_{S-1}, j_{t-1}, ..., j_0)."""
-        factors = self.geometry.factors
-        return ((self.k, factors[t]) + tuple(factors[t + 1:])
-                + tuple(reversed(factors[:t])))
-
-    def apply(self, x: np.ndarray, out: np.ndarray,
-              lazy: bool = False) -> None:
-        """Transform one (k, n) matrix into ``out`` (natural order).
-
-        Entries of ``x`` must be non-negative and below 2^30 (canonical
-        residues and raw 30-bit digits always are — the bound the limb
-        plans are proved exact against); ``out`` receives canonical
-        [0, q) values (or lazy [0, 2q) ones when ``lazy`` is set).
-        """
-        f0 = self.geometry.factors[0]
-        self._run(x.reshape(self.k, f0, self.n // f0), out, lazy,
-                  broadcast=False)
-
-    def apply_broadcast(self, row: np.ndarray, out: np.ndarray,
-                        lazy: bool = False) -> None:
-        """Transform one raw digit row under *every* basis prime.
-
-        ``row`` is a length-n vector of non-negative values below 2^30
-        — typically an unreduced raw-residue digit. Because
-        ``NTT_k(v) ≡ NTT_k(v mod q_k)`` and the engine's reductions are
-        exact, ``out`` (shape (k, n)) is bit-identical to broadcasting
-        the row across the basis, reducing per channel, and
-        transforming each channel — but the shared source means one
-        limb split and a single tall dgemm cover stage 1 of all k
-        channels at once (the paper's fused WordDecomp + NTT digit
-        pipeline).
-        """
-        f0 = self.geometry.factors[0]
-        self._run(row.reshape(1, f0, self.n // f0), out, lazy,
-                  broadcast=True)
-
-    def _run(self, x: np.ndarray, out: np.ndarray, lazy: bool,
-             broadcast: bool) -> None:
-        """The stage loop shared by :meth:`apply` and
-        :meth:`apply_broadcast`: per stage — optional canonicalise,
-        limb split, one dgemm, float reduction — with a Shoup twiddle
-        multiply and an axis rotation between stages."""
         k, n = self.k, self.n
-        stages = self.geometry.stages
-        num = len(stages)
-        limbs, gemm_out, (cur, alt, f_tmp) = _buffers(n, self.geometry, k)
-        p_int, p_f, inv_p = self.moduli
-        for t, stage in enumerate(stages):
-            f = stage.length
-            rest = n // f
-            g = gemm_out[t]
+        factors = self.factors
+        rows = x.shape[0]
+        size = rows * k * n
+        buf = scratch(3 * size)
+        # Thirds: a two-limb stack, whose space serves the reductions'
+        # float temporary and the int32 remainder once the gemm has read
+        # it, and the gemm output, whose bytes then hold two int32
+        # planes: the twiddle quotients and the next stage's input.
+        limbs, g = buf[:2 * size], buf[2 * size:3 * size]
+        plane, tmp = g.reshape(rows, k, n), buf[:size].reshape(rows, k, n)
+        r32 = buf[size:2 * size].view(np.int32)[:size].reshape(rows, k, n)
+        q32, v32 = (half.reshape(rows, k, n)
+                    for half in np.split(g.view(np.int32), 2))
+        p32, p_f, inv_p = self.moduli
+        for t, f in enumerate(factors):
+            span = n // f
+            if t == 0:
+                # Inputs are below 2^30: narrow them first, so the
+                # split shifts and casts int32.
+                narrow = q32.reshape(-1)[:x.size].reshape(x.shape)
+                np.copyto(narrow, x, casting="unsafe")
             if t == 0 and broadcast:
-                shared = limbs[0].reshape(k * _LIMBS * f, rest)[: _LIMBS * f]
-                self._split_into(x, shared.reshape(1, _LIMBS * f, rest))
-                np.matmul(self.steps[t].reshape(k * f, _LIMBS * f),
-                          shared, out=g.reshape(k * f, rest))
+                stack = limbs[:_LIMBS * rows * n].reshape(
+                    rows, _LIMBS * f, span)
+                _split(narrow.reshape(rows, f, span), stack[:, :f],
+                       stack[:, f:])
+                np.matmul(self.steps[0].reshape(k * f, _LIMBS * f), stack,
+                          out=g.reshape(rows, k * f, span))
             else:
-                if stage.canonical_in:
-                    # The lazy [0, 2q) bound would break the two-limb
-                    # split's exactness; one conditional subtract
-                    # restores canonical inputs (unsigned-minimum trick).
-                    np.subtract(cur, p_int, out=alt)
-                    np.minimum(cur.view(np.uint64), alt.view(np.uint64),
-                               out=cur.view(np.uint64))
-                source = x if t == 0 else cur.reshape(k, f, rest)
-                self._split_into(source, limbs[t])
-                np.matmul(self.steps[t], limbs[t], out=g)
-            self._reduce_lazy(g.reshape(k, n), p_f, inv_p, f_tmp, cur)
-            if t < num - 1:
-                tw, tw_sh = self.twiddles[t]
-                _shoup_mul(cur, tw, tw_sh, p_int, alt)
-                # Rotate the produced axis behind the remaining input
-                # axes (one strided copy), ping-ponging the state
-                # planes.
-                shape = self._stage_shape(t)
-                np.copyto(
-                    alt.reshape(
-                        tuple(shape[axis]
-                              for axis in self._transpose_axes(num, t))
-                    ),
-                    cur.reshape(shape).transpose(
-                        self._transpose_axes(num, t)
-                    ),
-                )
-                cur, alt = alt, cur
-        # The last stage's gemm emits the natural-order result: final
-        # canonical reduction [0, 2q) -> [0, q) straight into the
-        # caller's buffer (or the lazy copy).
-        if lazy:
-            np.copyto(out.reshape(k, n), cur)
-        else:
-            np.subtract(cur, p_int, out=alt)
-            np.minimum(cur.view(np.uint64), alt.view(np.uint64),
-                       out=out.reshape(k, n).view(np.uint64))
+                source = (narrow.reshape(rows, k, f, span) if t == 0
+                          else self._rotated(v32, t))
+                stack = limbs.reshape((rows, k, _LIMBS * f)
+                                      + source.shape[3:])
+                _split(source, stack[:, :, :f], stack[:, :, f:])
+                np.matmul(self.steps[t],
+                          stack.reshape(rows, k, _LIMBS * f, span),
+                          out=g.reshape(rows, k, f, span))
+            if t == len(factors) - 1:
+                # The last gemm emits each polynomial in natural order.
+                reduce_exact(plane, self.moduli, out, buf[:size], lazy=lazy)
+                return
+            _balance(plane, p_f, inv_p, tmp)
+            np.copyto(r32, plane, casting="unsafe")
+            table, quotients = self.twiddles[t]
+            np.multiply(plane, quotients, out=tmp)
+            np.rint(tmp, out=tmp)
+            # ``plane`` is dead: its bytes take the quotients and v.
+            np.copyto(q32, tmp, casting="unsafe")
+            np.multiply(r32, table, out=v32)
+            np.multiply(q32, p32, out=q32)
+            np.subtract(v32, q32, out=v32)
 
 
-def _shoup_mul(values: np.ndarray, table: np.ndarray,
-               table_shoup: np.ndarray, p_col: np.ndarray,
-               q_buf: np.ndarray) -> None:
-    """In-place ``values = values * table mod p``, lazily in [0, 2p).
+def _twiddle_pair(plane: np.ndarray,
+                  p_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A twiddle plane (int64 residues below 2^30) as the engine stores
+    it: the int32 table and its float64 quotients ``w / q``."""
+    return plane.astype(np.int32), plane / p_f
 
-    ``values`` must be < 2^32; ``p_col`` is the ``(k, 1)`` modulus
-    column. The uint64 views keep the 64-bit product exact, and the
-    *logical* right shift extracts the Shoup quotient (an arithmetic
-    shift would sign-extend products above 2^63).
-    """
-    np.multiply(values.view(np.uint64), table_shoup.view(np.uint64),
-                out=q_buf.view(np.uint64))
-    np.right_shift(q_buf.view(np.uint64), _SHOUP_SHIFT,
-                   out=q_buf.view(np.uint64))
-    np.multiply(values, table, out=values)
-    np.multiply(q_buf, p_col, out=q_buf)
-    np.subtract(values, q_buf, out=values)
+
+def _split(values: np.ndarray, top: np.ndarray, low: np.ndarray) -> None:
+    """Write the two 15-bit limbs of int32 ``values`` into float64
+    ``top`` (an arithmetic shift: signed) and ``low`` (a mask: in
+    [0, 2^15)) — exact, every limb is far below 2^53."""
+    np.right_shift(values, _LIMB_BITS, out=top, casting="unsafe")
+    np.bitwise_and(values, (1 << _LIMB_BITS) - 1, out=low, casting="unsafe")
 
 
 @lru_cache(maxsize=None)

@@ -116,28 +116,28 @@ def _lift_tail_gemm(context: LiftContext, x_prime: np.ndarray,
     — the only part of the lift that genuinely needs coefficient
     values — while the prefix channels stay resident in the NTT domain.
     """
-    k_s = x_prime.shape[0]
-    skip = context.source_prefix
-    star_cat, t_col_f, inv_t_col, q_mod_f = context.gemm_tables()
-    limbs = np.empty((2 * k_s, x_prime.shape[1]), dtype=np.float64)
+    k_s, width = x_prime.shape
+    full, moduli, q_mod_f = context.gemm_tables()
+    rows = full.shape[0]
+    # Limbs, the gemm output and the reduction's spare, from this
+    # thread's scratch.
+    buf = batch.scratch((2 * k_s + 2 * rows) * width)
+    limbs = buf[:2 * k_s * width].reshape(2 * k_s, width)
+    g = buf[2 * k_s * width:(2 * k_s + rows) * width].reshape(rows, width)
+    spare = buf[(2 * k_s + rows) * width:]
     np.right_shift(x_prime, 15, out=limbs[:k_s], casting="unsafe")
     np.bitwise_and(x_prime, (1 << 15) - 1, out=limbs[k_s:],
                    casting="unsafe")
-    g = star_cat @ limbs
+    np.matmul(full, limbs, out=g)
     total = g[:-4]
     v = _quotient_from_limbs(g[-4:])
     # Blocks 4 and 5: subtract v * (q mod t_j) (exact: both factors are
-    # far below 2^26.5, the product far below 2^53).
-    total -= v.astype(np.float64)[None, :] * q_mod_f
-    # Exact reduction: quotients are below 2^23, so rint(total / t) is
-    # off by at most one and the remainder lands in (-t, t).
-    q = np.rint(total * inv_t_col)
-    total -= q * t_col_f
-    total += t_col_f
-    np.copyto(out_tail, total, casting="unsafe")
-    reduced = out_tail - context.target_col[skip:]
-    np.minimum(out_tail.view(np.uint64), reduced.view(np.uint64),
-               out=out_tail.view(np.uint64))
+    # far below 2^26.5, the product far below 2^53), then one exact
+    # reduction lands every channel in canonical [0, t_j).
+    correction = spare[:total.size].reshape(total.shape)
+    np.multiply(v.astype(np.float64), q_mod_f, out=correction)
+    np.subtract(total, correction, out=total)
+    batch.reduce_exact(total, moduli, out_tail, spare, lazy=False)
     return out_tail
 
 

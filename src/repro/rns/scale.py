@@ -153,14 +153,16 @@ def _scale_sop_gemm(context: ScaleContext, x_prime_q: np.ndarray,
     unreduced: the gemm computes ``c_j * x_j`` with ``c_j`` already
     reduced, and the final reduction takes the result mod p_j.
     """
-    k_q = x_prime_q.shape[0]
+    k_q, width = x_prime_q.shape
     k_p = p_rows.shape[0]
-    n = x_prime_q.shape[1]
-    int_cat, p_col_f, inv_p_col = (context.gemm_tables_prescaled()
-                                   if prescaled
-                                   else context.gemm_tables())
-    p_col = context.p_basis.primes_col
-    limbs = np.empty((2 * k_q + 2 * k_p, n), dtype=np.float64)
+    int_cat, moduli = (context.gemm_tables_prescaled() if prescaled
+                       else context.gemm_tables())
+    # Limbs, the gemm output and the reduction's spare, from this
+    # thread's scratch.
+    depth = 2 * k_q + 2 * k_p
+    buf = batch.scratch((depth + 2 * k_p) * width)
+    limbs = buf[:depth * width].reshape(depth, width)
+    total = buf[depth * width:(depth + k_p) * width].reshape(k_p, width)
     np.right_shift(x_prime_q, 15, out=limbs[:k_q], casting="unsafe")
     np.bitwise_and(x_prime_q, (1 << 15) - 1,
                    out=limbs[k_q: 2 * k_q], casting="unsafe")
@@ -168,17 +170,13 @@ def _scale_sop_gemm(context: ScaleContext, x_prime_q: np.ndarray,
                    casting="unsafe")
     np.bitwise_and(p_rows, (1 << 15) - 1, out=limbs[2 * k_q + k_p:],
                    casting="unsafe")
-    total = int_cat @ limbs
+    np.matmul(int_cat, limbs, out=total)
     # Fig. 9 Block 4: add the rounded fraction in float (all addends
     # below 2^52, exact), then reduce.
-    total += rounded.astype(np.float64)[None, :]
-    q = np.rint(total * inv_p_col)
-    total -= q * p_col_f
-    total += p_col_f
-    y_p = total.astype(np.int64)
-    reduced = y_p - p_col
-    np.minimum(y_p.view(np.uint64), reduced.view(np.uint64),
-               out=y_p.view(np.uint64))
+    np.add(total, rounded, out=total)
+    y_p = np.empty((k_p, width), dtype=np.int64)
+    batch.reduce_exact(total, moduli, y_p, buf[(depth + k_p) * width:],
+                       lazy=False)
     return y_p
 
 

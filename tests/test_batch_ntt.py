@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.parallel.config as parallel_config
 from repro.api import LocalBackend, Session
 from repro.fv.galois import GaloisEngine, apply_galois_rows
 from repro.nttmath.batch import (
@@ -22,6 +23,7 @@ from repro.nttmath.batch import (
     _LIMBS,
     _MAX_INPUT,
     BasisTransformer,
+    _GemmPlan,
     _geometry,
     _limbs_exact,
     basis_transformer,
@@ -32,6 +34,7 @@ from repro.nttmath.batch import (
 )
 from repro.nttmath.ntt import NegacyclicTransformer, intt_iterative, ntt_iterative
 from repro.nttmath.primes import find_ntt_primes, is_prime
+from repro.parallel import use_executor
 from repro.params import mini
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import basis_for
@@ -233,51 +236,53 @@ class TestLargeRingEngine:
             scaled, (_oracle_inverse(primes, mat) * consts_col) % primes_col
         )
 
-    #: The engine's layout for every ring degree at a 30-bit max prime:
-    #: (factors, canonical_in per stage). Only n = 16384's 128-point
-    #: second stage canonicalises its lazy [0, 2q) input.
+    #: The engine's layout for every ring degree at a 30-bit max prime.
     GEOMETRY = {
-        2: ((2, 1), (False, False)),
-        4: ((2, 2), (False, False)),
-        8: ((4, 2), (False, False)),
-        16: ((4, 4), (False, False)),
-        32: ((8, 4), (False, False)),
-        64: ((8, 8), (False, False)),
-        128: ((16, 8), (False, False)),
-        256: ((16, 16), (False, False)),
-        512: ((32, 16), (False, False)),
-        1024: ((32, 32), (False, False)),
-        2048: ((64, 32), (False, False)),
-        4096: ((64, 64), (False, False)),
-        8192: ((128, 64), (False, False)),
-        16384: ((128, 128), (False, True)),
-        32768: ((32, 32, 32), (False, False, False)),
+        2: (2, 1),
+        4: (2, 2),
+        8: (4, 2),
+        16: (4, 4),
+        32: (8, 4),
+        64: (8, 8),
+        128: (16, 8),
+        256: (16, 16),
+        512: (32, 16),
+        1024: (32, 32),
+        2048: (64, 32),
+        4096: (64, 64),
+        8192: (128, 64),
+        16384: (128, 128),
+        32768: (32, 32, 32),
     }
 
     def test_geometry_table_and_exactness(self):
         """The fixed layout per ring degree, and the two-limb bound it
-        rests on: every stage's worst partial sum (plus the
-        reduction's one-modulus overshoot) stays at or below 2^53 for
-        the inputs it sees — lazy [0, 2q) past stage 0 unless it
-        canonicalises. Sub-DFTs the split cannot carry are refused."""
+        rests on. Stage 0 splits canonical residues or raw digits below
+        2^30; every later stage splits a twiddle product
+        ``r w - rint(r w / q) q``, whose float quotient is off by at
+        most 2^-22 from the real one, so its magnitude is below
+        ``q / 2 + q 2^-22``: a signed top limb with |top| <= 2^15 and a
+        low limb below 2^15. Every stage's worst partial sum of either
+        sign (plus the reduction's one-modulus overshoot) stays at or
+        below 2^53. Sub-DFTs the split cannot carry are refused."""
         max_prime = (1 << 30) - 35
-        rest = (1 << _LIMB_BITS) - 1
-        for n, (factors, canonical) in self.GEOMETRY.items():
-            g = _geometry(n, max_prime)
-            assert g.factors == factors
-            assert tuple(s.canonical_in for s in g.stages) == canonical
-            assert tuple(s.length for s in g.stages) == factors
-            for t, stage in enumerate(g.stages):
-                lazy = t > 0 and not stage.canonical_in
-                max_value = 2 * max_prime - 1 if lazy else _MAX_INPUT
-                assert _limbs_exact(stage.length, max_value, max_prime)
-                top = max_value >> (_LIMB_BITS * (_LIMBS - 1))
-                worst = stage.length * (max_prime - 1) * (
-                    top + (_LIMBS - 1) * rest
-                )
+        low_max = (1 << _LIMB_BITS) - 1
+        twiddled = max_prime // 2 + (max_prime >> 22) + 1
+        for n, factors in self.GEOMETRY.items():
+            assert _geometry(n, max_prime) == factors
+            for t, length in enumerate(factors):
+                lowest, highest = (0, _MAX_INPUT) if t == 0 else (
+                    -twiddled, twiddled)
+                top_min, top_max = (lowest >> _LIMB_BITS,
+                                    highest >> _LIMB_BITS)
+                if t > 0:
+                    assert max(-top_min, top_max) <= 1 << _LIMB_BITS
+                assert _limbs_exact(length, max_prime)
+                worst = length * (max_prime - 1) * max(
+                    top_max + (_LIMBS - 1) * low_max, -top_min)
                 assert worst + max_prime <= 1 << 53
         for length in (256, 4096):
-            assert not _limbs_exact(length, _MAX_INPUT, max_prime)
+            assert not _limbs_exact(length, max_prime)
 
 
 def _widest_primes(n):
@@ -343,6 +348,50 @@ class TestExtremalOperands:
         lazy = bt.forward_broadcast(digits, lazy=True)
         assert lazy.min() >= 0 and np.all(lazy < 2 * p_col)
         assert np.array_equal(lazy % p_col, broadcast)
+
+
+class TestChunkedStacks:
+    """A stack runs each stage over a chunk of polynomials at once; how
+    the stack splits into chunks, and chunks into channel tiles, must
+    not change a bit of any output, lazy representatives included."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_uneven_chunks_match_one_by_one(self, workers, monkeypatch):
+        monkeypatch.setattr(parallel_config, "PARALLEL_MIN_WORK", 1)
+        n, k, j = 256, 3, 7
+        primes = _basis(n, k)
+        bt = BasisTransformer(primes, n)
+        rng = np.random.default_rng(41)
+        stack = rng.integers(0, bt.primes_col, size=(j, k, n))
+        digits = rng.integers(0, 1 << 30, size=(j, n))
+        constants = tuple(int(p) // 5 for p in primes)
+        ops = {
+            "forward": bt.forward,
+            "forward_lazy": lambda m: bt.forward(m, lazy=True),
+            "inverse": bt.inverse,
+            "inverse_scaled": lambda m: bt.inverse_scaled(m, constants),
+        }
+        chunks = []
+        run = _GemmPlan.run
+
+        def spy(plan, x, out, **kwargs):
+            chunks.append(x.shape[0])
+            run(plan, x, out, **kwargs)
+
+        monkeypatch.setattr(_GemmPlan, "run", spy)
+        mode = "threads" if workers > 1 else "serial"
+        with use_executor(mode, workers):
+            for name, op in ops.items():
+                whole = op(stack)
+                for idx in range(j):
+                    assert np.array_equal(whole[idx], op(stack[idx])), name
+            for lazy in (False, True):
+                whole = bt.forward_broadcast(digits, lazy=lazy)
+                for idx in range(j):
+                    one = bt.forward_broadcast(digits[idx:idx + 1], lazy=lazy)
+                    assert np.array_equal(whole[idx], one[0]), lazy
+        # Seven polynomials run as chunks of three, two and two.
+        assert {3, 2} <= set(chunks)
 
 
 class TestRnsPolyAliasing:

@@ -185,22 +185,20 @@ class TestBitIdentity:
         assert np.array_equal(want.c1.residues, got.c1.residues)
 
 
-def _table_bytes(k: int, n: int, geometry) -> int:
-    """One basis's table set: forward and inverse plans (stage
-    matrices, twiddle planes, Shoup quotients) plus one scaled
-    inverse's own twiddle plane 0 and its quotients."""
-    steps = sum(k * s.length * _LIMBS * s.length
-                for s in geometry.stages)
-    planes = len(geometry.stages) - 1
-    direction = steps + 2 * planes * k * n
-    return 8 * (2 * direction + 2 * k * n)
+def _table_bytes(k: int, n: int, factors) -> int:
+    """One basis's table set: forward and inverse plans (float64 stage
+    matrices, int32 twiddle planes and their float64 quotients) plus
+    one scaled inverse's own twiddle plane 0 and its quotients."""
+    steps = 8 * sum(k * f * _LIMBS * f for f in factors)
+    plane = (4 + 8) * k * n
+    return 2 * (steps + (len(factors) - 1) * plane) + plane
 
 
-def _scratch_bytes(k: int, n: int, geometry) -> int:
-    """One thread's scratch set: per stage a limb stack and a gemm
-    output, plus three (k, n) state planes."""
-    stages = len(geometry.stages) * k * (_LIMBS + 1) * n
-    return 8 * (stages + 3 * k * n)
+def _scratch_bytes(k: int, n: int, factors) -> int:
+    """One thread's scratch set: a tile holds at most ``S + 1``
+    polynomials of an ``S``-stage ring, and takes three float64
+    planes per row (a two-limb stack and a gemm output)."""
+    return 8 * 3 * (len(factors) + 1) * k * n
 
 
 class TestEngineMemory:
@@ -219,7 +217,8 @@ class TestEngineMemory:
         try:
             with use_executor("threads", workers):
                 bt = BasisTransformer(primes, n)
-                # Three polynomials tile as 2 channel ranges, one as 4.
+                # One chunk each (at most three polynomials or digit
+                # rows), cut into four channel ranges.
                 for matrix in (stack, stack[0]):
                     bt.inverse(bt.forward(matrix))
                     bt.inverse_scaled(matrix, constants)
@@ -232,8 +231,8 @@ class TestEngineMemory:
         held = sum(trace.size for trace in snapshot.filter_traces(
             [tracemalloc.Filter(True, batch_mod.__file__, all_frames=True)]
         ).traces)
-        bound = (_table_bytes(k, n, bt.geometry)
-                 + (workers + 1) * _scratch_bytes(k, n, bt.geometry)
+        bound = (_table_bytes(k, n, bt.factors)
+                 + (workers + 1) * _scratch_bytes(k, n, bt.factors)
                  + (256 << 10))  # the engine's Python objects
         assert held <= bound, f"{held / 2**20:.1f} MiB > {bound / 2**20:.1f}"
 
@@ -247,7 +246,7 @@ class TestEngineMemory:
                      + [a for pair in plan.twiddles for a in pair])
             for c0, c1 in split_range(k, 4) + split_range(k, 2):
                 sub = plan.subset(c0, c1)
-                assert sub.geometry is plan.geometry
+                assert sub.factors is plan.factors
                 part = (sub.steps + list(sub.moduli)
                         + [a for pair in sub.twiddles for a in pair])
                 for parent, view in zip(whole, part, strict=True):
@@ -261,8 +260,8 @@ class TestEngineMemory:
         basis to the large one midway — changes no output bit."""
         params = large_ring(4096)
         bases = (params.q_primes, params.q_primes + params.p_primes)
-        assert (basis_transformer(bases[0], params.n).geometry
-                == basis_transformer(bases[1], params.n).geometry)
+        assert (basis_transformer(bases[0], params.n).factors
+                == basis_transformer(bases[1], params.n).factors)
         rng = np.random.default_rng(17)
         digits = rng.integers(0, 1 << 30, size=(3, params.n))
 
