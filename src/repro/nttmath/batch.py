@@ -306,11 +306,10 @@ class BasisTransformer:
         workers and the batch clears the shared work threshold
         (:func:`~repro.parallel.fans_out`), each chunk also splits into
         channel ranges; otherwise a tile is a whole chunk, run in order
-        on this thread. Every tile runs the same
-        ``run`` on a channel slice of ``plan``, and the arithmetic is
-        element-wise per channel and column, so output is bit-identical
-        either way — and invisible to the transform counters, which
-        count at this dispatcher level.
+        on this thread. Every tile runs the same ``run`` on a channel
+        slice of ``plan``, and the arithmetic is element-wise per channel
+        and column, so output is bit-identical either way — and invisible
+        to the transform counters, which count at this dispatcher level.
         """
         j = arr.shape[0]
         per_chunk = min(len(self.factors) + 1,
@@ -716,9 +715,9 @@ class _GemmPlan:
           float64 to the balanced remainder
           ``r = g - rint(g / q) * q``: the float quotient is off by at
           most one rounding, so |r| <= q / 2 + 2, exactly;
-        * the twiddle multiply takes its quotient in float too,
-          ``Q = rint(r * (w / q))``, off by at most 2^-22 from the real
-          ``r w / q``, so ``r * w - Q * q`` has magnitude below
+        * the twiddle multiply takes its quotient in float too:
+          ``r * (w / q)`` is within 2^-22 of the real ``r w / q``, so
+          with ``Q`` its rounding, ``r * w - Q * q`` has magnitude below
           ``q / 2 + 2^8`` and is computed exactly in wrapping int32
           arithmetic. The next stage's limbs then lie in
           [-2^14 - 1, 2^14] (top) and [0, 2^15) (low);
