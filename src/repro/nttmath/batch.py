@@ -469,6 +469,13 @@ def _balance(values: np.ndarray, p_f: np.ndarray, inv_p: np.ndarray,
     np.subtract(values, tmp, out=values)
 
 
+def reduction_moduli(primes_col: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A ``(k, 1)`` prime column as the ``(q int32, q float64, 1 / q)``
+    triple of columns :func:`reduce_exact` reduces against."""
+    return (primes_col.astype(np.int32), primes_col.astype(np.float64),
+            1.0 / primes_col)
+
+
 def reduce_exact(values: np.ndarray, moduli: tuple[np.ndarray, ...],
                  out: np.ndarray, spare: np.ndarray, *, lazy: bool) -> None:
     """Reduce exact float64 integers modulo per-row primes into ``out``.
@@ -479,9 +486,10 @@ def reduce_exact(values: np.ndarray, moduli: tuple[np.ndarray, ...],
     (:func:`_balance`), which casts once to int32 and leaves as
     ``r + (q if r < 0)`` — canonical, in [0, q) — or, with ``lazy``, as
     ``r + q`` in [0, 2q). ``moduli`` is the ``(q int32, q float64,
-    1 / q)`` triple of columns broadcasting against ``values``;
-    ``spare`` is a flat float64 buffer of at least ``values.size``
-    elements that aliases neither ``values`` nor ``out``.
+    1 / q)`` triple of columns (:func:`reduction_moduli`) broadcasting
+    against ``values``; ``spare`` is a flat float64 buffer of at least
+    ``values.size`` elements that aliases neither ``values`` nor
+    ``out``.
     """
     p32, p_f, inv_p = moduli
     size = values.size
@@ -593,8 +601,7 @@ class _GemmPlan:
                     factors, prefix, u, psi_pow, order, p,
                     inverse=inverse, inv_n=inv_n if u == 0 else 1,
                 )
-        moduli = (primes_col.astype(np.int32),
-                  primes_col.astype(np.float64), 1.0 / primes_col)
+        moduli = reduction_moduli(primes_col)
         return cls(factors, n, moduli, steps,
                    [_twiddle_pair(tw, moduli[1]) for tw in twiddles])
 

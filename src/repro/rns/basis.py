@@ -25,6 +25,7 @@ from math import prod
 import numpy as np
 
 from ..errors import ParameterError
+from ..nttmath.batch import reduction_moduli
 from ..nttmath.modmath import modinv
 
 RECIP_FRACTION_BITS = 89
@@ -127,12 +128,6 @@ class RnsBasis:
         )
 
 
-def _moduli(col: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A prime column as the ``(int32, float64, reciprocal)`` triple
-    :func:`~repro.nttmath.batch.reduce_exact` reduces against."""
-    return col.astype(np.int32), col.astype(np.float64), 1.0 / col
-
-
 @dataclass(frozen=True)
 class LiftContext:
     """Precomputed tables for one base extension (paper Fig. 6).
@@ -214,7 +209,7 @@ class LiftContext:
             full = np.concatenate([star_cat, np.stack(limb_rows)])
             object.__setattr__(self, "_gemm", (
                 full,
-                _moduli(t_col),
+                reduction_moduli(t_col),
                 self.q_mod_target[skip:].astype(np.float64)[:, None],
             ))
         return self._gemm
@@ -356,7 +351,7 @@ class ScaleContext:
             ).astype(np.float64)
             object.__setattr__(
                 self, "_gemm_pre" if prescaled else "_gemm",
-                (int_cat, _moduli(p_col)),
+                (int_cat, reduction_moduli(p_col)),
             )
 
 
