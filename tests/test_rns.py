@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 import repro.parallel.config as parallel_config
 from repro.errors import ParameterError
 from repro.fv.sampler import uniform_rns_rows
+from repro.nttmath import ntt_rows
 from repro.obs import Tracer, current_registry
 from repro.parallel import use_executor
 from repro.params import hpca19, large_ring, mini
 from repro.rns.basis import (
     RECIP_FRACTION_BITS,
+    SCALE_FRACTION_BITS,
     RnsBasis,
     basis_for,
     decrypt_context,
@@ -320,6 +322,99 @@ class TestScale:
         ctx = scale_context(mini_params.q_primes, mini_params.p_primes, 2)
         with pytest.raises(ParameterError):
             scale_hps(ctx, np.zeros((3, 5), dtype=np.int64))
+
+
+def fig9_rounding(ctx, value: int) -> int:
+    """The integer Fig. 9 rounds ``t * value / q`` to, exactly.
+
+    The datapath keeps each fraction ``R_i = (t p mod q_i) / q_i`` as 60
+    truncated bits ``f_i``, so it rounds ``t * value / q - E`` half up,
+    where ``E = sum_i x'_i (R_i - f_i / 2^60)`` (x'_i over the full
+    basis) lies in [0, k_q 2^-30). Over the common denominator
+    ``L = q 2^60`` every term is an integer.
+    """
+    q, t = ctx.q_basis.modulus, ctx.t
+    big_p = ctx.p_basis.modulus
+    scaled_error = 0
+    for prime, tilde in zip(ctx.q_basis.primes,
+                            ctx.full_q_tilde[:ctx.q_basis.size], strict=True):
+        rem = t * big_p % prime
+        frac = (rem << SCALE_FRACTION_BITS) // prime
+        x_prime = value % prime * tilde % prime
+        scaled_error += (x_prime * ((rem << SCALE_FRACTION_BITS)
+                                    - frac * prime) * (q // prime))
+    denominator = q << SCALE_FRACTION_BITS
+    return ((2 * t * (value << SCALE_FRACTION_BITS) - 2 * scaled_error
+             + denominator) // (2 * denominator))
+
+
+class TestScaleBoundaries:
+    """Both Scale entries on the edges of Fig. 9's input range, against
+    big-integer rounding: all-(q-1)/(p-1) rows, values at
+    ``±n (q/2)^2`` and values whose ``t x / q`` lies within 2^-40 of a
+    half-integer. The result is ``round_half_away(t x, q)`` except where
+    ``t x / q`` sits less than ``k_q 2^-30`` above a half-integer: there
+    the 60-bit fractions round it down by one, exactly as
+    :func:`fig9_rounding` says (FV absorbs the unit as noise)."""
+
+    @staticmethod
+    def kinds(params, t, rng):
+        """Coefficient values of the bound and half-integer inputs."""
+        n = params.n
+        q = RnsBasis(params.q_primes).modulus
+        bound = n * (q // 2) ** 2
+        at_bound = [(1 - 2 * (c % 2)) * (bound - c // 2) for c in range(n)]
+        top = t * bound // q - 1
+        near = q // (t << 41)  # t * near / q is about 2^-41
+        offsets = (-2, -1, 0, 1, 2, 3, -near, near)
+        half = []
+        for c in range(n):
+            m = int.from_bytes(rng.bytes(32), "little") % (2 * top) - top
+            half.append((2 * m + 1) * q // (2 * t) + offsets[c % 8])
+        assert max(abs(v) for v in half) <= bound
+        return {"bound": at_bound, "half": half}
+
+    @staticmethod
+    def check(ctx, out, values, what):
+        q, k_q = ctx.q_basis.modulus, ctx.q_basis.size
+        want = [fig9_rounding(ctx, v) for v in values]
+        for value, got in zip(values, want, strict=True):
+            exact = round_half_away(ctx.t * value, q)
+            above_half = 2 * (ctx.t * value % q) - q
+            if not 0 < above_half << 30 < 2 * q * k_q:
+                assert got == exact, (what, value)
+            assert got - exact in (0, -1), (what, value)
+        assert np.array_equal(out, residues_of_coeffs(ctx.q_basis, want)), \
+            what
+
+    @pytest.mark.parametrize("make, t", [
+        (mini, 2), (hpca19, 2), (hpca19, 65537),
+        pytest.param(lambda: large_ring(8192), 2, marks=pytest.mark.slow),
+    ], ids=["mini", "hpca19", "hpca19_t65537", "large_ring_8192"])
+    def test_both_entries_round_like_fig9(self, make, t):
+        params = make()
+        n, full = params.n, params.q_primes + params.p_primes
+        ctx = scale_context(params.q_primes, params.p_primes, t)
+        full_basis = basis_for(full)
+        extreme = np.broadcast_to(full_basis.primes_col - 1,
+                                  (len(full), n)).copy()
+        kinds = self.kinds(params, t, np.random.default_rng(n + t))
+        # The coefficient entry: all-(q-1) rows are -1 in every column.
+        self.check(ctx, scale_hps(ctx, extreme), [-1] * n, "extreme")
+        for name, values in kinds.items():
+            residues = residues_of_coeffs(full_basis, values)
+            self.check(ctx, scale_hps(ctx, residues), values, name)
+        # The evaluation-domain entry: all-(q-1) NTT rows are the
+        # constant polynomial -1.
+        coeffs = [[-1] + [0] * (n - 1), kinds["bound"], kinds["half"]]
+        stack = np.stack([extreme] + [
+            ntt_rows(full, residues_of_coeffs(full_basis, values))
+            for values in coeffs[1:]])
+        out = scale_hps_ntt(ctx, stack)
+        assert out.shape == (3, len(params.q_primes), n)
+        for idx, values in enumerate(coeffs):
+            self.check(ctx, out[idx], values, f"stack[{idx}]")
+            assert np.array_equal(scale_hps_ntt(ctx, stack[idx]), out[idx])
 
 
 class TestSignedDigits:
