@@ -155,20 +155,18 @@ class Evaluator:
         The tensor products stay in the evaluation domain until
         :func:`~repro.rns.scale.scale_hps_ntt` consumes them: one
         stacked scaled inverse transform recovers the prescaled
-        coefficient values Fig. 9 needs (Scale is column-wise, so the
-        three parts share a single triple-width gemm). The output is
-        coefficient-domain — c2's raw residue rows are what WordDecomp
-        broadcasts — and bit-identical whether the inputs were lifted
-        ahead of time or not.
+        coefficient values Fig. 9 needs, and Scale's band kernel runs
+        on each part in place. The output is coefficient-domain — c2's
+        raw residue rows are what WordDecomp broadcasts — and
+        bit-identical whether the inputs were lifted ahead of time or
+        not. Each part adopts its contiguous ``(k_q, n)`` slice of
+        Scale's result without a copy.
         """
         products = self._tensor_ntt(a, b)
         with maybe_span("mult.scale", kind="kernel"):
             scaled = scale_hps_ntt(self.context.scale_ctx, products)
-        parts = tuple(
-            RnsPoly.trusted(self.context.q_basis,
-                            np.ascontiguousarray(scaled[i]))
-            for i in range(3)
-        )
+        parts = tuple(RnsPoly.trusted(self.context.q_basis, scaled[i])
+                      for i in range(3))
         return Ciphertext(parts, self.context.params)
 
     def relinearize(self, ct: Ciphertext, relin: RelinKey,

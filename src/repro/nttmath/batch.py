@@ -445,6 +445,14 @@ def scratch(elements: int) -> np.ndarray:
     share stays within ``3 (S + 1) k n`` elements — what the per-stage
     limb stacks, gemm outputs and three state planes of one polynomial
     at a time took before stages ran over a whole chunk.
+
+    The Lift and Scale kernels run one polynomial's band of ``w``
+    columns at a time. Lift's Blocks 2-5 take ``2 k_s + 2 (k_t + 4)``
+    rows of ``w`` (limbs, gemm output with the four quotient rows,
+    spare); Scale's Fig. 9 kernel takes its own limbs and gemm output,
+    then keeps its ``k_p`` p-basis rows past Lift's share for the final
+    lift to read — 41 rows at hpca19 and 71 at n = 8192, against a
+    full-basis transform tile's 39 and 75.
     """
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.size < elements:

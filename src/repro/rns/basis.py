@@ -220,17 +220,19 @@ class ScaleContext:
     """Precomputed tables for Scale Q->q with the HPS method (Fig. 9).
 
     The input lives in the full basis Q = q-basis ∪ p-basis; the output is
-    round(t * x / q) in the q-basis. Constants:
+    round(t * x / q) in the q-basis. Fig. 9 Block 1 takes every channel
+    to ``x'_k = [x_k * Q~_k]_{Q_k}`` (``full_basis.q_tilde``, also
+    ``full_q_tilde``); then a q-channel's ``x'_i`` carries the constant
+    ``t * p / q_i`` and a p-channel's ``x'_j`` the integer
+    ``t * p / p_j``. :meth:`gemm_tables` holds them:
 
-    * ``int_table[j][i]``: integer part of ``t * Q~_i * (p / q_i)`` taken
-      mod p-prime j — wait, precisely: the constant multiplying
-      ``x'_i = [x_i * Q~_i]_{q_i}`` is ``t * Q*_i / q`` whose integer part
-      ``I_i`` is tabulated modulo each output-stage prime and whose
-      fractional part ``R_i`` is stored with 60 fixed-point bits;
-    * ``p_term[j]``: the surviving integer constant ``t * Q*_j / q mod q_j``
-      for the p-basis residue's own channel (Fig. 9 Block 3);
-    * a :class:`LiftContext` from the p-basis to the q-basis for the final
-      base extension (Fig. 9 Block 5).
+    * the integer part ``I_i`` of ``t * p / q_i``, modulo each p_j;
+    * its fractional part ``R_i``, kept as 60 truncated fixed-point
+      bits ``f_i`` (Sec. V-C);
+    * ``t * p / p_j mod p_j``, the p-channel's own term (Fig. 9 Block 3).
+
+    ``final_lift`` is the :class:`LiftContext` from the p-basis to the
+    q-basis for the final base extension (Fig. 9 Block 5).
     """
 
     q_basis: RnsBasis
@@ -238,121 +240,51 @@ class ScaleContext:
     t: int
 
     def __post_init__(self) -> None:
-        q = self.q_basis.modulus
-        p = self.p_basis.modulus
-        big_q = q * p
-        # Q~_k = (Q / q_k)^-1 mod q_k for every prime of the full basis.
-        q_tilde_q = [
-            modinv((big_q // qi) % qi, qi) for qi in self.q_basis.primes
-        ]
-        q_tilde_p = [
-            modinv((big_q // pj) % pj, pj) for pj in self.p_basis.primes
-        ]
+        full = basis_for(self.q_basis.primes + self.p_basis.primes)
+        object.__setattr__(self, "full_basis", full)
+        object.__setattr__(self, "full_q_tilde", full.q_tilde)
         object.__setattr__(
-            self,
-            "x_prime_mult_q",
-            np.array(q_tilde_q, dtype=np.int64)[:, None],
-        )
-        object.__setattr__(
-            self,
-            "x_prime_mult_p",
-            np.array(q_tilde_p, dtype=np.int64)[:, None],
-        )
-        # For q-basis channels: t * Q*_i / q = t * p / q_i = I_i + R_i.
-        int_rows = []
-        frac_hi = []
-        frac_lo = []
-        for qi in self.q_basis.primes:
-            numerator = self.t * p
-            integer_part = numerator // qi
-            remainder = numerator % qi
-            fraction = (remainder << SCALE_FRACTION_BITS) // qi
-            int_rows.append(
-                [integer_part % pj for pj in self.p_basis.primes]
-            )
-            frac_hi.append(fraction >> 30)
-            frac_lo.append(fraction & _MASK30)
-        object.__setattr__(
-            self,
-            "int_table",
-            np.array(int_rows, dtype=np.int64).T,  # (k_p, k_q)
-        )
-        object.__setattr__(
-            self, "frac_hi_col", np.array(frac_hi, dtype=np.int64)[:, None]
-        )
-        object.__setattr__(
-            self, "frac_lo_col", np.array(frac_lo, dtype=np.int64)[:, None]
-        )
-        # For p-basis channel j: t * Q*_j / q = t * (p / p_j) (an integer),
-        # taken mod p_j. All other p-channels vanish mod p_j.
-        object.__setattr__(
-            self,
-            "p_term",
-            np.array(
-                [
-                    (self.t * (p // pj)) % pj
-                    for pj in self.p_basis.primes
-                ],
-                dtype=np.int64,
-            )[:, None],
-        )
-        object.__setattr__(
-            self,
-            "final_lift",
-            LiftContext(self.p_basis, self.q_basis.primes),
+            self, "final_lift", LiftContext(self.p_basis, self.q_basis.primes)
         )
         object.__setattr__(self, "_gemm", None)
-        object.__setattr__(self, "_gemm_pre", None)
-        object.__setattr__(
-            self,
-            "full_q_tilde",
-            tuple(int(c) for c in self.x_prime_mult_q[:, 0])
-            + tuple(int(c) for c in self.x_prime_mult_p[:, 0]),
-        )
 
     def gemm_tables(self) -> tuple[np.ndarray, ...]:
         """Float64 tables for the limb-split Blocks 2-4 matrix product.
 
-        The weight matrix concatenates ``[I * 2^15 mod p_j | I]`` for
-        the integer parts of ``t * p / q_i`` with a block-diagonal tail
-        carrying each p-channel's own term: channel j's combined
-        constant ``c_j = Q~_j * (t * p / p_j) mod p_j`` multiplies only
-        its own row's limbs, so Fig. 9's Blocks 2 *and* 3 come out of a
-        single dgemm (see :func:`repro.rns.scale._scale_sop_gemm`).
-        Built lazily and cached on the (frozen) context.
+        Against the limbs ``[x' >> 15 | x' & 0x7fff]`` of all ``k_Q``
+        prescaled rows (q rows first), the weight matrix is
+        ``[W * 2^15 mod p_j | W]``. Row j of ``W`` holds the integer
+        parts ``I_i mod p_j`` and, on the diagonal of its p block,
+        channel j's own term, so Fig. 9's Blocks 2 *and* 3 come out of
+        one dgemm. Four more rows accumulate the fractions 15 bits at a
+        time: row ``k_p + L`` holds ``(f_i >> 15L) & 0x7fff`` on the q
+        columns, exactly as :meth:`LiftContext.gemm_tables` carries the
+        HPS reciprocals. Every partial sum stays below 2^51 (see
+        :func:`repro.rns.scale._scale_band`). Built lazily and cached on
+        the (frozen) context.
         """
         if self._gemm is None:
-            self._build_gemm_tables()
+            q_primes, p_primes = self.q_basis.primes, self.p_basis.primes
+            k_q, k_p = len(q_primes), len(p_primes)
+            numerator = self.t * self.p_basis.modulus
+            weights = np.zeros((k_p + 4, k_q + k_p), dtype=np.int64)
+            weights[:k_p, :k_q] = [[numerator // qi % pj for qi in q_primes]
+                                   for pj in p_primes]
+            np.fill_diagonal(weights[:k_p, k_q:],
+                             [numerator // pj % pj for pj in p_primes])
+            fractions = np.array(
+                [((numerator % qi) << SCALE_FRACTION_BITS) // qi
+                 for qi in q_primes], dtype=np.int64)
+            for level in range(4):
+                weights[k_p + level, :k_q] = (
+                    fractions >> (15 * level)) & 0x7FFF
+            high = weights << 15
+            high[:k_p] %= self.p_basis.primes_col
+            object.__setattr__(self, "_gemm", (
+                np.concatenate([high, weights], axis=1).astype(np.float64),
+                reduction_moduli(self.p_basis.primes_col),
+            ))
         return self._gemm
-
-    def gemm_tables_prescaled(self) -> tuple[np.ndarray, ...]:
-        """Like :meth:`gemm_tables` but for inputs whose rows already
-        carry their ``Q~_k`` factor (the evaluator folds those into the
-        tensor step's inverse transforms): the own-term constants are
-        just ``t * p / p_j mod p_j``."""
-        if self._gemm_pre is None:
-            self._build_gemm_tables()
-        return self._gemm_pre
-
-    def _build_gemm_tables(self) -> None:
-        for prescaled in (False, True):
-            p_col = self.p_basis.primes_col
-            k_p = self.p_basis.size
-            int15 = (self.int_table << 15) % p_col
-            own = (self.p_term % p_col if prescaled
-                   else (self.x_prime_mult_p * self.p_term) % p_col)
-            own15 = (own << 15) % p_col
-            diag_hi = np.zeros((k_p, k_p), dtype=np.int64)
-            diag_lo = np.zeros((k_p, k_p), dtype=np.int64)
-            np.fill_diagonal(diag_hi, own15[:, 0])
-            np.fill_diagonal(diag_lo, own[:, 0])
-            int_cat = np.concatenate(
-                [int15, self.int_table, diag_hi, diag_lo], axis=1
-            ).astype(np.float64)
-            object.__setattr__(
-                self, "_gemm_pre" if prescaled else "_gemm",
-                (int_cat, reduction_moduli(p_col)),
-            )
 
 
 @dataclass(frozen=True)

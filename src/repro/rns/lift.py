@@ -59,8 +59,7 @@ def hps_quotient(basis: RnsBasis, x_prime: np.ndarray) -> np.ndarray:
     return (s_hi + half + carry) >> (RECIP_FRACTION_BITS - 30)
 
 
-def lift_hps(context: LiftContext, residues: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
+def lift_hps(context: LiftContext, residues: np.ndarray) -> np.ndarray:
     """HPS base extension (paper Eq. 2 / Fig. 6), fully vectorised.
 
     Returns the residues modulo ``context.target_primes`` of the centered
@@ -73,12 +72,11 @@ def lift_hps(context: LiftContext, residues: np.ndarray,
     matrix = _check_input(basis, residues)
     # Block 1: x'_i = x_i * q~_i mod q_i.
     x_prime = (matrix * basis.q_tilde_col) % basis.primes_col
-    return _lift_block2_gemm(context, matrix, x_prime, out)
+    return _lift_block2_gemm(context, matrix, x_prime)
 
 
 def _lift_block2_gemm(context: LiftContext, matrix: np.ndarray,
-                      x_prime: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      x_prime: np.ndarray) -> np.ndarray:
     """Blocks 2-4 as one exact float64 matrix product over all targets.
 
     ``x_prime`` splits into 15-bit limbs and the star table is stored
@@ -99,8 +97,7 @@ def _lift_block2_gemm(context: LiftContext, matrix: np.ndarray,
     """
     n = x_prime.shape[1]
     skip = context.source_prefix
-    if out is None:
-        out = np.empty((len(context.target_primes), n), dtype=np.int64)
+    out = np.empty((len(context.target_primes), n), dtype=np.int64)
     if skip:
         out[:skip] = matrix
     _lift_tail_gemm(context, x_prime, out[skip:])
@@ -120,8 +117,8 @@ def _lift_tail_gemm(context: LiftContext, x_prime: np.ndarray,
     full, moduli, q_mod_f = context.gemm_tables()
     rows = full.shape[0]
     # Limbs, the gemm output and the reduction's spare, from this
-    # thread's scratch.
-    buf = batch.scratch((2 * k_s + 2 * rows) * width)
+    # thread's scratch: the first ``tail_scratch_rows`` rows of width.
+    buf = batch.scratch(tail_scratch_rows(context) * width)
     limbs = buf[:2 * k_s * width].reshape(2 * k_s, width)
     g = buf[2 * k_s * width:(2 * k_s + rows) * width].reshape(rows, width)
     spare = buf[(2 * k_s + rows) * width:]
@@ -130,7 +127,7 @@ def _lift_tail_gemm(context: LiftContext, x_prime: np.ndarray,
                    casting="unsafe")
     np.matmul(full, limbs, out=g)
     total = g[:-4]
-    v = _quotient_from_limbs(g[-4:])
+    v = _quotient_from_limbs(g[-4:], RECIP_FRACTION_BITS)
     # Blocks 4 and 5: subtract v * (q mod t_j) (exact: both factors are
     # far below 2^26.5, the product far below 2^53), then one exact
     # reduction lands every channel in canonical [0, t_j).
@@ -139,6 +136,12 @@ def _lift_tail_gemm(context: LiftContext, x_prime: np.ndarray,
     np.subtract(total, correction, out=total)
     batch.reduce_exact(total, moduli, out_tail, spare, lazy=False)
     return out_tail
+
+
+def tail_scratch_rows(context: LiftContext) -> int:
+    """Rows of scratch, per column, that :func:`_lift_tail_gemm` takes
+    from the start of this thread's buffer."""
+    return 2 * context.source.size + 2 * context.gemm_tables()[0].shape[0]
 
 
 def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
@@ -204,23 +207,27 @@ def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
     return lifted if stacked else lifted[0]
 
 
-def _quotient_from_limbs(limb_sums: np.ndarray) -> np.ndarray:
-    """Reassemble :func:`hps_quotient` from 15-bit limb accumulations.
+def _quotient_from_limbs(limb_sums: np.ndarray,
+                         fraction_bits: int) -> np.ndarray:
+    """``floor((S + 2^(F-1)) / 2^F)`` from 15-bit limb accumulations.
 
-    Rows hold ``S_L = sum_i x'_i * ((recip_i >> 15L) & 0x7fff)`` as
-    exact float64 integers (< 2^50). ``S0 + S1 * 2^15`` and
-    ``S2 + S3 * 2^15`` are the low/high 30-bit-split sums of the
-    89-fractional-bit products (both below 2^63), so the rounding
-    matches the reference bit for bit.
+    Rows hold ``S_L = sum_i x'_i * ((c_i >> 15L) & 0x7fff)`` as exact
+    float64 integers below 2^50, so ``S = sum_L S_L 2^(15L)`` is the
+    sum of products with the 60-bit constants ``c_i`` that carry
+    ``F = fraction_bits`` fractional bits: Fig. 6's reciprocals
+    (:func:`hps_quotient`'s value) or Fig. 9's fractions. Carrying 15
+    bits at a time yields ``floor(S / 2^45)`` exactly (a floor of floors)
+    and keeps every step below 2^51; the half, a multiple of 2^45,
+    joins after, so the rounding matches the big-integer one bit for
+    bit.
     """
-    s0 = limb_sums[0].astype(np.int64)
-    s1 = limb_sums[1].astype(np.int64)
-    s2 = limb_sums[2].astype(np.int64)
-    s3 = limb_sums[3].astype(np.int64)
-    s_lo = s0 + (s1 << 15)
-    s_hi = s2 + (s3 << 15)
-    half = 1 << (RECIP_FRACTION_BITS - 1 - 30)
-    return (s_hi + half + (s_lo >> 30)) >> (RECIP_FRACTION_BITS - 30)
+    acc = limb_sums[0].astype(np.int64)
+    for row in limb_sums[1:]:
+        np.right_shift(acc, 15, out=acc)
+        np.add(acc, row, out=acc, casting="unsafe")
+    np.add(acc, 1 << (fraction_bits - 46), out=acc)
+    np.right_shift(acc, fraction_bits - 45, out=acc)
+    return acc
 
 
 def lift_traditional(context: LiftContext,

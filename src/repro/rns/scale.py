@@ -5,17 +5,26 @@ residues over q of ``round(t * x / q)``.
 
 * :func:`scale_traditional` — exact multi-precision route (Fig. 8):
   reconstruct x, divide, round, reduce.
-* :func:`scale_hps` — the HPS route (Fig. 9): compute the result in the
+* :func:`scale_hps` / :func:`scale_hps_ntt` — the HPS route (Fig. 9),
+  from coefficient or evaluation-domain rows: compute the result in the
   p-basis with single-word arithmetic using the tabulated integer and
   60-fractional-bit parts of ``t * p / q_i``, then base-extend from the
-  p-basis back to the q-basis with the Fig. 6 lift datapath.
+  p-basis back to the q-basis with the Fig. 6 lift datapath. Both
+  entries run Block 1 (``x'_k = x_k Q~_k mod Q_k``) and then the one
+  band kernel, :func:`_scale_band`, per polynomial on column bands: one
+  dgemm whose four extra rows carry the fraction sum, one reduction,
+  and the final lift, all on the thread's scratch.
 
 Why the p-basis step is exact modulo each p-prime: expanding
 ``t*x/q = sum_k [x_k Q~_k]_{q_k} (t Q*_k / q) - v t p`` shows every term
 except channel k's own survives reduction mod p_j because p divides it.
 The scaled value satisfies |round(t*x/q)| <= t*n*q/4 < p/2 for the paper's
 parameters, so the centered base extension recovers it exactly — this is
-the reason the p-basis has seven primes where q has six.
+the reason the p-basis has seven primes where q has six. The rounding
+itself reads the truncated 60-bit fractions, so it lands on
+``round(t*x/q)`` except where ``t*x/q`` lies less than ``k_q 2^-30``
+above a half-integer; there it rounds down by one, a unit of noise FV
+absorbs.
 """
 
 from __future__ import annotations
@@ -26,75 +35,38 @@ from ..errors import ParameterError
 from ..nttmath import batch
 from ..parallel import map_bands
 from ..utils import round_half_away
-from .basis import SCALE_FRACTION_BITS, RnsBasis, ScaleContext
-from .lift import lift_hps
+from .basis import SCALE_FRACTION_BITS, ScaleContext
+from .lift import _lift_tail_gemm, _quotient_from_limbs, tail_scratch_rows
 
 
-def _split_rows(context: ScaleContext, residues: np.ndarray) -> tuple:
+def _check_rows(context: ScaleContext, residues: np.ndarray) -> np.ndarray:
     matrix = np.asarray(residues, dtype=np.int64)
-    expected = context.q_basis.size + context.p_basis.size
+    expected = context.full_basis.size
     if matrix.ndim != 2 or matrix.shape[0] != expected:
         raise ParameterError(
             f"expected a ({expected} x n) residue matrix over Q, got shape "
             f"{matrix.shape}"
         )
-    return matrix[: context.q_basis.size], matrix[context.q_basis.size:]
+    return matrix
 
 
-def scale_hps(context: ScaleContext, residues: np.ndarray,
-              prescaled: bool = False) -> np.ndarray:
-    """HPS scale-and-round (Fig. 9), fully vectorised and bit-exact.
+def scale_hps(context: ScaleContext, residues: np.ndarray) -> np.ndarray:
+    """HPS scale-and-round (Fig. 9) of coefficient rows.
 
     ``residues`` rows are ordered q-basis first then p-basis, matching
-    how the coprocessor stores an R_Q polynomial across its RPAUs. The
-    per-output-channel integer sum of products is one limb-split
-    float64 matrix product (exact, same argument as the lift's Block 2).
-
-    Every step is element-wise in the coefficient column — the paper's
-    Scale unit streams coefficients — so under a pool the columns run
-    as contiguous bands, each with its own small gemms over the shared
-    read-only tables (built here, before the fan-out). Banding cannot
-    change a result: each float64 partial sum is an exact integer
-    below 2^53 however BLAS blocks the product.
+    how the coprocessor stores an R_Q polynomial across its RPAUs.
+    Block 1 multiplies every row by its ``Q~_k``; the rest is the band
+    kernel :func:`scale_hps_ntt` runs too (:func:`_scale_band`: one
+    exact limb-split dgemm carrying the sum of products, the own term
+    and, in four more rows, the fraction sum; one reduction; the final
+    lift).
     """
-    q_rows, p_rows = _split_rows(context, residues)
-    if prescaled:
-        context.gemm_tables_prescaled()
-    else:
-        context.gemm_tables()
-    context.final_lift.gemm_tables()
-    out = np.empty((context.q_basis.size, q_rows.shape[1]), dtype=np.int64)
-
-    def band(lo: int, hi: int) -> None:
-        _scale_columns(context, q_rows[:, lo:hi], p_rows[:, lo:hi],
-                       prescaled, out[:, lo:hi])
-
-    map_bands("scale.band", band, q_rows.shape[1],
-              work=q_rows.size + p_rows.size)
+    basis = context.full_basis
+    x_prime = (_check_rows(context, residues) * basis.q_tilde_col
+               ) % basis.primes_col
+    out = np.empty((context.q_basis.size, x_prime.shape[1]), dtype=np.int64)
+    _scale_bands(context, x_prime[None], out[None])
     return out
-
-
-def _scale_columns(context: ScaleContext, q_rows: np.ndarray,
-                   p_rows: np.ndarray, prescaled: bool,
-                   out: np.ndarray) -> None:
-    """Fig. 9 on one band of coefficient columns, into ``out``."""
-    # Fig. 9 Block 1/2 prep: x'_i = x_i * Q~_i mod q_i for the q-basis
-    # part. ``prescaled=True`` means the caller already folded the Q~_i
-    # factors into its inverse transforms (see Evaluator.multiply_raw),
-    # so the rows arrive as x' directly.
-    x_prime_q = (q_rows if prescaled
-                 else (q_rows * context.x_prime_mult_q)
-                 % context.q_basis.primes_col)
-    # Fractional accumulation sop_R = round(sum_i x'_i * R_i) via split
-    # 30-bit limbs (exact; see rns.lift.hps_quotient for the argument).
-    s_hi = (x_prime_q * context.frac_hi_col).sum(axis=0)
-    s_lo = (x_prime_q * context.frac_lo_col).sum(axis=0)
-    half = 1 << (SCALE_FRACTION_BITS - 1 - 30)
-    rounded = (s_hi + half + (s_lo >> 30)) >> (SCALE_FRACTION_BITS - 30)
-    y_p = _scale_sop_gemm(context, x_prime_q, p_rows, rounded, prescaled)
-    # Fig. 9 Block 5: base-extend the p-basis result back to the q-basis
-    # re-using the lift datapath, exactly as the hardware does.
-    lift_hps(context.final_lift, y_p, out=out)
 
 
 def scale_hps_ntt(context: ScaleContext,
@@ -105,79 +77,105 @@ def scale_hps_ntt(context: ScaleContext,
     ``ntt_residues`` is a ``(k_Q, n)`` NTT-domain matrix over the full
     basis (q rows first, then p rows) or a ``(j, k_Q, n)`` stack — the
     tensor step's point-wise products live here. The Fig. 9 datapath
-    needs coefficient values, but the Block-1/2 ``Q~_i`` multiplies
-    ride along for free inside ONE stacked inverse transform whose
-    gemm plan folds the constants into its twiddle tables
-    (:func:`~repro.nttmath.batch.intt_rows_scaled`), so the rows reach
-    :func:`scale_hps` already prescaled — the single INTT the HPS
-    quotient estimate genuinely requires, and the only
-    coefficient-domain excursion of a fully resident multiply. A
-    stack is scaled in one :func:`scale_hps` call by treating the
-    polynomials as column blocks of a single wide matrix (exact: every
-    channel's arithmetic is element-wise in the column dimension).
+    needs coefficient values, but the Block-1 ``Q~_k`` multiplies ride
+    along for free inside ONE stacked inverse transform whose gemm plan
+    folds the constants into its twiddle tables
+    (:func:`~repro.nttmath.batch.intt_rows_scaled`) — the single INTT
+    the HPS quotient estimate genuinely requires, and the only
+    coefficient-domain excursion of a fully resident multiply. Each
+    polynomial of the stack then runs :func:`_scale_band` on column
+    bands, in place on the transform's output. The result is a
+    C-contiguous ``(j, k_q, n)`` array, so each ``result[i]`` is a
+    contiguous ``(k_q, n)`` matrix.
     """
     arr = np.asarray(ntt_residues, dtype=np.int64)
     stacked = arr.ndim == 3
     stack = arr if stacked else arr[None]
-    expected = context.q_basis.size + context.p_basis.size
-    if stack.shape[1] != expected:
+    basis = context.full_basis
+    if stack.shape[1] != basis.size:
         raise ParameterError(
-            f"expected ({expected} x n) NTT rows over Q, got shape "
+            f"expected ({basis.size} x n) NTT rows over Q, got shape "
             f"{arr.shape}"
         )
-    j, k, n = stack.shape
-    full_primes = context.q_basis.primes + context.p_basis.primes
-    prescaled = batch.intt_rows_scaled(full_primes, stack,
-                                       context.full_q_tilde)
-    wide = prescaled.transpose(1, 0, 2).reshape(k, j * n)
-    scaled = scale_hps(context, wide, prescaled=True)
-    out = scaled.reshape(context.q_basis.size, j, n).transpose(1, 0, 2)
+    x_prime = batch.intt_rows_scaled(basis.primes, stack, basis.q_tilde)
+    out = np.empty((stack.shape[0], context.q_basis.size, stack.shape[2]),
+                   dtype=np.int64)
+    _scale_bands(context, x_prime, out)
     return out if stacked else out[0]
 
 
-def _scale_sop_gemm(context: ScaleContext, x_prime_q: np.ndarray,
-                    p_rows: np.ndarray, rounded: np.ndarray,
-                    prescaled: bool = False) -> np.ndarray:
-    """Blocks 2-4 as one exact float64 matrix product over all channels.
+def _scale_bands(context: ScaleContext, x_prime: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Fig. 9 Blocks 2-5 over a ``(j, k_Q, n)`` stack of Block-1 rows
+    into ``(j, k_q, n)`` ``out``, one polynomial at a time per band.
 
-    The limb matrix stacks the 15-bit splits of x' (q basis) and of the
-    raw p-basis rows; the weight matrix pairs them with
-    ``[I * 2^15 | I]`` and a block-diagonal own-term tail (see
-    :meth:`~repro.rns.basis.ScaleContext.gemm_tables`), so Fig. 9's
-    integer sum of products *and* own-channel term come out of one
-    dgemm. Every partial sum stays below 2^53, the rounded-fraction
-    term joins in float, and one rint-based reduction lands each
-    channel in canonical [0, p_j).
-
-    The own-term fold is exact modulo p_j even though the p rows are
-    unreduced: the gemm computes ``c_j * x_j`` with ``c_j`` already
-    reduced, and the final reduction takes the result mod p_j.
+    The paper's Scale unit streams coefficients, and every step is
+    element-wise in the coefficient column, so under a pool the columns
+    run as contiguous bands, each with its own small gemms over the
+    shared read-only tables (built here, before the fan-out). Banding
+    cannot change a result: each float64 partial sum is an exact
+    integer below 2^53 however BLAS blocks the product.
     """
-    k_q, width = x_prime_q.shape
-    k_p = p_rows.shape[0]
-    int_cat, moduli = (context.gemm_tables_prescaled() if prescaled
-                       else context.gemm_tables())
-    # Limbs, the gemm output and the reduction's spare, from this
-    # thread's scratch.
-    depth = 2 * k_q + 2 * k_p
-    buf = batch.scratch((depth + 2 * k_p) * width)
-    limbs = buf[:depth * width].reshape(depth, width)
-    total = buf[depth * width:(depth + k_p) * width].reshape(k_p, width)
-    np.right_shift(x_prime_q, 15, out=limbs[:k_q], casting="unsafe")
-    np.bitwise_and(x_prime_q, (1 << 15) - 1,
-                   out=limbs[k_q: 2 * k_q], casting="unsafe")
-    np.right_shift(p_rows, 15, out=limbs[2 * k_q: 2 * k_q + k_p],
+    context.gemm_tables()
+    context.final_lift.gemm_tables()
+
+    def band(lo: int, hi: int) -> None:
+        for idx in range(x_prime.shape[0]):
+            _scale_band(context, x_prime[idx, :, lo:hi], out[idx, :, lo:hi])
+
+    map_bands("scale.band", band, x_prime.shape[2], work=x_prime.size)
+
+
+def _scale_band(context: ScaleContext, x_prime: np.ndarray,
+                out: np.ndarray) -> None:
+    """Fig. 9 Blocks 2-5 on one band of one polynomial, into ``out``.
+
+    ``x_prime`` is the band's ``(k_Q, w)`` Block-1 rows (q rows first),
+    read in place. Blocks 2-4 are one dgemm of the weight matrix
+    (:meth:`~repro.rns.basis.ScaleContext.gemm_tables`) against the
+    15-bit limbs of every row: rows ``:k_p`` are each p-channel's
+    integer sum of products plus its own term, the last four the
+    fraction sum's limb accumulations, which
+    :func:`~repro.rns.lift._quotient_from_limbs` turns into the rounded
+    fraction. Every partial sum is an integer below ``2 k_Q 2^45``
+    (under 2^51), so the float64 product is exact; the rounded fraction
+    joins in float and one rint-based reduction lands each channel in
+    canonical [0, p_j). Block 5 base-extends that p-basis result back to
+    the q-basis with the Fig. 6 lift datapath, exactly as the hardware
+    does.
+
+    Everything lives in this thread's scratch, in units of ``w``: the
+    gemm output (``k_p + 4`` rows), then the limbs (``2 k_Q``), whose
+    first ``k_p`` rows become the reduction's spare once the product is
+    taken. The p-basis result, and in place the final lift's Block-1
+    input, sits past the share :func:`~repro.rns.lift._lift_tail_gemm`
+    takes, so the lift never overwrites the x' it reads.
+    """
+    k_all, width = x_prime.shape
+    table, moduli = context.gemm_tables()
+    lift = context.final_lift
+    k_p = lift.source.size
+    rows = table.shape[0]
+    y_at = max(tail_scratch_rows(lift), rows + k_p)
+    buf = batch.scratch(max(rows + 2 * k_all, y_at + k_p) * width)
+    g = buf[:rows * width].reshape(rows, width)
+    limbs = buf[rows * width:(rows + 2 * k_all) * width].reshape(
+        2 * k_all, width)
+    y_p = buf[y_at * width:(y_at + k_p) * width].view(np.int64).reshape(
+        k_p, width)
+    np.right_shift(x_prime, 15, out=limbs[:k_all], casting="unsafe")
+    np.bitwise_and(x_prime, (1 << 15) - 1, out=limbs[k_all:],
                    casting="unsafe")
-    np.bitwise_and(p_rows, (1 << 15) - 1, out=limbs[2 * k_q + k_p:],
-                   casting="unsafe")
-    np.matmul(int_cat, limbs, out=total)
-    # Fig. 9 Block 4: add the rounded fraction in float (all addends
-    # below 2^52, exact), then reduce.
-    np.add(total, rounded, out=total)
-    y_p = np.empty((k_p, width), dtype=np.int64)
-    batch.reduce_exact(total, moduli, y_p, buf[(depth + k_p) * width:],
+    np.matmul(table, limbs, out=g)
+    total = g[:k_p]
+    np.add(total, _quotient_from_limbs(g[k_p:], SCALE_FRACTION_BITS),
+           out=total)
+    batch.reduce_exact(total, moduli, y_p, limbs[:k_p].reshape(-1),
                        lazy=False)
-    return y_p
+    # Block 5: the final lift's Block 1, x' = y_p q~ mod p, in place.
+    np.multiply(y_p, lift.source.q_tilde_col, out=y_p)
+    np.remainder(y_p, lift.source.primes_col, out=y_p)
+    _lift_tail_gemm(lift, y_p, out)
 
 
 def scale_traditional(context: ScaleContext,
@@ -188,11 +186,8 @@ def scale_traditional(context: ScaleContext,
     reduces modulo the q-basis primes. This is the functional model of the
     slower coprocessor variant (Sec. VI-C).
     """
-    matrix = np.asarray(residues, dtype=np.int64)
-    q_rows, p_rows = _split_rows(context, residues)
-    full_primes = context.q_basis.primes + context.p_basis.primes
-    full_basis = RnsBasis(full_primes)
-    coeffs = full_basis.reconstruct_coeffs_centered(matrix)
+    matrix = _check_rows(context, residues)
+    coeffs = context.full_basis.reconstruct_coeffs_centered(matrix)
     q = context.q_basis.modulus
     scaled = [round_half_away(context.t * c, q) for c in coeffs]
     return np.array(

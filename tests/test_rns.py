@@ -2,6 +2,8 @@
 IV-C, IV-D). These validate the exact arithmetic the hardware datapaths
 reuse, including the fixed-point quotient estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -415,6 +417,32 @@ class TestScaleBoundaries:
         for idx, values in enumerate(coeffs):
             self.check(ctx, out[idx], values, f"stack[{idx}]")
             assert np.array_equal(scale_hps_ntt(ctx, stack[idx]), out[idx])
+
+
+class TestScaleMemory:
+    def test_warm_scale_allocates_its_result_and_the_inverse_only(self):
+        """Scale runs on the thread's scratch: once warm, one call on an
+        hpca19 ``(3, 13, 4096)`` stack peaks at its result, the inverse
+        transform's output and one ``(k_Q, n)`` int64 plane of traced
+        heap (the wide-copy layout took 5.4 MiB)."""
+        params = hpca19()
+        full = params.q_primes + params.p_primes
+        ctx = scale_context(params.q_primes, params.p_primes, params.t)
+        rng = np.random.default_rng(41)
+        stack = np.stack([uniform_rns_rows(rng, params.n, full)
+                          for _ in range(3)])
+        j, k_all, n = stack.shape
+        with use_executor("serial"):
+            for _ in range(2):
+                scale_hps_ntt(ctx, stack)
+            tracemalloc.start()
+            try:
+                scale_hps_ntt(ctx, stack)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        bound = 8 * n * (j * len(params.q_primes) + j * k_all + k_all)
+        assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
 
 
 class TestSignedDigits:
