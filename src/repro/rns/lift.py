@@ -116,12 +116,13 @@ def _lift_tail_gemm(context: LiftContext, x_prime: np.ndarray,
     k_s, width = x_prime.shape
     full, moduli, q_mod_f = context.gemm_tables()
     rows = full.shape[0]
-    # Limbs, the gemm output and the reduction's spare, from this
-    # thread's scratch: the first ``tail_scratch_rows`` rows of width.
-    buf = batch.scratch(tail_scratch_rows(context) * width)
+    # Limbs, the gemm output and the reduction's spare, from the start
+    # of this thread's scratch; nothing past ``share`` is touched.
+    share = _tail_scratch_rows(context) * width
+    buf = batch.scratch(share)
     limbs = buf[:2 * k_s * width].reshape(2 * k_s, width)
     g = buf[2 * k_s * width:(2 * k_s + rows) * width].reshape(rows, width)
-    spare = buf[(2 * k_s + rows) * width:]
+    spare = buf[(2 * k_s + rows) * width:share]
     np.right_shift(x_prime, 15, out=limbs[:k_s], casting="unsafe")
     np.bitwise_and(x_prime, (1 << 15) - 1, out=limbs[k_s:],
                    casting="unsafe")
@@ -138,7 +139,7 @@ def _lift_tail_gemm(context: LiftContext, x_prime: np.ndarray,
     return out_tail
 
 
-def tail_scratch_rows(context: LiftContext) -> int:
+def _tail_scratch_rows(context: LiftContext) -> int:
     """Rows of scratch, per column, that :func:`_lift_tail_gemm` takes
     from the start of this thread's buffer."""
     return 2 * context.source.size + 2 * context.gemm_tables()[0].shape[0]

@@ -36,7 +36,7 @@ from ..nttmath import batch
 from ..parallel import map_bands
 from ..utils import round_half_away
 from .basis import SCALE_FRACTION_BITS, ScaleContext
-from .lift import _lift_tail_gemm, _quotient_from_limbs, tail_scratch_rows
+from .lift import _lift_tail_gemm, _quotient_from_limbs, _tail_scratch_rows
 
 
 def _check_rows(context: ScaleContext, residues: np.ndarray) -> np.ndarray:
@@ -62,8 +62,8 @@ def scale_hps(context: ScaleContext, residues: np.ndarray) -> np.ndarray:
     lift).
     """
     basis = context.full_basis
-    x_prime = (_check_rows(context, residues) * basis.q_tilde_col
-               ) % basis.primes_col
+    matrix = _check_rows(context, residues)
+    x_prime = (matrix * basis.q_tilde_col) % basis.primes_col
     out = np.empty((context.q_basis.size, x_prime.shape[1]), dtype=np.int64)
     _scale_bands(context, x_prime[None], out[None])
     return out
@@ -83,8 +83,10 @@ def scale_hps_ntt(context: ScaleContext,
     (:func:`~repro.nttmath.batch.intt_rows_scaled`) — the single INTT
     the HPS quotient estimate genuinely requires, and the only
     coefficient-domain excursion of a fully resident multiply. Each
-    polynomial of the stack then runs :func:`_scale_band` on column
-    bands, in place on the transform's output. The result is a
+    polynomial of the stack then runs the band kernel
+    :func:`_scale_band` (one dgemm whose four extra rows carry the
+    fraction sum, one reduction, the final lift) on column bands,
+    reading the transform's output in place. The result is a
     C-contiguous ``(j, k_q, n)`` array, so each ``result[i]`` is a
     contiguous ``(k_q, n)`` matrix.
     """
@@ -156,7 +158,7 @@ def _scale_band(context: ScaleContext, x_prime: np.ndarray,
     lift = context.final_lift
     k_p = lift.source.size
     rows = table.shape[0]
-    y_at = max(tail_scratch_rows(lift), rows + k_p)
+    y_at = max(_tail_scratch_rows(lift), rows + k_p)
     buf = batch.scratch(max(rows + 2 * k_all, y_at + k_p) * width)
     g = buf[:rows * width].reshape(rows, width)
     limbs = buf[rows * width:(rows + 2 * k_all) * width].reshape(
