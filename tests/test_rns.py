@@ -367,12 +367,16 @@ class TestScaleBoundaries:
         bound = n * (q // 2) ** 2
         at_bound = [(1 - 2 * (c % 2)) * (bound - c // 2) for c in range(n)]
         top = t * bound // q - 1
-        near = q // (t << 41)  # t * near / q is about 2^-41
-        offsets = (-2, -1, 0, 1, 2, 3, -near, near)
+        # t * offset / q is about 2^-41 for ``near``, inside the window
+        # where the datapath may round down, and 2^-20 for ``far``,
+        # outside it on both sides of the half.
+        near, far = q // (t << 41), q // (t << 20)
+        offsets = (-2, -1, 0, 1, 2, 3, -near, near, -far, far)
         half = []
         for c in range(n):
             m = int.from_bytes(rng.bytes(32), "little") % (2 * top) - top
-            half.append((2 * m + 1) * q // (2 * t) + offsets[c % 8])
+            half.append((2 * m + 1) * q // (2 * t)
+                        + offsets[c % len(offsets)])
         assert max(abs(v) for v in half) <= bound
         return {"bound": at_bound, "half": half}
 
