@@ -13,6 +13,7 @@ Run:  python examples/hw_simulation_demo.py
 import numpy as np
 
 from repro import Coprocessor, Evaluator, FvContext, Plaintext, hpca19
+from repro.hw.config import ARM_CLOCK_HZ
 from repro.system.related_work import PAPER_RECORD, paper_rows
 
 PAPER_TABLE2 = {row.label: row.paper for row in paper_rows("Table II")}
@@ -60,7 +61,7 @@ def main() -> None:
         print(f"{op.value:<18}{stat.calls:>6}{arm:>14,}{paper_s:>10}"
               f"{delta:>8}")
     print("-" * len(header))
-    paper_ms = PAPER_MULT.paper / report.config.arm_clock_hz * 1e3
+    paper_ms = PAPER_MULT.paper / ARM_CLOCK_HZ * 1e3
     mult_delta = ((report.arm_cycles - PAPER_MULT.paper)
                   / PAPER_MULT.paper * 100)
     print(f"Mult total: {report.arm_cycles:,} Arm cycles = "

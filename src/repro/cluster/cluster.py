@@ -38,7 +38,7 @@ from ..obs import active_tracer
 from ..params import ParameterSet
 from ..serve.engine import ServingRuntime, check_conservation
 from ..serve.events import Event, EventHeap, EventKind
-from ..serve.tenants import Rejection, TenantSet
+from ..serve.tenants import Rejection
 from ..system.server import CostModel
 from ..system.workloads import Job
 from .placement import ReplicatedPlacement
@@ -94,7 +94,6 @@ class FpgaCluster:
     def heterogeneous(cls, params: ParameterSet,
                       configs: Sequence[HardwareConfig], *,
                       router: Router | None = None,
-                      tenants: TenantSet | None = None,
                       fault_plan: FaultPlan | None = None,
                       retry: RetryPolicy | None = None,
                       replicas: int | None = None,
@@ -117,8 +116,7 @@ class FpgaCluster:
             cost = costs.get(config)
             if cost is None:
                 cost = costs[config] = CostModel(params, config)
-            shards.append(ServingRuntime(cost, name=f"shard{i}",
-                                         tenants=tenants))
+            shards.append(ServingRuntime(cost, name=f"shard{i}"))
         return cls(shards, router=router, fault_plan=fault_plan,
                    retry=retry, replicas=replicas)
 

@@ -9,22 +9,23 @@ values and closed-form cycles are tested against.
 
 from __future__ import annotations
 
-from .config import HardwareConfig
-from .datapath import ModAddSub, PipelinedMultiplier
+from .datapath import (
+    ADDSUB_STAGES,
+    MULTIPLIER_STAGES,
+    ModAddSub,
+    PipelinedMultiplier,
+)
 from .modred import SlidingWindowReducer
 
 
 class ButterflyCore:
     """One of the two butterfly cores inside an RPAU."""
 
-    def __init__(self, modulus: int, config: HardwareConfig) -> None:
+    def __init__(self, modulus: int) -> None:
         self.modulus = modulus
-        self.config = config
-        self.multiplier = PipelinedMultiplier(stages=config.multiplier_stages)
-        self.reducer = SlidingWindowReducer(
-            modulus, window_bits=config.sliding_window_bits
-        )
-        self.addsub = ModAddSub(stages=config.addsub_stages)
+        self.multiplier = PipelinedMultiplier(stages=MULTIPLIER_STAGES)
+        self.reducer = SlidingWindowReducer(modulus)
+        self.addsub = ModAddSub(stages=ADDSUB_STAGES)
 
     @property
     def pipeline_depth(self) -> int:

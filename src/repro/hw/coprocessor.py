@@ -31,8 +31,9 @@ from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
 from ..rns.basis import basis_for, lift_context, scale_context
 from .compiler import compile_add, compile_mult, compile_rotation
-from .config import HardwareConfig
-from .dma import DmaModel
+from .config import DISPATCH_OVERHEAD, STAGE_SYNC_OVERHEAD, HardwareConfig
+from .datapath import ADDSUB_STAGES
+from .dma import ARM_SETUP_SECONDS, transfer_seconds
 from .isa import Instruction, Opcode, Program
 from .lift_unit import HpsLiftUnit, TraditionalLiftUnit
 from .memory_file import MemoryFile
@@ -126,7 +127,6 @@ class Coprocessor:
             self.scale_unit = TraditionalScaleUnit(self._scale_ctx,
                                                    self.config)
         self.memory = MemoryFile(params, self.config)
-        self.dma = DmaModel(self.config)
         self.registers: dict[str, np.ndarray] = {}
         self._relin_key = None
         self._cycle_model: dict[Opcode, int] | None = None
@@ -189,7 +189,7 @@ class Coprocessor:
         """FPGA cycles per call of every opcode whose cost depends only
         on this configuration (Table II's seven rows, CSUB and GALOIS)."""
         if self._cycle_model is None:
-            n, sync = self.params.n, self.config.stage_sync_overhead
+            n, sync = self.params.n, STAGE_SYNC_OVERHEAD
             # One RPAU channel stands for all: the butterfly depth is the
             # same for every 30-bit prime.
             unit = DualCoreNttUnit(n, self.params.q_primes[0], self.config)
@@ -200,9 +200,9 @@ class Coprocessor:
             # pairing) moves one coefficient per cycle through the single
             # permutation write port.
             cmul = n // 2 + depth + sync
-            cadd = n // 2 + self.config.addsub_stages + sync
+            cadd = n // 2 + ADDSUB_STAGES + sync
             rearrange = n + depth + sync
-            dispatch = self.config.dispatch_overhead
+            dispatch = DISPATCH_OVERHEAD
             # Rearranges stream back-to-back with their transform, so no
             # dispatch gap (the paper's 25,006-Arm-cycle row shows the
             # same: it is n + epsilon). tau_g is the rearrange datapath
@@ -234,11 +234,11 @@ class Coprocessor:
             issue = self.params.n
             if ins.meta["decomposition"].raw_rows:
                 issue //= 2
-            return issue + self.config.stage_sync_overhead
+            return issue + STAGE_SYNC_OVERHEAD
         if ins.op is Opcode.LOAD_RLK:
             # One key pair: two polynomial bursts from DDR.
-            seconds = 2 * (self.dma.transfer_seconds(self.params.poly_bytes)
-                           + self.dma.arm_setup_seconds)
+            seconds = 2 * (transfer_seconds(self.params.poly_bytes)
+                           + ARM_SETUP_SECONDS)
             return round(seconds * self.config.fpga_clock_hz)
         return self.instruction_cycle_model()[ins.op]
 

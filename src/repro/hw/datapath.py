@@ -20,19 +20,26 @@ DSP_PER_30X30 = 4
 #: lift (Fig. 6 Block 3): twice the 30x30 tile count.
 DSP_PER_30X60 = 8
 
+#: Operand width of the butterfly's multiplier (the paper's 30-bit primes).
+MULTIPLIER_BITS = 30
+
+#: Pipeline depths that let the butterfly reach 200 MHz (paper Sec. V-A4,
+#: Fig. 4): the 30x30 DSP multiplier and the modular add/sub.
+MULTIPLIER_STAGES = 4
+ADDSUB_STAGES = 1
+
 
 @dataclass(frozen=True)
 class PipelinedMultiplier:
-    """30x30 (or 30x60) integer multiplier built from DSP slices."""
+    """30x30 integer multiplier built from DSP slices."""
 
     stages: int
-    a_bits: int = 30
-    b_bits: int = 30
 
     def multiply(self, a: int, b: int) -> int:
-        if a.bit_length() > self.a_bits or b.bit_length() > self.b_bits:
+        if max(a.bit_length(), b.bit_length()) > MULTIPLIER_BITS:
             raise HardwareModelError(
-                f"operands exceed the {self.a_bits}x{self.b_bits} multiplier"
+                f"operands exceed the {MULTIPLIER_BITS}x{MULTIPLIER_BITS} "
+                f"multiplier"
             )
         return a * b
 

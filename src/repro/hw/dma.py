@@ -22,61 +22,57 @@ paper: the 16 KiB-chunk row lands ~24% low, every other row within
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ParameterError
 from ..utils import chunks
-from .config import HardwareConfig
+from .config import ARM_CLOCK_HZ, DMA_CLOCK_HZ
+
+#: The fit (see module docstring): a 64-bit AXI stream at ~66%
+#: efficiency, a per-chunk re-arm in DMA-clock cycles, and the Arm-side
+#: setup of one transfer job.
+AXI_BYTES_PER_BEAT = 8
+AXI_EFFICIENCY = 0.658
+PER_CHUNK_OVERHEAD_CYCLES = 331
+ARM_SETUP_SECONDS = 14.4e-6
+
+#: Effective payload bandwidth of the Fig. 11 DMA path.
+BYTES_PER_SECOND = DMA_CLOCK_HZ * AXI_BYTES_PER_BEAT * AXI_EFFICIENCY
 
 
-@dataclass(frozen=True)
-class DmaModel:
-    """Parametric transfer-time model for the Fig. 11 DMA path."""
+# -- raw transfers ------------------------------------------------------------
 
-    config: HardwareConfig
-    axi_bytes_per_beat: int = 8
-    axi_efficiency: float = 0.658
-    per_chunk_overhead_cycles: int = 331   # DMA-clock cycles
-    arm_setup_seconds: float = 14.4e-6     # per transfer job
+def transfer_seconds(total_bytes: int,
+                     chunk_bytes: int | None = None) -> float:
+    """DMA-engine time for one transfer, optionally chunked (Table III)."""
+    if total_bytes <= 0:
+        raise ParameterError("transfer size must be positive")
+    if chunk_bytes is None:
+        chunk_bytes = total_bytes
+    pieces = chunks(total_bytes, chunk_bytes)
+    overhead = len(pieces) * (PER_CHUNK_OVERHEAD_CYCLES / DMA_CLOCK_HZ)
+    payload = total_bytes / BYTES_PER_SECOND
+    return overhead + payload
 
-    @property
-    def bytes_per_second(self) -> float:
-        return (self.config.dma_clock_hz * self.axi_bytes_per_beat
-                * self.axi_efficiency)
 
-    # -- raw transfers --------------------------------------------------------------
+def transfer_arm_cycles(total_bytes: int,
+                        chunk_bytes: int | None = None) -> int:
+    """The Arm-cycle counts of Table III."""
+    seconds = transfer_seconds(total_bytes, chunk_bytes)
+    return round(seconds * ARM_CLOCK_HZ)
 
-    def transfer_seconds(self, total_bytes: int,
-                         chunk_bytes: int | None = None) -> float:
-        """DMA-engine time for one transfer, optionally chunked (Table III)."""
-        if total_bytes <= 0:
-            raise ParameterError("transfer size must be positive")
-        if chunk_bytes is None:
-            chunk_bytes = total_bytes
-        pieces = chunks(total_bytes, chunk_bytes)
-        overhead = len(pieces) * (self.per_chunk_overhead_cycles
-                                  / self.config.dma_clock_hz)
-        payload = total_bytes / self.bytes_per_second
-        return overhead + payload
 
-    def transfer_arm_cycles(self, total_bytes: int,
-                            chunk_bytes: int | None = None) -> int:
-        """The Arm-cycle counts of Table III."""
-        seconds = self.transfer_seconds(total_bytes, chunk_bytes)
-        return round(seconds * self.config.arm_clock_hz)
+# -- ciphertext jobs (Table I rows) -------------------------------------------
 
-    # -- ciphertext jobs (Table I rows) --------------------------------------------
+def polynomial_job_seconds(poly_bytes: int, count: int) -> float:
+    """Send/receive `count` polynomials, one burst + setup each."""
+    per_poly = transfer_seconds(poly_bytes) + ARM_SETUP_SECONDS
+    return count * per_poly
 
-    def polynomial_job_seconds(self, poly_bytes: int, count: int) -> float:
-        """Send/receive `count` polynomials, one burst + setup each."""
-        per_poly = self.transfer_seconds(poly_bytes) + self.arm_setup_seconds
-        return count * per_poly
 
-    def send_ciphertexts_seconds(self, poly_bytes: int,
-                                 num_ciphertexts: int) -> float:
-        """Table I 'Send two ciphertexts to HW' with num_ciphertexts = 2."""
-        return self.polynomial_job_seconds(poly_bytes, 2 * num_ciphertexts)
+def send_ciphertexts_seconds(poly_bytes: int, num_ciphertexts: int) -> float:
+    """Table I 'Send two ciphertexts to HW' with num_ciphertexts = 2."""
+    return polynomial_job_seconds(poly_bytes, 2 * num_ciphertexts)
 
-    def receive_ciphertext_seconds(self, poly_bytes: int) -> float:
-        """Table I 'Receive result ciphertext from HW'."""
-        return self.polynomial_job_seconds(poly_bytes, 2)
+
+def receive_ciphertext_seconds(poly_bytes: int) -> float:
+    """Table I 'Receive result ciphertext from HW'."""
+    return polynomial_job_seconds(poly_bytes, 2)

@@ -5,7 +5,7 @@ Two architectures, as implemented in the paper's design-space exploration:
 * :class:`HpsLiftUnit` (Fig. 6) — the fast variant. Block-level pipeline
   of five blocks over 30-bit arithmetic; Block 2 (seven parallel MACs,
   each a six-term sum of products) bounds the throughput at
-  ``hps_block_cycles`` (= 7) cycles per coefficient per core. The
+  ``HPS_BLOCK_CYCLES`` (= 7) cycles per coefficient per core. The
   functional output reuses the *exact* fixed-point tables of
   :mod:`repro.rns.lift`, so the unit is bit-identical to the RTL's
   89-fractional-bit reciprocal datapath.
@@ -21,7 +21,7 @@ import numpy as np
 
 from ..rns.basis import LiftContext
 from ..rns.lift import lift_hps, lift_traditional
-from .config import HardwareConfig
+from .config import HPS_BLOCK_CYCLES, HardwareConfig
 
 #: Calibrated throughput of the Fig. 5 long-integer pipeline (cycles per
 #: coefficient, division-block bound; Sec. VI-C: 4096 coeff in 1.68 ms at
@@ -57,11 +57,11 @@ class HpsLiftUnit:
         return pipeline_total_cycles(per_core, self.block_latencies())
 
     def block_latencies(self) -> tuple[int, ...]:
-        """Fig. 6 per-block latencies with the configured bottleneck
+        """Fig. 6 per-block latencies with the bottleneck
         (paper Sec. V-B2): Block 1 computes the six x'_i "one by one
         taking six cycles"; Block 2's MACs and Blocks 3-5, which emit one
-        residue result per cycle, each take ``hps_block_cycles``."""
-        bottleneck = self.config.hps_block_cycles
+        residue result per cycle, each take ``HPS_BLOCK_CYCLES``."""
+        bottleneck = HPS_BLOCK_CYCLES
         return (6, bottleneck, bottleneck, bottleneck, bottleneck)
 
     # -- structural figures (resource model) ---------------------------------------

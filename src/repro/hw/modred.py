@@ -21,11 +21,14 @@ from ..errors import HardwareModelError, ParameterError
 RESIDUE_BITS = 30
 """Width of the reduced result (the paper's 30-bit primes)."""
 
+WINDOW_BITS = 6
+"""Bits of the operand each step retires (the paper's 6-bit window)."""
+
 
 class SlidingWindowReducer:
     """Reduction of a 60-bit product modulo one 30-bit prime."""
 
-    def __init__(self, modulus: int, window_bits: int = 6) -> None:
+    def __init__(self, modulus: int) -> None:
         if modulus.bit_length() > RESIDUE_BITS:
             raise ParameterError(
                 f"modulus {modulus} wider than the {RESIDUE_BITS}-bit datapath"
@@ -33,18 +36,17 @@ class SlidingWindowReducer:
         if modulus < 2:
             raise ParameterError("modulus must be at least 2")
         self.modulus = modulus
-        self.window_bits = window_bits
         self.input_bits = 2 * RESIDUE_BITS
         # Table of w * 2^RESIDUE_BITS mod q for each window value w. The
         # RTL keeps one such ROM per supported prime of the RPAU.
         self.table = np.array(
-            [(w << RESIDUE_BITS) % modulus for w in range(1 << window_bits)],
+            [(w << RESIDUE_BITS) % modulus for w in range(1 << WINDOW_BITS)],
             dtype=np.int64,
         )
-        # Number of unrolled steps: each step removes `window_bits` bits
+        # Number of unrolled steps: each step removes WINDOW_BITS bits
         # above bit RESIDUE_BITS until at most 31 bits remain.
         excess = self.input_bits - (RESIDUE_BITS + 1)
-        self.steps = -(-excess // window_bits)
+        self.steps = -(-excess // WINDOW_BITS)
 
     # -- structural properties (consumed by the resource model) -------------------
 
@@ -66,7 +68,7 @@ class SlidingWindowReducer:
             if work.bit_length() <= RESIDUE_BITS + 1:
                 # The RTL still burns the stage; the value passes through.
                 continue
-            shift = work.bit_length() - self.window_bits
+            shift = work.bit_length() - WINDOW_BITS
             # Keep the window anchored above bit RESIDUE_BITS.
             shift = max(shift, RESIDUE_BITS)
             window = work >> shift

@@ -38,7 +38,7 @@ from ..nttmath.ntt import NegacyclicTransformer
 from ..utils import log2_exact
 from .bram import PairedPolyMemory
 from .butterfly import ButterflyCore
-from .config import HardwareConfig
+from .config import STAGE_SYNC_OVERHEAD, TWIDDLE_BUBBLE_FRACTION, HardwareConfig
 
 
 def _drop_bit(value: int, bit: int) -> int:
@@ -227,7 +227,7 @@ class DualCoreNttUnit:
         self.schedule = NttSchedule(n, self.cores)
         self.memory = PairedPolyMemory(n)
         self.butterflies = [
-            ButterflyCore(modulus, config) for _ in range(self.cores)
+            ButterflyCore(modulus) for _ in range(self.cores)
         ]
         self.transformer = NegacyclicTransformer(n, modulus)
         self._depth = self.butterflies[0].pipeline_depth
@@ -238,15 +238,13 @@ class DualCoreNttUnit:
         """Closed-form cycles of one transform under the Fig. 3 schedule.
 
         With the twiddle ROM this is exactly what :meth:`run_strict`
-        steps through. Without it, ``twiddle_bubble_fraction`` stretches
+        steps through. Without it, ``TWIDDLE_BUBBLE_FRACTION`` stretches
         every stage's issue: a calibrated term of the closed form (prior
         work's on-the-fly twiddle generation), not a stepped one.
         """
-        bubble = 0.0 if self.config.twiddle_rom else (
-            self.config.twiddle_bubble_fraction
-        )
+        bubble = 0.0 if self.config.twiddle_rom else TWIDDLE_BUBBLE_FRACTION
         return self.schedule.total_cycles(
-            self._depth, self.config.stage_sync_overhead, bubble,
+            self._depth, STAGE_SYNC_OVERHEAD, bubble,
         )
 
     def scale_pass_cycles(self) -> int:
@@ -256,7 +254,7 @@ class DualCoreNttUnit:
         per word means one word per two cycles, so n / cores issue cycles.
         """
         issue = self.n // self.cores
-        return issue + self._depth + self.config.stage_sync_overhead
+        return issue + self._depth + STAGE_SYNC_OVERHEAD
 
     # -- strict executor ---------------------------------------------------------------
 
@@ -286,7 +284,7 @@ class DualCoreNttUnit:
         total_cycles = 0
         for stage in range(1, self.schedule.log_n + 1):
             total_cycles += self._run_stage_strict(stage, tables[stage - 1])
-            total_cycles += self.config.stage_sync_overhead
+            total_cycles += STAGE_SYNC_OVERHEAD
         result = self._unload_final()
         if inverse:
             post = (self.transformer.inv_n

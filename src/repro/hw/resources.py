@@ -81,14 +81,16 @@ class ResourceEstimator:
 
     # -- per-subsystem estimates ----------------------------------------------------
 
+    def _num_rpaus(self) -> int:
+        """One RPAU per residue channel of the wider basis, as the cycle
+        model prices a row batch."""
+        return max(self.params.k_q, self.params.k_p)
+
     def butterfly_count(self) -> int:
-        num_rpaus = min(self.config.num_rpaus,
-                        max(self.params.k_q, self.params.k_p))
-        return num_rpaus * self.config.butterfly_cores_per_rpau
+        return self._num_rpaus() * self.config.butterfly_cores_per_rpau
 
     def rpau_utilization(self) -> Utilization:
-        num_rpaus = min(self.config.num_rpaus,
-                        max(self.params.k_q, self.params.k_p))
+        num_rpaus = self._num_rpaus()
         butterflies = self.butterfly_count()
         return Utilization(
             luts=(butterflies * LUT_PER_BUTTERFLY

@@ -5,7 +5,7 @@
   to the q-basis *through the lift datapath* (the hardware literally
   reuses the Fig. 6 pipeline; this model reuses its cycle formula). All
   blocks run in the same block-level pipeline, so throughput stays at
-  ``hps_block_cycles`` cycles per coefficient per core and the overall
+  ``HPS_BLOCK_CYCLES`` cycles per coefficient per core and the overall
   Scale time lands within a pipeline-fill of the Lift time — reproducing
   the near-equality of the paper's Table II rows.
 * :class:`TraditionalScaleUnit` (Fig. 8) — multi-precision: reconstruct
@@ -21,7 +21,7 @@ import numpy as np
 
 from ..rns.basis import ScaleContext
 from ..rns.scale import scale_hps, scale_traditional
-from .config import HardwareConfig
+from .config import HPS_BLOCK_CYCLES, HardwareConfig
 
 #: Calibrated Fig. 8 throughput (Sec. VI-C: 4096 coeff in 4.3 ms at
 #: 225 MHz = 236 cycles/coeff; the paper attributes the ~4x over Lift to
@@ -55,7 +55,7 @@ class HpsScaleUnit:
 
     def block_latencies(self) -> tuple[int, ...]:
         """Fig. 9's four front blocks plus the reused Fig. 6 chain."""
-        b = self.config.hps_block_cycles
+        b = HPS_BLOCK_CYCLES
         return (b, b, 6, b) + (6, b, b, b, b)
 
     # -- structural figures ------------------------------------------------------------

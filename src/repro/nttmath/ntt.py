@@ -163,7 +163,7 @@ class NegacyclicTransformer:
 
     n: int
     modulus: int
-    psi: int = field(default=0)
+    psi: int = field(init=False)
 
     def __post_init__(self) -> None:
         log2_exact(self.n)
@@ -173,8 +173,7 @@ class NegacyclicTransformer:
                 f"modulus {self.modulus} is not NTT-friendly for degree "
                 f"{self.n}: need modulus ≡ 1 (mod {2 * self.n})"
             )
-        if not self.psi:
-            self.psi = root_of_unity(2 * self.n, self.modulus)
+        self.psi = root_of_unity(2 * self.n, self.modulus)
         self.omega = (self.psi * self.psi) % self.modulus
         self.inv_psi = modinv(self.psi, self.modulus)
         self.inv_omega = modinv(self.omega, self.modulus)

@@ -16,6 +16,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..hw.dma import ARM_SETUP_SECONDS, transfer_seconds
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..system.server import CostModel
     from .schedulers import QueueEntry
@@ -50,9 +52,7 @@ class DmaBatcher:
                  policy: BatchPolicy | None = None) -> None:
         self.cost = cost
         self.policy = BatchPolicy.none() if policy is None else policy
-        dma = cost.dma
-        self._burst_seconds = dma.transfer_seconds(cost.params.poly_bytes)
-        self._setup_seconds = dma.arm_setup_seconds
+        self._burst_seconds = transfer_seconds(cost.params.poly_bytes)
 
     @property
     def max_jobs(self) -> int:
@@ -75,8 +75,8 @@ class DmaBatcher:
         bursts_out = sum(e.job.polys_out for e in entries)
         # A direction that moves no bursts (all-resident operands or
         # no downloads) pays no Arm setup either.
-        upload = (bursts_in * self._burst_seconds + self._setup_seconds
+        upload = (bursts_in * self._burst_seconds + ARM_SETUP_SECONDS
                   if bursts_in else 0.0)
-        download = (bursts_out * self._burst_seconds + self._setup_seconds
+        download = (bursts_out * self._burst_seconds + ARM_SETUP_SECONDS
                     if bursts_out else 0.0)
         return upload + compute + download

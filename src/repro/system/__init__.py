@@ -13,7 +13,6 @@ The discrete-event serving runtime built on these models lives in
 :mod:`repro.serve`.
 """
 
-from .arm import ArmCoreModel
 from .baseline import SoftwareBaseline
 from .server import CostModel
 from .workloads import (
@@ -25,7 +24,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "ArmCoreModel",
     "SoftwareBaseline",
     "CostModel",
     "Job",

@@ -11,29 +11,19 @@ drives the HW-vs-SW Add comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..hw.config import HardwareConfig
+from ..hw.config import ARM_CLOCK_HZ
 from ..params import ParameterSet
 
 #: Calibrated from Table I: 54,680,467 cycles / (2 * 6 * 4096) additions.
 ARM_CYCLES_PER_MODADD = 1112
 
 
-@dataclass(frozen=True)
-class ArmCoreModel:
-    """One Cortex-A53 application core of the processing system."""
+def add_in_sw_cycles(params: ParameterSet) -> int:
+    """FV.Add in software on one Cortex-A53 application core:
+    coefficient-wise addition of two parts."""
+    additions = 2 * params.k_q * params.n
+    return additions * ARM_CYCLES_PER_MODADD
 
-    config: HardwareConfig
 
-    @property
-    def clock_hz(self) -> int:
-        return self.config.arm_clock_hz
-
-    def add_in_sw_cycles(self, params: ParameterSet) -> int:
-        """FV.Add in software: coefficient-wise addition of two parts."""
-        additions = 2 * params.k_q * params.n
-        return additions * ARM_CYCLES_PER_MODADD
-
-    def add_in_sw_seconds(self, params: ParameterSet) -> float:
-        return self.add_in_sw_cycles(params) / self.clock_hz
+def add_in_sw_seconds(params: ParameterSet) -> float:
+    return add_in_sw_cycles(params) / ARM_CLOCK_HZ

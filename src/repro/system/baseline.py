@@ -92,12 +92,11 @@ class SoftwareBaseline:
     """The Intel i5 / FV-NFLlib reference point."""
 
     params: ParameterSet
-    clock_hz: int = I5_CLOCK_HZ
 
     def _seconds(self, ops: OperationCounts) -> float:
         cycles = (ops.modmuls * I5_CYCLES_PER_MODMUL
                   + ops.modadds * I5_CYCLES_PER_MODADD)
-        return cycles / self.clock_hz
+        return cycles / I5_CLOCK_HZ
 
     def mult_seconds(self) -> float:
         return self._seconds(count_mult_operations(self.params))

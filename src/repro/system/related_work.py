@@ -29,9 +29,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from ..hw.config import HardwareConfig, slow_coprocessor_config
+from ..hw.config import ARM_CLOCK_HZ, HardwareConfig, slow_coprocessor_config
 from ..hw.coprocessor import Coprocessor
-from ..hw.dma import DmaModel
+from ..hw.dma import transfer_arm_cycles
 from ..hw.isa import Opcode
 from ..hw.lift_unit import HpsLiftUnit, TraditionalLiftUnit
 from ..hw.ntt_unit import DualCoreNttUnit
@@ -41,7 +41,7 @@ from ..hw.scale_unit import TraditionalScaleUnit
 from ..hw.scaling import scaling_table
 from ..params import hpca19
 from ..rns.basis import lift_context, scale_context
-from .arm import ArmCoreModel
+from .arm import add_in_sw_cycles
 from .baseline import SoftwareBaseline
 from .server import CostModel
 from .workloads import JobKind
@@ -161,12 +161,12 @@ def _cost(config: HardwareConfig | None = None) -> CostModel:
 
 
 def _arm_cycles(seconds: float) -> float:
-    return seconds * HardwareConfig().arm_clock_hz
+    return seconds * ARM_CLOCK_HZ
 
 
 def _transfer(chunk_bytes: int | None) -> Callable[[], int]:
-    return lambda: DmaModel(HardwareConfig()).transfer_arm_cycles(
-        hpca19().poly_bytes, chunk_bytes=chunk_bytes)
+    return lambda: transfer_arm_cycles(hpca19().poly_bytes,
+                                       chunk_bytes=chunk_bytes)
 
 
 def _resources(design: Callable[[ResourceEstimator], Utilization],
@@ -256,8 +256,8 @@ PAPER_RECORD: dict[tuple[str, str], PaperRow] = {
             _cost().compute_seconds(JobKind.MULT)), 0.045),
         PaperRow("Table I", "Add in HW", 31_339, lambda: _arm_cycles(
             _cost().compute_seconds(JobKind.ADD)), 0.035),
-        PaperRow("Table I", "Add in SW", 54_680_467, lambda: ArmCoreModel(
-            HardwareConfig()).add_in_sw_cycles(hpca19()), 0.005),
+        PaperRow("Table I", "Add in SW", 54_680_467,
+                 lambda: add_in_sw_cycles(hpca19()), 0.005),
         PaperRow("Table I", "Send two ciphertexts", 434_013,
                  lambda: _arm_cycles(_cost().transfer_in_seconds()), 0.005),
         PaperRow("Table I", "Receive result", 215_697,

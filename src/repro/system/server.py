@@ -15,6 +15,7 @@ simulator of a board; a cluster is N runtimes behind a router
 
 from __future__ import annotations
 
+from ..hw import dma
 from ..hw.compiler import (
     compile_add,
     compile_mul_plain,
@@ -25,10 +26,9 @@ from ..hw.compiler import (
 )
 from ..hw.config import HardwareConfig
 from ..hw.coprocessor import Coprocessor
-from ..hw.dma import DmaModel
 from ..hw.isa import Opcode, Program
 from ..params import ParameterSet
-from .arm import ArmCoreModel
+from .arm import add_in_sw_seconds
 from .workloads import Job, JobKind
 
 
@@ -60,7 +60,6 @@ class CostModel:
                  config: HardwareConfig | None = None) -> None:
         self.params = params
         self.config = config or HardwareConfig()
-        self.dma = DmaModel(self.config)
         # One functional coprocessor is enough to derive the per-op
         # latencies; the scheduler replicates its timing N times.
         self.reference = Coprocessor(params, self.config)
@@ -76,10 +75,10 @@ class CostModel:
 
     def transfer_in_seconds(self) -> float:
         """Sending a job's two operand ciphertexts to the board."""
-        return self.dma.send_ciphertexts_seconds(self.params.poly_bytes, 2)
+        return dma.send_ciphertexts_seconds(self.params.poly_bytes, 2)
 
     def transfer_out_seconds(self) -> float:
-        return self.dma.receive_ciphertext_seconds(self.params.poly_bytes)
+        return dma.receive_ciphertext_seconds(self.params.poly_bytes)
 
     # -- compute -----------------------------------------------------------------------
 
@@ -112,11 +111,9 @@ class CostModel:
         if price is None:
             kind, polys_in, polys_out = shape
             poly_bytes = self.params.poly_bytes
-            transfer_in = (self.dma.polynomial_job_seconds(poly_bytes,
-                                                           polys_in)
+            transfer_in = (dma.polynomial_job_seconds(poly_bytes, polys_in)
                            if polys_in else 0.0)
-            transfer_out = (self.dma.polynomial_job_seconds(poly_bytes,
-                                                            polys_out)
+            transfer_out = (dma.polynomial_job_seconds(poly_bytes, polys_out)
                             if polys_out else 0.0)
             price = self._job_cache[shape] = (
                 transfer_in + self.compute_seconds(kind) + transfer_out)
@@ -131,5 +128,5 @@ class CostModel:
 
     def add_speedup_over_sw(self) -> float:
         """Table I: Add in SW / Add in HW (incl. transfers) ~ 80x."""
-        sw = ArmCoreModel(self.config).add_in_sw_seconds(self.params)
+        sw = add_in_sw_seconds(self.params)
         return sw / self.job_seconds(JobKind.ADD)

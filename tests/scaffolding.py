@@ -1,7 +1,7 @@
 """Test scaffolding: the smallest parameter set, two synthetic job
-streams, big-integer residue rows and a metrics registry read back as a
-mapping. No runtime, example or benchmark uses them, so they live with
-the tests."""
+streams, a cluster whose boards admit by a tenant set, big-integer
+residue rows and a metrics registry read back as a mapping. No runtime,
+example or benchmark uses them, so they live with the tests."""
 
 from __future__ import annotations
 
@@ -9,9 +9,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.cluster import FpgaCluster
+from repro.hw.config import HardwareConfig
 from repro.obs import MetricsRegistry, render_prometheus
 from repro.params import ParameterSet, _build
 from repro.rns.basis import RnsBasis
+from repro.serve import ServingRuntime, TenantSet
+from repro.system.server import CostModel
 from repro.system.workloads import Job, JobKind
 
 
@@ -48,6 +52,18 @@ def mixed_workload(mults: int, adds_per_mult: int,
     # Shuffle deterministically: clients interleave.
     order = rng.permutation(len(jobs))
     return [jobs[i] for i in order]
+
+
+def tenant_cluster(params: ParameterSet, num_shards: int,
+                   tenants: TenantSet, **kwargs) -> FpgaCluster:
+    """``num_shards`` boards of the paper's design, each admitting by
+    ``tenants`` (per-tenant queue caps and SLAs), sharing one cost
+    model and named as ``FpgaCluster.homogeneous`` names its shards;
+    ``kwargs`` go to :class:`FpgaCluster`."""
+    cost = CostModel(params, HardwareConfig())
+    return FpgaCluster([ServingRuntime(cost, name=f"shard{i}",
+                                       tenants=tenants)
+                        for i in range(num_shards)], **kwargs)
 
 
 def residues_of_coeffs(basis: RnsBasis, coeffs) -> np.ndarray:

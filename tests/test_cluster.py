@@ -44,7 +44,7 @@ from repro.system.workloads import (
     tenant_name,
     zipf_tenant_rates,
 )
-from scaffolding import mult_stream
+from scaffolding import mult_stream, tenant_cluster
 
 PARAMS = hpca19()
 
@@ -322,8 +322,8 @@ class TestBackpressure:
         jobs = [Job(index=i, kind=JobKind.MULT, tenant="hot",
                     arrival_seconds=i * 1.2e-3) for i in range(200)]
         tenants = TenantSet.of(Tenant("hot", max_queue_depth=4))
-        cluster = FpgaCluster.homogeneous(
-            PARAMS, 4, router=TenantAffinityRouter(), tenants=tenants)
+        cluster = tenant_cluster(PARAMS, 4, tenants,
+                                 router=TenantAffinityRouter())
         report = cluster.run(jobs)
         check_cluster_conservation(report, jobs)
         assert report.reroutes > 0
@@ -337,8 +337,8 @@ class TestBackpressure:
         tenants = TenantSet.of(Tenant("capped", max_queue_depth=2))
         jobs = [Job(index=i, kind=JobKind.MULT, tenant="capped")
                 for i in range(40)]
-        cluster = FpgaCluster.homogeneous(
-            PARAMS, 2, router=TenantAffinityRouter(), tenants=tenants)
+        cluster = tenant_cluster(PARAMS, 2, tenants,
+                                 router=TenantAffinityRouter())
         report = cluster.run(jobs)
         check_cluster_conservation(report, jobs)
         shard_rejections = [r for shard in report.shard_reports
@@ -516,7 +516,7 @@ class TestRejectionOnlyAggregation:
                     arrival_seconds=0.001 * (i + 1))
                 for i in range(10)]
         tenants = TenantSet.of(Tenant(DEFAULT_TENANT, max_queue_depth=0))
-        report = FpgaCluster.homogeneous(PARAMS, 2, tenants=tenants).run(jobs)
+        report = tenant_cluster(PARAMS, 2, tenants).run(jobs)
         check_cluster_conservation(report, jobs)
         assert report.completed == 0
         assert len(report.rejected) == 10

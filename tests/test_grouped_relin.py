@@ -182,8 +182,7 @@ class TestTable5DirectValidation:
         context = FvContext(params, seed=3)
         keys = context.keygen()
         grouped = context.relin_keygen(keys.secret, GROUPS_OF_2)
-        config = replace(HardwareConfig(), num_rpaus=13, lift_cores=4,
-                         scale_cores=4)
+        config = replace(HardwareConfig(), lift_cores=4, scale_cores=4)
         return params, context, keys, grouped, config
 
     @pytest.fixture(scope="class")

@@ -23,7 +23,11 @@ from repro.hw.compiler import (
     compile_relin,
     compile_rotation,
 )
-from repro.hw.config import HardwareConfig, slow_coprocessor_config
+from repro.hw.config import (
+    DISPATCH_OVERHEAD,
+    HardwareConfig,
+    slow_coprocessor_config,
+)
 from repro.hw.coprocessor import Coprocessor, InstructionStat
 from repro.hw.isa import Opcode, Program
 from repro.nttmath.batch import intt_rows, ntt_rows
@@ -388,7 +392,7 @@ class TestDatapaths:
         the datapath cycles, net of the dispatch gap a rearrange (which
         streams with its transform) does not pay."""
         model = Coprocessor(mini_params).instruction_cycle_model()
-        dispatch = CONFIG.dispatch_overhead
+        dispatch = DISPATCH_OVERHEAD
         cadd = model[Opcode.CADD] - dispatch
         cmul = model[Opcode.CMUL] - dispatch
         assert cadd <= cmul < model[Opcode.REARRANGE]

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from repro.errors import HardwareModelError, ParameterError
 from repro.hw.butterfly import ButterflyCore
-from repro.hw.config import HardwareConfig
-from repro.hw.datapath import ModAddSub, PipelinedMultiplier
+from repro.hw.datapath import (
+    ADDSUB_STAGES,
+    MULTIPLIER_STAGES,
+    ModAddSub,
+    PipelinedMultiplier,
+)
 from repro.hw.modred import SlidingWindowReducer
 from repro.params import hpca19
 
 PRIMES = hpca19().q_primes + hpca19().p_primes
-CONFIG = HardwareConfig()
 
 
 class TestSlidingWindowReducer:
@@ -42,23 +45,16 @@ class TestSlidingWindowReducer:
 
     def test_table_contents(self):
         prime = PRIMES[0]
-        reducer = SlidingWindowReducer(prime, window_bits=6)
+        reducer = SlidingWindowReducer(prime)
         assert len(reducer.table) == 64
         for w in range(64):
             assert reducer.table[w] == (w << 30) % prime
 
     def test_paper_structure(self):
         """6-bit window over a 60-bit operand: 5 steps + correction."""
-        reducer = SlidingWindowReducer(PRIMES[0], window_bits=6)
+        reducer = SlidingWindowReducer(PRIMES[0])
         assert reducer.steps == 5
         assert reducer.pipeline_stages == 6
-
-    def test_window_size_tradeoff(self):
-        """Wider windows need fewer steps but bigger tables."""
-        narrow = SlidingWindowReducer(PRIMES[0], window_bits=4)
-        wide = SlidingWindowReducer(PRIMES[0], window_bits=8)
-        assert narrow.steps > wide.steps
-        assert len(narrow.table) < len(wide.table)
 
     def test_rejects_wide_modulus(self):
         with pytest.raises(ParameterError):
@@ -109,7 +105,7 @@ class TestModAddSub:
 class TestButterflyCore:
     @pytest.fixture(scope="class")
     def core(self):
-        return ButterflyCore(PRIMES[0], CONFIG)
+        return ButterflyCore(PRIMES[0])
 
     def test_butterfly_equation(self, core, rng):
         prime = PRIMES[0]
@@ -122,7 +118,7 @@ class TestButterflyCore:
             assert lo == (u - w * t) % prime
 
     def test_pipeline_depth_composition(self, core):
-        expected = (CONFIG.multiplier_stages
+        expected = (MULTIPLIER_STAGES
                     + core.reducer.pipeline_stages
-                    + CONFIG.addsub_stages)
+                    + ADDSUB_STAGES)
         assert core.pipeline_depth == expected

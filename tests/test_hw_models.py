@@ -6,8 +6,13 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ParameterError
-from repro.hw.config import HardwareConfig, slow_coprocessor_config
-from repro.hw.dma import DmaModel
+from repro.hw import dma
+from repro.hw.config import (
+    ARM_CLOCK_HZ,
+    DMA_CLOCK_HZ,
+    HardwareConfig,
+    slow_coprocessor_config,
+)
 from repro.hw.power import PowerModel
 from repro.hw.resources import (
     ZCU102_BRAM36,
@@ -18,7 +23,7 @@ from repro.hw.resources import (
     Utilization,
 )
 from repro.hw.scaling import scaling_table
-from repro.params import hpca19
+from repro.params import hpca19, table5_large
 from repro.system.related_work import PAPER_RECORD, paper_rows
 
 CONFIG = HardwareConfig()
@@ -34,11 +39,13 @@ def _table5(column: str) -> list[float]:
 class TestHardwareConfig:
     def test_paper_clocks(self):
         assert CONFIG.fpga_clock_hz == 200_000_000
-        assert CONFIG.arm_clock_hz == 1_200_000_000
-        assert CONFIG.dma_clock_hz == 250_000_000
+        assert ARM_CLOCK_HZ == 1_200_000_000
+        assert DMA_CLOCK_HZ == 250_000_000
 
     def test_paper_parallelism(self):
-        assert CONFIG.num_rpaus == 7
+        """Seven RPAUs (one per channel of the 7-prime p basis) of two
+        butterfly cores each."""
+        assert ResourceEstimator(hpca19(), CONFIG).butterfly_count() == 14
         assert CONFIG.butterfly_cores_per_rpau == 2
         assert CONFIG.lift_cores == 2
         assert CONFIG.num_coprocessors == 2
@@ -58,16 +65,10 @@ class TestHardwareConfig:
             HardwareConfig(butterfly_cores_per_rpau=3)
         with pytest.raises(ParameterError):
             HardwareConfig(lift_cores=0)
-        with pytest.raises(ParameterError):
-            HardwareConfig(sliding_window_bits=0)
 
 
 class TestDmaModel:
-    @pytest.fixture(scope="class")
-    def dma(self):
-        return DmaModel(CONFIG)
-
-    def test_16k_chunks_direction(self, dma):
+    def test_16k_chunks_direction(self):
         """Table III row 2: 16 KiB chunks slower than one burst, faster
         than 1 KiB chunks (the fitted model lands ~24% below the paper;
         its record row gates that gap)."""
@@ -76,11 +77,11 @@ class TestDmaModel:
         chunk1 = dma.transfer_arm_cycles(POLY_BYTES, chunk_bytes=1024)
         assert single < chunk16 < chunk1
 
-    def test_rejects_empty_transfer(self, dma):
+    def test_rejects_empty_transfer(self):
         with pytest.raises(ParameterError):
             dma.transfer_seconds(0)
 
-    def test_bandwidth_scales_time(self, dma):
+    def test_bandwidth_scales_time(self):
         assert dma.transfer_seconds(2 * POLY_BYTES) > \
             dma.transfer_seconds(POLY_BYTES)
 
@@ -108,6 +109,13 @@ class TestResourceEstimator:
         # Memory holds every BRAM; 14 butterflies x 4 DSPs at least.
         assert estimator.memory_utilization().bram36 == single.bram36
         assert estimator.rpau_utilization().dsps >= 56
+
+    def test_one_rpau_per_channel(self):
+        """The RPAU count is the wider basis' channel count, as the cycle
+        model prices a row batch: 13 at the second Table V point."""
+        params = table5_large()
+        assert ResourceEstimator(params, CONFIG).butterfly_count() == \
+            max(params.k_q, params.k_p) * CONFIG.butterfly_cores_per_rpau
 
     def test_structural_scaling_with_cores(self):
         base = ResourceEstimator(hpca19(), CONFIG).single_coprocessor()
@@ -141,7 +149,7 @@ class TestScalingModel:
         """Seeded with the paper's own Table I Mult and transfers, so the
         Sec. VI-D growth rule is checked apart from the model's Mult."""
         def seconds(label):
-            return PAPER_RECORD["Table I", label].paper / CONFIG.arm_clock_hz
+            return PAPER_RECORD["Table I", label].paper / ARM_CLOCK_HZ
 
         base = ResourceEstimator(hpca19(), CONFIG).single_coprocessor()
         return scaling_table(

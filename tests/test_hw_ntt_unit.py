@@ -256,7 +256,7 @@ class TestSteppedOracle:
     those instructions are charged.
 
     The cycle equality is the twiddle-ROM design's. Without the ROM,
-    ``twiddle_bubble_fraction`` is a calibrated term of the closed form,
+    ``TWIDDLE_BUBBLE_FRACTION`` is a calibrated term of the closed form,
     not one the stepper executes, so the no-ROM design has no stepped
     oracle for its cycles.
     """

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import IsaError
-from repro.hw.config import HardwareConfig, slow_coprocessor_config
+from repro.hw.config import (
+    DISPATCH_OVERHEAD,
+    HPS_BLOCK_CYCLES,
+    HardwareConfig,
+    slow_coprocessor_config,
+)
 from repro.hw.isa import Instruction, Opcode, Program
 from repro.hw.lift_unit import (
     HpsLiftUnit,
@@ -74,13 +79,13 @@ class TestHpsLiftUnit:
         unit = HpsLiftUnit(lift_ctx, CONFIG)
         small = unit.cycles(64 * CONFIG.lift_cores)
         large = unit.cycles(65 * CONFIG.lift_cores)
-        assert large - small == CONFIG.hps_block_cycles
+        assert large - small == HPS_BLOCK_CYCLES
 
     def test_paper_lift_time(self, paper_params):
         """Table II: Lift with two cores in under 0.1 ms."""
         ctx = lift_context(paper_params.q_primes, paper_params.p_primes)
         unit = HpsLiftUnit(ctx, CONFIG)
-        seconds = (unit.cycles(4096) + CONFIG.dispatch_overhead) \
+        seconds = (unit.cycles(4096) + DISPATCH_OVERHEAD) \
             / CONFIG.fpga_clock_hz
         assert seconds < 100e-6
 

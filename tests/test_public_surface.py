@@ -19,14 +19,26 @@ The same holds for options: every defaulted parameter of a public
 function, method, classmethod or ``__init__`` must be passed, by keyword
 or by position, by some call in those places. A call is matched by the
 callee's bare name, as references are; ``cls(...)`` inside a class
-calls that class, a ``**kwargs`` forward passes every parameter, and
-the benchmark's ``bind(fn, ...)`` is a call of ``fn``. A parameter no
-caller sets is a second configuration only tests reach.
+calls that class, and the benchmark's ``bind(fn, ...)`` is a call of
+``fn``. A ``**kwargs`` forward of the enclosing function's own ``**``
+parameter passes the keywords that function's callers pass; any other
+``**mapping`` passes every parameter. A parameter no caller sets is a
+second configuration only tests reach.
+
+Dataclass fields are options too: every field with a default of a
+public ``@dataclass`` (``default_factory`` and ``init=False`` fields
+aside) must be set by some call there — a call of the class by
+keyword, by position in field order or through a forward, or a
+``replace(obj, field=...)``. A field that ``src/repro`` code other
+than its own class's ``__post_init__`` assigns (an attribute or item
+store, an in-place operator, an ``.append``-style call, ``setattr``) is
+state, not an option, and is not scanned.
 
 A name with no caller must be on :data:`ALLOWED` (a method on
-:data:`ALLOWED_METHODS`, a parameter on :data:`ALLOWED_PARAMETERS`)
-with a one-line reason, and an entry whose name gained a caller or no
-longer exists fails too, so the lists can only shrink with the code.
+:data:`ALLOWED_METHODS`, a parameter on :data:`ALLOWED_PARAMETERS`, a
+field on :data:`ALLOWED_FIELDS`) with a one-line reason, and an entry
+whose name gained a caller or no longer exists fails too, so the lists
+can only shrink with the code.
 
 Two checks keep the import surface honest as names go: every
 ``__all__`` in ``src/repro`` lists only attributes its module has, and
@@ -82,6 +94,20 @@ ALLOWED_PARAMETERS = {
     "fv.scheme.FvContext.relin_keygen(decomposition)":
         "the digit decomposition, parameter-set data once the ROADMAP "
         "digit item (HEAX's dnum) lands",
+}
+
+#: Dataclass fields no caller outside tests sets, each with its reason.
+ALLOWED_FIELDS = {
+    "faults.retry.RetryPolicy.max_attempts":
+        "a budget of one attempt is the only way to reach the "
+        "retry-budget / jobs_lost path",
+    "faults.retry.RetryPolicy.base_backoff_seconds":
+        "the retry delay a serving pin's timeline is built on",
+    "faults.retry.RetryPolicy.jitter":
+        "no-jitter backoff, whose delays the serving pins check exactly",
+    "rns.decompose.WordDecomp.group_size":
+        "the grouped digits, parameter-set data once the ROADMAP digit "
+        "item (HEAX's dnum) lands",
 }
 
 
@@ -229,16 +255,37 @@ def _public_callables(modules: dict[str, ast.AST]):
                            method.name, method, bound)
 
 
+def _forwarded(fn: ast.FunctionDef, owner: dict[int, str],
+               keyword: ast.keyword) -> tuple[str, frozenset[str]] | None:
+    """``(called as, named parameters)`` of ``fn`` when the ``**name``
+    ``keyword`` forwards ``fn``'s own ``**`` parameter; ``None`` when it
+    is any other mapping, which may hold any keyword."""
+    if (fn is None or fn.args.kwarg is None
+            or getattr(keyword.value, "id", None) != fn.args.kwarg.arg):
+        return None
+    args = fn.args
+    named = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    called_as = (owner.get(id(fn), fn.name) if fn.name == "__init__"
+                 else fn.name)
+    return called_as, frozenset(named)
+
+
 def _calls(trees) -> dict[str, list[tuple[int, set[str], bool]]]:
     """Every call under ``trees``, by the callee's bare name: the number
     of positional arguments before any ``*args``, the keywords, and
-    whether a ``**kwargs`` forward passes everything else."""
-    calls: dict[str, list] = {}
+    whether a ``**mapping`` passes everything else. A ``**kwargs``
+    forward of the enclosing function's own ``**`` parameter passes the
+    keywords that function's callers pass (less its named parameters);
+    any other ``**mapping`` passes everything."""
+    raw: dict[str, list] = {}
     for tree in trees:
         aliases = _aliases(tree)
         owner = {id(sub): node.name for node in ast.walk(tree)
                  if isinstance(node, ast.ClassDef)
                  for sub in ast.walk(node)}
+        enclosing = {id(sub): node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     for sub in ast.walk(node) if sub is not node}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -257,11 +304,34 @@ def _calls(trees) -> dict[str, list[tuple[int, set[str], bool]]]:
                 continue
             positional = next((i for i, arg in enumerate(args)
                                if isinstance(arg, ast.Starred)), len(args))
-            calls.setdefault(name, []).append((
-                positional,
-                {k.arg for k in node.keywords if k.arg},
-                any(k.arg is None for k in node.keywords)))
-    return calls
+            forwards = [_forwarded(enclosing.get(id(node)), owner, k)
+                        for k in node.keywords if k.arg is None]
+            raw.setdefault(name, []).append((
+                positional, {k.arg for k in node.keywords if k.arg},
+                forwards))
+
+    def expand(named: set[str], forwards: list,
+               seen: frozenset[str]) -> tuple[set[str], bool]:
+        """The keywords one call passes, with its forwards followed to
+        the forwarder's callers, and whether it passes everything."""
+        keywords, everything = set(named), False
+        for forward in forwards:
+            if forward is None:
+                everything = True
+                continue
+            forwarder, own = forward
+            if forwarder in seen:
+                continue
+            for _, more_named, more_forwards in raw.get(forwarder, ()):
+                more, every = expand(more_named, more_forwards,
+                                     seen | {forwarder})
+                keywords |= more - own
+                everything |= every
+        return keywords, everything
+
+    return {name: [(positional, *expand(named, forwards, frozenset()))
+                   for positional, named, forwards in found]
+            for name, found in raw.items()}
 
 
 def _unpassed_parameters(modules: dict[str, ast.AST],
@@ -287,6 +357,110 @@ def _unpassed_parameters(modules: dict[str, ast.AST],
                        in calls.get(called_as, ())):
                 unpassed.add(f"{dotted}({param})")
     return unpassed
+
+
+#: Methods that change the object they are called on: a field they are
+#: called through (``obj.field.append(x)``) is assigned.
+MUTATORS = frozenset({"append", "extend", "insert", "setdefault", "update",
+                      "add", "pop", "remove", "clear", "discard"})
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) \
+            else decorator
+        if (getattr(target, "id", None)
+                or getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_options(modules: dict[str, ast.AST]):
+    """``(dotted name, class, field, place)`` of every defaulted field of
+    the public dataclasses of ``modules``; ``place`` is the field's index
+    among the ``__init__`` fields. ``init=False`` fields take no place,
+    and they and ``default_factory`` fields are not options."""
+    for module, tree in modules.items():
+        for node in tree.body:
+            if (not isinstance(node, ast.ClassDef)
+                    or node.name.startswith("_") or not _is_dataclass(node)):
+                continue
+            fields = [stmt for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)]
+            place = 0
+            for stmt in fields:
+                value = stmt.value
+                spec = ({k.arg: k.value for k in value.keywords}
+                        if isinstance(value, ast.Call)
+                        and getattr(value.func, "id", None) == "field"
+                        else None)
+                if spec is not None and getattr(spec.get("init"), "value",
+                                                True) is False:
+                    continue
+                defaulted = (value is not None if spec is None
+                             else "default" in spec)
+                if defaulted:
+                    yield (f"{module}.{node.name}.{stmt.target.id}",
+                           node.name, stmt.target.id, place)
+                place += 1
+
+
+def _assigned_fields(modules: dict[str, ast.AST]) -> dict[str, set]:
+    """Every attribute ``modules`` assign — attribute and item stores,
+    in-place operators, :data:`MUTATORS` calls, ``setattr`` — mapped to
+    where: the class whose ``__post_init__`` does it, or ``None``."""
+    stores: dict[str, set] = {}
+    for tree in modules.values():
+        post_init = {id(sub): node.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef)
+                     for method in node.body
+                     if isinstance(method, ast.FunctionDef)
+                     and method.name == "__post_init__"
+                     for sub in ast.walk(method)}
+        for node in ast.walk(tree):
+            name = None
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store):
+                name = node.attr
+            elif isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, ast.Store):
+                name = getattr(node.value, "attr", None)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr",
+                                                             None)
+                if called in MUTATORS:
+                    name = getattr(getattr(func, "value", None), "attr",
+                                   None)
+                elif called in ("setattr", "__setattr__") \
+                        and len(node.args) > 1:
+                    name = getattr(node.args[1], "value", None)
+            if isinstance(name, str):
+                stores.setdefault(name, set()).add(post_init.get(id(node)))
+    return stores
+
+
+def _unset_fields(modules: dict[str, ast.AST], callers) -> set[str]:
+    """The options among the dataclass fields of ``modules`` that no
+    call in the ``callers`` trees sets (``module.Class.field``): by
+    keyword, by position or through a forward, in a call of the class
+    or a ``replace(...)``. A field that code other than its own class's
+    ``__post_init__`` assigns is state, not an option."""
+    calls = _calls(callers)
+    stores = _assigned_fields(modules)
+    # A replace(obj, ...) sets fields by keyword only.
+    replaced = [(0, keywords, everything)
+                for _, keywords, everything in calls.get("replace", ())]
+    unset = set()
+    for dotted, owner, name, place in _dataclass_options(modules):
+        if stores.get(name, set()) - {owner}:
+            continue
+        if not any(name in keywords or everything or count > place
+                   for count, keywords, everything
+                   in calls.get(owner, []) + replaced):
+            unset.add(dotted)
+    return unset
 
 
 def _drift(found: set[str],
@@ -335,6 +509,18 @@ def test_every_defaulted_parameter_is_passed_or_has_a_reason():
     )
 
 
+def test_every_field_option_is_set_or_has_a_reason():
+    unset = _unset_fields(_package_modules(), _caller_trees().values())
+    missing, stale = _drift(unset, ALLOWED_FIELDS)
+    assert missing == [], (
+        "dataclass fields only tests set: make them constants, derive "
+        "them, or add them to ALLOWED_FIELDS with a reason"
+    )
+    assert stale == [], (
+        "ALLOWED_FIELDS entries that are now set, state or gone"
+    )
+
+
 def test_drift_names_both_sides():
     """An entry with no finding is stale; a finding with no entry is
     missing."""
@@ -357,6 +543,18 @@ PARAMETER_CASES = {
     "star-args-end-the-count": (
         "def f(a, b=1): pass", "f(0, *rest)", {"m.f(b)"}),
     "kwargs-forward": ("def f(a, b=1): pass", "f(0, **options)", set()),
+    "kwargs-forward-passes-its-callers-keywords": (
+        """
+        def f(a, b=1): pass
+
+        def g(a, **kwargs): return f(a, **kwargs)
+        """, "g(0, b=2)", set()),
+    "kwargs-forward-passes-only-its-callers-keywords": (
+        """
+        def f(a, b=1): pass
+
+        def g(a, c=1, **kwargs): return f(a, **kwargs)
+        """, "g(0, c=2)", {"m.f(b)"}),
     "keyword-only": (
         "def f(*, a, b=1): pass", "f(a=0)", {"m.f(b)"}),
     "required-is-no-option": ("def f(a, *, b): pass", "f(0, b=1)", set()),
@@ -425,6 +623,94 @@ def test_parameter_scan_rule(definitions, caller, expected):
                                 [module, _parse(caller)]) == expected
 
 
+#: ``(definitions of module m, caller module, unset fields)``: the field
+#: rule, one clause per case.
+FIELD_CASES = {
+    "keyword": ("""
+        @dataclass
+        class C:
+            a: int
+            b: int = 1
+        """, "C(0, b=2)", set()),
+    "positional-in-field-order": ("""
+        @dataclass
+        class C:
+            a: int
+            b: int = 1
+            c: int = 2
+        """, "C(0, 1)", {"m.C.c"}),
+    "replace": ("""
+        @dataclass(frozen=True)
+        class C:
+            b: int = 1
+        """, "replace(C(), b=2)", set()),
+    "kwargs-forward": ("""
+        @dataclass
+        class C:
+            b: int = 1
+
+        def make(**kwargs): return C(**kwargs)
+        """, "make(b=2)", set()),
+    "unset": ("""
+        @dataclass
+        class C:
+            b: int = 1
+        """, "C()", {"m.C.b"}),
+    "default-factory-is-skipped": ("""
+        @dataclass
+        class C:
+            b: list = field(default_factory=list)
+        """, "C()", set()),
+    "field-default-is-an-option": ("""
+        @dataclass
+        class C:
+            b: int = field(default=1)
+        """, "C()", {"m.C.b"}),
+    "init-false-is-skipped-and-takes-no-place": ("""
+        @dataclass
+        class C:
+            a: int = field(init=False)
+            b: int = 1
+        """, "C(2)", set()),
+    "assigned-by-another-class-is-state": ("""
+        @dataclass
+        class C:
+            b: int = 0
+
+        class D:
+            def charge(self, c): c.b += 1
+        """, "C()", set()),
+    "assigned-by-a-method-is-state": ("""
+        @dataclass
+        class C:
+            b: list = None
+
+            def log(self, x): self.b.append(x)
+        """, "C()", set()),
+    "assigned-in-its-post-init-is-an-option": ("""
+        @dataclass
+        class C:
+            b: int = 0
+
+            def __post_init__(self):
+                if not self.b:
+                    self.b = 1
+        """, "C()", {"m.C.b"}),
+    "not-a-dataclass": ("""
+        class C:
+            b: int = 1
+        """, "C()", set()),
+}
+
+
+@pytest.mark.parametrize("definitions, caller, expected",
+                         FIELD_CASES.values(), ids=FIELD_CASES)
+def test_field_scan_rule(definitions, caller, expected):
+    module = _parse(definitions)
+    assert _unset_fields({"m": module}, [module, _parse(caller)]) \
+        == expected
+
+
 def test_a_local_variable_is_no_method_reference():
     both, attrs = _references(_parse("""
         describe = 1
@@ -453,6 +739,7 @@ def test_every_allowed_name_has_a_reason():
     assert all(reason.strip()
                for reason in ALLOWED_METHODS.values())
     assert all(reason.strip() for reason in ALLOWED_PARAMETERS.values())
+    assert all(reason.strip() for reason in ALLOWED_FIELDS.values())
 
 
 @pytest.mark.parametrize("module", _modules_with_all())

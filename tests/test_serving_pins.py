@@ -41,6 +41,7 @@ from repro.system.workloads import (
     poisson_stream,
     tenant_name,
 )
+from scaffolding import tenant_cluster
 
 PARAMS = hpca19()
 
@@ -77,8 +78,8 @@ def router_arm():
     plan = FaultPlan(events=(
         FaultEvent(0.1, FaultKind.SHARD_CRASH, 2),
         FaultEvent(0.25, FaultKind.SHARD_RECOVER, 2)))
-    return FpgaCluster.homogeneous(
-        PARAMS, shards, router=RoundRobinRouter(), tenants=tenants,
+    return tenant_cluster(
+        PARAMS, shards, tenants, router=RoundRobinRouter(),
         fault_plan=plan, retry=RetryPolicy(seed=0)).run(trace)
 
 

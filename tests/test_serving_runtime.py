@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.config import HardwareConfig
+from repro.hw.dma import ARM_SETUP_SECONDS, transfer_seconds
 from repro.params import hpca19, mini
 from repro.serve import (
     BatchPolicy,
@@ -126,8 +127,8 @@ class TestCostModel:
         (4 + 2 k_q bursts in) included."""
         params = make_params()
         cost = CostModel(params, CONFIG)
-        per_poly = (cost.dma.transfer_seconds(params.poly_bytes)
-                    + cost.dma.arm_setup_seconds)
+        per_poly = (transfer_seconds(params.poly_bytes)
+                    + ARM_SETUP_SECONDS)
         shapes = [(kind, polys_in, polys_out) for kind in JobKind
                   for polys_in in (0, 1, 2, 4, 4 + 2 * params.k_q)
                   for polys_out in (0, 1, 2)]
@@ -447,7 +448,7 @@ class TestBatching:
         # Singles pay one Arm setup per polynomial (6 per Mult); the
         # train pays one per direction.
         assert singles - batched == \
-            pytest.approx((6 * k - 2) * cost.dma.arm_setup_seconds)
+            pytest.approx((6 * k - 2) * ARM_SETUP_SECONDS)
 
     def test_single_job_batch_matches_table1_cost(self, cost):
         batcher = DmaBatcher(cost)
