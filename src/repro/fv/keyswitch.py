@@ -23,9 +23,9 @@ from .scheme import FvContext
 #: Digits may be lazy ([0, 2q), what ``ntt_broadcast_rows(lazy=True)``
 #: emits) and key rows are canonical, so with q < 2^30 an accumulator
 #: holding one reduced residue plus four products stays below
-#: q + 4 * 2q * q < 2^63. Digits are int64; key rows may be int64
-#: (relinearisation) or the Galois keys' uint32 — the products are
-#: formed straight into an int64 buffer either way.
+#: q + 4 * 2q * q < 2^63. Digits are int64 and key rows uint32
+#: (relinearisation and Galois keys alike): the products are formed
+#: straight into an int64 buffer.
 LAZY_WINDOW = 4
 
 

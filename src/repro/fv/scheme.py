@@ -108,7 +108,9 @@ class FvContext:
         weights q~_i q*_i are folded into the key, matching its Table II,
         which shows no extra multiplications for WordDecomp. A
         decomposition with a single digit is refused: its digit is as
-        large as q, and so is the key error it multiplies.
+        large as q, and so is the key error it multiplies. The rows are
+        stored as ``uint32``, one 32-bit word per residue (see
+        :class:`~repro.fv.keys.RelinKey`).
         """
         params = self.params
         weights = decomposition.weights(self.q_basis)
@@ -131,7 +133,7 @@ class FvContext:
             )[:, None]
             b_ntt = (weight_col * s_sq_ntt - a_ntt * s_ntt
                      - e_ntt) % primes_col
-            pairs.append((b_ntt, a_ntt))
+            pairs.append((b_ntt.astype(np.uint32), a_ntt.astype(np.uint32)))
         return RelinKey(pairs, decomposition)
 
     # -- encryption / decryption -------------------------------------------------------

@@ -9,12 +9,7 @@ values and closed-form cycles are tested against.
 
 from __future__ import annotations
 
-from .datapath import (
-    ADDSUB_STAGES,
-    MULTIPLIER_STAGES,
-    ModAddSub,
-    PipelinedMultiplier,
-)
+from .datapath import ModAddSub, PipelinedMultiplier
 from .modred import SlidingWindowReducer
 
 
@@ -23,9 +18,9 @@ class ButterflyCore:
 
     def __init__(self, modulus: int) -> None:
         self.modulus = modulus
-        self.multiplier = PipelinedMultiplier(stages=MULTIPLIER_STAGES)
+        self.multiplier = PipelinedMultiplier()
         self.reducer = SlidingWindowReducer(modulus)
-        self.addsub = ModAddSub(stages=ADDSUB_STAGES)
+        self.addsub = ModAddSub()
 
     @property
     def pipeline_depth(self) -> int:

@@ -88,6 +88,8 @@ class HardwareConfig:
             )
         if self.lift_cores < 1 or self.scale_cores < 1:
             raise ParameterError("need at least one lift and one scale core")
+        if self.num_coprocessors < 1:
+            raise ParameterError("need at least one coprocessor")
 
     # -- derived quantities ------------------------------------------------------
 

@@ -4,8 +4,8 @@ Executes :class:`~repro.hw.isa.Program` streams over a register file of
 residue matrices. Every instruction does two things: compute its
 bit-exact result and charge its cycle cost (schedule-derived unit cycles
 plus the calibrated software dispatch gap). The values come from the
-engine's own kernels — NTT / INTT on the q+p basis transformer's channel
-view, CMUL / CADD / CSUB as one modular expression over the row batch,
+engine's own kernels — NTT / INTT on the q or p basis transformer of the
+row batch, CMUL / CADD / CSUB as one modular expression over the batch,
 Lift / Scale through :mod:`repro.rns` — so the model has one arithmetic,
 the library's. The cycle charges are closed forms; the stepped units
 (:meth:`~repro.hw.ntt_unit.DualCoreNttUnit.run_strict`, the block
@@ -112,8 +112,8 @@ class Coprocessor:
         self.params = params
         self.config = config or HardwareConfig()
         self.q_basis = basis_for(params.q_primes)
-        self.full_primes = params.q_primes + params.p_primes
-        self.full_col = np.array(self.full_primes, dtype=np.int64)[:, None]
+        self.full_col = np.array(params.q_primes + params.p_primes,
+                                 dtype=np.int64)[:, None]
         self.q_col = self.q_basis.primes_col
         # Lift extends q -> p (the unit computes only the new residues).
         self._lift_ctx = lift_context(params.q_primes, params.p_primes)
@@ -257,16 +257,27 @@ class Coprocessor:
         return slice(rows[0], rows[-1] + 1)
 
     def _transform(self, ins: Instruction, inverse: bool) -> None:
-        """NTT / INTT of a row batch: one call on the channel view of the
-        engine's q+p basis transformer (its tables, no second set). The
-        stepped Fig. 3 unit computes the same values in the cycles the
-        instruction is charged (tests/test_hw_ntt_unit.py)."""
+        """NTT / INTT of a row batch on the engine's transformer of its
+        own basis, q or p, as the paper's RPAUs read one twiddle ROM per
+        prime: a compiled batch is the whole q or p basis, one call; any
+        other range runs a channel view of each basis it covers, never a
+        second table set. The stepped Fig. 3 unit computes the same
+        values in the cycles the instruction is charged
+        (tests/test_hw_ntt_unit.py)."""
         rows = self._row_batch(ins)
-        src = self._reg(ins.srcs[0])[rows] % self.full_col[rows]
-        view = basis_transformer(self.full_primes, self.params.n).subset(
-            rows.start, rows.stop)
+        src = self._reg(ins.srcs[0])
         dst = self.registers.setdefault(ins.dst, self._new_reg())
-        dst[rows] = view.inverse(src) if inverse else view.forward(src)
+        k_q = self.params.k_q
+        for offset, primes in ((0, self.params.q_primes),
+                               (k_q, self.params.p_primes)):
+            lo = max(rows.start, offset)
+            hi = min(rows.stop, offset + len(primes))
+            if lo >= hi:
+                continue
+            view = basis_transformer(primes, self.params.n).subset(
+                lo - offset, hi - offset)
+            part = src[lo:hi] % self.full_col[lo:hi]
+            dst[lo:hi] = view.inverse(part) if inverse else view.forward(part)
 
     def _coeffwise(self, ins: Instruction, op: np.ufunc) -> None:
         rows = self._row_batch(ins)

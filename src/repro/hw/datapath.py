@@ -2,13 +2,12 @@
 
 These models carry the functional operation and the latency consumed by
 the cycle model; the DSP counts below are consumed by the resource model.
-All datapaths are fully pipelined: latency is ``stages`` cycles, the
+All datapaths are fully pipelined: latency is the circuit's fixed
+pipeline depth (``MULTIPLIER_STAGES`` / ``ADDSUB_STAGES``), the
 initiation interval is one operation per cycle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..errors import HardwareModelError
 
@@ -29,11 +28,11 @@ MULTIPLIER_STAGES = 4
 ADDSUB_STAGES = 1
 
 
-@dataclass(frozen=True)
 class PipelinedMultiplier:
     """30x30 integer multiplier built from DSP slices."""
 
-    stages: int
+    #: Pipeline depth in cycles.
+    latency = MULTIPLIER_STAGES
 
     def multiply(self, a: int, b: int) -> int:
         if max(a.bit_length(), b.bit_length()) > MULTIPLIER_BITS:
@@ -43,16 +42,12 @@ class PipelinedMultiplier:
             )
         return a * b
 
-    @property
-    def latency(self) -> int:
-        return self.stages
 
-
-@dataclass(frozen=True)
 class ModAddSub:
     """Modular adder/subtractor (add then conditional correction)."""
 
-    stages: int
+    #: Pipeline depth in cycles.
+    latency = ADDSUB_STAGES
 
     def add(self, a: int, b: int, modulus: int) -> int:
         total = a + b
@@ -61,7 +56,3 @@ class ModAddSub:
     def sub(self, a: int, b: int, modulus: int) -> int:
         diff = a - b
         return diff + modulus if diff < 0 else diff
-
-    @property
-    def latency(self) -> int:
-        return self.stages

@@ -68,9 +68,9 @@ def polynomial_job_seconds(poly_bytes: int, count: int) -> float:
     return count * per_poly
 
 
-def send_ciphertexts_seconds(poly_bytes: int, num_ciphertexts: int) -> float:
-    """Table I 'Send two ciphertexts to HW' with num_ciphertexts = 2."""
-    return polynomial_job_seconds(poly_bytes, 2 * num_ciphertexts)
+def send_ciphertexts_seconds(poly_bytes: int) -> float:
+    """Table I 'Send two ciphertexts to HW': four polynomial bursts."""
+    return polynomial_job_seconds(poly_bytes, 4)
 
 
 def receive_ciphertext_seconds(poly_bytes: int) -> float:

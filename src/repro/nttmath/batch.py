@@ -42,8 +42,12 @@ outside it with a :class:`~repro.errors.ParameterError`, and
 :class:`~repro.params.ParameterSet` checks the same envelope when a
 parameter set is built, so there is no second transform path.
 
-Memory follows the paper's NTT unit, whose butterfly cores share one
-twiddle ROM per prime: a basis holds one table set, a parallel tile
+Memory follows the paper's coprocessor, which keeps one twiddle ROM per
+prime and transforms a polynomial over Q = q * p as two RPAU batches,
+the q rows and then the p rows (Sec. V-A1): the engine caches the q
+and p bases only, each prime's tables live in exactly one of them, and
+a Q-basis transform runs as one call per basis writing into one
+destination (``out``). A basis holds one table set, a parallel tile
 runs a ``[c0:c1]`` channel view of it (:meth:`_GemmPlan.subset`), and
 each thread holds one scratch buffer (:func:`scratch`).
 
@@ -253,8 +257,8 @@ class BasisTransformer:
     def subset(self, c0: int, c1: int) -> BasisTransformer:
         """The transformer of channels ``[c0, c1)``: views of this
         basis's tables (:meth:`_GemmPlan.subset`), never a second table
-        set. Lift q->Q transforms its new channels on the full basis's
-        ``[k_q:]`` view."""
+        set. The coprocessor model runs a row batch that covers part of
+        the q or p basis on such a view."""
         view = object.__new__(BasisTransformer)
         view.primes = self.primes[c0:c1]
         view.n = self.n
@@ -290,6 +294,21 @@ class BasisTransformer:
                 f"({self.k} x {self.n}) basis layout"
             )
         return arr, stacked
+
+    @staticmethod
+    def _output(arr: np.ndarray, stacked: bool,
+                out: np.ndarray | None) -> np.ndarray:
+        """The ``(j, k, n)`` array a transform of ``arr`` writes: a new
+        one, or ``out`` (an int64 array of the caller's input shape)."""
+        if out is None:
+            return np.empty_like(arr)
+        shape = arr.shape if stacked else arr.shape[1:]
+        if out.shape != shape or out.dtype != np.int64:
+            raise ParameterError(
+                f"output {out.dtype} {out.shape} does not match the int64 "
+                f"{shape} input"
+            )
+        return out if stacked else out[None]
 
     # -- tiled dispatch ------------------------------------------------------------
 
@@ -340,8 +359,8 @@ class BasisTransformer:
 
     # -- public API ----------------------------------------------------------------
 
-    def forward(self, matrix: np.ndarray,
-                lazy: bool = False) -> np.ndarray:
+    def forward(self, matrix: np.ndarray, lazy: bool = False,
+                out: np.ndarray | None = None) -> np.ndarray:
         """Negacyclic forward NTT of every residue row, batched.
 
         ``matrix`` is a ``(k, n)`` residue matrix with entries in
@@ -351,14 +370,20 @@ class BasisTransformer:
         stage's balanced remainder leaves as ``r + q`` instead, in
         [0, 2q) — for consumers whose own reduction absorbs the slack
         (the tensor step's point-wise products).
+
+        ``out``, an int64 array of the input's shape (a view is fine),
+        receives the result instead of a new array, and may be the
+        input itself: :meth:`_GemmPlan.run` reads a tile's whole input
+        into scratch at stage 0 before its last stage writes, and tiles
+        are disjoint slices. A partial overlap is not safe.
         """
         arr, stacked = self._check(matrix)
-        out = np.empty_like(arr)
+        dest = self._output(arr, stacked, out)
         with maybe_span("ntt.forward", rows=arr.shape[0] * self.k,
                         n=self.n):
-            self._dispatch("forward", self._fwd, arr, out, lazy=lazy)
+            self._dispatch("forward", self._fwd, arr, dest, lazy=lazy)
         _count_transform("forward", arr.shape[0] * self.k)
-        return out if stacked else out[0]
+        return dest if stacked else dest[0]
 
     def inverse(self, matrix: np.ndarray) -> np.ndarray:
         """Negacyclic inverse NTT of every residue row, batched."""
@@ -371,7 +396,8 @@ class BasisTransformer:
         return out if stacked else out[0]
 
     def inverse_scaled(self, matrix: np.ndarray,
-                       constants: tuple[int, ...]) -> np.ndarray:
+                       constants: tuple[int, ...],
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Inverse NTT with a per-channel constant multiply folded in.
 
         Channel ``c`` of the result equals
@@ -380,7 +406,8 @@ class BasisTransformer:
         This is how the evaluator fuses Scale's Block-1 ``Q~_k``
         multiplies into the tensor step's inverse transforms. Scaled
         plans are cached per constants tuple (see
-        :meth:`_GemmPlan.scaled`).
+        :meth:`_GemmPlan.scaled`). ``out`` is :meth:`forward`'s: Scale
+        writes its q and p batches into the two halves of one array.
         """
         if len(constants) != self.k:
             raise ParameterError(
@@ -391,12 +418,12 @@ class BasisTransformer:
         if plan is None:
             plan = self._scaled_inv[constants] = self._inv.scaled(constants)
         arr, stacked = self._check(matrix)
-        out = np.empty_like(arr)
+        dest = self._output(arr, stacked, out)
         with maybe_span("ntt.inverse_scaled", rows=arr.shape[0] * self.k,
                         n=self.n):
-            self._dispatch("inverse_scaled", plan, arr, out)
+            self._dispatch("inverse_scaled", plan, arr, dest)
         _count_transform("inverse", arr.shape[0] * self.k)
-        return out if stacked else out[0]
+        return dest if stacked else dest[0]
 
     def forward_broadcast(self, rows: np.ndarray,
                           lazy: bool = False) -> np.ndarray:
@@ -452,7 +479,9 @@ def scratch(elements: int) -> np.ndarray:
     spare); Scale's Fig. 9 kernel takes its own limbs and gemm output,
     then keeps its ``k_p`` p-basis rows past Lift's share for the final
     lift to read — 41 rows at hpca19 and 71 at n = 8192, against a
-    full-basis transform tile's 39 and 75.
+    p-basis transform tile's 42 (two polynomials of 7 primes) and 39
+    (one of 13). No transform runs the 13 or 25 primes of a whole Q
+    basis at once: Q-basis rows transform as the q and p batches.
     """
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.size < elements:

@@ -167,11 +167,11 @@ def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
 
     The Blocks 2-5 gemm then fills the genuinely new target channels,
     as coefficient-column bands, and one stacked forward transform
-    finishes them on the target basis's ``[k_s:]`` channel view
-    (:meth:`~repro.nttmath.batch.BasisTransformer.subset`), so the new
-    channels share the target basis's tables. ``lazy`` sets that
-    transform's output bound the way
-    :meth:`~repro.nttmath.batch.BasisTransformer.forward` does.
+    finishes them in place on the new primes' own basis (the p basis
+    of Lift q->Q, the coprocessor's second RPAU batch), so no prime's
+    tables are built twice. ``lazy`` sets that transform's output
+    bound the way :meth:`~repro.nttmath.batch.BasisTransformer.forward`
+    does.
     """
     basis = context.source
     if context.source_prefix != basis.size:
@@ -202,9 +202,9 @@ def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
                             lifted[idx, k_s:, lo:hi])
 
     map_bands("lift.band", band, n, work=stack.size)
-    target = batch.basis_transformer(target_primes, n)
-    lifted[:, k_s:] = target.subset(k_s, len(target_primes)).forward(
-        lifted[:, k_s:], lazy=lazy)
+    new = lifted[:, k_s:]
+    batch.basis_transformer(target_primes[k_s:], n).forward(
+        new, lazy=lazy, out=new)
     return lifted if stacked else lifted[0]
 
 

@@ -78,12 +78,16 @@ def scale_hps_ntt(context: ScaleContext,
     basis (q rows first, then p rows) or a ``(j, k_Q, n)`` stack — the
     tensor step's point-wise products live here. The Fig. 9 datapath
     needs coefficient values, but the Block-1 ``Q~_k`` multiplies ride
-    along for free inside ONE stacked inverse transform whose gemm plan
-    folds the constants into its twiddle tables
-    (:func:`~repro.nttmath.batch.intt_rows_scaled`) — the single INTT
-    the HPS quotient estimate genuinely requires, and the only
-    coefficient-domain excursion of a fully resident multiply. Each
-    polynomial of the stack then runs the band kernel
+    along for free inside the stacked inverse transform, whose gemm
+    plans fold the constants into their twiddle tables
+    (:meth:`~repro.nttmath.batch.BasisTransformer.inverse_scaled`) —
+    the single INTT the HPS quotient estimate genuinely requires, and
+    the only coefficient-domain excursion of a fully resident multiply.
+    It runs as the coprocessor's two RPAU batches, each on its own
+    basis's tables: the q rows on the q basis with ``Q~[:k_q]``, the p
+    rows on the p basis with ``Q~[k_q:]``, both writing into one
+    ``(j, k_Q, n)`` array. Each polynomial of the stack then runs the
+    band kernel
     :func:`_scale_band` (one dgemm whose four extra rows carry the
     fraction sum, one reduction, the final lift) on column bands,
     reading the transform's output in place. The result is a
@@ -99,8 +103,13 @@ def scale_hps_ntt(context: ScaleContext,
             f"expected ({basis.size} x n) NTT rows over Q, got shape "
             f"{arr.shape}"
         )
-    x_prime = batch.intt_rows_scaled(basis.primes, stack, basis.q_tilde)
-    out = np.empty((stack.shape[0], context.q_basis.size, stack.shape[2]),
+    x_prime = np.empty(stack.shape, dtype=np.int64)
+    k_q = context.q_basis.size
+    for rows, part in ((slice(0, k_q), context.q_basis),
+                       (slice(k_q, basis.size), context.p_basis)):
+        batch.basis_transformer(part.primes, stack.shape[2]).inverse_scaled(
+            stack[:, rows], basis.q_tilde[rows], out=x_prime[:, rows])
+    out = np.empty((stack.shape[0], k_q, stack.shape[2]),
                    dtype=np.int64)
     _scale_bands(context, x_prime, out)
     return out if stacked else out[0]

@@ -134,9 +134,6 @@ class ServingRuntime:
                  tenants: TenantSet | None = None) -> None:
         self.cost = cost
         self.name = name
-        self.num_coprocessors = cost.config.num_coprocessors
-        if self.num_coprocessors < 1:
-            raise ValueError("need at least one coprocessor")
         # `is None`, not `or`: an empty scheduler is falsy via __len__.
         self.scheduler = FifoScheduler() if scheduler is None else scheduler
         self.tenants = TenantSet() if tenants is None else tenants
@@ -229,6 +226,10 @@ class ServingRuntime:
         for job in jobs:
             self.inject(job)
         return self.drain()
+
+    @property
+    def num_coprocessors(self) -> int:
+        return self.cost.config.num_coprocessors
 
     # -- failure semantics (driven by the cluster's fault loop) ------------------------
 

@@ -92,7 +92,7 @@ class AdmissionController:
     def __init__(self, tenants: TenantSet,
                  num_coprocessors: int) -> None:
         self.tenants = tenants
-        self.num_coprocessors = max(num_coprocessors, 1)
+        self._coprocessors = num_coprocessors
 
     def reject_reason(self, job: Job, queued_for_tenant: int,
                       backlog_seconds: float,
@@ -103,7 +103,7 @@ class AdmissionController:
                 and queued_for_tenant >= tenant.max_queue_depth):
             return "queue-depth"
         if tenant.sla_seconds is not None:
-            predicted = (backlog_seconds / self.num_coprocessors
+            predicted = (backlog_seconds / self._coprocessors
                          + job_cost_seconds)
             if predicted > tenant.sla_seconds:
                 return "deadline"

@@ -75,7 +75,7 @@ class CostModel:
 
     def transfer_in_seconds(self) -> float:
         """Sending a job's two operand ciphertexts to the board."""
-        return dma.send_ciphertexts_seconds(self.params.poly_bytes, 2)
+        return dma.send_ciphertexts_seconds(self.params.poly_bytes)
 
     def transfer_out_seconds(self) -> float:
         return dma.receive_ciphertext_seconds(self.params.poly_bytes)

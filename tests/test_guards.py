@@ -305,9 +305,10 @@ class TestReducerGuards:
 
 class TestServingGuards:
     def test_runtime_needs_a_coprocessor(self):
-        config = HardwareConfig(num_coprocessors=0)
-        with pytest.raises(ValueError, match="at least one coprocessor"):
-            ServingRuntime(CostModel(mini(), config))
+        """A board without a coprocessor is refused where it is
+        described, before any runtime or cost model is built."""
+        with pytest.raises(ParameterError, match="at least one coprocessor"):
+            HardwareConfig(num_coprocessors=0)
 
     @pytest.mark.parametrize("method", ["spill", "fail_one",
                                         "completion_feeds",

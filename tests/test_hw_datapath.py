@@ -76,27 +76,27 @@ class TestSlidingWindowReducer:
 
 class TestPipelinedMultiplier:
     def test_product(self):
-        mult = PipelinedMultiplier(stages=4)
+        mult = PipelinedMultiplier()
         assert mult.multiply(12345, 67890) == 12345 * 67890
 
     def test_rejects_oversized_operands(self):
-        mult = PipelinedMultiplier(stages=4)
+        mult = PipelinedMultiplier()
         with pytest.raises(HardwareModelError):
             mult.multiply(1 << 30, 2)
 
     def test_latency(self):
-        assert PipelinedMultiplier(stages=4).latency == 4
+        assert PipelinedMultiplier().latency == 4
 
 
 class TestModAddSub:
     def test_add_with_correction(self):
-        unit = ModAddSub(stages=1)
+        unit = ModAddSub()
         prime = PRIMES[0]
         assert unit.add(prime - 1, 5, prime) == 4
         assert unit.add(1, 2, prime) == 3
 
     def test_sub_with_correction(self):
-        unit = ModAddSub(stages=1)
+        unit = ModAddSub()
         prime = PRIMES[0]
         assert unit.sub(3, 5, prime) == prime - 2
         assert unit.sub(5, 3, prime) == 2

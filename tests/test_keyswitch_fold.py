@@ -32,6 +32,8 @@ from repro.fv.galois import (
     rotation_element,
     summation_rounds,
 )
+from repro.fv.keys import RelinKey
+from repro.fv.keyswitch import key_switch
 from repro.fv.scheme import FvContext
 from repro.nttmath import find_ntt_primes
 from repro.nttmath.batch import ntt_rows, transform_counts
@@ -198,6 +200,43 @@ def test_grouped_and_digit_relinearize_share_the_switch(setup):
                   ntt_domain=True)
     assert context.decrypt(want, keys.secret) == \
         context.decrypt(raw, keys.secret)
+
+
+@pytest.mark.parametrize("decomposition", [
+    WordDecomp(), WordDecomp(group_size=2), WordDecomp(base_bits=30),
+], ids=["raw", "grouped", "signed"])
+def test_relin_keys_take_one_word_per_residue(setup, decomposition):
+    """Every relinearisation key row is ``uint32``, one 32-bit word per
+    residue as in Galois keys, whatever the WordDecomp. The switch over
+    those rows is bit for bit the switch over the same rows in int64,
+    also at the extremes: lazy digits of 2q - 1 against key rows of
+    q - 1 (a product ``uint32`` would wrap)."""
+    context, keys, _ = setup
+    primes_col = context.q_basis.primes_col
+    key = (keys.relin if decomposition == WordDecomp()
+           else context.relin_keygen(keys.secret, decomposition))
+    assert all(row.dtype == np.uint32 for pair in key.pairs for row in pair)
+    assert max(int(row.max()) for pair in key.pairs for row in pair) \
+        < int(primes_col.max())
+    evaluator = Evaluator(context)
+    raw = evaluator.multiply_raw(*_encrypt_pair(context, keys, True))
+    wide = RelinKey([tuple(row.astype(np.int64) for row in pair)
+                     for pair in key.pairs], decomposition)
+    _assert_parts(evaluator.relinearize(raw, key),
+                  *(part.residues
+                    for part in evaluator.relinearize(raw, wide).parts),
+                  ntt_domain=True)
+
+    count = key.num_components
+    top = np.broadcast_to(primes_col - 1, primes_col.shape[:1]
+                          + (context.params.n,))
+    narrow = [(top.astype(np.uint32), top.astype(np.uint32))] * count
+    digits = np.broadcast_to(2 * primes_col - 1,
+                             (count,) + top.shape).copy()
+    parts = (raw.c0, raw.c1)
+    got = key_switch(context, digits, narrow, parts)
+    want = key_switch(context, digits, [(top, top)] * count, parts)
+    _assert_parts(got, want.c0.residues, want.c1.residues, ntt_domain=True)
 
 
 @pytest.mark.parametrize("resident", [False, True],
@@ -375,12 +414,13 @@ def test_mult_depth4_request_transform_rows_are_pinned():
     k_total = 13), then ``(((a*b)*a)*b)*a``. Each of the ten part-lifts
     costs k_q inverse + k_p forward rows (60 / 70): a and b are lifted
     once, by Mult 1, and held for Mults 2-4, instead of sixteen
-    part-lifts. Each Mult adds Scale's 3 k_total inverse rows (39), the
-    k_q^2 = 36 broadcast rows and the 2 k_q = 12 forward rows that bring
-    (c0, c1) into the evaluation domain; verification inverts the
-    output's phase once (6). 36 + 70 + 4 x 48 = 298 forward / 60 +
-    4 x 39 + 6 = 222 inverse rows in 14 / 9 calls per request — CI's
-    ``ledger-quick`` job checks the same numbers on the ledger record."""
+    part-lifts. Each Mult adds Scale's 3 k_total inverse rows (39, in
+    two calls: the q and p batches), the k_q^2 = 36 broadcast rows and
+    the 2 k_q = 12 forward rows that bring (c0, c1) into the evaluation
+    domain; verification inverts the output's phase once (6). 36 + 70 +
+    4 x 48 = 298 forward / 60 + 4 x 39 + 6 = 222 inverse rows in 14 / 13
+    calls per request — CI's ``ledger-quick`` job checks the same
+    numbers on the ledger record."""
     session = Session(hpca19())
     backend = LocalBackend(session)
     rng = np.random.default_rng(4)
@@ -394,4 +434,4 @@ def test_mult_depth4_request_transform_rows_are_pinned():
     run = backend.telemetry["last_run"]
     assert tuple(encrypt[key] + run[key]
                  for key in ("forward_rows", "inverse_rows", "forward_calls",
-                             "inverse_calls")) == (298, 222, 14, 9)
+                             "inverse_calls")) == (298, 222, 14, 13)

@@ -24,11 +24,12 @@ from repro.fv.ciphertext import Ciphertext
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.fv.scheme import FvContext
+from repro.hw.coprocessor import Coprocessor
 from repro.nttmath import batch
 from repro.obs import Tracer
 from repro.parallel import use_executor
 from repro.params import hpca19, mini
-from repro.rns.scale import scale_hps
+from repro.rns.scale import _scale_bands, scale_hps, scale_hps_ntt
 from scaffolding import toy
 from test_rns import lift_hps_reference
 
@@ -182,30 +183,51 @@ def test_square_lifts_two_parts_and_matches_the_copy(setup, form):
     assert rows[0] == 2 * rows[1] > 0
 
 
-def test_new_channels_transform_on_the_full_basis_view():
-    """Lift's new-channel forward transform runs on the ``[k_q:]``
-    channel view of the q+p basis's tables, not on a transformer of its
-    own: after an evaluation-domain Mult the transformer cache holds the
-    q and q+p bases only. The view's output — lazy and canonical — is
-    bit for bit a standalone transformer's of the new primes."""
-    context = FvContext(mini(), seed=7)
+def test_q_and_p_bases_hold_every_table():
+    """One table set per prime, as the paper's coprocessor keeps one
+    twiddle ROM per prime and transforms over Q as a q batch and a p
+    batch: after a warm hpca19 ``Evaluator.multiply`` and a
+    ``Coprocessor.mult`` the transformer cache holds exactly the q and p
+    bases. Scale's two-batch scaled inverse, and Scale itself, are bit
+    for bit what a q∪p transformer gives, and so is the lift's p-basis
+    forward — lazy and canonical."""
+    params = hpca19()
+    context = FvContext(params, seed=7)
     keys = context.keygen()
     a, b = _operands(context, keys)
     assert a.ntt_resident and b.ntt_resident
-    params = context.params
     full = params.q_primes + params.p_primes
+    k_q, n = params.k_q, params.n
     batch.basis_transformer.cache_clear()
-    Evaluator(context).multiply(a, b, keys.relin)
+    evaluator = Evaluator(context)
+    for _ in range(2):
+        evaluator.multiply(a, b, keys.relin)
+    Coprocessor(params).mult(a, b, keys.relin)
     assert batch.basis_transformer.cache_info().currsize == 2
-    batch.basis_transformer(params.q_primes, params.n)
-    batch.basis_transformer(full, params.n)
+    for primes in (params.q_primes, params.p_primes):
+        batch.basis_transformer(primes, n)
     assert batch.basis_transformer.cache_info().currsize == 2
+    assert not set(params.q_primes) & set(params.p_primes)
 
-    rows = np.stack([np.random.default_rng(1).integers(0, p, params.n)
-                     for p in params.p_primes])
-    view = batch.basis_transformer(full, params.n).subset(params.k_q,
-                                                          len(full))
-    alone = batch.BasisTransformer(params.p_primes, params.n)
+    rng = np.random.default_rng(1)
+    stack = np.stack([np.stack([rng.integers(0, p, n) for p in full])
+                      for _ in range(3)])
+    whole = batch.BasisTransformer(full, n)
+    ctx = context.scale_ctx
+    want = whole.inverse_scaled(stack, ctx.full_q_tilde)
+    got = np.empty_like(stack)
+    for rows, primes in ((slice(0, k_q), params.q_primes),
+                         (slice(k_q, len(full)), params.p_primes)):
+        batch.basis_transformer(primes, n).inverse_scaled(
+            stack[:, rows], ctx.full_q_tilde[rows], out=got[:, rows])
+    assert np.array_equal(got, want)
+    scaled = np.empty((3, k_q, n), dtype=np.int64)
+    _scale_bands(ctx, want, scaled)
+    assert np.array_equal(scale_hps_ntt(ctx, stack), scaled)
+
+    new = stack[:, k_q:]
+    p_basis = batch.basis_transformer(params.p_primes, n)
     for lazy in (True, False):
-        assert np.array_equal(view.forward(rows, lazy=lazy),
-                              alone.forward(rows, lazy=lazy))
+        assert np.array_equal(
+            p_basis.forward(new, lazy=lazy),
+            whole.subset(k_q, len(full)).forward(new, lazy=lazy))

@@ -423,6 +423,33 @@ class TestScaleBoundaries:
             assert np.array_equal(scale_hps_ntt(ctx, stack[idx]), out[idx])
 
 
+class TestLiftMemory:
+    def test_warm_lift_allocates_its_result_and_the_inverse_only(self):
+        """The lift's new channels are transformed in place in its
+        result: once warm, one call on an hpca19 ``(4, 6, 4096)`` stack
+        peaks at the ``(j, k_Q, n)`` result, the inverse transform's
+        ``(j, k_q, n)`` output and four ``(n,)`` int64 planes of traced
+        heap (a fresh ``(j, k_p, n)`` forward output and its copy took
+        106 planes)."""
+        params = hpca19()
+        ctx = lift_context(params.q_primes, params.q_primes + params.p_primes)
+        rng = np.random.default_rng(43)
+        stack = np.stack([uniform_rns_rows(rng, params.n, params.q_primes)
+                          for _ in range(4)])
+        j, k_q, n = stack.shape
+        with use_executor("serial"):
+            for _ in range(2):
+                lift_hps_ntt(ctx, stack)
+            tracemalloc.start()
+            try:
+                lift_hps_ntt(ctx, stack)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        bound = 8 * n * (j * k_q + j * params.k_total + 4)
+        assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
+
+
 class TestScaleMemory:
     def test_warm_scale_allocates_its_result_and_the_inverse_only(self):
         """Scale runs on the thread's scratch: once warm, one call on an
