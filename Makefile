@@ -6,13 +6,13 @@
 # are CI jobs, `make ledger` / `make ledger-quick` run the perf ledger
 # (the repo's one benchmark, see benchmarks/ledger/README.md; CI runs
 # the quick pass per PR and the full one nightly), `make cluster-demo`
-# is the multi-FPGA acceptance run.
+# is the multi-FPGA acceptance run, `make mutants` the mutant catalogue.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test smoke test-parallel blas-steered lint coverage ledger \
-	ledger-quick cluster-demo chaos-smoke clean
+	ledger-quick cluster-demo chaos-smoke mutants clean
 
 # --durations=10: the ten slowest phases in every log, so the tier-1
 # time budget (ROADMAP.md) stays visible.
@@ -76,6 +76,12 @@ chaos-smoke:
 		tests/test_cluster.py tests/test_serving_runtime.py
 	$(PYTHON) -m pytest -x -q tests/test_extensions.py -k byte_identical
 	$(PYTHON) -m repro cluster --shards 8 --faults 2019 --replicas 2
+
+# CI mutants job: every planted bug of tests/mutants.py applied to a
+# copy of src/ and run against the tests that must kill it, one
+# subprocess per mutant (~30 s on 2 cores); fails when one survives.
+mutants:
+	$(PYTHON) tests/mutants.py
 
 clean:
 	rm -rf .pytest_cache .ruff_cache .coverage htmlcov

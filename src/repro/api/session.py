@@ -88,26 +88,15 @@ class Session:
         """
         if isinstance(values, Plaintext):
             return values
+        batched = self.encoder_kind == "batch"
         if isinstance(values, (int, np.integer)):
-            if self.encoder_kind == "batch":
-                return self.encoder.encode(
-                    np.full(self.encoder.slot_count, int(values),
-                            dtype=np.int64)
-                )
-            return Plaintext.from_list([int(values)], self.params.n,
-                                       self.params.t)
-        arr = np.asarray(values, dtype=np.int64)
+            values = np.full(self.slot_count if batched else 1, int(values))
+        arr = np.asarray(values)
         if arr.ndim != 1:
             raise ValueError("encode expects a scalar or 1-D values")
-        if self.encoder_kind == "batch":
-            if len(arr) < self.encoder.slot_count:
-                arr = np.concatenate([
-                    arr, np.zeros(self.encoder.slot_count - len(arr),
-                                  dtype=np.int64),
-                ])
+        if batched:
             return self.encoder.encode(arr)
-        return Plaintext.from_list(arr.tolist(), self.params.n,
-                                   self.params.t)
+        return Plaintext.from_list(arr, self.params.n, self.params.t)
 
     def negate_plain(self, plain: Plaintext) -> Plaintext:
         """The additive inverse of an encoded plaintext (mod t)."""

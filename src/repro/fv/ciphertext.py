@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..nttmath.batch import intt_rows, ntt_rows
+from ..nttmath.batch import RESIDUE, intt_rows, ntt_rows
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
 from ..rns.basis import RnsBasis
@@ -121,10 +121,7 @@ class Ciphertext:
         :func:`repro.io.save_ciphertext` writes, so evaluation-domain
         ciphertexts persist without an inverse transform.
         """
-        return b"".join(
-            part.residues.astype(np.uint32).tobytes()
-            for part in self.parts
-        )
+        return b"".join(part.residues.tobytes() for part in self.parts)
 
     @classmethod
     def from_bytes(cls, blob: bytes, params: ParameterSet,
@@ -134,7 +131,9 @@ class Ciphertext:
 
         ``ntt_domain=True`` marks every part as evaluation-domain —
         what :func:`repro.io.load_ciphertext` passes when the versioned
-        header declares an NTT-domain payload.
+        header declares an NTT-domain payload. The blob comes from
+        outside, so a word at or above its channel's prime is refused,
+        not reduced.
         """
         part_bytes = params.poly_bytes
         if len(blob) % part_bytes:
@@ -142,10 +141,8 @@ class Ciphertext:
         count = len(blob) // part_bytes
         if count not in (2, 3):
             raise ParameterError(f"blob holds {count} parts; expected 2 or 3")
-        parts = []
-        for index in range(count):
-            chunk = blob[index * part_bytes: (index + 1) * part_bytes]
-            matrix = np.frombuffer(chunk, dtype=np.uint32).astype(np.int64)
-            matrix = matrix.reshape(basis.size, params.n)
-            parts.append(RnsPoly(basis, matrix, ntt_domain=ntt_domain))
-        return cls(tuple(parts), params)
+        words = np.frombuffer(blob, RESIDUE).reshape(count, basis.size, params.n)
+        if (words >= basis.primes_col).any():
+            raise ParameterError("ciphertext blob holds a word at or above its prime")
+        return cls(tuple(RnsPoly.trusted(basis, part, ntt_domain)
+                         for part in words.copy()), params)

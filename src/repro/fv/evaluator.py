@@ -74,8 +74,6 @@ class Evaluator:
 
     def __init__(self, context: FvContext) -> None:
         self.context = context
-        params = context.params
-        self._full_primes = params.q_primes + params.p_primes
 
     def lift(self, *cts: Ciphertext) -> tuple[Lifted, ...]:
         """Lift q->Q of two-part ciphertexts, one :class:`Lifted` each.
@@ -113,9 +111,9 @@ class Evaluator:
         (``a is b``) lifts two parts, not four, and forms three
         products: the cross term is ``2 a0 a1``, the same integer as
         ``a0 a1 + a1 a0``. The lifted rows are lazy ([0, 2q)), which
-        the point-wise reductions below absorb (products stay under
-        2^62 and the cross term under 2^63); the products themselves
-        are reduced canonically, so they do not depend on whether the
+        the point-wise reductions below absorb (the products widen into
+        int64 scratch: under 2^62, the cross term under 2^63); they are
+        stored canonically, so they do not depend on whether the
         operands were lifted ahead of time.
         """
         square = a is b
@@ -125,28 +123,32 @@ class Evaluator:
         rows = [(op if isinstance(op, Lifted) else next(fresh)).rows
                 for op in operands]
         (a0, a1), (b0, b1) = rows[0], rows[-1]
-        full_col = np.array(self._full_primes, dtype=np.int64)[:, None]
-        prods = np.empty((3 if square else 4, *a0.shape), dtype=np.int64)
+        full_col = self.context.full_basis.primes_col
+        prods = np.empty((3, *a0.shape), dtype=batch.RESIDUE)
 
         def products(c0: int, c1: int) -> None:
             # Pure element-wise passes on one channel band; any tile
             # split yields the exact same entries as one full pass.
-            np.multiply(a0[c0:c1], b0[c0:c1], out=prods[0][c0:c1])
-            prods[0][c0:c1] %= full_col[c0:c1]
-            np.multiply(a0[c0:c1], b1[c0:c1], out=prods[1][c0:c1])
+            size = (c1 - c0) * a0.shape[1]
+            wide, cross = batch.scratch(2 * size).view(np.int64)[
+                :2 * size].reshape(2, c1 - c0, -1)
+            col = full_col[c0:c1].astype(np.int64)  # unbuffered remainders
+            np.multiply(a0[c0:c1], b0[c0:c1], out=wide, dtype=np.int64)
+            np.remainder(wide, col, out=prods[0][c0:c1], casting="unsafe")
+            np.multiply(a0[c0:c1], b1[c0:c1], out=wide, dtype=np.int64)
             if square:
-                prods[1][c0:c1] <<= 1
+                wide <<= 1
             else:
-                np.multiply(a1[c0:c1], b0[c0:c1], out=prods[3][c0:c1])
-                prods[1][c0:c1] += prods[3][c0:c1]
-            prods[1][c0:c1] %= full_col[c0:c1]
-            np.multiply(a1[c0:c1], b1[c0:c1], out=prods[2][c0:c1])
-            prods[2][c0:c1] %= full_col[c0:c1]
+                np.multiply(a1[c0:c1], b0[c0:c1], out=cross, dtype=np.int64)
+                wide += cross
+            np.remainder(wide, col, out=prods[1][c0:c1], casting="unsafe")
+            np.multiply(a1[c0:c1], b1[c0:c1], out=wide, dtype=np.int64)
+            np.remainder(wide, col, out=prods[2][c0:c1], casting="unsafe")
 
         with maybe_span("mult.tensor", kind="kernel"):
-            map_bands("tensor.band", products, len(self._full_primes),
+            map_bands("tensor.band", products, len(full_col),
                       work=prods.size)
-        return prods[:3]
+        return prods
 
     def multiply_raw(self, a: Ciphertext | Lifted,
                      b: Ciphertext | Lifted) -> Ciphertext:

@@ -65,9 +65,9 @@ def apply_galois_rows(rows: np.ndarray, primes_col: np.ndarray, n: int,
                       g: int) -> np.ndarray:
     """tau_g on a residue matrix: permute columns with sign flips."""
     dest, sign = galois_index_maps(n, g)
-    out = np.zeros_like(rows)
-    out[:, dest] = rows * sign
-    return out % primes_col
+    out = np.empty_like(rows)
+    out[:, dest] = batch.to_residues(rows * sign, primes_col)
+    return out
 
 
 def canonical_steps(steps: int, n: int) -> int:
@@ -152,14 +152,8 @@ def summation_elements(n: int) -> dict:
 
 @dataclass
 class GaloisKey:
-    """Key-switch key for one Galois element (NTT domain, RNS digits).
-
-    ``pairs`` rows are ``uint32`` — residues are below 2^30, the
-    32-bit-word layout of paper Sec. V-D and of the ciphertext wire
-    format — whether generated or loaded. Consumers multiply them
-    against int64 digits (never against a bare Python int, which numpy
-    2 would keep in uint32 and wrap).
-    """
+    """Key-switch key for one Galois element (NTT domain, RNS digits):
+    ``pairs`` rows are residue words, as a relinearisation key's."""
 
     element: int
     pairs: list[tuple[np.ndarray, np.ndarray]]
@@ -183,10 +177,9 @@ class GaloisEngine:
         context = self.context
         params = context.params
         _check_galois_element(g, params.n)
-        primes_col = context.q_basis.primes_col
+        basis = context.q_basis
         tau_s_ntt = context._ntt_rows(apply_galois_rows(
-            secret.rns.residues, primes_col, params.n, g))
-        s_ntt = secret.ntt_rows
+            secret.rns.residues, basis.primes_col, params.n, g))
         a_ntt = [uniform_rns_rows(context.rng, params.n, params.q_primes)
                  for _ in range(params.k_q)]
         e_ntt = context._ntt_rows(np.stack([
@@ -194,17 +187,10 @@ class GaloisEngine:
                 discrete_gaussian(context.rng, params.n, params.sigma))
             for _ in range(params.k_q)
         ]))
-        pairs = []
-        for i in range(params.k_q):
-            weight = (context.q_basis.q_tilde[i]
-                      * context.q_basis.q_star[i])
-            weight_col = np.array(
-                [weight % qj for qj in params.q_primes], dtype=np.int64,
-            )[:, None]
-            b_ntt = (weight_col * tau_s_ntt - a_ntt[i] * s_ntt
-                     - e_ntt[i]) % primes_col
-            pairs.append((b_ntt.astype(np.uint32),
-                          a_ntt[i].astype(np.uint32)))
+        pairs = [(context._switch_key_row(q_tilde * q_star, tau_s_ntt, a,
+                                          secret.ntt_rows, e), a)
+                 for q_tilde, q_star, a, e in zip(
+                     basis.q_tilde, basis.q_star, a_ntt, e_ntt, strict=True)]
         return GaloisKey(element=g, pairs=pairs)
 
     def rotation_keygen(self, secret: SecretKey,

@@ -50,11 +50,8 @@ class RelinKey:
     of c2 broadcast across the basis (the CRT weights live in the key)
     — six summands for six q-primes, matching its six-polynomial key.
 
-    Rows are ``uint32``, one 32-bit word per residue (they are below
-    2^30), the layout of paper Sec. V-D and of
-    :class:`~repro.fv.galois.GaloisKey`. Consumers multiply them
-    against int64 digits (never against a bare Python int, which numpy
-    2 would keep in uint32 and wrap).
+    Rows are residue words (:data:`~repro.nttmath.batch.RESIDUE`), the
+    32-bit layout of paper Sec. V-D.
     """
 
     pairs: list[tuple[np.ndarray, np.ndarray]]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
+from ..nttmath.batch import RESIDUE, add_mod
 from ..obs import maybe_span
 from ..parallel import map_bands
 from ..poly.rns_poly import RnsPoly
@@ -23,9 +24,8 @@ from .scheme import FvContext
 #: Digits may be lazy ([0, 2q), what ``ntt_broadcast_rows(lazy=True)``
 #: emits) and key rows are canonical, so with q < 2^30 an accumulator
 #: holding one reduced residue plus four products stays below
-#: q + 4 * 2q * q < 2^63. Digits are int64 and key rows uint32
-#: (relinearisation and Galois keys alike): the products are formed
-#: straight into an int64 buffer.
+#: q + 4 * 2q * q < 2^63. Digits and key rows are residue words: a digit
+#: widens once into an int64 buffer, where its products are formed.
 LAZY_WINDOW = 4
 
 
@@ -37,7 +37,8 @@ def key_switch(context: FvContext, d_ntt: np.ndarray, pairs,
     (one batched call at every call site — the paper's "all digits in
     flight at once" schedule), entries below 2q. The two accumulators
     ``sum_i d_i * b_i`` and ``sum_i d_i * a_i`` are formed per channel
-    band, reduced every :data:`LAZY_WINDOW` terms.
+    band, reduced every :data:`LAZY_WINDOW` terms, then stored as
+    residue words.
 
     The result is the evaluation-domain two-part ciphertext
     ``(parts[0] + acc0, parts[1] + acc1)``: the accumulators are born
@@ -54,36 +55,38 @@ def key_switch(context: FvContext, d_ntt: np.ndarray, pairs,
         )
     with maybe_span("keyswitch.fold", kind="kernel"):
         primes_col = context.q_basis.primes_col
-        acc = [np.zeros(d_ntt.shape[1:], dtype=np.int64) for _ in range(2)]
+        sums = [np.empty(d_ntt.shape[1:], dtype=RESIDUE) for _ in range(2)]
 
         def fold(lo: int, hi: int) -> None:
             # One channel band: digit order and reduction points per
             # channel are the serial schedule's, so banding is bit-invisible.
-            acc0, acc1 = acc[0][lo:hi], acc[1][lo:hi]
-            tmp = np.empty_like(acc0)
+            # The digit widens once for its two products; an int64
+            # column keeps the remainders unbuffered.
+            acc0, acc1, tmp, wide = np.zeros((4, hi - lo, d_ntt.shape[2]), np.int64)
+            col = primes_col[lo:hi].astype(np.int64)
             for i, (digit, (b_ntt, a_ntt)) in enumerate(
                     zip(d_ntt, pairs, strict=True), start=1):
-                np.multiply(digit[lo:hi], b_ntt[lo:hi], out=tmp)
+                np.copyto(wide, digit[lo:hi])
+                np.multiply(wide, b_ntt[lo:hi], out=tmp)
                 acc0 += tmp
-                np.multiply(digit[lo:hi], a_ntt[lo:hi], out=tmp)
+                np.multiply(wide, a_ntt[lo:hi], out=tmp)
                 acc1 += tmp
-                if i % LAZY_WINDOW == 0 or i == len(pairs):
-                    acc0 %= primes_col[lo:hi]
-                    acc1 %= primes_col[lo:hi]
+                if i % LAZY_WINDOW == 0 and i < len(pairs):
+                    acc0 %= col
+                    acc1 %= col
+            for acc, total in zip((acc0, acc1), sums, strict=True):
+                np.remainder(acc, col, out=total[lo:hi], casting="unsafe")
 
         map_bands("fold.band", fold, d_ntt.shape[1], work=d_ntt.size)
         rows = [part.residues for part in parts]
         if not parts[0].ntt_domain:
             rows = list(context._ntt_rows(np.stack(rows)))
         for i, part_rows in enumerate(rows):
-            # Sums of two canonical rows are < 2q: one unsigned-minimum
-            # conditional subtract instead of an integer division.
-            acc[i] = part_rows + acc[i]
-            over = acc[i] - primes_col
-            np.minimum(acc[i].view(np.uint64), over.view(np.uint64),
-                       out=acc[i].view(np.uint64))
+            # Sums of two canonical rows are < 2q: one conditional
+            # subtract in 32 bits instead of an integer division.
+            sums[i] = add_mod(part_rows, sums[i], primes_col)
         return Ciphertext(
             tuple(RnsPoly.trusted(context.q_basis, r, ntt_domain=True)
-                  for r in acc),
+                  for r in sums),
             context.params,
         )

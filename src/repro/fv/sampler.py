@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
+from ..nttmath.batch import RESIDUE
 
 #: Tail cut in standard deviations; beyond ~10 sigma the probability mass
 #: is below 2^-70 and the paper's noise analysis ignores it.
@@ -49,4 +50,4 @@ def uniform_rns_rows(rng: np.random.Generator, n: int,
     uniform over Z_q by the CRT bijection, so no big-integer sampling is
     needed — the same trick the hardware uses for the public key stream.
     """
-    return np.stack([uniform_mod(rng, n, p) for p in primes])
+    return np.stack([uniform_mod(rng, n, p) for p in primes]).astype(RESIDUE)

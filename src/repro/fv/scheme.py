@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from ..nttmath.batch import intt_rows, ntt_rows
+from ..nttmath.batch import add_mod, intt_rows, mul_mod, ntt_rows, sub_mod, to_residues
 from ..obs import maybe_span
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
@@ -47,7 +47,6 @@ class FvContext:
         self.scale_ctx = scale_context(params.q_primes, params.p_primes,
                                        params.t)
         self.decrypt_ctx = decrypt_context(params.q_primes, params.t)
-        self.delta_rows = self.decrypt_ctx.delta_col
 
     # -- helpers -------------------------------------------------------------------
 
@@ -61,7 +60,20 @@ class FvContext:
 
     def _small_poly_rows(self, coeffs: np.ndarray) -> np.ndarray:
         """Residues of a polynomial with small signed coefficients."""
-        return coeffs[None, :] % self.q_basis.primes_col
+        return to_residues(coeffs[None, :], self.q_basis.primes_col)
+
+    def _switch_key_row(self, weight: int, target_ntt: np.ndarray,
+                        a_ntt: np.ndarray, s_ntt: np.ndarray,
+                        e_ntt: np.ndarray) -> np.ndarray:
+        """``b = w * target - a * s - e`` in the evaluation domain, the
+        ``b`` row of one key-switch pair: a relinearisation key's
+        ``target`` is s^2, a Galois key's tau(s). The products widen to
+        int64 and one reduction stores ``b``."""
+        weight_col = self.q_basis.residues_of(weight)[:, None]
+        return to_residues(
+            np.multiply(weight_col, target_ntt, dtype=np.int64)
+            - np.multiply(a_ntt, s_ntt, dtype=np.int64) - e_ntt,
+            self.q_basis.primes_col)
 
     # -- key generation --------------------------------------------------------------
 
@@ -84,10 +96,9 @@ class FvContext:
             discrete_gaussian(self.rng, n, params.sigma)
         )
         a_ntt = self._ntt_rows(a_rows)
-        a_s = self._intt_rows(
-            (a_ntt * s_ntt) % self.q_basis.primes_col
-        )
-        p0_rows = (-(a_s + e_rows)) % self.q_basis.primes_col
+        primes_col = self.q_basis.primes_col
+        a_s = self._intt_rows(mul_mod(a_ntt, s_ntt, primes_col))
+        p0_rows = sub_mod(0, add_mod(a_s, e_rows, primes_col), primes_col)
         public = PublicKey(
             p0=RnsPoly(self.q_basis, p0_rows),
             p1=RnsPoly(self.q_basis, a_rows),
@@ -108,9 +119,7 @@ class FvContext:
         weights q~_i q*_i are folded into the key, matching its Table II,
         which shows no extra multiplications for WordDecomp. A
         decomposition with a single digit is refused: its digit is as
-        large as q, and so is the key error it multiplies. The rows are
-        stored as ``uint32``, one 32-bit word per residue (see
-        :class:`~repro.fv.keys.RelinKey`).
+        large as q, and so is the key error it multiplies.
         """
         params = self.params
         weights = decomposition.weights(self.q_basis)
@@ -119,21 +128,16 @@ class FvContext:
                 f"{decomposition} has a single digit over a "
                 f"{params.q.bit_length()}-bit q: its key error would be "
                 f"scaled by ~q, so it can never relinearise")
-        primes_col = self.q_basis.primes_col
         s_ntt = secret.ntt_rows
-        s_sq_ntt = (s_ntt * s_ntt) % primes_col
+        s_sq_ntt = mul_mod(s_ntt, s_ntt, self.q_basis.primes_col)
         pairs = []
         for weight in weights:
             a_ntt = self._ntt_rows(
                 uniform_rns_rows(self.rng, params.n, params.q_primes))
             e_ntt = self._ntt_rows(self._small_poly_rows(
                 discrete_gaussian(self.rng, params.n, params.sigma)))
-            weight_col = np.array(
-                [weight % qj for qj in params.q_primes], dtype=np.int64,
-            )[:, None]
-            b_ntt = (weight_col * s_sq_ntt - a_ntt * s_ntt
-                     - e_ntt) % primes_col
-            pairs.append((b_ntt.astype(np.uint32), a_ntt.astype(np.uint32)))
+            pairs.append((self._switch_key_row(weight, s_sq_ntt, a_ntt,
+                                               s_ntt, e_ntt), a_ntt))
         return RelinKey(pairs, decomposition)
 
     # -- encryption / decryption -------------------------------------------------------
@@ -172,18 +176,16 @@ class FvContext:
         if plain.t != params.t or plain.n != params.n:
             raise ParameterError("plaintext does not match the parameter set")
         primes_col = self.q_basis.primes_col
-        e1_rows = self._small_poly_rows(np.asarray(e1))
-        e2_rows = self._small_poly_rows(np.asarray(e2))
-        m_rows = plain.coeffs[None, :] % primes_col
-        delta_m = (self.delta_rows * m_rows) % primes_col
-        u_rows = self._small_poly_rows(np.asarray(u))
         u_ntt, x0_ntt, e2_ntt = self._ntt_rows(np.stack([
-            u_rows,
-            (e1_rows + delta_m) % primes_col,
-            e2_rows,
+            self._small_poly_rows(np.asarray(u)),
+            add_mod(self._small_poly_rows(np.asarray(e1)),
+                    self.delta_plain_rows(plain), primes_col),
+            self._small_poly_rows(np.asarray(e2)),
         ]))
-        c0 = (public.p0_ntt * u_ntt + x0_ntt) % primes_col
-        c1 = (public.p1_ntt * u_ntt + e2_ntt) % primes_col
+        c0 = to_residues(np.multiply(public.p0_ntt, u_ntt, dtype=np.int64)
+                         + x0_ntt, primes_col)
+        c1 = to_residues(np.multiply(public.p1_ntt, u_ntt, dtype=np.int64)
+                         + e2_ntt, primes_col)
         return Ciphertext(
             (RnsPoly.trusted(self.q_basis, c0, ntt_domain=True),
              RnsPoly.trusted(self.q_basis, c1, ntt_domain=True)),
@@ -206,8 +208,9 @@ class FvContext:
         acc = parts[0]
         s_power = secret.ntt_rows
         for part in parts[1:]:
-            acc = (acc + part * s_power) % primes_col
-            s_power = (s_power * secret.ntt_rows) % primes_col
+            acc = to_residues(
+                np.multiply(part, s_power, dtype=np.int64) + acc, primes_col)
+            s_power = mul_mod(s_power, secret.ntt_rows, primes_col)
         return self._intt_rows(acc)
 
     def decrypt_with_noise(self, ct: Ciphertext,
@@ -250,14 +253,12 @@ class FvContext:
 
     def delta_plain_rows(self, plain: Plaintext) -> np.ndarray:
         """Residue rows of ``Delta * m`` (what Encrypt/AddPlain embed)."""
-        primes_col = self.q_basis.primes_col
-        m_rows = plain.coeffs[None, :] % primes_col
-        return (self.delta_rows * m_rows) % primes_col
+        m_rows = self._small_poly_rows(plain.coeffs)
+        return mul_mod(self.decrypt_ctx.delta_col, m_rows, self.q_basis.primes_col)
 
     def plain_ntt_rows(self, plain: Plaintext) -> np.ndarray:
         """NTT rows of a plaintext polynomial (for MulPlain)."""
-        primes_col = self.q_basis.primes_col
-        return self._ntt_rows(plain.coeffs[None, :] % primes_col)
+        return self._ntt_rows(self._small_poly_rows(plain.coeffs))
 
     def add_plain(self, a: Ciphertext, plain: Plaintext,
                   delta_m_ntt: np.ndarray | None = None) -> Ciphertext:
@@ -272,7 +273,7 @@ class FvContext:
             delta_m_ntt = self._ntt_rows(self.delta_plain_rows(plain))
         c0 = RnsPoly.trusted(
             self.q_basis,
-            (a.c0.residues + delta_m_ntt) % self.q_basis.primes_col,
+            add_mod(a.c0.residues, delta_m_ntt, self.q_basis.primes_col),
             ntt_domain=True,
         )
         return Ciphertext((c0,) + a.parts[1:], self.params)
@@ -288,11 +289,11 @@ class FvContext:
         a.require_ntt("mul_plain")
         if m_ntt is None:
             m_ntt = self.plain_ntt_rows(plain)
-        primes_col = self.q_basis.primes_col
         return Ciphertext(
             tuple(
                 RnsPoly.trusted(self.q_basis,
-                                (part.residues * m_ntt) % primes_col,
+                                mul_mod(part.residues, m_ntt,
+                                        self.q_basis.primes_col),
                                 ntt_domain=True)
                 for part in a.parts
             ),

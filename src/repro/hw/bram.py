@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import HardwareModelError, MemoryConflictError
+from ..nttmath.batch import RESIDUE
 from ..utils import is_power_of_two
 
 BRAM36K_WORDS = 1024
@@ -32,7 +33,7 @@ class BramBlock:
 
     def __init__(self, depth: int) -> None:
         self.depth = depth
-        self.data = np.zeros((depth, WORD_COEFFS), dtype=np.int64)
+        self.data = np.zeros((depth, WORD_COEFFS), dtype=RESIDUE)
         self._reads_at: dict[int, int] = {}
         self._writes_at: dict[int, int] = {}
 

@@ -1,13 +1,14 @@
 """The instruction-set coprocessor (paper Fig. 10).
 
 Executes :class:`~repro.hw.isa.Program` streams over a register file of
-residue matrices. Every instruction does two things: compute its
+residue-word matrices. Every instruction does two things: compute its
 bit-exact result and charge its cycle cost (schedule-derived unit cycles
 plus the calibrated software dispatch gap). The values come from the
 engine's own kernels — NTT / INTT on the q or p basis transformer of the
-row batch, CMUL / CADD / CSUB as one modular expression over the batch,
-Lift / Scale through :mod:`repro.rns` — so the model has one arithmetic,
-the library's. The cycle charges are closed forms; the stepped units
+row batch, CMUL / CADD / CSUB as the engine's ``mul_mod`` / ``add_mod``
+/ ``sub_mod`` over the batch, Lift / Scale through :mod:`repro.rns` — so
+the model has one arithmetic, the library's. The cycle charges are
+closed forms; the stepped units
 (:meth:`~repro.hw.ntt_unit.DualCoreNttUnit.run_strict`, the block
 pipeline) are the oracle the tests hold those closed forms to.
 
@@ -26,7 +27,7 @@ import numpy as np
 from ..errors import HardwareModelError, IsaError
 from ..fv.ciphertext import Ciphertext
 from ..fv.keys import RelinKey
-from ..nttmath.batch import basis_transformer
+from ..nttmath.batch import RESIDUE, add_mod, basis_transformer, mul_mod, sub_mod
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
 from ..rns.basis import basis_for, lift_context, scale_context
@@ -112,8 +113,7 @@ class Coprocessor:
         self.params = params
         self.config = config or HardwareConfig()
         self.q_basis = basis_for(params.q_primes)
-        self.full_col = np.array(params.q_primes + params.p_primes,
-                                 dtype=np.int64)[:, None]
+        self.full_col = basis_for(params.q_primes + params.p_primes).primes_col
         self.q_col = self.q_basis.primes_col
         # Lift extends q -> p (the unit computes only the new residues).
         self._lift_ctx = lift_context(params.q_primes, params.p_primes)
@@ -134,7 +134,7 @@ class Coprocessor:
     # -- register file ------------------------------------------------------------
 
     def _new_reg(self) -> np.ndarray:
-        return np.zeros((self.params.k_total, self.params.n), dtype=np.int64)
+        return np.zeros((self.params.k_total, self.params.n), dtype=RESIDUE)
 
     def _reg(self, name: str) -> np.ndarray:
         if name not in self.registers:
@@ -179,7 +179,7 @@ class Coprocessor:
                 self._load_key_pair(key, component)
         report = self.execute(program, relin_key=key)
         k_q = self.params.k_q
-        parts = tuple(RnsPoly(self.q_basis, self._reg(name)[:k_q].copy())
+        parts = tuple(RnsPoly(self.q_basis, self._reg(name)[:k_q])
                       for name in ("out0", "out1"))
         return Ciphertext(parts, self.params), report
 
@@ -276,15 +276,14 @@ class Coprocessor:
                 continue
             view = basis_transformer(primes, self.params.n).subset(
                 lo - offset, hi - offset)
-            part = src[lo:hi] % self.full_col[lo:hi]
-            dst[lo:hi] = view.inverse(part) if inverse else view.forward(part)
+            dst[lo:hi] = (view.inverse if inverse else view.forward)(src[lo:hi])
 
-    def _coeffwise(self, ins: Instruction, op: np.ufunc) -> None:
+    def _coeffwise(self, ins: Instruction, op) -> None:
         rows = self._row_batch(ins)
         a = self._reg(ins.srcs[0])[rows]
         b = self._reg(ins.srcs[1])[rows]
         dst = self.registers.setdefault(ins.dst, self._new_reg())
-        dst[rows] = op(a, b) % self.full_col[rows]
+        dst[rows] = op(a, b, self.full_col[rows])
 
     def _exec_rearrange(self, ins: Instruction) -> None:
         # Functional no-op: the NTT unit model folds the layout
@@ -345,9 +344,9 @@ class Coprocessor:
     _DATAPATHS = {
         Opcode.NTT: partial(_transform, inverse=False),
         Opcode.INTT: partial(_transform, inverse=True),
-        Opcode.CMUL: partial(_coeffwise, op=np.multiply),
-        Opcode.CADD: partial(_coeffwise, op=np.add),
-        Opcode.CSUB: partial(_coeffwise, op=np.subtract),
+        Opcode.CMUL: partial(_coeffwise, op=mul_mod),
+        Opcode.CADD: partial(_coeffwise, op=add_mod),
+        Opcode.CSUB: partial(_coeffwise, op=sub_mod),
         Opcode.REARRANGE: _exec_rearrange,
         Opcode.LIFT: _exec_lift,
         Opcode.SCALE: _exec_scale,

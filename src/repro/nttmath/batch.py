@@ -95,6 +95,41 @@ _MAX_INPUT = (1 << 30) - 1
 #: slower per row, smaller ones pay each pass's call overhead more.
 _CHUNK_ELEMENTS = 1 << 16
 
+RESIDUE = np.uint32
+"""The residue word, the dtype of every stored residue array (keys,
+ciphertexts, digits, Lift / Scale results, the wire format, ``hw``
+registers). Every prime is exactly 30 bits, so a canonical residue, a
+lazy [0, 2q) one and a sum of two lazy ones (< 2^32) fit one unsigned
+32-bit word, the paper's BRAM and DDR word. Unsigned, a conditional
+subtract is a wrapping difference and a minimum (:func:`add_mod`);
+products widen to int64 (:func:`mul_mod`)."""
+
+
+def to_residues(values: np.ndarray, primes_col: np.ndarray) -> np.ndarray:
+    """``values mod q`` in residue words, reduced in ``values``' own type
+    (signed, int64 products), to which the prime column is cast."""
+    out = np.empty(np.broadcast_shapes(values.shape, primes_col.shape), RESIDUE)
+    col = primes_col.astype(np.result_type(values, primes_col), copy=False)
+    return np.remainder(values, col, out=out, casting="unsafe")
+
+
+def mul_mod(a, b, primes_col: np.ndarray) -> np.ndarray:
+    """``a * b mod q``; the product widens to int64 (uint32 would wrap)."""
+    return to_residues(np.multiply(a, b, dtype=np.int64), primes_col)
+
+
+def add_mod(a, b, primes_col: np.ndarray) -> np.ndarray:
+    """``a + b mod q`` for a sum below 2q, in 32 bits: the minimum of the
+    sum and its wrapping difference with the residue-word prime column."""
+    total = np.add(a, b, dtype=RESIDUE)
+    return np.minimum(total, total - primes_col, out=total)
+
+
+def sub_mod(a, b, primes_col: np.ndarray) -> np.ndarray:
+    """``a - b mod q`` for canonical ``b`` as ``a + (q - b)`` (a uint32
+    difference wraps modulo 2^32, not q); ``a = 0`` negates."""
+    return add_mod(a, primes_col - b, primes_col)
+
 
 # -- transform accounting ------------------------------------------------------
 
@@ -277,7 +312,7 @@ class BasisTransformer:
     # -- internals ---------------------------------------------------------------
 
     def _check(self, matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(matrix, dtype=np.int64)
+        arr = np.asarray(matrix, dtype=RESIDUE)
         if arr.ndim == 2:
             stacked = False
             arr = arr[None, :, :]
@@ -299,14 +334,14 @@ class BasisTransformer:
     def _output(arr: np.ndarray, stacked: bool,
                 out: np.ndarray | None) -> np.ndarray:
         """The ``(j, k, n)`` array a transform of ``arr`` writes: a new
-        one, or ``out`` (an int64 array of the caller's input shape)."""
+        one, or ``out`` (residue words of the caller's input shape)."""
         if out is None:
             return np.empty_like(arr)
         shape = arr.shape if stacked else arr.shape[1:]
-        if out.shape != shape or out.dtype != np.int64:
+        if out.shape != shape or out.dtype != RESIDUE:
             raise ParameterError(
-                f"output {out.dtype} {out.shape} does not match the int64 "
-                f"{shape} input"
+                f"output {out.dtype} {out.shape} does not match the "
+                f"{arr.dtype} {shape} input"
             )
         return out if stacked else out[None]
 
@@ -371,7 +406,7 @@ class BasisTransformer:
         [0, 2q) — for consumers whose own reduction absorbs the slack
         (the tensor step's point-wise products).
 
-        ``out``, an int64 array of the input's shape (a view is fine),
+        ``out``, residue words of the input's shape (a view is fine),
         receives the result instead of a new array, and may be the
         input itself: :meth:`_GemmPlan.run` reads a tile's whole input
         into scratch at stage 0 before its last stage writes, and tiles
@@ -436,13 +471,13 @@ class BasisTransformer:
         reducing, and transforming per channel, at a fraction of the
         cost (see :meth:`_GemmPlan.run`).
         """
-        arr = np.asarray(rows, dtype=np.int64)
+        arr = np.asarray(rows, dtype=RESIDUE)
         if arr.ndim != 2 or arr.shape[1] != self.n:
             raise ParameterError(
                 f"expected (j, {self.n}) digit rows, got {arr.shape}"
             )
         j = arr.shape[0]
-        out = np.empty((j, self.k, self.n), dtype=np.int64)
+        out = np.empty((j, self.k, self.n), dtype=RESIDUE)
         with maybe_span("ntt.forward_broadcast", rows=j * self.k,
                         n=self.n):
             self._dispatch("forward_broadcast", self._fwd, arr, out,
@@ -460,8 +495,9 @@ def scratch(elements: int) -> np.ndarray:
     ``elements`` elements.
 
     One buffer per thread, shared by every transform plan (both
-    directions, every basis and ring, every channel slice) and by the
-    Lift and Scale gemm kernels, and sized for the largest request seen
+    directions, every basis and ring, every channel slice), the Lift and
+    Scale gemm kernels and the tensor step's int64 products (two planes
+    of a channel band), and sized for the largest request seen
     (a larger one replaces it). Each user runs start to finish on one
     thread and leaves nothing a later call reads, so sharing never
     aliases live data.
@@ -481,7 +517,8 @@ def scratch(elements: int) -> np.ndarray:
     lift to read — 41 rows at hpca19 and 71 at n = 8192, against a
     p-basis transform tile's 42 (two polynomials of 7 primes) and 39
     (one of 13). No transform runs the 13 or 25 primes of a whole Q
-    basis at once: Q-basis rows transform as the q and p batches.
+    basis at once: Q-basis rows transform as the q and p batches. A
+    tensor band takes two rows per channel: 26 at hpca19 serially.
     """
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.size < elements:
@@ -520,29 +557,27 @@ def reduce_exact(values: np.ndarray, moduli: tuple[np.ndarray, ...],
     The one reduction of the engine's gemm kernels (the transform's last
     stage, Lift's Blocks 2-5 and Scale's Blocks 2-4): ``values``
     (|v| <= 2^53 - q, overwritten) takes its balanced remainder
-    (:func:`_balance`), which casts once to int32 and leaves as
-    ``r + (q if r < 0)`` — canonical, in [0, q) — or, with ``lazy``, as
-    ``r + q`` in [0, 2q). ``moduli`` is the ``(q int32, q float64,
-    1 / q)`` triple of columns (:func:`reduction_moduli`) broadcasting
-    against ``values``; ``spare`` is a flat float64 buffer of at least
-    ``values.size`` elements that aliases neither ``values`` nor
-    ``out``.
+    (:func:`_balance`), cast once into the residue words ``out`` (read
+    as int32: results are below 2^31) as ``r + (q if r < 0)`` —
+    canonical, in [0, q) — or, with ``lazy``, ``r + q`` in [0, 2q).
+    ``moduli`` is the ``(q int32, q float64, 1 / q)`` triple of columns
+    (:func:`reduction_moduli`) broadcasting against ``values``;
+    ``spare`` is a flat float64 buffer of at least ``values.size``
+    elements that aliases neither ``values`` nor ``out``.
     """
     p32, p_f, inv_p = moduli
     size = values.size
     _balance(values, p_f, inv_p, spare[:size].reshape(values.shape))
-    # The float temporary is dead: its bytes hold two int32 planes.
-    ints = spare[:size].view(np.int32)
-    r32 = ints[:size].reshape(values.shape)
+    r32 = out.view(np.int32)
     np.copyto(r32, values, casting="unsafe")
     if lazy:
         np.add(r32, p32, out=r32)
     else:
-        sign = ints[size:].reshape(values.shape)
+        # The float temporary is dead: its bytes hold the sign plane.
+        sign = spare[:size].view(np.int32)[:size].reshape(values.shape)
         np.right_shift(r32, 31, out=sign)
         np.bitwise_and(sign, p32, out=sign)
         np.add(r32, sign, out=r32)
-    np.copyto(out, r32)
 
 
 class _GemmPlan:
@@ -746,10 +781,10 @@ class _GemmPlan:
         NTT_k(v mod q_k)``, and the reductions are exact, so this equals
         reducing per channel first — but one limb split and one tall
         stage-0 dgemm per row cover all ``k`` channels: the paper's
-        fused WordDecomp + NTT). Entries must be non-negative and below
-        2^30, the bound :func:`_limbs_exact` is proved against. ``out``
-        is a ``(c, k, n)`` view; it receives canonical [0, q) values, or
-        lazy [0, 2q) ones with ``lazy``.
+        fused WordDecomp + NTT). Entries are residue words below 2^30,
+        the bound :func:`_limbs_exact` is proved against; stage 0 splits
+        them in place, read as int32. ``out`` is a ``(c, k, n)`` view;
+        it receives canonical [0, q) values, or lazy [0, 2q) ones.
 
         Each stage is one batched dgemm over the chunk and every
         element-wise pass covers the whole chunk. Between stages the
@@ -767,10 +802,11 @@ class _GemmPlan:
           [-2^14 - 1, 2^14] (top) and [0, 2^15) (low);
         * the last stage's balanced remainder leaves as ``r + q``
           (lazy, in [0, 2q)) or ``r + (q if r < 0)`` (canonical),
-          widened into ``out``.
+          cast straight into ``out`` (:func:`reduce_exact`).
         """
         k, n = self.k, self.n
         factors = self.factors
+        x = x.view(np.int32)  # below 2^30: the int32 split is faster
         rows = x.shape[0]
         size = rows * k * n
         buf = scratch(3 * size)
@@ -786,20 +822,14 @@ class _GemmPlan:
         p32, p_f, inv_p = self.moduli
         for t, f in enumerate(factors):
             span = n // f
-            if t == 0:
-                # Inputs are below 2^30: narrow them first, so the
-                # split shifts and casts int32.
-                narrow = q32.reshape(-1)[:x.size].reshape(x.shape)
-                np.copyto(narrow, x, casting="unsafe")
             if t == 0 and broadcast:
                 stack = limbs[:_LIMBS * rows * n].reshape(
                     rows, _LIMBS * f, span)
-                _split(narrow.reshape(rows, f, span), stack[:, :f],
-                       stack[:, f:])
+                _split(x.reshape(rows, f, span), stack[:, :f], stack[:, f:])
                 np.matmul(self.steps[0].reshape(k * f, _LIMBS * f), stack,
                           out=g.reshape(rows, k * f, span))
             else:
-                source = (narrow.reshape(rows, k, f, span) if t == 0
+                source = (x.reshape(rows, k, f, span) if t == 0
                           else self._rotated(v32, t))
                 stack = limbs.reshape((rows, k, _LIMBS * f)
                                       + source.shape[3:])
@@ -865,7 +895,7 @@ def intt_rows_scaled(primes: tuple[int, ...], matrix: np.ndarray,
     col(primes)`` with the multiplies hidden inside the transform's
     twiddle tables.
     """
-    arr = np.asarray(matrix, dtype=np.int64)
+    arr = np.asarray(matrix, dtype=RESIDUE)
     return basis_transformer(tuple(primes), arr.shape[-1]).inverse_scaled(
         arr, constants
     )
@@ -880,7 +910,7 @@ def ntt_broadcast_rows(primes: tuple[int, ...], rows: np.ndarray,
     bit-identical to broadcasting each row across the basis, reducing
     per channel, and calling :func:`ntt_rows`.
     """
-    arr = np.asarray(rows, dtype=np.int64)
+    arr = np.asarray(rows, dtype=RESIDUE)
     return basis_transformer(tuple(primes), arr.shape[-1]).forward_broadcast(
         arr, lazy=lazy
     )

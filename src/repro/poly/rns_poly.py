@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..nttmath.batch import intt_rows, ntt_rows
+from ..nttmath.batch import add_mod, intt_rows, mul_mod, ntt_rows, sub_mod, to_residues
 from ..rns.basis import RnsBasis
 
 
@@ -26,7 +26,8 @@ class RnsPoly:
     Attributes:
         basis: the RNS basis the residues live in.
         n: ring degree.
-        residues: int64 matrix of shape (basis.size, n).
+        residues: (basis.size, n) matrix of canonical residues, in
+            residue words (:data:`~repro.nttmath.batch.RESIDUE`).
         ntt_domain: True when rows hold NTT evaluations, False for
             coefficients.
     """
@@ -36,25 +37,24 @@ class RnsPoly:
     ntt_domain: bool = False
 
     def __post_init__(self) -> None:
-        self.residues = np.asarray(self.residues, dtype=np.int64)
-        if self.residues.ndim != 2:
+        matrix = np.asarray(self.residues)
+        if matrix.ndim != 2:
             raise ParameterError("residues must be a 2-D matrix")
-        if self.residues.shape[0] != self.basis.size:
+        if matrix.shape[0] != self.basis.size:
             raise ParameterError(
-                f"residue matrix rows ({self.residues.shape[0]}) do not "
+                f"residue matrix rows ({matrix.shape[0]}) do not "
                 f"match basis size ({self.basis.size})"
             )
-        # Reduce into a fresh array: ``%=`` would mutate the *caller's*
-        # array in place whenever ``np.asarray`` returned its input
-        # unchanged (the aliasing regression test pins this down).
-        self.residues = self.residues % self.basis.primes_col
+        # Reduce, in the input's own type, into fresh residue words: the
+        # caller's array is never mutated (the aliasing test pins it).
+        self.residues = to_residues(matrix, self.basis.primes_col)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def trusted(cls, basis: RnsBasis, residues: np.ndarray,
                 ntt_domain: bool = False) -> RnsPoly:
-        """Adopt an already-reduced (size x n) int64 matrix without copying.
+        """Adopt an already-reduced (size x n) residue matrix, uncopied.
 
         Hot-path constructor for internal call sites whose arithmetic
         already produced canonical residues — it skips the defensive
@@ -120,26 +120,17 @@ class RnsPoly:
 
     def __add__(self, other: RnsPoly) -> RnsPoly:
         self._assert_compatible(other)
-        return RnsPoly.trusted(
-            self.basis,
-            (self.residues + other.residues) % self.basis.primes_col,
-            self.ntt_domain,
-        )
+        total = add_mod(self.residues, other.residues, self.basis.primes_col)
+        return RnsPoly.trusted(self.basis, total, self.ntt_domain)
 
     def __sub__(self, other: RnsPoly) -> RnsPoly:
         self._assert_compatible(other)
-        return RnsPoly.trusted(
-            self.basis,
-            (self.residues - other.residues) % self.basis.primes_col,
-            self.ntt_domain,
-        )
+        difference = sub_mod(self.residues, other.residues, self.basis.primes_col)
+        return RnsPoly.trusted(self.basis, difference, self.ntt_domain)
 
     def __neg__(self) -> RnsPoly:
-        return RnsPoly.trusted(
-            self.basis,
-            (-self.residues) % self.basis.primes_col,
-            self.ntt_domain,
-        )
+        negated = sub_mod(0, self.residues, self.basis.primes_col)
+        return RnsPoly.trusted(self.basis, negated, self.ntt_domain)
 
     def multiply(self, other: RnsPoly) -> RnsPoly:
         """Negacyclic product via batched NTT (both in coefficient domain)."""
@@ -147,17 +138,10 @@ class RnsPoly:
         self._require_coeff_domain("multiply")
         primes = self.basis.primes
         fa, fb = ntt_rows(primes, np.stack([self.residues, other.residues]))
-        product = (fa * fb) % self.basis.primes_col
-        return RnsPoly.trusted(
-            self.basis, intt_rows(primes, product), ntt_domain=False
-        )
+        product = mul_mod(fa, fb, self.basis.primes_col)
+        return RnsPoly.trusted(self.basis, intt_rows(primes, product))
 
     def scalar_mul(self, scalar: int) -> RnsPoly:
-        cols = np.array(
-            [scalar % p for p in self.basis.primes], dtype=np.int64
-        )[:, None]
-        return RnsPoly.trusted(
-            self.basis,
-            (self.residues * cols) % self.basis.primes_col,
-            self.ntt_domain,
-        )
+        column = self.basis.residues_of(scalar)[:, None]
+        product = mul_mod(self.residues, column, self.basis.primes_col)
+        return RnsPoly.trusted(self.basis, product, self.ntt_domain)

@@ -25,7 +25,7 @@ from math import prod
 import numpy as np
 
 from ..errors import ParameterError
-from ..nttmath.batch import reduction_moduli
+from ..nttmath.batch import RESIDUE, reduction_moduli
 from ..nttmath.modmath import modinv
 
 RECIP_FRACTION_BITS = 89
@@ -53,8 +53,9 @@ class RnsBasis:
             modinv(star % p, p)
             for star, p in zip(self.q_star, self.primes, strict=True)
         )
-        # The garbled-free constants as numpy columns for vectorised use.
-        self.primes_col = np.array(self.primes, dtype=np.int64)[:, None]
+        # The primes as residue words (a conditional subtract stays in 32
+        # bits); q~ in int64 (a product with it widens).
+        self.primes_col = np.array(self.primes, dtype=RESIDUE)[:, None]
         self.q_tilde_col = np.array(self.q_tilde, dtype=np.int64)[:, None]
         # 89-fractional-bit reciprocals; for ~30-bit primes the value fits
         # in 60 bits (first 29 fractional bits of 1/q_i are zero).
@@ -74,7 +75,7 @@ class RnsBasis:
 
     def residues_of(self, value: int) -> np.ndarray:
         """Residue vector of a single integer."""
-        return np.array([value % p for p in self.primes], dtype=np.int64)
+        return np.array([value % p for p in self.primes], dtype=RESIDUE)
 
     def reconstruct(self, residues) -> int:
         """Exact CRT reconstruction of one residue vector into [0, modulus)."""

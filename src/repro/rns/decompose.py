@@ -27,6 +27,7 @@ from math import prod
 import numpy as np
 
 from ..errors import ParameterError
+from ..nttmath.batch import RESIDUE
 from ..nttmath.modmath import modinv
 from .basis import RnsBasis
 
@@ -93,7 +94,7 @@ def _channel_rows(basis: RnsBasis, digits: list[int]) -> np.ndarray:
     channel; the digits may exceed 64 bits (60- or 90-bit digits), so
     the reduction is exact integer arithmetic before vectorising."""
     return np.array([[d % p for d in digits] for p in basis.primes],
-                    dtype=np.int64)
+                    dtype=RESIDUE)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class WordDecomp:
         """Exact digits of a ``(k, n)`` residue matrix, each reduced
         into every channel: ``(count, k, n)``, or digit ``index`` alone
         as ``(k, n)``."""
-        matrix = np.asarray(residues, dtype=np.int64)
+        matrix = np.asarray(residues, dtype=RESIDUE)
         if matrix.ndim != 2 or matrix.shape[0] != basis.size:
             raise ParameterError(
                 f"expected ({basis.size} x n) residues, got {matrix.shape}"

@@ -112,7 +112,7 @@ def noise_norm(context: DecryptContext, w_rows: np.ndarray,
     coefficient column and run as column bands under a pool; the
     lexicographic search reads the finished digits on the caller.
     """
-    digits = np.empty_like(w_rows)
+    digits = np.empty(w_rows.shape, dtype=np.int64)
 
     def band(lo: int, hi: int) -> None:
         u = digits[:, lo:hi]

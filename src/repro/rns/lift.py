@@ -31,7 +31,7 @@ from .basis import RECIP_FRACTION_BITS, LiftContext, RnsBasis
 
 
 def _check_input(basis: RnsBasis, residues: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(residues, dtype=np.int64)
+    matrix = np.asarray(residues, dtype=batch.RESIDUE)
     if matrix.ndim != 2 or matrix.shape[0] != basis.size:
         raise ParameterError(
             f"expected a ({basis.size} x n) residue matrix, got shape "
@@ -71,7 +71,7 @@ def lift_hps(context: LiftContext, residues: np.ndarray) -> np.ndarray:
     basis = context.source
     matrix = _check_input(basis, residues)
     # Block 1: x'_i = x_i * q~_i mod q_i.
-    x_prime = (matrix * basis.q_tilde_col) % basis.primes_col
+    x_prime = batch.mul_mod(matrix, basis.q_tilde_col, basis.primes_col)
     return _lift_block2_gemm(context, matrix, x_prime)
 
 
@@ -97,7 +97,7 @@ def _lift_block2_gemm(context: LiftContext, matrix: np.ndarray,
     """
     n = x_prime.shape[1]
     skip = context.source_prefix
-    out = np.empty((len(context.target_primes), n), dtype=np.int64)
+    out = np.empty((len(context.target_primes), n), dtype=batch.RESIDUE)
     if skip:
         out[:skip] = matrix
     _lift_tail_gemm(context, x_prime, out[skip:])
@@ -179,7 +179,7 @@ def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
             "the evaluation-domain lift needs a target basis that starts "
             "with the source primes (Lift q->Q)"
         )
-    arr = np.asarray(rows, dtype=np.int64)
+    arr = np.asarray(rows, dtype=batch.RESIDUE)
     stacked = arr.ndim == 3
     stack = arr if stacked else arr[None]
     if stack.shape[1] != basis.size:
@@ -190,7 +190,7 @@ def lift_hps_ntt(context: LiftContext, rows: np.ndarray,
     j, k_s, n = stack.shape
     target_primes = tuple(context.target_primes)
     x_prime = batch.intt_rows_scaled(basis.primes, stack, basis.q_tilde)
-    lifted = np.empty((j, len(target_primes), n), dtype=np.int64)
+    lifted = np.empty((j, len(target_primes), n), dtype=batch.RESIDUE)
     lifted[:, :k_s] = stack
     context.gemm_tables()  # built once, read-only under the fan-out
 
@@ -244,5 +244,5 @@ def lift_traditional(context: LiftContext,
     coeffs = basis.reconstruct_coeffs(matrix)
     return np.array(
         [[c % t for c in coeffs] for t in context.target_primes],
-        dtype=np.int64,
+        dtype=batch.RESIDUE,
     )

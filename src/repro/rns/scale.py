@@ -40,7 +40,7 @@ from .lift import _lift_tail_gemm, _quotient_from_limbs, _tail_scratch_rows
 
 
 def _check_rows(context: ScaleContext, residues: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(residues, dtype=np.int64)
+    matrix = np.asarray(residues, dtype=batch.RESIDUE)
     expected = context.full_basis.size
     if matrix.ndim != 2 or matrix.shape[0] != expected:
         raise ParameterError(
@@ -63,8 +63,8 @@ def scale_hps(context: ScaleContext, residues: np.ndarray) -> np.ndarray:
     """
     basis = context.full_basis
     matrix = _check_rows(context, residues)
-    x_prime = (matrix * basis.q_tilde_col) % basis.primes_col
-    out = np.empty((context.q_basis.size, x_prime.shape[1]), dtype=np.int64)
+    x_prime = batch.mul_mod(matrix, basis.q_tilde_col, basis.primes_col)
+    out = np.empty_like(x_prime[:context.q_basis.size])
     _scale_bands(context, x_prime[None], out[None])
     return out
 
@@ -94,7 +94,7 @@ def scale_hps_ntt(context: ScaleContext,
     C-contiguous ``(j, k_q, n)`` array, so each ``result[i]`` is a
     contiguous ``(k_q, n)`` matrix.
     """
-    arr = np.asarray(ntt_residues, dtype=np.int64)
+    arr = np.asarray(ntt_residues, dtype=batch.RESIDUE)
     stacked = arr.ndim == 3
     stack = arr if stacked else arr[None]
     basis = context.full_basis
@@ -103,14 +103,13 @@ def scale_hps_ntt(context: ScaleContext,
             f"expected ({basis.size} x n) NTT rows over Q, got shape "
             f"{arr.shape}"
         )
-    x_prime = np.empty(stack.shape, dtype=np.int64)
+    x_prime = np.empty_like(stack)
     k_q = context.q_basis.size
     for rows, part in ((slice(0, k_q), context.q_basis),
                        (slice(k_q, basis.size), context.p_basis)):
         batch.basis_transformer(part.primes, stack.shape[2]).inverse_scaled(
             stack[:, rows], basis.q_tilde[rows], out=x_prime[:, rows])
-    out = np.empty((stack.shape[0], k_q, stack.shape[2]),
-                   dtype=np.int64)
+    out = np.empty_like(stack[:, :k_q])
     _scale_bands(context, x_prime, out)
     return out if stacked else out[0]
 
@@ -160,7 +159,8 @@ def _scale_band(context: ScaleContext, x_prime: np.ndarray,
     first ``k_p`` rows become the reduction's spare once the product is
     taken. The p-basis result, and in place the final lift's Block-1
     input, sits past the share :func:`~repro.rns.lift._lift_tail_gemm`
-    takes, so the lift never overwrites the x' it reads.
+    takes, so the lift never overwrites the x' it reads; the Block-1
+    product widens into the dead gemm output.
     """
     k_all, width = x_prime.shape
     table, moduli = context.gemm_tables()
@@ -172,8 +172,8 @@ def _scale_band(context: ScaleContext, x_prime: np.ndarray,
     g = buf[:rows * width].reshape(rows, width)
     limbs = buf[rows * width:(rows + 2 * k_all) * width].reshape(
         2 * k_all, width)
-    y_p = buf[y_at * width:(y_at + k_p) * width].view(np.int64).reshape(
-        k_p, width)
+    y_p = buf[y_at * width:(y_at + k_p) * width].view(batch.RESIDUE)[
+        :k_p * width].reshape(k_p, width)
     np.right_shift(x_prime, 15, out=limbs[:k_all], casting="unsafe")
     np.bitwise_and(x_prime, (1 << 15) - 1, out=limbs[k_all:],
                    casting="unsafe")
@@ -184,8 +184,9 @@ def _scale_band(context: ScaleContext, x_prime: np.ndarray,
     batch.reduce_exact(total, moduli, y_p, limbs[:k_p].reshape(-1),
                        lazy=False)
     # Block 5: the final lift's Block 1, x' = y_p q~ mod p, in place.
-    np.multiply(y_p, lift.source.q_tilde_col, out=y_p)
-    np.remainder(y_p, lift.source.primes_col, out=y_p)
+    wide = g[:k_p].view(np.int64)
+    np.multiply(y_p, lift.source.q_tilde_col, out=wide)
+    np.remainder(wide, lift.source.primes_col, out=y_p, casting="unsafe")
     _lift_tail_gemm(lift, y_p, out)
 
 
@@ -203,5 +204,5 @@ def scale_traditional(context: ScaleContext,
     scaled = [round_half_away(context.t * c, q) for c in coeffs]
     return np.array(
         [[v % qi for v in scaled] for qi in context.q_basis.primes],
-        dtype=np.int64,
+        dtype=batch.RESIDUE,
     )

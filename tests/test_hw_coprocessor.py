@@ -30,7 +30,7 @@ from repro.hw.config import (
 )
 from repro.hw.coprocessor import Coprocessor, InstructionStat
 from repro.hw.isa import Opcode, Program
-from repro.nttmath.batch import intt_rows, ntt_rows
+from repro.nttmath.batch import RESIDUE, intt_rows, ntt_rows
 from repro.nttmath.ntt import negacyclic_convolution
 from repro.params import hpca19, mini
 from repro.rns.decompose import WordDecomp
@@ -365,8 +365,10 @@ class TestDatapaths:
         ins = program.emit(op, dst="out", srcs=srcs,
                            rows=tuple(range(start, stop)))
         coprocessor = Coprocessor(mini_params)
+        # Registers hold residue words; ``expected`` computes in int64.
         coprocessor.registers.update(
-            {name: matrix.copy() for name, matrix in operands.items()})
+            {name: matrix.astype(RESIDUE)
+             for name, matrix in operands.items()})
         report = coprocessor.execute(program)
 
         out = coprocessor.registers["out"]

@@ -237,6 +237,13 @@ def test_relin_keys_take_one_word_per_residue(setup, decomposition):
     got = key_switch(context, digits, narrow, parts)
     want = key_switch(context, digits, [(top, top)] * count, parts)
     _assert_parts(got, want.c0.residues, want.c1.residues, ntt_domain=True)
+    # And both are the definition: (2q - 1)(q - 1) = 1 mod q, so each
+    # accumulator is the digit count, however many products it holds
+    # between two reductions.
+    parts_ntt = ntt_rows(context.params.q_primes,
+                         np.stack([raw.c0.residues, raw.c1.residues]))
+    _assert_parts(got, *((parts_ntt.astype(np.int64) + count) % primes_col),
+                  ntt_domain=True)
 
 
 @pytest.mark.parametrize("resident", [False, True],

@@ -215,13 +215,13 @@ def test_q_and_p_bases_hold_every_table():
     whole = batch.BasisTransformer(full, n)
     ctx = context.scale_ctx
     want = whole.inverse_scaled(stack, ctx.full_q_tilde)
-    got = np.empty_like(stack)
+    got = np.empty(stack.shape, dtype=batch.RESIDUE)
     for rows, primes in ((slice(0, k_q), params.q_primes),
                          (slice(k_q, len(full)), params.p_primes)):
         batch.basis_transformer(primes, n).inverse_scaled(
             stack[:, rows], ctx.full_q_tilde[rows], out=got[:, rows])
     assert np.array_equal(got, want)
-    scaled = np.empty((3, k_q, n), dtype=np.int64)
+    scaled = np.empty((3, k_q, n), dtype=batch.RESIDUE)
     _scale_bands(ctx, want, scaled)
     assert np.array_equal(scale_hps_ntt(ctx, stack), scaled)
 

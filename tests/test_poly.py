@@ -143,7 +143,8 @@ class TestRnsPoly:
         """NTT-domain pointwise product == coefficient-domain multiply."""
         a = _poly(basis, rng.integers(0, 1000, toy_params.n))
         b = _poly(basis, rng.integers(0, 1000, toy_params.n))
-        product = a.to_ntt().residues * b.to_ntt().residues
+        product = np.multiply(a.to_ntt().residues, b.to_ntt().residues,
+                              dtype=np.int64)
         via_ntt = RnsPoly(basis, product, ntt_domain=True).to_coeff()
         direct = a.multiply(b)
         assert np.array_equal(via_ntt.residues, direct.residues)

@@ -32,7 +32,7 @@ from repro.errors import EncodingError, ParameterError
 from repro.fv.encoder import Plaintext
 from repro.fv.reference import TextbookFv, decrypt_with_noise_bigint
 from repro.fv.sampler import discrete_gaussian, uniform_ternary
-from repro.io import MAGIC, load_ciphertext, save_ciphertext
+from repro.io import MAGIC, _payload_digest, load_ciphertext, save_ciphertext
 from repro.params import mini
 from scaffolding import toy
 
@@ -185,6 +185,43 @@ class TestNttWireFormat:
                 lambda h, lost=lost: [h.pop(key) for key in lost])
             with pytest.raises(EncodingError, match="version None"):
                 load_ciphertext(stripped, params)
+
+    def test_non_canonical_word_is_refused(self, tmp_path):
+        """The payload comes from outside the program: a word at or above
+        its channel's prime is refused, not reduced. Each tampered file
+        carries a recomputed digest, so only the word check stands in
+        the way; rewriting a word to its own value still loads."""
+        params = mini(t=257)
+        session = Session(params, seed=17)
+        path = tmp_path / "honest.ct"
+        save_ciphertext(path, session.encrypt([5, 6]).ciphertext)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + header_len])
+        words = np.frombuffer(raw[12 + header_len:], dtype="<u4")
+        n, last = params.n, params.k_q - 1
+
+        def load_with(index: int, value: int):
+            tampered = words.copy()
+            tampered[index] = value
+            payload = tampered.tobytes()
+            header["digest"] = _payload_digest(header["domain"], payload)
+            head = json.dumps(header, sort_keys=True).encode()
+            evil = tmp_path / "tampered.ct"
+            evil.write_bytes(MAGIC + struct.pack("<I", len(head)) + head
+                             + payload)
+            return load_ciphertext(evil, params)
+
+        r = int(words[0])
+        restored = load_with(0, r)
+        assert np.array_equal(restored.c0.residues,
+                              words[:params.k_q * n].reshape(params.k_q, n))
+        # Channel 0's q0 + r used to load as r, 0xFFFFFFFF as its
+        # remainder, and the last channel's own prime as 0.
+        for index, value in ((0, params.q_primes[0] + r), (0, 0xFFFFFFFF),
+                             (last * n + 3, params.q_primes[last])):
+            with pytest.raises(ParameterError, match="above its prime"):
+                load_with(index, value)
 
     def test_mixed_domain_ciphertext_refuses_the_wire(self):
         """A ciphertext's parts share one domain: a mixed one is refused

@@ -13,6 +13,7 @@ import repro.parallel.config as parallel_config
 from repro.errors import ParameterError
 from repro.fv.sampler import uniform_rns_rows
 from repro.nttmath import ntt_rows
+from repro.nttmath.batch import RESIDUE
 from repro.obs import Tracer, current_registry
 from repro.parallel import use_executor
 from repro.params import hpca19, large_ring, mini
@@ -427,10 +428,10 @@ class TestLiftMemory:
     def test_warm_lift_allocates_its_result_and_the_inverse_only(self):
         """The lift's new channels are transformed in place in its
         result: once warm, one call on an hpca19 ``(4, 6, 4096)`` stack
-        peaks at the ``(j, k_Q, n)`` result, the inverse transform's
-        ``(j, k_q, n)`` output and four ``(n,)`` int64 planes of traced
-        heap (a fresh ``(j, k_p, n)`` forward output and its copy took
-        106 planes)."""
+        peaks at the ``(j, k_Q, n)`` result and the inverse transform's
+        ``(j, k_q, n)`` output, both residue words, and four ``(n,)``
+        int64 planes of traced heap (a fresh ``(j, k_p, n)`` forward
+        output and its copy took 106 int64 planes)."""
         params = hpca19()
         ctx = lift_context(params.q_primes, params.q_primes + params.p_primes)
         rng = np.random.default_rng(43)
@@ -446,16 +447,18 @@ class TestLiftMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        bound = 8 * n * (j * k_q + j * params.k_total + 4)
+        word = np.dtype(RESIDUE).itemsize
+        bound = word * n * (j * k_q + j * params.k_total) + 8 * n * 4
         assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
 
 
 class TestScaleMemory:
     def test_warm_scale_allocates_its_result_and_the_inverse_only(self):
         """Scale runs on the thread's scratch: once warm, one call on an
-        hpca19 ``(3, 13, 4096)`` stack peaks at its result, the inverse
-        transform's output and one ``(k_Q, n)`` int64 plane of traced
-        heap (the wide-copy layout took 5.4 MiB)."""
+        hpca19 ``(3, 13, 4096)`` stack peaks at its result and the
+        inverse transform's output, both residue words, and one
+        ``(k_Q, n)`` int64 plane of traced heap (the wide-copy layout
+        took 5.4 MiB)."""
         params = hpca19()
         full = params.q_primes + params.p_primes
         ctx = scale_context(params.q_primes, params.p_primes, params.t)
@@ -472,7 +475,9 @@ class TestScaleMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        bound = 8 * n * (j * len(params.q_primes) + j * k_all + k_all)
+        word = np.dtype(RESIDUE).itemsize
+        bound = (word * n * (j * len(params.q_primes) + j * k_all)
+                 + 8 * n * k_all)
         assert peak <= bound, f"{peak / 2**20:.2f} MiB > {bound / 2**20:.2f}"
 
 

@@ -75,13 +75,17 @@ def _build(name: str, seed: int, size: int, domain: str,
         if size == 3:
             # A genuine third part with the phase unchanged:
             # c0 - c2*s^2 + c2*s^2.
+            # Residue words widen to int64 before any product or
+            # difference.
             c2 = uniform_rns_rows(rng, params.n, params.q_primes)
-            s_sq = (keys.secret.ntt_rows * keys.secret.ntt_rows) % primes_col
+            s_ntt = keys.secret.ntt_rows.astype(np.int64)
+            s_sq = (s_ntt * s_ntt) % primes_col
             c2_s2 = context._intt_rows(
                 (context._ntt_rows(c2) * s_sq) % primes_col)
             ct = Ciphertext(
                 (RnsPoly(context.q_basis,
-                         (ct.c0.residues - c2_s2) % primes_col),
+                         (ct.c0.residues - c2_s2.astype(np.int64))
+                         % primes_col),
                  ct.parts[1], RnsPoly(context.q_basis, c2)), params)
     if state == "exhausted":
         # A uniform phase: every fractional part of t*w/q occurs.
