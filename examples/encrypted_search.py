@@ -51,7 +51,7 @@ def main() -> None:
         for index in (3, 6, 12):
             program = server.lookup_program(server.encrypt_index(index))
             result = local.run(program)
-            save_ciphertext(reply_path, result.ciphertext("out"))
+            save_ciphertext(reply_path, result["out"].ciphertext)
             reply = load_ciphertext(reply_path, session.params)
             value = int(session.decrypt(reply)[0])
             budget = result.noise_budget_bits("out")

@@ -13,19 +13,16 @@ Run:  python examples/encrypted_sorting.py
 import numpy as np
 
 from repro import Session, mini
-from repro.apps.comparator import EncryptedComparator, comparator_depth
-
-BITS = 3
+from repro.apps.comparator import BITS, EncryptedComparator
 
 
 def main() -> None:
     params = mini(t=2)
     session = Session(params, seed=17)
-    comparator = EncryptedComparator(session, bits=BITS)
+    comparator = EncryptedComparator(session)
 
     print(f"{BITS}-bit compare-and-swap: comparator depth "
-          f"{comparator_depth(BITS)} + 1 mux level = "
-          f"{comparator_depth(BITS) + 1} total (paper budget: 4)\n")
+          f"{BITS} + 1 mux level = {BITS + 1} total (paper budget: 4)\n")
 
     rng = np.random.default_rng(3)
     for _ in range(4):

@@ -18,7 +18,6 @@ from repro.apps.forecasting import plaintext_reference
 
 NUM_METERS = 8
 SLOTS = 48            # half-hour readings for one day
-WEIGHTS = [5, 3, 1]   # public forecasting model: weighted lagged days
 
 
 def main() -> None:
@@ -38,10 +37,10 @@ def main() -> None:
     print("cloud aggregates under encryption ...")
     total_ct = aggregator.total(meter_cts)
     sum_sq_ct = aggregator.sum_of_squares(meter_cts)
-    forecast_ct = aggregator.weighted_forecast(meter_cts[:3], WEIGHTS)
+    forecast_ct = aggregator.weighted_forecast(meter_cts[:3])
 
     print("authority decrypts only the aggregates:\n")
-    reference = plaintext_reference(readings, WEIGHTS, params.t)
+    reference = plaintext_reference(readings, params.t)
     total = aggregator.decrypt_slots(total_ct, SLOTS)
     sum_sq = aggregator.decrypt_slots(sum_sq_ct, SLOTS)
     forecast = aggregator.decrypt_slots(forecast_ct, SLOTS)

@@ -72,11 +72,6 @@ class ProgramResult:
         """Decode one output into the session encoder's domain."""
         return self.session.decode(self.measure(label)[0], size)
 
-    def ciphertext(self, label: str = "out") -> Ciphertext:
-        """One output's ciphertext, in the evaluation domain: it
-        serialises straight into the NTT-domain wire format."""
-        return self.outputs[label].node.cached
-
     def noise_budget_bits(self, label: str = "out") -> float:
         return budget_bits(self.session.params, self.measure(label)[1])
 
@@ -167,7 +162,7 @@ class LocalBackend:
                 "program was compiled for different parameters"
             )
         before = transform_counts()
-        tracer = Tracer("heprogram.run", kind="program")
+        tracer = Tracer()
         order = {id(node): i for i, node in enumerate(program.nodes)}
         poly_bytes = program.params.poly_bytes
         # Spans measure per-op wall clock; each op span also records

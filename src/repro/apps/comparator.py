@@ -29,39 +29,35 @@ from __future__ import annotations
 from ..api.session import Session
 from ..errors import ParameterError
 
-
-def comparator_depth(bits: int) -> int:
-    """Multiplicative depth of less_than on k-bit values."""
-    # Each bit level below the MSB multiplies the running lt by the
-    # equality chain (depth +1 per level); the final mux adds one.
-    return max(1, bits)
+#: Bits per compared value. less_than multiplies the running result by
+#: the equality chain once per bit level, so its depth is ``BITS``; with
+#: the mux level, a compare-and-swap fills the paper's depth-4 budget.
+BITS = 3
 
 
 class EncryptedComparator:
-    """Bitwise comparator over per-bit FV ciphertexts (t = 2).
+    """Bitwise comparator over per-bit FV ciphertexts (t = 2) of
+    :data:`BITS`-bit values.
 
-    Construct with ``EncryptedComparator(session, bits=k)``.
+    Construct with ``EncryptedComparator(session)``.
     """
 
-    def __init__(self, session: Session, bits: int) -> None:
+    def __init__(self, session: Session) -> None:
         self.session = session
         if self.session.params.t != 2:
             raise ParameterError("the comparator works over t = 2")
-        if bits < 1:
-            raise ParameterError("need at least one bit")
-        self.bits = bits
 
     # -- client side -------------------------------------------------------------
 
     def encrypt_value(self, value: int) -> list:
         """Encrypt a k-bit integer as k bit ciphertexts (LSB first)."""
-        if not 0 <= value < (1 << self.bits):
+        if not 0 <= value < (1 << BITS):
             raise ParameterError(
-                f"value {value} does not fit in {self.bits} bits"
+                f"value {value} does not fit in {BITS} bits"
             )
         return [
             self.session.encrypt([(value >> i) & 1])
-            for i in range(self.bits)
+            for i in range(BITS)
         ]
 
     def decrypt_value(self, bit_cts: list) -> int:
@@ -96,9 +92,9 @@ class EncryptedComparator:
         F_2 the XOR-accumulation is exact because at most one term of the
         standard OR can be 1 at a time.
         """
-        if len(a) != self.bits or len(b) != self.bits:
-            raise ParameterError(f"operands must have {self.bits} bits")
-        msb = self.bits - 1
+        if len(a) != BITS or len(b) != BITS:
+            raise ParameterError(f"operands must have {BITS} bits")
+        msb = BITS - 1
         # lt and eq for the most significant bit.
         lt = self._and(self._not(a[msb]), b[msb])
         eq = self._xnor(a[msb], b[msb])

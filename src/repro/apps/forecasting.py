@@ -26,6 +26,10 @@ from ..api.program import CiphertextHandle
 from ..api.session import Session
 from ..errors import ParameterError
 
+#: The public forecasting model: the weights of the lagged days, most
+#: recent first.
+WEIGHTS = (5, 3, 1)
+
 
 class SmartGridAggregator:
     """Server-side aggregation over encrypted meter readings.
@@ -61,16 +65,16 @@ class SmartGridAggregator:
             acc = acc + handle
         return acc
 
-    def weighted_forecast(self, lagged_cts: list, weights: list[int]):
+    def weighted_forecast(self, lagged_cts: list):
         """GMDH-style linear predictor: sum_i w_i * x_{t-i}.
 
-        Weights are public model coefficients (plaintext multiplications,
-        no relinearisation needed).
+        The :data:`WEIGHTS` are public model coefficients (plaintext
+        multiplications, no relinearisation needed).
         """
-        if len(lagged_cts) != len(weights):
+        if len(lagged_cts) != len(WEIGHTS):
             raise ParameterError("one weight per lagged ciphertext required")
         acc = None
-        for ct, weight in zip(lagged_cts, weights, strict=True):
+        for ct, weight in zip(lagged_cts, WEIGHTS, strict=True):
             term = ct * int(weight)
             acc = term if acc is None else acc + term
         return acc
@@ -96,12 +100,11 @@ class SmartGridAggregator:
         return self.session.decrypt(ct, size=count)
 
 
-def plaintext_reference(readings_matrix: np.ndarray, weights: list[int],
-                        t: int) -> dict:
+def plaintext_reference(readings_matrix: np.ndarray, t: int) -> dict:
     """What the aggregates should equal, computed in the clear (mod t)."""
     total = readings_matrix.sum(axis=0) % t
     sum_sq = (readings_matrix ** 2).sum(axis=0) % t
     forecast = sum(
-        w * readings_matrix[i] for i, w in enumerate(weights)
+        w * readings_matrix[i] for i, w in enumerate(WEIGHTS)
     ) % t
     return {"total": total, "sum_of_squares": sum_sq, "forecast": forecast}

@@ -245,11 +245,10 @@ def cmd_cluster(args: argparse.Namespace) -> None:
         replicas = 2 if args.replicas is None else args.replicas
         capacity = shards * single_capacity
         trace = cluster_trace(args.tenants, 0.6 * capacity,
-                              args.duration, skew=1.1, seed=seed)
+                              args.duration, seed=seed)
         plan = FaultPlan.seeded(args.faults, shards, args.duration,
                                 crashes=min(2, shards - 1) if shards > 1
-                                else 0,
-                                transient_failures=8, dma_stalls=2)
+                                else 0)
         cluster = FpgaCluster.homogeneous(
             params, shards, router=TenantAffinityRouter(),
             fault_plan=plan, retry=RetryPolicy(seed=seed),
@@ -280,7 +279,7 @@ def cmd_cluster(args: argparse.Namespace) -> None:
     counts.append(shards)  # always measure the requested size
     baseline = None
     for n in counts:
-        jobs = saturated_tenant_jobs(256 * shards, 1)
+        jobs = saturated_tenant_jobs(256 * shards)
         cluster = FpgaCluster.homogeneous(
             params, n, router=TenantAffinityRouter())
         report = cluster.run(jobs)
@@ -309,7 +308,7 @@ def cmd_cluster(args: argparse.Namespace) -> None:
         capacity = shards * single_capacity
         flavour = "homogeneous"
     trace = cluster_trace(args.tenants, 0.8 * capacity, args.duration,
-                          skew=1.1, seed=seed)
+                          seed=seed)
     print(f"\nrouting policies, {flavour} x{shards}, Zipf(1.1) trace of "
           f"{len(trace)} jobs at 80% capacity over {args.duration:.1f} s:")
     print(f"{'router':<12}{'done':>7}{'rej':>6}{'reroute':>8}"
@@ -519,7 +518,7 @@ def cmd_trace(args: argparse.Namespace) -> None:
               f"{row['transform_calls']:>8.0f}"
               f"{row['bytes_moved']:>12,.0f}")
     path = trace.critical_path()
-    print(f"critical path: {len(path)} of {len(trace.spans('op'))} ops, "
+    print(f"critical path: {len(path)} of {len(trace.op_spans())} ops, "
           f"{trace.critical_path_seconds() * 1e3:.2f} ms of "
           f"{trace.total_seconds * 1e3:.2f} ms wall")
     totals = trace.transform_totals()
@@ -532,7 +531,7 @@ def cmd_trace(args: argparse.Namespace) -> None:
     print(f"\nsimulated path: {len(run.completed)} requests, "
           f"p50 {latency.p50 * 1e3:.2f} ms, "
           f"p99 {latency.p99 * 1e3:.2f} ms "
-          f"(simulated clock, {len(run.trace().spans('op'))} op spans)")
+          f"(simulated clock, {len(run.trace().op_spans())} op spans)")
     print(f"\nChrome trace JSON (load in Perfetto / chrome://tracing):")
     print(f"  functional: {functional}")
     print(f"  simulated:  {priced}")
@@ -554,7 +553,7 @@ def cmd_verify(args: argparse.Namespace) -> None:
     _print_header("Hardware-vs-software equivalence campaign")
     from .hw.verification import run_configuration_matrix
 
-    results = run_configuration_matrix(operations=4)
+    results = run_configuration_matrix()
     for result in results:
         print(result.report())
         print()

@@ -48,10 +48,6 @@ class ClusterReport(ServingReductions):
     # -- the record --------------------------------------------------------------------
 
     @property
-    def num_shards(self) -> int:
-        return len(self.shard_reports)
-
-    @property
     def results(self) -> list[JobResult]:
         return [r for report in self.shard_reports for r in report.results]
 

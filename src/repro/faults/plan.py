@@ -23,6 +23,10 @@ from enum import Enum
 
 import numpy as np
 
+#: Transient job failures and DMA stalls a seeded plan draws.
+TRANSIENT_FAILURES = 8
+DMA_STALLS = 2
+
 
 class FaultKind(Enum):
     """What breaks (or heals) at one instant of the schedule."""
@@ -84,11 +88,6 @@ class FaultPlan:
     # -- constructors ------------------------------------------------------------------
 
     @classmethod
-    def none(cls) -> FaultPlan:
-        """The empty plan (a faultless run, for twin-run comparisons)."""
-        return cls(events=(), seed=None)
-
-    @classmethod
     def board_kill(cls, shard: int, at_seconds: float,
                    recover_at: float | None = None) -> FaultPlan:
         """The board-kill chaos scenario: one board dies mid-run.
@@ -106,17 +105,17 @@ class FaultPlan:
 
     @classmethod
     def seeded(cls, seed: int, num_shards: int, duration_seconds: float,
-               *, crashes: int = 1, transient_failures: int = 0,
-               dma_stalls: int = 0) -> FaultPlan:
+               *, crashes: int = 1) -> FaultPlan:
         """Draw a random-but-reproducible schedule from one seed.
 
         Crash/recover pairs never overlap on one board and never take
         the *last* healthy board down — the plan models partial
         failure, not total outage. Outages last a quarter of the
-        duration on average, DMA stalls an eighth, and a stall slows
-        its board's transfers 4x. All randomness comes from a single
-        ``default_rng(seed)``, so the schedule is a pure function of
-        its arguments.
+        duration on average; :data:`TRANSIENT_FAILURES` job failures
+        fall anywhere in the run; :data:`DMA_STALLS` stalls last an
+        eighth, and a stall slows its board's transfers 4x. All randomness
+        comes from a single ``default_rng(seed)``, so the schedule is a
+        pure function of its arguments.
         """
         if num_shards < 1:
             raise ValueError("need at least one shard")
@@ -140,11 +139,11 @@ class FaultPlan:
             if back < duration_seconds:
                 events.append(
                     FaultEvent(back, FaultKind.SHARD_RECOVER, int(shard)))
-        for _ in range(transient_failures):
+        for _ in range(TRANSIENT_FAILURES):
             at = float(rng.uniform(0.0, duration_seconds))
             shard = int(rng.integers(num_shards))
             events.append(FaultEvent(at, FaultKind.JOB_FAIL, shard))
-        for _ in range(dma_stalls):
+        for _ in range(DMA_STALLS):
             at = float(rng.uniform(0.0, 0.8) * duration_seconds)
             shard = int(rng.integers(num_shards))
             events.append(FaultEvent(at, FaultKind.DMA_STALL, shard,

@@ -280,12 +280,6 @@ class GaloisEngine:
             for label, key in keys.items()
         }
 
-    def rotate(self, ct: Ciphertext, steps: int,
-               keys: dict[int, GaloisKey]) -> Ciphertext:
-        if steps not in keys:
-            raise ParameterError(f"no rotation key for {steps} steps")
-        return self.apply(ct, keys[steps])
-
     def sum_all_slots(self, ct: Ciphertext, keys: dict) -> Ciphertext:
         """Hoisted rotate-and-add: every slot ends up holding the total.
 

@@ -57,10 +57,6 @@ class RelinKey:
     pairs: list[tuple[np.ndarray, np.ndarray]]
     decomposition: WordDecomp = WordDecomp()
 
-    @property
-    def num_components(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass
 class KeySet:

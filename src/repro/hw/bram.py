@@ -37,13 +37,6 @@ class BramBlock:
         self._reads_at: dict[int, int] = {}
         self._writes_at: dict[int, int] = {}
 
-    @property
-    def bram36k_count(self) -> int:
-        """Physical primitives: 60-bit words need two 36-bit BRAMs, and
-        depths beyond 1024 need cascading."""
-        rows = -(-self.depth // BRAM36K_WORDS)
-        return 2 * max(rows, 1)
-
     def read(self, addr: int, cycle: int | None = None) -> tuple[int, int]:
         self._check_addr(addr)
         if cycle is not None:
@@ -93,10 +86,6 @@ class PairedPolyMemory:
         self.block_depth = self.words // 2
         self.lower = BramBlock(self.block_depth)
         self.upper = BramBlock(self.block_depth)
-
-    @property
-    def bram36k_count(self) -> int:
-        return self.lower.bram36k_count + self.upper.bram36k_count
 
     def block_of(self, addr: int) -> tuple[BramBlock, int]:
         """Map a virtual word address to (block, local address)."""

@@ -13,8 +13,9 @@ closed forms; the stepped units
 pipeline) are the oracle the tests hold those closed forms to.
 
 A full ``mult()`` on this class is the executable form of the paper's
-Table I "Mult in HW" row; ``report.table()`` prints the per-instruction
-breakdown next to the paper's Table II.
+Table I "Mult in HW" row; its report's ``op_stats`` hold the
+per-instruction breakdown that ``examples/hw_simulation_demo.py`` prints
+next to the paper's Table II.
 """
 
 from __future__ import annotations
@@ -88,21 +89,6 @@ class MultReport:
         stat.cycles += cycles
         if is_transfer:
             self.transfer_cycles += cycles
-
-    def table(self) -> str:
-        lines = [f"{'instruction':<18}{'calls':>6}{'FPGA cyc/call':>15}"
-                 f"{'Arm cyc/call':>14}"]
-        for op, stat in self.op_stats.items():
-            per_call = stat.cycles_per_call
-            lines.append(
-                f"{op.value:<18}{stat.calls:>6}{per_call:>15.0f}"
-                f"{self.config.fpga_to_arm_cycles(round(per_call)):>14}"
-            )
-        lines.append(
-            f"total: {self.total_cycles} FPGA cycles = "
-            f"{self.arm_cycles} Arm cycles = {self.seconds * 1e3:.3f} ms"
-        )
-        return "\n".join(lines)
 
 
 class Coprocessor:

@@ -64,13 +64,6 @@ class HpsLiftUnit:
         bottleneck = HPS_BLOCK_CYCLES
         return (6, bottleneck, bottleneck, bottleneck, bottleneck)
 
-    # -- structural figures (resource model) ---------------------------------------
-
-    @property
-    def mac_count(self) -> int:
-        """Block 2 keeps one MAC per output residue (7 in the paper)."""
-        return len(self.context.target_primes)
-
 
 class TraditionalLiftUnit:
     """The Fig. 5 multi-precision lift core cluster."""

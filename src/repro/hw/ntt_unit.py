@@ -203,16 +203,18 @@ class NttSchedule:
             issue_cycles=issue,
         )
 
-    def total_cycles(self, pipeline_depth: int, sync_overhead: int,
+    def total_cycles(self, pipeline_depth: int,
                      bubble_fraction: float = 0.0) -> int:
-        """Cycle count of a full transform under this schedule."""
+        """Cycle count of a full transform under this schedule: each
+        stage pays :data:`STAGE_SYNC_OVERHEAD` besides its issue, pair
+        lag and pipeline depth."""
         total = 0
         for stage in range(1, self.log_n + 1):
             issue = self.words // self.cores
             if bubble_fraction:
                 issue = int(round(issue * (1.0 + bubble_fraction)))
             total += issue + self.pair_lag(stage) + pipeline_depth
-            total += sync_overhead
+            total += STAGE_SYNC_OVERHEAD
         return total
 
 
@@ -243,9 +245,7 @@ class DualCoreNttUnit:
         work's on-the-fly twiddle generation), not a stepped one.
         """
         bubble = 0.0 if self.config.twiddle_rom else TWIDDLE_BUBBLE_FRACTION
-        return self.schedule.total_cycles(
-            self._depth, STAGE_SYNC_OVERHEAD, bubble,
-        )
+        return self.schedule.total_cycles(self._depth, bubble)
 
     def scale_pass_cycles(self) -> int:
         """Final multiply-by-(n^-1 psi^-i) pass of the inverse transform.

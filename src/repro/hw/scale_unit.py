@@ -58,13 +58,6 @@ class HpsScaleUnit:
         b = HPS_BLOCK_CYCLES
         return (b, b, 6, b) + (6, b, b, b, b)
 
-    # -- structural figures ------------------------------------------------------------
-
-    @property
-    def mac_count(self) -> int:
-        """Blocks 1+2 MACs (integer and fractional accumulation paths)."""
-        return 2 * self.context.q_basis.size
-
 
 class TraditionalScaleUnit:
     """The Fig. 8 multi-precision scale core cluster."""

@@ -54,9 +54,13 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def run_campaign(config: HardwareConfig | None = None,
-                 operations: int = 10,
-                 seed: int = 12345) -> CampaignResult:
+#: Operations of one campaign, alternating Mult and Add.
+CAMPAIGN_OPERATIONS = 4
+#: Seed of a campaign's keys (its plaintexts draw from the next seed).
+CAMPAIGN_SEED = 777
+
+
+def run_campaign(config: HardwareConfig) -> CampaignResult:
     """Random Mult/Add operations through HW model and SW evaluator,
     on the ``mini`` parameter set.
 
@@ -65,16 +69,15 @@ def run_campaign(config: HardwareConfig | None = None,
     checks the decryption against the plaintext ring computation.
     """
     params = mini()
-    config = config or HardwareConfig()
     start = time.perf_counter()
-    context = FvContext(params, seed=seed)
+    context = FvContext(params, seed=CAMPAIGN_SEED)
     keys = context.keygen()
     evaluator = Evaluator(context)
     coprocessor = Coprocessor(params, config)
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(CAMPAIGN_SEED + 1)
     result = CampaignResult(params_name=params.name)
 
-    for round_index in range(operations):
+    for round_index in range(CAMPAIGN_OPERATIONS):
         a = Plaintext(rng.integers(0, params.t, params.n), params.t)
         b = Plaintext(rng.integers(0, params.t, params.n), params.t)
         ct_a = context.encrypt(a, keys.public)
@@ -117,7 +120,7 @@ def run_campaign(config: HardwareConfig | None = None,
     return result
 
 
-def run_configuration_matrix(operations: int = 4) -> list[CampaignResult]:
+def run_configuration_matrix() -> list[CampaignResult]:
     """Campaigns across the design-space corners of the paper.
 
     Fast coprocessor, pinned-key variant, single-butterfly variant, and
@@ -136,8 +139,7 @@ def run_configuration_matrix(operations: int = 4) -> list[CampaignResult]:
     ]
     results = []
     for name, config in corners:
-        result = run_campaign(config=config, operations=operations,
-                              seed=777)
+        result = run_campaign(config)
         result.params_name = f"{result.params_name} / {name}"
         results.append(result)
     return results

@@ -71,7 +71,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ParameterError
-from ..obs import counter as _obs_counter
+from ..obs import Counter as _ObsCounter
 from ..obs import maybe_span
 from ..parallel import active_executor, fans_out, map_tiles, split_range
 from ..utils import log2_exact
@@ -134,7 +134,7 @@ def sub_mod(a, b, primes_col: np.ndarray) -> np.ndarray:
 # -- transform accounting ------------------------------------------------------
 
 
-TRANSFORM_COUNTER = _obs_counter(
+TRANSFORM_COUNTER = _ObsCounter(
     "repro_ntt_transforms_total",
     "NTT engine transform work: rows = single-polynomial row "
     "transforms (the unit one RPAU performs), calls = batched engine "

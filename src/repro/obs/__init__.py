@@ -14,8 +14,8 @@ is the substrate the counters report through and the exporter of the
 records:
 
 * :mod:`~repro.obs.registry` — a process-wide **metrics registry**
-  (counters, gauges, histograms with labels) with read/reset
-  semantics, a Prometheus-style text exposition, and
+  (counters, gauges, histograms with labels) with per-registry
+  reads, a Prometheus-style text exposition, and
   :func:`scoped_metrics`, the context manager that gives each test or
   concurrent backend its own counter plane instead of a shared
   mutable global;
@@ -38,10 +38,7 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    counter,
     current_registry,
-    gauge,
-    histogram,
     render_prometheus,
     scoped_metrics,
 )
@@ -65,9 +62,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "counter",
-    "gauge",
-    "histogram",
     "current_registry",
     "scoped_metrics",
     "render_prometheus",

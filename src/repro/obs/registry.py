@@ -13,7 +13,8 @@ The registry fixes the sharing model, not just the bookkeeping:
 
 * **Instruments are declared once, values live per registry.** A
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` object is a
-  lightweight handle registered in a process-wide catalogue; every
+  lightweight handle; constructing it registers the instrument in a
+  process-wide catalogue. Every
   ``inc``/``set``/``observe`` resolves :func:`current_registry` *at
   call time*, so the same instrument writes to whichever registry is
   active.
@@ -22,9 +23,8 @@ The registry fixes the sharing model, not just the bookkeeping:
   the pytest fixture in ``tests/conftest.py`` wraps every test in one,
   and concurrent backends can isolate their counter planes the same
   way. The context variable makes the scope thread- and task-local.
-* **Read / reset.** :meth:`MetricsRegistry.value` reads one counter
-  or gauge series; :meth:`MetricsRegistry.reset` zeroes one registry
-  without touching any other.
+* **Read.** :meth:`MetricsRegistry.value` reads one counter or gauge
+  series of one registry; a fresh scope starts from zero.
 * **Exposition.** :func:`render_prometheus` serialises a registry in
   the Prometheus text format, ``# HELP`` / ``# TYPE`` comments
   included.
@@ -42,9 +42,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "counter",
-    "gauge",
-    "histogram",
     "current_registry",
     "scoped_metrics",
     "render_prometheus",
@@ -52,14 +49,6 @@ __all__ = [
 
 #: Ordered (label, value) pairs — the hashable identity of one series.
 LabelKey = tuple[tuple[str, str], ...]
-
-#: Default histogram bucket upper bounds (seconds-flavoured, matching
-#: the latency ranges the serving simulations produce).
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
 
 @dataclass(frozen=True)
 class InstrumentSpec:
@@ -179,13 +168,6 @@ class MetricsRegistry:
                 return self._counters[(name, key)]
             return self._gauges.get((name, key), 0.0)
 
-    def reset(self) -> None:
-        """Zero every series in *this* registry only."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
 
 # -- the active-registry context ------------------------------------------------------
 
@@ -224,10 +206,14 @@ def scoped_metrics():
 
 
 class Counter:
-    """Monotone counter handle; values live in the current registry."""
+    """Monotone counter handle. Constructing it declares the instrument
+    in the process-wide catalogue (or re-fetches the same declaration);
+    its values live in the current registry, as every handle's do."""
 
-    def __init__(self, spec: InstrumentSpec) -> None:
-        self.spec = spec
+    def __init__(self, name: str, help: str,
+                 labels: tuple[str, ...] = ()) -> None:
+        self.spec = _register(InstrumentSpec(name, "counter", help,
+                                             tuple(labels)))
 
     def inc(self, amount: float = 1, **labels: object) -> None:
         if amount < 0:
@@ -244,8 +230,10 @@ class Counter:
 class Gauge:
     """Set-to-current-value handle (queue depths, cache occupancy)."""
 
-    def __init__(self, spec: InstrumentSpec) -> None:
-        self.spec = spec
+    def __init__(self, name: str, help: str,
+                 labels: tuple[str, ...]) -> None:
+        self.spec = _register(InstrumentSpec(name, "gauge", help,
+                                             tuple(labels)))
 
     def set(self, value: float, **labels: object) -> None:
         current_registry()._set(
@@ -258,35 +246,17 @@ class Gauge:
 
 
 class Histogram:
-    """Bucketed distribution handle (latencies, batch sizes), unlabelled."""
+    """Bucketed distribution handle (latencies, batch sizes), unlabelled;
+    ``buckets`` are its upper bounds."""
 
-    def __init__(self, spec: InstrumentSpec) -> None:
-        self.spec = spec
+    def __init__(self, name: str, help: str,
+                 buckets: tuple[float, ...]) -> None:
+        self.spec = _register(InstrumentSpec(name, "histogram", help,
+                                             buckets=tuple(buckets)))
 
     def observe(self, value: float) -> None:
         current_registry()._observe(self.spec.name, (), float(value),
                                     self.spec.buckets)
-
-
-def counter(name: str, help: str = "",
-            labels: tuple[str, ...] = ()) -> Counter:
-    """Declare (or re-fetch) a counter instrument."""
-    return Counter(_register(InstrumentSpec(name, "counter", help,
-                                            tuple(labels))))
-
-
-def gauge(name: str, help: str = "",
-          labels: tuple[str, ...] = ()) -> Gauge:
-    """Declare (or re-fetch) a gauge instrument."""
-    return Gauge(_register(InstrumentSpec(name, "gauge", help,
-                                          tuple(labels))))
-
-
-def histogram(name: str, help: str = "",
-              buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Histogram:
-    """Declare (or re-fetch) an unlabelled histogram instrument."""
-    return Histogram(_register(InstrumentSpec(name, "histogram", help, (),
-                                              tuple(buckets))))
 
 
 # -- exposition ----------------------------------------------------------------------

@@ -87,10 +87,12 @@ def active_tracer() -> Tracer | None:
 
 
 class Tracer:
-    """Builds one span tree for one request / program run."""
+    """Builds one span tree for one program run, under a
+    ``heprogram.run`` root span."""
 
-    def __init__(self, name: str = "trace", kind: str = "program") -> None:
-        self.root = Span(name=name, kind=kind, start=time.perf_counter())
+    def __init__(self) -> None:
+        self.root = Span(name="heprogram.run", kind="program",
+                         start=time.perf_counter())
         self._stack: list[Span] = [self.root]
 
     @property
@@ -162,9 +164,9 @@ class TraceReport:
 
     root: Span
 
-    def spans(self, kind: str | None = None) -> list[Span]:
-        return [s for s in self.root.walk()
-                if kind is None or s.kind == kind]
+    def op_spans(self) -> list[Span]:
+        """The ``"op"`` spans, one per executed program node."""
+        return [s for s in self.root.walk() if s.kind == "op"]
 
     @property
     def total_seconds(self) -> float:
@@ -179,7 +181,7 @@ class TraceReport:
         the story lives in.
         """
         out: dict[str, dict[str, float]] = {}
-        for span in self.spans("op"):
+        for span in self.op_spans():
             key = str(span.attrs.get("op", span.name))
             row = out.setdefault(key, {
                 "count": 0.0,
@@ -223,7 +225,7 @@ class TraceReport:
         suffices; nodes without a recorded span (program inputs) cost
         nothing. Returns the chain input-side first.
         """
-        ops = [s for s in self.spans("op") if "node" in s.attrs]
+        ops = [s for s in self.op_spans() if "node" in s.attrs]
         if not ops:
             return []
         cost: dict[int, float] = {}

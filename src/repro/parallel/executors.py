@@ -43,9 +43,9 @@ from concurrent import futures
 from typing import Any, Protocol
 
 from ..obs import active_tracer
-from ..obs import counter as _obs_counter
-from ..obs import gauge as _obs_gauge
-from ..obs import histogram as _obs_histogram
+from ..obs import Counter as _ObsCounter
+from ..obs import Gauge as _ObsGauge
+from ..obs import Histogram as _ObsHistogram
 from . import blas as _blas
 from . import config as _config
 from .config import ExecutionConfig
@@ -64,17 +64,17 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-PARALLEL_DISPATCHES = _obs_counter(
+PARALLEL_DISPATCHES = _ObsCounter(
     "parallel_dispatch_total",
     "Tile fan-outs dispatched by the functional engine.",
     labels=("executor",),
 )
-PARALLEL_TILE_QUEUE = _obs_histogram(
+PARALLEL_TILE_QUEUE = _ObsHistogram(
     "parallel_tiles_per_dispatch",
     "Tile-queue length of each engine fan-out.",
     buckets=(1, 2, 4, 8, 16, 32, 64, 128),
 )
-WORKER_UTILISATION = _obs_gauge(
+WORKER_UTILISATION = _ObsGauge(
     "parallel_worker_utilisation",
     "Busy fraction of the worker pool over the last dispatch.",
     labels=("executor",),

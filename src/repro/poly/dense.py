@@ -37,10 +37,6 @@ class IntPoly:
 
     # -- constructors --------------------------------------------------------
 
-    @classmethod
-    def from_list(cls, coeffs: list[int], modulus: int) -> IntPoly:
-        return cls(tuple(coeffs), modulus)
-
     # -- basic properties ----------------------------------------------------
 
     @property

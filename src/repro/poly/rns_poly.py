@@ -141,7 +141,3 @@ class RnsPoly:
         product = mul_mod(fa, fb, self.basis.primes_col)
         return RnsPoly.trusted(self.basis, intt_rows(primes, product))
 
-    def scalar_mul(self, scalar: int) -> RnsPoly:
-        column = self.basis.residues_of(scalar)[:, None]
-        product = mul_mod(self.residues, column, self.basis.primes_col)
-        return RnsPoly.trusted(self.basis, product, self.ntt_domain)

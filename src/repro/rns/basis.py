@@ -311,11 +311,14 @@ class DecryptContext:
         q, primes = basis.modulus, basis.primes
         half = (q - 1) // 2
         object.__setattr__(self, "half", half)
+        # The kernels compute in int64: against int64 columns numpy runs
+        # its int64 loops, not buffered mixed-type ones.
+        for name, value in (("primes_col", basis.primes_col),
+                            ("delta_col", basis.residues_of(q // self.t)),
+                            ("half_col", basis.residues_of(half))):
+            object.__setattr__(self, name,
+                               value.reshape(-1, 1).astype(np.int64))
         object.__setattr__(self, "inv_primes_col", 1.0 / basis.primes_col)
-        object.__setattr__(
-            self, "delta_col", basis.residues_of(q // self.t)[:, None])
-        object.__setattr__(
-            self, "half_col", basis.residues_of(half)[:, None])
         # Garner stage j multiplies the rows below j by q_j^-1 mod q_i.
         inverses = np.zeros((basis.size, basis.size, 1), dtype=np.int64)
         for j, qj in enumerate(primes):

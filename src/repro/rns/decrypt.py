@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs import counter as _obs_counter
+from ..obs import Counter as _ObsCounter
 from ..parallel import map_bands
 from ..utils import round_half_away
 from .basis import DecryptContext
@@ -37,7 +37,7 @@ float64 fraction sum is not trusted. The sum's error is below
 ``k * 2^-51`` (k < 64 terms in [0, 1), each one rounding of a product
 and one of an addition): under 2^-45, a factor 2^25 inside the band."""
 
-GUARD_FALLBACKS = _obs_counter(
+GUARD_FALLBACKS = _ObsCounter(
     "repro_decrypt_guard_fallbacks_total",
     "Coefficients scale_to_t recomputed by big-integer CRT because "
     "their fraction sum fell inside the rounding guard band.",
@@ -56,8 +56,8 @@ def scale_to_t(context: DecryptContext, w_rows: np.ndarray) -> np.ndarray:
     unsure_bands: list[np.ndarray] = []
 
     def band(lo: int, hi: int) -> None:
-        x = (w_rows[:, lo:hi] * basis.q_tilde_col) % basis.primes_col
-        integer, remainder = np.divmod(x * t, basis.primes_col)
+        x = (w_rows[:, lo:hi] * basis.q_tilde_col) % context.primes_col
+        integer, remainder = np.divmod(x * t, context.primes_col)
         fraction = (remainder * context.inv_primes_col).sum(axis=0)
         nearest = np.floor(fraction + 0.5)
         m[lo:hi] = (integer.sum(axis=0) + nearest.astype(np.int64)) % t
@@ -83,7 +83,7 @@ def mixed_radix_digits(context: DecryptContext,
     strips it from every row below: the operands stay under 2^30, so
     each product fits int64.
     """
-    primes_col = context.basis.primes_col
+    primes_col = context.primes_col
     for j in range(context.basis.size - 1):
         tail = rows[j + 1:]
         tail -= rows[j]
@@ -118,7 +118,7 @@ def noise_norm(context: DecryptContext, w_rows: np.ndarray,
         u = digits[:, lo:hi]
         np.subtract(w_rows[:, lo:hi], context.delta_col * m[lo:hi], out=u)
         u += context.half_col
-        u %= context.basis.primes_col
+        u %= context.primes_col
         mixed_radix_digits(context, u)
 
     map_bands("decrypt.band", band, w_rows.shape[1], work=w_rows.size)

@@ -6,9 +6,9 @@ latency. A run's record is its job results and rejections — one
 board's :class:`~repro.serve.engine.RuntimeReport`, or a
 :class:`~repro.cluster.report.ClusterReport` over the concatenation of
 its shards' — and the numbers operators watch are reduced from it here:
-the busy window, throughput, offered load and rejection fraction
-(:class:`ServingReductions`), and the p50/p95/p99 digest of a latency
-series (:class:`LatencySummary`). A cluster's numbers are therefore
+the busy window, throughput and offered load
+(:class:`ServingReductions`), and the mean and p50/p95/p99 digest of a
+latency series (:class:`LatencySummary`). A cluster's numbers are therefore
 those of its concatenated shard records by construction; there is no
 merge step to keep exact.
 
@@ -106,20 +106,8 @@ class ServingReductions:
         return len(self.results) / makespan
 
     @property
-    def mean_latency_seconds(self) -> float:
-        results = self.results
-        if not results:
-            return 0.0
-        return sum(r.latency_seconds for r in results) / len(results)
-
-    @property
     def offered(self) -> int:
         return len(self.results) + len(self.rejected)
-
-    @property
-    def rejection_fraction(self) -> float:
-        offered = self.offered
-        return len(self.rejected) / offered if offered else 0.0
 
     def latency_summary(self, tenant: str | None = None) -> LatencySummary:
         """Digest of the completions' latencies (one tenant's, if named)."""

@@ -26,7 +26,7 @@ from ..hw.compiler import (
 )
 from ..hw.config import HardwareConfig
 from ..hw.coprocessor import Coprocessor
-from ..hw.isa import Opcode, Program
+from ..hw.isa import Program
 from ..params import ParameterSet
 from .arm import add_in_sw_seconds
 from .workloads import Job, JobKind
@@ -66,10 +66,6 @@ class CostModel:
         self._compute_cache: dict[JobKind, float] = {}
         #: ``job_seconds_of`` by job shape: every field it reads.
         self._job_cache: dict[tuple[JobKind, int, int], float] = {}
-
-    def instruction_cycle_model(self) -> dict[Opcode, int]:
-        """The coprocessor's per-opcode cycle model (built once there)."""
-        return self.reference.instruction_cycle_model()
 
     # -- transfers ---------------------------------------------------------------------
 

@@ -114,23 +114,24 @@ def multi_tenant_stream(rates_per_second: dict[str, float],
     ))
 
 
-def zipf_tenant_rates(num_tenants: int, total_rate_per_second: float,
-                      skew: float = 1.1) -> dict[str, float]:
+#: Zipf skew of a tenant population's popularity.
+TENANT_SKEW = 1.1
+
+
+def zipf_tenant_rates(num_tenants: int,
+                      total_rate_per_second: float) -> dict[str, float]:
     """Zipf-popularity tenant rates summing to ``total_rate_per_second``.
 
     Request traffic across a large tenant population is famously
     heavy-tailed: a few tenants dominate, most trickle. Tenant ``i``
-    (zero-based) gets weight ``(i + 1) ** -skew``, normalised so the
-    cluster-wide offered load is exactly the requested total. ``skew=0``
-    degenerates to a uniform population.
+    (zero-based) gets weight ``(i + 1) ** -TENANT_SKEW``, normalised so
+    the cluster-wide offered load is exactly the requested total.
     """
     if num_tenants < 1:
         raise ValueError("need at least one tenant")
     if total_rate_per_second <= 0:
         raise ValueError("total rate must be positive")
-    if skew < 0:
-        raise ValueError("skew must be non-negative")
-    weights = [(i + 1) ** -skew for i in range(num_tenants)]
+    weights = [(i + 1) ** -TENANT_SKEW for i in range(num_tenants)]
     scale = total_rate_per_second / sum(weights)
     return {tenant_name(i): w * scale for i, w in enumerate(weights)}
 
@@ -141,8 +142,7 @@ def tenant_name(index: int) -> str:
 
 
 def cluster_trace(num_tenants: int, total_rate_per_second: float,
-                  duration_seconds: float, *, skew: float = 1.1,
-                  seed: int = 0) -> list[Job]:
+                  duration_seconds: float, *, seed: int = 0) -> list[Job]:
     """An open-loop cluster-scale trace: many tenants, Zipf popularity.
 
     Superposes one Poisson stream of Mults per tenant (rates from
@@ -151,30 +151,22 @@ def cluster_trace(num_tenants: int, total_rate_per_second: float,
     consistent-hash placement spreads load, with the skew stressing the
     balance of any tenant-sticky policy.
     """
-    rates = zipf_tenant_rates(num_tenants, total_rate_per_second, skew)
+    rates = zipf_tenant_rates(num_tenants, total_rate_per_second)
     return multi_tenant_stream(rates, duration_seconds, seed=seed)
 
 
-def saturated_tenant_jobs(num_tenants: int,
-                          jobs_per_tenant: int) -> list[Job]:
-    """A saturating multi-tenant Mult backlog: everything available at
-    t=0.
+def saturated_tenant_jobs(num_tenants: int) -> list[Job]:
+    """A saturating multi-tenant Mult backlog: one job per tenant, all
+    available at t=0.
 
-    Tenants are interleaved round-robin so any prefix of the stream
-    spans the whole population — the shape used to measure the
-    saturated throughput ceiling of a cluster under tenant-affinity
-    routing, where per-tenant placement determines the balance.
+    The shape used to measure the saturated throughput ceiling of a
+    cluster under tenant-affinity routing, where per-tenant placement
+    determines the balance.
     """
-    if num_tenants < 1 or jobs_per_tenant < 1:
-        raise ValueError("need at least one tenant and one job each")
-    jobs = []
-    index = 0
-    for _ in range(jobs_per_tenant):
-        for tenant in range(num_tenants):
-            jobs.append(Job(index=index, kind=JobKind.MULT,
-                            tenant=tenant_name(tenant)))
-            index += 1
-    return jobs
+    if num_tenants < 1:
+        raise ValueError("need at least one tenant")
+    return [Job(index=tenant, kind=JobKind.MULT, tenant=tenant_name(tenant))
+            for tenant in range(num_tenants)]
 
 
 # -- closed-loop clients ---------------------------------------------------------------

@@ -115,6 +115,28 @@ CATALOGUE = (
         "perm = (source_odd - 1) // 2",
         "perm = (source_odd + 1) // 2 % n",
         ("tests/test_galois.py::TestHomomorphicRotation",)),
+    Mutant(
+        "noise norm skips its half-modulus shift", "rns/decrypt.py",
+        "noise_norm",
+        "u += context.half_col",
+        "u += 0",
+        ("tests/test_rns_decrypt.py::TestOracleDifferential::"
+         "test_matches_bigint_oracle",)),
+    # A serial run has one band, whose offset is 0: only a pool sees it.
+    Mutant(
+        "Scale band reads from column 0", "rns/scale.py", "_scale_bands",
+        "_scale_band(context, x_prime[idx, :, lo:hi], out[idx, :, lo:hi])",
+        "_scale_band(context, x_prime[idx, :, :hi - lo], out[idx, :, lo:hi])",
+        ("tests/test_rns.py::TestColumnBands::"
+         "test_banded_kernels_equal_serial",)),
+    # -- the serving model --------------------------------------------------
+    Mutant(
+        "retry budget grants one attempt too many", "cluster/cluster.py",
+        "FpgaCluster._schedule_retry",
+        "if attempt > retry.max_attempts:",
+        "if attempt > retry.max_attempts + 1:",
+        ("tests/test_faults.py::TestClusterFaults::"
+         "test_retry_budget_exhaustion_is_counted_loss",)),
 )
 
 

@@ -1,6 +1,7 @@
 """Test scaffolding: the smallest parameter set, two synthetic job
 streams, a cluster whose boards admit by a tenant set, big-integer
-residue rows and a metrics registry read back as a mapping. No runtime,
+residue rows, a metrics registry read back as a mapping and a trace's
+spans of one kind. No runtime,
 example or benchmark uses them, so they live with the tests."""
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from repro.cluster import FpgaCluster
 from repro.hw.config import HardwareConfig
-from repro.obs import MetricsRegistry, render_prometheus
+from repro.obs import MetricsRegistry, Span, TraceReport, render_prometheus
 from repro.params import ParameterSet, _build
 from repro.rns.basis import RnsBasis
 from repro.serve import ServingRuntime, TenantSet
@@ -82,3 +83,9 @@ def exposed_series(registry: MetricsRegistry | None = None
     return {series: float(value)
             for series, value in (line.rsplit(" ", 1) for line in lines
                                   if not line.startswith("#"))}
+
+
+def spans_of(trace: TraceReport, kind: str) -> list[Span]:
+    """The spans of one kind in a finished trace (the engine itself
+    queries only its "op" spans)."""
+    return [span for span in trace.root.walk() if span.kind == kind]

@@ -272,8 +272,7 @@ class TestHEProgram:
         prod = evaluator.multiply(a.ciphertext, b.ciphertext,
                                   session.keys.relin)
         expected_out = session.context.add(prod, c.ciphertext)
-        expected_rot = engine.rotate(prod, 2,
-                                     {2: session.rotation_key(2)})
+        expected_rot = engine.apply(prod, session.rotation_key(2))
         for label, expected in (("out", expected_out),
                                 ("rot", expected_rot)):
             got = result[label].ciphertext
@@ -417,7 +416,7 @@ class TestSimulatedBackend:
                           rate_per_second=400.0, num_tenants=12, seed=2)
         assert run.program is dot_program
         assert isinstance(run.report, ClusterReport)
-        assert run.report.num_shards == 3
+        assert len(run.report.shard_reports) == 3
         assert len(run.completed) == 60
         summary = run.latency_summary()
         assert 0 < summary.p50 <= summary.p95 <= summary.p99

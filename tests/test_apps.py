@@ -8,6 +8,7 @@ from repro.apps.forecasting import SmartGridAggregator, plaintext_reference
 from repro.apps.lookup import EncryptedLookupTable, selection_depth
 from repro.errors import ParameterError
 from repro.params import mini
+from scaffolding import spans_of
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ class TestForecasting:
         assert np.array_equal(result, (readings ** 2).sum(axis=0) % 65537)
         # x * x lifts x's two coefficient parts once: 2 k_total forward
         # rows per square, half the 4 k_total of two distinct operands.
-        lifts = [s for s in backend.last_trace.spans("kernel")
+        lifts = [s for s in spans_of(backend.last_trace, "kernel")
                  if s.name == "mult.lift"]
         rows = sum(t.attrs["rows"] for s in lifts for t in s.walk()
                    if t.kind == "transform")
@@ -55,11 +56,10 @@ class TestForecasting:
         assert rows == len(meter_cts) * 2 * batch_session.params.k_total
 
     def test_weighted_forecast(self, aggregator, readings, meter_cts):
-        weights = [4, 2, 1]
         result = aggregator.decrypt_slots(
-            aggregator.weighted_forecast(meter_cts[:3], weights), 24
+            aggregator.weighted_forecast(meter_cts[:3]), 24
         )
-        reference = plaintext_reference(readings, weights, 65537)
+        reference = plaintext_reference(readings, 65537)
         assert np.array_equal(result, reference["forecast"])
 
     def test_individual_readings_stay_hidden(self, aggregator, readings,
@@ -77,7 +77,7 @@ class TestForecasting:
 
     def test_weight_mismatch_rejected(self, aggregator, meter_cts):
         with pytest.raises(ParameterError):
-            aggregator.weighted_forecast(meter_cts[:3], [1, 2])
+            aggregator.weighted_forecast(meter_cts[:2])
 
     def test_empty_meter_list_rejected(self, aggregator):
         with pytest.raises(ParameterError):

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from repro.api import Session
-from repro.apps.comparator import EncryptedComparator, comparator_depth
+from repro.apps.comparator import BITS, EncryptedComparator
 from repro.cli import main as cli_main
 from repro.errors import ParameterError
 from repro.fv.encoder import Plaintext
@@ -95,9 +95,9 @@ def comparator_session():
 
 
 class TestComparator:
-    def test_less_than_exhaustive_2bit(self, comparator_session):
-        comparator = EncryptedComparator(comparator_session, bits=2)
-        for x, y in itertools.product(range(4), repeat=2):
+    def test_less_than_exhaustive(self, comparator_session):
+        comparator = EncryptedComparator(comparator_session)
+        for x, y in itertools.product(range(1 << BITS), repeat=2):
             lt = comparator.decrypt_bit(
                 comparator.less_than(comparator.encrypt_value(x),
                                      comparator.encrypt_value(y))
@@ -105,7 +105,7 @@ class TestComparator:
             assert lt == int(x < y), (x, y)
 
     def test_compare_and_swap_sorts(self, comparator_session):
-        comparator = EncryptedComparator(comparator_session, bits=3)
+        comparator = EncryptedComparator(comparator_session)
         for x, y in ((5, 2), (0, 7), (3, 3), (6, 1)):
             low, high = comparator.compare_and_swap(
                 comparator.encrypt_value(x), comparator.encrypt_value(y))
@@ -113,23 +113,19 @@ class TestComparator:
                     comparator.decrypt_value(high)) == (min(x, y), max(x, y))
 
     def test_value_roundtrip(self, comparator_session):
-        comparator = EncryptedComparator(comparator_session, bits=4)
-        for value in (0, 7, 15):
+        comparator = EncryptedComparator(comparator_session)
+        for value in (0, 5, 7):
             assert comparator.decrypt_value(
                 comparator.encrypt_value(value)
             ) == value
 
-    def test_depth_formula(self):
-        assert comparator_depth(1) == 1
-        assert comparator_depth(3) == 3
-
     def test_rejects_oversized_value(self, comparator_session):
-        comparator = EncryptedComparator(comparator_session, bits=2)
+        comparator = EncryptedComparator(comparator_session)
         with pytest.raises(ParameterError):
-            comparator.encrypt_value(4)
+            comparator.encrypt_value(1 << BITS)
 
     def test_rejects_mismatched_widths(self, comparator_session):
-        comparator = EncryptedComparator(comparator_session, bits=3)
+        comparator = EncryptedComparator(comparator_session)
         a = comparator.encrypt_value(1)
         with pytest.raises(ParameterError):
             comparator.less_than(a[:2], a)

@@ -159,7 +159,7 @@ class TestDigitRelin:
         base_bits = -(-params.q.bit_length() // 2)
         digit_key = toy_context.relin_keygen(toy_keys.secret,
                                              WordDecomp(base_bits=base_bits))
-        assert digit_key.num_components == 2
+        assert len(digit_key.pairs) == 2
         a = Plaintext(rng.integers(0, params.t, params.n), params.t)
         raw = evaluator.multiply_raw(
             toy_context.encrypt(a, toy_keys.public),

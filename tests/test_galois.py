@@ -229,15 +229,6 @@ class TestHomomorphicRotation:
         with pytest.raises(ParameterError):
             engine.apply(raw, key)
 
-    def test_missing_rotation_key(self, galois_context, galois_keys,
-                                  engine, encoder):
-        ct = galois_context.encrypt(
-            encoder.encode(np.ones(4, dtype=np.int64)),
-            galois_keys.public,
-        )
-        with pytest.raises(ParameterError):
-            engine.rotate(ct, 5, {})
-
 
 class TestRotationOnCoprocessor:
     """The extension claim: rotations run on the paper's ISA unchanged."""

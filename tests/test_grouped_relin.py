@@ -128,7 +128,7 @@ class TestGroupedRelinearisation:
 
     def test_component_count_halved(self, mini_context, mini_keys):
         grouped = mini_context.relin_keygen(mini_keys.secret, GROUPS_OF_2)
-        assert grouped.num_components == \
+        assert len(grouped.pairs) == \
             -(-mini_context.params.k_q // 2)
 
     def test_fewer_key_loads_fewer_cycles(self, mini_context, mini_keys,

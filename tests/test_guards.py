@@ -222,11 +222,7 @@ class TestCiphertextShape:
 class TestEncodingGuards:
     def test_comparator_needs_binary_plaintexts(self):
         with pytest.raises(ParameterError, match="t = 2"):
-            EncryptedComparator(Session(mini(t=3), seed=0), bits=2)
-
-    def test_comparator_needs_a_bit(self):
-        with pytest.raises(ParameterError, match="at least one bit"):
-            EncryptedComparator(Session(mini(t=2), seed=0), bits=0)
+            EncryptedComparator(Session(mini(t=3), seed=0))
 
 
 class TestProgramGuards:

@@ -49,19 +49,13 @@ class TestBramBlock:
         with pytest.raises(HardwareModelError):
             block.write(-1, (0, 0))
 
-    def test_bram36k_count(self):
-        assert BramBlock(1024).bram36k_count == 2
-        assert BramBlock(2048).bram36k_count == 4
-        assert BramBlock(512).bram36k_count == 2
-
 
 class TestPairedPolyMemory:
     def test_paper_geometry(self):
-        """n = 4096: 2048 words in two 1024-deep blocks = 4 BRAM36K."""
+        """n = 4096: 2048 words in two 1024-deep blocks."""
         memory = PairedPolyMemory(4096)
         assert memory.words == 2048
         assert memory.block_depth == 1024
-        assert memory.bram36k_count == 4
 
     def test_block_routing(self):
         memory = PairedPolyMemory(64)

@@ -442,24 +442,6 @@ class TestEvaluationDomainBoundary:
 
 
 class TestCoprocessorTiming:
-    @pytest.fixture(scope="class")
-    def paper_report(self, mini_context, mini_keys, paper_params):
-        """One full Mult on the paper-sized coprocessor (uses the mini
-        ciphertexts' rng but paper-sized zero polys for speed)."""
-        from repro.fv.scheme import FvContext
-
-        context = FvContext(paper_params, seed=3)
-        keys = context.keygen()
-        plain = Plaintext.from_list([1], paper_params.n, paper_params.t)
-        ct = context.encrypt(plain, keys.public)
-        coprocessor = Coprocessor(paper_params)
-        _, report = coprocessor.mult(ct, ct, keys.relin)
-        return report
-
-    def test_report_table_renders(self, paper_report):
-        table = paper_report.table()
-        assert "ntt" in table and "total" in table
-
     def test_slow_coprocessor_mult_time(self, mini_context, mini_keys,
                                         paper_params):
         """Sec. VI-C's traditional coprocessor executes in the time its

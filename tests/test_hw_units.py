@@ -94,11 +94,6 @@ class TestHpsLiftUnit:
         four = HpsLiftUnit(lift_ctx, replace(CONFIG, lift_cores=4))
         assert four.cycles(4096) < two.cycles(4096)
 
-    def test_mac_count_matches_paper(self, paper_params):
-        """'we keep seven parallel MAC circuits in it' (Sec. V-B2)."""
-        ctx = lift_context(paper_params.q_primes, paper_params.p_primes)
-        assert HpsLiftUnit(ctx, CONFIG).mac_count == 7
-
 
 class TestTraditionalLiftUnit:
     def test_functional_equals_exact_crt(self, lift_ctx, q_residues):

@@ -1,20 +1,17 @@
 """Tests for persistence (repro.io), the equivalence-campaign harness,
 and the design-space sweeps."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from repro.errors import EncodingError, ParameterError
 from repro.fv.encoder import Plaintext
-from repro.hw.config import HardwareConfig
 from repro.hw.sweeps import (
     sweep_butterfly_cores,
     sweep_conversion_cores,
     sweep_coprocessor_count,
 )
-from repro.hw.verification import run_campaign, run_configuration_matrix
+from repro.hw.verification import CAMPAIGN_OPERATIONS, run_configuration_matrix
 from repro.io import MAGIC, load_ciphertext, save_ciphertext
 from repro.params import mini
 from scaffolding import toy
@@ -93,30 +90,30 @@ class TestCiphertextIo:
 
 
 class TestVerificationHarness:
-    def test_campaign_passes_on_default_config(self):
-        result = run_campaign(operations=4, seed=5)
-        assert result.passed
-        assert result.operations == 4
-        assert "PASS" in result.report()
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        """The four design corners; the first is the default config."""
+        return run_configuration_matrix()
 
-    def test_campaign_counts_all_matches(self):
-        result = run_campaign(operations=6, seed=6)
-        assert result.bit_exact_matches == 6
-        assert result.decrypt_matches == 6
+    def test_campaign_passes_on_default_config(self, matrix):
+        campaign = matrix[0]
+        assert campaign.passed
+        assert campaign.operations == CAMPAIGN_OPERATIONS
+        assert "PASS" in campaign.report()
 
-    def test_configuration_matrix_all_pass(self):
-        results = run_configuration_matrix(operations=2)
-        assert len(results) == 4
-        assert all(result.passed for result in results)
+    def test_campaign_counts_all_matches(self, matrix):
+        assert matrix[0].bit_exact_matches == CAMPAIGN_OPERATIONS
+        assert matrix[0].decrypt_matches == CAMPAIGN_OPERATIONS
 
-    def test_design_knobs_do_not_change_results(self):
+    def test_configuration_matrix_all_pass(self, matrix):
+        assert len(matrix) == 4
+        assert all(result.passed for result in matrix)
+
+    def test_design_knobs_do_not_change_results(self, matrix):
         """The core architectural claim behind the matrix: every corner
         produces identical ciphertexts, only timing differs."""
-        base = run_campaign(operations=2, seed=11)
-        pinned = run_campaign(
-            config=replace(HardwareConfig(), relin_key_on_chip=True),
-            operations=2, seed=11,
-        )
+        base, pinned = matrix[:2]
+        assert "relin key on-chip" in pinned.params_name
         assert base.passed and pinned.passed
 
 

@@ -192,7 +192,7 @@ def test_grouped_and_digit_relinearize_share_the_switch(setup):
 
     digit = context.relin_keygen(keys.secret, WordDecomp(base_bits=30))
     digit_polys = decompose_poly_signed(coeffs, params.q, 1 << 30,
-                                        digit.num_components)
+                                        len(digit.pairs))
     acc0, acc1 = _oracle_accumulators(
         context, _channel_rows(primes, digit_polys), digit.pairs)
     want = evaluator.relinearize(raw, digit)
@@ -227,7 +227,7 @@ def test_relin_keys_take_one_word_per_residue(setup, decomposition):
                     for part in evaluator.relinearize(raw, wide).parts),
                   ntt_domain=True)
 
-    count = key.num_components
+    count = len(key.pairs)
     top = np.broadcast_to(primes_col - 1, primes_col.shape[:1]
                           + (context.params.n,))
     narrow = [(top.astype(np.uint32), top.astype(np.uint32))] * count

@@ -24,7 +24,7 @@ from repro.apps import EncryptedMatmul
 from repro.fv import Ciphertext
 from repro.parallel import ExecutionConfig, use_executor
 from repro.params import hpca19, mini
-from scaffolding import toy
+from scaffolding import spans_of, toy
 
 KERNELS = ("mult.lift", "mult.tensor", "mult.scale", "keyswitch.decompose",
            "keyswitch.fold")
@@ -44,7 +44,7 @@ def _depth4(session, seed=0):
 
 
 def _lift_spans(trace):
-    return [s for s in trace.spans("kernel") if s.name == "mult.lift"]
+    return [s for s in spans_of(trace, "kernel") if s.name == "mult.lift"]
 
 
 def _rows(spans):
@@ -83,7 +83,7 @@ def test_depth4_matches_the_op_by_op_chain(session, executor, monkeypatch):
     chain = evaluator.multiply(chain, x, relin)
     chain = evaluator.multiply(chain, y, relin)
     chain = evaluator.multiply(chain, x, relin)
-    out = result.ciphertext()
+    out = result["out"].ciphertext
     assert out.domain == "ntt"
     for got, want in zip(out.parts, chain.parts, strict=True):
         assert np.array_equal(got.residues, want.residues)
@@ -97,7 +97,7 @@ def test_depth4_lifts_each_input_once_and_spans_every_step(session):
     # Mult 1 lifts a and b in one call; Mults 2-4 lift only the fresh
     # product, taking the held a or b.
     assert [s.attrs["parts"] for s in _lift_spans(trace)] == [4, 2, 2, 2]
-    kernels = [s.name for s in trace.spans("kernel") if s.name in KERNELS]
+    kernels = [s.name for s in spans_of(trace, "kernel") if s.name in KERNELS]
     assert {name: kernels.count(name) for name in KERNELS} == \
         dict.fromkeys(KERNELS, 4)
     params = session.params
@@ -111,7 +111,7 @@ def test_depth4_lifts_each_input_once_and_spans_every_step(session):
                 child, inside or (span.kind == "kernel"
                                   and span.name in KERNELS))
 
-    mults = [s for s in trace.spans("op") if s.attrs["op"] == "MULTIPLY"]
+    mults = [s for s in trace.op_spans() if s.attrs["op"] == "MULTIPLY"]
     assert len(mults) == 4
     assert all(any(t.kind == "transform" for t in op.walk()) for op in mults)
     assert [t for op in mults

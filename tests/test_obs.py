@@ -23,15 +23,15 @@ from repro.api import LocalBackend, Session, SimulatedBackend
 from repro.cli import main
 from repro.nttmath.batch import TRANSFORM_COUNTER, transform_counts
 from repro.obs import (
+    Counter,
+    Gauge,
+    Histogram,
     Span,
     TraceReport,
     Tracer,
     active_tracer,
     cluster_timeline,
-    counter,
     current_registry,
-    gauge,
-    histogram,
     maybe_span,
     render_prometheus,
     scoped_metrics,
@@ -40,7 +40,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.serve.telemetry import LatencySummary
-from scaffolding import exposed_series
+from scaffolding import exposed_series, spans_of
 from test_cluster import cluster_of, shard_record
 
 
@@ -57,7 +57,7 @@ def mult_tree_program(session: Session):
 
 class TestRegistry:
     def test_counter_labels_and_value(self):
-        c = counter("test_obs_events_total", "events", labels=("kind",))
+        c = Counter("test_obs_events_total", "events", labels=("kind",))
         c.inc(kind="a")
         c.inc(2, kind="a")
         c.inc(5, kind="b")
@@ -66,24 +66,24 @@ class TestRegistry:
         assert c.value(kind="unseen") == 0.0
 
     def test_counter_rejects_negative(self):
-        c = counter("test_obs_neg_total", "monotone")
+        c = Counter("test_obs_neg_total", "monotone")
         with pytest.raises(ValueError):
             c.inc(-1)
 
     def test_label_mismatch_rejected(self):
-        c = counter("test_obs_lbl_total", "labelled", labels=("kind",))
+        c = Counter("test_obs_lbl_total", "labelled", labels=("kind",))
         with pytest.raises(ValueError):
             c.inc(1)  # missing the declared label
         with pytest.raises(ValueError):
             c.inc(1, kind="x", extra="y")
 
     def test_conflicting_registration_rejected(self):
-        counter("test_obs_clash_total", "first", labels=("a",))
+        Counter("test_obs_clash_total", "first", labels=("a",))
         with pytest.raises(ValueError):
-            gauge("test_obs_clash_total", "different kind")
+            Gauge("test_obs_clash_total", "different kind", labels=("a",))
 
     def test_scoped_registry_isolates(self):
-        c = counter("test_obs_scope_total", "scoped")
+        c = Counter("test_obs_scope_total", "scoped")
         c.inc(1)
         outer = current_registry()
         with scoped_metrics() as inner:
@@ -95,7 +95,7 @@ class TestRegistry:
         assert c.value() == 1  # inner writes never leaked out
 
     def test_each_scope_starts_fresh(self):
-        c = counter("test_obs_fresh_total", "fresh")
+        c = Counter("test_obs_fresh_total", "fresh")
         with scoped_metrics() as first:
             c.inc(7)
         with scoped_metrics() as second:
@@ -104,13 +104,13 @@ class TestRegistry:
         assert first.value("test_obs_fresh_total") == 7
 
     def test_gauge_sets_current_value(self):
-        g = gauge("test_obs_depth", "depth")
+        g = Gauge("test_obs_depth", "depth", labels=())
         g.set(3)
         g.set(1.5)
         assert g.value() == 1.5
 
     def test_histogram_series(self):
-        h = histogram("test_obs_lat", "latency", buckets=(0.1, 1.0))
+        h = Histogram("test_obs_lat", "latency", buckets=(0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)
         h.observe(5.0)  # lands in +Inf
@@ -122,9 +122,9 @@ class TestRegistry:
         assert snap['test_obs_lat_bucket{le="+Inf"}'] == 3
 
     def test_prometheus_exposition(self):
-        c = counter("test_obs_prom_total", "help text", labels=("kind",))
+        c = Counter("test_obs_prom_total", "help text", labels=("kind",))
         c.inc(2, kind="x")
-        g = gauge("test_obs_prom_depth", "queue depth")
+        g = Gauge("test_obs_prom_depth", "queue depth", labels=())
         g.set(4)
         text = render_prometheus()
         assert "# HELP test_obs_prom_total help text" in text
@@ -134,7 +134,7 @@ class TestRegistry:
         assert "test_obs_prom_depth 4" in text
 
     def test_prometheus_histogram_cumulative_buckets(self):
-        h = histogram("test_obs_prom_hist", "hist", buckets=(1.0, 2.0))
+        h = Histogram("test_obs_prom_hist", "hist", buckets=(1.0, 2.0))
         h.observe(0.5)
         h.observe(1.5)
         text = render_prometheus()
@@ -144,9 +144,9 @@ class TestRegistry:
         assert "test_obs_prom_hist_count 2" in text
 
     def test_prometheus_samples_are_exact(self):
-        c = counter("test_obs_prom_big_total", "big")
+        c = Counter("test_obs_prom_big_total", "big")
         c.inc(1234567)
-        h = histogram("test_obs_prom_big_hist", "big sum", buckets=(1.0,))
+        h = Histogram("test_obs_prom_big_hist", "big sum", buckets=(1.0,))
         h.observe(1234567.891)
         text = render_prometheus().splitlines()
         assert "test_obs_prom_big_total 1234567" in text
@@ -185,24 +185,24 @@ class TestRegistry:
 
 class TestTracer:
     def test_span_nesting_and_walk_order(self):
-        tracer = Tracer("run")
+        tracer = Tracer()
         with tracer.span("outer", kind="op"), \
                 tracer.span("inner", kind="transform"):
             pass
         root = tracer.finish()
         names = [s.name for s in root.walk()]
-        assert names == ["run", "outer", "inner"]
+        assert names == ["heprogram.run", "outer", "inner"]
         assert root.children[0].children[0].name == "inner"
         assert all(s.duration >= 0 for s in root.walk())
         assert root.start <= root.children[0].start
         assert root.children[0].end <= root.end
 
     def test_live_span_attrs(self):
-        tracer = Tracer("run")
+        tracer = Tracer()
         with tracer.span("op", kind="op", op="MULTIPLY") as sp:
             sp.attrs["transforms"] = {"forward_rows": 3}
         report = tracer.report()
-        (op,) = report.spans("op")
+        (op,) = report.op_spans()
         assert op.attrs["transforms"] == {"forward_rows": 3}
 
     def test_maybe_span_noop_without_tracer(self):
@@ -211,19 +211,19 @@ class TestTracer:
             assert sp is None
 
     def test_maybe_span_attaches_to_active_tracer(self):
-        tracer = Tracer("run")
+        tracer = Tracer()
         with tracer.activate():
             assert active_tracer() is tracer
             with maybe_span("ntt.forward", rows=4) as sp:
                 assert sp is not None
         assert active_tracer() is None
-        (t,) = tracer.report().spans("transform")
+        (t,) = spans_of(tracer.report(), "transform")
         assert t.name == "ntt.forward" and t.attrs["rows"] == 4
 
     def test_add_records_sim_interval(self):
-        tracer = Tracer("run")
+        tracer = Tracer()
         tracer.add("job", "job", start=1.0, end=3.0, coprocessor=0)
-        (job,) = tracer.report().spans("job")
+        (job,) = spans_of(tracer.report(), "job")
         assert job.clock == "sim"
         assert job.duration == 2.0
 
@@ -285,14 +285,15 @@ class TestTracer:
 
 class TestTimeline:
     def test_tracer_tree_exports_and_validates(self):
-        tracer = Tracer("run")
+        tracer = Tracer()
         with tracer.span("op", kind="op", op="MULTIPLY"), \
                 tracer.span("ntt.forward", kind="transform"):
             pass
         events = spans_to_chrome(tracer.finish())
         assert validate_chrome_trace(events)
         slices = [e for e in events if e["ph"] == "X"]
-        assert [e["name"] for e in slices] == ["run", "op", "ntt.forward"]
+        assert [e["name"] for e in slices] == [
+            "heprogram.run", "op", "ntt.forward"]
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in slices)
 
     def test_validator_rejects_negative_duration(self):
@@ -343,7 +344,7 @@ class TestTimeline:
             validate_chrome_trace({"traceEvents": [event]})
 
     def test_write_chrome_trace_roundtrip(self, tmp_path):
-        tracer = Tracer("run")
+        tracer = Tracer()
         with tracer.span("op", kind="op"):
             pass
         path = write_chrome_trace(tmp_path / "t.json",
@@ -414,7 +415,7 @@ class TestTelemetryEdges:
         assert program.num_ops == 0
         result = LocalBackend(session).run(program)
         trace = result.trace
-        assert trace.spans("op") == []
+        assert trace.op_spans() == []
         assert trace.rollup() == {}
         assert trace.critical_path() == []
         events = spans_to_chrome(trace.root)
@@ -474,9 +475,9 @@ class TestAcceptance:
 
         trace = run.trace()
         assert trace.root.clock == "sim"
-        requests = trace.spans("request")
+        requests = spans_of(trace, "request")
         assert len(requests) == 3
-        ops = trace.spans("op")
+        ops = trace.op_spans()
         assert len(ops) == 3 * program.num_ops
         assert all(s.clock == "sim" and s.duration >= 0 for s in ops)
         # Futures carry their own request span.

@@ -134,11 +134,6 @@ class TestRnsPoly:
         with pytest.raises(ParameterError):
             a.to_ntt().to_int_coeffs()
 
-    def test_scalar_mul(self, basis, toy_params):
-        ints = [1] * toy_params.n
-        a = _poly(basis, ints)
-        assert a.scalar_mul(7).to_int_coeffs() == [7] * toy_params.n
-
     def test_ntt_multiply_consistency(self, basis, toy_params, rng):
         """NTT-domain pointwise product == coefficient-domain multiply."""
         a = _poly(basis, rng.integers(0, 1000, toy_params.n))

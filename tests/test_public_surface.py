@@ -1,29 +1,42 @@
-"""Every public name, method and option in ``src/repro`` has a caller
-outside tests.
+"""Every public name, method, property and option in ``src/repro`` has
+a caller outside tests, and every option varies.
 
 An AST scan of ``src/repro`` lists the public (no leading underscore)
-module-level functions and classes, and the public methods of those
-classes (properties are attributes, not methods, and are left out).
-Each must be referred to by code in ``src/repro`` outside its own
-definition, in ``benchmarks/`` or in ``examples/``. A module-level name
-is referred to by a name or an attribute access; a method only by an
-attribute access (so ``obj.describe()`` counts for every method called
-``describe``, and a local variable called ``describe`` counts for none).
-An ``import ... as alias`` counts through its alias, and the benchmark's
-``resolve("repro.x", "name")`` counts for ``name``. Package ``__init__``
-re-exports (the imports and ``__all__``) are not references, and tests
-are not callers. A name used only by code elsewhere in its own module is
-used: the module runs it.
+module-level functions and classes, and the public methods and
+properties (``@property``, ``@cached_property``; a setter is its
+property) of those classes. Each must be referred to by code in
+``src/repro`` outside its own definition, in ``benchmarks/`` or in
+``examples/``. A module-level name is referred to by a name or an
+attribute access; a method or property only by an attribute access
+(a local variable called ``describe`` counts for no method). An
+``import ... as alias`` counts through its alias, and the benchmark's
+``resolve("repro.x", "name")`` counts for ``name``. Package
+``__init__`` re-exports (the imports and ``__all__``) are not
+references, and tests are not callers. A name used only by code
+elsewhere in its own module is used: the module runs it.
+
+Receivers resolve where the class is known. An attribute read
+``x.name`` counts only for the methods called ``name`` of the class of
+``x``, its bases and its subclasses, when ``x`` is ``self`` (or ``cls``)
+in a method of that class, the class itself, a parameter annotated with
+a ``src/repro`` class (``C``, ``"C"``, ``C | None``), or a module-level
+or local name every binding of which is ``ClassName(...)`` or
+``ClassName.classmethod(...)`` (a CapWords callee from outside the
+package is a class too, so a name bound to ``ContextVar(...)`` reads no
+method here). Any other receiver, and one typed as a ``Protocol``,
+counts for every method with that name.
 
 The same holds for options: every defaulted parameter of a public
 function, method, classmethod or ``__init__`` must be passed, by keyword
-or by position, by some call in those places. A call is matched by the
-callee's bare name, as references are; ``cls(...)`` inside a class
-calls that class, and the benchmark's ``bind(fn, ...)`` is a call of
-``fn``. A ``**kwargs`` forward of the enclosing function's own ``**``
-parameter passes the keywords that function's callers pass; any other
-``**mapping`` passes every parameter. A parameter no caller sets is a
-second configuration only tests reach.
+or by position, by some call in those places. A public class without an
+``__init__`` of its own is scanned on the one it inherits from its
+nearest base in ``src/repro``, private or not, under its own name. A call is matched by the
+callee's bare name, whatever its receiver; ``cls(...)`` inside a class
+calls that class, and the benchmark's
+``bind(fn, ...)`` is a call of ``fn``. A ``**kwargs`` forward of the
+enclosing function's own ``**`` parameter passes what each call of that
+function passes; any other ``**mapping`` passes every parameter. A
+parameter no caller sets is a second configuration only tests reach.
 
 Dataclass fields are options too: every field with a default of a
 public ``@dataclass`` (``default_factory`` and ``init=False`` fields
@@ -34,11 +47,20 @@ than its own class's ``__post_init__`` assigns (an attribute or item
 store, an in-place operator, an ``.append``-style call, ``setattr``) is
 state, not an option, and is not scanned.
 
-A name with no caller must be on :data:`ALLOWED` (a method on
-:data:`ALLOWED_METHODS`, a parameter on :data:`ALLOWED_PARAMETERS`, a
-field on :data:`ALLOWED_FIELDS`) with a one-line reason, and an entry
-whose name gained a caller or no longer exists fails too, so the lists
-can only shrink with the code.
+An option must also vary. Every public parameter and dataclass field,
+required or defaulted, to which every call gives one value — the same
+literal or the same UPPER_CASE constant, a call that leaves a default in
+place giving the default — is a constant: it belongs beside its
+function. A value a ``*args``, a ``**mapping`` or any other expression
+passes varies.
+
+A finding must be on :data:`ALLOWED` (a method or property on
+:data:`ALLOWED_METHODS`, an unpassed parameter on
+:data:`ALLOWED_PARAMETERS`, an unset field on :data:`ALLOWED_FIELDS`,
+a one-value argument on :data:`ALLOWED_ONE_VALUE`) with a one-line
+reason, and an entry whose name gained a caller, varies or no longer
+exists fails too, so the lists can only shrink with the code. Each rule
+has a ``*_CASES`` table that holds it to small modules.
 
 Two checks keep the import surface honest as names go: every
 ``__all__`` in ``src/repro`` lists only attributes its module has, and
@@ -46,6 +68,7 @@ the fault types have one import path, ``repro.faults``.
 """
 
 import ast
+import functools
 import importlib
 import textwrap
 from collections import Counter
@@ -76,6 +99,13 @@ ALLOWED_METHODS = {
         "big-integer oracle of the relinearisation key size",
     "fv.reference.TextbookFv.ciphertext_from_rns":
         "moves an engine ciphertext into the big-integer oracle",
+    "fv.reference.TextbookFv.encrypt_with":
+        "big-integer oracle of encryption under given noise",
+    "fv.reference.TextbookFv.relin_keygen":
+        "big-integer oracle of the relinearisation key",
+    "hw.coprocessor.Coprocessor.rotate":
+        "runs compile_rotation's program, which tests hold to "
+        "GaloisEngine.apply bit for bit",
     "hw.ntt_unit.DualCoreNttUnit.run_strict":
         "stepped oracle of the NTT unit's fast executor",
 }
@@ -110,21 +140,33 @@ ALLOWED_FIELDS = {
         "item (HEAX's dnum) lands",
 }
 
+#: The reason an instrument's constructor takes one value per parameter.
+_ONE_INSTRUMENT = ("the engine declares one {}; an instrument's name, help "
+                   "and schema are its declaration, not a setting")
+
+#: Parameters and fields every caller outside tests gives one value,
+#: each with its reason.
+ALLOWED_ONE_VALUE = {
+    "nttmath.batch.ntt_broadcast_rows(lazy)": "benchmarks/ledger passes it",
+    "rns.lift.lift_hps_ntt(lazy)": "benchmarks/ledger passes it",
+    "params.large_ring(n)": "benchmarks/ledger passes it",
+    "fv.galois.GaloisEngine.rotation_keygen(steps_list)":
+        "benchmarks/ledger passes it",
+    **{f"obs.registry.Gauge({p})": _ONE_INSTRUMENT.format("gauge")
+       for p in ("name", "help", "labels")},
+    **{f"obs.registry.Histogram({p})": _ONE_INSTRUMENT.format("histogram")
+       for p in ("name", "help", "buckets")},
+}
+
 
 def _modules_with_all() -> list[str]:
     """Dotted names of the ``src/repro`` modules that assign ``__all__``."""
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        if any(isinstance(node, ast.Assign)
-               and any(isinstance(t, ast.Name) and t.id == "__all__"
-                       for t in node.targets)
-               for node in tree.body):
-            parts = path.relative_to(PACKAGE).with_suffix("").parts
-            if parts[-1] == "__init__":
-                parts = parts[:-1]
-            found.append(".".join(("repro",) + parts))
-    return found
+    return [f"repro.{module}".removesuffix(".__init__")
+            for module, tree in _package_modules().items()
+            if any(isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "__all__"
+                           for t in node.targets)
+                   for node in tree.body)]
 
 
 def _resolved(node: ast.Call) -> list[str]:
@@ -143,97 +185,349 @@ def _aliases(tree: ast.AST) -> dict[str, str]:
             for a in node.names if a.asname}
 
 
-def _references(tree: ast.AST) -> tuple[Counter, Counter]:
-    """How often each name is read under ``tree``: as a name or an
-    attribute, and as an attribute alone (an imported alias counts for
-    the name it imports; a ``resolve`` string is an attribute read)."""
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read under ``tree``, as a name or an
+    attribute (an imported alias counts for the name it imports; a
+    ``resolve`` string is an attribute read)."""
     names: Counter = Counter()
-    attrs: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            attrs[node.attr] += 1
+            names[node.attr] += 1
         elif isinstance(node, ast.Call):
-            attrs.update(_resolved(node))
+            names.update(_resolved(node))
     for alias, name in _aliases(tree).items():
         names[name] += names[alias]
-    return names + attrs, attrs
+    return names
+
+
+def _decorators(node: ast.AST) -> set[str | None]:
+    """The bare names of ``node``'s decorators."""
+    return {getattr(d, "id", None) or getattr(d, "attr", None)
+            for d in getattr(node, "decorator_list", ())}
 
 
 def _is_property(node: ast.FunctionDef) -> bool:
     """A ``@property``, ``@cached_property`` or ``@x.setter`` method."""
-    for decorator in node.decorator_list:
-        name = (decorator.id if isinstance(decorator, ast.Name)
-                else getattr(decorator, "attr", None))
-        if name in ("property", "cached_property", "setter", "deleter"):
-            return True
-    return False
+    return bool(_decorators(node)
+                & {"property", "cached_property", "setter", "deleter"})
 
 
+@functools.cache
 def _caller_trees() -> dict[Path, ast.AST]:
     """Every module a caller may live in: ``src/repro``, the benchmark
-    and the examples."""
+    and the examples, parsed once (the scans only read the trees)."""
     paths = sorted(PACKAGE.rglob("*.py"))
     for directory in CALLER_DIRS:
         paths += sorted(directory.rglob("*.py"))
     return {path: ast.parse(path.read_text()) for path in paths}
 
 
-def _unused_public_names() -> tuple[set[str], set[str]]:
-    """Dotted names of the public module-level names and of the public
-    methods that nothing outside tests refers to."""
-    trees = _caller_trees()
-    modules = {path: tree for path, tree in trees.items()
-               if path.is_relative_to(PACKAGE)}
-    refs = {path: _references(tree) for path, tree in trees.items()}
+def _package_modules() -> dict[str, ast.AST]:
+    """Every ``src/repro`` module's tree, by its dotted name below
+    ``repro``: the same trees :func:`_caller_trees` holds."""
+    return {".".join(path.relative_to(PACKAGE).with_suffix("").parts): tree
+            for path, tree in _caller_trees().items()
+            if path.is_relative_to(PACKAGE)}
 
-    def used(path: Path, node: ast.AST, method: bool) -> bool:
-        name = node.name
-        pick = 1 if method else 0
-        # Reads inside the definition itself (recursion, its own type
-        # in an annotation) are not uses.
-        inside = sum(isinstance(n, ast.Attribute) and n.attr == name
-                     or not method and isinstance(n, ast.Name)
-                     and n.id == name
-                     for n in ast.walk(node))
-        return (refs[path][pick][name] > inside
-                or any(counts[pick][name] for other, counts in refs.items()
-                       if other != path))
 
-    names, methods = set(), set()
-    for path, tree in modules.items():
-        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+def _name_of(node: ast.AST) -> str | None:
+    """The bare name an expression ends in: ``a.b.C`` and ``C[T]`` are
+    ``C``."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+class _Classes:
+    """The classes of the scanned modules, by bare name: their bases,
+    classmethods and family. A class's family is itself, its bases and
+    its subclasses, transitively; a receiver of that class reads the
+    methods of its whole family."""
+
+    def __init__(self, modules: dict[str, ast.AST]):
+        nodes = {node.name: node for tree in modules.values()
+                 for node in tree.body if isinstance(node, ast.ClassDef)}
+        self.names = set(nodes)
+        self._bases = {name: {_name_of(base) for base in node.bases} - {None}
+                       for name, node in nodes.items()}
+        self._classmethods = {
+            name: {m.name for m in node.body
+                   if isinstance(m, ast.FunctionDef)
+                   and "classmethod" in _decorators(m)}
+            for name, node in nodes.items()}
+        #: A protocol's implementations need not derive from it, so a
+        #: receiver typed as one stays unresolved.
+        self.protocols = {name for name, bases in self._bases.items()
+                          if "Protocol" in bases}
+        self._ancestors: dict[str, frozenset[str]] = {}
+
+    def is_class(self, name: str) -> bool:
+        """A scanned class, or a CapWords name (PEP 8's class names)."""
+        return name in self.names or (name[:1].isupper()
+                                      and not name.isupper())
+
+    def ancestors(self, name: str) -> frozenset[str]:
+        if name not in self._ancestors:
+            found: set[str] = set()
+            for base in self._bases.get(name, ()):
+                if base != name:
+                    found |= {base} | self.ancestors(base)
+            self._ancestors[name] = frozenset(found)
+        return self._ancestors[name]
+
+    def family(self, name: str) -> set[str]:
+        return ({name} | self.ancestors(name)
+                | {other for other in self.names
+                   if name in self.ancestors(other)})
+
+    def classmethods(self, name: str) -> set[str]:
+        return set().union(*(self._classmethods.get(cls, ())
+                             for cls in {name} | self.ancestors(name)))
+
+
+#: Nodes that open a scope: their bodies run in a frame of their own.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _outer(scope: ast.AST) -> list[ast.AST]:
+    """The parts of a nested scope that its enclosing scope evaluates:
+    decorators, bases, defaults and annotations."""
+    if isinstance(scope, ast.ClassDef):
+        return scope.decorator_list + scope.bases + scope.keywords
+    args = scope.args
+    parts = args.defaults + [d for d in args.kw_defaults if d is not None]
+    if isinstance(scope, ast.Lambda):
+        return parts
+    params = (args.posonlyargs + args.args + args.kwonlyargs
+              + [a for a in (args.vararg, args.kwarg) if a])
+    return (scope.decorator_list + parts
+            + [a.annotation for a in params if a.annotation]
+            + [scope.returns] * (scope.returns is not None))
+
+
+def _own_nodes(scope: ast.AST) -> list[ast.AST]:
+    """Every node that runs in ``scope``'s own frame. A nested scope is
+    listed with its :func:`_outer` parts, but not entered."""
+    stack = [scope.body] if isinstance(scope, ast.Lambda) else \
+        list(scope.body)
+    found = []
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        stack.extend(_outer(node) if isinstance(node, SCOPES)
+                     else ast.iter_child_nodes(node))
+    return found
+
+
+def _bindings(scope: ast.AST, nodes: list[ast.AST], classes: _Classes,
+              method_of: str | None) -> dict[str, list]:
+    """Each name ``scope`` binds, with one entry per binding:
+    ``("class", C)`` for the class ``C`` itself (a class statement or an
+    imported class), ``("instance", C)`` for the first parameter of a
+    method of ``C``, ``("param", annotation)``, ``("value", expression)``
+    for a plain assignment, and ``None`` for any other binding."""
+    found: dict[str, list] = {}
+    if not isinstance(scope, (ast.Module, ast.ClassDef)):
+        args = scope.args
+        for place, arg in enumerate(args.posonlyargs + args.args
+                                    + args.kwonlyargs):
+            found.setdefault(arg.arg, []).append(
+                ("instance", method_of) if place == 0 and method_of
+                else ("param", arg.annotation))
+        for arg in (args.vararg, args.kwarg):
+            if arg:
+                found.setdefault(arg.arg, []).append(None)
+    plain = {}
+    for node in nodes:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            plain[id(node.targets[0])] = node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            plain[id(node.target)] = node.value
+    for node in nodes:
+        names, how = [], None
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names = [node.id]
+            how = ("value", plain[id(node)]) if id(node) in plain else None
+        elif isinstance(node, ast.ClassDef):
+            names, how = [node.name], ("class", node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Global, ast.Nonlocal)):
+            names = getattr(node, "names", None) or [node.name]
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names = [node.name]
+        elif isinstance(node, ast.Import):
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                found.setdefault(alias.asname or alias.name, []).append(
+                    ("class", alias.name) if classes.is_class(alias.name)
+                    else None)
+        for name in names:
+            found.setdefault(name, []).append(how)
+    return found
+
+
+def _attribute_reads(tree: ast.AST, classes: _Classes):
+    """``(attribute, receiver class, line)`` of every attribute read
+    under ``tree``, and of every ``resolve`` string. The class is known
+    when the receiver is ``self`` (or ``cls``) in a method, a class, a
+    parameter annotated with a scanned class, or a name every binding of
+    which is ``ClassName(...)`` or ``ClassName.classmethod(...)``; it is
+    ``None`` for any other receiver, and for a protocol."""
+    reads = []
+
+    def lookup(name: str, chain: list) -> tuple[list, list]:
+        """The bindings of ``name`` and the scopes they can see."""
+        for depth in range(len(chain), 0, -1):
+            if name in chain[depth - 1]:
+                return chain[depth - 1][name], chain[:depth]
+        return [("class", name) if classes.is_class(name) else None], []
+
+    def class_named(expr: ast.AST, chain: list) -> str | None:
+        """The class ``expr`` names, when it names one."""
+        if isinstance(expr, ast.Attribute):
+            return expr.attr if classes.is_class(expr.attr) else None
+        if not isinstance(expr, ast.Name):
+            return None
+        hows, _ = lookup(expr.id, chain)
+        named = {how[1] if how and how[0] == "class" else None
+                 for how in hows}
+        return named.pop() if len(named) == 1 else None
+
+    def annotated(annotation: ast.AST | None, chain: list) -> str | None:
+        if isinstance(annotation, ast.Constant) \
+                and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval").body
+        if isinstance(annotation, ast.BinOp) \
+                and isinstance(annotation.op, ast.BitOr):
+            sides = [side for side in (annotation.left, annotation.right)
+                     if getattr(side, "value", 0) is not None]
+            return annotated(sides[0], chain) if len(sides) == 1 else None
+        named = class_named(annotation, chain)
+        return named if named in classes.names else None
+
+    def instance(how, chain: list) -> str | None:
+        """The class of what one binding binds."""
+        if how is None:
+            return None
+        kind, what = how
+        if kind in ("class", "instance"):
+            return what
+        if kind == "param":
+            return annotated(what, chain)
+        if not isinstance(what, ast.Call):
+            return None
+        made = class_named(what.func, chain)
+        if made is None and isinstance(what.func, ast.Attribute):
+            owner = class_named(what.func.value, chain)
+            if owner and what.func.attr in classes.classmethods(owner):
+                made = owner
+        return made
+
+    def receiver(expr: ast.AST, chain: list) -> str | None:
+        if not isinstance(expr, ast.Name):
+            return None
+        hows, seen = lookup(expr.id, chain)
+        found = {instance(how, seen) for how in hows}
+        cls = found.pop() if len(found) == 1 else None
+        return None if cls in classes.protocols else cls
+
+    def walk(scope: ast.AST, outer: list, method_of: str | None) -> None:
+        nodes = _own_nodes(scope)
+        chain = outer + [_bindings(scope, nodes, classes, method_of)]
+        # A class body's names are not visible in its methods.
+        inner = outer if isinstance(scope, ast.ClassDef) else chain
+        for node in nodes:
+            if isinstance(node, ast.Attribute):
+                reads.append((node.attr, receiver(node.value, chain),
+                              node.lineno))
+            elif isinstance(node, ast.Call):
+                reads.extend((name, None, node.lineno)
+                             for name in _resolved(node))
+            if isinstance(node, SCOPES):
+                method = (isinstance(scope, ast.ClassDef)
+                          and not isinstance(node, (ast.Lambda, ast.ClassDef))
+                          and "staticmethod" not in _decorators(node))
+                walk(node, inner, scope.name if method else None)
+
+    walk(tree, [], None)
+    return reads
+
+
+def _unused_public_names(modules: dict[str, ast.AST],
+                         callers) -> tuple[set[str], set[str]]:
+    """Dotted names of the public module-level names, and of the public
+    methods and properties, of ``modules`` that nothing in the
+    ``callers`` trees (``modules``' own trees among them) refers to
+    outside their own definition."""
+    classes = _Classes(modules)
+    names = [(tree, _references(tree)) for tree in callers]
+    reads: dict[str, list] = {}
+    for tree in callers:
+        for attr, owner, line in _attribute_reads(tree, classes):
+            reads.setdefault(attr, []).append((tree, line, owner))
+
+    unused_names, unused_methods = set(), set()
+    for module, tree in modules.items():
         for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue
-            if not used(path, node, method=False):
-                names.add(f"{module}.{node.name}")
+            # Reads inside the definition itself (recursion, its own
+            # type in an annotation) are not uses.
+            inside = sum(isinstance(n, ast.Attribute) and n.attr == node.name
+                         or isinstance(n, ast.Name) and n.id == node.name
+                         for n in ast.walk(node))
+            if not any(counts[node.name] > (inside if other is tree else 0)
+                       for other, counts in names):
+                unused_names.add(f"{module}.{node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
+            family = classes.family(node.name)
             for method in node.body:
-                if (isinstance(method, ast.FunctionDef)
-                        and not method.name.startswith("_")
-                        and not _is_property(method)
-                        and not used(path, method, method=True)):
-                    methods.add(f"{module}.{node.name}.{method.name}")
-    return names, methods
+                if (not isinstance(method, ast.FunctionDef)
+                        or method.name.startswith("_")
+                        or _decorators(method) & {"setter", "deleter"}):
+                    continue
+                span = range(min([method.lineno]
+                                 + [d.lineno for d in method.decorator_list]),
+                             method.end_lineno + 1)
+                if not any((owner is None or owner in family)
+                           and not (where is tree and line in span)
+                           for where, line, owner
+                           in reads.get(method.name, ())):
+                    unused_methods.add(f"{module}.{node.name}.{method.name}")
+    return unused_names, unused_methods
 
 
-def _package_modules() -> dict[str, ast.AST]:
-    """Every ``src/repro`` module's tree, by its dotted name below
-    ``repro``."""
-    return {".".join(path.relative_to(PACKAGE).with_suffix("").parts):
-            ast.parse(path.read_text())
-            for path in sorted(PACKAGE.rglob("*.py"))}
+def _inherited_init(node: ast.ClassDef,
+                    classes: dict[str, ast.ClassDef]) -> ast.FunctionDef | None:
+    """The ``__init__`` a class without one of its own runs: the nearest
+    one among its scanned bases, depth first in base order (``None``
+    when a dataclass or a class outside the scan makes it)."""
+    for base in node.bases:
+        found = classes.get(_name_of(base))
+        if found is None or found is node or _is_dataclass(found):
+            continue
+        init = next((m for m in found.body if isinstance(m, ast.FunctionDef)
+                     and m.name == "__init__"), None)
+        if init is None:
+            init = _inherited_init(found, classes)
+        if init is not None:
+            return init
+    return None
 
 
 def _public_callables(modules: dict[str, ast.AST]):
     """``(dotted name, called as, definition, bound)`` of every public
-    function, ``__init__`` (named by its class) and public method of
-    ``modules``; ``bound`` when the first parameter is ``self`` or
-    ``cls``."""
+    function, ``__init__`` (named by its class; a class without one is
+    named on the ``__init__`` it inherits from a scanned base, private or
+    not) and public method of ``modules``; ``bound`` when the first
+    parameter is ``self`` or ``cls``."""
+    classes = {node.name: node for tree in modules.values()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
     for module, tree in modules.items():
         for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -242,17 +536,38 @@ def _public_callables(modules: dict[str, ast.AST]):
             if isinstance(node, ast.FunctionDef):
                 yield f"{module}.{node.name}", node.name, node, False
                 continue
+            own = {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+            if "__init__" not in own and not _is_dataclass(node):
+                init = _inherited_init(node, classes)
+                if init is not None:
+                    yield f"{module}.{node.name}", node.name, init, True
             for method in node.body:
                 if not isinstance(method, ast.FunctionDef) \
                         or _is_property(method):
                     continue
-                bound = not any(getattr(d, "id", None) == "staticmethod"
-                                for d in method.decorator_list)
+                bound = "staticmethod" not in _decorators(method)
                 if method.name == "__init__":
                     yield f"{module}.{node.name}", node.name, method, True
                 elif not method.name.startswith("_"):
                     yield (f"{module}.{node.name}.{method.name}",
                            method.name, method, bound)
+
+
+def _parameters(modules: dict[str, ast.AST]):
+    """``(dotted name, called as, parameter, place, default)`` of every
+    parameter of the public callables of ``modules`` (``*args`` and
+    ``**kwargs`` aside): ``place`` is its position, ``None`` when it is
+    keyword-only, and ``default`` its default, ``None`` when it has
+    none."""
+    for dotted, called_as, node, bound in _public_callables(modules):
+        args = node.args
+        positional = (args.posonlyargs + args.args)[bound:]
+        defaults = ([None] * (len(positional) - len(args.defaults))
+                    + args.defaults)
+        for place, (arg, default) in enumerate(zip(positional, defaults)):
+            yield f"{dotted}({arg.arg})", called_as, arg.arg, place, default
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            yield f"{dotted}({arg.arg})", called_as, arg.arg, None, default
 
 
 def _forwarded(fn: ast.FunctionDef, owner: dict[int, str],
@@ -270,13 +585,32 @@ def _forwarded(fn: ast.FunctionDef, owner: dict[int, str],
     return called_as, frozenset(named)
 
 
-def _calls(trees) -> dict[str, list[tuple[int, set[str], bool]]]:
-    """Every call under ``trees``, by the callee's bare name: the number
-    of positional arguments before any ``*args``, the keywords, and
-    whether a ``**mapping`` passes everything else. A ``**kwargs``
-    forward of the enclosing function's own ``**`` parameter passes the
-    keywords that function's callers pass (less its named parameters);
-    any other ``**mapping`` passes everything."""
+def _value(node: ast.AST) -> str | None:
+    """A key for a literal or an UPPER_CASE constant, equal for equal
+    values; ``None`` for any other expression."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        name = _name_of(node)
+        return f"constant {name}" if len(name) > 1 and name.isupper() \
+            else None
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return None
+    return ast.dump(node)
+
+
+@functools.cache
+def _calls(trees: tuple[ast.AST, ...]) -> dict[str, list[tuple]]:
+    """Every call under ``trees`` (cached: the scans only read it), by
+    the callee's bare name, as
+    ``(positional, keywords, starred, everything)``: the :func:`_value`
+    of each positional argument before any ``*args`` and of each keyword
+    by name, whether a ``*args`` passes the later positions, and whether
+    a ``**mapping`` passes every keyword. A ``**kwargs`` forward of the
+    enclosing function's own ``**`` parameter passes what each call of
+    that function passes (less its named parameters), so the forwarding
+    call counts once per call of the forwarder; any other ``**mapping``
+    passes everything."""
     raw: dict[str, list] = {}
     for tree in trees:
         aliases = _aliases(tree)
@@ -302,61 +636,75 @@ def _calls(trees) -> dict[str, list[tuple[int, set[str], bool]]]:
                 name = _resolved(func)[-1]
             else:
                 continue
-            positional = next((i for i, arg in enumerate(args)
-                               if isinstance(arg, ast.Starred)), len(args))
+            star = next((i for i, arg in enumerate(args)
+                         if isinstance(arg, ast.Starred)), len(args))
             forwards = [_forwarded(enclosing.get(id(node)), owner, k)
                         for k in node.keywords if k.arg is None]
             raw.setdefault(name, []).append((
-                positional, {k.arg for k in node.keywords if k.arg},
-                forwards))
+                [_value(arg) for arg in args[:star]],
+                {k.arg: _value(k.value) for k in node.keywords if k.arg},
+                star < len(args), forwards))
 
-    def expand(named: set[str], forwards: list,
-               seen: frozenset[str]) -> tuple[set[str], bool]:
-        """The keywords one call passes, with its forwards followed to
-        the forwarder's callers, and whether it passes everything."""
-        keywords, everything = set(named), False
+    def expand(call: tuple, seen: frozenset[str]) -> list[tuple]:
+        """One call per path through its forwards, each with the
+        keywords the forwarder's caller passes on that path."""
+        positional, keywords, starred, forwards = call
+        done = [(keywords, False)]
         for forward in forwards:
             if forward is None:
-                everything = True
+                done = [(named, True) for named, _ in done]
                 continue
             forwarder, own = forward
             if forwarder in seen:
                 continue
-            for _, more_named, more_forwards in raw.get(forwarder, ()):
-                more, every = expand(more_named, more_forwards,
-                                     seen | {forwarder})
-                keywords |= more - own
-                everything |= every
-        return keywords, everything
+            outer = [(named, every) for more in raw.get(forwarder, ())
+                     for _, named, _, every
+                     in expand(more, seen | {forwarder})]
+            done = [({**named, **{k: v for k, v in more.items()
+                                  if k not in own}}, every or more_every)
+                    for named, every in done
+                    for more, more_every in outer] or done
+        return [(positional, named, starred, every) for named, every in done]
 
-    return {name: [(positional, *expand(named, forwards, frozenset()))
-                   for positional, named, forwards in found]
+    return {name: [done for call in found
+                   for done in expand(call, frozenset())]
             for name, found in raw.items()}
+
+
+def _arguments(calls, name: str, place: int | None,
+               default: ast.AST | None) -> tuple[bool, list]:
+    """Whether any of ``calls`` passes the parameter ``name`` (at
+    ``place``), and the value key each call gives it: what it passes, or
+    the default it leaves in place (``None`` where no literal or
+    constant names the value)."""
+    passed, values = False, []
+    for positional, keywords, starred, everything in calls:
+        if place is not None and place < len(positional):
+            value = positional[place]
+        elif name in keywords:
+            value = keywords[name]
+        elif everything:
+            value = None
+        else:
+            values.append(None if default is None
+                          or starred and place is not None
+                          else _value(default))
+            continue
+        passed = True
+        values.append(value)
+    return passed, values
 
 
 def _unpassed_parameters(modules: dict[str, ast.AST],
                          callers) -> set[str]:
     """The defaulted public parameters of ``modules`` that no call in
     the ``callers`` trees passes (``module.Callable(param)``)."""
-    calls = _calls(callers)
-    unpassed = set()
-    for dotted, called_as, node, bound in _public_callables(modules):
-        args = node.args
-        positional = [a.arg for a in args.posonlyargs + args.args]
-        positional = positional[1:] if bound else positional
-        defaulted = positional[len(positional) - len(args.defaults):]
-        defaulted += [a.arg for a, default in
-                      zip(args.kwonlyargs, args.kw_defaults, strict=True)
-                      if default is not None]
-        for param in defaulted:
-            place = (positional.index(param) if param in positional
-                     else None)
-            if not any(param in keywords or forward
-                       or place is not None and count > place
-                       for count, keywords, forward
-                       in calls.get(called_as, ())):
-                unpassed.add(f"{dotted}({param})")
-    return unpassed
+    calls = _calls(tuple(callers))
+    return {dotted for dotted, called_as, name, place, default
+            in _parameters(modules)
+            if default is not None
+            and not _arguments(calls.get(called_as, ()), name, place,
+                               default)[0]}
 
 
 #: Methods that change the object they are called on: a field they are
@@ -375,11 +723,13 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _dataclass_options(modules: dict[str, ast.AST]):
-    """``(dotted name, class, field, place)`` of every defaulted field of
-    the public dataclasses of ``modules``; ``place`` is the field's index
-    among the ``__init__`` fields. ``init=False`` fields take no place,
-    and they and ``default_factory`` fields are not options."""
+def _fields(modules: dict[str, ast.AST]):
+    """``(dotted name, class, field, place, default, option)`` of every
+    ``__init__`` field of the public dataclasses of ``modules``: ``place``
+    is its index among those fields, ``default`` its default expression
+    (the ``field(default_factory=...)`` call for a factory, ``None`` when
+    it has none), and ``option`` whether it has a default that is not a
+    factory. ``init=False`` fields take no place and are skipped."""
     for module, tree in modules.items():
         for node in tree.body:
             if (not isinstance(node, ast.ClassDef)
@@ -390,19 +740,21 @@ def _dataclass_options(modules: dict[str, ast.AST]):
                       and isinstance(stmt.target, ast.Name)]
             place = 0
             for stmt in fields:
-                value = stmt.value
-                spec = ({k.arg: k.value for k in value.keywords}
-                        if isinstance(value, ast.Call)
-                        and getattr(value.func, "id", None) == "field"
+                default = stmt.value
+                spec = ({k.arg: k.value for k in default.keywords}
+                        if isinstance(default, ast.Call)
+                        and getattr(default.func, "id", None) == "field"
                         else None)
                 if spec is not None and getattr(spec.get("init"), "value",
                                                 True) is False:
                     continue
-                defaulted = (value is not None if spec is None
-                             else "default" in spec)
-                if defaulted:
-                    yield (f"{module}.{node.name}.{stmt.target.id}",
-                           node.name, stmt.target.id, place)
+                option = default is not None
+                if spec is not None:
+                    option = "default" in spec
+                    default = spec.get("default", default if "default_factory"
+                                       in spec else None)
+                yield (f"{module}.{node.name}.{stmt.target.id}",
+                       node.name, stmt.target.id, place, default, option)
                 place += 1
 
 
@@ -441,26 +793,51 @@ def _assigned_fields(modules: dict[str, ast.AST]) -> dict[str, set]:
     return stores
 
 
+def _field_calls(calls: dict, owner: str, name: str) -> list[tuple]:
+    """The calls that may set the field ``name`` of the dataclass
+    ``owner``: every call of the class, and each ``replace(obj, ...)``
+    that passes it (by keyword only, or through a ``**mapping``)."""
+    return calls.get(owner, []) + [
+        ([], keywords, False, everything)
+        for _, keywords, _, everything in calls.get("replace", ())
+        if name in keywords or everything]
+
+
 def _unset_fields(modules: dict[str, ast.AST], callers) -> set[str]:
     """The options among the dataclass fields of ``modules`` that no
     call in the ``callers`` trees sets (``module.Class.field``): by
     keyword, by position or through a forward, in a call of the class
     or a ``replace(...)``. A field that code other than its own class's
     ``__post_init__`` assigns is state, not an option."""
-    calls = _calls(callers)
+    calls = _calls(tuple(callers))
     stores = _assigned_fields(modules)
-    # A replace(obj, ...) sets fields by keyword only.
-    replaced = [(0, keywords, everything)
-                for _, keywords, everything in calls.get("replace", ())]
-    unset = set()
-    for dotted, owner, name, place in _dataclass_options(modules):
-        if stores.get(name, set()) - {owner}:
-            continue
-        if not any(name in keywords or everything or count > place
-                   for count, keywords, everything
-                   in calls.get(owner, []) + replaced):
-            unset.add(dotted)
-    return unset
+    return {dotted for dotted, owner, name, place, default, option
+            in _fields(modules)
+            if option and not stores.get(name, set()) - {owner}
+            and not _arguments(_field_calls(calls, owner, name), name,
+                               place, default)[0]}
+
+
+def _one_value_arguments(modules: dict[str, ast.AST], callers) -> set[str]:
+    """The public parameters (``module.Callable(param)``) and dataclass
+    fields (``module.Class.field``, state aside) of ``modules`` to which
+    every call in the ``callers`` trees gives one value, a literal or an
+    UPPER_CASE constant, with some call passing it: a constant, not an
+    option. A call that leaves a default in place gives the default."""
+    calls = _calls(tuple(callers))
+    stores = _assigned_fields(modules)
+
+    def one_value(found, name, place, default) -> bool:
+        passed, values = _arguments(found, name, place, default)
+        return passed and None not in values and len(set(values)) == 1
+
+    found = {dotted for dotted, called_as, name, place, default
+             in _parameters(modules)
+             if one_value(calls.get(called_as, ()), name, place, default)}
+    return found | {
+        dotted for dotted, owner, name, place, default, _ in _fields(modules)
+        if not stores.get(name, set()) - {owner}
+        and one_value(_field_calls(calls, owner, name), name, place, default)}
 
 
 def _drift(found: set[str],
@@ -470,8 +847,14 @@ def _drift(found: set[str],
     return sorted(found - allowed.keys()), sorted(allowed.keys() - found)
 
 
+@functools.cache
+def _repo_unused() -> tuple[set[str], set[str]]:
+    return _unused_public_names(_package_modules(),
+                                tuple(_caller_trees().values()))
+
+
 def test_every_public_name_has_a_caller_or_a_reason():
-    unused, _ = _unused_public_names()
+    unused, _ = _repo_unused()
     missing, stale = _drift(unused, ALLOWED)
     assert missing == [], (
         "public names only tests reach: delete them, give them a caller, "
@@ -483,11 +866,11 @@ def test_every_public_name_has_a_caller_or_a_reason():
 
 
 def test_every_public_method_has_a_caller_or_a_reason():
-    _, unused = _unused_public_names()
+    _, unused = _repo_unused()
     missing, stale = _drift(unused, ALLOWED_METHODS)
     assert missing == [], (
-        "public methods only tests reach: delete them, give them a "
-        "caller, or add them to ALLOWED_METHODS with a reason"
+        "public methods and properties only tests reach: delete them, "
+        "give them a caller, or add them to ALLOWED_METHODS with a reason"
     )
     assert stale == [], (
         "ALLOWED_METHODS entries that now have a caller or no longer exist"
@@ -496,7 +879,7 @@ def test_every_public_method_has_a_caller_or_a_reason():
 
 def test_every_defaulted_parameter_is_passed_or_has_a_reason():
     unpassed = _unpassed_parameters(_package_modules(),
-                                    _caller_trees().values())
+                                    tuple(_caller_trees().values()))
     missing, stale = _drift(unpassed, ALLOWED_PARAMETERS)
     assert missing == [], (
         "defaulted parameters only tests set: delete them and the branch "
@@ -510,7 +893,8 @@ def test_every_defaulted_parameter_is_passed_or_has_a_reason():
 
 
 def test_every_field_option_is_set_or_has_a_reason():
-    unset = _unset_fields(_package_modules(), _caller_trees().values())
+    unset = _unset_fields(_package_modules(),
+                          tuple(_caller_trees().values()))
     missing, stale = _drift(unset, ALLOWED_FIELDS)
     assert missing == [], (
         "dataclass fields only tests set: make them constants, derive "
@@ -518,6 +902,20 @@ def test_every_field_option_is_set_or_has_a_reason():
     )
     assert stale == [], (
         "ALLOWED_FIELDS entries that are now set, state or gone"
+    )
+
+
+def test_every_argument_varies_or_has_a_reason():
+    constant = _one_value_arguments(_package_modules(),
+                                    tuple(_caller_trees().values()))
+    missing, stale = _drift(constant, ALLOWED_ONE_VALUE)
+    assert missing == [], (
+        "parameters and fields every caller gives one value: make them "
+        "constants beside their function, give them a caller that varies "
+        "them, or add them to ALLOWED_ONE_VALUE with a reason"
+    )
+    assert stale == [], (
+        "ALLOWED_ONE_VALUE entries that now vary or no longer exist"
     )
 
 
@@ -606,6 +1004,31 @@ PARAMETER_CASES = {
         "def f(a, b=1): pass", "bind(f, 0)", {"m.f(b)"}),
     "resolved-call": (
         "def f(a, b=1): pass", "resolve('repro.m', 'f')(0, 2)", set()),
+    "inherited-init-is-its-subclass-s": (
+        """
+        class _Base:
+            def __init__(self, x=1): pass
+
+        class C(_Base): pass
+        """, "C()", {"m.C(x)"}),
+    "inherited-init-passed-through-its-subclass": (
+        """
+        class _Base:
+            def __init__(self, x=1): pass
+
+        class _Middle(_Base): pass
+
+        class C(_Middle): pass
+        """, "C(x=2)", set()),
+    "dataclass-init-is-its-fields": (
+        """
+        class _Base:
+            def __init__(self, x=1): pass
+
+        @dataclass
+        class C(_Base):
+            y: int = 0
+        """, "C(y=1)", set()),
     "property-is-an-attribute": (
         """
         class C:
@@ -711,27 +1134,238 @@ def test_field_scan_rule(definitions, caller, expected):
         == expected
 
 
+#: ``(definitions of module m, caller module, unread methods and
+#: properties)``: the property rule, one clause per case.
+PROPERTY_CASES = {
+    "read": ("""
+        class C:
+            @property
+            def size(self): return 1
+        """, "obj.size", set()),
+    "unread": ("""
+        class C:
+            @property
+            def size(self): return 1
+        """, "", {"m.C.size"}),
+    "cached-property": ("""
+        class C:
+            @cached_property
+            def table(self): return []
+        """, "", {"m.C.table"}),
+    "read-by-its-own-class": ("""
+        class C:
+            @property
+            def size(self): return 1
+
+            def grow(self): return self.size + 1
+        """, "C().grow()", set()),
+    "read-only-inside-itself": ("""
+        class C:
+            @property
+            def size(self): return self.inner.size
+        """, "", {"m.C.size"}),
+    "setter-is-the-property": ("""
+        class C:
+            @property
+            def size(self): return 1
+
+            @size.setter
+            def size(self, value): pass
+        """, "obj.size = 2", set()),
+}
+
+
+@pytest.mark.parametrize("definitions, caller, expected",
+                         PROPERTY_CASES.values(), ids=PROPERTY_CASES)
+def test_property_scan_rule(definitions, caller, expected):
+    module = _parse(definitions)
+    assert _unused_public_names({"m": module},
+                                [module, _parse(caller)])[1] == expected
+
+
+#: ``(definitions of module m, caller module, one-value arguments)``:
+#: the one-value rule, one clause per case.
+ONE_VALUE_CASES = {
+    "same-literal": ("def f(a): pass", "f(1)\nf(1)", {"m.f(a)"}),
+    "two-literals": ("def f(a): pass", "f(1)\nf(2)", set()),
+    "one-call": ("def f(a, b): pass", "f(1, x)", {"m.f(a)"}),
+    "same-constant": ("def f(a): pass", "f(LIMIT)\nf(cfg.LIMIT)",
+                      {"m.f(a)"}),
+    "computed-value": ("def f(a): pass", "f(1)\nf(x)", set()),
+    "keyword-and-position-agree": (
+        "def f(a): pass", "f(1)\nf(a=1)", {"m.f(a)"}),
+    "default-left-in-place-is-that-value": (
+        "def f(a=1): pass", "f()\nf(1)", {"m.f(a)"}),
+    "default-and-another-value": ("def f(a=1): pass", "f()\nf(2)", set()),
+    "never-passed-is-the-parameter-rule": ("def f(a=1): pass", "f()", set()),
+    "star-args-pass-an-unknown": (
+        "def f(a, b): pass", "f(0, 1)\nf(0, *rest)", {"m.f(a)"}),
+    "mapping-passes-an-unknown": (
+        "def f(a): pass", "f(1)\nf(**options)", set()),
+    "kwargs-forward-carries-each-callers-value": (
+        """
+        def f(a, b=1): pass
+
+        def g(a, **kwargs): return f(a, **kwargs)
+        """, "g(0, b=2)\ng(0, b=2)", {"m.f(b)", "m.g(a)"}),
+    "kwargs-forward-of-two-values": (
+        """
+        def f(a, b=1): pass
+
+        def g(a, **kwargs): return f(a, **kwargs)
+        """, "g(0, b=2)\ng(1, b=3)", set()),
+    "method-skips-self": (
+        """
+        class C:
+            def go(self, x): pass
+        """, "obj.go(1)", {"m.C.go(x)"}),
+    "inherited-init": (
+        """
+        class _Base:
+            def __init__(self, x): pass
+
+        class C(_Base): pass
+
+        class D(_Base): pass
+        """, "C(1)\nC(x=1)\nD(1)\nD(2)", {"m.C(x)"}),
+    "field": ("""
+        @dataclass
+        class C:
+            a: int
+        """, "C(1)\nC(a=1)", {"m.C.a"}),
+    "field-replace-gives-a-value": ("""
+        @dataclass
+        class C:
+            b: int = 1
+        """, "C(b=2)\nreplace(c, b=3)", set()),
+    "field-replace-of-another-field-gives-none": ("""
+        @dataclass
+        class C:
+            a: int = 0
+            b: int = 1
+        """, "C(b=2)\nreplace(c, a=x)", {"m.C.b"}),
+    "state-field-is-skipped": ("""
+        @dataclass
+        class C:
+            b: int = 0
+
+        class D:
+            def charge(self, c): c.b += 1
+        """, "C(b=1)", set()),
+}
+
+
+@pytest.mark.parametrize("definitions, caller, expected",
+                         ONE_VALUE_CASES.values(), ids=ONE_VALUE_CASES)
+def test_one_value_scan_rule(definitions, caller, expected):
+    module = _parse(definitions)
+    assert _one_value_arguments({"m": module}, [module, _parse(caller)]) \
+        == expected
+
+
+#: Two classes with a method of one name, which the receiver cases call.
+TWO_RUNS = """
+    class A:
+        def run(self): pass
+
+    class B:
+        def run(self): pass
+    """
+
+#: ``(definitions of module m, caller module, unread methods)``: the
+#: receiver rule, one clause per case.
+RECEIVER_CASES = {
+    "unresolved-counts-for-every-class": (TWO_RUNS, "obj.run()", set()),
+    "constructed-name": (TWO_RUNS, "a = A()\na.run()", {"m.B.run"}),
+    "constructed-local": (
+        TWO_RUNS, "def go():\n    b = B()\n    b.run()", {"m.A.run"}),
+    "classmethod-constructor": (TWO_RUNS + """
+    class C(A):
+        @classmethod
+        def make(cls): return cls()
+    """, "c = C.make()\nc.run()", {"m.B.run"}),
+    "class-itself": (TWO_RUNS, "A.run(x)", {"m.B.run"}),
+    "annotated-parameter": (
+        TWO_RUNS, "def go(b: B):\n    b.run()", {"m.A.run"}),
+    "optional-string-annotation": (
+        TWO_RUNS, "def go(b: 'B | None'):\n    b.run()", {"m.A.run"}),
+    "unannotated-parameter-shadows-a-module-name": (
+        TWO_RUNS, "a = A()\ndef go(a):\n    a.run()", set()),
+    "rebound-name": (TWO_RUNS, "x = A()\nx = B()\nx.run()", set()),
+    "computed-binding": (TWO_RUNS, "x = A()\nx = pick()\nx.run()", set()),
+    "foreign-class": (
+        TWO_RUNS, "token = ContextVar('t')\ntoken.run()",
+        {"m.A.run", "m.B.run"}),
+    "import-alias": (
+        TWO_RUNS, "from m import B as Other\nx = Other()\nx.run()",
+        {"m.A.run"}),
+    "self-is-its-class": ("""
+        class A:
+            def run(self): pass
+
+            def start(self): self.run()
+
+        class B:
+            def run(self): pass
+        """, "A().start()", {"m.B.run"}),
+    "self-reaches-bases-and-subclasses": ("""
+        class Base:
+            def go(self): self.step()
+
+            def run(self): pass
+
+        class Sub(Base):
+            def step(self): pass
+
+        class Other:
+            def step(self): pass
+
+        def use(sub: Sub): sub.run()
+        """, "obj.go()", {"m.Other.step"}),
+    "protocol-is-unresolved": ("""
+        class P(Protocol):
+            def run(self): pass
+
+        class A:
+            def run(self): pass
+
+        def go(p: P): p.run()
+        """, "", set()),
+}
+
+
+@pytest.mark.parametrize("definitions, caller, expected",
+                         RECEIVER_CASES.values(), ids=RECEIVER_CASES)
+def test_receiver_scan_rule(definitions, caller, expected):
+    module = _parse(definitions)
+    assert _unused_public_names({"m": module},
+                                [module, _parse(caller)])[1] == expected
+
+
+def _read_names(source: str) -> list[str]:
+    return [attr for attr, _, _ in _attribute_reads(
+        _parse(source), _Classes({}))]
+
+
 def test_a_local_variable_is_no_method_reference():
-    both, attrs = _references(_parse("""
+    source = """
         describe = 1
         obj.run(describe)
-    """))
-    assert both["describe"] == 2 and attrs["describe"] == 0
-    assert attrs["run"] == 1
+    """
+    assert _references(_parse(source))["describe"] == 2
+    assert _read_names(source) == ["run"]
 
 
 def test_resolved_strings_are_attribute_reads():
-    _, attrs = _references(_parse("resolve('repro.x', 'probe', 'inner')"))
-    assert attrs["probe"] == attrs["inner"] == 1
-    assert attrs["repro.x"] == 0
+    source = "resolve('repro.x', 'probe', 'inner')"
+    assert sorted(_read_names(source)) == ["inner", "probe"]
 
 
 def test_an_import_alias_reads_its_name():
-    both, _ = _references(_parse("""
+    assert _references(_parse("""
         from repro.x import helper as h
         h()
-    """))
-    assert both["helper"] == 1
+    """))["helper"] == 1
 
 
 def test_every_allowed_name_has_a_reason():
@@ -740,6 +1374,7 @@ def test_every_allowed_name_has_a_reason():
                for reason in ALLOWED_METHODS.values())
     assert all(reason.strip() for reason in ALLOWED_PARAMETERS.values())
     assert all(reason.strip() for reason in ALLOWED_FIELDS.values())
+    assert all(reason.strip() for reason in ALLOWED_ONE_VALUE.values())
 
 
 @pytest.mark.parametrize("module", _modules_with_all())

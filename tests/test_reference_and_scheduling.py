@@ -116,7 +116,7 @@ class TestPoissonScheduling:
         jobs = poisson_stream(capacity * 0.25, 1.0, seed=2)
         report = ServingRuntime(cost).run(jobs)
         service = cost.job_seconds(JobKind.MULT)
-        assert report.mean_latency_seconds < 2.5 * service
+        assert report.latency_summary().mean < 2.5 * service
 
     def test_overloaded_server_builds_backlog(self, paper_params):
         """At 2x capacity the queue grows and mean latency blows up."""
@@ -124,7 +124,8 @@ class TestPoissonScheduling:
         capacity = cost.mult_throughput_per_second()
         light = ServingRuntime(cost).run(poisson_stream(capacity * 0.25, 1.0, seed=3))
         heavy = ServingRuntime(cost).run(poisson_stream(capacity * 2.0, 1.0, seed=3))
-        assert heavy.mean_latency_seconds > 5 * light.mean_latency_seconds
+        assert heavy.latency_summary().mean \
+            > 5 * light.latency_summary().mean
 
     def test_saturated_throughput_caps_at_capacity(self, paper_params):
         cost = CostModel(paper_params)

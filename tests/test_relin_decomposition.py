@@ -122,7 +122,7 @@ def test_coprocessor_mult_follows_the_key(pname, label, config):
     assert key.decomposition == DECOMPOSITIONS[label]
     coprocessor = Coprocessor(params, CONFIGS[config])
     program = compile_mult(params, coprocessor.config, key.decomposition)
-    assert program.opcode_histogram()[Opcode.DIGIT] == key.num_components
+    assert program.opcode_histogram()[Opcode.DIGIT] == len(key.pairs)
 
     # The coprocessor's own raw product: the traditional design's exact
     # CRT Scale need not round like the evaluator's HPS Scale.

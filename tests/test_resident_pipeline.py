@@ -34,7 +34,7 @@ from repro.fv.reference import TextbookFv, decrypt_with_noise_bigint
 from repro.fv.sampler import discrete_gaussian, uniform_ternary
 from repro.io import MAGIC, _payload_digest, load_ciphertext, save_ciphertext
 from repro.params import mini
-from scaffolding import toy
+from scaffolding import spans_of, toy
 
 
 def _rewrite_header(path: Path, out: Path, mutate) -> None:
@@ -284,7 +284,7 @@ class TestZeroRoundTripAcrossPrograms:
         h = session.encrypt([2, 4])
         result = backend.run(session.compile(h * 2, name="emit",
                                              check=False))
-        out_ct = result.ciphertext("out")
+        out_ct = result["out"].ciphertext
         assert out_ct.ntt_resident
         path = tmp_path / "reply.ct"
         save_ciphertext(path, out_ct)
@@ -375,7 +375,7 @@ class TestSimulatedResidentCache:
 def _execution_counts(backend) -> dict[str, int]:
     """The last run's transform counts less its output verification's
     (the noise probe has its own traced transforms)."""
-    (verify,) = [s for s in backend.last_trace.spans("phase")
+    (verify,) = [s for s in spans_of(backend.last_trace, "phase")
                  if s.name == "verify_outputs"]
     return {key: value - verify.attrs["transforms"].get(key, 0)
             for key, value in backend.last_transform_counts.items()}
@@ -422,7 +422,7 @@ class TestResidentMultiplyLoop:
         forward, inverse = _mult_rows(params)
         assert (counts["forward_rows"], counts["inverse_rows"]) == \
             (3 * forward, 3 * inverse)
-        assert result.ciphertext("out").ntt_resident
+        assert result["out"].ciphertext.ntt_resident
 
         # mini() encodes coefficients over t = 2: the cleartext result
         # is the polynomial product of the four inputs mod 2.

@@ -53,7 +53,7 @@ def _census(params, tmp_path: Path) -> dict[str, list[np.ndarray]]:
         "multiply_raw": rows(raw),
         "relinearize": rows(evaluator.relinearize(raw, keys.relin)),
         "multiply": rows(evaluator.multiply(a, b, keys.relin)),
-        "rotate": rows(galois.rotate(a, 1, {1: session.rotation_key(1)})),
+        "rotate": rows(galois.apply(a, session.rotation_key(1))),
         "sum_slots": rows(galois.sum_all_slots(a, session.summation_keys())),
         "to_coeff": rows(a.to_coeff()),
         "to_ntt": rows(a.to_coeff().to_ntt()),

@@ -37,7 +37,7 @@ from repro.rns.decrypt import (
     scale_to_t,
 )
 from repro.utils import round_half_away
-from scaffolding import residues_of_coeffs, toy
+from scaffolding import residues_of_coeffs, spans_of, toy
 
 PARAMETER_SETS = {
     "toy": (toy, 30),
@@ -238,7 +238,7 @@ class TestMeasureOnce:
         # Measured in the evaluation domain, where the outputs stay: no
         # forward transform redone.
         assert all(ct.ntt_resident for ct in counted_measurements)
-        assert result.ciphertext("dot").ntt_resident
+        assert result["dot"].ciphertext.ntt_resident
         for _ in range(2):
             dot, win = result.decrypt("dot"), result.decrypt("win")
             budgets = [result.noise_budget_bits(label)
@@ -290,7 +290,7 @@ class TestMeasureOnce:
         b = session.encrypt([1, 1])
         backend = LocalBackend(session)
         result = backend.run(session.compile(a * b))
-        (verify,) = [s for s in result.trace.spans("phase")
+        (verify,) = [s for s in spans_of(result.trace, "phase")
                      if s.name == "verify_outputs"]
         assert [(c.kind, c.name) for c in verify.children] == [
             ("kernel", "decrypt.phase"),
@@ -317,7 +317,7 @@ class TestMeasureOnce:
             result = backend.run(session.compile(a * b))
         finally:
             backend.executor.close()
-        (verify,) = [s for s in result.trace.spans("phase")
+        (verify,) = [s for s in spans_of(result.trace, "phase")
                      if s.name == "verify_outputs"]
         _, scale, noise = verify.children
         for kernel in (scale, noise):
@@ -329,7 +329,7 @@ class TestMeasureOnce:
         assert current_registry().value(
             "parallel_dispatch_total", executor="threads") >= 2.0
         assert result.measure() == decrypt_with_noise_bigint(
-            session.context, result.ciphertext("out"), session.keys.secret)
+            session.context, result["out"].ciphertext, session.keys.secret)
 
 
 class TestPlainPoolByValue:

@@ -54,9 +54,8 @@ def chaos():
     shards = 8
     capacity = shards * FpgaCluster.homogeneous(
         PARAMS, 1).capacity_mults_per_second()
-    trace = cluster_trace(192, 0.6 * capacity, 1.0, skew=1.1, seed=0)
-    plan = FaultPlan.seeded(2019, shards, 1.0, crashes=2,
-                            transient_failures=8, dma_stalls=2)
+    trace = cluster_trace(192, 0.6 * capacity, 1.0, seed=0)
+    plan = FaultPlan.seeded(2019, shards, 1.0, crashes=2)
     return FpgaCluster.homogeneous(
         PARAMS, shards, router=TenantAffinityRouter(), fault_plan=plan,
         retry=RetryPolicy(seed=0), replicas=2).run(trace)
@@ -72,7 +71,7 @@ def router_arm():
     shards = 4
     capacity = shards * FpgaCluster.homogeneous(
         PARAMS, 1).capacity_mults_per_second()
-    trace = cluster_trace(32, 0.9 * capacity, 0.5, skew=1.1, seed=3)
+    trace = cluster_trace(32, 0.9 * capacity, 0.5, seed=3)
     tenants = TenantSet.of(*(Tenant(tenant_name(i), max_queue_depth=2)
                              for i in range(4)))
     plan = FaultPlan(events=(
@@ -112,11 +111,23 @@ def same_instant():
 def closed_loop():
     """96 closed-loop clients (10 ms think, 24 tenants) drive 6 boards
     with R = 2 replication and tenant-affinity routing for 0.3 s,
-    through fault seed 41 (2 crashes, 6 transient failures, 2 DMA
-    stalls): the stepping protocol — exclusive advance, inject,
+    through 2 crashes (one recovered), 6 transient failures and 2 DMA
+    stalls: the stepping protocol — exclusive advance, inject,
     next-event advance — over faults and retries."""
-    plan = FaultPlan.seeded(41, 6, 0.3, crashes=2, transient_failures=6,
-                            dma_stalls=2)
+    plan = FaultPlan(events=(
+        FaultEvent(0.014035794302882314, FaultKind.DMA_STALL, 5, factor=4.0),
+        FaultEvent(0.03442203028428696, FaultKind.DMA_RESUME, 5),
+        FaultEvent(0.037810824311788484, FaultKind.DMA_STALL, 2, factor=4.0),
+        FaultEvent(0.06117382718847656, FaultKind.DMA_RESUME, 2),
+        FaultEvent(0.07511648961458425, FaultKind.SHARD_CRASH, 3),
+        FaultEvent(0.10134731794860229, FaultKind.JOB_FAIL, 0),
+        FaultEvent(0.10165077397128848, FaultKind.JOB_FAIL, 4),
+        FaultEvent(0.12136910816585515, FaultKind.SHARD_CRASH, 5),
+        FaultEvent(0.1233585026038613, FaultKind.SHARD_RECOVER, 3),
+        FaultEvent(0.1782544023510915, FaultKind.JOB_FAIL, 2),
+        FaultEvent(0.18654192028338193, FaultKind.JOB_FAIL, 5),
+        FaultEvent(0.2583264841234207, FaultKind.JOB_FAIL, 4),
+        FaultEvent(0.2927033801797088, FaultKind.JOB_FAIL, 3)))
     cluster = FpgaCluster.homogeneous(
         PARAMS, 6, router=TenantAffinityRouter(), fault_plan=plan,
         retry=RetryPolicy(seed=4), replicas=2)

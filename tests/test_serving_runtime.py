@@ -99,7 +99,7 @@ class TestCostModel:
         model = cost.reference.instruction_cycle_model()
         cost.compute_seconds(JobKind.MULT)
         cost.compute_seconds(JobKind.ADD)
-        assert cost.instruction_cycle_model() is model
+        assert cost.reference.instruction_cycle_model() is model
 
     def test_compute_costs_cached(self):
         """Each kind is compiled and summed once; re-pricing is a
