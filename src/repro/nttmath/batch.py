@@ -20,13 +20,18 @@ transform is the division-free reductions and twiddle multiplies
 between stages. See :class:`BasisTransformer` for the detailed
 numerics.
 
-Large rings generalise the recipe recursively: above n = 16384 — where
-a two-stage split would need a sub-DFT beyond 128 points — ``n``
-factors into *three* sub-DFTs of at most 128 points each (n = 32768
-runs 32 x 32 x 32). The layout is a closed form of ``n``
-(:func:`_geometry`), fixed like the paper's n1 x n2 NTT unit, and
-every stage carries two 15-bit limbs, checked exact per stage by
-:func:`_limbs_exact`.
+Large rings generalise the recipe recursively. Two limits size a
+stage, and they are not the same. The *exactness limit* is 128 points:
+every stage carries two 15-bit limbs, exact through a 128-point sub-DFT
+and not through 256, checked per stage by :func:`_limbs_exact`. The
+*cost cap* is 64 points (:data:`_MAX_STAGE_LOG`), the measured optimum:
+a sub-DFT costs its length in multiply-adds per element, so two stages
+of 128 x 64 cost more than three of 32 x 16 x 16 and their extra twiddle
+pass. Above n = 4096, where a two-stage split would need a sub-DFT
+beyond 64 points, ``n`` factors into *three* sub-DFTs (n = 8192 runs
+32 x 16 x 16, 16384 runs 32 x 32 x 16, 32768 runs 32 x 32 x 32). The
+layout is a closed form of ``n`` (:func:`_geometry`) and the engine's
+own choice: the ``hw`` cycle model keeps the paper's n1 x n2 NTT unit.
 
 Every transform has one code path, :meth:`_GemmPlan.run`, like the
 paper's NTT unit streaming many polynomials through one configured
@@ -172,9 +177,25 @@ def transform_counts() -> dict[str, int]:
 _LIMBS = 2
 _LIMB_BITS = 15
 
-#: Largest sub-DFT a stage runs: two 15-bit limbs carry 30-bit values
-#: exactly through 128 points (:func:`_limbs_exact`), not through 256.
-_MAX_STAGE_LOG = 7
+#: Largest sub-DFT a stage runs, as a power of two: the 64-point cost
+#: cap. It is not the exactness limit, which is 128 points (two 15-bit
+#: limbs carry 30-bit values exactly through 128, not through 256;
+#: :func:`_limbs_exact`), but the measured optimum. Forward + inverse
+#: in microseconds per row, median of 8 rounds, each cap's transformer
+#: interleaved in one process on a ``(2, 12, n)`` stack (q basis of
+#: ``large_ring(n)``), one BLAS thread as under a pool, 2-core Xeon:
+#:
+#: ======  ===================  ======================
+#: n       128-point cap        64-point cap
+#: ======  ===================  ======================
+#: 8192    128 x 64: 861        32 x 16 x 16: 669
+#: 16384   128 x 128: 2049      32 x 32 x 16: 1529
+#: ======  ===================  ======================
+#:
+#: With BLAS on both cores the same pairs read 839 / 761 and
+#: 1629 / 1557. At n = 4096 (six primes) three stages, 16 x 16 x 16,
+#: tie with 64 x 64 (368 against 373), so the cap keeps two there.
+_MAX_STAGE_LOG = 6
 
 
 def _limbs_exact(length: int, max_prime: int) -> bool:
@@ -198,11 +219,14 @@ def _limbs_exact(length: int, max_prime: int) -> bool:
 
 
 def _geometry(n: int, max_prime: int) -> tuple[int, ...]:
-    """The engine's factorisation of ``n`` into sub-DFT lengths, fixed
-    like the paper's n1 x n2 NTT layout: ``max(2, ceil(log2 n / 7))``
-    stages — so no sub-DFT exceeds 128 points — with ``log2 n`` split
-    evenly and the remainder going to the leading stages (n = 4096 runs
-    64 x 64, 8192 runs 128 x 64, 32768 runs 32 x 32 x 32).
+    """The engine's factorisation of ``n`` into sub-DFT lengths, a
+    closed form of ``n``: ``max(2, ceil(log2 n / 6))`` stages — so no
+    sub-DFT exceeds the 64-point cost cap (:data:`_MAX_STAGE_LOG`) —
+    with ``log2 n`` split evenly and the remainder going to the leading
+    stages (n = 4096 runs 64 x 64, 8192 runs 32 x 16 x 16, 16384 runs
+    32 x 32 x 16, 32768 runs 32 x 32 x 32). Every stage must also be
+    within the 128-point exactness limit, which :func:`_limbs_exact`
+    checks for the basis's largest prime.
 
     Raises :class:`ParameterError` when a stage cannot be made exact.
     """
@@ -225,10 +249,13 @@ class BasisTransformer:
     paper's pipelined NTT unit is built around — a size-n1 NTT down the
     columns of the (n1, n2) coefficient matrix, an element-wise twiddle
     correction, a transpose, and a size-n2 NTT over the transposed
-    matrix — generalised recursively to *three* stages above n = 16384
-    (sub-DFT, twiddle, sub-DFT, twiddle, sub-DFT, every factor at most
-    128 points) — with every short sub-NTT computed as a *dense matrix
-    product* evaluated by BLAS in float64:
+    matrix — up to n = 4096, generalised recursively to *three* stages
+    above it (sub-DFT, twiddle, sub-DFT, twiddle, sub-DFT). Every factor
+    is at most 64 points, the cost cap (n = 8192 runs 32 x 16 x 16, not
+    the 128 x 64 the 128-point exactness limit would allow; see
+    :data:`_MAX_STAGE_LOG` for the per-row times). Every short sub-NTT
+    is computed as a *dense matrix product* evaluated by BLAS in
+    float64:
 
     * each operand is split into two 15-bit limbs and the sub-DFT
       matrix is stored as the (L, 2L) block ``[W * 2^15 mod q | W]``,
@@ -584,7 +611,7 @@ class _GemmPlan:
     """Precomputed tables for one transform direction of a basis.
 
     The decomposition runs the ``S`` sub-DFT stages of
-    :func:`_geometry` (two for n <= 16384, three beyond — the recursive
+    :func:`_geometry` (two for n <= 4096, three beyond — the recursive
     generalisation of the four-step) with a twiddle correction between
     consecutive stages. Per stage ``t`` the float64 ``(k, L, 2L)``
     limb-split sub-DFT matrix ``[W * 2^15 mod q | W]`` carries the

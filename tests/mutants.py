@@ -109,6 +109,14 @@ CATALOGUE = (
         "1 << (base + (t < extra))",
         "1 << (base + (t <= extra))",
         ("tests/test_batch_ntt.py::TestBatchedTransformEquivalence",)),
+    # Exact, so only the layout pin sees it: n = 8192 runs 128 x 64.
+    Mutant(
+        "geometry caps stages at the 128-point exactness limit",
+        "nttmath/batch.py", "_geometry",
+        "-(-log_n // _MAX_STAGE_LOG)",
+        "-(-log_n // (_MAX_STAGE_LOG + 1))",
+        ("tests/test_batch_ntt.py::TestLargeRingEngine::"
+         "test_geometry_table_and_exactness",)),
     Mutant(
         "Galois slot permutation off by one slot", "fv/galois.py",
         "_slot_permutation_cached",

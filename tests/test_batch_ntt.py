@@ -236,7 +236,9 @@ class TestLargeRingEngine:
             scaled, (_oracle_inverse(primes, mat) * consts_col) % primes_col
         )
 
-    #: The engine's layout for every ring degree at a 30-bit max prime.
+    #: The engine's layout for every ring degree at a 30-bit max prime:
+    #: no sub-DFT above 64 points, the measured cost optimum (the limb
+    #: split itself is exact up to 128).
     GEOMETRY = {
         2: (2, 1),
         4: (2, 2),
@@ -250,15 +252,16 @@ class TestLargeRingEngine:
         1024: (32, 32),
         2048: (64, 32),
         4096: (64, 64),
-        8192: (128, 64),
-        16384: (128, 128),
+        8192: (32, 16, 16),
+        16384: (32, 32, 16),
         32768: (32, 32, 32),
     }
 
     def test_geometry_table_and_exactness(self):
-        """The fixed layout per ring degree, and the two-limb bound it
-        rests on. Stage 0 splits canonical residues or raw digits below
-        2^30; every later stage splits a twiddle product
+        """The fixed layout per ring degree, every factor within the
+        64-point cost cap, and the two-limb bound it rests on. Stage 0
+        splits canonical residues or raw digits below 2^30; every later
+        stage splits a twiddle product
         ``r w - rint(r w / q) q``, whose float quotient is off by at
         most 2^-22 from the real one, so its magnitude is below
         ``q / 2 + q 2^-22``: a signed top limb with |top| <= 2^15 and a
@@ -270,6 +273,7 @@ class TestLargeRingEngine:
         twiddled = max_prime // 2 + (max_prime >> 22) + 1
         for n, factors in self.GEOMETRY.items():
             assert _geometry(n, max_prime) == factors
+            assert max(factors) <= 64
             for t, length in enumerate(factors):
                 lowest, highest = (0, _MAX_INPUT) if t == 0 else (
                     -twiddled, twiddled)

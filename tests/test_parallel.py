@@ -206,8 +206,12 @@ class TestEngineMemory:
     inverse owns only its twiddle plane 0, and scratch is one set per
     thread per ring."""
 
-    def test_one_table_set_and_one_scratch_set_per_thread(self):
-        n, k, workers = 4096, 12, 2
+    # n = 4096 is a two-stage ring, with one twiddle plane per direction;
+    # n = 8192 is a three-stage one, whose scaled inverse must share its
+    # second plane with the plain inverse.
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_one_table_set_and_one_scratch_set_per_thread(self, n):
+        k, workers = 12, 2
         primes = tuple(find_ntt_primes(30, n, k))
         rng = np.random.default_rng(31)
         stack = rng.integers(0, np.array(primes)[:, None], size=(3, k, n))
@@ -237,6 +241,7 @@ class TestEngineMemory:
         assert held <= bound, f"{held / 2**20:.1f} MiB > {bound / 2**20:.1f}"
 
         scaled = bt._scaled_inv[constants]
+        assert len(scaled.twiddles) == len(bt.factors) - 1
         assert scaled.steps is bt._inv.steps
         assert all(own is shared for own, shared in
                    zip(scaled.twiddles[1:], bt._inv.twiddles[1:],

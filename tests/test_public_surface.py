@@ -20,19 +20,25 @@ Receivers resolve where the class is known. An attribute read
 ``x``, its bases and its subclasses, when ``x`` is ``self`` (or ``cls``)
 in a method of that class, the class itself, a parameter annotated with
 a ``src/repro`` class (``C``, ``"C"``, ``C | None``), or a module-level
-or local name every binding of which is ``ClassName(...)`` or
-``ClassName.classmethod(...)`` (a CapWords callee from outside the
-package is a class too, so a name bound to ``ContextVar(...)`` reads no
-method here). Any other receiver, and one typed as a ``Protocol``,
-counts for every method with that name.
+or local name every binding of which is of one known class:
+``ClassName(...)`` or ``ClassName.classmethod(...)`` (a CapWords callee
+from outside the package is a class too, so a name bound to
+``ContextVar(...)`` reads no method here), a call of a package function
+whose return annotation names a ``src/repro`` class,
+``dataclasses.replace(x, ...)`` of a known ``x``, or a binary operation
+whose left operand's class annotates the dunder it calls (such an
+operation is a known receiver itself, too). A binding in terms of its
+own name (``x = x + y``) is typed by the name's other bindings. Any
+other receiver, and one typed as a ``Protocol``, counts for every method
+with that name.
 
 The same holds for options: every defaulted parameter of a public
 function, method, classmethod or ``__init__`` must be passed, by keyword
 or by position, by some call in those places. A public class without an
 ``__init__`` of its own is scanned on the one it inherits from its
-nearest base in ``src/repro``, private or not, under its own name. A call is matched by the
-callee's bare name, whatever its receiver; ``cls(...)`` inside a class
-calls that class, and the benchmark's
+nearest base in ``src/repro``, private or not, under its own name. A
+call is matched by the callee's bare name, whatever its receiver;
+``cls(...)`` inside a class calls that class, and the benchmark's
 ``bind(fn, ...)`` is a call of ``fn``. A ``**kwargs`` forward of the
 enclosing function's own ``**`` parameter passes what each call of that
 function passes; any other ``**mapping`` passes every parameter. A
@@ -240,11 +246,34 @@ def _name_of(node: ast.AST) -> str | None:
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
+def _unwrapped(annotation: ast.AST | None) -> ast.AST | None:
+    """An annotation with its quotes and its ``| None`` taken off:
+    ``"C | None"`` is ``C``; a union of two types is ``None``."""
+    if isinstance(annotation, ast.Constant) \
+            and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    if isinstance(annotation, ast.BinOp) \
+            and isinstance(annotation.op, ast.BitOr):
+        sides = [side for side in (annotation.left, annotation.right)
+                 if getattr(side, "value", 0) is not None]
+        return _unwrapped(sides[0]) if len(sides) == 1 else None
+    return annotation
+
+
+#: The method a binary operator calls on its left operand.
+DUNDERS = {ast.Add: "__add__", ast.Sub: "__sub__", ast.Mult: "__mul__",
+           ast.MatMult: "__matmul__", ast.Div: "__truediv__",
+           ast.FloorDiv: "__floordiv__", ast.Mod: "__mod__",
+           ast.Pow: "__pow__", ast.LShift: "__lshift__",
+           ast.RShift: "__rshift__", ast.BitOr: "__or__",
+           ast.BitXor: "__xor__", ast.BitAnd: "__and__"}
+
+
 class _Classes:
     """The classes of the scanned modules, by bare name: their bases,
-    classmethods and family. A class's family is itself, its bases and
-    its subclasses, transitively; a receiver of that class reads the
-    methods of its whole family."""
+    classmethods, annotated returns and family. A class's family is
+    itself, its bases and its subclasses, transitively; a receiver of
+    that class reads the methods of its whole family."""
 
     def __init__(self, modules: dict[str, ast.AST]):
         nodes = {node.name: node for tree in modules.values()
@@ -257,6 +286,21 @@ class _Classes:
                    if isinstance(m, ast.FunctionDef)
                    and "classmethod" in _decorators(m)}
             for name, node in nodes.items()}
+        self._method_returns = {
+            name: {m.name: self._returned(m) for m in node.body
+                   if isinstance(m, ast.FunctionDef)}
+            for name, node in nodes.items()}
+        returns: dict[str, set] = {}
+        for tree in modules.values():
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    returns.setdefault(node.name, set()).add(
+                        self._returned(node))
+        #: A package function's scanned return class, by bare name (two
+        #: functions of one name must agree).
+        self.function_returns = {name: found.pop()
+                                 for name, found in returns.items()
+                                 if len(found) == 1}
         #: A protocol's implementations need not derive from it, so a
         #: receiver typed as one stays unresolved.
         self.protocols = {name for name, bases in self._bases.items()
@@ -285,6 +329,19 @@ class _Classes:
     def classmethods(self, name: str) -> set[str]:
         return set().union(*(self._classmethods.get(cls, ())
                              for cls in {name} | self.ancestors(name)))
+
+    def _returned(self, fn: ast.FunctionDef) -> str | None:
+        """The scanned class ``fn``'s return annotation names."""
+        named = _name_of(_unwrapped(fn.returns))
+        return named if named in self.names else None
+
+    def method_returns(self, name: str, method: str) -> str | None:
+        """The scanned class ``name.method`` (its own, else a base's)
+        annotates as its return."""
+        for cls in [name, *sorted(self.ancestors(name))]:
+            if method in self._method_returns.get(cls, {}):
+                return self._method_returns[cls][method]
+        return None
 
 
 #: Nodes that open a scope: their bodies run in a frame of their own.
@@ -374,9 +431,18 @@ def _attribute_reads(tree: ast.AST, classes: _Classes):
     under ``tree``, and of every ``resolve`` string. The class is known
     when the receiver is ``self`` (or ``cls``) in a method, a class, a
     parameter annotated with a scanned class, or a name every binding of
-    which is ``ClassName(...)`` or ``ClassName.classmethod(...)``; it is
-    ``None`` for any other receiver, and for a protocol."""
+    which is of one known class: ``ClassName(...)``,
+    ``ClassName.classmethod(...)``, a call of a package function whose
+    return annotation names a scanned class, ``replace(x, ...)`` of a
+    known ``x``, or a binary operation whose left operand's class
+    annotates the dunder it calls (such an operation is a known receiver
+    itself). It is ``None`` for any other receiver, and for a
+    protocol."""
     reads = []
+    #: The binding lists being typed: a name bound in terms of itself
+    #: (``x = x + y``) is typed by its other bindings.
+    busy: set[int] = set()
+    pending = object()
 
     def lookup(name: str, chain: list) -> tuple[list, list]:
         """The bindings of ``name`` and the scopes they can see."""
@@ -396,19 +462,7 @@ def _attribute_reads(tree: ast.AST, classes: _Classes):
                  for how in hows}
         return named.pop() if len(named) == 1 else None
 
-    def annotated(annotation: ast.AST | None, chain: list) -> str | None:
-        if isinstance(annotation, ast.Constant) \
-                and isinstance(annotation.value, str):
-            annotation = ast.parse(annotation.value, mode="eval").body
-        if isinstance(annotation, ast.BinOp) \
-                and isinstance(annotation.op, ast.BitOr):
-            sides = [side for side in (annotation.left, annotation.right)
-                     if getattr(side, "value", 0) is not None]
-            return annotated(sides[0], chain) if len(sides) == 1 else None
-        named = class_named(annotation, chain)
-        return named if named in classes.names else None
-
-    def instance(how, chain: list) -> str | None:
+    def instance(how, chain: list):
         """The class of what one binding binds."""
         if how is None:
             return None
@@ -416,22 +470,47 @@ def _attribute_reads(tree: ast.AST, classes: _Classes):
         if kind in ("class", "instance"):
             return what
         if kind == "param":
-            return annotated(what, chain)
-        if not isinstance(what, ast.Call):
+            named = class_named(_unwrapped(what), chain)
+            return named if named in classes.names else None
+        return typed(what, chain)
+
+    def typed(expr: ast.AST, chain: list):
+        """The class of what ``expr`` evaluates to, where it is known."""
+        if isinstance(expr, ast.Name):
+            hows, seen = lookup(expr.id, chain)
+            if id(hows) in busy:
+                return pending
+            busy.add(id(hows))
+            found = {instance(how, seen) for how in hows} - {pending}
+            busy.discard(id(hows))
+            return found.pop() if len(found) == 1 else None
+        if isinstance(expr, ast.BinOp):
+            left = typed(expr.left, chain)
+            if left is None or left is pending:
+                return left
+            return classes.method_returns(left, DUNDERS[type(expr.op)])
+        if not isinstance(expr, ast.Call):
             return None
-        made = class_named(what.func, chain)
-        if made is None and isinstance(what.func, ast.Attribute):
-            owner = class_named(what.func.value, chain)
-            if owner and what.func.attr in classes.classmethods(owner):
+        func = expr.func
+        # ``replace(x, ...)`` or ``dataclasses.replace(x, ...)``; a
+        # ``text.replace(...)`` is no copy of its argument.
+        if _name_of(func) == "replace" and expr.args and (
+                isinstance(func, ast.Name)
+                or getattr(func.value, "id", None) == "dataclasses"):
+            return typed(expr.args[0], chain)
+        made = class_named(func, chain)
+        if made is None and isinstance(func, ast.Attribute):
+            owner = class_named(func.value, chain)
+            if owner and func.attr in classes.classmethods(owner):
                 made = owner
+        if made is None and isinstance(func, ast.Name):
+            made = classes.function_returns.get(func.id)
         return made
 
     def receiver(expr: ast.AST, chain: list) -> str | None:
-        if not isinstance(expr, ast.Name):
+        if not isinstance(expr, (ast.Name, ast.BinOp)):
             return None
-        hows, seen = lookup(expr.id, chain)
-        found = {instance(how, seen) for how in hows}
-        cls = found.pop() if len(found) == 1 else None
+        cls = typed(expr, chain)
         return None if cls in classes.protocols else cls
 
     def walk(scope: ast.AST, outer: list, method_of: str | None) -> None:
@@ -1272,6 +1351,21 @@ TWO_RUNS = """
         def run(self): pass
     """
 
+#: ``A + x`` is a ``B`` and ``B * x`` a ``B``; ``B + x`` is unannotated.
+ADDS = """
+    class A:
+        def run(self): pass
+
+        def __add__(self, other) -> "B": pass
+
+    class B:
+        def run(self): pass
+
+        def __add__(self, other): pass
+
+        def __mul__(self, other) -> "B | None": pass
+    """
+
 #: ``(definitions of module m, caller module, unread methods)``: the
 #: receiver rule, one clause per case.
 RECEIVER_CASES = {
@@ -1322,6 +1416,27 @@ RECEIVER_CASES = {
 
         def use(sub: Sub): sub.run()
         """, "obj.go()", {"m.Other.step"}),
+    "package-function-return": (
+        TWO_RUNS + "def make() -> B: return B()", "b = make()\nb.run()",
+        {"m.A.run"}),
+    "optional-string-return": (
+        TWO_RUNS + "def make() -> 'B | None': return B()",
+        "def go():\n    b = make()\n    b.run()", {"m.A.run"}),
+    "unannotated-function-is-unresolved": (
+        TWO_RUNS + "def make(): return B()", "b = make()\nb.run()", set()),
+    "dataclasses-replace": (
+        TWO_RUNS, "b = B()\nc = replace(b, x=1)\nc.run()", {"m.A.run"}),
+    "dataclasses-module-replace": (
+        TWO_RUNS, "b = B()\nc = dataclasses.replace(b)\nc.run()",
+        {"m.A.run"}),
+    "str-replace-is-no-copy": (
+        TWO_RUNS, "b = B()\nc = text.replace(b, '')\nc.run()", set()),
+    "binary-op-dunder": (ADDS, "a = A()\nc = a + 1\nc.run()", {"m.A.run"}),
+    "binary-op-receiver": (ADDS, "a = A()\n(a + 1).run()", {"m.A.run"}),
+    "binary-op-on-itself": (
+        ADDS, "b = B()\nb = b * 2\nb.run()", {"m.A.run"}),
+    "unannotated-dunder-is-unresolved": (
+        ADDS, "b = B()\nc = b + 1\nc.run()", set()),
     "protocol-is-unresolved": ("""
         class P(Protocol):
             def run(self): pass
