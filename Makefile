@@ -19,12 +19,13 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
 
-# CI test job, after the suite: the headline canary, the serving
-# runtime end to end, the heterogeneous cluster (the one caller that
-# mixes board designs), and the trace command, the one CLI command that
-# prints the metrics registry's exposition.
+# CI test job, after the suite: `all` (every paper table, Fig. 3, the
+# headline canary and the noise budget, so the log shows each record
+# view once), the serving runtime end to end, the heterogeneous cluster
+# (the one caller that mixes board designs), and the trace command, the
+# one CLI command that prints the metrics registry's exposition.
 smoke:
-	$(PYTHON) -m repro headline
+	$(PYTHON) -m repro all
 	$(PYTHON) -m repro serve
 	$(PYTHON) -m repro cluster --shards 4 --hetero
 	$(PYTHON) -m repro trace mult --out "$$(mktemp -d)"

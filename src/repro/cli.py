@@ -3,7 +3,7 @@
 Usage (installed as ``python -m repro``):
 
     python -m repro list                 # available experiments
-    python -m repro table1               # Table I rows
+    python -m repro table1               # Table I rows + job-kind census
     python -m repro table2               # Table II instruction timings
     python -m repro table3               # Table III DMA comparison
     python -m repro table4               # Table IV resources
@@ -16,9 +16,18 @@ Usage (installed as ``python -m repro``):
     python -m repro program              # HE program on both executors
     python -m repro trace lookup         # Perfetto timelines + metrics
     python -m repro trace matmul         # encrypted matmul, optimised
-    python -m repro all                  # everything above
+    python -m repro verify               # HW-vs-SW equivalence campaign
+    python -m repro sweep                # design-space sweeps (Sec. VII)
+    python -m repro security             # HE-standard security placement
+    python -m repro all                  # the paper's artefacts
 
-``program`` and ``trace`` run captured graphs through the
+``all`` runs table1, table2, table3, table4, table5, fig3, headline and
+noise, in that order.
+
+The paper commands (``table1`` to ``table5`` and ``headline``) print
+the rows of :data:`~repro.system.related_work.PAPER_RECORD`: the
+model's value, the paper's and the relative error, in the record's
+unit. ``program`` and ``trace`` run captured graphs through the
 :mod:`repro.optim` pass stack and print its report; pass
 ``--no-optimize`` for raw lowering.
 """
@@ -26,20 +35,26 @@ Usage (installed as ``python -m repro``):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from collections.abc import Iterable, Sequence
 from contextlib import nullcontext
+from typing import TYPE_CHECKING
 
 from .fv.noise_model import NoiseModel
-from .hw.config import ARM_CLOCK_HZ, HardwareConfig
+from .hw.config import HardwareConfig
 from .hw.isa import Opcode
 from .hw.resources import ResourceEstimator
 from .hw.scaling import scaling_table
 from .hw.trace import render_fig3
 from .parallel import EXECUTOR_MODES, use_executor
 from .params import hpca19
-from .system.related_work import PAPER_RECORD, paper_rows
+from .system.related_work import paper_rows
 from .system.server import CostModel
 from .system.workloads import JobKind
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .optim import OptimizationReport
 
 
 def _print_header(title: str) -> None:
@@ -48,77 +63,108 @@ def _print_header(title: str) -> None:
     print("=" * len(title))
 
 
+def _table(columns: Sequence[tuple[str, str]],
+           rows: Iterable[Sequence[object]]) -> None:
+    """Print ``rows`` under a header line, one cell per column.
+
+    A column is a header and the format spec of its cells. Each column
+    is as wide as its widest cell, two spaces from the next, and
+    right-aligned unless its spec starts with ``<``.
+    """
+    lines = [[header for header, _ in columns]]
+    lines += [[format(value, spec)
+               for value, (_, spec) in zip(row, columns, strict=True)]
+              for row in rows]
+    widths = [max(map(len, cells)) for cells in zip(*lines, strict=True)]
+    for cells in lines:
+        print("  ".join(
+            cell.ljust(width) if spec.startswith("<") else cell.rjust(width)
+            for cell, width, (_, spec)
+            in zip(cells, widths, columns, strict=True)
+        ).rstrip())
+
+
+def _figure(value: float, paper: float) -> str:
+    """A record value at the paper's precision: whole units from 100
+    up, two decimals below."""
+    return format(value, ",.0f" if paper >= 100 else ".2f")
+
+
+#: The paper commands: a title and the PAPER_RECORD artefacts it shows.
+_PAPER_VIEWS = {
+    "table1": ("Table I — high-level operations (Arm cycles)",
+               ("Table I",)),
+    "table2": ("Table II — individual instructions (Arm cycles/call)",
+               ("Table II",)),
+    "table3": ("Table III — data transfer techniques (Arm cycles)",
+               ("Table III",)),
+    "table4": ("Table IV — resource utilisation (ZCU102)", ("Table IV",)),
+    "table5": ("Table V — scaling estimates, single coprocessor (ms)",
+               ("Table V",)),
+    "headline": ("Headline — throughput, speedup, power",
+                 ("headline", "Sec. VI-E", "Table I text")),
+}
+
+
+def _paper_view(command: str) -> None:
+    title, artefacts = _PAPER_VIEWS[command]
+    _print_header(title)
+    _table((("", "<"), ("model", ""), ("paper", ""), ("error", "+.1%")),
+           [(row.label, _figure(row.model(), row.paper),
+             _figure(row.paper, row.paper), row.error())
+            for artefact in artefacts for row in paper_rows(artefact)])
+
+
+def _print_optimization(report: OptimizationReport) -> None:
+    """The optimiser's totals, then one row per pass."""
+    before, after = report.before, report.after
+    print(f"optimiser report for {report.program_name!r} — "
+          f"ops {before.num_ops} -> {after.num_ops}, "
+          f"keyswitches {before.keyswitches} -> {after.keyswitches} "
+          f"({report.keyswitch_reduction():.1%} saved), "
+          f"depth {before.depth} -> {after.depth}")
+    _table((("pass", "<"), ("rewrites", ""), ("ops", "<"),
+            ("keyswitches", "<"), ("detail", "<")),
+           [(p.name, p.rewrites, f"{p.before.num_ops} -> {p.after.num_ops}",
+             f"{p.before.keyswitches} -> {p.after.keyswitches}",
+             ", ".join(f"{k}={v}" for k, v in p.details.items()))
+            for p in report.passes])
+
+
 def cmd_table1(args: argparse.Namespace) -> None:
-    _print_header("Table I — high-level operations (one coprocessor)")
-    config = HardwareConfig()
-    cost = CostModel(hpca19(), config)
-
-    def ms(arm_cycles: float) -> float:
-        return arm_cycles / ARM_CLOCK_HZ * 1e3
-
-    print(f"{'operation':<24}{'ours (ms)':>12}{'paper (ms)':>12}")
-    for row in paper_rows("Table I"):
-        print(f"{row.label:<24}{ms(row.model()):>12.3f}{ms(row.paper):>12.3f}")
+    _paper_view("table1")
     # Every job kind the simulator prices: its compiled program's census
     # and the sum of its instructions' cycles (key streaming included).
-    print()
-    paper_ms = {JobKind.MULT: ms(PAPER_RECORD["Table I", "Mult in HW"].paper),
-                JobKind.ADD: ms(PAPER_RECORD["Table I", "Add in HW"].paper)}
+    config = HardwareConfig()
+    cost = CostModel(hpca19(), config)
     censuses = {kind: cost.program(kind).opcode_histogram()
                 for kind in JobKind}
-    columns = [op for op in Opcode
+    opcodes = [op for op in Opcode
                if any(op in census for census in censuses.values())]
-    print(f"{'job kind':<10}"
-          + "".join(f"{op.name:>{len(op.name) + 1}}" for op in columns)
-          + f"{'FPGA cycles':>13}{'ours (ms)':>11}{'paper (ms)':>12}")
-    for kind, census in censuses.items():
-        seconds = cost.compute_seconds(kind)
-        paper = f"{paper_ms[kind]:.3f}" if kind in paper_ms else "-"
-        print(f"{kind.value:<10}"
-              + "".join(f"{census.get(op, 0):>{len(op.name) + 1}}"
-                        for op in columns)
-              + f"{round(seconds * config.fpga_clock_hz):>13,}"
-              f"{seconds * 1e3:>11.3f}{paper:>12}")
-
-
-def cmd_table2(args: argparse.Namespace) -> None:
-    _print_header("Table II — individual instructions (Arm cycles/call)")
-    print(f"{'instruction':<22}{'ours':>10}{'paper':>10}{'delta':>8}")
-    for row in paper_rows("Table II"):
-        print(f"{row.label:<22}{row.model():>10,}{row.paper:>10,}"
-              f"{row.error() * 100:>+7.1f}%")
-
-
-def cmd_table3(args: argparse.Namespace) -> None:
-    _print_header("Table III — data transfer techniques (Arm cycles)")
-    print(f"{'technique':<28}{'ours':>10}{'paper':>10}")
-    for row in paper_rows("Table III"):
-        print(f"{row.label:<28}{row.model():>10,}{row.paper:>10,}")
-
-
-def cmd_table4(args: argparse.Namespace) -> None:
-    _print_header("Table IV — resource utilisation (ZCU102)")
-    print(f"{'':<22}{'LUT':>10}{'FF':>10}{'BRAM36':>8}{'DSP':>6}")
-    for design in ("two coprocs", "one coproc"):
-        rows = [row for row in paper_rows("Table IV")
-                if row.label.startswith(design)]
-        for who, values in (("ours", [row.model() for row in rows]),
-                            ("paper", [row.paper for row in rows])):
-            print(f"{f'{design} ({who})':<22}"
-                  + "".join(f"{value:>{width},}" for value, width
-                            in zip(values, (10, 10, 8, 6), strict=True)))
+    print()
+    _table((("job kind", "<"), *((op.name, "") for op in opcodes),
+            ("FPGA cycles", ","), ("ms", ".3f")),
+           [(kind.value, *(census.get(op, 0) for op in opcodes),
+             round(cost.compute_seconds(kind) * config.fpga_clock_hz),
+             cost.compute_seconds(kind) * 1e3)
+            for kind, census in censuses.items()])
 
 
 def cmd_table5(args: argparse.Namespace) -> None:
-    _print_header("Table V — scaling estimates (single coprocessor)")
+    _paper_view("table5")
     params = hpca19()
     config = HardwareConfig()
     cost = CostModel(params, config)
     base = ResourceEstimator(params, config).single_coprocessor()
     comm = cost.transfer_in_seconds() + cost.transfer_out_seconds()
-    for point in scaling_table(base, cost.compute_seconds(JobKind.MULT),
-                               comm):
-        print(point.row())
+    print()
+    _table((("(n, log2 q)", "<"), ("LUT", ","), ("FF", ","),
+            ("BRAM36", ","), ("DSP", ",")),
+           [(f"(2^{point.n.bit_length() - 1}, {point.log2_q})",
+             point.resources.luts, point.resources.regs,
+             point.resources.bram36, point.resources.dsps)
+            for point in scaling_table(
+                base, cost.compute_seconds(JobKind.MULT), comm)])
 
 
 def cmd_fig3(args: argparse.Namespace) -> None:
@@ -126,28 +172,20 @@ def cmd_fig3(args: argparse.Namespace) -> None:
     print(render_fig3())
 
 
-def cmd_headline(args: argparse.Namespace) -> None:
-    _print_header("Headline — throughput, speedup, power")
-    mults = PAPER_RECORD["headline", "Mult/s with two coprocessors"]
-    baseline = PAPER_RECORD["Sec. VI-E", "FV-NFLlib Mult on the i5 (ms)"]
-    speedup = PAPER_RECORD["headline", "speedup over FV-NFLlib on the i5"]
-    power = PAPER_RECORD["headline", "peak power (W)"]
-    add = PAPER_RECORD["Table I text", "Add in SW over Add in HW"]
-    print(f"Mult/s with two coprocessors: {mults.model():6.0f}  "
-          f"(paper: {mults.paper})")
-    print(f"software baseline:            {baseline.model():6.1f} ms/Mult "
-          f"(paper: {baseline.paper:g})")
-    print(f"speedup:                      {speedup.model():6.1f}x "
-          f"(paper: >{speedup.paper}x)")
-    print(f"peak power:                   {power.model():6.1f} W  "
-          f"(paper: {power.paper} W)")
-    print(f"add speedup over Arm SW:      {add.model():6.0f}x "
-          f"(paper: {add.paper}x)")
-
-
 def cmd_noise(args: argparse.Namespace) -> None:
     _print_header("Analytic noise budget (paper Sec. II-A/III-A)")
-    print(NoiseModel(hpca19()).report())
+    params = hpca19()
+    model = NoiseModel(params)
+    threshold = model.decryption_threshold
+    print(f"noise model for {params.name} (n={params.n}, "
+          f"log2 q={params.log2_q}, t={params.t}, sigma={params.sigma})")
+    print(f"decryption threshold: 2^{math.log2(threshold):.1f}")
+    print(f"fresh noise bound:    2^{math.log2(model.fresh_bound()):.1f}")
+    _table((("depth", ""), ("noise bound", ""), ("decrypts", "<")),
+           [(depth, f"2^{math.log2(noise):.1f}",
+             "ok" if noise < threshold else "FAIL")
+            for depth, noise in enumerate(model._depth_walk(), 1)])
+    print(f"supported depth (worst case): {model.supported_depth()}")
 
 
 def cmd_serve(args: argparse.Namespace) -> None:
@@ -185,9 +223,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
     workload = merge_streams(mults, adds)
     print(f"capacity {capacity:.0f} Mult/s; offered over 2 s: "
           f"{len(mults)} Mults + {len(adds)} Adds from 3 tenants\n")
-    print(f"{'policy':<8}{'done':>6}{'rej':>6}{'tput/s':>9}"
-          f"{'p50 ms':>9}{'p99 ms':>9}{'util':>7}{'SLA miss':>10}")
-    wfq_report = None
+    rows = []
     for scheduler in default_schedulers():
         runtime = ServingRuntime(cost, scheduler=scheduler, tenants=tenants,
                                  batching=BatchPolicy(max_jobs=4))
@@ -195,15 +231,21 @@ def cmd_serve(args: argparse.Namespace) -> None:
         if isinstance(scheduler, WeightedFairScheduler):
             wfq_report = report
         latency = report.latency_summary()
-        util = sum(report.utilization()) / len(report.utilization())
-        print(f"{scheduler.name:<8}{len(report.results):>6}"
-              f"{len(report.rejected):>6}"
-              f"{report.throughput_per_second():>9.0f}"
-              f"{latency.p50 * 1e3:>9.2f}{latency.p99 * 1e3:>9.2f}"
-              f"{util:>7.0%}{report.sla_violations:>10}")
+        rows.append((scheduler.name, len(report.results),
+                     len(report.rejected), report.throughput_per_second(),
+                     latency.p50 * 1e3, latency.p99 * 1e3,
+                     sum(report.utilization()) / len(report.utilization()),
+                     report.sla_violations))
+    _table((("policy", "<"), ("done", ""), ("rej", ""), ("tput/s", ".0f"),
+            ("p50 ms", ".2f"), ("p99 ms", ".2f"), ("util", ".0%"),
+            ("SLA miss", "")), rows)
     print("\nper-tenant p99 under WFQ (weights 3/1/0.5):")
-    for name in sorted(tenants.tenants):
-        print("  " + wfq_report.latency_summary(name).row(name))
+    tenant_latency = {name: wfq_report.latency_summary(name)
+                      for name in sorted(tenants.tenants)}
+    _table((("tenant", "<"), ("n", ""), ("p50 ms", ".2f"), ("p95 ms", ".2f"),
+            ("p99 ms", ".2f"), ("max ms", ".2f")),
+           [(name, s.count, s.p50 * 1e3, s.p95 * 1e3, s.p99 * 1e3,
+             s.max * 1e3) for name, s in tenant_latency.items()])
 
     # -- closed-loop clients: offered load self-regulates --------------
     from .system.workloads import ClosedLoopClients
@@ -211,18 +253,17 @@ def cmd_serve(args: argparse.Namespace) -> None:
     think = 0.05
     print(f"\nclosed-loop clients (think time {think * 1e3:.0f} ms, "
           f"1 s window) — the interactive-system law:")
-    print(f"{'clients':>8}{'done':>7}{'tput/s':>9}{'p50 ms':>9}"
-          f"{'p99 ms':>9}{'util':>7}")
+    rows = []
     for clients in (4, 16, 64, 256):
         runtime = ServingRuntime(cost)
-        result = ClosedLoopClients(clients, think, seed=3).drive(
-            runtime, duration_seconds=1.0)
-        report = result.report
+        report = ClosedLoopClients(clients, think, seed=3).drive(
+            runtime, duration_seconds=1.0).report
         latency = report.latency_summary()
-        print(f"{clients:>8}{len(report.results):>7}"
-              f"{report.throughput_per_second():>9.0f}"
-              f"{latency.p50 * 1e3:>9.2f}{latency.p99 * 1e3:>9.2f}"
-              f"{report.mean_utilization():>7.0%}")
+        rows.append((clients, len(report.results),
+                     report.throughput_per_second(), latency.p50 * 1e3,
+                     latency.p99 * 1e3, report.mean_utilization()))
+    _table((("clients", ""), ("done", ""), ("tput/s", ".0f"),
+            ("p50 ms", ".2f"), ("p99 ms", ".2f"), ("util", ".0%")), rows)
 
 
 def cmd_cluster(args: argparse.Namespace) -> None:
@@ -242,7 +283,6 @@ def cmd_cluster(args: argparse.Namespace) -> None:
     if args.faults is not None:
         from .faults import FaultPlan, RetryPolicy
 
-        replicas = 2 if args.replicas is None else args.replicas
         capacity = shards * single_capacity
         trace = cluster_trace(args.tenants, 0.6 * capacity,
                               args.duration, seed=seed)
@@ -252,42 +292,60 @@ def cmd_cluster(args: argparse.Namespace) -> None:
         cluster = FpgaCluster.homogeneous(
             params, shards, router=TenantAffinityRouter(),
             fault_plan=plan, retry=RetryPolicy(seed=seed),
-            replicas=replicas)
+            replicas=args.replicas)
         report = cluster.run(trace)
         latency = report.latency_summary()
-        print(f"chaos run: {shards} boards, R={replicas} replication, "
+        print(f"chaos run: {shards} boards, R={args.replicas} replication, "
               f"fault seed {args.faults}, {len(trace)} jobs at 60% "
               f"capacity over {args.duration:.1f} s")
         print(f"  completed {report.completed}, "
               f"rejected {len(report.rejected)}, "
               f"availability {report.availability * 100:.2f}%, "
               f"p99 {latency.p99 * 1e3:.2f} ms\n")
-        print(report.failure.render())
+        failure = report.failure
+        print(f"Failure report (plan seed: {failure.plan_seed})")
+        _table((("fault ledger", "<"), ("count", "")), [
+            ("crashes", failure.crashes),
+            ("recoveries", failure.recoveries),
+            ("transient job failures", failure.transient_failures),
+            ("DMA stalls", failure.dma_stalls),
+            ("jobs spilled", failure.jobs_spilled),
+            ("jobs retried", failure.jobs_retried),
+            ("jobs relocated", failure.jobs_relocated),
+            ("jobs lost", failure.jobs_lost),
+            ("key rehydrations", failure.rehydrations),
+            ("tenant failovers", failure.failovers),
+            ("tenants rebalanced", failure.rebalanced_tenants),
+        ])
+        if failure.downtime_by_shard:
+            print()
+            _table((("shard", "<"), ("downtime ms", ".2f")),
+                   [(shard, downtime * 1e3) for shard, downtime
+                    in sorted(failure.downtime_by_shard.items())])
         return
 
     # -- saturated throughput scaling under tenant-affinity routing --
     print(f"one board: {single_capacity:.0f} Mult/s "
           f"({HardwareConfig().num_coprocessors} coprocessors)\n")
     print("saturated scaling, tenant-affinity (rendezvous) routing:")
-    print(f"{'shards':>7}{'tenants':>9}{'Mult/s':>9}{'scale':>8}"
-          f"{'imbalance':>11}")
     counts = []
     n = 1
     while n < shards:
         counts.append(n)
         n *= 2
     counts.append(shards)  # always measure the requested size
-    baseline = None
+    rows = []
     for n in counts:
         jobs = saturated_tenant_jobs(256 * shards)
         cluster = FpgaCluster.homogeneous(
             params, n, router=TenantAffinityRouter())
         report = cluster.run(jobs)
         tput = report.throughput_per_second()
-        if baseline is None:
-            baseline = tput
-        print(f"{n:>7}{256 * shards:>9}{tput:>9.0f}"
-              f"{tput / baseline:>7.2f}x{report.imbalance():>11.3f}")
+        baseline = rows[0][2] if rows else tput
+        rows.append((n, 256 * shards, tput, f"{tput / baseline:.2f}x",
+                     report.imbalance()))
+    _table((("shards", ""), ("tenants", ""), ("Mult/s", ".0f"),
+            ("scale", ""), ("imbalance", ".3f")), rows)
 
     # -- routing policies on a skewed open-loop trace --
     if args.hetero:
@@ -311,16 +369,17 @@ def cmd_cluster(args: argparse.Namespace) -> None:
                           seed=seed)
     print(f"\nrouting policies, {flavour} x{shards}, Zipf(1.1) trace of "
           f"{len(trace)} jobs at 80% capacity over {args.duration:.1f} s:")
-    print(f"{'router':<12}{'done':>7}{'rej':>6}{'reroute':>8}"
-          f"{'tput/s':>8}{'p50 ms':>9}{'p99 ms':>9}{'imbal':>8}")
+    rows = []
     for router in default_routers(seed=seed):
         report = build(router).run(trace)
         latency = report.latency_summary()
-        print(f"{router.name:<12}{report.completed:>7}"
-              f"{len(report.rejected):>6}{report.reroutes:>8}"
-              f"{report.throughput_per_second():>8.0f}"
-              f"{latency.p50 * 1e3:>9.2f}{latency.p99 * 1e3:>9.2f}"
-              f"{report.imbalance():>8.3f}")
+        rows.append((router.name, report.completed, len(report.rejected),
+                     report.reroutes, report.throughput_per_second(),
+                     latency.p50 * 1e3, latency.p99 * 1e3,
+                     report.imbalance()))
+    _table((("router", "<"), ("done", ""), ("rej", ""), ("reroute", ""),
+            ("tput/s", ".0f"), ("p50 ms", ".2f"), ("p99 ms", ".2f"),
+            ("imbal", ".3f")), rows)
     print("\n(pure affinity keeps every tenant's DMA trains on one board "
           "but a hot tenant\n can swamp its shard; bounded-load affinity "
           "spills just enough to cap p99.)")
@@ -384,17 +443,17 @@ def cmd_program(args: argparse.Namespace) -> None:
           f"~{capacity:.0f} requests/s ceiling "
           f"({len(lowered.ops)} jobs per request, "
           f"{per_request * 1e3:.2f} ms service each)")
-    print(f"{'rate/s':>8}{'done':>7}{'req/s':>8}{'p50 ms':>9}"
-          f"{'p95 ms':>9}{'p99 ms':>9}")
+    rows = []
     for rho in (0.3, 0.6, 0.9):
         run = backend.run(program, requests=args.requests,
                           rate_per_second=rho * capacity,
                           num_tenants=16 * shards, seed=args.seed)
         latency = run.latency_summary()
-        print(f"{rho * capacity:>8.0f}{len(run.completed):>7}"
-              f"{run.requests_per_second():>8.0f}"
-              f"{latency.p50 * 1e3:>9.2f}{latency.p95 * 1e3:>9.2f}"
-              f"{latency.p99 * 1e3:>9.2f}")
+        rows.append((rho * capacity, len(run.completed),
+                     run.requests_per_second(), latency.p50 * 1e3,
+                     latency.p95 * 1e3, latency.p99 * 1e3))
+    _table((("rate/s", ".0f"), ("done", ""), ("req/s", ".0f"),
+            ("p50 ms", ".2f"), ("p95 ms", ".2f"), ("p99 ms", ".2f")), rows)
     print("\n(same HEProgram object both times: the facade decides "
           "whether a graph\n becomes ciphertext math or a priced job "
           "stream on the shard cluster.)")
@@ -405,7 +464,7 @@ def cmd_program(args: argparse.Namespace) -> None:
 
     _, lookup_report = optimize_program(program)
     print()
-    print(lookup_report.render())
+    _print_optimization(lookup_report)
 
     # -- the optimiser's motivating workload: encrypted matmul ---------
     _print_header("Encrypted matmul — the optimiser pass stack")
@@ -423,7 +482,7 @@ def cmd_program(args: argparse.Namespace) -> None:
     print(f"2x8 @ 8x2, blocks of {matmul.block_slots} slots: "
           f"{mprogram.num_ops} ops, depth {mprogram.depth}")
     print()
-    print(report.render())
+    _print_optimization(report)
     mresult = LocalBackend(msession).run(optimized)
     reference = EncryptedMatmul.reference(a, b, bparams.t)
     got = [
@@ -457,7 +516,7 @@ def cmd_trace(args: argparse.Namespace) -> None:
     )
     from .params import mini
 
-    app = args.app or "lookup"
+    app = args.app
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Matmul packs values element-wise into slots, so it needs a
@@ -492,7 +551,7 @@ def cmd_trace(args: argparse.Namespace) -> None:
 
         program, opt_report = optimize_program(program)
         print()
-        print(opt_report.render())
+        _print_optimization(opt_report)
 
     # The scoped registry isolates this command's counters, so the
     # exposition below shows exactly what these two runs recorded.
@@ -510,13 +569,11 @@ def cmd_trace(args: argparse.Namespace) -> None:
                                     run.timeline())
 
     print("\nper-op rollup (functional path, wall clock):")
-    print(f"{'op':<12}{'count':>6}{'ms':>9}{'t-rows':>8}{'t-calls':>8}"
-          f"{'bytes':>12}")
-    for op, row in sorted(trace.rollup().items()):
-        print(f"{op:<12}{row['count']:>6.0f}{row['seconds'] * 1e3:>9.2f}"
-              f"{row['transform_rows']:>8.0f}"
-              f"{row['transform_calls']:>8.0f}"
-              f"{row['bytes_moved']:>12,.0f}")
+    _table((("op", "<"), ("count", ".0f"), ("ms", ".2f"), ("t-rows", ".0f"),
+            ("t-calls", ".0f"), ("bytes", ",.0f")),
+           [(op, row["count"], row["seconds"] * 1e3, row["transform_rows"],
+             row["transform_calls"], row["bytes_moved"])
+            for op, row in sorted(trace.rollup().items())])
     path = trace.critical_path()
     print(f"critical path: {len(path)} of {len(trace.op_spans())} ops, "
           f"{trace.critical_path_seconds() * 1e3:.2f} ms of "
@@ -545,8 +602,14 @@ def cmd_security(args: argparse.Namespace) -> None:
     from .security import assess
 
     for params in (hpca19(), table5_large(), mini()):
-        print(assess(params).report())
-        print()
+        placed = assess(params)
+        print(f"{placed.params_name}: n={placed.n}, "
+              f"log2(q)={placed.log2_q}")
+        print(f"  HE-standard 128-bit compliant: "
+              f"{'yes' if placed.meets_128 else 'no'}")
+        print(f"  heuristic classical estimate:  "
+              f"~{placed.classical_bits_estimate:.0f} bits")
+        print(f"  {placed.notes}\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> None:
@@ -554,12 +617,18 @@ def cmd_verify(args: argparse.Namespace) -> None:
     from .hw.verification import run_configuration_matrix
 
     results = run_configuration_matrix()
+    _table((("configuration", "<"), ("status", "<"), ("ops", ""),
+            ("bit-exact", ""), ("decrypted", ""), ("wall s", ".1f")),
+           [(result.params_name, "PASS" if result.passed else "FAIL",
+             result.operations, result.bit_exact_matches,
+             result.decrypt_matches, result.wall_seconds)
+            for result in results])
     for result in results:
-        print(result.report())
-        print()
+        for failure in result.failures:
+            print(f"{result.params_name}: {failure}")
     if not all(result.passed for result in results):
         raise SystemExit(1)
-    print("all configurations bit-exact.")
+    print("\nall configurations bit-exact.")
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
@@ -577,8 +646,12 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         ("butterfly cores", sweep_butterfly_cores(params)),
     ):
         print(f"-- {title} --")
-        for point in points:
-            print(point.row())
+        _table((("design point", "<"), ("Mult ms", ".2f"), ("Mult/s", ".0f"),
+                ("LUT", ","), ("BRAM36", ""), ("DSP", "")),
+               [(point.label, point.mult_seconds * 1e3,
+                 point.throughput_per_second, point.resources.luts,
+                 point.resources.bram36, point.resources.dsps)
+                for point in points])
         print()
 
 
@@ -586,12 +659,12 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 # `cluster` reads its --shards/--tenants/... group).
 COMMANDS = {
     "table1": cmd_table1,
-    "table2": cmd_table2,
-    "table3": cmd_table3,
-    "table4": cmd_table4,
+    "table2": lambda args: _paper_view("table2"),
+    "table3": lambda args: _paper_view("table3"),
+    "table4": lambda args: _paper_view("table4"),
     "table5": cmd_table5,
     "fig3": cmd_fig3,
-    "headline": cmd_headline,
+    "headline": lambda args: _paper_view("headline"),
     "noise": cmd_noise,
     "serve": cmd_serve,
     "cluster": cmd_cluster,
@@ -601,6 +674,10 @@ COMMANDS = {
     "sweep": cmd_sweep,
     "security": cmd_security,
 }
+
+#: What ``python -m repro all`` runs, in order.
+_ALL = ("table1", "table2", "table3", "table4", "table5", "fig3",
+        "headline", "noise")
 
 
 def _positive_int(text: str) -> int:
@@ -622,6 +699,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "app", nargs="?", choices=["lookup", "mult", "matmul"],
+        default="lookup",
         help="application to trace (`trace` command only; "
              "default lookup)",
     )
@@ -662,7 +740,7 @@ def main(argv: list[str] | None = None) -> int:
                                     "job failures, DMA stalls) and the "
                                     "failure report it produced")
     cluster_group.add_argument("--replicas", type=_positive_int,
-                               default=None,
+                               default=2,
                                help="tenant key-state replication factor "
                                     "for the chaos scenario (default 2)")
     executor_group = parser.add_argument_group(
@@ -688,12 +766,8 @@ def main(argv: list[str] | None = None) -> int:
         if executor is not None:
             print(f"executor: {executor.name} x{executor.workers} "
                   f"({executor.blas.describe()})")
-        if args.experiment == "all":
-            for name in ("table1", "table2", "table3", "table4",
-                         "table5", "fig3", "headline", "noise"):
-                COMMANDS[name](args)
-            return 0
-        COMMANDS[args.experiment](args)
+        for name in _ALL if args.experiment == "all" else (args.experiment,):
+            COMMANDS[name](args)
     return 0
 
 

@@ -52,25 +52,3 @@ class FailureReport:
     @property
     def failovers(self) -> int:
         return sum(self.failovers_by_tenant.values())
-
-    def render(self) -> str:
-        """The operator table the CLI prints after a chaos run."""
-        rows = [
-            ("crashes / recoveries", f"{self.crashes} / {self.recoveries}"),
-            ("transient job failures", str(self.transient_failures)),
-            ("DMA stalls", str(self.dma_stalls)),
-            ("jobs spilled", str(self.jobs_spilled)),
-            ("jobs retried", str(self.jobs_retried)),
-            ("jobs relocated", str(self.jobs_relocated)),
-            ("jobs lost", str(self.jobs_lost)),
-            ("key rehydrations", str(self.rehydrations)),
-            ("tenant failovers", str(self.failovers)),
-            ("tenants rebalanced", str(self.rebalanced_tenants)),
-        ]
-        for shard, downtime in sorted(self.downtime_by_shard.items()):
-            rows.append((f"downtime[{shard}]", f"{downtime * 1e3:.2f} ms"))
-        width = max(len(label) for label, _ in rows)
-        lines = [f"Failure report (plan seed: {self.plan_seed})"]
-        lines += [f"  {label.ljust(width)}  {value}"
-                  for label, value in rows]
-        return "\n".join(lines)

@@ -84,39 +84,21 @@ class NoiseModel:
 
     def supported_depth(self) -> int:
         """Largest depth whose worst-case noise stays decryptable."""
-        depth = 0
-        noise = self.fresh_bound()
-        while True:
+        return sum(noise < self.decryption_threshold
+                   for noise in self._depth_walk())
+
+    def _depth_walk(self) -> list[float]:
+        """Worst-case noise after depth 1, 2, ...: each depth that stays
+        decryptable and the first that does not, at most 64 depths
+        (``python -m repro noise`` prints it)."""
+        noise, walk = self.fresh_bound(), []
+        while noise < self.decryption_threshold and len(walk) < 64:
             noise = self.mult_relin_bound(noise, noise)
-            if noise >= self.decryption_threshold:
-                return depth
-            depth += 1
-            if depth > 64:  # unbounded in practice; cap the loop
-                return depth
+            walk.append(noise)
+        return walk
 
     def budget_bits(self, noise: float) -> float:
         """Noise budget (bits) corresponding to a noise magnitude."""
         if noise <= 0:
             return math.log2(self.decryption_threshold)
         return max(0.0, math.log2(self.decryption_threshold / noise))
-
-    def report(self) -> str:
-        """Human-readable depth budget table."""
-        lines = [
-            f"noise model for {self.params.name} "
-            f"(n={self.params.n}, log2 q={self.params.log2_q}, "
-            f"t={self.params.t}, sigma={self.params.sigma})",
-            f"decryption threshold: 2^{math.log2(self.decryption_threshold):.1f}",
-            f"fresh noise bound:    2^{math.log2(self.fresh_bound()):.1f}",
-        ]
-        noise = self.fresh_bound()
-        depth = 0
-        while noise < self.decryption_threshold and depth < 16:
-            noise = self.mult_relin_bound(noise, noise)
-            depth += 1
-            status = "ok" if noise < self.decryption_threshold else "FAIL"
-            lines.append(
-                f"after depth {depth}: 2^{math.log2(noise):5.1f}  [{status}]"
-            )
-        lines.append(f"supported depth (worst case): {self.supported_depth()}")
-        return "\n".join(lines)

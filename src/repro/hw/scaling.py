@@ -36,15 +36,6 @@ class ScalingPoint:
     def total_seconds(self) -> float:
         return self.compute_seconds + self.comm_seconds
 
-    def row(self) -> str:
-        r = self.resources
-        return (f"(2^{self.n.bit_length() - 1}, {self.log2_q:>5}) | "
-                f"{r.luts // 1000}K/{r.regs // 1000}K/"
-                f"{r.bram36 / 1000:.1f}K/{r.dsps / 1000:.1f}K | "
-                f"{self.compute_seconds * 1e3:.2f}/"
-                f"{self.comm_seconds * 1e3:.2f}/"
-                f"{self.total_seconds * 1e3:.1f} msec")
-
 
 def scaling_table(base_resources: Utilization, base_compute_seconds: float,
                   base_comm_seconds: float) -> list[ScalingPoint]:

@@ -29,12 +29,6 @@ class DesignPoint:
     throughput_per_second: float
     resources: Utilization
 
-    def row(self) -> str:
-        return (f"{self.label:<34}{self.mult_seconds * 1e3:>9.2f} ms"
-                f"{self.throughput_per_second:>9.0f}/s"
-                f"{self.resources.luts:>10,}{self.resources.bram36:>7}"
-                f"{self.resources.dsps:>6}")
-
 
 def evaluate_point(params: ParameterSet, label: str,
                    config: HardwareConfig) -> DesignPoint:

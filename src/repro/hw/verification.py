@@ -41,18 +41,6 @@ class CampaignResult:
                 and self.bit_exact_matches == self.operations
                 and self.decrypt_matches == self.operations)
 
-    def report(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        lines = [
-            f"equivalence campaign on {self.params_name}: {status}",
-            f"  operations:        {self.operations}",
-            f"  bit-exact matches: {self.bit_exact_matches}",
-            f"  decrypt matches:   {self.decrypt_matches}",
-            f"  wall time:         {self.wall_seconds:.1f} s",
-        ]
-        lines.extend(f"  failure: {f}" for f in self.failures)
-        return "\n".join(lines)
-
 
 #: Operations of one campaign, alternating Mult and Add.
 CAMPAIGN_OPERATIONS = 4

@@ -5,7 +5,7 @@ Usage::
     from repro.optim import optimize_program
 
     optimized, report = optimize_program(program)
-    print(report.render())
+    print(f"{report.keyswitch_reduction():.0%} fewer keyswitches")
 
 or, through the facade, ``session.compile(handle, optimize=True)``.
 The stack rewrites for the costs that dominate the paper's

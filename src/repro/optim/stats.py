@@ -94,26 +94,3 @@ class OptimizationReport:
         if self.before.keyswitches == 0:
             return 0.0
         return self.keyswitches_saved / self.before.keyswitches
-
-    def render(self) -> str:
-        """The CLI table: one row per pass, totals up front."""
-        head = (
-            f"optimiser report for {self.program_name!r} — "
-            f"ops {self.before.num_ops} -> {self.after.num_ops}, "
-            f"keyswitches {self.before.keyswitches} -> "
-            f"{self.after.keyswitches} "
-            f"({100 * self.keyswitch_reduction():.1f}% saved), "
-            f"depth {self.before.depth} -> {self.after.depth}"
-        )
-        lines = [head,
-                 f"{'pass':<18}{'rewrites':>9}  {'ops':<12}"
-                 f"{'keyswitches':<14}detail"]
-        for p in self.passes:
-            detail = ", ".join(f"{k}={v}" for k, v in p.details.items())
-            lines.append(
-                f"{p.name:<18}{p.rewrites:>9}  "
-                f"{f'{p.before.num_ops} -> {p.after.num_ops}':<12}"
-                f"{f'{p.before.keyswitches} -> {p.after.keyswitches}':<14}"
-                f"{detail}"
-            )
-        return "\n".join(lines)

@@ -40,16 +40,6 @@ class SecurityAssessment:
     meets_128: bool
     notes: str
 
-    def report(self) -> str:
-        status = "yes" if self.meets_128 else "no"
-        return (
-            f"{self.params_name}: n={self.n}, log2(q)={self.log2_q}\n"
-            f"  HE-standard 128-bit compliant: {status}\n"
-            f"  heuristic classical estimate:  "
-            f"~{self.classical_bits_estimate:.0f} bits\n"
-            f"  {self.notes}"
-        )
-
 
 def max_log2_q(n: int, security_bits: int) -> int | None:
     """Standard's maximum modulus width, or None if n is off-table."""

@@ -58,13 +58,6 @@ class LatencySummary:
             max=float(np.max(values)),
         )
 
-    def row(self, label: str) -> str:
-        return (f"{label:<10} n={self.count:<6} "
-                f"p50={self.p50 * 1e3:8.2f} ms  "
-                f"p95={self.p95 * 1e3:8.2f} ms  "
-                f"p99={self.p99 * 1e3:8.2f} ms  "
-                f"max={self.max * 1e3:8.2f} ms")
-
 
 class ServingReductions:
     """The reductions of a run record, shared by every report.

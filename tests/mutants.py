@@ -145,6 +145,23 @@ CATALOGUE = (
         "if attempt > retry.max_attempts + 1:",
         ("tests/test_faults.py::TestClusterFaults::"
          "test_retry_budget_exhaustion_is_counted_loss",)),
+    Mutant(
+        "FAULT and RETRY rank with board events", "serve/events.py",
+        "EventHeap.push",
+        "0 if kind is _FAULT or kind is _RETRY else 1",
+        "1",
+        ("tests/test_serving_runtime.py::TestEventHeap::"
+         "test_faults_and_retries_rank_before_board_events",
+         "tests/test_serving_pins.py::TestSameInstantFaultPins")),
+    # The memo is cleared when its DISPATCH runs; left set, a job that
+    # reaches a board later in the same instant waits for the next event.
+    Mutant(
+        "a DISPATCH that ran skips the next one at its instant",
+        "serve/engine.py", "ServingRuntime.handle",
+        "self._dispatch_at = None",
+        "pass",
+        ("tests/test_serving_runtime.py::TestOneDispatchPerInstant::"
+         "test_an_arrival_after_its_instants_dispatch_gets_another",)),
 )
 
 

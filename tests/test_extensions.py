@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from repro import cli
 from repro.api import Session
 from repro.apps.comparator import BITS, EncryptedComparator
 from repro.cli import main as cli_main
@@ -16,6 +17,7 @@ from repro.fv.noise import noise_of
 from repro.fv.noise_model import NoiseModel
 from repro.hw.trace import render_fig3
 from repro.params import hpca19, mini
+from repro.system.related_work import paper_rows
 from scaffolding import toy
 
 
@@ -79,9 +81,16 @@ class TestNoiseModel:
             reached += 1
         assert reached >= analytic
 
-    def test_report_renders(self):
-        report = NoiseModel(hpca19()).report()
-        assert "supported depth" in report
+    def test_cli_prints_the_depth_walk(self, capsys):
+        """``noise`` prints one row per depth up to the first that fails
+        to decrypt, and the supported depth."""
+        depth = NoiseModel(hpca19()).supported_depth()
+        assert cli_main(["noise"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        walk = rows[rows.index(["depth", "noise", "bound", "decrypts"]) + 1:-1]
+        assert [(int(d), status) for d, _, status in walk] == [
+            (d, "ok") for d in range(1, depth + 1)] + [(depth + 1, "FAIL")]
+        assert rows[-1][-1] == str(depth)
 
     def test_budget_bits(self):
         model = NoiseModel(hpca19())
@@ -145,19 +154,19 @@ class TestRenderFig3:
 #: these as they are.
 ARTEFACT_SHA256 = {
     "table1":
-        "faf4aa9a66ac54fb8d34883305f713248d0d2941524f5269cefc92d7d950accd",
+        "f1d6536474224edbb10e036ebc9ba53974aa340722883e976cdb3ec09334d2aa",
     "table2":
-        "6799d9c55b9c7a403a705d9ce143e827cc603d2c9f4a696bc069cf2bd319d424",
+        "5fb2139cd328867b22ccca2e3d3109c0908d6062445dfb934e7d5a9f4f52f17d",
     "table3":
-        "2bf57489b1cbb5d2e1f0598257f0a59d8ce1aca9caa25b162e83ae78b4f4d387",
+        "99278970f8edd0a304205f51aaa36d0cd4d0558f2d23917060aa93b90629b235",
     "table4":
-        "92931e01c34ed7e48307520e3e095f2beaab7d4f398102fda1880eac62bec066",
+        "7cc84fbd09b28e5b2e6d9652b406ed088ffab833a8c1ef2adeb633873b846614",
     "table5":
-        "19895ab1179d0bbec55bd82634746103040a2a6bd408edc91e71a17374279fcf",
+        "96b10d12ad1bb89bbc70ca0f26e88bf3b758244c51737eabf08504d452593c3e",
     "fig3":
         "0d986bd145d0c2913838f2e73f7dd0bb7fd67769bc56c73c9279cd54426c35fb",
     "headline":
-        "0a42c61e9951702a96f65c8965b51e3baff72ca5d958da52feb8e03691a05218",
+        "8038a02e0a4b49aae808f0e4ff835dc0cd6bac2bd4e4f3cef54dc2ed8df96dc7",
 }
 
 
@@ -167,9 +176,19 @@ ARTEFACT_SHA256 = {
 #: must leave these as they are.
 SIMULATION_SHA256 = {
     ("serve",):
-        "65355cb1a81bb737a8d12cdd14d06db50a00777b131a49e95c78e4f938d2b062",
+        "f42322ebcac54234c37dc26ee880bb25fdc4a4f49563db77b06445f42b64e454",
     ("cluster", "--shards", "4"):
-        "24466909f4b53de3206ff6ea8ee303b1db1e8dfcd6da84a406595ec772d17548",
+        "342b25b3efce911f61d882665fca2da670b3739efc6c2fd398cd0ad45b2d11b8",
+}
+
+#: The PAPER_RECORD artefacts each paper command prints, every row.
+PAPER_COMMANDS = {
+    "table1": ("Table I",),
+    "table2": ("Table II",),
+    "table3": ("Table III",),
+    "table4": ("Table IV",),
+    "table5": ("Table V",),
+    "headline": ("headline", "Sec. VI-E", "Table I text"),
 }
 
 
@@ -194,6 +213,32 @@ class TestCli:
         output = capsys.readouterr().out
         digest = hashlib.sha256(output.encode()).hexdigest()
         assert digest == SIMULATION_SHA256[argv]
+
+    @pytest.mark.parametrize("command", sorted(PAPER_COMMANDS))
+    def test_paper_command_prints_every_row_of_its_artefacts(self, command,
+                                                             capsys):
+        """One line per record row: its label, model value, paper value
+        and relative error."""
+        assert cli_main([command]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for artefact in PAPER_COMMANDS[command]:
+            for row in paper_rows(artefact):
+                (line,) = [text for text in lines
+                           if text.startswith(f"{row.label}  ")]
+                model, paper, error = line[len(row.label):].split()
+                assert float(model.replace(",", "")) == pytest.approx(
+                    row.model(), abs=0.5)
+                assert float(paper.replace(",", "")) == pytest.approx(
+                    row.paper, abs=0.5)
+                assert error == f"{row.error():+.1%}"
+
+    def test_docstring_names_every_command_and_what_all_runs(self):
+        doc = " ".join(cli.__doc__.split())
+        for name in cli.COMMANDS:
+            assert f"python -m repro {name}" in doc, name
+        *first, last = cli._ALL
+        assert (f"``all`` runs {', '.join(first)} and {last}, "
+                f"in that order") in doc
 
     def test_program_command(self, capsys):
         """The facade demo: one graph, both executors, latency table."""

@@ -191,5 +191,17 @@ class TestScalingModel:
         ratios = [p.comm_seconds / p.compute_seconds for p in table]
         assert ratios == sorted(ratios)
 
-    def test_rows_render(self, table):
-        assert "msec" in table[0].row()
+    def test_rows_render(self, table, capsys):
+        """``python -m repro table5`` prints each point's resources."""
+        from repro.cli import main
+
+        assert main(["table5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for point in table:
+            label = f"(2^{point.n.bit_length() - 1}, {point.log2_q})"
+            (line,) = [text for text in lines
+                       if text.startswith(f"{label}  ")]
+            assert line.split()[2:] == [
+                f"{count:,}" for count in (
+                    point.resources.luts, point.resources.regs,
+                    point.resources.bram36, point.resources.dsps)]

@@ -154,16 +154,6 @@ class TestPasses:
         source = {id(m.args[0]) for m in group}
         assert len(source) == 1
 
-    def test_report_renders_pass_table(self, session):
-        a = session.encrypt([1, 2, 3, 4])
-        program = session.compile(a.sum_slots() + a.rotate(1))
-        _, report = optimize_program(program)
-        text = report.render()
-        for name in ("canonicalize", "cse", "rotation_fold",
-                     "relin_placement", "rotation_hoist"):
-            assert name in text
-        assert "keyswitches" in text
-
     def test_passes_run_under_the_active_trace(self, session):
         """Each pass is one ``pass`` span on the caller's tracer, and
         pass i's ``after`` is pass i + 1's ``before``."""
@@ -375,6 +365,10 @@ class TestOptimizerCli:
         out = capsys.readouterr().out
         assert "optimiser report" in out
         assert "% saved" in out
+        rows = [line.split()[0] for line in out.splitlines() if line]
+        for name in ("canonicalize", "cse", "rotation_fold",
+                     "relin_placement", "rotation_hoist"):
+            assert name in rows
         assert "MISMATCH" not in out
         for stem in ("matmul_functional", "matmul_simulated"):
             data = json.loads((tmp_path / f"{stem}.json").read_text())

@@ -17,6 +17,7 @@ values where the paper states one. Each test quotes the claim it checks.
 """
 
 import ast
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -64,6 +65,20 @@ def _ledger_constant(path: Path, name: str):
                 and any(getattr(t, "id", None) == name for t in node.targets)):
             return ast.literal_eval(node.value)
     raise LookupError(f"{name} not in {path}")
+
+
+#: SHA-256 over ``repr((artefact, label, model()))`` of every record row,
+#: in record order: each modelled value at full precision. A change that
+#: is meant to move no modelled number leaves it as it is.
+RECORD_MODEL_SHA256 = (
+    "e80d1dd733376844a7dbcf268528dbc468bc1bb03705cf7732f331d63f90094f")
+
+
+def test_record_model_values_are_pinned():
+    digest = hashlib.sha256()
+    for (artefact, label), row in PAPER_RECORD.items():
+        digest.update(repr((artefact, label, row.model())).encode())
+    assert digest.hexdigest() == RECORD_MODEL_SHA256
 
 
 def test_ledger_copies_match_the_record():

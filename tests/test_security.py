@@ -70,10 +70,6 @@ class TestPlacement:
         assert params.log2_q <= 109
         assert meets_security(params, 128)
 
-    def test_report_renders(self):
-        report = assess(hpca19()).report()
-        assert "hpca19" in report and "128-bit" in report
-
 
 class TestCliSecurity:
     def test_cli_security_command(self, capsys):
@@ -81,4 +77,9 @@ class TestCliSecurity:
 
         assert cli_main(["security"]) == 0
         output = capsys.readouterr().out
-        assert "hpca19" in output
+        for params in (hpca19(), table5_large(), mini()):
+            placed = assess(params)
+            assert (f"{params.name}: n={params.n}, "
+                    f"log2(q)={params.log2_q}") in output
+            assert placed.notes in output
+        assert "HE-standard 128-bit compliant: no" in output

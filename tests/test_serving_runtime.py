@@ -311,6 +311,20 @@ class TestOneDispatchPerInstant:
         assert [(r.job.index, r.start_seconds) for r in report.results] \
             == [(1, 1.0)]
 
+    def test_an_arrival_after_its_instants_dispatch_gets_another(self, cost):
+        """A job injected at an instant whose DISPATCH has already run
+        (a closed-loop client with zero think time does this) still gets
+        a DISPATCH of its own and starts at once on the free
+        coprocessor."""
+        runtime = ServingRuntime(cost)
+        runtime.begin()
+        runtime.inject(Job(index=0, kind=JobKind.MULT, arrival_seconds=1.0))
+        runtime.advance_to(1.0)
+        runtime.inject(Job(index=1, kind=JobKind.MULT, arrival_seconds=1.0))
+        report = runtime.drain()
+        assert [(r.job.index, r.coprocessor, r.start_seconds)
+                for r in report.results] == [(0, 0, 1.0), (1, 1, 1.0)]
+
 
 class TestSchedulerInvariants:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
